@@ -43,7 +43,7 @@ func main() {
 	semanticOnly := flag.Bool("semantic", false, "run only the semantic region cache experiment (E18)")
 	persona := flag.String("persona", "", "run only the speculative prefetch experiment (E19) under this client persona (deep-drill, glance, select-heavy)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
-	batch := flag.Int("batch", 0, "override the batch width of the vectorized pipeline runs (0 = default, <=1 = scalar)")
+	batch := flag.Int("batch", 0, "override the pipeline width of the vectorized runs (0 = default, 1 = one binding per pull)")
 	flag.Parse()
 
 	if *batch != 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,52 +14,71 @@ import (
 	"mix/internal/trace"
 )
 
-// Batch-at-a-time execution.
+// The operator pipeline.
 //
-// The scalar pipeline moves one binding per next() call; every binding
-// pays a virtual call per operator it crosses. Once round trips are
-// batched and allocations tamed, that per-binding interpretation is
-// what dominates warm drains (E10/E13). The batch pipeline moves slices
-// of up to Options.BatchSize bindings per call instead: selection,
-// projection, distinct, groupBy ingest, hash-join build/probe, and
-// fingerprint keying all loop over a whole batch inside one call.
+// Every algebra operator compiles to one bbuilder, and every bbuilder
+// builds bcursors: operators exchange slices of up to Options.BatchSize
+// bindings per call, so selection, projection, distinct, groupBy
+// ingest, hash-join build/probe and fingerprint keying loop over a
+// whole batch inside one call instead of paying a virtual call per
+// binding per operator.
 //
 // The paper's lazy contract — explore only what the client demands —
 // lives at the answer-document boundary, not inside the pipeline, so
 // vectorization must not change a single source navigation there. The
 // reconciliation is the want parameter: a cursor never computes more
 // than want bindings per call, operators propagate the want they
-// receive downstream, and the batch-to-scalar adapter (logStream) pulls
-// with want=1. Under client demand the batch pipeline therefore
-// executes the exact scalar schedule — same pulls, same condition
-// evaluations, same source commands, byte for byte. Full batches flow
-// only where the whole output is needed anyway: Materialize predrains
-// the top log batch-wise, and the blocking operators (orderBy, the
-// difference right input, parallel join derivation) drain their inputs
-// in batch-sized pulls. Those drains reorder work but never change the
-// set of computations, so answers and navigation totals stay identical.
+// receive downstream, and the answer document (bindingList, the
+// tupleDestroy resolver, group value lists) pulls with want=1. Under
+// client demand the pipeline therefore executes the binding-at-a-time
+// schedule of the paper's mediators — same pulls, same condition
+// evaluations, same source commands — whatever the width. Full batches
+// flow only where the whole output is needed anyway: Materialize
+// predrains the top log batch-wise, and the blocking operators
+// (orderBy, the difference right input, parallel join derivation) drain
+// their inputs in batch-sized pulls. Those drains reorder work but
+// never change the set of computations, so answers and navigation
+// totals are independent of the width.
 //
-// Cursors are linear (consume-once), unlike the persistent scalar
-// streams: replayability is reintroduced only where a consumer actually
-// needs it, by logging batches into an append-only batchLog (the top
-// adapter, the nested-loops inner input, the groupBy input). Everything
-// else runs log-free.
+// Cursors are linear (consume-once). Replayability is introduced only
+// where a consumer needs it, and each such point is one of the paper's
+// operator caches (Section 3, Appendix A):
+//
+//   - the top log every Document replays (always on — the client may
+//     navigate from any node it has seen);
+//   - JoinCache: the nested-loops inner input is one batchLog shared by
+//     all outer bindings (the hash index plays the same role). Off,
+//     the join re-invokes the inner bbuilder per outer binding;
+//   - GroupCache: the groupBy input is one batchLog, group value lists
+//     are memoized positions into it. Off, a value list continues the
+//     input scan from a fork() of the cursor at the previous member,
+//     re-deriving the bindings on every visit;
+//   - PathCache: where an ablation above re-invokes or forks its
+//     builder, getDescendants hands out replay cursors over one shared
+//     log instead of re-running the descent. With both other caches on
+//     nothing re-invokes or forks, so default plans carry no such log.
 
-// bcursor is the batch-at-a-time operator output: bnext returns between
-// 1 and max(want,1) bindings, or (nil, nil) at end of input, or
-// (nil, err) on failure. The returned slice is scratch owned by the
-// cursor — valid only until the next bnext call (the bindings it points
-// to are immutable and safe to retain). A cursor that computed a prefix
-// of a batch before failing returns the prefix first and the error on
-// the following call; errors and exhaustion are sticky.
+// bcursor is the operator output: bnext returns between 1 and
+// max(want,1) bindings, or (nil, nil) at end of input, or (nil, err) on
+// failure. The returned slice is scratch owned by the cursor — valid
+// only until the next bnext call (the bindings it points to are
+// immutable and safe to retain). A cursor that computed a prefix of a
+// batch before failing returns the prefix first and the error on the
+// following call; errors and exhaustion are sticky.
+//
+// fork returns an independent cursor that continues from the current
+// position: private state (scratch, buffered input, seen sets) is
+// copied and the input forked, while logs and hash indexes — the
+// caches — are shared. Only the GroupCache-off value lists fork.
 type bcursor interface {
 	bnext(want int) ([]*binding, error)
+	fork() bcursor
 }
 
-// bbuilder creates an operator's output cursor. In batch mode every
-// operator has exactly one consumer (multi-reader points go through a
-// batchLog or the hash index instead of rebuilding), so unlike the
-// scalar builder it is invoked at most once per compiled query.
+// bbuilder creates an operator's output cursor; each invocation derives
+// the output afresh. With JoinCache and GroupCache on, every operator
+// has exactly one consumer (multi-reader points go through a batchLog
+// or the hash index) and its builder is invoked once per query.
 type bbuilder func() (bcursor, error)
 
 func clampWant(want int) int {
@@ -114,7 +134,7 @@ func BatchSnapshot() BatchStats {
 
 // batchLog replays a linear cursor: batches are appended to an
 // append-only buffer as consumers demand positions, so any number of
-// readers (scalar adapters, group member scans, join re-probes) share
+// readers (the answer document, group member scans, join re-probes) share
 // one pass over the input. The terminal error, if any, is memoized at
 // its position — a replay sees the same prefix and the same error.
 type batchLog struct {
@@ -147,7 +167,7 @@ func (l *batchLog) at(i, want int) (*binding, error) {
 }
 
 // lazyLog defers input derivation until a reader first demands a
-// position — the batch counterpart of deferStream+memoizeStream.
+// position.
 type lazyLog struct {
 	in  bbuilder
 	log *batchLog
@@ -167,80 +187,63 @@ func (l *lazyLog) get() (*batchLog, error) {
 	return l.log, l.err
 }
 
-// logStream is the batch-to-scalar adapter: a persistent scalar stream
-// replaying a batchLog, growing it one binding at a time. This is where
-// the demand-driven navigation contract is enforced — a client pull
-// costs exactly one want=1 batch pull, the scalar schedule.
-type logStream struct {
-	log *batchLog
+// fork snapshots the log for a reader whose input must not be shared
+// (the uncached nested-loops inner): the derived prefix is copied, the
+// remainder re-derived from a fork of the source cursor.
+func (l *lazyLog) fork() *lazyLog {
+	if l.log == nil {
+		return &lazyLog{in: l.in, err: l.err}
+	}
+	f := *l.log
+	f.buf = append([]*binding(nil), f.buf...)
+	if f.src != nil {
+		f.src = f.src.fork()
+	}
+	return &lazyLog{log: &f}
+}
+
+// logCursor replays a shared lazyLog from its own position: what
+// getDescendants hands out under PathCache where builders are
+// re-invoked or cursors forked.
+type logCursor struct {
+	log *lazyLog
 	pos int
 }
 
-func (s logStream) next() (*binding, stream, error) {
-	b, err := s.log.at(s.pos, 1)
+func (c *logCursor) bnext(want int) ([]*binding, error) {
+	log, err := c.log.get()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if b == nil {
-		return nil, nil, nil
+	if b, err := log.at(c.pos, want); b == nil {
+		return nil, err
 	}
-	return b, logStream{log: s.log, pos: s.pos + 1}, nil
+	end := min(c.pos+clampWant(want), len(log.buf))
+	out := log.buf[c.pos:end]
+	c.pos = end
+	return out, nil
 }
 
-// topBatch owns a query's top-level batch pipeline: the compiled
-// bbuilder, the shared log every Document replays, and the predrain
-// entry point Materialize uses to force the whole binding list through
-// the pipeline in full batches.
-type topBatch struct {
-	bb    bbuilder
-	batch int
-	log   *batchLog
-	err   error
-}
-
-func (t *topBatch) force() error {
-	if t.log == nil && t.err == nil {
-		cur, err := t.bb()
-		if err != nil {
-			t.err = err
-		} else {
-			t.log = &batchLog{src: cur}
-		}
-		t.bb = nil
-	}
-	return t.err
-}
-
-// builder adapts the batch pipeline to the scalar stream interface all
-// answer-document machinery consumes.
-func (t *topBatch) builder() builder {
-	return func() (stream, error) {
-		if err := t.force(); err != nil {
-			return nil, err
-		}
-		return logStream{log: t.log}, nil
-	}
-}
+func (c *logCursor) fork() bcursor { f := *c; return &f }
 
 // predrain forces the whole top-level binding list in batch-sized
 // pulls. Pull errors are left memoized in the log — the subsequent
-// document walk surfaces them at the same position the scalar pipeline
-// would.
-func (t *topBatch) predrain() {
-	if t.force() != nil || t.log.done {
+// document walk surfaces them at their position.
+func (q *Query) predrain() {
+	log, err := q.top.get()
+	if err != nil || log.done {
 		return
 	}
 	batchPredrain.Add(1)
-	for !t.log.done {
-		if _, err := t.log.at(len(t.log.buf), t.batch); err != nil {
+	for width := q.eng.opts.width(); !log.done; {
+		if _, err := log.at(len(log.buf), width); err != nil {
 			return
 		}
 	}
 }
 
 // tracedBCursor wraps an operator's cursor so every batch pull opens a
-// span, like tracedStream for the scalar pipeline; the op records how
-// many bindings the batch carried ("next[17]").
+// span; the op records how many bindings the batch carried ("next[17]").
 type tracedBCursor struct {
 	in    bcursor
 	label string
@@ -255,6 +258,10 @@ func (t *tracedBCursor) bnext(want int) ([]*binding, error) {
 	}
 	t.rec.End(sp)
 	return bs, err
+}
+
+func (t *tracedBCursor) fork() bcursor {
+	return &tracedBCursor{in: t.in.fork(), label: t.label, rec: t.rec}
 }
 
 // sliceBCursor serves a fixed slice in want-sized windows (sources,
@@ -276,6 +283,8 @@ func (s *sliceBCursor) bnext(want int) ([]*binding, error) {
 	s.pos = end
 	return out, nil
 }
+
+func (s *sliceBCursor) fork() bcursor { f := *s; return &f }
 
 // mapBCursor applies a per-binding kernel to whole batches.
 type mapBCursor struct {
@@ -307,6 +316,10 @@ func (m *mapBCursor) bnext(want int) ([]*binding, error) {
 		m.out = append(m.out, nb)
 	}
 	return m.out, nil
+}
+
+func (m *mapBCursor) fork() bcursor {
+	return &mapBCursor{in: m.in.fork(), fn: m.fn, err: m.err}
 }
 
 // filterBCursor keeps the bindings satisfying pred. A batch that
@@ -350,6 +363,10 @@ func (f *filterBCursor) bnext(want int) ([]*binding, error) {
 			return f.out, nil
 		}
 	}
+}
+
+func (f *filterBCursor) fork() bcursor {
+	return &filterBCursor{in: f.in.fork(), pred: f.pred, err: f.err}
 }
 
 // expandBCursor is the batch flatMap: each input binding expands into a
@@ -426,9 +443,15 @@ func (e *expandBCursor) fail(err error) ([]*binding, error) {
 	return nil, err
 }
 
+func (e *expandBCursor) fork() bcursor {
+	f := *e
+	f.in, f.obuf = e.in.fork(), nil
+	f.pend, f.pi = append([]*binding(nil), e.pend[e.pi:]...), 0
+	return &f
+}
+
 // chainBCursor concatenates operator outputs (union); each successor is
-// built only after its predecessor is exhausted, like the scalar
-// deferStream right side.
+// built only after its predecessor is exhausted.
 type chainBCursor struct {
 	cur  bcursor
 	rest []bbuilder
@@ -461,6 +484,14 @@ func (c *chainBCursor) bnext(want int) ([]*binding, error) {
 		}
 		c.cur = nil
 	}
+}
+
+func (c *chainBCursor) fork() bcursor {
+	f := *c
+	if c.cur != nil {
+		f.cur = c.cur.fork()
+	}
+	return &f
 }
 
 // distinctBCursor keeps first occurrences, keying whole batches at a
@@ -512,10 +543,17 @@ func (d *distinctBCursor) bnext(want int) ([]*binding, error) {
 	}
 }
 
+func (d *distinctBCursor) fork() bcursor {
+	f := *d
+	f.in, f.out, f.kbuf = d.in.fork(), nil, nil
+	f.seen = maps.Clone(d.seen)
+	return &f
+}
+
 // diffBCursor emits the left bindings whose key tuple the right input
 // never produced. The right side is drained in full batches — but only
 // once the first left binding exists, and never if the left input is
-// empty, exactly the scalar laziness.
+// empty.
 type diffBCursor struct {
 	in    bcursor
 	right bbuilder
@@ -576,6 +614,14 @@ func (d *diffBCursor) bnext(want int) ([]*binding, error) {
 	}
 }
 
+// fork copies the right-side key set: once built it is never written
+// again, and the first pull — which precedes any fork — builds it.
+func (d *diffBCursor) fork() bcursor {
+	f := *d
+	f.in, f.out, f.kbuf = d.in.fork(), nil, nil
+	return &f
+}
+
 // sortBCursor drains and sorts its input on first demand (orderBy is
 // blocking by definition), then serves the sorted slice in windows.
 type sortBCursor struct {
@@ -605,11 +651,22 @@ func (s *sortBCursor) bnext(want int) ([]*binding, error) {
 	return s.out.bnext(want)
 }
 
-// The batch compiler mirrors compileOp one-to-one; per-binding
-// operators share their kernels with the scalar pipeline (compile.go).
+func (s *sortBCursor) fork() bcursor {
+	f := *s
+	if s.out != nil {
+		out := *s.out
+		f.out = &out
+	} else {
+		f.in = s.in.fork()
+	}
+	return &f
+}
 
-func (c *compiler) compileB(p algebra.Op) (bbuilder, error) {
-	bb, err := c.compileBOp(p)
+// compile builds the cursor constructor for a plan node, wrapping it
+// with a traced cursor when a tracer is installed (the per-operator
+// boundary of the observability layer).
+func (c *compiler) compile(p algebra.Op) (bbuilder, error) {
+	bb, err := c.compileNode(p)
 	if err != nil || c.e.tracer == nil {
 		return bb, err
 	}
@@ -623,38 +680,39 @@ func (c *compiler) compileB(p algebra.Op) (bbuilder, error) {
 	}, nil
 }
 
-func (c *compiler) compileBOp(p algebra.Op) (bbuilder, error) {
+// compileNode dispatches compilation per operator.
+func (c *compiler) compileNode(p algebra.Op) (bbuilder, error) {
 	switch op := p.(type) {
 	case *algebra.Source:
-		return c.compileBSource(op)
+		return c.compileSource(op)
 	case *algebra.GetDescendants:
-		return c.compileBGetDescendants(op)
+		return c.compileGetDescendants(op)
 	case *algebra.Select:
-		return c.compileBSelect(op)
+		return c.compileSelect(op)
 	case *algebra.Join:
-		return c.compileBJoin(op)
+		return c.compileJoin(op)
 	case *algebra.GroupBy:
-		return c.compileBGroupBy(op)
+		return c.compileGroupBy(op)
 	case *algebra.Concatenate:
-		return c.compileBPerBinding(op.Input, concatKernel(op))
+		return c.compilePerBinding(op.Input, concatKernel(op))
 	case *algebra.CreateElement:
-		return c.compileBPerBinding(op.Input, createElementKernel(op))
+		return c.compilePerBinding(op.Input, createElementKernel(op))
 	case *algebra.OrderBy:
-		return c.compileBOrderBy(op)
+		return c.compileOrderBy(op)
 	case *algebra.Project:
-		return c.compileBPerBinding(op.Input, projectKernel(op))
+		return c.compilePerBinding(op.Input, projectKernel(op))
 	case *algebra.Union:
-		return c.compileBChain(op.Left, op.Right)
+		return c.compileUnion(op.Left, op.Right)
 	case *algebra.Difference:
-		return c.compileBDifference(op)
+		return c.compileDifference(op)
 	case *algebra.Distinct:
-		return c.compileBDistinct(op)
+		return c.compileDistinct(op)
 	case *algebra.WrapList:
-		return c.compileBPerBinding(op.Input, wrapListKernel(op))
+		return c.compilePerBinding(op.Input, wrapListKernel(op))
 	case *algebra.Const:
-		return c.compileBPerBinding(op.Input, constKernel(op))
+		return c.compilePerBinding(op.Input, constKernel(op))
 	case *algebra.Rename:
-		return c.compileBPerBinding(op.Input, renameKernel(op))
+		return c.compilePerBinding(op.Input, renameKernel(op))
 	case *algebra.TupleDestroy:
 		return nil, fmt.Errorf("core: tupleDestroy must be the plan root")
 	default:
@@ -662,8 +720,8 @@ func (c *compiler) compileBOp(p algebra.Op) (bbuilder, error) {
 	}
 }
 
-func (c *compiler) compileBPerBinding(input algebra.Op, fn func(*binding) (*binding, error)) (bbuilder, error) {
-	in, err := c.compileB(input)
+func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*binding, error)) (bbuilder, error) {
+	in, err := c.compile(input)
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +734,7 @@ func (c *compiler) compileBPerBinding(input algebra.Op, fn func(*binding) (*bind
 	}, nil
 }
 
-func (c *compiler) compileBSource(op *algebra.Source) (bbuilder, error) {
+func (c *compiler) compileSource(op *algebra.Source) (bbuilder, error) {
 	doc, ok := c.e.lookup(op.URL)
 	if !ok {
 		return nil, fmt.Errorf("core: unregistered source %q", op.URL)
@@ -691,8 +749,8 @@ func (c *compiler) compileBSource(op *algebra.Source) (bbuilder, error) {
 	}, nil
 }
 
-func (c *compiler) compileBGetDescendants(op *algebra.GetDescendants) (bbuilder, error) {
-	in, err := c.compileB(op.Input)
+func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (bbuilder, error) {
+	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -702,31 +760,36 @@ func (c *compiler) compileBGetDescendants(op *algebra.GetDescendants) (bbuilder,
 		dfa = pathexpr.NewDFA(nfa, c.e.intern)
 	}
 	parent, out := op.Parent, op.Out
-	return func() (bcursor, error) {
+	raw := func() (bcursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &expandBCursor{in: cur, out: out, mk: func(b *binding) (list, error) {
-			pv, err := b.node(parent)
-			if err != nil {
-				return nil, err
-			}
-			return matchList(nfa, dfa, pv), nil
-		}}, nil
-	}, nil
+		return descendCursor(cur, parent, out, nfa, dfa), nil
+	}
+	if o := c.e.opts; o.PathCache && !(o.JoinCache && o.GroupCache) {
+		// The operator-level cache of Section 3: the explored part of the
+		// descent is kept by the operator itself, so re-iterations (the
+		// inner of an uncached join, an uncached group scan) replay it
+		// instead of re-navigating. With both of those caches on nothing
+		// re-invokes this builder or forks its cursor, and the log would
+		// be dead weight.
+		memo := &lazyLog{in: raw}
+		return func() (bcursor, error) { return &logCursor{log: memo}, nil }, nil
+	}
+	return raw, nil
 }
 
-func (c *compiler) compileBSelect(op *algebra.Select) (bbuilder, error) {
+func (c *compiler) compileSelect(op *algebra.Select) (bbuilder, error) {
 	if c.e.opts.NativeSelect {
 		if lm, ok := op.Cond.(*algebra.LabelMatch); ok {
 			if gd, ok := op.Input.(*algebra.GetDescendants); ok &&
 				gd.Out == lm.Var && gd.Path.String() == "_" {
-				return c.compileBFusedLabelScan(gd, lm.Label)
+				return c.compileFusedLabelScan(gd, lm.Label)
 			}
 		}
 	}
-	in, err := c.compileB(op.Input)
+	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -742,8 +805,8 @@ func (c *compiler) compileBSelect(op *algebra.Select) (bbuilder, error) {
 	}, nil
 }
 
-func (c *compiler) compileBFusedLabelScan(gd *algebra.GetDescendants, label string) (bbuilder, error) {
-	in, err := c.compileB(gd.Input)
+func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label string) (bbuilder, error) {
+	in, err := c.compile(gd.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -763,8 +826,8 @@ func (c *compiler) compileBFusedLabelScan(gd *algebra.GetDescendants, label stri
 	}, nil
 }
 
-func (c *compiler) compileBOrderBy(op *algebra.OrderBy) (bbuilder, error) {
-	in, err := c.compileB(op.Input)
+func (c *compiler) compileOrderBy(op *algebra.OrderBy) (bbuilder, error) {
+	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -778,12 +841,12 @@ func (c *compiler) compileBOrderBy(op *algebra.OrderBy) (bbuilder, error) {
 	}, nil
 }
 
-func (c *compiler) compileBChain(l, r algebra.Op) (bbuilder, error) {
-	lb, err := c.compileB(l)
+func (c *compiler) compileUnion(l, r algebra.Op) (bbuilder, error) {
+	lb, err := c.compile(l)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := c.compileB(r)
+	rb, err := c.compile(r)
 	if err != nil {
 		return nil, err
 	}
@@ -796,12 +859,12 @@ func (c *compiler) compileBChain(l, r algebra.Op) (bbuilder, error) {
 	}, nil
 }
 
-func (c *compiler) compileBDifference(op *algebra.Difference) (bbuilder, error) {
-	lb, err := c.compileB(op.Left)
+func (c *compiler) compileDifference(op *algebra.Difference) (bbuilder, error) {
+	lb, err := c.compile(op.Left)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := c.compileB(op.Right)
+	rb, err := c.compile(op.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -817,8 +880,8 @@ func (c *compiler) compileBDifference(op *algebra.Difference) (bbuilder, error) 
 	}, nil
 }
 
-func (c *compiler) compileBDistinct(op *algebra.Distinct) (bbuilder, error) {
-	in, err := c.compileB(op.Input)
+func (c *compiler) compileDistinct(op *algebra.Distinct) (bbuilder, error) {
+	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -834,8 +897,19 @@ func (c *compiler) compileBDistinct(op *algebra.Distinct) (bbuilder, error) {
 	}, nil
 }
 
-// matchList builds the lazy descendant-match list for one parent value
-// (shared with the scalar compileGetDescendants).
+// descendCursor expands each input binding into the descendants of its
+// parent value that the path matches, bound to out.
+func descendCursor(in bcursor, parent, out string, nfa *pathexpr.NFA, dfa *pathexpr.DFA) *expandBCursor {
+	return &expandBCursor{in: in, out: out, mk: func(b *binding) (list, error) {
+		pv, err := b.node(parent)
+		if err != nil {
+			return nil, err
+		}
+		return matchList(nfa, dfa, pv), nil
+	}}
+}
+
+// matchList builds the lazy descendant-match list for one parent value.
 func matchList(nfa *pathexpr.NFA, dfa *pathexpr.DFA, pv Node) list {
 	if dfa != nil {
 		return dfaMatchList{dfa: dfa, siblings: childrenOf(pv), state: dfa.Start()}
@@ -844,8 +918,7 @@ func matchList(nfa *pathexpr.NFA, dfa *pathexpr.DFA, pv Node) list {
 }
 
 // fusedScanList builds the fused σ_label child scan for one parent
-// value (shared with the scalar compileFusedLabelScan): native
-// select(σ) jumps when the parent is source-backed, a plain filtered
+// value: native select(σ) jumps when the parent is source-backed, a plain filtered
 // scan otherwise.
 func fusedScanList(pv Node, label string) list {
 	sb, ok := asSourceBacked(pv)
@@ -860,7 +933,7 @@ func fusedScanList(pv Node, label string) list {
 }
 
 // sortBindings materializes the order keys of all bindings and sorts
-// stably (shared by scalar compileOrderBy and sortBCursor).
+// stably.
 func sortBindings(all []*binding, keys []string) ([]*binding, error) {
 	type keyed struct {
 		b *binding
@@ -894,7 +967,7 @@ func sortBindings(all []*binding, keys []string) ([]*binding, error) {
 }
 
 // keySeen builds the membership set of the operator keys of all
-// bindings (the difference right side; shared with compileDifference).
+// bindings (the difference right side).
 func keySeen(all []*binding, ks *keyspace, vars []string) (map[string]bool, error) {
 	ck := strings.Join(vars, "\x01")
 	seen := make(map[string]bool, len(all))

@@ -8,15 +8,14 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/eager"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
 
-// batchOpts is DefaultOptions with the batch width pinned; bs <= 1
-// compiles the scalar pipeline (the reference the batch one must match
-// byte for byte).
+// batchOpts is DefaultOptions with the pipeline width pinned.
 func batchOpts(bs int) Options {
 	o := DefaultOptions()
 	o.BatchSize = bs
@@ -26,7 +25,8 @@ func batchOpts(bs int) Options {
 // batchPlans is the operator-coverage set for the identity tests: the
 // paper's join+group plan, a hash equi-join, selection (both the
 // fused-scan and the general condition form), distinct over a union,
-// difference, and orderBy — every batch operator class in one sweep.
+// difference, orderBy and a top-level groupBy — every operator class in
+// one sweep.
 func batchPlans() map[string]func() algebra.Op {
 	zips := func(src, rvar, hvar, zvar, inner string) algebra.Op {
 		return &algebra.GetDescendants{
@@ -58,6 +58,15 @@ func batchPlans() map[string]func() algebra.Op {
 				Keep: []string{"H"},
 			}
 		},
+		"label select": func() algebra.Op {
+			return &algebra.Select{
+				Input: &algebra.GetDescendants{
+					Input:  &algebra.Source{URL: "homesSrc", Var: "R1"},
+					Parent: "R1", Path: pathexpr.MustParse("_"), Out: "H",
+				},
+				Cond: &algebra.LabelMatch{Var: "H", Label: "home"},
+			}
+		},
 		"distinct over union": func() algebra.Op {
 			return &algebra.Distinct{Input: &algebra.Union{
 				Left: projZip(), Right: projZip()}}
@@ -79,19 +88,41 @@ func batchPlans() map[string]func() algebra.Op {
 			return &algebra.GroupBy{Input: homeZips(),
 				By: []string{"V1"}, Var: "H", Out: "G"}
 		},
+		"groupBy over the rest": func() algebra.Op {
+			// Every remaining operator class under a group scan: with
+			// GroupCache off the value lists fork all of them.
+			in91000 := func() algebra.Op {
+				return &algebra.Select{Input: homeZips(),
+					Cond: algebra.Eq(algebra.V("V1"), algebra.Lit("91000"))}
+			}
+			return &algebra.GroupBy{
+				Input: &algebra.Distinct{Input: &algebra.Union{
+					Left: &algebra.Difference{
+						Left:  &algebra.OrderBy{Input: homeZips(), Keys: []string{"V1"}},
+						Right: in91000(),
+					},
+					Right: in91000(),
+				}},
+				By: []string{"V1"}, Var: "H", Out: "G",
+			}
+		},
 	}
 }
 
-// TestBatchSizesByteIdentical is the acceptance bet of the batch
-// pipeline: for every operator class and every batch width — including
-// widths that straddle, divide, and dwarf the stream lengths — the
-// answer bytes AND the per-source navigation counts match the scalar
-// pipeline exactly.
-func TestBatchSizesByteIdentical(t *testing.T) {
+// TestEveryConfigurationMatchesEager runs every operator class under
+// every paper-cache combination, with and without select(σ) in NC, over
+// both join implementations and key forms (the DefaultOptions fast
+// paths, and none of them), at widths that straddle, divide and dwarf
+// the stream lengths. With one pipeline there is no second engine to
+// compare against, so the references are external: the materialized
+// answer must equal internal/eager's, and the per-source navigation
+// counts at every width must equal those at width 1 under the same
+// caches — the width reorders work, never adds any.
+func TestEveryConfigurationMatchesEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	run := func(t *testing.T, plan algebra.Op, bs int) (string, string) {
-		e, counters := engineWith(batchOpts(bs), srcs)
+	run := func(t *testing.T, plan algebra.Op, o Options) (string, string) {
+		e, counters := engineWith(o, srcs)
 		q := mustCompile(t, e, plan)
 		answer := xmltree.MarshalXML(mustMaterialize(t, q))
 		var navs []string
@@ -102,18 +133,37 @@ func TestBatchSizesByteIdentical(t *testing.T) {
 		}
 		return answer, strings.Join(navs, "; ")
 	}
+	bases := map[string]Options{"fast paths": DefaultOptions(), "bare": {}}
 	for name, mk := range batchPlans() {
 		t.Run(name, func(t *testing.T) {
-			wantAnswer, wantNavs := run(t, mk(), 1) // scalar reference
-			for _, bs := range []int{0, 2, 3, 7, 64, 1000} {
-				gotAnswer, gotNavs := run(t, mk(), bs)
-				if gotAnswer != wantAnswer {
-					t.Fatalf("BatchSize=%d answer differs:\n%s\nvs scalar\n%s",
-						bs, gotAnswer, wantAnswer)
-				}
-				if gotNavs != wantNavs {
-					t.Fatalf("BatchSize=%d source navigations differ:\n%s\nvs scalar\n%s",
-						bs, gotNavs, wantNavs)
+			ev := eager.New()
+			for src, tree := range srcs {
+				ev.Register(src, nav.NewTreeDoc(tree))
+			}
+			tree, err := ev.Eval(mk())
+			if err != nil {
+				t.Fatalf("eager: %v", err)
+			}
+			want := xmltree.MarshalXML(tree)
+			for baseName, o := range bases {
+				for mask := 0; mask < 16; mask++ {
+					o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
+					o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
+					var wantNavs string
+					for _, width := range []int{1, 3, 64} {
+						o.BatchSize = width
+						answer, navs := run(t, mk(), o)
+						if answer != want {
+							t.Fatalf("%s %+v: answer differs from eager:\n%s\nvs\n%s",
+								baseName, o, answer, want)
+						}
+						if width == 1 {
+							wantNavs = navs
+						} else if navs != wantNavs {
+							t.Fatalf("%s %+v: source navigations differ from width 1:\n%s\nvs\n%s",
+								baseName, o, navs, wantNavs)
+						}
+					}
 				}
 			}
 		})
@@ -123,7 +173,7 @@ func TestBatchSizesByteIdentical(t *testing.T) {
 // TestBatchFilterEmptyBatches pins the no-false-EOF rule: a filter that
 // rejects whole input batches must keep pulling — an all-rejected batch
 // is not end-of-stream — and a filter that rejects everything must
-// still terminate with the scalar answer (zero rows).
+// still terminate with the width-1 answer (zero rows).
 func TestBatchFilterEmptyBatches(t *testing.T) {
 	homes, _ := workload.HomesSchools(40, 0, 6, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
@@ -207,7 +257,7 @@ func (f failAfterDoc) Fetch(p nav.ID) (string, error) {
 
 // TestBatchMidStreamErrorByteIdentical: an error striking after a
 // prefix of source navigations must surface at the same client-visible
-// position in both pipelines — same number of answer rows reachable,
+// position at every width — same number of answer rows reachable,
 // same error. This exercises the prefix-then-error rule of bnext (a
 // batch computed up to the failure is delivered before the error).
 func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
@@ -264,7 +314,7 @@ func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
 		for _, bs := range []int{2, 3, 64} {
 			gotRows, gotErr := walk(t, bs, budget)
 			if gotRows != wantRows || !errors.Is(gotErr, boom) != !errors.Is(wantErr, boom) {
-				t.Fatalf("budget=%d BatchSize=%d: rows=%d err=%v, scalar rows=%d err=%v",
+				t.Fatalf("budget=%d BatchSize=%d: rows=%d err=%v, width-1 rows=%d err=%v",
 					budget, bs, gotRows, gotErr, wantRows, wantErr)
 			}
 		}
@@ -275,7 +325,7 @@ func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
 // drains under the race detector: many engines evaluate the same
 // disjoint-sources parallel join concurrently with a tiny batch width
 // (maximizing pump handoffs through the shared worker pool), and every
-// answer must match the serial scalar reference.
+// answer must match the serial reference.
 func TestParallelBatchDrainRace(t *testing.T) {
 	homes, schools := workload.HomesSchools(30, 30, 6, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -318,41 +368,5 @@ func TestParallelBatchDrainRace(t *testing.T) {
 	after := BatchSnapshot()
 	if after.Batches <= before.Batches || after.Bindings <= before.Bindings {
 		t.Fatalf("batch counters did not advance: %+v -> %+v", before, after)
-	}
-}
-
-// TestBatchModeGating pins when the batch pipeline engages: it needs a
-// width above one AND the cache options the batch operators assume;
-// ablation configurations keep the scalar pipeline untouched.
-func TestBatchModeGating(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		o    Options
-		want bool
-	}{
-		{"defaults", DefaultOptions(), true},
-		{"width 1", batchOpts(1), false},
-		{"width 0", batchOpts(0), false},
-		{"no join cache", Options{PathCache: true, GroupCache: true, BatchSize: 64}, false},
-		{"no path cache", Options{JoinCache: true, GroupCache: true, BatchSize: 64}, false},
-		{"no group cache", Options{JoinCache: true, PathCache: true, BatchSize: 64}, false},
-		{"ablation literal", Options{JoinCache: true, PathCache: true, GroupCache: true}, false},
-	} {
-		if got := tc.o.batchMode(); got != tc.want {
-			t.Errorf("%s: batchMode() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	// And the compiled artifact reflects the gate: a batch-mode query
-	// carries a batch pipeline, a scalar one does not.
-	homes, _ := workload.HomesSchools(3, 0, 2, 3)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
-	plan := &algebra.Source{URL: "homesSrc", Var: "R"}
-	eb, _ := engineWith(DefaultOptions(), srcs)
-	if q := mustCompile(t, eb, plan); q.batch == nil {
-		t.Fatal("batch-mode compile produced no batch pipeline")
-	}
-	es, _ := engineWith(batchOpts(1), srcs)
-	if q := mustCompile(t, es, plan); q.batch != nil {
-		t.Fatal("scalar compile produced a batch pipeline")
 	}
 }

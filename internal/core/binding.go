@@ -1,0 +1,160 @@
+package core
+
+import (
+	"fmt"
+
+	"mix/internal/xmltree"
+)
+
+// binding is one element of a binding list bs[b[…]]: an immutable
+// assignment of lazy values to variable names, represented as a
+// persistent chain of links. The chain representation is what makes
+// the paper's per-binding caches effective: a nested-loops join that
+// pairs one outer binding with many inner bindings shares the outer
+// links (and their memoized materializations) across all pairs, so a
+// join attribute like a zip code is navigated once per *input* binding,
+// not once per pair ("the nested-loops join operator stores … the
+// attributes that participate in the join condition", Section 3).
+//
+// Bindings are not safe for concurrent use; a query's virtual document
+// is navigated by one client at a time, as in the paper's architecture.
+type binding struct {
+	kind   bindKind
+	parent *binding
+
+	// bindLink
+	name  string
+	val   Node
+	tree  *xmltree.Tree // memoized materialization of val
+	canon string        // memoized canonical string of tree
+
+	// keys memoizes key() results on the binding a stream element
+	// hands out, so the repeated group/member scans of groupBy
+	// (Appendix A's nextgb/next) pay for canonicalization once per
+	// binding rather than once per scan.
+	keys map[string]string
+
+	// mergeLink
+	co *binding
+
+	// projectLink
+	keep []string
+
+	// renameLink
+	from, to string
+}
+
+type bindKind uint8
+
+const (
+	rootLink bindKind = iota
+	bindLink
+	mergeLink
+	projectLink
+	renameLink
+)
+
+var emptyBinding = &binding{kind: rootLink}
+
+func newBinding() *binding { return emptyBinding }
+
+// with returns b extended with name bound to v (the paper's bᵢ + X[v]).
+func (b *binding) with(name string, v Node) *binding {
+	return &binding{kind: bindLink, parent: b, name: name, val: v}
+}
+
+// project restricts b to the given variables.
+func (b *binding) project(keep []string) *binding {
+	return &binding{kind: projectLink, parent: b, keep: keep}
+}
+
+// rename renames variable from to to.
+func (b *binding) rename(from, to string) *binding {
+	if from == to {
+		return b
+	}
+	return &binding{kind: renameLink, parent: b, from: from, to: to}
+}
+
+// merge concatenates two bindings with disjoint variables.
+func merge(l, r *binding) *binding {
+	return &binding{kind: mergeLink, parent: l, co: r}
+}
+
+// lookup returns the bind link defining name, or nil.
+func (b *binding) lookup(name string) *binding {
+	for cur := b; cur != nil; {
+		switch cur.kind {
+		case bindLink:
+			if cur.name == name {
+				return cur
+			}
+			cur = cur.parent
+		case mergeLink:
+			if l := cur.parent.lookup(name); l != nil {
+				return l
+			}
+			cur = cur.co
+		case projectLink:
+			if !containsVar(cur.keep, name) {
+				return nil
+			}
+			cur = cur.parent
+		case renameLink:
+			if name == cur.from {
+				return nil // hidden by the rename
+			}
+			if name == cur.to {
+				name = cur.from
+			}
+			cur = cur.parent
+		default: // rootLink
+			return nil
+		}
+	}
+	return nil
+}
+
+func containsVar(vars []string, v string) bool {
+	for _, x := range vars {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// node returns the lazy value bound to name.
+func (b *binding) node(name string) (Node, error) {
+	l := b.lookup(name)
+	if l == nil {
+		return nil, fmt.Errorf("core: unbound variable $%s", name)
+	}
+	return l.val, nil
+}
+
+// Value materializes the value bound to name (algebra.ValueGetter).
+// The materialization is memoized on the defining link, so it is
+// shared by every binding derived from it.
+func (b *binding) Value(name string) (*xmltree.Tree, error) {
+	l := b.lookup(name)
+	if l == nil {
+		return nil, fmt.Errorf("core: unbound variable $%s", name)
+	}
+	if l.tree == nil {
+		t, err := MaterializeNode(l.val)
+		if err != nil {
+			return nil, err
+		}
+		l.tree = t
+	}
+	return l.tree, nil
+}
+
+// key (see keyspace.go) returns the operator key for the values of the
+// given variables, used by groupBy/distinct/difference: structural
+// fingerprints under Options.Fingerprints, canonical strings otherwise.
+
+func errUnbound(v string) error {
+	return fmt.Errorf("core: unbound variable $%s", v)
+}

@@ -104,10 +104,6 @@ func (e *Engine) SourceNames() []string {
 	return out
 }
 
-// builder creates a fresh output stream for an operator. Calling it
-// twice yields two independent streams over the same (live) inputs.
-type builder func() (stream, error)
-
 // Query is a compiled plan: the tree of lazy mediators, ready to serve
 // navigations. Building a Query performs no source access.
 type Query struct {
@@ -134,20 +130,14 @@ type Query struct {
 	semMu    sync.Mutex
 	semTried bool
 
-	// top is the shared top-level stream (memoized), created lazily.
-	top     stream
-	topErr  error
-	topDone bool
-	build   builder
-
-	// answer is non-nil when the plan root is tupleDestroy: the lazy
-	// root node of the virtual answer document.
+	// top is the query's top-level pipeline behind the one log every
+	// Document replays (and Materialize predrains). For tupleDestroy
+	// plans it is the pipeline of the root's input and answer the lazy
+	// root node of the virtual answer document resolved from its first
+	// binding; otherwise answer is nil and Document renders the log as
+	// the bs[b[…]…] binding tree.
+	top    *lazyLog
 	answer Node
-
-	// batch is non-nil when the query compiled to the batch pipeline
-	// (Options.batchMode) and the plan root is not tupleDestroy: the
-	// top-level batch adapter Materialize predrains (see batch.go).
-	batch *topBatch
 }
 
 // Compile validates the plan and compiles it into a tree of lazy
@@ -162,24 +152,29 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 		}
 	}
 	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
-	c := &compiler{e: e}
+	c := &compiler{e: e, batch: e.opts.width()}
 	if e.opts.Fingerprints {
 		c.ks = newKeyspace()
 	}
-	if e.opts.batchMode() {
-		c.batch = e.opts.BatchSize
+	input := plan
+	td, isTD := plan.(*algebra.TupleDestroy)
+	if isTD {
+		input = td.Input
 	}
-	if td, ok := plan.(*algebra.TupleDestroy); ok {
-		inb, err := c.compileTop(td.Input)
-		if err != nil {
-			return nil, err
-		}
+	bb, err := c.compile(input)
+	if err != nil {
+		return nil, err
+	}
+	q.top = &lazyLog{in: bb}
+	if isTD {
+		// The answer element resolves from the first binding only, pulled
+		// on first navigation: there is nothing to predrain.
 		q.answer = &lazyNode{resolve: func() (Node, error) {
-			s, err := inb()
+			log, err := q.top.get()
 			if err != nil {
 				return nil, err
 			}
-			b, _, err := s.next()
+			b, err := log.at(0, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -188,64 +183,8 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 			}
 			return b.node(td.Var)
 		}}
-		return q, nil
 	}
-	if c.batch > 0 {
-		bb, err := c.compileB(plan)
-		if err != nil {
-			return nil, err
-		}
-		q.batch = &topBatch{bb: bb, batch: c.batch}
-		q.build = q.batch.builder()
-		return q, nil
-	}
-	b, err := c.compile(plan)
-	if err != nil {
-		return nil, err
-	}
-	q.build = memoBuilder(b)
 	return q, nil
-}
-
-// compileTop compiles a plan into a shared (memoized) top-level stream
-// builder, through the batch pipeline when batch mode is on. It serves
-// the tupleDestroy input, whose consumer is inherently scalar: the
-// answer element resolves from the first binding only, so there is no
-// predrain point.
-func (c *compiler) compileTop(p algebra.Op) (builder, error) {
-	if c.batch > 0 {
-		bb, err := c.compileB(p)
-		if err != nil {
-			return nil, err
-		}
-		tb := &topBatch{bb: bb, batch: c.batch}
-		return tb.builder(), nil
-	}
-	b, err := c.compile(p)
-	if err != nil {
-		return nil, err
-	}
-	return memoBuilder(b), nil
-}
-
-// memoBuilder makes a builder return one shared memoized stream, so
-// all consumers (and repeated navigations) replay the same pulls.
-func memoBuilder(b builder) builder {
-	var s stream
-	var err error
-	done := false
-	return func() (stream, error) {
-		if !done {
-			raw, e := b()
-			if e != nil {
-				err = e
-			} else {
-				s = memoizeStream(raw)
-			}
-			done = true
-		}
-		return s, err
-	}
 }
 
 // SetCacheName enables region caching for this query under the given
@@ -326,28 +265,30 @@ func (q *Query) Document() nav.Document {
 	return doc
 }
 
-// bindingsNode renders the compiled stream as a lazy bs[b[X[…]…]…]
-// tree in plan OutVars order.
+// bindingsNode renders the top-level binding list as a lazy
+// bs[b[X[…]…]…] tree in plan OutVars order.
 func (q *Query) bindingsNode() Node {
-	vars := q.topVars
-	mk := q.build
 	return NewElem("bs", deferList(func() (list, error) {
-		s, err := mk()
+		log, err := q.top.get()
 		if err != nil {
 			return nil, err
 		}
-		return bindingList{s: s, vars: vars}, nil
+		return bindingList{log: log, vars: q.topVars}, nil
 	}))
 }
 
-// bindingList renders a binding stream as a lazy list of b[…] nodes.
+// bindingList renders the top-level log as a lazy list of b[…] nodes,
+// growing it one binding per client pull: this is where the
+// demand-driven navigation contract is enforced — a client step costs
+// exactly one want=1 pull through the pipeline.
 type bindingList struct {
-	s    stream
+	log  *batchLog
+	pos  int
 	vars []string
 }
 
 func (l bindingList) next() (Node, list, error) {
-	b, rest, err := l.s.next()
+	b, err := l.log.at(l.pos, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,7 +303,7 @@ func (l bindingList) next() (Node, list, error) {
 		}
 		kids = consList{head: NewElem(l.vars[i], singletonList(v)), tail: kids}
 	}
-	return NewElem("b", kids), bindingList{s: rest, vars: l.vars}, nil
+	return NewElem("b", kids), bindingList{log: l.log, pos: l.pos + 1, vars: l.vars}, nil
 }
 
 // Materialize fully evaluates the query and returns the answer tree:
@@ -370,86 +311,18 @@ func (l bindingList) next() (Node, list, error) {
 // binding tree otherwise. It is a convenience for callers that want
 // the eager behaviour through the lazy machinery.
 func (q *Query) Materialize() (*xmltree.Tree, error) {
-	// Full evaluation is the batch pipeline's home turf: force the whole
-	// binding list in batch-sized pulls first, then walk the answer over
-	// the replay log. Cache-aware documents are exempt — a warm cache
-	// answers the walk with zero source work, which a predrain would
-	// defeat.
-	if q.batch != nil && (q.eng.cache == nil || q.cacheName == "") {
-		q.batch.predrain()
+	// Force the whole binding list in batch-sized pulls first, then walk
+	// the answer over the replay log. Cache-aware documents are exempt —
+	// a warm cache answers the walk with zero source work, which a
+	// predrain would defeat.
+	if q.answer == nil && (q.eng.cache == nil || q.cacheName == "") {
+		q.predrain()
 	}
 	return nav.Materialize(q.Document())
 }
 
-// compile builds the stream constructor for a plan node, wrapping it
-// with a traced stream when a tracer is installed (the per-operator
-// boundary of the observability layer).
-func (c *compiler) compile(p algebra.Op) (builder, error) {
-	b, err := c.compileOp(p)
-	if err != nil || c.e.tracer == nil {
-		return b, err
-	}
-	return traceStreamBuilder(b, opLabel(p), c.e.tracer), nil
-}
-
-// compileOp dispatches compilation per operator.
-func (c *compiler) compileOp(p algebra.Op) (builder, error) {
-	switch op := p.(type) {
-	case *algebra.Source:
-		return c.compileSource(op)
-	case *algebra.GetDescendants:
-		return c.compileGetDescendants(op)
-	case *algebra.Select:
-		return c.compileSelect(op)
-	case *algebra.Join:
-		return c.compileJoin(op)
-	case *algebra.GroupBy:
-		return c.compileGroupBy(op)
-	case *algebra.Concatenate:
-		return c.compilePerBinding(op.Input, concatKernel(op))
-	case *algebra.CreateElement:
-		return c.compilePerBinding(op.Input, createElementKernel(op))
-	case *algebra.OrderBy:
-		return c.compileOrderBy(op)
-	case *algebra.Project:
-		return c.compilePerBinding(op.Input, projectKernel(op))
-	case *algebra.Union:
-		return c.compileBinaryConcat(op.Left, op.Right)
-	case *algebra.Difference:
-		return c.compileDifference(op)
-	case *algebra.Distinct:
-		return c.compileDistinct(op)
-	case *algebra.WrapList:
-		return c.compilePerBinding(op.Input, wrapListKernel(op))
-	case *algebra.Const:
-		return c.compilePerBinding(op.Input, constKernel(op))
-	case *algebra.Rename:
-		return c.compilePerBinding(op.Input, renameKernel(op))
-	case *algebra.TupleDestroy:
-		return nil, fmt.Errorf("core: tupleDestroy must be the plan root")
-	default:
-		return nil, fmt.Errorf("core: unsupported operator %T", p)
-	}
-}
-
-// compilePerBinding compiles a pure per-binding transformation.
-func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*binding, error)) (builder, error) {
-	in, err := c.compile(input)
-	if err != nil {
-		return nil, err
-	}
-	return func() (stream, error) {
-		s, err := in()
-		if err != nil {
-			return nil, err
-		}
-		return mapStream{in: s, fn: fn}, nil
-	}, nil
-}
-
-// The per-binding kernels below are the operator bodies shared by the
-// scalar pipeline (one kernel call per mapStream pull) and the batch
-// pipeline (one kernel loop per mapBCursor batch, see batch.go).
+// The per-binding kernels below are the operator bodies mapBCursor
+// loops over (see batch.go).
 
 func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
 	varName, out := op.Var, op.Out
@@ -541,78 +414,6 @@ func projectKernel(op *algebra.Project) func(*binding) (*binding, error) {
 	}
 }
 
-func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
-	doc, ok := c.e.lookup(op.URL)
-	if !ok {
-		return nil, fmt.Errorf("core: unregistered source %q", op.URL)
-	}
-	if c.e.tracer != nil {
-		// Source boundary: every navigation answered by this source
-		// becomes a span, so trace totals equal the counter totals a
-		// CountingDoc measures at the same boundary.
-		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.e.tracer)
-	}
-	varName := op.Var
-	return func() (stream, error) {
-		b := newBinding().with(varName, SourceRoot(doc))
-		return consStream{head: b, tail: emptyStream{}}, nil
-	}, nil
-}
-
-func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, error) {
-	in, err := c.compile(op.Input)
-	if err != nil {
-		return nil, err
-	}
-	nfa := pathexpr.Compile(op.Path)
-	// With fingerprints on, the descent steps a lazily-determinized DFA
-	// shared by all streams of this operator: repeated label transitions
-	// are O(1) map hits instead of ε-closure recomputations, and the
-	// per-step state is a single int rather than an allocated state set.
-	var dfa *pathexpr.DFA
-	if c.e.opts.Fingerprints {
-		dfa = pathexpr.NewDFA(nfa, c.e.intern)
-	}
-	parent, out := op.Parent, op.Out
-	raw := func() (stream, error) {
-		s, err := in()
-		if err != nil {
-			return nil, err
-		}
-		return flatMapStream{in: s, fn: func(b *binding) (stream, error) {
-			pv, err := b.node(parent)
-			if err != nil {
-				return nil, err
-			}
-			return nodeStream{l: matchList(nfa, dfa, pv), base: b, out: out}, nil
-		}}, nil
-	}
-	if c.e.opts.PathCache {
-		// The operator-level cache of Section 3: the explored part of
-		// the descent is kept by the operator itself, so re-iterations
-		// (e.g. as the inner of an uncached join, or a client
-		// revisiting the region) replay it instead of re-navigating.
-		return memoBuilder(raw), nil
-	}
-	return raw, nil
-}
-
-// nodeStream turns a lazy node list into a binding stream by extending
-// base with out ↦ node.
-type nodeStream struct {
-	l    list
-	base *binding
-	out  string
-}
-
-func (n nodeStream) next() (*binding, stream, error) {
-	h, rest, err := n.l.next()
-	if err != nil || h == nil {
-		return nil, nil, err
-	}
-	return n.base.with(n.out, h), nodeStream{l: rest, base: n.base, out: n.out}, nil
-}
-
 // pathMatchList lazily enumerates, in document order, the descendants
 // reachable through paths matching the NFA. state is the NFA state set
 // before consuming each sibling's label; subtrees whose state set
@@ -686,58 +487,6 @@ func (p dfaMatchList) next() (Node, list, error) {
 		}
 		sibs = rest
 	}
-}
-
-func (c *compiler) compileSelect(op *algebra.Select) (builder, error) {
-	// Fusion: a label selection directly over a one-step wildcard
-	// getDescendants is served with the select(σ) source command when
-	// NC includes it (Example 1's upgrade to bounded browsable).
-	if c.e.opts.NativeSelect {
-		if lm, ok := op.Cond.(*algebra.LabelMatch); ok {
-			if gd, ok := op.Input.(*algebra.GetDescendants); ok &&
-				gd.Out == lm.Var && gd.Path.String() == "_" {
-				return c.compileFusedLabelScan(gd, lm.Label)
-			}
-		}
-	}
-	in, err := c.compile(op.Input)
-	if err != nil {
-		return nil, err
-	}
-	cond := op.Cond
-	return func() (stream, error) {
-		s, err := in()
-		if err != nil {
-			return nil, err
-		}
-		return filterStream{in: s, pred: func(b *binding) (bool, error) {
-			return cond.Eval(b)
-		}}, nil
-	}, nil
-}
-
-// compileFusedLabelScan compiles σ_label(getDescendants(parent, _ → out))
-// into a child scan that jumps between matches with the select(σ)
-// navigation command.
-func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label string) (builder, error) {
-	in, err := c.compile(gd.Input)
-	if err != nil {
-		return nil, err
-	}
-	parent, out := gd.Parent, gd.Out
-	return func() (stream, error) {
-		s, err := in()
-		if err != nil {
-			return nil, err
-		}
-		return flatMapStream{in: s, fn: func(b *binding) (stream, error) {
-			pv, err := b.node(parent)
-			if err != nil {
-				return nil, err
-			}
-			return nodeStream{l: fusedScanList(pv, label), base: b, out: out}, nil
-		}}, nil
-	}, nil
 }
 
 // selectScanList enumerates the children of parent with the given label
@@ -832,87 +581,6 @@ func asSourceBacked(v Node) (sourceBacked, bool) {
 	}
 }
 
-func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
-	left, err := c.compile(op.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.compile(op.Right)
-	if err != nil {
-		return nil, err
-	}
-	cond := op.Cond
-	cache := c.e.opts.JoinCache
-	if c.e.opts.Parallel && cache {
-		if l, r, ok := c.e.parallelPair(op, left, right); ok {
-			left, right = l, r
-		}
-	}
-	if c.e.opts.HashJoin && cache {
-		if lk, rk, ok := equiJoinKeys(op); ok {
-			return c.compileHashJoin(cond, lk, rk, left, right), nil
-		}
-	}
-	return func() (stream, error) {
-		ls, err := left()
-		if err != nil {
-			return nil, err
-		}
-		// With the inner cache, the right input is derived once and
-		// replayed; without it, every outer binding re-derives it from
-		// the sources (the E6 ablation).
-		var cached stream
-		if cache {
-			cached = memoizeStream(deferStream(right))
-		}
-		return flatMapStream{in: ls, fn: func(lb *binding) (stream, error) {
-			var rs stream
-			if cache {
-				rs = cached
-			} else {
-				var err error
-				rs, err = right()
-				if err != nil {
-					return nil, err
-				}
-			}
-			pairs := mapStream{in: rs, fn: func(rb *binding) (*binding, error) {
-				return merge(lb, rb), nil
-			}}
-			return filterStream{in: pairs, pred: func(b *binding) (bool, error) {
-				return cond.Eval(b)
-			}}, nil
-		}}, nil
-	}, nil
-}
-
-func (c *compiler) compileOrderBy(op *algebra.OrderBy) (builder, error) {
-	in, err := c.compile(op.Input)
-	if err != nil {
-		return nil, err
-	}
-	keys := op.Keys
-	return func() (stream, error) {
-		// Blocking by definition: the whole input list must be read
-		// before the first output binding exists (unbrowsable).
-		return deferStream(func() (stream, error) {
-			s, err := in()
-			if err != nil {
-				return nil, err
-			}
-			all, err := drain(s)
-			if err != nil {
-				return nil, err
-			}
-			sorted, err := sortBindings(all, keys)
-			if err != nil {
-				return nil, err
-			}
-			return sliceStream(sorted), nil
-		}), nil
-	}, nil
-}
-
 func valueAtom(t *xmltree.Tree) string {
 	if t == nil {
 		return ""
@@ -926,114 +594,4 @@ func valueAtom(t *xmltree.Tree) string {
 		return t.Children[0].Label
 	}
 	return t.TextContent()
-}
-
-func (c *compiler) compileBinaryConcat(l, r algebra.Op) (builder, error) {
-	lb, err := c.compile(l)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := c.compile(r)
-	if err != nil {
-		return nil, err
-	}
-	return func() (stream, error) {
-		ls, err := lb()
-		if err != nil {
-			return nil, err
-		}
-		return concatStream{a: ls, b: deferStream(rb)}, nil
-	}, nil
-}
-
-func (c *compiler) compileDifference(op *algebra.Difference) (builder, error) {
-	lb, err := c.compile(op.Left)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := c.compile(op.Right)
-	if err != nil {
-		return nil, err
-	}
-	vars := op.Left.OutVars()
-	ks := c.ks
-	return func() (stream, error) {
-		ls, err := lb()
-		if err != nil {
-			return nil, err
-		}
-		// The right input is read in its entirety before the first
-		// left binding can be emitted (unbrowsable on the right).
-		var seen map[string]bool
-		return filterStream{in: ls, pred: func(b *binding) (bool, error) {
-			if seen == nil {
-				rs, err := rb()
-				if err != nil {
-					return false, err
-				}
-				all, err := drain(rs)
-				if err != nil {
-					return false, err
-				}
-				seen, err = keySeen(all, ks, vars)
-				if err != nil {
-					return false, err
-				}
-			}
-			k, err := b.key(ks, vars)
-			if err != nil {
-				return false, err
-			}
-			return !seen[k], nil
-		}}, nil
-	}, nil
-}
-
-func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
-	in, err := c.compile(op.Input)
-	if err != nil {
-		return nil, err
-	}
-	vars := op.Input.OutVars()
-	ks := c.ks
-	return func() (stream, error) {
-		s, err := in()
-		if err != nil {
-			return nil, err
-		}
-		return distinctStream{in: s, ks: ks, vars: vars, seen: nil}, nil
-	}, nil
-}
-
-// distinctStream keeps first occurrences. The seen set is threaded
-// persistently: each tail carries its own extended copy.
-type distinctStream struct {
-	in   stream
-	ks   *keyspace
-	vars []string
-	seen map[string]bool
-}
-
-func (d distinctStream) next() (*binding, stream, error) {
-	in := d.in
-	seen := d.seen
-	for {
-		h, t, err := in.next()
-		if err != nil || h == nil {
-			return nil, nil, err
-		}
-		k, err := h.key(d.ks, d.vars)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !seen[k] {
-			next := make(map[string]bool, len(seen)+1)
-			for s := range seen {
-				next[s] = true
-			}
-			next[k] = true
-			return h, distinctStream{in: t, ks: d.ks, vars: d.vars, seen: next}, nil
-		}
-		in = t
-	}
 }

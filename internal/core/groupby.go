@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"strings"
 
 	"mix/internal/algebra"
@@ -12,150 +13,49 @@ import (
 // for the next binding whose group-by list has not been seen (the
 // paper's nextgb over Gprev); navigating right among a group's values
 // scans the input for the next binding with the same group-by list (the
-// paper's next(pb, pg)). With GroupCache the input scan and the grouped
-// value lists are memoized, the optimization the appendix describes.
-func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
+// paper's next(pb, pg)).
+//
+// With GroupCache the input flows once into a shared batchLog; the
+// group scan and every group's member list are positions into that
+// log, so the grouped value lists stay lazy and memoized while ingest
+// happens a batch at a time. Without it nothing is kept: the group scan
+// reads the input cursor directly and a value list re-derives its
+// members from a fork of that cursor on every visit (scanList).
+func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
 	by, varName, out := op.By, op.Var, op.Out
-	cache := c.e.opts.GroupCache
-	ks := c.ks
-	return func() (stream, error) {
-		input := deferStream(in)
-		if cache {
-			input = memoizeStream(input)
-		}
-		if len(by) == 0 {
-			// Grouping by {} yields exactly one output binding — even
-			// for empty input ("create one answer element for each
-			// {}") — and it is produced without touching the input:
-			// the grouped list is lazy. This is what lets the mediator
-			// answer f on the answer root with zero source accesses.
-			values := valueList{in: input, varName: varName}
-			b := newBinding().with(out, NewElem(xmltree.ListLabel, maybeMemo(values, cache)))
-			return consStream{head: b, tail: emptyStream{}}, nil
-		}
-		return groupsStream{in: input, ks: ks, by: by, varName: varName, out: out,
-			seen: nil, cache: cache}, nil
-	}, nil
-}
-
-func maybeMemo(l list, cache bool) list {
-	if cache {
-		return memoize(l)
-	}
-	return l
-}
-
-// valueList renders the varName values of a binding stream as a lazy
-// node list (the contents of a list[…] group value).
-type valueList struct {
-	in      stream
-	varName string
-}
-
-func (v valueList) next() (Node, list, error) {
-	b, rest, err := v.in.next()
-	if err != nil || b == nil {
-		return nil, nil, err
-	}
-	n, err := b.node(v.varName)
-	if err != nil {
-		return nil, nil, err
-	}
-	return n, valueList{in: rest, varName: v.varName}, nil
-}
-
-// groupsStream emits one output binding per distinct group-by list, in
-// order of first occurrence. seen is the paper's Gprev; it is extended
-// persistently (each tail carries its own copy) so that saved handles
-// into earlier positions remain valid.
-type groupsStream struct {
-	in      stream
-	ks      *keyspace
-	by      []string
-	varName string
-	out     string
-	seen    map[string]bool
-	cache   bool
-}
-
-func (g groupsStream) next() (*binding, stream, error) {
-	in := g.in
-	for {
-		b, t, err := in.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if b == nil {
-			return nil, nil, nil
-		}
-		k, err := b.key(g.ks, g.by)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.seen[k] {
-			in = t
-			continue
-		}
-		// New group: its member list starts here and continues through
-		// the remainder of the input with the same group-by list.
-		members := filterStream{in: consStream{head: b, tail: t},
-			pred: sameKeyPred(g.ks, g.by, k)}
-		values := valueList{in: members, varName: g.varName}
-		// The output binding keeps the group-by variables (sharing the
-		// group head's links, and therefore its memoized values) and
-		// adds the lazy grouped list.
-		ob := b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, maybeMemo(values, g.cache)))
-
-		seen2 := make(map[string]bool, len(g.seen)+1)
-		for s := range g.seen {
-			seen2[s] = true
-		}
-		seen2[k] = true
-		return ob, groupsStream{in: t, ks: g.ks, by: g.by, varName: g.varName,
-			out: g.out, seen: seen2, cache: g.cache}, nil
-	}
-}
-
-func sameKeyPred(ks *keyspace, by []string, key string) func(*binding) (bool, error) {
-	return func(b *binding) (bool, error) {
-		k, err := b.key(ks, by)
-		if err != nil {
-			return false, err
-		}
-		return k == key, nil
-	}
-}
-
-// compileBGroupBy is the batch-mode groupBy. The input flows once into
-// a shared batchLog; the group scan and every group's member list are
-// positions into that log, so the grouped value lists stay lazy (and
-// memoized — GroupCache is implied by batch mode) while ingest happens
-// a batch at a time.
-func (c *compiler) compileBGroupBy(op *algebra.GroupBy) (bbuilder, error) {
-	in, err := c.compileB(op.Input)
-	if err != nil {
-		return nil, err
-	}
-	by, varName, out := op.By, op.Var, op.Out
-	ks := c.ks
+	ks, cache := c.ks, c.e.opts.GroupCache
 	return func() (bcursor, error) {
-		input := &lazyLog{in: in}
 		if len(by) == 0 {
-			// Grouping by {} yields exactly one output binding without
-			// touching the input — the grouped list is lazy, so the
-			// mediator answers f on the answer root with zero source
-			// accesses, exactly like the scalar valueList path.
-			values := memoize(logValueList{in: input, varName: varName})
+			// Grouping by {} yields exactly one output binding — even for
+			// empty input ("create one answer element for each {}") — and
+			// it is produced without touching the input: the grouped list
+			// is lazy. This is what lets the mediator answer f on the
+			// answer root with zero source accesses.
+			var values list
+			if cache {
+				values = memoize(logValueList{in: &lazyLog{in: in}, varName: varName})
+			} else {
+				values = scanList{in: in, varName: varName}
+			}
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
 			return &sliceBCursor{buf: []*binding{b}}, nil
 		}
-		return &groupsBCursor{in: input, ks: ks, by: by,
-			ck: strings.Join(by, "\x01"), varName: varName, out: out,
-			seen: map[string]bool{}}, nil
+		g := &groupsBCursor{ks: ks, by: by, ck: strings.Join(by, "\x01"),
+			varName: varName, out: out, seen: map[string]bool{}}
+		if cache {
+			g.in = &lazyLog{in: in}
+			return g, nil
+		}
+		src, err := in()
+		if err != nil {
+			return nil, err
+		}
+		g.src = src
+		return g, nil
 	}, nil
 }
 
@@ -187,16 +87,20 @@ func (v logValueList) next() (Node, list, error) {
 }
 
 // groupsBCursor emits one output binding per distinct group-by list, in
-// order of first occurrence, scanning the shared input log a batch per
-// call and keying with the joined variable list precomputed.
+// order of first occurrence, keying with the joined variable list
+// precomputed. With GroupCache it scans the shared input log (in) a
+// batch per call; without, it pulls the input cursor (src) one binding
+// at a time, so that a fork of src taken at a group head continues the
+// scan exactly after it.
 type groupsBCursor struct {
 	in      *lazyLog
+	pos     int
+	src     bcursor
 	ks      *keyspace
 	by      []string
 	ck      string
 	varName string
 	out     string
-	pos     int
 	seen    map[string]bool
 	obuf    []*binding
 	err     error
@@ -215,12 +119,21 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		}
 		return nil, err
 	}
-	log, err := g.in.get()
-	if err != nil {
-		return fail(err)
+	var log *batchLog
+	if g.src == nil {
+		var err error
+		if log, err = g.in.get(); err != nil {
+			return fail(err)
+		}
 	}
 	for len(g.obuf) < want {
-		b, err := log.at(g.pos, want)
+		var b *binding
+		var err error
+		if log != nil {
+			b, err = log.at(g.pos, want)
+		} else {
+			b, err = next1(g.src)
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -238,11 +151,17 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		}
 		g.seen[k] = true
 		// New group: its member list starts at the group head and
-		// continues through the rest of the log with the same key. The
+		// continues through the rest of the input with the same key. The
 		// output binding keeps the group-by variables (sharing the
 		// head's links and memoized values) plus the lazy grouped list.
-		values := memoize(memberList{log: log, pos: head, ks: g.ks,
-			by: g.by, key: k, ck: g.ck, varName: g.varName})
+		var values list
+		if log != nil {
+			values = memoize(memberList{log: log, pos: head, ks: g.ks,
+				by: g.by, key: k, ck: g.ck, varName: g.varName})
+		} else {
+			values = scanList{head: b, from: g.src.fork(), ks: g.ks,
+				by: g.by, key: k, ck: g.ck, varName: g.varName}
+		}
 		g.obuf = append(g.obuf,
 			b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, values)))
 	}
@@ -250,6 +169,15 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		return g.obuf, nil
 	}
 	return nil, nil
+}
+
+func (g *groupsBCursor) fork() bcursor {
+	f := *g
+	f.obuf, f.seen = nil, maps.Clone(g.seen)
+	if g.src != nil {
+		f.src = g.src.fork()
+	}
+	return &f
 }
 
 // memberList is one group's lazy value list: the varName values of the
@@ -289,4 +217,66 @@ func (m memberList) next() (Node, list, error) {
 		return n, memberList{log: m.log, pos: pos, ks: m.ks, by: m.by,
 			key: m.key, ck: m.ck, varName: m.varName}, nil
 	}
+}
+
+// scanList is a group's value list with GroupCache off. Nothing is
+// kept between visits: each step pulls a fork of from — the input
+// cursor as it stood after the previous member, never advanced itself —
+// until the next binding with the group's key, re-deriving every
+// binding it crosses. Forking is what keeps the list persistent: any
+// saved handle continues from its own snapshot.
+type scanList struct {
+	head    *binding // the group head: emitted first, from is already past it
+	from    bcursor  // input snapshot after the previous member; nil only for
+	in      bbuilder // the head of a by = {} list, which derives the input from in
+	ks      *keyspace
+	by      []string
+	key     string
+	ck      string
+	varName string
+}
+
+func (m scanList) next() (Node, list, error) {
+	b, cur := m.head, m.from
+	if b == nil {
+		if cur != nil {
+			cur = cur.fork()
+		} else {
+			var err error
+			if cur, err = m.in(); err != nil {
+				return nil, nil, err
+			}
+		}
+		for b == nil {
+			nb, err := next1(cur)
+			if err != nil || nb == nil {
+				return nil, nil, err
+			}
+			if len(m.by) > 0 {
+				k, err := nb.keyCached(m.ck, m.ks, m.by)
+				if err != nil {
+					return nil, nil, err
+				}
+				if k != m.key {
+					continue
+				}
+			}
+			b = nb
+		}
+	}
+	n, err := b.node(m.varName)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.head, m.from = nil, cur
+	return n, m, nil
+}
+
+// next1 pulls a single binding from c: nil at end of input.
+func next1(c bcursor) (*binding, error) {
+	bs, err := c.bnext(1)
+	if len(bs) == 0 {
+		return nil, err
+	}
+	return bs[0], nil
 }

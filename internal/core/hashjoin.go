@@ -9,7 +9,7 @@ import (
 // Hash equi-join.
 //
 // When a Join's condition implies variable equalities (Cond.EquiKeys),
-// the inner stream does not have to be scanned once per outer binding:
+// the inner input does not have to be scanned once per outer binding:
 // inner bindings are filed into a hash index keyed on the atomic form of
 // their key variables, and each outer binding probes only the bucket its
 // own key hashes to. The full original condition is still evaluated on
@@ -20,12 +20,13 @@ import (
 // exact nested-loops semantics, and the surviving pairs come out in the
 // same (outer-major, inner-order) order nested loops produces.
 //
-// Laziness is preserved the same way the memoized inner cache preserves
-// it: the index ingests the inner stream one binding at a time, only
-// when a probe exhausts the already-indexed prefix of its bucket. A
-// query whose client never forces the join never builds the index; a
-// client that stops after the first answer indexes only as much of the
-// inner input as that answer needed.
+// Laziness is preserved the same way the nested-loops inner log
+// preserves it: the index ingests the inner input one pull at a time
+// (one binding under client demand), only when a probe exhausts the
+// already-indexed prefix of its bucket. A query whose client never
+// forces the join never builds the index; a client that stops after the
+// first answer indexes only as much of the inner input as that answer
+// needed.
 
 // equiJoinKeys splits the condition's implied equalities into key-variable
 // lists for the two sides of the join. Pairs that do not bridge the two
@@ -93,98 +94,30 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 	return string(raw), nil
 }
 
-// hashIndex is the incrementally-built index over the inner stream. It
-// is shared, mutable state behind the persistent probe streams — safe
-// because buckets only ever grow, in inner-stream order, so replaying a
-// probe stream re-reads a (possibly longer) prefix of the same bucket.
-type hashIndex struct {
-	inner   stream // unconsumed remainder of the inner stream; nil when done
-	keys    []string
-	keyFn   func(*binding, []string) (string, error) // atomKey or atomKeyFP
-	buckets map[string][]*binding
-	done    bool
-}
-
-// advance ingests one more inner binding into the index, reporting
-// whether there was one.
-func (h *hashIndex) advance() (bool, error) {
-	if h.done {
-		return false, nil
-	}
-	b, rest, err := h.inner.next()
-	if err != nil {
-		return false, err
-	}
-	if b == nil {
-		h.done, h.inner = true, nil
-		return false, nil
-	}
-	k, err := h.keyFn(b, h.keys)
-	if err != nil {
-		return false, err
-	}
-	h.buckets[k] = append(h.buckets[k], b)
-	h.inner = rest
-	return true, nil
-}
-
-// hashProbeStream yields the join pairs for one outer binding: the
-// bucket entries matching its key, filtered by the full condition, with
-// the index advanced on demand when the indexed prefix runs out.
-type hashProbeStream struct {
-	idx  *hashIndex
-	lb   *binding
-	key  string
-	pos  int // next unexamined position in the bucket
-	cond algebra.Cond
-}
-
-func (p hashProbeStream) next() (*binding, stream, error) {
-	pos := p.pos
-	for {
-		bucket := p.idx.buckets[p.key]
-		for pos < len(bucket) {
-			merged := merge(p.lb, bucket[pos])
-			pos++
-			ok, err := p.cond.Eval(merged)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				rest := hashProbeStream{idx: p.idx, lb: p.lb, key: p.key, pos: pos, cond: p.cond}
-				return merged, rest, nil
-			}
-		}
-		more, err := p.idx.advance()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !more {
-			return nil, nil, nil
-		}
-	}
-}
-
-// compileBJoin is the batch-mode join: hash equi-join over batches when
-// the condition implies a bridging equality, nested loops over a shared
-// inner log otherwise. JoinCache is implied by batch mode, so the inner
-// input is always derived at most once.
-func (c *compiler) compileBJoin(op *algebra.Join) (bbuilder, error) {
-	left, err := c.compileB(op.Left)
+// compileJoin compiles a join: hash equi-join over batches when the
+// condition implies a bridging equality, nested loops otherwise. With
+// JoinCache the inner input is derived at most once — into the hash
+// index, or into a log all outer bindings replay (Section 3: "the
+// nested-loops join operator stores the parts of the inner argument of
+// the loop"). Without it the nested loops re-derive the inner from its
+// sources for every outer binding (the E6 ablation); the hash index and
+// the parallel drain *are* inner caches, so they need JoinCache.
+func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
+	left, err := c.compile(op.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.compileB(op.Right)
+	right, err := c.compile(op.Right)
 	if err != nil {
 		return nil, err
 	}
-	cond := op.Cond
-	if c.e.opts.Parallel {
+	cond, cache := op.Cond, c.e.opts.JoinCache
+	if c.e.opts.Parallel && cache {
 		if l, r, ok := c.e.parallelBPair(op, left, right, c.batch); ok {
 			left, right = l, r
 		}
 	}
-	if c.e.opts.HashJoin {
+	if c.e.opts.HashJoin && cache {
 		if lk, rk, ok := equiJoinKeys(op); ok {
 			keyFn := atomKey
 			if c.e.opts.Fingerprints {
@@ -207,24 +140,30 @@ func (c *compiler) compileBJoin(op *algebra.Join) (bbuilder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinBCursor{out: lc, inner: &lazyLog{in: right}, cond: cond}, nil
+		j := &nlJoinBCursor{out: lc, inner: &lazyLog{in: right}, cond: cond}
+		if !cache {
+			j.rederive = right
+		}
+		return j, nil
 	}, nil
 }
 
-// nlJoinBCursor is the batch nested-loops join: each outer binding
-// steps through the shared inner log (the batch form of the memoized
-// inner cache), evaluating the condition per pair.
+// nlJoinBCursor is the nested-loops join: each outer binding steps
+// through the inner log, evaluating the condition per pair. With
+// JoinCache the one log is the inner cache; without it (rederive set)
+// every outer binding gets a fresh log over a fresh inner derivation.
 type nlJoinBCursor struct {
-	out   bcursor
-	inner *lazyLog
-	cond  algebra.Cond
-	pend  []*binding // buffered outer bindings
-	pi    int
-	lb    *binding // current outer binding
-	ipos  int      // position in the inner log
-	obuf  []*binding
-	err   error
-	done  bool
+	out      bcursor
+	inner    *lazyLog
+	rederive bbuilder
+	cond     algebra.Cond
+	pend     []*binding // buffered outer bindings
+	pi       int
+	lb       *binding // current outer binding
+	ipos     int      // position in the inner log
+	obuf     []*binding
+	err      error
+	done     bool
 }
 
 func (j *nlJoinBCursor) bnext(want int) ([]*binding, error) {
@@ -245,6 +184,9 @@ func (j *nlJoinBCursor) bnext(want int) ([]*binding, error) {
 			}
 			if rb == nil {
 				j.lb, j.ipos = nil, 0
+				if j.rederive != nil {
+					j.inner = &lazyLog{in: j.rederive}
+				}
 				continue
 			}
 			merged := merge(j.lb, rb)
@@ -290,9 +232,21 @@ func (j *nlJoinBCursor) fail(err error) ([]*binding, error) {
 	return nil, err
 }
 
-// bHashIndex is hashIndex over batches: each advance ingests one inner
-// batch — a whole bnext pull plus a keying loop per call instead of one
-// binding — and the inner input is derived only on first demand.
+func (j *nlJoinBCursor) fork() bcursor {
+	f := *j
+	f.out, f.obuf = j.out.fork(), nil
+	f.pend, f.pi = append([]*binding(nil), j.pend[j.pi:]...), 0
+	if j.rederive != nil {
+		f.inner = j.inner.fork()
+	}
+	return &f
+}
+
+// bHashIndex is the incrementally-built index over the inner input,
+// derived only on first demand; each advance ingests one inner batch. It
+// is shared, mutable state behind the join cursor and its forks — safe
+// because buckets only ever grow, in inner order, so a replayed probe
+// re-reads a (possibly longer) prefix of the same bucket.
 type bHashIndex struct {
 	right   bbuilder
 	src     bcursor // nil until first advance, nil again when done
@@ -433,28 +387,10 @@ func (c *bHashJoinCursor) fail(err error) ([]*binding, error) {
 	return nil, err
 }
 
-// compileHashJoin builds the hash equi-join stream: outer bindings flow
-// through unchanged, each expanding into a probe of the shared index.
-// The index itself plays the role of the memoized inner cache, so the
-// inner input is derived at most once per join stream.
-func (c *compiler) compileHashJoin(cond algebra.Cond, leftKeys, rightKeys []string, left, right builder) builder {
-	keyFn := atomKey
-	if c.e.opts.Fingerprints {
-		keyFn = atomKeyFP
-	}
-	return func() (stream, error) {
-		ls, err := left()
-		if err != nil {
-			return nil, err
-		}
-		idx := &hashIndex{inner: deferStream(right), keys: rightKeys, keyFn: keyFn,
-			buckets: map[string][]*binding{}}
-		return flatMapStream{in: ls, fn: func(lb *binding) (stream, error) {
-			k, err := keyFn(lb, leftKeys)
-			if err != nil {
-				return nil, err
-			}
-			return hashProbeStream{idx: idx, lb: lb, key: k, cond: cond}, nil
-		}}, nil
-	}
+func (c *bHashJoinCursor) fork() bcursor {
+	f := *c
+	f.out, f.obuf = c.out.fork(), nil
+	f.pend = append([]*binding(nil), c.pend[c.pi:]...)
+	f.kpend, f.pi = append([]string(nil), c.kpend[c.pi:]...), 0
+	return &f
 }

@@ -41,9 +41,8 @@ type compiler struct {
 	e  *Engine
 	ks *keyspace // nil when Options.Fingerprints is off
 
-	// batch is the batch width when Options.batchMode selected the
-	// batch-at-a-time pipeline (see batch.go); 0 compiles the scalar
-	// binding-at-a-time pipeline.
+	// batch is the width of the full-drain pulls (blocking operators,
+	// parallel derivation): Options.width().
 	batch int
 }
 

@@ -2,11 +2,14 @@
 // evaluation of XMAS algebra plans as trees of *lazy mediators*
 // (Section 3, Appendix A).
 //
-// Each algebra operator is compiled into a lazy binding stream: a
-// persistent, pull-driven cursor over the operator's output list of
-// variable bindings that translates demand on its output into the
-// minimal demand on its inputs — and, at the leaves, into DOM-VXD
-// navigation commands on the wrapped sources. The variable *values*
+// Each algebra operator is compiled into exactly one lazy mediator: a
+// pull-driven cursor (bcursor, see batch.go) over the operator's output
+// list of variable bindings that translates demand on its output into
+// the minimal demand on its inputs — and, at the leaves, into DOM-VXD
+// navigation commands on the wrapped sources. There is one operator
+// pipeline; the paper's operator caches (join inner, recursive
+// getDescendants, groupBy's Gprev) are the points where it keeps a
+// replay log, and each can be turned off locally. The variable *values*
 // inside bindings are equally lazy: a value is a Node handle that
 // navigates its underlying source subtree (or constructs element/list
 // structure) only when the client actually looks at it.

@@ -11,19 +11,25 @@ import (
 //
 //   - JoinCache — the nested-loops join stores the inner binding list
 //     so it is not re-derived from the source for every outer binding
-//     (Section 3). Disabling it is the E6 ablation.
-//   - PathCache — getDescendants memoizes its output, so revisiting a
-//     region of the answer does not re-run the (possibly recursive)
-//     descent (Section 3). Disabling it is the E7 ablation.
-//   - GroupCache — groupBy caches the grouped value lists for the
-//     group-by lists in Gprev (Appendix A). Disabling it is E9.
+//     (Section 3). Off, the join re-derives the inner input per outer
+//     binding: the E6 ablation.
+//   - PathCache — getDescendants keeps the explored part of its descent,
+//     so re-iterating its output does not re-run the (possibly
+//     recursive) descent (Section 3). Something has to re-iterate it for
+//     that to show: the operator keeps a log only when JoinCache or
+//     GroupCache is off (with both on every operator is read once, by
+//     one consumer). Off under such an ancestor is the E7 ablation.
+//   - GroupCache — groupBy caches its input and the grouped value lists
+//     for the group-by lists in Gprev (Appendix A). Off, every visit of
+//     a value list continues the input scan from the previous member,
+//     re-deriving the bindings it crosses: the E9 ablation.
 //   - NativeSelect — the select(σ) command is part of NC and pushed to
 //     the sources, upgrading label selections from browsable to
 //     bounded browsable (Section 2, Example 1). E3 toggles it.
 //   - HashJoin — joins whose condition implies a variable equality
 //     (Cond.EquiKeys) probe an incrementally-built hash index over the
-//     inner stream instead of scanning it per outer binding; the index
-//     grows only as far as probing forces the inner stream, so laziness
+//     inner input instead of scanning it per outer binding; the index
+//     grows only as far as probing forces the inner input, so laziness
 //     is preserved. Requires JoinCache (the index memoizes the inner
 //     derivation); non-equi conditions fall back to nested loops.
 //   - Parallel — joins whose two inputs read disjoint source sets
@@ -40,18 +46,14 @@ import (
 //     fingerprint collisions fall back to full structural comparison
 //     (see keyspace.go), and the DFA is observationally equivalent to
 //     the NFA. Off reproduces the pre-fingerprint behavior exactly.
-//   - BatchSize — operators exchange slices of up to BatchSize bindings
-//     per call instead of one binding per call (see batch.go). The lazy
-//     navigation contract lives at the answer-document boundary, where
-//     the batch-to-scalar adapter pulls single bindings on client
-//     demand, so answers, client commands, and per-source navigation
-//     counts are byte-identical to the scalar pipeline; whole-batch
-//     execution kicks in on full drains (Materialize, orderBy and
-//     difference inputs, parallel derivation). BatchSize <= 1
-//     reproduces the scalar binding-at-a-time pipeline exactly, and the
-//     batch pipeline also requires the three operator caches (an
-//     ablated cache implies per-outer re-derivation, which is a
-//     binding-at-a-time contract).
+//   - BatchSize — the width of the operator pipeline: operators
+//     exchange slices of up to BatchSize bindings per call (see
+//     batch.go); 1 (or less) moves one binding per pull. The lazy
+//     navigation contract lives at the answer-document boundary, which
+//     pulls single bindings on client demand, so answers, client
+//     commands, and per-source navigation counts do not depend on the
+//     width; whole-batch execution kicks in on full drains
+//     (Materialize, orderBy and difference inputs, parallel derivation).
 //   - SemanticCache — with a region cache installed, a named query whose
 //     plan is *subsumed* by another cached plan (same view, weaker
 //     σ-conditions / wider paths: see algebra.Analyze and DESIGN.md §14)
@@ -86,11 +88,8 @@ func DefaultOptions() Options {
 		HashJoin: true, Fingerprints: true, SemanticCache: true, BatchSize: DefaultBatchSize}
 }
 
-// batchMode reports whether the batch pipeline serves this
-// configuration; see the BatchSize doc above for why the caches gate it.
-func (o Options) batchMode() bool {
-	return o.BatchSize > 1 && o.JoinCache && o.PathCache && o.GroupCache
-}
+// width is the pipeline width BatchSize selects.
+func (o Options) width() int { return max(o.BatchSize, 1) }
 
 // Option configures an Engine under construction (see New).
 type Option func(*Options)
@@ -126,8 +125,8 @@ func WithFingerprints(on bool) Option { return func(o *Options) { o.Fingerprints
 // regions via plan containment (the E18 ablation).
 func WithSemanticCache(on bool) Option { return func(o *Options) { o.SemanticCache = on } }
 
-// WithBatchSize sets the batch width of the vectorized pipeline
-// (n <= 1 selects the scalar binding-at-a-time pipeline).
+// WithBatchSize sets the width of the operator pipeline (n <= 1 moves
+// one binding per pull).
 func WithBatchSize(n int) Option { return func(o *Options) { o.BatchSize = n } }
 
 // New returns an Engine configured by the given options, applied over

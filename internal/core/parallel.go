@@ -24,7 +24,7 @@ import (
 //
 // Safety: bindings and lazy nodes are not synchronized, so the two
 // goroutines must never share plan state. Disjoint source sets plus
-// per-side compiled subplans guarantee that — each side's streams,
+// per-side compiled subplans guarantee that — each side's cursors,
 // bindings, and documents are touched only by its own goroutine until
 // the WaitGroup barrier publishes the drained slices to the consumer.
 
@@ -105,106 +105,13 @@ func trySubmit(fn func()) bool {
 	}
 }
 
-// parallelPair wraps the compiled inputs of op so that forcing either
+// parallelBPair wraps the compiled inputs of op so that forcing either
 // side drains both concurrently (once — the results replay, like the
-// join's inner cache). ok is false when the inputs do not read disjoint
-// non-empty source sets, in which case derivation order stays serial:
-// overlapping sources would hand the same unsynchronized document and
-// lazy plan state to both goroutines.
-func (e *Engine) parallelPair(op *algebra.Join, left, right builder) (builder, builder, bool) {
-	ls, rs := algebra.Sources(op.Left), algebra.Sources(op.Right)
-	if len(ls) == 0 || len(rs) == 0 {
-		return nil, nil, false
-	}
-	seen := varSet(ls)
-	for _, s := range rs {
-		if seen[s] {
-			return nil, nil, false
-		}
-	}
-	pd := &parallelDrain{eng: e, left: left, right: right}
-	lb := func() (stream, error) {
-		pd.once.Do(pd.run)
-		if pd.lerr != nil {
-			return nil, pd.lerr
-		}
-		return sliceStream(pd.lres), nil
-	}
-	rb := func() (stream, error) {
-		pd.once.Do(pd.run)
-		if pd.rerr != nil {
-			return nil, pd.rerr
-		}
-		return sliceStream(pd.rres), nil
-	}
-	return lb, rb, true
-}
-
-// parallelDrain holds the once-drained inputs of one parallel join.
-type parallelDrain struct {
-	eng         *Engine
-	left, right builder
-
-	once       sync.Once
-	lres, rres []*binding
-	lerr, rerr error
-}
-
-func (pd *parallelDrain) run() {
-	parJoins.Add(1)
-	sp := pd.eng.tracer.Begin("parallel", "derive-inputs")
-	defer pd.eng.tracer.End(sp)
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	var wg sync.WaitGroup
-	side := func(b builder, res *[]*binding, errp *error) {
-		defer wg.Done()
-		*res, *errp = drainCtx(ctx, b)
-		if *errp != nil {
-			if context.Cause(ctx) == *errp {
-				parCanceled.Add(1)
-			} else {
-				parErrors.Add(1)
-			}
-			cancel(*errp) // no-op if the sibling already cancelled
-		}
-	}
-	wg.Add(2)
-	submit(func() { side(pd.left, &pd.lres, &pd.lerr) })
-	submit(func() { side(pd.right, &pd.rres, &pd.rerr) })
-	wg.Wait()
-	pd.left, pd.right, pd.eng = nil, nil, nil
-}
-
-// drainCtx drains the stream b builds, checking for cancellation
-// between pulls; a cancelled drain returns the cancellation cause (the
-// sibling side's error).
-func drainCtx(ctx context.Context, b builder) ([]*binding, error) {
-	s, err := b()
-	if err != nil {
-		return nil, err
-	}
-	var out []*binding
-	for {
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		h, t, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if h == nil {
-			return out, nil
-		}
-		out = append(out, h)
-		s = t
-	}
-}
-
-// parallelBPair is parallelPair for the batch pipeline: forcing either
-// side drains both concurrently, one batch per scheduling quantum, with
-// the work-stealing handoff of parallelBDrain. The disjoint-sources
-// gate is identical to the scalar path.
+// join's inner cache), one batch per scheduling quantum, with the
+// work-stealing handoff of parallelBDrain. ok is false when the inputs
+// do not read disjoint non-empty source sets, in which case derivation
+// order stays serial: overlapping sources would hand the same
+// unsynchronized document and lazy plan state to both goroutines.
 func (e *Engine) parallelBPair(op *algebra.Join, left, right bbuilder, batch int) (bbuilder, bbuilder, bool) {
 	ls, rs := algebra.Sources(op.Left), algebra.Sources(op.Right)
 	if len(ls) == 0 || len(rs) == 0 {

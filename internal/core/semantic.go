@@ -205,28 +205,22 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 // countChain counts the derivations of a group chain over one
 // materialized group subtree: the number of bindings the chain's
 // getDescendants/select suffix produces from GroupChainVar ↦ root. It
-// reuses the engine's own stream operators, so chain conditions and
+// reuses the engine's own operator cursors, so chain conditions and
 // descents evaluate exactly as the from-source pipeline would.
 func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
-	var s stream = consStream{head: newBinding().with(algebra.GroupChainVar, FromTree(root)), tail: emptyStream{}}
+	var c bcursor = &sliceBCursor{buf: []*binding{
+		newBinding().with(algebra.GroupChainVar, FromTree(root))}}
 	for _, st := range steps {
 		if st.nfa != nil {
-			parent, out, nfa := st.parent, st.out, st.nfa
-			s = flatMapStream{in: s, fn: func(b *binding) (stream, error) {
-				pv, err := b.node(parent)
-				if err != nil {
-					return nil, err
-				}
-				return nodeStream{l: matchList(nfa, nil, pv), base: b, out: out}, nil
-			}}
+			c = descendCursor(c, st.parent, st.out, st.nfa, nil)
 		} else {
 			cond := st.cond
-			s = filterStream{in: s, pred: func(b *binding) (bool, error) {
+			c = &filterBCursor{in: c, pred: func(b *binding) (bool, error) {
 				return cond.Eval(b)
 			}}
 		}
 	}
-	all, err := drain(s)
+	all, err := drainB(c, DefaultBatchSize)
 	if err != nil {
 		return 0, err
 	}

@@ -9,7 +9,7 @@ import (
 
 // SetTracer installs a navigation-trace recorder on the engine. Plans
 // compiled *after* the call get a trace.Doc at every source boundary
-// and a traced stream at every operator boundary, so each client
+// and a traced cursor at every operator boundary, so each client
 // navigation unfolds into a causal span tree (operator pulls → source
 // navigations) in the recorder. Plans compiled without a tracer are
 // completely untouched — tracing off is the zero-cost default.
@@ -55,38 +55,5 @@ func opLabel(p algebra.Op) string {
 		return "tupleDestroy"
 	default:
 		return fmt.Sprintf("%T", p)
-	}
-}
-
-// tracedStream wraps an operator's output stream so every pull opens a
-// span: the causal record of how demand on this operator propagated.
-// The wrapper is persistent like the stream it wraps — each tail is
-// wrapped again — and memoized replays of earlier positions bypass it
-// entirely (cache hits cost no navigation, so they leave no span).
-type tracedStream struct {
-	in    stream
-	label string
-	rec   *trace.Recorder
-}
-
-func (t tracedStream) next() (*binding, stream, error) {
-	sp := t.rec.Begin(t.label, "next")
-	b, rest, err := t.in.next()
-	t.rec.End(sp)
-	if rest != nil {
-		rest = tracedStream{in: rest, label: t.label, rec: t.rec}
-	}
-	return b, rest, err
-}
-
-// traceStreamBuilder wraps a builder so the streams it creates are
-// traced under the given operator label.
-func traceStreamBuilder(b builder, label string, rec *trace.Recorder) builder {
-	return func() (stream, error) {
-		s, err := b()
-		if err != nil {
-			return nil, err
-		}
-		return tracedStream{in: s, label: label, rec: rec}, nil
 	}
 }

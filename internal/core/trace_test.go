@@ -17,9 +17,15 @@ import (
 // `mixq -trace`: the fan-out tree is an attribution of exactly the
 // navigations the counters measure.
 func TestTraceTotalsMatchCounters(t *testing.T) {
+	t.Run("defaults", func(t *testing.T) { traceTotalsMatchCounters(t, DefaultOptions()) })
+	// GroupCache off: the group value lists pull forks of traced cursors.
+	t.Run("uncached groups", func(t *testing.T) { traceTotalsMatchCounters(t, Options{JoinCache: true}) })
+}
+
+func traceTotalsMatchCounters(t *testing.T, opts Options) {
 	homes, schools := workload.HomesSchools(8, 8, 3, 7)
 	rec := trace.New()
-	e := New()
+	e := New(WithOptions(opts))
 	e.SetTracer(rec)
 	counters := map[string]*nav.CountingDoc{
 		"homesSrc":   nav.NewCountingDoc(nav.NewTreeDoc(homes)),
@@ -110,8 +116,7 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 	sum := trace.Summarize(roots)
 	var sawOperator, sawSource bool
 	for _, s := range sum {
-		// Operator spans are "next" pulls on the scalar pipeline and
-		// "next[n]" batch pulls (n = bindings carried) on the batch one.
+		// Operator spans are "next[n]" pulls (n = bindings carried).
 		if strings.HasPrefix(s.Op, "next") && s.Label != trace.ClientLabel {
 			sawOperator = true
 		}

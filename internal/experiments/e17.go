@@ -16,14 +16,14 @@ import (
 var batchWidth = core.DefaultBatchSize
 
 // SetBatchSize overrides the batch width used by the vectorized runs of
-// the experiment suite (n <= 1 measures the scalar pipeline against
-// itself; the identity rows still must hold).
+// the experiment suite (1 = one binding per pull: E17 then measures
+// width 1 against itself; the identity rows still must hold).
 func SetBatchSize(n int) { batchWidth = n }
 
 // E17BatchPipeline measures what vectorization buys on the pipeline's
 // own bookkeeping: the same warm-drain equi-join workload as E13's hash
 // join case (300 homes × 300 schools, full materialization), run
-// binding-at-a-time vs. batch-at-a-time. The per-binding interpreter
+// binding-at-a-time (width 1) vs. batch-at-a-time. The per-binding interpreter
 // costs — one traced stream step per binding per operator, plus the
 // join-condition evaluations — collapse when each pull moves a whole
 // batch, while the navigation-driven contract stays untouched: same
@@ -38,17 +38,17 @@ func E17BatchPipeline() Table {
 			"navigations, and the condition evaluations byte-for-byte unchanged.",
 		Expect: "≥2× fewer interpreter calls with batching; source navigations and " +
 			"condition evaluations equal in both modes; identical answer.",
-		Headers: []string{"case", "metric", "scalar", "batch", "improvement"},
+		Headers: []string{"case", "metric", "width 1", "batch", "improvement"},
 	}
 	t.Rows = batchPipelineRows()
 	return t
 }
 
-// batchPipelineRows runs the E13 warm-drain join once per pipeline. A
-// span sink counts operator stream steps: every "next"/"next[n]" span
-// is one interpreter dispatch through the operator tree (source-
-// boundary spans carry navigation ops, not "next", so they are not
-// counted — they are reported separately and must not change).
+// batchPipelineRows runs the E13 warm-drain join once per width. A
+// span sink counts operator stream steps: every "next[n]" span is one
+// interpreter dispatch through the operator tree (source-boundary spans
+// carry navigation ops, not "next", so they are not counted — they are
+// reported separately and must not change).
 func batchPipelineRows() [][]string {
 	homes, schools := workload.HomesSchools(300, 300, 40, 9)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -100,6 +101,52 @@ func TestE8Shape(t *testing.T) {
 	for i := range tb.Rows {
 		if tb.Rows[i][3] != "yes" {
 			t.Fatalf("policy %q produced a different document", tb.Rows[i][0])
+		}
+	}
+}
+
+func TestE9Shape(t *testing.T) {
+	tb := E9GroupByCache()
+	for i := range tb.Rows {
+		c1, c2 := col(t, tb, i, 1), col(t, tb, i, 2)
+		u1, u2 := col(t, tb, i, 3), col(t, tb, i, 4)
+		// Cached, the second walk only re-reads member labels.
+		if 3*c2 > c1 {
+			t.Fatalf("row %d: cached second walk not ≪ the first: %d vs %d", i, c2, c1)
+		}
+		// Uncached, nothing is kept: the second walk repeats the first,
+		// and every group scan re-derives its input.
+		if u2 != u1 || u1 < 5*c1 {
+			t.Fatalf("row %d: uncached walks %d, %d vs cached %d", i, u1, u2, c1)
+		}
+	}
+}
+
+// TestPaperAblationCounts pins the navigation counts of the three paper
+// ablations. They are deterministic, and they are the numbers the
+// persistent-stream operators this engine started from produced: what
+// turning a cache off re-derives is part of the reproduction, not an
+// implementation detail.
+func TestPaperAblationCounts(t *testing.T) {
+	for _, tc := range []struct {
+		table Table
+		want  [][]string // the count columns, row by row
+	}{
+		{E6JoinCache(), [][]string{
+			{"20", "1524", "8402"}, {"50", "3492", "47690"}, {"100", "7402", "185800"}}},
+		{E7RecursiveCache(), [][]string{
+			{"50", "20", "652", "13040"}, {"200", "20", "2602", "52040"}, {"800", "20", "10402", "208040"}}},
+		{E9GroupByCache(), [][]string{
+			{"30", "2090", "286", "20750", "20750"}, {"60", "4258", "654", "79378", "79378"},
+			{"120", "8552", "1348", "309992", "309992"}}},
+	} {
+		if len(tc.table.Rows) != len(tc.want) {
+			t.Fatalf("%s: %d rows, want %d", tc.table.ID, len(tc.table.Rows), len(tc.want))
+		}
+		for i, want := range tc.want {
+			if got := tc.table.Rows[i][:len(want)]; !slices.Equal(got, want) {
+				t.Errorf("%s row %d: counts %v, want %v", tc.table.ID, i, got, want)
+			}
 		}
 	}
 }

@@ -243,7 +243,7 @@ type Server struct {
 	l        net.Listener
 	sessions map[uint64]*session
 	nextID   uint64
-	draining bool
+	draining atomic.Bool // set under mu (newSession checks it there), read lock-free per command
 	wg       sync.WaitGroup
 }
 
@@ -425,7 +425,7 @@ func (s *Server) RegionCache() *regioncache.Cache { return s.cache }
 // listener fails. It returns nil after a clean Shutdown.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return errors.New("server: already shut down")
 	}
@@ -434,10 +434,7 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining && errors.Is(err, net.ErrClosed) {
+			if s.draining.Load() && errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -467,7 +464,7 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) newSession(conn net.Conn) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return nil
 	}
 	s.nextID++
@@ -503,11 +500,7 @@ func (s *Server) dropSession(sess *session) {
 }
 
 // drainingNow reports whether Shutdown has been initiated.
-func (s *Server) drainingNow() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) drainingNow() bool { return s.draining.Load() }
 
 // Shutdown stops the server gracefully: it stops accepting, wakes every
 // session blocked waiting for a request (in-flight requests still get
@@ -516,7 +509,7 @@ func (s *Server) drainingNow() bool {
 // returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	l := s.l
 	open := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"strings"
@@ -211,6 +212,59 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// Drained sessions are not "evicted" — they were shut down.
 	if st := srv.Stats(); st.SessionsActive != 0 || st.SessionsEvicted != 0 {
 		t.Fatalf("after shutdown: %+v", st)
+	}
+}
+
+// TestShutdownWakesBusySession: Shutdown's wake-up (an immediate read
+// deadline) used to be lost on a session that was mid-dispatch when it
+// fired — the session loop re-armed its idle deadline over it at the
+// top of the next iteration and served on, holding the drain for the
+// whole grace period. A peer-link-style client that pipelines commands
+// back to back keeps its session permanently in that window.
+func TestShutdownWakesBusySession(t *testing.T) {
+	srv, addr := start(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(2)
+	go func() { // requests, never waiting for the answers
+		defer wg.Done()
+		for vxdp.WriteFrame(conn, vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpPing}}) == nil {
+		}
+	}()
+	busy := make(chan struct{})
+	go func() { // answers
+		defer wg.Done()
+		r := bufio.NewReader(conn)
+		for n := 0; ; n++ {
+			var resp vxdp.Response
+			if vxdp.ReadFrame(r, &resp) != nil {
+				return
+			}
+			if n == 1000 {
+				close(busy)
+			}
+		}
+	}()
+	select {
+	case <-busy:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session never got busy")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	begin := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(begin); d > time.Second {
+		t.Fatalf("a busy session held Shutdown for %v", d)
 	}
 }
 

@@ -76,6 +76,12 @@ func (s *session) run() {
 	w := bufio.NewWriter(s.conn)
 	for {
 		s.arm()
+		// Shutdown wakes a blocked reader with an immediate read deadline,
+		// but a session that was mid-dispatch at that moment has just
+		// re-armed over it: notice the drain here instead.
+		if s.srv.drainingNow() {
+			return
+		}
 		var req vxdp.Request
 		if err := vxdp.ReadFrame(r, &req); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !s.srv.drainingNow() {
