@@ -15,7 +15,7 @@
 //	-src name=demo:books:N            a generated dataset (books|homes|schools)
 //
 // Each client session draws a lazy-mediator engine from a shared pool
-// over the shared (immutable or serialized) sources, so concurrent
+// over the shared (immutable or concurrency-safe) sources, so concurrent
 // sessions explore independently while the regions of answer documents
 // they explore are shared through the cross-session region cache:
 // -cache-max-bytes bounds it (whole-entry LRU eviction), -cache-off
@@ -334,10 +334,12 @@ func openSource(name, loc string) (sourceSpec, error) {
 		if err != nil {
 			return fail(fmt.Errorf("dialing %s: %w", hostport, err))
 		}
-		// The LXP client serializes concurrent use, so sessions share
-		// the connection (and its counters); each session buffers
-		// independently (with batching and region-cache publishing
-		// wired up by RegisterLXP).
+		// The LXP client multiplexes concurrent calls over its one
+		// connection, so sessions share it (and its counters) without
+		// queueing behind each other; each session buffers
+		// independently (with batching, scan lookahead and
+		// region-cache publishing wired up by RegisterLXP). Nothing
+		// is sent until a session's plan first navigates the source.
 		counting := &lxp.Counting{Inner: client, Counters: &metrics.Counters{}}
 		return sourceSpec{name: name, counters: counting.Counters, register: func(m *mediator.Mediator) error {
 			_, err := m.RegisterLXP(name, counting, uri)

@@ -92,9 +92,9 @@ WHERE allbooks allbooks.book $A
 		}
 	}
 
-	fmt.Printf("\npages fetched from amazon: %d of %d\n", amazon.Pages, (*n+*page-1)/(*page))
+	fmt.Printf("\npages fetched from amazon: %d of %d\n", amazon.Pages.Load(), (*n+*page-1)/(*page))
 	fmt.Printf("pages fetched from bn:     %d of %d (never touched by this query)\n",
-		bn.Pages, (*n+*page-1)/(*page))
+		bn.Pages.Load(), (*n+*page-1)/(*page))
 
 	// Now the same through the second seller's view, to show both are live.
 	res2, err := m.Query(`
@@ -109,5 +109,5 @@ WHERE allbooks2 allbooks2.book $B
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfirst bn hit:\n%s", xmltree.MarshalIndent(first.FirstChild()))
-	fmt.Printf("pages fetched from bn after browsing its view: %d\n", bn.Pages)
+	fmt.Printf("pages fetched from bn after browsing its view: %d\n", bn.Pages.Load())
 }

@@ -15,12 +15,15 @@
 // The buffer implements nav.Document, so mediators cannot tell a
 // buffered remote source from a local tree. It is safe for concurrent
 // use, which enables the asynchronous prefetching strategy Section 4
-// proposes: StartPrefetch launches a background worker that fills
-// pending holes while the client navigates ("push from below" decoupled
-// from "pull from above").
+// proposes ("push from below" decoupled from "pull from above") in two
+// forms: StartPrefetch launches a background worker that keeps filling
+// pending holes while the client navigates, and the scan lookahead
+// (EnableLookahead) fetches the next chunk of a sibling scan while the
+// client reads the current one.
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -44,9 +47,13 @@ type node struct {
 // Buffer is an open-tree cache over one LXP session.
 //
 // Locking discipline: mu guards the tree and the pending list; it is
-// *released* while a fill request is on the wire (the hole is marked
-// inFlight so no second fill is issued for it), and re-acquired to
+// *released* while a request is on the wire (the hole is marked
+// inFlight so no second request is issued for it), and re-acquired to
 // splice. Demanders of an in-flight hole wait on cond.
+//
+// The session is opened on first use: New sends nothing, and the first
+// Root() sends get_root and then fills the root hole. Until get_root
+// has answered, the root hole has no identifier (holeID == "").
 type Buffer struct {
 	srv lxp.Server
 	uri string
@@ -66,10 +73,7 @@ type Buffer struct {
 	prefetchErrs    int   // prefetch fills that failed
 	lastPrefetchErr error // most recent prefetch failure (nil if none)
 
-	// Prefetch, when > 0, makes every demand-driven fill also fill up
-	// to Prefetch additional pending holes synchronously. For the
-	// asynchronous strategy use StartPrefetch instead.
-	Prefetch int
+	lookahead lookaheadState // scan lookahead: off unless EnableLookahead was called
 
 	// Batch, when > 1, coalesces up to this many holes into one
 	// fill_many round trip (lxp.FillMany): the chase_first demand path
@@ -90,17 +94,44 @@ type Buffer struct {
 	wg sync.WaitGroup
 }
 
-// New opens an LXP session for uri and returns a buffer over it. Only
-// the get_root message is exchanged; no data is transferred.
+// New returns a buffer over the document uri names at srv. No message
+// is exchanged: the session is opened by the first Root(), which is
+// where a wrong uri or an unreachable server surfaces. The error result
+// is always nil.
 func New(srv lxp.Server, uri string) (*Buffer, error) {
-	id, err := srv.GetRoot(uri)
-	if err != nil {
-		return nil, err
-	}
 	b := &Buffer{srv: srv, uri: uri}
 	b.cond = sync.NewCond(&b.mu)
-	b.root = &node{hole: true, holeID: id}
+	b.root = &node{hole: true}
 	return b, nil
+}
+
+// lookaheadState is the state of the one-chunk scan lookahead.
+type lookaheadState uint8
+
+const (
+	lookaheadOff  lookaheadState = iota // never look ahead (what New leaves)
+	lookaheadIdle                       // enabled, none in flight
+	lookaheadBusy                       // enabled, the one permitted lookahead fill is on the wire
+)
+
+// EnableLookahead turns on the one-chunk scan lookahead: whenever a
+// Right has to wait for a fill — the sibling scan crossed a chunk
+// boundary — the buffer, once that fill is spliced, fills the next
+// unresolved hole under the same parent on a goroutine of its own, so
+// the chunk after the one the client is about to read travels while
+// the client reads. At most one lookahead is in flight per buffer, a
+// lookahead never starts another, and Down never starts one, so a
+// scan issues at most one fill it did not ask for per fill it did, and
+// a client that only descends issues none. Lookahead fills count as
+// PrefetchFills; a failing one is recorded like any prefetch failure
+// (see Stats) and the demand path retries the hole if it gets there.
+// Call it before serving navigations.
+func (b *Buffer) EnableLookahead() {
+	b.mu.Lock()
+	if b.lookahead == lookaheadOff {
+		b.lookahead = lookaheadIdle
+	}
+	b.mu.Unlock()
 }
 
 // Fills returns the number of fill requests issued so far (including
@@ -183,8 +214,9 @@ func (b *Buffer) Stats() Stats {
 	return s
 }
 
-// Root implements nav.Document. Resolving the root may require filling
-// the root hole (the paper's get_root only returns a handle).
+// Root implements nav.Document. The first call opens the session
+// (get_root only returns a handle) and fills the root hole; concurrent
+// callers wait for the one that got there first.
 func (b *Buffer) Root() (nav.ID, error) {
 	defer b.maybePublish()
 	b.mu.Lock()
@@ -192,6 +224,12 @@ func (b *Buffer) Root() (nav.ID, error) {
 	for b.root.hole {
 		if b.root.inFlight {
 			b.cond.Wait()
+			continue
+		}
+		if b.root.holeID == "" {
+			if err := b.getRootLocked(); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		trees, err := b.fillLocked(b.root)
@@ -242,6 +280,27 @@ func (b *Buffer) graft(t *xmltree.Tree, parent *node) *node {
 		}
 	}
 	return n
+}
+
+// getRootLocked sends get_root with mu released during the round trip;
+// the root hole is flagged inFlight meanwhile. On return mu is held
+// again. After a failure the root hole still has no identifier, so the
+// next Root() tries again.
+func (b *Buffer) getRootLocked() error {
+	b.root.inFlight = true
+	b.mu.Unlock()
+	id, err := b.srv.GetRoot(b.uri)
+	if err == nil && id == "" {
+		err = errors.New("get_root returned an empty hole identifier")
+	}
+	b.mu.Lock()
+	b.root.inFlight = false
+	b.cond.Broadcast()
+	if err != nil {
+		return fmt.Errorf("buffer: opening %q: %w", b.uri, err)
+	}
+	b.root.holeID = id
+	return nil
 }
 
 // fillLocked issues the fill for h with mu released during the wire
@@ -303,16 +362,17 @@ func (b *Buffer) fillManyLocked(holes []*node) (map[string][]*xmltree.Tree, erro
 // its place; with batching enabled, other hole children of p ride the
 // same round trip (the chase_first frontier is where sibling holes
 // accumulate). Caller holds mu. If another goroutine is already filling
-// h, expand waits for it instead.
-func (b *Buffer) expand(p *node, h *node) error {
+// h, expand waits for it instead; filled reports whether this call
+// issued a fill of its own.
+func (b *Buffer) expand(p *node, h *node) (filled bool, err error) {
 	if h.inFlight {
 		for h.inFlight {
 			b.cond.Wait()
 		}
-		return nil // resolved (or failed) by the other goroutine; caller re-inspects
+		return false, nil // resolved (or failed) by the other goroutine; caller re-inspects
 	}
 	if !h.hole {
-		return nil // already resolved
+		return false, nil // already resolved
 	}
 	group := []*node{h}
 	if b.Batch > 1 {
@@ -325,7 +385,7 @@ func (b *Buffer) expand(p *node, h *node) error {
 			}
 		}
 	}
-	return b.expandGroup(group)
+	return true, b.expandGroup(group)
 }
 
 // expandGroup fills a set of non-in-flight holes — possibly under
@@ -357,11 +417,7 @@ func (b *Buffer) expandGroup(group []*node) error {
 		}
 	}
 	b.cond.Broadcast()
-	if firstErr != nil {
-		return firstErr
-	}
-	b.syncPrefetch()
-	return nil
+	return firstErr
 }
 
 // splice replaces the resolved hole h with the trees its fill returned.
@@ -434,28 +490,44 @@ func (b *Buffer) checkNoAdjacentHoles(p *node) error {
 	return nil
 }
 
-// syncPrefetch fills up to b.Prefetch pending holes synchronously
-// (most recently discovered first; each may coalesce siblings when
-// batching is on). Caller holds mu. Prefetching is best-effort: a
-// failure stops this round but is recorded (see Stats) rather than
-// surfaced, since the demand path will rediscover a real error.
-func (b *Buffer) syncPrefetch() {
-	for i := 0; i < b.Prefetch && len(b.pending) > 0; i++ {
-		h := b.pending[len(b.pending)-1]
-		if h.parent == nil || h.inFlight {
-			return
-		}
-		if err := b.expand(h.parent, h); err != nil {
-			b.notePrefetchErr(err)
-			return
-		}
-	}
-}
-
 // notePrefetchErr records a best-effort prefetch failure. Caller holds mu.
 func (b *Buffer) notePrefetchErr(err error) {
 	b.prefetchErrs++
 	b.lastPrefetchErr = err
+}
+
+// lookAhead starts the scan lookahead after a Right had to wait for a
+// fill under p: it fills the first unresolved hole among p's children
+// from index from on — the continuation of the chunk just spliced — on
+// a goroutine that ends with that fill. Caller holds mu. The hole is
+// flagged inFlight before the goroutine exists, so a demander that
+// reaches it first waits for this fill instead of sending its own.
+func (b *Buffer) lookAhead(p *node, from int) {
+	if b.lookahead != lookaheadIdle {
+		return
+	}
+	var h *node
+	for _, c := range p.children[from:] {
+		if c.hole {
+			h = c
+			break
+		}
+	}
+	if h == nil || h.inFlight {
+		return
+	}
+	b.lookahead = lookaheadBusy
+	h.inFlight = true
+	go func() {
+		defer b.maybePublish()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.prefetchFills++
+		if err := b.expandGroup([]*node{h}); err != nil {
+			b.notePrefetchErr(err)
+		}
+		b.lookahead = lookaheadIdle
+	}()
 }
 
 // StartPrefetch launches the asynchronous prefetcher: a background
@@ -551,7 +623,7 @@ func (b *Buffer) Down(p nav.ID) (nav.ID, error) {
 		}
 		// chase_first: fill the hole; the splice may reveal a real
 		// first child, another (nested) hole, or an empty list.
-		if err := b.expand(n, first); err != nil {
+		if _, err := b.expand(n, first); err != nil {
 			return nil, err
 		}
 	}
@@ -570,6 +642,7 @@ func (b *Buffer) Right(p nav.ID) (nav.ID, error) {
 	if n.parent == nil {
 		return nil, nil
 	}
+	waited := false // this call had to wait for a fill of its own
 	for {
 		sibs := n.parent.children
 		idx := -1
@@ -587,11 +660,16 @@ func (b *Buffer) Right(p nav.ID) (nav.ID, error) {
 		}
 		next := sibs[idx+1]
 		if !next.hole {
+			if waited {
+				b.lookAhead(n.parent, idx+2)
+			}
 			return next, nil
 		}
-		if err := b.expand(n.parent, next); err != nil {
+		filled, err := b.expand(n.parent, next)
+		if err != nil {
 			return nil, err
 		}
+		waited = waited || filled
 	}
 }
 

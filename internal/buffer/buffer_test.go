@@ -277,23 +277,6 @@ func TestBufferForeignID(t *testing.T) {
 	}
 }
 
-func TestBufferPrefetch(t *testing.T) {
-	d := doc()
-	cs := lxp.NewCounting(&lxp.TreeServer{Tree: d, Chunk: 1, InlineLimit: 1})
-	b, err := New(cs, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Prefetch = 2
-	got, err := nav.Materialize(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmltree.Equal(got, d) {
-		t.Fatal("prefetching buffer changes semantics")
-	}
-}
-
 func TestBufferRightAtRoot(t *testing.T) {
 	b, err := New(&lxp.TreeServer{Tree: doc()}, "u")
 	if err != nil {

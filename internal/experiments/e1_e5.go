@@ -307,7 +307,7 @@ func E5PartialExploration() Table {
 		if _, err := nav.ExploreFirst(q.Document(), k); err != nil {
 			panic(err)
 		}
-		lazyPages := web.Pages
+		lazyPages := web.Pages.Load()
 
 		// Eager baseline: materializes the whole catalog.
 		web2 := &wrapper.Web{Name: "amazon", Catalog: workload.Books("az", n, 1), PageSize: pageSize}
@@ -322,7 +322,7 @@ func E5PartialExploration() Table {
 		}
 
 		t.Rows = append(t.Rows, []string{
-			itoa(int64(k)), itoa(int64(lazyPages)), itoa(int64(totalPages)), itoa(int64(web2.Pages)),
+			itoa(int64(k)), itoa(lazyPages), itoa(int64(totalPages)), itoa(web2.Pages.Load()),
 		})
 	}
 	return t

@@ -168,6 +168,37 @@ func TestE10Shape(t *testing.T) {
 	}
 }
 
+// TestE11Shape pins both forms of the pull/push decoupling: think-time
+// prefetch leaves phase 3 nothing to wait for, and the scan lookahead
+// sends exactly the fills of a demand-only scan (E11 itself panics if
+// the documents differ) while the client waits for about half of them.
+func TestE11Shape(t *testing.T) {
+	tb := E11AsyncPrefetch()
+	if len(tb.Rows) != 5 {
+		t.Fatalf("rows = %d, want the three phases and the two scans", len(tb.Rows))
+	}
+	if col(t, tb, 0, 2) != 0 || col(t, tb, 1, 3) != 0 || col(t, tb, 2, 1) != 0 {
+		t.Fatalf("think-time prefetch: %v", tb.Rows[:3])
+	}
+	demandOnly, lookahead := tb.Rows[3], tb.Rows[4]
+	total := col(t, tb, 3, 1)
+	if col(t, tb, 3, 2) != 0 || total < 20 {
+		t.Fatalf("demand-only scan: %v", demandOnly)
+	}
+	waited, ahead := col(t, tb, 4, 1), col(t, tb, 4, 2)
+	if waited+ahead != total {
+		t.Fatalf("lookahead scan sent %d fills, demand-only %d: overlap must not add fills", waited+ahead, total)
+	}
+	// Every lookahead follows a demand fill of the scan, and the root
+	// and first-chunk fills precede the first boundary.
+	if ahead < total/2-2 || ahead > waited {
+		t.Fatalf("lookahead scan waited for %d of %d fills: %v", waited, total, lookahead)
+	}
+	if col(t, tb, 3, 3) != 0 || col(t, tb, 4, 3) != 0 {
+		t.Fatalf("scans left holes pending: %v %v", demandOnly, lookahead)
+	}
+}
+
 func TestE13Shape(t *testing.T) {
 	tb := E13ParallelPipeline()
 	byMetric := map[string][]string{}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -103,6 +105,7 @@ func putPayload(p *[]byte) {
 // from the "trees":null of every other op, mirroring the nil/non-nil
 // split of response.Trees.
 type leanResponse struct {
+	rid      uint64 // echo of the request's rid; 0 = absent
 	hole     string
 	trees    []*xmltree.Tree
 	hasTrees bool
@@ -141,6 +144,12 @@ func encodeString(buf *bytes.Buffer, s string) {
 	buf.Write(b)
 }
 
+// encodeUint appends n in decimal, as json.Marshal renders a uint64.
+func encodeUint(buf *bytes.Buffer, n uint64) {
+	var tmp [20]byte
+	buf.Write(strconv.AppendUint(tmp[:0], n, 10))
+}
+
 // encodeTree appends the wireTree encoding of t:
 // {"l":label} for leaves, {"l":label,"c":[…]} otherwise.
 func encodeTree(buf *bytes.Buffer, t *xmltree.Tree) {
@@ -174,6 +183,11 @@ func encodeForest(buf *bytes.Buffer, trees []*xmltree.Tree) {
 // json.Marshal(response{…}) byte for byte.
 func encodeResponse(buf *bytes.Buffer, lr *leanResponse) {
 	buf.WriteByte('{')
+	if lr.rid != 0 {
+		buf.WriteString(`"rid":`)
+		encodeUint(buf, lr.rid)
+		buf.WriteByte(',')
+	}
 	if lr.hole != "" {
 		buf.WriteString(`"hole":`)
 		encodeString(buf, lr.hole)
@@ -280,9 +294,16 @@ func decodeResponse(payload []byte, in *xmltree.Interner, arena *xmltree.Arena, 
 	}
 	if err := d.object(func(key string) error {
 		switch key {
+		case "rid":
+			if d.null() {
+				return nil // null into a scalar field is a no-op
+			}
+			n, err := d.uint()
+			lr.rid = n
+			return err
 		case "hole":
 			if d.null() {
-				return nil // null into a string field is a no-op
+				return nil
 			}
 			s, err := d.str(false)
 			lr.hole = s
@@ -453,6 +474,27 @@ func (d *decoder) strSlow(open int) (string, error) {
 		}
 	}
 	return "", errBadJSON
+}
+
+// uint parses a JSON number into a uint64 the way encoding/json does
+// for a uint64 field: plain decimal digits only, no sign, fraction,
+// exponent or overflow.
+func (d *decoder) uint() (uint64, error) {
+	d.ws()
+	start := d.i
+	var n uint64
+	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
+		digit := uint64(d.b[d.i] - '0')
+		if n > (math.MaxUint64-digit)/10 {
+			return 0, errBadJSON
+		}
+		n = n*10 + digit
+		d.i++
+	}
+	if d.i == start || (d.i-start > 1 && d.b[start] == '0') {
+		return 0, errBadJSON
+	}
+	return n, nil
 }
 
 // forest parses [tree,…]. The returned slice is arena-backed (collected
@@ -631,9 +673,15 @@ func (d *decoder) skip() error {
 // --- requests ---------------------------------------------------------------
 
 // encodeRequest writes req exactly as json.Marshal renders the request
-// struct: field order op, uri, id, ids, with omitempty semantics.
+// struct: field order rid, op, uri, id, ids, with omitempty semantics.
 func encodeRequest(buf *bytes.Buffer, req request) {
-	buf.WriteString(`{"op":`)
+	buf.WriteByte('{')
+	if req.Rid != 0 {
+		buf.WriteString(`"rid":`)
+		encodeUint(buf, req.Rid)
+		buf.WriteByte(',')
+	}
+	buf.WriteString(`"op":`)
 	encodeString(buf, req.Op)
 	if req.URI != "" {
 		buf.WriteString(`,"uri":`)
@@ -692,6 +740,13 @@ func decodeRequest(payload []byte) (request, error) {
 	}
 	if err := d.object(func(key string) error {
 		switch key {
+		case "rid":
+			if d.null() {
+				return nil
+			}
+			n, err := d.uint()
+			req.Rid = n
+			return err
 		case "op":
 			if d.null() {
 				return nil
@@ -775,6 +830,25 @@ func (d *decoder) stringArray() ([]string, error) {
 	}
 }
 
+// readPayload reads one frame's payload from r into a pooled slice,
+// which the caller hands back with putPayload.
+func readPayload(r io.Reader) (*[]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > maxFrame {
+		return nil, fmt.Errorf("lxp: frame of %d bytes exceeds limit", n)
+	}
+	p := getPayload(int(n))
+	if _, err := io.ReadFull(r, *p); err != nil {
+		putPayload(p)
+		return nil, err
+	}
+	return p, nil
+}
+
 // readRequest reads one request frame from r, through a pooled payload
 // and the lean parser when wire optimizations are on. Decoded strings
 // never alias the pooled payload.
@@ -782,19 +856,11 @@ func readRequest(r io.Reader, req *request) error {
 	if !wireOptimizations.Load() {
 		return readFrame(r, req)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	p, err := readPayload(r)
+	if err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", n)
-	}
-	p := getPayload(int(n))
 	defer putPayload(p)
-	if _, err := io.ReadFull(r, *p); err != nil {
-		return err
-	}
 	rq, err := decodeRequest(*p)
 	if err != nil {
 		return err

@@ -25,6 +25,8 @@ func nastyTree() *xmltree.Tree {
 func codecResponses() map[string]leanResponse {
 	return map[string]leanResponse{
 		"hole":       {hole: "root"},
+		"holeRid":    {rid: 3, hole: "root"},
+		"errorRid":   {rid: 1 << 33, err: "stale"},
 		"fill":       {trees: []*xmltree.Tree{nastyTree(), xmltree.Leaf("x")}, hasTrees: true},
 		"fillEmpty":  {trees: []*xmltree.Tree{}, hasTrees: true},
 		"error":      {err: `bad <hole> "id"`},
@@ -34,30 +36,8 @@ func codecResponses() map[string]leanResponse {
 	}
 }
 
-// wireFromLean is the test-side inverse of leanFromWire.
-func wireFromLean(lr leanResponse) response {
-	resp := response{Hole: lr.hole, Err: lr.err}
-	if lr.hasTrees {
-		resp.Trees = make([]wireTree, len(lr.trees))
-		for i, t := range lr.trees {
-			resp.Trees[i] = toWire(t)
-		}
-	}
-	if lr.many != nil {
-		resp.Many = make(map[string][]wireTree, len(lr.many))
-		for id, trees := range lr.many {
-			ws := make([]wireTree, len(trees))
-			for i, t := range trees {
-				ws[i] = toWire(t)
-			}
-			resp.Many[id] = ws
-		}
-	}
-	return resp
-}
-
 func leanEqual(a, b *leanResponse) bool {
-	if a.hole != b.hole || a.err != b.err || a.hasTrees != b.hasTrees {
+	if a.rid != b.rid || a.hole != b.hole || a.err != b.err || a.hasTrees != b.hasTrees {
 		return false
 	}
 	forestEq := func(x, y []*xmltree.Tree) bool {
@@ -159,10 +139,10 @@ func TestLeanDecodeRejects(t *testing.T) {
 // the lean encoding is byte-identical to encoding/json, and that both
 // decoders read it back to the same trees.
 func FuzzLeanCodecRoundTrip(f *testing.F) {
-	f.Add("root", "a\x00b<c", []byte{3, 1, 0, 2, 9})
-	f.Add("", "héllo☃", []byte{0})
-	f.Add(`h"ole`, "\x1f\\", []byte{5, 5, 5, 5, 1, 2, 3, 4})
-	f.Fuzz(func(t *testing.T, hole, label string, shape []byte) {
+	f.Add(uint64(0), "root", "a\x00b<c", []byte{3, 1, 0, 2, 9})
+	f.Add(uint64(1), "", "héllo☃", []byte{0})
+	f.Add(^uint64(0), `h"ole`, "\x1f\\", []byte{5, 5, 5, 5, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, rid uint64, hole, label string, shape []byte) {
 		// shape drives a tiny deterministic tree builder.
 		var build func(depth int) *xmltree.Tree
 		i := 0
@@ -178,7 +158,7 @@ func FuzzLeanCodecRoundTrip(f *testing.F) {
 			}
 			return n
 		}
-		lr := leanResponse{hole: hole, trees: []*xmltree.Tree{build(0), xmltree.Leaf(label)}, hasTrees: true}
+		lr := leanResponse{rid: rid, hole: hole, trees: []*xmltree.Tree{build(0), xmltree.Leaf(label)}, hasTrees: true}
 		var buf bytes.Buffer
 		encodeResponse(&buf, &lr)
 		want, err := json.Marshal(wireFromLean(lr))
@@ -211,6 +191,8 @@ func FuzzLeanDecode(f *testing.F) {
 	f.Add([]byte(`{"hole":"root","trees":null}`))
 	f.Add([]byte(`{"trees":null,"many":{"a":[],"b":[{"l":"x"}]}}`))
 	f.Add([]byte(`{"trees":[null,{"l":null,"c":null}]}`))
+	f.Add([]byte(`{"rid":42,"hole":"root","trees":null}`))
+	f.Add([]byte(`{"trees":[],"rid":18446744073709551615,"rid":null}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got := new(leanResponse)
 		leanErr := decodeResponse(payload, xmltree.NewInterner(), nil, got)
@@ -301,6 +283,7 @@ func codecRequests() map[string]request {
 		"emptyIDs": {Op: "fill_many", IDs: nil},
 		"nasty":    {Op: "fill", ID: "hé\"llo\\☃\x01"},
 		"bare":     {Op: "close"},
+		"withRid":  {Rid: 9, Op: "fill", ID: "0:4"},
 	}
 }
 
@@ -342,7 +325,7 @@ func TestLeanDecodeRequestMatchesJSON(t *testing.T) {
 			t.Errorf("%s: lean decoder rejects %s: %v", name, payload, err)
 			continue
 		}
-		if got.Op != want.Op || got.URI != want.URI || got.ID != want.ID {
+		if got.Rid != want.Rid || got.Op != want.Op || got.URI != want.URI || got.ID != want.ID {
 			t.Errorf("%s: scalar mismatch\n got: %+v\nwant: %+v", name, got, want)
 		}
 		if len(got.IDs) != len(want.IDs) {
@@ -375,6 +358,9 @@ func FuzzLeanDecodeRequest(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"op":"fill_many","ids":["a",null],"junk":[{"x":1}]}`))
+	f.Add([]byte(`{"rid":7,"op":"fill","id":"0/2:5"}`))
+	f.Add([]byte(`{"op":"get_root","rid":18446744073709551615,"uri":"u","rid":3}`))
+	f.Add([]byte(`{"rid":1e2,"op":"fill"}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var want request
 		oracleErr := json.Unmarshal(payload, &want)
@@ -396,7 +382,7 @@ func FuzzLeanDecodeRequest(f *testing.F) {
 		}
 		// Always: scalar fields agree (no duplicate-key or null games can
 		// make encoding/json and the lean decoder diverge on strings).
-		if got.Op != want.Op || got.URI != want.URI || got.ID != want.ID || len(got.IDs) != len(want.IDs) {
+		if got.Rid != want.Rid || got.Op != want.Op || got.URI != want.URI || got.ID != want.ID || len(got.IDs) != len(want.IDs) {
 			t.Fatalf("request mismatch on %q\n got: %+v\nwant: %+v", payload, got, want)
 		}
 		for i := range got.IDs {

@@ -22,6 +22,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'})   // hostile length prefix
 	f.Add([]byte{0, 0, 0, 2, 'n', 'o'})          // garbage JSON
 	f.Add(append([]byte{0, 0, 0, 4}, "null"...)) // JSON null
+	var tagged bytes.Buffer
+	if err := writeFrame(&tagged, request{Rid: 1 << 40, Op: "fill", ID: "0:0"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tagged.Bytes())
+	// a rid no uint64 holds
+	f.Add(append([]byte{0, 0, 0, 10}, `{"rid":-1}`...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		_ = readFrame(bytes.NewReader(data), &req) // must not panic

@@ -26,7 +26,9 @@ import (
 	"mix/internal/xmltree"
 )
 
-// Server is the wrapper side of LXP.
+// Server is the wrapper side of LXP. Implementations must be safe for
+// concurrent calls: the TCP transport dispatches the requests of one
+// connection concurrently, and several buffers may share one Server.
 type Server interface {
 	// GetRoot establishes a session for the document named by uri and
 	// returns the identifier of the root hole.
@@ -168,7 +170,7 @@ func (c *Counting) Fill(holeID string) ([]*xmltree.Tree, error) {
 	c.Counters.Bytes.Add(int64(len(holeID)))
 	trees, err := c.Inner.Fill(holeID)
 	for _, t := range trees {
-		c.Counters.Bytes.Add(int64(len(xmltree.MarshalXML(t))))
+		c.Counters.Bytes.Add(int64(xmltree.XMLSize(t)))
 	}
 	return trees, err
 }
@@ -198,7 +200,7 @@ func (c *Counting) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, error
 	res, err := bs.FillMany(holeIDs)
 	for _, trees := range res {
 		for _, t := range trees {
-			c.Counters.Bytes.Add(int64(len(xmltree.MarshalXML(t))))
+			c.Counters.Bytes.Add(int64(xmltree.XMLSize(t)))
 		}
 	}
 	return res, err

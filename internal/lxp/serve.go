@@ -10,12 +10,20 @@ import (
 	"time"
 )
 
-// TCPServer serves LXP over TCP like Serve, but with connection
-// tracking and graceful shutdown: Shutdown stops the accept loop, lets
-// each connection finish the request it is serving, and waits for the
-// drained connections to close (force-closing the stragglers when the
-// context expires). cmd/lxpd uses it to turn SIGINT/SIGTERM into a
-// clean exit.
+// maxInFlight bounds the requests of one connection being served at
+// once. At the cap the connection's reader stops reading, so a client
+// that floods is held back by TCP instead of growing goroutines here.
+const maxInFlight = 64
+
+// TCPServer serves LXP over TCP. Each connection's requests are
+// dispatched concurrently — one goroutine per request, at most
+// maxInFlight per connection — and answered in completion order, each
+// response echoing its request's rid, so Srv sees concurrent calls even
+// from a single client. Connections are tracked for graceful shutdown:
+// Shutdown stops the accept loop, lets every request already being
+// served finish and send its response, and waits for the drained
+// connections to close (force-closing the stragglers when the context
+// expires). cmd/lxpd uses it to turn SIGINT/SIGTERM into a clean exit.
 type TCPServer struct {
 	// Srv answers the protocol requests.
 	Srv Server
@@ -89,45 +97,61 @@ func (t *TCPServer) untrack(conn net.Conn) {
 	t.mu.Unlock()
 }
 
-func (t *TCPServer) drainingNow() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.draining
+// servedConn is one connection being served: what its request
+// goroutines share.
+type servedConn struct {
+	t        *TCPServer
+	conn     net.Conn
+	w        frameWriter
+	slots    chan struct{} // one token per request being served
+	handlers sync.WaitGroup
 }
 
+// serveConn reads requests until the connection fails, the peer hangs
+// up or Shutdown's read deadline fires, then waits for the requests
+// still being served before closing the connection.
 func (t *TCPServer) serveConn(conn net.Conn) {
+	sc := &servedConn{t: t, conn: conn, w: frameWriter{w: conn}, slots: make(chan struct{}, maxInFlight)}
 	defer conn.Close()
+	defer sc.handlers.Wait()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	var req request // one for the connection: each request goroutine gets a copy
 	for {
-		var req request
+		req = request{}
 		if err := readRequest(r, &req); err != nil {
-			// Closed, corrupted, or woken by Shutdown's deadline.
 			return
 		}
-		start := time.Now()
-		if err := writeResponse(w, req, t.Srv); err != nil {
-			return
-		}
-		if d := time.Since(start); t.SlowThreshold > 0 && d >= t.SlowThreshold {
-			log := t.Logger
-			if log == nil {
-				log = slog.Default()
-			}
-			log.Warn("lxp: slow request", "op", req.Op, "uri", req.URI,
-				"ids", len(req.IDs), "dur", d.Round(time.Microsecond).String())
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if t.drainingNow() {
-			return
-		}
+		sc.slots <- struct{}{}
+		sc.handlers.Add(1)
+		go sc.serve(req)
 	}
 }
 
-// Shutdown stops accepting, wakes idle connections, and waits for all
-// in-flight requests to drain. If ctx expires first the remaining
+// serve answers one request and frees its slot.
+func (sc *servedConn) serve(req request) {
+	defer sc.handlers.Done()
+	start := time.Now()
+	lr := answerRequest(req, sc.t.Srv)
+	lr.rid = req.Rid
+	err := writeResponse(&sc.w, &lr)
+	<-sc.slots
+	if err != nil {
+		// Part of a frame may be on the wire: the stream is lost.
+		// Closing wakes the read loop.
+		sc.conn.Close()
+	}
+	if d := time.Since(start); sc.t.SlowThreshold > 0 && d >= sc.t.SlowThreshold {
+		log := sc.t.Logger
+		if log == nil {
+			log = slog.Default()
+		}
+		log.Warn("lxp: slow request", "op", req.Op, "uri", req.URI,
+			"ids", len(req.IDs), "dur", d.Round(time.Microsecond).String())
+	}
+}
+
+// Shutdown stops accepting, stops every connection's reader (a read
+// deadline in the past), and waits for all in-flight requests to drain. If ctx expires first the remaining
 // connections are force-closed and ctx.Err() is returned.
 func (t *TCPServer) Shutdown(ctx context.Context) error {
 	t.mu.Lock()

@@ -16,7 +16,16 @@ import (
 // This file implements the network transport of LXP: length-prefixed
 // JSON frames over a net.Conn, so mediator and wrapper can live in
 // different address spaces (the deployment Fig. 7 anticipates). One
-// request/response pair per frame; a Client serializes concurrent use.
+// request or response per frame. A connection is multiplexed: the
+// client tags every request with a request id ("rid"), the server
+// answers each request on its own goroutine and echoes the rid, and
+// responses travel in completion order — so callers sharing one Client
+// overlap their round trips instead of queueing behind each other.
+//
+// Every frame writer in this package (writeFrame, writeLeanFrame,
+// writeRequest) assembles its frame first and hands it over in exactly
+// one Write; frameWriter relies on that to keep concurrent senders'
+// frames whole.
 
 // maxFrame bounds a single LXP frame; fills larger than this indicate
 // a runaway wrapper.
@@ -45,13 +54,15 @@ func fromWire(w wireTree) *xmltree.Tree {
 }
 
 type request struct {
-	Op  string   `json:"op"` // "get_root" | "fill" | "fill_many"
+	Rid uint64   `json:"rid,omitempty"` // echoed by the response; clients count from 1
+	Op  string   `json:"op"`            // "get_root" | "fill" | "fill_many"
 	URI string   `json:"uri,omitempty"`
 	ID  string   `json:"id,omitempty"`
 	IDs []string `json:"ids,omitempty"` // fill_many only
 }
 
 type response struct {
+	Rid   uint64                `json:"rid,omitempty"`
 	Hole  string                `json:"hole,omitempty"`
 	Trees []wireTree            `json:"trees"`
 	Many  map[string][]wireTree `json:"many,omitempty"` // fill_many only
@@ -64,12 +75,10 @@ func writeFrame(w io.Writer, v any) error {
 		if err != nil {
 			return err
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err = w.Write(payload)
+		frame := make([]byte, 4+len(payload))
+		binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
+		copy(frame[4:], payload)
+		_, err = w.Write(frame)
 		return err
 	}
 	fe := getEncBuf()
@@ -110,17 +119,51 @@ func readFrame(r io.Reader, v any) error {
 	return json.Unmarshal(*p, v)
 }
 
+// frameWriter lets concurrent senders share one connection: each Write
+// is one whole frame (see the file comment) and goes out under the lock.
+type frameWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (fw *frameWriter) Write(frame []byte) (int, error) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.w.Write(frame)
+}
+
 // Client is the buffer-side endpoint of a networked LXP session. It
 // implements Server, so a buffer cannot tell a remote wrapper from a
-// local one. Safe for concurrent use (requests are serialized).
+// local one. Safe for concurrent use, and concurrent calls overlap:
+// each is written under the write lock, parked in the pending table
+// under its rid, and woken by the reader goroutine when the response
+// with that rid arrives, in whatever order the server completes them.
 type Client struct {
-	mu     sync.Mutex
-	conn   net.Conn
+	conn net.Conn
+	w    frameWriter
+
+	mu      sync.Mutex
+	pending map[uint64]*call // calls awaiting a response, by rid
+	lastRid uint64
+	err     error // why the connection is unusable; set once, by fail
+
+	readerDone chan struct{} // closed when the reader goroutine has exited
+
+	// Reader goroutine only.
 	r      *bufio.Reader
-	w      *bufio.Writer
 	intern *xmltree.Interner // label dedup for lean decoding
 	arena  xmltree.Arena     // node storage for lean decoding, amortized across frames
 }
+
+// call is one parked round trip. Calls are pooled together with their
+// wake-up channel, so a round trip allocates neither.
+type call struct {
+	lr   leanResponse
+	err  error
+	done chan struct{} // the reader (or fail) sends once per registered call
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // Dial connects to an LXP server.
 func Dial(addr string) (*Client, error) {
@@ -131,64 +174,124 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an established connection.
+// NewClient wraps an established connection and starts its reader
+// goroutine, which runs until the connection fails or Close is called.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn),
+	c := &Client{conn: conn, w: frameWriter{w: conn}, r: bufio.NewReader(conn),
+		pending: map[uint64]*call{}, readerDone: make(chan struct{}),
 		intern: xmltree.NewInterner()}
+	go c.readLoop()
+	return c
 }
 
-// Close closes the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the underlying connection, failing every outstanding
+// call, and returns once the reader goroutine has exited.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	<-c.readerDone
+	return err
+}
 
-// roundTrip sends req and decodes the reply into lr, which short-lived
-// callers keep on the stack.
-func (c *Client) roundTrip(req request, lr *leanResponse) error {
+// fail marks the connection unusable for the first reason given, closes
+// it, and wakes every outstanding call with that reason.
+func (c *Client) fail(err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeRequest(c.w, req); err != nil {
-		return err
+	if c.err == nil {
+		c.err = err
 	}
-	if err := c.w.Flush(); err != nil {
-		return err
+	err = c.err
+	failed := c.pending
+	c.pending = map[uint64]*call{}
+	c.mu.Unlock()
+	_ = c.conn.Close() // a second Close only reports "already closed"
+	for _, cl := range failed {
+		cl.err = err
+		cl.done <- struct{}{}
 	}
-	if wireOptimizations.Load() {
-		var hdr [4]byte
-		if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+}
+
+// readLoop is the reader goroutine: it decodes responses as they arrive
+// and hands each to the call parked under its rid.
+func (c *Client) readLoop() {
+	defer close(c.readerDone)
+	for {
+		var lr leanResponse
+		if err := c.readResponse(&lr); err != nil {
+			c.fail(fmt.Errorf("lxp: connection lost: %w", err))
+			return
+		}
+		c.mu.Lock()
+		cl := c.pending[lr.rid]
+		delete(c.pending, lr.rid)
+		c.mu.Unlock()
+		if cl == nil {
+			// Unanswerable: nothing says whose response this was (a peer
+			// that does not echo rids, or a corrupted stream).
+			c.fail(fmt.Errorf("lxp: response to unknown request id %d", lr.rid))
+			return
+		}
+		cl.lr = lr
+		cl.done <- struct{}{}
+	}
+}
+
+// readResponse reads and decodes one response frame.
+func (c *Client) readResponse(lr *leanResponse) error {
+	if !wireOptimizations.Load() {
+		var resp response
+		if err := readFrame(c.r, &resp); err != nil {
 			return err
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrame {
-			return fmt.Errorf("lxp: frame of %d bytes exceeds limit", n)
-		}
-		p := getPayload(int(n))
-		defer putPayload(p)
-		if _, err := io.ReadFull(c.r, *p); err != nil {
-			return err
-		}
-		// Decoded trees never alias the pooled payload: labels are
-		// interned or copied, nodes live in the decoder's arena.
-		if err := decodeResponse(*p, c.intern, &c.arena, lr); err != nil {
-			return err
-		}
-		if lr.err != "" {
-			return errors.New("lxp: remote: " + lr.err)
-		}
+		*lr = leanFromWire(resp)
 		return nil
 	}
-	var resp response
-	if err := readFrame(c.r, &resp); err != nil {
+	p, err := readPayload(c.r)
+	if err != nil {
 		return err
 	}
-	if resp.Err != "" {
-		return errors.New("lxp: remote: " + resp.Err)
+	defer putPayload(p)
+	// Decoded trees never alias the pooled payload: labels are
+	// interned or copied, nodes live in the decoder's arena.
+	return decodeResponse(*p, c.intern, &c.arena, lr)
+}
+
+// roundTrip sends req and waits for the response carrying its rid,
+// which it copies into lr (short-lived callers keep lr on the stack).
+func (c *Client) roundTrip(req request, lr *leanResponse) error {
+	cl := callPool.Get().(*call)
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		callPool.Put(cl)
+		return err
 	}
-	*lr = leanFromWire(resp)
+	c.lastRid++
+	req.Rid = c.lastRid
+	c.pending[req.Rid] = cl
+	c.mu.Unlock()
+
+	if err := writeRequest(&c.w, req); err != nil {
+		// Part of a frame may be on the wire, so the stream is lost for
+		// everyone; fail wakes this call too.
+		c.fail(fmt.Errorf("lxp: connection lost: %w", err))
+	}
+	<-cl.done
+	err := cl.err
+	*lr = cl.lr
+	*cl = call{done: cl.done}
+	callPool.Put(cl)
+	if err != nil {
+		return err
+	}
+	if lr.err != "" {
+		return errors.New("lxp: remote: " + lr.err)
+	}
 	return nil
 }
 
 // leanFromWire converts a generically-decoded response to tree form.
 func leanFromWire(resp response) leanResponse {
-	lr := leanResponse{hole: resp.Hole, err: resp.Err}
+	lr := leanResponse{rid: resp.Rid, hole: resp.Hole, err: resp.Err}
 	if resp.Trees != nil {
 		lr.hasTrees = true
 		lr.trees = make([]*xmltree.Tree, len(resp.Trees))
@@ -245,46 +348,21 @@ func (c *Client) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, error) 
 	return resp.many, nil
 }
 
-// writeResponse answers one request on w, through the lean encoder
+// writeResponse writes lr as one frame on w, through the lean encoder
 // when wire optimizations are on and the generic one otherwise; the
 // frames are byte-identical.
-func writeResponse(w io.Writer, req request, srv Server) error {
+func writeResponse(w io.Writer, lr *leanResponse) error {
 	if wireOptimizations.Load() {
-		lr := answerRequest(req, srv)
-		return writeLeanFrame(w, &lr)
+		return writeLeanFrame(w, lr)
 	}
-	return writeFrame(w, handleRequest(req, srv))
+	return writeFrame(w, wireFromLean(*lr))
 }
 
-// Serve answers LXP requests on l with srv until l is closed. Each
-// connection is handled on its own goroutine; Serve returns the
-// listener's accept error (net.ErrClosed after a clean Close).
+// Serve answers LXP requests on l with srv until l is closed: a
+// TCPServer nobody shuts down. It returns the listener's accept error
+// (net.ErrClosed after a clean Close).
 func Serve(l net.Listener, srv Server) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go serveConn(conn, srv)
-	}
-}
-
-func serveConn(conn net.Conn, srv Server) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		var req request
-		if err := readRequest(r, &req); err != nil {
-			return // connection closed or corrupted; drop it
-		}
-		if err := writeResponse(w, req, srv); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
+	return NewTCPServer(srv).Serve(l)
 }
 
 // answerRequest dispatches one LXP request to srv, at the tree level.
@@ -323,11 +401,10 @@ func answerRequest(req request, srv Server) leanResponse {
 	return lr
 }
 
-// handleRequest dispatches one LXP request to srv, in wire structs —
-// the generic-codec path.
-func handleRequest(req request, srv Server) response {
-	lr := answerRequest(req, srv)
-	resp := response{Hole: lr.hole, Err: lr.err}
+// wireFromLean converts a tree-level response to wire structs — the
+// generic-codec path.
+func wireFromLean(lr leanResponse) response {
+	resp := response{Rid: lr.rid, Hole: lr.hole, Err: lr.err}
 	if lr.hasTrees {
 		resp.Trees = make([]wireTree, len(lr.trees))
 		for i, t := range lr.trees {

@@ -109,15 +109,18 @@ func (m *Mediator) RegisterTree(name string, t *xmltree.Tree) {
 	m.RegisterSource(name, nav.NewTreeDoc(t))
 }
 
-// RegisterLXP connects to an LXP wrapper (local or remote), places the
-// generic buffer component in front of it (Fig. 7), and exposes the
-// buffered source under name.
+// RegisterLXP places the generic buffer component (Fig. 7) in front of
+// an LXP wrapper (local or remote) and exposes the buffered source
+// under name. Nothing is sent to the wrapper: the buffer opens its
+// session when a plan first navigates the source, which is also where
+// a wrong uri surfaces. The buffer's scan lookahead is always on.
 func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer.Buffer, error) {
 	b, err := buffer.New(srv, uri)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: opening LXP source %q: %w", name, err)
 	}
 	b.Batch = m.opts.LXPBatch
+	b.EnableLookahead()
 	doc := nav.Document(b)
 	if m.cache != nil {
 		// Pin the source's cache entry to the registry version the

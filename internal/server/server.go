@@ -7,8 +7,8 @@
 // Each accepted connection is one session, handled on its own
 // goroutine. Because the lazy-mediator engine's pull-driven streams are
 // single-consumer, every session gets a *fresh* mediator instance from
-// the configured factory: sessions share immutable sources (trees,
-// serialized LXP clients) but never lazy evaluation state, so N clients
+// the configured factory: sessions share immutable sources (trees) and
+// multiplexed LXP clients, but never lazy evaluation state, so N clients
 // exploring the same view proceed independently.
 //
 // The session lifecycle is

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"mix/internal/lxp"
 	"mix/internal/relational"
@@ -115,7 +116,7 @@ type Web struct {
 	PageSize int
 
 	// Pages counts page fetches (fills that hit the backing site).
-	Pages int
+	Pages atomic.Int64
 }
 
 // GetRoot implements lxp.Server.
@@ -136,7 +137,7 @@ func (w *Web) Fill(holeID string) ([]*xmltree.Tree, error) {
 	if size < 1 {
 		size = 1
 	}
-	w.Pages++
+	w.Pages.Add(1)
 	items := w.Catalog.Children
 	start := page * size
 	if start > len(items) {

@@ -163,8 +163,8 @@ func TestWebWrapperPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Pages != 1 {
-		t.Fatalf("root resolution should fetch one page, got %d", w.Pages)
+	if w.Pages.Load() != 1 {
+		t.Fatalf("root resolution should fetch one page, got %d", w.Pages.Load())
 	}
 	// Walk the first 10 items: still one page.
 	p, _ := b.Down(root)
@@ -174,15 +174,15 @@ func TestWebWrapperPaging(t *testing.T) {
 			t.Fatalf("item %d: %v %v", i, p, err)
 		}
 	}
-	if w.Pages != 1 {
-		t.Fatalf("first page should suffice for 10 items, got %d pages", w.Pages)
+	if w.Pages.Load() != 1 {
+		t.Fatalf("first page should suffice for 10 items, got %d pages", w.Pages.Load())
 	}
 	// Item 11 needs page 2.
 	if p, err = b.Right(p); err != nil || p == nil {
 		t.Fatalf("11th item: %v %v", p, err)
 	}
-	if w.Pages != 2 {
-		t.Fatalf("pages = %d, want 2", w.Pages)
+	if w.Pages.Load() != 2 {
+		t.Fatalf("pages = %d, want 2", w.Pages.Load())
 	}
 	got, err := nav.Materialize(b)
 	if err != nil {
@@ -191,8 +191,8 @@ func TestWebWrapperPaging(t *testing.T) {
 	if !xmltree.Equal(got, cat) {
 		t.Fatal("web wrapper changes the document")
 	}
-	if w.Pages != 3 {
-		t.Fatalf("25 items / 10 per page = 3 pages, got %d", w.Pages)
+	if w.Pages.Load() != 3 {
+		t.Fatalf("25 items / 10 per page = 3 pages, got %d", w.Pages.Load())
 	}
 }
 

@@ -86,6 +86,31 @@ var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 
 func escapeText(s string) string { return textEscaper.Replace(s) }
 
+// XMLSize returns len(MarshalXML(t)) without building the string, for
+// byte accounting on paths that only need the size.
+func XMLSize(t *Tree) int {
+	if t == nil {
+		return 0
+	}
+	if t.IsLeaf() {
+		n := len(t.Label)
+		for i := 0; i < len(t.Label); i++ {
+			switch t.Label[i] {
+			case '&':
+				n += len("&amp;") - 1
+			case '<', '>':
+				n += len("&lt;") - 1
+			}
+		}
+		return n
+	}
+	n := 2*len(t.Label) + len("<></>")
+	for _, c := range t.Children {
+		n += XMLSize(c)
+	}
+	return n
+}
+
 // ParseError describes a syntax error in an XML input.
 type ParseError struct {
 	Offset int

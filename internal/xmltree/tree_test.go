@@ -374,3 +374,34 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		_, _ = ParseBracket(s)
 	}
 }
+
+// TestQuickXMLSize: XMLSize is MarshalXML's length without the string,
+// on generated trees salted with text that needs escaping and holes.
+func TestQuickXMLSize(t *testing.T) {
+	nasty := []string{"a&b", "<<", "x>y", "&amp;", "héllo ☃", ""}
+	var salt func(r *rand.Rand, tr *Tree)
+	salt = func(r *rand.Rand, tr *Tree) {
+		for i, c := range tr.Children {
+			switch r.Intn(6) {
+			case 0:
+				tr.Children[i] = Leaf(nasty[r.Intn(len(nasty))])
+			case 1:
+				tr.Children[i] = Hole("0/" + nasty[r.Intn(len(nasty))] + ":3")
+			default:
+				salt(r, c)
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tr := randomTree(r, 5)
+		salt(r, tr)
+		return XMLSize(tr) == len(MarshalXML(tr))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if XMLSize(nil) != len(MarshalXML(nil)) {
+		t.Fatal("XMLSize(nil) != len(MarshalXML(nil))")
+	}
+}
