@@ -67,7 +67,6 @@ import (
 	"mix/internal/relational"
 	"mix/internal/server"
 	"mix/internal/telemetry"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/wrapper"
 	"mix/internal/xmltree"
@@ -109,7 +108,7 @@ func main() {
 	cacheOff := flag.Bool("cache-off", false, "disable the cross-session region cache entirely")
 	hashJoin := flag.Bool("hash-join", true, "compile equi-joins to the incremental hash join (false = always nested loops)")
 	fingerprints := flag.Bool("fingerprints", true, "key equality-heavy operators by structural fingerprints instead of canonical strings (false = historical behavior)")
-	wireOpt := flag.Bool("wire-opt", true, "pooled frame buffers and the lean LXP codec (false = per-frame allocation, generic encoding/json)")
+	wireOpt := flag.Bool("wire-opt", true, "lean LXP codec and pooled LXP frame buffers (false = per-frame allocation, generic encoding/json; VXDP frames are unaffected)")
 	parallelJoin := flag.Bool("parallel-join", false, "derive the two inputs of multi-source joins concurrently (trades lazy exploration for latency overlap)")
 	lxpBatch := flag.Int("lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
 	batchSize := flag.Int("batch", core.DefaultBatchSize, "width of the operator pipeline: move up to this many bindings per operator pull (1 = one binding per pull)")
@@ -179,7 +178,6 @@ func main() {
 	mopts.Engine.SemanticCache = *semanticCache
 	mopts.LXPBatch = *lxpBatch
 	lxp.SetWireOptimizations(*wireOpt)
-	vxdp.SetPooledBuffers(*wireOpt)
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
 		// Cache before sources, so LXP prefetch fills publish into it.

@@ -8,7 +8,6 @@ import (
 	"mix/internal/lxp"
 	"mix/internal/nav"
 	"mix/internal/telemetry"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
@@ -106,9 +105,7 @@ func leanCodecRows() [][]string {
 	}
 	run := func(lean bool) (*xmltree.Tree, uint64, uint64) {
 		lxp.SetWireOptimizations(lean)
-		vxdp.SetPooledBuffers(lean)
 		defer lxp.SetWireOptimizations(true)
-		defer vxdp.SetPooledBuffers(true)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err)

@@ -433,6 +433,19 @@ func TestE19Shape(t *testing.T) {
 			t.Fatalf("ablation row %d touched no sources: %v", i, tb.Rows[i])
 		}
 	}
+	// Every E19 prediction lands on a region nobody has explored yet, so
+	// the prefetcher's known-region check must leave its counts exactly
+	// as they were before it existed.
+	for _, i := range []int{0, 3} {
+		if got, navs := tb.Rows[i][3], col(t, tb, i, 4); got != "15/14/0" || navs != 1554 {
+			t.Fatalf("row %d: issued/hits/wasted %s, spec navs %d; want 15/14/0 and 1554", i, got, navs)
+		}
+	}
+	for _, i := range []int{2, 5} {
+		if got := tb.Rows[i][2]; got != "8.7x" {
+			t.Fatalf("row %d: interactive ratio %s, want 8.7x", i, got)
+		}
+	}
 	// The acceptance bar: ≥5× fewer interactive source navigations
 	// with prefetch on, solo and fleet.
 	for _, i := range []int{2, 5} {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mix/internal/wirejson"
 	"mix/internal/xmltree"
 )
 
@@ -115,33 +116,12 @@ type leanResponse struct {
 
 // --- encoding ---------------------------------------------------------------
 
-// jsonSafe reports whether s needs no escaping under encoding/json's
-// default (HTML-escaping) encoder.
-func jsonSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// encodeString appends the JSON encoding of s: a raw copy for plain
-// ASCII, encoding/json for anything that needs escaping, so the output
-// matches json.Marshal byte for byte.
+// encodeString appends the JSON encoding of s, byte for byte what
+// json.Marshal renders (see wirejson.AppendString). Growing first keeps
+// a plain string's append inside the buffer's own capacity.
 func encodeString(buf *bytes.Buffer, s string) {
-	if jsonSafe(s) {
-		buf.WriteByte('"')
-		buf.WriteString(s)
-		buf.WriteByte('"')
-		return
-	}
-	b, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		b = []byte(`""`)
-	}
-	buf.Write(b)
+	buf.Grow(len(s) + 2)
+	buf.Write(wirejson.AppendString(buf.AvailableBuffer(), s))
 }
 
 // encodeUint appends n in decimal, as json.Marshal renders a uint64.

@@ -178,6 +178,37 @@ func (e *Entry) Complete() bool {
 	return ok
 }
 
+// RegionKnown reports whether the region-th top-level subtree of the
+// answer is already explored as far as a speculative drain of it would
+// go: deep, the whole subtree is complete; shallow, the region's label
+// and its children's labels are known and its child list is complete.
+// A region past the end of a complete top-level child list is known
+// too — the drain would only rediscover that it does not exist.
+func (e *Entry) RegionKnown(region int, deep bool) bool {
+	if e.full.Load() {
+		return true
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	top := e.root.kids
+	if region >= len(top) {
+		return e.root.complete
+	}
+	n := top[region]
+	if deep {
+		return nodeComplete(n)
+	}
+	if !n.labelKnown || !n.complete {
+		return false
+	}
+	for _, k := range n.kids {
+		if !k.labelKnown {
+			return false
+		}
+	}
+	return true
+}
+
 func nodeComplete(n *cnode) bool {
 	if !n.labelKnown || !n.complete {
 		return false

@@ -73,6 +73,45 @@ func TestPlanIndexGenerations(t *testing.T) {
 	}
 }
 
+// TestRegionKnown: a region is known deep when its whole subtree is
+// complete, shallow when its label, child list and children's labels
+// are, and past the end of the answer only once the top-level child
+// list is complete.
+func TestRegionKnown(t *testing.T) {
+	open := func(label string, kids ...*xmltree.Tree) *xmltree.Tree {
+		return &xmltree.Tree{Label: label, Children: append(kids, xmltree.Hole("more"))}
+	}
+	leaf := func(label string) *xmltree.Tree { return &xmltree.Tree{Label: label} }
+	r0 := &xmltree.Tree{Label: "r0", Children: []*xmltree.Tree{leaf("x"), leaf("y")}}
+	r1 := &xmltree.Tree{Label: "r1", Children: []*xmltree.Tree{open("p")}} // p's own children unknown
+	r2 := open("r2")                                                       // child list unknown
+	e := New(0).Entry("v", "fp", 1)
+	e.MergeTree(open("a", r0, r1, r2))
+	check := func(region int, deep, want bool) {
+		t.Helper()
+		if got := e.RegionKnown(region, deep); got != want {
+			t.Fatalf("RegionKnown(%d, deep=%v) = %v, want %v", region, deep, got, want)
+		}
+	}
+	check(0, true, true)
+	check(0, false, true)
+	check(1, false, true)
+	check(1, true, false)
+	check(2, false, false)
+	check(3, false, false) // the answer may have a fourth region
+	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{r0, r1, r2}})
+	check(3, true, true) // it has not
+	check(9, false, true)
+	check(2, false, false)
+	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{r0,
+		{Label: "r1", Children: []*xmltree.Tree{leaf("p")}}, leaf("r2")}})
+	if !e.Complete() {
+		t.Fatal("fully merged entry not Complete")
+	}
+	check(1, true, true)
+	check(2, true, true)
+}
+
 func TestEntryCompleteAndTree(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)

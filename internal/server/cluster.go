@@ -143,20 +143,20 @@ type proxyLink struct {
 	conn  net.Conn
 	r     *bufio.Reader
 	w     *bufio.Writer
+	resp  vxdp.Response // every relayed response decodes into this one
 }
 
 func (p *proxyLink) do(req vxdp.Request) (vxdp.Response, error) {
-	if err := vxdp.WriteFrame(p.w, req); err != nil {
+	if err := vxdp.WriteRequest(p.w, &req); err != nil {
 		return vxdp.Response{}, err
 	}
 	if err := p.w.Flush(); err != nil {
 		return vxdp.Response{}, err
 	}
-	var resp vxdp.Response
-	if err := vxdp.ReadFrame(p.r, &resp); err != nil {
+	if err := vxdp.ReadResponse(p.r, &p.resp); err != nil {
 		return vxdp.Response{}, err
 	}
-	return resp, nil
+	return p.resp, nil
 }
 
 // closeProxy tears down the proxy link, telling the owner's session to

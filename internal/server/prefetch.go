@@ -100,13 +100,16 @@ func cacheKey(k predict.Key) regioncache.Key {
 }
 
 // spawn starts a drain warming region of the view keyed k, compiled
-// from query. At most one drain runs per view key; a second prediction
-// for a busy key is dropped (the running drain is already warming the
-// newer guess or will be re-predicted on the next engagement). Issued
-// and inflight are bumped before the goroutine starts, so a caller that
-// observed the spawn can quiesce by polling inflight down to zero.
+// from query. A region the cache already knows as far as the drain
+// would walk is skipped before anything is spent — no goroutine, no
+// engine, no compile — and counts as neither issued, hit nor wasted. At
+// most one drain runs per view key; a second prediction for a busy key
+// is dropped (the running drain is already warming the newer guess or
+// will be re-predicted on the next engagement). Issued and inflight are
+// bumped before the goroutine starts, so a caller that observed the
+// spawn can quiesce by polling inflight down to zero.
 func (p *prefetcher) spawn(k predict.Key, query string, region int, deep bool) bool {
-	if query == "" || region < 0 {
+	if query == "" || region < 0 || p.known(k, region, deep) {
 		return false
 	}
 	p.mu.Lock()
@@ -125,6 +128,17 @@ func (p *prefetcher) spawn(k predict.Key, query string, region int, deep bool) b
 	p.mu.Unlock()
 	go p.drain(ctx, cancel, k, query, region, deep)
 	return true
+}
+
+// known reports whether the live cache entry for k already holds the
+// region as deep as a drain would explore it.
+func (p *prefetcher) known(k predict.Key, region int, deep bool) bool {
+	c := p.srv.cache
+	if c == nil {
+		return false
+	}
+	e := c.Peek(cacheKey(k))
+	return e != nil && e.RegionKnown(region, deep)
 }
 
 // drain runs one speculative exploration to completion, budget, or
@@ -269,8 +283,8 @@ func (p *prefetcher) maybeHint(k predict.Key, query string, region int, deep boo
 	}
 	p.hintsSent.Add(1)
 	cl.SendPrefetchHint(owner, vxdp.PrefetchHint{
-		Query: query,
-		Key:   vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint},
+		Query:  query,
+		Key:    vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint},
 		Region: region,
 		Deep:   deep,
 	})

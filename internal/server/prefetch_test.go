@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mix/internal/cluster"
+	"mix/internal/core"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
@@ -317,6 +318,132 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 		t.Fatalf("%d session(s) failed under registry mutation", failed.Load())
 	}
 	pfQuiesce(t, srv)
+}
+
+// pfWarm compiles the view on a fresh engine over rc — the same key the
+// server's sessions will open — and hands it to explore, which fills
+// the cache without any server involvement.
+func pfWarm(t *testing.T, homes *xmltree.Tree, rc *regioncache.Cache, explore func(*mediator.Result) error) regioncache.Key {
+	t.Helper()
+	m, err := pfFactory(homes, &metrics.Counters{})(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Query(pfQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := explore(res); err != nil {
+		t.Fatal(err)
+	}
+	return res.RegionKey()
+}
+
+// pfDeepRegions returns an explorer that drains regions [0, n) deep.
+func pfDeepRegions(n int) func(*mediator.Result) error {
+	return func(res *mediator.Result) error {
+		for r := 0; r < n; r++ {
+			if _, err := res.PrefetchRegion(context.Background(), r, true, core.PrefetchBudget{}, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestPrefetchSkipsCompleteView: on a view the cache already holds in
+// full, speculation spends nothing — no drain is issued for either
+// persona — and every answer is still the oracle's, with no source
+// navigation at all.
+func TestPrefetchSkipsCompleteView(t *testing.T) {
+	homes := pfHomes()
+	rc := regioncache.New(0)
+	pfWarm(t, homes, rc, func(res *mediator.Result) error {
+		_, err := nav.Materialize(res.Document())
+		return err
+	})
+	srv, addr, src, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
+	for _, persona := range []string{"deep-drill", "glance"} {
+		script := workload.PersonaScript(persona, pfRegions, 7)
+		want := pfOracle(t, homes, script)
+		got, _, _ := pfReplay(t, addr, srv, src, script, 0)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s step %d explored:\n got %s\nwant %s", persona, i, got[i], want[i])
+			}
+		}
+	}
+	if st := srv.Stats().Prefetch; st.Issued != 0 || st.Navs != 0 {
+		t.Fatalf("complete view still speculated: %+v", st)
+	}
+	if n := src.Navigations(); n != 0 {
+		t.Fatalf("complete view drove %d source navigations", n)
+	}
+}
+
+// TestPrefetchDrainsOnlyUnknownRegions: with the first half of the view
+// explored, a deep-drill session's predictions drain only the unknown
+// half; and a prefetch_hint for each region — the owner-side entry to
+// the same check — is acknowledged everywhere but drained exactly for
+// the regions the cache does not already know.
+func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
+	const half = pfRegions / 2
+	homes := pfHomes()
+	script := workload.DeepDrillScript(pfRegions, 1)
+	want := pfOracle(t, homes, script)
+
+	coldSrv, coldAddr, coldSrc, _ := pfStart(t, homes, server.WithPrefetch(true))
+	pfReplay(t, coldAddr, coldSrv, coldSrc, script, 0)
+	cold := coldSrv.Stats().Prefetch.Issued
+
+	rc := regioncache.New(0)
+	pfWarm(t, homes, rc, pfDeepRegions(half))
+	srv, addr, src, specSrc := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
+	got, early, _ := pfReplay(t, addr, srv, src, script, half)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d explored:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	if early != 0 {
+		t.Fatalf("pre-explored regions drove %d source navigations", early)
+	}
+	st := srv.Stats().Prefetch
+	// Cold, the two training regions are followed by one prediction per
+	// region from region 2 on; here the ones landing in regions 2 to
+	// half-1, already known, are skipped.
+	if st.Issued == 0 || st.Issued != cold-int64(half-2) || specSrc.Navigations() == 0 {
+		t.Fatalf("half-explored view: issued %d (cold %d), spec src navs %d; want %d",
+			st.Issued, cold, specSrc.Navigations(), cold-int64(half-2))
+	}
+
+	rc2 := regioncache.New(0)
+	key := pfWarm(t, homes, rc2, pfDeepRegions(half))
+	hsrv, haddr, _, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc2))
+	c, err := vxdp.Dial(haddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wireKey := vxdp.RegionKey{Gen: key.Generation, Registry: key.Registry, Name: key.Name, Fingerprint: key.Fingerprint}
+	for _, deep := range []bool{true, false} {
+		for r := 0; r < pfRegions+2; r++ {
+			before := hsrv.Stats().Prefetch.Issued
+			if err := c.PrefetchHint(vxdp.PrefetchHint{Query: pfQuery, Key: wireKey, Region: r, Deep: deep}); err != nil {
+				t.Fatalf("hint for region %d not acknowledged: %v", r, err)
+			}
+			pfQuiesce(t, hsrv)
+			// Deep hints warm the unknown half (and, past the end, learn
+			// the view's width once); after them every region is known.
+			var want int64
+			if deep && r >= half && r <= pfRegions {
+				want = 1
+			}
+			if n := hsrv.Stats().Prefetch.Issued - before; n != want {
+				t.Fatalf("deep=%v region %d: %d drains issued, want %d", deep, r, n, want)
+			}
+		}
+	}
 }
 
 // BenchmarkSessionDeepDrill guards the demand path: with

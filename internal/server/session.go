@@ -74,6 +74,11 @@ func (s *session) run() {
 	defer s.conn.Close()
 	r := bufio.NewReader(s.conn)
 	w := bufio.NewWriter(s.conn)
+	// One request and one response serve every frame of the session.
+	var (
+		req  vxdp.Request
+		resp vxdp.Response
+	)
 	for {
 		s.arm()
 		// Shutdown wakes a blocked reader with an immediate read deadline,
@@ -82,8 +87,7 @@ func (s *session) run() {
 		if s.srv.drainingNow() {
 			return
 		}
-		var req vxdp.Request
-		if err := vxdp.ReadFrame(r, &req); err != nil {
+		if err := vxdp.ReadRequest(r, &req); err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !s.srv.drainingNow() {
 				s.srv.evicted.Add(1)
 				s.srv.log.Info("session evicted", "session", s.id, "reason", "timeout")
@@ -100,9 +104,9 @@ func (s *session) run() {
 		s.srv.msgs.Add(1)
 		s.msgs.Add(1)
 		start := time.Now()
-		resp, last := s.dispatch(req)
+		last := s.dispatch(&req, &resp)
 		s.srv.cmdHist.Histogram(cmdLabel(req.Op)).Observe(time.Since(start))
-		if err := vxdp.WriteFrame(w, resp); err != nil {
+		if err := vxdp.WriteResponse(w, &resp); err != nil {
 			s.srv.log.Warn("session write error", "session", s.id, "err", err.Error())
 			return
 		}
@@ -175,32 +179,36 @@ func errResp(format string, args ...any) vxdp.Response {
 	return vxdp.Response{NavResult: vxdp.NavResult{Err: fmt.Sprintf(format, args...)}}
 }
 
-// dispatch executes one request. last reports that the session should
-// end after the response is flushed.
-func (s *session) dispatch(req vxdp.Request) (resp vxdp.Response, last bool) {
+// dispatch executes one request into resp. last reports that the
+// session should end after the response is flushed.
+func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 	switch req.Op {
 	case vxdp.OpOpen:
-		return s.openRouted(req), false
+		*resp = s.openRouted(*req)
 	case vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch, vxdp.OpSelect:
 		if s.proxy != nil {
-			return s.forward(req), false
+			*resp = s.forward(*req)
+			return false
 		}
 		if s.doc == nil {
-			return errResp("no view open (send an open frame first)"), false
+			*resp = errResp("no view open (send an open frame first)")
+			return false
 		}
-		finish := s.fleetTrace(req.TraceCtx)
-		res := s.navigate(req.Cmd, nil)
-		resp = vxdp.Response{NavResult: res.nr}
-		finish(&resp)
-		return resp, false
+		traced := s.beginFleetTrace(req.TraceCtx)
+		*resp = vxdp.Response{NavResult: s.navigate(&req.Cmd, nil).nr}
+		if traced {
+			s.endFleetTrace(resp)
+		}
 	case vxdp.OpBatch:
 		if s.proxy != nil {
-			return s.forward(req), false
+			*resp = s.forward(*req)
+			return false
 		}
-		finish := s.fleetTrace(req.TraceCtx)
-		resp = s.batch(req.Cmds)
-		finish(&resp)
-		return resp, false
+		traced := s.beginFleetTrace(req.TraceCtx)
+		*resp = s.batch(req.Cmds)
+		if traced {
+			s.endFleetTrace(resp)
+		}
 	case vxdp.OpStats:
 		st := s.srv.Stats()
 		n := s.nav.Snapshot()
@@ -219,62 +227,64 @@ func (s *session) dispatch(req vxdp.Request) (resp vxdp.Response, last bool) {
 		if s.eng != nil {
 			st.Session.Sources = sourceStats(s.eng.med.BufferStats())
 		}
-		return vxdp.Response{Stats: &st}, false
+		*resp = vxdp.Response{Stats: &st}
 	case vxdp.OpTrace:
-		if s.proxy != nil && s.rec == nil {
+		switch {
+		case s.proxy != nil && s.rec == nil:
 			// This node records nothing; the navigations happened on the
 			// owner and so did the spans.
-			return s.forward(req), false
-		}
-		if s.rec == nil {
+			*resp = s.forward(*req)
+		case s.rec == nil:
 			// Tracing disabled (or no view open yet): an empty forest.
-			return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}, false
+			*resp = vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
+		default:
+			// On a tracing proxy node the local recorder already holds the
+			// stitched forest — each proxy span carries the owner's subtree
+			// grafted under it (see forward) — so serve it as-is.
+			*resp = vxdp.Response{NavResult: vxdp.NavResult{OK: true}, Trace: s.rec.Take()}
 		}
-		// On a tracing proxy node the local recorder already holds the
-		// stitched forest — each proxy span carries the owner's subtree
-		// grafted under it (see forward) — so serve it as-is.
-		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}, Trace: s.rec.Take()}, false
 	case vxdp.OpSlow:
 		// Node-local diagnostic: even on a proxied session the operator
 		// asking this node wants this node's flight ring.
-		return s.srv.handleSlow(), false
+		*resp = s.srv.handleSlow()
 	case vxdp.OpClose:
-		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}, true
+		*resp = vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
+		return true
 	case vxdp.OpPing:
-		return s.srv.handlePing(), false
+		*resp = s.srv.handlePing()
 	case vxdp.OpRegionGet:
-		return s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleRegionGet(req) }), false
+		*resp = s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleRegionGet(*req) })
 	case vxdp.OpRegionPut:
-		return s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleRegionPut(req) }), false
+		*resp = s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleRegionPut(*req) })
 	case vxdp.OpInvalidate:
-		return s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleInvalidate(req) }), false
+		*resp = s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleInvalidate(*req) })
 	case vxdp.OpPrefetchHint:
-		return s.srv.tracedSpec(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handlePrefetchHint(req) }), false
+		*resp = s.srv.tracedSpec(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handlePrefetchHint(*req) })
 	default:
-		return errResp("unknown op %q", req.Op), false
+		*resp = errResp("unknown op %q", req.Op)
 	}
+	return false
 }
 
-// noFinish is the fleetTrace finisher for untraced commands: shared so
-// the hot path allocates nothing.
-var noFinish = func(*vxdp.Response) {}
-
-// fleetTrace arms the session recorder for one remotely-parented
+// beginFleetTrace arms the session recorder for one remotely-parented
 // command: when the request carries a trace context (the client — or a
-// proxying peer — is fleet-tracing), spans recorded while serving it
-// are minted ids and parented under the remote span, and the returned
-// finisher drains them into the response so the caller can stitch them
-// under its own span. Untraced requests get the shared no-op finisher
-// and pay nothing.
-func (s *session) fleetTrace(ctx *trace.Context) func(*vxdp.Response) {
+// proxying peer — is fleet-tracing), spans recorded while serving it are
+// minted ids and parented under the remote span, and endFleetTrace
+// drains them into the response so the caller can stitch them under its
+// own span. It reports whether it armed anything; untraced commands pay
+// one nil check.
+func (s *session) beginFleetTrace(ctx *trace.Context) bool {
 	if ctx == nil || s.rec == nil {
-		return noFinish
+		return false
 	}
 	s.rec.SetRemoteParent(*ctx)
-	return func(resp *vxdp.Response) {
-		s.rec.ClearRemoteParent()
-		resp.Spans = s.rec.Take()
-	}
+	return true
+}
+
+// endFleetTrace closes a command armed by beginFleetTrace.
+func (s *session) endFleetTrace(resp *vxdp.Response) {
+	s.rec.ClearRemoteParent()
+	resp.Spans = s.rec.Take()
 }
 
 // open compiles the query on this session's pooled engine (acquired on
@@ -357,7 +367,7 @@ func navErr(format string, args ...any) navResult {
 // pre-resolved start node of a batch step (from points to it); nil base
 // with *from set means the referenced step produced ⊥, which propagates
 // as ⊥. Outside batches the start node comes from the handle table.
-func (s *session) navigate(cmd vxdp.Cmd, from *navResult) navResult {
+func (s *session) navigate(cmd *vxdp.Cmd, from *navResult) navResult {
 	var base nav.ID
 	var baseH uint64
 	if from != nil {
@@ -452,7 +462,7 @@ func (s *session) batch(cmds []vxdp.Cmd) vxdp.Response {
 			out[i] = results[i].nr
 			continue
 		}
-		results[i] = s.navigate(cmd, from)
+		results[i] = s.navigate(&cmds[i], from)
 		if results[i].nr.Err != "" {
 			return errResp("step %d: %s", i, results[i].nr.Err)
 		}

@@ -39,6 +39,10 @@ type Client struct {
 	rec   *trace.Recorder
 	label string
 
+	// resp is the response every exchange decodes into (guarded by mu),
+	// so a warm navigation allocates only the label it returns.
+	resp Response
+
 	roundTrips atomic.Int64
 }
 
@@ -119,7 +123,10 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	defer c.mu.Unlock()
 	c.roundTrips.Add(1)
 	if c.rec == nil || !tracedOp(req.Op) {
-		return c.exchange(req)
+		if err := c.exchange(&req); err != nil {
+			return Response{}, err
+		}
+		return c.resp, nil
 	}
 	label := c.label
 	if label == "" {
@@ -129,31 +136,34 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if req.TraceCtx == nil {
 		req.TraceCtx = &ctx
 	}
-	resp, err := c.exchange(req)
-	if len(resp.Spans) > 0 {
-		trace.Stitch(sp, resp.Spans)
-		resp.Spans = nil
+	err := c.exchange(&req)
+	if err == nil && len(c.resp.Spans) > 0 {
+		trace.Stitch(sp, c.resp.Spans)
+		c.resp.Spans = nil
 	}
 	c.rec.End(sp)
-	return resp, err
+	if err != nil {
+		return Response{}, err
+	}
+	return c.resp, nil
 }
 
-// exchange performs one request/response cycle. Callers hold c.mu.
-func (c *Client) exchange(req Request) (Response, error) {
-	if err := WriteFrame(c.w, req); err != nil {
-		return Response{}, err
+// exchange performs one request/response cycle, decoding into c.resp.
+// Callers hold c.mu.
+func (c *Client) exchange(req *Request) error {
+	if err := WriteRequest(c.w, req); err != nil {
+		return err
 	}
 	if err := c.w.Flush(); err != nil {
-		return Response{}, err
+		return err
 	}
-	var resp Response
-	if err := ReadFrame(c.r, &resp); err != nil {
-		return Response{}, err
+	if err := ReadResponse(c.r, &c.resp); err != nil {
+		return err
 	}
-	if resp.Err != "" {
-		return Response{}, fmt.Errorf("%w: %s", ErrRemote, resp.Err)
+	if c.resp.Err != "" {
+		return fmt.Errorf("%w: %s", ErrRemote, c.resp.Err)
 	}
-	return resp, nil
+	return nil
 }
 
 // maxRedirects bounds redirect chains on open, so a misconfigured ring

@@ -1,0 +1,489 @@
+package vxdp
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"mix/internal/wirejson"
+)
+
+// The VXDP frame codec. Navigation frames — requests carrying only
+// op/id/label/self, responses carrying only ok/id/label/error, which is
+// every root/down/right/fetch/select/close exchange — are encoded and
+// decoded by hand: no reflection, no boxing, and (through the bufio
+// entry points the session loop and Client use) no copy of the payload.
+// The bytes are exactly json.Marshal's: same field order, same
+// omitempty rules, same HTML-safe string escaping. Every other frame
+// shape, and any payload the lean parser does not accept in full
+// (whitespace, escapes, non-ASCII, null, unknown or differently-cased
+// keys, non-canonical numbers), goes through encoding/json unchanged,
+// which stays the protocol's definition and the tests' oracle.
+
+// navRequest reports whether req is a navigation frame the lean encoder
+// renders: nothing set beyond op, id, label and self.
+func navRequest(req *Request) bool {
+	return req.Ref == nil && req.Query == "" && len(req.Cmds) == 0 && req.Region == nil &&
+		req.Tree == nil && !req.Semantic && req.Gen == 0 && req.Hint == nil && !req.Proxied &&
+		req.TraceCtx == nil
+}
+
+// navResponse reports whether resp is a navigation frame the lean
+// encoder renders: nothing set beyond ok, id, label and error.
+func navResponse(resp *Response) bool {
+	return len(resp.Results) == 0 && resp.Stats == nil && len(resp.Trace) == 0 &&
+		resp.Redirect == "" && resp.Tree == nil && resp.Gen == 0 && len(resp.Spans) == 0 &&
+		len(resp.Slow) == 0
+}
+
+// appendField appends the separator (unless the object opened at start
+// is still empty) and the quoted key.
+func appendField(b []byte, start int, key string) []byte {
+	if len(b) > start+1 {
+		b = append(b, ',')
+	}
+	b = append(b, '"')
+	b = append(b, key...)
+	return append(b, '"', ':')
+}
+
+// appendCmd appends the JSON of a navigation request, as json.Marshal
+// renders a Request with only these fields set.
+func appendCmd(b []byte, c *Cmd) []byte {
+	start := len(b)
+	b = append(b, `{"op":`...)
+	b = wirejson.AppendString(b, c.Op)
+	if c.ID != 0 {
+		b = strconv.AppendUint(appendField(b, start, "id"), c.ID, 10)
+	}
+	if c.Label != "" {
+		b = wirejson.AppendString(appendField(b, start, "label"), c.Label)
+	}
+	if c.Self {
+		b = append(appendField(b, start, "self"), "true"...)
+	}
+	return append(b, '}')
+}
+
+// appendNavResult appends the JSON of a navigation response, as
+// json.Marshal renders a Response with only these fields set.
+func appendNavResult(b []byte, r *NavResult) []byte {
+	start := len(b)
+	b = append(b, '{')
+	if r.OK {
+		b = append(appendField(b, start, "ok"), "true"...)
+	}
+	if r.ID != 0 {
+		b = strconv.AppendUint(appendField(b, start, "id"), r.ID, 10)
+	}
+	if r.Label != "" {
+		b = wirejson.AppendString(appendField(b, start, "label"), r.Label)
+	}
+	if r.Err != "" {
+		b = wirejson.AppendString(appendField(b, start, "error"), r.Err)
+	}
+	return append(b, '}')
+}
+
+// navFields is one decoded navigation object before it is applied: the
+// values and which keys were present (json.Unmarshal leaves absent
+// fields alone, so the lean decoder must too).
+type navFields struct {
+	op, label, err string
+	id             uint64
+	flag           bool // "self" in a request, "ok" in a response
+	has            uint8
+}
+
+const (
+	hasOp = 1 << iota
+	hasID
+	hasLabel
+	hasFlag
+	hasErr
+)
+
+// parseNav parses p as a canonical navigation object: no whitespace,
+// keys exactly op/id/label/self (request) or ok/id/label/error
+// (response), strings of plain printable ASCII without escapes, ids as
+// canonical decimal uint64s, flags as true/false. Anything else returns
+// false, and the caller falls back to encoding/json — so whatever this
+// accepts, json.Unmarshal decodes to the same values without error.
+func parseNav(p []byte, response bool, f *navFields) bool {
+	if len(p) < 2 || p[0] != '{' {
+		return false
+	}
+	i := 1
+	if p[i] == '}' {
+		return len(p) == 2
+	}
+	for {
+		key, j, ok := plainString(p, i)
+		if !ok || j >= len(p) || p[j] != ':' {
+			return false
+		}
+		i = j + 1
+		bit := navKey(key, response)
+		var s []byte
+		switch bit {
+		case hasID:
+			f.id, i, ok = plainUint(p, i)
+		case hasFlag:
+			f.flag, i, ok = plainBool(p, i)
+		case hasOp, hasLabel, hasErr:
+			s, i, ok = plainString(p, i)
+		default:
+			return false
+		}
+		if !ok || i >= len(p) {
+			return false
+		}
+		switch bit {
+		case hasOp:
+			f.op = opName(s)
+		case hasLabel:
+			f.label = string(s)
+		case hasErr:
+			f.err = string(s)
+		}
+		f.has |= bit
+		switch p[i] {
+		case '}':
+			return i+1 == len(p)
+		case ',':
+			i++
+		default:
+			return false
+		}
+	}
+}
+
+// navKey maps an object key to the field bit it sets, 0 for any key the
+// lean parser leaves to encoding/json.
+func navKey(key []byte, response bool) uint8 {
+	switch string(key) {
+	case "id":
+		return hasID
+	case "label":
+		return hasLabel
+	case "op":
+		if !response {
+			return hasOp
+		}
+	case "self":
+		if !response {
+			return hasFlag
+		}
+	case "ok":
+		if response {
+			return hasFlag
+		}
+	case "error":
+		if response {
+			return hasErr
+		}
+	}
+	return 0
+}
+
+// plainString scans a string token at p[i] made only of printable ASCII
+// other than '"' and '\\' — bytes json.Unmarshal takes verbatim — and
+// returns its contents (aliasing p) and the index after it.
+func plainString(p []byte, i int) ([]byte, int, bool) {
+	if i >= len(p) || p[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(p); j++ {
+		switch c := p[j]; {
+		case c == '"':
+			return p[i+1 : j], j + 1, true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return nil, i, false
+		}
+	}
+	return nil, i, false
+}
+
+// plainUint scans a canonical decimal uint64 (no sign, fraction,
+// exponent, leading zero or overflow) at p[i].
+func plainUint(p []byte, i int) (uint64, int, bool) {
+	start := i
+	var n uint64
+	for ; i < len(p) && p[i] >= '0' && p[i] <= '9'; i++ {
+		d := uint64(p[i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, start, false
+		}
+		n = n*10 + d
+	}
+	if i == start || (i-start > 1 && p[start] == '0') {
+		return 0, start, false
+	}
+	return n, i, true
+}
+
+// plainBool scans a true/false literal at p[i].
+func plainBool(p []byte, i int) (bool, int, bool) {
+	switch {
+	case bytes.HasPrefix(p[i:], []byte("true")):
+		return true, i + 4, true
+	case bytes.HasPrefix(p[i:], []byte("false")):
+		return false, i + 5, true
+	}
+	return false, i, false
+}
+
+// opName returns the protocol constant spelled by s, so decoding an op
+// that arrives in a navigation-shaped frame allocates nothing.
+func opName(s []byte) string {
+	switch string(s) {
+	case OpRoot:
+		return OpRoot
+	case OpDown:
+		return OpDown
+	case OpRight:
+		return OpRight
+	case OpFetch:
+		return OpFetch
+	case OpSelect:
+		return OpSelect
+	case OpClose:
+		return OpClose
+	case OpStats:
+		return OpStats
+	case OpTrace:
+		return OpTrace
+	case OpSlow:
+		return OpSlow
+	case OpPing:
+		return OpPing
+	}
+	return string(s)
+}
+
+// decodeFrame decodes payload p into v (a *Request or *Response goes
+// through the lean parser first) with exactly json.Unmarshal's result.
+func decodeFrame(p []byte, v any) error {
+	var f navFields
+	switch v := v.(type) {
+	case *Request:
+		if v != nil && parseNav(p, false, &f) {
+			if f.has&hasOp != 0 {
+				v.Op = f.op
+			}
+			if f.has&hasID != 0 {
+				v.ID = f.id
+			}
+			if f.has&hasLabel != 0 {
+				v.Label = f.label
+			}
+			if f.has&hasFlag != 0 {
+				v.Self = f.flag
+			}
+			return nil
+		}
+	case *Response:
+		if v != nil && parseNav(p, true, &f) {
+			if f.has&hasFlag != 0 {
+				v.OK = f.flag
+			}
+			if f.has&hasID != 0 {
+				v.ID = f.id
+			}
+			if f.has&hasLabel != 0 {
+				v.Label = f.label
+			}
+			if f.has&hasErr != 0 {
+				v.Err = f.err
+			}
+			return nil
+		}
+	}
+	return json.Unmarshal(p, v)
+}
+
+// --- framing ------------------------------------------------------------------
+
+func errTooBig(n int) error {
+	return fmt.Errorf("vxdp: frame of %d bytes exceeds limit %d", n, MaxFrame)
+}
+
+// writeLean completes and writes a frame assembled as a 4-byte
+// placeholder followed by the payload.
+func writeLean(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return errTooBig(n)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
+// writeJSON writes v as one encoding/json frame, assembled in a pooled
+// buffer.
+func writeJSON(w io.Writer, v any) error {
+	fe := getEncBuf()
+	defer putEncBuf(fe)
+	fe.buf.Write([]byte{0, 0, 0, 0})
+	if err := fe.enc.Encode(v); err != nil {
+		return err
+	}
+	// Encode appends a newline that json.Marshal would not produce.
+	frame := fe.buf.Bytes()
+	return writeLean(w, frame[:len(frame)-1])
+}
+
+// WriteRequest writes req as one frame. A navigation request is built
+// in w's free buffer space and costs no allocation; any other request
+// is written exactly as WriteFrame writes it.
+func WriteRequest(w *bufio.Writer, req *Request) error {
+	if !navRequest(req) {
+		return writeJSON(w, *req)
+	}
+	return writeLean(w, appendCmd(append(w.AvailableBuffer(), 0, 0, 0, 0), &req.Cmd))
+}
+
+// WriteResponse writes resp as one frame, lean for navigation
+// responses, like WriteRequest.
+func WriteResponse(w *bufio.Writer, resp *Response) error {
+	if !navResponse(resp) {
+		return writeJSON(w, *resp)
+	}
+	return writeLean(w, appendNavResult(append(w.AvailableBuffer(), 0, 0, 0, 0), &resp.NavResult))
+}
+
+// ReadRequest reads one frame into req, which it zeroes first, so one
+// Request can be reused across frames. A frame that fits r's buffer is
+// decoded in place; decoded strings never alias it.
+func ReadRequest(r *bufio.Reader, req *Request) error {
+	*req = Request{}
+	return readBuffered(r, req)
+}
+
+// ReadResponse reads one frame into resp, which it zeroes first, like
+// ReadRequest.
+func ReadResponse(r *bufio.Reader, resp *Response) error {
+	*resp = Response{}
+	return readBuffered(r, resp)
+}
+
+// readBuffered decodes the next frame of r into v, peeking the payload
+// in place when it fits r's buffer and reading it into a pooled slice
+// otherwise.
+func readBuffered(r *bufio.Reader, v any) error {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > MaxFrame {
+		return errTooBig(n)
+	}
+	if 4+n > r.Size() {
+		_, _ = r.Discard(4) // cannot fail: Peek just buffered these bytes
+		p := getPayload(n)
+		defer putPayload(p)
+		if _, err := io.ReadFull(r, *p); err != nil {
+			return err
+		}
+		return decodeFrame(*p, v)
+	}
+	frame, err := r.Peek(4 + n)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	err = decodeFrame(frame[4:], v)
+	_, _ = r.Discard(4 + n)
+	return err
+}
+
+// --- pooled scratch -------------------------------------------------------------
+
+// WriteFrame and ReadFrame work on arbitrary io.Writer/io.Reader values,
+// so they assemble frames in pooled buffers: header and payload leave
+// in a single Write, and payloads land in recycled slices (both
+// decoders copy every string they keep, so recycling after decode is
+// safe).
+
+var (
+	bufGets atomic.Int64 // total pool fetches
+	bufNews atomic.Int64 // fetches that had to allocate
+)
+
+// BufferPoolStats reports total pooled-buffer fetches and how many of
+// them had to allocate, for /metrics; gets-news fetches were served by
+// reuse.
+func BufferPoolStats() (gets, news int64) {
+	return bufGets.Load(), bufNews.Load()
+}
+
+// keepCap bounds what the pools retain: the occasional oversized frame
+// is returned to the collector rather than pinned forever.
+const keepCap = 1 << 16
+
+// frameEncoder bundles the scratch buffer with a json.Encoder bound to
+// it, so the encoder itself is recycled along with the bytes.
+type frameEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encPool = sync.Pool{New: func() any {
+	bufNews.Add(1)
+	fe := &frameEncoder{}
+	fe.enc = json.NewEncoder(&fe.buf)
+	return fe
+}}
+
+func getEncBuf() *frameEncoder {
+	bufGets.Add(1)
+	fe := encPool.Get().(*frameEncoder)
+	fe.buf.Reset()
+	return fe
+}
+
+func putEncBuf(fe *frameEncoder) {
+	if fe.buf.Cap() <= keepCap {
+		encPool.Put(fe)
+	}
+}
+
+var payloadPool = sync.Pool{New: func() any {
+	bufNews.Add(1)
+	s := make([]byte, 0, 4096)
+	return &s
+}}
+
+func getPayload(n int) *[]byte {
+	bufGets.Add(1)
+	p := payloadPool.Get().(*[]byte)
+	resize(p, n)
+	return p
+}
+
+func resize(p *[]byte, n int) {
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+}
+
+func putPayload(p *[]byte) {
+	if cap(*p) <= keepCap {
+		payloadPool.Put(p)
+	}
+}

@@ -75,7 +75,6 @@ package vxdp
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -420,69 +419,53 @@ func (s Stats) String() string {
 		s.Msgs, s.Navs, s.Down, s.Right, s.Fetch, s.Select, s.Root)
 }
 
-// WriteFrame writes v as one length-prefixed JSON frame. With pooled
-// buffers on (the default), header and payload are assembled in a
-// recycled buffer and leave in a single Write.
+// WriteFrame writes v as one length-prefixed JSON frame, assembled in a
+// pooled buffer and sent in a single Write. A navigation Request or
+// Response (value or pointer) takes the lean encoder (see codec.go);
+// everything else is encoding/json. The bytes are the same either way.
 func WriteFrame(w io.Writer, v any) error {
-	if !pooledBuffers.Load() {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return err
+	p := getPayload(0)
+	defer putPayload(p)
+	frame := append(*p, 0, 0, 0, 0)
+	switch f := v.(type) {
+	case Request:
+		if navRequest(&f) {
+			return writeLean(w, appendCmd(frame, &f.Cmd))
 		}
-		if len(payload) > MaxFrame {
-			return fmt.Errorf("vxdp: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
+	case *Request:
+		if f != nil && navRequest(f) {
+			return writeLean(w, appendCmd(frame, &f.Cmd))
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
+	case Response:
+		if navResponse(&f) {
+			return writeLean(w, appendNavResult(frame, &f.NavResult))
 		}
-		_, err = w.Write(payload)
-		return err
+	case *Response:
+		if f != nil && navResponse(f) {
+			return writeLean(w, appendNavResult(frame, &f.NavResult))
+		}
 	}
-	fe := getEncBuf()
-	defer putEncBuf(fe)
-	fe.buf.Write([]byte{0, 0, 0, 0})
-	if err := fe.enc.Encode(v); err != nil {
-		return err
-	}
-	// Encode appends a newline that json.Marshal would not produce;
-	// drop it so the frame bytes are identical to the unpooled path.
-	frame := fe.buf.Bytes()
-	frame = frame[:len(frame)-1]
-	n := len(frame) - 4
-	if n > MaxFrame {
-		return fmt.Errorf("vxdp: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	_, err := w.Write(frame)
-	return err
+	return writeJSON(w, v)
 }
 
-// ReadFrame reads one length-prefixed JSON frame into v. Truncated,
-// malformed, and oversized frames return errors; no input can panic.
-// With pooled buffers on, the payload lands in a recycled slice —
-// encoding/json copies everything it decodes, so v never aliases it.
+// ReadFrame reads one length-prefixed JSON frame into v with exactly
+// json.Unmarshal's semantics (a *Request or *Response navigation frame
+// takes the lean decoder). Truncated, malformed, and oversized frames
+// return errors; no input can panic. The frame lands in a recycled
+// slice that v never aliases.
 func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("vxdp: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	if !pooledBuffers.Load() {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return err
-		}
-		return json.Unmarshal(payload, v)
-	}
-	p := getPayload(int(n))
+	p := getPayload(4)
 	defer putPayload(p)
 	if _, err := io.ReadFull(r, *p); err != nil {
 		return err
 	}
-	return json.Unmarshal(*p, v)
+	n := int(binary.BigEndian.Uint32(*p))
+	if n > MaxFrame {
+		return errTooBig(n)
+	}
+	resize(p, n)
+	if _, err := io.ReadFull(r, *p); err != nil {
+		return err
+	}
+	return decodeFrame(*p, v)
 }
