@@ -106,9 +106,6 @@ func main() {
 	slowRing := flag.Int("slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
 	cacheMax := flag.Int64("cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
 	cacheOff := flag.Bool("cache-off", false, "disable the cross-session region cache entirely")
-	hashJoin := flag.Bool("hash-join", true, "compile equi-joins to the incremental hash join (false = always nested loops)")
-	fingerprints := flag.Bool("fingerprints", true, "key equality-heavy operators by structural fingerprints instead of canonical strings (false = historical behavior)")
-	wireOpt := flag.Bool("wire-opt", true, "lean LXP codec and pooled LXP frame buffers (false = per-frame allocation, generic encoding/json; VXDP frames are unaffected)")
 	parallelJoin := flag.Bool("parallel-join", false, "derive the two inputs of multi-source joins concurrently (trades lazy exploration for latency overlap)")
 	lxpBatch := flag.Int("lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
 	batchSize := flag.Int("batch", core.DefaultBatchSize, "width of the operator pipeline: move up to this many bindings per operator pull (1 = one binding per pull)")
@@ -171,13 +168,10 @@ func main() {
 	}
 
 	mopts := mediator.DefaultOptions()
-	mopts.Engine.HashJoin = *hashJoin
 	mopts.Engine.Parallel = *parallelJoin
-	mopts.Engine.Fingerprints = *fingerprints
 	mopts.Engine.BatchSize = *batchSize
 	mopts.Engine.SemanticCache = *semanticCache
 	mopts.LXPBatch = *lxpBatch
-	lxp.SetWireOptimizations(*wireOpt)
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
 		// Cache before sources, so LXP prefetch fills publish into it.

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"mix/internal/algebra"
+	"mix/internal/buffer"
 	"mix/internal/lxp"
 	"mix/internal/mediator"
 	"mix/internal/nav"
@@ -116,7 +117,7 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("malformed -src %q (want name=location)", s))
 		}
-		doc, err := openSource(m, name, loc)
+		doc, err := openSource(name, loc)
 		if err != nil {
 			fatal(err)
 		}
@@ -375,19 +376,19 @@ func dumpSlow(out io.Writer, client *vxdp.Client) error {
 }
 
 // openSource interprets a source location.
-func openSource(m *mediator.Mediator, name, loc string) (nav.Document, error) {
+func openSource(name, loc string) (nav.Document, error) {
+	var srv lxp.Server // set for sources served through the generic buffer
+	uri := name
 	if dir, ok := strings.CutPrefix(loc, "rdb:"); ok {
 		// A directory of CSV files becomes a relational database
-		// behind the Section 4 relational wrapper (n tuples per fill),
-		// served through the generic buffer.
+		// behind the Section 4 relational wrapper (n tuples per fill).
 		db, err := relational.LoadCSVDir(name, dir)
 		if err != nil {
 			return nil, err
 		}
-		return bufferFor(&wrapper.Relational{DB: db, ChunkRows: 50}, name)
-	}
-	if rest, ok := strings.CutPrefix(loc, "lxp://"); ok {
-		addr, uri, ok := strings.Cut(rest, "/")
+		srv = &wrapper.Relational{DB: db, ChunkRows: 50}
+	} else if rest, ok := strings.CutPrefix(loc, "lxp://"); ok {
+		addr, u, ok := strings.Cut(rest, "/")
 		if !ok {
 			return nil, fmt.Errorf("malformed LXP url %q (want lxp://host:port/uri)", loc)
 		}
@@ -395,7 +396,17 @@ func openSource(m *mediator.Mediator, name, loc string) (nav.Document, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dialing %s: %w", addr, err)
 		}
-		return bufferFor(client, uri)
+		srv, uri = client, u
+	}
+	if srv != nil {
+		// The buffer as mediator.RegisterLXP builds it, scan lookahead on;
+		// registered by the caller so it can be wrapped in counters.
+		b, err := buffer.New(srv, uri)
+		if err != nil {
+			return nil, err
+		}
+		b.EnableLookahead()
+		return b, nil
 	}
 	if rest, ok := strings.CutPrefix(loc, "demo:"); ok {
 		// Generated datasets, like mixd's: demo:kind or demo:kind:n.
@@ -429,12 +440,6 @@ func openSource(m *mediator.Mediator, name, loc string) (nav.Document, error) {
 		return nil, fmt.Errorf("parsing %s: %w", loc, err)
 	}
 	return nav.NewTreeDoc(t), nil
-}
-
-func bufferFor(srv lxp.Server, uri string) (nav.Document, error) {
-	// Reuse the mediator's buffered-source plumbing via buffer.New,
-	// but keep the Document so the caller can wrap it in counters.
-	return newBuffer(srv, uri)
 }
 
 func fatal(err error) {

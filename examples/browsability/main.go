@@ -70,7 +70,7 @@ func measure(plan algebra.Op, n int, opts core.Options) int64 {
 			xmltree.Elem("p", xmltree.Text("age", fmt.Sprintf("%d", (i*7919)%n))))
 	}
 
-	e := core.New(core.WithOptions(opts))
+	e := core.New(opts)
 	var counters []*nav.CountingDoc
 	for name, t := range map[string]*xmltree.Tree{"s1": s1, "s2": s2, "s3": s3} {
 		cd := nav.NewCountingDoc(nav.NewTreeDoc(t))

@@ -155,7 +155,7 @@ func TestQuickRandomPlansLazyEqualsEager(t *testing.T) {
 			return false
 		}
 		for _, opts := range optsList {
-			e := core.New(core.WithOptions(opts))
+			e := core.New(opts)
 			e.Register("s0", nav.NewTreeDoc(src0))
 			e.Register("s1", nav.NewTreeDoc(src1))
 			q, err := e.Compile(plan)
@@ -196,7 +196,7 @@ func TestQuickRandomPlansPartialExplorationPrefix(t *testing.T) {
 		src0 := xmltree.Elem("r", randomSource(r, 2), randomSource(r, 2))
 		src1 := xmltree.Elem("r", randomSource(r, 2))
 
-		e := core.New()
+		e := core.New(core.DefaultOptions())
 		e.Register("s0", nav.NewTreeDoc(src0))
 		e.Register("s1", nav.NewTreeDoc(src1))
 		q, err := e.Compile(plan)
@@ -318,7 +318,7 @@ func TestDistributedPartialExplorationFetchesPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New()
+	e := core.New(core.DefaultOptions())
 	e.Register("amazon", buf)
 	gd := &algebra.GetDescendants{
 		Input:  &algebra.Source{URL: "amazon", Var: "r"},
@@ -375,7 +375,7 @@ func TestSourceFailureSurfacesToClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := core.New()
+		e := core.New(core.DefaultOptions())
 		e.Register("homesSrc", buf)
 		gd := &algebra.GetDescendants{
 			Input:  &algebra.Source{URL: "homesSrc", Var: "r"},
@@ -497,7 +497,7 @@ func TestQuickRandomPlansOverBufferedSources(t *testing.T) {
 		src0 := xmltree.Elem("r", randomSource(r, 2), randomSource(r, 2))
 		src1 := xmltree.Elem("r", randomSource(r, 3))
 
-		plain := core.New()
+		plain := core.New(core.DefaultOptions())
 		plain.Register("s0", nav.NewTreeDoc(src0))
 		plain.Register("s1", nav.NewTreeDoc(src1))
 		pq, err := plain.Compile(plan)
@@ -509,7 +509,7 @@ func TestQuickRandomPlansOverBufferedSources(t *testing.T) {
 			return false
 		}
 
-		buffered := core.New()
+		buffered := core.New(core.DefaultOptions())
 		for name, src := range map[string]*xmltree.Tree{"s0": src0, "s1": src1} {
 			chunk := 1 + r.Intn(3)
 			inline := 1 + r.Intn(8)
@@ -615,7 +615,7 @@ func TestQuickRewritePreservesSemantics(t *testing.T) {
 			return false
 		}
 		// And the lazy engine agrees on the rewritten plan.
-		le := core.New()
+		le := core.New(core.DefaultOptions())
 		le.Register("s0", nav.NewTreeDoc(src0))
 		le.Register("s1", nav.NewTreeDoc(src1))
 		q, err := le.Compile(rewritten)

@@ -9,11 +9,9 @@ import (
 	"mix/internal/workload"
 )
 
-// benchColdDrain drains a cold 150-book chunked catalog over real TCP,
-// the workload of experiment E14's wire case.
-func benchColdDrain(b *testing.B, lean bool) {
-	lxp.SetWireOptimizations(lean)
-	defer lxp.SetWireOptimizations(true)
+// BenchmarkColdDrain drains a cold 150-book chunked catalog over real
+// TCP: LXP codec and buffer grafting per fill.
+func BenchmarkColdDrain(b *testing.B) {
 	catalog := workload.Books("az", 150, 7)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,6 +37,3 @@ func benchColdDrain(b *testing.B, lean bool) {
 		client.Close()
 	}
 }
-
-func BenchmarkColdDrainLean(b *testing.B)   { benchColdDrain(b, true) }
-func BenchmarkColdDrainLegacy(b *testing.B) { benchColdDrain(b, false) }

@@ -754,18 +754,14 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (bbuilder, 
 	if err != nil {
 		return nil, err
 	}
-	nfa := pathexpr.Compile(op.Path)
-	var dfa *pathexpr.DFA
-	if c.e.opts.Fingerprints {
-		dfa = pathexpr.NewDFA(nfa, c.e.intern)
-	}
+	dfa := pathexpr.NewDFA(pathexpr.Compile(op.Path), c.e.intern)
 	parent, out := op.Parent, op.Out
 	raw := func() (bcursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return descendCursor(cur, parent, out, nfa, dfa), nil
+		return descendCursor(cur, parent, out, dfa), nil
 	}
 	if o := c.e.opts; o.PathCache && !(o.JoinCache && o.GroupCache) {
 		// The operator-level cache of Section 3: the explored part of the
@@ -899,22 +895,14 @@ func (c *compiler) compileDistinct(op *algebra.Distinct) (bbuilder, error) {
 
 // descendCursor expands each input binding into the descendants of its
 // parent value that the path matches, bound to out.
-func descendCursor(in bcursor, parent, out string, nfa *pathexpr.NFA, dfa *pathexpr.DFA) *expandBCursor {
+func descendCursor(in bcursor, parent, out string, dfa *pathexpr.DFA) *expandBCursor {
 	return &expandBCursor{in: in, out: out, mk: func(b *binding) (list, error) {
 		pv, err := b.node(parent)
 		if err != nil {
 			return nil, err
 		}
-		return matchList(nfa, dfa, pv), nil
+		return dfaMatchList{dfa: dfa, siblings: childrenOf(pv), state: dfa.Start()}, nil
 	}}
-}
-
-// matchList builds the lazy descendant-match list for one parent value.
-func matchList(nfa *pathexpr.NFA, dfa *pathexpr.DFA, pv Node) list {
-	if dfa != nil {
-		return dfaMatchList{dfa: dfa, siblings: childrenOf(pv), state: dfa.Start()}
-	}
-	return pathMatchList{nfa: nfa, siblings: childrenOf(pv), state: nfa.Start()}
 }
 
 // fusedScanList builds the fused σ_label child scan for one parent
@@ -972,7 +960,7 @@ func keySeen(all []*binding, ks *keyspace, vars []string) (map[string]bool, erro
 	ck := strings.Join(vars, "\x01")
 	seen := make(map[string]bool, len(all))
 	for _, b := range all {
-		k, err := b.keyCached(ck, ks, vars)
+		k, err := b.key(ck, ks, vars)
 		if err != nil {
 			return nil, err
 		}

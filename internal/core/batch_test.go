@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
-	"mix/internal/eager"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/workload"
@@ -23,8 +22,10 @@ func batchOpts(bs int) Options {
 }
 
 // batchPlans is the operator-coverage set for the identity tests: the
-// paper's join+group plan, a hash equi-join, selection (both the
-// fused-scan and the general condition form), distinct over a union,
+// paper's join+group plan, joins whose conditions take the hash path
+// (pure equi, equi with residual conjuncts) and the nested-loops path
+// (a disjunction, equi keys masked), selection (both the fused-scan and
+// the general condition form), a recursive path, distinct over a union,
 // difference, orderBy and a top-level groupBy — every operator class in
 // one sweep.
 func batchPlans() map[string]func() algebra.Op {
@@ -42,14 +43,31 @@ func batchPlans() map[string]func() algebra.Op {
 	projZip := func() algebra.Op {
 		return &algebra.Project{Input: homeZips(), Keep: []string{"V1"}}
 	}
-	return map[string]func() algebra.Op{
-		"fig4": workload.HomesSchoolsPlan,
-		"hash equi-join": func() algebra.Op {
+	join := func(cond algebra.Cond) func() algebra.Op {
+		return func() algebra.Op {
 			return &algebra.Project{
-				Input: &algebra.Join{Left: homeZips(), Right: schoolZips(),
-					Cond: algebra.Eq(algebra.V("V1"), algebra.V("V2"))},
-				Keep: []string{"H", "S"},
+				Input: &algebra.Join{Left: homeZips(), Right: schoolZips(), Cond: cond},
+				Keep:  []string{"H", "S"},
 			}
+		}
+	}
+	eq := func() algebra.Cond { return algebra.Eq(algebra.V("V1"), algebra.V("V2")) }
+	return map[string]func() algebra.Op{
+		"fig4":           workload.HomesSchoolsPlan,
+		"hash equi-join": join(eq()),
+		"equi-join with residual": join(&algebra.And{
+			L: eq(),
+			R: &algebra.And{
+				L: &algebra.Not{C: algebra.Eq(algebra.V("V1"), algebra.Lit("91003"))},
+				R: &algebra.Cmp{Op: algebra.OpNeq, L: algebra.V("H"), R: algebra.V("S")},
+			},
+		}),
+		"non-equi join":    join(&algebra.Or{L: eq(), R: eq()}),
+		"masked equi-join": join(maskedCond{eq()}),
+		"recursive path": func() algebra.Op {
+			return &algebra.GetDescendants{
+				Input:  &algebra.Source{URL: "homesSrc", Var: "R1"},
+				Parent: "R1", Path: pathexpr.MustParse("(home|zip)*._"), Out: "X"}
 		},
 		"select condition": func() algebra.Op {
 			return &algebra.Project{
@@ -110,14 +128,13 @@ func batchPlans() map[string]func() algebra.Op {
 }
 
 // TestEveryConfigurationMatchesEager runs every operator class under
-// every paper-cache combination, with and without select(σ) in NC, over
-// both join implementations and key forms (the DefaultOptions fast
-// paths, and none of them), at widths that straddle, divide and dwarf
-// the stream lengths. With one pipeline there is no second engine to
-// compare against, so the references are external: the materialized
-// answer must equal internal/eager's, and the per-source navigation
-// counts at every width must equal those at width 1 under the same
-// caches — the width reorders work, never adds any.
+// every paper-cache combination, with and without select(σ) in NC, at
+// widths that straddle, divide and dwarf the stream lengths. With one
+// pipeline there is no second engine to compare against, so the
+// references are external: the materialized answer must equal
+// internal/eager's, and the per-source navigation counts at every width
+// must equal those at width 1 under the same caches — the width
+// reorders work, never adds any.
 func TestEveryConfigurationMatchesEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -133,36 +150,25 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 		}
 		return answer, strings.Join(navs, "; ")
 	}
-	bases := map[string]Options{"fast paths": DefaultOptions(), "bare": {}}
 	for name, mk := range batchPlans() {
 		t.Run(name, func(t *testing.T) {
-			ev := eager.New()
-			for src, tree := range srcs {
-				ev.Register(src, nav.NewTreeDoc(tree))
-			}
-			tree, err := ev.Eval(mk())
-			if err != nil {
-				t.Fatalf("eager: %v", err)
-			}
-			want := xmltree.MarshalXML(tree)
-			for baseName, o := range bases {
-				for mask := 0; mask < 16; mask++ {
-					o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
-					o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
-					var wantNavs string
-					for _, width := range []int{1, 3, 64} {
-						o.BatchSize = width
-						answer, navs := run(t, mk(), o)
-						if answer != want {
-							t.Fatalf("%s %+v: answer differs from eager:\n%s\nvs\n%s",
-								baseName, o, answer, want)
-						}
-						if width == 1 {
-							wantNavs = navs
-						} else if navs != wantNavs {
-							t.Fatalf("%s %+v: source navigations differ from width 1:\n%s\nvs\n%s",
-								baseName, o, navs, wantNavs)
-						}
+			want := eagerAnswer(t, mk(), srcs)
+			o := DefaultOptions()
+			for mask := 0; mask < 16; mask++ {
+				o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
+				o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
+				var wantNavs string
+				for _, width := range []int{1, 3, 64} {
+					o.BatchSize = width
+					answer, navs := run(t, mk(), o)
+					if answer != want {
+						t.Fatalf("%+v: answer differs from eager:\n%s\nvs\n%s", o, answer, want)
+					}
+					if width == 1 {
+						wantNavs = navs
+					} else if navs != wantNavs {
+						t.Fatalf("%+v: source navigations differ from width 1:\n%s\nvs\n%s",
+							o, navs, wantNavs)
 					}
 				}
 			}
@@ -280,7 +286,7 @@ func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
 	walk := func(t *testing.T, bs, budget int) (int, error) {
 		t.Helper()
 		left := budget
-		e := New(WithOptions(batchOpts(bs)))
+		e := New(batchOpts(bs))
 		e.Register("homesSrc", failAfterDoc{
 			d: nav.NewTreeDoc(homes), err: boom, left: &left})
 		q := mustCompile(t, e, plan())
@@ -332,7 +338,7 @@ func TestParallelBatchDrainRace(t *testing.T) {
 	plan := func() algebra.Op {
 		return hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2")))
 	}
-	ser, _ := engineWith(hashOpts(), srcs)
+	ser, _ := engineWith(DefaultOptions(), srcs)
 	want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, ser, plan())))
 
 	popts := batchOpts(2)

@@ -11,7 +11,7 @@ import (
 
 func benchEngine(b *testing.B, n int) (*Engine, map[string]*xmltree.Tree) {
 	homes, schools := workload.HomesSchools(n, n, n/10+1, 42)
-	e := New()
+	e := New(DefaultOptions())
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	for name, t := range srcs {
 		e.Register(name, nav.NewTreeDoc(t))

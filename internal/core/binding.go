@@ -23,14 +23,13 @@ type binding struct {
 	parent *binding
 
 	// bindLink
-	name  string
-	val   Node
-	tree  *xmltree.Tree // memoized materialization of val
-	canon string        // memoized canonical string of tree
+	name string
+	val  Node
+	tree *xmltree.Tree // memoized materialization of val
 
 	// keys memoizes key() results on the binding a stream element
 	// hands out, so the repeated group/member scans of groupBy
-	// (Appendix A's nextgb/next) pay for canonicalization once per
+	// (Appendix A's nextgb/next) pay for key construction once per
 	// binding rather than once per scan.
 	keys map[string]string
 
@@ -149,12 +148,4 @@ func (b *binding) Value(name string) (*xmltree.Tree, error) {
 		l.tree = t
 	}
 	return l.tree, nil
-}
-
-// key (see keyspace.go) returns the operator key for the values of the
-// given variables, used by groupBy/distinct/difference: structural
-// fingerprints under Options.Fingerprints, canonical strings otherwise.
-
-func errUnbound(v string) error {
-	return fmt.Errorf("core: unbound variable $%s", v)
 }

@@ -152,10 +152,7 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 		}
 	}
 	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
-	c := &compiler{e: e, batch: e.opts.width()}
-	if e.opts.Fingerprints {
-		c.ks = newKeyspace()
-	}
+	c := &compiler{e: e, ks: newKeyspace(), batch: e.opts.width()}
 	input := plan
 	td, isTD := plan.(*algebra.TupleDestroy)
 	if isTD {
@@ -414,47 +411,11 @@ func projectKernel(op *algebra.Project) func(*binding) (*binding, error) {
 	}
 }
 
-// pathMatchList lazily enumerates, in document order, the descendants
-// reachable through paths matching the NFA. state is the NFA state set
-// before consuming each sibling's label; subtrees whose state set
-// cannot reach acceptance are pruned without exploration.
-type pathMatchList struct {
-	nfa      *pathexpr.NFA
-	siblings list
-	state    pathexpr.StateSet
-}
-
-func (p pathMatchList) next() (Node, list, error) {
-	sibs := p.siblings
-	for {
-		c, rest, err := sibs.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if c == nil {
-			return nil, nil, nil
-		}
-		label, err := c.Label()
-		if err != nil {
-			return nil, nil, err
-		}
-		st2 := p.nfa.Step(p.state, label)
-		if p.nfa.Alive(st2) {
-			inner := pathMatchList{nfa: p.nfa, siblings: childrenOf(c), state: st2}
-			var own list = inner
-			if p.nfa.Accepting(st2) {
-				own = consList{head: c, tail: inner}
-			}
-			cont := pathMatchList{nfa: p.nfa, siblings: rest, state: p.state}
-			return concatList{a: own, b: cont}.next()
-		}
-		sibs = rest
-	}
-}
-
-// dfaMatchList is pathMatchList over the lazy DFA: identical traversal
-// and output order, but each label transition is a memoized map hit and
-// the carried state is an int id instead of a state-set slice.
+// dfaMatchList lazily enumerates, in document order, the descendants
+// reachable through paths the lazy DFA accepts. state is the DFA state
+// before consuming each sibling's label (each transition a memoized map
+// hit); subtrees whose state cannot reach acceptance are pruned without
+// exploration.
 type dfaMatchList struct {
 	dfa      *pathexpr.DFA
 	siblings list

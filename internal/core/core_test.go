@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/eager"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/workload"
@@ -14,7 +15,7 @@ import (
 // engineWith registers materialized tree sources behind counting
 // wrappers and returns the engine plus the per-source counters.
 func engineWith(opts Options, srcs map[string]*xmltree.Tree) (*Engine, map[string]*nav.CountingDoc) {
-	e := New(WithOptions(opts))
+	e := New(opts)
 	counters := map[string]*nav.CountingDoc{}
 	for name, t := range srcs {
 		cd := nav.NewCountingDoc(nav.NewTreeDoc(t))
@@ -42,6 +43,21 @@ func mustMaterialize(t *testing.T, q *Query) *xmltree.Tree {
 	return tree
 }
 
+// eagerAnswer is the reference answer: plan evaluated by internal/eager
+// over the same source trees, serialized.
+func eagerAnswer(t *testing.T, plan algebra.Op, srcs map[string]*xmltree.Tree) string {
+	t.Helper()
+	ev := eager.New()
+	for name, tree := range srcs {
+		ev.Register(name, nav.NewTreeDoc(tree))
+	}
+	tree, err := ev.Eval(plan)
+	if err != nil {
+		t.Fatalf("eager: %v", err)
+	}
+	return xmltree.MarshalXML(tree)
+}
+
 func TestSourceSingletonBinding(t *testing.T) {
 	src := xmltree.Elem("r", xmltree.Leaf("a"), xmltree.Leaf("b"))
 	e, _ := engineWith(DefaultOptions(), map[string]*xmltree.Tree{"s": src})
@@ -54,7 +70,7 @@ func TestSourceSingletonBinding(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	e := New()
+	e := New(DefaultOptions())
 	if _, err := e.Compile(&algebra.Source{URL: "missing", Var: "X"}); err == nil {
 		t.Fatal("unregistered source must fail at compile time")
 	}
@@ -688,7 +704,7 @@ func drainList(l list) ([]Node, error) {
 }
 
 func TestEngineRegistry(t *testing.T) {
-	e := New()
+	e := New(DefaultOptions())
 	e.Register("b", nav.NewTreeDoc(xmltree.Elem("x")))
 	e.Register("a", nav.NewTreeDoc(xmltree.Elem("y")))
 	names := e.SourceNames()

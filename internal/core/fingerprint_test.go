@@ -4,28 +4,17 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
 
-// Fingerprint-path identity and collision-fallback tests. The contract
-// under test: Options.Fingerprints changes only the cost of operator
-// keys, bucket keys and path stepping — never a byte of the answer —
-// and even under total fingerprint collision (every value hashed to one
-// bucket) the Equal-based fallback alone keeps answers correct.
-
-func fpOpts() Options {
-	o := DefaultOptions()
-	o.Fingerprints = true
-	return o
-}
-
-func noFpOpts() Options {
-	o := DefaultOptions()
-	o.Fingerprints = false
-	return o
-}
+// Fingerprint-key tests. Operator keys, bucket keys and path stepping
+// are fingerprint-backed in every configuration; the contract under
+// test is that even under total fingerprint collision (every value
+// hashed to one bucket) the Equal-based fallback alone keeps answers
+// equal to internal/eager's.
 
 // keyPlans returns plans exercising every fingerprint consumer:
 // distinct, groupBy, difference, orderBy, and wildcard/recursive path
@@ -66,38 +55,43 @@ func keyPlans() map[string]algebra.Op {
 	}
 }
 
-// TestFingerprintsByteIdentical: every plan answers byte-identically
-// with fingerprints on and off.
+// TestFingerprintsByteIdentical: every plan, keyed by fingerprints,
+// answers byte-identically to internal/eager, whose operator keys are
+// canonical strings.
 func TestFingerprintsByteIdentical(t *testing.T) {
 	homes, schools := workload.HomesSchools(30, 30, 5, 11)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	for name, plan := range keyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eOff, _ := engineWith(noFpOpts(), srcs)
-			eOn, _ := engineWith(fpOpts(), srcs)
-			want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, eOff, plan)))
-			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, eOn, plan)))
-			if got != want {
-				t.Errorf("fingerprints changed the answer\n got: %s\nwant: %s", got, want)
+			e, _ := engineWith(DefaultOptions(), srcs)
+			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan)))
+			if want := eagerAnswer(t, plan, srcs); got != want {
+				t.Errorf("fingerprint keys changed the answer\n got: %s\nwant: %s", got, want)
 			}
 		})
 	}
 }
 
-// TestFingerprintsNavigationIdentical: the fast path must not change
-// what is navigated either — same per-source command counts.
+// TestFingerprintsNavigationIdentical: fingerprints decide only which
+// values a key holds equal, never what is navigated — with every
+// fingerprint forced to collide, each source sees the same navigation
+// commands as with real fingerprints.
 func TestFingerprintsNavigationIdentical(t *testing.T) {
 	homes, schools := workload.HomesSchools(20, 20, 4, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	for name, plan := range keyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eOff, cOff := engineWith(noFpOpts(), srcs)
-			eOn, cOn := engineWith(fpOpts(), srcs)
-			mustMaterialize(t, mustCompile(t, eOff, plan))
-			mustMaterialize(t, mustCompile(t, eOn, plan))
-			for src, c := range cOff {
-				if got, want := cOn[src].Counters.Snapshot(), c.Counters.Snapshot(); got != want {
-					t.Errorf("source %s: navigations with fingerprints %+v, without %+v",
+			eReal, cReal := engineWith(DefaultOptions(), srcs)
+			mustMaterialize(t, mustCompile(t, eReal, plan))
+			var cCol map[string]*nav.CountingDoc
+			withCollidingFingerprints(func() {
+				var eCol *Engine
+				eCol, cCol = engineWith(DefaultOptions(), srcs)
+				mustMaterialize(t, mustCompile(t, eCol, plan))
+			})
+			for src, c := range cReal {
+				if got, want := cCol[src].Counters.Snapshot(), c.Counters.Snapshot(); got != want {
+					t.Errorf("source %s: navigations with colliding fingerprints %+v, with real ones %+v",
 						src, got, want)
 				}
 			}
@@ -121,21 +115,20 @@ func withCollidingFingerprints(fn func()) {
 }
 
 // TestFingerprintCollisionFallback: with every value forced into one
-// fingerprint bucket, answers must still be byte-identical to the
-// canonical-key engine — the Equal fallback in keyspace.resolve (and
-// the full condition re-check in the hash join) is the only thing
-// separating values, and it must be enough.
+// fingerprint bucket, answers must still equal internal/eager's — the
+// Equal fallback in keyspace.resolve (and the full condition re-check
+// in the hash join) is the only thing separating values, and it must
+// be enough.
 func TestFingerprintCollisionFallback(t *testing.T) {
 	homes, schools := workload.HomesSchools(25, 25, 4, 17)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	for name, plan := range keyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eOff, _ := engineWith(noFpOpts(), srcs)
-			want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, eOff, plan)))
+			want := eagerAnswer(t, plan, srcs)
 			var got string
 			withCollidingFingerprints(func() {
-				eOn, _ := engineWith(fpOpts(), srcs)
-				got = xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, eOn, plan)))
+				e, _ := engineWith(DefaultOptions(), srcs)
+				got = xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan)))
 			})
 			if got != want {
 				t.Errorf("collision fallback broke the answer\n got: %s\nwant: %s", got, want)
@@ -170,9 +163,10 @@ func TestKeyspaceSlots(t *testing.T) {
 	}
 }
 
-// TestHashJoinFingerprintIdenticalToNested is the PR 4 identity suite
-// run with fingerprints on: hash-join answers (equi, residual, masked)
-// must equal nested-loops answers byte for byte.
+// TestHashJoinFingerprintIdenticalToNested: the fingerprint-bucketed
+// hash join (equi, residual) and its nested-loops fallback (masked)
+// must answer byte for byte like internal/eager, which joins by nested
+// loops over every pair.
 func TestHashJoinFingerprintIdenticalToNested(t *testing.T) {
 	homes, schools := workload.HomesSchools(40, 40, 7, 21)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -186,13 +180,9 @@ func TestHashJoinFingerprintIdenticalToNested(t *testing.T) {
 	for name, cond := range conds {
 		t.Run(name, func(t *testing.T) {
 			plan := hashZipPlan(cond)
-			nested, _ := engineWith(nestedOpts(), srcs)
-			want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, nested, plan)))
-			hashed := hashOpts()
-			hashed.Fingerprints = true
-			fp, _ := engineWith(hashed, srcs)
-			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, fp, plan)))
-			if got != want {
+			e, _ := engineWith(DefaultOptions(), srcs)
+			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan)))
+			if want := eagerAnswer(t, plan, srcs); got != want {
 				t.Errorf("fingerprint hash join diverged\n got: %s\nwant: %s", got, want)
 			}
 		})
@@ -216,12 +206,10 @@ func TestAtomFingerprintBridgesElementLeaf(t *testing.T) {
 			Parent: "rr", Path: pathexpr.MustParse("_"), Out: "Y"},
 		Cond: algebra.Eq(algebra.V("X"), algebra.V("Y")),
 	}
-	eFp, _ := engineWith(fpOpts(), srcs)
-	got := mustMaterialize(t, mustCompile(t, eFp, plan))
-	eOff, _ := engineWith(noFpOpts(), srcs)
-	want := mustMaterialize(t, mustCompile(t, eOff, plan))
-	if !xmltree.Equal(got, want) {
-		t.Fatalf("element/leaf bridging broke: got %v want %v", got, want)
+	e, _ := engineWith(DefaultOptions(), srcs)
+	got := mustMaterialize(t, mustCompile(t, e, plan))
+	if want := eagerAnswer(t, plan, srcs); xmltree.MarshalXML(got) != want {
+		t.Fatalf("element/leaf bridging broke: got %s want %s", xmltree.MarshalXML(got), want)
 	}
 	// Exactly one pair: zip[92093] with leaf 92093.
 	if n := got.CountLabel("b"); n != 1 {
@@ -229,50 +217,17 @@ func TestAtomFingerprintBridgesElementLeaf(t *testing.T) {
 	}
 }
 
-func distinctGroupPlan() algebra.Op {
-	gd := &algebra.GetDescendants{
-		Input:  &algebra.Source{URL: "homesSrc", Var: "r1"},
-		Parent: "r1", Path: pathexpr.MustParse("home"), Out: "H",
-	}
-	zip := &algebra.GetDescendants{Input: gd, Parent: "H",
-		Path: pathexpr.MustParse("zip._"), Out: "V"}
-	return &algebra.GroupBy{
-		Input: &algebra.Distinct{Input: &algebra.Project{Input: zip, Keep: []string{"H", "V"}}},
-		By:    []string{"V"}, Var: "H", Out: "G"}
-}
-
-func benchKeys(b *testing.B, opts Options) {
-	homes, _ := workload.HomesSchools(120, 1, 9, 5)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
-	plan := distinctGroupPlan()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, _ := engineWith(opts, srcs)
-		q, err := e.Compile(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := q.Materialize(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDistinctGroupKeysCanonical(b *testing.B)   { benchKeys(b, noFpOpts()) }
-func BenchmarkDistinctGroupKeysFingerprint(b *testing.B) { benchKeys(b, fpOpts()) }
-
-// benchDetailKeys drives the E14 workload: distinct+groupBy whose keys
-// digest large home payloads while the answer stays one slim row per
-// zip, so key construction dominates the allocation profile.
-func benchDetailKeys(b *testing.B, opts Options) {
+// BenchmarkDistinctDetailKeys: distinct+groupBy whose keys digest large
+// home payloads while the answer stays one slim row per zip, so key
+// construction dominates the allocation profile.
+func BenchmarkDistinctDetailKeys(b *testing.B) {
 	homes := workload.DetailedHomes(160, 200, 12, 7)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
 	plan := workload.DistinctZipGroupsPlan("homesSrc")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, _ := engineWith(opts, srcs)
+		e, _ := engineWith(DefaultOptions(), srcs)
 		q, err := e.Compile(plan)
 		if err != nil {
 			b.Fatal(err)
@@ -282,6 +237,3 @@ func benchDetailKeys(b *testing.B, opts Options) {
 		}
 	}
 }
-
-func BenchmarkDistinctDetailKeysCanonical(b *testing.B)   { benchDetailKeys(b, noFpOpts()) }
-func BenchmarkDistinctDetailKeysFingerprint(b *testing.B) { benchDetailKeys(b, fpOpts()) }

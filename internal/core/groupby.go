@@ -140,7 +140,7 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 		if b == nil {
 			break
 		}
-		k, err := b.keyCached(g.ck, g.ks, g.by)
+		k, err := b.key(g.ck, g.ks, g.by)
 		if err != nil {
 			return fail(err)
 		}
@@ -202,7 +202,7 @@ func (m memberList) next() (Node, list, error) {
 		if b == nil {
 			return nil, nil, nil
 		}
-		k, err := b.keyCached(m.ck, m.ks, m.by)
+		k, err := b.key(m.ck, m.ks, m.by)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -253,7 +253,7 @@ func (m scanList) next() (Node, list, error) {
 				return nil, nil, err
 			}
 			if len(m.by) > 0 {
-				k, err := nb.keyCached(m.ck, m.ks, m.by)
+				k, err := nb.key(m.ck, m.ks, m.by)
 				if err != nil {
 					return nil, nil, err
 				}

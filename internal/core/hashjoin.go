@@ -1,10 +1,6 @@
 package core
 
-import (
-	"strings"
-
-	"mix/internal/algebra"
-)
+import "mix/internal/algebra"
 
 // Hash equi-join.
 //
@@ -59,23 +55,7 @@ func varSet(vars []string) map[string]bool {
 	return m
 }
 
-// atomKey materializes the key variables of b and combines their atomic
-// forms (leaf label, or text content for elements — the same reduction
-// Cmp equality applies to mixed comparisons) into one bucket key.
-func atomKey(b *binding, vars []string) (string, error) {
-	var sb strings.Builder
-	for _, v := range vars {
-		t, err := b.Value(v)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(valueAtom(t))
-		sb.WriteByte(0)
-	}
-	return sb.String(), nil
-}
-
-// atomKeyFP is the fingerprint bucket key: 16 bytes per key variable,
+// atomKeyFP is the bucket key: 16 bytes per key variable,
 // hashing the value's *atomic form* (AtomFingerprint), never its
 // structure — atom equality is what Cmp applies to mixed element/leaf
 // comparisons, so the bucket key stays a necessary condition for the
@@ -94,14 +74,14 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 	return string(raw), nil
 }
 
-// compileJoin compiles a join: hash equi-join over batches when the
-// condition implies a bridging equality, nested loops otherwise. With
-// JoinCache the inner input is derived at most once — into the hash
-// index, or into a log all outer bindings replay (Section 3: "the
-// nested-loops join operator stores the parts of the inner argument of
-// the loop"). Without it the nested loops re-derive the inner from its
-// sources for every outer binding (the E6 ablation); the hash index and
-// the parallel drain *are* inner caches, so they need JoinCache.
+// compileJoin compiles a join. With JoinCache the inner input is
+// derived at most once: into the hash index when the condition implies
+// a bridging equality, into a log all outer bindings replay otherwise
+// (Section 3: "the nested-loops join operator stores the parts of the
+// inner argument of the loop"). Without it the nested loops re-derive
+// the inner from its sources for every outer binding (the E6 ablation);
+// the hash index and the parallel drain *are* inner caches, so they
+// need JoinCache.
 func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 	left, err := c.compile(op.Left)
 	if err != nil {
@@ -117,23 +97,15 @@ func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 			left, right = l, r
 		}
 	}
-	if c.e.opts.HashJoin && cache {
-		if lk, rk, ok := equiJoinKeys(op); ok {
-			keyFn := atomKey
-			if c.e.opts.Fingerprints {
-				keyFn = atomKeyFP
+	if lk, rk, ok := equiJoinKeys(op); ok && cache {
+		return func() (bcursor, error) {
+			lc, err := left()
+			if err != nil {
+				return nil, err
 			}
-			return func() (bcursor, error) {
-				lc, err := left()
-				if err != nil {
-					return nil, err
-				}
-				idx := &bHashIndex{right: right, keys: rk, keyFn: keyFn,
-					buckets: map[string][]*binding{}}
-				return &bHashJoinCursor{out: lc, idx: idx, cond: cond,
-					lkeys: lk, keyFn: keyFn}, nil
-			}, nil
-		}
+			idx := &bHashIndex{right: right, keys: rk, buckets: map[string][]*binding{}}
+			return &bHashJoinCursor{out: lc, idx: idx, cond: cond, lkeys: lk}, nil
+		}, nil
 	}
 	return func() (bcursor, error) {
 		lc, err := left()
@@ -251,7 +223,6 @@ type bHashIndex struct {
 	right   bbuilder
 	src     bcursor // nil until first advance, nil again when done
 	keys    []string
-	keyFn   func(*binding, []string) (string, error)
 	buckets map[string][]*binding
 	done    bool
 }
@@ -277,7 +248,7 @@ func (h *bHashIndex) advance(want int) (bool, error) {
 		return false, err
 	}
 	for _, b := range bs {
-		k, kerr := h.keyFn(b, h.keys)
+		k, kerr := atomKeyFP(b, h.keys)
 		if kerr != nil {
 			h.done, h.src = true, nil
 			return false, kerr
@@ -297,7 +268,6 @@ type bHashJoinCursor struct {
 	idx   *bHashIndex
 	cond  algebra.Cond
 	lkeys []string
-	keyFn func(*binding, []string) (string, error)
 	pend  []*binding // buffered outer bindings
 	kpend []string   // their bucket keys
 	pi    int
@@ -360,7 +330,7 @@ func (c *bHashJoinCursor) bnext(want int) ([]*binding, error) {
 			c.kpend = c.kpend[:0]
 			c.pi = 0
 			for _, b := range bs {
-				k, kerr := c.keyFn(b, c.lkeys)
+				k, kerr := atomKeyFP(b, c.lkeys)
 				if kerr != nil {
 					c.perr = kerr
 					break

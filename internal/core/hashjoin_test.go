@@ -55,71 +55,54 @@ func hashZipPlan(cond algebra.Cond) algebra.Op {
 	}
 }
 
-func hashOpts() Options {
-	return Options{JoinCache: true, PathCache: true, GroupCache: true, HashJoin: true}
-}
-
-func nestedOpts() Options {
-	return Options{JoinCache: true, PathCache: true, GroupCache: true}
-}
-
-// TestHashJoinByteIdenticalToNested runs the same join plans through
-// both implementations: same bindings, same order, byte for byte.
+// TestHashJoinByteIdenticalToNested runs each join plan through the
+// hash join and, with its equi keys masked, through the nested-loops
+// fallback: same bindings, same order, byte for byte.
 func TestHashJoinByteIdenticalToNested(t *testing.T) {
 	homes, schools := workload.HomesSchools(40, 40, 7, 21)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	eq := func() algebra.Cond { return algebra.Eq(algebra.V("V1"), algebra.V("V2")) }
-	plans := map[string]func() algebra.Op{
-		"pure equi": func() algebra.Op { return hashZipPlan(eq()) },
-		"equi with residual": func() algebra.Op {
-			return hashZipPlan(&algebra.And{
+	conds := map[string]func() algebra.Cond{
+		"pure equi": eq,
+		"equi with residual": func() algebra.Cond {
+			return &algebra.And{
 				L: eq(),
 				R: &algebra.Not{C: algebra.Eq(algebra.V("V1"), algebra.Lit("91003"))},
-			})
+			}
 		},
-		"non-equi fallback": func() algebra.Op {
-			return hashZipPlan(&algebra.Or{L: eq(), R: eq()})
-		},
-		"masked keys": func() algebra.Op { return hashZipPlan(maskedCond{eq()}) },
 	}
-	for name, plan := range plans {
-		run := func(opts Options) string {
-			e, _ := engineWith(opts, srcs)
-			return xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan())))
+	for name, cond := range conds {
+		run := func(c algebra.Cond) string {
+			e, _ := engineWith(DefaultOptions(), srcs)
+			return xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, hashZipPlan(c))))
 		}
-		if nested, hash := run(nestedOpts()), run(hashOpts()); nested != hash {
+		if nested, hash := run(maskedCond{cond()}), run(cond()); nested != hash {
 			t.Errorf("%s: hash join answer differs from nested loops:\n%s\nvs\n%s",
 				name, hash, nested)
 		}
 	}
 }
 
-// TestHashJoinEvalCounts: the hash join evaluates the condition only on
-// key-colliding pairs, nested loops on every pair.
+// TestHashJoinEvalCounts pins the condition evaluations of the zip
+// equi-join of 60 homes × 60 schools: the hash join evaluates only
+// bucket-colliding pairs, while a condition that hides its equi keys
+// falls back to nested loops and evaluates all N·M pairs.
 func TestHashJoinEvalCounts(t *testing.T) {
 	const n = 60
 	homes, schools := workload.HomesSchools(n, n, 10, 22)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	run := func(opts Options, cond algebra.Cond) int {
+	run := func(cond algebra.Cond) int {
 		cc := &evalCountCond{inner: cond}
-		e, _ := engineWith(opts, srcs)
+		e, _ := engineWith(DefaultOptions(), srcs)
 		mustMaterialize(t, mustCompile(t, e, hashZipPlan(cc)))
 		return cc.n
 	}
 	eq := algebra.Eq(algebra.V("V1"), algebra.V("V2"))
-	nested := run(nestedOpts(), eq)
-	hash := run(hashOpts(), eq)
-	if nested != n*n {
-		t.Fatalf("nested loops evaluated the condition %d times, want %d", nested, n*n)
+	if got := run(eq); got != 375 {
+		t.Errorf("hash join evaluated the condition %d times, want 375", got)
 	}
-	if 5*hash > nested {
-		t.Fatalf("hash join evaluated %d of %d pairs; expected a >5x reduction", hash, nested)
-	}
-	// A condition without extractable keys falls back: same N·M count
-	// whether or not the hash join is enabled.
-	masked := run(hashOpts(), maskedCond{algebra.Eq(algebra.V("V1"), algebra.V("V2"))})
-	if masked != n*n {
-		t.Fatalf("masked condition should fall back to nested loops: %d evals, want %d", masked, n*n)
+	if got := run(maskedCond{eq}); got != n*n {
+		t.Errorf("masked condition evaluated %d times, want the nested-loops %d", got, n*n)
 	}
 }
 
@@ -137,7 +120,7 @@ func TestHashJoinIndexIsIncremental(t *testing.T) {
 				xmltree.Text("name", "s"+strconv.Itoa(i))))
 	}
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	e, counters := engineWith(hashOpts(), srcs)
+	e, counters := engineWith(DefaultOptions(), srcs)
 	q := mustCompile(t, e, hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2"))))
 	if _, err := nav.Labels(q.Document(), 1); err != nil {
 		t.Fatal(err)
@@ -172,32 +155,5 @@ func TestEquiJoinKeysBridging(t *testing.T) {
 	}
 	if _, _, ok := equiJoinKeys(join(algebra.True{})); ok {
 		t.Fatal("products must not enable the hash join")
-	}
-}
-
-// BenchmarkJoinNestedVsHash measures the equi-join of Fig. 4 under both
-// implementations at a size where the O(N·M) probe cost dominates.
-func BenchmarkJoinNestedVsHash(b *testing.B) {
-	homes, schools := workload.HomesSchools(300, 300, 40, 9)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"nested", nestedOpts()},
-		{"hash", hashOpts()},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, _ := engineWith(bc.opts, srcs)
-				q, err := e.Compile(hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2"))))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := q.Materialize(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

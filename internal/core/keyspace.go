@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"strings"
 	"sync"
 
 	"mix/internal/xmltree"
@@ -11,13 +10,13 @@ import (
 // Fingerprint-backed operator keys.
 //
 // distinct, groupBy and difference need a map key that is equal exactly
-// when the tuples of variable values are structurally equal. The
-// canonical-string key (binding.key's fallback path) has that property
-// but costs a full serialization of every subtree per first use. With
-// Options.Fingerprints the key is instead the concatenation of the
-// values' 16-byte structural fingerprints — constant-size per variable
-// — made *exact* by a keyspace: a per-query table that remembers, for
-// each fingerprint key, the distinct value tuples that produced it.
+// when the tuples of variable values are structurally equal. A
+// canonical-string key would have that property but cost a full
+// serialization of every subtree per first use. The key is instead the
+// concatenation of the values' 16-byte structural fingerprints —
+// constant-size per variable — made *exact* by a keyspace: a per-query
+// table that remembers, for each fingerprint key, the distinct value
+// tuples that produced it.
 // The first tuple owns the bare key; a colliding tuple (equal
 // fingerprints, unequal trees — astronomically rare, but the semantics
 // must not depend on that) is detected by tuple-wise xmltree.Equal
@@ -33,13 +32,12 @@ import (
 // compute keys on two goroutines.
 
 // compiler carries the per-compile state threaded through plan
-// compilation: the engine (options, registry, tracer) and, with
-// fingerprints enabled, the query-scoped keyspace. Engine.Compile may
-// be called concurrently, so per-compile state lives here rather than
-// on the Engine.
+// compilation: the engine (options, registry, tracer) and the
+// query-scoped keyspace. Engine.Compile may be called concurrently, so
+// per-compile state lives here rather than on the Engine.
 type compiler struct {
 	e  *Engine
-	ks *keyspace // nil when Options.Fingerprints is off
+	ks *keyspace
 
 	// batch is the width of the full-drain pulls (blocking operators,
 	// parallel derivation): Options.width().
@@ -95,8 +93,7 @@ var (
 // fpKey computes the fingerprint-backed operator key for the values of
 // vars: the concatenated per-value fingerprints, plus a collision-slot
 // suffix when the keyspace has seen a different tuple under the same
-// fingerprints. Materialized trees are memoized on the binding links
-// exactly like the canonical path.
+// fingerprints. Materialized trees are memoized on the binding links.
 func (b *binding) fpKey(ks *keyspace, vars []string) (string, error) {
 	raw := make([]byte, 0, len(vars)*16)
 	tuple := make([]*xmltree.Tree, len(vars))
@@ -116,30 +113,15 @@ func (b *binding) fpKey(ks *keyspace, vars []string) (string, error) {
 }
 
 // key returns the operator key for the values of vars — the map key
-// distinct/groupBy/difference deduplicate on. With a keyspace it is the
-// fingerprint key above; without one (fingerprints off) it is the
-// legacy canonical-string key. Results are memoized per binding so the
-// repeated group/member scans of groupBy pay for key construction once.
-// The two key forms never mix: ks is fixed for the life of a query, and
-// bindings do not outlive their query.
-func (b *binding) key(ks *keyspace, vars []string) (string, error) {
-	return b.keyCached(strings.Join(vars, "\x01"), ks, vars)
-}
-
-// keyCached is key with the memo-map key (the joined variable list)
-// precomputed, so batch operators join the variable list once per batch
-// instead of once per binding.
-func (b *binding) keyCached(ck string, ks *keyspace, vars []string) (string, error) {
+// distinct/groupBy/difference deduplicate on — memoized per binding
+// under ck, the joined variable list (precomputed by the operator), so
+// the repeated group/member scans of groupBy pay for key construction
+// once.
+func (b *binding) key(ck string, ks *keyspace, vars []string) (string, error) {
 	if k, ok := b.keys[ck]; ok {
 		return k, nil
 	}
-	var k string
-	var err error
-	if ks != nil {
-		k, err = b.fpKey(ks, vars)
-	} else {
-		k, err = b.canonKey(vars)
-	}
+	k, err := b.fpKey(ks, vars)
 	if err != nil {
 		return "", err
 	}
@@ -157,45 +139,11 @@ func (b *binding) keyCached(ck string, ks *keyspace, vars []string) (string, err
 func batchKeys(bs []*binding, ks *keyspace, vars []string, ck string, scratch []string) (keys []string, n int, err error) {
 	scratch = scratch[:0]
 	for i, b := range bs {
-		k, kerr := b.keyCached(ck, ks, vars)
+		k, kerr := b.key(ck, ks, vars)
 		if kerr != nil {
 			return scratch, i, kerr
 		}
 		scratch = append(scratch, k)
 	}
 	return scratch, len(bs), nil
-}
-
-// canonKey is the canonical-string key: the NUL-joined canonical forms
-// of the values. It is the fingerprints-off path and must stay fast —
-// the builder is pre-sized from the memoized canonical lengths so the
-// concatenation costs one allocation.
-func (b *binding) canonKey(vars []string) (string, error) {
-	links := make([]*binding, len(vars))
-	size := 0
-	for i, v := range vars {
-		l := b.lookup(v)
-		if l == nil {
-			return "", errUnbound(v)
-		}
-		if l.canon == "" {
-			if l.tree == nil {
-				t, err := MaterializeNode(l.val)
-				if err != nil {
-					return "", err
-				}
-				l.tree = t
-			}
-			l.canon = l.tree.Canonical()
-		}
-		links[i] = l
-		size += len(l.canon) + 1
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	for _, l := range links {
-		sb.WriteString(l.canon)
-		sb.WriteByte(0)
-	}
-	return sb.String(), nil
 }

@@ -12,8 +12,14 @@ import (
 	"mix/internal/xmltree"
 )
 
+// serialOpts keeps the three paper caches at width 1; parallelOpts adds
+// concurrent input derivation.
+func serialOpts() Options {
+	return Options{JoinCache: true, PathCache: true, GroupCache: true}
+}
+
 func parallelOpts() Options {
-	o := hashOpts()
+	o := serialOpts()
 	o.Parallel = true
 	return o
 }
@@ -30,7 +36,7 @@ func TestParallelJoinIdenticalAnswer(t *testing.T) {
 		return xmltree.MarshalXML(mustMaterialize(t, q))
 	}
 	before := ParallelSnapshot()
-	serial := run(hashOpts())
+	serial := run(serialOpts())
 	if d := ParallelSnapshot().Joins - before.Joins; d != 0 {
 		t.Fatalf("serial run drained %d join input pairs concurrently", d)
 	}
@@ -88,7 +94,7 @@ func (d errDoc) Fetch(nav.ID) (string, error) { return "", d.err }
 func TestParallelErrorPropagates(t *testing.T) {
 	boom := errors.New("source exploded")
 	_, schools := workload.HomesSchools(0, 20, 5, 7)
-	e := New(WithOptions(parallelOpts()))
+	e := New(parallelOpts())
 	e.Register("homesSrc", errDoc{err: boom})
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
 	q := mustCompile(t, e, hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2"))))
@@ -121,7 +127,7 @@ func TestParallelPoolSaturatedRunsInline(t *testing.T) {
 	q := mustCompile(t, e, hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2"))))
 	got := xmltree.MarshalXML(mustMaterialize(t, q))
 
-	e2, _ := engineWith(hashOpts(), srcs)
+	e2, _ := engineWith(serialOpts(), srcs)
 	want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e2, hashZipPlan(
 		algebra.Eq(algebra.V("V1"), algebra.V("V2"))))))
 	if got != want {

@@ -16,7 +16,7 @@ func prefetchRig(t *testing.T, cache *regioncache.Cache) (*Engine, *Query, *metr
 	t.Helper()
 	homes, schools := workload.HomesSchools(12, 8, 4, 7)
 	src := &metrics.Counters{}
-	eng := New()
+	eng := New(DefaultOptions())
 	eng.Register("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: src})
 	eng.Register("schoolsSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(schools), Counters: src})
 	eng.SetRegionCache(cache)
@@ -168,7 +168,7 @@ func TestPrefetchStaleGenerationDetached(t *testing.T) {
 }
 
 func TestPrefetchRequiresCacheName(t *testing.T) {
-	eng := New()
+	eng := New(DefaultOptions())
 	homes, _ := workload.HomesSchools(2, 2, 2, 1)
 	eng.Register("homesSrc", nav.NewTreeDoc(homes))
 	eng.Register("schoolsSrc", nav.NewTreeDoc(homes))

@@ -183,11 +183,11 @@ func bindingsAnswer(ct *algebra.Containment, super *xmltree.Tree, subVars []stri
 	return out, true
 }
 
-// chainStep is a precompiled ChainOp: the path compiled to an NFA once
+// chainStep is a precompiled ChainOp: the path compiled to a DFA once
 // per candidate instead of once per group subtree.
 type chainStep struct {
 	parent, out string
-	nfa         *pathexpr.NFA
+	dfa         *pathexpr.DFA
 	cond        algebra.Cond
 }
 
@@ -196,7 +196,7 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 	for i, op := range ops {
 		steps[i] = chainStep{parent: op.Parent, out: op.Out, cond: op.Cond}
 		if op.Path != nil {
-			steps[i].nfa = pathexpr.Compile(op.Path)
+			steps[i].dfa = pathexpr.NewDFA(pathexpr.Compile(op.Path), nil)
 		}
 	}
 	return steps
@@ -211,8 +211,8 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 	var c bcursor = &sliceBCursor{buf: []*binding{
 		newBinding().with(algebra.GroupChainVar, FromTree(root))}}
 	for _, st := range steps {
-		if st.nfa != nil {
-			c = descendCursor(c, st.parent, st.out, st.nfa, nil)
+		if st.dfa != nil {
+			c = descendCursor(c, st.parent, st.out, st.dfa)
 		} else {
 			cond := st.cond
 			c = &filterBCursor{in: c, pred: func(b *binding) (bool, error) {

@@ -25,7 +25,7 @@ func TestTraceTotalsMatchCounters(t *testing.T) {
 func traceTotalsMatchCounters(t *testing.T, opts Options) {
 	homes, schools := workload.HomesSchools(8, 8, 3, 7)
 	rec := trace.New()
-	e := New(WithOptions(opts))
+	e := New(opts)
 	e.SetTracer(rec)
 	counters := map[string]*nav.CountingDoc{
 		"homesSrc":   nav.NewCountingDoc(nav.NewTreeDoc(homes)),
@@ -92,7 +92,7 @@ func traceTotalsMatchCounters(t *testing.T, opts Options) {
 func TestTraceShowsOperatorFanOut(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	rec := trace.New()
-	e := New()
+	e := New(DefaultOptions())
 	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
@@ -138,7 +138,7 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 // pin the nil-tracer path through a full evaluation).
 func TestUntracedEngineHasNoWrappers(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
-	e := New()
+	e := New(DefaultOptions())
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
 	q, err := e.Compile(workload.HomesSchoolsPlan())
@@ -160,7 +160,7 @@ func TestFleetIdentityReachesEngineRoots(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	rec := trace.New()
 	rec.Node = "owner-node"
-	e := New()
+	e := New(DefaultOptions())
 	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))

@@ -28,7 +28,7 @@ func evalWith(t *testing.T, srcs map[string]*xmltree.Tree, plan algebra.Op) *xml
 
 func lazyWith(t *testing.T, srcs map[string]*xmltree.Tree, plan algebra.Op) *xmltree.Tree {
 	t.Helper()
-	e := core.New()
+	e := core.New(core.DefaultOptions())
 	for name, tr := range srcs {
 		e.Register(name, nav.NewTreeDoc(tr))
 	}
@@ -201,7 +201,7 @@ func TestQuickGetDescendantsLazyEqualsEager(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		le := core.New()
+		le := core.New(core.DefaultOptions())
 		le.Register("s", nav.NewTreeDoc(src))
 		q, err := le.Compile(plan)
 		if err != nil {

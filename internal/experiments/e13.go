@@ -39,32 +39,28 @@ func (d *delayServer) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, er
 	return lxp.FillMany(d.inner, holeIDs)
 }
 
-// E13ParallelPipeline measures the three optimizations of the parallel
+// E13ParallelPipeline measures two optimizations of the parallel
 // navigation pipeline against the same lazy semantics they must
-// preserve: batched fills (round trips, not fills, carry the latency),
-// the incremental hash equi-join (probing replaces the inner scan per
-// outer binding), and concurrent input derivation for joins over
-// disjoint sources (the two drains overlap instead of adding up).
+// preserve: batched fills (round trips, not fills, carry the latency)
+// and concurrent input derivation for joins over disjoint sources (the
+// two drains overlap instead of adding up).
 //
 // Every case reports a baseline/optimized pair plus an identity row:
 // the optimized pipeline must produce the identical answer document.
-// Counter rows (round trips, condition evaluations) are deterministic;
-// wall-clock rows depend on the simulated delay and are approximate.
+// Round-trip rows are deterministic; wall-clock rows depend on the
+// simulated delay and are approximate.
 func E13ParallelPipeline() Table {
 	t := Table{
 		ID:    "E13",
-		Title: "Parallel navigation pipeline (batching, hash join, parallel derivation)",
-		Claim: "Batched fills, the hash equi-join, and concurrent input derivation " +
-			"cut round trips, condition evaluations, and wall-clock latency " +
-			"without changing a single byte of the answer.",
-		Expect: "≥2× fewer LXP round trips with batching; condition evaluations drop " +
-			"from ≈N·M to ≈N+matches with the hash join; the parallel drain of two " +
+		Title: "Parallel navigation pipeline (batching, parallel derivation)",
+		Claim: "Batched fills and concurrent input derivation cut round trips " +
+			"and wall-clock latency without changing a single byte of the answer.",
+		Expect: "≥2× fewer LXP round trips with batching; the parallel drain of two " +
 			"delayed sources runs in ≈max instead of ≈sum of their latencies; every " +
 			"identity row says yes.",
 		Headers: []string{"case", "metric", "baseline", "optimized", "improvement"},
 	}
 	t.Rows = append(t.Rows, batchedFillRows()...)
-	t.Rows = append(t.Rows, hashJoinRows()...)
 	t.Rows = append(t.Rows, parallelDeriveRows()...)
 	return t
 }
@@ -162,47 +158,13 @@ func zipJoinPlan(jn *int64) algebra.Op {
 	}
 }
 
-// hashJoinRows materializes the zip equi-join of 300 homes × 300
-// schools with nested loops vs. the incremental hash join.
-func hashJoinRows() [][]string {
-	homes, schools := workload.HomesSchools(300, 300, 40, 9)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	run := func(opts core.Options) (evals int64, elapsed time.Duration, got *xmltree.Tree) {
-		var jn int64
-		q, _ := lazyRun(opts, srcs, zipJoinPlan(&jn))
-		start := time.Now()
-		got, err := q.Materialize()
-		if err != nil {
-			panic(err)
-		}
-		return jn, time.Since(start), got
-	}
-	base := core.Options{JoinCache: true, PathCache: true, GroupCache: true}
-	hash := base
-	hash.HashJoin = true
-	e0, d0, g0 := run(base)
-	e1, d1, g1 := run(hash)
-	same := "yes"
-	if !xmltree.Equal(g0, g1) {
-		same = "NO"
-	}
-	return [][]string{
-		{"hash equi-join", "condition evaluations", itoa(e0), itoa(e1),
-			ratio(float64(e0), float64(e1))},
-		{"hash equi-join", "join wall-clock (ms)",
-			itoa(d0.Milliseconds()), itoa(d1.Milliseconds()),
-			ratio(float64(d0), float64(d1))},
-		{"hash equi-join", "identical answer", same, same, "="},
-	}
-}
-
 // parallelDeriveRows joins two LXP-buffered sources behind
 // 5ms-per-round-trip wrappers: serially the two input drains add up,
 // with Options.Parallel they overlap.
 func parallelDeriveRows() [][]string {
 	homes, schools := workload.HomesSchools(50, 50, 12, 11)
 	run := func(opts core.Options) (elapsed time.Duration, got *xmltree.Tree) {
-		e := core.New(core.WithOptions(opts))
+		e := core.New(opts)
 		for name, tree := range map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools} {
 			srv := &delayServer{
 				inner: &lxp.TreeServer{Tree: tree, Chunk: 5, InlineLimit: 64},
@@ -225,7 +187,7 @@ func parallelDeriveRows() [][]string {
 		}
 		return time.Since(start), got
 	}
-	serial := core.Options{JoinCache: true, PathCache: true, GroupCache: true, HashJoin: true}
+	serial := core.Options{JoinCache: true, PathCache: true, GroupCache: true}
 	parallel := serial
 	parallel.Parallel = true
 	d0, g0 := run(serial)

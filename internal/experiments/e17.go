@@ -56,7 +56,7 @@ func batchPipelineRows() [][]string {
 		elapsed time.Duration, got *xmltree.Tree) {
 		opts := core.DefaultOptions()
 		opts.BatchSize = bs
-		e := core.New(core.WithOptions(opts))
+		e := core.New(opts)
 		rec := trace.New()
 		rec.Limit = 1 // the sink does the counting; retain almost nothing
 		rec.Sink = func(label, op string, d time.Duration) {

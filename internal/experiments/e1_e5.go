@@ -20,7 +20,7 @@ import (
 // lazyRun compiles plan over tree sources and returns the compiled
 // query plus per-source counters.
 func lazyRun(opts core.Options, srcs map[string]*xmltree.Tree, plan algebra.Op) (*core.Query, map[string]*nav.CountingDoc) {
-	e := core.New(core.WithOptions(opts))
+	e := core.New(opts)
 	counters := map[string]*nav.CountingDoc{}
 	for name, t := range srcs {
 		cd := nav.NewCountingDoc(nav.NewTreeDoc(t))
@@ -294,7 +294,7 @@ func E5PartialExploration() Table {
 		if err != nil {
 			panic(err)
 		}
-		e := core.New()
+		e := core.New(core.DefaultOptions())
 		e.Register("amazon", b)
 		plan := workload.AllBooksPlan("amazon", "amazon2", "databases")
 		// Single-source variant: reuse the same catalog for both legs

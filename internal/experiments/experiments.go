@@ -100,7 +100,6 @@ var registry = map[string]func() Table{
 	"E11": E11AsyncPrefetch,
 	"E12": E12RegionCache,
 	"E13": E13ParallelPipeline,
-	"E14": E14AllocationPaths,
 	"E15": E15ClusterL2,
 	"E16": E16FleetTracing,
 	"E17": E17BatchPipeline,

@@ -9,10 +9,10 @@ import (
 
 func TestIDsAndRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 19 {
-		t.Fatalf("want 19 experiments, got %v", ids)
+	if len(ids) != 18 {
+		t.Fatalf("want 18 experiments, got %v", ids)
 	}
-	if ids[0] != "E1" || ids[18] != "E19" {
+	if ids[0] != "E1" || ids[17] != "E19" {
 		t.Fatalf("order wrong: %v", ids)
 	}
 	if _, err := Run("E99"); err == nil {
@@ -208,8 +208,12 @@ func TestE13Shape(t *testing.T) {
 			t.Fatalf("case %q produced a different answer: %v", row[0], row)
 		}
 	}
-	// Batching must at least halve the round trips (the acceptance bar);
-	// the hash join must beat the N·M nested-loops evaluation count.
+	for _, c := range []string{"batched fills", "parallel derivation"} {
+		if byMetric[c+"/identical answer"] == nil {
+			t.Fatalf("missing %s identity row: %v", c, tb.Rows)
+		}
+	}
+	// Batching must at least halve the round trips (the acceptance bar).
 	// Wall-clock rows are informational and not asserted.
 	trips := byMetric["batched fills/LXP round trips"]
 	if trips == nil {
@@ -225,21 +229,6 @@ func TestE13Shape(t *testing.T) {
 	}
 	if 2*t8 > t1 {
 		t.Fatalf("batching below 2x: %d vs %d round trips", t1, t8)
-	}
-	evals := byMetric["hash equi-join/condition evaluations"]
-	if evals == nil {
-		t.Fatalf("missing eval row: %v", tb.Rows)
-	}
-	e0, err := strconv.ParseInt(evals[2], 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, err := strconv.ParseInt(evals[3], 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 10*e1 > e0 {
-		t.Fatalf("hash join below 10x: %d vs %d condition evaluations", e0, e1)
 	}
 }
 
@@ -306,41 +295,6 @@ func TestE12Shape(t *testing.T) {
 	for _, i := range []int{3, 4} {
 		if src := col(t, tb, i, 3); src == 0 {
 			t.Fatalf("row %d should re-derive at the sources: %v", i, tb.Rows[i])
-		}
-	}
-}
-
-func TestE14Shape(t *testing.T) {
-	tb := E14AllocationPaths()
-	byMetric := map[string][]string{}
-	for _, row := range tb.Rows {
-		byMetric[row[0]+"/"+row[1]] = row
-		if row[1] == "identical answer" && row[2] != "yes" {
-			t.Fatalf("case %q produced a different answer: %v", row[0], row)
-		}
-	}
-	// Allocation counts are deterministic enough to bound loosely; the
-	// strict ≥3×/≥2× acceptance numbers are checked on the quiet E14 runs
-	// recorded in BENCH_pr5.json, not under test-runner noise.
-	for metric, floor := range map[string]float64{
-		"fingerprint keys/heap objects per query":       2,
-		"lean pooled codec/heap KB per cold drain":      1.5,
-		"lean pooled codec/heap objects per cold drain": 2,
-	} {
-		row := byMetric[metric]
-		if row == nil {
-			t.Fatalf("missing row %q: %v", metric, tb.Rows)
-		}
-		base, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base < floor*opt {
-			t.Fatalf("%s: %v vs %v below %.1fx floor", metric, base, opt, floor)
 		}
 	}
 }

@@ -15,25 +15,15 @@ import (
 	"mix/internal/xmltree"
 )
 
-// Lean LXP codec: fill responses carry whole subtree forests, so the
-// generic encoding/json path pays one wireTree struct, one conversion
-// and several small allocations per node, per direction. The lean
-// encoder writes response JSON directly from []*xmltree.Tree, and the
-// lean decoder builds trees straight from the payload — arena nodes,
-// interned labels — without the wireTree intermediary. The bytes on
-// the wire are identical to the encoding/json framing (field order,
-// omitempty holes, "trees":null vs [], sorted "many" keys, HTML-safe
-// string escaping), so either endpoint can run with the optimization
-// off and nothing observable changes.
-
-var wireOptimizations atomic.Bool
-
-func init() { wireOptimizations.Store(true) }
-
-// SetWireOptimizations toggles the lean codec and the pooled frame
-// buffers (default on). Off, encode/decode go through encoding/json
-// exactly as before; frames are byte-identical either way.
-func SetWireOptimizations(on bool) { wireOptimizations.Store(on) }
+// LXP codec: fill responses carry whole subtree forests, so a generic
+// encoding/json path would pay one intermediate struct, one conversion
+// and several small allocations per node, per direction. The encoder
+// writes response JSON directly from []*xmltree.Tree, and the decoder
+// builds trees straight from the payload — arena nodes, interned labels.
+// The bytes on the wire are exactly what encoding/json renders for the
+// request/response structs (field order, omitempty holes, "trees":null
+// vs [], sorted "many" keys, HTML-safe string escaping); the codec tests
+// and fuzzers hold the two byte-identical against encoding/json.
 
 var (
 	bufGets atomic.Int64 // total pool fetches
@@ -51,32 +41,37 @@ func BufferPoolStats() (gets, news int64) {
 // beyond it go back to the collector instead of staying pinned.
 const keepCap = 1 << 20
 
-// frameEncoder bundles the scratch buffer with a json.Encoder bound to
-// it, so the encoder is recycled along with the bytes (the lean encoder
-// uses only the buffer; the generic fallback uses both).
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
 var encBufPool = sync.Pool{New: func() any {
 	bufNews.Add(1)
-	fe := &frameEncoder{}
-	fe.enc = json.NewEncoder(&fe.buf)
-	return fe
+	return new(bytes.Buffer)
 }}
 
-func getEncBuf() *frameEncoder {
+// getEncBuf returns an empty pooled buffer with room reserved for the
+// 4-byte length prefix sendFrame fills in.
+func getEncBuf() *bytes.Buffer {
 	bufGets.Add(1)
-	fe := encBufPool.Get().(*frameEncoder)
-	fe.buf.Reset()
-	return fe
+	buf := encBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Write([]byte{0, 0, 0, 0})
+	return buf
 }
 
-func putEncBuf(fe *frameEncoder) {
-	if fe.buf.Cap() <= keepCap {
-		encBufPool.Put(fe)
+func putEncBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= keepCap {
+		encBufPool.Put(buf)
 	}
+}
+
+// sendFrame fills in the length prefix of the frame assembled in buf
+// (by getEncBuf and an encoder) and hands it to w in one Write.
+func sendFrame(w io.Writer, buf *bytes.Buffer) error {
+	frame := buf.Bytes()
+	if len(frame)-4 > maxFrame {
+		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", len(frame)-4)
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	_, err := w.Write(frame)
+	return err
 }
 
 var payloadPool = sync.Pool{New: func() any {
@@ -103,8 +98,7 @@ func putPayload(p *[]byte) {
 
 // leanResponse is a response at the tree level, before (encode) or
 // after (decode) the wire. hasTrees distinguishes a fill's "trees":[]
-// from the "trees":null of every other op, mirroring the nil/non-nil
-// split of response.Trees.
+// from the "trees":null of every other op.
 type leanResponse struct {
 	rid      uint64 // echo of the request's rid; 0 = absent
 	hole     string
@@ -130,7 +124,7 @@ func encodeUint(buf *bytes.Buffer, n uint64) {
 	buf.Write(strconv.AppendUint(tmp[:0], n, 10))
 }
 
-// encodeTree appends the wireTree encoding of t:
+// encodeTree appends the wire encoding of t:
 // {"l":label} for leaves, {"l":label,"c":[…]} otherwise.
 func encodeTree(buf *bytes.Buffer, t *xmltree.Tree) {
 	buf.WriteString(`{"l":`)
@@ -159,8 +153,8 @@ func encodeForest(buf *bytes.Buffer, trees []*xmltree.Tree) {
 	buf.WriteByte(']')
 }
 
-// encodeResponse appends the response JSON, matching
-// json.Marshal(response{…}) byte for byte.
+// encodeResponse appends the response JSON: fields rid, hole, trees,
+// many, error in that order, with encoding/json's omitempty rules.
 func encodeResponse(buf *bytes.Buffer, lr *leanResponse) {
 	buf.WriteByte('{')
 	if lr.rid != 0 {
@@ -213,29 +207,21 @@ func sortStrings(s []string) {
 	}
 }
 
-// writeLeanFrame writes one length-prefixed lean-encoded response
-// frame, assembled in a pooled buffer and sent with a single Write.
-func writeLeanFrame(w io.Writer, lr *leanResponse) error {
-	fe := getEncBuf()
-	defer putEncBuf(fe)
-	buf := &fe.buf
-	buf.Write([]byte{0, 0, 0, 0})
+// writeResponse writes lr as one frame on w.
+func writeResponse(w io.Writer, lr *leanResponse) error {
+	buf := getEncBuf()
+	defer putEncBuf(buf)
 	encodeResponse(buf, lr)
-	frame := buf.Bytes()
-	if len(frame)-4 > maxFrame {
-		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", len(frame)-4)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, err := w.Write(frame)
-	return err
+	return sendFrame(w, buf)
 }
 
 // --- decoding ---------------------------------------------------------------
 
 // decoder is a recursive-descent parser for the response grammar. It
 // accepts any JSON object (unknown fields are skipped, fields may come
-// in any order, whitespace is allowed) so it interoperates with
-// non-lean peers; trees are built from an arena with interned labels.
+// in any order, whitespace is allowed) so it interoperates with peers
+// that encode through encoding/json; trees are built from an arena with
+// interned labels.
 type decoder struct {
 	b       []byte
 	i       int
@@ -518,8 +504,9 @@ func (d *decoder) forest() ([]*xmltree.Tree, error) {
 	}
 }
 
-// tree parses one wireTree object into an arena-backed node. A null
-// element decodes as a zero node, matching []wireTree semantics.
+// tree parses one tree object into an arena-backed node. A null
+// element decodes as a zero node, as encoding/json decodes a null
+// slice element.
 // holeChild marks the child of a hole element: its label is the hole
 // identifier — unique for the session, so interning it would only grow
 // the interner's table without ever deduplicating anything.
@@ -684,25 +671,12 @@ func encodeRequest(buf *bytes.Buffer, req request) {
 	buf.WriteByte('}')
 }
 
-// writeRequest writes one request frame: lean into a pooled buffer when
-// wire optimizations are on, encoding/json otherwise. The frame bytes
-// are identical either way.
+// writeRequest writes req as one frame on w.
 func writeRequest(w io.Writer, req request) error {
-	if !wireOptimizations.Load() {
-		return writeFrame(w, req)
-	}
-	fe := getEncBuf()
-	defer putEncBuf(fe)
-	buf := &fe.buf
-	buf.Write([]byte{0, 0, 0, 0})
+	buf := getEncBuf()
+	defer putEncBuf(buf)
 	encodeRequest(buf, req)
-	frame := buf.Bytes()
-	if len(frame)-4 > maxFrame {
-		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", len(frame)-4)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, err := w.Write(frame)
-	return err
+	return sendFrame(w, buf)
 }
 
 // decodeRequest parses one request payload with the same tolerance as
@@ -829,13 +803,9 @@ func readPayload(r io.Reader) (*[]byte, error) {
 	return p, nil
 }
 
-// readRequest reads one request frame from r, through a pooled payload
-// and the lean parser when wire optimizations are on. Decoded strings
-// never alias the pooled payload.
+// readRequest reads one request frame from r through a pooled payload.
+// Decoded strings never alias the pooled payload.
 func readRequest(r io.Reader, req *request) error {
-	if !wireOptimizations.Load() {
-		return readFrame(r, req)
-	}
 	p, err := readPayload(r)
 	if err != nil {
 		return err

@@ -9,11 +9,11 @@ import (
 	"mix/internal/xmltree"
 )
 
-// FuzzReadFrame: no byte stream may panic the LXP codec; truncated,
-// malformed, and oversized frames must surface as errors.
+// FuzzReadFrame: no byte stream may panic the LXP frame readers;
+// truncated, malformed, and oversized frames must surface as errors.
 func FuzzReadFrame(f *testing.F) {
 	var ok bytes.Buffer
-	if err := writeFrame(&ok, request{Op: "fill", ID: "0:0"}); err != nil {
+	if err := writeRequest(&ok, request{Op: "fill", ID: "0:0"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ok.Bytes())
@@ -23,7 +23,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 'n', 'o'})          // garbage JSON
 	f.Add(append([]byte{0, 0, 0, 4}, "null"...)) // JSON null
 	var tagged bytes.Buffer
-	if err := writeFrame(&tagged, request{Rid: 1 << 40, Op: "fill", ID: "0:0"}); err != nil {
+	if err := writeRequest(&tagged, request{Rid: 1 << 40, Op: "fill", ID: "0:0"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(tagged.Bytes())
@@ -31,9 +31,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 10}, `{"rid":-1}`...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
-		_ = readFrame(bytes.NewReader(data), &req) // must not panic
-		var resp response
-		_ = readFrame(bytes.NewReader(data), &resp)
+		_ = readRequest(bytes.NewReader(data), &req) // must not panic
+		if p, err := readPayload(bytes.NewReader(data)); err == nil {
+			_ = decodeResponse(*p, nil, nil, new(leanResponse))
+			putPayload(p)
+		}
 	})
 }
 
@@ -100,7 +102,7 @@ func TestReadFrameRejectsHostileLength(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
 	var req request
-	err := readFrame(bytes.NewReader(hdr[:]), &req)
+	err := readRequest(bytes.NewReader(hdr[:]), &req)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame not rejected: %v", err)
 	}

@@ -103,62 +103,59 @@ func fillOwn(c *Client, id string) error {
 // the four issuing even ids complete all of theirs meanwhile, on the
 // same connection; once the gate opens the parked calls complete after
 // calls sent later than them, and every caller is handed the response
-// to its own request. Run under both codecs.
+// to its own request. The subtest runs it over the lean codec, LXP's
+// only codec.
 func TestMuxOutOfOrder(t *testing.T) {
-	for _, lean := range []bool{true, false} {
-		t.Run(fmt.Sprintf("lean=%v", lean), func(t *testing.T) {
-			SetWireOptimizations(lean)
-			defer SetWireOptimizations(true)
-			g := newGateServer()
-			_, addr := serveTCP(t, g)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("lean=true", func(t *testing.T) {
+		g := newGateServer()
+		_, addr := serveTCP(t, g)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 
-			const perGoroutine = 50
-			run := func(wg *sync.WaitGroup, errs chan<- error, gr, parity int) {
-				defer wg.Done()
-				for i := 0; i < perGoroutine; i++ {
-					if err := fillOwn(c, fmt.Sprintf("g%d-%d", gr, 2*i+parity)); err != nil {
-						errs <- err
-						return
-					}
+		const perGoroutine = 50
+		run := func(wg *sync.WaitGroup, errs chan<- error, gr, parity int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				if err := fillOwn(c, fmt.Sprintf("g%d-%d", gr, 2*i+parity)); err != nil {
+					errs <- err
+					return
 				}
 			}
-			errs := make(chan error, 8)
-			var odd, even sync.WaitGroup
-			for gr := 0; gr < 4; gr++ {
-				odd.Add(1)
-				go run(&odd, errs, gr, 1)
-			}
-			for i := 0; i < 4; i++ {
-				select {
-				case <-g.parked:
-				case <-time.After(5 * time.Second):
-					t.Fatal("odd calls did not reach the handler")
-				}
-			}
-			for gr := 4; gr < 8; gr++ {
-				even.Add(1)
-				go run(&even, errs, gr, 0)
-			}
-			evenDone := make(chan struct{})
-			go func() { even.Wait(); close(evenDone) }()
+		}
+		errs := make(chan error, 8)
+		var odd, even sync.WaitGroup
+		for gr := 0; gr < 4; gr++ {
+			odd.Add(1)
+			go run(&odd, errs, gr, 1)
+		}
+		for i := 0; i < 4; i++ {
 			select {
-			case <-evenDone:
+			case <-g.parked:
 			case <-time.After(5 * time.Second):
-				t.Fatal("even calls queued behind the parked odd ones")
+				t.Fatal("odd calls did not reach the handler")
 			}
-			close(g.gate)
-			odd.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
-	}
+		}
+		for gr := 4; gr < 8; gr++ {
+			even.Add(1)
+			go run(&even, errs, gr, 0)
+		}
+		evenDone := make(chan struct{})
+		go func() { even.Wait(); close(evenDone) }()
+		select {
+		case <-evenDone:
+		case <-time.After(5 * time.Second):
+			t.Fatal("even calls queued behind the parked odd ones")
+		}
+		close(g.gate)
+		odd.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // TestMuxRemoteErrorIsPerCall: an application-level error answers the

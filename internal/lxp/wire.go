@@ -2,8 +2,6 @@ package lxp
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,101 +20,23 @@ import (
 // responses travel in completion order — so callers sharing one Client
 // overlap their round trips instead of queueing behind each other.
 //
-// Every frame writer in this package (writeFrame, writeLeanFrame,
-// writeRequest) assembles its frame first and hands it over in exactly
-// one Write; frameWriter relies on that to keep concurrent senders'
-// frames whole.
+// Both frame writers (writeRequest, writeResponse) assemble their
+// frame first and hand it over in exactly one Write; frameWriter relies
+// on that to keep concurrent senders' frames whole. codec.go encodes
+// and decodes the JSON payloads.
 
 // maxFrame bounds a single LXP frame; fills larger than this indicate
 // a runaway wrapper.
 const maxFrame = 64 << 20
 
-// wireTree is the JSON encoding of an xmltree.Tree.
-type wireTree struct {
-	L string     `json:"l"`
-	C []wireTree `json:"c,omitempty"`
-}
-
-func toWire(t *xmltree.Tree) wireTree {
-	w := wireTree{L: t.Label}
-	for _, c := range t.Children {
-		w.C = append(w.C, toWire(c))
-	}
-	return w
-}
-
-func fromWire(w wireTree) *xmltree.Tree {
-	t := &xmltree.Tree{Label: w.L}
-	for _, c := range w.C {
-		t.Children = append(t.Children, fromWire(c))
-	}
-	return t
-}
-
+// request is an LXP request; the json tags name its wire fields, which
+// encodeRequest/decodeRequest (codec.go) write and read.
 type request struct {
 	Rid uint64   `json:"rid,omitempty"` // echoed by the response; clients count from 1
 	Op  string   `json:"op"`            // "get_root" | "fill" | "fill_many"
 	URI string   `json:"uri,omitempty"`
 	ID  string   `json:"id,omitempty"`
 	IDs []string `json:"ids,omitempty"` // fill_many only
-}
-
-type response struct {
-	Rid   uint64                `json:"rid,omitempty"`
-	Hole  string                `json:"hole,omitempty"`
-	Trees []wireTree            `json:"trees"`
-	Many  map[string][]wireTree `json:"many,omitempty"` // fill_many only
-	Err   string                `json:"error,omitempty"`
-}
-
-func writeFrame(w io.Writer, v any) error {
-	if !wireOptimizations.Load() {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		frame := make([]byte, 4+len(payload))
-		binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-		copy(frame[4:], payload)
-		_, err = w.Write(frame)
-		return err
-	}
-	fe := getEncBuf()
-	defer putEncBuf(fe)
-	fe.buf.Write([]byte{0, 0, 0, 0})
-	if err := fe.enc.Encode(v); err != nil {
-		return err
-	}
-	// drop Encode's trailing newline so frames match json.Marshal
-	frame := fe.buf.Bytes()
-	frame = frame[:len(frame)-1]
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, err := w.Write(frame)
-	return err
-}
-
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", n)
-	}
-	if !wireOptimizations.Load() {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return err
-		}
-		return json.Unmarshal(payload, v)
-	}
-	p := getPayload(int(n))
-	defer putPayload(p)
-	if _, err := io.ReadFull(r, *p); err != nil {
-		return err
-	}
-	return json.Unmarshal(*p, v)
 }
 
 // frameWriter lets concurrent senders share one connection: each Write
@@ -237,14 +157,6 @@ func (c *Client) readLoop() {
 
 // readResponse reads and decodes one response frame.
 func (c *Client) readResponse(lr *leanResponse) error {
-	if !wireOptimizations.Load() {
-		var resp response
-		if err := readFrame(c.r, &resp); err != nil {
-			return err
-		}
-		*lr = leanFromWire(resp)
-		return nil
-	}
 	p, err := readPayload(c.r)
 	if err != nil {
 		return err
@@ -289,29 +201,6 @@ func (c *Client) roundTrip(req request, lr *leanResponse) error {
 	return nil
 }
 
-// leanFromWire converts a generically-decoded response to tree form.
-func leanFromWire(resp response) leanResponse {
-	lr := leanResponse{rid: resp.Rid, hole: resp.Hole, err: resp.Err}
-	if resp.Trees != nil {
-		lr.hasTrees = true
-		lr.trees = make([]*xmltree.Tree, len(resp.Trees))
-		for i, w := range resp.Trees {
-			lr.trees[i] = fromWire(w)
-		}
-	}
-	if resp.Many != nil {
-		lr.many = make(map[string][]*xmltree.Tree, len(resp.Many))
-		for id, ws := range resp.Many {
-			trees := make([]*xmltree.Tree, len(ws))
-			for i, w := range ws {
-				trees[i] = fromWire(w)
-			}
-			lr.many[id] = trees
-		}
-	}
-	return lr
-}
-
 // GetRoot implements Server.
 func (c *Client) GetRoot(uri string) (string, error) {
 	var resp leanResponse
@@ -346,16 +235,6 @@ func (c *Client) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, error) 
 		return map[string][]*xmltree.Tree{}, nil
 	}
 	return resp.many, nil
-}
-
-// writeResponse writes lr as one frame on w, through the lean encoder
-// when wire optimizations are on and the generic one otherwise; the
-// frames are byte-identical.
-func writeResponse(w io.Writer, lr *leanResponse) error {
-	if wireOptimizations.Load() {
-		return writeLeanFrame(w, lr)
-	}
-	return writeFrame(w, wireFromLean(*lr))
 }
 
 // Serve answers LXP requests on l with srv until l is closed: a
@@ -399,27 +278,4 @@ func answerRequest(req request, srv Server) leanResponse {
 		lr.err = fmt.Sprintf("unknown op %q", req.Op)
 	}
 	return lr
-}
-
-// wireFromLean converts a tree-level response to wire structs — the
-// generic-codec path.
-func wireFromLean(lr leanResponse) response {
-	resp := response{Rid: lr.rid, Hole: lr.hole, Err: lr.err}
-	if lr.hasTrees {
-		resp.Trees = make([]wireTree, len(lr.trees))
-		for i, t := range lr.trees {
-			resp.Trees[i] = toWire(t)
-		}
-	}
-	if lr.many != nil {
-		resp.Many = make(map[string][]wireTree, len(lr.many))
-		for id, trees := range lr.many {
-			ws := make([]wireTree, len(trees))
-			for i, t := range trees {
-				ws[i] = toWire(t)
-			}
-			resp.Many[id] = ws
-		}
-	}
-	return resp
 }

@@ -36,8 +36,8 @@ import (
 
 // Options configure a Mediator.
 type Options struct {
-	// Engine options (operator caches, native select, hash join,
-	// parallel input derivation).
+	// Engine options (operator caches, native select, parallel input
+	// derivation, pipeline width, semantic cache).
 	Engine core.Options
 	// Rewrite enables the navigational-complexity rewriting phase.
 	Rewrite bool
@@ -47,7 +47,8 @@ type Options struct {
 	LXPBatch int
 }
 
-// DefaultOptions enables all caches, the hash equi-join, and rewriting.
+// DefaultOptions enables every engine cache (core.DefaultOptions) and
+// rewriting, and leaves LXP fills single-hole.
 func DefaultOptions() Options {
 	return Options{Engine: core.DefaultOptions(), Rewrite: true}
 }
@@ -73,7 +74,7 @@ type Mediator struct {
 func New(opts Options) *Mediator {
 	return &Mediator{
 		opts:   opts,
-		engine: core.New(core.WithOptions(opts.Engine)),
+		engine: core.New(opts.Engine),
 		eager:  eager.New(),
 		views:  map[string]algebra.Op{},
 	}

@@ -114,9 +114,9 @@ type Cache struct {
 	planMu sync.Mutex
 	plans  map[bucketKey][]PlanEntry
 
-	mu      sync.Mutex
-	clock   int64
-	bytes   int64 // demand-class retained bytes
+	mu    sync.Mutex
+	clock int64
+	bytes int64 // demand-class retained bytes
 	// specBytes is the speculative ledger: bytes retained by entries a
 	// prefetch created that no demand open has touched yet. The byte
 	// budget covers bytes+specBytes, but eviction spends the speculative
@@ -445,10 +445,10 @@ type Stats struct {
 	// the byte budget with Bytes but are evicted first.
 	SpecEntries int   `json:"spec_entries,omitempty"`
 	SpecBytes   int64 `json:"spec_bytes,omitempty"`
-	Hits       int64  `json:"hits"`        // navigations answered without touching an engine
-	Misses     int64  `json:"misses"`      // navigations that drove a lazy engine
-	BytesSaved int64  `json:"bytes_saved"` // label bytes served from the cache
-	Evictions  int64  `json:"evictions"`   // entries dropped by budget or invalidation
+	Hits        int64 `json:"hits"`        // navigations answered without touching an engine
+	Misses      int64 `json:"misses"`      // navigations that drove a lazy engine
+	BytesSaved  int64 `json:"bytes_saved"` // label bytes served from the cache
+	Evictions   int64 `json:"evictions"`   // entries dropped by budget or invalidation
 
 	// Semantic-cache totals (plan containment; see planindex.go).
 	SemanticHits            int64 `json:"semantic_hits"`             // queries answered from a subsuming region

@@ -63,13 +63,13 @@ const PeerLabel = "peer"
 // under. All three are zero for purely local traces, so single-process
 // tracing pays no extra wire bytes.
 type Span struct {
-	Label    string        `json:"label"`
-	Op       string        `json:"op"`
-	Start    time.Duration `json:"start_ns"`
-	Dur      time.Duration `json:"dur_ns"`
-	Node     string        `json:"node,omitempty"`
-	ID       uint64        `json:"id,omitempty"`
-	Parent   uint64        `json:"parent,omitempty"`
+	Label  string        `json:"label"`
+	Op     string        `json:"op"`
+	Start  time.Duration `json:"start_ns"`
+	Dur    time.Duration `json:"dur_ns"`
+	Node   string        `json:"node,omitempty"`
+	ID     uint64        `json:"id,omitempty"`
+	Parent uint64        `json:"parent,omitempty"`
 	// Spec marks work done on speculation (the prefetcher's drains), not
 	// for a waiting client: latency tools must never attribute it to a
 	// navigation a user experienced. Stamped on roots by recorders with

@@ -356,7 +356,7 @@ func TestOODBThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New()
+	e := core.New(core.DefaultOptions())
 	e.Register("company", b)
 	gd := &algebra.GetDescendants{
 		Input:  &algebra.Source{URL: "company", Var: "R"},

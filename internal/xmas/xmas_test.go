@@ -113,7 +113,7 @@ func evalBoth(t *testing.T, q *Query, src map[string]*xmltree.Tree) *xmltree.Tre
 	if err != nil {
 		t.Fatalf("eager: %v\n%s", err, algebra.String(plan))
 	}
-	le := core.New()
+	le := core.New(core.DefaultOptions())
 	for n, tr := range src {
 		le.Register(n, nav.NewTreeDoc(tr))
 	}
@@ -136,7 +136,7 @@ func TestFig3MatchesHandBuiltPlan(t *testing.T) {
 	got := evalBoth(t, MustParse(fig3), src)
 
 	// The hand-built Fig. 4 plan over the same sources.
-	le := core.New()
+	le := core.New(core.DefaultOptions())
 	for n, tr := range src {
 		le.Register(n, nav.NewTreeDoc(tr))
 	}
