@@ -39,8 +39,8 @@ func TestTableFormatting(t *testing.T) {
 }
 
 // The shape assertions below run the cheapest experiments and verify
-// the paper-predicted relationships hold (the full tables run in
-// TestExperimentTables at the repository root).
+// the paper-predicted relationships hold (TestTablesGolden pins every
+// count of every table).
 
 func col(t *testing.T, tb Table, row, col int) int64 {
 	t.Helper()
