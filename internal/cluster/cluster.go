@@ -288,10 +288,12 @@ func (n *Node) RecordL2Fill() { n.l2Fills.Add(1) }
 // RecordInvalRecv counts an invalidation broadcast this node applied.
 func (n *Node) RecordInvalRecv() { n.invalRecv.Add(1) }
 
-// Fetch implements regioncache.Remote: the L2 lookup behind every
-// locally created cache entry. Keys this node owns (or whose owner is
-// down) miss immediately — the owner's L1 *is* the L2, so there is
-// nowhere else to ask.
+// Fetch implements regioncache.Remote: one region_get to the key's
+// owner, returning whatever the owner has explored under it, complete
+// or not — the cache decides where completeness matters. Keys this node
+// owns (or whose owner is down) miss immediately — the owner's L1 *is*
+// the L2, so there is nowhere else to ask. A non-empty region counts as
+// an L2 hit, an empty or failed fetch as a miss.
 func (n *Node) Fetch(k regioncache.Key) *regioncache.Region {
 	owner := n.ring.Owner(RouteKey(k.Name, k.Fingerprint))
 	if owner == n.cfg.Self {
@@ -304,7 +306,7 @@ func (n *Node) Fetch(k regioncache.Key) *regioncache.Region {
 	var reg *regioncache.Region
 	err := p.do(func(c *vxdp.Client) error {
 		var err error
-		reg, err = c.RegionGet(wireKey(k))
+		reg, err = c.RegionGet(vxdp.WireKey(k))
 		return err
 	})
 	if err != nil || reg == nil || reg.Empty() {
@@ -315,38 +317,11 @@ func (n *Node) Fetch(k regioncache.Key) *regioncache.Region {
 	return reg
 }
 
-// FetchComplete implements regioncache.CompleteFetcher: the semantic
-// region_get. It asks the *superset key's* owner for its region only if
-// fully explored — the asker will answer a subsumed query from it, so a
-// partial region is useless (and unsound to decode). Self-owned keys
-// miss immediately, exactly like Fetch.
-func (n *Node) FetchComplete(k regioncache.Key) *regioncache.Region {
-	owner := n.ring.Owner(RouteKey(k.Name, k.Fingerprint))
-	if owner == n.cfg.Self {
-		return nil
-	}
-	p := n.peers[owner]
-	if p == nil || !p.alive() {
-		return nil
-	}
-	var reg *regioncache.Region
-	err := p.do(func(c *vxdp.Client) error {
-		var err error
-		reg, err = c.RegionGetComplete(wireKey(k))
-		return err
-	})
-	if err != nil || reg == nil || reg.Empty() {
-		n.l2Misses.Add(1)
-		return nil
-	}
-	n.l2Hits.Add(1)
-	return reg
-}
-
-// RecordSemanticLocal counts a routed open short-circuited by the
-// semantic tier: served here, with zero source navigations, instead of
-// being proxied or redirected to its owner.
-func (n *Node) RecordSemanticLocal() { n.semLocal.Add(1) }
+// RecordCompleteLocal counts a routed open served here instead of being
+// proxied or redirected because its entry was fully explored once
+// resolved — by an exact L2 fill or by a subsuming region alike
+// (ClusterStats.SemanticLocal).
+func (n *Node) RecordCompleteLocal() { n.semLocal.Add(1) }
 
 // Flush publishes every locally explored region whose key another
 // member owns — and which grew since its last publication — to its
@@ -387,7 +362,7 @@ func (n *Node) Flush() {
 			return
 		}
 		err := p.do(func(c *vxdp.Client) error {
-			return c.RegionPut(wireKey(k), reg)
+			return c.RegionPut(vxdp.WireKey(k), reg)
 		})
 		if err == nil {
 			n.markFlushed(k, mut)
@@ -523,15 +498,6 @@ func (n *Node) flushLoop() {
 			n.Flush()
 		}
 	}
-}
-
-func wireKey(k regioncache.Key) vxdp.RegionKey {
-	return vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
-}
-
-// CacheKey converts a wire region key back to the cache's.
-func CacheKey(k vxdp.RegionKey) regioncache.Key {
-	return regioncache.Key{Generation: k.Gen, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
 }
 
 // --- peer -----------------------------------------------------------------

@@ -123,10 +123,10 @@ type Query struct {
 	// is what the containment checker compares (see semantic.go).
 	canon algebra.Op
 
-	// semMu/semTried gate the one semantic-cache attempt per query:
-	// Document retries until an attempt actually runs (cache installed,
-	// candidates reachable), then the verdict — materialized into the
-	// entry on a hit — is served by the exact-match layer forever after.
+	// semMu/semTried gate the one semantic-cache attempt per query (see
+	// entry): it runs on the first demand open that finds the entry
+	// incomplete, and its verdict — materialized into the entry on a
+	// hit — is served by the exact-match layer forever after.
 	semMu    sync.Mutex
 	semTried bool
 
@@ -204,12 +204,7 @@ func (q *Query) SetCacheName(name string) {
 			// queries of this view can discover it as a superset
 			// candidate (IndexPlan drops stale generations itself).
 			if c := q.eng.cache; c != nil {
-				c.IndexPlan(regioncache.Key{
-					Generation:  q.eng.cacheGen,
-					Registry:    q.regVer,
-					Name:        name,
-					Fingerprint: fp,
-				}, canon)
+				c.IndexPlan(q.RegionKey(), canon)
 			}
 		}
 	}
@@ -234,20 +229,20 @@ func (q *Query) Fingerprint() string { return q.fingerprint }
 // session (or an earlier Document of this query) already explored are
 // answered from the shared cache without touching this query's lazy
 // streams; only cache misses drive them.
-func (q *Query) Document() nav.Document {
-	var inner nav.Document
-	if q.answer != nil {
-		inner = &VDoc{root: q.answer}
-	} else {
-		inner = &VDoc{root: q.bindingsNode()}
+func (q *Query) Document() nav.Document { return q.document(false) }
+
+// document builds the answer document over the lazy engine, cache-aware
+// over the entry q.entry(spec) resolves when there is one. Demand
+// (Document) and speculation (PrefetchRegion) differ only in spec.
+func (q *Query) document(spec bool) nav.Document {
+	root := q.answer
+	if root == nil {
+		root = q.bindingsNode()
 	}
-	c := q.eng.cache
-	if c == nil || q.cacheName == "" {
+	var inner nav.Document = &VDoc{root: root}
+	entry := q.entry(spec)
+	if entry == nil {
 		return inner
-	}
-	entry := c.EntryAt(q.eng.cacheGen, q.cacheName, q.fingerprint, q.regVer)
-	if q.eng.opts.SemanticCache && q.canon != nil {
-		q.trySemantic(c, entry)
 	}
 	doc := regioncache.NewDoc(entry, inner)
 	if rec := q.eng.tracer; rec != nil {
@@ -260,6 +255,41 @@ func (q *Query) Document() nav.Document {
 		}
 	}
 	return doc
+}
+
+// entry resolves the query's region-cache entry: nil without an engine
+// cache or a cache name, else regioncache.Cache.Open of RegionKey (L1,
+// then the L2 fetch on creation). A demand open then makes the query's
+// one semantic attempt (regioncache.Cache.Subsume) if the entry is not
+// already complete; speculative opens never do.
+func (q *Query) entry(spec bool) *regioncache.Entry {
+	c := q.eng.cache
+	if c == nil || q.cacheName == "" {
+		return nil
+	}
+	e := c.Open(q.RegionKey(), spec)
+	if !spec && q.canon != nil {
+		q.semMu.Lock()
+		if !q.semTried && !e.Complete() {
+			q.semTried = true
+			c.Subsume(e, q.canon, q.rebuild)
+		}
+		q.semMu.Unlock()
+	}
+	return e
+}
+
+// Warm resolves the query's entry the way Document does and reports
+// whether it is now fully explored, so every navigation will be
+// answered with zero source work. The cluster's routed-open path asks
+// it before proxying; it is false without the semantic cache, which
+// leaves routing exactly as it was before the semantic tier existed.
+func (q *Query) Warm() bool {
+	if !q.eng.opts.SemanticCache {
+		return false
+	}
+	e := q.entry(false)
+	return e != nil && e.Complete()
 }
 
 // bindingsNode renders the top-level binding list as a lazy

@@ -134,8 +134,8 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 // (the subtree's top two levels) — publishing what it sees through the
 // normal region-cache path, so the exact-match, L2, and semantic layers
 // all serve it to later demand. The entry it publishes into is opened
-// speculatively (regioncache.EntryAtSpeculative): separately accounted
-// and evicted first under pressure until demand promotes it.
+// speculatively (regioncache.Cache.Open with spec set): separately
+// accounted and evicted first under pressure until demand promotes it.
 //
 // The walk issues navigations into counters (the caller's dedicated
 // speculative block — never a session's) and stops at the first of:
@@ -146,8 +146,7 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 // The query must be cache-named on an engine with a region cache;
 // anything else returns an error, as does a navigation failure.
 func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budget PrefetchBudget, counters *metrics.Counters) (PrefetchResult, error) {
-	c := q.eng.cache
-	if c == nil || q.cacheName == "" {
+	if q.eng.cache == nil || q.cacheName == "" {
 		return PrefetchResult{}, errors.New("core: prefetch needs a region-cached named query")
 	}
 	if region < 0 {
@@ -161,25 +160,8 @@ func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budge
 		return PrefetchResult{Cancelled: true}, nil
 	}
 
-	var inner nav.Document
-	if q.answer != nil {
-		inner = &VDoc{root: q.answer}
-	} else {
-		inner = &VDoc{root: q.bindingsNode()}
-	}
-	entry := c.EntryAtSpeculative(q.eng.cacheGen, q.cacheName, q.fingerprint, q.regVer)
-	cdoc := regioncache.NewDoc(entry, inner)
-	if rec := q.eng.tracer; rec != nil {
-		cdoc.Observe = func(op string, hit bool) {
-			label := "cache:miss"
-			if hit {
-				label = "cache:hit"
-			}
-			rec.End(rec.Begin(label, op))
-		}
-	}
 	local := &metrics.Counters{}
-	w := &specWalk{ctx: ctx, doc: &nav.CountingDoc{Doc: cdoc, Counters: local}, nav: local, budget: budget}
+	w := &specWalk{ctx: ctx, doc: &nav.CountingDoc{Doc: q.document(true), Counters: local}, nav: local, budget: budget}
 
 	err := func() error {
 		root, err := w.doc.Root()

@@ -5,7 +5,6 @@ import (
 
 	"mix/internal/algebra"
 	"mix/internal/pathexpr"
-	"mix/internal/regioncache"
 	"mix/internal/xmltree"
 )
 
@@ -16,86 +15,16 @@ import (
 // that materialized region and merged into the query's own entry. The
 // exact-match cache layer then serves every navigation from the entry,
 // so a semantic hit costs zero source navigations, exactly like an
-// exact warm hit.
+// exact warm hit. The candidate loop is regioncache.Cache.Subsume; this
+// file supplies the rebuild it calls.
 
-// trySemantic runs the one semantic-cache attempt for this query
-// against its (not yet complete) entry. It scans the plan index's
-// candidate supersets, verifies containment, obtains a complete
-// superset tree, and on success merges the rebuilt answer into entry —
-// after which entry.Complete() holds and the Doc layer never consults
-// the lazy streams again.
-func (q *Query) trySemantic(c *regioncache.Cache, entry *regioncache.Entry) {
-	q.semMu.Lock()
-	defer q.semMu.Unlock()
-	if q.semTried || entry.Complete() {
-		return
+// rebuild derives this query's answer from a subsuming plan's fully
+// explored answer tree, in the shape the containment evidence names.
+func (q *Query) rebuild(ct *algebra.Containment, super *xmltree.Tree) (*xmltree.Tree, bool) {
+	if ct.Shape == algebra.ShapeConstruct {
+		return constructAnswer(ct, super)
 	}
-	q.semTried = true
-	cands := c.Candidates(entry.Key())
-	if len(cands) > 0 {
-		c.RecordSemanticCandidates(len(cands))
-	}
-	for _, cand := range cands {
-		ct, ok := algebra.Analyze(cand.Plan, q.canon)
-		if !ok {
-			continue
-		}
-		super := q.superTree(c, cand.Key)
-		if super == nil {
-			c.RecordSemanticIncompleteSkip()
-			continue
-		}
-		var ans *xmltree.Tree
-		if ct.Shape == algebra.ShapeConstruct {
-			ans, ok = constructAnswer(ct, super)
-		} else {
-			ans, ok = bindingsAnswer(ct, super, q.topVars)
-		}
-		if !ok {
-			continue
-		}
-		entry.MergeTree(ans)
-		c.RecordSemanticHit()
-		return
-	}
-	c.RecordSemanticMiss()
-}
-
-// TrySemanticNow forces the semantic-cache attempt immediately (it
-// otherwise runs inside Document) and reports whether the query's
-// entry is now fully explored — i.e. every navigation will be answered
-// with zero source work. The cluster's routed-open path uses it to
-// serve a subsumed query locally instead of proxying to the owner.
-func (q *Query) TrySemanticNow() bool {
-	c := q.eng.cache
-	if c == nil || q.cacheName == "" || !q.eng.opts.SemanticCache {
-		return false
-	}
-	entry := c.EntryAt(q.eng.cacheGen, q.cacheName, q.fingerprint, q.regVer)
-	if q.canon != nil {
-		q.trySemantic(c, entry)
-	}
-	return entry.Complete()
-}
-
-// superTree obtains the fully explored answer tree of a candidate
-// superset: from the local entry if complete, else from the cluster
-// owner via the semantic region_get (which only returns complete
-// regions). A remote region is also absorbed into the local cache, so
-// later subsumed queries stay node-local. nil means not available.
-func (q *Query) superTree(c *regioncache.Cache, k regioncache.Key) *xmltree.Tree {
-	if e := c.Peek(k); e != nil {
-		if t, ok := e.Tree(); ok {
-			return t
-		}
-	}
-	if r := c.FetchCompleteRemote(k); r != nil {
-		if t := r.Tree(); t != nil {
-			c.Absorb(k, r)
-			return t
-		}
-	}
-	return nil
+	return bindingsAnswer(ct, super, q.topVars)
 }
 
 // acceptsLabel is the single-step path test: the path accepts exactly

@@ -128,8 +128,12 @@ func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer
 		// registration below will establish, wire prefetch fills to
 		// publish into it, and serve the source itself cache-first so
 		// regions any session explored are shared across mediators.
-		entry := m.cache.EntryAt(m.engine.CacheGeneration(),
-			"src:"+name, "lxp:"+uri, m.engine.RegistryVersion()+1)
+		entry := m.cache.Open(regioncache.Key{
+			Generation:  m.engine.CacheGeneration(),
+			Registry:    m.engine.RegistryVersion() + 1,
+			Name:        "src:" + name,
+			Fingerprint: "lxp:" + uri,
+		}, false)
 		b.Publish = entry.MergeTree
 		doc = regioncache.NewDoc(entry, b)
 	}
@@ -201,12 +205,13 @@ func (r *Result) CacheKey() (name, fingerprint string) {
 	return r.query.CacheName(), r.query.Fingerprint()
 }
 
-// SemanticWarm forces the semantic-cache attempt (core.Query.
-// TrySemanticNow) and reports whether the query's region entry is now
+// SemanticWarm resolves the query's region entry (core.Query.Warm: L1,
+// L2 on creation, the semantic attempt) and reports whether it is now
 // fully explored — every navigation will be answered with zero source
-// work. The cluster's routed-open path uses it to serve a subsumed
-// query locally instead of proxying to the owner.
-func (r *Result) SemanticWarm() bool { return r.query.TrySemanticNow() }
+// work, whether an exact L2 fill or a subsuming region made it so. The
+// cluster's routed-open path uses it to serve such a query locally
+// instead of proxying to the owner.
+func (r *Result) SemanticWarm() bool { return r.query.Warm() }
 
 // RegionKey returns the full region-cache key of the query's answer
 // document — CacheKey plus the generation and registry version pinned

@@ -40,17 +40,13 @@ package predict
 import (
 	"sync"
 	"sync/atomic"
+
+	"mix/internal/regioncache"
 )
 
-// Key identifies one successor table: the same four components as a
-// region-cache key, so model state and cached regions live and die
-// together.
-type Key struct {
-	Generation  uint64
-	Registry    uint64
-	Name        string
-	Fingerprint string
-}
+// Key identifies one successor table: it is the region-cache key, so
+// model state and cached regions live and die together.
+type Key = regioncache.Key
 
 const (
 	// maxDelta is the largest region-index step tracked exactly;

@@ -54,9 +54,6 @@ func (c *Cache) Wrap(name, fingerprint string, registry uint64, inner nav.Docume
 	return NewDoc(c.Entry(name, fingerprint, registry), inner)
 }
 
-// Entry returns the shared entry this document reads and writes.
-func (d *Doc) Entry() *Entry { return d.entry }
-
 // Unwrap returns the wrapped document (see nav.Wrapper).
 func (d *Doc) Unwrap() nav.Document { return d.inner }
 

@@ -46,7 +46,7 @@ type Entry struct {
 	key Key
 	c   *Cache
 
-	// lastUse is the cache clock at the last Entry() open; guarded by
+	// lastUse is the cache clock at the last Open; guarded by
 	// c.mu (coarse LRU: touched per open, not per navigation).
 	lastUse int64
 	// dead marks an entry evicted from the cache map; sessions holding
@@ -67,7 +67,7 @@ type Entry struct {
 	// separate speculative ledger and evicted first under pressure, so a
 	// misprediction can never push a demand-loaded region out of budget.
 	// The first demand open of the key promotes the entry (see
-	// Cache.EntryAt); promotion is one-way, like completeness.
+	// Cache.Open); promotion is one-way, like completeness.
 	spec atomic.Bool
 
 	mu    sync.RWMutex

@@ -9,10 +9,10 @@ import (
 
 // This file is the semantic half of the region cache (DESIGN.md §14):
 // a per-(generation, registry, view) index of parsed canonical plans,
-// so a freshly compiled query can cheaply enumerate cached plans that
-// might *subsume* it, plus the completeness accessors that make a
-// superset region safe to answer from — a partial region must never
-// silently truncate a subsumed answer.
+// the one lookup (Subsume) that answers a query from a cached plan that
+// subsumes it, and the completeness accessors that make a superset
+// region safe to answer from — a partial region must never silently
+// truncate a subsumed answer.
 
 // maxPlansPerBucket bounds the candidate set a semantic lookup scans.
 // Buckets group plans sharing (generation, registry, view name); within
@@ -28,11 +28,11 @@ type bucketKey struct {
 	name          string
 }
 
-// PlanEntry is one indexed plan: the full region-cache key it was
+// planEntry is one indexed plan: the full region-cache key it was
 // compiled under and its canonical (RenameVars normal form) plan.
-type PlanEntry struct {
-	Key  Key
-	Plan algebra.Op
+type planEntry struct {
+	key  Key
+	plan algebra.Op
 }
 
 // IndexPlan records a canonical plan in the semantic index. Nil plans
@@ -52,34 +52,91 @@ func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
 	defer c.planMu.Unlock()
 	ps := c.plans[b]
 	for _, p := range ps {
-		if p.Key.Fingerprint == k.Fingerprint {
+		if p.key.Fingerprint == k.Fingerprint {
 			return
 		}
 	}
 	if len(ps) >= maxPlansPerBucket {
 		return
 	}
-	c.plans[b] = append(ps, PlanEntry{Key: k, Plan: canon})
+	c.plans[b] = append(ps, planEntry{key: k, plan: canon})
 }
 
-// Candidates returns the indexed plans that could subsume the plan
+// candidates returns the indexed plans that could subsume the plan
 // identified by k: same bucket, different fingerprint (the same
 // fingerprint is the exact-match fast path, handled before any
 // semantic work). The slice is freshly allocated; entries are shared.
-func (c *Cache) Candidates(k Key) []PlanEntry {
-	if c == nil {
-		return nil
-	}
+func (c *Cache) candidates(k Key) []planEntry {
 	b := bucketKey{gen: k.Generation, registry: k.Registry, name: k.Name}
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	var out []PlanEntry
+	var out []planEntry
 	for _, p := range c.plans[b] {
-		if p.Key.Fingerprint != k.Fingerprint {
+		if p.key.Fingerprint != k.Fingerprint {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// Subsume is the semantic lookup: it tries to answer the query whose
+// canonical plan is sub, and whose entry is e, from a cached plan of the
+// same view that subsumes it. For each candidate in the plan index it
+// checks containment (algebra.Analyze); obtains the candidate's fully
+// explored answer tree — from the local entry, else by one Remote.Fetch
+// of the candidate's key, absorbing the region here so later subsumed
+// queries stay node-local; and hands both to rebuild, which derives the
+// query's own answer (ok=false: the tree does not decode under this
+// containment). The first rebuilt answer is merged into e, after which
+// e.Complete() holds and every navigation is served from the entry.
+//
+// A candidate's region counts only when complete — locally via
+// Entry.Tree, remotely via Region.Tree — so a partial superset is
+// skipped (and never absorbed) wherever it lives. Subsume reports
+// whether it answered the query and keeps the semantic counters of
+// Stats.
+func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, *xmltree.Tree) (*xmltree.Tree, bool)) bool {
+	cands := c.candidates(e.key)
+	if len(cands) > 0 {
+		c.semCandidates.Add(int64(len(cands)))
+	}
+	for _, cand := range cands {
+		ct, ok := algebra.Analyze(cand.plan, sub)
+		if !ok {
+			continue
+		}
+		super := c.completeTree(cand.key)
+		if super == nil {
+			c.semIncompleteSkips.Add(1)
+			continue
+		}
+		ans, ok := rebuild(ct, super)
+		if !ok {
+			continue
+		}
+		e.MergeTree(ans)
+		c.semHits.Add(1)
+		return true
+	}
+	c.semMisses.Add(1)
+	return false
+}
+
+// completeTree returns the fully explored answer tree under k — the
+// local entry's, else the remote tier's (absorbed into the local
+// cache) — or nil when neither holds it complete.
+func (c *Cache) completeTree(k Key) *xmltree.Tree {
+	if e := c.Peek(k); e != nil {
+		if t, ok := e.Tree(); ok {
+			return t
+		}
+	}
+	r := c.fetch(k)
+	t := r.Tree()
+	if t != nil {
+		c.Absorb(k, r)
+	}
+	return t
 }
 
 // prunePlansBelow drops index buckets from generations older than g,
@@ -123,43 +180,6 @@ func (c *Cache) internKey(k Key) Key {
 	}
 	return k
 }
-
-// CompleteFetcher is the optional semantic extension of the Remote
-// tier: fetch a region only if the owner holds it *fully explored*.
-// The cluster node implements it with the region_get semantic form.
-type CompleteFetcher interface {
-	FetchComplete(k Key) *Region
-}
-
-// FetchCompleteRemote asks the remote tier for the fully explored
-// region under k, or nil when no remote is installed, the remote
-// predates the semantic protocol, or the owner's region is incomplete.
-func (c *Cache) FetchCompleteRemote(k Key) *Region {
-	c.remoteMu.RLock()
-	r := c.remote
-	c.remoteMu.RUnlock()
-	cf, ok := r.(CompleteFetcher)
-	if !ok {
-		return nil
-	}
-	return cf.FetchComplete(k)
-}
-
-// RecordSemanticHit counts a navigation set answered from a subsuming
-// cached region (zero source navigations).
-func (c *Cache) RecordSemanticHit() { c.semHits.Add(1) }
-
-// RecordSemanticMiss counts a semantic lookup that found no usable
-// superset and fell back to the source-backed plan.
-func (c *Cache) RecordSemanticMiss() { c.semMisses.Add(1) }
-
-// RecordSemanticCandidates counts candidate plans scanned by lookups.
-func (c *Cache) RecordSemanticCandidates(n int) { c.semCandidates.Add(int64(n)) }
-
-// RecordSemanticIncompleteSkip counts candidates whose plan subsumed
-// the query but whose region was not fully explored (locally or at its
-// cluster owner) and so could not be used.
-func (c *Cache) RecordSemanticIncompleteSkip() { c.semIncompleteSkips.Add(1) }
 
 // Complete reports whether the entry's region is fully explored: every
 // node's label known and every child list complete. Completeness is

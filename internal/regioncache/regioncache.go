@@ -73,11 +73,13 @@ type Key struct {
 
 // Remote is the second cache tier behind this (L1) cache: typically the
 // cluster peer that owns a key's region under consistent-hash routing
-// (see internal/cluster). Fetch is called once per locally created
-// entry, outside any cache lock, with the entry's exact key — including
-// its generation, so a pinned-generation session can never be answered
-// with data from a different epoch. A nil result is a miss; the caller
-// falls back to its own lazy engine and sources.
+// (see internal/cluster). Fetch is its only call, made outside any cache
+// lock with an exact key — including its generation, so a
+// pinned-generation session can never be answered with data from a
+// different epoch. It returns whatever the owner has explored, complete
+// or not; a nil result is a miss. Open calls it once per locally created
+// entry, and the semantic lookup once per subsuming candidate it cannot
+// answer locally (see Subsume), which uses the region only when complete.
 type Remote interface {
 	Fetch(k Key) *Region
 }
@@ -112,7 +114,7 @@ type Cache struct {
 
 	// plans is the semantic plan index (see planindex.go).
 	planMu sync.Mutex
-	plans  map[bucketKey][]PlanEntry
+	plans  map[bucketKey][]planEntry
 
 	mu    sync.Mutex
 	clock int64
@@ -135,7 +137,7 @@ func New(maxBytes int64) *Cache {
 		maxBytes: maxBytes,
 		entries:  map[Key]*Entry{},
 		intern:   xmltree.NewInterner(),
-		plans:    map[bucketKey][]PlanEntry{},
+		plans:    map[bucketKey][]planEntry{},
 	}
 }
 
@@ -152,19 +154,16 @@ func (c *Cache) SetRemote(r Remote) {
 	c.remoteMu.Unlock()
 }
 
-// fetchRemote fills a freshly created entry from the remote tier, if
-// one is installed. Runs outside c.mu; Merge is concurrency-safe and
-// can only extend the entry, so racing sessions stay correct.
-func (c *Cache) fetchRemote(e *Entry) {
+// fetch asks the remote tier for the region under k: nil when no remote
+// is installed or the remote misses. Called outside c.mu.
+func (c *Cache) fetch(k Key) *Region {
 	c.remoteMu.RLock()
 	r := c.remote
 	c.remoteMu.RUnlock()
 	if r == nil {
-		return
+		return nil
 	}
-	if reg := r.Fetch(e.key); reg != nil {
-		e.Merge(reg)
-	}
+	return r.Fetch(k)
 }
 
 // Invalidate bumps the generation and drops every entry created under an
@@ -210,91 +209,77 @@ func (c *Cache) dropBelow(g uint64) {
 	c.prunePlansBelow(g)
 }
 
-// Entry returns the shared entry for (name, fingerprint) under the
-// current generation and the given registry version, creating it if
-// needed. The entry is what cache-aware documents and buffer publishers
-// read and write.
+// Entry opens the demand entry for (name, fingerprint) under the
+// current generation and the given registry version (see Open).
 func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
-	return c.EntryAt(c.gen.Load(), name, fingerprint, registry)
+	return c.Open(Key{Generation: c.gen.Load(), Registry: registry, Name: name, Fingerprint: fingerprint}, false)
 }
 
-// EntryAt is Entry pinned to a generation sampled earlier — at
-// engine-build time, not at query-open time. An engine built before an
-// Invalidate that opens a view afterwards must not publish its (now
-// stale) derivations where fresh engines read, so when gen is no longer
-// current the entry returned is *detached*: private to the caller,
-// unaccounted, and never shared through the cache map. The stale
-// session stays self-consistent; nobody else sees its data.
-func (c *Cache) EntryAt(gen uint64, name, fingerprint string, registry uint64) *Entry {
-	k := c.internKey(Key{Generation: gen, Registry: registry, Name: name, Fingerprint: fingerprint})
-	if gen != c.gen.Load() {
+// Open returns the shared entry for k — what cache-aware documents and
+// buffer publishers read and write — creating it if needed. It is the
+// one way into the cache; the steps, in order:
+//
+//   - Detach on a stale generation. k.Generation is sampled at
+//     engine-build time, not at open time: an engine built before an
+//     Invalidate must not publish its (now stale) derivations where
+//     fresh engines read, so the entry returned is private to the
+//     caller, unaccounted, and never shared through the cache map.
+//   - Create and account: a new entry's fixed footprint (root node plus
+//     key overhead) is charged at creation, symmetric with dropLocked.
+//   - Promote: a demand open that reaches a speculatively created entry
+//     moves it to the demand class (the prediction paid off).
+//   - Fetch from the remote tier once, on creation (the L2 fill).
+//
+// spec marks the open as speculative (the prefetch drain worker). That
+// changes three things and nothing else: an entry it creates is charged
+// to the speculative ledger and evicted first under pressure until a
+// demand open promotes it; an existing entry keeps its class, so
+// speculation never demotes demand-loaded data; and a detached entry is
+// not filled from the remote tier, whereas a detached demand entry is —
+// its key carries the generation, so a peer that has not invalidated
+// yet either holds exactly that epoch's region or misses.
+func (c *Cache) Open(k Key, spec bool) *Entry {
+	k = c.internKey(k)
+	if k.Generation != c.gen.Load() {
 		e := newEntry(c, k)
 		e.dead.Store(true)
-		// A pinned-generation session may still fill from a peer that
-		// has not invalidated yet: the key carries the generation, so
-		// the peer either has exactly this epoch's region or misses.
-		c.fetchRemote(e)
+		e.spec.Store(spec)
+		if !spec {
+			e.Merge(c.fetch(k))
+		}
 		return e
 	}
 	c.mu.Lock()
 	e, ok := c.entries[k]
-	created := !ok
-	if created {
-		e = newEntry(c, k)
-		c.entries[k] = e
-		// Account the entry's fixed footprint — root node plus key
-		// overhead (name + fingerprint bytes) — at creation, so budget
-		// math is symmetric with the subtraction in dropLocked and
-		// comparable across nodes.
-		c.bytes += e.bytes
-		c.evictOverLocked()
-	} else if e.spec.Load() {
-		// Demand reached a speculatively created entry: the prediction
-		// paid off. Promote it to the demand class so it stops losing
-		// eviction fights, moving its accounted bytes between ledgers.
+	if !ok {
+		e = c.insertLocked(k, spec)
+	} else if !spec && e.spec.Load() {
 		c.promoteLocked(e)
 	}
 	c.clock++
 	e.lastUse = c.clock
 	c.mu.Unlock()
-	if created {
-		c.fetchRemote(e)
+	if !ok {
+		// Outside c.mu; Merge is concurrency-safe and can only extend the
+		// entry, so racing sessions stay correct.
+		e.Merge(c.fetch(k))
 	}
 	return e
 }
 
-// EntryAtSpeculative is EntryAt for the speculative drain worker: an
-// entry it creates is marked speculative — accounted in the separate
-// speculative ledger and evicted first under pressure — until a demand
-// open promotes it. An entry that already exists keeps its class:
-// speculation can never demote demand-loaded data. Stale generations
-// detach exactly like EntryAt, so a lagging speculation publishes
-// nowhere shared.
-func (c *Cache) EntryAtSpeculative(gen uint64, name, fingerprint string, registry uint64) *Entry {
-	k := c.internKey(Key{Generation: gen, Registry: registry, Name: name, Fingerprint: fingerprint})
-	if gen != c.gen.Load() {
-		e := newEntry(c, k)
-		e.dead.Store(true)
+// insertLocked creates and maps the entry for k, charging its fixed
+// footprint to the ledger of its class. Caller holds c.mu.
+func (c *Cache) insertLocked(k Key, spec bool) *Entry {
+	e := newEntry(c, k)
+	c.entries[k] = e
+	if spec {
 		e.spec.Store(true)
-		return e
-	}
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	created := !ok
-	if created {
-		e = newEntry(c, k)
-		e.spec.Store(true)
-		c.entries[k] = e
 		c.specBytes += e.bytes
 		c.specEntries++
-		c.evictOverLocked()
+	} else {
+		c.bytes += e.bytes
 	}
-	c.clock++
-	e.lastUse = c.clock
-	c.mu.Unlock()
-	if created {
-		c.fetchRemote(e)
-	}
+	c.evictOverLocked()
 	return e
 }
 
@@ -341,10 +326,7 @@ func (c *Cache) Absorb(k Key, r *Region) bool {
 	}
 	e, ok := c.entries[k]
 	if !ok {
-		e = newEntry(c, k)
-		c.entries[k] = e
-		c.bytes += e.bytes
-		c.evictOverLocked()
+		e = c.insertLocked(k, false)
 	}
 	c.clock++
 	e.lastUse = c.clock

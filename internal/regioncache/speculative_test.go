@@ -16,7 +16,7 @@ func fill(e *Entry, n int) {
 func TestSpeculativeLedgerSeparate(t *testing.T) {
 	c := New(0)
 	d := c.Entry("demand", "fp-d", 1)
-	s := c.EntryAtSpeculative(c.Generation(), "spec", "fp-s", 1)
+	s := c.Open(Key{Generation: c.Generation(), Registry: 1, Name: "spec", Fingerprint: "fp-s"}, true)
 	if d.Speculative() || !s.Speculative() {
 		t.Fatalf("classes: demand=%v spec=%v", d.Speculative(), s.Speculative())
 	}
@@ -45,7 +45,7 @@ func TestSpeculativeLedgerSeparate(t *testing.T) {
 
 func TestDemandOpenPromotesSpeculativeEntry(t *testing.T) {
 	c := New(0)
-	s := c.EntryAtSpeculative(c.Generation(), "v", "fp", 1)
+	s := c.Open(Key{Generation: c.Generation(), Registry: 1, Name: "v", Fingerprint: "fp"}, true)
 	fill(s, 4)
 	before := c.Stats()
 	if before.SpecEntries != 1 || before.SpecBytes == 0 {
@@ -76,7 +76,7 @@ func TestDemandOpenPromotesSpeculativeEntry(t *testing.T) {
 func TestSpeculativeNeverDemotesDemandEntry(t *testing.T) {
 	c := New(0)
 	d := c.Entry("v", "fp", 1)
-	s := c.EntryAtSpeculative(c.Generation(), "v", "fp", 1)
+	s := c.Open(Key{Generation: c.Generation(), Registry: 1, Name: "v", Fingerprint: "fp"}, true)
 	if s != d {
 		t.Fatal("speculative open returned a different entry for the same key")
 	}
@@ -99,7 +99,7 @@ func TestSpeculativeEvictedFirst(t *testing.T) {
 	fill(d2, 4)
 	base := c.Stats()
 	c.maxBytes = base.Bytes + 10 // room for nothing more
-	s := c.EntryAtSpeculative(c.Generation(), "s1", "fps", 1)
+	s := c.Open(Key{Generation: c.Generation(), Registry: 1, Name: "s1", Fingerprint: "fps"}, true)
 	fill(s, 4)
 	st := c.Stats()
 	if st.SpecEntries != 0 || st.SpecBytes != 0 {
@@ -140,7 +140,7 @@ func TestSpeculativeStaleGenerationDetached(t *testing.T) {
 	c := New(0)
 	gen := c.Generation()
 	c.Invalidate()
-	e := c.EntryAtSpeculative(gen, "v", "fp", 1)
+	e := c.Open(Key{Generation: gen, Registry: 1, Name: "v", Fingerprint: "fp"}, true)
 	if !e.dead.Load() {
 		t.Fatal("stale-generation speculative entry not detached")
 	}
@@ -152,7 +152,7 @@ func TestSpeculativeStaleGenerationDetached(t *testing.T) {
 
 func TestInvalidateDropsSpeculativeLedger(t *testing.T) {
 	c := New(0)
-	s := c.EntryAtSpeculative(c.Generation(), "v", "fp", 1)
+	s := c.Open(Key{Generation: c.Generation(), Registry: 1, Name: "v", Fingerprint: "fp"}, true)
 	fill(s, 3)
 	c.Invalidate()
 	if st := c.Stats(); st.SpecEntries != 0 || st.SpecBytes != 0 {

@@ -30,21 +30,17 @@ func (s *Server) handlePing() vxdp.Response {
 // handleRegionGet serves a peer's L2 fetch from the local L1 — Peek
 // only: no entry creation, no LRU touch, and crucially no remote fetch
 // of our own, so region traffic can never chain through a third node.
-// OK=false is a plain miss; regions too large for one frame miss too
-// (they stay node-local).
+// The region goes out as explored, complete or not: an asker that needs
+// it complete (the semantic lookup) checks that itself. OK=false is a
+// plain miss; regions too large for one frame miss too (they stay
+// node-local).
 func (s *Server) handleRegionGet(req vxdp.Request) vxdp.Response {
 	miss := vxdp.Response{NavResult: vxdp.NavResult{OK: false}}
 	if s.cache == nil || req.Region == nil {
 		return miss
 	}
-	e := s.cache.Peek(cluster.CacheKey(*req.Region))
+	e := s.cache.Peek(req.Region.CacheKey())
 	if e == nil {
-		return miss
-	}
-	// The semantic form serves only fully explored regions: the asker
-	// will answer a *subsumed* query from it, which is sound only when
-	// no part of the region is an unexplored hole.
-	if req.Semantic && !e.Complete() {
 		return miss
 	}
 	reg := e.Export()
@@ -72,7 +68,7 @@ func (s *Server) handleRegionPut(req vxdp.Request) vxdp.Response {
 	if s.cache == nil || req.Region == nil || req.Tree == nil {
 		return vxdp.Response{NavResult: vxdp.NavResult{OK: false}, Gen: gen}
 	}
-	merged := s.cache.Absorb(cluster.CacheKey(*req.Region), req.Tree)
+	merged := s.cache.Absorb(req.Region.CacheKey(), req.Tree)
 	if merged && s.cluster != nil {
 		s.cluster.RecordL2Fill()
 	}
@@ -99,21 +95,15 @@ func (s *Server) traced(ctx *trace.Context, op string, f func() vxdp.Response) v
 }
 
 // handleInvalidate applies a generation broadcast: raise the cache to
-// the target epoch and, if that actually advanced it, flush the engine
-// pool exactly like a local BumpRegistry — pooled engines were built
+// the target epoch and, if that actually advanced it, move the server
+// epoch exactly like a local BumpRegistry — pooled engines were built
 // against sources the fleet just declared stale.
 func (s *Server) handleInvalidate(req vxdp.Request) vxdp.Response {
 	if s.cache == nil {
 		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
 	}
 	if s.cache.AdvanceTo(req.Gen) {
-		s.epoch.Add(1)
-		s.poolMu.Lock()
-		s.pool = nil
-		s.poolMu.Unlock()
-		if s.prefetch != nil {
-			s.prefetch.epochMoved()
-		}
+		s.moveEpoch()
 		if s.cluster != nil {
 			s.cluster.RecordInvalRecv()
 		}
@@ -219,13 +209,14 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 		cl.RecordDegraded()
 		return serveLocal()
 	}
-	// Semantic short-circuit: if a subsuming cached plan — local, or
-	// fetched complete from *its* owner via the semantic region_get —
-	// answers this query outright, the whole session stays here with
-	// zero source navigations. Proxying to the owner could not do
-	// better, and the answer is byte-identical by construction.
+	// Complete-entry short-circuit: if resolving the query's entry — the
+	// L2 fill from the owner on creation, then the semantic lookup of a
+	// subsuming plan, local or at *its* owner — leaves it fully
+	// explored, the whole session stays here with zero source
+	// navigations. Proxying to the owner could not do better, and the
+	// answer is byte-identical by construction.
 	if res.SemanticWarm() {
-		cl.RecordSemanticLocal()
+		cl.RecordCompleteLocal()
 		return serveLocal()
 	}
 	if cl.Mode() == cluster.ModeRedirect {

@@ -167,13 +167,13 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("mix_cluster_proxied_total", "commands forwarded to an owner node", st.Cluster.Proxied)
 		counter("mix_cluster_redirected_total", "opens answered with a redirect to the owner", st.Cluster.Redirected)
 		counter("mix_cluster_degraded_total", "sessions served locally because their owner was down", st.Cluster.Degraded)
-		counter("mix_cluster_l2_hits_total", "region cache entry fills answered by a peer", st.Cluster.L2Hits)
+		counter("mix_cluster_l2_hits_total", "peer region fetches answered with a region (entry fills and semantic asks, complete or not)", st.Cluster.L2Hits)
 		counter("mix_cluster_l2_misses_total", "peer region fetches that found nothing", st.Cluster.L2Misses)
 		counter("mix_cluster_l2_serves_total", "peer region_get requests answered with a region", st.Cluster.L2Serves)
 		counter("mix_cluster_l2_fills_total", "peer region_put regions merged into the local cache", st.Cluster.L2Fills)
 		counter("mix_cluster_invalidations_sent_total", "invalidation broadcasts fanned out to peers", st.Cluster.InvalSent)
 		counter("mix_cluster_invalidations_recv_total", "invalidation broadcasts applied from peers", st.Cluster.InvalRecv)
-		counter("mix_cluster_semantic_local_total", "routed opens served locally from a subsumed complete region", st.Cluster.SemanticLocal)
+		counter("mix_cluster_semantic_local_total", "routed opens served locally because their entry was complete once resolved (exact L2 fill or subsuming region)", st.Cluster.SemanticLocal)
 	}
 	if s.cfg.Trace {
 		counter("mix_slow_navigations_total", "traced root spans at or over the slow-navigation threshold", s.flight.Total())

@@ -8,7 +8,6 @@ import (
 	"mix/internal/core"
 	"mix/internal/metrics"
 	"mix/internal/predict"
-	"mix/internal/regioncache"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
 )
@@ -45,11 +44,12 @@ type specRun struct {
 // running drains, their engine pool, and the counters behind
 // mix_prefetch_*. One per server; nil when prefetch is off.
 type prefetcher struct {
-	srv         *Server
-	model       *predict.Model
-	budget      core.PrefetchBudget
-	conf        float64
-	specFactory Factory
+	srv    *Server
+	model  *predict.Model
+	budget core.PrefetchBudget
+	conf   float64
+	// pool holds the spec engines, separate from the demand pool.
+	pool *enginePool
 
 	issued    atomic.Int64 // drains spawned (bumped before the goroutine starts)
 	hits      atomic.Int64 // predictions the client confirmed by engaging the region
@@ -65,18 +65,17 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	running map[predict.Key]*specRun
-	pool    []*pooledEngine // spec engines; separate from the demand pool
 	closed  bool
 }
 
 func newPrefetcher(s *Server) *prefetcher {
 	p := &prefetcher{
-		srv:         s,
-		model:       predict.NewModel(0),
-		budget:      s.cfg.PrefetchBudget,
-		conf:        s.cfg.PrefetchConfidence,
-		specFactory: s.cfg.SpecFactory,
-		running:     map[predict.Key]*specRun{},
+		srv:     s,
+		model:   predict.NewModel(0),
+		budget:  s.cfg.PrefetchBudget,
+		conf:    s.cfg.PrefetchConfidence,
+		pool:    &enginePool{srv: s, factory: s.cfg.SpecFactory, keep: true},
+		running: map[predict.Key]*specRun{},
 	}
 	if p.budget.MaxNavs == 0 {
 		p.budget.MaxNavs = DefaultPrefetchNavs
@@ -87,16 +86,25 @@ func newPrefetcher(s *Server) *prefetcher {
 	if p.conf == 0 {
 		p.conf = DefaultPrefetchConfidence
 	}
-	if p.specFactory == nil {
-		p.specFactory = s.cfg.factory
+	if p.pool.factory == nil {
+		p.pool.factory = s.cfg.factory
+	}
+	if s.cfg.Trace {
+		p.pool.newRec = s.newSpecRecorder
 	}
 	return p
 }
 
-// cacheKey converts a successor-model key back to the cache key it was
-// derived from (the two are field-for-field the same identity).
-func cacheKey(k predict.Key) regioncache.Key {
-	return regioncache.Key{Generation: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+// newSpecRecorder builds the recorder of a spec engine: bounded and
+// tagged, but deliberately with no Sink and no RootSink — speculative
+// latency must never enter the per-operator histograms or the
+// slow-navigation flight ring, because no client waited on it.
+func (s *Server) newSpecRecorder() *trace.Recorder {
+	rec := trace.New()
+	rec.Limit = traceLimit
+	rec.Node = s.nodeName
+	rec.Spec = true
+	return rec
 }
 
 // spawn starts a drain warming region of the view keyed k, compiled
@@ -137,7 +145,7 @@ func (p *prefetcher) known(k predict.Key, region int, deep bool) bool {
 	if c == nil {
 		return false
 	}
-	e := c.Peek(cacheKey(k))
+	e := c.Peek(k)
 	return e != nil && e.RegionKnown(region, deep)
 }
 
@@ -152,11 +160,11 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 		p.mu.Unlock()
 		p.inflight.Add(-1)
 	}()
-	pe, err := p.acquireSpec()
+	pe, err := p.pool.acquire()
 	if err != nil {
 		return
 	}
-	defer p.releaseSpec(pe)
+	defer p.pool.release(pe)
 	res, err := pe.med.Query(query)
 	if err != nil {
 		return
@@ -165,7 +173,7 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 	// A mismatch means the cache generation or source registry moved
 	// between prediction and drain — warming under the new key would be
 	// warming a region nobody predicted, so the hint is simply stale.
-	if res.RegionKey() != cacheKey(k) {
+	if res.RegionKey() != k {
 		return
 	}
 	r, err := res.PrefetchRegion(ctx, region, deep, p.budget, &p.navs)
@@ -190,83 +198,23 @@ func (p *prefetcher) cancelDemand(k predict.Key, region int) {
 	p.mu.Unlock()
 }
 
-// epochMoved reacts to a registry bump or fleet invalidation: every
-// running drain is cancelled, the spec engine pool is flushed (its
-// engines were built against the old sources), and successor tables for
-// dead generations are evicted.
-func (p *prefetcher) epochMoved() {
+// cancelAll cancels every running drain.
+func (p *prefetcher) cancelAll() {
 	p.mu.Lock()
 	for _, r := range p.running {
 		r.cancel()
 	}
-	p.pool = nil
 	p.mu.Unlock()
-	if c := p.srv.cache; c != nil {
-		p.model.EvictBelow(c.Generation())
-	}
 }
 
 // close stops the prefetcher for server shutdown: no new drains, all
-// running ones cancelled.
+// running ones cancelled, idle spec engines dropped.
 func (p *prefetcher) close() {
 	p.mu.Lock()
 	p.closed = true
-	for _, r := range p.running {
-		r.cancel()
-	}
-	p.pool = nil
 	p.mu.Unlock()
-}
-
-// acquireSpec pops an idle speculative engine or builds one from the
-// spec factory. Deliberately separate from Server.acquireEngine: spec
-// checkouts must not move the mix_engine_pool_* gauges, and spec
-// engines carry spec-tagged recorders from birth.
-func (p *prefetcher) acquireSpec() (*pooledEngine, error) {
-	p.mu.Lock()
-	if n := len(p.pool); n > 0 {
-		pe := p.pool[n-1]
-		p.pool = p.pool[:n-1]
-		p.mu.Unlock()
-		return pe, nil
-	}
-	p.mu.Unlock()
-	epoch := p.srv.epoch.Load()
-	m, err := p.specFactory(p.srv.cache)
-	if err != nil {
-		return nil, err
-	}
-	pe := &pooledEngine{med: m, epoch: epoch}
-	if p.srv.cfg.Trace {
-		// Spec recorders are bounded and tagged but deliberately have no
-		// Sink and no RootSink: speculative latency must never enter the
-		// per-operator histograms or the slow-navigation flight ring —
-		// no client waited on it.
-		rec := trace.New()
-		rec.Limit = traceLimit
-		rec.Node = p.srv.nodeName
-		rec.Spec = true
-		pe.rec = rec
-		m.SetTracer(rec)
-	}
-	return pe, nil
-}
-
-// releaseSpec parks a speculative engine for reuse (dropping it when
-// the server epoch moved past it, exactly like the demand pool).
-func (p *prefetcher) releaseSpec(pe *pooledEngine) {
-	if pe == nil {
-		return
-	}
-	pe.rec.Take() // discard accumulated spec spans
-	if pe.epoch != p.srv.epoch.Load() {
-		return
-	}
-	p.mu.Lock()
-	if !p.closed {
-		p.pool = append(p.pool, pe)
-	}
-	p.mu.Unlock()
+	p.cancelAll()
+	p.pool.flush()
 }
 
 // maybeHint ships the prediction to the view key's ring owner when this
@@ -284,7 +232,7 @@ func (p *prefetcher) maybeHint(k predict.Key, query string, region int, deep boo
 	p.hintsSent.Add(1)
 	cl.SendPrefetchHint(owner, vxdp.PrefetchHint{
 		Query:  query,
-		Key:    vxdp.RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint},
+		Key:    vxdp.WireKey(k),
 		Region: region,
 		Deep:   deep,
 	})
@@ -317,8 +265,7 @@ func (s *Server) handlePrefetchHint(req vxdp.Request) vxdp.Response {
 	if s.cache == nil || h.Key.Gen != s.cache.Generation() || h.Query == "" || h.Region < 0 {
 		return ok
 	}
-	k := predict.Key{Generation: h.Key.Gen, Registry: h.Key.Registry, Name: h.Key.Name, Fingerprint: h.Key.Fingerprint}
-	p.spawn(k, h.Query, h.Region, h.Deep)
+	p.spawn(h.Key.CacheKey(), h.Query, h.Region, h.Deep)
 	return ok
 }
 
@@ -330,9 +277,7 @@ func (s *Server) tracedSpec(ctx *trace.Context, op string, f func() vxdp.Respons
 	if ctx == nil || !s.cfg.Trace {
 		return f()
 	}
-	rec := trace.New()
-	rec.Node = s.nodeName
-	rec.Spec = true
+	rec := s.newSpecRecorder()
 	rec.SetRemoteParent(*ctx)
 	sp, _ := rec.BeginContext(trace.ClusterLabel, op)
 	resp := f()

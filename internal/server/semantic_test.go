@@ -225,6 +225,100 @@ func TestSemanticFleetServedLocally(t *testing.T) {
 	}
 }
 
+// TestSemanticFleetPartialSupersetProxied: the superset's owner has
+// explored only part of its region. region_get hands that partial
+// region out like any other, so the check that it is unusable for a
+// subsumed answer lives with the asker — this pins it there: the routed
+// subsumed open records no semantic hit, never absorbs the partial
+// region, is proxied to its owner, and answers exactly what the eager
+// evaluator does.
+func TestSemanticFleetPartialSupersetProxied(t *testing.T) {
+	homes, _ := workload.HomesSchools(10, 1, 3, 5)
+	oracle := mediator.New(mediator.DefaultOptions())
+	oracle.RegisterTree("homesSrc", homes)
+	eagerSub, err := oracle.QueryEager(semSubQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSub := xmltree.MarshalXML(eagerSub)
+	superRes, err := oracle.Query(semSuperQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subRes, err := oracle.Query(semSubQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+		m := mediator.New(mediator.DefaultOptions())
+		m.SetRegionCache(rc)
+		m.RegisterTree("homesSrc", homes)
+		return m, nil
+	}
+	fleet := startFleetWith(t, 3, factory)
+	// The entry node owns neither key: the superset open is proxied to
+	// its owner (where the partial region lives) but indexes the
+	// superset plan here, and the subsumed open takes the routed path.
+	superOwner := fleet[0].node.Owner(superRes.CacheKey())
+	subOwner := fleet[0].node.Owner(subRes.CacheKey())
+	entry := -1
+	for i, m := range fleet {
+		if m.addr != superOwner && m.addr != subOwner {
+			entry = i
+		}
+	}
+	if entry < 0 {
+		t.Fatal("no node owns neither key")
+	}
+
+	// Phase 1: explore the superset only partly — the first home's
+	// label — through the entry node, so the owner's region stays open.
+	c, err := vxdp.Dial(fleet[entry].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Open(semSuperQ); err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Down(root)
+	if err != nil || first == nil {
+		t.Fatalf("first home: %v, %v", first, err)
+	}
+	if _, err := c.Fetch(first); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	// Phase 2: the subsumed open through the entry node.
+	st0 := fleet[entry].srv.Stats()
+	if got := semOpen(t, fleet[entry].addr, semSubQ); got != wantSub {
+		t.Fatalf("subsumed answer:\n got %s\nwant %s", got, wantSub)
+	}
+	st := fleet[entry].srv.Stats()
+	if st.Cache.SemanticHits != 0 || st.Cluster.SemanticLocal != 0 {
+		t.Fatalf("partial superset was used: semantic hits %d, semantic local %d",
+			st.Cache.SemanticHits, st.Cluster.SemanticLocal)
+	}
+	if st.Cache.SemanticIncompleteSkips != 1 {
+		t.Fatalf("semantic incomplete skips = %d, want 1", st.Cache.SemanticIncompleteSkips)
+	}
+	if st.Cluster.Proxied <= st0.Cluster.Proxied {
+		t.Fatal("subsumed open was not proxied")
+	}
+	// The superset's owner answered the ask with its partial region (an
+	// L2 hit); the entry node kept none of it.
+	if hits := st.Cluster.L2Hits - st0.Cluster.L2Hits; hits != 1 {
+		t.Fatalf("L2 hits during the subsumed open = %d, want 1 (the partial superset)", hits)
+	}
+	if e := fleet[entry].srv.RegionCache().Peek(superRes.RegionKey()); e != nil && !e.Export().Empty() {
+		t.Fatal("the partial superset region was absorbed on the entry node")
+	}
+}
+
 // TestSemanticStressUnderBumpRegistry is the -race CI target: sessions
 // alternate superset and subsumed opens while the registry is bumped
 // and the dataset swapped mid-flight. Every answer must match SOME

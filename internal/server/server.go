@@ -225,15 +225,13 @@ type Server struct {
 
 	// cache is the shared region cache (nil = caching off); pool holds
 	// idle engines released by finished sessions for reuse. epoch counts
-	// BumpRegistry calls: engines built under an older epoch are
-	// discarded at release instead of re-pooled, so a registry change
-	// can never hand stale sources to a new session.
-	cache                   *regioncache.Cache
-	cluster                 *cluster.Node
-	epoch                   atomic.Uint64
-	poolMu                  sync.Mutex
-	pool                    []*pooledEngine
-	poolCreated, poolReused atomic.Int64
+	// source epochs (see moveEpoch): engines built under an older epoch
+	// are discarded at release instead of re-pooled, so a registry
+	// change can never hand stale sources to a new session.
+	cache   *regioncache.Cache
+	cluster *cluster.Node
+	epoch   atomic.Uint64
+	pool    *enginePool
 
 	// prefetch is the speculative prefetcher (nil = off): the successor
 	// model, the drain workers, and their dedicated engine pool.
@@ -293,6 +291,10 @@ func newServer(cfg config) (*Server, error) {
 	if cfg.Trace && cfg.SlowThreshold >= 0 {
 		s.flight = telemetry.NewFlightRecorder(cfg.SlowRing, cfg.SlowThreshold)
 	}
+	s.pool = &enginePool{srv: s, factory: cfg.factory, keep: cfg.EnginePool}
+	if cfg.Trace {
+		s.pool.newRec = s.newRecorder
+	}
 	if cfg.Prefetch {
 		if cfg.RegionCache == nil {
 			return nil, errors.New("server: prefetch requires a region cache (WithRegionCache)")
@@ -339,82 +341,112 @@ type pooledEngine struct {
 	epoch uint64 // server epoch the engine was built under
 }
 
-// acquireEngine pops an idle engine or builds a fresh one.
-func (s *Server) acquireEngine() (*pooledEngine, error) {
-	s.poolMu.Lock()
-	if n := len(s.pool); n > 0 {
-		pe := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		s.poolMu.Unlock()
-		s.poolReused.Add(1)
+// enginePool is a stack of idle engines built by one factory. The
+// server has two instances: the demand pool sessions draw from (its
+// counters are the mix_engine_pool_* gauges) and the prefetcher's
+// speculative pool, whose engines carry spec-tagged recorders and whose
+// checkouts never move those gauges.
+type enginePool struct {
+	srv     *Server
+	factory Factory
+	// newRec builds the recorder wired into each new engine (nil: the
+	// server does not trace); keep parks released engines for reuse.
+	newRec func() *trace.Recorder
+	keep   bool
+
+	mu              sync.Mutex
+	idle            []*pooledEngine
+	created, reused atomic.Int64
+}
+
+// acquire pops an idle engine or builds a fresh one.
+func (p *enginePool) acquire() (*pooledEngine, error) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		pe := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		p.reused.Add(1)
 		return pe, nil
 	}
-	s.poolMu.Unlock()
-	// Sample the epoch before building: an engine whose build races a
-	// BumpRegistry is conservatively treated as stale and dropped at
+	p.mu.Unlock()
+	// Sample the epoch before building: an engine whose build races an
+	// epoch move is conservatively treated as stale and dropped at
 	// release (its cache entries detach on their own — see
-	// regioncache.EntryAt).
-	epoch := s.epoch.Load()
-	m, err := s.cfg.factory(s.cache)
+	// regioncache.Cache.Open).
+	epoch := p.srv.epoch.Load()
+	m, err := p.factory(p.srv.cache)
 	if err != nil {
 		return nil, err
 	}
 	pe := &pooledEngine{med: m, epoch: epoch}
-	if s.cfg.Trace {
+	if p.newRec != nil {
 		// One recorder per engine: spans accumulate until the owning
-		// session's next trace command, and every finished span feeds
-		// the server's per-operator histograms and the slow-navigation
-		// flight ring.
-		pe.rec = s.newRecorder()
+		// session's next trace command.
+		pe.rec = p.newRec()
 		m.SetTracer(pe.rec)
 	}
-	s.poolCreated.Add(1)
+	p.created.Add(1)
 	return pe, nil
 }
 
-// releaseEngine returns an engine to the pool (or drops it when pooling
-// is off). Spans the departing session never fetched are discarded so
-// the next session starts with a clean trace.
-func (s *Server) releaseEngine(pe *pooledEngine) {
+// release parks an engine for reuse, or drops it when the pool does not
+// keep engines or the server epoch moved past it. Spans its user never
+// fetched are discarded so the next one starts with a clean trace.
+func (p *enginePool) release(pe *pooledEngine) {
 	if pe == nil {
 		return
 	}
 	pe.rec.Take()
-	if !s.cfg.EnginePool || pe.epoch != s.epoch.Load() {
+	if !p.keep || pe.epoch != p.srv.epoch.Load() {
 		return
 	}
-	s.poolMu.Lock()
-	s.pool = append(s.pool, pe)
-	s.poolMu.Unlock()
+	p.mu.Lock()
+	p.idle = append(p.idle, pe)
+	p.mu.Unlock()
+}
+
+// flush drops every idle engine.
+func (p *enginePool) flush() {
+	p.mu.Lock()
+	p.idle = nil
+	p.mu.Unlock()
 }
 
 // BumpRegistry declares that the data behind the factory's sources
 // changed: it invalidates the shared region cache (sessions opened
 // afterwards re-derive and re-publish under a fresh generation) and
-// flushes the engine pool (so their engines are rebuilt by the factory
-// against the new data). Live sessions keep their current engines and
-// their now-detached cache entries — they stay self-consistent, never
-// mixing old and new data, until they reopen.
+// moves the server epoch (see moveEpoch). Live sessions keep their
+// current engines and their now-detached cache entries — they stay
+// self-consistent, never mixing old and new data, until they reopen.
 // Under -cluster the new generation is broadcast to every peer, so
 // region keys keep lining up fleet-wide: peers that are down converge
 // later via the health loop's generation-skew re-broadcast.
 func (s *Server) BumpRegistry() {
-	s.epoch.Add(1)
 	var gen uint64
 	if s.cache != nil {
 		gen = s.cache.Invalidate()
 	}
-	s.poolMu.Lock()
-	s.pool = nil
-	s.poolMu.Unlock()
-	if s.prefetch != nil {
-		// Speculation about the old world stops instantly: running drains
-		// are cancelled, the spec engine pool is flushed, and successor
-		// tables keyed to dead generations are dropped.
-		s.prefetch.epochMoved()
-	}
-	if s.cluster != nil && s.cache != nil {
+	s.moveEpoch()
+	if s.cluster != nil {
 		s.cluster.BroadcastInvalidate(gen)
+	}
+}
+
+// moveEpoch retires everything built against the old sources once the
+// cache generation has moved — by BumpRegistry here, or by a peer's
+// broadcast (handleInvalidate). It bumps the server epoch, so engines
+// checked out now are dropped at release; flushes both engine pools, so
+// the factories rebuild against the new data; and stops speculation
+// about the old world: running drains are cancelled and successor
+// tables keyed to dead generations are evicted.
+func (s *Server) moveEpoch() {
+	s.epoch.Add(1)
+	s.pool.flush()
+	if p := s.prefetch; p != nil {
+		p.cancelAll()
+		p.pool.flush()
+		p.model.EvictBelow(s.cache.Generation())
 	}
 }
 
@@ -495,7 +527,7 @@ func (s *Server) dropSession(sess *session) {
 		"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
 		"uptime", time.Since(sess.born).Round(time.Millisecond).String())
 	sess.closeProxy()
-	s.releaseEngine(sess.eng)
+	s.pool.release(sess.eng)
 	sess.eng = nil
 }
 
@@ -597,13 +629,13 @@ func (s *Server) Stats() vxdp.Stats {
 		st.Prefetch = s.prefetch.stats()
 	}
 	if s.cfg.EnginePool {
-		s.poolMu.Lock()
-		idle := int64(len(s.pool))
-		s.poolMu.Unlock()
+		s.pool.mu.Lock()
+		idle := int64(len(s.pool.idle))
+		s.pool.mu.Unlock()
 		st.Pool = &vxdp.PoolStats{
 			Idle:    idle,
-			Created: s.poolCreated.Load(),
-			Reused:  s.poolReused.Load(),
+			Created: s.pool.created.Load(),
+			Reused:  s.pool.reused.Load(),
 		}
 	}
 	if s.cluster != nil {

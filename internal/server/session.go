@@ -308,7 +308,7 @@ func (s *session) ensureEngine() error {
 	if s.eng != nil {
 		return nil
 	}
-	pe, err := s.srv.acquireEngine()
+	pe, err := s.srv.pool.acquire()
 	if err != nil {
 		return fmt.Errorf("creating session mediator: %v", err)
 	}
@@ -339,7 +339,7 @@ func (s *session) installView(res *mediator.Result, query string) {
 	if s.srv.prefetch != nil {
 		if k := res.RegionKey(); k.Name != "" {
 			s.geo = map[uint64]nodePos{}
-			s.viewKey = predict.Key{Generation: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+			s.viewKey = k
 			s.viewQuery = query
 		}
 	}

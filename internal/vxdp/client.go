@@ -319,18 +319,6 @@ func (c *Client) RegionGet(key RegionKey) (*regioncache.Region, error) {
 	return resp.Tree, nil
 }
 
-// RegionGetComplete is the semantic form of RegionGet: it returns the
-// server's region under key only when that region is *fully explored*
-// (nil otherwise). The caller intends to answer a subsumed query from
-// it, which is sound only without unexplored holes.
-func (c *Client) RegionGetComplete(key RegionKey) (*regioncache.Region, error) {
-	resp, err := c.roundTrip(Request{Cmd: Cmd{Op: OpRegionGet}, Region: &key, Semantic: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tree, nil
-}
-
 // RegionPut merges an explored region into the server's cache under
 // key. The server ignores puts for generations it has moved past.
 func (c *Client) RegionPut(key RegionKey, tree *regioncache.Region) error {

@@ -31,7 +31,7 @@ import (
 // renders: nothing set beyond op, id, label and self.
 func navRequest(req *Request) bool {
 	return req.Ref == nil && req.Query == "" && len(req.Cmds) == 0 && req.Region == nil &&
-		req.Tree == nil && !req.Semantic && req.Gen == 0 && req.Hint == nil && !req.Proxied &&
+		req.Tree == nil && req.Gen == 0 && req.Hint == nil && !req.Proxied &&
 		req.TraceCtx == nil
 }
 

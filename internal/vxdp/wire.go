@@ -143,6 +143,16 @@ type RegionKey struct {
 	Fingerprint string `json:"fp"`
 }
 
+// WireKey renders a region-cache key for the wire.
+func WireKey(k regioncache.Key) RegionKey {
+	return RegionKey{Gen: k.Generation, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+}
+
+// CacheKey converts the wire key back to the region-cache key it names.
+func (k RegionKey) CacheKey() regioncache.Key {
+	return regioncache.Key{Generation: k.Gen, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
+}
+
 // PrefetchHint is the prefetch_hint payload: everything a peer needs to
 // warm one predicted region of a view it owns. Query lets the receiver
 // compile the view itself (hints never carry node handles — they are
@@ -165,11 +175,6 @@ type Request struct {
 	// payload (the asker's explored region, merged into the owner's L1).
 	Region *RegionKey          `json:"region,omitempty"`
 	Tree   *regioncache.Region `json:"tree,omitempty"`
-	// Semantic, on a region_get, asks only for *fully explored* regions:
-	// the asker wants to answer a subsumed query from the region, which
-	// is sound only when no part of it is still unexplored. A partial
-	// region is a miss under this form.
-	Semantic bool `json:"semantic,omitempty"`
 	// Gen is the target generation of an invalidate broadcast.
 	Gen uint64 `json:"gen,omitempty"`
 	// Hint carries a prefetch_hint: advisory, fire-and-forget.
@@ -296,17 +301,18 @@ type ClusterStats struct {
 	Proxied    int64  `json:"proxied"`     // commands forwarded to an owner
 	Redirected int64  `json:"redirected"`  // opens answered with a redirect
 	Degraded   int64  `json:"degraded"`    // opens served locally because the owner was down
-	L2Hits     int64  `json:"l2_hits"`     // entry fills answered by a peer
+	L2Hits     int64  `json:"l2_hits"`     // peer fetches answered with a region, complete or not
 	L2Misses   int64  `json:"l2_misses"`   // peer fetches that found nothing
 	L2Serves   int64  `json:"l2_serves"`   // region_get requests answered with a region
 	L2Fills    int64  `json:"l2_fills"`    // region_put regions merged from peers
 	InvalSent  int64  `json:"inval_sent"`  // invalidation broadcasts fanned out
 	InvalRecv  int64  `json:"inval_recv"`  // invalidation broadcasts applied
 	// SemanticLocal counts routed opens served on this node without
-	// proxy or redirect because a subsumed complete region answered the
-	// query outright (possibly after a semantic region_get to the
-	// superset's owner).
-	SemanticLocal int64 `json:"semantic_local"` // opens short-circuited by the semantic tier
+	// proxy or redirect because the query's entry was fully explored
+	// once resolved (mediator.Result.SemanticWarm): by an exact L2 fill
+	// from the owner as well as by a subsuming region. It is not a count
+	// of semantic hits — CacheStats.SemanticHits is.
+	SemanticLocal int64 `json:"semantic_local"` // routed opens served locally from a complete entry
 	// Routes breaks down session-routing latency by decision mode
 	// (proxy / redirect / local), mirroring the
 	// mix_cluster_route_duration_seconds histograms.
