@@ -168,6 +168,25 @@ func TestCondEval(t *testing.T) {
 	}
 }
 
+// TestCmpLiteralNoAllocs pins that a literal operand is compared as its
+// atom: evaluating against a constant builds no tree.
+func TestCmpLiteralNoAllocs(t *testing.T) {
+	b := mapBinding{"P": xmltree.Leaf("9.5"), "Z": xmltree.Text("zip", "91220")}
+	conds := []Cond{
+		Eq(V("Z"), Lit("91220")),
+		&Cmp{Op: OpLt, L: V("P"), R: Lit("10")},
+		&Cmp{Op: OpNeq, L: Lit("a"), R: Lit("b")},
+	}
+	for _, c := range conds {
+		if ok, err := c.Eval(b); !ok || err != nil {
+			t.Fatalf("%s = %v, %v; want true", c, ok, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Eval(b) }); n != 0 {
+			t.Errorf("%s: %.1f allocs per Eval, want 0", c, n)
+		}
+	}
+}
+
 func TestCondStructuralEquality(t *testing.T) {
 	b := mapBinding{
 		"A": xmltree.Elem("home", xmltree.Text("zip", "1")),

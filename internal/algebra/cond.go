@@ -59,23 +59,32 @@ func (o Operand) String() string {
 	return strconv.Quote(o.Lit)
 }
 
-func (o Operand) value(b ValueGetter) (*xmltree.Tree, error) {
-	if o.Var != "" {
-		return b.Value(o.Var)
+// value evaluates o against b. A literal is always a leaf, so it is
+// compared through its Lit directly and never built into a tree.
+func (o Operand) value(b ValueGetter) (side, error) {
+	if o.Var == "" {
+		return side{lit: o.Lit}, nil
 	}
-	return xmltree.Leaf(o.Lit), nil
+	t, err := b.Value(o.Var)
+	return side{tree: t}, err
 }
 
-// atom reduces a bound value to a comparable string: a leaf's label, or
-// the text content for elements (so zip[91220] compares as "91220").
-func atom(t *xmltree.Tree) string {
-	if t == nil {
-		return ""
+// side is one evaluated comparison operand: a variable's value tree, or
+// (tree nil) a literal leaf whose atom is lit.
+type side struct {
+	tree *xmltree.Tree
+	lit  string
+}
+
+func (s side) isLeaf() bool { return s.tree == nil || s.tree.IsLeaf() }
+
+// atom reduces the side to a comparable string: a leaf's label, or the
+// text content for elements (so zip[91220] compares as "91220").
+func (s side) atom() string {
+	if s.tree == nil {
+		return s.lit
 	}
-	if t.IsLeaf() {
-		return t.Label
-	}
-	return t.TextContent()
+	return s.tree.TextContent()
 }
 
 // Compare orders two atomic values numerically when both parse as
@@ -137,17 +146,17 @@ func (c *Cmp) Eval(b ValueGetter) (bool, error) {
 		// Structural equality when both sides are elements; atomic
 		// comparison otherwise (covers zip[91220] = "91220").
 		var eq bool
-		if !lv.IsLeaf() && !rv.IsLeaf() {
-			eq = xmltree.Equal(lv, rv)
+		if !lv.isLeaf() && !rv.isLeaf() {
+			eq = xmltree.Equal(lv.tree, rv.tree)
 		} else {
-			eq = atom(lv) == atom(rv)
+			eq = lv.atom() == rv.atom()
 		}
 		if c.Op == OpEq {
 			return eq, nil
 		}
 		return !eq, nil
 	}
-	cmp := compare(atom(lv), atom(rv))
+	cmp := compare(lv.atom(), rv.atom())
 	switch c.Op {
 	case OpLt:
 		return cmp < 0, nil

@@ -1,0 +1,52 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"mix/internal/nav"
+	"mix/internal/xmltree"
+)
+
+// TestMaterializeLeafAllocs pins the cost of the commonest
+// materialization — a one-node value such as $V1 in "$H zip._ $V1",
+// compared by a join or σ condition: at most one allocation of at most
+// 128 bytes, and exactly the f and d commands the value needs.
+func TestMaterializeLeafAllocs(t *testing.T) {
+	src := xmltree.Elem("home", xmltree.Text("zip", "91220"))
+	cd := nav.NewCountingDoc(nav.NewTreeDoc(src))
+	root, _ := cd.Doc.Root()
+	zip, _ := cd.Doc.Down(root)
+	leaf, _ := cd.Doc.Down(zip)
+	v := Node(&srcPos{doc: cd, id: leaf})
+
+	got, err := MaterializeNode(v)
+	if err != nil || !xmltree.Equal(got, xmltree.Leaf("91220")) {
+		t.Fatalf("MaterializeNode = %v, %v; want leaf 91220", got, err)
+	}
+
+	const runs = 1000
+	cd.Counters.Reset()
+	var sink *xmltree.Tree
+	allocs := testing.AllocsPerRun(runs, func() { sink, _ = MaterializeNode(v) })
+	if allocs > 1 {
+		t.Errorf("materializing a leaf: %.2f allocs, want <= 1", allocs)
+	}
+	// AllocsPerRun makes one warm-up call on top of the measured runs.
+	s := cd.Counters.Snapshot()
+	if s.Fetch != runs+1 || s.Down != runs+1 || s.Right != 0 {
+		t.Errorf("navigation per leaf: f=%d d=%d r=%d over %d runs, want one f and one d each",
+			s.Fetch, s.Down, s.Right, runs+1)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink, _ = MaterializeNode(v)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 128 {
+		t.Errorf("materializing a leaf: %d B per call, want <= 128", per)
+	}
+	_ = sink
+}

@@ -901,7 +901,7 @@ func descendCursor(in bcursor, parent, out string, dfa *pathexpr.DFA) *expandBCu
 		if err != nil {
 			return nil, err
 		}
-		return dfaMatchList{dfa: dfa, siblings: childrenOf(pv), state: dfa.Start()}, nil
+		return newDFAMatchList(dfa, pv), nil
 	}}
 }
 
@@ -911,7 +911,7 @@ func descendCursor(in bcursor, parent, out string, dfa *pathexpr.DFA) *expandBCu
 func fusedScanList(pv Node, label string) list {
 	sb, ok := asSourceBacked(pv)
 	if !ok {
-		return labelFilterList{l: childrenOf(pv), label: label}
+		return labelFilterList{l: pv.Children(), label: label}
 	}
 	doc, id := sb.source()
 	// Probe the select capability once per scan (it is invariant over
@@ -935,7 +935,7 @@ func sortBindings(all []*binding, keys []string) ([]*binding, error) {
 			if err != nil {
 				return nil, err
 			}
-			ks[j] = valueAtom(t)
+			ks[j] = t.TextContent()
 		}
 		rows[i] = keyed{b: b, k: ks}
 	}

@@ -10,6 +10,7 @@ import (
 	"mix/internal/algebra"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
+	"mix/internal/regioncache"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
@@ -128,39 +129,73 @@ func batchPlans() map[string]func() algebra.Op {
 }
 
 // TestEveryConfigurationMatchesEager runs every operator class under
-// every paper-cache combination, with and without select(σ) in NC, at
-// widths that straddle, divide and dwarf the stream lengths. With one
-// pipeline there is no second engine to compare against, so the
-// references are external: the materialized answer must equal
-// internal/eager's, and the per-source navigation counts at every width
-// must equal those at width 1 under the same caches — the width
-// reorders work, never adds any.
+// every combination of the paper caches, select(σ) in NC, parallel join
+// derivation and the semantic region cache, at widths that straddle,
+// divide and dwarf the stream lengths. With one pipeline there is no
+// second engine to compare against, so the references are external:
+// the materialized answer must equal internal/eager's, and the
+// per-source navigation counts at every width must equal those at
+// width 1 under the same configuration — the width reorders work, never
+// adds any. With SemanticCache the query is named and answered through
+// a fresh region cache: the cold drain fills it, and a second query of
+// the same plan must then be answered from it identically — with zero
+// source navigations when the plan has a canonical cache identity.
 func TestEveryConfigurationMatchesEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	run := func(t *testing.T, plan algebra.Op, o Options) (string, string) {
-		e, counters := engineWith(o, srcs)
-		q := mustCompile(t, e, plan)
-		answer := xmltree.MarshalXML(mustMaterialize(t, q))
+	navsOf := func(counters map[string]*nav.CountingDoc) string {
 		var navs []string
 		for _, name := range []string{"homesSrc", "schoolsSrc"} {
 			c := counters[name].Counters.Snapshot()
 			navs = append(navs, fmt.Sprintf("%s d=%d r=%d f=%d sel=%d root=%d",
 				name, c.Down, c.Right, c.Fetch, c.Select, c.Root))
 		}
-		return answer, strings.Join(navs, "; ")
+		return strings.Join(navs, "; ")
+	}
+	run := func(t *testing.T, mk func() algebra.Op, o Options) (string, string) {
+		e, counters := engineWith(o, srcs)
+		var cache *regioncache.Cache
+		if o.SemanticCache {
+			cache = regioncache.New(0)
+			e.SetRegionCache(cache)
+		}
+		q := mustCompile(t, e, mk())
+		if cache != nil {
+			q.SetCacheName("v")
+		}
+		answer := xmltree.MarshalXML(mustMaterialize(t, q))
+		navs := navsOf(counters)
+		if cache != nil {
+			before := sumNavs(counters)
+			again := mustCompile(t, e, mk())
+			again.SetCacheName("v")
+			if warm := xmltree.MarshalXML(mustMaterialize(t, again)); warm != answer {
+				t.Fatalf("%+v: cached answer differs from the cold one:\n%s\nvs\n%s", o, warm, answer)
+			}
+			// A plan without a canonical form (maskedCond) gets an opaque,
+			// per-compile cache identity, so its second query is cold.
+			_, _, canonical := regioncache.Canonical(mk())
+			if n := sumNavs(counters) - before; canonical && n != 0 {
+				t.Fatalf("%+v: cached answer cost %d source navigations, want 0", o, n)
+			}
+		}
+		return answer, navs
 	}
 	for name, mk := range batchPlans() {
 		t.Run(name, func(t *testing.T) {
 			want := eagerAnswer(t, mk(), srcs)
 			o := DefaultOptions()
-			for mask := 0; mask < 16; mask++ {
+			for mask := 0; mask < 64; mask++ {
 				o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
 				o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
+				o.Parallel, o.SemanticCache = mask&16 != 0, mask&32 != 0
+				if o.Parallel && !o.JoinCache {
+					continue // Parallel requires JoinCache: same run as without
+				}
 				var wantNavs string
 				for _, width := range []int{1, 3, 64} {
 					o.BatchSize = width
-					answer, navs := run(t, mk(), o)
+					answer, navs := run(t, mk, o)
 					if answer != want {
 						t.Fatalf("%+v: answer differs from eager:\n%s\nvs\n%s", o, answer, want)
 					}

@@ -67,6 +67,28 @@ func BenchmarkFullMaterialize(b *testing.B) {
 	}
 }
 
+// BenchmarkColdJoinGroupBy: the med-home join + groupBy plan compiled
+// and drained once per iteration over fresh sources — the cold operator
+// path whose allocations (materialized join keys, source sibling steps,
+// binding links, descent frames) the -benchmem columns pin.
+func BenchmarkColdJoinGroupBy(b *testing.B) {
+	homes, schools := workload.HomesSchools(400, 200, 200, 42)
+	plan := workload.HomesSchoolsPlan()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New(DefaultOptions())
+		e.Register("homesSrc", nav.NewTreeDoc(homes))
+		e.Register("schoolsSrc", nav.NewTreeDoc(schools))
+		q, err := e.Compile(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := q.Materialize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFullMaterializeTraced: the same evaluation with a recorder
 // installed — the price of observability when it is switched on.
 func BenchmarkFullMaterializeTraced(b *testing.B) {

@@ -22,25 +22,24 @@ type binding struct {
 	kind   bindKind
 	parent *binding
 
-	// bindLink
+	// bindLink: the bound variable, its lazy value and the memoized
+	// materialization of that value.
 	name string
 	val  Node
-	tree *xmltree.Tree // memoized materialization of val
+	tree *xmltree.Tree
+
+	// mergeLink: the right-hand binding.
+	co *binding
+
+	// projectLink, renameLink: the operator's constant, shared by every
+	// link the operator creates.
+	op *linkOp
 
 	// keys memoizes key() results on the binding a stream element
 	// hands out, so the repeated group/member scans of groupBy
 	// (Appendix A's nextgb/next) pay for key construction once per
 	// binding rather than once per scan.
-	keys map[string]string
-
-	// mergeLink
-	co *binding
-
-	// projectLink
-	keep []string
-
-	// renameLink
-	from, to string
+	keys keyMemo
 }
 
 type bindKind uint8
@@ -53,6 +52,41 @@ const (
 	renameLink
 )
 
+// linkOp is the compile-time constant of a project (keep) or rename
+// (from → to) operator. Holding it by pointer keeps every link — the
+// bindLinks most of all — free of fields only the rarer kinds need.
+type linkOp struct {
+	keep     []string
+	from, to string
+}
+
+// keyMemo memoizes operator keys by their joined variable list ck: one
+// inline slot (a binding is almost always keyed under one list) and a
+// chain of overflow slots for the rest. An empty key marks a free slot.
+type keyMemo struct {
+	ck, key string
+	more    *keyMemo
+}
+
+func (m *keyMemo) get(ck string) (string, bool) {
+	for ; m != nil; m = m.more {
+		if m.key != "" && m.ck == ck {
+			return m.key, true
+		}
+	}
+	return "", false
+}
+
+func (m *keyMemo) put(ck, key string) {
+	switch {
+	case key == "": // nothing to remember (no variables)
+	case m.key == "":
+		m.ck, m.key = ck, key
+	default:
+		m.more = &keyMemo{ck: ck, key: key, more: m.more}
+	}
+}
+
 var emptyBinding = &binding{kind: rootLink}
 
 func newBinding() *binding { return emptyBinding }
@@ -62,17 +96,14 @@ func (b *binding) with(name string, v Node) *binding {
 	return &binding{kind: bindLink, parent: b, name: name, val: v}
 }
 
-// project restricts b to the given variables.
-func (b *binding) project(keep []string) *binding {
-	return &binding{kind: projectLink, parent: b, keep: keep}
+// project restricts b to the variables op keeps.
+func (b *binding) project(op *linkOp) *binding {
+	return &binding{kind: projectLink, parent: b, op: op}
 }
 
-// rename renames variable from to to.
-func (b *binding) rename(from, to string) *binding {
-	if from == to {
-		return b
-	}
-	return &binding{kind: renameLink, parent: b, from: from, to: to}
+// rename renames variable op.from to op.to (op.from != op.to).
+func (b *binding) rename(op *linkOp) *binding {
+	return &binding{kind: renameLink, parent: b, op: op}
 }
 
 // merge concatenates two bindings with disjoint variables.
@@ -95,16 +126,16 @@ func (b *binding) lookup(name string) *binding {
 			}
 			cur = cur.co
 		case projectLink:
-			if !containsVar(cur.keep, name) {
+			if !containsVar(cur.op.keep, name) {
 				return nil
 			}
 			cur = cur.parent
 		case renameLink:
-			if name == cur.from {
+			if name == cur.op.from {
 				return nil // hidden by the rename
 			}
-			if name == cur.to {
-				name = cur.from
+			if name == cur.op.to {
+				name = cur.op.from
 			}
 			cur = cur.parent
 		default: // rootLink

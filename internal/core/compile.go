@@ -370,12 +370,15 @@ func constKernel(op *algebra.Const) func(*binding) (*binding, error) {
 }
 
 func renameKernel(op *algebra.Rename) func(*binding) (*binding, error) {
-	from, to := op.From, op.To
+	ren := &linkOp{from: op.From, to: op.To}
 	return func(b *binding) (*binding, error) {
-		if _, err := b.node(from); err != nil {
+		if _, err := b.node(ren.from); err != nil {
 			return nil, err
 		}
-		return b.rename(from, to), nil
+		if ren.from == ren.to {
+			return b, nil
+		}
+		return b.rename(ren), nil
 	}
 }
 
@@ -405,7 +408,7 @@ func createElementKernel(op *algebra.CreateElement) func(*binding) (*binding, er
 		// "c1 … cn are the subtrees of bin.ch": the new element
 		// receives the *children* of the bound value (for a
 		// list[…] value these are the listed items).
-		kids := childrenOf(cv)
+		kids := cv.Children()
 		var el Node
 		if spec.Var == "" {
 			el = NewElem(spec.Const, kids)
@@ -431,52 +434,66 @@ func createElementKernel(op *algebra.CreateElement) func(*binding) (*binding, er
 
 func projectKernel(op *algebra.Project) func(*binding) (*binding, error) {
 	keep := op.Keep
+	proj := &linkOp{keep: keep}
 	return func(b *binding) (*binding, error) {
 		for _, v := range keep {
 			if _, err := b.node(v); err != nil {
 				return nil, err
 			}
 		}
-		return b.project(keep), nil
+		return b.project(proj), nil
 	}
 }
 
-// dfaMatchList lazily enumerates, in document order, the descendants
-// reachable through paths the lazy DFA accepts. state is the DFA state
-// before consuming each sibling's label (each transition a memoized map
-// hit); subtrees whose state cannot reach acceptance are pruned without
-// exploration.
-type dfaMatchList struct {
-	dfa      *pathexpr.DFA
-	siblings list
-	state    int
+// dfaFrame lazily enumerates, in document order, the descendants
+// reachable through paths the lazy DFA accepts. A frame is one level of
+// a persistent descent: sibs are the siblings still to visit at this
+// level, state the DFA state before each of their labels (each
+// transition a memoized map hit), and once sibs run out the enclosing
+// level resumes at its siblings resume under frame up. Subtrees whose
+// state cannot reach acceptance are pruned without exploration; every
+// alive sibling costs exactly one allocation, the frame of its children.
+type dfaFrame struct {
+	dfa    *pathexpr.DFA
+	up     *dfaFrame
+	state  int
+	sibs   list
+	resume list // up's siblings after the one this frame descends from
 }
 
-func (p dfaMatchList) next() (Node, list, error) {
-	sibs := p.siblings
+func newDFAMatchList(dfa *pathexpr.DFA, parent Node) *dfaFrame {
+	return &dfaFrame{dfa: dfa, state: dfa.Start(), sibs: parent.Children()}
+}
+
+func (f *dfaFrame) next() (Node, list, error) {
+	dfa := f.dfa
+	sibs := f.sibs
 	for {
 		c, rest, err := sibs.next()
 		if err != nil {
 			return nil, nil, err
 		}
 		if c == nil {
-			return nil, nil, nil
+			if f.up == nil {
+				return nil, nil, nil
+			}
+			sibs, f = f.resume, f.up
+			continue
 		}
 		label, err := c.Label()
 		if err != nil {
 			return nil, nil, err
 		}
-		st2 := p.dfa.Step(p.state, label)
-		if p.dfa.Alive(st2) {
-			inner := dfaMatchList{dfa: p.dfa, siblings: childrenOf(c), state: st2}
-			var own list = inner
-			if p.dfa.Accepting(st2) {
-				own = consList{head: c, tail: inner}
-			}
-			cont := dfaMatchList{dfa: p.dfa, siblings: rest, state: p.state}
-			return concatList{a: own, b: cont}.next()
+		st2 := dfa.Step(f.state, label)
+		if !dfa.Alive(st2) {
+			sibs = rest
+			continue
 		}
-		sibs = rest
+		f = &dfaFrame{dfa: dfa, up: f, state: st2, sibs: c.Children(), resume: rest}
+		if dfa.Accepting(st2) {
+			return c, f, nil
+		}
+		sibs = f.sibs
 	}
 }
 
@@ -519,7 +536,7 @@ func (s selectScanList) next() (Node, list, error) {
 	if cur == nil {
 		return nil, nil, nil
 	}
-	return srcNode{doc: s.doc, id: cur},
+	return &srcPos{doc: s.doc, id: cur},
 		selectScanList{doc: s.doc, sel: s.sel, parent: cur, label: s.label, started: true}, nil
 }
 
@@ -553,8 +570,6 @@ type sourceBacked interface {
 	source() (nav.Document, nav.ID)
 }
 
-func (s srcNode) source() (nav.Document, nav.ID) { return s.doc, s.id }
-
 func asSourceBacked(v Node) (sourceBacked, bool) {
 	for {
 		if sb, ok := v.(sourceBacked); ok {
@@ -570,19 +585,4 @@ func asSourceBacked(v Node) (sourceBacked, bool) {
 		}
 		v = inner
 	}
-}
-
-func valueAtom(t *xmltree.Tree) string {
-	if t == nil {
-		return ""
-	}
-	if t.IsLeaf() {
-		return t.Label
-	}
-	// Single-leaf element (the Text("zip","92093") shape): the text
-	// content is exactly the leaf's label — skip the builder.
-	if len(t.Children) == 1 && t.Children[0].IsLeaf() {
-		return t.Children[0].Label
-	}
-	return t.TextContent()
 }

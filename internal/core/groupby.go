@@ -28,6 +28,7 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 	}
 	by, varName, out := op.By, op.Var, op.Out
 	ks, cache := c.ks, c.e.opts.GroupCache
+	ck, proj := strings.Join(by, "\x01"), &linkOp{keep: by}
 	return func() (bcursor, error) {
 		if len(by) == 0 {
 			// Grouping by {} yields exactly one output binding — even for
@@ -44,7 +45,7 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
 			return &sliceBCursor{buf: []*binding{b}}, nil
 		}
-		g := &groupsBCursor{ks: ks, by: by, ck: strings.Join(by, "\x01"),
+		g := &groupsBCursor{ks: ks, by: by, ck: ck, proj: proj,
 			varName: varName, out: out, seen: map[string]bool{}}
 		if cache {
 			g.in = &lazyLog{in: in}
@@ -99,6 +100,7 @@ type groupsBCursor struct {
 	ks      *keyspace
 	by      []string
 	ck      string
+	proj    *linkOp // projects a group head onto by
 	varName string
 	out     string
 	seen    map[string]bool
@@ -163,7 +165,7 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 				by: g.by, key: k, ck: g.ck, varName: g.varName}
 		}
 		g.obuf = append(g.obuf,
-			b.project(g.by).with(g.out, NewElem(xmltree.ListLabel, values)))
+			b.project(g.proj).with(g.out, NewElem(xmltree.ListLabel, values)))
 	}
 	if len(g.obuf) > 0 {
 		return g.obuf, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"mix/internal/xmltree"
@@ -55,7 +56,8 @@ func newKeyspace() *keyspace { return &keyspace{reps: map[string][][]*xmltree.Tr
 // resolve returns the collision slot of the tuple under key: 0 for the
 // first tuple observed with this fingerprint key (the overwhelmingly
 // common case), i > 0 for the i-th structurally distinct tuple that
-// collided with it. Equal tuples always resolve to the same slot.
+// collided with it. Equal tuples always resolve to the same slot. The
+// tuple is copied when stored, so callers may pass scratch storage.
 func (ks *keyspace) resolve(key string, tuple []*xmltree.Tree) int {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
@@ -65,7 +67,7 @@ func (ks *keyspace) resolve(key string, tuple []*xmltree.Tree) int {
 			return i
 		}
 	}
-	ks.reps[key] = append(reps, tuple)
+	ks.reps[key] = append(reps, slices.Clone(tuple))
 	return len(reps)
 }
 
@@ -94,23 +96,31 @@ var (
 // vars: the concatenated per-value fingerprints, plus a collision-slot
 // suffix when the keyspace has seen a different tuple under the same
 // fingerprints. Materialized trees are memoized on the binding links.
+// Up to fpKeyVars variables the tuple and key bytes live on the stack.
 func (b *binding) fpKey(ks *keyspace, vars []string) (string, error) {
-	raw := make([]byte, 0, len(vars)*16)
-	tuple := make([]*xmltree.Tree, len(vars))
-	for i, v := range vars {
+	var tupleBuf [fpKeyVars]*xmltree.Tree
+	var rawBuf [fpKeyVars*16 + 1 + binary.MaxVarintLen64]byte
+	tuple, raw := tupleBuf[:0], rawBuf[:0]
+	for _, v := range vars {
 		t, err := b.Value(v)
 		if err != nil {
 			return "", err
 		}
-		tuple[i] = t
+		tuple = append(tuple, t)
 		raw = treeFP(t).AppendKey(raw)
 	}
-	if slot := ks.resolve(string(raw), tuple); slot > 0 {
+	key := string(raw)
+	if slot := ks.resolve(key, tuple); slot > 0 {
 		raw = append(raw, 0xff)
 		raw = binary.AppendUvarint(raw, uint64(slot))
+		key = string(raw)
 	}
-	return string(raw), nil
+	return key, nil
 }
+
+// fpKeyVars is the variable count up to which fpKey needs no heap
+// scratch.
+const fpKeyVars = 4
 
 // key returns the operator key for the values of vars — the map key
 // distinct/groupBy/difference deduplicate on — memoized per binding
@@ -118,17 +128,14 @@ func (b *binding) fpKey(ks *keyspace, vars []string) (string, error) {
 // the repeated group/member scans of groupBy pay for key construction
 // once.
 func (b *binding) key(ck string, ks *keyspace, vars []string) (string, error) {
-	if k, ok := b.keys[ck]; ok {
+	if k, ok := b.keys.get(ck); ok {
 		return k, nil
 	}
 	k, err := b.fpKey(ks, vars)
 	if err != nil {
 		return "", err
 	}
-	if b.keys == nil {
-		b.keys = map[string]string{}
-	}
-	b.keys[ck] = k
+	b.keys.put(ck, k)
 	return k, nil
 }
 

@@ -140,26 +140,45 @@ func (c concatList) next() (Node, list, error) {
 
 // --- source-backed nodes ----------------------------------------------------
 
-// srcNode is a Node backed by a node of a wrapped source document. Its
-// children are the source node's children, navigated on demand.
-type srcNode struct {
+// srcPos is one immutable position in a wrapped source document. The
+// same pointer serves as the Node for that source node (its children
+// are the source node's children, navigated on demand) and, converted
+// to *srcAfter or *srcKids, as the list of its right siblings or of its
+// children — pointer conversions allocate nothing, so a source sibling
+// step costs exactly one allocation: the next position.
+type srcPos struct {
 	doc nav.Document
 	id  nav.ID
 }
 
-func (s srcNode) Label() (string, error) { return s.doc.Fetch(s.id) }
+func (s *srcPos) Label() (string, error) { return s.doc.Fetch(s.id) }
 
-func (s srcNode) Children() list {
-	return thunkList(func() (Node, list, error) {
-		child, err := s.doc.Down(s.id)
-		if err != nil {
-			return nil, nil, err
-		}
-		if child == nil {
-			return nil, nil, nil
-		}
-		return srcFrom{doc: s.doc, id: child}.next()
-	})
+func (s *srcPos) Children() list { return (*srcKids)(s) }
+
+func (s *srcPos) source() (nav.Document, nav.ID) { return s.doc, s.id }
+
+// srcKids emits the children of a source position: d, then r steps.
+type srcKids srcPos
+
+func (s *srcKids) next() (Node, list, error) {
+	child, err := s.doc.Down(s.id)
+	if err != nil || child == nil {
+		return nil, nil, err
+	}
+	p := &srcPos{doc: s.doc, id: child}
+	return p, (*srcAfter)(p), nil
+}
+
+// srcAfter emits the right siblings strictly after a source position.
+type srcAfter srcPos
+
+func (s *srcAfter) next() (Node, list, error) {
+	r, err := s.doc.Right(s.id)
+	if err != nil || r == nil {
+		return nil, nil, err
+	}
+	p := &srcPos{doc: s.doc, id: r}
+	return p, (*srcAfter)(p), nil
 }
 
 // SourceRoot returns the lazy Node for the root of a source document.
@@ -174,35 +193,8 @@ func SourceRoot(doc nav.Document) Node {
 		if root == nil {
 			return nil, fmt.Errorf("core: source document has no root")
 		}
-		return srcNode{doc: doc, id: root}, nil
+		return &srcPos{doc: doc, id: root}, nil
 	}}
-}
-
-// srcFrom emits the source node id and then its right siblings.
-type srcFrom struct {
-	doc nav.Document
-	id  nav.ID
-}
-
-func (s srcFrom) next() (Node, list, error) {
-	return srcNode{doc: s.doc, id: s.id}, srcAfter(s), nil
-}
-
-// srcAfter emits the right siblings strictly after id.
-type srcAfter struct {
-	doc nav.Document
-	id  nav.ID
-}
-
-func (s srcAfter) next() (Node, list, error) {
-	r, err := s.doc.Right(s.id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r == nil {
-		return nil, nil, nil
-	}
-	return srcNode{doc: s.doc, id: r}, srcAfter{doc: s.doc, id: r}, nil
 }
 
 // --- constructed nodes ------------------------------------------------------
@@ -321,7 +313,7 @@ type materializer struct {
 }
 
 func (m *materializer) node(v Node) (*xmltree.Tree, error) {
-	if s, ok := v.(srcNode); ok {
+	if s, ok := v.(*srcPos); ok {
 		return m.src(s.doc, s.id)
 	}
 	label, err := v.Label()
@@ -378,11 +370,6 @@ func (m *materializer) src(doc nav.Document, id nav.ID) (*xmltree.Tree, error) {
 	return t, nil
 }
 
-// childrenOf returns the lazy child list of v without navigating yet.
-func childrenOf(v Node) list {
-	return deferList(func() (list, error) { return v.Children(), nil })
-}
-
 // itemsOf returns the items a value contributes to concatenate/
 // createElement: the children for a list[…] value, the value itself
 // otherwise (Section 3, concatenate/createElement definitions). The
@@ -394,7 +381,7 @@ func itemsOf(v Node) list {
 			return nil, nil, err
 		}
 		if label == xmltree.ListLabel {
-			return childrenOf(v).next()
+			return v.Children().next()
 		}
 		return singletonList(v).next()
 	})

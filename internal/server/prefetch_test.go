@@ -595,6 +595,18 @@ func TestClusterPrefetchHintWarmsOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oc.Close()
+	// Let every hint the entry sent land and finish draining first, so
+	// the Issued baseline cannot be overtaken by a late legitimate hint.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		pfQuiesce(t, owner.srv)
+		if owner.srv.Stats().Prefetch.HintsRecv >= entry.srv.Stats().Prefetch.HintsSent {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("entry's hints never all reached the owner")
+		}
+	}
+	pfQuiesce(t, owner.srv)
 	issuedBefore := owner.srv.Stats().Prefetch.Issued
 	stale := vxdp.PrefetchHint{Query: pfQuery, Region: 0, Deep: true,
 		Key: vxdp.RegionKey{Gen: 1 << 60, Name: name, Fingerprint: fp}}

@@ -220,8 +220,14 @@ func (t *Tree) FindAll(name string) []*Tree {
 // TextContent concatenates, in document order, the labels of all leaf
 // descendants of t (for a leaf, its own label).
 func (t *Tree) TextContent() string {
-	if t == nil {
+	switch {
+	case t == nil:
 		return ""
+	case t.IsLeaf():
+		return t.Label
+	case len(t.Children) == 1 && t.Children[0].IsLeaf():
+		// The Text("zip", "92093") shape: no builder needed.
+		return t.Children[0].Label
 	}
 	var b strings.Builder
 	t.appendText(&b)
