@@ -108,7 +108,6 @@ func main() {
 	cacheOff := flag.Bool("cache-off", false, "disable the cross-session region cache entirely")
 	parallelJoin := flag.Bool("parallel-join", false, "derive the two inputs of multi-source joins concurrently (trades lazy exploration for latency overlap)")
 	lxpBatch := flag.Int("lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
-	batchSize := flag.Int("batch", core.DefaultBatchSize, "width of the operator pipeline: move up to this many bindings per operator pull (1 = one binding per pull)")
 	semanticCache := flag.Bool("semantic-cache", true, "answer named queries from subsuming cached plans via containment (false = exact fingerprint matches only)")
 	prefetchOn := flag.Bool("prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
 	prefetchBudget := flag.Int64("prefetch-budget", server.DefaultPrefetchNavs, "navigation budget per speculative drain (0 = default)")
@@ -169,7 +168,6 @@ func main() {
 
 	mopts := mediator.DefaultOptions()
 	mopts.Engine.Parallel = *parallelJoin
-	mopts.Engine.BatchSize = *batchSize
 	mopts.Engine.SemanticCache = *semanticCache
 	mopts.LXPBatch = *lxpBatch
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {

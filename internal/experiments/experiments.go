@@ -1,17 +1,21 @@
 // Package experiments implements the measured experiment suite of
-// EXPERIMENTS.md: one function per experiment id (E1–E10), each
+// EXPERIMENTS.md: one function per experiment id (E1–E19), each
 // regenerating a table that tests one of the paper's claims. The paper
 // itself contains no numeric evaluation — its claims are architectural
 // and complexity-theoretic — so each experiment turns a claim into a
 // measured table whose *shape* (who wins, growth rates, crossovers) is
 // compared against the paper's prediction.
 //
-// All numbers are deterministic: workloads are seeded and the measured
-// quantities are navigation/message/byte counters, not wall-clock time.
+// Every count is deterministic: workloads are seeded and the measured
+// quantities are navigation/message/byte counters, pinned by
+// testdata/tables.golden. The few wall-clock readings (E13, E17) are
+// kept apart in Table.Timings; the project's timing numbers live in
+// bench/.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,9 +30,14 @@ type Table struct {
 	Claim string
 	// Expect is the predicted shape of the results.
 	Expect string
-	// Headers and Rows are the measured table.
+	// Headers and Rows are the measured table: counts and ratios of
+	// counts, the same on every run.
 	Headers []string
 	Rows    [][]string
+	// Timings are wall-clock rows under the same headers. They move
+	// between identical runs, so the golden leaves them out; Format and
+	// Markdown print them after the count rows.
+	Timings [][]string
 }
 
 // Format renders the table as aligned text.
@@ -38,11 +47,12 @@ func (t Table) Format() string {
 	fmt.Fprintf(&b, "claim:  %s\n", t.Claim)
 	fmt.Fprintf(&b, "expect: %s\n\n", t.Expect)
 
+	rows := slices.Concat(t.Rows, t.Timings)
 	width := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		width[i] = len(h)
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, c := range row {
 			if i < len(width) && len(c) > width[i] {
 				width[i] = len(c)
@@ -66,7 +76,7 @@ func (t Table) Format() string {
 		b.WriteString(strings.Repeat("-", w))
 	}
 	b.WriteByte('\n')
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		writeRow(row)
 	}
 	return b.String()
@@ -79,7 +89,7 @@ func (t Table) Markdown() string {
 	fmt.Fprintf(&b, "*Claim:* %s\n\n*Expected shape:* %s\n\n", t.Claim, t.Expect)
 	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
 	b.WriteString("|" + strings.Repeat(" --- |", len(t.Headers)) + "\n")
-	for _, row := range t.Rows {
+	for _, row := range slices.Concat(t.Rows, t.Timings) {
 		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
 	return b.String()
@@ -130,16 +140,6 @@ func Run(id string) (Table, error) {
 			id, strings.Join(IDs(), ", "))
 	}
 	return fn(), nil
-}
-
-// All runs every experiment in order.
-func All() []Table {
-	var out []Table
-	for _, id := range IDs() {
-		t, _ := Run(id)
-		out = append(out, t)
-	}
-	return out
 }
 
 func itoa(n int64) string { return fmt.Sprintf("%d", n) }

@@ -1,11 +1,26 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// memo runs each experiment at most once per test binary: the golden,
+// the shape tests and the ablation counts all read the same tables.
+var memo = func() map[string]func() Table {
+	m := make(map[string]func() Table, len(registry))
+	for id, fn := range registry {
+		m[id] = sync.OnceValue(fn)
+	}
+	return m
+}()
+
+// table returns the memoized table of one experiment.
+func table(id string) Table { return memo[id]() }
 
 func TestIDsAndRegistry(t *testing.T) {
 	ids := IDs()
@@ -25,6 +40,7 @@ func TestTableFormatting(t *testing.T) {
 		ID: "EX", Title: "title", Claim: "claim", Expect: "shape",
 		Headers: []string{"a", "long-header"},
 		Rows:    [][]string{{"1", "2"}, {"333", "4"}},
+		Timings: [][]string{{"t (ms)", "55555555555"}},
 	}
 	txt := tb.Format()
 	for _, want := range []string{"EX — title", "claim", "shape", "long-header", "333"} {
@@ -32,15 +48,22 @@ func TestTableFormatting(t *testing.T) {
 			t.Errorf("Format missing %q:\n%s", want, txt)
 		}
 	}
+	// Timings print after the count rows, aligned with them.
+	if !strings.HasSuffix(txt, fmt.Sprintf("%6s  %11s\n%6s  %11s\n", "333", "4", "t (ms)", "55555555555")) {
+		t.Errorf("Format: timing row missing or out of place:\n%s", txt)
+	}
 	md := tb.Markdown()
 	if !strings.Contains(md, "| a | long-header |") || !strings.Contains(md, "### EX") {
 		t.Errorf("Markdown malformed:\n%s", md)
 	}
+	if !strings.HasSuffix(md, "| 333 | 4 |\n| t (ms) | 55555555555 |\n") {
+		t.Errorf("Markdown: timing row missing or out of place:\n%s", md)
+	}
 }
 
-// The shape assertions below run the cheapest experiments and verify
-// the paper-predicted relationships hold (TestTablesGolden pins every
-// count of every table).
+// The shape assertions below read the memoized tables and verify the
+// paper-predicted relationships hold (TestTablesGolden pins every count
+// of every table).
 
 func col(t *testing.T, tb Table, row, col int) int64 {
 	t.Helper()
@@ -52,7 +75,7 @@ func col(t *testing.T, tb Table, row, col int) int64 {
 }
 
 func TestE4Shape(t *testing.T) {
-	tb := E4Granularity()
+	tb := table("E4")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -71,7 +94,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tb := E6JoinCache()
+	tb := table("E6")
 	for i := range tb.Rows {
 		with, without := col(t, tb, i, 1), col(t, tb, i, 2)
 		if without <= with {
@@ -86,7 +109,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tb := E7RecursiveCache()
+	tb := table("E7")
 	for i := range tb.Rows {
 		with, without := col(t, tb, i, 2), col(t, tb, i, 3)
 		// One descent vs. one per outer binding (20): expect ≈ 20x.
@@ -97,7 +120,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tb := E8LiberalLXP()
+	tb := table("E8")
 	for i := range tb.Rows {
 		if tb.Rows[i][3] != "yes" {
 			t.Fatalf("policy %q produced a different document", tb.Rows[i][0])
@@ -106,7 +129,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tb := E9GroupByCache()
+	tb := table("E9")
 	for i := range tb.Rows {
 		c1, c2 := col(t, tb, i, 1), col(t, tb, i, 2)
 		u1, u2 := col(t, tb, i, 3), col(t, tb, i, 4)
@@ -132,11 +155,11 @@ func TestPaperAblationCounts(t *testing.T) {
 		table Table
 		want  [][]string // the count columns, row by row
 	}{
-		{E6JoinCache(), [][]string{
+		{table("E6"), [][]string{
 			{"20", "1524", "8402"}, {"50", "3492", "47690"}, {"100", "7402", "185800"}}},
-		{E7RecursiveCache(), [][]string{
+		{table("E7"), [][]string{
 			{"50", "20", "652", "13040"}, {"200", "20", "2602", "52040"}, {"800", "20", "10402", "208040"}}},
-		{E9GroupByCache(), [][]string{
+		{table("E9"), [][]string{
 			{"30", "2090", "286", "20750", "20750"}, {"60", "4258", "654", "79378", "79378"},
 			{"120", "8552", "1348", "309992", "309992"}}},
 	} {
@@ -152,7 +175,7 @@ func TestPaperAblationCounts(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tb := E10Rewriting()
+	tb := table("E10")
 	for i := range tb.Rows {
 		sInit, sRewr := col(t, tb, i, 1), col(t, tb, i, 2)
 		jInit, jRewr := col(t, tb, i, 3), col(t, tb, i, 4)
@@ -173,7 +196,7 @@ func TestE10Shape(t *testing.T) {
 // sends exactly the fills of a demand-only scan (E11 itself panics if
 // the documents differ) while the client waits for about half of them.
 func TestE11Shape(t *testing.T) {
-	tb := E11AsyncPrefetch()
+	tb := table("E11")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d, want the three phases and the two scans", len(tb.Rows))
 	}
@@ -200,7 +223,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE13Shape(t *testing.T) {
-	tb := E13ParallelPipeline()
+	tb := table("E13")
 	byMetric := map[string][]string{}
 	for _, row := range tb.Rows {
 		byMetric[row[0]+"/"+row[1]] = row
@@ -214,7 +237,7 @@ func TestE13Shape(t *testing.T) {
 		}
 	}
 	// Batching must at least halve the round trips (the acceptance bar).
-	// Wall-clock rows are informational and not asserted.
+	// The wall-clock Timings are informational and not asserted.
 	trips := byMetric["batched fills/LXP round trips"]
 	if trips == nil {
 		t.Fatalf("missing round-trip row: %v", tb.Rows)
@@ -233,7 +256,7 @@ func TestE13Shape(t *testing.T) {
 }
 
 func TestE17Shape(t *testing.T) {
-	tb := E17BatchPipeline()
+	tb := table("E17")
 	byMetric := map[string][]string{}
 	for _, row := range tb.Rows {
 		byMetric[row[1]] = row
@@ -270,7 +293,7 @@ func TestE17Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	tb := E12RegionCache()
+	tb := table("E12")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -300,7 +323,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	tb := E15ClusterL2()
+	tb := table("E15")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -326,7 +349,7 @@ func TestE15Shape(t *testing.T) {
 }
 
 func TestE18Shape(t *testing.T) {
-	tb := E18SemanticCache()
+	tb := table("E18")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -364,7 +387,7 @@ func TestE18Shape(t *testing.T) {
 }
 
 func TestE19Shape(t *testing.T) {
-	tb := E19SpeculativePrefetch()
+	tb := table("E19")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d: %v", len(tb.Rows), tb.Rows)
 	}
@@ -415,7 +438,7 @@ func TestE19Shape(t *testing.T) {
 }
 
 func TestE16Shape(t *testing.T) {
-	tb := E16FleetTracing()
+	tb := table("E16")
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,31 +12,14 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.golden from thi
 
 const goldenPath = "testdata/tables.golden"
 
-// wallClock reports whether a row measures elapsed time: a metric named
-// with an "(ms)" unit, and the ratio derived from it in the same row.
-// These are E13's and E17's timing rows; they move between identical
-// runs, so the golden leaves them out. Every other cell of E1–E19 is a
-// count (or a ratio of counts) and stayed fixed over -count=5.
-func wallClock(row []string) bool {
-	for _, c := range row {
-		if strings.Contains(c, "(ms)") {
-			return true
-		}
-	}
-	return false
-}
-
 // renderGolden writes every table's ID, headers and count rows, one
-// cell list per line.
+// cell list per line. Timings are not part of it.
 func renderGolden(tables []Table) string {
 	var b strings.Builder
 	for _, t := range tables {
 		b.WriteString("== " + t.ID + "\n")
 		b.WriteString(strings.Join(t.Headers, " | ") + "\n")
 		for _, row := range t.Rows {
-			if wallClock(row) {
-				continue
-			}
 			b.WriteString(strings.Join(row, " | ") + "\n")
 		}
 		b.WriteByte('\n')
@@ -43,15 +27,26 @@ func renderGolden(tables []Table) string {
 	return b.String()
 }
 
-// TestTablesGolden regenerates every experiment table and diffs its
-// counts against testdata/tables.golden: a navigation, message, byte or
-// hit count that moves is a behaviour change, whatever the shape tests
-// say. Run with -update to accept a deliberate change.
+// TestTablesGolden diffs the count rows of every experiment table
+// against testdata/tables.golden: a navigation, message, byte or hit
+// count that moves is a behaviour change, whatever the shape tests say.
+// A wall-clock row among the counts fails it too. Run with -update to
+// accept a deliberate change.
 func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment tables take ~15s")
 	}
-	got := renderGolden(All())
+	var tables []Table
+	for _, id := range IDs() {
+		tb := table(id)
+		for _, row := range tb.Rows {
+			if slices.ContainsFunc(row, func(c string) bool { return strings.Contains(c, "(ms)") }) {
+				t.Fatalf("%s: wall-clock row %q belongs in Timings, not Rows", id, row)
+			}
+		}
+		tables = append(tables, tb)
+	}
+	got := renderGolden(tables)
 	if *update {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

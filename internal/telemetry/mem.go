@@ -6,9 +6,9 @@ import (
 )
 
 // MemStats is a compact allocation/GC snapshot taken from the
-// runtime/metrics interface, for mixbench -mem deltas and the mixd
-// /metrics heap gauges. All fields are cumulative since process start
-// except HeapBytes, which is instantaneous.
+// runtime/metrics interface, for the mixd /metrics heap and GC gauges.
+// All fields are cumulative since process start except HeapBytes, which
+// is instantaneous.
 type MemStats struct {
 	AllocBytes   uint64  // total bytes allocated on the heap
 	AllocObjects uint64  // total heap objects allocated
@@ -72,16 +72,4 @@ func histogramTotalNs(h *metrics.Float64Histogram) float64 {
 		total += float64(n) * mid * 1e9
 	}
 	return total
-}
-
-// Sub returns the delta m-b field by field (HeapBytes stays absolute:
-// it is a level, not a counter).
-func (m MemStats) Sub(b MemStats) MemStats {
-	return MemStats{
-		AllocBytes:   m.AllocBytes - b.AllocBytes,
-		AllocObjects: m.AllocObjects - b.AllocObjects,
-		HeapBytes:    m.HeapBytes,
-		GCCycles:     m.GCCycles - b.GCCycles,
-		GCPauseNs:    m.GCPauseNs - b.GCPauseNs,
-	}
 }
