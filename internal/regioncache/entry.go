@@ -46,9 +46,10 @@ type Entry struct {
 	key Key
 	c   *Cache
 
-	// lastUse is the cache clock at the last Open; guarded by
-	// c.mu (coarse LRU: touched per open, not per navigation).
-	lastUse int64
+	// prev and next link the entry into its class's recency list (see
+	// lru); guarded by c.mu. Coarse LRU: moved per open, not per
+	// navigation.
+	prev, next *Entry
 	// dead marks an entry evicted from the cache map; sessions holding
 	// it keep reading/writing (they stay self-consistent) but its bytes
 	// no longer count against the budget.

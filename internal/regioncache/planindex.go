@@ -1,6 +1,7 @@
 package regioncache
 
 import (
+	"slices"
 	"strings"
 
 	"mix/internal/algebra"
@@ -40,7 +41,8 @@ type planEntry struct {
 // compared structurally) and stale generations are skipped; a
 // fingerprint already present in its bucket is not re-added, and a full
 // bucket drops the newcomer rather than evicting (the exact-match fast
-// path is unaffected either way).
+// path is unaffected either way). Without a remote tier, evicting an
+// entry frees its plan's slot (forgetPlan).
 func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
 	if c == nil || canon == nil || k.Generation != c.gen.Load() {
 		return
@@ -60,6 +62,30 @@ func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
 		return
 	}
 	c.plans[b] = append(ps, planEntry{key: k, plan: canon})
+}
+
+// forgetPlan removes k's plan from the semantic index. Eviction calls it
+// on a cache with no remote tier, where a plan whose entry is gone can
+// never again supply a superset (Subsume answers only from live local
+// entries) — without it, the first plans of a long-lived generation
+// would hold their bucket's slots forever and crowd out later complete
+// supersets. Recompiling the plan indexes it again.
+func (c *Cache) forgetPlan(k Key) {
+	b := bucketKey{gen: k.Generation, registry: k.Registry, name: k.Name}
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	ps := c.plans[b]
+	for i, p := range ps {
+		if p.key.Fingerprint != k.Fingerprint {
+			continue
+		}
+		if len(ps) == 1 {
+			delete(c.plans, b)
+		} else {
+			c.plans[b] = slices.Delete(ps, i, i+1)
+		}
+		return
+	}
 }
 
 // candidates returns the indexed plans that could subsume the plan
@@ -92,7 +118,12 @@ func (c *Cache) candidates(k Key) []planEntry {
 //
 // A candidate's region counts only when complete — locally via
 // Entry.Tree, remotely via Region.Tree — so a partial superset is
-// skipped (and never absorbed) wherever it lives. Subsume reports
+// skipped (and never absorbed) wherever it lives. With no remote tier
+// the live local entry is the only place a complete superset can be, so
+// completeness is checked first and a candidate whose entry is missing
+// or partial is skipped before paying for containment; with a remote,
+// only the owner knows, so containment comes first and the one Fetch
+// after it. Either way the skip counts as incomplete. Subsume reports
 // whether it answered the query and keeps the semantic counters of
 // Stats.
 func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, *xmltree.Tree) (*xmltree.Tree, bool)) bool {
@@ -100,7 +131,14 @@ func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containm
 	if len(cands) > 0 {
 		c.semCandidates.Add(int64(len(cands)))
 	}
+	local := c.tier() == nil
 	for _, cand := range cands {
+		if local {
+			if le := c.Peek(cand.key); le == nil || !le.Complete() {
+				c.semIncompleteSkips.Add(1)
+				continue
+			}
+		}
 		ct, ok := algebra.Analyze(cand.plan, sub)
 		if !ok {
 			continue

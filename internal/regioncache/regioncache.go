@@ -49,7 +49,6 @@
 package regioncache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -117,7 +116,6 @@ type Cache struct {
 	plans  map[bucketKey][]planEntry
 
 	mu    sync.Mutex
-	clock int64
 	bytes int64 // demand-class retained bytes
 	// specBytes is the speculative ledger: bytes retained by entries a
 	// prefetch created that no demand open has touched yet. The byte
@@ -127,6 +125,53 @@ type Cache struct {
 	specBytes   int64
 	specEntries int
 	entries     map[Key]*Entry
+	// demandLRU and specLRU hold every live entry of their class, most
+	// recently opened first, so eviction picks its victim in O(1).
+	demandLRU, specLRU lru
+}
+
+// lru is an intrusive recency list of entries (Entry.prev/next), most
+// recently opened at the front. Guarded by c.mu; an entry is in its
+// class's list exactly while it is in c.entries.
+type lru struct{ front, back *Entry }
+
+func (l *lru) pushFront(e *Entry) {
+	e.prev, e.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = e
+	} else {
+		l.back = e
+	}
+	l.front = e
+}
+
+func (l *lru) remove(e *Entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// lruLocked returns the recency list of e's class. Caller holds c.mu.
+func (c *Cache) lruLocked(e *Entry) *lru {
+	if e.spec.Load() {
+		return &c.specLRU
+	}
+	return &c.demandLRU
+}
+
+// touchLocked marks e as just opened. Caller holds c.mu.
+func (c *Cache) touchLocked(e *Entry) {
+	l := c.lruLocked(e)
+	l.remove(e)
+	l.pushFront(e)
 }
 
 // New returns an empty cache. maxBytes caps the approximate retained
@@ -154,12 +199,17 @@ func (c *Cache) SetRemote(r Remote) {
 	c.remoteMu.Unlock()
 }
 
+// tier returns the installed remote tier (nil: none).
+func (c *Cache) tier() Remote {
+	c.remoteMu.RLock()
+	defer c.remoteMu.RUnlock()
+	return c.remote
+}
+
 // fetch asks the remote tier for the region under k: nil when no remote
 // is installed or the remote misses. Called outside c.mu.
 func (c *Cache) fetch(k Key) *Region {
-	c.remoteMu.RLock()
-	r := c.remote
-	c.remoteMu.RUnlock()
+	r := c.tier()
 	if r == nil {
 		return nil
 	}
@@ -202,7 +252,7 @@ func (c *Cache) dropBelow(g uint64) {
 	c.mu.Lock()
 	for k, e := range c.entries {
 		if k.Generation < g {
-			c.dropLocked(k, e)
+			c.dropLocked(e)
 		}
 	}
 	c.mu.Unlock()
@@ -228,6 +278,8 @@ func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
 //     key overhead) is charged at creation, symmetric with dropLocked.
 //   - Promote: a demand open that reaches a speculatively created entry
 //     moves it to the demand class (the prediction paid off).
+//   - Touch: the entry moves to the front of its class's recency list
+//     (a new entry starts there).
 //   - Fetch from the remote tier once, on creation (the L2 fill).
 //
 // spec marks the open as speculative (the prefetch drain worker). That
@@ -255,9 +307,9 @@ func (c *Cache) Open(k Key, spec bool) *Entry {
 		e = c.insertLocked(k, spec)
 	} else if !spec && e.spec.Load() {
 		c.promoteLocked(e)
+	} else {
+		c.touchLocked(e)
 	}
-	c.clock++
-	e.lastUse = c.clock
 	c.mu.Unlock()
 	if !ok {
 		// Outside c.mu; Merge is concurrency-safe and can only extend the
@@ -279,18 +331,22 @@ func (c *Cache) insertLocked(k Key, spec bool) *Entry {
 	} else {
 		c.bytes += e.bytes
 	}
+	c.lruLocked(e).pushFront(e)
 	c.evictOverLocked()
 	return e
 }
 
 // promoteLocked reclassifies a speculative entry as demand-loaded,
 // moving its accounted bytes from the speculative ledger to the demand
-// ledger. Caller holds c.mu; c.mu → e.mu is the established order.
+// ledger and the entry to the front of the demand recency list. Caller
+// holds c.mu; c.mu → e.mu is the established order.
 func (c *Cache) promoteLocked(e *Entry) {
 	e.mu.Lock()
 	b := e.bytes
 	e.mu.Unlock()
+	c.specLRU.remove(e)
 	e.spec.Store(false)
+	c.demandLRU.pushFront(e)
 	c.specBytes -= b
 	c.bytes += b
 	c.specEntries--
@@ -327,9 +383,9 @@ func (c *Cache) Absorb(k Key, r *Region) bool {
 	e, ok := c.entries[k]
 	if !ok {
 		e = c.insertLocked(k, false)
+	} else {
+		c.touchLocked(e)
 	}
-	c.clock++
-	e.lastUse = c.clock
 	c.mu.Unlock()
 	e.Merge(r)
 	return true
@@ -352,8 +408,9 @@ func (c *Cache) ForEach(f func(*Entry)) {
 
 // dropLocked removes an entry, releasing its bytes from the ledger of
 // its class. Caller holds c.mu.
-func (c *Cache) dropLocked(k Key, e *Entry) {
-	delete(c.entries, k)
+func (c *Cache) dropLocked(e *Entry) {
+	delete(c.entries, e.key)
+	c.lruLocked(e).remove(e)
 	e.dead.Store(true)
 	e.mu.Lock()
 	b := e.bytes
@@ -388,32 +445,23 @@ func (c *Cache) addBytes(n int64, spec bool) {
 // evicted first — least-recently-opened among them — and only when the
 // speculative class is exhausted do demand entries start losing their
 // usual LRU fights: a prefetched region must never displace data a
-// client actually asked for. Caller holds c.mu.
+// client actually asked for. Each victim is the back of its class's
+// recency list, so eviction costs O(1) per entry dropped. On a cache
+// with no remote tier the victim's plan also leaves the semantic index
+// (see forgetPlan). Caller holds c.mu; c.mu → c.planMu is the order.
 func (c *Cache) evictOverLocked() {
-	if c.maxBytes <= 0 || c.bytes+c.specBytes <= c.maxBytes {
-		return
-	}
-	type cand struct {
-		k    Key
-		e    *Entry
-		spec bool
-		use  int64
-	}
-	cands := make([]cand, 0, len(c.entries))
-	for k, e := range c.entries {
-		cands = append(cands, cand{k, e, e.spec.Load(), e.lastUse})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].spec != cands[j].spec {
-			return cands[i].spec
+	for c.maxBytes > 0 && c.bytes+c.specBytes > c.maxBytes {
+		e := c.specLRU.back
+		if e == nil {
+			e = c.demandLRU.back
 		}
-		return cands[i].use < cands[j].use
-	})
-	for _, cd := range cands {
-		if c.bytes+c.specBytes <= c.maxBytes {
-			break
+		if e == nil {
+			return
 		}
-		c.dropLocked(cd.k, cd.e)
+		c.dropLocked(e)
+		if c.tier() == nil {
+			c.forgetPlan(e.key)
+		}
 	}
 }
 
@@ -436,7 +484,7 @@ type Stats struct {
 	SemanticHits            int64 `json:"semantic_hits"`             // queries answered from a subsuming region
 	SemanticMisses          int64 `json:"semantic_misses"`           // lookups with no usable superset
 	SemanticCandidates      int64 `json:"semantic_candidates"`       // candidate plans scanned
-	SemanticIncompleteSkips int64 `json:"semantic_incomplete_skips"` // subsuming but not fully explored
+	SemanticIncompleteSkips int64 `json:"semantic_incomplete_skips"` // candidates not fully explored (see Subsume)
 
 	// InternedBytes is the content size of the key-string intern pool:
 	// charged once per distinct view name / fingerprint, never

@@ -227,6 +227,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 		// about to redial, and open-replaces-view says old handles die.
 		s.doc = nil
 		s.handles = nil
+		s.closeView()
 		return vxdp.Response{Redirect: owner}
 	}
 	resp, err := s.startProxy(owner, req.Query)
@@ -244,6 +245,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	cl.RecordProxied()
 	s.doc = nil // the view lives on the owner now
 	s.handles = nil
+	s.closeView()
 	return resp
 }
 

@@ -141,7 +141,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("mix_region_cache_semantic_hits_total", "queries answered from a subsuming cached plan's region", st.Cache.SemanticHits)
 		counter("mix_region_cache_semantic_misses_total", "queries that found no usable superset plan", st.Cache.SemanticMisses)
 		counter("mix_region_cache_semantic_candidates_total", "candidate superset plans examined by the containment checker", st.Cache.SemanticCandidates)
-		counter("mix_region_cache_semantic_incomplete_skips_total", "containment hits skipped because the superset region was not fully explored", st.Cache.SemanticIncompleteSkips)
+		counter("mix_region_cache_semantic_incomplete_skips_total", "candidate plans skipped because their region was not fully explored (before the containment check when the node has no remote tier)", st.Cache.SemanticIncompleteSkips)
 		gauge("mix_region_cache_interned_bytes", "key-string vocabulary retained by the cache interner", st.Cache.InternedBytes)
 		gauge("mix_region_cache_spec_entries", "speculative-class entries no demand navigation has touched", st.Cache.SpecEntries)
 		gauge("mix_region_cache_spec_bytes", "bytes retained by speculative-class entries", st.Cache.SpecBytes)

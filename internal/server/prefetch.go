@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mix/internal/core"
+	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/predict"
 	"mix/internal/trace"
@@ -40,6 +41,16 @@ type specRun struct {
 	region int
 }
 
+// specQuery is a view query compiled on a spec engine. Between two
+// drains of the same view key it stays parked with its engine, so the
+// next drain resumes the lazy operator state (join logs, hash indexes,
+// group state) the previous one built instead of re-deriving it from
+// the sources.
+type specQuery struct {
+	eng *pooledEngine
+	res *mediator.Result
+}
+
 // prefetcher owns everything speculative: the successor model, the
 // running drains, their engine pool, and the counters behind
 // mix_prefetch_*. One per server; nil when prefetch is off.
@@ -65,7 +76,12 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	running map[predict.Key]*specRun
-	closed  bool
+	// views counts the local sessions that have each view key open;
+	// parked holds at most one idle spec query per key, and only while
+	// that count is positive (see park).
+	views  map[predict.Key]int
+	parked map[predict.Key]*specQuery
+	closed bool
 }
 
 func newPrefetcher(s *Server) *prefetcher {
@@ -76,6 +92,8 @@ func newPrefetcher(s *Server) *prefetcher {
 		conf:    s.cfg.PrefetchConfidence,
 		pool:    &enginePool{srv: s, factory: s.cfg.SpecFactory, keep: true},
 		running: map[predict.Key]*specRun{},
+		views:   map[predict.Key]int{},
+		parked:  map[predict.Key]*specQuery{},
 	}
 	if p.budget.MaxNavs == 0 {
 		p.budget.MaxNavs = DefaultPrefetchNavs
@@ -150,8 +168,9 @@ func (p *prefetcher) known(k predict.Key, region int, deep bool) bool {
 }
 
 // drain runs one speculative exploration to completion, budget, or
-// cancellation. Errors are swallowed: speculation is advisory, and the
-// demand path it failed to help is untouched.
+// cancellation, on the key's parked query when there is one. Errors
+// are swallowed: speculation is advisory, and the demand path it failed
+// to help is untouched. A failed drain drops its query.
 func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k predict.Key, query string, region int, deep bool) {
 	defer func() {
 		cancel()
@@ -160,28 +179,104 @@ func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k pre
 		p.mu.Unlock()
 		p.inflight.Add(-1)
 	}()
-	pe, err := p.pool.acquire()
-	if err != nil {
+	q := p.checkout(k, query)
+	if q == nil {
 		return
 	}
-	defer p.pool.release(pe)
-	res, err := pe.med.Query(query)
+	r, err := q.res.PrefetchRegion(ctx, region, deep, p.budget, &p.navs)
+	// Drop the drain's spans now: a parked engine is not released, and
+	// its recorder would otherwise grow across drains.
+	q.eng.rec.Take()
 	if err != nil {
-		return
-	}
-	// The freshly compiled query must land on the exact key predicted.
-	// A mismatch means the cache generation or source registry moved
-	// between prediction and drain — warming under the new key would be
-	// warming a region nobody predicted, so the hint is simply stale.
-	if res.RegionKey() != k {
-		return
-	}
-	r, err := res.PrefetchRegion(ctx, region, deep, p.budget, &p.navs)
-	if err != nil {
+		p.pool.release(q.eng)
 		return
 	}
 	if r.Cancelled {
 		p.cancelled.Add(1)
+	}
+	p.park(k, q)
+}
+
+// checkout hands the drain for k its query: the parked one if any (the
+// running map guarantees one drain per key, so nobody else can take
+// it), else one freshly compiled on a spec engine. nil means there is
+// nothing to drain.
+func (p *prefetcher) checkout(k predict.Key, query string) *specQuery {
+	p.mu.Lock()
+	q := p.parked[k]
+	delete(p.parked, k)
+	p.mu.Unlock()
+	if q != nil {
+		return q
+	}
+	pe, err := p.pool.acquire()
+	if err != nil {
+		return nil
+	}
+	res, err := pe.med.Query(query)
+	// The freshly compiled query must land on the exact key predicted.
+	// A mismatch means the cache generation or source registry moved
+	// between prediction and drain — warming under the new key would be
+	// warming a region nobody predicted, so the hint is simply stale.
+	if err != nil || res.RegionKey() != k {
+		p.pool.release(pe)
+		return nil
+	}
+	return &specQuery{eng: pe, res: res}
+}
+
+// park keeps a drained query for the key's next drain while some local
+// session still has the view open, the prefetcher is running, and the
+// engine was built under the current epoch — an epoch move drops every
+// parked query (dropParked), and this check stops a drain that was
+// running across the move from parking a stale one afterwards.
+// Anything else goes back through the pool.
+func (p *prefetcher) park(k predict.Key, q *specQuery) {
+	p.mu.Lock()
+	keep := !p.closed && p.views[k] > 0 && q.eng.epoch == p.srv.epoch.Load()
+	if keep {
+		p.parked[k] = q
+	}
+	p.mu.Unlock()
+	if !keep {
+		p.pool.release(q.eng)
+	}
+}
+
+// openView records that a local session opened view k; closeView that
+// it closed or replaced it. The last close releases the key's parked
+// query, so a parked query lives exactly as long as its view is open
+// somewhere on this node.
+func (p *prefetcher) openView(k predict.Key) {
+	p.mu.Lock()
+	p.views[k]++
+	p.mu.Unlock()
+}
+
+func (p *prefetcher) closeView(k predict.Key) {
+	p.mu.Lock()
+	var q *specQuery
+	if n := p.views[k] - 1; n > 0 {
+		p.views[k] = n
+	} else {
+		delete(p.views, k)
+		q = p.parked[k]
+		delete(p.parked, k)
+	}
+	p.mu.Unlock()
+	if q != nil {
+		p.pool.release(q.eng)
+	}
+}
+
+// dropParked releases every parked query (an epoch move or shutdown).
+func (p *prefetcher) dropParked() {
+	p.mu.Lock()
+	parked := p.parked
+	p.parked = map[predict.Key]*specQuery{}
+	p.mu.Unlock()
+	for _, q := range parked {
+		p.pool.release(q.eng)
 	}
 }
 
@@ -208,12 +303,13 @@ func (p *prefetcher) cancelAll() {
 }
 
 // close stops the prefetcher for server shutdown: no new drains, all
-// running ones cancelled, idle spec engines dropped.
+// running ones cancelled, parked queries and idle spec engines dropped.
 func (p *prefetcher) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	p.cancelAll()
+	p.dropParked()
 	p.pool.flush()
 }
 

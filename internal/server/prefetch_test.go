@@ -22,6 +22,7 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
+	"mix/internal/predict"
 	"mix/internal/regioncache"
 	"mix/internal/server"
 	"mix/internal/vxdp"
@@ -68,16 +69,64 @@ func pfFactory(homes *xmltree.Tree, counters *metrics.Counters) server.Factory {
 	}
 }
 
+// pfJoinFactory registers the two sources of the join+groupBy view
+// joinQuery, both counted on counters.
+func pfJoinFactory(homes, schools *xmltree.Tree) func(*metrics.Counters) server.Factory {
+	return func(counters *metrics.Counters) server.Factory {
+		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+			m := mediator.New(mediator.DefaultOptions())
+			m.SetRegionCache(rc)
+			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: counters})
+			m.RegisterSource("schoolsSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(schools), Counters: counters})
+			return m, nil
+		}
+	}
+}
+
+// pfJoinSources returns sources for joinQuery whose answer has exactly
+// pfRegions med_home regions (two zip codes, so every home has a
+// school), plus the per-step oracle of script: its replay over the
+// eager evaluation of joinQuery.
+func pfJoinSources(t *testing.T, script []workload.Step) (homes, schools *xmltree.Tree, want []string) {
+	t.Helper()
+	homes, schools = workload.HomesSchools(pfRegions, 8, 2, 41)
+	m := mediator.New(mediator.DefaultOptions())
+	m.RegisterTree("homesSrc", homes)
+	m.RegisterTree("schoolsSrc", schools)
+	tree, err := m.QueryEager(joinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Children) != pfRegions {
+		t.Fatalf("join answer has %d regions, want %d", len(tree.Children), pfRegions)
+	}
+	want = make([]string, len(script))
+	err = workload.ReplayPersona(nav.NewTreeDoc(tree), script, func(i int, explored string) error {
+		want[i] = explored
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return homes, schools, want
+}
+
 // pfStart boots one server over homes with counted demand sources and,
 // when prefetch is on, counted speculative sources.
 func pfStart(t testing.TB, homes *xmltree.Tree, opts ...server.Option) (*server.Server, string, *metrics.Counters, *metrics.Counters) {
 	t.Helper()
+	return pfStartWith(t, func(c *metrics.Counters) server.Factory { return pfFactory(homes, c) }, opts...)
+}
+
+// pfStartWith is pfStart over the sources factory registers.
+func pfStartWith(t testing.TB, factory func(*metrics.Counters) server.Factory, opts ...server.Option) (*server.Server, string, *metrics.Counters, *metrics.Counters) {
+	t.Helper()
 	src, specSrc := &metrics.Counters{}, &metrics.Counters{}
 	opts = append([]server.Option{
 		server.WithRegionCache(regioncache.New(0)),
-		server.WithSpecFactory(pfFactory(homes, specSrc)),
+		server.WithSpecFactory(factory(specSrc)),
 	}, opts...)
-	srv, err := server.New(pfFactory(homes, src), opts...)
+	srv, err := server.New(factory(src), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +287,22 @@ func TestPrefetchAblationByteIdentity(t *testing.T) {
 }
 
 // TestPrefetchStressUnderBumpRegistry hammers speculation with
-// concurrent sessions and registry bumps (run with -race): whatever
-// the epoch does, every explored part stays byte-identical to the
-// uncached oracle — speculative entries must never resurrect a dead
-// generation.
+// concurrent sessions on two views — a one-source view and the
+// join+groupBy view, whose drains park and resume their queries — and
+// registry bumps (run with -race): whatever the epoch does, every
+// explored part stays byte-identical to the oracle, speculative entries
+// never resurrect a dead generation, and once every session has closed
+// nothing stays parked.
 func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
-	homes := pfHomes()
-	oracles := map[string][]string{}
+	type view struct{ query, persona string }
+	oracles := map[view][]string{}
+	var homes, schools *xmltree.Tree
 	for _, persona := range []string{"deep-drill", "glance"} {
-		oracles[persona] = pfOracle(t, homes, workload.PersonaScript(persona, pfRegions, 3))
+		script := workload.PersonaScript(persona, pfRegions, 3)
+		homes, schools, oracles[view{joinQuery, persona}] = pfJoinSources(t, script)
+		oracles[view{pfQuery, persona}] = pfOracle(t, homes, script)
 	}
-	srv, addr, _, _ := pfStart(t, homes, server.WithPrefetch(true))
+	srv, addr, _, _ := pfStartWith(t, pfJoinFactory(homes, schools), server.WithPrefetch(true))
 
 	stop := make(chan struct{})
 	var mutWG sync.WaitGroup
@@ -265,21 +319,27 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 		}
 	}()
 
-	const sessions = 6
+	// Two sessions per (view, persona) run at once, so drains of one
+	// view key also race for its parked query.
+	const sessions = 8
 	const opensPerSession = 4
 	var wg sync.WaitGroup
 	var failed atomic.Int64
 	errs := make(chan error, sessions*opensPerSession)
 	for g := 0; g < sessions; g++ {
-		persona := "deep-drill"
+		v := view{pfQuery, "deep-drill"}
 		if g%2 == 1 {
-			persona = "glance"
+			v.persona = "glance"
+		}
+		if g%4 >= 2 {
+			v.query = joinQuery
 		}
 		wg.Add(1)
-		go func(persona string) {
+		go func(v view) {
 			defer wg.Done()
+			persona := v.persona
 			script := workload.PersonaScript(persona, pfRegions, 3)
-			want := oracles[persona]
+			want := oracles[v]
 			for i := 0; i < opensPerSession; i++ {
 				c, err := vxdp.Dial(addr)
 				if err != nil {
@@ -289,7 +349,7 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 				}
 				err = func() error {
 					defer c.Close()
-					if err := c.Open(pfQuery); err != nil {
+					if err := c.Open(v.query); err != nil {
 						return err
 					}
 					return workload.ReplayPersona(c, script, func(i int, ex string) error {
@@ -305,7 +365,7 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 					return
 				}
 			}
-		}(persona)
+		}(v)
 	}
 	wg.Wait()
 	close(stop)
@@ -317,7 +377,244 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 	if failed.Load() != 0 {
 		t.Fatalf("%d session(s) failed under registry mutation", failed.Load())
 	}
+	pfWaitIdle(t, srv)
 	pfQuiesce(t, srv)
+	if n := len(server.SpecParked(srv)); n != 0 {
+		t.Fatalf("%d queries still parked after every session closed", n)
+	}
+}
+
+// pfDrain is one speculative drain a session step triggered: the region
+// it warmed (deep-drill predicts the next one) and the speculative
+// source navigations it paid.
+type pfDrain struct {
+	region int
+	navs   int64
+}
+
+// pfDrive opens query in a fresh session on addr and replays script,
+// quiescing after every step. It checks each step against want and
+// calls step (when non-nil) after each one with the drain that step
+// spawned (nil when none).
+func pfDrive(t *testing.T, addr string, srv *server.Server, specSrc *metrics.Counters,
+	query string, script []workload.Step, want []string, step func(i int, d *pfDrain)) *vxdp.Client {
+	t.Helper()
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Open(query); err != nil {
+		t.Fatal(err)
+	}
+	issued, navs := srv.Stats().Prefetch.Issued, specSrc.Navigations()
+	err = workload.ReplayPersona(c, script, func(i int, ex string) error {
+		pfQuiesce(t, srv)
+		if ex != want[i] {
+			return fmt.Errorf("step %d explored:\n got %s\nwant %s", i, ex, want[i])
+		}
+		var d *pfDrain
+		if n := srv.Stats().Prefetch.Issued; n != issued {
+			d = &pfDrain{region: script[i].Region + 1, navs: specSrc.Navigations() - navs}
+			issued = n
+		}
+		navs = specSrc.Navigations()
+		if step != nil {
+			step(i, d)
+		}
+		return nil
+	})
+	if err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	return c
+}
+
+// pfWaitIdle waits until the server has no live session, so every
+// closed client's dropSession has run.
+func pfWaitIdle(t *testing.T, srv *server.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().SessionsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sessions did not close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPrefetchResumesParkedQuery: one deep-drill session over a
+// join+groupBy view. Its first drain compiles the view on a spec
+// engine; every later drain resumes that same parked query — nothing is
+// compiled again — and pays strictly fewer speculative source
+// navigations than a fresh query draining the same region (measured by
+// prefetch_hint drains on a second server with no session, which
+// compile, drain and release exactly as before parking existed). Every
+// answer equals the eager evaluation.
+func TestPrefetchResumesParkedQuery(t *testing.T) {
+	script := workload.DeepDrillScript(pfRegions, 1)
+	homes, schools, want := pfJoinSources(t, script)
+	factory := pfJoinFactory(homes, schools)
+	srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+
+	var drains []pfDrain
+	var first *mediator.Result
+	var key predict.Key
+	c := pfDrive(t, addr, srv, specSrc, joinQuery, script, want, func(i int, d *pfDrain) {
+		if d == nil {
+			return
+		}
+		drains = append(drains, *d)
+		parked := server.SpecParked(srv)
+		if len(parked) != 1 {
+			t.Fatalf("step %d: %d parked queries, want 1", i, len(parked))
+		}
+		for k, res := range parked {
+			if first == nil {
+				first, key = res, k
+			} else if res != first || k != key {
+				t.Fatalf("step %d: the drain compiled a new query instead of resuming the parked one", i)
+			}
+		}
+	})
+	defer c.Close()
+	if len(drains) < 3 {
+		t.Fatalf("only %d drains; the test needs at least 3", len(drains))
+	}
+	if _, created := server.SpecPool(srv); created != 1 {
+		t.Fatalf("%d spec engines built, want 1", created)
+	}
+
+	fresh, faddr, _, freshSpec := pfStartWith(t, factory, server.WithPrefetch(true))
+	hc, err := vxdp.Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	wireKey := vxdp.WireKey(key)
+	for i, d := range drains {
+		before := freshSpec.Navigations()
+		if err := hc.PrefetchHint(vxdp.PrefetchHint{Query: joinQuery, Key: wireKey, Region: d.region, Deep: true}); err != nil {
+			t.Fatal(err)
+		}
+		pfQuiesce(t, fresh)
+		if len(server.SpecParked(fresh)) != 0 {
+			t.Fatal("a hint drain with no local session parked its query")
+		}
+		freshNavs := freshSpec.Navigations() - before
+		t.Logf("region %d: session drain %d speculative source navs, fresh query %d", d.region, d.navs, freshNavs)
+		if freshNavs == 0 {
+			t.Fatalf("fresh drain of region %d paid nothing; the comparison measures nothing", d.region)
+		}
+		if i > 0 && d.navs >= freshNavs {
+			t.Fatalf("resumed drain of region %d paid %d speculative source navs, a fresh query %d",
+				d.region, d.navs, freshNavs)
+		}
+	}
+}
+
+// TestPrefetchParkedQueryLifetime: a parked query lives exactly as long
+// as a local session has its view open. Closing the session hands the
+// engine back to the spec pool; reopening the same view keeps it;
+// BumpRegistry drops it, and later drains
+// of the session's now-stale view park nothing; Shutdown drops it too.
+func TestPrefetchParkedQueryLifetime(t *testing.T) {
+	const engaged = 4
+	script := workload.DeepDrillScript(pfRegions, 1)
+	homes, schools, want := pfJoinSources(t, script)
+	factory := pfJoinFactory(homes, schools)
+	parkedNow := func(srv *server.Server) int { return len(server.SpecParked(srv)) }
+
+	t.Run("session close", func(t *testing.T) {
+		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
+		if parkedNow(srv) != 1 {
+			t.Fatal("nothing parked while the session is open")
+		}
+		c.Close()
+		pfWaitIdle(t, srv)
+		if n := parkedNow(srv); n != 0 {
+			t.Fatalf("%d queries still parked after the session closed", n)
+		}
+		if idle, created := server.SpecPool(srv); idle != int(created) || created == 0 {
+			t.Fatalf("spec pool holds %d of %d engines after the session closed", idle, created)
+		}
+	})
+
+	t.Run("reopen", func(t *testing.T) {
+		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
+		defer c.Close()
+		before := server.SpecParked(srv)
+		if len(before) != 1 {
+			t.Fatal("nothing parked while the session is open")
+		}
+		if err := c.Open(joinQuery); err != nil {
+			t.Fatal(err)
+		}
+		after := server.SpecParked(srv)
+		for k, res := range before {
+			if after[k] != res {
+				t.Fatal("reopening the same view dropped its parked query")
+			}
+		}
+	})
+
+	t.Run("BumpRegistry", func(t *testing.T) {
+		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
+		defer c.Close()
+		if parkedNow(srv) != 1 {
+			t.Fatal("nothing parked while the session is open")
+		}
+		srv.BumpRegistry()
+		if n := parkedNow(srv); n != 0 {
+			t.Fatalf("%d queries still parked after BumpRegistry", n)
+		}
+		// The session keeps its pre-bump view and keeps engaging regions;
+		// its predictions now name a dead generation and park nothing.
+		issued := srv.Stats().Prefetch.Issued
+		root, err := c.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := c.Down(root)
+		for r := 0; r < pfRegions && err == nil; r++ {
+			if r >= engaged {
+				if _, err := c.Fetch(cur); err != nil {
+					t.Fatal(err)
+				}
+				pfQuiesce(t, srv)
+				if n := parkedNow(srv); n != 0 {
+					t.Fatalf("region %d: a stale-view drain parked %d queries", r, n)
+				}
+			}
+			cur, err = c.Right(cur)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.Stats().Prefetch.Issued == issued {
+			t.Fatal("the stale view spawned no drain; the check measures nothing")
+		}
+	})
+
+	t.Run("Shutdown", func(t *testing.T) {
+		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
+		defer c.Close()
+		if parkedNow(srv) != 1 {
+			t.Fatal("nothing parked while the session is open")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n := parkedNow(srv); n != 0 {
+			t.Fatalf("%d queries still parked after Shutdown", n)
+		}
+	})
 }
 
 // pfWarm compiles the view on a fresh engine over rc — the same key the

@@ -438,13 +438,15 @@ func (s *Server) BumpRegistry() {
 // broadcast (handleInvalidate). It bumps the server epoch, so engines
 // checked out now are dropped at release; flushes both engine pools, so
 // the factories rebuild against the new data; and stops speculation
-// about the old world: running drains are cancelled and successor
-// tables keyed to dead generations are evicted.
+// about the old world: running drains are cancelled, parked spec
+// queries dropped and successor tables keyed to dead generations
+// evicted.
 func (s *Server) moveEpoch() {
 	s.epoch.Add(1)
 	s.pool.flush()
 	if p := s.prefetch; p != nil {
 		p.cancelAll()
+		p.dropParked()
 		p.pool.flush()
 		p.model.EvictBelow(s.cache.Generation())
 	}
@@ -527,6 +529,7 @@ func (s *Server) dropSession(sess *session) {
 		"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
 		"uptime", time.Since(sess.born).Round(time.Millisecond).String())
 	sess.closeProxy()
+	sess.closeView()
 	s.pool.release(sess.eng)
 	sess.eng = nil
 }

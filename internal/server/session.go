@@ -58,8 +58,9 @@ type session struct {
 	// nil check). geo maps issued handles to their region geometry;
 	// viewKey/viewQuery identify the view to the successor model;
 	// lastEngaged is the last region engaged (-1 = none); pending is the
-	// unresolved predicted region (-1 = none). All session-goroutine
-	// local.
+	// unresolved predicted region (-1 = none). While geo is non-nil the
+	// session holds one prefetcher.openView reference on viewKey. All
+	// session-goroutine local.
 	geo         map[uint64]nodePos
 	viewKey     predict.Key
 	viewQuery   string
@@ -331,18 +332,33 @@ func (s *session) installView(res *mediator.Result, query string) {
 	}
 	s.handles = map[uint64]nav.ID{}
 	s.nextH = 0
+	s.lastEngaged = -1
+	s.pending = -1
+	// Take the new view's reference before releasing the old one, so
+	// reopening the same view keeps its parked query.
+	var k predict.Key
+	if p := s.srv.prefetch; p != nil {
+		if k = res.RegionKey(); k.Name != "" {
+			p.openView(k)
+		}
+	}
+	s.closeView()
+	if k.Name != "" {
+		s.geo = map[uint64]nodePos{}
+		s.viewKey = k
+		s.viewQuery = query
+	}
+}
+
+// closeView forgets the session's prefetch view state, releasing its
+// hold on the view's parked spec query (see prefetcher.openView).
+func (s *session) closeView() {
+	if s.geo != nil {
+		s.srv.prefetch.closeView(s.viewKey)
+	}
 	s.geo = nil
 	s.viewKey = predict.Key{}
 	s.viewQuery = ""
-	s.lastEngaged = -1
-	s.pending = -1
-	if s.srv.prefetch != nil {
-		if k := res.RegionKey(); k.Name != "" {
-			s.geo = map[uint64]nodePos{}
-			s.viewKey = k
-			s.viewQuery = query
-		}
-	}
 }
 
 // issue registers a node ID and returns its wire handle.

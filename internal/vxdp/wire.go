@@ -376,7 +376,9 @@ type CacheStats struct {
 	// The semantic tier (plan containment; DESIGN.md §14): queries
 	// answered from a subsuming cached plan's region, queries that
 	// found no usable superset, candidate plans examined, and
-	// candidates skipped because their region was not fully explored.
+	// candidates skipped because their region was not fully explored —
+	// after containment held, or, on a node with no remote tier, before
+	// containment was tried.
 	SemanticHits            int64 `json:"semantic_hits"`
 	SemanticMisses          int64 `json:"semantic_misses"`
 	SemanticCandidates      int64 `json:"semantic_candidates"`
