@@ -225,9 +225,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 		s.closeProxy()
 		// The local doc (if any) dies with the redirect: the client is
 		// about to redial, and open-replaces-view says old handles die.
-		s.doc = nil
-		s.handles = nil
-		s.closeView()
+		s.leaveView()
 		return vxdp.Response{Redirect: owner}
 	}
 	resp, err := s.startProxy(owner, req.Query)
@@ -243,9 +241,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	}
 	mode = "proxy"
 	cl.RecordProxied()
-	s.doc = nil // the view lives on the owner now
-	s.handles = nil
-	s.closeView()
+	s.leaveView() // the view lives on the owner now
 	return resp
 }
 
@@ -261,7 +257,7 @@ func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
 		if err != nil {
 			return vxdp.Response{}, err
 		}
-		s.proxy = &proxyLink{owner: owner, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+		s.proxy = &proxyLink{owner: owner, conn: conn, r: bufio.NewReaderSize(conn, vxdp.FrameBuffer), w: bufio.NewWriterSize(conn, vxdp.FrameBuffer)}
 	}
 	resp, err := s.proxy.do(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpOpen}, Query: query, Proxied: true})
 	if err != nil {

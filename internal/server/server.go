@@ -339,6 +339,12 @@ type pooledEngine struct {
 	med   *mediator.Mediator
 	rec   *trace.Recorder
 	epoch uint64 // server epoch the engine was built under
+
+	// win and rwin are the scratch the session holding the engine builds
+	// read-ahead windows in (see window.go). They travel with the engine,
+	// so sessions on a reused engine build windows without allocating.
+	win  []vxdp.WinNode
+	rwin []regioncache.WindowNode
 }
 
 // enginePool is a stack of idle engines built by one factory. The

@@ -14,6 +14,7 @@ import (
 	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/predict"
+	"mix/internal/regioncache"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
 )
@@ -46,6 +47,13 @@ type session struct {
 	handles map[uint64]nav.ID
 	nextH   uint64
 
+	// Read-ahead windows (see window.go): cached is the open view's
+	// region-cache document when its entry was complete at open, nil
+	// otherwise (no windows); wins records the handle range each shipped
+	// window reserved.
+	cached *regioncache.Doc
+	wins   []winRange
+
 	// proxy, when non-nil, is the session's link to the cluster node
 	// that owns the open view: every navigation is relayed there.
 	// proxyQuery remembers the open so the view can be reopened locally
@@ -73,8 +81,8 @@ type session struct {
 func (s *session) run() {
 	defer s.srv.dropSession(s)
 	defer s.conn.Close()
-	r := bufio.NewReader(s.conn)
-	w := bufio.NewWriter(s.conn)
+	r := bufio.NewReaderSize(s.conn, vxdp.FrameBuffer)
+	w := bufio.NewWriterSize(s.conn, vxdp.FrameBuffer)
 	// One request and one response serve every frame of the session.
 	var (
 		req  vxdp.Request
@@ -196,7 +204,11 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 			return false
 		}
 		traced := s.beginFleetTrace(req.TraceCtx)
-		*resp = vxdp.Response{NavResult: s.navigate(&req.Cmd, nil).nr}
+		res := s.navigate(&req.Cmd, nil)
+		*resp = vxdp.Response{NavResult: res.nr}
+		if s.cached != nil && res.node != nil {
+			resp.Win = s.window(res.nr.ID, res.node)
+		}
 		if traced {
 			s.endFleetTrace(resp)
 		}
@@ -326,12 +338,21 @@ func (s *session) installView(res *mediator.Result, query string) {
 	// Count every navigation this session answers on its own counters
 	// (folded into the server totals); with tracing on, also root a span
 	// tree per client command.
-	s.doc = &nav.CountingDoc{Doc: res.Document(), Counters: &s.nav}
+	doc := res.Document()
+	s.doc = &nav.CountingDoc{Doc: doc, Counters: &s.nav}
 	if s.rec != nil {
 		s.doc = trace.NewDoc(s.doc, trace.ClientLabel, s.rec)
 	}
 	s.handles = map[uint64]nav.ID{}
 	s.nextH = 0
+	// Windows are decided once per open: a complete entry stays complete,
+	// and an incomplete one is never walked per navigation.
+	s.cached, _ = doc.(*regioncache.Doc)
+	if s.cached != nil && !s.cached.Complete() {
+		s.cached = nil
+	}
+	clear(s.wins)
+	s.wins = s.wins[:0]
 	s.lastEngaged = -1
 	s.pending = -1
 	// Take the new view's reference before releasing the old one, so
@@ -348,6 +369,16 @@ func (s *session) installView(res *mediator.Result, query string) {
 		s.viewKey = k
 		s.viewQuery = query
 	}
+}
+
+// leaveView forgets the open view — document, handles, windows and
+// prefetch state — when the view moves to another node.
+func (s *session) leaveView() {
+	s.doc = nil
+	s.handles = nil
+	s.cached = nil
+	s.wins = nil
+	s.closeView()
 }
 
 // closeView forgets the session's prefetch view state, releasing its
@@ -393,7 +424,7 @@ func (s *session) navigate(cmd *vxdp.Cmd, from *navResult) navResult {
 		base = from.node
 		baseH = from.nr.ID
 	} else if cmd.Op != vxdp.OpRoot {
-		id, ok := s.handles[cmd.ID]
+		id, ok := s.node(cmd.ID)
 		if !ok {
 			return navErr("unknown node handle %d", cmd.ID)
 		}
@@ -470,7 +501,7 @@ func (s *session) batch(cmds []vxdp.Cmd) vxdp.Response {
 			from = &results[*cmd.Ref]
 		}
 		if cmd.Op == "node" && cmd.Ref == nil {
-			id, ok := s.handles[cmd.ID]
+			id, ok := s.node(cmd.ID)
 			if !ok {
 				return errResp("step %d: unknown node handle %d", i, cmd.ID)
 			}

@@ -1,0 +1,62 @@
+package server
+
+import (
+	"sort"
+
+	"mix/internal/nav"
+	"mix/internal/vxdp"
+)
+
+// Read-ahead windows, the server half (the vxdp package documents the
+// wire and the client half). A session whose view's region-cache entry
+// is complete ships, with every root/down/right/select result, the nodes
+// the entry holds from the landed node on, up to vxdp.WindowBytes.
+// Shipping costs no source work and no engine call: a complete entry
+// answers every navigation from the cache. Node i of a window gets
+// handle resp.ID+i, reserved as one range and resolved only when a
+// command names it, so a window costs the handle table nothing per node.
+
+// winRange is the handle range one shipped window reserved: handles
+// first … first+count-1 are nodes 0 … count-1 of the window at anchor.
+type winRange struct {
+	first  uint64
+	count  int
+	anchor nav.ID
+}
+
+// window builds the window at id, which navigation just issued handle h
+// for, and reserves its handles. It builds in the engine's scratch, so
+// once that has grown a window allocates nothing.
+func (s *session) window(h uint64, id nav.ID) []vxdp.WinNode {
+	e := s.eng
+	e.rwin = s.cached.Window(id, e.rwin, vxdp.WindowBytes, vxdp.WinNodeBytes)
+	e.win = e.win[:0]
+	for _, n := range e.rwin {
+		e.win = append(e.win, vxdp.WinNode{Label: n.Label, Down: n.Down, Right: n.Right})
+	}
+	if n := len(e.win); n > 1 {
+		s.nextH += uint64(n - 1)
+		s.wins = append(s.wins, winRange{first: h, count: n, anchor: id})
+	}
+	return e.win
+}
+
+// node resolves a wire handle: from the handle table, or — for a node a
+// window shipped — by walking the entry from the window's anchor, once,
+// memoized in the table.
+func (s *session) node(h uint64) (nav.ID, bool) {
+	if id, ok := s.handles[h]; ok {
+		return id, true
+	}
+	k := sort.Search(len(s.wins), func(k int) bool { return s.wins[k].first+uint64(s.wins[k].count) > h })
+	if k == len(s.wins) || h < s.wins[k].first {
+		return nil, false
+	}
+	w := &s.wins[k]
+	id, err := s.cached.WindowNode(w.anchor, int(h-w.first))
+	if err != nil {
+		return nil, false
+	}
+	s.handles[h] = id
+	return id, true
+}

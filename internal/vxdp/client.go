@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,6 +27,11 @@ import (
 // hop one round trip) — precisely the navigational-complexity penalty
 // Section 2 assigns to NC without select. Callers that do have a label
 // predicate use SelectLabel (one round trip) or a Batch.
+//
+// On a fully explored view the server ships read-ahead windows with its
+// navigation results (see the package documentation), and the client
+// answers d/r/f/select — and root, after the first — from them wherever
+// they decide the command; everything else is one round trip as before.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -43,8 +50,23 @@ type Client struct {
 	// so a warm navigation allocates only the label it returns.
 	resp Response
 
+	// wins holds the read-ahead windows absorbed since the last clear, in
+	// handle order; root is the answer root once a root response carried
+	// a window (guarded by mu). Open, a redirect, and any error clear
+	// both: after them a handle may name another node, or none.
+	wins []window
+	root nav.ID
+
 	roundTrips atomic.Int64
 }
+
+// window is one absorbed read-ahead window: nodes[i] has handle first+i.
+type window struct {
+	first uint64
+	nodes []WinNode
+}
+
+func (w *window) end() uint64 { return w.first + uint64(len(w.nodes)) }
 
 // nodeID is the client-side nav.ID: the server's uint64 handle bound to
 // the issuing client, so foreign IDs are detectable.
@@ -64,7 +86,7 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, FrameBuffer), w: bufio.NewWriterSize(conn, FrameBuffer)}
 }
 
 // Close ends the session (best effort) and closes the connection.
@@ -121,9 +143,18 @@ func tracedOp(op string) bool {
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.roundTripLocked(req)
+}
+
+// roundTripLocked is roundTrip for callers that hold c.mu.
+func (c *Client) roundTripLocked(req Request) (Response, error) {
 	c.roundTrips.Add(1)
+	if req.Op == OpOpen {
+		c.clearWindows()
+	}
 	if c.rec == nil || !tracedOp(req.Op) {
 		if err := c.exchange(&req); err != nil {
+			c.clearWindows()
 			return Response{}, err
 		}
 		return c.resp, nil
@@ -143,6 +174,7 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	}
 	c.rec.End(sp)
 	if err != nil {
+		c.clearWindows()
 		return Response{}, err
 	}
 	return c.resp, nil
@@ -210,8 +242,9 @@ func (c *Client) redial(addr string) error {
 	_ = WriteFrame(c.w, Request{Cmd: Cmd{Op: OpClose}})
 	_ = c.w.Flush()
 	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
+	c.r = bufio.NewReaderSize(conn, FrameBuffer)
+	c.w = bufio.NewWriterSize(conn, FrameBuffer)
+	c.clearWindows()
 	c.mu.Unlock()
 	_ = old.Close()
 	return nil
@@ -219,28 +252,126 @@ func (c *Client) redial(addr string) error {
 
 // handle extracts the wire handle of an ID issued by this client.
 func (c *Client) handle(p nav.ID) (uint64, error) {
-	n, ok := p.(nodeID)
-	if !ok || n.c != c {
-		return 0, fmt.Errorf("%w: %T", nav.ErrForeignID, p)
+	switch n := p.(type) {
+	case nodeID:
+		if n.c == c {
+			return n.h, nil
+		}
+	case *WinNode:
+		if n != nil && n.c == c {
+			return n.h, nil
+		}
 	}
-	return n.h, nil
+	return 0, fmt.Errorf("%w: %T", nav.ErrForeignID, p)
 }
 
-// node converts a navigation response into a nav.ID (nil for ⊥).
-func (c *Client) node(r NavResult) nav.ID {
-	if !r.OK {
+// --- read-ahead windows ---------------------------------------------------
+
+// clearWindows forgets every window. Caller holds c.mu.
+func (c *Client) clearWindows() {
+	clear(c.wins)
+	c.wins = c.wins[:0]
+	c.root = nil
+}
+
+// landed converts a root/down/right/select response into the node it
+// names (nil for ⊥), absorbing the window it carries: the window's
+// slice becomes the client's, stamped with handles, so the absorbed
+// window costs the client no allocation beyond its decoding. Caller
+// holds c.mu.
+func (c *Client) landed(resp *Response) nav.ID {
+	if !resp.OK {
 		return nil
 	}
-	return nodeID{c: c, h: r.ID}
+	win := resp.Win
+	if len(win) == 0 || resp.ID > math.MaxUint64-uint64(len(win)) {
+		return nodeID{c: c, h: resp.ID}
+	}
+	if n := len(c.wins); n > 0 && resp.ID < c.wins[n-1].end() {
+		// Handles only grow within a view; a window that overlaps the last
+		// one breaks the order lookups rely on, so start over from it.
+		c.clearWindows()
+	}
+	for i := range win {
+		win[i].c, win[i].h = c, resp.ID+uint64(i)
+	}
+	c.wins = append(c.wins, window{first: resp.ID, nodes: win})
+	return &win[0]
 }
 
-// Root implements nav.Document.
+// find returns the window holding handle h and h's index in it. Caller
+// holds c.mu.
+func (c *Client) find(h uint64) (*window, int, bool) {
+	n := len(c.wins)
+	if n == 0 {
+		return nil, 0, false
+	}
+	k := n - 1 // most commands stay in the newest window
+	if h < c.wins[k].first {
+		k = sort.Search(n, func(j int) bool { return c.wins[j].first > h }) - 1
+		if k < 0 {
+			return nil, 0, false
+		}
+	}
+	w := &c.wins[k]
+	if h >= w.end() {
+		return nil, 0, false
+	}
+	return w, int(h - w.first), true
+}
+
+// link follows a link of node i: (nil, true) is ⊥, (id, true) a node of
+// the window, and ok=false means the window cannot decide. Only a link
+// strictly forward inside the window counts as shipped, so no window,
+// however hostile, can send a local walk back over a node.
+func (w *window) link(i int, to int32) (id nav.ID, ok bool) {
+	switch {
+	case to == WinNone:
+		return nil, true
+	case int(to) > i && int(to) < len(w.nodes):
+		return &w.nodes[to], true
+	}
+	return nil, false
+}
+
+// localSelect answers a select from node i when the window decides it.
+// Every step moves strictly forward, so it ends within len(w.nodes)
+// steps on any input.
+func (w *window) localSelect(i int, label string, fromSelf bool) (nav.ID, bool) {
+	if !fromSelf {
+		next, ok := w.link(i, w.nodes[i].Right)
+		if next == nil {
+			return nil, ok
+		}
+		i = int(w.nodes[i].Right)
+	}
+	for w.nodes[i].Label != label {
+		next, ok := w.link(i, w.nodes[i].Right)
+		if next == nil {
+			return nil, ok
+		}
+		i = int(w.nodes[i].Right)
+	}
+	return &w.nodes[i], true
+}
+
+// Root implements nav.Document. Once a root response has carried a
+// window, later calls answer from it.
 func (c *Client) Root() (nav.ID, error) {
-	resp, err := c.roundTrip(Request{Cmd: Cmd{Op: OpRoot}})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.root != nil {
+		return c.root, nil
+	}
+	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: OpRoot}})
 	if err != nil {
 		return nil, err
 	}
-	return c.node(resp.NavResult), nil
+	id := c.landed(&resp)
+	if _, ok := id.(*WinNode); ok {
+		c.root = id
+	}
+	return id, nil
 }
 
 func (c *Client) navigate(op string, p nav.ID) (nav.ID, error) {
@@ -248,11 +379,22 @@ func (c *Client) navigate(op string, p nav.ID) (nav.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(Request{Cmd: Cmd{Op: op, ID: h}})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, i, ok := c.find(h); ok {
+		to := w.nodes[i].Down
+		if op == OpRight {
+			to = w.nodes[i].Right
+		}
+		if id, ok := w.link(i, to); ok {
+			return id, nil
+		}
+	}
+	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: op, ID: h}})
 	if err != nil {
 		return nil, err
 	}
-	return c.node(resp.NavResult), nil
+	return c.landed(&resp), nil
 }
 
 // Down implements nav.Document.
@@ -267,7 +409,12 @@ func (c *Client) Fetch(p nav.ID) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.roundTrip(Request{Cmd: Cmd{Op: OpFetch, ID: h}})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, i, ok := c.find(h); ok {
+		return w.nodes[i].Label, nil
+	}
+	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: OpFetch, ID: h}})
 	if err != nil {
 		return "", err
 	}
@@ -275,17 +422,25 @@ func (c *Client) Fetch(p nav.ID) (string, error) {
 }
 
 // SelectLabel issues a wire select: the first sibling of p (p itself
-// when fromSelf) whose label is label, in one round trip.
+// when fromSelf) whose label is label, in one round trip unless a
+// window decides it.
 func (c *Client) SelectLabel(p nav.ID, label string, fromSelf bool) (nav.ID, error) {
 	h, err := c.handle(p)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(Request{Cmd: Cmd{Op: OpSelect, ID: h, Label: label, Self: fromSelf}})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, i, ok := c.find(h); ok {
+		if id, ok := w.localSelect(i, label, fromSelf); ok {
+			return id, nil
+		}
+	}
+	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: OpSelect, ID: h, Label: label, Self: fromSelf}})
 	if err != nil {
 		return nil, err
 	}
-	return c.node(resp.NavResult), nil
+	return c.landed(&resp), nil
 }
 
 // Trace fetches the spans recorded for this session since the last

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,10 +17,12 @@ import (
 )
 
 // The VXDP frame codec. Navigation frames — requests carrying only
-// op/id/label/self, responses carrying only ok/id/label/error, which is
-// every root/down/right/fetch/select/close exchange — are encoded and
+// op/id/label/self, responses carrying only ok/id/label/error/win, which
+// is every root/down/right/fetch/select/close exchange — are encoded and
 // decoded by hand: no reflection, no boxing, and (through the bufio
 // entry points the session loop and Client use) no copy of the payload.
+// A window decodes into one exact-size slice and one string holding all
+// its labels.
 // The bytes are exactly json.Marshal's: same field order, same
 // omitempty rules, same HTML-safe string escaping. Every other frame
 // shape, and any payload the lean parser does not accept in full
@@ -36,7 +39,7 @@ func navRequest(req *Request) bool {
 }
 
 // navResponse reports whether resp is a navigation frame the lean
-// encoder renders: nothing set beyond ok, id, label and error.
+// encoder renders: nothing set beyond ok, id, label, error and win.
 func navResponse(resp *Response) bool {
 	return len(resp.Results) == 0 && resp.Stats == nil && len(resp.Trace) == 0 &&
 		resp.Redirect == "" && resp.Tree == nil && resp.Gen == 0 && len(resp.Spans) == 0 &&
@@ -72,10 +75,11 @@ func appendCmd(b []byte, c *Cmd) []byte {
 	return append(b, '}')
 }
 
-// appendNavResult appends the JSON of a navigation response, as
+// appendNavResponse appends the JSON of a navigation response, as
 // json.Marshal renders a Response with only these fields set.
-func appendNavResult(b []byte, r *NavResult) []byte {
+func appendNavResponse(b []byte, resp *Response) []byte {
 	start := len(b)
+	r := &resp.NavResult
 	b = append(b, '{')
 	if r.OK {
 		b = append(appendField(b, start, "ok"), "true"...)
@@ -89,6 +93,20 @@ func appendNavResult(b []byte, r *NavResult) []byte {
 	if r.Err != "" {
 		b = wirejson.AppendString(appendField(b, start, "error"), r.Err)
 	}
+	if len(resp.Win) > 0 {
+		b = append(appendField(b, start, "win"), '[')
+		for i := range resp.Win {
+			n := &resp.Win[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = wirejson.AppendString(append(b, `{"l":`...), n.Label)
+			b = strconv.AppendInt(append(b, `,"d":`...), int64(n.Down), 10)
+			b = strconv.AppendInt(append(b, `,"r":`...), int64(n.Right), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
 	return append(b, '}')
 }
 
@@ -99,6 +117,7 @@ type navFields struct {
 	op, label, err string
 	id             uint64
 	flag           bool // "self" in a request, "ok" in a response
+	win            []WinNode
 	has            uint8
 }
 
@@ -108,14 +127,16 @@ const (
 	hasLabel
 	hasFlag
 	hasErr
+	hasWin
 )
 
 // parseNav parses p as a canonical navigation object: no whitespace,
-// keys exactly op/id/label/self (request) or ok/id/label/error
+// keys exactly op/id/label/self (request) or ok/id/label/error/win
 // (response), strings of plain printable ASCII without escapes, ids as
-// canonical decimal uint64s, flags as true/false. Anything else returns
-// false, and the caller falls back to encoding/json — so whatever this
-// accepts, json.Unmarshal decodes to the same values without error.
+// canonical decimal uint64s, flags as true/false, a window at most once
+// and in the shape parseWin takes. Anything else returns false, and the
+// caller falls back to encoding/json — so whatever this accepts,
+// json.Unmarshal decodes to the same values without error.
 func parseNav(p []byte, response bool, f *navFields) bool {
 	if len(p) < 2 || p[0] != '{' {
 		return false
@@ -139,6 +160,11 @@ func parseNav(p []byte, response bool, f *navFields) bool {
 			f.flag, i, ok = plainBool(p, i)
 		case hasOp, hasLabel, hasErr:
 			s, i, ok = plainString(p, i)
+		case hasWin:
+			if f.has&hasWin != 0 {
+				return false
+			}
+			f.win, i, ok = parseWin(p, i)
 		default:
 			return false
 		}
@@ -189,6 +215,10 @@ func navKey(key []byte, response bool) uint8 {
 		if response {
 			return hasErr
 		}
+	case "win":
+		if response {
+			return hasWin
+		}
 	}
 	return 0
 }
@@ -227,6 +257,94 @@ func plainUint(p []byte, i int) (uint64, int, bool) {
 		return 0, start, false
 	}
 	return n, i, true
+}
+
+// plainInt32 scans a canonical decimal int32 (optional minus sign, no
+// fraction, exponent, leading zero, negative zero or overflow) at p[i].
+func plainInt32(p []byte, i int) (int32, int, bool) {
+	neg := i < len(p) && p[i] == '-'
+	j := i
+	if neg {
+		j++
+	}
+	u, k, ok := plainUint(p, j)
+	if !ok || (neg && u == 0) || u > math.MaxInt32+1 || (!neg && u > math.MaxInt32) {
+		return 0, i, false
+	}
+	if neg {
+		return int32(-int64(u)), k, true
+	}
+	return int32(u), k, true
+}
+
+// parseWin parses the window array at p[i]: entries exactly
+// {"l":L,"d":D,"r":R} in that order, with plain labels and canonical
+// int32 links. It scans twice — once to size, once to fill — so the
+// window costs one exact-size slice and one string holding every label,
+// which the entries slice; nothing aliases p.
+func parseWin(p []byte, i int) ([]WinNode, int, bool) {
+	n, labels, end, ok := scanWin(p, i, nil, nil)
+	if !ok {
+		return nil, i, false
+	}
+	win := make([]WinNode, n)
+	var sb strings.Builder
+	sb.Grow(labels)
+	scanWin(p, i, win, &sb)
+	// Each entry's h held its label's length while sb filled.
+	all, off := sb.String(), 0
+	for k := range win {
+		l := int(win[k].h)
+		win[k].Label, win[k].h = all[off:off+l], 0
+		off += l
+	}
+	return win, end, true
+}
+
+// scanWin walks the window array at p[i], returning its entry count,
+// total label bytes and end. With win non-nil (sized by a first call)
+// it also fills the links, appends the labels to sb and parks each
+// label's length in the entry's h.
+func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, end int, ok bool) {
+	if i >= len(p) || p[i] != '[' {
+		return 0, 0, i, false
+	}
+	i++
+	if i < len(p) && p[i] == ']' {
+		return 0, 0, i + 1, true
+	}
+	for {
+		var (
+			label       []byte
+			down, right int32
+		)
+		if !bytes.HasPrefix(p[i:], []byte(`{"l":`)) {
+			return 0, 0, i, false
+		}
+		if label, i, ok = plainString(p, i+len(`{"l":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"d":`)) {
+			return 0, 0, i, false
+		}
+		if down, i, ok = plainInt32(p, i+len(`,"d":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"r":`)) {
+			return 0, 0, i, false
+		}
+		if right, i, ok = plainInt32(p, i+len(`,"r":`)); !ok || i+1 >= len(p) || p[i] != '}' {
+			return 0, 0, i, false
+		}
+		if win != nil {
+			win[n] = WinNode{Down: down, Right: right, h: uint64(len(label))}
+			sb.Write(label)
+		}
+		n++
+		labels += len(label)
+		switch p[i+1] {
+		case ']':
+			return n, labels, i + 2, true
+		case ',':
+			i += 2
+		default:
+			return 0, 0, i, false
+		}
+	}
 }
 
 // plainBool scans a true/false literal at p[i].
@@ -290,7 +408,9 @@ func decodeFrame(p []byte, v any) error {
 			return nil
 		}
 	case *Response:
-		if v != nil && parseNav(p, true, &f) {
+		// A window decodes into a fresh slice; json.Unmarshal would reuse
+		// one already there, so a prior window takes encoding/json.
+		if v != nil && parseNav(p, true, &f) && (f.has&hasWin == 0 || v.Win == nil) {
 			if f.has&hasFlag != 0 {
 				v.OK = f.flag
 			}
@@ -302,6 +422,9 @@ func decodeFrame(p []byte, v any) error {
 			}
 			if f.has&hasErr != 0 {
 				v.Err = f.err
+			}
+			if f.has&hasWin != 0 {
+				v.Win = f.win
 			}
 			return nil
 		}
@@ -357,7 +480,7 @@ func WriteResponse(w *bufio.Writer, resp *Response) error {
 	if !navResponse(resp) {
 		return writeJSON(w, *resp)
 	}
-	return writeLean(w, appendNavResult(append(w.AvailableBuffer(), 0, 0, 0, 0), &resp.NavResult))
+	return writeLean(w, appendNavResponse(append(w.AvailableBuffer(), 0, 0, 0, 0), resp))
 }
 
 // ReadRequest reads one frame into req, which it zeroes first, so one

@@ -57,6 +57,7 @@
 // and responses are
 //
 //	{"ok":true,"id":H}               a node handle
+//	{"ok":true,"id":H,"win":[W…]}    a node handle and a read-ahead window
 //	{"ok":false}                     ⊥ (no such child/sibling)
 //	{"ok":true,"label":L}            a fetch result
 //	{"results":[R…]}                 batch: one result per command
@@ -71,6 +72,22 @@
 // ok=false), so a client can speculatively pipeline a whole exploration
 // — e.g. root, down, then k alternating fetch/right steps — in a single
 // round trip.
+//
+// # Read-ahead windows
+//
+// When a root/down/right/select command lands on a node of a view whose
+// region is fully explored on the server, the response may carry a
+// window: the landed node, its subtree, then its right siblings and
+// their subtrees, in document order, as entries
+//
+//	{"l":L,"d":D,"r":R}              label, first child, right sibling
+//
+// where D and R are indexes into the same window, -1 means ⊥ and -2
+// means "exists, not in this window". Node i of a window has handle
+// H+i, so a client answers later d/r/f/select commands on those nodes
+// from the window, and names any of them in a frame when the window
+// cannot decide one. A window never costs the server source work, and
+// clients that ignore "win" see the protocol unchanged.
 package vxdp
 
 import (
@@ -80,6 +97,7 @@ import (
 
 	"mix/internal/regioncache"
 	"mix/internal/trace"
+	"mix/internal/wirejson"
 )
 
 // MaxFrame bounds a single VXDP frame (requests carry at most a query
@@ -90,6 +108,47 @@ const MaxFrame = 1 << 20
 
 // MaxBatch bounds the number of commands in one batch frame.
 const MaxBatch = 4096
+
+// FrameBuffer is the size of the bufio buffers both ends of a session
+// read and write frames through. A frame that fits is decoded in place.
+const FrameBuffer = 4096
+
+// WindowBytes bounds the encoded size of a response's window, so that a
+// windowed navigation frame — length prefix, ok, a 20-digit id, the
+// "win" key and brackets, well under 64 bytes together — fits
+// FrameBuffer.
+const WindowBytes = FrameBuffer - 64
+
+// Link values of a window entry besides a window index.
+const (
+	WinNone = regioncache.WindowNone // no such node (⊥)
+	WinOut  = regioncache.WindowOut  // the node exists but is not in this window
+)
+
+// WinNode is one entry of a read-ahead window (Response.Win): a node's
+// label and the window indexes of its first child and right sibling.
+type WinNode struct {
+	Label string `json:"l"`
+	Down  int32  `json:"d"`
+	Right int32  `json:"r"`
+
+	// c and h bind a node a Client absorbed to that client and the
+	// node's handle, so &window[i] is the node's nav.ID and answering
+	// from a window allocates nothing. Neither crosses the wire.
+	c *Client
+	h uint64
+}
+
+// WinNodeBytes bounds the encoded size of one window entry with its
+// separator, for WindowBytes: a window has fewer than 10⁴ entries, and
+// no byte of a label encodes to more than six (\u00XX, \ufffd).
+func WinNodeBytes(label string) int {
+	n := len(label)
+	if !wirejson.Safe(label) {
+		n *= 6
+	}
+	return n + len(`{"l":"","d":-9999,"r":-9999},`)
+}
 
 // Protocol operation names.
 const (
@@ -202,6 +261,9 @@ type NavResult struct {
 // Response is a server→client frame.
 type Response struct {
 	NavResult
+	// Win is the read-ahead window of a root/down/right/select result on
+	// a fully explored view: node i has handle ID+i.
+	Win     []WinNode     `json:"win,omitempty"`
 	Results []NavResult   `json:"results,omitempty"` // batch
 	Stats   *Stats        `json:"stats,omitempty"`   // stats
 	Trace   []*trace.Span `json:"trace,omitempty"`   // trace
@@ -446,11 +508,11 @@ func WriteFrame(w io.Writer, v any) error {
 		}
 	case Response:
 		if navResponse(&f) {
-			return writeLean(w, appendNavResult(frame, &f.NavResult))
+			return writeLean(w, appendNavResponse(frame, &f))
 		}
 	case *Response:
 		if f != nil && navResponse(f) {
-			return writeLean(w, appendNavResult(frame, &f.NavResult))
+			return writeLean(w, appendNavResponse(frame, f))
 		}
 	}
 	return writeJSON(w, v)

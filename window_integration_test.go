@@ -1,0 +1,176 @@
+package mix_test
+
+// Read-ahead windows across a fleet (DESIGN.md §16): windows an owner
+// ships pass through a proxying node untouched, and every event that
+// can make a handle name another node — owner loss, redirect — leaves
+// the client with no window to answer from. All under -race.
+
+import (
+	"testing"
+
+	"mix/internal/cluster"
+	"mix/internal/nav"
+	"mix/internal/vxdp"
+	"mix/internal/xmltree"
+)
+
+// proxiedWarmSession opens q on a non-owner of a proxy-mode fleet after
+// the owner's entry for q is complete, so the owner ships windows and
+// the non-owner relays them. The non-owner opens q once before the
+// owner's entry completes: its own entry then exists, incomplete, and
+// later opens there are proxied rather than filled from the owner.
+func proxiedWarmSession(t *testing.T, h *clusterHarness, q string) (c *vxdp.Client, entry, owner int) {
+	t.Helper()
+	owner = h.ownerIndex(t, q)
+	entry = (owner + 1) % len(h.addrs)
+	early, err := vxdp.Dial(h.addrs[entry])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := early.Open(q); err != nil {
+		t.Fatal(err)
+	}
+	early.Close()
+	materializeVia(t, h.addrs[owner], q)
+	c, err = vxdp.Dial(h.addrs[entry])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.Open(q); err != nil {
+		t.Fatal(err)
+	}
+	return c, entry, owner
+}
+
+// TestWindowProxyFleetByteIdentical: through a non-owner, a windowed
+// session's answer is byte-identical to in-process evaluation, and the
+// windows really did the work.
+func TestWindowProxyFleetByteIdentical(t *testing.T) {
+	h := startCluster(t, 3, cluster.ModeProxy)
+	q := queryCorpus[1].q
+	want := wantAnswer(t, q)
+	c, entry, _ := proxiedWarmSession(t, h, q)
+	proxied := h.nodes[entry].Stats().Proxied
+	tree, err := nav.Materialize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := xmltree.MarshalXML(tree); got != want {
+		t.Fatalf("windowed answer through a non-owner differs\ngot:  %s\nwant: %s", got, want)
+	}
+	if h.nodes[entry].Stats().Proxied == proxied {
+		t.Fatal("the session was not proxied")
+	}
+	if nodes := countNodes(tree); c.RoundTrips()*4 > int64(nodes) {
+		t.Fatalf("%d round trips for a %d-node answer: windows did not pass through", c.RoundTrips(), nodes)
+	}
+}
+
+func countNodes(t *xmltree.Tree) int {
+	n := 1
+	for _, c := range t.Children {
+		n += countNodes(c)
+	}
+	return n
+}
+
+// TestWindowOwnerLossServesNoDeadHandle: when the owner dies under a
+// windowed proxied session, the "restart from root" error clears the
+// windows: neither the old nodes nor the old root are answered locally
+// afterwards, and restarting from the root gets the answer.
+func TestWindowOwnerLossServesNoDeadHandle(t *testing.T) {
+	h := startCluster(t, 3, cluster.ModeProxy)
+	q := queryCorpus[1].q
+	want := wantAnswer(t, q)
+	c, _, owner := proxiedWarmSession(t, h, q)
+	root, err := c.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, _ := c.Down(root)
+	trips := c.RoundTrips()
+	if _, err := c.Fetch(child); err != nil || c.RoundTrips() != trips {
+		t.Fatalf("window did not answer before the owner died: %v", err)
+	}
+
+	h.kill(t, owner)
+	b := c.NewBatch()
+	b.Root()
+	if _, err := b.Run(); err == nil {
+		t.Fatal("command after owner death succeeded; want a restart notice")
+	}
+	trips = c.RoundTrips()
+	_, _ = c.Fetch(child)
+	if c.RoundTrips() != trips+1 {
+		t.Fatal("a node of a dead window was answered locally")
+	}
+	trips = c.RoundTrips()
+	if _, err := c.Root(); err != nil || c.RoundTrips() != trips+1 {
+		t.Fatalf("root after the restart notice: %v, %d round trips, want one", err, c.RoundTrips()-trips)
+	}
+	tree, err := nav.Materialize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xmltree.MarshalXML(tree) != want {
+		t.Fatal("answer after restarting from root differs")
+	}
+}
+
+// TestWindowRedirectClearsWindows: a redirected open leaves no window
+// of the previous view to answer from.
+func TestWindowRedirectClearsWindows(t *testing.T) {
+	h := startCluster(t, 3, cluster.ModeRedirect)
+	first, second := queryCorpus[1].q, ""
+	a := h.ownerIndex(t, first)
+	for _, tc := range queryCorpus {
+		if h.ownerIndex(t, tc.q) != a {
+			second = tc.q
+			break
+		}
+	}
+	if second == "" {
+		t.Skip("every corpus query has the same owner")
+	}
+	materializeVia(t, h.addrs[a], first)
+	c, err := vxdp.Dial(h.addrs[a])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Open(first); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := c.Root()
+	child, _ := c.Down(root)
+	trips := c.RoundTrips()
+	if _, err := c.Fetch(child); err != nil || c.RoundTrips() != trips {
+		t.Fatal("owner shipped no window for a complete view")
+	}
+
+	redirected := h.nodes[a].Stats().Redirected
+	if err := c.Open(second); err != nil {
+		t.Fatal(err)
+	}
+	if h.nodes[a].Stats().Redirected == redirected {
+		t.Fatal("the second open was not redirected")
+	}
+	trips = c.RoundTrips()
+	_, _ = c.Fetch(child)
+	if c.RoundTrips() != trips+1 {
+		t.Fatal("a node of the previous view's window was answered locally after the redirect")
+	}
+	if got := materializeTree(t, c); got != wantAnswer(t, second) {
+		t.Fatal("answer after the redirect differs")
+	}
+}
+
+func materializeTree(t *testing.T, doc nav.Document) string {
+	t.Helper()
+	tree, err := nav.Materialize(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xmltree.MarshalXML(tree)
+}
