@@ -172,7 +172,7 @@ func main() {
 	mopts.LXPBatch = *lxpBatch
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
-		// Cache before sources, so LXP prefetch fills publish into it.
+		// Cache before sources, so engines share LXP buffers.
 		m.SetRegionCache(rc)
 		for _, spec := range specs {
 			if err := spec.register(m); err != nil {
@@ -326,10 +326,11 @@ func openSource(name, loc string) (sourceSpec, error) {
 		}
 		// The LXP client multiplexes concurrent calls over its one
 		// connection, so sessions share it (and its counters) without
-		// queueing behind each other; each session buffers
-		// independently (with batching, scan lookahead and
-		// region-cache publishing wired up by RegisterLXP). Nothing
-		// is sent until a session's plan first navigates the source.
+		// queueing behind each other. With the region cache on, every
+		// engine of a cache generation shares one buffer for the
+		// source (with batching and scan lookahead, wired up by
+		// RegisterLXP); with it off, each engine buffers on its own.
+		// Nothing is sent until a plan first navigates the source.
 		counting := &lxp.Counting{Inner: client, Counters: &metrics.Counters{}}
 		return sourceSpec{name: name, counters: counting.Counters, register: func(m *mediator.Mediator) error {
 			_, err := m.RegisterLXP(name, counting, uri)

@@ -14,7 +14,9 @@
 //
 // The buffer implements nav.Document, so mediators cannot tell a
 // buffered remote source from a local tree. It is safe for concurrent
-// use, which enables the asynchronous prefetching strategy Section 4
+// use, so several engines may navigate one buffer and pay each fill
+// once (mediator.RegisterLXP shares it that way), and it enables the
+// asynchronous prefetching strategy Section 4
 // proposes ("push from below" decoupled from "pull from above") in two
 // forms: StartPrefetch launches a background worker that keeps filling
 // pending holes while the client navigates, and the scan lookahead
@@ -67,7 +69,6 @@ type Buffer struct {
 	roundTrips    int // wire round trips (a batched fill is one trip)
 	batchedFills  int // holes filled as part of a multi-hole round trip
 	stopped       bool
-	dirty         bool   // a splice happened since the last Publish
 	slab          []node // current allocation slab for graft (see newNode)
 
 	prefetchErrs    int   // prefetch fills that failed
@@ -82,14 +83,6 @@ type Buffer struct {
 	// one-hole-per-round-trip behavior (and the plain fill message), so
 	// the default changes nothing on the wire.
 	Batch int
-
-	// Publish, when non-nil, observes the open tree after every splice
-	// (demand or prefetch): it receives a fresh snapshot with holes for
-	// the unexplored parts. Mediators wire it to a region-cache entry so
-	// fills — prefetch fills in particular — become visible to other
-	// sessions. Set it before serving navigations; it is called without
-	// the buffer lock held.
-	Publish func(*xmltree.Tree)
 
 	wg sync.WaitGroup
 }
@@ -218,7 +211,6 @@ func (b *Buffer) Stats() Stats {
 // (get_root only returns a handle) and fills the root hole; concurrent
 // callers wait for the one that got there first.
 func (b *Buffer) Root() (nav.ID, error) {
-	defer b.maybePublish()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.root.hole {
@@ -242,7 +234,6 @@ func (b *Buffer) Root() (nav.ID, error) {
 					Msg: fmt.Sprintf("root fill must return one element, got %d trees", len(trees))}
 			}
 			b.root = b.graft(trees[0], nil)
-			b.dirty = true
 			b.cond.Broadcast()
 		}
 	}
@@ -448,24 +439,7 @@ func (b *Buffer) splice(h *node, trees []*xmltree.Tree) error {
 	p.children = nc
 	h.hole = false // mark resolved for waiters holding the old pointer
 	b.removePending(h)
-	b.dirty = true
 	return b.checkNoAdjacentHoles(p)
-}
-
-// maybePublish snapshots and publishes the open tree if it changed
-// since the last publish. Caller must NOT hold mu; the Publish callback
-// itself runs without the lock, so it may navigate the buffer.
-func (b *Buffer) maybePublish() {
-	b.mu.Lock()
-	fn := b.Publish
-	if fn == nil || !b.dirty {
-		b.mu.Unlock()
-		return
-	}
-	b.dirty = false
-	t := snap(b.root)
-	b.mu.Unlock()
-	fn(t)
 }
 
 func (b *Buffer) removePending(h *node) {
@@ -519,7 +493,6 @@ func (b *Buffer) lookAhead(p *node, from int) {
 	b.lookahead = lookaheadBusy
 	h.inFlight = true
 	go func() {
-		defer b.maybePublish()
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		b.prefetchFills++
@@ -576,13 +549,6 @@ func (b *Buffer) StartPrefetch() {
 				return
 			}
 			b.prefetchFills += b.fills - before
-			if fn := b.Publish; fn != nil && b.dirty {
-				b.dirty = false
-				t := snap(b.root)
-				b.mu.Unlock()
-				fn(t)
-				b.mu.Lock()
-			}
 		}
 	}()
 }
@@ -610,7 +576,6 @@ func (b *Buffer) Down(p nav.ID) (nav.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer b.maybePublish()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
@@ -636,7 +601,6 @@ func (b *Buffer) Right(p nav.ID) (nav.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer b.maybePublish()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if n.parent == nil {

@@ -67,7 +67,7 @@ type Mediator struct {
 	mu      sync.Mutex
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
 	nview   int
-	buffers map[string]*buffer.Buffer // LXP buffers by source name
+	buffers map[string]*buffer.Buffer // LXP buffers this mediator opened, by source name
 }
 
 // New creates a mediator.
@@ -90,10 +90,10 @@ func (m *Mediator) SetTracer(rec *trace.Recorder) { m.engine.SetTracer(rec) }
 // SetRegionCache installs a shared cross-session region cache: answer
 // documents of queries prepared after the call serve already-explored
 // regions from the cache (published by any mediator sharing it) instead
-// of re-deriving them, and LXP sources registered after the call
-// publish their prefetch fills into it. Install before registering
-// sources and serving queries. A nil cache (the default) changes
-// nothing.
+// of re-deriving them, and LXP sources registered after the call share
+// one buffer with every mediator of the cache that registers them (see
+// RegisterLXP). Install before registering sources and serving queries.
+// A nil cache (the default) changes nothing.
 func (m *Mediator) SetRegionCache(c *regioncache.Cache) {
 	m.cache = c
 	m.engine.SetRegionCache(c)
@@ -115,41 +115,56 @@ func (m *Mediator) RegisterTree(name string, t *xmltree.Tree) {
 // under name. Nothing is sent to the wrapper: the buffer opens its
 // session when a plan first navigates the source, which is also where
 // a wrong uri surfaces. The buffer's scan lookahead is always on.
+//
+// With a region cache installed, the buffer is shared: every mediator
+// of the cache that registers the same name and uri in the same cache
+// generation, at the same registry version, navigates one open tree —
+// the first builds it with its own LXPBatch, the rest join it — so a
+// fill or get_root any engine pays (a session's or a speculative
+// drain's) is paid for all.
+// Like region-cache keys, this assumes such registrations serve the
+// same data. A mediator whose pinned generation is already stale gets
+// a private buffer. Without a cache every registration builds its own.
 func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer.Buffer, error) {
-	b, err := buffer.New(srv, uri)
-	if err != nil {
-		return nil, fmt.Errorf("mediator: opening LXP source %q: %w", name, err)
+	open := func() nav.Document {
+		b, _ := buffer.New(srv, uri) // never fails: New sends nothing
+		b.Batch = m.opts.LXPBatch
+		b.EnableLookahead()
+		return b
 	}
-	b.Batch = m.opts.LXPBatch
-	b.EnableLookahead()
-	doc := nav.Document(b)
+	var doc nav.Document
+	opened := true
 	if m.cache != nil {
-		// Pin the source's cache entry to the registry version the
-		// registration below will establish, wire prefetch fills to
-		// publish into it, and serve the source itself cache-first so
-		// regions any session explored are shared across mediators.
-		entry := m.cache.Open(regioncache.Key{
+		// Keyed by the registry version the registration below will
+		// establish.
+		doc, opened = m.cache.Source(regioncache.Key{
 			Generation:  m.engine.CacheGeneration(),
 			Registry:    m.engine.RegistryVersion() + 1,
 			Name:        "src:" + name,
 			Fingerprint: "lxp:" + uri,
-		}, false)
-		b.Publish = entry.MergeTree
-		doc = regioncache.NewDoc(entry, b)
+		}, open)
+	} else {
+		doc = open()
 	}
-	m.RegisterSource(name, doc)
-	m.mu.Lock()
-	if m.buffers == nil {
-		m.buffers = map[string]*buffer.Buffer{}
+	b := doc.(*buffer.Buffer)
+	m.RegisterSource(name, b)
+	if opened {
+		m.mu.Lock()
+		if m.buffers == nil {
+			m.buffers = map[string]*buffer.Buffer{}
+		}
+		m.buffers[name] = b
+		m.mu.Unlock()
 	}
-	m.buffers[name] = b
-	m.mu.Unlock()
 	return b, nil
 }
 
-// BufferStats returns per-source fill accounting for every LXP source
-// registered through RegisterLXP (round trips, batched fills, prefetch
-// errors); the server's stats op surfaces it to clients.
+// BufferStats returns per-source fill accounting (round trips, batched
+// fills, prefetch errors) for every LXP buffer this mediator opened
+// through RegisterLXP; the server's stats op surfaces it to clients. A
+// buffer shared through the region cache is reported only by the
+// mediator that opened it, never by those that joined it, so sums over
+// mediators count each fill once.
 func (m *Mediator) BufferStats() map[string]buffer.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -205,8 +205,8 @@ func (e *Entry) storeChild(path []int, i int, exists bool) {
 // root into the cache. Hole children (xmltree.IsHole) and everything to
 // their right are skipped — only the index-stable prefix of each child
 // list is merged, and a child list with no hole is marked complete.
-// This is the publication path for buffer prefetchers, whose open trees
-// contain holes standing for zero or more unexplored siblings.
+// Holes stand for zero or more unexplored siblings, as in the buffer
+// component's open trees.
 func (e *Entry) MergeTree(t *xmltree.Tree) {
 	if t == nil || t.IsHole() {
 		return

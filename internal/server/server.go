@@ -50,8 +50,9 @@ import (
 // must be immutable or internally synchronized. The server's shared
 // region cache is passed (nil when caching is off) so the factory can
 // install it *before* registering sources — mediator.SetRegionCache
-// first, then RegisterLXP — which is what lets LXP prefetch fills
-// publish into the cache.
+// first, then RegisterLXP — which is what makes every engine of a
+// cache generation (pooled and speculative alike) share one buffer per
+// LXP source, paying each fill and get_root once.
 type Factory func(cache *regioncache.Cache) (*mediator.Mediator, error)
 
 // config is the assembled server configuration; callers shape it

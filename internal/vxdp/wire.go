@@ -477,9 +477,12 @@ type SessionStats struct {
 	Fetch    int64  `json:"fetch"`
 	Select   int64  `json:"select"`
 	Root     int64  `json:"root"`
-	// Sources, present when the session's mediator has LXP-buffered
-	// sources, reports their per-source fill accounting (sorted by
-	// name).
+	// Sources, present when the session's mediator opened LXP buffers,
+	// reports their per-source fill accounting (sorted by name). With a
+	// region cache, engines of one generation share each source's buffer
+	// and only the engine that opened it reports it, so a session on a
+	// joining engine lists no such source and sums over sessions count
+	// each fill once (see mediator.BufferStats).
 	Sources []SourceStats `json:"sources,omitempty"`
 }
 
