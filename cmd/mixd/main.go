@@ -18,9 +18,8 @@
 // over the shared (immutable or concurrency-safe) sources, so concurrent
 // sessions explore independently while the regions of answer documents
 // they explore are shared through the cross-session region cache:
-// -cache-max-bytes bounds it (whole-entry LRU eviction), -cache-off
-// disables it. With the cache on, -prefetch (on by default) learns each
-// view's region-to-region navigation pattern and speculatively warms
+// -cache-max-bytes bounds it (whole-entry LRU eviction). -prefetch (on
+// by default) learns each view's region-to-region navigation pattern and speculatively warms
 // the predicted next region before it is asked for (-prefetch-budget
 // and -prefetch-confidence tune it; -prefetch=false restores the
 // demand-only behavior exactly). SIGINT/SIGTERM shut the daemon down
@@ -91,39 +90,65 @@ type sourceSpec struct {
 	counters *metrics.Counters
 }
 
+// options is mixd's command line, filled by the flags registerFlags
+// declares.
+type options struct {
+	srcs, views                 multiFlag
+	addr, httpAddr              string
+	maxSessions                 int
+	idle, lifetime, grace       time.Duration
+	trace                       bool
+	slowMs, slowRing            int
+	cacheMax                    int64
+	lxpBatch                    int
+	prefetch                    bool
+	prefetchBudget              int64
+	prefetchConf                float64
+	cluster                     bool
+	node, peers, clusterMode    string
+	clusterVnodes               int
+	clusterHealth, clusterFlush time.Duration
+	logLevel                    string
+	logJSON                     bool
+}
+
+// registerFlags declares every mixd flag on fs and returns the options
+// they fill once fs is parsed.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7080", "listen address")
+	fs.Var(&o.srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)")
+	fs.Var(&o.views, "view", "view declaration name=path.xmas (repeatable)")
+	fs.IntVar(&o.maxSessions, "max-sessions", 256, "concurrent session limit (0 = unlimited)")
+	fs.DurationVar(&o.idle, "idle", 2*time.Minute, "evict sessions idle this long (0 = never)")
+	fs.DurationVar(&o.lifetime, "lifetime", 0, "evict sessions this long after accept (0 = never)")
+	fs.DurationVar(&o.grace, "grace", 5*time.Second, "drain deadline for graceful shutdown")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
+	fs.BoolVar(&o.trace, "trace", false, "record per-session navigation traces (wire trace command, operator histograms, fleet trace propagation)")
+	fs.IntVar(&o.slowMs, "slow-ms", 100, "retain traced roots at least this slow in the flight ring (/debug/slow, wire slow command); 0 = all, negative = off")
+	fs.IntVar(&o.slowRing, "slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
+	fs.Int64Var(&o.cacheMax, "cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
+	fs.IntVar(&o.lxpBatch, "lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
+	fs.BoolVar(&o.prefetch, "prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
+	fs.Int64Var(&o.prefetchBudget, "prefetch-budget", server.DefaultPrefetchNavs, "navigation budget per speculative drain (0 = default)")
+	fs.Float64Var(&o.prefetchConf, "prefetch-confidence", server.DefaultPrefetchConfidence, "minimum successor-model confidence that triggers a drain")
+	fs.BoolVar(&o.cluster, "cluster", false, "join a sharded mediator fleet: route sessions over a consistent-hash ring and share explored regions with -peers")
+	fs.StringVar(&o.node, "node", "", "advertised cluster address of this node (default: -addr); every peer must know it by exactly this string")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated advertised addresses of the other fleet members (all nodes must be configured with identical -src/-view sets, in the same order)")
+	fs.StringVar(&o.clusterMode, "cluster-mode", "proxy", "what to do with sessions another node owns: proxy (forward transparently), redirect (tell the client to redial), or local (serve locally, share regions only)")
+	fs.IntVar(&o.clusterVnodes, "cluster-vnodes", 64, "virtual nodes per member on the consistent-hash ring")
+	fs.DurationVar(&o.clusterHealth, "cluster-health", 2*time.Second, "peer health-check (ping) interval")
+	fs.DurationVar(&o.clusterFlush, "cluster-flush", 500*time.Millisecond, "interval between sweeps publishing locally explored regions to their owner nodes")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit logs as JSON")
+	return o
+}
+
 func main() {
-	var srcs, views multiFlag
-	addr := flag.String("addr", "127.0.0.1:7080", "listen address")
-	flag.Var(&srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)")
-	flag.Var(&views, "view", "view declaration name=path.xmas (repeatable)")
-	maxSessions := flag.Int("max-sessions", 256, "concurrent session limit (0 = unlimited)")
-	idle := flag.Duration("idle", 2*time.Minute, "evict sessions idle this long (0 = never)")
-	lifetime := flag.Duration("lifetime", 0, "evict sessions this long after accept (0 = never)")
-	grace := flag.Duration("grace", 5*time.Second, "drain deadline for graceful shutdown")
-	httpAddr := flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	traceOn := flag.Bool("trace", false, "record per-session navigation traces (wire trace command, operator histograms, fleet trace propagation)")
-	slowMs := flag.Int("slow-ms", 100, "retain traced roots at least this slow in the flight ring (/debug/slow, wire slow command); 0 = all, negative = off")
-	slowRing := flag.Int("slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
-	cacheMax := flag.Int64("cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
-	cacheOff := flag.Bool("cache-off", false, "disable the cross-session region cache entirely")
-	parallelJoin := flag.Bool("parallel-join", false, "derive the two inputs of multi-source joins concurrently (trades lazy exploration for latency overlap)")
-	lxpBatch := flag.Int("lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
-	semanticCache := flag.Bool("semantic-cache", true, "answer named queries from subsuming cached plans via containment (false = exact fingerprint matches only)")
-	prefetchOn := flag.Bool("prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
-	prefetchBudget := flag.Int64("prefetch-budget", server.DefaultPrefetchNavs, "navigation budget per speculative drain (0 = default)")
-	prefetchConf := flag.Float64("prefetch-confidence", server.DefaultPrefetchConfidence, "minimum successor-model confidence that triggers a drain")
-	clusterOn := flag.Bool("cluster", false, "join a sharded mediator fleet: route sessions over a consistent-hash ring and share explored regions with -peers")
-	nodeAddr := flag.String("node", "", "advertised cluster address of this node (default: -addr); every peer must know it by exactly this string")
-	peers := flag.String("peers", "", "comma-separated advertised addresses of the other fleet members (all nodes must be configured with identical -src/-view sets, in the same order)")
-	clusterMode := flag.String("cluster-mode", "proxy", "what to do with sessions another node owns: proxy (forward transparently), redirect (tell the client to redial), or local (serve locally, share regions only)")
-	clusterVnodes := flag.Int("cluster-vnodes", 64, "virtual nodes per member on the consistent-hash ring")
-	clusterHealth := flag.Duration("cluster-health", 2*time.Second, "peer health-check (ping) interval")
-	clusterFlush := flag.Duration("cluster-flush", 500*time.Millisecond, "interval between sweeps publishing locally explored regions to their owner nodes")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
+	logger, err := telemetry.NewLogger(os.Stderr, o.logLevel, o.logJSON)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mixd: %v\n", err)
 		os.Exit(2)
@@ -133,13 +158,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	if len(srcs) == 0 {
+	if len(o.srcs) == 0 {
 		fmt.Fprintln(os.Stderr, "mixd: no sources; use -src (and see -help)")
 		os.Exit(2)
 	}
-	specs := make([]sourceSpec, 0, len(srcs))
+	specs := make([]sourceSpec, 0, len(o.srcs))
 	sourceCounters := map[string]*metrics.Counters{}
-	for _, s := range srcs {
+	for _, s := range o.srcs {
 		name, loc, ok := strings.Cut(s, "=")
 		if !ok {
 			fatal("malformed -src (want name=location)", "src", s)
@@ -154,7 +179,7 @@ func main() {
 		specs = append(specs, spec)
 	}
 	viewTexts := map[string]string{}
-	for _, v := range views {
+	for _, v := range o.views {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok {
 			fatal("malformed -view (want name=path)", "view", v)
@@ -167,9 +192,7 @@ func main() {
 	}
 
 	mopts := mediator.DefaultOptions()
-	mopts.Engine.Parallel = *parallelJoin
-	mopts.Engine.SemanticCache = *semanticCache
-	mopts.LXPBatch = *lxpBatch
+	mopts.LXPBatch = o.lxpBatch
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
 		// Cache before sources, so engines share LXP buffers.
@@ -187,40 +210,34 @@ func main() {
 		return m, nil
 	}
 	options := []server.Option{
-		server.WithMaxSessions(*maxSessions),
-		server.WithIdleTimeout(*idle),
-		server.WithMaxLifetime(*lifetime),
+		server.WithMaxSessions(o.maxSessions),
+		server.WithIdleTimeout(o.idle),
+		server.WithMaxLifetime(o.lifetime),
 		server.WithLogger(logger),
-		server.WithTrace(*traceOn),
-		server.WithSlowNav(time.Duration(*slowMs)*time.Millisecond, *slowRing),
+		server.WithTrace(o.trace),
+		server.WithSlowNav(time.Duration(o.slowMs)*time.Millisecond, o.slowRing),
 		server.WithSourceCounters(sourceCounters),
 	}
-	var rc *regioncache.Cache
-	if !*cacheOff {
-		rc = regioncache.New(*cacheMax)
-		options = append(options, server.WithRegionCache(rc))
-		if *prefetchOn {
-			options = append(options,
-				server.WithPrefetch(true),
-				server.WithPrefetchBudget(core.PrefetchBudget{MaxNavs: *prefetchBudget}),
-				server.WithPrefetchConfidence(*prefetchConf))
-		}
+	rc := regioncache.New(o.cacheMax)
+	options = append(options, server.WithRegionCache(rc))
+	if o.prefetch {
+		options = append(options,
+			server.WithPrefetch(true),
+			server.WithPrefetchBudget(core.PrefetchBudget{MaxNavs: o.prefetchBudget}),
+			server.WithPrefetchConfidence(o.prefetchConf))
 	}
 	var node *cluster.Node
-	if *clusterOn {
-		if rc == nil {
-			fatal("clustering needs the region cache; drop -cache-off")
-		}
-		self := *nodeAddr
+	if o.cluster {
+		self := o.node
 		if self == "" {
-			self = *addr
+			self = o.addr
 		}
-		mode, err := cluster.ParseMode(*clusterMode)
+		mode, err := cluster.ParseMode(o.clusterMode)
 		if err != nil {
 			fatal("parsing -cluster-mode", "err", err.Error())
 		}
 		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
+		for _, p := range strings.Split(o.peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peerList = append(peerList, p)
 			}
@@ -228,10 +245,10 @@ func main() {
 		node, err = cluster.New(cluster.Config{
 			Self:           self,
 			Peers:          peerList,
-			Replicas:       *clusterVnodes,
+			Replicas:       o.clusterVnodes,
 			Mode:           mode,
-			HealthInterval: *clusterHealth,
-			FlushInterval:  *clusterFlush,
+			HealthInterval: o.clusterHealth,
+			FlushInterval:  o.clusterFlush,
 			Logger:         logger,
 		}, rc)
 		if err != nil {
@@ -249,19 +266,19 @@ func main() {
 		defer node.Stop()
 	}
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		fatal("listening", "addr", *addr, "err", err.Error())
+		fatal("listening", "addr", o.addr, "err", err.Error())
 	}
 	logger.Info("serving", "addr", l.Addr().String(),
 		"sources", len(specs), "views", len(viewTexts),
-		"max_sessions", *maxSessions, "idle", idle.String(), "trace", *traceOn)
+		"max_sessions", o.maxSessions, "idle", o.idle.String(), "trace", o.trace)
 
 	var hsrv *http.Server
-	if *httpAddr != "" {
-		hl, err := net.Listen("tcp", *httpAddr)
+	if o.httpAddr != "" {
+		hl, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
-			fatal("listening for http", "addr", *httpAddr, "err", err.Error())
+			fatal("listening for http", "addr", o.httpAddr, "err", err.Error())
 		}
 		hsrv = &http.Server{Handler: srv.Handler()}
 		logger.Info("http sidecar up", "addr", hl.Addr().String())
@@ -284,7 +301,7 @@ func main() {
 	case <-ctx.Done():
 		stop()
 		logger.Info("signal received; draining sessions")
-		sctx, cancel := context.WithTimeout(context.Background(), *grace)
+		sctx, cancel := context.WithTimeout(context.Background(), o.grace)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			logger.Warn("shutdown expired; sessions force-closed", "err", err.Error())

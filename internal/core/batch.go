@@ -35,7 +35,7 @@ import (
 // evaluations, same source commands — whatever the width. Full batches
 // flow only where the whole output is needed anyway: Materialize
 // predrains the top log batch-wise, and the blocking operators
-// (orderBy, the difference right input, parallel join derivation) drain
+// (orderBy, the difference right input) drain
 // their inputs in batch-sized pulls. Those drains reorder work but
 // never change the set of computations, so answers and navigation
 // totals are independent of the width.
@@ -265,7 +265,7 @@ func (t *tracedBCursor) fork() bcursor {
 }
 
 // sliceBCursor serves a fixed slice in want-sized windows (sources,
-// drained parallel inputs, sorted orderBy output).
+// sorted orderBy output).
 type sliceBCursor struct {
 	buf []*binding
 	pos int

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"mix/internal/algebra"
@@ -129,17 +128,17 @@ func batchPlans() map[string]func() algebra.Op {
 }
 
 // TestEveryConfigurationMatchesEager runs every operator class under
-// every combination of the paper caches, select(σ) in NC, parallel join
-// derivation and the semantic region cache, at widths that straddle,
-// divide and dwarf the stream lengths. With one pipeline there is no
-// second engine to compare against, so the references are external:
-// the materialized answer must equal internal/eager's, and the
-// per-source navigation counts at every width must equal those at
-// width 1 under the same configuration — the width reorders work, never
-// adds any. With SemanticCache the query is named and answered through
-// a fresh region cache: the cold drain fills it, and a second query of
-// the same plan must then be answered from it identically — with zero
-// source navigations when the plan has a canonical cache identity.
+// every combination of the paper caches and select(σ) in NC, with and
+// without a region cache, at widths that straddle, divide and dwarf the
+// stream lengths. With one pipeline there is no second engine to
+// compare against, so the references are external: the materialized
+// answer must equal internal/eager's, and the per-source navigation
+// counts at every width must equal those at width 1 under the same
+// configuration — the width reorders work, never adds any. With a
+// region cache the query is named and answered through a fresh cache:
+// the cold drain fills it, and a second query of the same plan must
+// then be answered from it identically — with zero source navigations
+// when the plan has a canonical cache identity.
 func TestEveryConfigurationMatchesEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -152,20 +151,18 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 		}
 		return strings.Join(navs, "; ")
 	}
-	run := func(t *testing.T, mk func() algebra.Op, o Options) (string, string) {
+	run := func(t *testing.T, mk func() algebra.Op, o Options, cached bool) (string, string) {
 		e, counters := engineWith(o, srcs)
-		var cache *regioncache.Cache
-		if o.SemanticCache {
-			cache = regioncache.New(0)
-			e.SetRegionCache(cache)
+		if cached {
+			e.SetRegionCache(regioncache.New(0))
 		}
 		q := mustCompile(t, e, mk())
-		if cache != nil {
+		if cached {
 			q.SetCacheName("v")
 		}
 		answer := xmltree.MarshalXML(mustMaterialize(t, q))
 		navs := navsOf(counters)
-		if cache != nil {
+		if cached {
 			before := sumNavs(counters)
 			again := mustCompile(t, e, mk())
 			again.SetCacheName("v")
@@ -185,25 +182,23 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := eagerAnswer(t, mk(), srcs)
 			o := DefaultOptions()
-			for mask := 0; mask < 64; mask++ {
+			for mask := 0; mask < 16; mask++ {
 				o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
 				o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
-				o.Parallel, o.SemanticCache = mask&16 != 0, mask&32 != 0
-				if o.Parallel && !o.JoinCache {
-					continue // Parallel requires JoinCache: same run as without
-				}
-				var wantNavs string
-				for _, width := range []int{1, 3, 64} {
-					o.BatchSize = width
-					answer, navs := run(t, mk, o)
-					if answer != want {
-						t.Fatalf("%+v: answer differs from eager:\n%s\nvs\n%s", o, answer, want)
-					}
-					if width == 1 {
-						wantNavs = navs
-					} else if navs != wantNavs {
-						t.Fatalf("%+v: source navigations differ from width 1:\n%s\nvs\n%s",
-							o, navs, wantNavs)
+				for _, cached := range []bool{false, true} {
+					var wantNavs string
+					for _, width := range []int{1, 3, 64} {
+						o.BatchSize = width
+						answer, navs := run(t, mk, o, cached)
+						if answer != want {
+							t.Fatalf("%+v cache=%v: answer differs from eager:\n%s\nvs\n%s", o, cached, answer, want)
+						}
+						if width == 1 {
+							wantNavs = navs
+						} else if navs != wantNavs {
+							t.Fatalf("%+v cache=%v: source navigations differ from width 1:\n%s\nvs\n%s",
+								o, cached, navs, wantNavs)
+						}
 					}
 				}
 			}
@@ -359,55 +354,5 @@ func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
 					budget, bs, gotRows, gotErr, wantRows, wantErr)
 			}
 		}
-	}
-}
-
-// TestParallelBatchDrainRace stress-tests the work-stealing batch
-// drains under the race detector: many engines evaluate the same
-// disjoint-sources parallel join concurrently with a tiny batch width
-// (maximizing pump handoffs through the shared worker pool), and every
-// answer must match the serial reference.
-func TestParallelBatchDrainRace(t *testing.T) {
-	homes, schools := workload.HomesSchools(30, 30, 6, 3)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	plan := func() algebra.Op {
-		return hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2")))
-	}
-	ser, _ := engineWith(DefaultOptions(), srcs)
-	want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, ser, plan())))
-
-	popts := batchOpts(2)
-	popts.Parallel = true
-	before := BatchSnapshot()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, _ := engineWith(popts, srcs)
-			q, err := e.Compile(plan())
-			if err != nil {
-				errs <- err
-				return
-			}
-			tree, err := q.Materialize()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got := xmltree.MarshalXML(tree); got != want {
-				errs <- fmt.Errorf("parallel batch answer differs:\n%s", got)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	after := BatchSnapshot()
-	if after.Batches <= before.Batches || after.Bindings <= before.Bindings {
-		t.Fatalf("batch counters did not advance: %+v -> %+v", before, after)
 	}
 }

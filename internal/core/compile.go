@@ -119,8 +119,8 @@ type Query struct {
 	regVer      uint64
 
 	// canon is the canonical (RenameVars normal form) plan, kept when
-	// the engine's semantic cache is on and the plan canonicalizes; it
-	// is what the containment checker compares (see semantic.go).
+	// the plan canonicalizes; it is what the containment checker
+	// compares (see semantic.go).
 	canon algebra.Op
 
 	// semMu/semTried gate the one semantic-cache attempt per query (see
@@ -198,7 +198,7 @@ func (q *Query) SetCacheName(name string) {
 	if name != "" && q.fingerprint == "" {
 		canon, fp, ok := regioncache.Canonical(q.plan)
 		q.fingerprint = fp
-		if ok && q.eng.opts.SemanticCache {
+		if ok {
 			q.canon = canon
 			// Publish the canonical plan in the semantic index so other
 			// queries of this view can discover it as a superset
@@ -282,12 +282,8 @@ func (q *Query) entry(spec bool) *regioncache.Entry {
 // Warm resolves the query's entry the way Document does and reports
 // whether it is now fully explored, so every navigation will be
 // answered with zero source work. The cluster's routed-open path asks
-// it before proxying; it is false without the semantic cache, which
-// leaves routing exactly as it was before the semantic tier existed.
+// it before proxying; it is false without a region cache.
 func (q *Query) Warm() bool {
-	if !q.eng.opts.SemanticCache {
-		return false
-	}
 	e := q.entry(false)
 	return e != nil && e.Complete()
 }

@@ -80,8 +80,7 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 // (Section 3: "the nested-loops join operator stores the parts of the
 // inner argument of the loop"). Without it the nested loops re-derive
 // the inner from its sources for every outer binding (the E6 ablation);
-// the hash index and the parallel drain *are* inner caches, so they
-// need JoinCache.
+// the hash index *is* an inner cache, so it needs JoinCache.
 func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 	left, err := c.compile(op.Left)
 	if err != nil {
@@ -92,11 +91,6 @@ func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 		return nil, err
 	}
 	cond, cache := op.Cond, c.e.opts.JoinCache
-	if c.e.opts.Parallel && cache {
-		if l, r, ok := c.e.parallelBPair(op, left, right, c.batch); ok {
-			left, right = l, r
-		}
-	}
 	if lk, rk, ok := equiJoinKeys(op); ok && cache {
 		return func() (bcursor, error) {
 			lc, err := left()

@@ -29,8 +29,7 @@ import (
 // threaded by the compiler), which bounds retention: it can never
 // outlive the bindings whose trees it references, and keys from
 // different queries — or from the same plan compiled twice — are never
-// mixed. It is mutex-guarded because parallel join derivation may
-// compute keys on two goroutines.
+// mixed.
 
 // compiler carries the per-compile state threaded through plan
 // compilation: the engine (options, registry, tracer) and the
@@ -40,8 +39,8 @@ type compiler struct {
 	e  *Engine
 	ks *keyspace
 
-	// batch is the width of the full-drain pulls (blocking operators,
-	// parallel derivation): Options.width().
+	// batch is the width of the full-drain pulls (blocking operators):
+	// Options.width().
 	batch int
 }
 

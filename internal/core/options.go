@@ -29,12 +29,6 @@ import (
 //   - NativeSelect — the select(σ) command is part of NC and pushed to
 //     the sources, upgrading label selections from browsable to
 //     bounded browsable (Section 2, Example 1). E3 toggles it.
-//   - Parallel — joins whose two inputs read disjoint source sets
-//     derive both inputs concurrently (bounded worker pool, first error
-//     cancels the sibling). The inputs are drained eagerly when the
-//     join is first pulled, trading input laziness for wall-clock
-//     overlap of the sources' round trips; see parallel.go. Requires
-//     JoinCache (the drained inputs are replayed like the inner cache).
 //   - BatchSize — the width of the operator pipeline: operators
 //     exchange slices of up to BatchSize bindings per call (see
 //     batch.go); 1 (or less) moves one binding per pull. The lazy
@@ -42,25 +36,23 @@ import (
 //     pulls single bindings on client demand, so answers, client
 //     commands, and per-source navigation counts do not depend on the
 //     width; whole-batch execution kicks in on full drains
-//     (Materialize, orderBy and difference inputs, parallel derivation).
-//   - SemanticCache — with a region cache installed, a named query whose
-//     plan is *subsumed* by another cached plan (same view, weaker
-//     σ-conditions / wider paths: see algebra.Analyze and DESIGN.md §14)
-//     is answered by filtering the subsuming plan's fully-explored
-//     region locally, with zero source navigations. Off restricts the
-//     region cache to exact fingerprint matches (the E18 ablation).
+//     (Materialize, orderBy and difference inputs).
+//
+// With a region cache installed (SetRegionCache), a named query whose
+// plan is *subsumed* by another cached plan (same view, weaker
+// σ-conditions / wider paths: see algebra.Analyze and DESIGN.md §14) is
+// answered by filtering the subsuming plan's fully-explored region
+// locally, with zero source navigations.
 //
 // Whatever the options, equality-heavy operators (distinct, groupBy,
 // difference, hash-join buckets) key on structural fingerprints (see
 // keyspace.go) and getDescendants steps a lazily-determinized path DFA.
 type Options struct {
-	JoinCache     bool
-	PathCache     bool
-	GroupCache    bool
-	NativeSelect  bool
-	Parallel      bool
-	SemanticCache bool
-	BatchSize     int
+	JoinCache    bool
+	PathCache    bool
+	GroupCache   bool
+	NativeSelect bool
+	BatchSize    int
 }
 
 // DefaultBatchSize is the batch width DefaultOptions enables: large
@@ -70,12 +62,9 @@ type Options struct {
 const DefaultBatchSize = 64
 
 // DefaultOptions enables all caches and batch-at-a-time execution, and
-// leaves NC = {d, r, f}. Parallel input derivation is opt-in: it trades
-// the lazy "explore only what the client demands" contract for latency
-// overlap, which only pays off on high-latency sources.
+// leaves NC = {d, r, f}.
 func DefaultOptions() Options {
-	return Options{JoinCache: true, PathCache: true, GroupCache: true,
-		SemanticCache: true, BatchSize: DefaultBatchSize}
+	return Options{JoinCache: true, PathCache: true, GroupCache: true, BatchSize: DefaultBatchSize}
 }
 
 // width is the pipeline width BatchSize selects.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 
 	"mix/internal/metrics"
 	"mix/internal/nav"
@@ -14,11 +15,15 @@ import (
 // query's answer document, PrefetchRegion explores just that region
 // through a cache-aware document opened speculatively, so the explored
 // structure lands in the shared region cache before any client asks.
-// The drain runs on the same bounded worker pool as parallel join
-// derivation and is triple-bounded: a navigation budget, a label-byte
-// budget, and a context cancelled the instant real demand arrives —
+// Drains share a bounded pool of slots (specSlots), and each is
+// triple-bounded: a navigation budget, a label-byte budget, and a
+// context cancelled the instant real demand arrives —
 // checked between every two navigations, so cancellation takes effect
 // within at most one batch-pipeline pull.
+
+// specSlots bounds the speculative drains running at once across the
+// whole process; a drain waits for a slot or for its cancellation.
+var specSlots = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 
 // PrefetchBudget bounds one speculative drain. Zero fields mean
 // unbounded (the context still applies).
@@ -139,9 +144,9 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 //
 // The walk issues navigations into counters (the caller's dedicated
 // speculative block — never a session's) and stops at the first of:
-// region fully explored, budget exhausted, ctx cancelled. It runs on
-// the bounded parallel worker pool; with the pool saturated it waits
-// for a slot or for cancellation, whichever comes first.
+// region fully explored, budget exhausted, ctx cancelled. It holds one
+// of specSlots; with every slot taken it waits for one or for
+// cancellation, whichever comes first.
 //
 // The query must be cache-named on an engine with a region cache;
 // anything else returns an error, as does a navigation failure.
@@ -152,10 +157,9 @@ func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budge
 	if region < 0 {
 		return PrefetchResult{}, errors.New("core: negative prefetch region")
 	}
-	pool := parallelWorkers
 	select {
-	case pool <- struct{}{}:
-		defer func() { <-pool }()
+	case specSlots <- struct{}{}:
+		defer func() { <-specSlots }()
 	case <-ctx.Done():
 		return PrefetchResult{Cancelled: true}, nil
 	}

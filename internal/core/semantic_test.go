@@ -46,20 +46,21 @@ func bibTree() *xmltree.Tree {
 	)
 }
 
-// drainSemPair drains the super query cold, then materializes the sub
-// query against the same cache and returns (sub answer, source navs the
-// sub query cost, cache stats).
-func drainSemPair(t *testing.T, superPlan, subPlan algebra.Op, srcs map[string]*xmltree.Tree, semantic bool) (*xmltree.Tree, int64, regioncache.Stats) {
+// drainSemPair drains the super query cold (when superset is set),
+// then materializes the sub query against the same cache and returns
+// (sub answer, source navs the sub query cost, cache stats). Without
+// the superset the sub query meets a fresh cache: the cold baseline.
+func drainSemPair(t *testing.T, superPlan, subPlan algebra.Op, srcs map[string]*xmltree.Tree, superset bool) (*xmltree.Tree, int64, regioncache.Stats) {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.SemanticCache = semantic
-	e, counters := engineWith(opts, srcs)
+	e, counters := engineWith(DefaultOptions(), srcs)
 	cache := regioncache.New(0)
 	e.SetRegionCache(cache)
 
-	qs := mustCompile(t, e, superPlan)
-	qs.SetCacheName("v")
-	mustMaterialize(t, qs)
+	if superset {
+		qs := mustCompile(t, e, superPlan)
+		qs.SetCacheName("v")
+		mustMaterialize(t, qs)
+	}
 
 	before := sumNavs(counters)
 	qq := mustCompile(t, e, subPlan)
@@ -97,17 +98,17 @@ func TestSemanticConstructSubsumed(t *testing.T) {
 		t.Fatalf("semantic hits = %d, want 1 (stats %+v)", st.SemanticHits, st)
 	}
 
-	// Ablated, the same pair re-drains the sources (exact-match only)
-	// but still answers identically.
+	// On a fresh cache with no superset the sub query drains its
+	// sources, records one semantic miss, and answers identically.
 	got, navs, st = drainSemPair(t, superPlan, subPlan, srcs, false)
 	if !xmltree.Equal(got, want) {
-		t.Fatalf("ablated answer differs")
+		t.Fatalf("cold answer differs")
 	}
 	if navs == 0 {
-		t.Fatal("ablated subsumed query touched no source — semantic path ran despite SemanticCache=false")
+		t.Fatal("cold subsumed query touched no source with no superset cached")
 	}
-	if st.SemanticHits != 0 || st.SemanticMisses != 0 {
-		t.Fatalf("ablated run recorded semantic traffic: %+v", st)
+	if st.SemanticHits != 0 || st.SemanticMisses != 1 {
+		t.Fatalf("cold run: semantic hits/misses = %d/%d, want 0/1 (stats %+v)", st.SemanticHits, st.SemanticMisses, st)
 	}
 }
 

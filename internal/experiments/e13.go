@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"mix/internal/algebra"
 	"mix/internal/buffer"
-	"mix/internal/core"
 	"mix/internal/lxp"
 	"mix/internal/nav"
 	"mix/internal/workload"
@@ -15,10 +13,8 @@ import (
 
 // delayServer simulates a remote wrapper: every LXP round trip —
 // get_root, fill, or fill_many — costs one fixed network delay,
-// whatever it carries. It is the cost model under which the parallel
-// navigation pipeline is measured: batching amortizes the delay over
-// many holes, parallel derivation overlaps the delays of independent
-// sources.
+// whatever it carries. It is the cost model under which batched fills
+// are measured: batching amortizes the delay over many holes.
 type delayServer struct {
 	inner lxp.Server
 	delay time.Duration
@@ -39,31 +35,25 @@ func (d *delayServer) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, er
 	return lxp.FillMany(d.inner, holeIDs)
 }
 
-// E13ParallelPipeline measures two optimizations of the parallel
-// navigation pipeline against the same lazy semantics they must
-// preserve: batched fills (round trips, not fills, carry the latency)
-// and concurrent input derivation for joins over disjoint sources (the
-// two drains overlap instead of adding up).
+// E13BatchedFills measures batched LXP fills against the same lazy
+// semantics they must preserve: round trips, not fills, carry the
+// latency, so coalescing the holes the client has discovered into one
+// fill_many cuts the round trips a cold drain pays.
 //
-// Every case reports a baseline/optimized pair plus an identity row:
-// the optimized pipeline must produce the identical answer document.
-// Round-trip rows are deterministic; the wall-clock readings depend on
-// the simulated delay and on scheduling, so they go to Timings.
-func E13ParallelPipeline() Table {
+// The case reports a baseline/optimized pair plus an identity row: the
+// batched buffer must produce the identical answer document. The
+// round-trip row is deterministic; the wall-clock reading depends on
+// the simulated delay and on scheduling, so it goes to Timings.
+func E13BatchedFills() Table {
 	t := Table{
 		ID:    "E13",
-		Title: "Parallel navigation pipeline (batching, parallel derivation)",
-		Claim: "Batched fills and concurrent input derivation cut round trips " +
-			"and wall-clock latency without changing a single byte of the answer.",
-		Expect: "≥2× fewer LXP round trips with batching; the parallel drain of two " +
-			"delayed sources runs in ≈max instead of ≈sum of their latencies; every " +
-			"identity row says yes.",
+		Title: "Batched LXP fills",
+		Claim: "Batched fills cut round trips and wall-clock latency without " +
+			"changing a single byte of the answer.",
+		Expect:  "≥2× fewer LXP round trips with batching; the identity row says yes.",
 		Headers: []string{"case", "metric", "baseline", "optimized", "improvement"},
 	}
 	rows, timing := batchedFillRows()
-	t.Rows = append(t.Rows, rows...)
-	t.Timings = append(t.Timings, timing)
-	rows, timing = parallelDeriveRows()
 	t.Rows = append(t.Rows, rows...)
 	t.Timings = append(t.Timings, timing)
 	return t
@@ -135,79 +125,5 @@ func batchedFillRows() (rows [][]string, timing []string) {
 	timing = []string{"batched fills", "cold drain wall-clock (ms)",
 		itoa(d1.Milliseconds()), itoa(d8.Milliseconds()),
 		ratio(float64(d1), float64(d8))}
-	return rows, timing
-}
-
-// zipJoinPlan is the Fig. 4 equi-join shape over homes and schools with
-// a countable join condition: H ⋈ S on zip equality, projected to the
-// pair. jn, when non-nil, counts condition evaluations.
-func zipJoinPlan(jn *int64) algebra.Op {
-	left := &algebra.GetDescendants{
-		Input:  &algebra.Source{URL: "homesSrc", Var: "r1"},
-		Parent: "r1", Path: mustPath("home"), Out: "H",
-	}
-	leftZip := &algebra.GetDescendants{Input: left, Parent: "H",
-		Path: mustPath("zip._"), Out: "V1"}
-	right := &algebra.GetDescendants{
-		Input:  &algebra.Source{URL: "schoolsSrc", Var: "r2"},
-		Parent: "r2", Path: mustPath("school"), Out: "S",
-	}
-	rightZip := &algebra.GetDescendants{Input: right, Parent: "S",
-		Path: mustPath("zip._"), Out: "V2"}
-	var cond algebra.Cond = algebra.Eq(algebra.V("V1"), algebra.V("V2"))
-	if jn != nil {
-		cond = &countingCond{inner: cond, n: jn}
-	}
-	return &algebra.Project{
-		Input: &algebra.Join{Left: leftZip, Right: rightZip, Cond: cond},
-		Keep:  []string{"H", "S"},
-	}
-}
-
-// parallelDeriveRows joins two LXP-buffered sources behind
-// 5ms-per-round-trip wrappers: serially the two input drains add up,
-// with Options.Parallel they overlap. It returns the identity row and
-// the drain's wall-clock row.
-func parallelDeriveRows() (rows [][]string, timing []string) {
-	homes, schools := workload.HomesSchools(50, 50, 12, 11)
-	run := func(opts core.Options) (elapsed time.Duration, got *xmltree.Tree) {
-		e := core.New(opts)
-		for name, tree := range map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools} {
-			srv := &delayServer{
-				inner: &lxp.TreeServer{Tree: tree, Chunk: 5, InlineLimit: 64},
-				delay: 5 * time.Millisecond,
-			}
-			b, err := buffer.New(srv, name)
-			if err != nil {
-				panic(err)
-			}
-			e.Register(name, b)
-		}
-		q, err := e.Compile(zipJoinPlan(nil))
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		got, err = q.Materialize()
-		if err != nil {
-			panic(err)
-		}
-		return time.Since(start), got
-	}
-	serial := core.Options{JoinCache: true, PathCache: true, GroupCache: true}
-	parallel := serial
-	parallel.Parallel = true
-	d0, g0 := run(serial)
-	d1, g1 := run(parallel)
-	same := "yes"
-	if !xmltree.Equal(g0, g1) {
-		same = "NO"
-	}
-	rows = [][]string{
-		{"parallel derivation", "identical answer", same, same, "="},
-	}
-	timing = []string{"parallel derivation", "input-drain wall-clock (ms)",
-		itoa(d0.Milliseconds()), itoa(d1.Milliseconds()),
-		ratio(float64(d0), float64(d1))}
 	return rows, timing
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"mix/internal/algebra"
 	"mix/internal/core"
 	"mix/internal/nav"
 	"mix/internal/trace"
@@ -12,8 +13,8 @@ import (
 )
 
 // E17BatchPipeline measures what vectorization buys on the pipeline's
-// own bookkeeping: the same warm-drain equi-join workload as E13's hash
-// join case (300 homes × 300 schools, full materialization), run
+// own bookkeeping: a warm-drain equi-join (zipJoinPlan over 300 homes ×
+// 300 schools, full materialization), run
 // binding-at-a-time (width 1) vs. batch-at-a-time. The per-binding interpreter
 // costs — one traced stream step per binding per operator, plus the
 // join-condition evaluations — collapse when each pull moves a whole
@@ -112,4 +113,27 @@ func batchPipelineRows() (rows, timings [][]string) {
 			ratio(float64(d0), float64(d1))},
 	}
 	return rows, timings
+}
+
+// zipJoinPlan is the Fig. 4 equi-join shape over homes and schools with
+// a countable join condition: H ⋈ S on zip equality, projected to the
+// pair. jn counts condition evaluations.
+func zipJoinPlan(jn *int64) algebra.Op {
+	left := &algebra.GetDescendants{
+		Input:  &algebra.Source{URL: "homesSrc", Var: "r1"},
+		Parent: "r1", Path: mustPath("home"), Out: "H",
+	}
+	leftZip := &algebra.GetDescendants{Input: left, Parent: "H",
+		Path: mustPath("zip._"), Out: "V1"}
+	right := &algebra.GetDescendants{
+		Input:  &algebra.Source{URL: "schoolsSrc", Var: "r2"},
+		Parent: "r2", Path: mustPath("school"), Out: "S",
+	}
+	rightZip := &algebra.GetDescendants{Input: right, Parent: "S",
+		Path: mustPath("zip._"), Out: "V2"}
+	cond := &countingCond{inner: algebra.Eq(algebra.V("V1"), algebra.V("V2")), n: jn}
+	return &algebra.Project{
+		Input: &algebra.Join{Left: leftZip, Right: rightZip, Cond: cond},
+		Keep:  []string{"H", "S"},
+	}
 }

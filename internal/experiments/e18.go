@@ -21,10 +21,10 @@ import (
 // a σ-restricted query opened warm against another query's fully
 // explored region is answered by *filtering the cached superset* —
 // zero source navigations, byte-identical answer — even though its plan
-// fingerprint has never been seen before. The -semantic-cache=false
-// ablation (exact fingerprint matches only) pays the full source cost
-// for the same open. The clustered half routes the subsumed open
-// through a non-owner of a proxy-mode fleet: the semantic tier
+// fingerprint has never been seen before. The same open on a fresh
+// node, with no superset cached, pays the full source cost. The
+// clustered half routes the subsumed open through a non-owner of a
+// proxy-mode fleet: the semantic tier
 // short-circuits routing (the session stays on the entry node, fetching
 // the complete superset region from its owner) and the whole fleet does
 // zero source work.
@@ -36,8 +36,8 @@ func E18SemanticCache() Table {
 			"the same view is answered from that region with zero source navigations " +
 			"and a byte-identical answer, on one node and across a proxied fleet.",
 		Expect: "cold superset rows pay full source navigations; warm subsumed rows " +
-			"cost 0 source navigations with semantic hits > 0; the ablation row " +
-			"re-pays the sources; the fleet's subsumed open stays on the entry node " +
+			"cost 0 source navigations with semantic hits > 0; the cold subsumed row " +
+			"pays the sources; the fleet's subsumed open stays on the entry node " +
 			"(semantic local = 1) with 0 fleet-wide source navigations; every answer " +
 			"is identical to its uncached oracle.",
 		Headers: []string{"session", "source navs", "semantic hits", "semantic local", "answer"},
@@ -63,11 +63,9 @@ WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "500000"`
 	}
 	oracles := map[string]string{superQ: oracle(superQ), subQ: oracle(subQ)}
 
-	factory := func(src *metrics.Counters, semantic bool) server.Factory {
+	factory := func(src *metrics.Counters) server.Factory {
 		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-			opts := mediator.DefaultOptions()
-			opts.Engine.SemanticCache = semantic
-			m := mediator.New(opts)
+			m := mediator.New(mediator.DefaultOptions())
 			m.SetRegionCache(rc)
 			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: src})
 			return m, nil
@@ -86,7 +84,7 @@ WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "500000"`
 	// boot starts n servers on loopback; n > 1 forms a PROXY-mode
 	// cluster (session routing on — the semantic short-circuit lives in
 	// the routed-open path) with background timers off.
-	boot := func(n int, semantic bool) []*member {
+	boot := func(n int) []*member {
 		listeners := make([]net.Listener, n)
 		addrs := make([]string, n)
 		for i := range listeners {
@@ -119,7 +117,7 @@ WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "500000"`
 				}
 				opts = append(opts, server.WithCluster(node))
 			}
-			srv, err := server.New(factory(src, semantic), opts...)
+			srv, err := server.New(factory(src), opts...)
 			if err != nil {
 				panic(err)
 			}
@@ -194,17 +192,16 @@ WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "500000"`
 		t.Rows = append(t.Rows, []string{label, itoa(source), itoa(hits), itoa(local), verdict})
 	}
 
-	solo := boot(1, true)
+	solo := boot(1)
 	row("1 node: cold superset", solo, 0, superQ)
 	row("1 node: warm subsumed (semantic)", solo, 0, subQ)
 	halt(solo)
 
-	ablate := boot(1, false)
-	row("1 node: cold superset, ablation", ablate, 0, superQ)
-	row("1 node: warm subsumed, -semantic-cache=false", ablate, 0, subQ)
-	halt(ablate)
+	fresh := boot(1)
+	row("1 node: cold subsumed (no superset cached)", fresh, 0, subQ)
+	halt(fresh)
 
-	fleet := boot(3, true)
+	fleet := boot(3)
 	defer halt(fleet)
 	// Route both opens through a node that does NOT own the subsumed
 	// query's key, so the second open exercises the routed path where the

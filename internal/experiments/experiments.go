@@ -109,7 +109,7 @@ var registry = map[string]func() Table{
 	"E10": E10Rewriting,
 	"E11": E11AsyncPrefetch,
 	"E12": E12RegionCache,
-	"E13": E13ParallelPipeline,
+	"E13": E13BatchedFills,
 	"E15": E15ClusterL2,
 	"E16": E16FleetTracing,
 	"E17": E17BatchPipeline,

@@ -231,10 +231,8 @@ func TestE13Shape(t *testing.T) {
 			t.Fatalf("case %q produced a different answer: %v", row[0], row)
 		}
 	}
-	for _, c := range []string{"batched fills", "parallel derivation"} {
-		if byMetric[c+"/identical answer"] == nil {
-			t.Fatalf("missing %s identity row: %v", c, tb.Rows)
-		}
+	if byMetric["batched fills/identical answer"] == nil {
+		t.Fatalf("missing batched fills identity row: %v", tb.Rows)
 	}
 	// Batching must at least halve the round trips (the acceptance bar).
 	// The wall-clock Timings are informational and not asserted.
@@ -350,7 +348,7 @@ func TestE15Shape(t *testing.T) {
 
 func TestE18Shape(t *testing.T) {
 	tb := table("E18")
-	if len(tb.Rows) != 6 {
+	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for i := range tb.Rows {
@@ -358,15 +356,15 @@ func TestE18Shape(t *testing.T) {
 			t.Fatalf("row %d: answer not byte-identical to its oracle: %v", i, tb.Rows[i])
 		}
 	}
-	// Cold superset rows (1, 3, 5) pay real source navigations.
-	for _, i := range []int{0, 2, 4} {
+	// Cold superset rows (1 and 4) pay real source navigations.
+	for _, i := range []int{0, 3} {
 		if src := col(t, tb, i, 1); src == 0 {
 			t.Fatalf("cold row %d touched no sources: %v", i, tb.Rows[i])
 		}
 	}
-	// The warm subsumed rows (2 and 6): zero source navigations, exactly
+	// The warm subsumed rows (2 and 5): zero source navigations, exactly
 	// one semantic hit; the fleet row also short-circuits routing.
-	for _, i := range []int{1, 5} {
+	for _, i := range []int{1, 4} {
 		if src := col(t, tb, i, 1); src != 0 {
 			t.Fatalf("semantic row %d: %d source navigations, want 0", i, src)
 		}
@@ -374,15 +372,16 @@ func TestE18Shape(t *testing.T) {
 			t.Fatalf("semantic row %d: %d semantic hits, want 1", i, hits)
 		}
 	}
-	if local := col(t, tb, 5, 3); local != 1 {
+	if local := col(t, tb, 4, 3); local != 1 {
 		t.Fatalf("fleet subsumed open: semantic local = %d, want 1", local)
 	}
-	// The ablation row re-pays the sources and records no semantic hit.
-	if src := col(t, tb, 3, 1); src == 0 {
-		t.Fatal("-semantic-cache=false still answered from the superset")
+	// On a fresh node with no superset cached, the subsumed open pays
+	// the sources and records no semantic hit.
+	if src := col(t, tb, 2, 1); src == 0 {
+		t.Fatal("cold subsumed open touched no source with no superset cached")
 	}
-	if hits := col(t, tb, 3, 2); hits != 0 {
-		t.Fatalf("ablation recorded %d semantic hits", hits)
+	if hits := col(t, tb, 2, 2); hits != 0 {
+		t.Fatalf("cold subsumed open recorded %d semantic hits", hits)
 	}
 }
 

@@ -36,8 +36,7 @@ import (
 
 // Options configure a Mediator.
 type Options struct {
-	// Engine options (operator caches, native select, parallel input
-	// derivation, pipeline width, semantic cache).
+	// Engine options (operator caches, native select, pipeline width).
 	Engine core.Options
 	// Rewrite enables the navigational-complexity rewriting phase.
 	Rewrite bool

@@ -23,8 +23,7 @@ import (
 // making those checks O(1) as well (the NFA's Alive scans the state
 // set against reverse reachability on every call).
 //
-// A DFA is safe for concurrent use; parallel join sides may drive the
-// same compiled plan's automaton from two goroutines.
+// A DFA is safe for concurrent use.
 type DFA struct {
 	nfa *NFA
 	in  *xmltree.Interner // optional: canonicalizes transition-map keys

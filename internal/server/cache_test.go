@@ -113,20 +113,6 @@ func TestCacheStatsOverWire(t *testing.T) {
 	}
 }
 
-// TestEnginePoolOff: WithEnginePool(false) builds one engine per
-// session and parks none.
-func TestEnginePoolOff(t *testing.T) {
-	srv, addr := start(t, server.WithEnginePool(false))
-	openAndMaterialize(t, addr)
-	waitDrained(t, srv)
-	openAndMaterialize(t, addr)
-	waitDrained(t, srv)
-	st := srv.Stats()
-	if st.Pool != nil {
-		t.Fatalf("pool stats present with pooling off: %+v", st.Pool)
-	}
-}
-
 // waitDrained blocks until the server has no active sessions (close
 // frames race with dropSession on the server side).
 func waitDrained(t *testing.T, srv *server.Server) {

@@ -112,11 +112,11 @@ func (s *Server) handleInvalidate(req vxdp.Request) vxdp.Response {
 }
 
 // proxyTracedOp reports whether a forwarded command gets a proxy span:
-// the navigation commands and batches. Introspection forwards (trace)
+// the navigation commands. Introspection forwards (trace)
 // must not open spans — they would pollute the forest they fetch.
 func proxyTracedOp(op string) bool {
 	switch op {
-	case vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch, vxdp.OpSelect, vxdp.OpBatch:
+	case vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch, vxdp.OpSelect:
 		return true
 	}
 	return false

@@ -178,17 +178,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Trace {
 		counter("mix_slow_navigations_total", "traced root spans at or over the slow-navigation threshold", s.flight.Total())
 	}
-	if st.Pool != nil {
-		gauge("mix_engine_pool_idle", "engines parked for reuse", st.Pool.Idle)
-		counter("mix_engine_pool_created_total", "engines built by the mediator factory", st.Pool.Created)
-		counter("mix_engine_pool_reused_total", "sessions served by a recycled engine", st.Pool.Reused)
-	}
-	if st.Parallel != nil {
-		counter("mix_parallel_joins_total", "joins that derived their two inputs concurrently", st.Parallel.Joins)
-		counter("mix_parallel_inline_total", "input drains run inline because the worker pool was saturated", st.Parallel.Inline)
-		counter("mix_parallel_errors_total", "concurrent input drains that failed", st.Parallel.Errors)
-		counter("mix_parallel_canceled_total", "concurrent input drains cancelled by the sibling's error", st.Parallel.Canceled)
-	}
+	gauge("mix_engine_pool_idle", "engines parked for reuse", st.Pool.Idle)
+	counter("mix_engine_pool_created_total", "engines built by the mediator factory", st.Pool.Created)
+	counter("mix_engine_pool_reused_total", "sessions served by a recycled engine", st.Pool.Reused)
 	if st.Batch != nil {
 		counter("mix_batch_batches_total", "batches moved through the vectorized operator pipeline", st.Batch.Batches)
 		counter("mix_batch_bindings_total", "bindings carried by vectorized batches", st.Batch.Bindings)

@@ -51,6 +51,9 @@ func TestStatsOpOverWire(t *testing.T) {
 	if st.Navs != 3 || st.Root != 1 || st.Down != 1 || st.Fetch != 1 {
 		t.Fatalf("server navs = %+v", st)
 	}
+	if st.Pool == nil || st.Pool.Created != 1 {
+		t.Fatalf("stats response pool block = %+v, want one engine created", st.Pool)
+	}
 	if st.Session == nil {
 		t.Fatal("stats response missing the per-session block")
 	}
@@ -209,6 +212,7 @@ func TestHTTPSidecar(t *testing.T) {
 		"mix_sessions_active 0",
 		`mix_navigations_total{kind="down"} 0`,
 		"mix_msgs_total 0",
+		"mix_engine_pool_idle 0", // the pool block is always present
 	} {
 		if !strings.Contains(before, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, before)

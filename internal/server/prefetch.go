@@ -90,7 +90,7 @@ func newPrefetcher(s *Server) *prefetcher {
 		model:   predict.NewModel(0),
 		budget:  s.cfg.PrefetchBudget,
 		conf:    s.cfg.PrefetchConfidence,
-		pool:    &enginePool{srv: s, factory: s.cfg.SpecFactory, keep: true},
+		pool:    &enginePool{srv: s, factory: s.cfg.SpecFactory},
 		running: map[predict.Key]*specRun{},
 		views:   map[predict.Key]int{},
 		parked:  map[predict.Key]*specQuery{},
@@ -443,14 +443,6 @@ func (s *session) noteMove(op string, baseH, newH uint64) {
 func (s *session) noteFetch(baseH uint64) {
 	if b, ok := s.geo[baseH]; ok && b.depth == 1 && b.top >= 0 {
 		s.engage(b.top)
-	}
-}
-
-// noteAlias copies geometry to a re-issued handle for the same node
-// (the batch "node" step).
-func (s *session) noteAlias(baseH, newH uint64) {
-	if b, ok := s.geo[baseH]; ok {
-		s.geo[newH] = b
 	}
 }
 

@@ -6,8 +6,8 @@ package server_test
 // byte-identical tree — on one node, and across a proxy-mode fleet
 // where the subsumed open short-circuits routing and stays local. A
 // registry bump must flush the evidence (invalidation, never
-// staleness), and the -semantic-cache=false ablation must fall back to
-// exact matches only.
+// staleness), and with no superset cached the open must fall back to
+// the sources.
 
 import (
 	"net"
@@ -48,12 +48,10 @@ func semOracle(t *testing.T, homes *xmltree.Tree, query string) string {
 
 // semServe boots a plain single-node server whose homesSrc is the given
 // counting document, shared across every pooled engine.
-func semServe(t *testing.T, doc nav.Document, semantic bool) (*server.Server, string) {
+func semServe(t *testing.T, doc nav.Document) (*server.Server, string) {
 	t.Helper()
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-		opts := mediator.DefaultOptions()
-		opts.Engine.SemanticCache = semantic
-		m := mediator.New(opts)
+		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterSource("homesSrc", doc)
 		return m, nil
@@ -101,7 +99,7 @@ func TestSemanticServedWithoutSourceWork(t *testing.T) {
 	}
 
 	counting := nav.NewCountingDoc(nav.NewTreeDoc(homes))
-	srv, addr := semServe(t, counting, true)
+	srv, addr := semServe(t, counting)
 
 	// Cold superset drain: the whole region is explored from source.
 	if got := semOpen(t, addr, semSuperQ); got != wantSuper {
@@ -136,22 +134,22 @@ func TestSemanticServedWithoutSourceWork(t *testing.T) {
 	}
 }
 
-func TestSemanticAblationFallsBackToSource(t *testing.T) {
+func TestSemanticNoSupersetFallsBackToSource(t *testing.T) {
 	homes, _ := workload.HomesSchools(10, 1, 3, 5)
 	wantSub := semOracle(t, homes, semSubQ)
 	counting := nav.NewCountingDoc(nav.NewTreeDoc(homes))
-	srv, addr := semServe(t, counting, false)
+	srv, addr := semServe(t, counting)
 
-	semOpen(t, addr, semSuperQ)
-	before := counting.Counters.Navigations()
+	// A fresh node with no superset cached: the subsumed open drains
+	// its sources and records one semantic miss.
 	if got := semOpen(t, addr, semSubQ); got != wantSub {
-		t.Fatalf("ablation answer:\n got %s\nwant %s", got, wantSub)
+		t.Fatalf("cold subsumed answer:\n got %s\nwant %s", got, wantSub)
 	}
-	if navs := counting.Counters.Navigations() - before; navs == 0 {
-		t.Fatal("-semantic-cache=false still answered from the superset")
+	if counting.Counters.Navigations() == 0 {
+		t.Fatal("cold subsumed open touched no source with no superset cached")
 	}
-	if st := srv.Stats(); st.Cache == nil || st.Cache.SemanticHits != 0 {
-		t.Fatalf("ablation recorded semantic hits: %+v", st.Cache)
+	if st := srv.Stats(); st.Cache == nil || st.Cache.SemanticHits != 0 || st.Cache.SemanticMisses != 1 {
+		t.Fatalf("cold subsumed open: semantic hits/misses %+v, want 0/1", st.Cache)
 	}
 }
 

@@ -83,10 +83,6 @@ type config struct {
 	// of answer documents explored by one session are served to every
 	// other without re-deriving them (see internal/regioncache).
 	RegionCache *regioncache.Cache
-	// EnginePool reuses mediator engines across sequential sessions
-	// instead of building one per session. On by default; disable with
-	// WithEnginePool(false).
-	EnginePool bool
 	// Cluster, when non-nil, makes this server one member of a sharded
 	// mediator fleet: opens are routed over the node's consistent-hash
 	// ring (proxied or redirected to the owning member), the peer-facing
@@ -153,9 +149,6 @@ func WithSourceCounters(m map[string]*metrics.Counters) Option {
 func WithRegionCache(rc *regioncache.Cache) Option {
 	return func(c *config) { c.RegionCache = rc }
 }
-
-// WithEnginePool toggles cross-session engine reuse (on by default).
-func WithEnginePool(on bool) Option { return func(c *config) { c.EnginePool = on } }
 
 // WithCluster makes the server a member of a sharded mediator fleet
 // (see internal/cluster). The node must be built over the same region
@@ -248,13 +241,12 @@ type Server struct {
 
 // New returns an unstarted Server whose sessions draw engines built by
 // factory from a shared pool. Defaults: no session limit, no timeouts,
-// tracing off, engine pooling on, no region cache; override with
-// options.
+// tracing off, no region cache; override with options.
 func New(factory Factory, opts ...Option) (*Server, error) {
 	if factory == nil {
 		return nil, errors.New("server: mediator factory is required")
 	}
-	cfg := config{EnginePool: true, SlowThreshold: DefaultSlowThreshold}
+	cfg := config{SlowThreshold: DefaultSlowThreshold}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -292,7 +284,7 @@ func newServer(cfg config) (*Server, error) {
 	if cfg.Trace && cfg.SlowThreshold >= 0 {
 		s.flight = telemetry.NewFlightRecorder(cfg.SlowRing, cfg.SlowThreshold)
 	}
-	s.pool = &enginePool{srv: s, factory: cfg.factory, keep: cfg.EnginePool}
+	s.pool = &enginePool{srv: s, factory: cfg.factory}
 	if cfg.Trace {
 		s.pool.newRec = s.newRecorder
 	}
@@ -357,9 +349,8 @@ type enginePool struct {
 	srv     *Server
 	factory Factory
 	// newRec builds the recorder wired into each new engine (nil: the
-	// server does not trace); keep parks released engines for reuse.
+	// server does not trace).
 	newRec func() *trace.Recorder
-	keep   bool
 
 	mu              sync.Mutex
 	idle            []*pooledEngine
@@ -397,15 +388,15 @@ func (p *enginePool) acquire() (*pooledEngine, error) {
 	return pe, nil
 }
 
-// release parks an engine for reuse, or drops it when the pool does not
-// keep engines or the server epoch moved past it. Spans its user never
+// release parks an engine for reuse, or drops it when the server epoch
+// moved past it. Spans its user never
 // fetched are discarded so the next one starts with a clean trace.
 func (p *enginePool) release(pe *pooledEngine) {
 	if pe == nil {
 		return
 	}
 	pe.rec.Take()
-	if !p.keep || pe.epoch != p.srv.epoch.Load() {
+	if pe.epoch != p.srv.epoch.Load() {
 		return
 	}
 	p.mu.Lock()
@@ -638,28 +629,18 @@ func (s *Server) Stats() vxdp.Stats {
 	if s.prefetch != nil {
 		st.Prefetch = s.prefetch.stats()
 	}
-	if s.cfg.EnginePool {
-		s.pool.mu.Lock()
-		idle := int64(len(s.pool.idle))
-		s.pool.mu.Unlock()
-		st.Pool = &vxdp.PoolStats{
-			Idle:    idle,
-			Created: s.pool.created.Load(),
-			Reused:  s.pool.reused.Load(),
-		}
+	s.pool.mu.Lock()
+	idle := int64(len(s.pool.idle))
+	s.pool.mu.Unlock()
+	st.Pool = &vxdp.PoolStats{
+		Idle:    idle,
+		Created: s.pool.created.Load(),
+		Reused:  s.pool.reused.Load(),
 	}
 	if s.cluster != nil {
 		st.Cluster = s.cluster.Stats()
 		if st.Cluster != nil {
 			st.Cluster.Routes = s.routeSnapshot()
-		}
-	}
-	if ps := core.ParallelSnapshot(); ps != (core.ParallelStats{}) {
-		st.Parallel = &vxdp.ParallelStats{
-			Joins:    ps.Joins,
-			Inline:   ps.Inline,
-			Errors:   ps.Errors,
-			Canceled: ps.Canceled,
 		}
 	}
 	if bs := core.BatchSnapshot(); bs != (core.BatchStats{}) {

@@ -133,7 +133,7 @@ func (s *session) run() {
 func cmdLabel(op string) string {
 	switch op {
 	case vxdp.OpOpen, vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch,
-		vxdp.OpSelect, vxdp.OpBatch, vxdp.OpStats, vxdp.OpTrace, vxdp.OpClose,
+		vxdp.OpSelect, vxdp.OpStats, vxdp.OpTrace, vxdp.OpClose,
 		vxdp.OpPing, vxdp.OpRegionGet, vxdp.OpRegionPut, vxdp.OpInvalidate,
 		vxdp.OpSlow, vxdp.OpPrefetchHint:
 		return op
@@ -204,21 +204,11 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 			return false
 		}
 		traced := s.beginFleetTrace(req.TraceCtx)
-		res := s.navigate(&req.Cmd, nil)
+		res := s.navigate(&req.Cmd)
 		*resp = vxdp.Response{NavResult: res.nr}
 		if s.cached != nil && res.node != nil {
 			resp.Win = s.window(res.nr.ID, res.node)
 		}
-		if traced {
-			s.endFleetTrace(resp)
-		}
-	case vxdp.OpBatch:
-		if s.proxy != nil {
-			*resp = s.forward(*req)
-			return false
-		}
-		traced := s.beginFleetTrace(req.TraceCtx)
-		*resp = s.batch(req.Cmds)
 		if traced {
 			s.endFleetTrace(resp)
 		}
@@ -400,7 +390,7 @@ func (s *session) issue(id nav.ID) uint64 {
 }
 
 // navResult pairs the wire result of a step with the resolved node, so
-// later batch steps can navigate from it without a handle lookup.
+// the caller can build a window from it without a handle lookup.
 type navResult struct {
 	nr   vxdp.NavResult
 	node nav.ID
@@ -410,26 +400,16 @@ func navErr(format string, args ...any) navResult {
 	return navResult{nr: vxdp.NavResult{Err: fmt.Sprintf(format, args...)}}
 }
 
-// navigate executes one navigation command. base, when non-nil, is the
-// pre-resolved start node of a batch step (from points to it); nil base
-// with *from set means the referenced step produced ⊥, which propagates
-// as ⊥. Outside batches the start node comes from the handle table.
-func (s *session) navigate(cmd *vxdp.Cmd, from *navResult) navResult {
+// navigate executes one navigation command; every op but root starts
+// from the node its handle names.
+func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 	var base nav.ID
-	var baseH uint64
-	if from != nil {
-		if !from.nr.OK {
-			return navResult{nr: vxdp.NavResult{OK: false}} // ⊥ propagates
-		}
-		base = from.node
-		baseH = from.nr.ID
-	} else if cmd.Op != vxdp.OpRoot {
+	if cmd.Op != vxdp.OpRoot {
 		id, ok := s.node(cmd.ID)
 		if !ok {
 			return navErr("unknown node handle %d", cmd.ID)
 		}
 		base = id
-		baseH = cmd.ID
 	}
 	var (
 		id  nav.ID
@@ -450,16 +430,9 @@ func (s *session) navigate(cmd *vxdp.Cmd, from *navResult) navResult {
 			return navErr("%v", ferr)
 		}
 		if s.geo != nil {
-			s.noteFetch(baseH)
+			s.noteFetch(cmd.ID)
 		}
 		return navResult{nr: vxdp.NavResult{OK: true, Label: label}}
-	case "node":
-		// Batch-only alias of an earlier step's node.
-		h := s.issue(base)
-		if s.geo != nil {
-			s.noteAlias(baseH, h)
-		}
-		return navResult{nr: vxdp.NavResult{OK: true, ID: h}, node: base}
 	default:
 		return navErr("unknown op %q", cmd.Op)
 	}
@@ -471,49 +444,7 @@ func (s *session) navigate(cmd *vxdp.Cmd, from *navResult) navResult {
 	}
 	h := s.issue(id)
 	if s.geo != nil {
-		s.noteMove(cmd.Op, baseH, h)
+		s.noteMove(cmd.Op, cmd.ID, h)
 	}
 	return navResult{nr: vxdp.NavResult{OK: true, ID: h}, node: id}
-}
-
-// batch executes a pipelined command sequence. Any step error fails the
-// whole batch (navigation already performed is not rolled back — the
-// commands are reads); ⊥ results are not errors and propagate to the
-// steps that reference them.
-func (s *session) batch(cmds []vxdp.Cmd) vxdp.Response {
-	if len(cmds) == 0 {
-		return errResp("empty batch")
-	}
-	if len(cmds) > vxdp.MaxBatch {
-		return errResp("batch of %d commands exceeds limit %d", len(cmds), vxdp.MaxBatch)
-	}
-	if s.doc == nil {
-		return errResp("no view open (send an open frame first)")
-	}
-	results := make([]navResult, len(cmds))
-	out := make([]vxdp.NavResult, len(cmds))
-	for i, cmd := range cmds {
-		var from *navResult
-		if cmd.Ref != nil {
-			if *cmd.Ref < 0 || *cmd.Ref >= i {
-				return errResp("step %d: ref %d out of range", i, *cmd.Ref)
-			}
-			from = &results[*cmd.Ref]
-		}
-		if cmd.Op == "node" && cmd.Ref == nil {
-			id, ok := s.node(cmd.ID)
-			if !ok {
-				return errResp("step %d: unknown node handle %d", i, cmd.ID)
-			}
-			results[i] = navResult{nr: vxdp.NavResult{OK: true, ID: cmd.ID}, node: id}
-			out[i] = results[i].nr
-			continue
-		}
-		results[i] = s.navigate(&cmds[i], from)
-		if results[i].nr.Err != "" {
-			return errResp("step %d: %s", i, results[i].nr.Err)
-		}
-		out[i] = results[i].nr
-	}
-	return vxdp.Response{Results: out}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/vxdp"
@@ -194,44 +195,84 @@ func TestWindowIncompleteViewUnchanged(t *testing.T) {
 	}
 }
 
-// TestWindowHandlesInBatch: a handle a window issued works as a batch
-// step's start node.
-func TestWindowHandlesInBatch(t *testing.T) {
-	addr, _, _ := winStart(t, winHomes())
+// TestWindowHandleResolvedByServer: a move the window cannot decide (a
+// −2 link) goes out as one command naming a window-issued handle, which
+// the server resolves through the region cache (Doc.WindowNode); the
+// move lands where a local replay lands.
+func TestWindowHandleResolvedByServer(t *testing.T) {
+	homes := winHomes()
+	addr, _, _ := winStart(t, homes)
+	m := mediator.New(mediator.DefaultOptions())
+	m.RegisterTree("homesSrc", homes)
+	res, err := m.Query(pfQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := res.Document()
 	c := dialOpen(t, addr)
-	root, err := c.Root()
+	cur, lcur := firstChild(t, c), firstChild(t, local)
+	for {
+		trips := c.RoundTrips()
+		next, err := c.Right(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lnext, err := local.Right(lcur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lnext == nil {
+			t.Fatal("windows answered every top-level move; the view needs more regions")
+		}
+		if next == nil {
+			t.Fatal("the client fell off the answer before the local replay did")
+		}
+		cur, lcur = next, lnext
+		if c.RoundTrips() == trips {
+			continue
+		}
+		if n := c.RoundTrips() - trips; n != 1 {
+			t.Fatalf("the undecided move took %d round trips, want 1", n)
+		}
+		if got, want := nodeLabels(t, c, cur), nodeLabels(t, local, lcur); got != want {
+			t.Fatalf("the server landed on %q, a local replay on %q", got, want)
+		}
+		return
+	}
+}
+
+// firstChild returns the first child of doc's root.
+func firstChild(t *testing.T, doc nav.Document) nav.ID {
+	t.Helper()
+	root, err := doc.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trips := c.RoundTrips()
-	first, _ := c.Down(root)
-	second, _ := c.Right(first)
-	grand, _ := c.Down(second)
-	if grand == nil {
-		t.Fatal("second region has no children")
+	first, err := doc.Down(root)
+	if err != nil || first == nil {
+		t.Fatalf("first child: %v, %v", first, err)
 	}
-	want := []string{}
-	for _, id := range []nav.ID{second, grand} {
-		l, _ := c.Fetch(id)
-		want = append(want, l)
-	}
-	if c.RoundTrips() != trips {
-		t.Fatal("the root's window did not answer the moves below it")
-	}
-	b := c.NewBatch()
-	at := b.At(second)
-	f1 := b.Fetch(at)
-	f2 := b.Fetch(b.Down(at))
-	res, err := b.Run()
+	return first
+}
+
+// nodeLabels renders p's label and its children's labels.
+func nodeLabels(t *testing.T, doc nav.Document, p nav.ID) string {
+	t.Helper()
+	out, err := doc.Fetch(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.RoundTrips()-trips != 1 {
-		t.Fatalf("batch took %d round trips", c.RoundTrips()-trips)
+	for ch, err := doc.Down(p); ch != nil; ch, err = doc.Right(ch) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := doc.Fetch(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += " " + l
 	}
-	if got := []string{res[f1].Label, res[f2].Label}; got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("batch from a window handle fetched %q, want %q", got, want)
-	}
+	return out
 }
 
 // TestWindowConcurrentNavigation: eight goroutines materializing the

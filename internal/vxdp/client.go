@@ -26,7 +26,7 @@ import (
 // nav.Select therefore falls back to an r/f scan over the wire (each
 // hop one round trip) — precisely the navigational-complexity penalty
 // Section 2 assigns to NC without select. Callers that do have a label
-// predicate use SelectLabel (one round trip) or a Batch.
+// predicate use SelectLabel (one round trip).
 //
 // On a fully explored view the server ships read-ahead windows with its
 // navigation results (see the package documentation), and the client
@@ -99,7 +99,7 @@ func (c *Client) Close() error {
 }
 
 // RoundTrips returns the number of request frames sent so far — the
-// message-count measure the batching experiments compare.
+// message-count measure the window experiments compare.
 func (c *Client) RoundTrips() int64 { return c.roundTrips.Load() }
 
 // ErrRemote marks errors the server reported in-band: the transport is
@@ -108,7 +108,7 @@ func (c *Client) RoundTrips() int64 { return c.roundTrips.Load() }
 var ErrRemote = errors.New("vxdp: remote error")
 
 // SetTracer installs a recorder on the session: every subsequent traced
-// command (navigations, batches, region ops — not stats/trace/ping)
+// command (navigations, region ops — not stats/trace/ping)
 // opens a span in rec, rides the wire with its trace context, and gets
 // the server-side fan-out stitched under it transparently. A nil rec
 // turns tracing back off. The untraced path is untouched — no extra
@@ -133,7 +133,7 @@ func (c *Client) SetTraceLabel(label string) {
 // (stats/trace/slow), the health probe, and close stay span-free.
 func tracedOp(op string) bool {
 	switch op {
-	case OpOpen, OpRoot, OpDown, OpRight, OpFetch, OpSelect, OpBatch,
+	case OpOpen, OpRoot, OpDown, OpRight, OpFetch, OpSelect,
 		OpRegionGet, OpRegionPut, OpInvalidate, OpPrefetchHint:
 		return true
 	}
@@ -523,112 +523,4 @@ func (c *Client) Stats() (Stats, error) {
 		return Stats{}, errors.New("vxdp: stats response without stats")
 	}
 	return *resp.Stats, nil
-}
-
-// --- batched navigation ---------------------------------------------------
-
-// Ref names the result of an earlier step of a Batch.
-type Ref int
-
-// Batch accumulates a navigation command sequence to be pipelined to
-// the server in a single round trip. Steps may navigate from the result
-// of any earlier step (the Ref returned when the step was added) or
-// from an already-known node (At). ⊥ propagates silently, so a batch
-// may overshoot — e.g. scan more siblings than exist — and simply get
-// ok=false results back for the steps that fell off the document.
-//
-//	b := client.NewBatch()
-//	root := b.Root()
-//	ch := b.Down(root)
-//	for i := 0; i < k; i++ { b.Fetch(ch); ch = b.Right(ch) }
-//	results, err := b.Run() // one frame each way
-type Batch struct {
-	c    *Client
-	cmds []Cmd
-	err  error
-}
-
-// NewBatch starts an empty batch.
-func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
-
-func (b *Batch) add(cmd Cmd) Ref {
-	b.cmds = append(b.cmds, cmd)
-	return Ref(len(b.cmds) - 1)
-}
-
-func (b *Batch) ref(r Ref) *int {
-	if r < 0 || int(r) >= len(b.cmds) {
-		if b.err == nil {
-			b.err = fmt.Errorf("vxdp: batch ref %d out of range", r)
-		}
-	}
-	i := int(r)
-	return &i
-}
-
-// Root adds a root command.
-func (b *Batch) Root() Ref { return b.add(Cmd{Op: OpRoot}) }
-
-// At adds a step standing for an already-known node, so later steps can
-// navigate from it.
-func (b *Batch) At(p nav.ID) Ref {
-	h, err := b.c.handle(p)
-	if err != nil && b.err == nil {
-		b.err = err
-	}
-	return b.add(Cmd{Op: "node", ID: h})
-}
-
-// Down adds a down step from the result of step r.
-func (b *Batch) Down(r Ref) Ref { return b.add(Cmd{Op: OpDown, Ref: b.ref(r)}) }
-
-// Right adds a right step from the result of step r.
-func (b *Batch) Right(r Ref) Ref { return b.add(Cmd{Op: OpRight, Ref: b.ref(r)}) }
-
-// Fetch adds a fetch step on the result of step r.
-func (b *Batch) Fetch(r Ref) Ref { return b.add(Cmd{Op: OpFetch, Ref: b.ref(r)}) }
-
-// SelectLabel adds a select step from the result of step r.
-func (b *Batch) SelectLabel(r Ref, label string, fromSelf bool) Ref {
-	return b.add(Cmd{Op: OpSelect, Ref: b.ref(r), Label: label, Self: fromSelf})
-}
-
-// Result is the client-side outcome of one batch step.
-type Result struct {
-	// Node is the resulting node for root/down/right/select/node steps
-	// (nil = ⊥). Always nil for fetch steps.
-	Node nav.ID
-	// Label is the fetched label, for fetch steps.
-	Label string
-	// OK is false when the step resolved to ⊥.
-	OK bool
-}
-
-// Run sends the whole batch as one frame and returns one Result per
-// step, in order.
-func (b *Batch) Run() ([]Result, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if len(b.cmds) == 0 {
-		return nil, nil
-	}
-	resp, err := b.c.roundTrip(Request{Cmd: Cmd{Op: OpBatch}, Cmds: b.cmds})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(b.cmds) {
-		return nil, fmt.Errorf("vxdp: batch of %d commands got %d results", len(b.cmds), len(resp.Results))
-	}
-	out := make([]Result, len(resp.Results))
-	for i, r := range resp.Results {
-		if r.Err != "" {
-			return nil, fmt.Errorf("%w: %s", ErrRemote, r.Err)
-		}
-		out[i] = Result{Label: r.Label, OK: r.OK}
-		if r.OK && b.cmds[i].Op != OpFetch {
-			out[i].Node = nodeID{c: b.c, h: r.ID}
-		}
-	}
-	return out, nil
 }

@@ -33,7 +33,7 @@ import (
 // navRequest reports whether req is a navigation frame the lean encoder
 // renders: nothing set beyond op, id, label and self.
 func navRequest(req *Request) bool {
-	return req.Ref == nil && req.Query == "" && len(req.Cmds) == 0 && req.Region == nil &&
+	return req.Query == "" && req.Region == nil &&
 		req.Tree == nil && req.Gen == 0 && req.Hint == nil && !req.Proxied &&
 		req.TraceCtx == nil
 }
@@ -41,7 +41,7 @@ func navRequest(req *Request) bool {
 // navResponse reports whether resp is a navigation frame the lean
 // encoder renders: nothing set beyond ok, id, label, error and win.
 func navResponse(resp *Response) bool {
-	return len(resp.Results) == 0 && resp.Stats == nil && len(resp.Trace) == 0 &&
+	return resp.Stats == nil && len(resp.Trace) == 0 &&
 		resp.Redirect == "" && resp.Tree == nil && resp.Gen == 0 && len(resp.Spans) == 0 &&
 		len(resp.Slow) == 0
 }

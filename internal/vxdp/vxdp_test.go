@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
-	"strings"
 	"testing"
 
 	"mix/internal/mediator"
@@ -179,86 +178,6 @@ func TestSelectLabelAndPath(t *testing.T) {
 	}
 }
 
-func TestBatchPipelines(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialOpen(t, addr, joinQuery)
-
-	// Scan the first k child labels one command per frame…
-	k := 5
-	singles, err := nav.Labels(c, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.RoundTrips()
-
-	// …then the same exploration as one batch frame.
-	b := c.NewBatch()
-	root := b.Root()
-	ch := b.Down(root)
-	fetches := make([]vxdp.Ref, 0, k)
-	for i := 0; i < k; i++ {
-		fetches = append(fetches, b.Fetch(ch))
-		ch = b.Right(ch)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.RoundTrips() - before; got != 1 {
-		t.Fatalf("batch took %d round trips, want 1", got)
-	}
-	var batched []string
-	for _, f := range fetches {
-		if results[f].OK {
-			batched = append(batched, results[f].Label)
-		}
-	}
-	if strings.Join(batched, ",") != strings.Join(singles, ",") {
-		t.Fatalf("batched labels %v ≠ singles %v", batched, singles)
-	}
-}
-
-func TestBatchBottomPropagates(t *testing.T) {
-	_, addr := startServer(t)
-	// A view with a single leaf-ish document: scan far past the end.
-	c := dialOpen(t, addr, joinQuery)
-	b := c.NewBatch()
-	root := b.Root()
-	ch := b.Down(root)
-	for i := 0; i < 100; i++ {
-		b.Fetch(ch)
-		ch = b.Right(ch)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tail of the scan must be ⊥, never an error.
-	last := results[len(results)-1]
-	if last.OK {
-		t.Fatal("scan of 100 siblings should have fallen off the document")
-	}
-}
-
-func TestBatchAt(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialOpen(t, addr, joinQuery)
-	root, err := c.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := c.NewBatch()
-	r := b.At(root)
-	f := b.Fetch(b.Down(r))
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !results[f].OK || results[f].Label != "med_home" {
-		t.Fatalf("batch At+Down+Fetch = %+v", results[f])
-	}
-}
-
 func TestForeignIDRejected(t *testing.T) {
 	_, addr := startServer(t)
 	c1 := dialOpen(t, addr, joinQuery)
@@ -365,10 +284,10 @@ func TestMalformedFramesDoNotKillServer(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	ref := 2
 	req := vxdp.Request{
-		Cmd:  vxdp.Cmd{Op: vxdp.OpBatch},
-		Cmds: []vxdp.Cmd{{Op: vxdp.OpRoot}, {Op: vxdp.OpDown, Ref: &ref}, {Op: vxdp.OpSelect, ID: 9, Label: "x", Self: true}},
+		Cmd:     vxdp.Cmd{Op: vxdp.OpSelect, ID: 9, Label: "x", Self: true},
+		Query:   "q",
+		Proxied: true,
 	}
 	var buf bytes.Buffer
 	if err := vxdp.WriteFrame(&buf, req); err != nil {
@@ -378,8 +297,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := vxdp.ReadFrame(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != vxdp.OpBatch || len(got.Cmds) != 3 || *got.Cmds[1].Ref != 2 ||
-		got.Cmds[2].Label != "x" || !got.Cmds[2].Self {
+	if got.Op != vxdp.OpSelect || got.ID != 9 || got.Label != "x" || !got.Self ||
+		got.Query != "q" || !got.Proxied {
 		t.Fatalf("round trip mangled request: %+v", got)
 	}
 }

@@ -25,7 +25,6 @@
 //	{"op":"fetch","id":H}            → label of H
 //	{"op":"select","id":H,           → first sibling (from H itself when
 //	 "label":L,"self":B}               "self") labeled L, or ⊥
-//	{"op":"batch","cmds":[C…]}       pipeline: all commands, one frame
 //	{"op":"stats"}                   → server introspection snapshot
 //	{"op":"trace"}                   → spans recorded since the last trace
 //	{"op":"slow"}                    → the node's slow-navigation ring
@@ -60,18 +59,9 @@
 //	{"ok":true,"id":H,"win":[W…]}    a node handle and a read-ahead window
 //	{"ok":false}                     ⊥ (no such child/sibling)
 //	{"ok":true,"label":L}            a fetch result
-//	{"results":[R…]}                 batch: one result per command
 //	{"stats":{…}}                    a Stats snapshot
 //	{"trace":[S…]}                   a span forest (see internal/trace)
 //	{"error":MSG}                    command failed
-//
-// A batch command C is a request object whose "ref" field, when
-// present, names the 0-based index of an *earlier command in the same
-// batch* whose result node it navigates from; ⊥ propagates through a
-// batch without error (down/right/select of ⊥ is ⊥, fetch of ⊥ is
-// ok=false), so a client can speculatively pipeline a whole exploration
-// — e.g. root, down, then k alternating fetch/right steps — in a single
-// round trip.
 //
 // # Read-ahead windows
 //
@@ -101,13 +91,10 @@ import (
 )
 
 // MaxFrame bounds a single VXDP frame (requests carry at most a query
-// text; responses at most a label or a batch of them). Length prefixes
+// text; responses at most a label and a window). Length prefixes
 // beyond the cap are rejected before any allocation, so a hostile
 // header cannot balloon memory.
 const MaxFrame = 1 << 20
-
-// MaxBatch bounds the number of commands in one batch frame.
-const MaxBatch = 4096
 
 // FrameBuffer is the size of the bufio buffers both ends of a session
 // read and write frames through. A frame that fits is decoded in place.
@@ -158,7 +145,6 @@ const (
 	OpRight  = "right"
 	OpFetch  = "fetch"
 	OpSelect = "select"
-	OpBatch  = "batch"
 	OpStats  = "stats"
 	OpTrace  = "trace"
 	OpSlow   = "slow"
@@ -177,15 +163,12 @@ const (
 	OpPrefetchHint = "prefetch_hint"
 )
 
-// Cmd is one navigation command, either standalone or as a batch step.
+// Cmd is one navigation command.
 type Cmd struct {
 	Op string `json:"op"`
 	// ID is a node handle previously issued by the server (root needs
 	// none).
 	ID uint64 `json:"id,omitempty"`
-	// Ref, in a batch, names the 0-based index of an earlier step whose
-	// result node this command navigates from (instead of ID).
-	Ref *int `json:"ref,omitempty"`
 	// Label and Self parameterize select: advance to the first sibling
 	// labeled Label, starting from the node itself when Self is true.
 	Label string `json:"label,omitempty"`
@@ -229,7 +212,6 @@ type PrefetchHint struct {
 type Request struct {
 	Cmd
 	Query string `json:"query,omitempty"` // open
-	Cmds  []Cmd  `json:"cmds,omitempty"`  // batch
 	// Region keys a region_get/region_put; Tree carries the region_put
 	// payload (the asker's explored region, merged into the owner's L1).
 	Region *RegionKey          `json:"region,omitempty"`
@@ -263,10 +245,9 @@ type Response struct {
 	NavResult
 	// Win is the read-ahead window of a root/down/right/select result on
 	// a fully explored view: node i has handle ID+i.
-	Win     []WinNode     `json:"win,omitempty"`
-	Results []NavResult   `json:"results,omitempty"` // batch
-	Stats   *Stats        `json:"stats,omitempty"`   // stats
-	Trace   []*trace.Span `json:"trace,omitempty"`   // trace
+	Win   []WinNode     `json:"win,omitempty"`
+	Stats *Stats        `json:"stats,omitempty"` // stats
+	Trace []*trace.Span `json:"trace,omitempty"` // trace
 	// Redirect, on an open response from a clustered server in redirect
 	// mode, names the owner node's address: the client should redial
 	// there and resend the open. Redirect-unaware clients never see it —
@@ -317,12 +298,9 @@ type Stats struct {
 	// Cache, present when the server runs a shared region cache,
 	// reports cross-session cache effectiveness.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Pool, present when the server pools engines across sessions,
-	// reports engine reuse.
+	// Pool reports engine reuse across sessions; a server always sets
+	// it.
 	Pool *PoolStats `json:"pool,omitempty"`
-	// Parallel, present when any join has derived its inputs
-	// concurrently, reports the parallel-derivation counters.
-	Parallel *ParallelStats `json:"parallel,omitempty"`
 	// Batch, present when the batch-at-a-time pipeline has moved any
 	// bindings, reports the vectorized-execution counters.
 	Batch *BatchStats `json:"batch,omitempty"`
@@ -387,15 +365,6 @@ type RouteLatency struct {
 	Count int64  `json:"count"`
 	P50Us int64  `json:"p50_us"`
 	P99Us int64  `json:"p99_us"`
-}
-
-// ParallelStats mirrors core.ParallelStats on the wire: joins whose two
-// inputs were drained concurrently, and how those drains went.
-type ParallelStats struct {
-	Joins    int64 `json:"joins"`
-	Inline   int64 `json:"inline"`   // drains run inline (worker pool saturated)
-	Errors   int64 `json:"errors"`   // drains failed with their own error
-	Canceled int64 `json:"canceled"` // drains cancelled by the sibling's error
 }
 
 // BatchStats mirrors core.BatchStats on the wire: how many batches the

