@@ -59,10 +59,6 @@ type Entry struct {
 	// L2 flusher uses it to skip entries unchanged since the last flush.
 	mut atomic.Int64
 
-	// full caches a true Complete() verdict; completeness is monotone,
-	// so once set it never needs re-checking.
-	full atomic.Bool
-
 	// spec marks an entry created by a speculative prefetch rather than
 	// by client demand. Speculative bytes are accounted in the cache's
 	// separate speculative ledger and evicted first under pressure, so a
@@ -79,9 +75,33 @@ type Entry struct {
 // cnode is one node of the cached partial tree.
 type cnode struct {
 	label      string
-	labelKnown bool
 	kids       []*cnode // known prefix of the child list
-	complete   bool     // kids is the entire child list
+	labelKnown bool
+	complete   bool // kids is the entire child list
+	// closed caches a true isClosed verdict: a closed subtree never
+	// changes, so once set it never needs re-checking. Atomic because
+	// it is set under the entry's read lock.
+	closed atomic.Bool
+}
+
+// isClosed reports whether n's whole subtree is explored: its label is
+// known and every child list under it is complete. The verdict is
+// recorded on each node the first time it holds. Caller holds e.mu
+// (read or write).
+func (n *cnode) isClosed() bool {
+	if n.closed.Load() {
+		return true
+	}
+	if !n.labelKnown || !n.complete {
+		return false
+	}
+	for _, k := range n.kids {
+		if !k.isClosed() {
+			return false
+		}
+	}
+	n.closed.Store(true)
+	return true
 }
 
 func newEntry(c *Cache, k Key) *Entry {

@@ -220,20 +220,17 @@ func (c *Cache) internKey(k Key) Key {
 }
 
 // Complete reports whether the entry's region is fully explored: every
-// node's label known and every child list complete. Completeness is
-// monotone (labels only fill in, child lists only close), so a true
-// answer is cached and re-served without re-walking the tree.
+// node's label known and every child list complete, i.e. the root is
+// closed. Completeness is monotone (labels only fill in, child lists
+// only close), so a true answer is recorded on the root and re-served
+// without re-walking the tree.
 func (e *Entry) Complete() bool {
-	if e.full.Load() {
+	if e.root.closed.Load() {
 		return true
 	}
 	e.mu.RLock()
-	ok := nodeComplete(e.root)
-	e.mu.RUnlock()
-	if ok {
-		e.full.Store(true)
-	}
-	return ok
+	defer e.mu.RUnlock()
+	return e.root.isClosed()
 }
 
 // RegionKnown reports whether the region-th top-level subtree of the
@@ -243,7 +240,7 @@ func (e *Entry) Complete() bool {
 // A region past the end of a complete top-level child list is known
 // too — the drain would only rediscover that it does not exist.
 func (e *Entry) RegionKnown(region int, deep bool) bool {
-	if e.full.Load() {
+	if e.root.closed.Load() {
 		return true
 	}
 	e.mu.RLock()
@@ -254,25 +251,13 @@ func (e *Entry) RegionKnown(region int, deep bool) bool {
 	}
 	n := top[region]
 	if deep {
-		return nodeComplete(n)
+		return n.isClosed()
 	}
 	if !n.labelKnown || !n.complete {
 		return false
 	}
 	for _, k := range n.kids {
 		if !k.labelKnown {
-			return false
-		}
-	}
-	return true
-}
-
-func nodeComplete(n *cnode) bool {
-	if !n.labelKnown || !n.complete {
-		return false
-	}
-	for _, k := range n.kids {
-		if !nodeComplete(k) {
 			return false
 		}
 	}

@@ -6,14 +6,19 @@ import (
 	"mix/internal/nav"
 )
 
-// A read-ahead window is the part of a complete entry a server ships
-// with a navigation result, so its client can answer the commands that
-// follow without asking: the landed node, its subtree, then its right
-// siblings and their subtrees, in document order, cut where a byte
-// budget runs out. Only a complete entry ships windows. Every command
-// it answers then costs no source work and no engine call, so a window
-// holds exactly the answers the commands it replaces would have got,
-// and it never goes stale for the session.
+// A read-ahead window is the part of an entry a server ships with a
+// navigation result, so its client can answer the commands that follow
+// without asking: the landed node, its subtree, then its right siblings
+// and their subtrees, in document order. It holds only closed subtrees
+// (see cnode.isClosed) and is cut at the first node that is not closed,
+// at the end of a child list the entry does not know to be complete —
+// there the last shipped node keeps Right = WindowOut, "ask the server"
+// — and where a byte budget runs out. A closed subtree never changes, so
+// every command a window answers costs no source work and no engine
+// call, the window holds exactly the answers those commands would have
+// got, and it never goes stale for the session. Everything before the
+// cut is closed, so the entry can only grow after the last shipped node
+// and WindowNode's index walk keeps naming the nodes that were shipped.
 
 // Link values of a WindowNode besides a window index.
 const (
@@ -29,27 +34,39 @@ type WindowNode struct {
 }
 
 // Complete reports whether the document's entry is fully explored (see
-// Entry.Complete), which is when Window ships anything.
+// Entry.Complete).
 func (d *Doc) Complete() bool { return d.entry.Complete() }
 
 // Window returns dst[:0] extended by the window at anchor, an id this
 // document issued. cost(label) is a node's share of budget; the window
 // stops before the first node that does not fit, so it is always a
 // prefix of the window order and WindowNode can find node i without
-// knowing the budget. The window is empty unless the entry is complete.
+// knowing the budget. The window is empty when anchor is not closed.
 func (d *Doc) Window(anchor nav.ID, dst []WindowNode, budget int, cost func(label string) int) []WindowNode {
 	w := windowWalk{dst: dst[:0], budget: budget, cost: cost}
 	r, err := d.id(anchor)
-	if err != nil || !d.entry.full.Load() {
+	if err != nil {
 		return w.dst
 	}
 	d.entry.mu.RLock()
 	defer d.entry.mu.RUnlock()
 	var root [1]*cnode
-	if scope, _, _ := d.entry.windowScope(r.path, &root); scope != nil {
-		w.list(scope, -1)
+	if scope, parent, _ := d.entry.windowScope(r.path, &root); scope != nil {
+		// The root has no siblings: its one-node list is whole.
+		w.list(scope, -1, len(r.path) == 0 || d.entry.node(parent).complete)
 	}
 	return w.dst
+}
+
+// Path returns the path from the answer root to id, an id this
+// document issued, as child indexes outermost first; ok is false for a
+// foreign id. The slice is the id's own and must not be modified.
+func (d *Doc) Path(id nav.ID) (path []int, ok bool) {
+	r, err := d.id(id)
+	if err != nil {
+		return nil, false
+	}
+	return r.path, true
 }
 
 // WindowNode returns the id of node i of the window at anchor. A server
@@ -97,21 +114,24 @@ type windowWalk struct {
 	dst    []WindowNode
 	budget int
 	cost   func(string) int
-	full   bool // a node did not fit: the window ends here
+	cut    bool // the window ends here
 }
 
-// list appends nodes, each followed by its subtree, linking each to the
-// next through Right. prev is the index of the node the first one is
-// the right sibling of (-1 for none).
-func (w *windowWalk) list(nodes []*cnode, prev int) {
+// list appends the closed prefix of nodes, each followed by its
+// subtree, linking each to the next through Right. prev is the index of
+// the node the first one is the right sibling of (-1 for none); ended
+// reports that nodes is a whole child list. Only when every node made
+// it and the list is whole does the last one get Right = ⊥; anywhere
+// else the window ends and the last shipped node keeps WindowOut.
+func (w *windowWalk) list(nodes []*cnode, prev int, ended bool) {
 	for _, n := range nodes {
-		if w.full {
+		if w.cut {
 			return
 		}
-		if c := w.cost(n.label); c <= w.budget {
+		if c := w.cost(n.label); c <= w.budget && n.isClosed() {
 			w.budget -= c
 		} else {
-			w.full = true
+			w.cut = true
 			return
 		}
 		at := len(w.dst)
@@ -122,14 +142,16 @@ func (w *windowWalk) list(nodes []*cnode, prev int) {
 		prev = at
 		if len(n.kids) > 0 {
 			w.dst[at].Down = WindowOut
-			w.list(n.kids, -1)
+			w.list(n.kids, -1, true) // a closed node's child lists are complete
 			if len(w.dst) > at+1 {
 				w.dst[at].Down = int32(at + 1)
 			}
 		}
 	}
-	// Every node of a complete child list made it: the last has no right
-	// sibling.
+	if !ended {
+		w.cut = true
+		return
+	}
 	if prev >= 0 {
 		w.dst[prev].Right = WindowNone
 	}

@@ -446,6 +446,46 @@ func (s *session) noteFetch(baseH uint64) {
 	}
 }
 
+// noteWindow fires what a window shipped at handle h lets the client
+// skip. When h landed on a region top, every region top the window
+// holds whole — that one and the right siblings after it, up to the
+// first one the window cuts — is engaged in order, each with the drill
+// a descent into it would fire: the client can now explore them all
+// without another frame. They are engaged at shipment, not when the
+// client passes them, so the drain of the region after them starts
+// while the client is still reading the window rather than racing the
+// command that leaves it. A complete view has no region left to drain,
+// so its windows engage nothing.
+func (s *session) noteWindow(h uint64, win []vxdp.WinNode) {
+	pos, ok := s.geo[h]
+	if !ok || pos.depth != 1 || pos.top < 0 || s.cached.Complete() {
+		return
+	}
+	for i, r := int32(0), pos.top; i >= 0 && wholeSubtree(win, int(i)); i, r = win[i].Right, r+1 {
+		s.srv.prefetch.model.ObserveDrill(s.viewKey)
+		s.engage(r)
+	}
+}
+
+// wholeSubtree reports whether win holds the whole subtree of node i, a
+// node whose right siblings only follow its subtree: no link inside the
+// subtree leaves the window. Node i's own right link may.
+func wholeSubtree(win []vxdp.WinNode, i int) bool {
+	end := len(win)
+	if r := win[i].Right; r >= 0 {
+		end = int(r)
+	}
+	if win[i].Down == vxdp.WinOut {
+		return false
+	}
+	for _, n := range win[i+1 : end] {
+		if n.Down == vxdp.WinOut || n.Right == vxdp.WinOut {
+			return false
+		}
+	}
+	return true
+}
+
 // engage is the heart of the feedback loop: the session just committed
 // attention to a region. Resolve the outstanding prediction (hit or
 // wasted), cancel any drain warming exactly this region (demand

@@ -48,9 +48,8 @@ type session struct {
 	nextH   uint64
 
 	// Read-ahead windows (see window.go): cached is the open view's
-	// region-cache document when its entry was complete at open, nil
-	// otherwise (no windows); wins records the handle range each shipped
-	// window reserved.
+	// region-cache document, nil when the view has none (no windows);
+	// wins records the handle range each shipped window reserved.
 	cached *regioncache.Doc
 	wins   []winRange
 
@@ -335,12 +334,7 @@ func (s *session) installView(res *mediator.Result, query string) {
 	}
 	s.handles = map[uint64]nav.ID{}
 	s.nextH = 0
-	// Windows are decided once per open: a complete entry stays complete,
-	// and an incomplete one is never walked per navigation.
 	s.cached, _ = doc.(*regioncache.Doc)
-	if s.cached != nil && !s.cached.Complete() {
-		s.cached = nil
-	}
 	clear(s.wins)
 	s.wins = s.wins[:0]
 	s.lastEngaged = -1

@@ -9,6 +9,7 @@ package server_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -298,6 +299,198 @@ func TestWindowConcurrentNavigation(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// wireSession speaks raw frames, so a test sees every response's
+// window and can name any handle.
+type wireSession struct {
+	t *testing.T
+	r *bufio.Reader
+	w *bufio.Writer
+}
+
+func dialWire(t *testing.T, addr string) *wireSession {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	s := &wireSession{t: t, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	s.do(vxdp.OpOpen, 0)
+	return s
+}
+
+// do sends one command on handle h; an open sends pfQuery.
+func (s *wireSession) do(op string, h uint64) vxdp.Response {
+	s.t.Helper()
+	req := vxdp.Request{Cmd: vxdp.Cmd{Op: op, ID: h}}
+	if op == vxdp.OpOpen {
+		req.Query = pfQuery
+	}
+	var resp vxdp.Response
+	if err := vxdp.WriteRequest(s.w, &req); err != nil || s.w.Flush() != nil {
+		s.t.Fatal(err)
+	}
+	if err := vxdp.ReadResponse(s.r, &resp); err != nil || resp.Err != "" {
+		s.t.Fatalf("%s %d: %v %s", op, h, err, resp.Err)
+	}
+	return resp
+}
+
+// treeAt returns the node of tree at path, nil past its end.
+func treeAt(tree *xmltree.Tree, path []int) *xmltree.Tree {
+	for _, i := range path {
+		if i >= len(tree.Children) {
+			return nil
+		}
+		tree = tree.Children[i]
+	}
+	return tree
+}
+
+// downOf and rightOf are the paths of p's first child and right sibling.
+func downOf(p []int) []int  { return append(append([]int(nil), p...), 0) }
+func rightOf(p []int) []int { return append(append([]int(nil), p[:len(p)-1]...), p[len(p)-1]+1) }
+
+// windowPaths lists, in window order, the paths of tree's window at
+// anchor (not the root): the anchor, its subtree, then its right
+// siblings and their subtrees.
+func windowPaths(tree *xmltree.Tree, anchor []int) [][]int {
+	var out [][]int
+	var walk func(path []int)
+	walk = func(path []int) {
+		out = append(out, path)
+		for i := range treeAt(tree, path).Children {
+			walk(append(append([]int(nil), path...), i))
+		}
+	}
+	parent := anchor[:len(anchor)-1]
+	for i := anchor[len(anchor)-1]; i < len(treeAt(tree, parent).Children); i++ {
+		walk(append(append([]int(nil), parent...), i))
+	}
+	return out
+}
+
+// checkWindow fails unless win is a prefix of tree's window at anchor
+// whose every ⊥ and in-window link the tree confirms.
+func checkWindow(t *testing.T, what string, tree *xmltree.Tree, anchor []int, win []vxdp.WinNode) {
+	t.Helper()
+	paths := windowPaths(tree, anchor)
+	if len(win) > len(paths) {
+		t.Fatalf("%s: %d window nodes, the answer's window order has %d", what, len(win), len(paths))
+	}
+	for i, n := range win {
+		p := paths[i]
+		if l := treeAt(tree, p).Label; n.Label != l {
+			t.Fatalf("%s: node %d %v label %q, a local replay %q", what, i, p, n.Label, l)
+		}
+		for _, l := range []struct {
+			link int32
+			to   []int
+		}{{n.Down, downOf(p)}, {n.Right, rightOf(p)}} {
+			switch {
+			case l.link == vxdp.WinOut:
+			case l.link == vxdp.WinNone:
+				if treeAt(tree, l.to) != nil {
+					t.Fatalf("%s: node %d %v links ⊥ where a local replay has %v", what, i, p, l.to)
+				}
+			case int(l.link) >= len(win) || fmt.Sprint(paths[l.link]) != fmt.Sprint(l.to):
+				t.Fatalf("%s: node %d %v links %d where a local replay has %v", what, i, p, l.link, l.to)
+			}
+		}
+	}
+}
+
+// TestWindowHandlesStayBoundWhileEntryGrows: windows shipped from an
+// incomplete entry — one cut at a region that is not closed, one at the
+// end of a child list the entry has not seen end — hold only what a
+// local replay holds. After a second session explores the whole view,
+// every handle of both windows still names the node it was shipped for:
+// fetch, down and right on each answer what a local replay answers.
+func TestWindowHandlesStayBoundWhileEntryGrows(t *testing.T) {
+	homes := winHomes()
+	_, addr, _, _ := pfStart(t, homes)
+	m := mediator.New(mediator.DefaultOptions())
+	m.RegisterTree("homesSrc", homes)
+	res, err := m.Query(pfQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := nav.Materialize(res.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Close regions 0 and 1 and the first child of region 2; learn
+	// region 2's label but leave its child list open.
+	ex := dialOpen(t, addr)
+	r0 := firstChild(t, ex)
+	r1, _ := ex.Right(r0)
+	r2, _ := ex.Right(r1)
+	if _, err := ex.Fetch(r2); err != nil {
+		t.Fatal(err)
+	}
+	c20, _ := ex.Down(r2)
+	for _, p := range []nav.ID{r0, r1, c20} {
+		if _, err := nav.Subtree(ex, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := dialWire(t, addr)
+	root := s.do(vxdp.OpRoot, 0)
+	at0 := s.do(vxdp.OpDown, root.ID)
+	size := func(p []int) int { return treeAt(tree, p).Size() }
+	if want := size([]int{0}) + size([]int{1}); len(at0.Win) != want || at0.Win[size([]int{0})].Right != vxdp.WinOut {
+		t.Fatalf("window at region 0: %d nodes, want regions 0 and 1 (%d) cut before region 2", len(at0.Win), want)
+	}
+	at2 := s.do(vxdp.OpRight, at0.ID+uint64(size([]int{0})))
+	if len(at2.Win) != 0 {
+		t.Fatalf("region 2 is not closed, but its landing shipped %d window nodes", len(at2.Win))
+	}
+	at20 := s.do(vxdp.OpDown, at2.ID)
+	if want := size([]int{2, 0}); len(at20.Win) != want || at20.Win[0].Right != vxdp.WinOut {
+		t.Fatalf("window at region 2's first child: %+v, want its %d-node subtree cut at the open list end", at20.Win, want)
+	}
+	wins := []struct {
+		anchor []int
+		at     vxdp.Response
+	}{{[]int{0}, at0}, {[]int{2, 0}, at20}}
+	for _, w := range wins {
+		checkWindow(t, fmt.Sprintf("window at %v", w.anchor), tree, w.anchor, w.at.Win)
+	}
+
+	if _, err := nav.Materialize(dialOpen(t, addr)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range wins {
+		paths := windowPaths(tree, w.anchor)
+		for i := range w.at.Win {
+			h, p := w.at.ID+uint64(i), paths[i]
+			if got, want := s.do(vxdp.OpFetch, h).Label, treeAt(tree, p).Label; got != want {
+				t.Fatalf("fetch on node %d %v of the window at %v: %q, a local replay %q", i, p, w.anchor, got, want)
+			}
+			for _, mv := range []struct {
+				op string
+				to []int
+			}{{vxdp.OpDown, downOf(p)}, {vxdp.OpRight, rightOf(p)}} {
+				what := fmt.Sprintf("%s on node %d %v of the window at %v", mv.op, i, p, w.anchor)
+				resp := s.do(mv.op, h)
+				if exists := treeAt(tree, mv.to) != nil; resp.OK != exists {
+					t.Fatalf("%s: ok=%v, a local replay %v", what, resp.OK, exists)
+				}
+				if resp.OK {
+					// The view is complete now, so the landing ships the
+					// landed node's window, which pins where it landed.
+					if len(resp.Win) == 0 {
+						t.Fatalf("%s: no window on a complete view", what)
+					}
+					checkWindow(t, what, tree, mv.to, resp.Win)
+				}
+			}
 		}
 	}
 }

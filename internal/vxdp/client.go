@@ -28,10 +28,11 @@ import (
 // Section 2 assigns to NC without select. Callers that do have a label
 // predicate use SelectLabel (one round trip).
 //
-// On a fully explored view the server ships read-ahead windows with its
-// navigation results (see the package documentation), and the client
-// answers d/r/f/select — and root, after the first — from them wherever
-// they decide the command; everything else is one round trip as before.
+// Wherever a navigation lands on a subtree the server has explored in
+// full, on any view, the result carries a read-ahead window (see the
+// package documentation), and the client answers d/r/f/select — and
+// root, after the first — from it wherever the window decides the
+// command; a −2 link, and everything else, is one round trip as before.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn

@@ -65,19 +65,24 @@
 //
 // # Read-ahead windows
 //
-// When a root/down/right/select command lands on a node of a view whose
-// region is fully explored on the server, the response may carry a
-// window: the landed node, its subtree, then its right siblings and
+// When a root/down/right/select command lands on a node whose subtree
+// the server has already explored in full (its label and every child
+// list under it known: the subtree is closed), the response may carry
+// a window: the landed node, its subtree, then its right siblings and
 // their subtrees, in document order, as entries
 //
 //	{"l":L,"d":D,"r":R}              label, first child, right sibling
 //
 // where D and R are indexes into the same window, -1 means ⊥ and -2
-// means "exists, not in this window". Node i of a window has handle
-// H+i, so a client answers later d/r/f/select commands on those nodes
-// from the window, and names any of them in a frame when the window
-// cannot decide one. A window never costs the server source work, and
-// clients that ignore "win" see the protocol unchanged.
+// means "not in this window, ask the server". A window holds closed
+// subtrees only, on any view: it ends before the first right sibling
+// that is not closed, at the end of a sibling list the server has not
+// seen end (the last node's R is then -2, though no sibling may
+// exist), or where the byte bound runs out. Node i of a window has
+// handle H+i, so a client answers later d/r/f/select commands on those
+// nodes from the window, and names any of them in a frame when the
+// window cannot decide one. A window never costs the server source
+// work, and clients that ignore "win" see the protocol unchanged.
 package vxdp
 
 import (
@@ -243,8 +248,8 @@ type NavResult struct {
 // Response is a server→client frame.
 type Response struct {
 	NavResult
-	// Win is the read-ahead window of a root/down/right/select result on
-	// a fully explored view: node i has handle ID+i.
+	// Win is the read-ahead window of a root/down/right/select result
+	// that landed on a closed subtree: node i has handle ID+i.
 	Win   []WinNode     `json:"win,omitempty"`
 	Stats *Stats        `json:"stats,omitempty"` // stats
 	Trace []*trace.Span `json:"trace,omitempty"` // trace
