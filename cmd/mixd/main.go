@@ -18,20 +18,22 @@
 // over the shared (immutable or concurrency-safe) sources, so concurrent
 // sessions explore independently while the regions of answer documents
 // they explore are shared through the cross-session region cache:
-// -cache-max-bytes bounds it (whole-entry LRU eviction). -prefetch (on
-// by default) learns each view's region-to-region navigation pattern and speculatively warms
-// the predicted next region before it is asked for (-prefetch-budget
-// and -prefetch-confidence tune it; -prefetch=false restores the
-// demand-only behavior exactly). SIGINT/SIGTERM shut the daemon down
-// gracefully.
+// -cache-max-bytes bounds it (whole-entry LRU eviction). LXP fills
+// coalesce up to 8 holes per round trip. -prefetch (on by default)
+// learns each view's region-to-region navigation pattern and
+// speculatively warms the predicted next region before it is asked
+// for, within the server's default drain budget and confidence
+// threshold; -prefetch=false restores the demand-only behavior
+// exactly. SIGINT/SIGTERM shut the daemon down gracefully.
 //
 // Clustering: -cluster joins a sharded mediator fleet. Sessions are
 // routed over a consistent-hash ring keyed by (view name, canonical
-// plan fingerprint) — proxied or redirected to the owning node per
-// -cluster-mode — and each node's region cache becomes the L1 of a
-// two-tier cache whose L2 is the owning peer (see internal/cluster and
-// the README's Clustering quick start). All fleet members must be
-// configured with identical -src/-view sets, in the same order.
+// plan fingerprint) — proxied to the owning node, unless -cluster-mode
+// local serves every session where it lands — and each node's region
+// cache becomes the L1 of a two-tier cache whose L2 is the owning peer
+// (see internal/cluster and the README's Clustering quick start). All
+// fleet members must be configured with identical -src/-view sets, in
+// the same order.
 //
 // Observability: -http addr serves /metrics (Prometheus), /healthz,
 // /debug/slow (the slow-navigation flight ring; ?format=text renders
@@ -58,7 +60,6 @@ import (
 	"time"
 
 	"mix/internal/cluster"
-	"mix/internal/core"
 	"mix/internal/lxp"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
@@ -70,6 +71,9 @@ import (
 	"mix/internal/wrapper"
 	"mix/internal/xmltree"
 )
+
+// lxpBatch is how many holes one LXP fill round trip coalesces.
+const lxpBatch = 8
 
 type multiFlag []string
 
@@ -100,10 +104,7 @@ type options struct {
 	trace                       bool
 	slowMs, slowRing            int
 	cacheMax                    int64
-	lxpBatch                    int
 	prefetch                    bool
-	prefetchBudget              int64
-	prefetchConf                float64
 	cluster                     bool
 	node, peers, clusterMode    string
 	clusterVnodes               int
@@ -128,14 +129,11 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.slowMs, "slow-ms", 100, "retain traced roots at least this slow in the flight ring (/debug/slow, wire slow command); 0 = all, negative = off")
 	fs.IntVar(&o.slowRing, "slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
 	fs.Int64Var(&o.cacheMax, "cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
-	fs.IntVar(&o.lxpBatch, "lxp-batch", 8, "coalesce up to this many holes per LXP fill round trip (0 or 1 = single-hole fills)")
 	fs.BoolVar(&o.prefetch, "prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
-	fs.Int64Var(&o.prefetchBudget, "prefetch-budget", server.DefaultPrefetchNavs, "navigation budget per speculative drain (0 = default)")
-	fs.Float64Var(&o.prefetchConf, "prefetch-confidence", server.DefaultPrefetchConfidence, "minimum successor-model confidence that triggers a drain")
 	fs.BoolVar(&o.cluster, "cluster", false, "join a sharded mediator fleet: route sessions over a consistent-hash ring and share explored regions with -peers")
 	fs.StringVar(&o.node, "node", "", "advertised cluster address of this node (default: -addr); every peer must know it by exactly this string")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated advertised addresses of the other fleet members (all nodes must be configured with identical -src/-view sets, in the same order)")
-	fs.StringVar(&o.clusterMode, "cluster-mode", "proxy", "what to do with sessions another node owns: proxy (forward transparently), redirect (tell the client to redial), or local (serve locally, share regions only)")
+	fs.StringVar(&o.clusterMode, "cluster-mode", "proxy", "what to do with sessions another node owns: proxy (forward transparently) or local (serve locally, share regions only)")
 	fs.IntVar(&o.clusterVnodes, "cluster-vnodes", 64, "virtual nodes per member on the consistent-hash ring")
 	fs.DurationVar(&o.clusterHealth, "cluster-health", 2*time.Second, "peer health-check (ping) interval")
 	fs.DurationVar(&o.clusterFlush, "cluster-flush", 500*time.Millisecond, "interval between sweeps publishing locally explored regions to their owner nodes")
@@ -192,7 +190,7 @@ func main() {
 	}
 
 	mopts := mediator.DefaultOptions()
-	mopts.LXPBatch = o.lxpBatch
+	mopts.LXPBatch = lxpBatch
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
 		// Cache before sources, so engines share LXP buffers.
@@ -221,10 +219,7 @@ func main() {
 	rc := regioncache.New(o.cacheMax)
 	options = append(options, server.WithRegionCache(rc))
 	if o.prefetch {
-		options = append(options,
-			server.WithPrefetch(true),
-			server.WithPrefetchBudget(core.PrefetchBudget{MaxNavs: o.prefetchBudget}),
-			server.WithPrefetchConfidence(o.prefetchConf))
+		options = append(options, server.WithPrefetch(true))
 	}
 	var node *cluster.Node
 	if o.cluster {

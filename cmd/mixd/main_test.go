@@ -12,9 +12,8 @@ func TestMixdFlags(t *testing.T) {
 	want := []string{
 		"addr", "cache-max-bytes", "cluster", "cluster-flush", "cluster-health",
 		"cluster-mode", "cluster-vnodes", "grace", "http", "idle", "lifetime",
-		"log-json", "log-level", "lxp-batch", "max-sessions", "node", "peers",
-		"prefetch", "prefetch-budget", "prefetch-confidence", "slow-ms",
-		"slow-ring", "src", "trace", "view",
+		"log-json", "log-level", "max-sessions", "node", "peers", "prefetch",
+		"slow-ms", "slow-ring", "src", "trace", "view",
 	}
 	fs := flag.NewFlagSet("mixd", flag.ContinueOnError)
 	registerFlags(fs)

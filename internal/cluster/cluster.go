@@ -24,10 +24,6 @@ const (
 	// command of the session — to the owner over a per-session VXDP
 	// connection. Transparent to any client.
 	ModeProxy Mode = "proxy"
-	// ModeRedirect answers the open with the owner's address; a
-	// redirect-capable client (vxdp.Client) redials the owner itself,
-	// saving the double hop on every later navigation.
-	ModeRedirect Mode = "redirect"
 	// ModeLocal serves every session locally and relies purely on the
 	// L2 region tier to share explored regions across the fleet.
 	ModeLocal Mode = "local"
@@ -36,10 +32,10 @@ const (
 // ParseMode validates a -cluster-mode flag value.
 func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
-	case ModeProxy, ModeRedirect, ModeLocal:
+	case ModeProxy, ModeLocal:
 		return Mode(s), nil
 	}
-	return "", fmt.Errorf("cluster: unknown mode %q (want proxy, redirect, or local)", s)
+	return "", fmt.Errorf("cluster: unknown mode %q (want proxy or local)", s)
 }
 
 // Config configures a cluster node.
@@ -124,7 +120,6 @@ type Node struct {
 
 	ownedLocal atomic.Int64
 	proxied    atomic.Int64
-	redirected atomic.Int64
 	degraded   atomic.Int64
 	l2Hits     atomic.Int64
 	l2Misses   atomic.Int64
@@ -272,9 +267,6 @@ func (n *Node) RecordOwnedLocal() { n.ownedLocal.Add(1) }
 // RecordProxied counts a command forwarded to an owner.
 func (n *Node) RecordProxied() { n.proxied.Add(1) }
 
-// RecordRedirected counts an open answered with a redirect.
-func (n *Node) RecordRedirected() { n.redirected.Add(1) }
-
 // RecordDegraded counts a session served locally because its owner was
 // down (or lost mid-session).
 func (n *Node) RecordDegraded() { n.degraded.Add(1) }
@@ -318,8 +310,8 @@ func (n *Node) Fetch(k regioncache.Key) *regioncache.Region {
 }
 
 // RecordCompleteLocal counts a routed open served here instead of being
-// proxied or redirected because its entry was fully explored once
-// resolved — by an exact L2 fill or by a subsuming region alike
+// proxied because its entry was fully explored once resolved — by an
+// exact L2 fill or by a subsuming region alike
 // (ClusterStats.SemanticLocal).
 func (n *Node) RecordCompleteLocal() { n.semLocal.Add(1) }
 
@@ -405,21 +397,6 @@ func (n *Node) BroadcastInvalidate(gen uint64) {
 	}
 }
 
-// SendPrefetchHint ships a speculative-prefetch hint to the owner of a
-// view key, fire-and-forget on the control link: the receiver may drop
-// it freely and a lost hint costs nothing (demand still works), so no
-// error is reported and no retry state is kept — exactly the contract
-// of an invalidation broadcast, minus the convergence loop.
-func (n *Node) SendPrefetchHint(owner string, h vxdp.PrefetchHint) {
-	p := n.peers[owner]
-	if p == nil || !p.alive() {
-		return
-	}
-	go func() {
-		_ = p.do(func(c *vxdp.Client) error { return c.PrefetchHint(h) })
-	}()
-}
-
 // Stats snapshots the node's counters for vxdp.Stats / metrics.
 func (n *Node) Stats() *vxdp.ClusterStats {
 	up, down := int64(0), int64(0)
@@ -437,7 +414,6 @@ func (n *Node) Stats() *vxdp.ClusterStats {
 		PeersDown:     down,
 		OwnedLocal:    n.ownedLocal.Load(),
 		Proxied:       n.proxied.Load(),
-		Redirected:    n.redirected.Load(),
 		Degraded:      n.degraded.Load(),
 		L2Hits:        n.l2Hits.Load(),
 		L2Misses:      n.l2Misses.Load(),

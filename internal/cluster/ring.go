@@ -1,8 +1,8 @@
 // Package cluster turns a set of mixd processes into a sharded mediator
 // fleet: a consistent-hash ring routes each session to the node that
 // owns its (view name, canonical plan fingerprint) key, sessions landing
-// elsewhere are proxied or redirected to the owner, and every node's
-// in-process region cache (L1) is backed by a peer-fill L2 protocol so
+// elsewhere are proxied to the owner, and every node's in-process
+// region cache (L1) is backed by a peer-fill L2 protocol so
 // a region explored anywhere in the fleet is fetched from its owner
 // before any node falls back to sources. Membership is static (the
 // -peers flag); periodic health checks with timeout and backoff mark

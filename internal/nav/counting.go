@@ -1,10 +1,6 @@
 package nav
 
-import (
-	"sync"
-
-	"mix/internal/metrics"
-)
+import "mix/internal/metrics"
 
 // CountingDoc wraps a Document and counts every navigation command
 // answered by it. Placing a CountingDoc at a source boundary measures
@@ -83,67 +79,4 @@ func (c *CountingDoc) SelectRight(p ID, sigma Predicate, fromSelf bool) (ID, err
 		cur = next
 	}
 	return nil, nil
-}
-
-// TraceDoc wraps a Document and records the sequence of commands
-// answered, for debugging and for asserting exact navigation sequences
-// in tests (e.g. that qconc mirrors client navigations 1:1).
-type TraceDoc struct {
-	Doc Document
-
-	mu    sync.Mutex
-	steps []Step
-}
-
-// NewTraceDoc wraps doc with an empty trace.
-func NewTraceDoc(doc Document) *TraceDoc { return &TraceDoc{Doc: doc} }
-
-// Unwrap exposes the wrapped document to capability probes.
-func (t *TraceDoc) Unwrap() Document { return t.Doc }
-
-func (t *TraceDoc) record(s Step) {
-	t.mu.Lock()
-	t.steps = append(t.steps, s)
-	t.mu.Unlock()
-}
-
-// Steps returns a copy of the recorded command sequence.
-func (t *TraceDoc) Steps() []Step {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Step, len(t.steps))
-	copy(out, t.steps)
-	return out
-}
-
-// ResetTrace clears the recorded command sequence.
-func (t *TraceDoc) ResetTrace() {
-	t.mu.Lock()
-	t.steps = nil
-	t.mu.Unlock()
-}
-
-// Root implements Document.
-func (t *TraceDoc) Root() (ID, error) {
-	t.record(Step{Op: OpRoot})
-	return t.Doc.Root()
-}
-
-// Down implements Document.
-func (t *TraceDoc) Down(p ID) (ID, error) {
-	t.record(Step{Op: OpDown})
-	return t.Doc.Down(p)
-}
-
-// Right implements Document.
-func (t *TraceDoc) Right(p ID) (ID, error) {
-	t.record(Step{Op: OpRight})
-	return t.Doc.Right(p)
-}
-
-// Fetch implements Document.
-func (t *TraceDoc) Fetch(p ID) (string, error) {
-	l, err := t.Doc.Fetch(p)
-	t.record(Step{Op: OpFetch, Label: l})
-	return l, err
 }

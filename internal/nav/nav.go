@@ -160,19 +160,6 @@ const (
 	OpRoot   Op = "root"
 )
 
-// Step is one executed navigation command, for traces.
-type Step struct {
-	Op    Op
-	Label string // result of a fetch, if Op == OpFetch
-}
-
-func (s Step) String() string {
-	if s.Op == OpFetch && s.Label != "" {
-		return fmt.Sprintf("f→%s", s.Label)
-	}
-	return string(s.Op)
-}
-
 // ErrForeignID is returned (wrapped) by Documents handed an ID they
 // did not issue.
 var ErrForeignID = fmt.Errorf("nav: foreign node id")

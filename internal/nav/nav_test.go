@@ -3,7 +3,6 @@ package nav
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -292,28 +291,6 @@ func TestCountingNestedWrapperSelectBilling(t *testing.T) {
 		if s.Fetch != 3 || s.Right != 2 {
 			t.Fatalf("%s scan billing f=%d r=%d, want 3/2", name, s.Fetch, s.Right)
 		}
-	}
-}
-
-func TestTraceDoc(t *testing.T) {
-	td := NewTraceDoc(NewTreeDoc(xmltree.Elem("r", xmltree.Leaf("a"))))
-	root, _ := td.Root()
-	c, _ := td.Down(root)
-	if _, err := td.Fetch(c); err != nil {
-		t.Fatal(err)
-	}
-	steps := td.Steps()
-	var ops []string
-	for _, s := range steps {
-		ops = append(ops, s.String())
-	}
-	joined := strings.Join(ops, " ")
-	if joined != "root d f→a" {
-		t.Fatalf("trace = %q", joined)
-	}
-	td.ResetTrace()
-	if len(td.Steps()) != 0 {
-		t.Fatal("ResetTrace")
 	}
 }
 

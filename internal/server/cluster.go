@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the server side of mixd -cluster: session routing over
-// the consistent-hash ring (proxy / redirect / degraded-local), the
+// the consistent-hash ring (proxy / degraded-local), the
 // per-session proxy link to an owner node, and the peer-facing L2
 // region protocol (ping / region_get / region_put / invalidate).
 
@@ -169,8 +169,7 @@ func (s *session) closeProxy() {
 //
 //   - this node owns the key → serve locally;
 //   - the owner is down       → serve locally, counted degraded;
-//   - redirect mode           → answer with the owner's address;
-//   - proxy mode              → forward the open (and every later
+//   - otherwise               → forward the open (and every later
 //     command) to the owner; if forwarding fails, fall back to local.
 func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	cl := s.srv.cluster
@@ -218,15 +217,6 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	if res.SemanticWarm() {
 		cl.RecordCompleteLocal()
 		return serveLocal()
-	}
-	if cl.Mode() == cluster.ModeRedirect {
-		mode = "redirect"
-		cl.RecordRedirected()
-		s.closeProxy()
-		// The local doc (if any) dies with the redirect: the client is
-		// about to redial, and open-replaces-view says old handles die.
-		s.leaveView()
-		return vxdp.Response{Redirect: owner}
 	}
 	resp, err := s.startProxy(owner, req.Query)
 	if err != nil || resp.Err != "" || !resp.OK {

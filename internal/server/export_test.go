@@ -19,6 +19,13 @@ func SpecParked(s *Server) map[predict.Key]*mediator.Result {
 	return out
 }
 
+// SpawnDrain starts a speculative drain of region of the view keyed k,
+// compiled from query, as a session's confident prediction would; it
+// reports whether a drain was issued.
+func SpawnDrain(s *Server, k predict.Key, query string, region int, deep bool) bool {
+	return s.prefetch.spawn(k, query, region, deep)
+}
+
 // SpecPool reports the spec engine pool's idle and created engines.
 func SpecPool(s *Server) (idle int, created int64) {
 	p := s.prefetch.pool

@@ -152,8 +152,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("mix_prefetch_wasted_total", "predictions contradicted by the client engaging elsewhere", st.Prefetch.Wasted)
 		counter("mix_prefetch_cancelled_total", "speculative drains cancelled mid-flight", st.Prefetch.Cancelled)
 		counter("mix_prefetch_navs_total", "navigations issued at the speculative answer boundary", st.Prefetch.Navs)
-		counter("mix_prefetch_hints_sent_total", "prefetch hints shipped to view owners", st.Prefetch.HintsSent)
-		counter("mix_prefetch_hints_recv_total", "prefetch hints received from peers", st.Prefetch.HintsRecv)
 		gauge("mix_prefetch_inflight", "speculative drains currently running", st.Prefetch.Inflight)
 		if resolved := st.Prefetch.Hits + st.Prefetch.Wasted; resolved > 0 {
 			gauge("mix_prefetch_accuracy_percent", "resolved predictions the client confirmed, in percent", st.Prefetch.Hits*100/resolved)
@@ -165,7 +163,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("mix_cluster_peers_down", "peers currently marked down", st.Cluster.PeersDown)
 		counter("mix_cluster_owned_local_total", "opens served locally because this node owns the key", st.Cluster.OwnedLocal)
 		counter("mix_cluster_proxied_total", "commands forwarded to an owner node", st.Cluster.Proxied)
-		counter("mix_cluster_redirected_total", "opens answered with a redirect to the owner", st.Cluster.Redirected)
 		counter("mix_cluster_degraded_total", "sessions served locally because their owner was down", st.Cluster.Degraded)
 		counter("mix_cluster_l2_hits_total", "peer region fetches answered with a region (entry fills and semantic asks, complete or not)", st.Cluster.L2Hits)
 		counter("mix_cluster_l2_misses_total", "peer region fetches that found nothing", st.Cluster.L2Misses)

@@ -19,10 +19,7 @@ import (
 // confident about a view's next region, a drain worker warms it through
 // core.PrefetchRegion on an engine from the prefetcher's own pool —
 // never the demand pool, so mix_engine_pool_* gauges and per-session
-// counters stay exactly what they were without speculation. Under
-// -cluster, a prediction for a view another node owns additionally
-// ships a fire-and-forget prefetch_hint there, so the region warms in
-// the cache that will actually serve it.
+// counters stay exactly what they were without speculation.
 
 // Default speculative-drain bounds: enough navigations to drain a
 // sizeable region, few enough that a wrong guess stays cheap.
@@ -66,8 +63,6 @@ type prefetcher struct {
 	hits      atomic.Int64 // predictions the client confirmed by engaging the region
 	wasted    atomic.Int64 // predictions the client contradicted
 	cancelled atomic.Int64 // drains cancelled mid-flight
-	hintsSent atomic.Int64
-	hintsRecv atomic.Int64
 	inflight  atomic.Int64
 	// navs accumulates speculative answer-boundary navigations — a
 	// dedicated block, never a session's, so demand attribution is
@@ -217,7 +212,7 @@ func (p *prefetcher) checkout(k predict.Key, query string) *specQuery {
 	// The freshly compiled query must land on the exact key predicted.
 	// A mismatch means the cache generation or source registry moved
 	// between prediction and drain — warming under the new key would be
-	// warming a region nobody predicted, so the hint is simply stale.
+	// warming a region nobody predicted, so the prediction is stale.
 	if err != nil || res.RegionKey() != k {
 		p.pool.release(pe)
 		return nil
@@ -313,27 +308,6 @@ func (p *prefetcher) close() {
 	p.pool.flush()
 }
 
-// maybeHint ships the prediction to the view key's ring owner when this
-// node is clustered and not the owner: the owner's L1 is the cache that
-// will serve the fleet, so that is where the region should warm.
-func (p *prefetcher) maybeHint(k predict.Key, query string, region int, deep bool) {
-	cl := p.srv.cluster
-	if cl == nil || query == "" {
-		return
-	}
-	owner := cl.Owner(k.Name, k.Fingerprint)
-	if cl.IsSelf(owner) || !cl.Alive(owner) {
-		return
-	}
-	p.hintsSent.Add(1)
-	cl.SendPrefetchHint(owner, vxdp.PrefetchHint{
-		Query:  query,
-		Key:    vxdp.WireKey(k),
-		Region: region,
-		Deep:   deep,
-	})
-}
-
 func (p *prefetcher) stats() *vxdp.PrefetchStats {
 	return &vxdp.PrefetchStats{
 		Issued:    p.issued.Load(),
@@ -341,45 +315,8 @@ func (p *prefetcher) stats() *vxdp.PrefetchStats {
 		Wasted:    p.wasted.Load(),
 		Cancelled: p.cancelled.Load(),
 		Navs:      p.navs.Navigations(),
-		HintsSent: p.hintsSent.Load(),
-		HintsRecv: p.hintsRecv.Load(),
 		Inflight:  p.inflight.Load(),
 	}
-}
-
-// handlePrefetchHint serves the peer-facing prefetch_hint op. Always
-// OK: hints are advisory, and every reason to drop one (prefetch off,
-// stale generation, malformed) is the sender's non-problem.
-func (s *Server) handlePrefetchHint(req vxdp.Request) vxdp.Response {
-	ok := vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
-	p := s.prefetch
-	if p == nil || req.Hint == nil {
-		return ok
-	}
-	p.hintsRecv.Add(1)
-	h := *req.Hint
-	if s.cache == nil || h.Key.Gen != s.cache.Generation() || h.Query == "" || h.Region < 0 {
-		return ok
-	}
-	p.spawn(h.Key.CacheKey(), h.Query, h.Region, h.Deep)
-	return ok
-}
-
-// tracedSpec mirrors Server.traced for the prefetch_hint op, but on a
-// spec-tagged ephemeral recorder with no sinks: even the hint's ack
-// span is speculation-side, so it must stay out of the operator
-// histograms and the slow-navigation flight ring.
-func (s *Server) tracedSpec(ctx *trace.Context, op string, f func() vxdp.Response) vxdp.Response {
-	if ctx == nil || !s.cfg.Trace {
-		return f()
-	}
-	rec := s.newSpecRecorder()
-	rec.SetRemoteParent(*ctx)
-	sp, _ := rec.BeginContext(trace.ClusterLabel, op)
-	resp := f()
-	rec.End(sp)
-	resp.Spans = rec.Take()
-	return resp
 }
 
 // --- session-side geometry tracking ---------------------------------------
@@ -518,5 +455,4 @@ func (s *session) engage(region int) {
 	if p.spawn(s.viewKey, s.viewQuery, next, deep) {
 		s.pending = next
 	}
-	p.maybeHint(s.viewKey, s.viewQuery, next, deep)
 }

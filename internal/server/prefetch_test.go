@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"mix/internal/cluster"
 	"mix/internal/core"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
@@ -448,9 +447,9 @@ func pfWaitIdle(t *testing.T, srv *server.Server) {
 // engine; every later drain resumes that same parked query — nothing is
 // compiled again — and pays strictly fewer speculative source
 // navigations than a fresh query draining the same region (measured by
-// prefetch_hint drains on a second server with no session, which
-// compile, drain and release exactly as before parking existed). Every
-// answer equals the eager evaluation.
+// drains spawned on a second server with no session, which compile,
+// drain and release exactly as before parking existed). Every answer
+// equals the eager evaluation.
 func TestPrefetchResumesParkedQuery(t *testing.T) {
 	script := workload.DeepDrillScript(pfRegions, 1)
 	homes, schools, want := pfJoinSources(t, script)
@@ -485,21 +484,13 @@ func TestPrefetchResumesParkedQuery(t *testing.T) {
 		t.Fatalf("%d spec engines built, want 1", created)
 	}
 
-	fresh, faddr, _, freshSpec := pfStartWith(t, factory, server.WithPrefetch(true))
-	hc, err := vxdp.Dial(faddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hc.Close()
-	wireKey := vxdp.WireKey(key)
+	fresh, _, _, freshSpec := pfStartWith(t, factory, server.WithPrefetch(true))
 	for i, d := range drains {
 		before := freshSpec.Navigations()
-		if err := hc.PrefetchHint(vxdp.PrefetchHint{Query: joinQuery, Key: wireKey, Region: d.region, Deep: true}); err != nil {
-			t.Fatal(err)
-		}
+		server.SpawnDrain(fresh, key, joinQuery, d.region, true)
 		pfQuiesce(t, fresh)
 		if len(server.SpecParked(fresh)) != 0 {
-			t.Fatal("a hint drain with no local session parked its query")
+			t.Fatal("a drain with no local session parked its query")
 		}
 		freshNavs := freshSpec.Navigations() - before
 		t.Logf("region %d: session drain %d speculative source navs, fresh query %d", d.region, d.navs, freshNavs)
@@ -680,9 +671,9 @@ func TestPrefetchSkipsCompleteView(t *testing.T) {
 
 // TestPrefetchDrainsOnlyUnknownRegions: with the first half of the view
 // explored, a deep-drill session's predictions drain only the unknown
-// half; and a prefetch_hint for each region — the owner-side entry to
-// the same check — is acknowledged everywhere but drained exactly for
-// the regions the cache does not already know.
+// half; and a drain spawned for each region on a server with no
+// session is started exactly for the regions the cache does not already
+// know.
 func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
 	const half = pfRegions / 2
 	homes := pfHomes()
@@ -716,21 +707,13 @@ func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
 
 	rc2 := regioncache.New(0)
 	key := pfWarm(t, homes, rc2, pfDeepRegions(half))
-	hsrv, haddr, _, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc2))
-	c, err := vxdp.Dial(haddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	wireKey := vxdp.RegionKey{Gen: key.Generation, Registry: key.Registry, Name: key.Name, Fingerprint: key.Fingerprint}
+	hsrv, _, _, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc2))
 	for _, deep := range []bool{true, false} {
 		for r := 0; r < pfRegions+2; r++ {
 			before := hsrv.Stats().Prefetch.Issued
-			if err := c.PrefetchHint(vxdp.PrefetchHint{Query: pfQuery, Key: wireKey, Region: r, Deep: deep}); err != nil {
-				t.Fatalf("hint for region %d not acknowledged: %v", r, err)
-			}
+			server.SpawnDrain(hsrv, key, pfQuery, r, deep)
 			pfQuiesce(t, hsrv)
-			// Deep hints warm the unknown half (and, past the end, learn
+			// Deep drains warm the unknown half (and, past the end, learn
 			// the view's width once); after them every region is known.
 			var want int64
 			if deep && r >= half && r <= pfRegions {
@@ -775,143 +758,5 @@ func BenchmarkSessionDeepDrill(b *testing.B) {
 				c.Close()
 			}
 		})
-	}
-}
-
-// TestClusterPrefetchHintWarmsOwner runs a two-node ModeLocal fleet:
-// the non-owner's session speculates locally AND ships prefetch_hint
-// frames to the view's ring owner, whose own speculative drains warm
-// its cache — so a later client of the owner pays nothing interactive.
-func TestClusterPrefetchHintWarmsOwner(t *testing.T) {
-	homes := pfHomes()
-	script := workload.DeepDrillScript(pfRegions, 1)
-
-	type member struct {
-		srv     *server.Server
-		node    *cluster.Node
-		addr    string
-		src     *metrics.Counters
-		specSrc *metrics.Counters
-		done    chan error
-	}
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i], addrs[i] = l, l.Addr().String()
-	}
-	fleet := make([]*member, 2)
-	for i := range fleet {
-		src, specSrc := &metrics.Counters{}, &metrics.Counters{}
-		rc := regioncache.New(0)
-		node, err := cluster.New(cluster.Config{
-			Self: addrs[i], Peers: []string{addrs[1-i]}, Mode: cluster.ModeLocal,
-			HealthInterval: time.Hour, FlushInterval: -1,
-		}, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(pfFactory(homes, src),
-			server.WithRegionCache(rc), server.WithCluster(node),
-			server.WithPrefetch(true), server.WithSpecFactory(pfFactory(homes, specSrc)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-		node.Start()
-		fleet[i] = &member{srv: srv, node: node, addr: addrs[i], src: src, specSrc: specSrc, done: done}
-	}
-	defer func() {
-		for _, m := range fleet {
-			m.node.Stop()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
-	}()
-
-	probe := mediator.New(mediator.DefaultOptions())
-	probe.RegisterTree("homesSrc", homes)
-	res, err := probe.Query(pfQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, fp := res.CacheKey()
-	ownerAddr := fleet[0].node.Owner(name, fp)
-	owner, entry := fleet[0], fleet[1]
-	if owner.addr != ownerAddr {
-		owner, entry = fleet[1], fleet[0]
-	}
-
-	// Drive the deep-drill on the NON-owner; its engagements hint the
-	// owner with every prediction.
-	c, err := vxdp.Dial(entry.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Open(pfQuery); err != nil {
-		t.Fatal(err)
-	}
-	if err := workload.ReplayPersona(c, script, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hints travel on fire-and-forget goroutines; wait for the owner to
-	// have received at least one and drained it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		est, ost := entry.srv.Stats(), owner.srv.Stats()
-		if est.Prefetch != nil && ost.Prefetch != nil &&
-			est.Prefetch.HintsSent > 0 && ost.Prefetch.HintsRecv > 0 &&
-			ost.Prefetch.Issued > 0 && ost.Prefetch.Inflight == 0 &&
-			owner.specSrc.Navigations() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hints never warmed the owner: entry=%+v owner=%+v ownerSpecNavs=%d",
-				est.Prefetch, ost.Prefetch, owner.specSrc.Navigations())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The owner's demand sources were never touched: its warmth is all
-	// speculative.
-	if n := owner.src.Navigations(); n != 0 {
-		t.Fatalf("owner demand sources saw %d navs from hint drains, want 0", n)
-	}
-
-	// A stale-generation hint is acknowledged but never drained.
-	oc, err := vxdp.Dial(owner.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oc.Close()
-	// Let every hint the entry sent land and finish draining first, so
-	// the Issued baseline cannot be overtaken by a late legitimate hint.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		pfQuiesce(t, owner.srv)
-		if owner.srv.Stats().Prefetch.HintsRecv >= entry.srv.Stats().Prefetch.HintsSent {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("entry's hints never all reached the owner")
-		}
-	}
-	pfQuiesce(t, owner.srv)
-	issuedBefore := owner.srv.Stats().Prefetch.Issued
-	stale := vxdp.PrefetchHint{Query: pfQuery, Region: 0, Deep: true,
-		Key: vxdp.RegionKey{Gen: 1 << 60, Name: name, Fingerprint: fp}}
-	if err := oc.PrefetchHint(stale); err != nil {
-		t.Fatalf("stale hint must be acknowledged, got %v", err)
-	}
-	pfQuiesce(t, owner.srv)
-	if got := owner.srv.Stats().Prefetch.Issued; got != issuedBefore {
-		t.Fatalf("stale-generation hint spawned a drain (issued %d → %d)", issuedBefore, got)
 	}
 }

@@ -85,7 +85,7 @@ type config struct {
 	RegionCache *regioncache.Cache
 	// Cluster, when non-nil, makes this server one member of a sharded
 	// mediator fleet: opens are routed over the node's consistent-hash
-	// ring (proxied or redirected to the owning member), the peer-facing
+	// ring (proxied to the owning member), the peer-facing
 	// region ops are served, and registry bumps broadcast invalidations
 	// fleet-wide. Requires RegionCache (the node is built over it).
 	Cluster *cluster.Node
@@ -203,7 +203,7 @@ type Server struct {
 	// cmdHist records wire-command service latency by op; opHist
 	// records per-operator pull latency (fed by trace sinks, so only
 	// populated when config.Trace is on); routeHist records open-routing
-	// latency by decision mode (proxy/redirect/local) — the
+	// latency by decision mode (proxy/local) — the
 	// mix_cluster_route_duration_seconds family.
 	cmdHist   *telemetry.Registry
 	opHist    *telemetry.Registry

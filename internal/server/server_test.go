@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -265,6 +266,41 @@ func TestShutdownWakesBusySession(t *testing.T) {
 	}
 	if d := time.Since(begin); d > time.Second {
 		t.Fatalf("a busy session held Shutdown for %v", d)
+	}
+}
+
+// TestRetiredOpRejectedInBand: a frame naming an op the protocol no
+// longer speaks — here the retired prefetch_hint — gets an in-band
+// "unknown op" error, and the same connection goes on serving open and
+// root normally.
+func TestRetiredOpRejectedInBand(t *testing.T) {
+	_, addr := start(t, server.WithRegionCache(regioncache.New(0)), server.WithPrefetch(true))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	exchange := func(req any) vxdp.Response {
+		t.Helper()
+		if err := vxdp.WriteFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp vxdp.Response
+		if err := vxdp.ReadFrame(r, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	hint := json.RawMessage(`{"op":"prefetch_hint","hint":{"query":"CONSTRUCT <a> $H {$H} </a> {} WHERE homesSrc homes.home $H","key":{"gen":0,"reg":0,"name":"","fp":""},"region":0,"deep":true}}`)
+	if resp := exchange(hint); resp.OK || !strings.Contains(resp.Err, "unknown op") {
+		t.Fatalf("retired op answered %+v, want an unknown-op error", resp)
+	}
+	if resp := exchange(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpOpen}, Query: joinQuery}); !resp.OK || resp.Err != "" {
+		t.Fatalf("open after the rejected op: %+v", resp)
+	}
+	if resp := exchange(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpRoot}}); !resp.OK || resp.ID == 0 {
+		t.Fatalf("root after the rejected op: %+v", resp)
 	}
 }
 

@@ -134,7 +134,7 @@ func cmdLabel(op string) string {
 	case vxdp.OpOpen, vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch,
 		vxdp.OpSelect, vxdp.OpStats, vxdp.OpTrace, vxdp.OpClose,
 		vxdp.OpPing, vxdp.OpRegionGet, vxdp.OpRegionPut, vxdp.OpInvalidate,
-		vxdp.OpSlow, vxdp.OpPrefetchHint:
+		vxdp.OpSlow:
 		return op
 	}
 	return "other"
@@ -260,8 +260,6 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 		*resp = s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleRegionPut(*req) })
 	case vxdp.OpInvalidate:
 		*resp = s.srv.traced(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handleInvalidate(*req) })
-	case vxdp.OpPrefetchHint:
-		*resp = s.srv.tracedSpec(req.TraceCtx, req.Op, func() vxdp.Response { return s.srv.handlePrefetchHint(*req) })
 	default:
 		*resp = errResp("unknown op %q", req.Op)
 	}

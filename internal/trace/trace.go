@@ -20,7 +20,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -421,11 +420,6 @@ func Format(roots []*Span) string {
 		walk(sp, 0)
 	}
 	return b.String()
-}
-
-// MarshalForest renders a forest as JSON.
-func MarshalForest(roots []*Span) ([]byte, error) {
-	return json.MarshalIndent(roots, "", "  ")
 }
 
 // --- instrumented document ------------------------------------------------

@@ -53,8 +53,8 @@ type Client struct {
 
 	// wins holds the read-ahead windows absorbed since the last clear, in
 	// handle order; root is the answer root once a root response carried
-	// a window (guarded by mu). Open, a redirect, and any error clear
-	// both: after them a handle may name another node, or none.
+	// a window (guarded by mu). Open and any error clear both: after
+	// them a handle may name another node, or none.
 	wins []window
 	root nav.ID
 
@@ -135,7 +135,7 @@ func (c *Client) SetTraceLabel(label string) {
 func tracedOp(op string) bool {
 	switch op {
 	case OpOpen, OpRoot, OpDown, OpRight, OpFetch, OpSelect,
-		OpRegionGet, OpRegionPut, OpInvalidate, OpPrefetchHint:
+		OpRegionGet, OpRegionPut, OpInvalidate:
 		return true
 	}
 	return false
@@ -199,56 +199,14 @@ func (c *Client) exchange(req *Request) error {
 	return nil
 }
 
-// maxRedirects bounds redirect chains on open, so a misconfigured ring
-// (two nodes each claiming the other owns a key) cannot loop a client
-// forever.
-const maxRedirects = 4
-
 // Open compiles the XMAS query on the server and makes its virtual
 // answer the session's document. Opening a second view in the same
 // session replaces the first (all previously issued handles die).
-//
-// Against a clustered server in redirect mode, Open transparently
-// follows the redirect: it redials the owner node, swaps the session's
-// connection, and resends the open there — so every later navigation
-// goes straight to the node whose L1 cache holds the view's regions.
+// Against a cluster member the view may live on another node; the
+// member proxies the session there, so the client never learns where.
 func (c *Client) Open(query string) error {
-	for hop := 0; ; hop++ {
-		resp, err := c.roundTrip(Request{Cmd: Cmd{Op: OpOpen}, Query: query})
-		if err != nil {
-			return err
-		}
-		if resp.Redirect == "" {
-			return nil
-		}
-		if hop >= maxRedirects {
-			return fmt.Errorf("vxdp: open redirected more than %d times (last to %s)", maxRedirects, resp.Redirect)
-		}
-		if err := c.redial(resp.Redirect); err != nil {
-			return err
-		}
-	}
-}
-
-// redial swaps the session's connection for one to addr (best-effort
-// close of the old session first). Handles issued before the swap are
-// dead — exactly the open-replaces-view contract.
-func (c *Client) redial(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("vxdp: following redirect to %s: %w", addr, err)
-	}
-	c.mu.Lock()
-	old := c.conn
-	_ = WriteFrame(c.w, Request{Cmd: Cmd{Op: OpClose}})
-	_ = c.w.Flush()
-	c.conn = conn
-	c.r = bufio.NewReaderSize(conn, FrameBuffer)
-	c.w = bufio.NewWriterSize(conn, FrameBuffer)
-	c.clearWindows()
-	c.mu.Unlock()
-	_ = old.Close()
-	return nil
+	_, err := c.roundTrip(Request{Cmd: Cmd{Op: OpOpen}, Query: query})
+	return err
 }
 
 // handle extracts the wire handle of an ID issued by this client.
@@ -479,15 +437,6 @@ func (c *Client) RegionGet(key RegionKey) (*regioncache.Region, error) {
 // key. The server ignores puts for generations it has moved past.
 func (c *Client) RegionPut(key RegionKey, tree *regioncache.Region) error {
 	_, err := c.roundTrip(Request{Cmd: Cmd{Op: OpRegionPut}, Region: &key, Tree: tree})
-	return err
-}
-
-// PrefetchHint advises the server to speculatively warm a predicted
-// region of a view it owns. Purely advisory: the server may drop it for
-// any reason and still answer ok, so a nil error only means the hint
-// was delivered, not that a drain ran.
-func (c *Client) PrefetchHint(h PrefetchHint) error {
-	_, err := c.roundTrip(Request{Cmd: Cmd{Op: OpPrefetchHint}, Hint: &h})
 	return err
 }
 

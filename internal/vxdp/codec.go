@@ -34,7 +34,7 @@ import (
 // renders: nothing set beyond op, id, label and self.
 func navRequest(req *Request) bool {
 	return req.Query == "" && req.Region == nil &&
-		req.Tree == nil && req.Gen == 0 && req.Hint == nil && !req.Proxied &&
+		req.Tree == nil && req.Gen == 0 && !req.Proxied &&
 		req.TraceCtx == nil
 }
 
@@ -42,7 +42,7 @@ func navRequest(req *Request) bool {
 // encoder renders: nothing set beyond ok, id, label, error and win.
 func navResponse(resp *Response) bool {
 	return resp.Stats == nil && len(resp.Trace) == 0 &&
-		resp.Redirect == "" && resp.Tree == nil && resp.Gen == 0 && len(resp.Spans) == 0 &&
+		resp.Tree == nil && resp.Gen == 0 && len(resp.Spans) == 0 &&
 		len(resp.Slow) == 0
 }
 

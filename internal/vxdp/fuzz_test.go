@@ -74,47 +74,6 @@ func FuzzRegionCodec(f *testing.F) {
 	})
 }
 
-// FuzzPrefetchHintCodec: prefetch_hint frames come from *peers* (the
-// fleet's speculation side-channel), so like regions they are a trust
-// boundary. No byte stream may panic the codec, and every hint that
-// decodes must survive a re-encode round trip with its key, region,
-// depth, and query intact — a corrupted key must never warm the wrong
-// epoch.
-func FuzzPrefetchHintCodec(f *testing.F) {
-	seed := func(v any) {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, v); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	key := RegionKey{Gen: 9, Registry: 4, Name: "homeview", Fingerprint: "S0:p(v0,v1)"}
-	seed(Request{Cmd: Cmd{Op: OpPrefetchHint}, Hint: &PrefetchHint{
-		Query: "SELECT * FROM homes", Key: key, Region: 3, Deep: true,
-	}})
-	seed(Request{Cmd: Cmd{Op: OpPrefetchHint}, Hint: &PrefetchHint{Key: key}})
-	// Hostile shapes: type confusion on the hint object and its fields.
-	f.Add([]byte{0, 0, 0, 10, '{', '"', 'h', 'i', 'n', 't', '"', ':', '1', '}'})
-	f.Add([]byte{0, 0, 0, 30, '{', '"', 'h', 'i', 'n', 't', '"', ':', '{', '"', 'r', 'e', 'g', 'i', 'o', 'n', '"', ':', '"', 'x', '"', ',', '"', 'k', 'e', 'y', '"', ':', '1', '}'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := ReadFrame(bytes.NewReader(data), &req); err == nil && req.Hint != nil {
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, Request{Cmd: req.Cmd, Hint: req.Hint}); err == nil {
-				var rt Request
-				if err := ReadFrame(&buf, &rt); err != nil {
-					t.Fatalf("re-decode of re-encoded hint failed: %v", err)
-				}
-				if rt.Hint == nil || *rt.Hint != *req.Hint {
-					t.Fatalf("hint not stable under re-encode: %+v vs %+v", rt.Hint, req.Hint)
-				}
-			}
-		}
-		var resp Response
-		_ = ReadFrame(bytes.NewReader(data), &resp) // must not panic
-	})
-}
-
 // TestReadFrameRejectsHostileLength: a length prefix beyond MaxFrame is
 // rejected before any allocation or read of the payload.
 func TestReadFrameRejectsHostileLength(t *testing.T) {

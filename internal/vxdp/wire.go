@@ -37,21 +37,13 @@
 // stitches into a single forest. Untraced sessions never carry either
 // field — they cost zero bytes and zero allocations.
 //
-// Cluster peers (mixd -cluster) speak five more ops on ordinary
-// sessions — the L2 region protocol, the health probe, and the
-// speculative-prefetch hint:
+// Cluster peers (mixd -cluster) speak four more ops on ordinary
+// sessions — the L2 region protocol and the health probe:
 //
 //	{"op":"ping"}                    → ok + the node's cache generation
 //	{"op":"region_get","region":K}   → explored region under key K, or ⊥
 //	{"op":"region_put","region":K,"tree":R}   merge region R into K
 //	{"op":"invalidate","gen":G}      raise the cache generation to G
-//	{"op":"prefetch_hint","hint":H}  warm a predicted region (advisory)
-//
-// A prefetch hint is fire-and-forget advice: the sender predicts that a
-// client will engage region H.region of the view H.key next, and asks
-// the key's ring owner to warm it speculatively. The receiver may drop
-// the hint for any reason (prefetch off, budget, stale generation) and
-// still answers ok, so a lost hint costs the sender nothing.
 //
 // and responses are
 //
@@ -163,9 +155,6 @@ const (
 	OpRegionGet  = "region_get"
 	OpRegionPut  = "region_put"
 	OpInvalidate = "invalidate"
-	// OpPrefetchHint asks a peer to speculatively warm a predicted
-	// region of a view it owns (advisory; see PrefetchHint).
-	OpPrefetchHint = "prefetch_hint"
 )
 
 // Cmd is one navigation command.
@@ -200,19 +189,6 @@ func (k RegionKey) CacheKey() regioncache.Key {
 	return regioncache.Key{Generation: k.Gen, Registry: k.Registry, Name: k.Name, Fingerprint: k.Fingerprint}
 }
 
-// PrefetchHint is the prefetch_hint payload: everything a peer needs to
-// warm one predicted region of a view it owns. Query lets the receiver
-// compile the view itself (hints never carry node handles — they are
-// session-free); Key pins the exact cache epoch, so a hint from a node
-// on an older generation is silently dropped rather than resurrecting
-// invalidated data.
-type PrefetchHint struct {
-	Query  string    `json:"query"`
-	Key    RegionKey `json:"key"`
-	Region int       `json:"region"`
-	Deep   bool      `json:"deep,omitempty"`
-}
-
 // Request is a client→server frame.
 type Request struct {
 	Cmd
@@ -223,10 +199,8 @@ type Request struct {
 	Tree   *regioncache.Region `json:"tree,omitempty"`
 	// Gen is the target generation of an invalidate broadcast.
 	Gen uint64 `json:"gen,omitempty"`
-	// Hint carries a prefetch_hint: advisory, fire-and-forget.
-	Hint *PrefetchHint `json:"hint,omitempty"`
 	// Proxied marks an open forwarded by a cluster peer: the receiver
-	// must serve it locally, never re-proxy or redirect, so a
+	// must serve it locally, never re-proxy it, so a
 	// misconfigured ring cannot bounce a session between nodes.
 	Proxied bool `json:"proxied,omitempty"`
 	// TraceCtx, when non-nil, asks the server to record the spans
@@ -253,11 +227,6 @@ type Response struct {
 	Win   []WinNode     `json:"win,omitempty"`
 	Stats *Stats        `json:"stats,omitempty"` // stats
 	Trace []*trace.Span `json:"trace,omitempty"` // trace
-	// Redirect, on an open response from a clustered server in redirect
-	// mode, names the owner node's address: the client should redial
-	// there and resend the open. Redirect-unaware clients never see it —
-	// the server proxies for them instead.
-	Redirect string `json:"redirect,omitempty"`
 	// Tree is a region_get hit: the owner's explored region for the
 	// requested key (absent = miss).
 	Tree *regioncache.Region `json:"tree,omitempty"`
@@ -325,12 +294,10 @@ type Stats struct {
 // awaiting the client's next move).
 type PrefetchStats struct {
 	Issued    int64 `json:"issued"`
-	Hits      int64 `json:"hits"`      // client engaged the predicted region
-	Wasted    int64 `json:"wasted"`    // client engaged a different region
-	Cancelled int64 `json:"cancelled"` // drain cancelled (demand pre-empt, epoch bump)
-	Navs      int64 `json:"navs"`      // speculative answer-boundary navigations
-	HintsSent int64 `json:"hints_sent,omitempty"`
-	HintsRecv int64 `json:"hints_recv,omitempty"`
+	Hits      int64 `json:"hits"`               // client engaged the predicted region
+	Wasted    int64 `json:"wasted"`             // client engaged a different region
+	Cancelled int64 `json:"cancelled"`          // drain cancelled (demand pre-empt, epoch bump)
+	Navs      int64 `json:"navs"`               // speculative answer-boundary navigations
 	Inflight  int64 `json:"inflight,omitempty"` // drains currently running
 }
 
@@ -344,7 +311,6 @@ type ClusterStats struct {
 	PeersDown  int64  `json:"peers_down"`
 	OwnedLocal int64  `json:"owned_local"` // opens whose key this node owns
 	Proxied    int64  `json:"proxied"`     // commands forwarded to an owner
-	Redirected int64  `json:"redirected"`  // opens answered with a redirect
 	Degraded   int64  `json:"degraded"`    // opens served locally because the owner was down
 	L2Hits     int64  `json:"l2_hits"`     // peer fetches answered with a region, complete or not
 	L2Misses   int64  `json:"l2_misses"`   // peer fetches that found nothing
@@ -352,14 +318,14 @@ type ClusterStats struct {
 	L2Fills    int64  `json:"l2_fills"`    // region_put regions merged from peers
 	InvalSent  int64  `json:"inval_sent"`  // invalidation broadcasts fanned out
 	InvalRecv  int64  `json:"inval_recv"`  // invalidation broadcasts applied
-	// SemanticLocal counts routed opens served on this node without
-	// proxy or redirect because the query's entry was fully explored
-	// once resolved (mediator.Result.SemanticWarm): by an exact L2 fill
-	// from the owner as well as by a subsuming region. It is not a count
+	// SemanticLocal counts routed opens served on this node without a
+	// proxy hop because the query's entry was fully explored once
+	// resolved (mediator.Result.SemanticWarm): by an exact L2 fill from
+	// the owner as well as by a subsuming region. It is not a count
 	// of semantic hits — CacheStats.SemanticHits is.
 	SemanticLocal int64 `json:"semantic_local"` // routed opens served locally from a complete entry
 	// Routes breaks down session-routing latency by decision mode
-	// (proxy / redirect / local), mirroring the
+	// (proxy / local), mirroring the
 	// mix_cluster_route_duration_seconds histograms.
 	Routes []RouteLatency `json:"routes,omitempty"`
 }

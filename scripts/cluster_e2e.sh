@@ -5,7 +5,9 @@
 # (every node with identical -src/-view sets), and asserts that every
 # corpus query answered through *any* fleet member is byte-identical to
 # the baseline — once with sessions proxied to their owner node and
-# once with clients redirected to it. Exits non-zero on any mismatch.
+# once with every node serving locally and sharing regions only. Then a
+# traced proxy fleet must stitch cross-node span forests. Exits non-zero
+# on any mismatch.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +57,8 @@ wait_up "$base"
 for i in "${!queries[@]}"; do
     "$tmp/mixq" -connect "$base" -q "${queries[$i]}" >"$tmp/want.$i"
 done
+# The traced fleet explores only the first answer child (see below).
+"$tmp/mixq" -connect "$base" -first 1 -q "${queries[0]}" >"$tmp/want.first"
 
 run_fleet() { # mode port1 port2 port3
     local mode=$1 a=127.0.0.1:$2 b=127.0.0.1:$3 c=127.0.0.1:$4
@@ -82,12 +86,15 @@ run_fleet() { # mode port1 port2 port3
 }
 
 run_fleet proxy 17871 17872 17873
-run_fleet redirect 17874 17875 17876
+run_fleet local 17874 17875 17876
 
 # Fleet tracing: boot a traced proxy fleet, navigate through every node
-# with a client-side recorder, and require that at least one session
-# (one entering through a non-owner, so every command hops to the
-# owner) reports a stitched forest with spans from >= 2 nodes.
+# with a client-side recorder, and require that both sessions entering
+# through a non-owner (every command hops to the owner) report a
+# stitched forest with spans from >= 2 nodes. The sessions explore only
+# the first answer child: a session that materialized the whole view
+# would leave its entry complete, and the next non-owner would fill it
+# by L2 and serve it locally, with no hop to trace.
 run_traced_fleet() { # port1 port2 port3
     local a=127.0.0.1:$1 b=127.0.0.1:$2 c=127.0.0.1:$3
     local fleet_pids=()
@@ -101,10 +108,10 @@ run_traced_fleet() { # port1 port2 port3
     for n in "$a" "$b" "$c"; do wait_up "$n"; done
     local stitched=0
     for n in "$a" "$b" "$c"; do
-        "$tmp/mixq" -connect "$n" -trace -q "${queries[0]}" >"$tmp/got" 2>"$tmp/trace"
-        if ! cmp -s "$tmp/want.0" "$tmp/got"; then
+        "$tmp/mixq" -connect "$n" -trace -first 1 -q "${queries[0]}" >"$tmp/got" 2>"$tmp/trace"
+        if ! cmp -s "$tmp/want.first" "$tmp/got"; then
             echo "cluster_e2e: traced proxy, node $n answer differs from baseline" >&2
-            diff "$tmp/want.0" "$tmp/got" >&2 || true
+            diff "$tmp/want.first" "$tmp/got" >&2 || true
             exit 1
         fi
         if ! grep -q '^nodes:' "$tmp/trace"; then

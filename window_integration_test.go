@@ -2,7 +2,7 @@ package mix_test
 
 // Read-ahead windows across a fleet (DESIGN.md §16): windows an owner
 // ships pass through a proxying node untouched, and every event that
-// can make a handle name another node — owner loss, redirect — leaves
+// can make a handle name another node — owner loss, a reopen — leaves
 // the client with no window to answer from. All under -race.
 
 import (
@@ -10,6 +10,8 @@ import (
 
 	"mix/internal/cluster"
 	"mix/internal/nav"
+	"mix/internal/regioncache"
+	"mix/internal/server"
 	"mix/internal/vxdp"
 	"mix/internal/xmltree"
 )
@@ -133,23 +135,15 @@ func TestWindowOwnerLossServesNoDeadHandle(t *testing.T) {
 	}
 }
 
-// TestWindowRedirectClearsWindows: a redirected open leaves no window
-// of the previous view to answer from.
-func TestWindowRedirectClearsWindows(t *testing.T) {
-	h := startCluster(t, 3, cluster.ModeRedirect)
-	first, second := queryCorpus[1].q, ""
-	a := h.ownerIndex(t, first)
-	for _, tc := range queryCorpus {
-		if h.ownerIndex(t, tc.q) != a {
-			second = tc.q
-			break
-		}
-	}
-	if second == "" {
-		t.Skip("every corpus query has the same owner")
-	}
-	materializeVia(t, h.addrs[a], first)
-	c, err := vxdp.Dial(h.addrs[a])
+// TestWindowReopenClearsWindows: opening another view on the same
+// client leaves no window of the previous view to answer from — a
+// handle of the old view costs a round trip and fails — and the new
+// view's answer is the in-process one.
+func TestWindowReopenClearsWindows(t *testing.T) {
+	_, addr := startMixd(t, server.WithRegionCache(regioncache.New(0)))
+	first, second := queryCorpus[1].q, queryCorpus[2].q
+	materializeVia(t, addr, first)
+	c, err := vxdp.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +155,21 @@ func TestWindowRedirectClearsWindows(t *testing.T) {
 	child, _ := c.Down(root)
 	trips := c.RoundTrips()
 	if _, err := c.Fetch(child); err != nil || c.RoundTrips() != trips {
-		t.Fatal("owner shipped no window for a complete view")
+		t.Fatal("the server shipped no window for a complete view")
 	}
 
-	redirected := h.nodes[a].Stats().Redirected
 	if err := c.Open(second); err != nil {
 		t.Fatal(err)
 	}
-	if h.nodes[a].Stats().Redirected == redirected {
-		t.Fatal("the second open was not redirected")
-	}
 	trips = c.RoundTrips()
-	_, _ = c.Fetch(child)
+	if _, err := c.Fetch(child); err == nil {
+		t.Fatal("a node of the previous view was answered after the reopen")
+	}
 	if c.RoundTrips() != trips+1 {
-		t.Fatal("a node of the previous view's window was answered locally after the redirect")
+		t.Fatalf("fetch of the previous view's node took %d round trips, want 1", c.RoundTrips()-trips)
 	}
 	if got := materializeTree(t, c); got != wantAnswer(t, second) {
-		t.Fatal("answer after the redirect differs")
+		t.Fatal("answer after the reopen differs")
 	}
 }
 
