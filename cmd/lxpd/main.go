@@ -31,7 +31,7 @@ func main() {
 	file := flag.String("file", "", "XML document to serve")
 	demo := flag.String("demo", "", "serve a generated dataset instead: books | homes | schools")
 	n := flag.Int("n", 1000, "size of the generated dataset")
-	chunk := flag.Int("chunk", 20, "children per fill (0 = all at once)")
+	chunk := flag.Int("chunk", 20, "children in the first fill of a child list; later fills of the same list grow to at most 4x (0 = all at once)")
 	inline := flag.Int("inline", 64, "max subtree size returned inline (0 = always inline)")
 	grace := flag.Duration("grace", 5*time.Second, "drain deadline for graceful shutdown")
 	slowMs := flag.Int("slow-ms", 0, "warn-log requests that take at least this long to serve (0 = off)")

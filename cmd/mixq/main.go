@@ -381,7 +381,8 @@ func openSource(name, loc string) (nav.Document, error) {
 	uri := name
 	if dir, ok := strings.CutPrefix(loc, "rdb:"); ok {
 		// A directory of CSV files becomes a relational database
-		// behind the Section 4 relational wrapper (n tuples per fill).
+		// behind the Section 4 relational wrapper (n tuples in the first
+		// fill of a table, lxp.ChunkAt growth after that).
 		db, err := relational.LoadCSVDir(name, dir)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 // Command realestate demonstrates the heterogeneous integration of
 // Fig. 1: homes live in a *relational database* behind the Section 4
-// relational wrapper (tuple-at-a-time cursor, n tuples per LXP fill),
+// relational wrapper (tuple-at-a-time cursor, n tuples in a table's
+// first LXP fill and up to 4n in each later one),
 // schools in an XML document — and one XMAS query joins them through
 // the mediator, with per-layer cost accounting (relational tuple
 // fetches, LXP fills, DOM-VXD navigations).
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	n := flag.Int("n", 500, "homes in the relational source")
-	chunk := flag.Int("chunk", 25, "tuples per LXP fill")
+	chunk := flag.Int("chunk", 25, "tuples in the first LXP fill of the homes table (later fills grow to 4x)")
 	flag.Parse()
 
 	// The relational source: a homes table.

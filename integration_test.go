@@ -8,6 +8,7 @@ package mix_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -364,9 +365,13 @@ func (f *failingServer) Fill(id string) ([]*xmltree.Tree, error) {
 	return f.inner.Fill(id)
 }
 
+// TestSourceFailureSurfacesToClient fails the source at the first
+// fill, the second, the middle one and the last one of a full scan (the
+// fill count taken from a clean run), and each failure must reach the
+// client.
 func TestSourceFailureSurfacesToClient(t *testing.T) {
 	homes, _ := workload.HomesSchools(30, 0, 5, 3)
-	for _, after := range []int{0, 1, 3, 10} {
+	run := func(after int) (fills int, err error) {
 		srv := &failingServer{
 			inner: &lxp.TreeServer{Tree: homes, Chunk: 2, InlineLimit: 8},
 			after: after,
@@ -386,8 +391,19 @@ func TestSourceFailureSurfacesToClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = q.Materialize()
+		return srv.n, err
+	}
+	total, err := run(math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 4 {
+		t.Fatalf("a clean scan took %d fills, too few to inject failures into", total)
+	}
+	for _, after := range []int{0, 1, total / 2, total - 1} {
+		_, err := run(after)
 		if err == nil {
-			t.Fatalf("after=%d: failure did not surface", after)
+			t.Fatalf("after=%d of %d fills: failure did not surface", after, total)
 		}
 		if !strings.Contains(err.Error(), "source went away") {
 			t.Fatalf("after=%d: wrong error: %v", after, err)

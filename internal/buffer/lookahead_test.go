@@ -227,7 +227,8 @@ func TestLazyRootConcurrent(t *testing.T) {
 
 // sectioned builds root[sec[item×n]×sections]: under
 // TreeServer{Chunk: 4, InlineLimit: 2} every section is a hole of its
-// own and its items arrive four at a time, holes "<sec>:4", "<sec>:8"…
+// own and its items arrive in chunks of 4, 4, 8, 16, 16, … (lxp.ChunkAt),
+// holes "<sec>:4", "<sec>:8", "<sec>:16", "<sec>:32"…
 func sectioned(sections, items int) *xmltree.Tree {
 	root := xmltree.Elem("root")
 	for s := 0; s < sections; s++ {
@@ -273,7 +274,7 @@ func wantStats(t *testing.T, b *Buffer, when string, fills, prefetch int) {
 // document is the one a lookahead-free buffer explores, for the same
 // number of fills.
 func TestLookaheadScan(t *testing.T) {
-	src := sectioned(3, 16)
+	src := sectioned(3, 32)
 	s := newScripted(&lxp.TreeServer{Tree: src, Chunk: 4, InlineLimit: 2})
 	b, _ := New(s, "u")
 	b.EnableLookahead()
@@ -321,17 +322,18 @@ func TestLookaheadScan(t *testing.T) {
 	}
 	wantStats(t, b, "after the in-flight hole resolved", 7, 1)
 
-	// Walking into a looked-ahead chunk starts nothing: the next
-	// boundary is an ordinary demand fill, which looks ahead again.
-	item = rights(t, b, item, 3) // item 11
+	// Walking into a looked-ahead chunk (items 8…15, grown to twice
+	// the first) starts nothing: the next boundary is an ordinary demand
+	// fill, which looks ahead again.
+	item = rights(t, b, item, 7) // item 15
 	wantStats(t, b, "inside the looked-ahead chunk", 7, 1)
 
 	// A failing lookahead is recorded, and the scan that reaches the
 	// hole later fills it on demand without ever seeing the failure.
 	s.mu.Lock()
-	s.fail["1:12"] = 1
+	s.fail["1:16"] = 1
 	s.mu.Unlock()
-	item1 = rights(t, b, item1, 4) // crosses 1:8 on demand, looks ahead to 1:12, which fails
+	item1 = rights(t, b, item1, 4) // crosses 1:8 on demand, looks ahead to 1:16, which fails
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Stats().PrefetchErrors == 0 {
 		if time.Now().After(deadline) {
@@ -339,12 +341,12 @@ func TestLookaheadScan(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := b.Stats(); st.PrefetchErrors != 1 || !strings.Contains(st.LastPrefetchError, "1:12") {
+	if st := b.Stats(); st.PrefetchErrors != 1 || !strings.Contains(st.LastPrefetchError, "1:16") {
 		t.Fatalf("stats after a failed lookahead: %+v", st)
 	}
-	rights(t, b, item1, 4) // crosses 1:12: a demand fill that succeeds
-	if s.count("1:12") != 2 {
-		t.Fatalf("hole 1:12 requested %d times, want the failed lookahead and the demand fill", s.count("1:12"))
+	rights(t, b, item1, 8) // crosses 1:16: a demand fill that succeeds
+	if s.count("1:16") != 2 {
+		t.Fatalf("hole 1:16 requested %d times, want the failed lookahead and the demand fill", s.count("1:16"))
 	}
 
 	// Explore the rest and compare with a lookahead-free buffer.

@@ -27,6 +27,9 @@ import (
 // lookahead (buffer.EnableLookahead, what mediator.RegisterLXP turns
 // on). The lookahead sends the same fills, but every second chunk
 // travels while the client reads the chunk before it.
+// E11's catalog size and the first-fill size of its wrapper.
+const e11Books, e11Chunk = 300, 5
+
 func E11AsyncPrefetch() Table {
 	t := Table{
 		ID:    "E11",
@@ -39,8 +42,8 @@ func E11AsyncPrefetch() Table {
 			"sends the same number in total and reads the identical document.",
 		Headers: []string{"phase", "demand fills", "prefetch fills", "pending holes after"},
 	}
-	catalog := workload.Books("az", 300, 5)
-	b, err := buffer.New(&lxp.TreeServer{Tree: catalog, Chunk: 5, InlineLimit: 32}, "u")
+	catalog := workload.Books("az", e11Books, 5)
+	b, err := buffer.New(&lxp.TreeServer{Tree: catalog, Chunk: e11Chunk, InlineLimit: 32}, "u")
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +79,7 @@ func E11AsyncPrefetch() Table {
 	// Rows 4–5: a cold scan without think time.
 	var scans [2]*buffer.Buffer
 	for i, label := range []string{"4: cold full scan, demand only", "5: cold full scan, scan lookahead"} {
-		sb, err := buffer.New(&lxp.TreeServer{Tree: catalog, Chunk: 5, InlineLimit: 32}, "u")
+		sb, err := buffer.New(&lxp.TreeServer{Tree: catalog, Chunk: e11Chunk, InlineLimit: 32}, "u")
 		if err != nil {
 			panic(err)
 		}

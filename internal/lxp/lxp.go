@@ -206,19 +206,37 @@ func (c *Counting) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, error
 	return res, err
 }
 
+// maxGrowth caps how far ChunkAt grows a continuation: at most this
+// many times the first fill.
+const maxGrowth = 4
+
+// ChunkAt is the granularity rule every chunked wrapper follows: a fill
+// of a list at offset start returns min(max(n, start), 4n) items, where
+// n (≥ 1) is the wrapper's first-fill size. A scan is therefore served
+// in chunks of n, n, 2n, 4n, 4n, …: the first fill stays small, so the
+// first answer costs what it always did, and a scan that keeps going
+// pays a fraction of the serial round trips of fixed n-item fills,
+// while no fill reads more than 4n items ahead of demand. The rule
+// reads only the offset the hole id already carries, so wrappers stay
+// stateless and hole ids unchanged.
+func ChunkAt(n, start int) int {
+	return min(max(n, start), maxGrowth*n)
+}
+
 // TreeServer is the simplest possible wrapper: it serves one in-memory
-// tree with a configurable chunk size — every fill returns up to Chunk
-// children of the requested node followed by a continuation hole, and
-// each child is returned *closed* when its subtree has at most
-// InlineLimit nodes and as label[hole] otherwise (the "complete
-// elements if their size does not exceed a certain limit" policy of
-// Section 4).
+// tree with a configurable chunk size — a fill at child offset start
+// returns ChunkAt(Chunk, start) children of the requested node followed
+// by a continuation hole, and each child is returned *closed* when its
+// subtree has at most InlineLimit nodes and as label[hole] otherwise
+// (the "complete elements if their size does not exceed a certain
+// limit" policy of Section 4).
 //
 // Hole identifiers are slash-separated child-index paths with a start
 // offset: "0/2:5" names children 5… of the node at path [0,2].
 type TreeServer struct {
 	Tree *xmltree.Tree
-	// Chunk is the number of children returned per fill (0 = all).
+	// Chunk is the number of children the first fill of a child list
+	// returns; continuations grow by ChunkAt up to 4×Chunk (0 = all).
 	Chunk int
 	// InlineLimit is the maximum subtree size returned inline
 	// (0 = always inline whole subtrees).
@@ -341,8 +359,8 @@ func elemHole(label, id string) *xmltree.Tree {
 
 func (s *TreeServer) renderChildren(node *xmltree.Tree, path string, start int) []*xmltree.Tree {
 	end := len(node.Children)
-	if s.Chunk > 0 && start+s.Chunk < end {
-		end = start + s.Chunk
+	if s.Chunk > 0 {
+		end = min(end, start+ChunkAt(s.Chunk, start))
 	}
 	n := end - start
 	if end < len(node.Children) {

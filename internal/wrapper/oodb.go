@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mix/internal/lxp"
 	"mix/internal/objectdb"
 	"mix/internal/xmltree"
 )
@@ -26,11 +27,14 @@ import (
 //
 // Hole identifiers:
 //
-//	ext:CLASS:J   — extent of CLASS starting at index J
+//	ext:CLASS:J   — extent of CLASS starting at index J; the fill
+//	                returns lxp.ChunkAt(ChunkObjects, J) members, so an
+//	                extent scan is served n, n, 2n, 4n, 4n, … at a time
 //	obj:OID       — the object OID (fills to its full element)
 type OODB struct {
 	DB *objectdb.DB
-	// ChunkObjects is the number of extent members per fill (≥ 1).
+	// ChunkObjects is the number of extent members the first fill of
+	// an extent returns (≥ 1); continuations grow to at most 4×.
 	ChunkObjects int
 }
 
@@ -74,10 +78,7 @@ func (w *OODB) Fill(holeID string) ([]*xmltree.Tree, error) {
 		if j > len(ext) {
 			return nil, fmt.Errorf("wrapper: stale hole id %q", holeID)
 		}
-		end := j + w.chunk()
-		if end > len(ext) {
-			end = len(ext)
-		}
+		end := min(j+lxp.ChunkAt(w.chunk(), j), len(ext))
 		out := make([]*xmltree.Tree, 0, end-j+1)
 		for _, oid := range ext[j:end] {
 			el, err := w.object(oid)

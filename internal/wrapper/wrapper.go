@@ -1,9 +1,11 @@
 // Package wrapper implements LXP wrappers for the source kinds of the
 // VXD architecture (Fig. 1): the relational wrapper of Section 4
-// (hole ids of the form db.table.row, n tuples per fill), a paged
-// "web site" wrapper modeling HTML sources that ship page-at-a-time,
-// and a plain XML document wrapper (lxp.TreeServer re-exported through
-// the same constructor surface for symmetry).
+// (hole ids of the form db.table.row, n tuples in the first fill), a
+// paged "web site" wrapper modeling HTML sources that ship
+// page-at-a-time, and a plain XML document wrapper (lxp.TreeServer
+// re-exported through the same constructor surface for symmetry).
+// Every chunked wrapper grows its continuation fills along a scan by
+// the one rule lxp.ChunkAt.
 package wrapper
 
 import (
@@ -18,18 +20,27 @@ import (
 )
 
 // Relational exposes a relational.DB over LXP exactly as Section 4
-// prescribes:
+// prescribes, with continuation fills that grow along a scan
+// (lxp.ChunkAt, n = ChunkRows):
 //
 //	fill(hole[db])            → db[table1[hole[db.table1]], …]
 //	fill(hole[db.t])          → t[row0[…], …, row(n-1)[…], hole[db.t.n]]
-//	fill(hole[db.t.j])        → rows j…j+n-1 and hole[db.t.(j+n)]
+//	fill(hole[db.t.j])        → rows j…j+m-1 and hole[db.t.(j+m)],
+//	                            m = lxp.ChunkAt(n, j)
+//
+// so a scan of t is served n, n, 2n, 4n, 4n, … rows at a time. Database
+// and table names may contain dots: a hole id is read as the database
+// name, then a table name matched whole, then an optional row offset.
+// A continuation never stops at row j when t.j is itself a table name
+// (it returns the extra rows instead), so no id names two things.
 //
 // The wrapper returns complete tuples — it never has to answer
 // attribute-level navigation (the buffer serves those locally).
 type Relational struct {
 	DB *relational.DB
-	// ChunkRows is the number of tuples per fill (the paper's n);
-	// values < 1 are treated as 1.
+	// ChunkRows is the number of tuples the first fill of a table
+	// returns (the paper's n); continuations grow to at most 4n.
+	// Values < 1 are treated as 1.
 	ChunkRows int
 }
 
@@ -51,9 +62,7 @@ func (w *Relational) chunk() int {
 
 // Fill implements lxp.Server.
 func (w *Relational) Fill(holeID string) ([]*xmltree.Tree, error) {
-	parts := strings.Split(holeID, ".")
-	switch {
-	case len(parts) == 1 && parts[0] == w.DB.Name:
+	if holeID == w.DB.Name {
 		// Database level: the schema, one hole per table.
 		root := xmltree.Elem(w.DB.Name)
 		for _, t := range w.DB.TableNames() {
@@ -61,33 +70,40 @@ func (w *Relational) Fill(holeID string) ([]*xmltree.Tree, error) {
 				xmltree.Elem(t, xmltree.Hole(w.DB.Name+"."+t)))
 		}
 		return []*xmltree.Tree{root}, nil
-
-	case len(parts) == 2 && parts[0] == w.DB.Name:
-		// Table level: first n tuples plus a continuation hole.
-		return w.rows(parts[1], 0)
-
-	case len(parts) == 3 && parts[0] == w.DB.Name:
-		j, err := strconv.Atoi(parts[2])
-		if err != nil || j < 0 {
-			return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
-		}
-		return w.rows(parts[1], j)
-
-	default:
+	}
+	rest, ok := strings.CutPrefix(holeID, w.DB.Name+".")
+	if !ok {
 		return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
 	}
+	if w.DB.Table(rest) != nil {
+		// Table level: the first n tuples plus a continuation hole.
+		return w.rows(rest, 0)
+	}
+	dot := strings.LastIndexByte(rest, '.')
+	if dot < 0 || w.DB.Table(rest[:dot]) == nil {
+		return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
+	}
+	j, err := strconv.Atoi(rest[dot+1:])
+	if err != nil || j < 0 {
+		return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
+	}
+	return w.rows(rest[:dot], j)
 }
 
-// rows returns up to ChunkRows tuples of table starting at row j, as
-// row elements with one attribute child per column, plus a trailing
-// hole if rows remain.
+// rows returns lxp.ChunkAt(ChunkRows, j) tuples of table starting at
+// row j (fewer at the end of the table), as row elements with one
+// attribute child per column, plus a trailing hole if rows remain.
 func (w *Relational) rows(table string, j int) ([]*xmltree.Tree, error) {
 	cur, err := w.DB.OpenCursor(table, j)
 	if err != nil {
 		return nil, err
 	}
 	cols := cur.Cols()
-	fetched := cur.FetchN(w.chunk())
+	fetched := cur.FetchN(lxp.ChunkAt(w.chunk(), j))
+	numRows := w.DB.Table(table).NumRows()
+	for cur.Pos() < numRows && w.DB.Table(table+"."+strconv.Itoa(cur.Pos())) != nil {
+		fetched = append(fetched, cur.Fetch())
+	}
 	out := make([]*xmltree.Tree, 0, len(fetched)+1)
 	for i, r := range fetched {
 		row := xmltree.Elem(fmt.Sprintf("row%d", j+i))
@@ -96,7 +112,7 @@ func (w *Relational) rows(table string, j int) ([]*xmltree.Tree, error) {
 		}
 		out = append(out, row)
 	}
-	if t := w.DB.Table(table); t != nil && cur.Pos() < t.NumRows() {
+	if cur.Pos() < numRows {
 		out = append(out, xmltree.Hole(fmt.Sprintf("%s.%s.%d", w.DB.Name, table, cur.Pos())))
 	}
 	return out, nil
@@ -104,9 +120,13 @@ func (w *Relational) rows(table string, j int) ([]*xmltree.Tree, error) {
 
 // Web simulates a paged web source (the HTML-XML wrapper of Fig. 1):
 // a catalog whose items are only obtainable a page at a time, the way
-// a wrapper scrapes consecutive result pages of a web site. Each fill
-// of the item-level hole yields one page of PageSize items and a hole
-// for the next page; the page fetch itself is billed as a source query.
+// a wrapper scrapes consecutive result pages of a web site. A fill of
+// hole page:p fetches lxp.ChunkAt(1, p) consecutive pages of PageSize
+// items — so a scan reads 1, 1, 2, 4, 4, … pages per fill — and ends in
+// a hole for the next page not yet returned; every page fetched is
+// billed as a source query. Returned items alias the catalog (fills are
+// read-only, as in lxp.TreeServer), so the catalog must not change
+// while the wrapper serves it.
 type Web struct {
 	// Name is the source URI this wrapper answers for.
 	Name string
@@ -115,7 +135,7 @@ type Web struct {
 	// PageSize is the number of items per page (≥ 1).
 	PageSize int
 
-	// Pages counts page fetches (fills that hit the backing site).
+	// Pages counts page fetches (pages read from the backing site).
 	Pages atomic.Int64
 }
 
@@ -133,26 +153,19 @@ func (w *Web) Fill(holeID string) ([]*xmltree.Tree, error) {
 	if _, err := fmt.Sscanf(holeID, "page:%d", &page); err != nil || page < 0 {
 		return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
 	}
-	size := w.PageSize
-	if size < 1 {
-		size = 1
-	}
-	w.Pages.Add(1)
+	size := max(w.PageSize, 1)
 	items := w.Catalog.Children
 	start := page * size
 	if start > len(items) {
 		return nil, fmt.Errorf("wrapper: stale hole id %q", holeID)
 	}
-	end := start + size
-	if end > len(items) {
-		end = len(items)
-	}
-	var kids []*xmltree.Tree
-	for _, it := range items[start:end] {
-		kids = append(kids, it.Clone())
-	}
+	next := page + lxp.ChunkAt(1, page)
+	end := min(next*size, len(items))
+	w.Pages.Add(int64(max((end-start+size-1)/size, 1)))
+	kids := make([]*xmltree.Tree, 0, end-start+1)
+	kids = append(kids, items[start:end]...)
 	if end < len(items) {
-		kids = append(kids, xmltree.Hole(fmt.Sprintf("page:%d", page+1)))
+		kids = append(kids, xmltree.Hole(fmt.Sprintf("page:%d", next)))
 	}
 	if page == 0 {
 		// The first fill resolves the root element itself.

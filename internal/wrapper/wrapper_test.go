@@ -2,12 +2,15 @@ package wrapper
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mix/internal/algebra"
 	"mix/internal/buffer"
 	"mix/internal/core"
+	"mix/internal/eager"
 	"mix/internal/lxp"
 	"mix/internal/nav"
 	"mix/internal/objectdb"
@@ -123,10 +126,14 @@ func TestRelationalWrapperThroughBuffer(t *testing.T) {
 	}
 }
 
+// TestRelationalChunkingReducesFills: a full scan costs the schema fill
+// plus exactly the fills lxp.ChunkAt takes to cover the table, and a
+// larger first fill never costs more fills.
 func TestRelationalChunkingReducesFills(t *testing.T) {
+	const rows = 100
 	db := relational.NewDB("big")
 	tb := db.Create("t", "v")
-	for i := 0; i < 100; i++ {
+	for i := 0; i < rows; i++ {
 		tb.MustInsert(fmt.Sprintf("%d", i))
 	}
 	fills := func(chunk int) int64 {
@@ -140,15 +147,126 @@ func TestRelationalChunkingReducesFills(t *testing.T) {
 		}
 		return cs.Counters.Fills.Load()
 	}
-	f1, f10, f100 := fills(1), fills(10), fills(100)
-	if !(f1 > f10 && f10 > f100) {
-		t.Fatalf("fills should fall with chunk size: %d %d %d", f1, f10, f100)
+	prev := int64(rows + 2)
+	for chunk := 1; chunk <= rows+1; chunk++ {
+		want := int64(2) // the schema and the table's first chunk
+		for j := chunk; j < rows; j += lxp.ChunkAt(chunk, j) {
+			want++
+		}
+		got := fills(chunk)
+		if got != want {
+			t.Fatalf("chunk %d: %d fills, want %d", chunk, got, want)
+		}
+		if got > prev {
+			t.Fatalf("chunk %d: %d fills, more than chunk %d's %d", chunk, got, chunk-1, prev)
+		}
+		prev = got
 	}
-	if f1 < 100 {
-		t.Fatalf("chunk=1 must fill per row: %d", f1)
+	// Worked by hand: chunks 1, 1, 2, then 4s cover 100 rows in 27
+	// fills; 10, 10, 20, 40, 40 in 5; 100 in one.
+	if f1, f10, f100 := fills(1), fills(10), fills(100); f1 != 28 || f10 != 6 || f100 != 2 {
+		t.Fatalf("fills for chunks 1, 10, 100 = %d %d %d, want 28 6 2", f1, f10, f100)
 	}
-	if f100 > 3 {
-		t.Fatalf("chunk=100 should need ≤3 fills: %d", f100)
+}
+
+// relationalTree renders db the way Section 4 says the relational
+// wrapper exports it, built straight from the tables so it can serve as
+// the eager oracle's source.
+func relationalTree(db *relational.DB) *xmltree.Tree {
+	root := xmltree.Elem(db.Name)
+	for _, name := range db.TableNames() {
+		tb := db.Table(name)
+		el := xmltree.Elem(name)
+		for i, r := range tb.Rows {
+			row := xmltree.Elem(fmt.Sprintf("row%d", i))
+			for c, v := range r {
+				row.Children = append(row.Children, xmltree.Text(tb.Cols[c], v))
+			}
+			el.Children = append(el.Children, row)
+		}
+		root.Children = append(root.Children, el)
+	}
+	return root
+}
+
+// TestRelationalDottedNames: a database named my.db, a table loaded
+// from homes.v2.csv, and a table t.2 next to a table t are all served
+// whole, for every first-fill size, and a query over each answers what
+// internal/eager answers over the tables themselves.
+func TestRelationalDottedNames(t *testing.T) {
+	myDB := relational.NewDB("my.db")
+	homes := myDB.Create("homes", "addr", "zip")
+	for i := 0; i < 7; i++ {
+		homes.MustInsert(fmt.Sprintf("addr-%d", i), fmt.Sprintf("912%02d", i%3))
+	}
+
+	dir := t.TempDir()
+	csvs := map[string]string{
+		"homes.v2.csv": "addr,zip\na-0,91200\na-1,91201\na-2,91202\na-3,91200\na-4,91201\n",
+		"schools.csv":  "dir,zip\nSmith,91200\nJones,91201\n",
+	}
+	for name, body := range csvs {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	csvDB, err := relational.LoadCSVDir("realestate", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csvDB.Table("homes.v2") == nil {
+		t.Fatalf("tables %v, want homes.v2", csvDB.TableNames())
+	}
+
+	// Table t's continuations at rows 2, 4 and 8 would spell the id of
+	// tables t.2, t.4 and t.8: the wrapper must read those ids as the
+	// tables and never mint them for t.
+	shadow := relational.NewDB("d")
+	tt := shadow.Create("t", "v")
+	for i := 0; i < 12; i++ {
+		tt.MustInsert(fmt.Sprintf("t%d", i))
+	}
+	for _, name := range []string{"t.2", "t.4", "t.8"} {
+		other := shadow.Create(name, "v")
+		for i := 0; i < 3; i++ {
+			other.MustInsert(fmt.Sprintf("%s/%d", name, i))
+		}
+	}
+
+	for _, db := range []*relational.DB{myDB, csvDB, shadow} {
+		want := relationalTree(db)
+		plan := &algebra.Project{Input: &algebra.GetDescendants{
+			Input:  &algebra.Source{URL: "src", Var: "R"},
+			Parent: "R", Path: pathexpr.MustParse("_._._"), Out: "C",
+		}, Keep: []string{"C"}}
+		ev := eager.New()
+		ev.Register("src", nav.NewTreeDoc(want))
+		wantAnswer, err := ev.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for chunk := 1; chunk <= 4; chunk++ {
+			b, err := buffer.New(&Relational{DB: db, ChunkRows: chunk}, db.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := core.New(core.DefaultOptions())
+			e.Register("src", b)
+			q, err := e.Compile(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := q.Materialize()
+			if err != nil {
+				t.Fatalf("%s, chunk %d: %v", db.Name, chunk, err)
+			}
+			if !xmltree.Equal(got, wantAnswer) {
+				t.Fatalf("%s, chunk %d: lazy answer\n%s\nwant (eager)\n%s", db.Name, chunk, got, wantAnswer)
+			}
+			if doc := b.Snapshot(); !xmltree.Equal(doc, want) {
+				t.Fatalf("%s, chunk %d: wrapper exported\n%s\nwant\n%s", db.Name, chunk, doc, want)
+			}
+		}
 	}
 }
 
