@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -17,28 +16,15 @@ import (
 // The operator pipeline.
 //
 // Every algebra operator compiles to one bbuilder, and every bbuilder
-// builds bcursors: operators exchange slices of up to Options.BatchSize
-// bindings per call, so selection, projection, distinct, groupBy
-// ingest, hash-join build/probe and fingerprint keying loop over a
-// whole batch inside one call instead of paying a virtual call per
-// binding per operator.
-//
-// The paper's lazy contract — explore only what the client demands —
-// lives at the answer-document boundary, not inside the pipeline, so
-// vectorization must not change a single source navigation there. The
-// reconciliation is the want parameter: a cursor never computes more
-// than want bindings per call, operators propagate the want they
-// receive downstream, and the answer document (bindingList, the
-// tupleDestroy resolver, group value lists) pulls with want=1. Under
-// client demand the pipeline therefore executes the binding-at-a-time
-// schedule of the paper's mediators — same pulls, same condition
-// evaluations, same source commands — whatever the width. Full batches
-// flow only where the whole output is needed anyway: Materialize
-// predrains the top log batch-wise, and the blocking operators
-// (orderBy, the difference right input) drain
-// their inputs in batch-sized pulls. Those drains reorder work but
-// never change the set of computations, so answers and navigation
-// totals are independent of the width.
+// builds bcursors: an operator answers a pull on its output with the
+// one next binding, pulling its inputs only as far as that binding
+// needs. This is the lazy mediator of the paper (Section 3, Appendix
+// A): demand on an output list becomes the least demand on the input
+// lists, and at the leaves DOM-VXD navigations on the sources. The
+// answer document (bindingList, the tupleDestroy resolver, group value
+// lists) pulls one binding per client step; the blocking operators
+// (orderBy, the difference right input) drain their inputs with the
+// same pulls.
 //
 // Cursors are linear (consume-once). Replayability is introduced only
 // where a consumer needs it, and each such point is one of the paper's
@@ -58,20 +44,18 @@ import (
 //     log instead of re-running the descent. With both other caches on
 //     nothing re-invokes or forks, so default plans carry no such log.
 
-// bcursor is the operator output: bnext returns between 1 and
-// max(want,1) bindings, or (nil, nil) at end of input, or (nil, err) on
-// failure. The returned slice is scratch owned by the cursor — valid
-// only until the next bnext call (the bindings it points to are
-// immutable and safe to retain). A cursor that computed a prefix of a
-// batch before failing returns the prefix first and the error on the
-// following call; errors and exhaustion are sticky.
+// bcursor is the operator output: next returns the next binding, or
+// (nil, nil) at end of input, or (nil, err) on failure. A consumer
+// stops pulling at the first end or error; the replay logs memoize
+// both at their position, so every later reader sees the same prefix
+// and the same outcome.
 //
 // fork returns an independent cursor that continues from the current
-// position: private state (scratch, buffered input, seen sets) is
+// position: private state (the binding being expanded, seen sets) is
 // copied and the input forked, while logs and hash indexes — the
 // caches — are shared. Only the GroupCache-off value lists fork.
 type bcursor interface {
-	bnext(want int) ([]*binding, error)
+	next() (*binding, error)
 	fork() bcursor
 }
 
@@ -81,84 +65,49 @@ type bcursor interface {
 // or the hash index) and its builder is invoked once per query.
 type bbuilder func() (bcursor, error)
 
-func clampWant(want int) int {
-	if want < 1 {
-		return 1
-	}
-	return want
-}
-
-// drainB pulls the cursor to exhaustion in want-sized batches.
-func drainB(c bcursor, want int) ([]*binding, error) {
+// drain pulls the cursor to exhaustion.
+func drain(c bcursor) ([]*binding, error) {
 	var out []*binding
 	for {
-		bs, err := c.bnext(want)
-		if err != nil {
-			return nil, err
+		b, err := c.next()
+		if b == nil {
+			return out, err
 		}
-		if len(bs) == 0 {
-			return out, nil
-		}
-		out = append(out, bs...)
+		out = append(out, b)
 	}
 }
 
-// Package-wide batch-pipeline counters, exposed on the daemon's
-// /metrics as mix_batch_*.
-var (
-	batchBatches  atomic.Int64 // batches logged at materialization points
-	batchBindings atomic.Int64 // bindings those batches carried
-	batchPredrain atomic.Int64 // Materialize predrains of a top-level log
-)
+// loggedBindings counts, process-wide, the bindings appended at replay
+// points: the logs and the hash-join indexes.
+var loggedBindings atomic.Int64
 
-func recordBatch(n int) {
-	batchBatches.Add(1)
-	batchBindings.Add(int64(n))
-}
+// LoggedBindings returns the number of bindings the operator pipeline
+// has appended at replay points (logs and hash-join indexes) in this
+// process.
+func LoggedBindings() int64 { return loggedBindings.Load() }
 
-// BatchStats is a snapshot of the batch-pipeline counters.
-type BatchStats struct {
-	Batches   int64 // batches logged at materialization points
-	Bindings  int64 // bindings carried by those batches
-	Predrains int64 // whole-query batch predrains (Materialize)
-}
-
-// BatchSnapshot returns the current batch-pipeline counters.
-func BatchSnapshot() BatchStats {
-	return BatchStats{
-		Batches:   batchBatches.Load(),
-		Bindings:  batchBindings.Load(),
-		Predrains: batchPredrain.Load(),
-	}
-}
-
-// batchLog replays a linear cursor: batches are appended to an
+// batchLog replays a linear cursor: bindings are appended to an
 // append-only buffer as consumers demand positions, so any number of
 // readers (the answer document, group member scans, join re-probes) share
 // one pass over the input. The terminal error, if any, is memoized at
 // its position — a replay sees the same prefix and the same error.
 type batchLog struct {
-	src  bcursor // nil once exhausted or failed
-	buf  []*binding
-	err  error
-	done bool
+	src bcursor // nil once exhausted or failed
+	buf []*binding
+	err error
 }
 
-// at returns the binding at position i, growing the log with want-sized
-// pulls as needed; nil at end of input (or the memoized error).
-func (l *batchLog) at(i, want int) (*binding, error) {
-	for !l.done && i >= len(l.buf) {
-		bs, err := l.src.bnext(want)
-		if err != nil {
-			l.err, l.done, l.src = err, true, nil
+// at returns the binding at position i, pulling the source as far as
+// needed; nil at end of input (or the memoized error).
+func (l *batchLog) at(i int) (*binding, error) {
+	for l.src != nil && i >= len(l.buf) {
+		b, err := l.src.next()
+		if b == nil {
+			l.err, l.src = err, nil
 			break
 		}
-		if len(bs) == 0 {
-			l.done, l.src = true, nil
-			break
-		}
-		l.buf = append(l.buf, bs...)
-		recordBatch(len(bs))
+		l.buf = append(l.buf, b)
+		loggedBindings.Add(1)
 	}
 	if i < len(l.buf) {
 		return l.buf[i], nil
@@ -210,243 +159,139 @@ type logCursor struct {
 	pos int
 }
 
-func (c *logCursor) bnext(want int) ([]*binding, error) {
+func (c *logCursor) next() (*binding, error) {
 	log, err := c.log.get()
 	if err != nil {
 		return nil, err
 	}
-	if b, err := log.at(c.pos, want); b == nil {
-		return nil, err
+	b, err := log.at(c.pos)
+	if b != nil {
+		c.pos++
 	}
-	end := min(c.pos+clampWant(want), len(log.buf))
-	out := log.buf[c.pos:end]
-	c.pos = end
-	return out, nil
+	return b, err
 }
 
 func (c *logCursor) fork() bcursor { f := *c; return &f }
 
-// predrain forces the whole top-level binding list in batch-sized
-// pulls. Pull errors are left memoized in the log — the subsequent
-// document walk surfaces them at their position.
-func (q *Query) predrain() {
-	log, err := q.top.get()
-	if err != nil || log.done {
-		return
-	}
-	batchPredrain.Add(1)
-	for width := q.eng.opts.width(); !log.done; {
-		if _, err := log.at(len(log.buf), width); err != nil {
-			return
-		}
-	}
-}
-
-// tracedBCursor wraps an operator's cursor so every batch pull opens a
-// span; the op records how many bindings the batch carried ("next[17]").
+// tracedBCursor wraps an operator's cursor so every pull opens a
+// "next" span.
 type tracedBCursor struct {
 	in    bcursor
 	label string
 	rec   *trace.Recorder
 }
 
-func (t *tracedBCursor) bnext(want int) ([]*binding, error) {
+func (t *tracedBCursor) next() (*binding, error) {
 	sp := t.rec.Begin(t.label, "next")
-	bs, err := t.in.bnext(want)
-	if sp != nil {
-		sp.Op = "next[" + strconv.Itoa(len(bs)) + "]"
-	}
+	b, err := t.in.next()
 	t.rec.End(sp)
-	return bs, err
+	return b, err
 }
 
 func (t *tracedBCursor) fork() bcursor {
 	return &tracedBCursor{in: t.in.fork(), label: t.label, rec: t.rec}
 }
 
-// sliceBCursor serves a fixed slice in want-sized windows (sources,
-// sorted orderBy output).
+// sliceBCursor serves a fixed slice (sources, sorted orderBy output).
 type sliceBCursor struct {
 	buf []*binding
 	pos int
 }
 
-func (s *sliceBCursor) bnext(want int) ([]*binding, error) {
+func (s *sliceBCursor) next() (*binding, error) {
 	if s.pos >= len(s.buf) {
 		return nil, nil
 	}
-	end := s.pos + clampWant(want)
-	if end > len(s.buf) {
-		end = len(s.buf)
-	}
-	out := s.buf[s.pos:end]
-	s.pos = end
-	return out, nil
+	s.pos++
+	return s.buf[s.pos-1], nil
 }
 
 func (s *sliceBCursor) fork() bcursor { f := *s; return &f }
 
-// mapBCursor applies a per-binding kernel to whole batches.
+// mapBCursor applies a per-binding kernel.
 type mapBCursor struct {
-	in  bcursor
-	fn  func(*binding) (*binding, error)
-	out []*binding
-	err error
+	in bcursor
+	fn func(*binding) (*binding, error)
 }
 
-func (m *mapBCursor) bnext(want int) ([]*binding, error) {
-	if m.err != nil {
-		return nil, m.err
-	}
-	bs, err := m.in.bnext(want)
-	if len(bs) == 0 {
-		m.err = err
+func (m *mapBCursor) next() (*binding, error) {
+	b, err := m.in.next()
+	if b == nil {
 		return nil, err
 	}
-	m.out = m.out[:0]
-	for _, b := range bs {
-		nb, err := m.fn(b)
-		if err != nil {
-			m.err = err
-			if len(m.out) == 0 {
-				return nil, err
-			}
-			return m.out, nil
-		}
-		m.out = append(m.out, nb)
-	}
-	return m.out, nil
+	return m.fn(b)
 }
 
 func (m *mapBCursor) fork() bcursor {
-	return &mapBCursor{in: m.in.fork(), fn: m.fn, err: m.err}
+	return &mapBCursor{in: m.in.fork(), fn: m.fn}
 }
 
-// filterBCursor keeps the bindings satisfying pred. A batch that
-// filters down to nothing triggers another input pull — an empty batch
-// is never surfaced as end of input.
+// filterBCursor keeps the bindings satisfying pred.
 type filterBCursor struct {
 	in   bcursor
 	pred func(*binding) (bool, error)
-	out  []*binding
-	err  error
 }
 
-func (f *filterBCursor) bnext(want int) ([]*binding, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	f.out = f.out[:0]
+func (f *filterBCursor) next() (*binding, error) {
 	for {
-		bs, err := f.in.bnext(want)
-		if len(bs) == 0 {
-			f.err = err
-			if len(f.out) > 0 {
-				return f.out, nil
-			}
+		b, err := f.in.next()
+		if b == nil {
 			return nil, err
 		}
-		for _, b := range bs {
-			ok, perr := f.pred(b)
-			if perr != nil {
-				f.err = perr
-				if len(f.out) > 0 {
-					return f.out, nil
-				}
-				return nil, perr
-			}
-			if ok {
-				f.out = append(f.out, b)
-			}
+		ok, err := f.pred(b)
+		if err != nil {
+			return nil, err
 		}
-		if len(f.out) > 0 {
-			return f.out, nil
+		if ok {
+			return b, nil
 		}
 	}
 }
 
 func (f *filterBCursor) fork() bcursor {
-	return &filterBCursor{in: f.in.fork(), pred: f.pred, err: f.err}
+	return &filterBCursor{in: f.in.fork(), pred: f.pred}
 }
 
-// expandBCursor is the batch flatMap: each input binding expands into a
-// lazy node list (getDescendants matches, fused σ-scan matches), bound
-// to out. Lists are stepped one node at a time so a partially-filled
-// batch never explores beyond what it returns.
+// expandBCursor is the flatMap: each input binding expands into a lazy
+// node list (getDescendants matches, fused σ-scan matches), bound to
+// out. The list is stepped one node per pull, so the descent never
+// explores beyond the match it returns.
 type expandBCursor struct {
 	in   bcursor
 	mk   func(*binding) (list, error)
 	out  string
-	pend []*binding // buffered input bindings awaiting expansion
-	pi   int
 	base *binding // binding currently being expanded
 	cur  list     // its remaining match list
-	obuf []*binding
-	err  error
-	done bool
 }
 
-func (e *expandBCursor) bnext(want int) ([]*binding, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.obuf = e.obuf[:0]
-	want = clampWant(want)
-	for len(e.obuf) < want {
+func (e *expandBCursor) next() (*binding, error) {
+	for {
 		if e.cur != nil {
 			h, rest, err := e.cur.next()
 			if err != nil {
-				return e.fail(err)
+				return nil, err
 			}
-			if h == nil {
-				e.cur, e.base = nil, nil
-				continue
+			if h != nil {
+				e.cur = rest
+				return e.base.with(e.out, h), nil
 			}
-			e.obuf = append(e.obuf, e.base.with(e.out, h))
-			e.cur = rest
-			continue
+			e.base, e.cur = nil, nil
 		}
-		if e.pi >= len(e.pend) {
-			if e.done {
-				break
-			}
-			bs, err := e.in.bnext(want)
-			if len(bs) == 0 {
-				if err != nil {
-					return e.fail(err)
-				}
-				e.done = true
-				break
-			}
-			e.pend = append(e.pend[:0], bs...)
-			e.pi = 0
+		b, err := e.in.next()
+		if b == nil {
+			return nil, err
 		}
-		b := e.pend[e.pi]
-		e.pi++
 		l, err := e.mk(b)
 		if err != nil {
-			return e.fail(err)
+			return nil, err
 		}
 		e.base, e.cur = b, l
 	}
-	if len(e.obuf) > 0 {
-		return e.obuf, nil
-	}
-	return nil, nil
-}
-
-func (e *expandBCursor) fail(err error) ([]*binding, error) {
-	e.err = err
-	if len(e.obuf) > 0 {
-		return e.obuf, nil
-	}
-	return nil, err
 }
 
 func (e *expandBCursor) fork() bcursor {
 	f := *e
-	f.in, f.obuf = e.in.fork(), nil
-	f.pend, f.pi = append([]*binding(nil), e.pend[e.pi:]...), 0
+	f.in = e.in.fork()
 	return &f
 }
 
@@ -455,13 +300,9 @@ func (e *expandBCursor) fork() bcursor {
 type chainBCursor struct {
 	cur  bcursor
 	rest []bbuilder
-	err  error
 }
 
-func (c *chainBCursor) bnext(want int) ([]*binding, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
+func (c *chainBCursor) next() (*binding, error) {
 	for {
 		if c.cur == nil {
 			if len(c.rest) == 0 {
@@ -469,18 +310,13 @@ func (c *chainBCursor) bnext(want int) ([]*binding, error) {
 			}
 			bc, err := c.rest[0]()
 			if err != nil {
-				c.err = err
 				return nil, err
 			}
 			c.cur, c.rest = bc, c.rest[1:]
 		}
-		bs, err := c.cur.bnext(want)
-		if err != nil {
-			c.err = err
-			return nil, err
-		}
-		if len(bs) > 0 {
-			return bs, nil
+		b, err := c.cur.next()
+		if b != nil || err != nil {
+			return b, err
 		}
 		c.cur = nil
 	}
@@ -494,161 +330,109 @@ func (c *chainBCursor) fork() bcursor {
 	return &f
 }
 
-// distinctBCursor keeps first occurrences, keying whole batches at a
-// time (batchKeys joins the variable list once per batch, not once per
-// binding).
+// distinctBCursor keeps first occurrences, keying with the joined
+// variable list precomputed.
 type distinctBCursor struct {
 	in   bcursor
 	ks   *keyspace
 	vars []string
 	ck   string
 	seen map[string]bool
-	out  []*binding
-	kbuf []string
-	err  error
 }
 
-func (d *distinctBCursor) bnext(want int) ([]*binding, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	d.out = d.out[:0]
+func (d *distinctBCursor) next() (*binding, error) {
 	for {
-		bs, err := d.in.bnext(want)
-		if len(bs) == 0 {
-			d.err = err
-			if len(d.out) > 0 {
-				return d.out, nil
-			}
+		b, err := d.in.next()
+		if b == nil {
 			return nil, err
 		}
-		keys, n, kerr := batchKeys(bs, d.ks, d.vars, d.ck, d.kbuf)
-		d.kbuf = keys
-		for i := 0; i < n; i++ {
-			if !d.seen[keys[i]] {
-				d.seen[keys[i]] = true
-				d.out = append(d.out, bs[i])
-			}
+		k, err := b.key(d.ck, d.ks, d.vars)
+		if err != nil {
+			return nil, err
 		}
-		if kerr != nil {
-			d.err = kerr
-			if len(d.out) > 0 {
-				return d.out, nil
-			}
-			return nil, kerr
-		}
-		if len(d.out) > 0 {
-			return d.out, nil
+		if !d.seen[k] {
+			d.seen[k] = true
+			return b, nil
 		}
 	}
 }
 
 func (d *distinctBCursor) fork() bcursor {
 	f := *d
-	f.in, f.out, f.kbuf = d.in.fork(), nil, nil
-	f.seen = maps.Clone(d.seen)
+	f.in, f.seen = d.in.fork(), maps.Clone(d.seen)
 	return &f
 }
 
 // diffBCursor emits the left bindings whose key tuple the right input
-// never produced. The right side is drained in full batches — but only
-// once the first left binding exists, and never if the left input is
-// empty.
+// never produced. The right side is drained in full — but only once the
+// first left binding exists, and never if the left input is empty.
 type diffBCursor struct {
 	in    bcursor
 	right bbuilder
 	ks    *keyspace
 	vars  []string
 	ck    string
-	batch int
 	seen  map[string]bool
-	out   []*binding
-	kbuf  []string
-	err   error
 }
 
-func (d *diffBCursor) bnext(want int) ([]*binding, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	d.out = d.out[:0]
+func (d *diffBCursor) next() (*binding, error) {
 	for {
-		bs, err := d.in.bnext(want)
-		if len(bs) == 0 {
-			d.err = err
-			if len(d.out) > 0 {
-				return d.out, nil
-			}
+		b, err := d.in.next()
+		if b == nil {
 			return nil, err
 		}
 		if d.seen == nil {
-			rc, rerr := d.right()
-			if rerr == nil {
-				var all []*binding
-				if all, rerr = drainB(rc, d.batch); rerr == nil {
-					d.seen, rerr = keySeen(all, d.ks, d.vars)
-				}
+			rc, err := d.right()
+			if err != nil {
+				return nil, err
 			}
-			if rerr != nil {
-				d.err = rerr
-				return nil, rerr
+			all, err := drain(rc)
+			if err != nil {
+				return nil, err
 			}
-		}
-		keys, n, kerr := batchKeys(bs, d.ks, d.vars, d.ck, d.kbuf)
-		d.kbuf = keys
-		for i := 0; i < n; i++ {
-			if !d.seen[keys[i]] {
-				d.out = append(d.out, bs[i])
+			if d.seen, err = keySeen(all, d.ks, d.vars); err != nil {
+				return nil, err
 			}
 		}
-		if kerr != nil {
-			d.err = kerr
-			if len(d.out) > 0 {
-				return d.out, nil
-			}
-			return nil, kerr
+		k, err := b.key(d.ck, d.ks, d.vars)
+		if err != nil {
+			return nil, err
 		}
-		if len(d.out) > 0 {
-			return d.out, nil
+		if !d.seen[k] {
+			return b, nil
 		}
 	}
 }
 
-// fork copies the right-side key set: once built it is never written
-// again, and the first pull — which precedes any fork — builds it.
+// fork shares the right-side key set rather than copying it: once built
+// it is never written again, and the first pull — which precedes any
+// fork — builds it.
 func (d *diffBCursor) fork() bcursor {
 	f := *d
-	f.in, f.out, f.kbuf = d.in.fork(), nil, nil
+	f.in = d.in.fork()
 	return &f
 }
 
 // sortBCursor drains and sorts its input on first demand (orderBy is
-// blocking by definition), then serves the sorted slice in windows.
+// blocking by definition), then serves the sorted slice.
 type sortBCursor struct {
-	in    bcursor
-	keys  []string
-	batch int
-	out   *sliceBCursor
-	err   error
+	in   bcursor
+	keys []string
+	out  *sliceBCursor
 }
 
-func (s *sortBCursor) bnext(want int) ([]*binding, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
+func (s *sortBCursor) next() (*binding, error) {
 	if s.out == nil {
-		all, err := drainB(s.in, s.batch)
-		var sorted []*binding
+		all, err := drain(s.in)
 		if err == nil {
-			sorted, err = sortBindings(all, s.keys)
+			all, err = sortBindings(all, s.keys)
 		}
 		if err != nil {
-			s.err = err
 			return nil, err
 		}
-		s.out, s.in = &sliceBCursor{buf: sorted}, nil
+		s.out, s.in = &sliceBCursor{buf: all}, nil
 	}
-	return s.out.bnext(want)
+	return s.out.next()
 }
 
 func (s *sortBCursor) fork() bcursor {
@@ -827,13 +611,13 @@ func (c *compiler) compileOrderBy(op *algebra.OrderBy) (bbuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, batch := op.Keys, c.batch
+	keys := op.Keys
 	return func() (bcursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &sortBCursor{in: cur, keys: keys, batch: batch}, nil
+		return &sortBCursor{in: cur, keys: keys}, nil
 	}, nil
 }
 
@@ -865,14 +649,14 @@ func (c *compiler) compileDifference(op *algebra.Difference) (bbuilder, error) {
 		return nil, err
 	}
 	vars := op.Left.OutVars()
-	ks, batch := c.ks, c.batch
+	ks := c.ks
 	return func() (bcursor, error) {
 		lc, err := lb()
 		if err != nil {
 			return nil, err
 		}
 		return &diffBCursor{in: lc, right: rb, ks: ks, vars: vars,
-			ck: strings.Join(vars, "\x01"), batch: batch}, nil
+			ck: strings.Join(vars, "\x01")}, nil
 	}, nil
 }
 

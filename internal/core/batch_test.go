@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"mix/internal/algebra"
@@ -14,21 +12,15 @@ import (
 	"mix/internal/xmltree"
 )
 
-// batchOpts is DefaultOptions with the pipeline width pinned.
-func batchOpts(bs int) Options {
-	o := DefaultOptions()
-	o.BatchSize = bs
-	return o
-}
-
-// batchPlans is the operator-coverage set for the identity tests: the
-// paper's join+group plan, joins whose conditions take the hash path
+// operatorPlans is the operator-coverage set for the identity tests:
+// the paper's join+group plan, joins whose conditions take the hash path
 // (pure equi, equi with residual conjuncts) and the nested-loops path
 // (a disjunction, equi keys masked), selection (both the fused-scan and
-// the general condition form), a recursive path, distinct over a union,
-// difference, orderBy and a top-level groupBy — every operator class in
-// one sweep.
-func batchPlans() map[string]func() algebra.Op {
+// the general condition form, including one that rejects all but one
+// binding and one that rejects every binding), a recursive path,
+// distinct over a union, difference, orderBy and a top-level groupBy —
+// every operator class in one sweep.
+func operatorPlans() map[string]func() algebra.Op {
 	zips := func(src, rvar, hvar, zvar, inner string) algebra.Op {
 		return &algebra.GetDescendants{
 			Input: &algebra.GetDescendants{
@@ -73,6 +65,24 @@ func batchPlans() map[string]func() algebra.Op {
 			return &algebra.Project{
 				Input: &algebra.Select{Input: homeZips(),
 					Cond: algebra.Eq(algebra.V("V1"), algebra.Lit("91000"))},
+				Keep: []string{"H"},
+			}
+		},
+		"sparse matches": func() algebra.Op {
+			// One home of 23 passes: the filter pulls past long runs of
+			// rejected bindings.
+			return &algebra.Select{
+				Input: &algebra.GetDescendants{
+					Input:  &algebra.Source{URL: "homesSrc", Var: "R1"},
+					Parent: "R1", Path: pathexpr.MustParse("home.addr._"), Out: "A",
+				},
+				Cond: algebra.Eq(algebra.V("A"), algebra.Lit("addr-17")),
+			}
+		},
+		"no matches": func() algebra.Op {
+			return &algebra.Project{
+				Input: &algebra.Select{Input: homeZips(),
+					Cond: algebra.Eq(algebra.V("V1"), algebra.Lit("no-such-zip"))},
 				Keep: []string{"H"},
 			}
 		},
@@ -129,29 +139,17 @@ func batchPlans() map[string]func() algebra.Op {
 
 // TestEveryConfigurationMatchesEager runs every operator class under
 // every combination of the paper caches and select(σ) in NC, with and
-// without a region cache, at widths that straddle, divide and dwarf the
-// stream lengths. With one pipeline there is no second engine to
-// compare against, so the references are external: the materialized
-// answer must equal internal/eager's, and the per-source navigation
-// counts at every width must equal those at width 1 under the same
-// configuration — the width reorders work, never adds any. With a
-// region cache the query is named and answered through a fresh cache:
-// the cold drain fills it, and a second query of the same plan must
-// then be answered from it identically — with zero source navigations
-// when the plan has a canonical cache identity.
+// without a region cache. With one pipeline there is no second engine
+// to compare against, so the reference is external: the materialized
+// answer must equal internal/eager's. With a region cache the query is
+// named and answered through a fresh cache: the cold drain fills it,
+// and a second query of the same plan must then be answered from it
+// identically — with zero source navigations when the plan has a
+// canonical cache identity.
 func TestEveryConfigurationMatchesEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	navsOf := func(counters map[string]*nav.CountingDoc) string {
-		var navs []string
-		for _, name := range []string{"homesSrc", "schoolsSrc"} {
-			c := counters[name].Counters.Snapshot()
-			navs = append(navs, fmt.Sprintf("%s d=%d r=%d f=%d sel=%d root=%d",
-				name, c.Down, c.Right, c.Fetch, c.Select, c.Root))
-		}
-		return strings.Join(navs, "; ")
-	}
-	run := func(t *testing.T, mk func() algebra.Op, o Options, cached bool) (string, string) {
+	run := func(t *testing.T, mk func() algebra.Op, o Options, cached bool) string {
 		e, counters := engineWith(o, srcs)
 		if cached {
 			e.SetRegionCache(regioncache.New(0))
@@ -161,7 +159,6 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 			q.SetCacheName("v")
 		}
 		answer := xmltree.MarshalXML(mustMaterialize(t, q))
-		navs := navsOf(counters)
 		if cached {
 			before := sumNavs(counters)
 			again := mustCompile(t, e, mk())
@@ -176,29 +173,17 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 				t.Fatalf("%+v: cached answer cost %d source navigations, want 0", o, n)
 			}
 		}
-		return answer, navs
+		return answer
 	}
-	for name, mk := range batchPlans() {
+	for name, mk := range operatorPlans() {
 		t.Run(name, func(t *testing.T) {
 			want := eagerAnswer(t, mk(), srcs)
-			o := DefaultOptions()
 			for mask := 0; mask < 16; mask++ {
-				o.JoinCache, o.PathCache = mask&1 != 0, mask&2 != 0
-				o.GroupCache, o.NativeSelect = mask&4 != 0, mask&8 != 0
+				o := Options{JoinCache: mask&1 != 0, PathCache: mask&2 != 0,
+					GroupCache: mask&4 != 0, NativeSelect: mask&8 != 0}
 				for _, cached := range []bool{false, true} {
-					var wantNavs string
-					for _, width := range []int{1, 3, 64} {
-						o.BatchSize = width
-						answer, navs := run(t, mk, o, cached)
-						if answer != want {
-							t.Fatalf("%+v cache=%v: answer differs from eager:\n%s\nvs\n%s", o, cached, answer, want)
-						}
-						if width == 1 {
-							wantNavs = navs
-						} else if navs != wantNavs {
-							t.Fatalf("%+v cache=%v: source navigations differ from width 1:\n%s\nvs\n%s",
-								o, cached, navs, wantNavs)
-						}
+					if answer := run(t, mk, o, cached); answer != want {
+						t.Fatalf("%+v cache=%v: answer differs from eager:\n%s\nvs\n%s", o, cached, answer, want)
 					}
 				}
 			}
@@ -206,56 +191,18 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 	}
 }
 
-// TestBatchFilterEmptyBatches pins the no-false-EOF rule: a filter that
-// rejects whole input batches must keep pulling — an all-rejected batch
-// is not end-of-stream — and a filter that rejects everything must
-// still terminate with the width-1 answer (zero rows).
-func TestBatchFilterEmptyBatches(t *testing.T) {
-	homes, _ := workload.HomesSchools(40, 0, 6, 3)
-	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
-	zips := &algebra.GetDescendants{
-		Input: &algebra.GetDescendants{
-			Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
-			Parent: "R", Path: pathexpr.MustParse("home"), Out: "H",
-		},
-		Parent: "H", Path: pathexpr.MustParse("zip._"), Out: "Z",
-	}
-	for _, tc := range []struct {
-		name, lit string
-	}{
-		{"sparse matches", "91000"}, // rare value: many all-rejected batches
-		{"no matches", "no-such-zip"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := func() algebra.Op {
-				return &algebra.Project{
-					Input: &algebra.Select{Input: zips,
-						Cond: algebra.Eq(algebra.V("Z"), algebra.Lit(tc.lit))},
-					Keep: []string{"H"},
-				}
-			}
-			es, _ := engineWith(batchOpts(1), srcs)
-			want := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, es, plan())))
-			// Width 2 forces many consecutive empty filtered batches.
-			eb, _ := engineWith(batchOpts(2), srcs)
-			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, eb, plan())))
-			if got != want {
-				t.Fatalf("batch answer differs:\n%s\nvs\n%s", got, want)
-			}
-		})
-	}
-}
-
 // failAfterDoc fails every navigation after the first n have succeeded
 // — an error that strikes mid-stream, after a prefix of bindings has
-// been produced.
+// been produced. calls counts every navigation attempted.
 type failAfterDoc struct {
-	d    nav.Document
-	err  error
-	left *int
+	d     nav.Document
+	err   error
+	left  *int
+	calls *int
 }
 
 func (f failAfterDoc) step() error {
+	*f.calls++
 	if *f.left <= 0 {
 		return f.err
 	}
@@ -291,35 +238,28 @@ func (f failAfterDoc) Fetch(p nav.ID) (string, error) {
 	return f.d.Fetch(p)
 }
 
-// TestBatchMidStreamErrorByteIdentical: an error striking after a
-// prefix of source navigations must surface at the same client-visible
-// position at every width — same number of answer rows reachable,
-// same error. This exercises the prefix-then-error rule of bnext (a
-// batch computed up to the failure is delivered before the error).
-func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
+// TestMidStreamErrorMemoized: an error striking after a prefix of
+// source navigations surfaces at a client-visible position that only
+// moves later as the source allows more navigations, and the top log
+// memoizes it there — a second walk over the same compiled query
+// reaches the same rows and the same error without navigating the
+// source again.
+func TestMidStreamErrorMemoized(t *testing.T) {
 	homes, _ := workload.HomesSchools(12, 0, 4, 3)
 	boom := errors.New("source lost mid-stream")
-	plan := func() algebra.Op {
-		return &algebra.Project{
+	plan := &algebra.Project{
+		Input: &algebra.GetDescendants{
 			Input: &algebra.GetDescendants{
-				Input: &algebra.GetDescendants{
-					Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
-					Parent: "R", Path: pathexpr.MustParse("home"), Out: "H",
-				},
-				Parent: "H", Path: pathexpr.MustParse("zip._"), Out: "Z",
+				Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
+				Parent: "R", Path: pathexpr.MustParse("home"), Out: "H",
 			},
-			Keep: []string{"H", "Z"},
-		}
+			Parent: "H", Path: pathexpr.MustParse("zip._"), Out: "Z",
+		},
+		Keep: []string{"H", "Z"},
 	}
 	// walk steps the answer document left to right and reports how many
 	// rows were reached before the error (and the error itself).
-	walk := func(t *testing.T, bs, budget int) (int, error) {
-		t.Helper()
-		left := budget
-		e := New(batchOpts(bs))
-		e.Register("homesSrc", failAfterDoc{
-			d: nav.NewTreeDoc(homes), err: boom, left: &left})
-		q := mustCompile(t, e, plan())
+	walk := func(q *Query) (int, error) {
 		doc := q.Document()
 		root, err := doc.Root()
 		if err != nil {
@@ -332,27 +272,40 @@ func TestBatchMidStreamErrorByteIdentical(t *testing.T) {
 		rows := 0
 		for cur != nil {
 			rows++
-			cur, err = doc.Right(cur)
-			if err != nil {
+			if cur, err = doc.Right(cur); err != nil {
 				return rows, err
 			}
 		}
 		return rows, nil
 	}
-	// A generous budget errors nowhere; the full row count calibrates
-	// the truncation budgets below.
-	total, err := walk(t, 1, 1<<30)
-	if err != nil || total < 4 {
-		t.Fatalf("calibration walk: rows=%d err=%v", total, err)
+	compile := func(budget int) (*Query, *int) {
+		left, calls := budget, new(int)
+		e := New(DefaultOptions())
+		e.Register("homesSrc", failAfterDoc{
+			d: nav.NewTreeDoc(homes), err: boom, left: &left, calls: calls})
+		return mustCompile(t, e, plan), calls
 	}
+	// A generous budget errors nowhere; it calibrates the truncation
+	// budgets below, all of which must strike before the end.
+	q, calls := compile(1 << 30)
+	total, err := walk(q)
+	if err != nil || total < 4 || *calls <= 43 {
+		t.Fatalf("calibration walk: rows=%d err=%v navigations=%d", total, err, *calls)
+	}
+	prev := 0
 	for _, budget := range []int{1, 5, 17, 43} {
-		wantRows, wantErr := walk(t, 1, budget)
-		for _, bs := range []int{2, 3, 64} {
-			gotRows, gotErr := walk(t, bs, budget)
-			if gotRows != wantRows || !errors.Is(gotErr, boom) != !errors.Is(wantErr, boom) {
-				t.Fatalf("budget=%d BatchSize=%d: rows=%d err=%v, width-1 rows=%d err=%v",
-					budget, bs, gotRows, gotErr, wantRows, wantErr)
-			}
+		q, calls := compile(budget)
+		rows, err := walk(q)
+		if !errors.Is(err, boom) || rows < prev || rows >= total {
+			t.Fatalf("budget=%d: rows=%d err=%v (previous budget reached %d of %d rows)",
+				budget, rows, err, prev, total)
+		}
+		prev = rows
+		navs := *calls
+		again, err2 := walk(q)
+		if again != rows || !errors.Is(err2, boom) || *calls != navs {
+			t.Fatalf("budget=%d: second walk rows=%d err=%v after %d more navigations, first rows=%d",
+				budget, again, err2, *calls-navs, rows)
 		}
 	}
 }

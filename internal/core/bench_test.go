@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mix/internal/algebra"
 	"mix/internal/nav"
 	"mix/internal/trace"
 	"mix/internal/workload"
@@ -87,38 +86,6 @@ func BenchmarkColdJoinGroupBy(b *testing.B) {
 		if _, err := q.Materialize(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBatchWidth: the E17 warm-drain equi-join materialized
-// through the operator pipeline at width 1 (one binding per pull) vs.
-// the default width.
-func BenchmarkBatchWidth(b *testing.B) {
-	homes, schools := workload.HomesSchools(300, 300, 40, 9)
-	plan := hashZipPlan(algebra.Eq(algebra.V("V1"), algebra.V("V2")))
-	for _, v := range []struct {
-		name  string
-		batch int
-	}{
-		{"width1", 1},
-		{"width64", DefaultBatchSize},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.BatchSize = v.batch
-			for i := 0; i < b.N; i++ {
-				e := New(opts)
-				e.Register("homesSrc", nav.NewTreeDoc(homes))
-				e.Register("schoolsSrc", nav.NewTreeDoc(schools))
-				q, err := e.Compile(plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := q.Materialize(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -131,7 +131,7 @@ type Query struct {
 	semTried bool
 
 	// top is the query's top-level pipeline behind the one log every
-	// Document replays (and Materialize predrains). For tupleDestroy
+	// Document replays. For tupleDestroy
 	// plans it is the pipeline of the root's input and answer the lazy
 	// root node of the virtual answer document resolved from its first
 	// binding; otherwise answer is nil and Document renders the log as
@@ -152,7 +152,7 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 		}
 	}
 	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
-	c := &compiler{e: e, ks: newKeyspace(), batch: e.opts.width()}
+	c := &compiler{e: e, ks: newKeyspace()}
 	input := plan
 	td, isTD := plan.(*algebra.TupleDestroy)
 	if isTD {
@@ -165,13 +165,13 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	q.top = &lazyLog{in: bb}
 	if isTD {
 		// The answer element resolves from the first binding only, pulled
-		// on first navigation: there is nothing to predrain.
+		// on first navigation.
 		q.answer = &lazyNode{resolve: func() (Node, error) {
 			log, err := q.top.get()
 			if err != nil {
 				return nil, err
 			}
-			b, err := log.at(0, 1)
+			b, err := log.at(0)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +303,7 @@ func (q *Query) bindingsNode() Node {
 // bindingList renders the top-level log as a lazy list of b[…] nodes,
 // growing it one binding per client pull: this is where the
 // demand-driven navigation contract is enforced — a client step costs
-// exactly one want=1 pull through the pipeline.
+// at most one pull through the pipeline.
 type bindingList struct {
 	log  *batchLog
 	pos  int
@@ -311,7 +311,7 @@ type bindingList struct {
 }
 
 func (l bindingList) next() (Node, list, error) {
-	b, err := l.log.at(l.pos, 1)
+	b, err := l.log.at(l.pos)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -334,18 +334,11 @@ func (l bindingList) next() (Node, list, error) {
 // binding tree otherwise. It is a convenience for callers that want
 // the eager behaviour through the lazy machinery.
 func (q *Query) Materialize() (*xmltree.Tree, error) {
-	// Force the whole binding list in batch-sized pulls first, then walk
-	// the answer over the replay log. Cache-aware documents are exempt —
-	// a warm cache answers the walk with zero source work, which a
-	// predrain would defeat.
-	if q.answer == nil && (q.eng.cache == nil || q.cacheName == "") {
-		q.predrain()
-	}
 	return nav.Materialize(q.Document())
 }
 
 // The per-binding kernels below are the operator bodies mapBCursor
-// loops over (see batch.go).
+// applies (see batch.go).
 
 func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
 	varName, out := op.Var, op.Out

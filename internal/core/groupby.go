@@ -17,8 +17,8 @@ import (
 //
 // With GroupCache the input flows once into a shared batchLog; the
 // group scan and every group's member list are positions into that
-// log, so the grouped value lists stay lazy and memoized while ingest
-// happens a batch at a time. Without it nothing is kept: the group scan
+// log, so the grouped value lists stay lazy and memoized and the input
+// is derived once. Without it nothing is kept: the group scan
 // reads the input cursor directly and a value list re-derives its
 // members from a fork of that cursor on every visit (scanList).
 func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
@@ -73,7 +73,7 @@ func (v logValueList) next() (Node, list, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := log.at(v.pos, 1)
+	b, err := log.at(v.pos)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,10 +89,9 @@ func (v logValueList) next() (Node, list, error) {
 
 // groupsBCursor emits one output binding per distinct group-by list, in
 // order of first occurrence, keying with the joined variable list
-// precomputed. With GroupCache it scans the shared input log (in) a
-// batch per call; without, it pulls the input cursor (src) one binding
-// at a time, so that a fork of src taken at a group head continues the
-// scan exactly after it.
+// precomputed. With GroupCache it scans the shared input log (in);
+// without, it pulls the input cursor (src), so that a fork of src taken
+// at a group head continues the scan exactly after it.
 type groupsBCursor struct {
 	in      *lazyLog
 	pos     int
@@ -104,47 +103,30 @@ type groupsBCursor struct {
 	varName string
 	out     string
 	seen    map[string]bool
-	obuf    []*binding
-	err     error
 }
 
-func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
-	if g.err != nil {
-		return nil, g.err
-	}
-	g.obuf = g.obuf[:0]
-	want = clampWant(want)
-	fail := func(err error) ([]*binding, error) {
-		g.err = err
-		if len(g.obuf) > 0 {
-			return g.obuf, nil
-		}
-		return nil, err
-	}
+func (g *groupsBCursor) next() (*binding, error) {
 	var log *batchLog
 	if g.src == nil {
 		var err error
 		if log, err = g.in.get(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 	}
-	for len(g.obuf) < want {
+	for {
 		var b *binding
 		var err error
 		if log != nil {
-			b, err = log.at(g.pos, want)
+			b, err = log.at(g.pos)
 		} else {
-			b, err = next1(g.src)
-		}
-		if err != nil {
-			return fail(err)
+			b, err = g.src.next()
 		}
 		if b == nil {
-			break
+			return nil, err
 		}
 		k, err := b.key(g.ck, g.ks, g.by)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		head := g.pos
 		g.pos++
@@ -164,18 +146,13 @@ func (g *groupsBCursor) bnext(want int) ([]*binding, error) {
 			values = scanList{head: b, from: g.src.fork(), ks: g.ks,
 				by: g.by, key: k, ck: g.ck, varName: g.varName}
 		}
-		g.obuf = append(g.obuf,
-			b.project(g.proj).with(g.out, NewElem(xmltree.ListLabel, values)))
+		return b.project(g.proj).with(g.out, NewElem(xmltree.ListLabel, values)), nil
 	}
-	if len(g.obuf) > 0 {
-		return g.obuf, nil
-	}
-	return nil, nil
 }
 
 func (g *groupsBCursor) fork() bcursor {
 	f := *g
-	f.obuf, f.seen = nil, maps.Clone(g.seen)
+	f.seen = maps.Clone(g.seen)
 	if g.src != nil {
 		f.src = g.src.fork()
 	}
@@ -197,7 +174,7 @@ type memberList struct {
 func (m memberList) next() (Node, list, error) {
 	pos := m.pos
 	for {
-		b, err := m.log.at(pos, 1)
+		b, err := m.log.at(pos)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -250,7 +227,7 @@ func (m scanList) next() (Node, list, error) {
 			}
 		}
 		for b == nil {
-			nb, err := next1(cur)
+			nb, err := cur.next()
 			if err != nil || nb == nil {
 				return nil, nil, err
 			}
@@ -272,13 +249,4 @@ func (m scanList) next() (Node, list, error) {
 	}
 	m.head, m.from = nil, cur
 	return n, m, nil
-}
-
-// next1 pulls a single binding from c: nil at end of input.
-func next1(c bcursor) (*binding, error) {
-	bs, err := c.bnext(1)
-	if len(bs) == 0 {
-		return nil, err
-	}
-	return bs[0], nil
 }

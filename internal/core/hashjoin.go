@@ -17,12 +17,11 @@ import "mix/internal/algebra"
 // same (outer-major, inner-order) order nested loops produces.
 //
 // Laziness is preserved the same way the nested-loops inner log
-// preserves it: the index ingests the inner input one pull at a time
-// (one binding under client demand), only when a probe exhausts the
-// already-indexed prefix of its bucket. A query whose client never
-// forces the join never builds the index; a client that stops after the
-// first answer indexes only as much of the inner input as that answer
-// needed.
+// preserves it: the index ingests the inner input one binding at a
+// time, only when a probe exhausts the already-indexed prefix of its
+// bucket. A query whose client never forces the join never builds the
+// index; a client that stops after the first answer indexes only as
+// much of the inner input as that answer needed.
 
 // equiJoinKeys splits the condition's implied equalities into key-variable
 // lists for the two sides of the join. Pairs that do not bridge the two
@@ -123,85 +122,49 @@ type nlJoinBCursor struct {
 	inner    *lazyLog
 	rederive bbuilder
 	cond     algebra.Cond
-	pend     []*binding // buffered outer bindings
-	pi       int
 	lb       *binding // current outer binding
 	ipos     int      // position in the inner log
-	obuf     []*binding
-	err      error
-	done     bool
 }
 
-func (j *nlJoinBCursor) bnext(want int) ([]*binding, error) {
-	if j.err != nil {
-		return nil, j.err
-	}
-	j.obuf = j.obuf[:0]
-	want = clampWant(want)
-	for len(j.obuf) < want {
-		if j.lb != nil {
-			log, err := j.inner.get()
-			if err != nil {
-				return j.fail(err)
+func (j *nlJoinBCursor) next() (*binding, error) {
+	for {
+		if j.lb == nil {
+			lb, err := j.out.next()
+			if lb == nil {
+				return nil, err
 			}
-			rb, err := log.at(j.ipos, want)
-			if err != nil {
-				return j.fail(err)
-			}
-			if rb == nil {
-				j.lb, j.ipos = nil, 0
-				if j.rederive != nil {
-					j.inner = &lazyLog{in: j.rederive}
-				}
-				continue
-			}
-			merged := merge(j.lb, rb)
-			j.ipos++
-			ok, err := j.cond.Eval(merged)
-			if err != nil {
-				return j.fail(err)
-			}
-			if ok {
-				j.obuf = append(j.obuf, merged)
+			j.lb, j.ipos = lb, 0
+		}
+		log, err := j.inner.get()
+		if err != nil {
+			return nil, err
+		}
+		rb, err := log.at(j.ipos)
+		if err != nil {
+			return nil, err
+		}
+		if rb == nil {
+			j.lb = nil
+			if j.rederive != nil {
+				j.inner = &lazyLog{in: j.rederive}
 			}
 			continue
 		}
-		if j.pi >= len(j.pend) {
-			if j.done {
-				break
-			}
-			bs, err := j.out.bnext(want)
-			if len(bs) == 0 {
-				if err != nil {
-					return j.fail(err)
-				}
-				j.done = true
-				break
-			}
-			j.pend = append(j.pend[:0], bs...)
-			j.pi = 0
+		merged := merge(j.lb, rb)
+		j.ipos++
+		ok, err := j.cond.Eval(merged)
+		if err != nil {
+			return nil, err
 		}
-		j.lb, j.ipos = j.pend[j.pi], 0
-		j.pi++
+		if ok {
+			return merged, nil
+		}
 	}
-	if len(j.obuf) > 0 {
-		return j.obuf, nil
-	}
-	return nil, nil
-}
-
-func (j *nlJoinBCursor) fail(err error) ([]*binding, error) {
-	j.err = err
-	if len(j.obuf) > 0 {
-		return j.obuf, nil
-	}
-	return nil, err
 }
 
 func (j *nlJoinBCursor) fork() bcursor {
 	f := *j
-	f.out, f.obuf = j.out.fork(), nil
-	f.pend, f.pi = append([]*binding(nil), j.pend[j.pi:]...), 0
+	f.out = j.out.fork()
 	if j.rederive != nil {
 		f.inner = j.inner.fork()
 	}
@@ -209,10 +172,10 @@ func (j *nlJoinBCursor) fork() bcursor {
 }
 
 // bHashIndex is the incrementally-built index over the inner input,
-// derived only on first demand; each advance ingests one inner batch. It
-// is shared, mutable state behind the join cursor and its forks — safe
-// because buckets only ever grow, in inner order, so a replayed probe
-// re-reads a (possibly longer) prefix of the same bucket.
+// derived only on first demand; each advance ingests one inner binding.
+// It is shared, mutable state behind the join cursor and its forks —
+// safe because buckets only ever grow, in inner order, so a replayed
+// probe re-reads a (possibly longer) prefix of the same bucket.
 type bHashIndex struct {
 	right   bbuilder
 	src     bcursor // nil until first advance, nil again when done
@@ -221,10 +184,10 @@ type bHashIndex struct {
 	done    bool
 }
 
-// advance ingests up to want more inner bindings, reporting whether any
-// were added. A keying failure keeps the already-filed prefix and
-// terminates the index.
-func (h *bHashIndex) advance(want int) (bool, error) {
+// advance ingests the next inner binding, reporting whether there was
+// one. A keying failure keeps the already-filed prefix and terminates
+// the index.
+func (h *bHashIndex) advance() (bool, error) {
 	if h.done {
 		return false, nil
 	}
@@ -236,125 +199,71 @@ func (h *bHashIndex) advance(want int) (bool, error) {
 		}
 		h.src = c
 	}
-	bs, err := h.src.bnext(want)
-	if len(bs) == 0 {
+	b, err := h.src.next()
+	if b == nil {
 		h.done, h.src = true, nil
 		return false, err
 	}
-	for _, b := range bs {
-		k, kerr := atomKeyFP(b, h.keys)
-		if kerr != nil {
-			h.done, h.src = true, nil
-			return false, kerr
-		}
-		h.buckets[k] = append(h.buckets[k], b)
+	k, err := atomKeyFP(b, h.keys)
+	if err != nil {
+		h.done, h.src = true, nil
+		return false, err
 	}
-	recordBatch(len(bs))
+	h.buckets[k] = append(h.buckets[k], b)
+	loggedBindings.Add(1)
 	return true, nil
 }
 
-// bHashJoinCursor probes the shared index with whole outer batches:
-// the outer keys are computed in one loop per batch, then each outer
-// binding scans its bucket (advancing the index in want-sized steps
-// when the indexed prefix runs out).
+// bHashJoinCursor probes the shared index: each outer binding scans
+// its bucket, advancing the index one inner binding at a time when the
+// indexed prefix runs out.
 type bHashJoinCursor struct {
 	out   bcursor
 	idx   *bHashIndex
 	cond  algebra.Cond
 	lkeys []string
-	pend  []*binding // buffered outer bindings
-	kpend []string   // their bucket keys
-	pi    int
 	lb    *binding // current outer binding
-	key   string
-	pos   int // next unexamined position in its bucket
-	obuf  []*binding
-	perr  error // keying error pending after the keyed prefix drains
-	err   error
-	done  bool
+	key   string   // its bucket key
+	pos   int      // next unexamined position in its bucket
 }
 
-func (c *bHashJoinCursor) bnext(want int) ([]*binding, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	c.obuf = c.obuf[:0]
-	want = clampWant(want)
-	for len(c.obuf) < want {
-		if c.lb != nil {
-			bucket := c.idx.buckets[c.key]
-			if c.pos < len(bucket) {
-				merged := merge(c.lb, bucket[c.pos])
-				c.pos++
-				ok, err := c.cond.Eval(merged)
-				if err != nil {
-					return c.fail(err)
-				}
-				if ok {
-					c.obuf = append(c.obuf, merged)
-				}
-				continue
+func (c *bHashJoinCursor) next() (*binding, error) {
+	for {
+		if c.lb == nil {
+			lb, err := c.out.next()
+			if lb == nil {
+				return nil, err
 			}
-			more, err := c.idx.advance(want)
+			k, err := atomKeyFP(lb, c.lkeys)
 			if err != nil {
-				return c.fail(err)
+				return nil, err
 			}
-			if more {
-				continue
+			c.lb, c.key, c.pos = lb, k, 0
+		}
+		if bucket := c.idx.buckets[c.key]; c.pos < len(bucket) {
+			merged := merge(c.lb, bucket[c.pos])
+			c.pos++
+			ok, err := c.cond.Eval(merged)
+			if err != nil {
+				return nil, err
 			}
+			if ok {
+				return merged, nil
+			}
+			continue
+		}
+		more, err := c.idx.advance()
+		if err != nil {
+			return nil, err
+		}
+		if !more {
 			c.lb = nil
-			continue
 		}
-		if c.pi >= len(c.pend) {
-			if c.perr != nil {
-				return c.fail(c.perr)
-			}
-			if c.done {
-				break
-			}
-			bs, err := c.out.bnext(want)
-			if len(bs) == 0 {
-				if err != nil {
-					return c.fail(err)
-				}
-				c.done = true
-				break
-			}
-			c.pend = append(c.pend[:0], bs...)
-			c.kpend = c.kpend[:0]
-			c.pi = 0
-			for _, b := range bs {
-				k, kerr := atomKeyFP(b, c.lkeys)
-				if kerr != nil {
-					c.perr = kerr
-					break
-				}
-				c.kpend = append(c.kpend, k)
-			}
-			c.pend = c.pend[:len(c.kpend)]
-			continue
-		}
-		c.lb, c.key, c.pos = c.pend[c.pi], c.kpend[c.pi], 0
-		c.pi++
 	}
-	if len(c.obuf) > 0 {
-		return c.obuf, nil
-	}
-	return nil, nil
-}
-
-func (c *bHashJoinCursor) fail(err error) ([]*binding, error) {
-	c.err = err
-	if len(c.obuf) > 0 {
-		return c.obuf, nil
-	}
-	return nil, err
 }
 
 func (c *bHashJoinCursor) fork() bcursor {
 	f := *c
-	f.out, f.obuf = c.out.fork(), nil
-	f.pend = append([]*binding(nil), c.pend[c.pi:]...)
-	f.kpend, f.pi = append([]string(nil), c.kpend[c.pi:]...), 0
+	f.out = c.out.fork()
 	return &f
 }

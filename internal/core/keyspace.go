@@ -38,10 +38,6 @@ import (
 type compiler struct {
 	e  *Engine
 	ks *keyspace
-
-	// batch is the width of the full-drain pulls (blocking operators):
-	// Options.width().
-	batch int
 }
 
 // keyspace disambiguates fingerprint collisions within one query.
@@ -136,20 +132,4 @@ func (b *binding) key(ck string, ks *keyspace, vars []string) (string, error) {
 	}
 	b.keys.put(ck, k)
 	return k, nil
-}
-
-// batchKeys computes the operator keys of a whole batch into scratch
-// (reused across calls). n is the number of keys computed before the
-// first failure — callers emit that prefix before surfacing err, the
-// batch pipeline's mid-batch error rule.
-func batchKeys(bs []*binding, ks *keyspace, vars []string, ck string, scratch []string) (keys []string, n int, err error) {
-	scratch = scratch[:0]
-	for i, b := range bs {
-		k, kerr := b.key(ck, ks, vars)
-		if kerr != nil {
-			return scratch, i, kerr
-		}
-		scratch = append(scratch, k)
-	}
-	return scratch, len(bs), nil
 }

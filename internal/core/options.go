@@ -5,9 +5,8 @@ import (
 	"mix/internal/xmltree"
 )
 
-// Options control the operator-local caches, the navigation command
-// set, and the execution style, mirroring the knobs the paper
-// discusses:
+// Options control the operator-local caches and the navigation command
+// set, mirroring the knobs the paper discusses:
 //
 //   - JoinCache — the join derives its inner input once (Section 3):
 //     into an incrementally-built hash index when the condition implies
@@ -29,14 +28,6 @@ import (
 //   - NativeSelect — the select(σ) command is part of NC and pushed to
 //     the sources, upgrading label selections from browsable to
 //     bounded browsable (Section 2, Example 1). E3 toggles it.
-//   - BatchSize — the width of the operator pipeline: operators
-//     exchange slices of up to BatchSize bindings per call (see
-//     batch.go); 1 (or less) moves one binding per pull. The lazy
-//     navigation contract lives at the answer-document boundary, which
-//     pulls single bindings on client demand, so answers, client
-//     commands, and per-source navigation counts do not depend on the
-//     width; whole-batch execution kicks in on full drains
-//     (Materialize, orderBy and difference inputs).
 //
 // With a region cache installed (SetRegionCache), a named query whose
 // plan is *subsumed* by another cached plan (same view, weaker
@@ -52,23 +43,12 @@ type Options struct {
 	PathCache    bool
 	GroupCache   bool
 	NativeSelect bool
-	BatchSize    int
 }
 
-// DefaultBatchSize is the batch width DefaultOptions enables: large
-// enough to amortize per-call interpretation on warm drains, small
-// enough that a pooled batch stays within a few cache lines of binding
-// pointers.
-const DefaultBatchSize = 64
-
-// DefaultOptions enables all caches and batch-at-a-time execution, and
-// leaves NC = {d, r, f}.
+// DefaultOptions enables all caches and leaves NC = {d, r, f}.
 func DefaultOptions() Options {
-	return Options{JoinCache: true, PathCache: true, GroupCache: true, BatchSize: DefaultBatchSize}
+	return Options{JoinCache: true, PathCache: true, GroupCache: true}
 }
-
-// width is the pipeline width BatchSize selects.
-func (o Options) width() int { return max(o.BatchSize, 1) }
 
 // New returns an Engine configured by o. A zero Options disables every
 // cache — the paper's fully naive evaluator; New(DefaultOptions()) is

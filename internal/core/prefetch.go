@@ -19,7 +19,7 @@ import (
 // triple-bounded: a navigation budget, a label-byte budget, and a
 // context cancelled the instant real demand arrives —
 // checked between every two navigations, so cancellation takes effect
-// within at most one batch-pipeline pull.
+// within at most one pull of the operator pipeline.
 
 // specSlots bounds the speculative drains running at once across the
 // whole process; a drain waits for a slot or for its cancellation.
@@ -29,8 +29,8 @@ var specSlots = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 // unbounded (the context still applies).
 type PrefetchBudget struct {
 	// MaxNavs caps the navigations the drain issues at the speculative
-	// answer boundary. Each costs at most one batch-pipeline pull of
-	// source work; a warm region costs none.
+	// answer boundary. Each drives at most one pull of the operator
+	// pipeline; a warm region costs none.
 	MaxNavs int64
 	// MaxBytes caps the label bytes the drain fetches (an upper bound on
 	// the cache bytes the drain can publish).

@@ -149,7 +149,7 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 			}}
 		}
 	}
-	all, err := drainB(c, DefaultBatchSize)
+	all, err := drain(c)
 	if err != nil {
 		return 0, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"mix/internal/metrics"
@@ -116,8 +115,8 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 	sum := trace.Summarize(roots)
 	var sawOperator, sawSource bool
 	for _, s := range sum {
-		// Operator spans are "next[n]" pulls (n = bindings carried).
-		if strings.HasPrefix(s.Op, "next") && s.Label != trace.ClientLabel {
+		// Operator spans are "next" pulls.
+		if s.Op == "next" && s.Label != trace.ClientLabel {
 			sawOperator = true
 		}
 		if s.Label == trace.SourcePrefix+"homesSrc" || s.Label == trace.SourcePrefix+"schoolsSrc" {

@@ -1,16 +1,15 @@
 // Package experiments implements the measured experiment suite of
-// EXPERIMENTS.md: one function per experiment id (E1–E19), each
-// regenerating a table that tests one of the paper's claims. The paper
-// itself contains no numeric evaluation — its claims are architectural
-// and complexity-theoretic — so each experiment turns a claim into a
-// measured table whose *shape* (who wins, growth rates, crossovers) is
-// compared against the paper's prediction.
+// EXPERIMENTS.md: one function per experiment id (E1–E19; E14 and E17
+// are retired), each regenerating a table that tests one of the paper's
+// claims. The paper itself contains no numeric evaluation — its claims
+// are architectural and complexity-theoretic — so each experiment turns
+// a claim into a measured table whose *shape* (who wins, growth rates,
+// crossovers) is compared against the paper's prediction.
 //
 // Every count is deterministic: workloads are seeded and the measured
 // quantities are navigation/message/byte counters, pinned by
-// testdata/tables.golden. The few wall-clock readings (E13, E17) are
-// kept apart in Table.Timings; the project's timing numbers live in
-// bench/.
+// testdata/tables.golden. The few wall-clock readings are kept apart
+// in Table.Timings; the project's timing numbers live in bench/.
 package experiments
 
 import (
@@ -112,7 +111,6 @@ var registry = map[string]func() Table{
 	"E13": E13BatchedFills,
 	"E15": E15ClusterL2,
 	"E16": E16FleetTracing,
-	"E17": E17BatchPipeline,
 	"E18": E18SemanticCache,
 	"E19": E19SpeculativePrefetch,
 }

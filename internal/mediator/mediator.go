@@ -36,7 +36,7 @@ import (
 
 // Options configure a Mediator.
 type Options struct {
-	// Engine options (operator caches, native select, pipeline width).
+	// Engine options (operator caches, native select).
 	Engine core.Options
 	// Rewrite enables the navigational-complexity rewriting phase.
 	Rewrite bool

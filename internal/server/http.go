@@ -178,11 +178,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("mix_engine_pool_idle", "engines parked for reuse", st.Pool.Idle)
 	counter("mix_engine_pool_created_total", "engines built by the mediator factory", st.Pool.Created)
 	counter("mix_engine_pool_reused_total", "sessions served by a recycled engine", st.Pool.Reused)
-	if st.Batch != nil {
-		counter("mix_batch_batches_total", "batches moved through the vectorized operator pipeline", st.Batch.Batches)
-		counter("mix_batch_bindings_total", "bindings carried by vectorized batches", st.Batch.Bindings)
-		counter("mix_batch_predrains_total", "full materializations pre-drained batch-at-a-time", st.Batch.Predrains)
-	}
 
 	fpComputed, fpHits := xmltree.FingerprintStats()
 	counter("mix_fp_computed_total", "structural fingerprints computed", fpComputed)

@@ -643,12 +643,9 @@ func (s *Server) Stats() vxdp.Stats {
 			st.Cluster.Routes = s.routeSnapshot()
 		}
 	}
-	if bs := core.BatchSnapshot(); bs != (core.BatchStats{}) {
-		st.Batch = &vxdp.BatchStats{
-			Batches:   bs.Batches,
-			Bindings:  bs.Bindings,
-			Predrains: bs.Predrains,
-		}
+	if n := core.LoggedBindings(); n > 0 {
+		// One binding per pull: every logged pull carried one binding.
+		st.Batch = &vxdp.BatchStats{Batches: n, Bindings: n}
 	}
 	return st
 }

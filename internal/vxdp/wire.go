@@ -275,8 +275,8 @@ type Stats struct {
 	// Pool reports engine reuse across sessions; a server always sets
 	// it.
 	Pool *PoolStats `json:"pool,omitempty"`
-	// Batch, present when the batch-at-a-time pipeline has moved any
-	// bindings, reports the vectorized-execution counters.
+	// Batch, present once the operator pipeline has logged any binding,
+	// carries that count (core.LoggedBindings) in both fields.
 	Batch *BatchStats `json:"batch,omitempty"`
 	// Cluster, present when the server runs as a cluster node, reports
 	// ring routing, proxying, and L2 region-cache traffic.
@@ -338,13 +338,13 @@ type RouteLatency struct {
 	P99Us int64  `json:"p99_us"`
 }
 
-// BatchStats mirrors core.BatchStats on the wire: how many batches the
-// vectorized pipeline moved, the bindings they carried, and how many
-// full materializations were pre-drained batch-at-a-time.
+// BatchStats reports the bindings the operator pipeline logged at its
+// replay points. The pipeline moves one binding per pull, so Batches
+// and Bindings carry the same count; both stay on the wire because the
+// benchmark harness derives core.bindings_per_pull from them.
 type BatchStats struct {
-	Batches   int64 `json:"batches"`
-	Bindings  int64 `json:"bindings"`
-	Predrains int64 `json:"predrains"`
+	Batches  int64 `json:"batches"`
+	Bindings int64 `json:"bindings"`
 }
 
 // SourceStats describes one LXP-buffered source of the asking session:
