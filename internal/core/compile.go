@@ -305,7 +305,7 @@ func (q *Query) bindingsNode() Node {
 // demand-driven navigation contract is enforced — a client step costs
 // at most one pull through the pipeline.
 type bindingList struct {
-	log  *batchLog
+	log  *replayLog
 	pos  int
 	vars []string
 }
@@ -337,8 +337,8 @@ func (q *Query) Materialize() (*xmltree.Tree, error) {
 	return nav.Materialize(q.Document())
 }
 
-// The per-binding kernels below are the operator bodies mapBCursor
-// applies (see batch.go).
+// The per-binding kernels below are the operator bodies mapCursor
+// applies (see pipeline.go).
 
 func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
 	varName, out := op.Var, op.Out

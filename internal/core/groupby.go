@@ -15,13 +15,13 @@ import (
 // scans the input for the next binding with the same group-by list (the
 // paper's next(pb, pg)).
 //
-// With GroupCache the input flows once into a shared batchLog; the
+// With GroupCache the input flows once into a shared replayLog; the
 // group scan and every group's member list are positions into that
 // log, so the grouped value lists stay lazy and memoized and the input
 // is derived once. Without it nothing is kept: the group scan
 // reads the input cursor directly and a value list re-derives its
 // members from a fork of that cursor on every visit (scanList).
-func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
+func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
@@ -29,7 +29,7 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 	by, varName, out := op.By, op.Var, op.Out
 	ks, cache := c.ks, c.e.opts.GroupCache
 	ck, proj := strings.Join(by, "\x01"), &linkOp{keep: by}
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		if len(by) == 0 {
 			// Grouping by {} yields exactly one output binding — even for
 			// empty input ("create one answer element for each {}") — and
@@ -43,9 +43,9 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (bbuilder, error) {
 				values = scanList{in: in, varName: varName}
 			}
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
-			return &sliceBCursor{buf: []*binding{b}}, nil
+			return &sliceCursor{buf: []*binding{b}}, nil
 		}
-		g := &groupsBCursor{ks: ks, by: by, ck: ck, proj: proj,
+		g := &groupsCursor{ks: ks, by: by, ck: ck, proj: proj,
 			varName: varName, out: out, seen: map[string]bool{}}
 		if cache {
 			g.in = &lazyLog{in: in}
@@ -87,15 +87,15 @@ func (v logValueList) next() (Node, list, error) {
 	return n, logValueList{in: v.in, varName: v.varName, pos: v.pos + 1}, nil
 }
 
-// groupsBCursor emits one output binding per distinct group-by list, in
+// groupsCursor emits one output binding per distinct group-by list, in
 // order of first occurrence, keying with the joined variable list
 // precomputed. With GroupCache it scans the shared input log (in);
 // without, it pulls the input cursor (src), so that a fork of src taken
 // at a group head continues the scan exactly after it.
-type groupsBCursor struct {
+type groupsCursor struct {
 	in      *lazyLog
 	pos     int
-	src     bcursor
+	src     cursor
 	ks      *keyspace
 	by      []string
 	ck      string
@@ -105,8 +105,8 @@ type groupsBCursor struct {
 	seen    map[string]bool
 }
 
-func (g *groupsBCursor) next() (*binding, error) {
-	var log *batchLog
+func (g *groupsCursor) next() (*binding, error) {
+	var log *replayLog
 	if g.src == nil {
 		var err error
 		if log, err = g.in.get(); err != nil {
@@ -150,7 +150,7 @@ func (g *groupsBCursor) next() (*binding, error) {
 	}
 }
 
-func (g *groupsBCursor) fork() bcursor {
+func (g *groupsCursor) fork() cursor {
 	f := *g
 	f.seen = maps.Clone(g.seen)
 	if g.src != nil {
@@ -162,7 +162,7 @@ func (g *groupsBCursor) fork() bcursor {
 // memberList is one group's lazy value list: the varName values of the
 // log positions from the group head onward whose group-by key matches.
 type memberList struct {
-	log     *batchLog
+	log     *replayLog
 	pos     int
 	ks      *keyspace
 	by      []string
@@ -206,8 +206,8 @@ func (m memberList) next() (Node, list, error) {
 // saved handle continues from its own snapshot.
 type scanList struct {
 	head    *binding // the group head: emitted first, from is already past it
-	from    bcursor  // input snapshot after the previous member; nil only for
-	in      bbuilder // the head of a by = {} list, which derives the input from in
+	from    cursor   // input snapshot after the previous member; nil only for
+	in      builder  // the head of a by = {} list, which derives the input from in
 	ks      *keyspace
 	by      []string
 	key     string

@@ -80,7 +80,7 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 // inner argument of the loop"). Without it the nested loops re-derive
 // the inner from its sources for every outer binding (the E6 ablation);
 // the hash index *is* an inner cache, so it needs JoinCache.
-func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
+func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 	left, err := c.compile(op.Left)
 	if err != nil {
 		return nil, err
@@ -91,21 +91,21 @@ func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 	}
 	cond, cache := op.Cond, c.e.opts.JoinCache
 	if lk, rk, ok := equiJoinKeys(op); ok && cache {
-		return func() (bcursor, error) {
+		return func() (cursor, error) {
 			lc, err := left()
 			if err != nil {
 				return nil, err
 			}
-			idx := &bHashIndex{right: right, keys: rk, buckets: map[string][]*binding{}}
-			return &bHashJoinCursor{out: lc, idx: idx, cond: cond, lkeys: lk}, nil
+			idx := &hashIndex{right: right, keys: rk, buckets: map[string][]*binding{}}
+			return &hashJoinCursor{out: lc, idx: idx, cond: cond, lkeys: lk}, nil
 		}, nil
 	}
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		lc, err := left()
 		if err != nil {
 			return nil, err
 		}
-		j := &nlJoinBCursor{out: lc, inner: &lazyLog{in: right}, cond: cond}
+		j := &nlJoinCursor{out: lc, inner: &lazyLog{in: right}, cond: cond}
 		if !cache {
 			j.rederive = right
 		}
@@ -113,20 +113,20 @@ func (c *compiler) compileJoin(op *algebra.Join) (bbuilder, error) {
 	}, nil
 }
 
-// nlJoinBCursor is the nested-loops join: each outer binding steps
+// nlJoinCursor is the nested-loops join: each outer binding steps
 // through the inner log, evaluating the condition per pair. With
 // JoinCache the one log is the inner cache; without it (rederive set)
 // every outer binding gets a fresh log over a fresh inner derivation.
-type nlJoinBCursor struct {
-	out      bcursor
+type nlJoinCursor struct {
+	out      cursor
 	inner    *lazyLog
-	rederive bbuilder
+	rederive builder
 	cond     algebra.Cond
 	lb       *binding // current outer binding
 	ipos     int      // position in the inner log
 }
 
-func (j *nlJoinBCursor) next() (*binding, error) {
+func (j *nlJoinCursor) next() (*binding, error) {
 	for {
 		if j.lb == nil {
 			lb, err := j.out.next()
@@ -162,7 +162,7 @@ func (j *nlJoinBCursor) next() (*binding, error) {
 	}
 }
 
-func (j *nlJoinBCursor) fork() bcursor {
+func (j *nlJoinCursor) fork() cursor {
 	f := *j
 	f.out = j.out.fork()
 	if j.rederive != nil {
@@ -171,14 +171,14 @@ func (j *nlJoinBCursor) fork() bcursor {
 	return &f
 }
 
-// bHashIndex is the incrementally-built index over the inner input,
+// hashIndex is the incrementally-built index over the inner input,
 // derived only on first demand; each advance ingests one inner binding.
 // It is shared, mutable state behind the join cursor and its forks —
 // safe because buckets only ever grow, in inner order, so a replayed
 // probe re-reads a (possibly longer) prefix of the same bucket.
-type bHashIndex struct {
-	right   bbuilder
-	src     bcursor // nil until first advance, nil again when done
+type hashIndex struct {
+	right   builder
+	src     cursor // nil until first advance, nil again when done
 	keys    []string
 	buckets map[string][]*binding
 	done    bool
@@ -187,7 +187,7 @@ type bHashIndex struct {
 // advance ingests the next inner binding, reporting whether there was
 // one. A keying failure keeps the already-filed prefix and terminates
 // the index.
-func (h *bHashIndex) advance() (bool, error) {
+func (h *hashIndex) advance() (bool, error) {
 	if h.done {
 		return false, nil
 	}
@@ -214,12 +214,12 @@ func (h *bHashIndex) advance() (bool, error) {
 	return true, nil
 }
 
-// bHashJoinCursor probes the shared index: each outer binding scans
+// hashJoinCursor probes the shared index: each outer binding scans
 // its bucket, advancing the index one inner binding at a time when the
 // indexed prefix runs out.
-type bHashJoinCursor struct {
-	out   bcursor
-	idx   *bHashIndex
+type hashJoinCursor struct {
+	out   cursor
+	idx   *hashIndex
 	cond  algebra.Cond
 	lkeys []string
 	lb    *binding // current outer binding
@@ -227,7 +227,7 @@ type bHashJoinCursor struct {
 	pos   int      // next unexamined position in its bucket
 }
 
-func (c *bHashJoinCursor) next() (*binding, error) {
+func (c *hashJoinCursor) next() (*binding, error) {
 	for {
 		if c.lb == nil {
 			lb, err := c.out.next()
@@ -262,7 +262,7 @@ func (c *bHashJoinCursor) next() (*binding, error) {
 	}
 }
 
-func (c *bHashJoinCursor) fork() bcursor {
+func (c *hashJoinCursor) fork() cursor {
 	f := *c
 	f.out = c.out.fork()
 	return &f

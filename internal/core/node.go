@@ -3,7 +3,7 @@
 // (Section 3, Appendix A).
 //
 // Each algebra operator is compiled into exactly one lazy mediator: a
-// pull-driven cursor (bcursor, see batch.go) over the operator's output
+// pull-driven cursor (cursor, see pipeline.go) over the operator's output
 // list of variable bindings that translates demand on its output into
 // the minimal demand on its inputs — and, at the leaves, into DOM-VXD
 // navigation commands on the wrapped sources. There is one operator

@@ -15,8 +15,8 @@ import (
 
 // The operator pipeline.
 //
-// Every algebra operator compiles to one bbuilder, and every bbuilder
-// builds bcursors: an operator answers a pull on its output with the
+// Every algebra operator compiles to one builder, and every builder
+// builds cursors: an operator answers a pull on its output with the
 // one next binding, pulling its inputs only as far as that binding
 // needs. This is the lazy mediator of the paper (Section 3, Appendix
 // A): demand on an output list becomes the least demand on the input
@@ -32,10 +32,10 @@ import (
 //
 //   - the top log every Document replays (always on — the client may
 //     navigate from any node it has seen);
-//   - JoinCache: the nested-loops inner input is one batchLog shared by
+//   - JoinCache: the nested-loops inner input is one replayLog shared by
 //     all outer bindings (the hash index plays the same role). Off,
-//     the join re-invokes the inner bbuilder per outer binding;
-//   - GroupCache: the groupBy input is one batchLog, group value lists
+//     the join re-invokes the inner builder per outer binding;
+//   - GroupCache: the groupBy input is one replayLog, group value lists
 //     are memoized positions into it. Off, a value list continues the
 //     input scan from a fork() of the cursor at the previous member,
 //     re-deriving the bindings on every visit;
@@ -44,7 +44,7 @@ import (
 //     log instead of re-running the descent. With both other caches on
 //     nothing re-invokes or forks, so default plans carry no such log.
 
-// bcursor is the operator output: next returns the next binding, or
+// cursor is the operator output: next returns the next binding, or
 // (nil, nil) at end of input, or (nil, err) on failure. A consumer
 // stops pulling at the first end or error; the replay logs memoize
 // both at their position, so every later reader sees the same prefix
@@ -54,19 +54,19 @@ import (
 // position: private state (the binding being expanded, seen sets) is
 // copied and the input forked, while logs and hash indexes — the
 // caches — are shared. Only the GroupCache-off value lists fork.
-type bcursor interface {
+type cursor interface {
 	next() (*binding, error)
-	fork() bcursor
+	fork() cursor
 }
 
-// bbuilder creates an operator's output cursor; each invocation derives
+// builder creates an operator's output cursor; each invocation derives
 // the output afresh. With JoinCache and GroupCache on, every operator
-// has exactly one consumer (multi-reader points go through a batchLog
+// has exactly one consumer (multi-reader points go through a replayLog
 // or the hash index) and its builder is invoked once per query.
-type bbuilder func() (bcursor, error)
+type builder func() (cursor, error)
 
 // drain pulls the cursor to exhaustion.
-func drain(c bcursor) ([]*binding, error) {
+func drain(c cursor) ([]*binding, error) {
 	var out []*binding
 	for {
 		b, err := c.next()
@@ -86,20 +86,20 @@ var loggedBindings atomic.Int64
 // process.
 func LoggedBindings() int64 { return loggedBindings.Load() }
 
-// batchLog replays a linear cursor: bindings are appended to an
+// replayLog replays a linear cursor: bindings are appended to an
 // append-only buffer as consumers demand positions, so any number of
 // readers (the answer document, group member scans, join re-probes) share
 // one pass over the input. The terminal error, if any, is memoized at
 // its position — a replay sees the same prefix and the same error.
-type batchLog struct {
-	src bcursor // nil once exhausted or failed
+type replayLog struct {
+	src cursor // nil once exhausted or failed
 	buf []*binding
 	err error
 }
 
 // at returns the binding at position i, pulling the source as far as
 // needed; nil at end of input (or the memoized error).
-func (l *batchLog) at(i int) (*binding, error) {
+func (l *replayLog) at(i int) (*binding, error) {
 	for l.src != nil && i >= len(l.buf) {
 		b, err := l.src.next()
 		if b == nil {
@@ -118,18 +118,18 @@ func (l *batchLog) at(i int) (*binding, error) {
 // lazyLog defers input derivation until a reader first demands a
 // position.
 type lazyLog struct {
-	in  bbuilder
-	log *batchLog
+	in  builder
+	log *replayLog
 	err error
 }
 
-func (l *lazyLog) get() (*batchLog, error) {
+func (l *lazyLog) get() (*replayLog, error) {
 	if l.log == nil && l.err == nil {
 		c, err := l.in()
 		if err != nil {
 			l.err = err
 		} else {
-			l.log = &batchLog{src: c}
+			l.log = &replayLog{src: c}
 		}
 		l.in = nil
 	}
@@ -171,34 +171,34 @@ func (c *logCursor) next() (*binding, error) {
 	return b, err
 }
 
-func (c *logCursor) fork() bcursor { f := *c; return &f }
+func (c *logCursor) fork() cursor { f := *c; return &f }
 
-// tracedBCursor wraps an operator's cursor so every pull opens a
+// tracedCursor wraps an operator's cursor so every pull opens a
 // "next" span.
-type tracedBCursor struct {
-	in    bcursor
+type tracedCursor struct {
+	in    cursor
 	label string
 	rec   *trace.Recorder
 }
 
-func (t *tracedBCursor) next() (*binding, error) {
+func (t *tracedCursor) next() (*binding, error) {
 	sp := t.rec.Begin(t.label, "next")
 	b, err := t.in.next()
 	t.rec.End(sp)
 	return b, err
 }
 
-func (t *tracedBCursor) fork() bcursor {
-	return &tracedBCursor{in: t.in.fork(), label: t.label, rec: t.rec}
+func (t *tracedCursor) fork() cursor {
+	return &tracedCursor{in: t.in.fork(), label: t.label, rec: t.rec}
 }
 
-// sliceBCursor serves a fixed slice (sources, sorted orderBy output).
-type sliceBCursor struct {
+// sliceCursor serves a fixed slice (sources, sorted orderBy output).
+type sliceCursor struct {
 	buf []*binding
 	pos int
 }
 
-func (s *sliceBCursor) next() (*binding, error) {
+func (s *sliceCursor) next() (*binding, error) {
 	if s.pos >= len(s.buf) {
 		return nil, nil
 	}
@@ -206,15 +206,15 @@ func (s *sliceBCursor) next() (*binding, error) {
 	return s.buf[s.pos-1], nil
 }
 
-func (s *sliceBCursor) fork() bcursor { f := *s; return &f }
+func (s *sliceCursor) fork() cursor { f := *s; return &f }
 
-// mapBCursor applies a per-binding kernel.
-type mapBCursor struct {
-	in bcursor
+// mapCursor applies a per-binding kernel.
+type mapCursor struct {
+	in cursor
 	fn func(*binding) (*binding, error)
 }
 
-func (m *mapBCursor) next() (*binding, error) {
+func (m *mapCursor) next() (*binding, error) {
 	b, err := m.in.next()
 	if b == nil {
 		return nil, err
@@ -222,17 +222,17 @@ func (m *mapBCursor) next() (*binding, error) {
 	return m.fn(b)
 }
 
-func (m *mapBCursor) fork() bcursor {
-	return &mapBCursor{in: m.in.fork(), fn: m.fn}
+func (m *mapCursor) fork() cursor {
+	return &mapCursor{in: m.in.fork(), fn: m.fn}
 }
 
-// filterBCursor keeps the bindings satisfying pred.
-type filterBCursor struct {
-	in   bcursor
+// filterCursor keeps the bindings satisfying pred.
+type filterCursor struct {
+	in   cursor
 	pred func(*binding) (bool, error)
 }
 
-func (f *filterBCursor) next() (*binding, error) {
+func (f *filterCursor) next() (*binding, error) {
 	for {
 		b, err := f.in.next()
 		if b == nil {
@@ -248,23 +248,23 @@ func (f *filterBCursor) next() (*binding, error) {
 	}
 }
 
-func (f *filterBCursor) fork() bcursor {
-	return &filterBCursor{in: f.in.fork(), pred: f.pred}
+func (f *filterCursor) fork() cursor {
+	return &filterCursor{in: f.in.fork(), pred: f.pred}
 }
 
-// expandBCursor is the flatMap: each input binding expands into a lazy
+// expandCursor is the flatMap: each input binding expands into a lazy
 // node list (getDescendants matches, fused σ-scan matches), bound to
 // out. The list is stepped one node per pull, so the descent never
 // explores beyond the match it returns.
-type expandBCursor struct {
-	in   bcursor
+type expandCursor struct {
+	in   cursor
 	mk   func(*binding) (list, error)
 	out  string
 	base *binding // binding currently being expanded
 	cur  list     // its remaining match list
 }
 
-func (e *expandBCursor) next() (*binding, error) {
+func (e *expandCursor) next() (*binding, error) {
 	for {
 		if e.cur != nil {
 			h, rest, err := e.cur.next()
@@ -289,20 +289,20 @@ func (e *expandBCursor) next() (*binding, error) {
 	}
 }
 
-func (e *expandBCursor) fork() bcursor {
+func (e *expandCursor) fork() cursor {
 	f := *e
 	f.in = e.in.fork()
 	return &f
 }
 
-// chainBCursor concatenates operator outputs (union); each successor is
+// chainCursor concatenates operator outputs (union); each successor is
 // built only after its predecessor is exhausted.
-type chainBCursor struct {
-	cur  bcursor
-	rest []bbuilder
+type chainCursor struct {
+	cur  cursor
+	rest []builder
 }
 
-func (c *chainBCursor) next() (*binding, error) {
+func (c *chainCursor) next() (*binding, error) {
 	for {
 		if c.cur == nil {
 			if len(c.rest) == 0 {
@@ -322,7 +322,7 @@ func (c *chainBCursor) next() (*binding, error) {
 	}
 }
 
-func (c *chainBCursor) fork() bcursor {
+func (c *chainCursor) fork() cursor {
 	f := *c
 	if c.cur != nil {
 		f.cur = c.cur.fork()
@@ -330,17 +330,17 @@ func (c *chainBCursor) fork() bcursor {
 	return &f
 }
 
-// distinctBCursor keeps first occurrences, keying with the joined
+// distinctCursor keeps first occurrences, keying with the joined
 // variable list precomputed.
-type distinctBCursor struct {
-	in   bcursor
+type distinctCursor struct {
+	in   cursor
 	ks   *keyspace
 	vars []string
 	ck   string
 	seen map[string]bool
 }
 
-func (d *distinctBCursor) next() (*binding, error) {
+func (d *distinctCursor) next() (*binding, error) {
 	for {
 		b, err := d.in.next()
 		if b == nil {
@@ -357,25 +357,25 @@ func (d *distinctBCursor) next() (*binding, error) {
 	}
 }
 
-func (d *distinctBCursor) fork() bcursor {
+func (d *distinctCursor) fork() cursor {
 	f := *d
 	f.in, f.seen = d.in.fork(), maps.Clone(d.seen)
 	return &f
 }
 
-// diffBCursor emits the left bindings whose key tuple the right input
+// diffCursor emits the left bindings whose key tuple the right input
 // never produced. The right side is drained in full — but only once the
 // first left binding exists, and never if the left input is empty.
-type diffBCursor struct {
-	in    bcursor
-	right bbuilder
+type diffCursor struct {
+	in    cursor
+	right builder
 	ks    *keyspace
 	vars  []string
 	ck    string
 	seen  map[string]bool
 }
 
-func (d *diffBCursor) next() (*binding, error) {
+func (d *diffCursor) next() (*binding, error) {
 	for {
 		b, err := d.in.next()
 		if b == nil {
@@ -407,21 +407,21 @@ func (d *diffBCursor) next() (*binding, error) {
 // fork shares the right-side key set rather than copying it: once built
 // it is never written again, and the first pull — which precedes any
 // fork — builds it.
-func (d *diffBCursor) fork() bcursor {
+func (d *diffCursor) fork() cursor {
 	f := *d
 	f.in = d.in.fork()
 	return &f
 }
 
-// sortBCursor drains and sorts its input on first demand (orderBy is
+// sortCursor drains and sorts its input on first demand (orderBy is
 // blocking by definition), then serves the sorted slice.
-type sortBCursor struct {
-	in   bcursor
+type sortCursor struct {
+	in   cursor
 	keys []string
-	out  *sliceBCursor
+	out  *sliceCursor
 }
 
-func (s *sortBCursor) next() (*binding, error) {
+func (s *sortCursor) next() (*binding, error) {
 	if s.out == nil {
 		all, err := drain(s.in)
 		if err == nil {
@@ -430,12 +430,12 @@ func (s *sortBCursor) next() (*binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.out, s.in = &sliceBCursor{buf: all}, nil
+		s.out, s.in = &sliceCursor{buf: all}, nil
 	}
 	return s.out.next()
 }
 
-func (s *sortBCursor) fork() bcursor {
+func (s *sortCursor) fork() cursor {
 	f := *s
 	if s.out != nil {
 		out := *s.out
@@ -449,23 +449,23 @@ func (s *sortBCursor) fork() bcursor {
 // compile builds the cursor constructor for a plan node, wrapping it
 // with a traced cursor when a tracer is installed (the per-operator
 // boundary of the observability layer).
-func (c *compiler) compile(p algebra.Op) (bbuilder, error) {
+func (c *compiler) compile(p algebra.Op) (builder, error) {
 	bb, err := c.compileNode(p)
 	if err != nil || c.e.tracer == nil {
 		return bb, err
 	}
 	label, rec := opLabel(p), c.e.tracer
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := bb()
 		if err != nil {
 			return nil, err
 		}
-		return &tracedBCursor{in: cur, label: label, rec: rec}, nil
+		return &tracedCursor{in: cur, label: label, rec: rec}, nil
 	}, nil
 }
 
 // compileNode dispatches compilation per operator.
-func (c *compiler) compileNode(p algebra.Op) (bbuilder, error) {
+func (c *compiler) compileNode(p algebra.Op) (builder, error) {
 	switch op := p.(type) {
 	case *algebra.Source:
 		return c.compileSource(op)
@@ -504,21 +504,21 @@ func (c *compiler) compileNode(p algebra.Op) (bbuilder, error) {
 	}
 }
 
-func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*binding, error)) (bbuilder, error) {
+func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*binding, error)) (builder, error) {
 	in, err := c.compile(input)
 	if err != nil {
 		return nil, err
 	}
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &mapBCursor{in: cur, fn: fn}, nil
+		return &mapCursor{in: cur, fn: fn}, nil
 	}, nil
 }
 
-func (c *compiler) compileSource(op *algebra.Source) (bbuilder, error) {
+func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
 	doc, ok := c.e.lookup(op.URL)
 	if !ok {
 		return nil, fmt.Errorf("core: unregistered source %q", op.URL)
@@ -527,20 +527,20 @@ func (c *compiler) compileSource(op *algebra.Source) (bbuilder, error) {
 		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.e.tracer)
 	}
 	varName := op.Var
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		b := newBinding().with(varName, SourceRoot(doc))
-		return &sliceBCursor{buf: []*binding{b}}, nil
+		return &sliceCursor{buf: []*binding{b}}, nil
 	}, nil
 }
 
-func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (bbuilder, error) {
+func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
 	dfa := pathexpr.NewDFA(pathexpr.Compile(op.Path), c.e.intern)
 	parent, out := op.Parent, op.Out
-	raw := func() (bcursor, error) {
+	raw := func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
@@ -555,12 +555,12 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (bbuilder, 
 		// re-invokes this builder or forks its cursor, and the log would
 		// be dead weight.
 		memo := &lazyLog{in: raw}
-		return func() (bcursor, error) { return &logCursor{log: memo}, nil }, nil
+		return func() (cursor, error) { return &logCursor{log: memo}, nil }, nil
 	}
 	return raw, nil
 }
 
-func (c *compiler) compileSelect(op *algebra.Select) (bbuilder, error) {
+func (c *compiler) compileSelect(op *algebra.Select) (builder, error) {
 	if c.e.opts.NativeSelect {
 		if lm, ok := op.Cond.(*algebra.LabelMatch); ok {
 			if gd, ok := op.Input.(*algebra.GetDescendants); ok &&
@@ -574,29 +574,29 @@ func (c *compiler) compileSelect(op *algebra.Select) (bbuilder, error) {
 		return nil, err
 	}
 	cond := op.Cond
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &filterBCursor{in: cur, pred: func(b *binding) (bool, error) {
+		return &filterCursor{in: cur, pred: func(b *binding) (bool, error) {
 			return cond.Eval(b)
 		}}, nil
 	}, nil
 }
 
-func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label string) (bbuilder, error) {
+func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label string) (builder, error) {
 	in, err := c.compile(gd.Input)
 	if err != nil {
 		return nil, err
 	}
 	parent, out := gd.Parent, gd.Out
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &expandBCursor{in: cur, out: out, mk: func(b *binding) (list, error) {
+		return &expandCursor{in: cur, out: out, mk: func(b *binding) (list, error) {
 			pv, err := b.node(parent)
 			if err != nil {
 				return nil, err
@@ -606,22 +606,22 @@ func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label strin
 	}, nil
 }
 
-func (c *compiler) compileOrderBy(op *algebra.OrderBy) (bbuilder, error) {
+func (c *compiler) compileOrderBy(op *algebra.OrderBy) (builder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
 	keys := op.Keys
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &sortBCursor{in: cur, keys: keys}, nil
+		return &sortCursor{in: cur, keys: keys}, nil
 	}, nil
 }
 
-func (c *compiler) compileUnion(l, r algebra.Op) (bbuilder, error) {
+func (c *compiler) compileUnion(l, r algebra.Op) (builder, error) {
 	lb, err := c.compile(l)
 	if err != nil {
 		return nil, err
@@ -630,16 +630,16 @@ func (c *compiler) compileUnion(l, r algebra.Op) (bbuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		lc, err := lb()
 		if err != nil {
 			return nil, err
 		}
-		return &chainBCursor{cur: lc, rest: []bbuilder{rb}}, nil
+		return &chainCursor{cur: lc, rest: []builder{rb}}, nil
 	}, nil
 }
 
-func (c *compiler) compileDifference(op *algebra.Difference) (bbuilder, error) {
+func (c *compiler) compileDifference(op *algebra.Difference) (builder, error) {
 	lb, err := c.compile(op.Left)
 	if err != nil {
 		return nil, err
@@ -650,37 +650,37 @@ func (c *compiler) compileDifference(op *algebra.Difference) (bbuilder, error) {
 	}
 	vars := op.Left.OutVars()
 	ks := c.ks
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		lc, err := lb()
 		if err != nil {
 			return nil, err
 		}
-		return &diffBCursor{in: lc, right: rb, ks: ks, vars: vars,
+		return &diffCursor{in: lc, right: rb, ks: ks, vars: vars,
 			ck: strings.Join(vars, "\x01")}, nil
 	}, nil
 }
 
-func (c *compiler) compileDistinct(op *algebra.Distinct) (bbuilder, error) {
+func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
 		return nil, err
 	}
 	vars := op.Input.OutVars()
 	ks := c.ks
-	return func() (bcursor, error) {
+	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &distinctBCursor{in: cur, ks: ks, vars: vars,
+		return &distinctCursor{in: cur, ks: ks, vars: vars,
 			ck: strings.Join(vars, "\x01"), seen: map[string]bool{}}, nil
 	}, nil
 }
 
 // descendCursor expands each input binding into the descendants of its
 // parent value that the path matches, bound to out.
-func descendCursor(in bcursor, parent, out string, dfa *pathexpr.DFA) *expandBCursor {
-	return &expandBCursor{in: in, out: out, mk: func(b *binding) (list, error) {
+func descendCursor(in cursor, parent, out string, dfa *pathexpr.DFA) *expandCursor {
+	return &expandCursor{in: in, out: out, mk: func(b *binding) (list, error) {
 		pv, err := b.node(parent)
 		if err != nil {
 			return nil, err

@@ -137,14 +137,14 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 // reuses the engine's own operator cursors, so chain conditions and
 // descents evaluate exactly as the from-source pipeline would.
 func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
-	var c bcursor = &sliceBCursor{buf: []*binding{
+	var c cursor = &sliceCursor{buf: []*binding{
 		newBinding().with(algebra.GroupChainVar, FromTree(root))}}
 	for _, st := range steps {
 		if st.dfa != nil {
 			c = descendCursor(c, st.parent, st.out, st.dfa)
 		} else {
 			cond := st.cond
-			c = &filterBCursor{in: c, pred: func(b *binding) (bool, error) {
+			c = &filterCursor{in: c, pred: func(b *binding) (bool, error) {
 				return cond.Eval(b)
 			}}
 		}
