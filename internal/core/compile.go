@@ -131,11 +131,10 @@ type Query struct {
 	semTried bool
 
 	// top is the query's top-level pipeline behind the one log every
-	// Document replays. For tupleDestroy
-	// plans it is the pipeline of the root's input and answer the lazy
-	// root node of the virtual answer document resolved from its first
-	// binding; otherwise answer is nil and Document renders the log as
-	// the bs[b[…]…] binding tree.
+	// Document replays. For tupleDestroy plans it is the pipeline of the
+	// root's input and answer the lazy root node of the virtual answer
+	// document resolved from its first binding; otherwise answer is nil
+	// and Document renders the log as the bs[b[…]…] binding tree.
 	top    *lazyLog
 	answer Node
 }

@@ -18,9 +18,9 @@ import (
 // With GroupCache the input flows once into a shared replayLog; the
 // group scan and every group's member list are positions into that
 // log, so the grouped value lists stay lazy and memoized and the input
-// is derived once. Without it nothing is kept: the group scan
-// reads the input cursor directly and a value list re-derives its
-// members from a fork of that cursor on every visit (scanList).
+// is derived once. Without it nothing is kept: the group scan reads the
+// input cursor directly and a value list re-derives its members from a
+// fork of that cursor on every visit (scanList).
 func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 	in, err := c.compile(op.Input)
 	if err != nil {
