@@ -191,6 +191,44 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 	}
 }
 
+// TestBatchFilterEmptyBatches pins the no-false-EOF rule: a filter that
+// rejects long runs of input bindings must keep pulling — a rejected
+// binding is not end-of-stream — and a filter that rejects everything
+// must still terminate with the eager answer (zero rows).
+func TestBatchFilterEmptyBatches(t *testing.T) {
+	homes, _ := workload.HomesSchools(40, 0, 6, 3)
+	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
+	zips := &algebra.GetDescendants{
+		Input: &algebra.GetDescendants{
+			Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
+			Parent: "R", Path: pathexpr.MustParse("home"), Out: "H",
+		},
+		Parent: "H", Path: pathexpr.MustParse("zip._"), Out: "Z",
+	}
+	for _, tc := range []struct {
+		name, lit string
+	}{
+		{"sparse matches", "91000"}, // rare value: long runs of rejected bindings
+		{"no matches", "no-such-zip"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := func() algebra.Op {
+				return &algebra.Project{
+					Input: &algebra.Select{Input: zips,
+						Cond: algebra.Eq(algebra.V("Z"), algebra.Lit(tc.lit))},
+					Keep: []string{"H"},
+				}
+			}
+			want := eagerAnswer(t, plan(), srcs)
+			e, _ := engineWith(DefaultOptions(), srcs)
+			got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan())))
+			if got != want {
+				t.Fatalf("answer differs from eager:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}
+
 // failAfterDoc fails every navigation after the first n have succeeded
 // — an error that strikes mid-stream, after a prefix of bindings has
 // been produced. calls counts every navigation attempted.
