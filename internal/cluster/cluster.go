@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -107,6 +106,21 @@ func (c *Config) fill() {
 // protocol: comfortably under vxdp.MaxFrame so the enclosing frame —
 // key, envelope — always fits. Larger regions simply stay node-local.
 const MaxRegionWire = vxdp.MaxFrame - 4096
+
+// RegionFits reports whether reg is within MaxRegionWire, by the sum of
+// its nodes' wire bounds: vxdp.WinNodeBytes plus the Unknown flag. A
+// node costs at least 29 bytes, so a region that fits has fewer than 10⁵
+// nodes, and its links fit the five characters the bound allows.
+func RegionFits(reg *regioncache.Region) bool {
+	n := 0
+	for _, w := range *reg {
+		n += vxdp.WinNodeBytes(w.Label)
+		if w.Unknown {
+			n += len(`,"u":true`)
+		}
+	}
+	return n <= MaxRegionWire
+}
 
 // Node is one member's view of the fleet: the ring, the peer control
 // links with their health state, the L2 region tier (it implements
@@ -343,13 +357,9 @@ func (n *Node) Flush() {
 			return
 		}
 		reg := e.Export()
-		if reg.Empty() {
-			n.markFlushed(k, mut)
-			return
-		}
-		if enc, err := json.Marshal(reg); err != nil || len(enc) > MaxRegionWire {
-			// Oversized regions stay node-local; remember the count so
-			// the sweep does not re-encode them every interval.
+		if reg.Empty() || !RegionFits(reg) {
+			// Empty and oversized regions stay node-local; remember the
+			// count so the sweep does not re-export them every interval.
 			n.markFlushed(k, mut)
 			return
 		}

@@ -264,24 +264,3 @@ func (e *Entry) merge(n *cnode, t *xmltree.Tree) {
 		n.complete = true
 	}
 }
-
-// Snapshot returns a deep copy of the explored region as a tree, with a
-// hole node appended to every incomplete child list — the same open-tree
-// rendering the buffer component uses. Unexplored labels render as the
-// empty string. It is an inspection/testing aid.
-func (e *Entry) Snapshot() *xmltree.Tree {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return snapNode(e.root)
-}
-
-func snapNode(n *cnode) *xmltree.Tree {
-	t := &xmltree.Tree{Label: n.label}
-	for _, k := range n.kids {
-		t.Children = append(t.Children, snapNode(k))
-	}
-	if !n.complete {
-		t.Children = append(t.Children, xmltree.Hole("unexplored"))
-	}
-	return t
-}

@@ -117,7 +117,7 @@ func (c *Cache) candidates(k Key) []planEntry {
 // e.Complete() holds and every navigation is served from the entry.
 //
 // A candidate's region counts only when complete — locally via
-// Entry.Tree, remotely via Region.Tree — so a partial superset is
+// Entry.Tree, remotely via Region.Complete — so a partial superset is
 // skipped (and never absorbed) wherever it lives. With no remote tier
 // the live local entry is the only place a complete superset can be, so
 // completeness is checked first and a candidate whose entry is missing
@@ -164,16 +164,16 @@ func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containm
 // local entry's, else the remote tier's (absorbed into the local
 // cache) — or nil when neither holds it complete.
 func (c *Cache) completeTree(k Key) *xmltree.Tree {
-	if e := c.Peek(k); e != nil {
-		if t, ok := e.Tree(); ok {
-			return t
+	e := c.Peek(k)
+	if e == nil || !e.Complete() {
+		if r := c.fetch(k); r.Complete() && c.Absorb(k, r) {
+			e = c.Peek(k)
 		}
 	}
-	r := c.fetch(k)
-	t := r.Tree()
-	if t != nil {
-		c.Absorb(k, r)
+	if e == nil {
+		return nil
 	}
+	t, _ := e.Tree()
 	return t
 }
 
@@ -280,24 +280,6 @@ func treeOf(n *cnode) *xmltree.Tree {
 	t := &xmltree.Tree{Label: n.label}
 	for _, k := range n.kids {
 		t.Children = append(t.Children, treeOf(k))
-	}
-	return t
-}
-
-// Tree returns the region as a plain tree when — and only when — it is
-// fully explored (every label known, every child list complete); nil
-// otherwise. It is the wire-side twin of Entry.Tree.
-func (r *Region) Tree() *xmltree.Tree {
-	if r == nil || !r.Known || !r.Complete {
-		return nil
-	}
-	t := &xmltree.Tree{Label: r.Label}
-	for _, k := range r.Kids {
-		kt := k.Tree()
-		if kt == nil {
-			return nil
-		}
-		t.Children = append(t.Children, kt)
 	}
 	return t
 }

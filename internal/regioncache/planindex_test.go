@@ -125,8 +125,8 @@ func TestEntryCompleteAndTree(t *testing.T) {
 	if _, ok := e.Tree(); ok {
 		t.Fatal("Tree() handed out a truncated region")
 	}
-	if wt := e.Export().Tree(); wt != nil {
-		t.Fatalf("Region.Tree() of an incomplete region = %v, want nil", wt)
+	if e.Export().Complete() {
+		t.Fatal("Region.Complete() holds for an incomplete region")
 	}
 	// Publishing the full materialization closes every child list.
 	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{
@@ -139,9 +139,12 @@ func TestEntryCompleteAndTree(t *testing.T) {
 	if !ok || tr.Label != "a" || len(tr.Children) != 2 || tr.Children[1].Label != "c" {
 		t.Fatalf("Tree() = %v, %v", tr, ok)
 	}
-	// Region.Tree mirrors Entry.Tree through the wire form.
-	wt := e.Export().Tree()
-	if wt == nil || !xmltree.Equal(wt, tr) {
-		t.Fatalf("Region.Tree() = %v, want %v", wt, tr)
+	// The wire form carries completeness: the export is complete, and
+	// merged into an empty entry it yields the same tree.
+	reg := e.Export()
+	f := New(0).Entry("v", "fp", 1)
+	f.Merge(reg)
+	if wt, ok := f.Tree(); !reg.Complete() || !ok || !xmltree.Equal(wt, tr) {
+		t.Fatalf("merged export: complete %v, Tree() = %v, %v, want %v", reg.Complete(), wt, ok, tr)
 	}
 }

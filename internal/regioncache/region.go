@@ -1,88 +1,51 @@
 package regioncache
 
 // Region is the wire-portable rendering of an entry's explored region:
-// the cnode tree with its labelKnown/complete bits made explicit, so a
-// peer can merge exactly what this node knows — no more, no less. It is
+// its nodes in window order (see windowWalk), with nothing cut. It is
 // the payload of the cluster L2 protocol's region_get/region_put ops
-// (see internal/cluster and the vxdp region commands); JSON tags are
-// single letters because region frames carry whole explored subtrees.
+// (see internal/cluster and the vxdp region commands), so a peer can
+// merge exactly what this node knows — no more, no less.
 //
-// Unlike Entry.Snapshot's open-tree rendering, a Region distinguishes
-// "label unknown" from "label is the empty string", and "child list
-// complete" from "more children may exist" — the two bits the cache's
-// correctness rests on.
-type Region struct {
-	// Label is the node's label, meaningful only when Known.
-	Label string `json:"l,omitempty"`
-	// Known reports that Label was actually fetched.
-	Known bool `json:"k,omitempty"`
-	// Kids is the known prefix of the child list.
-	Kids []*Region `json:"c,omitempty"`
-	// Complete reports that Kids is the entire child list.
-	Complete bool `json:"z,omitempty"`
-}
+// A node's Unknown flag tells "label unknown" from "label is the empty
+// string". A link tells "child list complete" from "more children may
+// exist": Down = ⊥ is a known empty child list, Right = ⊥ the known end
+// of one, and WindowOut marks where the region stops knowing.
+type Region []WindowNode
 
-// maxRegionDepth bounds Merge recursion so a hostile or corrupted peer
-// frame cannot overflow the stack. Deeper tails are simply dropped —
-// the cache then treats them as unexplored, which is always safe.
-const maxRegionDepth = 512
-
-// Nodes returns the number of nodes in the region (bounded walk, for
-// stats and tests).
+// Nodes returns the number of nodes in the region.
 func (r *Region) Nodes() int {
 	if r == nil {
 		return 0
 	}
-	n := 1
-	for _, k := range r.Kids {
-		n += k.Nodes()
-	}
-	return n
-}
-
-// Equal reports structural equality of two regions (testing aid).
-func (r *Region) Equal(o *Region) bool {
-	if r == nil || o == nil {
-		return r == nil && o == nil
-	}
-	if r.Known != o.Known || r.Complete != o.Complete || len(r.Kids) != len(o.Kids) {
-		return false
-	}
-	if r.Known && r.Label != o.Label {
-		return false
-	}
-	for i := range r.Kids {
-		if !r.Kids[i].Equal(o.Kids[i]) {
-			return false
-		}
-	}
-	return true
+	return len(*r)
 }
 
 // Export renders the entry's explored region for the wire. The result
-// shares no memory with the entry (labels are immutable strings; the
-// node structure is freshly allocated).
+// shares no memory with the entry (labels are immutable strings).
 func (e *Entry) Export() *Region {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return exportNode(e.root)
-}
-
-func exportNode(n *cnode) *Region {
-	r := &Region{Label: n.label, Known: n.labelKnown, Complete: n.complete}
-	if len(n.kids) > 0 {
-		r.Kids = make([]*Region, len(n.kids))
-		for i, k := range n.kids {
-			r.Kids[i] = exportNode(k)
-		}
-	}
-	return r
+	var w windowWalk
+	w.list([]*cnode{e.root}, -1, true) // the root has no siblings
+	r := Region(w.dst)
+	return &r
 }
 
 // Empty reports whether the region carries no information beyond an
 // unexplored root — the export of a freshly created entry.
 func (r *Region) Empty() bool {
-	return r == nil || (!r.Known && !r.Complete && len(r.Kids) == 0)
+	return r.Nodes() == 0 || len(*r) == 1 && (*r)[0].Unknown && (*r)[0].Down != WindowNone
+}
+
+// Complete reports whether the region is fully explored: merged into an
+// empty entry, it leaves every label known and every child list
+// complete.
+func (r *Region) Complete() bool {
+	e := Entry{root: &cnode{}}
+	if r != nil {
+		e.mergeRegion(*r)
+	}
+	return e.root.isClosed()
 }
 
 // Merge folds a peer's region into the entry, extending what is known
@@ -97,29 +60,64 @@ func (e *Entry) Merge(r *Region) {
 	}
 	e.mu.Lock()
 	before := e.bytes
-	e.mergeRegion(e.root, r, 0)
+	e.mergeRegion(*r)
 	delta := e.bytes - before
 	e.mu.Unlock()
 	e.touch()
 	e.account(delta)
 }
 
-func (e *Entry) mergeRegion(n *cnode, r *Region, depth int) {
-	if depth > maxRegionDepth {
-		return
+// mergeRegion is Merge's one linear pass over r in window order. There
+// node i's first child can only be node i+1, and its right sibling only
+// the node just past its subtree, so the pass reads every other link as
+// "unknown past here": a region from a hostile peer can make it neither
+// loop, recurse nor visit a node twice. A child past a list the entry
+// knows to be complete contradicts the entry and ends the pass; what was
+// merged before it stays, since it can only be true. Caller holds e.mu
+// for writing.
+func (e *Entry) mergeRegion(r Region) {
+	// up holds the lists the pass is inside: each list's parent, the
+	// parent's index in r and the position of the list's current node.
+	type open struct {
+		parent  *cnode
+		at, pos int
 	}
-	if r.Known && !n.labelKnown {
-		n.label, n.labelKnown = r.Label, true
-		e.bytes += int64(len(r.Label))
-	}
-	for i, k := range r.Kids {
-		if i == len(n.kids) {
-			n.kids = append(n.kids, &cnode{})
+	var up []open
+	n := e.root
+	for i := 0; i < len(r); {
+		if w := r[i]; !w.Unknown && !n.labelKnown {
+			n.label, n.labelKnown = w.Label, true
+			e.bytes += int64(len(w.Label))
+		}
+		at := i
+		i++
+		if r[at].Down == int32(i) && i < len(r) {
+			up = append(up, open{parent: n, at: at})
+		} else {
+			if r[at].Down == WindowNone && len(n.kids) == 0 {
+				n.complete = true
+			}
+			// at's subtree ends before i: climb to the list i goes on.
+			for len(up) > 0 && (r[at].Right != int32(i) || i == len(r)) {
+				top := up[len(up)-1]
+				if r[at].Right == WindowNone && len(top.parent.kids) == top.pos+1 {
+					top.parent.complete = true
+				}
+				at, up = top.at, up[:len(up)-1]
+			}
+			if len(up) == 0 {
+				return // past the root's subtree
+			}
+			up[len(up)-1].pos++
+		}
+		top := up[len(up)-1]
+		if p := top.parent; top.pos == len(p.kids) {
+			if p.complete {
+				return
+			}
+			p.kids = append(p.kids, &cnode{})
 			e.bytes += nodeBytes
 		}
-		e.mergeRegion(n.kids[i], k, depth+1)
-	}
-	if r.Complete && !n.complete {
-		n.complete = true
+		n = top.parent.kids[top.pos]
 	}
 }

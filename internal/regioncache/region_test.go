@@ -1,6 +1,7 @@
 package regioncache
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,31 @@ func buildEntry(c *Cache) *Entry {
 	return e
 }
 
+// cloneNode deep-copies the cached tree under n.
+func cloneNode(n *cnode) *cnode {
+	c := &cnode{label: n.label, labelKnown: n.labelKnown, complete: n.complete}
+	for _, k := range n.kids {
+		c.kids = append(c.kids, cloneNode(k))
+	}
+	return c
+}
+
+// extends reports whether a knows everything b knows: b's known labels,
+// at least b's known child prefixes, b's complete child lists whole.
+func extends(a, b *cnode) bool {
+	if b.labelKnown && (!a.labelKnown || a.label != b.label) ||
+		b.complete && (!a.complete || len(a.kids) != len(b.kids)) ||
+		len(a.kids) < len(b.kids) {
+		return false
+	}
+	for i, k := range b.kids {
+		if !extends(a.kids[i], k) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRegionExportMergeRoundTrip: Export then Merge reproduces the
 // exact region — the identity the L2 wire protocol depends on.
 func TestRegionExportMergeRoundTrip(t *testing.T) {
@@ -125,8 +151,11 @@ func TestRegionExportMergeRoundTrip(t *testing.T) {
 	c2 := New(0)
 	dst := c2.Entry("v", "fp", 1)
 	dst.Merge(reg)
-	if !dst.Export().Equal(reg) {
+	if !extends(dst.root, src.root) || !extends(src.root, dst.root) {
 		t.Fatalf("merge(export(e)) ≠ e")
+	}
+	if got := dst.Export(); !slices.Equal(*got, *reg) {
+		t.Fatalf("export(merge(export(e))) = %+v, want %+v", *got, *reg)
 	}
 	// Merged labels must actually serve lookups.
 	if l, ok := dst.lookupLabel([]int{0, 1}); !ok || l != "y" {
@@ -135,43 +164,67 @@ func TestRegionExportMergeRoundTrip(t *testing.T) {
 	if ok, known := dst.lookupChild([]int{0}, 2); !known || ok {
 		t.Fatal("completeness bit lost in round trip")
 	}
+	if ok, known := dst.lookupChild(nil, 2); known {
+		t.Fatalf("root child 2 known after round trip (exists %v); the root's list is open", ok)
+	}
 }
 
-// TestMergeOnlyExtends: merging a sparser region into a fuller entry
-// must never erase labels, shrink child prefixes, or clear the
-// completeness bit — remote data can only add knowledge.
+// TestMergeOnlyExtends: merging a sparser or contradicting region into a
+// fuller entry must never erase labels, shrink child prefixes, or clear
+// the completeness bit — remote data can only add knowledge.
 func TestMergeOnlyExtends(t *testing.T) {
 	c := New(0)
 	e := buildEntry(c)
-	before := e.Export()
-	e.Merge(&Region{Known: true, Label: "WRONG", Kids: []*Region{{}}})
-	after := e.Export()
-	if !after.Equal(before) {
-		t.Fatalf("merging a sparser region changed the entry\nbefore: %+v\nafter:  %+v", before, after)
+	before := cloneNode(e.root)
+	for _, r := range []Region{{
+		{Label: "WRONG", Down: 1, Right: WindowNone},
+		// b: no children, and the root's last child.
+		{Unknown: true, Down: WindowNone, Right: WindowNone},
+	}, {
+		{Label: "a", Down: 1, Right: WindowNone},
+		{Label: "b", Down: 2, Right: WindowOut},
+		// b's children x, y, then a third b knows it does not have.
+		{Label: "x", Down: WindowOut, Right: 3},
+		{Label: "y", Down: WindowOut, Right: 4},
+		{Label: "z", Down: WindowNone, Right: WindowNone},
+	}} {
+		e.Merge(&r)
+		if !extends(e.root, before) || !extends(before, e.root) {
+			t.Fatalf("merging %+v changed the entry; now %+v", r, *e.Export())
+		}
 	}
-	// And byte accounting moved only for genuinely new knowledge (none
-	// here beyond what the sparse region could add — nothing).
 	if e.Mutations() == 0 {
 		t.Fatal("building the entry never bumped Mutations")
 	}
 }
 
-// TestMergeDepthCap: a pathologically deep (or adversarial) region
-// merges without recursing past the cap — no stack blowout from a
-// malicious peer.
-func TestMergeDepthCap(t *testing.T) {
-	deep := &Region{Known: true, Label: "d0"}
-	cur := deep
-	for i := 1; i < 4*maxRegionDepth; i++ {
-		next := &Region{Known: true, Label: "d"}
-		cur.Kids = []*Region{next}
-		cur = next
+// TestMergeDeepChain: a pathologically deep (or adversarial) region
+// merges in one pass without recursing — no stack blowout and no
+// quadratic climb from a malicious peer, whatever its links say.
+func TestMergeDeepChain(t *testing.T) {
+	const depth = 1 << 16
+	chain := func(right int32) *Region {
+		r := make(Region, depth)
+		for i := range r {
+			r[i] = WindowNode{Label: "d", Down: int32(i + 1), Right: right}
+		}
+		r[0].Label, r[depth-1].Down = "d0", WindowNone
+		return &r
 	}
-	c := New(0)
-	e := c.Entry("v", "fp", 1)
-	e.Merge(deep) // must return, not overflow
-	if l, ok := e.lookupLabel(nil); !ok || l != "d0" {
-		t.Fatalf("root label after deep merge = %q, %v", l, ok)
+	for _, right := range []int32{WindowNone, WindowOut, 0, 1} {
+		e := New(0).Entry("v", "fp", 1)
+		e.Merge(chain(right))
+		n, got := e.root, 1
+		for ; len(n.kids) == 1; got++ {
+			n = n.kids[0]
+		}
+		if got != depth || !n.complete || e.root.label != "d0" {
+			t.Fatalf("Right %d: merged a chain of %d nodes (leaf complete %v, root %q), want %d",
+				right, got, n.complete, e.root.label, depth)
+		}
+		if right == WindowNone && !e.Complete() || right != WindowNone && e.root.kids[0].complete {
+			t.Fatalf("Right %d: a child list's end merged wrong", right)
+		}
 	}
 }
 
@@ -204,7 +257,7 @@ func TestMutationsCounter(t *testing.T) {
 // create nothing.
 func TestAbsorb(t *testing.T) {
 	c := New(0)
-	reg := &Region{Known: true, Label: "a", Complete: true}
+	reg := &Region{{Label: "a", Down: WindowNone, Right: WindowNone}}
 	k := Key{Generation: 0, Registry: 1, Name: "v", Fingerprint: "fp"}
 	if !c.Absorb(k, reg) {
 		t.Fatal("absorb at current generation rejected")
@@ -213,7 +266,7 @@ func TestAbsorb(t *testing.T) {
 	if e == nil {
 		t.Fatal("absorb did not create the entry")
 	}
-	if !e.Export().Equal(reg) {
+	if !slices.Equal(*e.Export(), *reg) {
 		t.Fatal("absorbed region differs")
 	}
 

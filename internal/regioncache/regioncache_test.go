@@ -2,6 +2,7 @@ package regioncache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -196,7 +197,10 @@ func TestMergeTreeSkipsHolesAndRightSiblings(t *testing.T) {
 	}
 }
 
-func TestSnapshotRendersOpenTree(t *testing.T) {
+// TestExportRendersOpenTree: an export renders an incomplete child list
+// as a link past the region (WindowOut), a node whose label is known but
+// whose children are not with Down = WindowOut.
+func TestExportRendersOpenTree(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)
 	d := NewDoc(e, nav.NewTreeDoc(sampleTree()))
@@ -204,12 +208,12 @@ func TestSnapshotRendersOpenTree(t *testing.T) {
 	d.Fetch(root)
 	b, _ := d.Down(root)
 	d.Fetch(b)
-	snap := e.Snapshot()
-	if snap.Label != "bs" || len(snap.Children) != 2 {
-		t.Fatalf("snapshot: %s", snap)
+	want := Region{
+		{Label: "bs", Down: 1, Right: WindowNone},
+		{Label: "b", Down: WindowOut, Right: WindowOut},
 	}
-	if !snap.Children[1].IsHole() {
-		t.Fatal("incomplete child list not rendered with a hole")
+	if got := e.Export(); !slices.Equal(*got, want) {
+		t.Fatalf("export %+v, want %+v", *got, want)
 	}
 }
 

@@ -81,7 +81,7 @@ func regionOf(t *testing.T, tr *xmltree.Tree) *Region {
 	e := New(0).Entry("tmp", "tmp", 1)
 	e.MergeTree(tr)
 	r := e.Export()
-	if r.Tree() == nil {
+	if !r.Complete() {
 		t.Fatal("exported region is not complete")
 	}
 	return r

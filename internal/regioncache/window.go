@@ -26,11 +26,15 @@ const (
 	WindowOut  = -2 // the node exists but lies past the window's end
 )
 
-// WindowNode is one node of a window: its label and the window indexes
-// of its first child and of its right sibling.
+// WindowNode is one node of a window, or of an exported Region: its
+// label and the window indexes of its first child and of its right
+// sibling. The JSON tags are vxdp.WinNode's; Unknown, set only in a
+// Region, marks a node whose label the entry has not fetched.
 type WindowNode struct {
-	Label       string
-	Down, Right int32
+	Label   string `json:"l"`
+	Down    int32  `json:"d"`
+	Right   int32  `json:"r"`
+	Unknown bool   `json:"u,omitempty"`
 }
 
 // Complete reports whether the document's entry is fully explored (see
@@ -109,50 +113,51 @@ func (e *Entry) windowScope(path []int, root *[1]*cnode) (scope []*cnode, parent
 	return p.kids[first:], parent, first
 }
 
-// windowWalk builds one window.
+// windowWalk builds one window, or with no cost function one export
+// (Entry.Export).
 type windowWalk struct {
 	dst    []WindowNode
 	budget int
-	cost   func(string) int
-	cut    bool // the window ends here
+	cost   func(string) int // nil: no cut
+	cut    bool             // the window ends here
 }
 
-// list appends the closed prefix of nodes, each followed by its
-// subtree, linking each to the next through Right. prev is the index of
-// the node the first one is the right sibling of (-1 for none); ended
-// reports that nodes is a whole child list. Only when every node made
-// it and the list is whole does the last one get Right = ⊥; anywhere
-// else the window ends and the last shipped node keeps WindowOut.
+// list appends nodes, each followed by its subtree, linking each to the
+// next through Right. prev is the index of the node the first one is
+// the right sibling of (-1 for none); ended reports that nodes is a
+// whole child list. A window is cut before the first node that is not
+// closed or over budget. Only when every node made it and the list is
+// whole does the last one get Right = ⊥; anywhere else it keeps
+// WindowOut, as does the Down of a node whose child list is not known
+// to be empty and whose first child did not make it.
 func (w *windowWalk) list(nodes []*cnode, prev int, ended bool) {
 	for _, n := range nodes {
 		if w.cut {
 			return
 		}
-		if c := w.cost(n.label); c <= w.budget && n.isClosed() {
-			w.budget -= c
-		} else {
-			w.cut = true
-			return
+		if w.cost != nil {
+			if c := w.cost(n.label); c <= w.budget && n.isClosed() {
+				w.budget -= c
+			} else {
+				w.cut = true
+				return
+			}
 		}
 		at := len(w.dst)
-		w.dst = append(w.dst, WindowNode{Label: n.label, Down: WindowNone, Right: WindowOut})
+		w.dst = append(w.dst, WindowNode{Label: n.label, Down: WindowNone, Right: WindowOut, Unknown: !n.labelKnown})
 		if prev >= 0 {
 			w.dst[prev].Right = int32(at)
 		}
 		prev = at
-		if len(n.kids) > 0 {
+		if len(n.kids) > 0 || !n.complete {
 			w.dst[at].Down = WindowOut
-			w.list(n.kids, -1, true) // a closed node's child lists are complete
+			w.list(n.kids, -1, n.complete)
 			if len(w.dst) > at+1 {
 				w.dst[at].Down = int32(at + 1)
 			}
 		}
 	}
-	if !ended {
-		w.cut = true
-		return
-	}
-	if prev >= 0 {
+	if ended && prev >= 0 {
 		w.dst[prev].Right = WindowNone
 	}
 }

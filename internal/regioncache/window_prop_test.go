@@ -90,30 +90,40 @@ func refWindow(tree *xmltree.Tree, anchor []int, budget int, cost func(string) i
 	return win
 }
 
-// regionAt returns the explored region's node at path, nil when the
-// entry does not know it.
-func regionAt(r *Region, path []int) *Region {
+// nodeAt returns the cached node at path, nil when the entry does not
+// know it.
+func nodeAt(n *cnode, path []int) *cnode {
 	for _, i := range path {
-		if i >= len(r.Kids) {
+		if i >= len(n.kids) {
 			return nil
 		}
-		r = r.Kids[i]
+		n = n.kids[i]
 	}
-	return r
+	return n
 }
 
-// regionClosed reports, from an export, whether a node's label and
-// every child list under it are known.
-func regionClosed(r *Region) bool {
-	if !r.Known || !r.Complete {
+// closedRef reports, from the cached tree itself and without the closed
+// bits isClosed records, whether a node's label and every child list
+// under it are known.
+func closedRef(n *cnode) bool {
+	if !n.labelKnown || !n.complete {
 		return false
 	}
-	for _, k := range r.Kids {
-		if !regionClosed(k) {
+	for _, k := range n.kids {
+		if !closedRef(k) {
 			return false
 		}
 	}
 	return true
+}
+
+// size counts the nodes of the cached subtree under n.
+func size(n *cnode) int {
+	s := 1
+	for _, k := range n.kids {
+		s += size(k)
+	}
+	return s
 }
 
 // TestWindowClosedPrefixProperty explores generated trees partially at
@@ -155,7 +165,6 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 				ids = append(ids, next)
 			}
 		}
-		region := e.Export()
 		for range 5 {
 			anchor := ids[r.Intn(len(ids))]
 			ap := pathOf(t, anchor)
@@ -181,7 +190,7 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 				if n.Label != node.Label {
 					t.Fatalf("trial %d: window at %v: node %d label %q, tree %q", trial, ap, i, n.Label, node.Label)
 				}
-				if rn := regionAt(region, p); rn == nil || !regionClosed(rn) {
+				if rn := nodeAt(e.root, p); rn == nil || !closedRef(rn) {
 					t.Fatalf("trial %d: window at %v shipped node %d %v, which is not closed", trial, ap, i, p)
 				}
 				down, right := int32(WindowNone), int32(WindowNone)
@@ -199,7 +208,7 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 			}
 			if budget == 1<<20 && len(win) > 0 {
 				shipped++
-				if checkClosedPrefix(t, trial, region, ap, win) {
+				if checkClosedPrefix(t, trial, e.root, ap, win) {
 					openCuts++
 				} else if win[len(win)-1].Right == WindowOut {
 					listEnds++
@@ -229,26 +238,27 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 	}
 }
 
-// checkClosedPrefix checks an unbounded window against the explored
-// region: it holds the subtrees of the anchor and its right siblings up
-// to the first one that is not closed, and its last sibling-list node
-// links ⊥ exactly when the entry knows the list ends there. It reports
-// whether the window stopped at a node that is not closed.
-func checkClosedPrefix(t *testing.T, trial int, region *Region, anchor []int, win []WindowNode) (open bool) {
+// checkClosedPrefix checks an unbounded window against the entry's
+// cached tree: it holds the subtrees of the anchor and its right
+// siblings up to the first one that is not closed, and its last
+// sibling-list node links ⊥ exactly when the entry knows the list ends
+// there. It reports whether the window stopped at a node that is not
+// closed.
+func checkClosedPrefix(t *testing.T, trial int, root *cnode, anchor []int, win []WindowNode) (open bool) {
 	t.Helper()
-	scope, ended := []*Region{region}, true
+	scope, ended := []*cnode{root}, true
 	if len(anchor) > 0 {
-		parent := regionAt(region, anchor[:len(anchor)-1])
-		scope, ended = parent.Kids[anchor[len(anchor)-1]:], parent.Complete
+		parent := nodeAt(root, anchor[:len(anchor)-1])
+		scope, ended = parent.kids[anchor[len(anchor)-1]:], parent.complete
 	}
 	want, last := 0, -1
 	for _, n := range scope {
-		if !regionClosed(n) {
+		if !closedRef(n) {
 			ended, open = false, true
 			break
 		}
 		last = want
-		want += n.Nodes()
+		want += size(n)
 	}
 	if len(win) != want {
 		t.Fatalf("trial %d: window at %v has %d nodes, the closed prefix %d", trial, anchor, len(win), want)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"net"
 	"time"
 
@@ -44,10 +43,7 @@ func (s *Server) handleRegionGet(req vxdp.Request) vxdp.Response {
 		return miss
 	}
 	reg := e.Export()
-	if reg.Empty() {
-		return miss
-	}
-	if enc, err := json.Marshal(reg); err != nil || len(enc) > cluster.MaxRegionWire {
+	if reg.Empty() || !cluster.RegionFits(reg) {
 		return miss
 	}
 	if s.cluster != nil {
@@ -96,12 +92,14 @@ func (s *Server) traced(ctx *trace.Context, op string, f func() vxdp.Response) v
 
 // handleInvalidate applies a generation broadcast: raise the cache to
 // the target epoch and, if that actually advanced it, move the server
-// epoch exactly like a local BumpRegistry — pooled engines were built
-// against sources the fleet just declared stale.
+// epoch exactly like a local Update, under the same lock — pooled
+// engines were built against sources the fleet just declared stale.
 func (s *Server) handleInvalidate(req vxdp.Request) vxdp.Response {
 	if s.cache == nil {
 		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
 	}
+	s.update.Lock()
+	defer s.update.Unlock()
 	if s.cache.AdvanceTo(req.Gen) {
 		s.moveEpoch()
 		if s.cluster != nil {

@@ -264,15 +264,13 @@ func (p *prefetcher) closeView(k predict.Key) {
 	}
 }
 
-// dropParked releases every parked query (an epoch move or shutdown).
+// dropParked drops every parked query and its engine (an epoch move,
+// which holds the server's update lock, or shutdown): neither kind of
+// engine may go back to the pool.
 func (p *prefetcher) dropParked() {
 	p.mu.Lock()
-	parked := p.parked
 	p.parked = map[predict.Key]*specQuery{}
 	p.mu.Unlock()
-	for _, q := range parked {
-		p.pool.release(q.eng)
-	}
 }
 
 // cancelDemand kills the drain warming exactly (k, region): real demand

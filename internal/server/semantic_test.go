@@ -50,12 +50,18 @@ func semOracle(t *testing.T, homes *xmltree.Tree, query string) string {
 // counting document, shared across every pooled engine.
 func semServe(t *testing.T, doc nav.Document) (*server.Server, string) {
 	t.Helper()
-	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+	return semServeWith(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterSource("homesSrc", doc)
 		return m, nil
-	}
+	})
+}
+
+// semServeWith boots a plain single-node server with a region cache
+// over factory's engines.
+func semServeWith(t *testing.T, factory server.Factory) (*server.Server, string) {
+	t.Helper()
 	srv, err := server.New(factory, server.WithRegionCache(regioncache.New(0)))
 	if err != nil {
 		t.Fatal(err)

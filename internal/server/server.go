@@ -52,7 +52,9 @@ import (
 // install it *before* registering sources — mediator.SetRegionCache
 // first, then RegisterLXP — which is what makes every engine of a
 // cache generation (pooled and speculative alike) share one buffer per
-// LXP source, paying each fill and get_root once.
+// LXP source, paying each fill and get_root once. It runs under the
+// server's update lock held for reading (see Update), so it must not
+// call Update itself.
 type Factory func(cache *regioncache.Cache) (*mediator.Mediator, error)
 
 // config is the assembled server configuration; callers shape it
@@ -226,6 +228,8 @@ type Server struct {
 	cluster *cluster.Node
 	epoch   atomic.Uint64
 	pool    *enginePool
+	// update makes a registry update one step (see Update).
+	update sync.RWMutex
 
 	// prefetch is the speculative prefetcher (nil = off): the successor
 	// model, the drain workers, and their dedicated engine pool.
@@ -368,12 +372,13 @@ func (p *enginePool) acquire() (*pooledEngine, error) {
 		return pe, nil
 	}
 	p.mu.Unlock()
-	// Sample the epoch before building: an engine whose build races an
-	// epoch move is conservatively treated as stale and dropped at
-	// release (its cache entries detach on their own — see
-	// regioncache.Cache.Open).
+	// The factory reads the data and pins the cache generation under
+	// the same read lock as the epoch sample, so all three belong to one
+	// registry state.
+	p.srv.update.RLock()
 	epoch := p.srv.epoch.Load()
 	m, err := p.factory(p.srv.cache)
+	p.srv.update.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -396,6 +401,8 @@ func (p *enginePool) release(pe *pooledEngine) {
 		return
 	}
 	pe.rec.Take()
+	p.srv.update.RLock()
+	defer p.srv.update.RUnlock()
 	if pe.epoch != p.srv.epoch.Load() {
 		return
 	}
@@ -411,16 +418,27 @@ func (p *enginePool) flush() {
 	p.mu.Unlock()
 }
 
-// BumpRegistry declares that the data behind the factory's sources
-// changed: it invalidates the shared region cache (sessions opened
+// Update changes the data behind the factory's sources as one step:
+// under the update lock it runs swap (nil when the data changed by other
+// means), invalidates the shared region cache (sessions opened
 // afterwards re-derive and re-publish under a fresh generation) and
-// moves the server epoch (see moveEpoch). Live sessions keep their
-// current engines and their now-detached cache entries — they stay
-// self-consistent, never mixing old and new data, until they reopen.
+// moves the server epoch (see moveEpoch). An engine pool holds the lock
+// for reading from its epoch sample until the factory has read its data
+// and pinned the cache generation, and while it parks an engine, so an
+// engine never pins a generation newer than its data and a session
+// whose open starts after Update returns sees the new data. Live
+// sessions keep their current engines and their now-detached cache
+// entries — they stay self-consistent, never mixing old and new data,
+// until they reopen.
 // Under -cluster the new generation is broadcast to every peer, so
 // region keys keep lining up fleet-wide: peers that are down converge
 // later via the health loop's generation-skew re-broadcast.
-func (s *Server) BumpRegistry() {
+func (s *Server) Update(swap func()) {
+	s.update.Lock()
+	defer s.update.Unlock()
+	if swap != nil {
+		swap()
+	}
 	var gen uint64
 	if s.cache != nil {
 		gen = s.cache.Invalidate()
@@ -431,13 +449,17 @@ func (s *Server) BumpRegistry() {
 	}
 }
 
+// BumpRegistry declares that the data behind the factory's sources
+// changed: Update(nil).
+func (s *Server) BumpRegistry() { s.Update(nil) }
+
 // moveEpoch retires everything built against the old sources once the
-// cache generation has moved — by BumpRegistry here, or by a peer's
-// broadcast (handleInvalidate). It bumps the server epoch, so engines
-// checked out now are dropped at release; flushes both engine pools, so
-// the factories rebuild against the new data; and stops speculation
-// about the old world: running drains are cancelled, parked spec
-// queries dropped and successor tables keyed to dead generations
+// cache generation has moved — by Update here, or by a peer's broadcast
+// (handleInvalidate), under s.update. It bumps the server epoch, so
+// engines checked out now are dropped at release; flushes both engine
+// pools, so the factories rebuild against the new data; and stops
+// speculation about the old world: running drains are cancelled, parked
+// spec queries dropped and successor tables keyed to dead generations
 // evicted.
 func (s *Server) moveEpoch() {
 	s.epoch.Add(1)

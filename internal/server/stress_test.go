@@ -4,10 +4,12 @@ package server_test
 // view while the source registry is mutated mid-flight. The invariant
 // is "invalidation, never staleness" — whatever a session explores must
 // be byte-identical to what an *uncached* engine over some registry
-// state would have answered; a blend of two states is a failure. Run
-// with -race (the CI stress step does).
+// state would have answered, a state no older than the last update that
+// returned before the session opened; a blend of two states is a
+// failure. Run with -race (the CI stress step does).
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,15 +26,17 @@ import (
 )
 
 func TestRegistryMutationStress(t *testing.T) {
-	const versions = 3
+	// Every update installs a dataset never seen before, so an answer
+	// names the update it came from.
+	const versions = 32
 	type dataset struct {
 		homes, schools *xmltree.Tree
 		want           string
 	}
 	data := make([]dataset, versions)
-	expected := map[string]int{}
+	expected := map[string]int64{}
 	for v := range data {
-		homes, schools := workload.HomesSchools(8+2*v, 8+2*v, 3, int64(11*v+5))
+		homes, schools := workload.HomesSchools(8+2*(v%3), 8+2*(v%3), 3, int64(11*v+5))
 		m := mediator.New(mediator.DefaultOptions())
 		m.RegisterTree("homesSrc", homes)
 		m.RegisterTree("schoolsSrc", schools)
@@ -49,7 +53,7 @@ func TestRegistryMutationStress(t *testing.T) {
 		if _, dup := expected[want]; dup {
 			t.Fatal("test needs distinguishable datasets")
 		}
-		expected[want] = v
+		expected[want] = int64(v)
 	}
 
 	var version atomic.Int64
@@ -77,22 +81,21 @@ func TestRegistryMutationStress(t *testing.T) {
 	}()
 	addr := l.Addr().String()
 
-	// The mutator swaps the dataset and declares the change, repeatedly,
-	// while sessions are mid-exploration.
+	// The mutator swaps in the next dataset, repeatedly, while sessions
+	// are mid-exploration; mutations counts the updates that returned.
 	stop := make(chan struct{})
 	var mutations atomic.Int64
 	var mutWG sync.WaitGroup
 	mutWG.Add(1)
 	go func() {
 		defer mutWG.Done()
-		for i := int64(1); ; i++ {
+		for i := int64(1); i < versions; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(3 * time.Millisecond):
 			}
-			version.Store(i % versions)
-			srv.BumpRegistry()
+			srv.Update(func() { version.Store(i) })
 			mutations.Add(1)
 		}
 	}()
@@ -112,6 +115,7 @@ func TestRegistryMutationStress(t *testing.T) {
 					fail(err)
 					return
 				}
+				after := mutations.Load()
 				if err := c.Open(joinQuery); err != nil {
 					c.Close()
 					fail(err)
@@ -124,8 +128,11 @@ func TestRegistryMutationStress(t *testing.T) {
 					return
 				}
 				got := xmltree.MarshalXML(tree)
-				if _, ok := expected[got]; !ok {
+				if v, ok := expected[got]; !ok {
 					fail(&stale{got})
+					return
+				} else if v < after {
+					fail(fmt.Errorf("session opened after update %d got the answer of version %d", after, v))
 					return
 				}
 			}
@@ -143,6 +150,58 @@ func TestRegistryMutationStress(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Cache == nil || st.Cache.Generation == 0 {
 		t.Fatalf("registry mutations did not advance the cache generation: %+v", st.Cache)
+	}
+}
+
+// TestUpdateReplay replays the interleaving that let an update land
+// between an engine's data read and its cache-generation pin. The first
+// engine's factory reads v0, has another goroutine swap in v1 and call
+// Update, and waits for the update to move the generation before it
+// pins — or, because Update must block until the pin, for a tenth of a
+// second. Its session explores the whole view. The datasets have the
+// same shape, so the cache cannot tell them apart: a session opened
+// after Update returned must still get v1.
+func TestUpdateReplay(t *testing.T) {
+	homes := func(zip string) *xmltree.Tree {
+		return xmltree.Elem("homes",
+			xmltree.Elem("home", xmltree.Text("zip", zip+"0")),
+			xmltree.Elem("home", xmltree.Text("zip", zip+"1")))
+	}
+	data := []*xmltree.Tree{homes("9100"), homes("9200")}
+	var version atomic.Int64
+	var once sync.Once
+	read := make(chan struct{})
+	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+		d := data[version.Load()]
+		once.Do(func() {
+			gen := rc.Generation()
+			close(read)
+			for deadline := time.Now().Add(100 * time.Millisecond); rc.Generation() == gen && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		m := mediator.New(mediator.DefaultOptions())
+		m.SetRegionCache(rc)
+		m.RegisterTree("homesSrc", d)
+		return m, nil
+	}
+	srv, addr := semServeWith(t, factory)
+	updated := make(chan struct{})
+	go func() {
+		<-read
+		srv.Update(func() { version.Store(1) })
+		close(updated)
+	}()
+	want := make([]string, len(data))
+	for v, d := range data {
+		want[v] = semOracle(t, d, semSuperQ)
+	}
+	if got := semOpen(t, addr, semSuperQ); got != want[0] && got != want[1] {
+		t.Fatalf("first session: %s", got)
+	}
+	<-updated
+	if got := semOpen(t, addr, semSuperQ); got != want[1] {
+		t.Fatalf("session opened after the update got %s, want %s", got, want[1])
 	}
 }
 

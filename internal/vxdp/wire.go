@@ -45,6 +45,9 @@
 //	{"op":"region_put","region":K,"tree":R}   merge region R into K
 //	{"op":"invalidate","gen":G}      raise the cache generation to G
 //
+// A region R is regioncache.Region: window entries (below) for a whole
+// explored region, with "u":true on a node whose label is unknown.
+//
 // and responses are
 //
 //	{"ok":true,"id":H}               a node handle
