@@ -245,7 +245,7 @@ func TestDistributedMediation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go lxp.Serve(l, &lxp.TreeServer{Tree: doc, Chunk: 5, InlineLimit: 32})
+		go lxp.NewTCPServer(&lxp.TreeServer{Tree: doc, Chunk: 5, InlineLimit: 32}).Serve(l)
 		return l.Addr().String(), func() { l.Close() }
 	}
 	ha, hc := serve(homes)
@@ -305,7 +305,7 @@ func TestDistributedPartialExplorationFetchesPart(t *testing.T) {
 	}
 	defer l.Close()
 	counting := lxp.NewCounting(&lxp.TreeServer{Tree: catalog, Chunk: 10, InlineLimit: 64})
-	go lxp.Serve(l, counting)
+	go lxp.NewTCPServer(counting).Serve(l)
 
 	client, err := lxp.Dial(l.Addr().String())
 	if err != nil {
@@ -417,7 +417,7 @@ func TestConnectionDropSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go lxp.Serve(l, &lxp.TreeServer{Tree: catalog, Chunk: 5, InlineLimit: 32})
+	go lxp.NewTCPServer(&lxp.TreeServer{Tree: catalog, Chunk: 5, InlineLimit: 32}).Serve(l)
 
 	client, err := lxp.Dial(l.Addr().String())
 	if err != nil {

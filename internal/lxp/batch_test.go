@@ -86,7 +86,7 @@ func TestWireFillMany(t *testing.T) {
 	}
 	defer l.Close()
 	srv := &TreeServer{Tree: doc(), Chunk: 2, InlineLimit: 2}
-	go Serve(l, srv)
+	go NewTCPServer(srv).Serve(l)
 
 	c, err := Dial(l.Addr().String())
 	if err != nil {

@@ -2,14 +2,10 @@ package lxp
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"mix/internal/wirejson"
 	"mix/internal/xmltree"
@@ -22,80 +18,11 @@ import (
 // builds trees straight from the payload — arena nodes, interned labels.
 // The bytes on the wire are exactly what encoding/json renders for the
 // request/response structs (field order, omitempty holes, "trees":null
-// vs [], sorted "many" keys, HTML-safe string escaping); the codec tests
-// and fuzzers hold the two byte-identical against encoding/json.
-
-var (
-	bufGets atomic.Int64 // total pool fetches
-	bufNews atomic.Int64 // fetches that had to allocate
-)
-
-// BufferPoolStats reports total pooled-buffer fetches and how many of
-// them had to allocate, for /metrics; gets-news fetches were served by
-// reuse.
-func BufferPoolStats() (gets, news int64) {
-	return bufGets.Load(), bufNews.Load()
-}
-
-// keepCap bounds what the frame pools retain; catalog-sized fills
-// beyond it go back to the collector instead of staying pinned.
-const keepCap = 1 << 20
-
-var encBufPool = sync.Pool{New: func() any {
-	bufNews.Add(1)
-	return new(bytes.Buffer)
-}}
-
-// getEncBuf returns an empty pooled buffer with room reserved for the
-// 4-byte length prefix sendFrame fills in.
-func getEncBuf() *bytes.Buffer {
-	bufGets.Add(1)
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0})
-	return buf
-}
-
-func putEncBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= keepCap {
-		encBufPool.Put(buf)
-	}
-}
-
-// sendFrame fills in the length prefix of the frame assembled in buf
-// (by getEncBuf and an encoder) and hands it to w in one Write.
-func sendFrame(w io.Writer, buf *bytes.Buffer) error {
-	frame := buf.Bytes()
-	if len(frame)-4 > maxFrame {
-		return fmt.Errorf("lxp: frame of %d bytes exceeds limit", len(frame)-4)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, err := w.Write(frame)
-	return err
-}
-
-var payloadPool = sync.Pool{New: func() any {
-	bufNews.Add(1)
-	s := make([]byte, 0, 4096)
-	return &s
-}}
-
-func getPayload(n int) *[]byte {
-	bufGets.Add(1)
-	p := payloadPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putPayload(p *[]byte) {
-	if cap(*p) <= keepCap {
-		payloadPool.Put(p)
-	}
-}
-
+// vs [], sorted "many" keys, HTML-safe string escaping). The decoder
+// follows wirejson's rule: it parses by hand only that canonical shape
+// and hands any other payload to encoding/json whole, so its result is
+// always json.Unmarshal's. The codec tests and fuzzers hold both
+// directions to encoding/json.
 // leanResponse is a response at the tree level, before (encode) or
 // after (decode) the wire. hasTrees distinguishes a fill's "trees":[]
 // from the "trees":null of every other op.
@@ -209,34 +136,108 @@ func sortStrings(s []string) {
 
 // writeResponse writes lr as one frame on w.
 func writeResponse(w io.Writer, lr *leanResponse) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	encodeResponse(buf, lr)
-	return sendFrame(w, buf)
+	f := wirejson.GetFrame()
+	defer f.Release()
+	encodeResponse(&f.Buffer, lr)
+	return f.Send(w, maxFrame)
 }
 
 // --- decoding ---------------------------------------------------------------
 
-// decoder is a recursive-descent parser for the response grammar. It
-// accepts any JSON object (unknown fields are skipped, fields may come
-// in any order, whitespace is allowed) so it interoperates with peers
-// that encode through encoding/json; trees are built from an arena with
-// interned labels.
+// decoder parses the canonical payloads encodeResponse and
+// encodeRequest write: fixed key order, no whitespace. The first thing
+// out of that shape sets bad, after which every method is a no-op, and
+// the caller decodes the payload with encoding/json instead. Trees are
+// built from an arena with interned labels, on either path.
 type decoder struct {
 	b       []byte
 	i       int
+	bad     bool
 	depth   int // open {/[ nesting, bounded like encoding/json
 	in      *xmltree.Interner
 	arena   *xmltree.Arena
 	scratch []*xmltree.Tree
+	unq     []byte // the last escaped string, unquoted
 }
 
-// maxDecodeDepth mirrors encoding/json's nesting bound, so inputs the
-// generic decoder rejects as too deep are rejected here too (and the
-// recursion cannot exhaust the stack).
+// maxDecodeDepth is encoding/json's nesting bound: a payload too deep
+// for it is refused on the lean path too, and the recursion cannot
+// exhaust the stack.
 const maxDecodeDepth = 10000
 
-var errBadJSON = fmt.Errorf("lxp: malformed response payload")
+// lit consumes s if the payload continues with it.
+func (d *decoder) lit(s string) bool {
+	if d.bad || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+func (d *decoder) expect(s string) {
+	if !d.lit(s) {
+		d.bad = true
+	}
+}
+
+// open consumes the opening bracket of an object or array.
+func (d *decoder) open(s string) {
+	d.expect(s)
+	if d.depth++; d.depth > maxDecodeDepth {
+		d.bad = true
+	}
+}
+
+func (d *decoder) close(s string) {
+	d.expect(s)
+	d.depth--
+}
+
+// next reports whether element n of the open list or object follows,
+// consuming its separator; at the closing byte end it closes the
+// container and reports false.
+func (d *decoder) next(end string, n int) bool {
+	if d.lit(end) {
+		d.depth--
+		return false
+	}
+	if n > 0 {
+		d.expect(",")
+	}
+	return !d.bad
+}
+
+// done reports whether the whole payload parsed.
+func (d *decoder) done() bool {
+	return !d.bad && d.i == len(d.b)
+}
+
+// str scans a string; labels (intern set) are interned, so a repeated
+// label costs no allocation, escaped or not.
+func (d *decoder) str(intern bool) string {
+	if d.bad {
+		return ""
+	}
+	raw, j, ok := wirejson.PlainString(d.b, d.i)
+	if !ok {
+		d.unq, j, ok = wirejson.Unquote(d.unq[:0], d.b, d.i)
+		raw = d.unq
+	}
+	if d.bad = !ok; d.bad {
+		return ""
+	}
+	d.i = j
+	if intern {
+		return d.in.InternBytes(raw)
+	}
+	return string(raw)
+}
+
+func (d *decoder) uint() uint64 {
+	n, j, ok := wirejson.PlainUint(d.b, d.i)
+	d.i, d.bad = j, !ok
+	return n
+}
 
 // decodeResponse parses one response payload. in may be nil (labels
 // are then plain strings); arena may be nil (a throwaway arena is used
@@ -250,391 +251,114 @@ func decodeResponse(payload []byte, in *xmltree.Interner, arena *xmltree.Arena, 
 	}
 	d := decoder{b: payload, in: in, arena: arena}
 	*lr = leanResponse{}
-	if d.null() {
-		// json.Unmarshal treats a null document as a no-op.
-		d.ws()
-		if d.i != len(d.b) {
-			return errBadJSON
-		}
+	if d.response(lr); d.done() {
 		return nil
 	}
-	if err := d.object(func(key string) error {
-		switch key {
-		case "rid":
-			if d.null() {
-				return nil // null into a scalar field is a no-op
-			}
-			n, err := d.uint()
-			lr.rid = n
-			return err
-		case "hole":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(false)
-			lr.hole = s
-			return err
-		case "trees":
-			if d.null() {
-				return nil
-			}
-			trees, err := d.forest()
-			lr.trees, lr.hasTrees = trees, true
-			return err
-		case "many":
-			if d.null() {
-				return nil
-			}
-			if lr.many == nil { // duplicate "many" keys merge, as encoding/json does
-				lr.many = map[string][]*xmltree.Tree{}
-			}
-			return d.object(func(id string) error {
-				if d.null() {
-					lr.many[id] = []*xmltree.Tree{}
-					return nil
-				}
-				trees, err := d.forest()
-				lr.many[id] = trees
-				return err
-			})
-		case "error":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(false)
-			lr.err = s
-			return err
-		default:
-			return d.skip()
-		}
-	}); err != nil {
-		return err
+	var resp response
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		*lr = leanResponse{}
+		return fmt.Errorf("lxp: malformed response: %w", err)
 	}
-	d.ws()
-	if d.i != len(d.b) {
-		return errBadJSON
+	*lr = leanResponse{rid: resp.Rid, hole: resp.Hole, err: resp.Err}
+	if resp.Trees != nil {
+		lr.trees, lr.hasTrees = d.wireTrees(resp.Trees, false), true
+	}
+	if resp.Many != nil {
+		lr.many = make(map[string][]*xmltree.Tree, len(resp.Many))
+		for id, ws := range resp.Many {
+			lr.many[id] = d.wireTrees(ws, false)
+		}
 	}
 	return nil
 }
 
-func (d *decoder) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
+// response parses the shape encodeResponse writes.
+func (d *decoder) response(lr *leanResponse) {
+	d.open("{")
+	if d.lit(`"rid":`) {
+		lr.rid = d.uint()
+		d.expect(",")
 	}
-}
-
-func (d *decoder) expect(c byte) error {
-	d.ws()
-	if d.i >= len(d.b) || d.b[d.i] != c {
-		return errBadJSON
+	if d.lit(`"hole":`) {
+		lr.hole = d.str(false)
+		d.expect(",")
 	}
-	d.i++
-	return nil
-}
-
-// null consumes a literal null if present.
-func (d *decoder) null() bool {
-	d.ws()
-	if d.i+4 <= len(d.b) && string(d.b[d.i:d.i+4]) == "null" {
-		d.i += 4
-		return true
+	d.expect(`"trees":`)
+	if !d.lit("null") {
+		lr.trees, lr.hasTrees = d.trees(false), true
 	}
-	return false
-}
-
-// object parses {"key":value,…}, calling field for every value; field
-// must consume it.
-func (d *decoder) object(field func(key string) error) error {
-	if err := d.expect('{'); err != nil {
-		return err
-	}
-	if d.depth++; d.depth > maxDecodeDepth {
-		return errBadJSON
-	}
-	defer func() { d.depth-- }()
-	d.ws()
-	if d.i < len(d.b) && d.b[d.i] == '}' {
-		d.i++
-		return nil
-	}
-	for {
-		key, err := d.str(false)
-		if err != nil {
-			return err
-		}
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-		d.ws()
-		if d.i >= len(d.b) {
-			return errBadJSON
-		}
-		switch d.b[d.i] {
-		case ',':
-			d.i++
-		case '}':
-			d.i++
-			return nil
-		default:
-			return errBadJSON
-		}
-	}
-}
-
-// str parses a JSON string. Plain strings are sliced (and, for
-// interned labels, deduplicated without allocating on repeats);
-// escaped strings fall back to encoding/json for exact semantics.
-func (d *decoder) str(intern bool) (string, error) {
-	if err := d.expect('"'); err != nil {
-		return "", err
-	}
-	start := d.i
-	for d.i < len(d.b) {
-		switch c := d.b[d.i]; {
-		case c == '"':
-			raw := d.b[start:d.i]
-			d.i++
-			if intern && d.in != nil {
-				return d.in.InternBytes(raw), nil
+	if d.lit(`,"many":`) {
+		lr.many = map[string][]*xmltree.Tree{}
+		d.open("{")
+		prev := ""
+		for n := 0; d.next("}", n); n++ {
+			id := d.str(false)
+			if n > 0 && id <= prev { // json.Marshal sorts map keys
+				d.bad = true
 			}
-			return string(raw), nil
-		case c == '\\' || c < 0x20 || c >= 0x80:
-			// Escapes, control bytes and non-ASCII (which json coerces
-			// to valid UTF-8) take the exact-semantics path.
-			return d.strSlow(start - 1)
-		default:
-			d.i++
+			d.expect(":")
+			lr.many[id], prev = d.trees(false), id
 		}
 	}
-	return "", errBadJSON
+	if d.lit(`,"error":`) {
+		lr.err = d.str(false)
+	}
+	d.close("}")
 }
 
-// strSlow re-scans an escaped string token from its opening quote and
-// hands it to encoding/json.
-func (d *decoder) strSlow(open int) (string, error) {
-	i := open + 1
-	for i < len(d.b) {
-		switch d.b[i] {
-		case '\\':
-			i += 2
-		case '"':
-			var s string
-			if err := json.Unmarshal(d.b[open:i+1], &s); err != nil {
-				return "", errBadJSON
-			}
-			d.i = i + 1
-			if d.in != nil {
-				s = d.in.Intern(s)
-			}
-			return s, nil
-		default:
-			i++
-		}
-	}
-	return "", errBadJSON
-}
-
-// uint parses a JSON number into a uint64 the way encoding/json does
-// for a uint64 field: plain decimal digits only, no sign, fraction,
-// exponent or overflow.
-func (d *decoder) uint() (uint64, error) {
-	d.ws()
-	start := d.i
-	var n uint64
-	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
-		digit := uint64(d.b[d.i] - '0')
-		if n > (math.MaxUint64-digit)/10 {
-			return 0, errBadJSON
-		}
-		n = n*10 + digit
-		d.i++
-	}
-	if d.i == start || (d.i-start > 1 && d.b[start] == '0') {
-		return 0, errBadJSON
-	}
-	return n, nil
-}
-
-// forest parses [tree,…]. The returned slice is arena-backed (collected
-// through the shared scratch stack) and always non-nil, preserving the
-// "trees":[] vs null distinction.
-func (d *decoder) forest() ([]*xmltree.Tree, error) {
-	if err := d.expect('['); err != nil {
-		return nil, err
-	}
-	if d.depth++; d.depth > maxDecodeDepth {
-		return nil, errBadJSON
-	}
-	defer func() { d.depth-- }()
-	d.ws()
-	if d.i < len(d.b) && d.b[d.i] == ']' {
-		d.i++
-		return []*xmltree.Tree{}, nil
-	}
+// trees parses [tree,…] into an arena-backed slice, nil when empty,
+// collecting the elements on the shared scratch stack.
+// holeKids marks the child list of a hole element: its label is the
+// hole identifier — unique for the session, so interning it would only
+// grow the interner's table without ever deduplicating anything.
+func (d *decoder) trees(holeKids bool) []*xmltree.Tree {
 	mark := len(d.scratch)
-	for {
-		t, err := d.tree(false)
-		if err != nil {
-			return nil, err
-		}
-		d.scratch = append(d.scratch, t)
-		d.ws()
-		if d.i >= len(d.b) {
-			return nil, errBadJSON
-		}
-		switch d.b[d.i] {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			out := d.arena.Children(d.scratch[mark:])
-			d.scratch = d.scratch[:mark]
-			return out, nil
-		default:
-			return nil, errBadJSON
-		}
+	d.open("[")
+	for n := 0; d.next("]", n); n++ {
+		d.scratch = append(d.scratch, d.tree(holeKids))
 	}
-}
-
-// tree parses one tree object into an arena-backed node. A null
-// element decodes as a zero node, as encoding/json decodes a null
-// slice element.
-// holeChild marks the child of a hole element: its label is the hole
-// identifier — unique for the session, so interning it would only grow
-// the interner's table without ever deduplicating anything.
-func (d *decoder) tree(holeChild bool) (*xmltree.Tree, error) {
-	if d.null() {
-		return d.arena.NewNode(""), nil
-	}
-	t := d.arena.NewNode("")
-	mark := len(d.scratch)
-	err := d.object(func(key string) error {
-		switch key {
-		case "l":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(!holeChild)
-			t.Label = s
-			return err
-		case "c":
-			d.scratch = d.scratch[:mark] // duplicate "c" keys: last wins
-			if d.null() {
-				return nil
-			}
-			if err := d.expect('['); err != nil {
-				return err
-			}
-			if d.depth++; d.depth > maxDecodeDepth {
-				return errBadJSON
-			}
-			defer func() { d.depth-- }()
-			d.ws()
-			if d.i < len(d.b) && d.b[d.i] == ']' {
-				d.i++
-				return nil
-			}
-			for {
-				c, err := d.tree(t.Label == xmltree.HoleLabel)
-				if err != nil {
-					return err
-				}
-				d.scratch = append(d.scratch, c)
-				d.ws()
-				if d.i >= len(d.b) {
-					return errBadJSON
-				}
-				switch d.b[d.i] {
-				case ',':
-					d.i++
-				case ']':
-					d.i++
-					return nil
-				default:
-					return errBadJSON
-				}
-			}
-		default:
-			return d.skip()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Children = d.arena.Children(d.scratch[mark:])
+	out := d.arena.Children(d.scratch[mark:])
 	d.scratch = d.scratch[:mark]
-	return t, nil
+	return out
 }
 
-// skip consumes one JSON value of any kind.
-func (d *decoder) skip() error {
-	d.ws()
-	if d.i >= len(d.b) {
-		return errBadJSON
+// tree parses {"l":label} or {"l":label,"c":[…]} into an arena node.
+func (d *decoder) tree(holeChild bool) *xmltree.Tree {
+	d.open("{")
+	d.expect(`"l":`)
+	t := d.arena.NewNode(d.str(!holeChild))
+	if d.lit(`,"c":`) {
+		t.Children = d.trees(t.Label == xmltree.HoleLabel)
 	}
-	switch c := d.b[d.i]; c {
-	case '"':
-		_, err := d.str(false)
-		return err
-	case '{':
-		return d.object(func(string) error { return d.skip() })
-	case '[':
-		if err := d.expect('['); err != nil {
-			return err
+	d.close("}")
+	return t
+}
+
+// wireTrees converts trees encoding/json decoded to the nodes and
+// labels trees builds.
+func (d *decoder) wireTrees(ws []wireTree, holeKids bool) []*xmltree.Tree {
+	mark := len(d.scratch)
+	for _, w := range ws {
+		label := w.L
+		if !holeKids {
+			label = d.in.Intern(label)
 		}
-		if d.depth++; d.depth > maxDecodeDepth {
-			return errBadJSON
-		}
-		defer func() { d.depth-- }()
-		d.ws()
-		if d.i < len(d.b) && d.b[d.i] == ']' {
-			d.i++
-			return nil
-		}
-		for {
-			if err := d.skip(); err != nil {
-				return err
-			}
-			d.ws()
-			if d.i >= len(d.b) {
-				return errBadJSON
-			}
-			switch d.b[d.i] {
-			case ',':
-				d.i++
-			case ']':
-				d.i++
-				return nil
-			default:
-				return errBadJSON
-			}
-		}
-	default: // number, true, false, null
-		start := d.i
-		for d.i < len(d.b) {
-			switch d.b[d.i] {
-			case ',', '}', ']', ' ', '\t', '\n', '\r':
-				if d.i == start {
-					return errBadJSON
-				}
-				return nil
-			default:
-				d.i++
-			}
-		}
-		if d.i == start {
-			return errBadJSON
-		}
-		return nil
+		t := d.arena.NewNode(label)
+		t.Children = d.wireTrees(w.C, label == xmltree.HoleLabel)
+		d.scratch = append(d.scratch, t)
 	}
+	out := d.arena.Children(d.scratch[mark:])
+	d.scratch = d.scratch[:mark]
+	return out
+}
+
+// readResponse reads one response frame from r and decodes it. Decoded
+// trees never alias the frame: labels are interned or copied, nodes
+// live in the arena.
+func readResponse(r io.Reader, in *xmltree.Interner, arena *xmltree.Arena, lr *leanResponse) error {
+	return wirejson.ReadFrame(r, maxFrame, func(p []byte) error {
+		return decodeResponse(p, in, arena, lr)
+	})
 }
 
 // --- requests ---------------------------------------------------------------
@@ -673,148 +397,58 @@ func encodeRequest(buf *bytes.Buffer, req request) {
 
 // writeRequest writes req as one frame on w.
 func writeRequest(w io.Writer, req request) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	encodeRequest(buf, req)
-	return sendFrame(w, buf)
+	f := wirejson.GetFrame()
+	defer f.Release()
+	encodeRequest(&f.Buffer, req)
+	return f.Send(w, maxFrame)
 }
 
-// decodeRequest parses one request payload with the same tolerance as
-// decodeResponse: any field order, whitespace, unknown fields skipped,
-// null fields ignored.
+// decodeRequest parses one request payload: by hand in the shape
+// encodeRequest writes, through encoding/json otherwise.
 func decodeRequest(payload []byte) (request, error) {
 	d := decoder{b: payload}
 	var req request
-	if d.null() {
-		d.ws()
-		if d.i != len(d.b) {
-			return req, errBadJSON
-		}
+	if d.request(&req); d.done() {
 		return req, nil
 	}
-	if err := d.object(func(key string) error {
-		switch key {
-		case "rid":
-			if d.null() {
-				return nil
-			}
-			n, err := d.uint()
-			req.Rid = n
-			return err
-		case "op":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(false)
-			req.Op = s
-			return err
-		case "uri":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(false)
-			req.URI = s
-			return err
-		case "id":
-			if d.null() {
-				return nil
-			}
-			s, err := d.str(false)
-			req.ID = s
-			return err
-		case "ids":
-			if d.null() {
-				return nil
-			}
-			ids, err := d.stringArray()
-			req.IDs = ids
-			return err
-		default:
-			return d.skip()
-		}
-	}); err != nil {
-		return req, err
+	var wire request
+	if err := json.Unmarshal(payload, &wire); err != nil {
+		return request{}, fmt.Errorf("lxp: malformed request: %w", err)
 	}
-	d.ws()
-	if d.i != len(d.b) {
-		return req, errBadJSON
-	}
-	return req, nil
+	return wire, nil
 }
 
-// stringArray parses ["s",…]; null elements decode as "", matching
-// encoding/json's []string semantics.
-func (d *decoder) stringArray() ([]string, error) {
-	if err := d.expect('['); err != nil {
-		return nil, err
+// request parses the shape encodeRequest writes.
+func (d *decoder) request(req *request) {
+	d.open("{")
+	if d.lit(`"rid":`) {
+		req.Rid = d.uint()
+		d.expect(",")
 	}
-	if d.depth++; d.depth > maxDecodeDepth {
-		return nil, errBadJSON
+	d.expect(`"op":`)
+	req.Op = d.str(false)
+	if d.lit(`,"uri":`) {
+		req.URI = d.str(false)
 	}
-	defer func() { d.depth-- }()
-	d.ws()
-	out := []string{}
-	if d.i < len(d.b) && d.b[d.i] == ']' {
-		d.i++
-		return out, nil
+	if d.lit(`,"id":`) {
+		req.ID = d.str(false)
 	}
-	for {
-		if d.null() {
-			out = append(out, "")
-		} else {
-			s, err := d.str(false)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		}
-		d.ws()
-		if d.i >= len(d.b) {
-			return nil, errBadJSON
-		}
-		switch d.b[d.i] {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			return out, nil
-		default:
-			return nil, errBadJSON
+	if d.lit(`,"ids":`) {
+		req.IDs = []string{}
+		d.open("[")
+		for n := 0; d.next("]", n); n++ {
+			req.IDs = append(req.IDs, d.str(false))
 		}
 	}
+	d.close("}")
 }
 
-// readPayload reads one frame's payload from r into a pooled slice,
-// which the caller hands back with putPayload.
-func readPayload(r io.Reader) (*[]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("lxp: frame of %d bytes exceeds limit", n)
-	}
-	p := getPayload(int(n))
-	if _, err := io.ReadFull(r, *p); err != nil {
-		putPayload(p)
-		return nil, err
-	}
-	return p, nil
-}
-
-// readRequest reads one request frame from r through a pooled payload.
-// Decoded strings never alias the pooled payload.
+// readRequest reads one request frame from r. Decoded strings never
+// alias the frame.
 func readRequest(r io.Reader, req *request) error {
-	p, err := readPayload(r)
-	if err != nil {
+	return wirejson.ReadFrame(r, maxFrame, func(p []byte) error {
+		rq, err := decodeRequest(p)
+		*req = rq
 		return err
-	}
-	defer putPayload(p)
-	rq, err := decodeRequest(*p)
-	if err != nil {
-		return err
-	}
-	*req = rq
-	return nil
+	})
 }

@@ -128,9 +128,63 @@ func TestLeanDecodeRejects(t *testing.T) {
 	for _, payload := range []string{
 		"", "{", `{"trees":}`, `{"trees":[}`, `{"trees":[{]}`, `[1]`, `5`,
 		`{"trees":null}x`, `{"hole":"a"`, `{"trees":[{"l":"a"},]}`, `{"trees":truex}`,
+		`{"x":xyz,"trees":null}`, `{"x":-,"hole":"a"}`, `{"x":tru}`,
 	} {
 		if err := decodeResponse([]byte(payload), nil, nil, new(leanResponse)); err == nil {
 			t.Errorf("lean decode accepted malformed payload %q", payload)
+		}
+	}
+}
+
+// TestDecodeInternsLabelsNotHoleIDs: both decode paths intern labels
+// but not hole ids (a hole's child, the hole field), which are unique
+// for the session and would only grow the interner's table.
+func TestDecodeInternsLabelsNotHoleIDs(t *testing.T) {
+	fill := leanResponse{hole: "root", hasTrees: true, trees: []*xmltree.Tree{
+		xmltree.Elem("a", xmltree.Hole("0:1")), xmltree.Elem("a", xmltree.Leaf("é")),
+	}}
+	canonical, err := json.Marshal(wireFromLean(fill))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{canonical, append([]byte(" "), canonical...)} {
+		in := xmltree.NewInterner()
+		if err := decodeResponse(payload, in, nil, new(leanResponse)); err != nil {
+			t.Fatal(err)
+		}
+		if in.Len() != 3 { // a, the hole label, é
+			t.Errorf("decoding %s interned %d strings, want 3", payload, in.Len())
+		}
+	}
+}
+
+// TestLeanDecodeNestingBound: the lean path bounds nesting where
+// encoding/json does (10 000 open brackets), so a canonical payload
+// just inside the bound decodes and one just past it is rejected, by
+// both decoders alike.
+func TestLeanDecodeNestingBound(t *testing.T) {
+	chain := func(k int) *xmltree.Tree {
+		t := xmltree.Leaf("x")
+		for i := 1; i < k; i++ {
+			t = xmltree.Elem("x", t)
+		}
+		return t
+	}
+	for _, tc := range []struct {
+		lr    leanResponse
+		depth int
+	}{
+		{leanResponse{trees: []*xmltree.Tree{chain(4999)}, hasTrees: true}, 9999},
+		{leanResponse{trees: []*xmltree.Tree{chain(5000)}, hasTrees: true}, 10001},
+		{leanResponse{many: map[string][]*xmltree.Tree{"a": {chain(4999)}}}, 10000},
+		{leanResponse{many: map[string][]*xmltree.Tree{"a": {chain(5000)}}}, 10002},
+	} {
+		var buf bytes.Buffer
+		encodeResponse(&buf, &tc.lr)
+		leanErr := decodeResponse(buf.Bytes(), nil, nil, new(leanResponse))
+		jsonErr := json.Unmarshal(buf.Bytes(), new(response))
+		if (leanErr == nil) != (tc.depth <= 10000) || (jsonErr == nil) != (tc.depth <= 10000) {
+			t.Errorf("nesting %d: lean %v, encoding/json %v", tc.depth, leanErr, jsonErr)
 		}
 	}
 }
@@ -184,8 +238,8 @@ func FuzzLeanCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzLeanDecode feeds arbitrary payloads to the lean decoder: it must
-// never panic, must accept whatever encoding/json accepts, and must
-// agree with it on every canonical (re-encodable) payload.
+// never panic, must reject exactly what encoding/json rejects, and must
+// agree with it on every payload both accept.
 func FuzzLeanDecode(f *testing.F) {
 	f.Add([]byte(`{"trees":[{"l":"a","c":[{"l":"b"}]}]}`))
 	f.Add([]byte(`{"hole":"root","trees":null}`))
@@ -197,23 +251,48 @@ func FuzzLeanDecode(f *testing.F) {
 		got := new(leanResponse)
 		leanErr := decodeResponse(payload, xmltree.NewInterner(), nil, got)
 		var resp response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			return // generic rejects; lean may be laxer about skipped values
+		jsonErr := json.Unmarshal(payload, &resp)
+		if (leanErr != nil) != (jsonErr != nil) {
+			t.Fatalf("decoders disagree on accepting %q: lean %v, generic %v", payload, leanErr, jsonErr)
 		}
-		if leanErr != nil {
-			t.Fatalf("generic decoder accepts %q, lean rejects: %v", payload, leanErr)
-		}
-		// On canonical payloads (re-encoding reproduces the input, so
-		// no duplicate-key merge games) the values must agree exactly.
-		re, err := json.Marshal(resp)
-		if err != nil || !bytes.Equal(re, payload) {
+		if jsonErr != nil {
 			return
 		}
 		want := leanFromWire(resp)
 		if !leanEqual(got, &want) {
-			t.Fatalf("decoders disagree on canonical payload %q", payload)
+			t.Fatalf("decoders disagree on %q", payload)
 		}
 	})
+}
+
+// TestEscapedLabelsStayLean guards the encoding/json fallback against
+// becoming a performance cliff: a canonical fill whose labels need
+// escapes or are non-ASCII still takes the lean path, within a few
+// allocations of the same fill with plain labels (encoding/json costs
+// over 1 400 on it).
+func TestEscapedLabelsStayLean(t *testing.T) {
+	escaped := benchForest()
+	for _, book := range escaped.trees {
+		book.Label = "livre-é"
+		book.Children[0].Children[0].Label = `AT&T's <b>"naïve"</b> ☃`
+		book.Children[1].Label = "auteur	"
+	}
+	decodeAllocs := func(lr leanResponse) float64 {
+		payload, err := json.Marshal(wireFromLean(lr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := xmltree.NewInterner()
+		return testing.AllocsPerRun(50, func() {
+			if err := decodeResponse(payload, in, nil, new(leanResponse)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, esc := decodeAllocs(benchForest()), decodeAllocs(escaped)
+	if esc > plain+4 {
+		t.Fatalf("canonical fill with escaped labels: %.0f allocs, plain labels %.0f", esc, plain)
+	}
 }
 
 func benchForest() leanResponse {
@@ -344,7 +423,7 @@ func TestLeanDecodeRequestRejects(t *testing.T) {
 	for _, payload := range []string{
 		``, `{`, `{"op"}`, `{"op":"x"`, `{"op":"x"}y`,
 		`{"ids":["a"`, `{"ids":["a",]}`, `{"ids":"a"}`, `{"ids":[,]}`,
-		`[]`, `"fill"`,
+		`[]`, `"fill"`, `{"op":"fill","id":"a","x":bogus}`,
 	} {
 		if _, err := decodeRequest([]byte(payload)); err == nil {
 			t.Errorf("lean decoder accepted malformed request %q", payload)
@@ -365,11 +444,11 @@ func FuzzLeanDecodeRequest(f *testing.F) {
 		var want request
 		oracleErr := json.Unmarshal(payload, &want)
 		got, leanErr := decodeRequest(payload)
-		if oracleErr != nil {
-			return // lean may be laxer on skipped malformed tokens
+		if (leanErr != nil) != (oracleErr != nil) {
+			t.Fatalf("decoders disagree on accepting %q: lean %v, oracle %v", payload, leanErr, oracleErr)
 		}
-		if leanErr != nil {
-			t.Fatalf("oracle accepts, lean rejects %q: %v", payload, leanErr)
+		if oracleErr != nil {
+			return
 		}
 		canonical, _ := json.Marshal(want)
 		re, err := json.Marshal(got)

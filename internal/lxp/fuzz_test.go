@@ -32,10 +32,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		_ = readRequest(bytes.NewReader(data), &req) // must not panic
-		if p, err := readPayload(bytes.NewReader(data)); err == nil {
-			_ = decodeResponse(*p, nil, nil, new(leanResponse))
-			putPayload(p)
-		}
+		_ = readResponse(bytes.NewReader(data), nil, nil, new(leanResponse))
 	})
 }
 

@@ -195,7 +195,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	defer l.Close()
 	d := doc()
-	go Serve(l, &TreeServer{Tree: d, Chunk: 2, InlineLimit: 2})
+	go NewTCPServer(&TreeServer{Tree: d, Chunk: 2, InlineLimit: 2}).Serve(l)
 
 	c, err := Dial(l.Addr().String())
 	if err != nil {
@@ -214,7 +214,7 @@ func TestWireRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go Serve(l, &TreeServer{Tree: doc()})
+	go NewTCPServer(&TreeServer{Tree: doc()}).Serve(l)
 	c, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestWireConcurrentClients(t *testing.T) {
 	}
 	defer l.Close()
 	d := doc()
-	go Serve(l, &TreeServer{Tree: d, Chunk: 1})
+	go NewTCPServer(&TreeServer{Tree: d, Chunk: 1}).Serve(l)
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func() {

@@ -2,16 +2,11 @@ package lxp
 
 import "mix/internal/xmltree"
 
-// The encoding/json twin of the codec: wire structs whose json.Marshal
-// output is, by definition, the LXP payload format. The codec tests and
-// fuzzers encode and decode through these and compare byte for byte
-// and tree for tree against codec.go.
-
-// wireTree is the JSON encoding of an xmltree.Tree.
-type wireTree struct {
-	L string     `json:"l"`
-	C []wireTree `json:"c,omitempty"`
-}
+// The encoding/json twin of the codec: conversions between trees and
+// the wire structs (wire.go) whose json.Marshal output is, by
+// definition, the LXP payload format. The codec tests and fuzzers
+// encode and decode through these and compare byte for byte and tree
+// for tree against codec.go.
 
 func toWire(t *xmltree.Tree) wireTree {
 	w := wireTree{L: t.Label}
@@ -27,15 +22,6 @@ func fromWire(w wireTree) *xmltree.Tree {
 		t.Children = append(t.Children, fromWire(c))
 	}
 	return t
-}
-
-// response is the wire form of leanResponse.
-type response struct {
-	Rid   uint64                `json:"rid,omitempty"`
-	Hole  string                `json:"hole,omitempty"`
-	Trees []wireTree            `json:"trees"`
-	Many  map[string][]wireTree `json:"many,omitempty"` // fill_many only
-	Err   string                `json:"error,omitempty"`
 }
 
 // leanFromWire converts a generically-decoded response to tree form.

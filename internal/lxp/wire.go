@@ -29,14 +29,31 @@ import (
 // a runaway wrapper.
 const maxFrame = 64 << 20
 
-// request is an LXP request; the json tags name its wire fields, which
-// encodeRequest/decodeRequest (codec.go) write and read.
+// request and response are the LXP messages. Their json.Marshal output
+// is, by definition, the LXP payload format: codec.go writes exactly
+// those bytes, and decodes any payload not in that canonical shape
+// through these structs.
 type request struct {
 	Rid uint64   `json:"rid,omitempty"` // echoed by the response; clients count from 1
 	Op  string   `json:"op"`            // "get_root" | "fill" | "fill_many"
 	URI string   `json:"uri,omitempty"`
 	ID  string   `json:"id,omitempty"`
 	IDs []string `json:"ids,omitempty"` // fill_many only
+}
+
+// response is the wire form of a leanResponse.
+type response struct {
+	Rid   uint64                `json:"rid,omitempty"`
+	Hole  string                `json:"hole,omitempty"`
+	Trees []wireTree            `json:"trees"`
+	Many  map[string][]wireTree `json:"many,omitempty"` // fill_many only
+	Err   string                `json:"error,omitempty"`
+}
+
+// wireTree is the JSON encoding of an xmltree.Tree.
+type wireTree struct {
+	L string     `json:"l"`
+	C []wireTree `json:"c,omitempty"`
 }
 
 // frameWriter lets concurrent senders share one connection: each Write
@@ -136,7 +153,7 @@ func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
 		var lr leanResponse
-		if err := c.readResponse(&lr); err != nil {
+		if err := readResponse(c.r, c.intern, &c.arena, &lr); err != nil {
 			c.fail(fmt.Errorf("lxp: connection lost: %w", err))
 			return
 		}
@@ -153,18 +170,6 @@ func (c *Client) readLoop() {
 		cl.lr = lr
 		cl.done <- struct{}{}
 	}
-}
-
-// readResponse reads and decodes one response frame.
-func (c *Client) readResponse(lr *leanResponse) error {
-	p, err := readPayload(c.r)
-	if err != nil {
-		return err
-	}
-	defer putPayload(p)
-	// Decoded trees never alias the pooled payload: labels are
-	// interned or copied, nodes live in the decoder's arena.
-	return decodeResponse(*p, c.intern, &c.arena, lr)
 }
 
 // roundTrip sends req and waits for the response carrying its rid,
@@ -235,13 +240,6 @@ func (c *Client) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, error) 
 		return map[string][]*xmltree.Tree{}, nil
 	}
 	return resp.many, nil
-}
-
-// Serve answers LXP requests on l with srv until l is closed: a
-// TCPServer nobody shuts down. It returns the listener's accept error
-// (net.ErrClosed after a clean Close).
-func Serve(l net.Listener, srv Server) error {
-	return NewTCPServer(srv).Serve(l)
 }
 
 // answerRequest dispatches one LXP request to srv, at the tree level.

@@ -8,11 +8,11 @@ import (
 	"sort"
 	"time"
 
-	"mix/internal/lxp"
 	"mix/internal/pathexpr"
 	"mix/internal/telemetry"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
+	"mix/internal/wirejson"
 	"mix/internal/xmltree"
 )
 
@@ -188,12 +188,9 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("mix_dfa_cache_misses_total", "path-DFA transitions built from NFA subset construction", dfaMisses)
 	gauge("mix_dfa_states", "materialized lazy-DFA states across live matchers", dfaStates)
 
-	vg, vn := vxdp.BufferPoolStats()
-	counter("mix_vxdp_buffer_gets_total", "VXDP frame-buffer pool fetches", vg)
-	counter("mix_vxdp_buffer_allocs_total", "VXDP frame-buffer pool fetches that allocated", vn)
-	lg, ln := lxp.BufferPoolStats()
-	counter("mix_lxp_buffer_gets_total", "LXP frame-buffer pool fetches", lg)
-	counter("mix_lxp_buffer_allocs_total", "LXP frame-buffer pool fetches that allocated", ln)
+	wg, wn := wirejson.BufferPoolStats()
+	counter("mix_wire_buffer_gets_total", "VXDP and LXP frame-buffer pool fetches", wg)
+	counter("mix_wire_buffer_allocs_total", "VXDP and LXP frame-buffer pool fetches that allocated", wn)
 
 	mem := telemetry.ReadMemStats()
 	counter("mix_heap_alloc_bytes_total", "cumulative heap bytes allocated", int64(mem.AllocBytes))

@@ -244,8 +244,8 @@ func TestHTTPSidecar(t *testing.T) {
 		"mix_operator_duration_seconds",      // operator histograms (tracing on)
 		"mix_fp_computed_total",              // allocation-path counters (PR 5)
 		"mix_dfa_cache_hits_total",
-		"mix_vxdp_buffer_gets_total",
-		"mix_lxp_buffer_gets_total",
+		"mix_wire_buffer_gets_total",
+		"mix_wire_buffer_allocs_total",
 		"mix_heap_alloc_bytes_total",
 		"mix_gc_pause_ns_total",
 	} {

@@ -3,15 +3,9 @@ package vxdp
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
-	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"mix/internal/wirejson"
 )
@@ -146,7 +140,7 @@ func parseNav(p []byte, response bool, f *navFields) bool {
 		return len(p) == 2
 	}
 	for {
-		key, j, ok := plainString(p, i)
+		key, j, ok := wirejson.PlainString(p, i)
 		if !ok || j >= len(p) || p[j] != ':' {
 			return false
 		}
@@ -155,11 +149,11 @@ func parseNav(p []byte, response bool, f *navFields) bool {
 		var s []byte
 		switch bit {
 		case hasID:
-			f.id, i, ok = plainUint(p, i)
+			f.id, i, ok = wirejson.PlainUint(p, i)
 		case hasFlag:
-			f.flag, i, ok = plainBool(p, i)
+			f.flag, i, ok = wirejson.PlainBool(p, i)
 		case hasOp, hasLabel, hasErr:
-			s, i, ok = plainString(p, i)
+			s, i, ok = wirejson.PlainString(p, i)
 		case hasWin:
 			if f.has&hasWin != 0 {
 				return false
@@ -223,60 +217,6 @@ func navKey(key []byte, response bool) uint8 {
 	return 0
 }
 
-// plainString scans a string token at p[i] made only of printable ASCII
-// other than '"' and '\\' — bytes json.Unmarshal takes verbatim — and
-// returns its contents (aliasing p) and the index after it.
-func plainString(p []byte, i int) ([]byte, int, bool) {
-	if i >= len(p) || p[i] != '"' {
-		return nil, i, false
-	}
-	for j := i + 1; j < len(p); j++ {
-		switch c := p[j]; {
-		case c == '"':
-			return p[i+1 : j], j + 1, true
-		case c < 0x20 || c >= 0x80 || c == '\\':
-			return nil, i, false
-		}
-	}
-	return nil, i, false
-}
-
-// plainUint scans a canonical decimal uint64 (no sign, fraction,
-// exponent, leading zero or overflow) at p[i].
-func plainUint(p []byte, i int) (uint64, int, bool) {
-	start := i
-	var n uint64
-	for ; i < len(p) && p[i] >= '0' && p[i] <= '9'; i++ {
-		d := uint64(p[i] - '0')
-		if n > (math.MaxUint64-d)/10 {
-			return 0, start, false
-		}
-		n = n*10 + d
-	}
-	if i == start || (i-start > 1 && p[start] == '0') {
-		return 0, start, false
-	}
-	return n, i, true
-}
-
-// plainInt32 scans a canonical decimal int32 (optional minus sign, no
-// fraction, exponent, leading zero, negative zero or overflow) at p[i].
-func plainInt32(p []byte, i int) (int32, int, bool) {
-	neg := i < len(p) && p[i] == '-'
-	j := i
-	if neg {
-		j++
-	}
-	u, k, ok := plainUint(p, j)
-	if !ok || (neg && u == 0) || u > math.MaxInt32+1 || (!neg && u > math.MaxInt32) {
-		return 0, i, false
-	}
-	if neg {
-		return int32(-int64(u)), k, true
-	}
-	return int32(u), k, true
-}
-
 // parseWin parses the window array at p[i]: entries exactly
 // {"l":L,"d":D,"r":R} in that order, with plain labels and canonical
 // int32 links. It scans twice — once to size, once to fill — so the
@@ -321,13 +261,13 @@ func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, en
 		if !bytes.HasPrefix(p[i:], []byte(`{"l":`)) {
 			return 0, 0, i, false
 		}
-		if label, i, ok = plainString(p, i+len(`{"l":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"d":`)) {
+		if label, i, ok = wirejson.PlainString(p, i+len(`{"l":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"d":`)) {
 			return 0, 0, i, false
 		}
-		if down, i, ok = plainInt32(p, i+len(`,"d":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"r":`)) {
+		if down, i, ok = wirejson.PlainInt32(p, i+len(`,"d":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"r":`)) {
 			return 0, 0, i, false
 		}
-		if right, i, ok = plainInt32(p, i+len(`,"r":`)); !ok || i+1 >= len(p) || p[i] != '}' {
+		if right, i, ok = wirejson.PlainInt32(p, i+len(`,"r":`)); !ok || i+1 >= len(p) || p[i] != '}' {
 			return 0, 0, i, false
 		}
 		if win != nil {
@@ -345,17 +285,6 @@ func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, en
 			return 0, 0, i, false
 		}
 	}
-}
-
-// plainBool scans a true/false literal at p[i].
-func plainBool(p []byte, i int) (bool, int, bool) {
-	switch {
-	case bytes.HasPrefix(p[i:], []byte("true")):
-		return true, i + 4, true
-	case bytes.HasPrefix(p[i:], []byte("false")):
-		return false, i + 5, true
-	}
-	return false, i, false
 }
 
 // opName returns the protocol constant spelled by s, so decoding an op
@@ -434,53 +363,27 @@ func decodeFrame(p []byte, v any) error {
 
 // --- framing ------------------------------------------------------------------
 
-func errTooBig(n int) error {
-	return fmt.Errorf("vxdp: frame of %d bytes exceeds limit %d", n, MaxFrame)
-}
-
-// writeLean completes and writes a frame assembled as a 4-byte
-// placeholder followed by the payload.
-func writeLean(w io.Writer, frame []byte) error {
-	n := len(frame) - 4
-	if n > MaxFrame {
-		return errTooBig(n)
-	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	_, err := w.Write(frame)
-	return err
-}
-
-// writeJSON writes v as one encoding/json frame, assembled in a pooled
-// buffer.
-func writeJSON(w io.Writer, v any) error {
-	fe := getEncBuf()
-	defer putEncBuf(fe)
-	fe.buf.Write([]byte{0, 0, 0, 0})
-	if err := fe.enc.Encode(v); err != nil {
-		return err
-	}
-	// Encode appends a newline that json.Marshal would not produce.
-	frame := fe.buf.Bytes()
-	return writeLean(w, frame[:len(frame)-1])
-}
+// Frames are wirejson's: length-prefixed, checked against MaxFrame, and
+// assembled or read in its pooled buffers where the bufio entry points'
+// own buffers do not serve.
 
 // WriteRequest writes req as one frame. A navigation request is built
 // in w's free buffer space and costs no allocation; any other request
 // is written exactly as WriteFrame writes it.
 func WriteRequest(w *bufio.Writer, req *Request) error {
 	if !navRequest(req) {
-		return writeJSON(w, *req)
+		return WriteFrame(w, *req)
 	}
-	return writeLean(w, appendCmd(append(w.AvailableBuffer(), 0, 0, 0, 0), &req.Cmd))
+	return wirejson.Send(w, appendCmd(append(w.AvailableBuffer(), 0, 0, 0, 0), &req.Cmd), MaxFrame)
 }
 
 // WriteResponse writes resp as one frame, lean for navigation
 // responses, like WriteRequest.
 func WriteResponse(w *bufio.Writer, resp *Response) error {
 	if !navResponse(resp) {
-		return writeJSON(w, *resp)
+		return WriteFrame(w, *resp)
 	}
-	return writeLean(w, appendNavResponse(append(w.AvailableBuffer(), 0, 0, 0, 0), resp))
+	return wirejson.Send(w, appendNavResponse(append(w.AvailableBuffer(), 0, 0, 0, 0), resp), MaxFrame)
 }
 
 // ReadRequest reads one frame into req, which it zeroes first, so one
@@ -488,125 +391,12 @@ func WriteResponse(w *bufio.Writer, resp *Response) error {
 // decoded in place; decoded strings never alias it.
 func ReadRequest(r *bufio.Reader, req *Request) error {
 	*req = Request{}
-	return readBuffered(r, req)
+	return ReadFrame(r, req)
 }
 
 // ReadResponse reads one frame into resp, which it zeroes first, like
 // ReadRequest.
 func ReadResponse(r *bufio.Reader, resp *Response) error {
 	*resp = Response{}
-	return readBuffered(r, resp)
-}
-
-// readBuffered decodes the next frame of r into v, peeking the payload
-// in place when it fits r's buffer and reading it into a pooled slice
-// otherwise.
-func readBuffered(r *bufio.Reader, v any) error {
-	hdr, err := r.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n > MaxFrame {
-		return errTooBig(n)
-	}
-	if 4+n > r.Size() {
-		_, _ = r.Discard(4) // cannot fail: Peek just buffered these bytes
-		p := getPayload(n)
-		defer putPayload(p)
-		if _, err := io.ReadFull(r, *p); err != nil {
-			return err
-		}
-		return decodeFrame(*p, v)
-	}
-	frame, err := r.Peek(4 + n)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	err = decodeFrame(frame[4:], v)
-	_, _ = r.Discard(4 + n)
-	return err
-}
-
-// --- pooled scratch -------------------------------------------------------------
-
-// WriteFrame and ReadFrame work on arbitrary io.Writer/io.Reader values,
-// so they assemble frames in pooled buffers: header and payload leave
-// in a single Write, and payloads land in recycled slices (both
-// decoders copy every string they keep, so recycling after decode is
-// safe).
-
-var (
-	bufGets atomic.Int64 // total pool fetches
-	bufNews atomic.Int64 // fetches that had to allocate
-)
-
-// BufferPoolStats reports total pooled-buffer fetches and how many of
-// them had to allocate, for /metrics; gets-news fetches were served by
-// reuse.
-func BufferPoolStats() (gets, news int64) {
-	return bufGets.Load(), bufNews.Load()
-}
-
-// keepCap bounds what the pools retain: the occasional oversized frame
-// is returned to the collector rather than pinned forever.
-const keepCap = 1 << 16
-
-// frameEncoder bundles the scratch buffer with a json.Encoder bound to
-// it, so the encoder itself is recycled along with the bytes.
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	bufNews.Add(1)
-	fe := &frameEncoder{}
-	fe.enc = json.NewEncoder(&fe.buf)
-	return fe
-}}
-
-func getEncBuf() *frameEncoder {
-	bufGets.Add(1)
-	fe := encPool.Get().(*frameEncoder)
-	fe.buf.Reset()
-	return fe
-}
-
-func putEncBuf(fe *frameEncoder) {
-	if fe.buf.Cap() <= keepCap {
-		encPool.Put(fe)
-	}
-}
-
-var payloadPool = sync.Pool{New: func() any {
-	bufNews.Add(1)
-	s := make([]byte, 0, 4096)
-	return &s
-}}
-
-func getPayload(n int) *[]byte {
-	bufGets.Add(1)
-	p := payloadPool.Get().(*[]byte)
-	resize(p, n)
-	return p
-}
-
-func resize(p *[]byte, n int) {
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-}
-
-func putPayload(p *[]byte) {
-	if cap(*p) <= keepCap {
-		payloadPool.Put(p)
-	}
+	return ReadFrame(r, resp)
 }

@@ -81,7 +81,6 @@
 package vxdp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -440,48 +439,41 @@ func (s Stats) String() string {
 // Response (value or pointer) takes the lean encoder (see codec.go);
 // everything else is encoding/json. The bytes are the same either way.
 func WriteFrame(w io.Writer, v any) error {
-	p := getPayload(0)
-	defer putPayload(p)
-	frame := append(*p, 0, 0, 0, 0)
-	switch f := v.(type) {
+	f := wirejson.GetFrame()
+	defer f.Release()
+	var lean []byte
+	switch v := v.(type) {
 	case Request:
-		if navRequest(&f) {
-			return writeLean(w, appendCmd(frame, &f.Cmd))
+		if navRequest(&v) {
+			lean = appendCmd(f.AvailableBuffer(), &v.Cmd)
 		}
 	case *Request:
-		if f != nil && navRequest(f) {
-			return writeLean(w, appendCmd(frame, &f.Cmd))
+		if v != nil && navRequest(v) {
+			lean = appendCmd(f.AvailableBuffer(), &v.Cmd)
 		}
 	case Response:
-		if navResponse(&f) {
-			return writeLean(w, appendNavResponse(frame, &f))
+		if navResponse(&v) {
+			lean = appendNavResponse(f.AvailableBuffer(), &v)
 		}
 	case *Response:
-		if f != nil && navResponse(f) {
-			return writeLean(w, appendNavResponse(frame, f))
+		if v != nil && navResponse(v) {
+			lean = appendNavResponse(f.AvailableBuffer(), v)
 		}
 	}
-	return writeJSON(w, v)
+	if lean != nil {
+		f.Write(lean)
+	} else if err := f.EncodeJSON(v); err != nil {
+		return err
+	}
+	return f.Send(w, MaxFrame)
 }
 
 // ReadFrame reads one length-prefixed JSON frame into v with exactly
 // json.Unmarshal's semantics (a *Request or *Response navigation frame
 // takes the lean decoder). Truncated, malformed, and oversized frames
-// return errors; no input can panic. The frame lands in a recycled
-// slice that v never aliases.
+// return errors; no input can panic. The frame is decoded where it
+// lies in a *bufio.Reader's buffer, or else read into a recycled slice;
+// v never aliases either.
 func ReadFrame(r io.Reader, v any) error {
-	p := getPayload(4)
-	defer putPayload(p)
-	if _, err := io.ReadFull(r, *p); err != nil {
-		return err
-	}
-	n := int(binary.BigEndian.Uint32(*p))
-	if n > MaxFrame {
-		return errTooBig(n)
-	}
-	resize(p, n)
-	if _, err := io.ReadFull(r, *p); err != nil {
-		return err
-	}
-	return decodeFrame(*p, v)
+	return wirejson.ReadFrame(r, MaxFrame, func(p []byte) error { return decodeFrame(p, v) })
 }

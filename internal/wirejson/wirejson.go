@@ -1,7 +1,22 @@
-// Package wirejson is the string half of the hand-rolled JSON encoders
-// on the wire (the lean LXP fill codec and the VXDP navigation-frame
-// codec): both must emit exactly the bytes encoding/json would, so both
-// escape strings the same way, here.
+// Package wirejson is the lean layer both wire protocols share — VXDP
+// between client and mediator, LXP between buffer and wrapper. It holds
+// what their hand-rolled codecs have in common:
+//
+//   - string encoding (Safe, AppendString): the encoders must emit
+//     exactly the bytes encoding/json would, so both escape strings the
+//     same way, here;
+//   - scalar scanners (PlainString, Unquote, PlainUint, PlainInt32,
+//     PlainBool) that read the tokens of the canonical form the
+//     encoders write, each accepting a token only where json.Unmarshal
+//     decodes it to the same value;
+//   - framing (Frame, Send, ReadFrame): length-prefixed frames checked
+//     against the caller's limit, assembled and read in one set of
+//     pooled buffers.
+//
+// Both decoders follow one rule: a payload in the canonical shape the
+// encoder writes is parsed by hand with these scanners, and any other
+// payload goes to encoding/json whole, which stays the protocols'
+// definition.
 package wirejson
 
 import "encoding/json"
