@@ -2,7 +2,7 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Validate checks that the plan is well-formed: every operator's
@@ -15,9 +15,20 @@ func Validate(p Op) error {
 	return err
 }
 
-func validate(p Op) (vars map[string]bool, err error) {
+// varList is the set of variables an operator's output bindings carry.
+// Plans carry a handful of variables, so a slice without duplicates is
+// scanned rather than hashed: Engine.Compile validates on every open.
+type varList []string
+
+func (s varList) has(v string) bool { return slices.Contains(s, v) }
+
+// validate returns the variables p's output carries. Its frame is kept
+// small: plans nest a dozen operators deep, and the per-operator checks
+// (checkOp) sit on the stack one at a time rather than once per level.
+func validate(p Op) (varList, error) {
 	ins := p.Inputs()
-	inVars := make([]map[string]bool, len(ins))
+	var buf [2]varList // no operator has more than two inputs
+	inVars := buf[:len(ins)]
 	for i, in := range ins {
 		v, err := validate(in)
 		if err != nil {
@@ -25,20 +36,26 @@ func validate(p Op) (vars map[string]bool, err error) {
 		}
 		inVars[i] = v
 	}
-	need := func(set map[string]bool, name, what string) error {
+	return checkOp(p, inVars)
+}
+
+// checkOp checks one operator against the variables its inputs carry
+// and returns the variables its output carries.
+func checkOp(p Op, inVars []varList) (varList, error) {
+	need := func(set varList, name, what string) error {
 		if name == "" {
 			return fmt.Errorf("algebra: %s: empty variable name in %s", what, p.opString())
 		}
-		if !set[name] {
+		if !set.has(name) {
 			return fmt.Errorf("algebra: %s: variable $%s not defined by input of %s", what, name, p.opString())
 		}
 		return nil
 	}
-	fresh := func(set map[string]bool, name string) error {
+	fresh := func(set varList, name string) error {
 		if name == "" {
 			return fmt.Errorf("algebra: empty output variable in %s", p.opString())
 		}
-		if set[name] {
+		if set.has(name) {
 			return fmt.Errorf("algebra: output variable $%s of %s shadows an input variable", name, p.opString())
 		}
 		return nil
@@ -49,7 +66,7 @@ func validate(p Op) (vars map[string]bool, err error) {
 		if op.URL == "" || op.Var == "" {
 			return nil, fmt.Errorf("algebra: source needs url and variable")
 		}
-		return map[string]bool{op.Var: true}, nil
+		return varList{op.Var}, nil
 
 	case *GetDescendants:
 		in := inVars[0]
@@ -75,12 +92,12 @@ func validate(p Op) (vars map[string]bool, err error) {
 
 	case *Join:
 		l, r := inVars[0], inVars[1]
-		for v := range l {
-			if r[v] {
+		for _, v := range l {
+			if r.has(v) {
 				return nil, fmt.Errorf("algebra: join inputs share variable $%s", v)
 			}
 		}
-		both := union(l, r)
+		both := append(slices.Clip(l), r...) // disjoint, checked above
 		for _, v := range op.Cond.Vars() {
 			if err := need(both, v, "join condition"); err != nil {
 				return nil, err
@@ -104,9 +121,9 @@ func validate(p Op) (vars map[string]bool, err error) {
 		if err := fresh(in, op.Out); err != nil {
 			return nil, err
 		}
-		out := map[string]bool{op.Out: true}
+		out := varList{op.Out}
 		for _, v := range op.By {
-			out[v] = true
+			out = add(out, v)
 		}
 		return out, nil
 
@@ -157,12 +174,12 @@ func validate(p Op) (vars map[string]bool, err error) {
 		if len(op.Keep) == 0 {
 			return nil, fmt.Errorf("algebra: project keeps no variables")
 		}
-		out := map[string]bool{}
+		out := make(varList, 0, len(op.Keep))
 		for _, v := range op.Keep {
 			if err := need(in, v, "project"); err != nil {
 				return nil, err
 			}
-			out[v] = true
+			out = add(out, v)
 		}
 		return out, nil
 
@@ -214,64 +231,51 @@ func validate(p Op) (vars map[string]bool, err error) {
 		if err := fresh(in, op.To); err != nil {
 			return nil, err
 		}
-		out := make(map[string]bool, len(in))
-		for k := range in {
+		out := make(varList, 0, len(in))
+		for _, k := range in {
 			if k != op.From {
-				out[k] = true
+				out = append(out, k)
 			}
 		}
-		out[op.To] = true
-		return out, nil
+		return append(out, op.To), nil
 
 	case *TupleDestroy:
 		in := inVars[0]
 		if err := need(in, op.Var, "tupleDestroy"); err != nil {
 			return nil, err
 		}
-		return map[string]bool{}, nil
+		return varList{}, nil
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown operator %T", p)
 	}
 }
 
-func withVar(set map[string]bool, v string) map[string]bool {
-	out := make(map[string]bool, len(set)+1)
-	for k := range set {
-		out[k] = true
-	}
-	out[v] = true
-	return out
+// withVar returns set plus v, which the caller checked is fresh.
+func withVar(set varList, v string) varList {
+	return append(slices.Clip(set), v)
 }
 
-func union(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
+// add returns set plus v unless set already has it.
+func add(set varList, v string) varList {
+	if set.has(v) {
+		return set
 	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
+	return append(set, v)
 }
 
-func sameVars(a, b map[string]bool) bool {
+func sameVars(a, b varList) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for k := range a {
-		if !b[k] {
+	for _, k := range a {
+		if !b.has(k) {
 			return false
 		}
 	}
 	return true
 }
 
-func names(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+func names(set varList) []string {
+	return slices.Sorted(slices.Values(set))
 }

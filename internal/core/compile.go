@@ -139,29 +139,54 @@ type Query struct {
 	answer Node
 }
 
-// Compile validates the plan and compiles it into a tree of lazy
-// mediators. No source is accessed.
+// Compile validates the plan, resolves every source it names and
+// samples the registry version: every error a plan can fail with
+// surfaces here. The tree of lazy mediators — the operator builders and
+// their path DFAs — is built on the first pull of the top-level log, so
+// a query whose answer the region cache already holds in full never
+// builds one. No source is accessed.
 func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	if err := algebra.Validate(plan); err != nil {
 		return nil, err
 	}
-	for _, src := range algebra.Sources(plan) {
-		if _, ok := e.lookup(src); !ok {
-			return nil, fmt.Errorf("core: plan references unregistered source %q", src)
+	// Validate rejects unknown operators, so a nested tupleDestroy is the
+	// one plan compileNode would refuse; it is caught here, not at the
+	// first navigation.
+	c := &compiler{e: e, tracer: e.tracer, srcs: map[string]nav.Document{}}
+	var missing string
+	nested := false
+	algebra.Walk(plan, func(op algebra.Op) {
+		switch op := op.(type) {
+		case *algebra.Source:
+			if doc, ok := e.lookup(op.URL); ok {
+				c.srcs[op.URL] = doc
+			} else if missing == "" {
+				missing = op.URL
+			}
+		case *algebra.TupleDestroy:
+			nested = nested || op != plan
 		}
+	})
+	if missing != "" {
+		return nil, fmt.Errorf("core: plan references unregistered source %q", missing)
+	}
+	if nested {
+		return nil, errNestedTupleDestroy
 	}
 	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
-	c := &compiler{e: e, ks: newKeyspace()}
 	input := plan
 	td, isTD := plan.(*algebra.TupleDestroy)
 	if isTD {
 		input = td.Input
 	}
-	bb, err := c.compile(input)
-	if err != nil {
-		return nil, err
-	}
-	q.top = &lazyLog{in: bb}
+	q.top = &lazyLog{in: func() (cursor, error) {
+		c.ks = newKeyspace()
+		bb, err := c.compile(input)
+		if err != nil {
+			return nil, err
+		}
+		return bb()
+	}}
 	if isTD {
 		// The answer element resolves from the first binding only, pulled
 		// on first navigation.
@@ -184,20 +209,28 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 }
 
 // SetCacheName enables region caching for this query under the given
-// name (conventionally the view names the query was composed from).
-// The cache key is completed by the canonical plan fingerprint —
-// computed here — and the registry version captured at compile time.
+// name (conventionally the view names the query was composed from); it
+// is SetCacheKey with the plan's canonical form computed here. A plan
+// with no canonical form gets an opaque fingerprint of its own.
+func (q *Query) SetCacheName(name string) {
+	canon, fp, _ := regioncache.Canonical(q.plan)
+	q.SetCacheKey(name, canon, fp)
+}
+
+// SetCacheKey enables region caching for this query under the given
+// name, with the canonical plan and fingerprint regioncache.Canonical
+// gives for it (canon nil for a plan with no canonical form). The cache
+// key is completed by the registry version captured at compile time.
 // With no engine cache installed or an empty name, Document stays
 // uncached.
-func (q *Query) SetCacheName(name string) {
+func (q *Query) SetCacheKey(name string, canon algebra.Op, fp string) {
 	q.cacheName = name
-	// The fingerprint is computed even without an engine cache: cluster
+	// The fingerprint is kept even without an engine cache: cluster
 	// routing hashes (name, fingerprint) to pick the owner node whether
 	// or not this node caches locally.
 	if name != "" && q.fingerprint == "" {
-		canon, fp, ok := regioncache.Canonical(q.plan)
 		q.fingerprint = fp
-		if ok {
+		if canon != nil {
 			q.canon = canon
 			// Publish the canonical plan in the semantic index so other
 			// queries of this view can discover it as a superset

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"mix/internal/eager"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
+	"mix/internal/regioncache"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
@@ -83,6 +85,56 @@ func TestCompileErrors(t *testing.T) {
 		Cond:  algebra.Eq(algebra.V("nope"), algebra.Lit("1")),
 	}); err == nil {
 		t.Fatal("condition over unknown variable must fail validation")
+	}
+	// The one plan Validate passes but no pipeline can be built for
+	// fails at Compile, not at the first pull.
+	if _, err := e.Compile(&algebra.Distinct{Input: &algebra.TupleDestroy{
+		Input: &algebra.Source{URL: "s", Var: "X"}, Var: "X",
+	}}); !errors.Is(err, errNestedTupleDestroy) {
+		t.Fatalf("nested tupleDestroy: Compile = %v", err)
+	}
+}
+
+// TestPipelineBuiltOnFirstPull: Compile builds no operator pipeline; the
+// first pull does, over the sources Compile resolved, and a query whose
+// region-cache entry is already complete never builds one.
+func TestPipelineBuiltOnFirstPull(t *testing.T) {
+	homes, _ := workload.HomesSchools(6, 0, 2, 7)
+	e, _ := engineWith(DefaultOptions(), map[string]*xmltree.Tree{"homesSrc": homes})
+	e.SetRegionCache(regioncache.New(0))
+	plan := func() algebra.Op {
+		return &algebra.GetDescendants{
+			Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
+			Parent: "R", Path: pathexpr.MustParse("home.zip"), Out: "Z",
+		}
+	}
+	built := func(q *Query) bool { return q.top.log != nil || q.top.err != nil }
+
+	cold := mustCompile(t, e, plan())
+	cold.SetCacheName("v")
+	if built(cold) {
+		t.Fatal("Compile built the pipeline")
+	}
+	want := xmltree.MarshalXML(mustMaterialize(t, cold))
+	if !built(cold) {
+		t.Fatal("a cold materialization built no pipeline")
+	}
+	warm := mustCompile(t, e, plan())
+	warm.SetCacheName("v")
+	if got := xmltree.MarshalXML(mustMaterialize(t, warm)); got != want {
+		t.Fatalf("warm answer differs:\n%s\nvs\n%s", got, want)
+	}
+	if built(warm) {
+		t.Fatal("a query over a complete entry built a pipeline")
+	}
+
+	// Sources are resolved at Compile: a Register before the first pull
+	// does not reach an already compiled query.
+	pinned := mustCompile(t, e, plan())
+	other, _ := workload.HomesSchools(2, 0, 2, 8)
+	e.Register("homesSrc", nav.NewTreeDoc(other))
+	if got := xmltree.MarshalXML(mustMaterialize(t, pinned)); got != want {
+		t.Fatalf("query read a source registered after its Compile:\n%s", got)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 
+	"mix/internal/nav"
+	"mix/internal/trace"
 	"mix/internal/xmltree"
 )
 
@@ -25,19 +27,22 @@ import (
 // slot index, so different tuples never share a key and equal tuples
 // always do.
 //
-// The keyspace is scoped to one compiled query (created per Compile,
-// threaded by the compiler), which bounds retention: it can never
-// outlive the bindings whose trees it references, and keys from
-// different queries — or from the same plan compiled twice — are never
-// mixed.
+// The keyspace is scoped to one compiled query (created when its
+// pipeline is built, threaded by the compiler), which bounds retention:
+// it can never outlive the bindings whose trees it references, and keys
+// from different queries — or from the same plan compiled twice — are
+// never mixed.
 
 // compiler carries the per-compile state threaded through plan
-// compilation: the engine (options, registry, tracer) and the
-// query-scoped keyspace. Engine.Compile may be called concurrently, so
-// per-compile state lives here rather than on the Engine.
+// compilation: the engine (options, interner), the tracer and the
+// source documents Compile resolved, and the query-scoped keyspace.
+// Engine.Compile may be called concurrently, so per-compile state lives
+// here rather than on the Engine.
 type compiler struct {
-	e  *Engine
-	ks *keyspace
+	e      *Engine
+	tracer *trace.Recorder
+	srcs   map[string]nav.Document
+	ks     *keyspace
 }
 
 // keyspace disambiguates fingerprint collisions within one query.

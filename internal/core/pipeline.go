@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -451,10 +452,10 @@ func (s *sortCursor) fork() cursor {
 // boundary of the observability layer).
 func (c *compiler) compile(p algebra.Op) (builder, error) {
 	bb, err := c.compileNode(p)
-	if err != nil || c.e.tracer == nil {
+	if err != nil || c.tracer == nil {
 		return bb, err
 	}
-	label, rec := opLabel(p), c.e.tracer
+	label, rec := opLabel(p), c.tracer
 	return func() (cursor, error) {
 		cur, err := bb()
 		if err != nil {
@@ -463,6 +464,10 @@ func (c *compiler) compile(p algebra.Op) (builder, error) {
 		return &tracedCursor{in: cur, label: label, rec: rec}, nil
 	}, nil
 }
+
+// errNestedTupleDestroy rejects a tupleDestroy below the plan root;
+// Engine.Compile reports it before any builder exists.
+var errNestedTupleDestroy = errors.New("core: tupleDestroy must be the plan root")
 
 // compileNode dispatches compilation per operator.
 func (c *compiler) compileNode(p algebra.Op) (builder, error) {
@@ -498,7 +503,7 @@ func (c *compiler) compileNode(p algebra.Op) (builder, error) {
 	case *algebra.Rename:
 		return c.compilePerBinding(op.Input, renameKernel(op))
 	case *algebra.TupleDestroy:
-		return nil, fmt.Errorf("core: tupleDestroy must be the plan root")
+		return nil, errNestedTupleDestroy
 	default:
 		return nil, fmt.Errorf("core: unsupported operator %T", p)
 	}
@@ -519,12 +524,9 @@ func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*bindi
 }
 
 func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
-	doc, ok := c.e.lookup(op.URL)
-	if !ok {
-		return nil, fmt.Errorf("core: unregistered source %q", op.URL)
-	}
-	if c.e.tracer != nil {
-		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.e.tracer)
+	doc := c.srcs[op.URL]
+	if c.tracer != nil {
+		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.tracer)
 	}
 	varName := op.Var
 	return func() (cursor, error) {

@@ -57,6 +57,13 @@ func DefaultOptions() Options {
 // registration should happen before serving queries (registrations
 // are guarded, but a query races an in-flight registration it can see
 // or miss).
+//
+// Preprocessing runs once per query text: the mediator memoizes, by the
+// exact text, the final plan, its cache name, browsability and
+// canonical form (see Query). The memo holds at most maxPrepared texts
+// and is cleared by DefineView; the view catalogue and Options are its
+// only other inputs, and it holds nothing tied to a registry version or
+// cache generation.
 type Mediator struct {
 	opts   Options
 	engine *core.Engine
@@ -65,8 +72,25 @@ type Mediator struct {
 
 	mu      sync.Mutex
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
+	viewVer uint64                // DefineView count: a prepare that spans one is not memoized
 	nview   int
+	memo    map[string]*prepared      // by query text
 	buffers map[string]*buffer.Buffer // LXP buffers this mediator opened, by source name
+}
+
+// maxPrepared bounds the prepared-view memo. A full memo drops an
+// arbitrary entry per insert, so a stream of fresh texts churns it
+// without growing it.
+const maxPrepared = 256
+
+// prepared is the product of preprocessing one query text. It is shared,
+// read-only, by every Result of the text, across goroutines.
+type prepared struct {
+	plan  algebra.Op // final (composed, rewritten) plan
+	name  string     // region-cache name (cacheName of the composed views)
+	cls   algebra.Browsability
+	canon algebra.Op // canonical plan; nil when the plan has no canonical form
+	fp    string     // canon's fingerprint ("" when canon is nil)
 }
 
 // New creates a mediator.
@@ -76,6 +100,7 @@ func New(opts Options) *Mediator {
 		engine: core.New(opts.Engine),
 		eager:  eager.New(),
 		views:  map[string]algebra.Op{},
+		memo:   map[string]*prepared{},
 	}
 }
 
@@ -179,7 +204,8 @@ func (m *Mediator) BufferStats() map[string]buffer.Stats {
 
 // DefineView registers a XMAS view definition under the given name.
 // Queries may then use the name like a source; at preprocessing time
-// the query is composed with the view.
+// the query is composed with the view. It clears the prepared-view memo,
+// so every later query text is composed afresh.
 func (m *Mediator) DefineView(name, xmasText string) error {
 	q, err := xmas.Parse(xmasText)
 	if err != nil {
@@ -191,6 +217,8 @@ func (m *Mediator) DefineView(name, xmasText string) error {
 	}
 	m.mu.Lock()
 	m.views[name] = plan
+	m.viewVer++
+	clear(m.memo)
 	m.mu.Unlock()
 	return nil
 }
@@ -198,7 +226,8 @@ func (m *Mediator) DefineView(name, xmasText string) error {
 // Result is a prepared query: the plan that will be (or was) evaluated
 // and the virtual answer document.
 type Result struct {
-	// Plan is the final (composed, rewritten) algebra plan.
+	// Plan is the final (composed, rewritten) algebra plan. It is
+	// shared by every Result of the same query text: read-only.
 	Plan algebra.Op
 	// Browsability is the static classification of the plan
 	// (Definition 2), under the engine's navigation command set.
@@ -246,20 +275,28 @@ func (r *Result) Root() (*Element, error) { return Wrap(r.Document()) }
 // Materialize fully evaluates the answer.
 func (r *Result) Materialize() (*xmltree.Tree, error) { return r.query.Materialize() }
 
-// Query runs the full preprocessing pipeline on a XMAS query and
-// returns a prepared Result. No source is accessed.
+// Query preprocesses a XMAS query — once per text, then from the memo —
+// and compiles the plan into a prepared Result. Compile errors surface
+// here; the operator pipeline itself is built on the first navigation
+// that reaches the engine, so an answer the region cache holds in full
+// never builds one. No source is accessed.
 func (m *Mediator) Query(xmasText string) (*Result, error) {
-	plan, views, err := m.prepare(xmasText)
+	p, err := m.prepare(xmasText)
 	if err != nil {
 		return nil, err
 	}
-	cq, err := m.engine.Compile(plan)
+	cq, err := m.engine.Compile(p.plan)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: compiling plan: %w", err)
 	}
-	cq.SetCacheName(cacheName(views))
-	cls, _ := algebra.Classify(plan, m.opts.Engine.NativeSelect)
-	return &Result{Plan: plan, Browsability: cls, query: cq}, nil
+	if p.canon != nil {
+		cq.SetCacheKey(p.name, p.canon, p.fp)
+	} else {
+		// An opaque plan mints a fresh fingerprint per query, so no two
+		// of its opens ever share an entry.
+		cq.SetCacheName(p.name)
+	}
+	return &Result{Plan: p.plan, Browsability: p.cls, query: cq}, nil
 }
 
 // cacheName renders the region-cache name of a query composed from the
@@ -288,35 +325,73 @@ func (m *Mediator) QueryEager(xmasText string) (*xmltree.Tree, error) {
 }
 
 // Prepare parses, composes and rewrites a XMAS query into its final
-// algebra plan without compiling it.
+// algebra plan without compiling it. The plan is shared with every other
+// caller of the same text and must not be modified.
 func (m *Mediator) Prepare(xmasText string) (algebra.Op, error) {
-	plan, _, err := m.prepare(xmasText)
-	return plan, err
+	p, err := m.prepare(xmasText)
+	if err != nil {
+		return nil, err
+	}
+	return p.plan, nil
 }
 
-// prepare is Prepare plus the names of the views the query was composed
-// with (in substitution order, possibly with duplicates).
-func (m *Mediator) prepare(xmasText string) (algebra.Op, []string, error) {
+// prepare returns the memoized preprocessing of xmasText, running
+// preprocess on a miss. Errors are never memoized.
+func (m *Mediator) prepare(xmasText string) (*prepared, error) {
+	m.mu.Lock()
+	p, ok := m.memo[xmasText]
+	ver := m.viewVer
+	m.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := m.preprocess(xmasText)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	if m.viewVer == ver {
+		if len(m.memo) >= maxPrepared {
+			for k := range m.memo {
+				delete(m.memo, k)
+				break
+			}
+		}
+		m.memo[xmasText] = p
+	}
+	m.mu.Unlock()
+	return p, nil
+}
+
+// preprocess parses, composes, rewrites and validates a XMAS query and
+// derives everything Query needs from the plan that depends on nothing
+// else: cache name, browsability and canonical form.
+func (m *Mediator) preprocess(xmasText string) (*prepared, error) {
 	q, err := xmas.Parse(xmasText)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan, err := q.Translate()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var views []string
 	plan, err = m.compose(plan, &views)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if m.opts.Rewrite {
 		plan = algebra.Rewrite(plan)
 	}
 	if err := algebra.Validate(plan); err != nil {
-		return nil, nil, fmt.Errorf("mediator: composed plan invalid: %w", err)
+		return nil, fmt.Errorf("mediator: composed plan invalid: %w", err)
 	}
-	return plan, views, nil
+	cls, _ := algebra.Classify(plan, m.opts.Engine.NativeSelect)
+	p := &prepared{plan: plan, name: cacheName(views), cls: cls}
+	if canon, fp, ok := regioncache.Canonical(plan); ok {
+		p.canon, p.fp = canon, fp
+	}
+	return p, nil
 }
 
 // compose substitutes each Source node that names a defined view with
@@ -336,7 +411,9 @@ func (m *Mediator) substitute(p algebra.Op, depth int, views *[]string) (algebra
 	if src, ok := p.(*algebra.Source); ok {
 		m.mu.Lock()
 		view, isView := m.views[src.URL]
-		m.nview++
+		if isView {
+			m.nview++
+		}
 		n := m.nview
 		m.mu.Unlock()
 		if !isView {
@@ -364,11 +441,7 @@ func (m *Mediator) substitute(p algebra.Op, depth int, views *[]string) (algebra
 		}
 		return body, nil
 	}
-	// Recurse into inputs via a rebuild using RenameVars' structure:
-	// rather than duplicating the copy logic, rename with the identity
-	// after substituting children. Simplest correct approach: handle
-	// each operator's inputs through algebra.RenameVars is not
-	// possible (it doesn't substitute), so rebuild explicitly.
+	// Any other operator is copied with its inputs substituted.
 	return m.rebuild(p, depth, views)
 }
 

@@ -32,6 +32,7 @@ type DFA struct {
 	states []dfaState
 	index  map[string]int // StateSet.Key() → state id
 	dead   int            // id of the empty-set state
+	start  int            // id of the start state, fixed at construction
 }
 
 type dfaState struct {
@@ -65,6 +66,7 @@ func NewDFA(nfa *NFA, in *xmltree.Interner) *DFA {
 	// there, and Alive reports false, so pruned descents short-circuit
 	// without touching the cache.
 	d.dead = d.addLocked(StateSet{})
+	d.start = d.addLocked(nfa.Start())
 	return d
 }
 
@@ -88,11 +90,7 @@ func (d *DFA) addLocked(set StateSet) int {
 }
 
 // Start returns the id of the start state.
-func (d *DFA) Start() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.addLocked(d.nfa.Start())
-}
+func (d *DFA) Start() int { return d.start }
 
 // Step consumes one label and returns the id of the resulting state.
 func (d *DFA) Step(state int, label string) int {

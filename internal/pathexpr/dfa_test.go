@@ -68,6 +68,20 @@ func TestDFACachesTransitions(t *testing.T) {
 	}
 }
 
+// TestDFAStartNoAllocs pins that the start state is materialized once,
+// at construction: getDescendants asks for it per input binding.
+func TestDFAStartNoAllocs(t *testing.T) {
+	dfa := NewDFA(Compile(MustParse("(a|b)*.x._")), nil)
+	want := dfa.Start()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if dfa.Start() != want {
+			t.Fatal("start state moved")
+		}
+	}); allocs != 0 {
+		t.Errorf("Start allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestDFADeadStateSticks(t *testing.T) {
 	nfa := Compile(MustParse("a.b"))
 	dfa := NewDFA(nfa, nil)

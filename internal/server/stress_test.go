@@ -205,6 +205,79 @@ func TestUpdateReplay(t *testing.T) {
 	}
 }
 
+// TestUpdateWarmMemo is TestUpdateReplay with the query text already
+// prepared on the pooled engines: one engine is parked and one is live
+// in a session when Update runs, and both memos hold the text. A session
+// opened after Update returns must still see the new data — the memo
+// carries no generation or registry state, and the pool flush (parked
+// engine) and the epoch check at release (live engine) retire both.
+func TestUpdateWarmMemo(t *testing.T) {
+	homes := func(zip string) *xmltree.Tree {
+		return xmltree.Elem("homes",
+			xmltree.Elem("home", xmltree.Text("zip", zip+"0")),
+			xmltree.Elem("home", xmltree.Text("zip", zip+"1")))
+	}
+	data := []*xmltree.Tree{homes("9100"), homes("9200")}
+	var version atomic.Int64
+	srv, addr := semServeWith(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+		m := mediator.New(mediator.DefaultOptions())
+		m.SetRegionCache(rc)
+		m.RegisterTree("homesSrc", data[version.Load()])
+		return m, nil
+	})
+	want := make([]string, len(data))
+	for v, d := range data {
+		want[v] = semOracle(t, d, semSuperQ)
+	}
+	idle := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.Stats().Pool.Idle != n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool idle = %d, want %d", srv.Stats().Pool.Idle, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The second open reuses the first one's engine: a memo hit.
+	for range 2 {
+		if got := semOpen(t, addr, semSuperQ); got != want[0] {
+			t.Fatalf("before the update: %s", got)
+		}
+		idle(1)
+	}
+	if st := srv.Stats(); st.Pool.Reused == 0 {
+		t.Fatal("no session reused a pooled engine")
+	}
+	// A live session on a second engine that has prepared the text.
+	live, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	parked, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*vxdp.Client{parked, live} {
+		if err := c.Open(semSuperQ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked.Close()
+	idle(1)
+
+	srv.Update(func() { version.Store(1) })
+	live.Close()
+	for range 2 {
+		if got := semOpen(t, addr, semSuperQ); got != want[1] {
+			t.Fatalf("session opened after the update got %s, want %s", got, want[1])
+		}
+	}
+	if st := srv.Stats(); st.Pool.Created < 3 {
+		t.Fatalf("pool created %d engines, want a fresh one after the update", st.Pool.Created)
+	}
+}
+
 type stale struct{ got string }
 
 func (s *stale) Error() string {
