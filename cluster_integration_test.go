@@ -12,137 +12,50 @@ package mix_test
 
 import (
 	"bufio"
-	"context"
-	"log/slog"
 	"net"
 	"testing"
 	"time"
 
 	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/nav"
-	"mix/internal/regioncache"
 	"mix/internal/server"
 	"mix/internal/vxdp"
 	"mix/internal/xmltree"
 )
 
-// clusterHarness is a fleet of in-process mixd nodes.
-type clusterHarness struct {
-	srvs  []*server.Server
-	nodes []*cluster.Node
-	addrs []string
-	done  []chan error
-	dead  []bool
-}
-
-// startCluster boots n nodes with identical source/view configuration
-// (the fleet contract), wired into one ring in the given mode.
-func startCluster(t *testing.T, n int, mode cluster.Mode) *clusterHarness {
+// startCluster boots n members with identical source/view configuration
+// (the fleet contract), wired into one ring in the given mode; one
+// member runs standalone.
+func startCluster(t *testing.T, n int, mode cluster.Mode, opts ...server.Option) *fleet.Fleet {
 	t.Helper()
-	h := &clusterHarness{
-		srvs:  make([]*server.Server, n),
-		nodes: make([]*cluster.Node, n),
-		addrs: make([]string, n),
-		done:  make([]chan error, n),
-		dead:  make([]bool, n),
-	}
-	// Listen first so every node knows the full membership up front —
-	// the static -peers model.
-	ls := make([]net.Listener, n)
-	for i := range ls {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls[i] = l
-		h.addrs[i] = l.Addr().String()
-	}
-	for i := 0; i < n; i++ {
-		rc := regioncache.New(0)
-		var peers []string
-		for j, a := range h.addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		node, err := cluster.New(cluster.Config{
-			Self:           h.addrs[i],
-			Peers:          peers,
-			Mode:           mode,
-			HealthInterval: 200 * time.Millisecond,
-			FlushInterval:  100 * time.Millisecond,
-			DialTimeout:    2 * time.Second,
-			CallTimeout:    5 * time.Second,
-			FailAfter:      2,
-			Logger:         slog.New(slog.DiscardHandler),
-		}, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(mixdFactory(),
-			server.WithRegionCache(rc), server.WithCluster(node))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.srvs[i], h.nodes[i] = srv, node
-		h.done[i] = make(chan error, 1)
-		done := h.done[i]
-		go func(l net.Listener) { done <- srv.Serve(l) }(ls[i])
-		node.Start()
+	f, err := fleet.Start(n, cluster.Config{
+		Mode:           mode,
+		HealthInterval: 200 * time.Millisecond,
+		FlushInterval:  100 * time.Millisecond,
+		DialTimeout:    2 * time.Second,
+		CallTimeout:    5 * time.Second,
+		FailAfter:      2,
+	}, func(int) (server.Factory, []server.Option) { return mixdFactory(), opts })
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for i := range h.srvs {
-			if !h.dead[i] {
-				h.kill(t, i)
-			}
+		if err := f.Close(); err != nil {
+			t.Error(err)
 		}
 	})
-	return h
+	return f
 }
 
-// kill shuts one node down hard: stop its cluster loops, drain its
-// server. From the peers' point of view the member just died.
-func (h *clusterHarness) kill(t *testing.T, i int) {
+// ownerOf resolves which member owns a query's routing key.
+func ownerOf(t *testing.T, f *fleet.Fleet, query string) int {
 	t.Helper()
-	if h.dead[i] {
-		return
-	}
-	h.dead[i] = true
-	h.nodes[i].Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = h.srvs[i].Shutdown(ctx)
-	select {
-	case err := <-h.done[i]:
-		if err != nil {
-			t.Errorf("node %d Serve: %v", i, err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Errorf("node %d did not stop", i)
-	}
-}
-
-// ownerIndex resolves which node owns a query's routing key, using a
-// throwaway local engine to compile the (view name, fingerprint) key.
-func (h *clusterHarness) ownerIndex(t *testing.T, query string) int {
-	t.Helper()
-	med, err := mixdFactory()(nil)
+	i, err := f.Owner(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := med.Query(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, fp := res.CacheKey()
-	owner := h.nodes[0].Owner(name, fp)
-	for i, a := range h.addrs {
-		if a == owner {
-			return i
-		}
-	}
-	t.Fatalf("owner %q is not a fleet member", owner)
-	return -1
+	return i
 }
 
 // wantAnswer materializes a query in-process: the byte-identity oracle.
@@ -189,15 +102,15 @@ func TestClusterProxyByteIdentical(t *testing.T) {
 	h := startCluster(t, 3, cluster.ModeProxy)
 	for _, tc := range queryCorpus {
 		want := wantAnswer(t, tc.q)
-		for i, addr := range h.addrs {
-			if got := materializeVia(t, addr, tc.q); got != want {
+		for i, m := range h.Members {
+			if got := materializeVia(t, m.Addr, tc.q); got != want {
 				t.Fatalf("%s via node %d ≠ in-process\ngot:  %s\nwant: %s", tc.name, i, got, want)
 			}
 		}
 	}
 	var proxied, owned int64
-	for _, n := range h.nodes {
-		st := n.Stats()
+	for _, m := range h.Members {
+		st := m.Node.Stats()
 		proxied += st.Proxied
 		owned += st.OwnedLocal
 	}
@@ -220,11 +133,11 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	h := startCluster(t, 3, cluster.ModeProxy)
 	q := queryCorpus[1].q // the view query
 	want := wantAnswer(t, q)
-	owner := h.ownerIndex(t, q)
+	owner := ownerOf(t, h, q)
 	entry := (owner + 1) % 3  // a non-owner node the client connects to
 	victim := (owner + 2) % 3 // the third node: unrelated to this session
 
-	c, err := vxdp.Dial(h.addrs[entry])
+	c, err := vxdp.Dial(h.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +150,9 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	}
 
 	// Killing a non-owner, non-entry peer must not disturb the session.
-	h.kill(t, victim)
+	if err := h.Stop(victim); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := nav.Materialize(c); err != nil {
 		t.Fatalf("session died with an unrelated peer: %v", err)
 	} else if xmltree.MarshalXML(got) != want {
@@ -247,8 +162,8 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	// A fresh open for a key the dead node owned must be served
 	// (degraded) by whatever node the client reaches.
 	for _, tc := range queryCorpus {
-		if h.ownerIndex(t, tc.q) == victim {
-			if got := materializeVia(t, h.addrs[entry], tc.q); got != wantAnswer(t, tc.q) {
+		if ownerOf(t, h, tc.q) == victim {
+			if got := materializeVia(t, h.Members[entry].Addr, tc.q); got != wantAnswer(t, tc.q) {
 				t.Fatalf("%s owned by dead node served wrong answer", tc.name)
 			}
 		}
@@ -257,7 +172,9 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	// Now kill the owner out from under the proxied session. The next
 	// command errs (owner handles are gone) but the session survives:
 	// restarting from the root completes locally, byte-identical.
-	h.kill(t, owner)
+	if err := h.Stop(owner); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Root(); err == nil {
 		t.Fatal("command after owner death succeeded; want a reopen notice")
 	}
@@ -268,7 +185,7 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	if xmltree.MarshalXML(got) != want {
 		t.Fatal("degraded local answer differs from in-process evaluation")
 	}
-	if st := h.nodes[entry].Stats(); st.Degraded == 0 {
+	if st := h.Members[entry].Node.Stats(); st.Degraded == 0 {
 		t.Fatalf("owner death not counted degraded: %+v", st)
 	}
 }
@@ -282,28 +199,28 @@ func TestClusterL2RegionSharing(t *testing.T) {
 	h := startCluster(t, 3, cluster.ModeLocal)
 	q := queryCorpus[1].q
 	want := wantAnswer(t, q)
-	owner := h.ownerIndex(t, q)
+	owner := ownerOf(t, h, q)
 	cold := (owner + 1) % 3
 	warm := (owner + 2) % 3
 
-	if got := materializeVia(t, h.addrs[cold], q); got != want {
+	if got := materializeVia(t, h.Members[cold].Addr, q); got != want {
 		t.Fatal("cold answer differs")
 	}
 	// Publish the cold node's explored region to the owner now (the
 	// background flusher would too; this removes the timing dependence).
-	h.nodes[cold].Flush()
-	if st := h.nodes[owner].Stats(); st.L2Fills == 0 {
+	h.Members[cold].Node.Flush()
+	if st := h.Members[owner].Node.Stats(); st.L2Fills == 0 {
 		t.Fatalf("owner merged no region_put after cold exploration + flush: %+v", st)
 	}
 
-	before := h.nodes[warm].Stats().L2Hits
-	if got := materializeVia(t, h.addrs[warm], q); got != want {
+	before := h.Members[warm].Node.Stats().L2Hits
+	if got := materializeVia(t, h.Members[warm].Addr, q); got != want {
 		t.Fatal("warm answer differs")
 	}
-	if hits := h.nodes[warm].Stats().L2Hits - before; hits == 0 {
-		t.Fatalf("warm open on node %d hit no L2 regions: %+v", warm, h.nodes[warm].Stats())
+	if hits := h.Members[warm].Node.Stats().L2Hits - before; hits == 0 {
+		t.Fatalf("warm open on node %d hit no L2 regions: %+v", warm, h.Members[warm].Node.Stats())
 	}
-	if st := h.nodes[owner].Stats(); st.L2Serves == 0 {
+	if st := h.Members[owner].Node.Stats(); st.L2Serves == 0 {
 		t.Fatalf("owner served no region_get: %+v", st)
 	}
 }
@@ -317,21 +234,21 @@ func TestClusterInvalidationNeverServesStale(t *testing.T) {
 	h := startCluster(t, 3, cluster.ModeLocal)
 	q := queryCorpus[1].q
 	want := wantAnswer(t, q)
-	owner := h.ownerIndex(t, q)
+	owner := ownerOf(t, h, q)
 	cold := (owner + 1) % 3
 	warm := (owner + 2) % 3
 
-	if got := materializeVia(t, h.addrs[cold], q); got != want {
+	if got := materializeVia(t, h.Members[cold].Addr, q); got != want {
 		t.Fatal("cold answer differs")
 	}
-	h.nodes[cold].Flush() // old-generation regions now sit at the owner
+	h.Members[cold].Node.Flush() // old-generation regions now sit at the owner
 
-	h.srvs[cold].BumpRegistry() // sources changed; broadcast the new epoch
+	h.Members[cold].Server.BumpRegistry() // sources changed; broadcast the new epoch
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		allAt := true
-		for i, srv := range h.srvs {
-			st := srv.Stats()
+		for i, m := range h.Members {
+			st := m.Server.Stats()
 			if st.Cache == nil || st.Cache.Generation < 1 {
 				allAt = false
 				if time.Now().After(deadline) {
@@ -345,17 +262,17 @@ func TestClusterInvalidationNeverServesStale(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	before := h.nodes[warm].Stats().L2Hits
-	if got := materializeVia(t, h.addrs[warm], q); got != want {
+	before := h.Members[warm].Node.Stats().L2Hits
+	if got := materializeVia(t, h.Members[warm].Addr, q); got != want {
 		t.Fatal("post-invalidation answer differs")
 	}
-	if hits := h.nodes[warm].Stats().L2Hits - before; hits != 0 {
+	if hits := h.Members[warm].Node.Stats().L2Hits - before; hits != 0 {
 		t.Fatalf("open under generation 1 filled from %d old-generation regions", hits)
 	}
 
 	// Belt and braces: ask the owner for the old-generation key
 	// directly; it must miss — dropBelow swept it.
-	pc, err := vxdp.Dial(h.addrs[owner])
+	pc, err := vxdp.Dial(h.Members[owner].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,11 @@
 // plan fingerprint) — proxied to the owning node, unless -cluster-mode
 // local serves every session where it lands — and each node's region
 // cache becomes the L1 of a two-tier cache whose L2 is the owning peer
-// (see internal/cluster and the README's Clustering quick start). All
-// fleet members must be configured with identical -src/-view sets, in
-// the same order.
+// (see internal/cluster and the README's Clustering quick start). The
+// node is built over the server's region cache, and the server runs it:
+// its loops start with Serve and stop, with its peer links, at
+// Shutdown. All fleet members must be configured with identical
+// -src/-view sets, in the same order.
 //
 // Observability: -http addr serves /metrics (Prometheus), /healthz,
 // /debug/slow (the slow-navigation flight ring; ?format=text renders
@@ -221,7 +223,6 @@ func main() {
 	if o.prefetch {
 		options = append(options, server.WithPrefetch(true))
 	}
-	var node *cluster.Node
 	if o.cluster {
 		self := o.node
 		if self == "" {
@@ -237,7 +238,7 @@ func main() {
 				peerList = append(peerList, p)
 			}
 		}
-		node, err = cluster.New(cluster.Config{
+		node, err := cluster.New(cluster.Config{
 			Self:           self,
 			Peers:          peerList,
 			Replicas:       o.clusterVnodes,
@@ -255,10 +256,6 @@ func main() {
 	srv, err := server.New(factory, options...)
 	if err != nil {
 		fatal("configuring server", "err", err.Error())
-	}
-	if node != nil {
-		node.Start()
-		defer node.Stop()
 	}
 
 	l, err := net.Listen("tcp", o.addr)
@@ -358,16 +355,9 @@ func openSource(name, loc string) (sourceSpec, error) {
 				return fail(fmt.Errorf("malformed demo size %q", nstr))
 			}
 		}
-		var doc *xmltree.Tree
-		switch kind {
-		case "books":
-			doc = workload.Books(name, n, 1)
-		case "homes":
-			doc, _ = workload.HomesSchools(n, 0, n/10+1, 1)
-		case "schools":
-			_, doc = workload.HomesSchools(0, n, n/10+1, 1)
-		default:
-			return fail(fmt.Errorf("unknown demo dataset %q (books|homes|schools)", kind))
+		doc, err := workload.Demo(kind, name, n)
+		if err != nil {
+			return fail(err)
 		}
 		return treeSpec(name, doc), nil
 	}

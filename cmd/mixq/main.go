@@ -5,8 +5,10 @@
 //
 // Sources are declared with repeated -src flags:
 //
-//	-src name=path.xml       a local XML document
-//	-src name=lxp://host:port/uri   a remote LXP wrapper (see cmd/lxpd)
+//	-src name=path.xml                a local XML document
+//	-src name=lxp://host:port/uri     a remote LXP wrapper (cmd/lxpd)
+//	-src name=rdb:csvdir              a CSV-backed relational database
+//	-src name=demo:books:N            a generated dataset (books|homes|schools)
 //
 // Views can be declared with -view name=path.xmas and referenced by
 // queries like sources. The query is read from -q (inline) or -f
@@ -62,7 +64,7 @@ func (m *multiFlag) Set(s string) error {
 
 func main() {
 	var srcs, views multiFlag
-	flag.Var(&srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, or name=rdb:csvdir (repeatable)")
+	flag.Var(&srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)")
 	flag.Var(&views, "view", "view declaration name=path.xmas (repeatable)")
 	connect := flag.String("connect", "", "navigate a remote mixd mediator at host:port (VXDP) instead of local sources")
 	q := flag.String("q", "", "XMAS query text")
@@ -419,16 +421,9 @@ func openSource(name, loc string) (nav.Document, error) {
 				return nil, fmt.Errorf("malformed demo size %q", nstr)
 			}
 		}
-		var t *xmltree.Tree
-		switch kind {
-		case "books":
-			t = workload.Books(name, n, 1)
-		case "homes":
-			t, _ = workload.HomesSchools(n, 0, n/10+1, 1)
-		case "schools":
-			_, t = workload.HomesSchools(0, n, n/10+1, 1)
-		default:
-			return nil, fmt.Errorf("unknown demo dataset %q (books|homes|schools)", kind)
+		t, err := workload.Demo(kind, name, n)
+		if err != nil {
+			return nil, err
 		}
 		return nav.NewTreeDoc(t), nil
 	}

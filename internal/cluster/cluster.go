@@ -156,7 +156,9 @@ type Node struct {
 
 // New builds a node over cache (which must be non-nil: the cluster's
 // whole point is the shared region tier) and installs it as the cache's
-// remote tier. Call Start to begin health checking and flushing.
+// remote tier. A server given the node (server.WithCluster) serves its
+// sessions from that cache and runs the node: Serve starts it and
+// Shutdown stops it.
 func New(cfg Config, cache *regioncache.Cache) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: node needs an advertised self address")
@@ -190,7 +192,8 @@ func New(cfg Config, cache *regioncache.Cache) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the health-check and flush loops.
+// Start launches the health-check and flush loops. It runs once; later
+// calls do nothing. A server calls it from Serve.
 func (n *Node) Start() {
 	n.startOnce.Do(func() {
 		n.wg.Add(1)
@@ -202,7 +205,8 @@ func (n *Node) Start() {
 	})
 }
 
-// Stop halts the loops and closes all peer control links. The node must
+// Stop halts the loops and closes all peer control links. It runs once;
+// later calls do nothing. A server calls it from Shutdown. The node must
 // not be used afterwards.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
@@ -213,6 +217,10 @@ func (n *Node) Stop() {
 		}
 	})
 }
+
+// Cache returns the region cache the node was built over: the L1 its
+// L2 tier fills and serves.
+func (n *Node) Cache() *regioncache.Cache { return n.cache }
 
 // Self returns this node's advertised address.
 func (n *Node) Self() string { return n.cfg.Self }

@@ -33,17 +33,6 @@ func E12RegionCache() Table {
 			"answer is byte-identical.",
 		Headers: []string{"session", "client cmds", "engine cmds", "source navs", "total", "answer"},
 	}
-	const viewDef = `
-CONSTRUCT <allhomes>
-  <med_home> $H $S {$S} </med_home> {$H}
-</allhomes> {}
-WHERE homesSrc homes.home $H AND $H zip._ $V1
-AND schoolsSrc schools.school $S AND $S zip._ $V2
-AND $V1 = $V2
-`
-	const query = `
-CONSTRUCT <out> $M {$M} </out> {}
-WHERE homeview allhomes.med_home $M`
 	homes, schools := workload.HomesSchools(60, 60, 12, 42)
 
 	// session builds a fresh engine (sharing only the immutable source
@@ -56,14 +45,14 @@ WHERE homeview allhomes.med_home $M`
 		sd := nav.NewCountingDoc(nav.NewTreeDoc(schools))
 		m.RegisterSource("homesSrc", hd)
 		m.RegisterSource("schoolsSrc", sd)
-		if err := m.DefineView("homeview", viewDef); err != nil {
+		if err := m.DefineView("homeview", homeviewDef); err != nil {
 			panic(err)
 		}
 		var before regioncache.Stats
 		if cache != nil {
 			before = cache.Stats()
 		}
-		res, err := m.Query(query)
+		res, err := m.Query(homeviewQuery)
 		if err != nil {
 			panic(err)
 		}

@@ -1,20 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"log/slog"
-	"net"
-	"time"
-
 	"mix/internal/cluster"
-	"mix/internal/mediator"
+	"mix/internal/fleet"
 	"mix/internal/metrics"
-	"mix/internal/nav"
-	"mix/internal/regioncache"
 	"mix/internal/server"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
-	"mix/internal/xmltree"
 )
 
 // E15ClusterL2 measures the two-tier region cache of a mixd fleet: in a
@@ -42,144 +33,30 @@ func E15ClusterL2() Table {
 			"byte-identical.",
 		Headers: []string{"session", "client cmds", "source navs", "l2 hits", "answer"},
 	}
-	const viewDef = `
-CONSTRUCT <allhomes>
-  <med_home> $H $S {$S} </med_home> {$H}
-</allhomes> {}
-WHERE homesSrc homes.home $H AND $H zip._ $V1
-AND schoolsSrc schools.school $S AND $S zip._ $V2
-AND $V1 = $V2
-`
-	const query = `
-CONSTRUCT <out> $M {$M} </out> {}
-WHERE homeview allhomes.med_home $M`
 	homes, schools := workload.HomesSchools(60, 60, 12, 42)
-
-	// Every engine a node's pool builds shares that node's source
-	// counters, so "source navs" is a per-node total no matter how many
-	// pooled engines served the session.
-	factory := func(src *metrics.Counters) server.Factory {
-		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-			m := mediator.New(mediator.DefaultOptions())
-			m.SetRegionCache(rc)
-			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: src})
-			m.RegisterSource("schoolsSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(schools), Counters: src})
-			if err := m.DefineView("homeview", viewDef); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
+	src := &metrics.Counters{}
+	factory := countingFactory(src, homes, schools)
+	// n > 1 members form a cluster in local mode (no proxying — pure L2
+	// region sharing), so publication happens only at the explicit Flush
+	// below.
+	boot := func(n int) *fleet.Fleet {
+		return bootFleet(n, cluster.ModeLocal, func(int) (server.Factory, []server.Option) { return factory, nil })
 	}
 
-	type member struct {
-		srv  *server.Server
-		node *cluster.Node // nil for the standalone baseline
-		addr string
-		src  *metrics.Counters
-		done chan error
-	}
-	quiet := slog.New(slog.DiscardHandler)
-
-	// boot starts n servers on loopback; for n > 1 they form a cluster
-	// in local mode (no proxying — pure L2 region sharing) with the
-	// background flusher off, so publication happens only at the
-	// explicit Flush below and every counter is deterministic.
-	boot := func(n int) []*member {
-		listeners := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range listeners {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				panic(err)
-			}
-			listeners[i], addrs[i] = l, l.Addr().String()
-		}
-		fleet := make([]*member, n)
-		for i := range fleet {
-			src := &metrics.Counters{}
-			rc := regioncache.New(0)
-			opts := []server.Option{server.WithRegionCache(rc), server.WithLogger(quiet)}
-			var node *cluster.Node
-			if n > 1 {
-				peers := make([]string, 0, n-1)
-				for j, a := range addrs {
-					if j != i {
-						peers = append(peers, a)
-					}
-				}
-				var err error
-				node, err = cluster.New(cluster.Config{
-					Self: addrs[i], Peers: peers, Mode: cluster.ModeLocal,
-					HealthInterval: time.Hour, FlushInterval: -1, Logger: quiet,
-				}, rc)
-				if err != nil {
-					panic(err)
-				}
-				opts = append(opts, server.WithCluster(node))
-			}
-			srv, err := server.New(factory(src), opts...)
-			if err != nil {
-				panic(err)
-			}
-			done := make(chan error, 1)
-			go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-			if node != nil {
-				node.Start()
-			}
-			fleet[i] = &member{srv: srv, node: node, addr: addrs[i], src: src, done: done}
-		}
-		return fleet
-	}
-	halt := func(fleet []*member) {
-		for _, m := range fleet {
-			if m.node != nil {
-				m.node.Stop()
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
-	}
-
-	// session materializes the whole answer through one node and
-	// reports client commands, the fleet-wide source navigations it
-	// caused, and the entry node's L2 hits.
-	session := func(fleet []*member, entry int) (client, source, l2 int64, answer string) {
-		srcBefore := int64(0)
-		for _, m := range fleet {
-			srcBefore += m.src.Navigations()
-		}
-		l2Before := int64(0)
-		if n := fleet[entry].node; n != nil {
-			l2Before = n.Stats().L2Hits
-		}
-		c, err := vxdp.Dial(fleet[entry].addr)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		if err := c.Open(query); err != nil {
-			panic(err)
-		}
-		cd := nav.NewCountingDoc(c)
-		tree, err := nav.Materialize(cd)
-		if err != nil {
-			panic(err)
-		}
-		for _, m := range fleet {
-			source += m.src.Navigations()
-		}
-		source -= srcBefore
-		if n := fleet[entry].node; n != nil {
-			l2 = n.Stats().L2Hits - l2Before
-		}
-		return cd.Counters.Navigations(), source, l2, xmltree.MarshalXML(tree)
-	}
-
+	// row materializes the whole answer through one member and reports
+	// client commands, the fleet-wide source navigations it caused, and
+	// the entry member's L2 hits.
 	var want string
-	row := func(label string, fleet []*member, entry int) {
-		client, source, l2, answer := session(fleet, entry)
+	row := func(label string, f *fleet.Fleet, entry int) {
+		l2Hits := func() int64 {
+			if node := f.Members[entry].Node; node != nil {
+				return node.Stats().L2Hits
+			}
+			return 0
+		}
+		srcBefore, l2Before := src.Navigations(), l2Hits()
+		client, answer := remoteAnswer(f.Members[entry].Addr, homeviewQuery, nil)
+		source, l2 := src.Navigations()-srcBefore, l2Hits()-l2Before
 		if want == "" {
 			want = answer
 		}
@@ -193,34 +70,19 @@ WHERE homeview allhomes.med_home $M`
 	solo := boot(1)
 	row("1 node: cold", solo, 0)
 	row("1 node: warm (L1)", solo, 0)
-	halt(solo)
+	solo.Close()
 
-	fleet := boot(3)
-	defer halt(fleet)
+	f := boot(3)
+	defer f.Close()
 	// The ring decides which member owns this query's region; route the
 	// cold session through one non-owner and the warm one through the
 	// other, so the warm fill must cross the wire.
-	probe, err := factory(&metrics.Counters{})(nil)
-	if err != nil {
-		panic(err)
-	}
-	res, err := probe.Query(query)
-	if err != nil {
-		panic(err)
-	}
-	name, fp := res.CacheKey()
-	ownerAddr := fleet[0].node.Owner(name, fp)
-	owner := 0
-	for i, m := range fleet {
-		if m.addr == ownerAddr {
-			owner = i
-		}
-	}
-	cold, warm := (owner+1)%3, (owner+2)%3
+	own := owner(f, homeviewQuery)
+	cold, warm := (own+1)%3, (own+2)%3
 
-	row("3 nodes: cold via non-owner", fleet, cold)
-	fleet[cold].node.Flush() // publish the explored region to its owner
-	row("3 nodes: warm via other non-owner (L2)", fleet, warm)
-	row("3 nodes: warm via owner (absorbed fill)", fleet, owner)
+	row("3 nodes: cold via non-owner", f, cold)
+	f.Members[cold].Node.Flush() // publish the explored region to its owner
+	row("3 nodes: warm via other non-owner (L2)", f, warm)
+	row("3 nodes: warm via owner (absorbed fill)", f, own)
 	return t
 }

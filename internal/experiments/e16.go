@@ -1,20 +1,12 @@
 package experiments
 
 import (
-	"context"
-	"log/slog"
-	"net"
 	"strconv"
-	"time"
 
 	"mix/internal/cluster"
-	"mix/internal/mediator"
 	"mix/internal/metrics"
-	"mix/internal/nav"
-	"mix/internal/regioncache"
 	"mix/internal/server"
 	"mix/internal/trace"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
 )
 
@@ -44,147 +36,30 @@ func E16FleetTracing() Table {
 			"navigation spans equal the counted source navigations.",
 		Headers: []string{"session", "client cmds", "source navs", "spans", "src spans", "nodes"},
 	}
-	const viewDef = `
-CONSTRUCT <allhomes>
-  <med_home> $H $S {$S} </med_home> {$H}
-</allhomes> {}
-WHERE homesSrc homes.home $H AND $H zip._ $V1
-AND schoolsSrc schools.school $S AND $S zip._ $V2
-AND $V1 = $V2
-`
-	const query = `
-CONSTRUCT <out> $M {$M} </out> {}
-WHERE homeview allhomes.med_home $M`
 	homes, schools := workload.HomesSchools(40, 40, 8, 42)
+	src := &metrics.Counters{}
+	factory := countingFactory(src, homes, schools)
 
-	factory := func(src *metrics.Counters) server.Factory {
-		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-			m := mediator.New(mediator.DefaultOptions())
-			m.SetRegionCache(rc)
-			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: src})
-			m.RegisterSource("schoolsSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(schools), Counters: src})
-			if err := m.DefineView("homeview", viewDef); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-	}
-
-	type member struct {
-		srv  *server.Server
-		node *cluster.Node
-		addr string
-		src  *metrics.Counters
-		done chan error
-	}
-	quiet := slog.New(slog.DiscardHandler)
-
-	// boot starts a cold 3-node proxy-mode fleet, node names n0..n2,
-	// tracing per the flag; background timers are off so every counter
-	// is deterministic.
-	boot := func(traced bool) []*member {
-		const n = 3
-		listeners := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range listeners {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				panic(err)
-			}
-			listeners[i], addrs[i] = l, l.Addr().String()
-		}
-		fleet := make([]*member, n)
-		for i := range fleet {
-			src := &metrics.Counters{}
-			rc := regioncache.New(0)
-			peers := make([]string, 0, n-1)
-			for j, a := range addrs {
-				if j != i {
-					peers = append(peers, a)
-				}
-			}
-			node, err := cluster.New(cluster.Config{
-				Self: addrs[i], Peers: peers, Mode: cluster.ModeProxy,
-				HealthInterval: time.Hour, FlushInterval: -1, Logger: quiet,
-			}, rc)
-			if err != nil {
-				panic(err)
-			}
-			opts := []server.Option{
-				server.WithRegionCache(rc), server.WithCluster(node),
-				server.WithLogger(quiet), server.WithNodeName("n" + strconv.Itoa(i)),
-			}
-			if traced {
-				opts = append(opts, server.WithTrace(true))
-			}
-			srv, err := server.New(factory(src), opts...)
-			if err != nil {
-				panic(err)
-			}
-			done := make(chan error, 1)
-			go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-			node.Start()
-			fleet[i] = &member{srv: srv, node: node, addr: addrs[i], src: src, done: done}
-		}
-		return fleet
-	}
-	halt := func(fleet []*member) {
-		for _, m := range fleet {
-			m.node.Stop()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
-	}
-
-	// nonOwner picks an entry node the ring did not make owner of the
-	// query's key, so the session must proxy.
-	nonOwner := func(fleet []*member) int {
-		probe, err := factory(&metrics.Counters{})(nil)
-		if err != nil {
-			panic(err)
-		}
-		res, err := probe.Query(query)
-		if err != nil {
-			panic(err)
-		}
-		name, fp := res.CacheKey()
-		ownerAddr := fleet[0].node.Owner(name, fp)
-		for i, m := range fleet {
-			if m.addr == ownerAddr {
-				return (i + 1) % len(fleet)
-			}
-		}
-		return 0
-	}
-
-	// session materializes the answer through a non-owner; with a
-	// recorder it also reports the stitched forest's totals.
-	session := func(traced bool) (client, source, spans, srcSpans, nodes int64) {
-		fleet := boot(traced)
-		defer halt(fleet)
-		entry := nonOwner(fleet)
-		c, err := vxdp.Dial(fleet[entry].addr)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
+	// row boots a cold 3-node proxy-mode fleet, members named n0..n2,
+	// tracing per the flag, and materializes the answer through a member
+	// the ring did not make owner of the query's key, so the session
+	// must proxy; with a recorder it also reports the stitched forest's
+	// totals.
+	row := func(label string, traced bool) {
+		f := bootFleet(3, cluster.ModeProxy, func(i int) (server.Factory, []server.Option) {
+			return factory, []server.Option{
+				server.WithNodeName("n" + strconv.Itoa(i)), server.WithTrace(traced)}
+		})
+		defer f.Close()
 		var rec *trace.Recorder
 		if traced {
 			rec = trace.New()
-			c.SetTracer(rec)
 		}
-		if err := c.Open(query); err != nil {
-			panic(err)
-		}
-		cd := nav.NewCountingDoc(c)
-		if _, err := nav.Materialize(cd); err != nil {
-			panic(err)
-		}
-		for _, m := range fleet {
-			source += m.src.Navigations()
-		}
+		entry := f.Members[(owner(f, homeviewQuery)+1)%3]
+		srcBefore := src.Navigations()
+		client, _ := remoteAnswer(entry.Addr, homeviewQuery, rec)
+		source := src.Navigations() - srcBefore
+		var spans, srcSpans, nodes int64
 		if traced {
 			roots := rec.Take()
 			var count func(sp *trace.Span)
@@ -204,11 +79,6 @@ WHERE homeview allhomes.med_home $M`
 				}
 			}
 		}
-		return cd.Counters.Navigations(), source, spans, srcSpans, nodes
-	}
-
-	row := func(label string, traced bool) {
-		client, source, spans, srcSpans, nodes := session(traced)
 		t.Rows = append(t.Rows, []string{
 			label, itoa(client), itoa(source), itoa(spans), itoa(srcSpans), itoa(nodes)})
 	}

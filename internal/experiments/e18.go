@@ -1,18 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"log/slog"
-	"net"
-	"time"
-
 	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
-	"mix/internal/nav"
-	"mix/internal/regioncache"
 	"mix/internal/server"
-	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
@@ -63,165 +56,60 @@ WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "500000"`
 	}
 	oracles := map[string]string{superQ: oracle(superQ), subQ: oracle(subQ)}
 
-	factory := func(src *metrics.Counters) server.Factory {
-		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-			m := mediator.New(mediator.DefaultOptions())
-			m.SetRegionCache(rc)
-			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: src})
-			return m, nil
-		}
+	src := &metrics.Counters{}
+	factory := countingFactory(src, homes, nil)
+	// n > 1 members form a PROXY-mode cluster: session routing is on,
+	// and the semantic short-circuit lives in the routed-open path.
+	boot := func(n int) *fleet.Fleet {
+		return bootFleet(n, cluster.ModeProxy, func(int) (server.Factory, []server.Option) { return factory, nil })
 	}
 
-	type member struct {
-		srv  *server.Server
-		node *cluster.Node // nil for the single-node halves
-		addr string
-		src  *metrics.Counters
-		done chan error
-	}
-	quiet := slog.New(slog.DiscardHandler)
-
-	// boot starts n servers on loopback; n > 1 forms a PROXY-mode
-	// cluster (session routing on — the semantic short-circuit lives in
-	// the routed-open path) with background timers off.
-	boot := func(n int) []*member {
-		listeners := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range listeners {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				panic(err)
-			}
-			listeners[i], addrs[i] = l, l.Addr().String()
-		}
-		fleet := make([]*member, n)
-		for i := range fleet {
-			src := &metrics.Counters{}
-			rc := regioncache.New(0)
-			opts := []server.Option{server.WithRegionCache(rc), server.WithLogger(quiet)}
-			var node *cluster.Node
-			if n > 1 {
-				peers := make([]string, 0, n-1)
-				for j, a := range addrs {
-					if j != i {
-						peers = append(peers, a)
-					}
-				}
-				var err error
-				node, err = cluster.New(cluster.Config{
-					Self: addrs[i], Peers: peers, Mode: cluster.ModeProxy,
-					HealthInterval: time.Hour, FlushInterval: -1, Logger: quiet,
-				}, rc)
-				if err != nil {
-					panic(err)
-				}
-				opts = append(opts, server.WithCluster(node))
-			}
-			srv, err := server.New(factory(src), opts...)
-			if err != nil {
-				panic(err)
-			}
-			done := make(chan error, 1)
-			go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-			if node != nil {
-				node.Start()
-			}
-			fleet[i] = &member{srv: srv, node: node, addr: addrs[i], src: src, done: done}
-		}
-		return fleet
-	}
-	halt := func(fleet []*member) {
-		for _, m := range fleet {
-			if m.node != nil {
-				m.node.Stop()
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
-	}
-
-	// session materializes query through one node and reports the
+	// row materializes query through one member and reports the
 	// fleet-wide source navigations it caused, the deltas of the entry
-	// node's semantic-hit and semantic-local counters, and the answer.
-	session := func(fleet []*member, entry int, query string) (source, hits, local int64, answer string) {
-		fleetNavs := func() int64 {
-			var n int64
-			for _, m := range fleet {
-				n += m.src.Navigations()
-			}
-			return n
-		}
-		entryStats := func() (int64, int64) {
-			st := fleet[entry].srv.Stats()
-			var h, l int64
+	// member's semantic-hit and semantic-local counters, and whether the
+	// answer is the oracle's.
+	row := func(label string, f *fleet.Fleet, entry int, query string) {
+		semantic := func() (hits, local int64) {
+			st := f.Members[entry].Server.Stats()
 			if st.Cache != nil {
-				h = st.Cache.SemanticHits
+				hits = st.Cache.SemanticHits
 			}
 			if st.Cluster != nil {
-				l = st.Cluster.SemanticLocal
+				local = st.Cluster.SemanticLocal
 			}
-			return h, l
+			return hits, local
 		}
-		srcBefore := fleetNavs()
-		hitsBefore, localBefore := entryStats()
-		c, err := vxdp.Dial(fleet[entry].addr)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		if err := c.Open(query); err != nil {
-			panic(err)
-		}
-		tree, err := nav.Materialize(c)
-		if err != nil {
-			panic(err)
-		}
-		hitsAfter, localAfter := entryStats()
-		return fleetNavs() - srcBefore, hitsAfter - hitsBefore, localAfter - localBefore,
-			xmltree.MarshalXML(tree)
-	}
-
-	row := func(label string, fleet []*member, entry int, query string) {
-		source, hits, local, answer := session(fleet, entry, query)
+		srcBefore := src.Navigations()
+		hitsBefore, localBefore := semantic()
+		_, answer := remoteAnswer(f.Members[entry].Addr, query, nil)
+		hits, local := semantic()
 		verdict := "identical"
 		if answer != oracles[query] {
 			verdict = "DIFFERS"
 		}
-		t.Rows = append(t.Rows, []string{label, itoa(source), itoa(hits), itoa(local), verdict})
+		t.Rows = append(t.Rows, []string{label, itoa(src.Navigations() - srcBefore),
+			itoa(hits - hitsBefore), itoa(local - localBefore), verdict})
 	}
 
 	solo := boot(1)
 	row("1 node: cold superset", solo, 0, superQ)
 	row("1 node: warm subsumed (semantic)", solo, 0, subQ)
-	halt(solo)
+	solo.Close()
 
 	fresh := boot(1)
 	row("1 node: cold subsumed (no superset cached)", fresh, 0, subQ)
-	halt(fresh)
+	fresh.Close()
 
-	fleet := boot(3)
-	defer halt(fleet)
-	// Route both opens through a node that does NOT own the subsumed
-	// query's key, so the second open exercises the routed path where the
-	// semantic short-circuit decides.
-	probe := mediator.New(mediator.DefaultOptions())
-	probe.RegisterTree("homesSrc", homes)
-	res, err := probe.Query(subQ)
-	if err != nil {
-		panic(err)
-	}
-	name, fp := res.CacheKey()
-	ownerAddr := fleet[0].node.Owner(name, fp)
+	f := boot(3)
+	defer f.Close()
+	// Route both opens through the first member that does NOT own the
+	// subsumed query's key, so the second open exercises the routed path
+	// where the semantic short-circuit decides.
 	entry := 0
-	for i, m := range fleet {
-		if m.addr != ownerAddr {
-			entry = i
-			break
-		}
+	if owner(f, subQ) == 0 {
+		entry = 1
 	}
-	row("3 nodes: cold superset via non-owner", fleet, entry, superQ)
-	row("3 nodes: subsumed via non-owner (semantic local)", fleet, entry, subQ)
+	row("3 nodes: cold superset via non-owner", f, entry, superQ)
+	row("3 nodes: subsumed via non-owner (semantic local)", f, entry, subQ)
 	return t
 }

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
-	"net"
 	"time"
 
 	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
-	"mix/internal/nav"
-	"mix/internal/regioncache"
 	"mix/internal/server"
 	"mix/internal/vxdp"
 	"mix/internal/workload"
@@ -85,101 +81,18 @@ func E19SpeculativePrefetch() Table {
 	}
 
 	// Interactive (demand) sources and speculative sources are counted
-	// separately: the demand factory feeds src, the spec factory —
-	// registering the *same* sources in the same order, so fingerprints
-	// and registry versions line up — feeds specSrc.
-	factory := func(counters *metrics.Counters) server.Factory {
-		return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-			m := mediator.New(mediator.DefaultOptions())
-			m.SetRegionCache(rc)
-			m.RegisterSource("homesSrc", &nav.CountingDoc{Doc: nav.NewTreeDoc(homes), Counters: counters})
-			return m, nil
-		}
-	}
-
-	type member struct {
-		srv      *server.Server
-		node     *cluster.Node // nil for the single-node halves
-		addr     string
-		src      *metrics.Counters
-		specSrc  *metrics.Counters
-		done     chan error
-		prefetch bool
-	}
-	quiet := slog.New(slog.DiscardHandler)
-
-	boot := func(n int, prefetch bool) []*member {
-		listeners := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range listeners {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				panic(err)
-			}
-			listeners[i], addrs[i] = l, l.Addr().String()
-		}
-		fleet := make([]*member, n)
-		for i := range fleet {
-			src, specSrc := &metrics.Counters{}, &metrics.Counters{}
-			rc := regioncache.New(0)
-			opts := []server.Option{server.WithRegionCache(rc), server.WithLogger(quiet)}
-			if prefetch {
-				opts = append(opts, server.WithPrefetch(true), server.WithSpecFactory(factory(specSrc)))
-			}
-			var node *cluster.Node
-			if n > 1 {
-				peers := make([]string, 0, n-1)
-				for j, a := range addrs {
-					if j != i {
-						peers = append(peers, a)
-					}
-				}
-				var err error
-				node, err = cluster.New(cluster.Config{
-					Self: addrs[i], Peers: peers, Mode: cluster.ModeProxy,
-					HealthInterval: time.Hour, FlushInterval: -1, Logger: quiet,
-				}, rc)
-				if err != nil {
-					panic(err)
-				}
-				opts = append(opts, server.WithCluster(node))
-			}
-			srv, err := server.New(factory(src), opts...)
-			if err != nil {
-				panic(err)
-			}
-			done := make(chan error, 1)
-			go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-			if node != nil {
-				node.Start()
-			}
-			fleet[i] = &member{srv: srv, node: node, addr: addrs[i], src: src,
-				specSrc: specSrc, done: done, prefetch: prefetch}
-		}
-		return fleet
-	}
-	halt := func(fleet []*member) {
-		for _, m := range fleet {
-			if m.node != nil {
-				m.node.Stop()
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
-	}
+	// separately, each fleet-wide: the demand factory feeds src, the spec
+	// factory — registering the *same* sources in the same order, so
+	// fingerprints and registry versions line up — feeds specSrc.
+	src, specSrc := &metrics.Counters{}, &metrics.Counters{}
 
 	// quiesce waits until the speculating member has no drain in
 	// flight, so the next step measures a fully warmed (or fully
 	// skipped) cache rather than a race against the drain.
-	quiesce := func(m *member) {
-		if !m.prefetch {
-			return
-		}
+	quiesce := func(m *fleet.Member) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			st := m.srv.Stats()
+			st := m.Server.Stats()
 			if st.Prefetch == nil || st.Prefetch.Inflight == 0 {
 				return
 			}
@@ -190,24 +103,27 @@ func E19SpeculativePrefetch() Table {
 		}
 	}
 
-	// run replays the persona through fleet[entry] and reports the
-	// interactive source navigations split into warm-up steps (the
-	// first two) and steady-state steps, the speculating member's
-	// prefetch counters, the fleet-wide speculative navigations, and
-	// whether every explored part matched the oracle replay.
-	run := func(fleet []*member, entry int, speculator *member) []string {
-		fleetNavs := func(spec bool) int64 {
-			var n int64
-			for _, m := range fleet {
-				if spec {
-					n += m.specSrc.Navigations()
-				} else {
-					n += m.src.Navigations()
-				}
-			}
-			return n
+	// run boots an n-member fleet (n > 1: proxy mode) with prefetch on
+	// or off and replays the persona through the last member that does
+	// NOT own the view, so on a fleet speculation happens on the owner
+	// end of a proxied session. It reports the interactive source
+	// navigations split into warm-up steps (the first two) and
+	// steady-state steps, the owner's prefetch counters, the fleet-wide
+	// speculative navigations, and whether every explored part matched
+	// the oracle replay.
+	run := func(n int, prefetch bool) []string {
+		f := bootFleet(n, cluster.ModeProxy, func(int) (server.Factory, []server.Option) {
+			return countingFactory(src, homes, nil), []server.Option{
+				server.WithPrefetch(prefetch), server.WithSpecFactory(countingFactory(specSrc, homes, nil))}
+		})
+		defer f.Close()
+		own := owner(f, query)
+		entry := n - 1
+		if n > 1 && own == entry {
+			entry--
 		}
-		c, err := vxdp.Dial(fleet[entry].addr)
+		speculator := f.Members[own]
+		c, err := vxdp.Dial(f.Members[entry].Addr)
 		if err != nil {
 			panic(err)
 		}
@@ -217,12 +133,12 @@ func E19SpeculativePrefetch() Table {
 		}
 		quiesce(speculator)
 		var warm, steady int64
-		prev := fleetNavs(false)
-		specBefore := fleetNavs(true)
+		prev := src.Navigations()
+		specBefore := specSrc.Navigations()
 		identical := true
 		err = workload.ReplayPersona(c, script, func(i int, explored string) error {
 			quiesce(speculator)
-			navs := fleetNavs(false) - prev
+			navs := src.Navigations() - prev
 			prev += navs
 			if i < warmup {
 				warm += navs
@@ -238,14 +154,14 @@ func E19SpeculativePrefetch() Table {
 			panic(err)
 		}
 		counters := "off"
-		if st := speculator.srv.Stats(); st.Prefetch != nil {
+		if st := speculator.Server.Stats(); st.Prefetch != nil {
 			counters = fmt.Sprintf("%d/%d/%d", st.Prefetch.Issued, st.Prefetch.Hits, st.Prefetch.Wasted)
 		}
 		verdict := "identical"
 		if !identical {
 			verdict = "DIFFERS"
 		}
-		return []string{itoa(warm), itoa(steady), counters, itoa(fleetNavs(true) - specBefore), verdict}
+		return []string{itoa(warm), itoa(steady), counters, itoa(specSrc.Navigations() - specBefore), verdict}
 	}
 
 	row := func(label string, cells []string) {
@@ -257,58 +173,19 @@ func E19SpeculativePrefetch() Table {
 		fmt.Sscan(cells[1], &s)
 		return w + s
 	}
-
-	solo := boot(1, true)
-	on := run(solo, 0, solo[0])
-	row("1 node: prefetch on", on)
-	halt(solo)
-
-	ablate := boot(1, false)
-	off := run(ablate, 0, ablate[0])
-	row("1 node: -prefetch=false", off)
-	halt(ablate)
-	if onT, offT := total(on), total(off); onT > 0 {
-		row("1 node: off/on interactive ratio",
-			[]string{"", fmt.Sprintf("%.1fx", float64(offT)/float64(onT)), "", "", ""})
-	}
-
-	// The fleet halves replay through a node that does NOT own the
-	// view, so speculation happens on the owner end of a proxied
-	// session.
-	probe := mediator.New(mediator.DefaultOptions())
-	probe.RegisterTree("homesSrc", homes)
-	res, err := probe.Query(query)
-	if err != nil {
-		panic(err)
-	}
-	name, fp := res.CacheKey()
-	nonOwner := func(fleet []*member) (entry int, owner *member) {
-		ownerAddr := fleet[0].node.Owner(name, fp)
-		owner = fleet[0]
-		for i, m := range fleet {
-			if m.addr == ownerAddr {
-				owner = fleet[i]
-			} else {
-				entry = i
-			}
+	// pair adds an n-member fleet's prefetch-on and -off rows and the
+	// ratio of their interactive navigations.
+	pair := func(label, ratioLabel string, n int) {
+		on := run(n, true)
+		row(label+": prefetch on", on)
+		off := run(n, false)
+		row(label+": -prefetch=false", off)
+		if onT, offT := total(on), total(off); onT > 0 {
+			row(ratioLabel+": off/on interactive ratio",
+				[]string{"", fmt.Sprintf("%.1fx", float64(offT)/float64(onT)), "", "", ""})
 		}
-		return entry, owner
 	}
-
-	fleetOn := boot(3, true)
-	entry, owner := nonOwner(fleetOn)
-	fOn := run(fleetOn, entry, owner)
-	row("3 nodes via non-owner: prefetch on", fOn)
-	halt(fleetOn)
-
-	fleetOff := boot(3, false)
-	entry, owner = nonOwner(fleetOff)
-	fOff := run(fleetOff, entry, owner)
-	row("3 nodes via non-owner: -prefetch=false", fOff)
-	halt(fleetOff)
-	if onT, offT := total(fOn), total(fOff); onT > 0 {
-		row("3 nodes: off/on interactive ratio",
-			[]string{"", fmt.Sprintf("%.1fx", float64(offT)/float64(onT)), "", "", ""})
-	}
+	pair("1 node", "1 node", 1)
+	pair("3 nodes via non-owner", "3 nodes", 3)
 	return t
 }

@@ -9,9 +9,7 @@ package server_test
 // get_root (run with -race).
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -61,23 +59,7 @@ func TestSharedLXPBufferServerSessions(t *testing.T) {
 		mu.Unlock()
 		return m, nil
 	}
-	srv, err := server.New(factory, server.WithRegionCache(regioncache.New(0)), server.WithPrefetch(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	})
-	addr := l.Addr().String()
+	srv, addr := serve(t, factory, server.WithPrefetch(true))
 
 	personas := []string{"deep-drill", "glance", "select-heavy", "deep-drill"}
 	oracles := make([][]string, len(personas))

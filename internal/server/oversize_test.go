@@ -17,7 +17,7 @@ import (
 // that encode escaped, so a per-node bound that undercounts lets it
 // through — and a hit for a small one.
 func TestOversizedRegionStaysLocal(t *testing.T) {
-	srv, addr := semServe(t, nav.NewTreeDoc(xmltree.Leaf("x")))
+	srv, addr := serve(t, semFactory(nav.NewTreeDoc(xmltree.Leaf("x"))))
 	big := regioncache.Region{{Label: "r", Down: 1, Right: regioncache.WindowNone}}
 	for size := 1; size <= cluster.MaxRegionWire; {
 		n := regioncache.WindowNode{Down: regioncache.WindowOut, Right: int32(len(big) + 1), Unknown: true}

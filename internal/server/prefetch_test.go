@@ -11,7 +11,6 @@ package server_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,27 +120,8 @@ func pfStart(t testing.TB, homes *xmltree.Tree, opts ...server.Option) (*server.
 func pfStartWith(t testing.TB, factory func(*metrics.Counters) server.Factory, opts ...server.Option) (*server.Server, string, *metrics.Counters, *metrics.Counters) {
 	t.Helper()
 	src, specSrc := &metrics.Counters{}, &metrics.Counters{}
-	opts = append([]server.Option{
-		server.WithRegionCache(regioncache.New(0)),
-		server.WithSpecFactory(factory(specSrc)),
-	}, opts...)
-	srv, err := server.New(factory(src), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	})
-	return srv, l.Addr().String(), src, specSrc
+	srv, addr := serve(t, factory(src), append([]server.Option{server.WithSpecFactory(factory(specSrc))}, opts...)...)
+	return srv, addr, src, specSrc
 }
 
 // pfQuiesce waits for every in-flight speculative drain to finish.
@@ -246,22 +226,7 @@ func TestPrefetchAblationByteIdentity(t *testing.T) {
 	offSrv, offAddr, offSrc, _ := pfStart(t, homes, server.WithPrefetch(false))
 	// Never configured: no prefetch option, no spec factory.
 	nevSrc := &metrics.Counters{}
-	nevSrv, err := server.New(pfFactory(homes, nevSrc), server.WithRegionCache(regioncache.New(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- nevSrv.Serve(l) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = nevSrv.Shutdown(ctx)
-		<-done
-	}()
+	nevSrv, nevAddr := serve(t, pfFactory(homes, nevSrc))
 
 	for _, persona := range []string{"deep-drill", "glance", "select-heavy"} {
 		script := workload.PersonaScript(persona, pfRegions, 7)
@@ -269,7 +234,7 @@ func TestPrefetchAblationByteIdentity(t *testing.T) {
 		offBefore, nevBefore := offSrc.Navigations(), nevSrc.Navigations()
 		on, _, _ := pfReplay(t, onAddr, onSrv, onSrc, script, 0)
 		off, _, _ := pfReplay(t, offAddr, offSrv, offSrc, script, 0)
-		nev, _, _ := pfReplay(t, l.Addr().String(), nevSrv, nevSrc, script, 0)
+		nev, _, _ := pfReplay(t, nevAddr, nevSrv, nevSrc, script, 0)
 		for i := range want {
 			if on[i] != want[i] || off[i] != want[i] || nev[i] != want[i] {
 				t.Fatalf("%s step %d: explored parts differ from the oracle", persona, i)

@@ -10,7 +10,6 @@ package server_test
 // the sources.
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,37 +45,15 @@ func semOracle(t *testing.T, homes *xmltree.Tree, query string) string {
 	return xmltree.MarshalXML(tree)
 }
 
-// semServe boots a plain single-node server whose homesSrc is the given
-// counting document, shared across every pooled engine.
-func semServe(t *testing.T, doc nav.Document) (*server.Server, string) {
-	t.Helper()
-	return semServeWith(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+// semFactory builds engines whose homesSrc is doc, shared across every
+// pooled engine.
+func semFactory(doc nav.Document) server.Factory {
+	return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterSource("homesSrc", doc)
 		return m, nil
-	})
-}
-
-// semServeWith boots a plain single-node server with a region cache
-// over factory's engines.
-func semServeWith(t *testing.T, factory server.Factory) (*server.Server, string) {
-	t.Helper()
-	srv, err := server.New(factory, server.WithRegionCache(regioncache.New(0)))
-	if err != nil {
-		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		l.Close()
-		<-done
-	})
-	return srv, l.Addr().String()
 }
 
 func semOpen(t *testing.T, addr, query string) string {
@@ -105,7 +82,7 @@ func TestSemanticServedWithoutSourceWork(t *testing.T) {
 	}
 
 	counting := nav.NewCountingDoc(nav.NewTreeDoc(homes))
-	srv, addr := semServe(t, counting)
+	srv, addr := serve(t, semFactory(counting))
 
 	// Cold superset drain: the whole region is explored from source.
 	if got := semOpen(t, addr, semSuperQ); got != wantSuper {
@@ -144,7 +121,7 @@ func TestSemanticNoSupersetFallsBackToSource(t *testing.T) {
 	homes, _ := workload.HomesSchools(10, 1, 3, 5)
 	wantSub := semOracle(t, homes, semSubQ)
 	counting := nav.NewCountingDoc(nav.NewTreeDoc(homes))
-	srv, addr := semServe(t, counting)
+	srv, addr := serve(t, semFactory(counting))
 
 	// A fresh node with no superset cached: the subsumed open drains
 	// its sources and records one semantic miss.
@@ -159,28 +136,6 @@ func TestSemanticNoSupersetFallsBackToSource(t *testing.T) {
 	}
 }
 
-// semNonOwner returns a fleet member that does NOT own query's routing
-// key, so an open through it enters the routed path (where the semantic
-// short-circuit lives).
-func semNonOwner(t *testing.T, fleet []*fleetMember, homes *xmltree.Tree, query string) int {
-	t.Helper()
-	probe := mediator.New(mediator.DefaultOptions())
-	probe.RegisterTree("homesSrc", homes)
-	res, err := probe.Query(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, fp := res.CacheKey()
-	ownerAddr := fleet[0].node.Owner(name, fp)
-	for i, m := range fleet {
-		if m.addr != ownerAddr {
-			return i
-		}
-	}
-	t.Fatal("every node owns the key?")
-	return -1
-}
-
 func TestSemanticFleetServedLocally(t *testing.T) {
 	homes, _ := workload.HomesSchools(10, 1, 3, 5)
 	wantSuper := semOracle(t, homes, semSuperQ)
@@ -191,18 +146,15 @@ func TestSemanticFleetServedLocally(t *testing.T) {
 	// ONE counting source shared by every node: its counter is the
 	// fleet-wide source-navigation total.
 	counting := nav.NewCountingDoc(nav.NewTreeDoc(homes))
-	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-		m := mediator.New(mediator.DefaultOptions())
-		m.SetRegionCache(rc)
-		m.RegisterSource("homesSrc", counting)
-		return m, nil
-	}
-	fleet := startFleetWith(t, 3, factory)
-	entry := semNonOwner(t, fleet, homes, semSubQ)
+	f := startFleet(t, 3, semFactory(counting))
+	// A member that does not own the subsumed query's key: an open
+	// through it enters the routed path, where the semantic
+	// short-circuit lives.
+	entry, _ := nonOwner(t, f, semSubQ)
 
 	// Phase 1: drain the superset through the entry node. Routing may
 	// proxy it to the super key's owner — its region fills THERE.
-	if got := semOpen(t, fleet[entry].addr, semSuperQ); got != wantSuper {
+	if got := semOpen(t, f.Members[entry].Addr, semSuperQ); got != wantSuper {
 		t.Fatalf("fleet superset answer:\n got %s\nwant %s", got, wantSuper)
 	}
 	afterSuper := counting.Counters.Navigations()
@@ -214,13 +166,13 @@ func TestSemanticFleetServedLocally(t *testing.T) {
 	// is not the sub key's owner, but the semantic short-circuit must
 	// keep the session local (fetching the complete superset region from
 	// its owner if needed) and answer without any source work anywhere.
-	if got := semOpen(t, fleet[entry].addr, semSubQ); got != wantSub {
+	if got := semOpen(t, f.Members[entry].Addr, semSubQ); got != wantSub {
 		t.Fatalf("fleet subsumed answer:\n got %s\nwant %s", got, wantSub)
 	}
 	if navs := counting.Counters.Navigations() - afterSuper; navs != 0 {
 		t.Fatalf("fleet-wide source navigations for subsumed open = %d, want 0", navs)
 	}
-	st := fleet[entry].srv.Stats()
+	st := f.Members[entry].Server.Stats()
 	if st.Cluster == nil || st.Cluster.SemanticLocal != 1 {
 		t.Fatalf("entry Cluster.SemanticLocal = %+v, want exactly 1", st.Cluster)
 	}
@@ -249,25 +201,21 @@ func TestSemanticFleetPartialSupersetProxied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subRes, err := oracle.Query(semSubQ)
-	if err != nil {
-		t.Fatal(err)
-	}
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterTree("homesSrc", homes)
 		return m, nil
 	}
-	fleet := startFleetWith(t, 3, factory)
+	f := startFleet(t, 3, factory)
 	// The entry node owns neither key: the superset open is proxied to
 	// its owner (where the partial region lives) but indexes the
 	// superset plan here, and the subsumed open takes the routed path.
-	superOwner := fleet[0].node.Owner(superRes.CacheKey())
-	subOwner := fleet[0].node.Owner(subRes.CacheKey())
+	_, superOwner := nonOwner(t, f, semSuperQ)
+	_, subOwner := nonOwner(t, f, semSubQ)
 	entry := -1
-	for i, m := range fleet {
-		if m.addr != superOwner && m.addr != subOwner {
+	for i := range f.Members {
+		if i != superOwner && i != subOwner {
 			entry = i
 		}
 	}
@@ -277,7 +225,7 @@ func TestSemanticFleetPartialSupersetProxied(t *testing.T) {
 
 	// Phase 1: explore the superset only partly — the first home's
 	// label — through the entry node, so the owner's region stays open.
-	c, err := vxdp.Dial(fleet[entry].addr)
+	c, err := vxdp.Dial(f.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +246,11 @@ func TestSemanticFleetPartialSupersetProxied(t *testing.T) {
 	c.Close()
 
 	// Phase 2: the subsumed open through the entry node.
-	st0 := fleet[entry].srv.Stats()
-	if got := semOpen(t, fleet[entry].addr, semSubQ); got != wantSub {
+	st0 := f.Members[entry].Server.Stats()
+	if got := semOpen(t, f.Members[entry].Addr, semSubQ); got != wantSub {
 		t.Fatalf("subsumed answer:\n got %s\nwant %s", got, wantSub)
 	}
-	st := fleet[entry].srv.Stats()
+	st := f.Members[entry].Server.Stats()
 	if st.Cache.SemanticHits != 0 || st.Cluster.SemanticLocal != 0 {
 		t.Fatalf("partial superset was used: semantic hits %d, semantic local %d",
 			st.Cache.SemanticHits, st.Cluster.SemanticLocal)
@@ -318,7 +266,7 @@ func TestSemanticFleetPartialSupersetProxied(t *testing.T) {
 	if hits := st.Cluster.L2Hits - st0.Cluster.L2Hits; hits != 1 {
 		t.Fatalf("L2 hits during the subsumed open = %d, want 1 (the partial superset)", hits)
 	}
-	if e := fleet[entry].srv.RegionCache().Peek(superRes.RegionKey()); e != nil && !e.Export().Empty() {
+	if e := f.Members[entry].Server.RegionCache().Peek(superRes.RegionKey()); e != nil && !e.Export().Empty() {
 		t.Fatal("the partial superset region was absorbed on the entry node")
 	}
 }
@@ -351,21 +299,7 @@ func TestSemanticStressUnderBumpRegistry(t *testing.T) {
 		m.RegisterTree("homesSrc", sets[version.Load()])
 		return m, nil
 	}
-	srv, err := server.New(factory, server.WithRegionCache(regioncache.New(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	defer func() {
-		l.Close()
-		<-done
-	}()
-	addr := l.Addr().String()
+	srv, addr := serve(t, factory)
 
 	stop := make(chan struct{})
 	var mutations atomic.Int64

@@ -89,7 +89,8 @@ type config struct {
 	// mediator fleet: opens are routed over the node's consistent-hash
 	// ring (proxied to the owning member), the peer-facing
 	// region ops are served, and registry bumps broadcast invalidations
-	// fleet-wide. Requires RegionCache (the node is built over it).
+	// fleet-wide. The server serves from the node's cache, and starts
+	// and stops the node with itself.
 	Cluster *cluster.Node
 	// NodeName tags every span this server records (span node= field),
 	// so stitched fleet traces say which member did the work. Defaults
@@ -153,8 +154,10 @@ func WithRegionCache(rc *regioncache.Cache) Option {
 }
 
 // WithCluster makes the server a member of a sharded mediator fleet
-// (see internal/cluster). The node must be built over the same region
-// cache passed to WithRegionCache.
+// (see internal/cluster). The server owns the node: its sessions use
+// the region cache the node was built over (WithRegionCache may be
+// left out; given, it must name that same cache), Serve starts the
+// node and Shutdown stops it.
 func WithCluster(n *cluster.Node) Option { return func(c *config) { c.Cluster = n } }
 
 // WithNodeName tags recorded spans with this node's name in fleet
@@ -170,7 +173,7 @@ func WithSlowNav(threshold time.Duration, ring int) Option {
 }
 
 // WithPrefetch toggles navigation-driven speculative prefetch (off by
-// default; requires WithRegionCache).
+// default; requires a region cache: WithRegionCache or WithCluster).
 func WithPrefetch(on bool) Option { return func(c *config) { c.Prefetch = on } }
 
 // WithPrefetchBudget bounds each speculative drain (zero fields keep
@@ -245,7 +248,8 @@ type Server struct {
 
 // New returns an unstarted Server whose sessions draw engines built by
 // factory from a shared pool. Defaults: no session limit, no timeouts,
-// tracing off, no region cache; override with options.
+// tracing off, no region cache (a clustered server takes its node's);
+// override with options.
 func New(factory Factory, opts ...Option) (*Server, error) {
 	if factory == nil {
 		return nil, errors.New("server: mediator factory is required")
@@ -267,11 +271,14 @@ func newServer(cfg config) (*Server, error) {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.Cluster != nil && cfg.RegionCache == nil {
-		return nil, errors.New("server: clustering requires a region cache (WithRegionCache)")
-	}
-	if cfg.NodeName == "" && cfg.Cluster != nil {
-		cfg.NodeName = cfg.Cluster.Self()
+	if n := cfg.Cluster; n != nil {
+		if cfg.RegionCache != nil && cfg.RegionCache != n.Cache() {
+			return nil, errors.New("server: WithRegionCache names a cache other than the cluster node's")
+		}
+		cfg.RegionCache = n.Cache()
+		if cfg.NodeName == "" {
+			cfg.NodeName = n.Self()
+		}
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -294,7 +301,7 @@ func newServer(cfg config) (*Server, error) {
 	}
 	if cfg.Prefetch {
 		if cfg.RegionCache == nil {
-			return nil, errors.New("server: prefetch requires a region cache (WithRegionCache)")
+			return nil, errors.New("server: prefetch requires a region cache (WithRegionCache or WithCluster)")
 		}
 		s.prefetch = newPrefetcher(s)
 	}
@@ -476,7 +483,8 @@ func (s *Server) moveEpoch() {
 func (s *Server) RegionCache() *regioncache.Cache { return s.cache }
 
 // Serve accepts VXDP sessions on l until Shutdown is called or the
-// listener fails. It returns nil after a clean Shutdown.
+// listener fails. It returns nil after a clean Shutdown. A clustered
+// server starts its node's health and flush loops before it accepts.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.draining.Load() {
@@ -484,6 +492,10 @@ func (s *Server) Serve(l net.Listener) error {
 		return errors.New("server: already shut down")
 	}
 	s.l = l
+	if s.cluster != nil {
+		// Under mu, so a concurrent Shutdown stops a started node.
+		s.cluster.Start()
+	}
 	s.mu.Unlock()
 	for {
 		conn, err := l.Accept()
@@ -561,7 +573,8 @@ func (s *Server) drainingNow() bool { return s.draining.Load() }
 // session blocked waiting for a request (in-flight requests still get
 // their response), and waits for all sessions to drain. If ctx expires
 // first the remaining connections are force-closed and ctx.Err() is
-// returned.
+// returned. Either way a clustered server then stops its node: the
+// loops exit and the control links to the peers close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining.Store(true)
@@ -590,6 +603,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	if s.cluster != nil {
+		defer s.cluster.Stop()
+	}
 	select {
 	case <-done:
 		return nil

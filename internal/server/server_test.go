@@ -27,30 +27,13 @@ AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2`
 func start(t *testing.T, opts ...server.Option) (*server.Server, string) {
 	t.Helper()
 	homes, schools := workload.HomesSchools(10, 10, 3, 5)
-	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+	return boot(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterTree("homesSrc", homes)
 		m.RegisterTree("schoolsSrc", schools)
 		return m, nil
-	}
-	srv, err := server.New(factory, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	})
-	return srv, l.Addr().String()
+	}, opts...)
 }
 
 func TestConfigRequiresFactory(t *testing.T) {

@@ -10,7 +10,6 @@ package server_test
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +18,6 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
-	"mix/internal/server"
 	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
@@ -65,21 +63,7 @@ func TestRegistryMutationStress(t *testing.T) {
 		m.RegisterTree("schoolsSrc", d.schools)
 		return m, nil
 	}
-	srv, err := server.New(factory, server.WithRegionCache(regioncache.New(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	defer func() {
-		l.Close()
-		<-done
-	}()
-	addr := l.Addr().String()
+	srv, addr := serve(t, factory)
 
 	// The mutator swaps in the next dataset, repeatedly, while sessions
 	// are mid-exploration; mutations counts the updates that returned.
@@ -185,7 +169,7 @@ func TestUpdateReplay(t *testing.T) {
 		m.RegisterTree("homesSrc", d)
 		return m, nil
 	}
-	srv, addr := semServeWith(t, factory)
+	srv, addr := serve(t, factory)
 	updated := make(chan struct{})
 	go func() {
 		<-read
@@ -219,7 +203,7 @@ func TestUpdateWarmMemo(t *testing.T) {
 	}
 	data := []*xmltree.Tree{homes("9100"), homes("9200")}
 	var version atomic.Int64
-	srv, addr := semServeWith(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+	srv, addr := serve(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterTree("homesSrc", data[version.Load()])

@@ -7,17 +7,16 @@ package server_test
 // must retain the proxied roots.
 
 import (
-	"context"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/mediator"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
@@ -41,20 +40,11 @@ const fleetQuery = `
 CONSTRUCT <out> $M {$M} </out> {}
 WHERE homeview allhomes.med_home $M`
 
-type fleetMember struct {
-	srv  *server.Server
-	node *cluster.Node
-	addr string
-	name string
-	done chan error
-}
-
-// startFleet boots n tracing mixd instances on loopback listeners,
-// clustered in proxy mode with background timers off, named n0..n(n-1).
-func startFleet(t *testing.T, n int, extra ...server.Option) []*fleetMember {
-	t.Helper()
+// fleetFactory builds engines over the homes/schools sources with the
+// homeview view defined.
+func fleetFactory() server.Factory {
 	homes, schools := workload.HomesSchools(10, 10, 3, 5)
-	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+	return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
 		m.SetRegionCache(rc)
 		m.RegisterTree("homesSrc", homes)
@@ -64,89 +54,56 @@ func startFleet(t *testing.T, n int, extra ...server.Option) []*fleetMember {
 		}
 		return m, nil
 	}
-	return startFleetWith(t, n, factory, extra...)
 }
 
-// startFleetWith is startFleet with a caller-supplied mediator factory
-// (shared by every node), for tests that need instrumented sources.
-func startFleetWith(t *testing.T, n int, factory server.Factory, extra ...server.Option) []*fleetMember {
+// nodeName names fleet member i in traces.
+func nodeName(i int) string { return "n" + strconv.Itoa(i) }
+
+// startFleet boots n tracing members over factory on loopback,
+// clustered in proxy mode with background timers off, named by
+// nodeName.
+func startFleet(t *testing.T, n int, factory server.Factory, extra ...server.Option) *fleet.Fleet {
 	t.Helper()
-	quiet := slog.New(slog.DiscardHandler)
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i], addrs[i] = l, l.Addr().String()
-	}
-	fleet := make([]*fleetMember, n)
-	for i := range fleet {
-		rc := regioncache.New(0)
-		peers := make([]string, 0, n-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		node, err := cluster.New(cluster.Config{
-			Self: addrs[i], Peers: peers, Mode: cluster.ModeProxy,
-			HealthInterval: time.Hour, FlushInterval: -1, Logger: quiet,
-		}, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := "n" + string(rune('0'+i))
-		opts := append([]server.Option{
-			server.WithRegionCache(rc), server.WithCluster(node),
-			server.WithLogger(quiet), server.WithTrace(true),
-			server.WithNodeName(name),
-		}, extra...)
-		srv, err := server.New(factory, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func(l net.Listener) { done <- srv.Serve(l) }(listeners[i])
-		node.Start()
-		fleet[i] = &fleetMember{srv: srv, node: node, addr: addrs[i], name: name, done: done}
-	}
-	t.Cleanup(func() {
-		for _, m := range fleet {
-			m.node.Stop()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = m.srv.Shutdown(ctx)
-			cancel()
-			<-m.done
-		}
+	f, err := fleet.Start(n, cluster.Config{
+		Mode: cluster.ModeProxy, HealthInterval: time.Hour, FlushInterval: -1,
+	}, func(i int) (server.Factory, []server.Option) {
+		return factory, append([]server.Option{
+			server.WithTrace(true), server.WithNodeName(nodeName(i))}, extra...)
 	})
-	return fleet
-}
-
-// nonOwner returns the index of a fleet member that does NOT own the
-// fleet query's routing key, so an open through it must proxy.
-func nonOwner(t *testing.T, fleet []*fleetMember) (entry, owner int) {
-	t.Helper()
-	homes, schools := workload.HomesSchools(10, 10, 3, 5)
-	probe := mediator.New(mediator.DefaultOptions())
-	probe.RegisterTree("homesSrc", homes)
-	probe.RegisterTree("schoolsSrc", schools)
-	if err := probe.DefineView("homeview", fleetViewDef); err != nil {
-		t.Fatal(err)
-	}
-	res, err := probe.Query(fleetQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, fp := res.CacheKey()
-	ownerAddr := fleet[0].node.Owner(name, fp)
-	for i, m := range fleet {
-		if m.addr == ownerAddr {
-			owner = i
-		}
+	t.Cleanup(func() { _ = f.Close() })
+	return f
+}
+
+// boot boots one standalone server over factory and stops it when the
+// test ends.
+func boot(t testing.TB, factory server.Factory, opts ...server.Option) (*server.Server, string) {
+	t.Helper()
+	f, err := fleet.Start(1, cluster.Config{}, func(int) (server.Factory, []server.Option) { return factory, opts })
+	if err != nil {
+		t.Fatal(err)
 	}
-	return (owner + 1) % len(fleet), owner
+	t.Cleanup(func() { _ = f.Close() })
+	return f.Members[0].Server, f.Members[0].Addr
+}
+
+// serve is boot with a region cache of its own, unless opts replace it.
+func serve(t testing.TB, factory server.Factory, opts ...server.Option) (*server.Server, string) {
+	t.Helper()
+	return boot(t, factory, append([]server.Option{server.WithRegionCache(regioncache.New(0))}, opts...)...)
+}
+
+// nonOwner returns a member that does NOT own query's routing key, so
+// an open through it must proxy, and the owner.
+func nonOwner(t *testing.T, f *fleet.Fleet, query string) (entry, owner int) {
+	t.Helper()
+	owner, err := f.Owner(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (owner + 1) % len(f.Members), owner
 }
 
 func countSpans(roots []*trace.Span, match func(*trace.Span) bool) int {
@@ -167,10 +124,10 @@ func countSpans(roots []*trace.Span, match func(*trace.Span) bool) int {
 }
 
 func TestFleetTraceStitchesAcrossNodes(t *testing.T) {
-	fleet := startFleet(t, 3)
-	entry, owner := nonOwner(t, fleet)
+	f := startFleet(t, 3, fleetFactory())
+	entry, owner := nonOwner(t, f, fleetQuery)
 
-	c, err := vxdp.Dial(fleet[entry].addr)
+	c, err := vxdp.Dial(f.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +156,7 @@ func TestFleetTraceStitchesAcrossNodes(t *testing.T) {
 		}
 	}
 	totals := trace.NodeTotals(roots)
-	entryName, ownerName := fleet[entry].name, fleet[owner].name
+	entryName, ownerName := nodeName(entry), nodeName(owner)
 	if totals[entryName] == 0 || totals[ownerName] == 0 {
 		t.Fatalf("stitched forest misses a node: totals = %v, want spans from %s and %s",
 			totals, entryName, ownerName)
@@ -218,10 +175,10 @@ func TestFleetTraceStitchesAcrossNodes(t *testing.T) {
 }
 
 func TestFleetRouteHistogramInStats(t *testing.T) {
-	fleet := startFleet(t, 3)
-	entry, _ := nonOwner(t, fleet)
+	f := startFleet(t, 3, fleetFactory())
+	entry, _ := nonOwner(t, f, fleetQuery)
 
-	c, err := vxdp.Dial(fleet[entry].addr)
+	c, err := vxdp.Dial(f.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +210,7 @@ func TestFleetRouteHistogramInStats(t *testing.T) {
 	}
 
 	// The same histograms feed the Prometheus endpoint.
-	hs := httptest.NewServer(fleet[entry].srv.Handler())
+	hs := httptest.NewServer(f.Members[entry].Server.Handler())
 	defer hs.Close()
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
@@ -267,10 +224,10 @@ func TestFleetRouteHistogramInStats(t *testing.T) {
 }
 
 func TestFleetSlowRingCapturesProxiedNavigation(t *testing.T) {
-	fleet := startFleet(t, 3, server.WithSlowNav(0, 16)) // threshold 0: record all
-	entry, _ := nonOwner(t, fleet)
+	f := startFleet(t, 3, fleetFactory(), server.WithSlowNav(0, 16)) // threshold 0: record all
+	entry, _ := nonOwner(t, f, fleetQuery)
 
-	c, err := vxdp.Dial(fleet[entry].addr)
+	c, err := vxdp.Dial(f.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +249,9 @@ func TestFleetSlowRingCapturesProxiedNavigation(t *testing.T) {
 		t.Fatal("entry node's flight recorder retained nothing")
 	}
 	for _, s := range slow {
-		if s.Node != fleet[entry].name {
+		if s.Node != nodeName(entry) {
 			t.Fatalf("slow record node = %q, want %q (slow op is node-local)",
-				s.Node, fleet[entry].name)
+				s.Node, nodeName(entry))
 		}
 		if s.Root == nil {
 			t.Fatalf("slow record #%d has no span tree", s.Seq)
@@ -302,7 +259,7 @@ func TestFleetSlowRingCapturesProxiedNavigation(t *testing.T) {
 	}
 
 	// /debug/slow renders the same ring; the counter never forgets.
-	hs := httptest.NewServer(fleet[entry].srv.Handler())
+	hs := httptest.NewServer(f.Members[entry].Server.Handler())
 	defer hs.Close()
 	get := func(path string) string {
 		t.Helper()

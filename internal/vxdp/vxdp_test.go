@@ -10,6 +10,8 @@ import (
 	"net"
 	"testing"
 
+	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/mediator"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
@@ -36,21 +38,12 @@ func startServer(t *testing.T, opts ...server.Option) (*server.Server, string) {
 		m.RegisterTree("schoolsSrc", schools)
 		return m, nil
 	}
-	srv, err := server.New(factory, opts...)
+	f, err := fleet.Start(1, cluster.Config{}, func(int) (server.Factory, []server.Option) { return factory, opts })
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		l.Close()
-		<-done
-	})
-	return srv, l.Addr().String()
+	t.Cleanup(func() { _ = f.Close() })
+	return f.Members[0].Server, f.Members[0].Addr
 }
 
 func dialOpen(t *testing.T, addr, query string) *vxdp.Client {

@@ -280,3 +280,21 @@ func DistinctZipGroupsPlan(src string) algebra.Op {
 	g := &algebra.GroupBy{Input: d, By: []string{"V"}, Var: "H", Out: "G"}
 	return &algebra.Project{Input: g, Keep: []string{"V"}}
 }
+
+// Demo generates the named demo dataset of size n, the one a
+// "demo:kind:n" source declaration of mixd or mixq stands for: kind is
+// books (a store named name with n books), homes or schools (n of them
+// over n/10+1 zip codes).
+func Demo(kind, name string, n int) (*xmltree.Tree, error) {
+	switch kind {
+	case "books":
+		return Books(name, n, 1), nil
+	case "homes":
+		homes, _ := HomesSchools(n, 0, n/10+1, 1)
+		return homes, nil
+	case "schools":
+		_, schools := HomesSchools(0, n, n/10+1, 1)
+		return schools, nil
+	}
+	return nil, fmt.Errorf("unknown demo dataset %q (books|homes|schools)", kind)
+}

@@ -80,6 +80,18 @@ func TestBooks(t *testing.T) {
 	}
 }
 
+func TestDemo(t *testing.T) {
+	for kind, label := range map[string]string{"books": "catalog", "homes": "homes", "schools": "schools"} {
+		d, err := Demo(kind, "store", 7)
+		if err != nil || d.Label != label || len(d.Children) != 7 {
+			t.Fatalf("demo %s: %v, %v", kind, d, err)
+		}
+	}
+	if _, err := Demo("cars", "store", 7); err == nil {
+		t.Fatal("unknown demo dataset accepted")
+	}
+}
+
 func TestDeepTree(t *testing.T) {
 	d := DeepTree(4, 2)
 	if d.Label != "root" {

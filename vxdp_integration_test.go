@@ -8,9 +8,7 @@ package mix_test
 // — all under -race.
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -73,25 +71,8 @@ func mixdFactory() server.Factory {
 // startMixd runs the daemon in-process on a loopback listener.
 func startMixd(t *testing.T, opts ...server.Option) (*server.Server, string) {
 	t.Helper()
-	srv, err := server.New(mixdFactory(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		if err := <-done; err != nil {
-			t.Errorf("mixd Serve: %v", err)
-		}
-	})
-	return srv, l.Addr().String()
+	f := startCluster(t, 1, "", opts...)
+	return f.Members[0].Server, f.Members[0].Addr
 }
 
 // TestRemoteCorpusByteIdentical: for every corpus query, full remote

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mix/internal/cluster"
+	"mix/internal/fleet"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
 	"mix/internal/server"
@@ -21,11 +22,11 @@ import (
 // the non-owner relays them. The non-owner opens q once before the
 // owner's entry completes: its own entry then exists, incomplete, and
 // later opens there are proxied rather than filled from the owner.
-func proxiedWarmSession(t *testing.T, h *clusterHarness, q string) (c *vxdp.Client, entry, owner int) {
+func proxiedWarmSession(t *testing.T, h *fleet.Fleet, q string) (c *vxdp.Client, entry, owner int) {
 	t.Helper()
-	owner = h.ownerIndex(t, q)
-	entry = (owner + 1) % len(h.addrs)
-	early, err := vxdp.Dial(h.addrs[entry])
+	owner = ownerOf(t, h, q)
+	entry = (owner + 1) % len(h.Members)
+	early, err := vxdp.Dial(h.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +34,8 @@ func proxiedWarmSession(t *testing.T, h *clusterHarness, q string) (c *vxdp.Clie
 		t.Fatal(err)
 	}
 	early.Close()
-	materializeVia(t, h.addrs[owner], q)
-	c, err = vxdp.Dial(h.addrs[entry])
+	materializeVia(t, h.Members[owner].Addr, q)
+	c, err = vxdp.Dial(h.Members[entry].Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestWindowProxyFleetByteIdentical(t *testing.T) {
 	q := queryCorpus[1].q
 	want := wantAnswer(t, q)
 	c, entry, _ := proxiedWarmSession(t, h, q)
-	proxied := h.nodes[entry].Stats().Proxied
+	proxied := h.Members[entry].Node.Stats().Proxied
 	tree, err := nav.Materialize(c)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestWindowProxyFleetByteIdentical(t *testing.T) {
 	if got := xmltree.MarshalXML(tree); got != want {
 		t.Fatalf("windowed answer through a non-owner differs\ngot:  %s\nwant: %s", got, want)
 	}
-	if h.nodes[entry].Stats().Proxied == proxied {
+	if h.Members[entry].Node.Stats().Proxied == proxied {
 		t.Fatal("the session was not proxied")
 	}
 	if nodes := countNodes(tree); c.RoundTrips()*4 > int64(nodes) {
@@ -113,7 +114,9 @@ func TestWindowOwnerLossServesNoDeadHandle(t *testing.T) {
 		t.Fatal("windows decided every top-level move; the answer needs more children")
 	}
 
-	h.kill(t, owner)
+	if err := h.Stop(owner); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Right(edge); err == nil {
 		t.Fatal("command after owner death succeeded; want a restart notice")
 	}
