@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"mix/internal/algebra"
+	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
@@ -137,6 +138,16 @@ type Query struct {
 	// and Document renders the log as the bs[b[…]…] binding tree.
 	top    *lazyLog
 	answer Node
+
+	// navMu serializes navigation of the lazy state above: every VDoc
+	// of the query — the demand document and each speculative drain's —
+	// holds it for one Down, Right or Fetch, so demand and speculation
+	// fill the same logs and derive each region once. rec (the recorder
+	// the operator trace wrappers write to) and src (the query's source
+	// navigations) are written under it.
+	navMu sync.Mutex
+	rec   *trace.Recorder
+	src   metrics.Counters
 }
 
 // Compile validates the plan, resolves every source it names and
@@ -152,7 +163,8 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	// Validate rejects unknown operators, so a nested tupleDestroy is the
 	// one plan compileNode would refuse; it is caught here, not at the
 	// first navigation.
-	c := &compiler{e: e, tracer: e.tracer, srcs: map[string]nav.Document{}}
+	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
+	c := &compiler{e: e, q: q, srcs: map[string]nav.Document{}}
 	var missing string
 	nested := false
 	algebra.Walk(plan, func(op algebra.Op) {
@@ -173,7 +185,6 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	if nested {
 		return nil, errNestedTupleDestroy
 	}
-	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
 	input := plan
 	td, isTD := plan.(*algebra.TupleDestroy)
 	if isTD {
@@ -261,23 +272,26 @@ func (q *Query) Fingerprint() string { return q.fingerprint }
 // session (or an earlier Document of this query) already explored are
 // answered from the shared cache without touching this query's lazy
 // streams; only cache misses drive them.
-func (q *Query) Document() nav.Document { return q.document(false) }
+func (q *Query) Document() nav.Document {
+	return q.document(&VDoc{q: q, rec: q.eng.tracer})
+}
 
-// document builds the answer document over the lazy engine, cache-aware
-// over the entry q.entry(spec) resolves when there is one. Demand
-// (Document) and speculation (PrefetchRegion) differ only in spec.
-func (q *Query) document(spec bool) nav.Document {
-	root := q.answer
-	if root == nil {
-		root = q.bindingsNode()
+// document builds the answer document over inner, a VDoc of q (its root
+// filled in here), cache-aware over the entry q.entry resolves when
+// there is one. Demand (Document) and speculation (PrefetchRegion)
+// differ only in inner's spec flag: a speculative document records no
+// spans.
+func (q *Query) document(inner *VDoc) nav.Document {
+	inner.root = q.answer
+	if inner.root == nil {
+		inner.root = q.bindingsNode()
 	}
-	var inner nav.Document = &VDoc{root: root}
-	entry := q.entry(spec)
+	entry := q.entry(inner.spec)
 	if entry == nil {
 		return inner
 	}
 	doc := regioncache.NewDoc(entry, inner)
-	if rec := q.eng.tracer; rec != nil {
+	if rec := inner.rec; rec != nil {
 		doc.Observe = func(op string, hit bool) {
 			label := "cache:miss"
 			if hit {

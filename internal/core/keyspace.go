@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"mix/internal/nav"
-	"mix/internal/trace"
 	"mix/internal/xmltree"
 )
 
@@ -34,15 +33,15 @@ import (
 // never mixed.
 
 // compiler carries the per-compile state threaded through plan
-// compilation: the engine (options, interner), the tracer and the
-// source documents Compile resolved, and the query-scoped keyspace.
-// Engine.Compile may be called concurrently, so per-compile state lives
-// here rather than on the Engine.
+// compilation: the engine (options, interner, tracer), the query being
+// compiled, the source documents Compile resolved, and the query-scoped
+// keyspace. Engine.Compile may be called concurrently, so per-compile
+// state lives here rather than on the Engine.
 type compiler struct {
-	e      *Engine
-	tracer *trace.Recorder
-	srcs   map[string]nav.Document
-	ks     *keyspace
+	e    *Engine
+	q    *Query
+	srcs map[string]nav.Document
+	ks   *keyspace
 }
 
 // keyspace disambiguates fingerprint collisions within one query.

@@ -15,11 +15,14 @@ import (
 // query's answer document, PrefetchRegion explores just that region
 // through a cache-aware document opened speculatively, so the explored
 // structure lands in the shared region cache before any client asks.
-// Drains share a bounded pool of slots (specSlots), and each is
-// triple-bounded: a navigation budget, a label-byte budget, and a
-// context cancelled the instant real demand arrives —
-// checked between every two navigations, so cancellation takes effect
-// within at most one pull of the operator pipeline.
+// The drain runs on the query the client navigates — the paper's "push
+// from below" beside the client's "pull from above" on one mediator —
+// so what it derives stays in the query's lazy state for the client's
+// own later misses. Drains share a bounded pool of slots (specSlots),
+// and each is triple-bounded: a navigation budget, a label-byte budget,
+// and a context cancelled the instant real demand arrives — checked
+// between every two navigations, so cancellation takes effect within at
+// most one pull of the operator pipeline.
 
 // specSlots bounds the speculative drains running at once across the
 // whole process; a drain waits for a slot or for its cancellation.
@@ -44,6 +47,10 @@ type PrefetchResult struct {
 	Navs int64
 	// Bytes is the label bytes fetched.
 	Bytes int64
+	// SrcNavs is the source navigations the query made while the drain
+	// held its navigation lock: the drain's share of the query's source
+	// work, which demand navigations of the same query do not pay.
+	SrcNavs int64
 	// Exhausted reports that a budget ran out before the region was
 	// fully explored; whatever was explored is published anyway.
 	Exhausted bool
@@ -143,7 +150,9 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 // accounted and evicted first under pressure until demand promotes it.
 //
 // The walk issues navigations into counters (the caller's dedicated
-// speculative block — never a session's) and stops at the first of:
+// speculative block — never a session's), one at a time under the
+// query's navigation lock, so it may run beside the query's demand
+// document; it records no trace spans. It stops at the first of:
 // region fully explored, budget exhausted, ctx cancelled. It holds one
 // of specSlots; with every slot taken it waits for one or for
 // cancellation, whichever comes first.
@@ -165,7 +174,8 @@ func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budge
 	}
 
 	local := &metrics.Counters{}
-	w := &specWalk{ctx: ctx, doc: &nav.CountingDoc{Doc: q.document(true), Counters: local}, nav: local, budget: budget}
+	inner := &VDoc{q: q, spec: true}
+	w := &specWalk{ctx: ctx, doc: &nav.CountingDoc{Doc: q.document(inner), Counters: local}, nav: local, budget: budget}
 
 	err := func() error {
 		root, err := w.doc.Root()
@@ -196,7 +206,7 @@ func (q *Query) PrefetchRegion(ctx context.Context, region int, deep bool, budge
 		return w.drill(cur, deep)
 	}()
 
-	res := PrefetchResult{Navs: local.Navigations(), Bytes: w.bytes}
+	res := PrefetchResult{Navs: local.Navigations(), Bytes: w.bytes, SrcNavs: inner.srcNavs}
 	if counters != nil {
 		counters.Add(local.Snapshot())
 	}

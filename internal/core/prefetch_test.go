@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"mix/internal/eager"
 	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
 	"mix/internal/workload"
+	"mix/internal/xmltree"
 )
 
 // prefetchRig builds an engine over the running example with counted
@@ -41,6 +44,10 @@ func TestPrefetchRegionWarmsDemand(t *testing.T) {
 	}
 	if spec.Navigations() != res.Navs {
 		t.Fatalf("counters got %d navs, result says %d", spec.Navigations(), res.Navs)
+	}
+	// Alone on the query, the drain's share is all the sources saw.
+	if res.SrcNavs == 0 || res.SrcNavs != src.Navigations() {
+		t.Fatalf("drain reports %d source navs, the sources saw %d", res.SrcNavs, src.Navigations())
 	}
 	if st := cache.Stats(); st.SpecEntries != 1 {
 		t.Fatalf("expected one speculative entry, stats %+v", st)
@@ -179,4 +186,102 @@ func TestPrefetchRequiresCacheName(t *testing.T) {
 	if _, err := q.PrefetchRegion(context.Background(), 0, true, PrefetchBudget{}, nil); err == nil {
 		t.Fatal("uncached query accepted a prefetch")
 	}
+}
+
+// TestPrefetchSharedQueryStress: a session's demand document and its
+// drains navigate one join+groupBy query at once (run with -race) while
+// the client changes direction. Every region the client explores, and
+// the whole answer afterwards, equals the eager evaluation: the
+// navigation lock never lets a navigation observe a torn lazy log.
+func TestPrefetchSharedQueryStress(t *testing.T) {
+	homes, schools := workload.HomesSchools(12, 8, 4, 7)
+	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
+	ev := eager.New()
+	for name, tree := range srcs {
+		ev.Register(name, nav.NewTreeDoc(tree))
+	}
+	full, err := ev.Eval(workload.HomesSchoolsPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := len(full.Children)
+	if regions < 6 {
+		t.Fatalf("answer has %d regions; the test needs more", regions)
+	}
+	// The client jumps back and forth: forward scans, backward restarts.
+	order := []int{0, regions - 1, 2, 1, regions / 2, 3, regions - 2, 0, regions / 2, 1}
+
+	for round := 0; round < 3; round++ {
+		e, _ := engineWith(DefaultOptions(), srcs)
+		e.SetRegionCache(regioncache.New(0))
+		q := mustCompile(t, e, workload.HomesSchoolsPlan())
+		q.SetCacheName("homes")
+
+		ctx, stop := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ctx.Err() == nil; i++ {
+					r := (i*5 + w*3 + round) % (regions + 1)
+					dctx, cancel := context.WithCancel(ctx)
+					if i%3 == 0 {
+						cancel() // some drains lose to demand at once
+					}
+					_, err := q.PrefetchRegion(dctx, r, i%2 == 0, PrefetchBudget{MaxNavs: int64(8 + i%40)}, nil)
+					cancel()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+
+		doc := q.Document()
+		for _, r := range order {
+			root, err := doc.Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := doc.Down(root)
+			for i := 0; i < r && err == nil; i++ {
+				cur, err = doc.Right(cur)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := subtreeAt(doc, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := xmltree.MarshalXML(got), xmltree.MarshalXML(full.Children[r]); g != w {
+				t.Fatalf("round %d region %d:\n got %s\nwant %s", round, r, g, w)
+			}
+		}
+		stop()
+		wg.Wait()
+		if got, want := xmltree.MarshalXML(mustMaterialize(t, q)), xmltree.MarshalXML(full); got != want {
+			t.Fatalf("round %d: answer after the drains differs from eager:\n%s\nvs\n%s", round, got, want)
+		}
+	}
+}
+
+// subtreeAt materializes the subtree of doc under p.
+func subtreeAt(doc nav.Document, p nav.ID) (*xmltree.Tree, error) {
+	label, err := doc.Fetch(p)
+	if err != nil {
+		return nil, err
+	}
+	out := &xmltree.Tree{Label: label}
+	c, err := doc.Down(p)
+	for c != nil && err == nil {
+		var sub *xmltree.Tree
+		if sub, err = subtreeAt(doc, c); err == nil {
+			out.Children = append(out.Children, sub)
+			c, err = doc.Right(c)
+		}
+	}
+	return out, err
 }

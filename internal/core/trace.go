@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mix/internal/algebra"
+	"mix/internal/nav"
 	"mix/internal/trace"
 )
 
@@ -16,7 +17,31 @@ import (
 //
 // Set the tracer before compiling; it is not synchronized with
 // concurrent Compile calls.
+//
+// The wrappers write to the recorder of whichever document holds the
+// query's navigation lock: the engine's for the demand document, none
+// for a speculative drain's — so drains put no span into a session's
+// trace, the operator histograms or the slow-navigation ring.
 func (e *Engine) SetTracer(rec *trace.Recorder) { e.tracer = rec }
+
+// tracedSource is a source boundary's trace.Doc whose recorder is read
+// per command from the query (see SetTracer).
+type tracedSource struct {
+	inner nav.Document
+	label string
+	q     *Query
+}
+
+func (s *tracedSource) doc() *trace.Doc { return trace.NewDoc(s.inner, s.label, s.q.rec) }
+
+func (s *tracedSource) Root() (nav.ID, error)          { return s.doc().Root() }
+func (s *tracedSource) Down(p nav.ID) (nav.ID, error)  { return s.doc().Down(p) }
+func (s *tracedSource) Right(p nav.ID) (nav.ID, error) { return s.doc().Right(p) }
+func (s *tracedSource) Fetch(p nav.ID) (string, error) { return s.doc().Fetch(p) }
+func (s *tracedSource) Unwrap() nav.Document           { return s.inner }
+func (s *tracedSource) SelectRight(p nav.ID, sigma nav.Predicate, fromSelf bool) (nav.ID, error) {
+	return s.doc().SelectRight(p, sigma, fromSelf)
+}
 
 // opLabel names an operator for trace spans and latency histograms.
 func opLabel(p algebra.Op) string {

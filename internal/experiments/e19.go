@@ -27,8 +27,8 @@ func SetPersona(name string) { persona = name }
 // E19SpeculativePrefetch measures navigation-driven speculative
 // prefetch (DESIGN.md §15): the server's per-view successor model
 // watches which region a session engages, predicts the next one, and
-// drains it into the region cache on speculative engines *before the
-// client asks*. For the deep-drill persona the model locks onto the
+// drains it into the region cache on the session's own query *before
+// the client asks*. For the deep-drill persona the model locks onto the
 // +1 scan after two engagements, so every region from the third on is
 // served entirely from speculatively warmed cache — zero interactive
 // source navigations — while the -prefetch=false ablation pays the
@@ -80,11 +80,20 @@ func E19SpeculativePrefetch() Table {
 		}
 	}
 
-	// Interactive (demand) sources and speculative sources are counted
-	// separately, each fleet-wide: the demand factory feeds src, the spec
-	// factory — registering the *same* sources in the same order, so
-	// fingerprints and registry versions line up — feeds specSrc.
-	src, specSrc := &metrics.Counters{}, &metrics.Counters{}
+	// Demand and speculation navigate one query per session, so the
+	// sources count both, fleet-wide, on src; the drains' own share is
+	// what the members report as speculative source navigations, and
+	// the interactive navigations are the difference.
+	src := &metrics.Counters{}
+	specNavs := func(f *fleet.Fleet) int64 {
+		var n int64
+		for _, m := range f.Members {
+			if st := m.Server.Stats(); st.Prefetch != nil {
+				n += st.Prefetch.SrcNavs
+			}
+		}
+		return n
+	}
 
 	// quiesce waits until the speculating member has no drain in
 	// flight, so the next step measures a fully warmed (or fully
@@ -113,8 +122,7 @@ func E19SpeculativePrefetch() Table {
 	// the oracle replay.
 	run := func(n int, prefetch bool) []string {
 		f := bootFleet(n, cluster.ModeProxy, func(int) (server.Factory, []server.Option) {
-			return countingFactory(src, homes, nil), []server.Option{
-				server.WithPrefetch(prefetch), server.WithSpecFactory(countingFactory(specSrc, homes, nil))}
+			return countingFactory(src, homes, nil), []server.Option{server.WithPrefetch(prefetch)}
 		})
 		defer f.Close()
 		own := owner(f, query)
@@ -133,12 +141,13 @@ func E19SpeculativePrefetch() Table {
 		}
 		quiesce(speculator)
 		var warm, steady int64
-		prev := src.Navigations()
-		specBefore := specSrc.Navigations()
+		interactive := func() int64 { return src.Navigations() - specNavs(f) }
+		prev := interactive()
+		specBefore := specNavs(f)
 		identical := true
 		err = workload.ReplayPersona(c, script, func(i int, explored string) error {
 			quiesce(speculator)
-			navs := src.Navigations() - prev
+			navs := interactive() - prev
 			prev += navs
 			if i < warmup {
 				warm += navs
@@ -161,7 +170,7 @@ func E19SpeculativePrefetch() Table {
 		if !identical {
 			verdict = "DIFFERS"
 		}
-		return []string{itoa(warm), itoa(steady), counters, itoa(specSrc.Navigations() - specBefore), verdict}
+		return []string{itoa(warm), itoa(steady), counters, itoa(specNavs(f) - specBefore), verdict}
 	}
 
 	row := func(label string, cells []string) {

@@ -382,13 +382,13 @@ func TestE19Shape(t *testing.T) {
 	}
 	// Every E19 prediction lands on a region nobody has explored yet, so
 	// the prefetcher's known-region check must leave the prediction
-	// counts exactly as they were before it existed. Each drain after the
-	// first resumes the query the previous one parked, so the session's
-	// 15 drains derive the view's prefix once (427 speculative source
-	// navigations) instead of once per drain (1554 with fresh queries).
+	// counts exactly as they were before it existed. Every drain runs on
+	// the session's own query, so the session's 15 drains never re-derive
+	// the prefix the session or an earlier drain already derived (414
+	// speculative source navigations; 1554 with a fresh query per drain).
 	for _, i := range []int{0, 3} {
-		if got, navs := tb.Rows[i][3], col(t, tb, i, 4); got != "15/14/0" || navs != 427 {
-			t.Fatalf("row %d: issued/hits/wasted %s, spec navs %d; want 15/14/0 and 427", i, got, navs)
+		if got, navs := tb.Rows[i][3], col(t, tb, i, 4); got != "15/14/0" || navs != 414 {
+			t.Fatalf("row %d: issued/hits/wasted %s, spec navs %d; want 15/14/0 and 414", i, got, navs)
 		}
 	}
 	for _, i := range []int{2, 5} {

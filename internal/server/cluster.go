@@ -195,7 +195,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	owner := cl.Owner(name, fp)
 	serveLocal := func() vxdp.Response {
 		s.closeProxy()
-		s.installView(res, req.Query)
+		s.installView(res)
 		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
 	}
 	if cl.IsSelf(owner) {

@@ -2,35 +2,39 @@ package server
 
 import (
 	"mix/internal/mediator"
-	"mix/internal/predict"
 )
 
-// SpecParked returns the spec queries parked between drains, by view
-// key (empty with prefetch off).
-func SpecParked(s *Server) map[predict.Key]*mediator.Result {
-	out := map[predict.Key]*mediator.Result{}
-	if p := s.prefetch; p != nil {
-		p.mu.Lock()
-		for k, q := range p.parked {
-			out[k] = q.res
+// SpawnDrain starts a speculative drain of region of res, as a
+// confident prediction of a session with res open would; it reports
+// whether a drain was issued. Nothing waits for it but the caller.
+func SpawnDrain(s *Server, res *mediator.Result, region int, deep bool) bool {
+	return s.prefetch.spawn(res.RegionKey(), res, region, deep) != nil
+}
+
+// SessionDrain reports, for the one live session, the query its open
+// view navigates and the query its last drain ran on (nil when it has
+// spawned none since it opened the view).
+func SessionDrain(s *Server) (view, drained *mediator.Result, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.sessions) != 1 {
+		return nil, nil, false
+	}
+	for _, sess := range s.sessions {
+		view = sess.viewRes
+		if sess.drain != nil {
+			drained = sess.drain.res
 		}
-		p.mu.Unlock()
+	}
+	return view, drained, true
+}
+
+// OpCounts returns the observation count of every operator-latency
+// histogram, by label.
+func OpCounts(s *Server) map[string]int64 {
+	out := map[string]int64{}
+	for _, l := range s.opHist.Labels() {
+		out[l] = s.opHist.Histogram(l).Snapshot().Count
 	}
 	return out
-}
-
-// SpawnDrain starts a speculative drain of region of the view keyed k,
-// compiled from query, as a session's confident prediction would; it
-// reports whether a drain was issued.
-func SpawnDrain(s *Server, k predict.Key, query string, region int, deep bool) bool {
-	return s.prefetch.spawn(k, query, region, deep)
-}
-
-// SpecPool reports the spec engine pool's idle and created engines.
-func SpecPool(s *Server) (idle int, created int64) {
-	p := s.prefetch.pool
-	p.mu.Lock()
-	idle = len(p.idle)
-	p.mu.Unlock()
-	return idle, p.created.Load()
 }

@@ -152,6 +152,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("mix_prefetch_wasted_total", "predictions contradicted by the client engaging elsewhere", st.Prefetch.Wasted)
 		counter("mix_prefetch_cancelled_total", "speculative drains cancelled mid-flight", st.Prefetch.Cancelled)
 		counter("mix_prefetch_navs_total", "navigations issued at the speculative answer boundary", st.Prefetch.Navs)
+		counter("mix_prefetch_src_navs_total", "source navigations speculative drains made on their sessions' queries", st.Prefetch.SrcNavs)
 		gauge("mix_prefetch_inflight", "speculative drains currently running", st.Prefetch.Inflight)
 		if resolved := st.Prefetch.Hits + st.Prefetch.Wasted; resolved > 0 {
 			gauge("mix_prefetch_accuracy_percent", "resolved predictions the client confirmed, in percent", st.Prefetch.Hits*100/resolved)

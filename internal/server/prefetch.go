@@ -9,7 +9,6 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/predict"
-	"mix/internal/trace"
 	"mix/internal/vxdp"
 )
 
@@ -17,9 +16,9 @@ import (
 // prefetch (DESIGN.md §15). Sessions feed region-engagement events into
 // a shared successor model (internal/predict); when the model is
 // confident about a view's next region, a drain worker warms it through
-// core.PrefetchRegion on an engine from the prefetcher's own pool —
-// never the demand pool, so mix_engine_pool_* gauges and per-session
-// counters stay exactly what they were without speculation.
+// core.PrefetchRegion on the session's own query — the lazy state the
+// session's demand navigations fill — so each region is derived once,
+// and no engine is built or drawn from the demand pool for speculation.
 
 // Default speculative-drain bounds: enough navigations to drain a
 // sizeable region, few enough that a wrong guess stays cheap.
@@ -29,35 +28,25 @@ const (
 	DefaultPrefetchConfidence = 0.5
 )
 
-// specRun is one running drain: its kill switch and the region it is
-// warming, so demand arriving for exactly that region can cancel it
+// specRun is one running drain: its kill switch, the query and region
+// it is warming — demand arriving for exactly that region cancels it
 // (the client is about to derive it anyway) while demand elsewhere
-// lets it finish.
+// lets it finish — and done, closed when the drain has returned.
 type specRun struct {
 	cancel context.CancelFunc
+	res    *mediator.Result
 	region int
-}
-
-// specQuery is a view query compiled on a spec engine. Between two
-// drains of the same view key it stays parked with its engine, so the
-// next drain resumes the lazy operator state (join logs, hash indexes,
-// group state) the previous one built instead of re-deriving it from
-// the sources.
-type specQuery struct {
-	eng *pooledEngine
-	res *mediator.Result
+	done   chan struct{}
 }
 
 // prefetcher owns everything speculative: the successor model, the
-// running drains, their engine pool, and the counters behind
-// mix_prefetch_*. One per server; nil when prefetch is off.
+// running drains, and the counters behind mix_prefetch_*. One per
+// server; nil when prefetch is off.
 type prefetcher struct {
 	srv    *Server
 	model  *predict.Model
 	budget core.PrefetchBudget
 	conf   float64
-	// pool holds the spec engines, separate from the demand pool.
-	pool *enginePool
 
 	issued    atomic.Int64 // drains spawned (bumped before the goroutine starts)
 	hits      atomic.Int64 // predictions the client confirmed by engaging the region
@@ -66,17 +55,15 @@ type prefetcher struct {
 	inflight  atomic.Int64
 	// navs accumulates speculative answer-boundary navigations — a
 	// dedicated block, never a session's, so demand attribution is
-	// untouched by speculation.
-	navs metrics.Counters
+	// untouched by speculation. srcNavs sums the drains' source
+	// navigations (core.PrefetchResult.SrcNavs): the sources' total
+	// minus it is what demand paid.
+	navs    metrics.Counters
+	srcNavs atomic.Int64
 
 	mu      sync.Mutex
 	running map[predict.Key]*specRun
-	// views counts the local sessions that have each view key open;
-	// parked holds at most one idle spec query per key, and only while
-	// that count is positive (see park).
-	views  map[predict.Key]int
-	parked map[predict.Key]*specQuery
-	closed bool
+	closed  bool
 }
 
 func newPrefetcher(s *Server) *prefetcher {
@@ -85,10 +72,7 @@ func newPrefetcher(s *Server) *prefetcher {
 		model:   predict.NewModel(0),
 		budget:  s.cfg.PrefetchBudget,
 		conf:    s.cfg.PrefetchConfidence,
-		pool:    &enginePool{srv: s, factory: s.cfg.SpecFactory},
 		running: map[predict.Key]*specRun{},
-		views:   map[predict.Key]int{},
-		parked:  map[predict.Key]*specQuery{},
 	}
 	if p.budget.MaxNavs == 0 {
 		p.budget.MaxNavs = DefaultPrefetchNavs
@@ -99,178 +83,67 @@ func newPrefetcher(s *Server) *prefetcher {
 	if p.conf == 0 {
 		p.conf = DefaultPrefetchConfidence
 	}
-	if p.pool.factory == nil {
-		p.pool.factory = s.cfg.factory
-	}
-	if s.cfg.Trace {
-		p.pool.newRec = s.newSpecRecorder
-	}
 	return p
 }
 
-// newSpecRecorder builds the recorder of a spec engine: bounded and
-// tagged, but deliberately with no Sink and no RootSink — speculative
-// latency must never enter the per-operator histograms or the
-// slow-navigation flight ring, because no client waited on it.
-func (s *Server) newSpecRecorder() *trace.Recorder {
-	rec := trace.New()
-	rec.Limit = traceLimit
-	rec.Node = s.nodeName
-	rec.Spec = true
-	return rec
-}
-
-// spawn starts a drain warming region of the view keyed k, compiled
-// from query. A region the cache already knows as far as the drain
-// would walk is skipped before anything is spent — no goroutine, no
-// engine, no compile — and counts as neither issued, hit nor wasted. At
-// most one drain runs per view key; a second prediction for a busy key
-// is dropped (the running drain is already warming the newer guess or
-// will be re-predicted on the next engagement). Issued and inflight are
-// bumped before the goroutine starts, so a caller that observed the
-// spawn can quiesce by polling inflight down to zero.
-func (p *prefetcher) spawn(k predict.Key, query string, region int, deep bool) bool {
-	if query == "" || region < 0 || p.known(k, region, deep) {
-		return false
+// spawn starts a drain warming region of res, the query of the view
+// keyed k, and returns it (nil when none started). A region the cache
+// already knows as far as the drain would walk is skipped before
+// anything is spent — no goroutine — and counts as neither issued, hit
+// nor wasted. At most one drain runs per view key; a second prediction
+// for a busy key is dropped (the running drain is already warming the
+// newer guess or will be re-predicted on the next engagement). Issued
+// and inflight are bumped before the goroutine starts, so a caller that
+// observed the spawn can quiesce by polling inflight down to zero.
+func (p *prefetcher) spawn(k predict.Key, res *mediator.Result, region int, deep bool) *specRun {
+	if res == nil || region < 0 || p.known(k, region, deep) {
+		return nil
 	}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return false
-	}
-	if _, busy := p.running[k]; busy {
-		p.mu.Unlock()
-		return false
+	defer p.mu.Unlock()
+	if p.closed || p.running[k] != nil {
+		return nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	p.running[k] = &specRun{cancel: cancel, region: region}
+	r := &specRun{cancel: cancel, res: res, region: region, done: make(chan struct{})}
+	p.running[k] = r
 	p.issued.Add(1)
 	p.inflight.Add(1)
-	p.mu.Unlock()
-	go p.drain(ctx, cancel, k, query, region, deep)
-	return true
+	go p.drain(ctx, r, k, deep)
+	return r
 }
 
 // known reports whether the live cache entry for k already holds the
 // region as deep as a drain would explore it.
 func (p *prefetcher) known(k predict.Key, region int, deep bool) bool {
-	c := p.srv.cache
-	if c == nil {
-		return false
-	}
-	e := c.Peek(k)
+	e := p.srv.cache.Peek(k)
 	return e != nil && e.RegionKnown(region, deep)
 }
 
 // drain runs one speculative exploration to completion, budget, or
-// cancellation, on the key's parked query when there is one. Errors
-// are swallowed: speculation is advisory, and the demand path it failed
-// to help is untouched. A failed drain drops its query.
-func (p *prefetcher) drain(ctx context.Context, cancel context.CancelFunc, k predict.Key, query string, region int, deep bool) {
+// cancellation. Errors are swallowed: speculation is advisory, and the
+// demand path it failed to help is untouched.
+func (p *prefetcher) drain(ctx context.Context, r *specRun, k predict.Key, deep bool) {
 	defer func() {
-		cancel()
+		r.cancel()
 		p.mu.Lock()
 		delete(p.running, k)
 		p.mu.Unlock()
 		p.inflight.Add(-1)
+		close(r.done)
 	}()
-	q := p.checkout(k, query)
-	if q == nil {
-		return
-	}
-	r, err := q.res.PrefetchRegion(ctx, region, deep, p.budget, &p.navs)
-	// Drop the drain's spans now: a parked engine is not released, and
-	// its recorder would otherwise grow across drains.
-	q.eng.rec.Take()
-	if err != nil {
-		p.pool.release(q.eng)
-		return
-	}
-	if r.Cancelled {
+	pr, err := r.res.PrefetchRegion(ctx, r.region, deep, p.budget, &p.navs)
+	p.srcNavs.Add(pr.SrcNavs)
+	if err == nil && pr.Cancelled {
 		p.cancelled.Add(1)
 	}
-	p.park(k, q)
 }
 
-// checkout hands the drain for k its query: the parked one if any (the
-// running map guarantees one drain per key, so nobody else can take
-// it), else one freshly compiled on a spec engine. nil means there is
-// nothing to drain.
-func (p *prefetcher) checkout(k predict.Key, query string) *specQuery {
-	p.mu.Lock()
-	q := p.parked[k]
-	delete(p.parked, k)
-	p.mu.Unlock()
-	if q != nil {
-		return q
-	}
-	pe, err := p.pool.acquire()
-	if err != nil {
-		return nil
-	}
-	res, err := pe.med.Query(query)
-	// The freshly compiled query must land on the exact key predicted.
-	// A mismatch means the cache generation or source registry moved
-	// between prediction and drain — warming under the new key would be
-	// warming a region nobody predicted, so the prediction is stale.
-	if err != nil || res.RegionKey() != k {
-		p.pool.release(pe)
-		return nil
-	}
-	return &specQuery{eng: pe, res: res}
-}
-
-// park keeps a drained query for the key's next drain while some local
-// session still has the view open, the prefetcher is running, and the
-// engine was built under the current epoch — an epoch move drops every
-// parked query (dropParked), and this check stops a drain that was
-// running across the move from parking a stale one afterwards.
-// Anything else goes back through the pool.
-func (p *prefetcher) park(k predict.Key, q *specQuery) {
-	p.mu.Lock()
-	keep := !p.closed && p.views[k] > 0 && q.eng.epoch == p.srv.epoch.Load()
-	if keep {
-		p.parked[k] = q
-	}
-	p.mu.Unlock()
-	if !keep {
-		p.pool.release(q.eng)
-	}
-}
-
-// openView records that a local session opened view k; closeView that
-// it closed or replaced it. The last close releases the key's parked
-// query, so a parked query lives exactly as long as its view is open
-// somewhere on this node.
-func (p *prefetcher) openView(k predict.Key) {
-	p.mu.Lock()
-	p.views[k]++
-	p.mu.Unlock()
-}
-
-func (p *prefetcher) closeView(k predict.Key) {
-	p.mu.Lock()
-	var q *specQuery
-	if n := p.views[k] - 1; n > 0 {
-		p.views[k] = n
-	} else {
-		delete(p.views, k)
-		q = p.parked[k]
-		delete(p.parked, k)
-	}
-	p.mu.Unlock()
-	if q != nil {
-		p.pool.release(q.eng)
-	}
-}
-
-// dropParked drops every parked query and its engine (an epoch move,
-// which holds the server's update lock, or shutdown): neither kind of
-// engine may go back to the pool.
-func (p *prefetcher) dropParked() {
-	p.mu.Lock()
-	p.parked = map[predict.Key]*specQuery{}
-	p.mu.Unlock()
+// wait cancels the drain and returns once it has: nothing but its
+// session navigates the query afterwards.
+func (r *specRun) wait() {
+	r.cancel()
+	<-r.done
 }
 
 // cancelDemand kills the drain warming exactly (k, region): real demand
@@ -286,7 +159,8 @@ func (p *prefetcher) cancelDemand(k predict.Key, region int) {
 	p.mu.Unlock()
 }
 
-// cancelAll cancels every running drain.
+// cancelAll cancels every running drain. Each one's session waits for
+// it when it leaves its view.
 func (p *prefetcher) cancelAll() {
 	p.mu.Lock()
 	for _, r := range p.running {
@@ -296,14 +170,12 @@ func (p *prefetcher) cancelAll() {
 }
 
 // close stops the prefetcher for server shutdown: no new drains, all
-// running ones cancelled, parked queries and idle spec engines dropped.
+// running ones cancelled.
 func (p *prefetcher) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	p.cancelAll()
-	p.dropParked()
-	p.pool.flush()
 }
 
 func (p *prefetcher) stats() *vxdp.PrefetchStats {
@@ -313,6 +185,7 @@ func (p *prefetcher) stats() *vxdp.PrefetchStats {
 		Wasted:    p.wasted.Load(),
 		Cancelled: p.cancelled.Load(),
 		Navs:      p.navs.Navigations(),
+		SrcNavs:   p.srcNavs.Load(),
 		Inflight:  p.inflight.Load(),
 	}
 }
@@ -450,7 +323,8 @@ func (s *session) engage(region int) {
 	if !ok || conf < p.conf || next == region {
 		return
 	}
-	if p.spawn(s.viewKey, s.viewQuery, next, deep) {
+	if r := p.spawn(s.viewKey, s.viewRes, next, deep); r != nil {
 		s.pending = next
+		s.drain = r
 	}
 }

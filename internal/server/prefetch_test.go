@@ -3,14 +3,17 @@ package server_test
 // Speculative prefetch (DESIGN.md §15): the successor model must warm
 // the deep-drill persona's next region before the client asks, the
 // ablation must behave exactly like a server that never heard of
-// prefetch, speculation must stay invisible to the demand-side engine
-// pool, and none of it may ever serve stale or non-identical bytes —
-// including under concurrent registry mutation (run with -race) and
-// across cluster prefetch hints.
+// prefetch, drains must run on the session's own query and never
+// outlive its view, and none of it may ever serve stale or
+// non-identical bytes — including under concurrent registry mutation
+// (run with -race).
 
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,9 +23,9 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
-	"mix/internal/predict"
 	"mix/internal/regioncache"
 	"mix/internal/server"
+	"mix/internal/trace"
 	"mix/internal/vxdp"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
@@ -109,19 +112,35 @@ func pfJoinSources(t *testing.T, script []workload.Step) (homes, schools *xmltre
 	return homes, schools, want
 }
 
-// pfStart boots one server over homes with counted demand sources and,
-// when prefetch is on, counted speculative sources.
-func pfStart(t testing.TB, homes *xmltree.Tree, opts ...server.Option) (*server.Server, string, *metrics.Counters, *metrics.Counters) {
+// pfStart boots one server over homes with counted sources.
+func pfStart(t testing.TB, homes *xmltree.Tree, opts ...server.Option) (*server.Server, string, *metrics.Counters) {
 	t.Helper()
 	return pfStartWith(t, func(c *metrics.Counters) server.Factory { return pfFactory(homes, c) }, opts...)
 }
 
-// pfStartWith is pfStart over the sources factory registers.
-func pfStartWith(t testing.TB, factory func(*metrics.Counters) server.Factory, opts ...server.Option) (*server.Server, string, *metrics.Counters, *metrics.Counters) {
+// pfStartWith is pfStart over the sources factory registers. Demand and
+// speculation navigate one query per session, so src counts both;
+// pfSpecNavs is the drains' share.
+func pfStartWith(t testing.TB, factory func(*metrics.Counters) server.Factory, opts ...server.Option) (*server.Server, string, *metrics.Counters) {
 	t.Helper()
-	src, specSrc := &metrics.Counters{}, &metrics.Counters{}
-	srv, addr := serve(t, factory(src), append([]server.Option{server.WithSpecFactory(factory(specSrc))}, opts...)...)
-	return srv, addr, src, specSrc
+	src := &metrics.Counters{}
+	srv, addr := serve(t, factory(src), opts...)
+	return srv, addr, src
+}
+
+// pfSpecNavs returns the source navigations srv's drains made (0 with
+// prefetch off).
+func pfSpecNavs(srv *server.Server) int64 {
+	if st := srv.Stats().Prefetch; st != nil {
+		return st.SrcNavs
+	}
+	return 0
+}
+
+// pfDemandNavs returns the source navigations demand paid: the sources'
+// total minus the drains' share.
+func pfDemandNavs(srv *server.Server, src *metrics.Counters) int64 {
+	return src.Navigations() - pfSpecNavs(srv)
 }
 
 // pfQuiesce waits for every in-flight speculative drain to finish.
@@ -156,10 +175,10 @@ func pfReplay(t *testing.T, addr string, srv *server.Server, src *metrics.Counte
 	}
 	pfQuiesce(t, srv)
 	explored = make([]string, len(script))
-	prev := src.Navigations()
+	prev := pfDemandNavs(srv, src)
 	err = workload.ReplayPersona(c, script, func(i int, ex string) error {
 		pfQuiesce(t, srv)
-		navs := src.Navigations() - prev
+		navs := pfDemandNavs(srv, src) - prev
 		prev += navs
 		if i < split {
 			early += navs
@@ -179,13 +198,12 @@ func pfReplay(t *testing.T, addr string, srv *server.Server, src *metrics.Counte
 // after two training engagements the deep-drill persona's remaining
 // regions are served entirely from speculatively warmed cache — zero
 // interactive source navigations, byte-identical answers — and the
-// speculation neither touches the demand engine pool nor misses a
-// prediction.
+// speculation neither builds an engine nor misses a prediction.
 func TestPrefetchWarmsNextRegion(t *testing.T) {
 	homes := pfHomes()
 	script := workload.DeepDrillScript(pfRegions, 1)
 	want := pfOracle(t, homes, script)
-	srv, addr, src, specSrc := pfStart(t, homes, server.WithPrefetch(true))
+	srv, addr, src := pfStart(t, homes, server.WithPrefetch(true))
 
 	got, early, late := pfReplay(t, addr, srv, src, script, 2)
 	if early == 0 {
@@ -194,7 +212,7 @@ func TestPrefetchWarmsNextRegion(t *testing.T) {
 	if late != 0 {
 		t.Fatalf("steady-state regions drove %d interactive source navs, want 0", late)
 	}
-	if specSrc.Navigations() == 0 {
+	if pfSpecNavs(srv) == 0 {
 		t.Fatal("speculative drains drove no source work")
 	}
 	for i := range want {
@@ -209,8 +227,14 @@ func TestPrefetchWarmsNextRegion(t *testing.T) {
 	if st.Prefetch.Hits < int64(pfRegions-2) || st.Prefetch.Wasted != 0 {
 		t.Fatalf("prefetch stats %+v; want ≥%d hits and 0 wasted", st.Prefetch, pfRegions-2)
 	}
-	// Speculative engines come from the prefetcher's own pool: the
-	// demand pool must look exactly like one plain session used it.
+	// The drains' share of the sources is on /metrics too.
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if want := fmt.Sprintf("mix_prefetch_src_navs_total %d\n", st.Prefetch.SrcNavs); !strings.Contains(w.Body.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
+	}
+	// Drains run on the session's query: the pool must look exactly
+	// like one plain session used it.
 	if st.Pool == nil || st.Pool.Created != 1 || st.Pool.Reused != 0 {
 		t.Fatalf("speculation leaked into the demand engine pool: %+v", st.Pool)
 	}
@@ -222,9 +246,9 @@ func TestPrefetchWarmsNextRegion(t *testing.T) {
 // navigation counts, and the prefetch-on server serves the same bytes.
 func TestPrefetchAblationByteIdentity(t *testing.T) {
 	homes := pfHomes()
-	onSrv, onAddr, onSrc, _ := pfStart(t, homes, server.WithPrefetch(true))
-	offSrv, offAddr, offSrc, _ := pfStart(t, homes, server.WithPrefetch(false))
-	// Never configured: no prefetch option, no spec factory.
+	onSrv, onAddr, onSrc := pfStart(t, homes, server.WithPrefetch(true))
+	offSrv, offAddr, offSrc := pfStart(t, homes, server.WithPrefetch(false))
+	// Never configured: no prefetch option.
 	nevSrc := &metrics.Counters{}
 	nevSrv, nevAddr := serve(t, pfFactory(homes, nevSrc))
 
@@ -252,11 +276,11 @@ func TestPrefetchAblationByteIdentity(t *testing.T) {
 
 // TestPrefetchStressUnderBumpRegistry hammers speculation with
 // concurrent sessions on two views — a one-source view and the
-// join+groupBy view, whose drains park and resume their queries — and
+// join+groupBy view, whose drains share their sessions' queries — and
 // registry bumps (run with -race): whatever the epoch does, every
 // explored part stays byte-identical to the oracle, speculative entries
 // never resurrect a dead generation, and once every session has closed
-// nothing stays parked.
+// no drain is left running.
 func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 	type view struct{ query, persona string }
 	oracles := map[view][]string{}
@@ -266,7 +290,7 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 		homes, schools, oracles[view{joinQuery, persona}] = pfJoinSources(t, script)
 		oracles[view{pfQuery, persona}] = pfOracle(t, homes, script)
 	}
-	srv, addr, _, _ := pfStartWith(t, pfJoinFactory(homes, schools), server.WithPrefetch(true))
+	srv, addr, _ := pfStartWith(t, pfJoinFactory(homes, schools), server.WithPrefetch(true))
 
 	stop := make(chan struct{})
 	var mutWG sync.WaitGroup
@@ -283,8 +307,8 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 		}
 	}()
 
-	// Two sessions per (view, persona) run at once, so drains of one
-	// view key also race for its parked query.
+	// Two sessions per (view, persona) run at once, so their drains
+	// also race for one view key.
 	const sessions = 8
 	const opensPerSession = 4
 	var wg sync.WaitGroup
@@ -342,9 +366,25 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 		t.Fatalf("%d session(s) failed under registry mutation", failed.Load())
 	}
 	pfWaitIdle(t, srv)
-	pfQuiesce(t, srv)
-	if n := len(server.SpecParked(srv)); n != 0 {
-		t.Fatalf("%d queries still parked after every session closed", n)
+	pfNoDrains(t)
+}
+
+// pfNoDrains is the goroutine-leak check: no drain goroutine is left
+// (each session waits for its drain when it leaves its view, so the
+// last ones are only returning).
+func pfNoDrains(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		if !strings.Contains(string(buf), "(*prefetcher).drain") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drain goroutines leaked:\n%s", buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -360,7 +400,7 @@ type pfDrain struct {
 // quiescing after every step. It checks each step against want and
 // calls step (when non-nil) after each one with the drain that step
 // spawned (nil when none).
-func pfDrive(t *testing.T, addr string, srv *server.Server, specSrc *metrics.Counters,
+func pfDrive(t *testing.T, addr string, srv *server.Server,
 	query string, script []workload.Step, want []string, step func(i int, d *pfDrain)) *vxdp.Client {
 	t.Helper()
 	c, err := vxdp.Dial(addr)
@@ -370,7 +410,7 @@ func pfDrive(t *testing.T, addr string, srv *server.Server, specSrc *metrics.Cou
 	if err := c.Open(query); err != nil {
 		t.Fatal(err)
 	}
-	issued, navs := srv.Stats().Prefetch.Issued, specSrc.Navigations()
+	issued, navs := srv.Stats().Prefetch.Issued, pfSpecNavs(srv)
 	err = workload.ReplayPersona(c, script, func(i int, ex string) error {
 		pfQuiesce(t, srv)
 		if ex != want[i] {
@@ -378,10 +418,10 @@ func pfDrive(t *testing.T, addr string, srv *server.Server, specSrc *metrics.Cou
 		}
 		var d *pfDrain
 		if n := srv.Stats().Prefetch.Issued; n != issued {
-			d = &pfDrain{region: script[i].Region + 1, navs: specSrc.Navigations() - navs}
+			d = &pfDrain{region: script[i].Region + 1, navs: pfSpecNavs(srv) - navs}
 			issued = n
 		}
-		navs = specSrc.Navigations()
+		navs = pfSpecNavs(srv)
 		if step != nil {
 			step(i, d)
 		}
@@ -407,176 +447,347 @@ func pfWaitIdle(t *testing.T, srv *server.Server) {
 	}
 }
 
-// TestPrefetchResumesParkedQuery: one deep-drill session over a
-// join+groupBy view. Its first drain compiles the view on a spec
-// engine; every later drain resumes that same parked query — nothing is
-// compiled again — and pays strictly fewer speculative source
-// navigations than a fresh query draining the same region (measured by
-// drains spawned on a second server with no session, which compile,
-// drain and release exactly as before parking existed). Every answer
-// equals the eager evaluation.
-func TestPrefetchResumesParkedQuery(t *testing.T) {
+// TestPrefetchDrainsOnSessionQuery: one deep-drill session over a
+// join+groupBy view. Every drain runs on the session's own query — no
+// engine but the session's is ever built — and pays strictly fewer
+// speculative source navigations than a fresh query draining the same
+// region through core.PrefetchRegion: the prefix the session and the
+// earlier drains derived stays derived. Every answer equals the eager
+// evaluation.
+func TestPrefetchDrainsOnSessionQuery(t *testing.T) {
 	script := workload.DeepDrillScript(pfRegions, 1)
 	homes, schools, want := pfJoinSources(t, script)
 	factory := pfJoinFactory(homes, schools)
-	srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
+	srv, addr, _ := pfStartWith(t, factory, server.WithPrefetch(true))
 
 	var drains []pfDrain
-	var first *mediator.Result
-	var key predict.Key
-	c := pfDrive(t, addr, srv, specSrc, joinQuery, script, want, func(i int, d *pfDrain) {
+	c := pfDrive(t, addr, srv, joinQuery, script, want, func(i int, d *pfDrain) {
 		if d == nil {
 			return
 		}
 		drains = append(drains, *d)
-		parked := server.SpecParked(srv)
-		if len(parked) != 1 {
-			t.Fatalf("step %d: %d parked queries, want 1", i, len(parked))
-		}
-		for k, res := range parked {
-			if first == nil {
-				first, key = res, k
-			} else if res != first || k != key {
-				t.Fatalf("step %d: the drain compiled a new query instead of resuming the parked one", i)
-			}
+		view, drained, ok := server.SessionDrain(srv)
+		if !ok || view == nil || drained != view {
+			t.Fatalf("step %d: the drain ran on query %p, the session navigates %p", i, drained, view)
 		}
 	})
 	defer c.Close()
 	if len(drains) < 3 {
 		t.Fatalf("only %d drains; the test needs at least 3", len(drains))
 	}
-	if _, created := server.SpecPool(srv); created != 1 {
-		t.Fatalf("%d spec engines built, want 1", created)
+	if st := srv.Stats().Pool; st.Created != 1 {
+		t.Fatalf("%d engines built, want the session's one", st.Created)
 	}
 
-	fresh, _, _, freshSpec := pfStartWith(t, factory, server.WithPrefetch(true))
-	for i, d := range drains {
-		before := freshSpec.Navigations()
-		server.SpawnDrain(fresh, key, joinQuery, d.region, true)
-		pfQuiesce(t, fresh)
-		if len(server.SpecParked(fresh)) != 0 {
-			t.Fatal("a drain with no local session parked its query")
+	budget := core.PrefetchBudget{MaxNavs: server.DefaultPrefetchNavs, MaxBytes: server.DefaultPrefetchBytes}
+	for _, d := range drains {
+		src := &metrics.Counters{}
+		m, err := factory(src)(regioncache.New(0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		freshNavs := freshSpec.Navigations() - before
-		t.Logf("region %d: session drain %d speculative source navs, fresh query %d", d.region, d.navs, freshNavs)
-		if freshNavs == 0 {
+		res, err := m.Query(joinQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := res.PrefetchRegion(context.Background(), d.region, true, budget, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Alone on its query, a drain's share is everything the sources saw.
+		if r.SrcNavs != src.Navigations() {
+			t.Fatalf("fresh drain of region %d reports %d source navs, its sources saw %d", d.region, r.SrcNavs, src.Navigations())
+		}
+		t.Logf("region %d: session drain %d speculative source navs, fresh query %d", d.region, d.navs, r.SrcNavs)
+		if r.SrcNavs == 0 {
 			t.Fatalf("fresh drain of region %d paid nothing; the comparison measures nothing", d.region)
 		}
-		if i > 0 && d.navs >= freshNavs {
-			t.Fatalf("resumed drain of region %d paid %d speculative source navs, a fresh query %d",
-				d.region, d.navs, freshNavs)
+		if d.navs >= r.SrcNavs {
+			t.Fatalf("session drain of region %d paid %d speculative source navs, a fresh query %d",
+				d.region, d.navs, r.SrcNavs)
 		}
 	}
 }
 
-// TestPrefetchParkedQueryLifetime: a parked query lives exactly as long
-// as a local session has its view open. Closing the session hands the
-// engine back to the spec pool; reopening the same view keeps it;
-// BumpRegistry drops it, and later drains
-// of the session's now-stale view park nothing; Shutdown drops it too.
-func TestPrefetchParkedQueryLifetime(t *testing.T) {
-	const engaged = 4
+// TestPrefetchDrainsStayOutOfTraces: with tracing on, a deep-drill
+// session whose drains navigate its own query gets back only the spans
+// of its own commands — every root a client command, and exactly the
+// source navigations demand paid under them — and neither the slow
+// ring nor the operator histograms see any speculative work.
+func TestPrefetchDrainsStayOutOfTraces(t *testing.T) {
 	script := workload.DeepDrillScript(pfRegions, 1)
 	homes, schools, want := pfJoinSources(t, script)
-	factory := pfJoinFactory(homes, schools)
-	parkedNow := func(srv *server.Server) int { return len(server.SpecParked(srv)) }
+	srv, addr, src := pfStartWith(t, pfJoinFactory(homes, schools),
+		server.WithPrefetch(true), server.WithTrace(true), server.WithSlowNav(0, 1<<14))
+
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Open(joinQuery); err != nil {
+		t.Fatal(err)
+	}
+	// Take the trace after every step: the recorder keeps a bounded
+	// number of roots.
+	var roots []*trace.Span
+	err = workload.ReplayPersona(c, script, func(i int, ex string) error {
+		pfQuiesce(t, srv)
+		if ex != want[i] {
+			return fmt.Errorf("step %d explored:\n got %s\nwant %s", i, ex, want[i])
+		}
+		got, err := c.Trace()
+		roots = append(roots, got...)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := pfSpecNavs(srv)
+	demand := src.Navigations() - spec
+	if spec == 0 || demand == 0 {
+		t.Fatalf("demand %d and speculative %d source navs; the test needs both", demand, spec)
+	}
+
+	for _, r := range roots {
+		if r.Label != trace.ClientLabel {
+			t.Fatalf("session trace holds a %s root:\n%s", r.Label, trace.Format([]*trace.Span{r}))
+		}
+	}
+	if n := trace.SourceNavigations(roots); n != demand {
+		t.Fatalf("session trace bills %d source navigations, demand paid %d (drains %d)", n, demand, spec)
+	}
+
+	slow, err := c.Slow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := make([]*trace.Span, len(slow))
+	for i, sn := range slow {
+		if sn.Root.Label != trace.ClientLabel {
+			t.Fatalf("slow ring holds a %s root", sn.Root.Label)
+		}
+		ring[i] = sn.Root
+	}
+	if n := trace.SourceNavigations(ring); n != demand {
+		t.Fatalf("slow ring bills %d source navigations, demand paid %d", n, demand)
+	}
+
+	var hist int64
+	for label, n := range server.OpCounts(srv) {
+		if strings.HasPrefix(label, trace.SourcePrefix) {
+			hist += n
+		}
+	}
+	if hist != demand {
+		t.Fatalf("operator histograms observed %d source navigations, demand paid %d", hist, demand)
+	}
+}
+
+// pfGate blocks every navigation of the sources it wraps while shut, so
+// a test can hold a drain inside one source navigation.
+type pfGate struct {
+	mu      sync.Mutex
+	shut    chan struct{} // non-nil while shut
+	blocked atomic.Int64  // navigations that waited at the gate
+}
+
+func (g *pfGate) pass() {
+	g.mu.Lock()
+	ch := g.shut
+	g.mu.Unlock()
+	if ch != nil {
+		g.blocked.Add(1)
+		<-ch
+	}
+}
+
+func (g *pfGate) close() {
+	g.mu.Lock()
+	g.shut = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *pfGate) open() {
+	g.mu.Lock()
+	if g.shut != nil {
+		close(g.shut)
+		g.shut = nil
+	}
+	g.mu.Unlock()
+}
+
+// gatedDoc is a source behind a pfGate.
+type gatedDoc struct {
+	nav.Document
+	g *pfGate
+}
+
+func (d gatedDoc) Root() (nav.ID, error)          { d.g.pass(); return d.Document.Root() }
+func (d gatedDoc) Down(p nav.ID) (nav.ID, error)  { d.g.pass(); return d.Document.Down(p) }
+func (d gatedDoc) Right(p nav.ID) (nav.ID, error) { d.g.pass(); return d.Document.Right(p) }
+func (d gatedDoc) Fetch(p nav.ID) (string, error) { d.g.pass(); return d.Document.Fetch(p) }
+
+// TestPrefetchDrainLifetime: a drain lives no longer than its session's
+// view. Each way of leaving the view — close, reopen, and Shutdown —
+// cancels the drain and waits for it before the engine is released or
+// reused, even while the drain is held inside a source navigation;
+// BumpRegistry cancels it without waiting, and the session waits when
+// it leaves. No drain goroutine outlives any of them.
+func TestPrefetchDrainLifetime(t *testing.T) {
+	const engaged = 3
+	script := workload.DeepDrillScript(pfRegions, 1)
+	homes, schools, want := pfJoinSources(t, script)
+
+	// hold boots a server over the gated join view, drives a deep-drill
+	// session through its first regions (the last drain warms region
+	// engaged), shuts the gate and engages region engaged from the
+	// cache, so the drain of the region after it blocks inside a source
+	// navigation.
+	hold := func(t *testing.T) (*server.Server, *vxdp.Client, *pfGate) {
+		g := &pfGate{}
+		srv, addr := serve(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+			m := mediator.New(mediator.DefaultOptions())
+			m.SetRegionCache(rc)
+			m.RegisterSource("homesSrc", gatedDoc{nav.NewTreeDoc(homes), g})
+			m.RegisterSource("schoolsSrc", gatedDoc{nav.NewTreeDoc(schools), g})
+			return m, nil
+		}, server.WithPrefetch(true))
+		t.Cleanup(g.open)
+		c := pfDrive(t, addr, srv, joinQuery, script[:engaged], want, nil)
+		t.Cleanup(func() { c.Close() })
+		g.close()
+		issued := srv.Stats().Prefetch.Issued
+		pfWithin(t, "engaging a warm region", func() {
+			if err := workload.ReplayPersona(c, script[engaged:engaged+1], nil); err != nil {
+				t.Error(err)
+			}
+		})
+		deadline := time.Now().Add(10 * time.Second)
+		for g.blocked.Load() == 0 || srv.Stats().Prefetch.Issued == issued {
+			if time.Now().After(deadline) {
+				t.Fatal("no drain blocked at the gate; the test measures nothing")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return srv, c, g
+	}
+	// held asserts that done stays open while the gate holds the drain.
+	held := func(t *testing.T, what string, done <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+			t.Fatalf("%s finished while its drain was still running", what)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	cancelled := func(srv *server.Server) int64 { return srv.Stats().Prefetch.Cancelled }
 
 	t.Run("session close", func(t *testing.T) {
-		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
-		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
-		if parkedNow(srv) != 1 {
-			t.Fatal("nothing parked while the session is open")
-		}
+		srv, c, g := hold(t)
 		c.Close()
-		pfWaitIdle(t, srv)
-		if n := parkedNow(srv); n != 0 {
-			t.Fatalf("%d queries still parked after the session closed", n)
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) && srv.Stats().SessionsActive != 0 {
+			time.Sleep(time.Millisecond)
 		}
-		if idle, created := server.SpecPool(srv); idle != int(created) || created == 0 {
-			t.Fatalf("spec pool holds %d of %d engines after the session closed", idle, created)
+		time.Sleep(20 * time.Millisecond)
+		if st := srv.Stats(); st.Pool.Idle != 0 {
+			t.Fatal("the engine went back to the pool while its drain was running")
 		}
+		g.open()
+		for srv.Stats().Pool.Idle == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the engine never went back to the pool")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := srv.Stats(); st.Prefetch.Inflight != 0 || st.Prefetch.Cancelled == 0 {
+			t.Fatalf("engine released with prefetch stats %+v; want the drain cancelled and done", st.Prefetch)
+		}
+		pfNoDrains(t)
 	})
 
 	t.Run("reopen", func(t *testing.T) {
-		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
-		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
-		defer c.Close()
-		before := server.SpecParked(srv)
-		if len(before) != 1 {
-			t.Fatal("nothing parked while the session is open")
+		srv, c, g := hold(t)
+		before := cancelled(srv)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := c.Open(joinQuery); err != nil {
+				t.Error(err)
+			}
+		}()
+		held(t, "the reopen", done)
+		g.open()
+		<-done
+		if st := srv.Stats(); st.Prefetch.Inflight != 0 || st.Prefetch.Cancelled == before {
+			t.Fatalf("reopen answered with prefetch stats %+v; want the drain cancelled and done", st.Prefetch)
 		}
-		if err := c.Open(joinQuery); err != nil {
+		if _, err := nav.Materialize(c); err != nil {
 			t.Fatal(err)
 		}
-		after := server.SpecParked(srv)
-		for k, res := range before {
-			if after[k] != res {
-				t.Fatal("reopening the same view dropped its parked query")
-			}
-		}
+		c.Close()
+		pfWaitIdle(t, srv)
+		pfNoDrains(t)
 	})
 
 	t.Run("BumpRegistry", func(t *testing.T) {
-		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
-		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
-		defer c.Close()
-		if parkedNow(srv) != 1 {
-			t.Fatal("nothing parked while the session is open")
+		srv, c, g := hold(t)
+		before := cancelled(srv)
+		pfWithin(t, "BumpRegistry", srv.BumpRegistry)
+		g.open()
+		pfQuiesce(t, srv)
+		if cancelled(srv) == before {
+			t.Fatal("BumpRegistry did not cancel the running drain")
 		}
-		srv.BumpRegistry()
-		if n := parkedNow(srv); n != 0 {
-			t.Fatalf("%d queries still parked after BumpRegistry", n)
-		}
-		// The session keeps its pre-bump view and keeps engaging regions;
-		// its predictions now name a dead generation and park nothing.
-		issued := srv.Stats().Prefetch.Issued
-		root, err := c.Root()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := c.Down(root)
-		for r := 0; r < pfRegions && err == nil; r++ {
-			if r >= engaged {
-				if _, err := c.Fetch(cur); err != nil {
-					t.Fatal(err)
-				}
-				pfQuiesce(t, srv)
-				if n := parkedNow(srv); n != 0 {
-					t.Fatalf("region %d: a stale-view drain parked %d queries", r, n)
-				}
-			}
-			cur, err = c.Right(cur)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srv.Stats().Prefetch.Issued == issued {
-			t.Fatal("the stale view spawned no drain; the check measures nothing")
+		c.Close()
+		pfWaitIdle(t, srv)
+		pfNoDrains(t)
+		if st := srv.Stats(); st.Pool.Idle != 0 {
+			t.Fatal("an engine of the old epoch went back to the pool")
 		}
 	})
 
 	t.Run("Shutdown", func(t *testing.T) {
-		srv, addr, _, specSrc := pfStartWith(t, factory, server.WithPrefetch(true))
-		c := pfDrive(t, addr, srv, specSrc, joinQuery, script[:engaged], want, nil)
-		defer c.Close()
-		if parkedNow(srv) != 1 {
-			t.Fatal("nothing parked while the session is open")
+		srv, _, g := hold(t)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Error(err)
+			}
+		}()
+		held(t, "Shutdown", done)
+		g.open()
+		<-done
+		if st := srv.Stats(); st.Prefetch.Inflight != 0 || st.Prefetch.Cancelled == 0 {
+			t.Fatalf("Shutdown returned with prefetch stats %+v; want the drain cancelled and done", st.Prefetch)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if n := parkedNow(srv); n != 0 {
-			t.Fatalf("%d queries still parked after Shutdown", n)
-		}
+		pfNoDrains(t)
 	})
+}
+
+// pfWithin runs f and fails the test if it does not return promptly.
+func pfWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s blocked", what)
+	}
 }
 
 // pfWarm compiles the view on a fresh engine over rc — the same key the
 // server's sessions will open — and hands it to explore, which fills
-// the cache without any server involvement.
-func pfWarm(t *testing.T, homes *xmltree.Tree, rc *regioncache.Cache, explore func(*mediator.Result) error) regioncache.Key {
+// the cache without any server involvement. It returns the query.
+func pfWarm(t *testing.T, homes *xmltree.Tree, rc *regioncache.Cache, explore func(*mediator.Result) error) *mediator.Result {
 	t.Helper()
 	m, err := pfFactory(homes, &metrics.Counters{})(rc)
 	if err != nil {
@@ -589,7 +800,7 @@ func pfWarm(t *testing.T, homes *xmltree.Tree, rc *regioncache.Cache, explore fu
 	if err := explore(res); err != nil {
 		t.Fatal(err)
 	}
-	return res.RegionKey()
+	return res
 }
 
 // pfDeepRegions returns an explorer that drains regions [0, n) deep.
@@ -615,7 +826,7 @@ func TestPrefetchSkipsCompleteView(t *testing.T) {
 		_, err := nav.Materialize(res.Document())
 		return err
 	})
-	srv, addr, src, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
+	srv, addr, src := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
 	for _, persona := range []string{"deep-drill", "glance"} {
 		script := workload.PersonaScript(persona, pfRegions, 7)
 		want := pfOracle(t, homes, script)
@@ -645,13 +856,13 @@ func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
 	script := workload.DeepDrillScript(pfRegions, 1)
 	want := pfOracle(t, homes, script)
 
-	coldSrv, coldAddr, coldSrc, _ := pfStart(t, homes, server.WithPrefetch(true))
+	coldSrv, coldAddr, coldSrc := pfStart(t, homes, server.WithPrefetch(true))
 	pfReplay(t, coldAddr, coldSrv, coldSrc, script, 0)
 	cold := coldSrv.Stats().Prefetch.Issued
 
 	rc := regioncache.New(0)
 	pfWarm(t, homes, rc, pfDeepRegions(half))
-	srv, addr, src, specSrc := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
+	srv, addr, src := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
 	got, early, _ := pfReplay(t, addr, srv, src, script, half)
 	for i := range want {
 		if got[i] != want[i] {
@@ -665,18 +876,18 @@ func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
 	// Cold, the two training regions are followed by one prediction per
 	// region from region 2 on; here the ones landing in regions 2 to
 	// half-1, already known, are skipped.
-	if st.Issued == 0 || st.Issued != cold-int64(half-2) || specSrc.Navigations() == 0 {
+	if st.Issued == 0 || st.Issued != cold-int64(half-2) || st.SrcNavs == 0 {
 		t.Fatalf("half-explored view: issued %d (cold %d), spec src navs %d; want %d",
-			st.Issued, cold, specSrc.Navigations(), cold-int64(half-2))
+			st.Issued, cold, st.SrcNavs, cold-int64(half-2))
 	}
 
 	rc2 := regioncache.New(0)
-	key := pfWarm(t, homes, rc2, pfDeepRegions(half))
-	hsrv, _, _, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc2))
+	res := pfWarm(t, homes, rc2, pfDeepRegions(half))
+	hsrv, _, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc2))
 	for _, deep := range []bool{true, false} {
 		for r := 0; r < pfRegions+2; r++ {
 			before := hsrv.Stats().Prefetch.Issued
-			server.SpawnDrain(hsrv, key, pfQuery, r, deep)
+			server.SpawnDrain(hsrv, res, r, deep)
 			pfQuiesce(t, hsrv)
 			// Deep drains warm the unknown half (and, past the end, learn
 			// the view's width once); after them every region is known.
@@ -706,7 +917,7 @@ func BenchmarkSessionDeepDrill(b *testing.B) {
 		{"prefetch=on", []server.Option{server.WithPrefetch(true)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, addr, _, _ := pfStart(b, homes, mode.opts...)
+			_, addr, _ := pfStart(b, homes, mode.opts...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

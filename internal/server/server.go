@@ -51,10 +51,9 @@ import (
 // region cache is passed (nil when caching is off) so the factory can
 // install it *before* registering sources — mediator.SetRegionCache
 // first, then RegisterLXP — which is what makes every engine of a
-// cache generation (pooled and speculative alike) share one buffer per
-// LXP source, paying each fill and get_root once. It runs under the
-// server's update lock held for reading (see Update), so it must not
-// call Update itself.
+// cache generation share one buffer per LXP source, paying each fill
+// and get_root once. It runs under the server's update lock held for
+// reading (see Update), so it must not call Update itself.
 type Factory func(cache *regioncache.Cache) (*mediator.Mediator, error)
 
 // config is the assembled server configuration; callers shape it
@@ -116,11 +115,6 @@ type config struct {
 	// PrefetchConfidence is the minimum successor-model confidence that
 	// triggers a drain (0 takes the default).
 	PrefetchConfidence float64
-	// SpecFactory, when non-nil, builds the engines speculative drains
-	// run on instead of the main factory. Deployments that meter source
-	// traffic per cause wire a factory with dedicated counters here, so
-	// speculation never pollutes demand attribution.
-	SpecFactory Factory
 
 	factory Factory
 }
@@ -188,11 +182,6 @@ func WithPrefetchConfidence(conf float64) Option {
 	return func(c *config) { c.PrefetchConfidence = conf }
 }
 
-// WithSpecFactory builds speculative-drain engines from f instead of
-// the main factory, so deployments can meter speculative source traffic
-// on its own counters (nil keeps the main factory).
-func WithSpecFactory(f Factory) Option { return func(c *config) { c.SpecFactory = f } }
-
 // Server is a mixd instance. Create with New, run with Serve, stop with
 // Shutdown.
 type Server struct {
@@ -235,7 +224,7 @@ type Server struct {
 	update sync.RWMutex
 
 	// prefetch is the speculative prefetcher (nil = off): the successor
-	// model, the drain workers, and their dedicated engine pool.
+	// model and the drain workers.
 	prefetch *prefetcher
 
 	mu       sync.Mutex
@@ -351,11 +340,8 @@ type pooledEngine struct {
 	rwin []regioncache.WindowNode
 }
 
-// enginePool is a stack of idle engines built by one factory. The
-// server has two instances: the demand pool sessions draw from (its
-// counters are the mix_engine_pool_* gauges) and the prefetcher's
-// speculative pool, whose engines carry spec-tagged recorders and whose
-// checkouts never move those gauges.
+// enginePool is the stack of idle engines sessions draw from; its
+// counters are the mix_engine_pool_* gauges.
 type enginePool struct {
 	srv     *Server
 	factory Factory
@@ -463,18 +449,15 @@ func (s *Server) BumpRegistry() { s.Update(nil) }
 // moveEpoch retires everything built against the old sources once the
 // cache generation has moved — by Update here, or by a peer's broadcast
 // (handleInvalidate), under s.update. It bumps the server epoch, so
-// engines checked out now are dropped at release; flushes both engine
-// pools, so the factories rebuild against the new data; and stops
-// speculation about the old world: running drains are cancelled, parked
-// spec queries dropped and successor tables keyed to dead generations
-// evicted.
+// engines checked out now are dropped at release; flushes the engine
+// pool, so the factory rebuilds against the new data; and stops
+// speculation about the old world: running drains are cancelled and
+// successor tables keyed to dead generations evicted.
 func (s *Server) moveEpoch() {
 	s.epoch.Add(1)
 	s.pool.flush()
 	if p := s.prefetch; p != nil {
 		p.cancelAll()
-		p.dropParked()
-		p.pool.flush()
 		p.model.EvictBelow(s.cache.Generation())
 	}
 }

@@ -63,16 +63,17 @@ type session struct {
 	// Speculative-prefetch state, live only with prefetch on AND the
 	// open view cache-named (geo nil otherwise — the off path pays one
 	// nil check). geo maps issued handles to their region geometry;
-	// viewKey/viewQuery identify the view to the successor model;
-	// lastEngaged is the last region engaged (-1 = none); pending is the
-	// unresolved predicted region (-1 = none). While geo is non-nil the
-	// session holds one prefetcher.openView reference on viewKey. All
-	// session-goroutine local.
+	// viewKey identifies the view to the successor model and viewRes is
+	// its query, the one drains run on; lastEngaged is the last region
+	// engaged (-1 = none); pending is the unresolved predicted region
+	// (-1 = none); drain is the last drain this session spawned, which
+	// closeView cancels and waits for. All session-goroutine local.
 	geo         map[uint64]nodePos
 	viewKey     predict.Key
-	viewQuery   string
+	viewRes     *mediator.Result
 	lastEngaged int
 	pending     int
+	drain       *specRun
 }
 
 // run is the session loop: read a frame, dispatch, respond — until the
@@ -299,7 +300,7 @@ func (s *session) open(query string) error {
 	if err != nil {
 		return err
 	}
-	s.installView(res, query)
+	s.installView(res)
 	return nil
 }
 
@@ -320,7 +321,7 @@ func (s *session) ensureEngine() error {
 // installView makes a compiled query result the session's document and
 // resets the handle table (and, with prefetch on, the region-geometry
 // state the successor model feeds on).
-func (s *session) installView(res *mediator.Result, query string) {
+func (s *session) installView(res *mediator.Result) {
 	s.opens.Add(1)
 	// Count every navigation this session answers on its own counters
 	// (folded into the server totals); with tracing on, also root a span
@@ -337,19 +338,13 @@ func (s *session) installView(res *mediator.Result, query string) {
 	s.wins = s.wins[:0]
 	s.lastEngaged = -1
 	s.pending = -1
-	// Take the new view's reference before releasing the old one, so
-	// reopening the same view keeps its parked query.
-	var k predict.Key
-	if p := s.srv.prefetch; p != nil {
-		if k = res.RegionKey(); k.Name != "" {
-			p.openView(k)
-		}
-	}
 	s.closeView()
-	if k.Name != "" {
-		s.geo = map[uint64]nodePos{}
-		s.viewKey = k
-		s.viewQuery = query
+	if s.srv.prefetch != nil {
+		if k := res.RegionKey(); k.Name != "" {
+			s.geo = map[uint64]nodePos{}
+			s.viewKey = k
+			s.viewRes = res
+		}
 	}
 }
 
@@ -363,15 +358,18 @@ func (s *session) leaveView() {
 	s.closeView()
 }
 
-// closeView forgets the session's prefetch view state, releasing its
-// hold on the view's parked spec query (see prefetcher.openView).
+// closeView forgets the session's prefetch view state. A drain still
+// running on the view's query is cancelled and waited for first, so the
+// engine never goes back to the pool, or on to another view, with a
+// drain navigating it.
 func (s *session) closeView() {
-	if s.geo != nil {
-		s.srv.prefetch.closeView(s.viewKey)
+	if s.drain != nil {
+		s.drain.wait()
+		s.drain = nil
 	}
 	s.geo = nil
 	s.viewKey = predict.Key{}
-	s.viewQuery = ""
+	s.viewRes = nil
 }
 
 // issue registers a node ID and returns its wire handle.

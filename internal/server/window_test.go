@@ -53,7 +53,7 @@ func dialOpen(t *testing.T, addr string) *vxdp.Client {
 // returns the answer and the server's counted demand sources.
 func winStart(t *testing.T, homes *xmltree.Tree) (addr, want string, src *metrics.Counters) {
 	t.Helper()
-	_, addr, src, _ = pfStart(t, homes)
+	_, addr, src = pfStart(t, homes)
 	tree, err := nav.Materialize(dialOpen(t, addr))
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +181,10 @@ func TestWindowIncompleteViewUnchanged(t *testing.T) {
 	homes := winHomes()
 	for _, p := range personas {
 		script := workload.PersonaScript(p, winRegions, 7)
-		_, addr, src, _ := pfStart(t, homes)
+		_, addr, src := pfStart(t, homes)
 		c := dialOpen(t, addr)
 		got := replay(t, c, script)
-		_, rawAddr, rawSrc, _ := pfStart(t, homes)
+		_, rawAddr, rawSrc := pfStart(t, homes)
 		raw := dialRaw(t, rawAddr)
 		equalParts(t, p, got, replay(t, raw, script))
 		if c.RoundTrips() != raw.frames {
@@ -412,7 +412,7 @@ func checkWindow(t *testing.T, what string, tree *xmltree.Tree, anchor []int, wi
 // fetch, down and right on each answer what a local replay answers.
 func TestWindowHandlesStayBoundWhileEntryGrows(t *testing.T) {
 	homes := winHomes()
-	_, addr, _, _ := pfStart(t, homes)
+	_, addr, _ := pfStart(t, homes)
 	m := mediator.New(mediator.DefaultOptions())
 	m.RegisterTree("homesSrc", homes)
 	res, err := m.Query(pfQuery)

@@ -62,19 +62,14 @@ const PeerLabel = "peer"
 // under. All three are zero for purely local traces, so single-process
 // tracing pays no extra wire bytes.
 type Span struct {
-	Label  string        `json:"label"`
-	Op     string        `json:"op"`
-	Start  time.Duration `json:"start_ns"`
-	Dur    time.Duration `json:"dur_ns"`
-	Node   string        `json:"node,omitempty"`
-	ID     uint64        `json:"id,omitempty"`
-	Parent uint64        `json:"parent,omitempty"`
-	// Spec marks work done on speculation (the prefetcher's drains), not
-	// for a waiting client: latency tools must never attribute it to a
-	// navigation a user experienced. Stamped on roots by recorders with
-	// Spec set.
-	Spec     bool    `json:"spec,omitempty"`
-	Children []*Span `json:"children,omitempty"`
+	Label    string        `json:"label"`
+	Op       string        `json:"op"`
+	Start    time.Duration `json:"start_ns"`
+	Dur      time.Duration `json:"dur_ns"`
+	Node     string        `json:"node,omitempty"`
+	ID       uint64        `json:"id,omitempty"`
+	Parent   uint64        `json:"parent,omitempty"`
+	Children []*Span       `json:"children,omitempty"`
 }
 
 // Recorder collects span forests. It is safe for concurrent use, but
@@ -99,11 +94,6 @@ type Recorder struct {
 	// recorder lock. It is the hook behind the slow-navigation flight
 	// recorder. Set it before recording begins.
 	RootSink func(*Span)
-	// Spec stamps every root this recorder opens as speculative (see
-	// Span.Spec). Speculative recorders also leave RootSink nil, so
-	// background drains can never enter the slow-navigation ring. Set it
-	// before recording begins.
-	Spec bool
 
 	mu    sync.Mutex
 	epoch time.Time
@@ -141,7 +131,6 @@ func (r *Recorder) Begin(label, op string) *Span {
 	sp := &Span{Label: label, Op: op, Start: time.Since(r.epoch)}
 	if len(r.stack) == 0 {
 		sp.Node = r.Node
-		sp.Spec = r.Spec
 		if r.remoteOn {
 			// A root opened under a remote parent joins the caller's
 			// trace: it gets a fleet identity and points back at the

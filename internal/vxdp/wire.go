@@ -300,6 +300,7 @@ type PrefetchStats struct {
 	Wasted    int64 `json:"wasted"`             // client engaged a different region
 	Cancelled int64 `json:"cancelled"`          // drain cancelled (demand pre-empt, epoch bump)
 	Navs      int64 `json:"navs"`               // speculative answer-boundary navigations
+	SrcNavs   int64 `json:"src_navs"`           // source navigations the drains made
 	Inflight  int64 `json:"inflight,omitempty"` // drains currently running
 }
 
