@@ -14,10 +14,11 @@
 //	-src name=rdb:csvdir              a CSV-backed relational database
 //	-src name=demo:books:N            a generated dataset (books|homes|schools)
 //
-// Each client session draws a lazy-mediator engine from a shared pool
-// over the shared (immutable or concurrency-safe) sources, so concurrent
-// sessions explore independently while the regions of answer documents
-// they explore are shared through the cross-session region cache:
+// All client sessions compile on one mediator per source epoch, built
+// over the shared (immutable or concurrency-safe) sources; each open
+// gets its own lazy query, so concurrent sessions explore independently
+// while the regions of answer documents they explore are shared through
+// the cross-session region cache:
 // -cache-max-bytes bounds it (whole-entry LRU eviction). LXP fills
 // coalesce up to 8 holes per round trip. -prefetch (on by default)
 // learns each view's region-to-region navigation pattern and
@@ -85,9 +86,9 @@ func (m *multiFlag) Set(s string) error {
 	return nil
 }
 
-// sourceSpec registers one configured source on a per-session mediator.
+// sourceSpec registers one configured source on a source-epoch catalog.
 // The closure shares loaded trees / databases / LXP connections across
-// sessions; per-session state (buffers, TreeDocs) is created fresh.
+// catalogs; per-catalog state (buffers, TreeDocs) is created fresh.
 // counters, when non-nil, is the shared per-source counter set exposed
 // on /metrics (LXP-backed sources only).
 type sourceSpec struct {
@@ -195,7 +196,7 @@ func main() {
 	mopts.LXPBatch = lxpBatch
 	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mopts)
-		// Cache before sources, so engines share LXP buffers.
+		// Cache before sources: it pins the catalog's cache generation.
 		m.SetRegionCache(rc)
 		for _, spec := range specs {
 			if err := spec.register(m); err != nil {
@@ -307,7 +308,7 @@ func main() {
 }
 
 // openSource loads whatever is shareable about a source location once
-// and returns a spec that registers it on per-session mediators.
+// and returns a spec that registers it on each source-epoch catalog.
 func openSource(name, loc string) (sourceSpec, error) {
 	fail := func(err error) (sourceSpec, error) { return sourceSpec{}, err }
 	if dir, ok := strings.CutPrefix(loc, "rdb:"); ok {
@@ -335,11 +336,10 @@ func openSource(name, loc string) (sourceSpec, error) {
 		}
 		// The LXP client multiplexes concurrent calls over its one
 		// connection, so sessions share it (and its counters) without
-		// queueing behind each other. With the region cache on, every
-		// engine of a cache generation shares one buffer for the
-		// source (with batching and scan lookahead, wired up by
-		// RegisterLXP); with it off, each engine buffers on its own.
-		// Nothing is sent until a plan first navigates the source.
+		// queueing behind each other. Every session of a source epoch
+		// shares the catalog's one buffer for the source (with batching
+		// and scan lookahead, wired up by RegisterLXP). Nothing is sent
+		// until a plan first navigates the source.
 		counting := &lxp.Counting{Inner: client, Counters: &metrics.Counters{}}
 		return sourceSpec{name: name, counters: counting.Counters, register: func(m *mediator.Mediator) error {
 			_, err := m.RegisterLXP(name, counting, uri)

@@ -22,9 +22,9 @@ import (
 type Engine struct {
 	opts Options
 
-	// tracer, when non-nil, instruments every compiled plan with
-	// navigation tracing (see SetTracer in trace.go). nil — the
-	// default — compiles plans with no instrumentation at all.
+	// tracer is the recorder every query compiled afterwards starts
+	// with (see SetTracer in trace.go). nil — the default — compiles
+	// plans with no instrumentation at all.
 	tracer *trace.Recorder
 
 	// cache, when non-nil, is the shared cross-session region cache;
@@ -81,10 +81,6 @@ func (e *Engine) SetRegionCache(c *regioncache.Cache) {
 // RegionCache returns the installed region cache (nil if none).
 func (e *Engine) RegionCache() *regioncache.Cache { return e.cache }
 
-// CacheGeneration returns the cache generation pinned at SetRegionCache
-// (0 when no cache is installed).
-func (e *Engine) CacheGeneration() uint64 { return e.cacheGen }
-
 // lookup resolves a registered source.
 func (e *Engine) lookup(name string) (nav.Document, bool) {
 	e.regMu.RLock()
@@ -139,6 +135,10 @@ type Query struct {
 	top    *lazyLog
 	answer Node
 
+	// tracer is the recorder of the demand document (see SetTracer);
+	// nil compiles the pipeline with no instrumentation.
+	tracer *trace.Recorder
+
 	// navMu serializes navigation of the lazy state above: every VDoc
 	// of the query — the demand document and each speculative drain's —
 	// holds it for one Down, Right or Fetch, so demand and speculation
@@ -163,7 +163,7 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	// Validate rejects unknown operators, so a nested tupleDestroy is the
 	// one plan compileNode would refuse; it is caught here, not at the
 	// first navigation.
-	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion()}
+	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion(), tracer: e.tracer}
 	c := &compiler{e: e, q: q, srcs: map[string]nav.Document{}}
 	var missing string
 	nested := false
@@ -273,7 +273,7 @@ func (q *Query) Fingerprint() string { return q.fingerprint }
 // answered from the shared cache without touching this query's lazy
 // streams; only cache misses drive them.
 func (q *Query) Document() nav.Document {
-	return q.document(&VDoc{q: q, rec: q.eng.tracer})
+	return q.document(&VDoc{q: q, rec: q.tracer})
 }
 
 // document builds the answer document over inner, a VDoc of q (its root

@@ -33,10 +33,11 @@ import (
 // never mixed.
 
 // compiler carries the per-compile state threaded through plan
-// compilation: the engine (options, interner, tracer), the query being
-// compiled, the source documents Compile resolved, and the query-scoped
-// keyspace. Engine.Compile may be called concurrently, so per-compile
-// state lives here rather than on the Engine.
+// compilation: the engine (options, interner), the query being
+// compiled (and its recorder), the source documents Compile resolved,
+// and the query-scoped keyspace. Engine.Compile may be called
+// concurrently, so per-compile state lives here rather than on the
+// Engine.
 type compiler struct {
 	e    *Engine
 	q    *Query

@@ -449,11 +449,11 @@ func (s *sortCursor) fork() cursor {
 }
 
 // compile builds the cursor constructor for a plan node, wrapping it
-// with a traced cursor when a tracer is installed (the per-operator
+// with a traced cursor when the query traces (the per-operator
 // boundary of the observability layer).
 func (c *compiler) compile(p algebra.Op) (builder, error) {
 	bb, err := c.compileNode(p)
-	if err != nil || c.e.tracer == nil {
+	if err != nil || c.q.tracer == nil {
 		return bb, err
 	}
 	label, q := opLabel(p), c.q
@@ -526,7 +526,7 @@ func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*bindi
 
 func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
 	var doc nav.Document = &nav.CountingDoc{Doc: c.srcs[op.URL], Counters: &c.q.src}
-	if c.e.tracer != nil {
+	if c.q.tracer != nil {
 		doc = &tracedSource{inner: doc, label: trace.SourcePrefix + op.URL, q: c.q}
 	}
 	varName := op.Var

@@ -8,24 +8,28 @@ import (
 	"mix/internal/trace"
 )
 
-// SetTracer installs a navigation-trace recorder on the engine. Plans
-// compiled *after* the call get a trace.Doc at every source boundary
-// and a traced cursor at every operator boundary, so each client
-// navigation unfolds into a causal span tree (operator pulls → source
-// navigations) in the recorder. Plans compiled without a tracer are
-// completely untouched — tracing off is the zero-cost default.
-//
-// Set the tracer before compiling; it is not synchronized with
-// concurrent Compile calls.
-//
-// The wrappers write to the recorder of whichever document holds the
-// query's navigation lock: the engine's for the demand document, none
-// for a speculative drain's — so drains put no span into a session's
-// trace, the operator histograms or the slow-navigation ring.
+// SetTracer installs the navigation-trace recorder every query compiled
+// *after* the call starts with (see Query.SetTracer). Set it before
+// compiling; it is not synchronized with concurrent Compile calls.
 func (e *Engine) SetTracer(rec *trace.Recorder) { e.tracer = rec }
 
+// SetTracer routes the query's demand spans to rec (nil: none),
+// replacing the engine's recorder for this query alone, so queries of
+// one engine can trace into different recorders. A traced query gets a
+// trace.Doc at every source boundary and a traced cursor at every
+// operator boundary, so each client navigation unfolds into a causal
+// span tree (operator pulls → source navigations). A query without a
+// recorder is completely untouched — tracing off is the zero-cost
+// default. Call it before the first Document.
+//
+// The wrappers write to the recorder of whichever document holds the
+// query's navigation lock: rec for the demand document, none for a
+// speculative drain's — so drains put no span into a session's trace,
+// the operator histograms or the slow-navigation ring.
+func (q *Query) SetTracer(rec *trace.Recorder) { q.tracer = rec }
+
 // tracedSource is a source boundary's trace.Doc whose recorder is read
-// per command from the query (see SetTracer).
+// per command from the query (see Query.SetTracer).
 type tracedSource struct {
 	inner nav.Document
 	label string

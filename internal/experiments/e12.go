@@ -13,8 +13,8 @@ import (
 // full lazy-derivation cost; later sessions navigating the same region
 // are answered from the shared cache with zero source navigations.
 //
-// Each "session" is a fresh mediator engine (what mixd's pooled factory
-// builds) over the homes/schools sources, querying the homeview view of
+// Each "session" is a fresh mediator engine (what mixd's factory builds
+// once per source epoch) over the homes/schools sources, querying the homeview view of
 // the running example and exploring the first k results — the Web
 // interaction pattern of Section 1, where lazy derivation makes the
 // sources pay far more navigations than the client issues. Total counts

@@ -68,14 +68,13 @@ type Mediator struct {
 	opts   Options
 	engine *core.Engine
 	eager  *eager.Evaluator
-	cache  *regioncache.Cache
 
 	mu      sync.Mutex
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
 	viewVer uint64                // DefineView count: a prepare that spans one is not memoized
 	nview   int
 	memo    map[string]*prepared      // by query text
-	buffers map[string]*buffer.Buffer // LXP buffers this mediator opened, by source name
+	buffers map[string]*buffer.Buffer // LXP buffers registered, by source name
 }
 
 // maxPrepared bounds the prepared-view memo. A full memo drops an
@@ -107,21 +106,18 @@ func New(opts Options) *Mediator {
 // SetTracer installs a navigation-trace recorder on the mediator's
 // engine: queries prepared after the call produce causal traces of how
 // client navigations fan out through the lazy-mediator tree into
-// source navigations. Install before the first Query; without a
-// tracer, query evaluation is completely uninstrumented.
+// source navigations (Result.SetTracer picks another recorder for one
+// query). Install before the first Query; without a tracer, query
+// evaluation is completely uninstrumented.
 func (m *Mediator) SetTracer(rec *trace.Recorder) { m.engine.SetTracer(rec) }
 
 // SetRegionCache installs a shared cross-session region cache: answer
 // documents of queries prepared after the call serve already-explored
 // regions from the cache (published by any mediator sharing it) instead
-// of re-deriving them, and LXP sources registered after the call share
-// one buffer with every mediator of the cache that registers them (see
-// RegisterLXP). Install before registering sources and serving queries.
-// A nil cache (the default) changes nothing.
-func (m *Mediator) SetRegionCache(c *regioncache.Cache) {
-	m.cache = c
-	m.engine.SetRegionCache(c)
-}
+// of re-deriving them. The cache's generation is pinned here, so
+// install it before registering sources and serving queries. A nil
+// cache (the default) changes nothing.
+func (m *Mediator) SetRegionCache(c *regioncache.Cache) { m.engine.SetRegionCache(c) }
 
 // RegisterSource exposes an arbitrary navigable document under name.
 func (m *Mediator) RegisterSource(name string, doc nav.Document) {
@@ -139,56 +135,28 @@ func (m *Mediator) RegisterTree(name string, t *xmltree.Tree) {
 // under name. Nothing is sent to the wrapper: the buffer opens its
 // session when a plan first navigates the source, which is also where
 // a wrong uri surfaces. The buffer's scan lookahead is always on.
-//
-// With a region cache installed, the buffer is shared: every mediator
-// of the cache that registers the same name and uri in the same cache
-// generation, at the same registry version, navigates one open tree —
-// the first builds it with its own LXPBatch, the rest join it — so a
-// fill or get_root any engine pays (a session's or a speculative
-// drain's) is paid for all.
-// Like region-cache keys, this assumes such registrations serve the
-// same data. A mediator whose pinned generation is already stale gets
-// a private buffer. Without a cache every registration builds its own.
+// Every query of the mediator navigates this one open tree, so a fill
+// or get_root any of them pays (a session's or a speculative drain's)
+// is paid for all.
 func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer.Buffer, error) {
-	open := func() nav.Document {
-		b, _ := buffer.New(srv, uri) // never fails: New sends nothing
-		b.Batch = m.opts.LXPBatch
-		b.EnableLookahead()
-		return b
-	}
-	var doc nav.Document
-	opened := true
-	if m.cache != nil {
-		// Keyed by the registry version the registration below will
-		// establish.
-		doc, opened = m.cache.Source(regioncache.Key{
-			Generation:  m.engine.CacheGeneration(),
-			Registry:    m.engine.RegistryVersion() + 1,
-			Name:        "src:" + name,
-			Fingerprint: "lxp:" + uri,
-		}, open)
-	} else {
-		doc = open()
-	}
-	b := doc.(*buffer.Buffer)
+	b, _ := buffer.New(srv, uri) // never fails: New sends nothing
+	b.Batch = m.opts.LXPBatch
+	b.EnableLookahead()
 	m.RegisterSource(name, b)
-	if opened {
-		m.mu.Lock()
-		if m.buffers == nil {
-			m.buffers = map[string]*buffer.Buffer{}
-		}
-		m.buffers[name] = b
-		m.mu.Unlock()
+	m.mu.Lock()
+	if m.buffers == nil {
+		m.buffers = map[string]*buffer.Buffer{}
 	}
+	m.buffers[name] = b
+	m.mu.Unlock()
 	return b, nil
 }
 
 // BufferStats returns per-source fill accounting (round trips, batched
-// fills, prefetch errors) for every LXP buffer this mediator opened
-// through RegisterLXP; the server's stats op surfaces it to clients. A
-// buffer shared through the region cache is reported only by the
-// mediator that opened it, never by those that joined it, so sums over
-// mediators count each fill once.
+// fills, prefetch errors) for every LXP buffer registered through
+// RegisterLXP; the server's stats op surfaces it to clients. No two
+// mediators share a buffer, so sums over mediators count each fill
+// once.
 func (m *Mediator) BufferStats() map[string]buffer.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -239,6 +207,11 @@ type Result struct {
 // Document returns the virtual answer document. Obtaining it (and its
 // root handle) performs no source access.
 func (r *Result) Document() nav.Document { return r.query.Document() }
+
+// SetTracer routes this result's navigation spans to rec instead of the
+// mediator's recorder (see core.Query.SetTracer): sessions sharing one
+// mediator each trace into their own. Call it before Document.
+func (r *Result) SetTracer(rec *trace.Recorder) { r.query.SetTracer(rec) }
 
 // CacheKey returns the (view name, canonical plan fingerprint) pair
 // that identifies this query's answer document across mediator

@@ -52,7 +52,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mix/internal/nav"
 	"mix/internal/xmltree"
 )
 
@@ -115,11 +114,6 @@ type Cache struct {
 	// plans is the semantic plan index (see planindex.go).
 	planMu sync.Mutex
 	plans  map[bucketKey][]planEntry
-
-	// sources holds the shared source documents of the live generation
-	// (see Source).
-	srcMu   sync.Mutex
-	sources map[Key]nav.Document
 
 	mu    sync.Mutex
 	bytes int64 // demand-class retained bytes
@@ -189,7 +183,6 @@ func New(maxBytes int64) *Cache {
 		entries:  map[Key]*Entry{},
 		intern:   xmltree.NewInterner(),
 		plans:    map[bucketKey][]planEntry{},
-		sources:  map[Key]nav.Document{},
 	}
 }
 
@@ -253,8 +246,8 @@ func (c *Cache) AdvanceTo(gen uint64) bool {
 	return true
 }
 
-// dropBelow drops every entry, every plan-index bucket and every shared
-// source document created under a generation older than g.
+// dropBelow drops every entry and every plan-index bucket created under
+// a generation older than g.
 func (c *Cache) dropBelow(g uint64) {
 	c.mu.Lock()
 	for k, e := range c.entries {
@@ -264,41 +257,6 @@ func (c *Cache) dropBelow(g uint64) {
 	}
 	c.mu.Unlock()
 	c.prunePlansBelow(g)
-	c.srcMu.Lock()
-	for k := range c.sources {
-		if k.Generation < g {
-			delete(c.sources, k)
-		}
-	}
-	c.srcMu.Unlock()
-}
-
-// Source returns the one source document every caller registering k
-// navigates — in the mediator, the open tree of one LXP source, so its
-// fills and its get_root are paid once per generation however many
-// engines read it. The first caller of a live key builds the document
-// with open and finds opened true; later callers get that same document
-// and opened false, and must treat it as configured: open runs under
-// the table lock, so nobody sees the document before open returns (open
-// must therefore be quick and must not call back into the cache).
-// A key whose generation is already stale gets a private document from
-// open (opened true) that is never put in the table — the detach rule
-// of Open. Invalidate and AdvanceTo drop older generations' documents;
-// callers holding one keep navigating it.
-func (c *Cache) Source(k Key, open func() nav.Document) (doc nav.Document, opened bool) {
-	c.srcMu.Lock()
-	defer c.srcMu.Unlock()
-	// Checked under srcMu: a racing Invalidate bumps the generation
-	// before dropBelow takes the lock, so no stale document outlives it.
-	if k.Generation != c.gen.Load() {
-		return open(), true
-	}
-	if d, ok := c.sources[k]; ok {
-		return d, false
-	}
-	d := open()
-	c.sources[k] = d
-	return d, true
 }
 
 // Entry opens the demand entry for (name, fingerprint) under the

@@ -1,8 +1,8 @@
 package server_test
 
-// Cross-session cache and engine-pool behavior over the wire: a second
+// Cross-session cache and catalog behavior over the wire: a second
 // session exploring the view a first session already explored is served
-// from the shared region cache by a recycled engine, and the answer
+// from the shared region cache on the same catalog, and the answer
 // stays byte-identical; BumpRegistry invalidates both.
 
 import (
@@ -62,14 +62,14 @@ func TestCrossSessionCacheAndPool(t *testing.T) {
 		t.Fatalf("warm session recorded no cache hits: %+v", st.Cache)
 	}
 	if st.Pool == nil {
-		t.Fatal("stats missing pool block with pooling on")
+		t.Fatal("stats missing pool block")
 	}
-	if st.Pool.Created != 1 || st.Pool.Reused == 0 {
-		t.Fatalf("pool: created=%d reused=%d, want one engine reused", st.Pool.Created, st.Pool.Reused)
+	if st.Pool.Created != 1 || st.Pool.Reused != 1 {
+		t.Fatalf("pool: created=%d reused=%d, want one catalog serving both opens", st.Pool.Created, st.Pool.Reused)
 	}
 
-	// A registry bump invalidates the cache and flushes the pool: the
-	// next session re-derives under a fresh generation on a new engine.
+	// A registry bump invalidates the cache and ends the epoch: the next
+	// session re-derives under a fresh generation on a new catalog.
 	gen := st.Cache.Generation
 	srv.BumpRegistry()
 	bumped := openAndMaterialize(t, addr)
@@ -82,7 +82,7 @@ func TestCrossSessionCacheAndPool(t *testing.T) {
 		t.Fatalf("generation %d not bumped past %d", st.Cache.Generation, gen)
 	}
 	if st.Pool.Created != 2 {
-		t.Fatalf("pool not flushed by BumpRegistry: created=%d, want 2", st.Pool.Created)
+		t.Fatalf("BumpRegistry did not force one fresh catalog: created=%d, want 2", st.Pool.Created)
 	}
 }
 

@@ -91,17 +91,17 @@ func (s *Server) traced(ctx *trace.Context, op string, f func() vxdp.Response) v
 }
 
 // handleInvalidate applies a generation broadcast: raise the cache to
-// the target epoch and, if that actually advanced it, move the server
-// epoch exactly like a local Update, under the same lock — pooled
-// engines were built against sources the fleet just declared stale.
+// the target epoch and, if that actually advanced it, end the source
+// epoch exactly like a local Update, under the same lock — the catalog
+// was built against sources the fleet just declared stale.
 func (s *Server) handleInvalidate(req vxdp.Request) vxdp.Response {
 	if s.cache == nil {
 		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
 	}
-	s.update.Lock()
-	defer s.update.Unlock()
+	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
 	if s.cache.AdvanceTo(req.Gen) {
-		s.moveEpoch()
+		s.endEpoch()
 		if s.cluster != nil {
 			s.cluster.RecordInvalRecv()
 		}
@@ -184,10 +184,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	start := time.Now()
 	mode := "local"
 	defer func() { s.srv.routeHist.Histogram(mode).Observe(time.Since(start)) }()
-	if err := s.ensureEngine(); err != nil {
-		return errResp("%v", err)
-	}
-	res, err := s.eng.med.Query(req.Query)
+	res, err := s.compile(req.Query)
 	if err != nil {
 		return errResp("%v", err)
 	}

@@ -176,9 +176,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Trace {
 		counter("mix_slow_navigations_total", "traced root spans at or over the slow-navigation threshold", s.flight.Total())
 	}
-	gauge("mix_engine_pool_idle", "engines parked for reuse", st.Pool.Idle)
-	counter("mix_engine_pool_created_total", "engines built by the mediator factory", st.Pool.Created)
-	counter("mix_engine_pool_reused_total", "sessions served by a recycled engine", st.Pool.Reused)
+	counter("mix_engine_pool_created_total", "source-epoch catalogs built by the mediator factory", st.Pool.Created)
+	counter("mix_engine_pool_reused_total", "opens served by an existing source-epoch catalog", st.Pool.Reused)
 
 	fpComputed, fpHits := xmltree.FingerprintStats()
 	counter("mix_fp_computed_total", "structural fingerprints computed", fpComputed)

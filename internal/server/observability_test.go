@@ -1,10 +1,12 @@
 package server_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"mix/internal/nav"
@@ -52,7 +54,7 @@ func TestStatsOpOverWire(t *testing.T) {
 		t.Fatalf("server navs = %+v", st)
 	}
 	if st.Pool == nil || st.Pool.Created != 1 {
-		t.Fatalf("stats response pool block = %+v, want one engine created", st.Pool)
+		t.Fatalf("stats response pool block = %+v, want one catalog built", st.Pool)
 	}
 	if st.Session == nil {
 		t.Fatal("stats response missing the per-session block")
@@ -160,6 +162,76 @@ func TestTraceOpOverWire(t *testing.T) {
 	}
 }
 
+// TestTraceSessionsShareCatalog: concurrent traced sessions compile on
+// one catalog, yet each trace holds exactly its own commands and the
+// operator and source spans under them — the recorder is the
+// session's, set per query, not the shared mediator's. Each session
+// opens a view of its own, so no command is a cache hit.
+func TestTraceSessionsShareCatalog(t *testing.T) {
+	srv, addr := start(t, server.WithTrace(true))
+	const sessions = 6
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := traceOwnCommands(addr, fmt.Sprintf(
+				`CONSTRUCT <homes> $H {$H} </homes> {} WHERE homesSrc homes.home $H AND $H zip._ $Z AND $Z > "%d"`, i)); err != nil {
+				t.Errorf("session %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats().Pool; st.Created != 1 {
+		t.Fatalf("%d catalogs built, want the one every session shares", st.Created)
+	}
+}
+
+// traceOwnCommands opens query on addr, navigates down and right from
+// the root, and checks that the session's trace holds exactly those two
+// client commands, each with source spans under it.
+func traceOwnCommands(addr, query string) error {
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	if err := c.Open(query); err != nil {
+		return err
+	}
+	root, err := c.Root()
+	if err != nil {
+		return err
+	}
+	if _, err := c.Trace(); err != nil {
+		return err
+	}
+	child, err := c.Down(root)
+	if err != nil {
+		return err
+	}
+	if _, err := c.Right(child); err != nil {
+		return err
+	}
+	roots, err := c.Trace()
+	if err != nil {
+		return err
+	}
+	ops := []string{"d", "r"}
+	if len(roots) != len(ops) {
+		return fmt.Errorf("%d trace roots, want %d:\n%s", len(roots), len(ops), trace.Format(roots))
+	}
+	for i, r := range roots {
+		if r.Label != trace.ClientLabel || r.Op != ops[i] {
+			return fmt.Errorf("root %d is %s %s, want client %s:\n%s", i, r.Label, r.Op, ops[i], trace.Format(roots))
+		}
+	}
+	if trace.SourceNavigations(roots[:1]) == 0 {
+		return fmt.Errorf("no source spans under the down:\n%s", trace.Format(roots))
+	}
+	return nil
+}
+
 func TestTraceOpDisabled(t *testing.T) {
 	_, addr := start(t)
 	c, err := vxdp.Dial(addr)
@@ -212,7 +284,7 @@ func TestHTTPSidecar(t *testing.T) {
 		"mix_sessions_active 0",
 		`mix_navigations_total{kind="down"} 0`,
 		"mix_msgs_total 0",
-		"mix_engine_pool_idle 0", // the pool block is always present
+		"mix_engine_pool_created_total 0", // the pool block is always present
 	} {
 		if !strings.Contains(before, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, before)

@@ -18,7 +18,7 @@ import (
 // confident about a view's next region, a drain worker warms it through
 // core.PrefetchRegion on the session's own query — the lazy state the
 // session's demand navigations fill — so each region is derived once,
-// and no engine is built or drawn from the demand pool for speculation.
+// and speculation never compiles or opens anything of its own.
 
 // Default speculative-drain bounds: enough navigations to drain a
 // sizeable region, few enough that a wrong guess stays cheap.

@@ -233,10 +233,10 @@ func TestPrefetchWarmsNextRegion(t *testing.T) {
 	if want := fmt.Sprintf("mix_prefetch_src_navs_total %d\n", st.Prefetch.SrcNavs); !strings.Contains(w.Body.String(), want) {
 		t.Fatalf("/metrics lacks %q", want)
 	}
-	// Drains run on the session's query: the pool must look exactly
-	// like one plain session used it.
+	// Drains run on the session's query: the catalogs must look exactly
+	// like one plain session opened once — one built, none served again.
 	if st.Pool == nil || st.Pool.Created != 1 || st.Pool.Reused != 0 {
-		t.Fatalf("speculation leaked into the demand engine pool: %+v", st.Pool)
+		t.Fatalf("speculation opened on the catalog: %+v", st.Pool)
 	}
 }
 
@@ -476,7 +476,7 @@ func TestPrefetchDrainsOnSessionQuery(t *testing.T) {
 		t.Fatalf("only %d drains; the test needs at least 3", len(drains))
 	}
 	if st := srv.Stats().Pool; st.Created != 1 {
-		t.Fatalf("%d engines built, want the session's one", st.Created)
+		t.Fatalf("%d catalogs built, want the session's one", st.Created)
 	}
 
 	budget := core.PrefetchBudget{MaxNavs: server.DefaultPrefetchNavs, MaxBytes: server.DefaultPrefetchBytes}
@@ -630,10 +630,10 @@ func (d gatedDoc) Fetch(p nav.ID) (string, error) { d.g.pass(); return d.Documen
 
 // TestPrefetchDrainLifetime: a drain lives no longer than its session's
 // view. Each way of leaving the view — close, reopen, and Shutdown —
-// cancels the drain and waits for it before the engine is released or
-// reused, even while the drain is held inside a source navigation;
-// BumpRegistry cancels it without waiting, and the session waits when
-// it leaves. No drain goroutine outlives any of them.
+// cancels the drain and waits for it before the session ends or moves
+// on, even while the drain is held inside a source navigation;
+// BumpRegistry cancels it without waiting, and the next open builds a
+// fresh catalog. No drain goroutine outlives any of them.
 func TestPrefetchDrainLifetime(t *testing.T) {
 	const engaged = 3
 	script := workload.DeepDrillScript(pfRegions, 1)
@@ -686,23 +686,14 @@ func TestPrefetchDrainLifetime(t *testing.T) {
 	t.Run("session close", func(t *testing.T) {
 		srv, c, g := hold(t)
 		c.Close()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) && srv.Stats().SessionsActive != 0 {
-			time.Sleep(time.Millisecond)
-		}
 		time.Sleep(20 * time.Millisecond)
-		if st := srv.Stats(); st.Pool.Idle != 0 {
-			t.Fatal("the engine went back to the pool while its drain was running")
+		if st := srv.Stats(); st.SessionsActive != 1 {
+			t.Fatal("the session ended while its drain was still running")
 		}
 		g.open()
-		for srv.Stats().Pool.Idle == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("the engine never went back to the pool")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		pfWaitIdle(t, srv)
 		if st := srv.Stats(); st.Prefetch.Inflight != 0 || st.Prefetch.Cancelled == 0 {
-			t.Fatalf("engine released with prefetch stats %+v; want the drain cancelled and done", st.Prefetch)
+			t.Fatalf("session ended with prefetch stats %+v; want the drain cancelled and done", st.Prefetch)
 		}
 		pfNoDrains(t)
 	})
@@ -740,12 +731,18 @@ func TestPrefetchDrainLifetime(t *testing.T) {
 		if cancelled(srv) == before {
 			t.Fatal("BumpRegistry did not cancel the running drain")
 		}
+		// The old epoch's catalog serves no further open, not even the
+		// live session's: its reopen builds the next one.
+		built := srv.Stats().Pool.Created
+		if err := c.Open(joinQuery); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Stats().Pool.Created; got != built+1 {
+			t.Fatalf("the reopen after BumpRegistry built %d catalogs, want 1", got-built)
+		}
 		c.Close()
 		pfWaitIdle(t, srv)
 		pfNoDrains(t)
-		if st := srv.Stats(); st.Pool.Idle != 0 {
-			t.Fatal("an engine of the old epoch went back to the pool")
-		}
 	})
 
 	t.Run("Shutdown", func(t *testing.T) {

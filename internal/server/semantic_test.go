@@ -45,8 +45,8 @@ func semOracle(t *testing.T, homes *xmltree.Tree, query string) string {
 	return xmltree.MarshalXML(tree)
 }
 
-// semFactory builds engines whose homesSrc is doc, shared across every
-// pooled engine.
+// semFactory builds catalogs whose homesSrc is doc, shared across
+// every catalog.
 func semFactory(doc nav.Document) server.Factory {
 	return func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())

@@ -5,11 +5,13 @@
 // crosses.
 //
 // Each accepted connection is one session, handled on its own
-// goroutine. Because the lazy-mediator engine's pull-driven streams are
-// single-consumer, every session gets a *fresh* mediator instance from
-// the configured factory: sessions share immutable sources (trees) and
-// multiplexed LXP clients, but never lazy evaluation state, so N clients
-// exploring the same view proceed independently.
+// goroutine. All sessions of a source epoch compile their queries on
+// one mediator, the epoch's catalog, which the configured factory
+// builds at the epoch's first open: its registered sources (LXP buffers
+// included), view definitions and prepared-view memo are shared. Lazy
+// evaluation state is not: it lives in the query each open compiles, so
+// N clients exploring the same view proceed independently. Update ends
+// the epoch; the next open builds the next catalog.
 //
 // The session lifecycle is
 //
@@ -44,16 +46,17 @@ import (
 	"mix/internal/vxdp"
 )
 
-// Factory builds the mediator behind one pooled engine: register
-// sources and define views here. It is called concurrently from
-// session goroutines, so shared underlying state (trees, LXP clients)
-// must be immutable or internally synchronized. The server's shared
-// region cache is passed (nil when caching is off) so the factory can
-// install it *before* registering sources — mediator.SetRegionCache
-// first, then RegisterLXP — which is what makes every engine of a
-// cache generation share one buffer per LXP source, paying each fill
-// and get_root once. It runs under the server's update lock held for
-// reading (see Update), so it must not call Update itself.
+// Factory builds the catalog of one source epoch: the mediator every
+// session of the epoch compiles its queries on. Register sources and
+// define views here. The server calls it at the first open of each
+// epoch — after New, Update or a peer's invalidation — and never
+// concurrently: it runs under the lock Update takes, so it must not
+// call Update itself. Sessions of an older epoch keep navigating the
+// catalog they opened on, so sources shared between catalogs (trees,
+// LXP clients) must be immutable or internally synchronized. The
+// server's region cache is passed (nil when caching is off) so the
+// factory can install it before registering sources:
+// mediator.SetRegionCache pins the cache generation of the epoch.
 type Factory func(cache *regioncache.Cache) (*mediator.Mediator, error)
 
 // config is the assembled server configuration; callers shape it
@@ -211,17 +214,20 @@ type Server struct {
 
 	active, total, evicted, denied atomic.Int64
 
-	// cache is the shared region cache (nil = caching off); pool holds
-	// idle engines released by finished sessions for reuse. epoch counts
-	// source epochs (see moveEpoch): engines built under an older epoch
-	// are discarded at release instead of re-pooled, so a registry
-	// change can never hand stale sources to a new session.
+	// cache is the shared region cache (nil = caching off).
 	cache   *regioncache.Cache
 	cluster *cluster.Node
-	epoch   atomic.Uint64
-	pool    *enginePool
-	// update makes a registry update one step (see Update).
-	update sync.RWMutex
+	// catalog is the current source epoch's mediator, nil until the
+	// epoch's first open builds it (see catalogNow). epochMu makes
+	// building a catalog, and ending its epoch, one step each. built
+	// counts the catalogs the factory built, served the opens an
+	// existing catalog answered.
+	catalog       atomic.Pointer[mediator.Mediator]
+	epochMu       sync.Mutex
+	built, served atomic.Int64
+	// scratch holds the window scratch of finished sessions for reuse
+	// (see window.go).
+	scratch sync.Pool
 
 	// prefetch is the speculative prefetcher (nil = off): the successor
 	// model and the drain workers.
@@ -235,10 +241,10 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// New returns an unstarted Server whose sessions draw engines built by
-// factory from a shared pool. Defaults: no session limit, no timeouts,
-// tracing off, no region cache (a clustered server takes its node's);
-// override with options.
+// New returns an unstarted Server whose sessions compile on catalogs
+// built by factory, one per source epoch. Defaults: no session limit,
+// no timeouts, tracing off, no region cache (a clustered server takes
+// its node's); override with options.
 func New(factory Factory, opts ...Option) (*Server, error) {
 	if factory == nil {
 		return nil, errors.New("server: mediator factory is required")
@@ -281,12 +287,9 @@ func newServer(cfg config) (*Server, error) {
 		routeHist: telemetry.NewRegistry(),
 		sessions:  map[uint64]*session{},
 	}
+	s.scratch.New = func() any { return new(winScratch) }
 	if cfg.Trace && cfg.SlowThreshold >= 0 {
 		s.flight = telemetry.NewFlightRecorder(cfg.SlowRing, cfg.SlowThreshold)
-	}
-	s.pool = &enginePool{srv: s, factory: cfg.factory}
-	if cfg.Trace {
-		s.pool.newRec = s.newRecorder
 	}
 	if cfg.Prefetch {
 		if cfg.RegionCache == nil {
@@ -323,112 +326,47 @@ func (s *Server) newRecorder() *trace.Recorder {
 	return rec
 }
 
-// pooledEngine is one reusable engine: a mediator plus the trace
-// recorder wired into it (non-nil iff the server traces). Engines are
-// handed to at most one session at a time; lazy evaluation state is
-// per-query, so sequential reuse shares nothing but immutable sources
-// and the region cache.
-type pooledEngine struct {
-	med   *mediator.Mediator
-	rec   *trace.Recorder
-	epoch uint64 // server epoch the engine was built under
-
-	// win and rwin are the scratch the session holding the engine builds
-	// read-ahead windows in (see window.go). They travel with the engine,
-	// so sessions on a reused engine build windows without allocating.
-	win  []vxdp.WinNode
-	rwin []regioncache.WindowNode
-}
-
-// enginePool is the stack of idle engines sessions draw from; its
-// counters are the mix_engine_pool_* gauges.
-type enginePool struct {
-	srv     *Server
-	factory Factory
-	// newRec builds the recorder wired into each new engine (nil: the
-	// server does not trace).
-	newRec func() *trace.Recorder
-
-	mu              sync.Mutex
-	idle            []*pooledEngine
-	created, reused atomic.Int64
-}
-
-// acquire pops an idle engine or builds a fresh one.
-func (p *enginePool) acquire() (*pooledEngine, error) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		pe := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		p.reused.Add(1)
-		return pe, nil
+// catalogNow returns the current epoch's catalog, building it at the
+// epoch's first open. The factory runs under epochMu, which Update
+// holds too, so the data it reads and the cache generation it pins
+// belong to one epoch. A factory error goes to this open and is not
+// kept: the next open tries again.
+func (s *Server) catalogNow() (*mediator.Mediator, error) {
+	if m := s.catalog.Load(); m != nil {
+		s.served.Add(1)
+		return m, nil
 	}
-	p.mu.Unlock()
-	// The factory reads the data and pins the cache generation under
-	// the same read lock as the epoch sample, so all three belong to one
-	// registry state.
-	p.srv.update.RLock()
-	epoch := p.srv.epoch.Load()
-	m, err := p.factory(p.srv.cache)
-	p.srv.update.RUnlock()
+	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
+	if m := s.catalog.Load(); m != nil {
+		s.served.Add(1)
+		return m, nil
+	}
+	m, err := s.cfg.factory(s.cache)
 	if err != nil {
 		return nil, err
 	}
-	pe := &pooledEngine{med: m, epoch: epoch}
-	if p.newRec != nil {
-		// One recorder per engine: spans accumulate until the owning
-		// session's next trace command.
-		pe.rec = p.newRec()
-		m.SetTracer(pe.rec)
-	}
-	p.created.Add(1)
-	return pe, nil
-}
-
-// release parks an engine for reuse, or drops it when the server epoch
-// moved past it. Spans its user never
-// fetched are discarded so the next one starts with a clean trace.
-func (p *enginePool) release(pe *pooledEngine) {
-	if pe == nil {
-		return
-	}
-	pe.rec.Take()
-	p.srv.update.RLock()
-	defer p.srv.update.RUnlock()
-	if pe.epoch != p.srv.epoch.Load() {
-		return
-	}
-	p.mu.Lock()
-	p.idle = append(p.idle, pe)
-	p.mu.Unlock()
-}
-
-// flush drops every idle engine.
-func (p *enginePool) flush() {
-	p.mu.Lock()
-	p.idle = nil
-	p.mu.Unlock()
+	s.catalog.Store(m)
+	s.built.Add(1)
+	return m, nil
 }
 
 // Update changes the data behind the factory's sources as one step:
-// under the update lock it runs swap (nil when the data changed by other
+// under the epoch lock it runs swap (nil when the data changed by other
 // means), invalidates the shared region cache (sessions opened
 // afterwards re-derive and re-publish under a fresh generation) and
-// moves the server epoch (see moveEpoch). An engine pool holds the lock
-// for reading from its epoch sample until the factory has read its data
-// and pinned the cache generation, and while it parks an engine, so an
-// engine never pins a generation newer than its data and a session
-// whose open starts after Update returns sees the new data. Live
-// sessions keep their current engines and their now-detached cache
-// entries — they stay self-consistent, never mixing old and new data,
-// until they reopen.
+// ends the source epoch (see endEpoch). The factory runs under the same
+// lock, so a catalog never pins a generation newer than its data, and
+// every open that starts after Update returns — a live session's reopen
+// included — compiles on a catalog of the new data. A view opened
+// before keeps its catalog and its now-detached cache entry: it stays
+// self-consistent, never mixing old and new data, until it is reopened.
 // Under -cluster the new generation is broadcast to every peer, so
 // region keys keep lining up fleet-wide: peers that are down converge
 // later via the health loop's generation-skew re-broadcast.
 func (s *Server) Update(swap func()) {
-	s.update.Lock()
-	defer s.update.Unlock()
+	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
 	if swap != nil {
 		swap()
 	}
@@ -436,7 +374,7 @@ func (s *Server) Update(swap func()) {
 	if s.cache != nil {
 		gen = s.cache.Invalidate()
 	}
-	s.moveEpoch()
+	s.endEpoch()
 	if s.cluster != nil {
 		s.cluster.BroadcastInvalidate(gen)
 	}
@@ -446,16 +384,13 @@ func (s *Server) Update(swap func()) {
 // changed: Update(nil).
 func (s *Server) BumpRegistry() { s.Update(nil) }
 
-// moveEpoch retires everything built against the old sources once the
+// endEpoch retires the catalog built against the old sources once the
 // cache generation has moved — by Update here, or by a peer's broadcast
-// (handleInvalidate), under s.update. It bumps the server epoch, so
-// engines checked out now are dropped at release; flushes the engine
-// pool, so the factory rebuilds against the new data; and stops
-// speculation about the old world: running drains are cancelled and
-// successor tables keyed to dead generations evicted.
-func (s *Server) moveEpoch() {
-	s.epoch.Add(1)
-	s.pool.flush()
+// (handleInvalidate), under epochMu — so the next open builds a fresh
+// one, and stops speculation about the old world: running drains are
+// cancelled and successor tables keyed to dead generations evicted.
+func (s *Server) endEpoch() {
+	s.catalog.Store(nil)
 	if p := s.prefetch; p != nil {
 		p.cancelAll()
 		p.model.EvictBelow(s.cache.Generation())
@@ -518,6 +453,10 @@ func (s *Server) newSession(conn net.Conn) *session {
 	}
 	s.nextID++
 	sess := &session{srv: s, id: s.nextID, conn: conn, born: time.Now()}
+	if s.cfg.Trace {
+		// Spans accumulate until the session's next trace command.
+		sess.rec = s.newRecorder()
+	}
 	s.sessions[sess.id] = sess
 	s.active.Add(1)
 	s.total.Add(1)
@@ -527,8 +466,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 
 func (s *Server) dropSession(sess *session) {
 	// Fold the session's counters into the finished-session base FIRST
-	// — before the drop is logged and before any teardown (engine
-	// release, proxy close) that could fail or block — so no exit path
+	// — before the drop is logged and before any teardown (proxy close,
+	// drain wait) that could fail or block — so no exit path
 	// can report the session gone while its navigations are still
 	// unaccounted. The snapshot is taken once and reused for the log
 	// line, so the log always matches what was folded. Folding and
@@ -539,14 +478,18 @@ func (s *Server) dropSession(sess *session) {
 	delete(s.sessions, sess.id)
 	s.nav.Add(navs)
 	s.mu.Unlock()
-	s.active.Add(-1)
 	s.log.Info("session closed", "session", sess.id,
 		"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
 		"uptime", time.Since(sess.born).Round(time.Millisecond).String())
 	sess.closeProxy()
 	sess.closeView()
-	s.pool.release(sess.eng)
-	sess.eng = nil
+	if sess.scr != nil {
+		s.scratch.Put(sess.scr)
+		sess.scr = nil
+	}
+	// Active until torn down: a session whose drain is still running
+	// holds its slot.
+	s.active.Add(-1)
 }
 
 // drainingNow reports whether Shutdown has been initiated.
@@ -650,14 +593,7 @@ func (s *Server) Stats() vxdp.Stats {
 	if s.prefetch != nil {
 		st.Prefetch = s.prefetch.stats()
 	}
-	s.pool.mu.Lock()
-	idle := int64(len(s.pool.idle))
-	s.pool.mu.Unlock()
-	st.Pool = &vxdp.PoolStats{
-		Idle:    idle,
-		Created: s.pool.created.Load(),
-		Reused:  s.pool.reused.Load(),
-	}
+	st.Pool = &vxdp.PoolStats{Created: s.built.Load(), Reused: s.served.Load()}
 	if s.cluster != nil {
 		st.Cluster = s.cluster.Stats()
 		if st.Cluster != nil {

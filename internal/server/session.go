@@ -24,11 +24,10 @@ import (
 // recorder without bound.
 const traceLimit = 256
 
-// session is one client connection: a private mediator engine (created
-// at the first open), the currently open virtual answer document, and
-// the handle table mapping wire handles to the engine's opaque node
-// IDs. Handles are never reused; opening a new view invalidates all of
-// them.
+// session is one client connection: the currently open virtual answer
+// document, compiled on the server's catalog of the moment, and the
+// handle table mapping wire handles to the document's opaque node IDs.
+// Handles are never reused; opening a new view invalidates all of them.
 type session struct {
 	srv  *Server
 	id   uint64
@@ -41,11 +40,15 @@ type session struct {
 	msgs  atomic.Int64
 	opens atomic.Int64
 
-	eng     *pooledEngine // acquired at the first open, released on drop
+	cat     *mediator.Mediator // the catalog of the last open
 	doc     nav.Document
 	rec     *trace.Recorder // non-nil iff the server traces
 	handles map[uint64]nav.ID
 	nextH   uint64
+
+	// scr is the window scratch, drawn from the server's pool at the
+	// first window and returned when the session ends (see window.go).
+	scr *winScratch
 
 	// Read-ahead windows (see window.go): cached is the open view's
 	// region-cache document, nil when the view has none (no windows);
@@ -227,8 +230,8 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 			Select:   n.Select,
 			Root:     n.Root,
 		}
-		if s.eng != nil {
-			st.Session.Sources = sourceStats(s.eng.med.BufferStats())
+		if s.cat != nil {
+			st.Session.Sources = sourceStats(s.cat.BufferStats())
 		}
 		*resp = vxdp.Response{Stats: &st}
 	case vxdp.OpTrace:
@@ -238,7 +241,7 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 			// owner and so did the spans.
 			*resp = s.forward(*req)
 		case s.rec == nil:
-			// Tracing disabled (or no view open yet): an empty forest.
+			// Tracing disabled: an empty forest.
 			*resp = vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
 		default:
 			// On a tracing proxy node the local recorder already holds the
@@ -288,15 +291,11 @@ func (s *session) endFleetTrace(resp *vxdp.Response) {
 	resp.Spans = s.rec.Take()
 }
 
-// open compiles the query on this session's pooled engine (acquired on
-// first use) and resets the handle table. The engine is exclusively
-// this session's until dropSession releases it; the shared region
-// cache behind it makes regions other sessions explored free.
+// open compiles the query and makes it the session's view, resetting
+// the handle table. The shared region cache makes regions other
+// sessions explored free.
 func (s *session) open(query string) error {
-	if err := s.ensureEngine(); err != nil {
-		return err
-	}
-	res, err := s.eng.med.Query(query)
+	res, err := s.compile(query)
 	if err != nil {
 		return err
 	}
@@ -304,18 +303,23 @@ func (s *session) open(query string) error {
 	return nil
 }
 
-// ensureEngine acquires the session's pooled engine on first use.
-func (s *session) ensureEngine() error {
-	if s.eng != nil {
-		return nil
-	}
-	pe, err := s.srv.pool.acquire()
+// compile compiles the query on the current catalog, tracing into the
+// session's recorder. Every open loads the catalog afresh, so an open
+// after Update sees the new data.
+func (s *session) compile(query string) (*mediator.Result, error) {
+	cat, err := s.srv.catalogNow()
 	if err != nil {
-		return fmt.Errorf("creating session mediator: %v", err)
+		return nil, fmt.Errorf("building the source catalog: %v", err)
 	}
-	s.eng = pe
-	s.rec = pe.rec
-	return nil
+	s.cat = cat
+	res, err := cat.Query(query)
+	if err != nil {
+		return nil, err
+	}
+	if s.rec != nil {
+		res.SetTracer(s.rec)
+	}
+	return res, nil
 }
 
 // installView makes a compiled query result the session's document and
@@ -359,9 +363,9 @@ func (s *session) leaveView() {
 }
 
 // closeView forgets the session's prefetch view state. A drain still
-// running on the view's query is cancelled and waited for first, so the
-// engine never goes back to the pool, or on to another view, with a
-// drain navigating it.
+// running on the view's query is cancelled and waited for first, so no
+// drain outlives its view: a reopen, a move to another node and the
+// session's end (hence Shutdown) all wait for it.
 func (s *session) closeView() {
 	if s.drain != nil {
 		s.drain.wait()

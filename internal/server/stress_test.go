@@ -146,12 +146,7 @@ func TestRegistryMutationStress(t *testing.T) {
 // same shape, so the cache cannot tell them apart: a session opened
 // after Update returned must still get v1.
 func TestUpdateReplay(t *testing.T) {
-	homes := func(zip string) *xmltree.Tree {
-		return xmltree.Elem("homes",
-			xmltree.Elem("home", xmltree.Text("zip", zip+"0")),
-			xmltree.Elem("home", xmltree.Text("zip", zip+"1")))
-	}
-	data := []*xmltree.Tree{homes("9100"), homes("9200")}
+	data := []*xmltree.Tree{twoHomes("9100"), twoHomes("9200")}
 	var version atomic.Int64
 	var once sync.Once
 	read := make(chan struct{})
@@ -190,18 +185,13 @@ func TestUpdateReplay(t *testing.T) {
 }
 
 // TestUpdateWarmMemo is TestUpdateReplay with the query text already
-// prepared on the pooled engines: one engine is parked and one is live
-// in a session when Update runs, and both memos hold the text. A session
+// prepared on the catalog: finished sessions and a live one have opened
+// it when Update runs, so the catalog's memo holds the text. A session
 // opened after Update returns must still see the new data — the memo
-// carries no generation or registry state, and the pool flush (parked
-// engine) and the epoch check at release (live engine) retire both.
+// carries no generation or registry state, and Update retires the
+// catalog that holds it, live session or not.
 func TestUpdateWarmMemo(t *testing.T) {
-	homes := func(zip string) *xmltree.Tree {
-		return xmltree.Elem("homes",
-			xmltree.Elem("home", xmltree.Text("zip", zip+"0")),
-			xmltree.Elem("home", xmltree.Text("zip", zip+"1")))
-	}
-	data := []*xmltree.Tree{homes("9100"), homes("9200")}
+	data := []*xmltree.Tree{twoHomes("9100"), twoHomes("9200")}
 	var version atomic.Int64
 	srv, addr := serve(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
 		m := mediator.New(mediator.DefaultOptions())
@@ -213,26 +203,27 @@ func TestUpdateWarmMemo(t *testing.T) {
 	for v, d := range data {
 		want[v] = semOracle(t, d, semSuperQ)
 	}
-	idle := func(n int64) {
+	active := func(n int64) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); srv.Stats().Pool.Idle != n; {
+		for deadline := time.Now().Add(5 * time.Second); srv.Stats().SessionsActive != n; {
 			if time.Now().After(deadline) {
-				t.Fatalf("pool idle = %d, want %d", srv.Stats().Pool.Idle, n)
+				t.Fatalf("sessions active = %d, want %d", srv.Stats().SessionsActive, n)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// The second open reuses the first one's engine: a memo hit.
+	// The second open is served by the first one's catalog: a memo hit.
 	for range 2 {
 		if got := semOpen(t, addr, semSuperQ); got != want[0] {
 			t.Fatalf("before the update: %s", got)
 		}
-		idle(1)
+		active(0)
 	}
 	if st := srv.Stats(); st.Pool.Reused == 0 {
-		t.Fatal("no session reused a pooled engine")
+		t.Fatal("no open was served by the existing catalog")
 	}
-	// A live session on a second engine that has prepared the text.
+	// A live session, and one that has finished, on the catalog that
+	// has prepared the text.
 	live, err := vxdp.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +239,7 @@ func TestUpdateWarmMemo(t *testing.T) {
 		}
 	}
 	parked.Close()
-	idle(1)
+	active(1)
 
 	srv.Update(func() { version.Store(1) })
 	live.Close()
@@ -257,9 +248,59 @@ func TestUpdateWarmMemo(t *testing.T) {
 			t.Fatalf("session opened after the update got %s, want %s", got, want[1])
 		}
 	}
-	if st := srv.Stats(); st.Pool.Created < 3 {
-		t.Fatalf("pool created %d engines, want a fresh one after the update", st.Pool.Created)
+	if st := srv.Stats(); st.Pool.Created != 2 {
+		t.Fatalf("%d catalogs built, want exactly one fresh one after the update", st.Pool.Created)
 	}
+}
+
+// TestUpdateReopenSameSession: a live session that reopens after Update
+// sees the new data. The session's first open materialises the view on
+// the catalog of v0; Update swaps in v1; the second open, on the same
+// connection, must compile on the catalog of v1, not keep serving v0.
+func TestUpdateReopenSameSession(t *testing.T) {
+	data := []*xmltree.Tree{twoHomes("9100"), twoHomes("9200")}
+	var version atomic.Int64
+	srv, addr := serve(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
+		m := mediator.New(mediator.DefaultOptions())
+		m.SetRegionCache(rc)
+		m.RegisterTree("homesSrc", data[version.Load()])
+		return m, nil
+	})
+	want := make([]string, len(data))
+	for v, d := range data {
+		want[v] = semOracle(t, d, semSuperQ)
+	}
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	materialize := func() string {
+		t.Helper()
+		if err := c.Open(semSuperQ); err != nil {
+			t.Fatal(err)
+		}
+		tree, err := nav.Materialize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xmltree.MarshalXML(tree)
+	}
+	if got := materialize(); got != want[0] {
+		t.Fatalf("before the update: %s, want %s", got, want[0])
+	}
+	srv.Update(func() { version.Store(1) })
+	if got := materialize(); got != want[1] {
+		t.Fatalf("reopen after the update on the same session got %s, want %s", got, want[1])
+	}
+}
+
+// twoHomes is a homes document of two homes with zip codes zip+"0" and
+// zip+"1": datasets of one shape the cache cannot tell apart.
+func twoHomes(zip string) *xmltree.Tree {
+	return xmltree.Elem("homes",
+		xmltree.Elem("home", xmltree.Text("zip", zip+"0")),
+		xmltree.Elem("home", xmltree.Text("zip", zip+"1")))
 }
 
 type stale struct{ got string }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mix/internal/nav"
+	"mix/internal/regioncache"
 	"mix/internal/vxdp"
 )
 
@@ -27,11 +28,21 @@ type winRange struct {
 	anchor nav.ID
 }
 
+// winScratch is the memory windows are built in. Sessions take one from
+// the server's pool at their first window and put it back when they
+// end, so once the pool's scratch has grown a window allocates nothing.
+type winScratch struct {
+	win  []vxdp.WinNode
+	rwin []regioncache.WindowNode
+}
+
 // window builds the window at id, which navigation just issued handle h
-// for, and reserves its handles. It builds in the engine's scratch, so
-// once that has grown a window allocates nothing.
+// for, and reserves its handles.
 func (s *session) window(h uint64, id nav.ID) []vxdp.WinNode {
-	e := s.eng
+	if s.scr == nil {
+		s.scr = s.srv.scratch.Get().(*winScratch)
+	}
+	e := s.scr
 	e.rwin = s.cached.Window(id, e.rwin, vxdp.WindowBytes, vxdp.WinNodeBytes)
 	e.win = e.win[:0]
 	for _, n := range e.rwin {

@@ -7,7 +7,7 @@ import (
 // TestStackReleasedAfterDeepForest is the regression test for the
 // Limit-era leak: a single deep navigation grew the causal stack's
 // backing array, and the recorder retained that capacity for its whole
-// lifetime (one recorder per pooled engine — effectively forever).
+// lifetime (one recorder per pooled engine then — effectively forever).
 // Closing the root of a deep forest must now drop the array.
 func TestStackReleasedAfterDeepForest(t *testing.T) {
 	r := New()

@@ -274,8 +274,8 @@ type Stats struct {
 	// Cache, present when the server runs a shared region cache,
 	// reports cross-session cache effectiveness.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Pool reports engine reuse across sessions; a server always sets
-	// it.
+	// Pool reports how opens were served by source-epoch catalogs; a
+	// server always sets it.
 	Pool *PoolStats `json:"pool,omitempty"`
 	// Batch, present once the operator pipeline has logged any binding,
 	// carries that count (core.LoggedBindings) in both fields.
@@ -398,11 +398,11 @@ type CacheStats struct {
 	SpecBytes   int64 `json:"spec_bytes,omitempty"`
 }
 
-// PoolStats reports cross-session engine reuse.
+// PoolStats reports how opens were served by the server's catalogs,
+// one mediator per source epoch.
 type PoolStats struct {
-	Idle    int64 `json:"idle"`    // engines parked, ready for the next session
-	Created int64 `json:"created"` // engines built by the factory
-	Reused  int64 `json:"reused"`  // sessions served by a recycled engine
+	Created int64 `json:"created"` // catalogs the factory built
+	Reused  int64 `json:"reused"`  // opens served by an existing catalog
 }
 
 // SessionStats describes one session from the server's point of view:
