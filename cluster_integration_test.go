@@ -95,15 +95,19 @@ func materializeVia(t *testing.T, addr, query string) string {
 
 // TestClusterProxyByteIdentical: every corpus query, opened through
 // every node of a 3-node proxy-mode fleet, materializes byte-identical
-// to in-process evaluation — and at least some of those sessions were
-// actually proxied (the corpus keys cannot all live on one node's
-// client).
+// to in-process evaluation — and both routes were taken. Each query is
+// opened through a non-owner first, while its view is still cold there
+// (a view a node already holds complete is served locally, not
+// proxied), and through its owner last, so some sessions are proxied
+// and some owner-local wherever the ring puts the keys.
 func TestClusterProxyByteIdentical(t *testing.T) {
 	h := startCluster(t, 3, cluster.ModeProxy)
 	for _, tc := range queryCorpus {
 		want := wantAnswer(t, tc.q)
-		for i, m := range h.Members {
-			if got := materializeVia(t, m.Addr, tc.q); got != want {
+		owner := ownerOf(t, h, tc.q)
+		for k := 1; k <= len(h.Members); k++ {
+			i := (owner + k) % len(h.Members)
+			if got := materializeVia(t, h.Members[i].Addr, tc.q); got != want {
 				t.Fatalf("%s via node %d ≠ in-process\ngot:  %s\nwant: %s", tc.name, i, got, want)
 			}
 		}

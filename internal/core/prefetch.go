@@ -22,7 +22,9 @@ import (
 // and each is triple-bounded: a navigation budget, a label-byte budget,
 // and a context cancelled the instant real demand arrives — checked
 // between every two navigations, so cancellation takes effect within at
-// most one pull of the operator pipeline.
+// most one pull of the operator pipeline. WalkRegion runs the same
+// walker as demand, on the client's own document, when a client first
+// descends into a region the cache does not hold (DESIGN.md §15.2).
 
 // specSlots bounds the speculative drains running at once across the
 // whole process; a drain waits for a slot or for its cancellation.
@@ -137,6 +139,21 @@ func (w *specWalk) drill(p nav.ID, deep bool) error {
 		if c, err = w.doc.Right(c); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// WalkRegion derives the whole subtree under top on doc, the demand
+// document of the query a client navigates, up to budget. It is the
+// drain's walker run as demand: on the caller's goroutine, with no
+// specSlots slot and no context, so what it derives is traced and
+// billed by doc like any other demand navigation. A walk the budget
+// stops is not an error; whatever it derived stays derived.
+func WalkRegion(doc nav.Document, top nav.ID, budget PrefetchBudget) error {
+	local := &metrics.Counters{}
+	w := &specWalk{ctx: context.Background(), doc: &nav.CountingDoc{Doc: doc, Counters: local}, nav: local, budget: budget}
+	if err := w.drill(top, true); !errors.Is(err, errBudget) {
+		return err
 	}
 	return nil
 }

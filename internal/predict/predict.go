@@ -81,9 +81,10 @@ type table struct {
 	counts [nBuckets]atomic.Int64
 	total  atomic.Int64
 	// drills counts engagements that descended below the region's top
-	// element; engages counts all engagements. Their ratio decides
-	// whether a predicted region is drained deep (full subtree) or
-	// shallow (the subtree's top two levels).
+	// element; engages counts all engagements. Their ratio (deep)
+	// decides whether a predicted region is drained deep (full subtree)
+	// or shallow (the subtree's top two levels), and whether a descent
+	// into an unexplored region derives all of it first.
 	drills  atomic.Int64
 	engages atomic.Int64
 
@@ -223,8 +224,21 @@ func (m *Model) Predict(k Key, cur int) (next int, deep bool, conf float64, ok b
 		return 0, false, 0, false
 	}
 	m.predicted.Add(1)
-	deep = 2*t.drills.Load() >= t.engages.Load()
-	return next, deep, float64(best) / float64(total), true
+	return next, t.deep(), float64(best) / float64(total), true
+}
+
+// Deep reports whether the clients of k drill deep: the table's depth
+// bit once it holds MinSupport observations, and true before that — a
+// view nobody has navigated yet is presumed deep. Predict's depth bit is
+// the same rule.
+func (m *Model) Deep(k Key) bool {
+	t := m.lookup(k, false)
+	return t == nil || t.deep()
+}
+
+// deep is the depth bit: at least half the engagements drilled.
+func (t *table) deep() bool {
+	return t.total.Load() < MinSupport || 2*t.drills.Load() >= t.engages.Load()
 }
 
 // EvictBelow drops every table whose generation is below gen — the

@@ -107,6 +107,26 @@ func TestDrillBit(t *testing.T) {
 	}
 }
 
+func TestDeepPresumedUntilSupport(t *testing.T) {
+	m := NewModel(0)
+	k := key(1)
+	if !m.Deep(k) {
+		t.Fatal("a view with no table is not presumed deep")
+	}
+	m.Observe(k, -1, 0)
+	if !m.Deep(k) {
+		t.Fatal("a table below MinSupport is not presumed deep")
+	}
+	m.Observe(k, 0, 1)
+	if m.Deep(k) {
+		t.Fatal("MinSupport engagements without a drill still read deep")
+	}
+	m.ObserveDrill(k)
+	if _, deep, _, _ := m.Predict(k, 1); !m.Deep(k) || !deep {
+		t.Fatalf("one drill in two engagements: Deep = %v, Predict's bit = %v; want both deep", m.Deep(k), deep)
+	}
+}
+
 func TestEvictBelow(t *testing.T) {
 	m := NewModel(0)
 	old, cur := key(1), key(2)

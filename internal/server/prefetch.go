@@ -8,7 +8,9 @@ import (
 	"mix/internal/core"
 	"mix/internal/mediator"
 	"mix/internal/metrics"
+	"mix/internal/nav"
 	"mix/internal/predict"
+	"mix/internal/trace"
 	"mix/internal/vxdp"
 )
 
@@ -18,7 +20,10 @@ import (
 // confident about a view's next region, a drain worker warms it through
 // core.PrefetchRegion on the session's own query — the lazy state the
 // session's demand navigations fill — so each region is derived once,
-// and speculation never compiles or opens anything of its own.
+// and speculation never compiles or opens anything of its own. A fresh
+// view has no prediction yet, so the session's first descent into a
+// region the cache does not hold derives the whole region as demand
+// before it answers (session.down).
 
 // Default speculative-drain bounds: enough navigations to drain a
 // sizeable region, few enough that a wrong guess stays cheap.
@@ -220,10 +225,11 @@ func (s *session) noteMove(op string, baseH, newH uint64) {
 		}
 		s.geo[newH] = np
 		if b.depth >= 1 && b.top >= 0 {
-			// Descending inside a region is the deep-exploration signal
-			// AND an engagement of that region.
-			s.srv.prefetch.model.ObserveDrill(s.viewKey)
+			// Descending inside a region is an engagement of that region
+			// AND the deep-exploration signal. Engage first: the drill
+			// counts on the table the engagement creates for a fresh key.
 			s.engage(b.top)
+			s.srv.prefetch.model.ObserveDrill(s.viewKey)
 		}
 	case vxdp.OpRight:
 		b, ok := s.geo[baseH]
@@ -244,6 +250,33 @@ func (s *session) noteMove(op string, baseH, newH uint64) {
 		}
 		s.geo[newH] = nodePos{depth: b.depth, top: -2}
 	}
+}
+
+// down answers a down from handle h, at node base, with prefetch on. A
+// descent from a region top into a region the entry does not yet hold
+// closed, on a view whose clients drill deep (a view too young to tell
+// is presumed to), first derives that whole region on the session's
+// demand document (core.WalkRegion, DESIGN.md §15.2), so the window
+// built at the landed node ships the rest of it in one frame.
+//
+// The walk is part of this down: its source spans nest under the
+// down's one client span, its source navigations are demand's, and the
+// session's counters count the down alone. A drain warming exactly this
+// region is cancelled first, as any demand for it would be. The walk
+// stops at the drain budget; a navigation error it hits is left for
+// the down, or the client's next move, to report.
+func (s *session) down(h uint64, base nav.ID) (nav.ID, error) {
+	b := s.geo[h]
+	p := s.srv.prefetch
+	if b.depth != 1 || b.top < 0 || s.cached == nil || !p.model.Deep(s.viewKey) || p.known(s.viewKey, b.top, true) {
+		return s.doc.Down(base)
+	}
+	sp := s.rec.Begin(trace.ClientLabel, string(nav.OpDown))
+	defer s.rec.End(sp)
+	s.nav.Down.Add(1)
+	p.cancelDemand(s.viewKey, b.top)
+	_ = core.WalkRegion(s.cached, base, p.budget)
+	return s.cached.Down(base)
 }
 
 // noteFetch fires the engagement a fetch implies: reading a region
@@ -270,8 +303,8 @@ func (s *session) noteWindow(h uint64, win []vxdp.WinNode) {
 		return
 	}
 	for i, r := int32(0), pos.top; i >= 0 && wholeSubtree(win, int(i)); i, r = win[i].Right, r+1 {
-		s.srv.prefetch.model.ObserveDrill(s.viewKey)
 		s.engage(r)
+		s.srv.prefetch.model.ObserveDrill(s.viewKey)
 	}
 }
 

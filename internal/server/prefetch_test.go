@@ -899,22 +899,177 @@ func TestPrefetchDrainsOnlyUnknownRegions(t *testing.T) {
 	}
 }
 
+// pfFreshJoin is joinQuery with a comparison on k that always holds
+// (zip codes start at 91000): every k is a fresh view, with its own
+// plan fingerprint and successor table, and joinQuery's answer.
+func pfFreshJoin(k int) string { return joinQuery + fmt.Sprintf(` AND $V1 > "%d"`, k) }
+
+// pfTrips opens query in a fresh session on addr and replays script,
+// quiescing after every step and checking it against want. It returns
+// the round trips the client paid for each step; the first step's
+// include the root.
+func pfTrips(t *testing.T, addr string, srv *server.Server, query string, script []workload.Step, want []string) []int64 {
+	t.Helper()
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Open(query); err != nil {
+		t.Fatal(err)
+	}
+	pfQuiesce(t, srv)
+	trips := make([]int64, len(script))
+	prev := c.RoundTrips()
+	err = workload.ReplayPersona(c, script, func(i int, ex string) error {
+		pfQuiesce(t, srv)
+		if ex != want[i] {
+			return fmt.Errorf("step %d explored:\n got %s\nwant %s", i, ex, want[i])
+		}
+		trips[i] = c.RoundTrips() - prev
+		prev += trips[i]
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trips
+}
+
+// TestPrefetchDrillShipsRegion: the first descent into a region the
+// cache does not hold derives the whole region before the down is
+// answered, so one window ships it — on a fresh view too, where the
+// successor model has nothing to predict from yet.
+func TestPrefetchDrillShipsRegion(t *testing.T) {
+	deep := workload.DeepDrillScript(pfRegions, 1)
+	homes, schools, want := pfJoinSources(t, deep)
+	factory := pfJoinFactory(homes, schools)
+
+	t.Run("fresh deep drill", func(t *testing.T) {
+		srv, addr, _ := pfStartWith(t, factory, server.WithPrefetch(true))
+		// A new constant per session: every session meets an untrained view.
+		for k := 1; k <= 3; k++ {
+			trips := pfTrips(t, addr, srv, pfFreshJoin(k), deep, want)
+			// Region 0: root, down to its top and fetch, then the one
+			// down that ships it. Every later region: right, fetch and
+			// down at most. Without the walk a fresh view pays three
+			// round trips per node of its first two regions.
+			if trips[0] > 4 {
+				t.Fatalf("session %d: region 0 took %d round trips, want at most 4 (before the walk: 100 of 179): %v", k, trips[0], trips)
+			}
+			for i, n := range trips[1:] {
+				if n > 3 {
+					t.Fatalf("session %d: region %d took %d round trips, want at most 3 (before the walk: 69 in region 1): %v", k, i+1, n, trips)
+				}
+			}
+		}
+	})
+
+	t.Run("glance never walks", func(t *testing.T) {
+		glance := workload.GlanceScript(pfRegions, 5)
+		_, _, gwant := pfJoinSources(t, glance)
+		srv, addr, src := pfStartWith(t, factory, server.WithPrefetch(true))
+		pfTrips(t, addr, srv, pfFreshJoin(1), glance, gwant)
+		// Pinned before the walk existed: a client that never descends
+		// below a region top costs the sources exactly what it did.
+		if n, spec := src.Navigations(), pfSpecNavs(srv); n != 686 || spec != 423 {
+			t.Fatalf("glance session drove %d source navs (%d speculative), want 686 (423)", n, spec)
+		}
+	})
+
+	t.Run("shallow key does not walk", func(t *testing.T) {
+		glance := workload.GlanceScript(pfRegions, 5)
+		_, _, gwant := pfJoinSources(t, glance)
+		srv, addr, _ := pfStartWith(t, factory, server.WithPrefetch(true))
+		// Two glance sessions give the key's table MinSupport
+		// observations and no drill.
+		for range 2 {
+			pfTrips(t, addr, srv, joinQuery, glance, gwant)
+		}
+		trips := pfTrips(t, addr, srv, joinQuery, deep, want)
+		if trips[0] <= 4 {
+			t.Fatalf("region 0 took %d round trips: a view whose clients never drilled walked it", trips[0])
+		}
+	})
+
+	t.Run("budget stops the walk", func(t *testing.T) {
+		srv, addr, _ := pfStartWith(t, factory, server.WithPrefetch(true),
+			server.WithPrefetchBudget(core.PrefetchBudget{MaxNavs: 6}))
+		trips := pfTrips(t, addr, srv, pfFreshJoin(1), deep, want)
+		if trips[0] <= 4 {
+			t.Fatalf("region 0 took %d round trips: a 6-navigation budget shipped it whole", trips[0])
+		}
+	})
+}
+
+// TestDrillBitFirstEngagement: a drill that is a fresh key's first
+// event counts. The session descends below region 0's top before
+// engaging anything, then glances at region 1's top: one drill in two
+// engagements is deep, so the prediction of region 2 drains it whole.
+func TestDrillBitFirstEngagement(t *testing.T) {
+	homes := pfHomes()
+	rc := regioncache.New(0)
+	key := pfWarm(t, homes, rc, func(*mediator.Result) error { return nil }).RegionKey()
+	srv, addr, _ := pfStart(t, homes, server.WithPrefetch(true), server.WithRegionCache(rc))
+
+	c, err := vxdp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Open(pfQuery); err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top0, err := c.Down(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Down(top0); err != nil {
+		t.Fatal(err)
+	}
+	top1, err := c.Right(top0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fetch(top1); err != nil {
+		t.Fatal(err)
+	}
+	pfQuiesce(t, srv)
+	if st := srv.Stats().Prefetch; st.Issued != 1 {
+		t.Fatalf("%d drains issued, want the one predicting region 2", st.Issued)
+	}
+	if e := rc.Peek(key); e == nil || !e.RegionKnown(2, true) {
+		t.Fatal("region 2 was drained shallow: the first engagement's drill was lost")
+	}
+}
+
 // BenchmarkSessionDeepDrill guards the demand path: with
 // -prefetch=false a session costs exactly what it did before the
 // prefetch subsystem existed — the navigation hooks reduce to one nil
-// check — and prefetch-on adds only the tracking/prediction work.
+// check — and prefetch-on adds only the tracking/prediction work. The
+// first two open one query text, so only their first session meets an
+// untrained view; fresh gives every session a new constant, so each
+// one meets an untrained view and walks its first regions. Each
+// reports the client's round trips per session.
 func BenchmarkSessionDeepDrill(b *testing.B) {
 	homes := pfHomes()
 	script := workload.DeepDrillScript(pfRegions, 1)
 	for _, mode := range []struct {
-		name string
-		opts []server.Option
+		name  string
+		opts  []server.Option
+		query func(i int) string
 	}{
-		{"prefetch=off", []server.Option{server.WithPrefetch(false)}},
-		{"prefetch=on", []server.Option{server.WithPrefetch(true)}},
+		{"prefetch=off", []server.Option{server.WithPrefetch(false)}, func(int) string { return pfQuery }},
+		{"prefetch=on", []server.Option{server.WithPrefetch(true)}, func(int) string { return pfQuery }},
+		{"fresh", []server.Option{server.WithPrefetch(true)}, pfFreshHomes},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			_, addr, _ := pfStart(b, homes, mode.opts...)
+			var trips int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -922,14 +1077,23 @@ func BenchmarkSessionDeepDrill(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := c.Open(pfQuery); err != nil {
+				if err := c.Open(mode.query(i)); err != nil {
 					b.Fatal(err)
 				}
 				if err := workload.ReplayPersona(c, script, nil); err != nil {
 					b.Fatal(err)
 				}
+				trips += c.RoundTrips()
 				c.Close()
 			}
+			b.ReportMetric(float64(trips)/float64(b.N), "round_trips/session")
 		})
 	}
+}
+
+// pfFreshHomes is pfQuery with a comparison on the constant i+1 that
+// always holds (zip codes start at 91000): a fresh view per i with
+// pfQuery's answer.
+func pfFreshHomes(i int) string {
+	return fmt.Sprintf(`CONSTRUCT <homes> $H {$H} </homes> {} WHERE homesSrc homes.home $H AND $H zip._ $V AND $V > "%d"`, i+1)
 }

@@ -413,7 +413,11 @@ func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 	case vxdp.OpRoot:
 		id, err = s.doc.Root()
 	case vxdp.OpDown:
-		id, err = s.doc.Down(base)
+		if s.geo != nil {
+			id, err = s.down(cmd.ID, base)
+		} else {
+			id, err = s.doc.Down(base)
+		}
 	case vxdp.OpRight:
 		id, err = s.doc.Right(base)
 	case vxdp.OpSelect:
