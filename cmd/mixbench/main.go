@@ -1,8 +1,8 @@
 // Command mixbench regenerates the experiment tables of EXPERIMENTS.md:
-// one table per paper claim (E1–E19). With no flags it runs everything;
-// -e selects one experiment, -md emits markdown for EXPERIMENTS.md, and
-// -persona replays E19 under one client persona. The tables hold counts;
-// wall-clock and allocation numbers live in bench/.
+// one table per paper claim (E1–E18). With no flags it runs everything;
+// -e selects one experiment and -md emits markdown for EXPERIMENTS.md.
+// The tables hold counts; wall-clock and allocation numbers live in
+// bench/.
 package main
 
 import (
@@ -14,16 +14,11 @@ import (
 )
 
 func main() {
-	id := flag.String("e", "", "run a single experiment (E1…E19)")
+	id := flag.String("e", "", "run a single experiment (E1…E18)")
 	md := flag.Bool("md", false, "emit markdown instead of aligned text")
-	persona := flag.String("persona", "", "run only the speculative prefetch experiment (E19) under this client persona (deep-drill, glance, select-heavy)")
 	flag.Parse()
 
 	ids := experiments.IDs()
-	if *persona != "" {
-		experiments.SetPersona(*persona)
-		ids = []string{"E19"}
-	}
 	if *id != "" {
 		ids = []string{*id}
 	}

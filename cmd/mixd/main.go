@@ -21,11 +21,12 @@
 // the cross-session region cache:
 // -cache-max-bytes bounds it (whole-entry LRU eviction). LXP fills
 // coalesce up to 8 holes per round trip. -prefetch (on by default)
-// learns each view's region-to-region navigation pattern and
-// speculatively warms the predicted next region before it is asked
-// for, within the server's default drain budget and confidence
-// threshold; -prefetch=false restores the demand-only behavior
-// exactly. SIGINT/SIGTERM shut the daemon down gracefully.
+// turns on the drill walk: a client's first descent into a region of
+// the answer the cache does not hold derives the whole region, within
+// the server's default walk budget, before the descent is answered, so
+// one read-ahead window ships it; -prefetch=false derives only what
+// each navigation asks for. SIGINT/SIGTERM shut the daemon down
+// gracefully.
 //
 // Clustering: -cluster joins a sharded mediator fleet. Sessions are
 // routed over a consistent-hash ring keyed by (view name, canonical
@@ -132,7 +133,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.slowMs, "slow-ms", 100, "retain traced roots at least this slow in the flight ring (/debug/slow, wire slow command); 0 = all, negative = off")
 	fs.IntVar(&o.slowRing, "slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
 	fs.Int64Var(&o.cacheMax, "cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
-	fs.BoolVar(&o.prefetch, "prefetch", true, "speculatively warm each view's predicted next region as clients navigate (false = demand-only, the pre-prefetch behavior)")
+	fs.BoolVar(&o.prefetch, "prefetch", true, "derive a whole region on a client's first descent into it, so one window ships it (false = derive only what each navigation asks for)")
 	fs.BoolVar(&o.cluster, "cluster", false, "join a sharded mediator fleet: route sessions over a consistent-hash ring and share explored regions with -peers")
 	fs.StringVar(&o.node, "node", "", "advertised cluster address of this node (default: -addr); every peer must know it by exactly this string")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated advertised addresses of the other fleet members (all nodes must be configured with identical -src/-view sets, in the same order)")

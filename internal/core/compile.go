@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"mix/internal/algebra"
-	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
@@ -135,19 +134,9 @@ type Query struct {
 	top    *lazyLog
 	answer Node
 
-	// tracer is the recorder of the demand document (see SetTracer);
+	// tracer is the recorder of the query's spans (see SetTracer);
 	// nil compiles the pipeline with no instrumentation.
 	tracer *trace.Recorder
-
-	// navMu serializes navigation of the lazy state above: every VDoc
-	// of the query — the demand document and each speculative drain's —
-	// holds it for one Down, Right or Fetch, so demand and speculation
-	// fill the same logs and derive each region once. rec (the recorder
-	// the operator trace wrappers write to) and src (the query's source
-	// navigations) are written under it.
-	navMu sync.Mutex
-	rec   *trace.Recorder
-	src   metrics.Counters
 }
 
 // Compile validates the plan, resolves every source it names and
@@ -273,25 +262,17 @@ func (q *Query) Fingerprint() string { return q.fingerprint }
 // answered from the shared cache without touching this query's lazy
 // streams; only cache misses drive them.
 func (q *Query) Document() nav.Document {
-	return q.document(&VDoc{q: q, rec: q.tracer})
-}
-
-// document builds the answer document over inner, a VDoc of q (its root
-// filled in here), cache-aware over the entry q.entry resolves when
-// there is one. Demand (Document) and speculation (PrefetchRegion)
-// differ only in inner's spec flag: a speculative document records no
-// spans.
-func (q *Query) document(inner *VDoc) nav.Document {
-	inner.root = q.answer
-	if inner.root == nil {
-		inner.root = q.bindingsNode()
+	root := q.answer
+	if root == nil {
+		root = q.bindingsNode()
 	}
-	entry := q.entry(inner.spec)
+	inner := NewVDoc(root)
+	entry := q.entry()
 	if entry == nil {
 		return inner
 	}
 	doc := regioncache.NewDoc(entry, inner)
-	if rec := inner.rec; rec != nil {
+	if rec := q.tracer; rec != nil {
 		doc.Observe = func(op string, hit bool) {
 			label := "cache:miss"
 			if hit {
@@ -305,16 +286,16 @@ func (q *Query) document(inner *VDoc) nav.Document {
 
 // entry resolves the query's region-cache entry: nil without an engine
 // cache or a cache name, else regioncache.Cache.Open of RegionKey (L1,
-// then the L2 fetch on creation). A demand open then makes the query's
-// one semantic attempt (regioncache.Cache.Subsume) if the entry is not
-// already complete; speculative opens never do.
-func (q *Query) entry(spec bool) *regioncache.Entry {
+// then the L2 fetch on creation). It then makes the query's one
+// semantic attempt (regioncache.Cache.Subsume) if the entry is not
+// already complete.
+func (q *Query) entry() *regioncache.Entry {
 	c := q.eng.cache
 	if c == nil || q.cacheName == "" {
 		return nil
 	}
-	e := c.Open(q.RegionKey(), spec)
-	if !spec && q.canon != nil {
+	e := c.Open(q.RegionKey())
+	if q.canon != nil {
 		q.semMu.Lock()
 		if !q.semTried && !e.Complete() {
 			q.semTried = true
@@ -330,7 +311,7 @@ func (q *Query) entry(spec bool) *regioncache.Entry {
 // answered with zero source work. The cluster's routed-open path asks
 // it before proxying; it is false without a region cache.
 func (q *Query) Warm() bool {
-	e := q.entry(false)
+	e := q.entry()
 	return e != nil && e.Complete()
 }
 

@@ -175,23 +175,22 @@ func (c *logCursor) next() (*binding, error) {
 func (c *logCursor) fork() cursor { f := *c; return &f }
 
 // tracedCursor wraps an operator's cursor so every pull opens a
-// "next" span in the recorder of the document navigating q.
+// "next" span.
 type tracedCursor struct {
 	in    cursor
 	label string
-	q     *Query
+	rec   *trace.Recorder
 }
 
 func (t *tracedCursor) next() (*binding, error) {
-	rec := t.q.rec
-	sp := rec.Begin(t.label, "next")
+	sp := t.rec.Begin(t.label, "next")
 	b, err := t.in.next()
-	rec.End(sp)
+	t.rec.End(sp)
 	return b, err
 }
 
 func (t *tracedCursor) fork() cursor {
-	return &tracedCursor{in: t.in.fork(), label: t.label, q: t.q}
+	return &tracedCursor{in: t.in.fork(), label: t.label, rec: t.rec}
 }
 
 // sliceCursor serves a fixed slice (sources, sorted orderBy output).
@@ -456,13 +455,13 @@ func (c *compiler) compile(p algebra.Op) (builder, error) {
 	if err != nil || c.q.tracer == nil {
 		return bb, err
 	}
-	label, q := opLabel(p), c.q
+	label, rec := opLabel(p), c.q.tracer
 	return func() (cursor, error) {
 		cur, err := bb()
 		if err != nil {
 			return nil, err
 		}
-		return &tracedCursor{in: cur, label: label, q: q}, nil
+		return &tracedCursor{in: cur, label: label, rec: rec}, nil
 	}, nil
 }
 
@@ -525,9 +524,9 @@ func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*bindi
 }
 
 func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
-	var doc nav.Document = &nav.CountingDoc{Doc: c.srcs[op.URL], Counters: &c.q.src}
+	doc := c.srcs[op.URL]
 	if c.q.tracer != nil {
-		doc = &tracedSource{inner: doc, label: trace.SourcePrefix + op.URL, q: c.q}
+		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.q.tracer)
 	}
 	varName := op.Var
 	return func() (cursor, error) {

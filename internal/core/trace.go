@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mix/internal/algebra"
-	"mix/internal/nav"
 	"mix/internal/trace"
 )
 
@@ -13,39 +12,15 @@ import (
 // compiling; it is not synchronized with concurrent Compile calls.
 func (e *Engine) SetTracer(rec *trace.Recorder) { e.tracer = rec }
 
-// SetTracer routes the query's demand spans to rec (nil: none),
-// replacing the engine's recorder for this query alone, so queries of
-// one engine can trace into different recorders. A traced query gets a
-// trace.Doc at every source boundary and a traced cursor at every
-// operator boundary, so each client navigation unfolds into a causal
-// span tree (operator pulls → source navigations). A query without a
-// recorder is completely untouched — tracing off is the zero-cost
-// default. Call it before the first Document.
-//
-// The wrappers write to the recorder of whichever document holds the
-// query's navigation lock: rec for the demand document, none for a
-// speculative drain's — so drains put no span into a session's trace,
-// the operator histograms or the slow-navigation ring.
+// SetTracer routes the query's spans to rec (nil: none), replacing the
+// engine's recorder for this query alone, so queries of one engine can
+// trace into different recorders. A traced query gets a trace.Doc at
+// every source boundary and a traced cursor at every operator boundary,
+// so each client navigation unfolds into a causal span tree (operator
+// pulls → source navigations). A query without a recorder is completely
+// untouched — tracing off is the zero-cost default. Call it before the
+// first Document.
 func (q *Query) SetTracer(rec *trace.Recorder) { q.tracer = rec }
-
-// tracedSource is a source boundary's trace.Doc whose recorder is read
-// per command from the query (see Query.SetTracer).
-type tracedSource struct {
-	inner nav.Document
-	label string
-	q     *Query
-}
-
-func (s *tracedSource) doc() *trace.Doc { return trace.NewDoc(s.inner, s.label, s.q.rec) }
-
-func (s *tracedSource) Root() (nav.ID, error)          { return s.doc().Root() }
-func (s *tracedSource) Down(p nav.ID) (nav.ID, error)  { return s.doc().Down(p) }
-func (s *tracedSource) Right(p nav.ID) (nav.ID, error) { return s.doc().Right(p) }
-func (s *tracedSource) Fetch(p nav.ID) (string, error) { return s.doc().Fetch(p) }
-func (s *tracedSource) Unwrap() nav.Document           { return s.inner }
-func (s *tracedSource) SelectRight(p nav.ID, sigma nav.Predicate, fromSelf bool) (nav.ID, error) {
-	return s.doc().SelectRight(p, sigma, fromSelf)
-}
 
 // opLabel names an operator for trace spans and latency histograms.
 func opLabel(p algebra.Op) string {

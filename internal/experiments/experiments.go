@@ -1,6 +1,6 @@
 // Package experiments implements the measured experiment suite of
-// EXPERIMENTS.md: one function per experiment id (E1–E19; E14 and E17
-// are retired), each regenerating a table that tests one of the paper's
+// EXPERIMENTS.md: one function per experiment id (E1–E18; E14 and E17
+// are retired, and so is E19), each regenerating a table that tests one of the paper's
 // claims. The paper itself contains no numeric evaluation — its claims
 // are architectural and complexity-theoretic — so each experiment turns
 // a claim into a measured table whose *shape* (who wins, growth rates,
@@ -112,7 +112,6 @@ var registry = map[string]func() Table{
 	"E15": E15ClusterL2,
 	"E16": E16FleetTracing,
 	"E18": E18SemanticCache,
-	"E19": E19SpeculativePrefetch,
 }
 
 // IDs returns all experiment ids in order.

@@ -14,7 +14,6 @@
 package mediator
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -26,7 +25,6 @@ import (
 	"mix/internal/core"
 	"mix/internal/eager"
 	"mix/internal/lxp"
-	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/regioncache"
 	"mix/internal/trace"
@@ -136,8 +134,7 @@ func (m *Mediator) RegisterTree(name string, t *xmltree.Tree) {
 // session when a plan first navigates the source, which is also where
 // a wrong uri surfaces. The buffer's scan lookahead is always on.
 // Every query of the mediator navigates this one open tree, so a fill
-// or get_root any of them pays (a session's or a speculative drain's)
-// is paid for all.
+// or get_root any of them pays is paid for all.
 func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer.Buffer, error) {
 	b, _ := buffer.New(srv, uri) // never fails: New sends nothing
 	b.Batch = m.opts.LXPBatch
@@ -231,16 +228,8 @@ func (r *Result) SemanticWarm() bool { return r.query.Warm() }
 
 // RegionKey returns the full region-cache key of the query's answer
 // document — CacheKey plus the generation and registry version pinned
-// at compile time. Prefetch successor tables are keyed by it, so model
-// state can only ever warm the entry the observing sessions read.
+// at compile time.
 func (r *Result) RegionKey() regioncache.Key { return r.query.RegionKey() }
-
-// PrefetchRegion speculatively drains one top-level region of the
-// answer document under a budget, publishing through the normal region
-// cache path (see core.Query.PrefetchRegion).
-func (r *Result) PrefetchRegion(ctx context.Context, region int, deep bool, budget core.PrefetchBudget, counters *metrics.Counters) (core.PrefetchResult, error) {
-	return r.query.PrefetchRegion(ctx, region, deep, budget, counters)
-}
 
 // Root returns the answer root as a client-library element.
 func (r *Result) Root() (*Element, error) { return Wrap(r.Document()) }

@@ -2,6 +2,11 @@
 // speculative region prefetch: a first-order successor model over the
 // *top-level regions* of virtual answer documents.
 //
+// No server code uses the model any more: the drill walk replaced the
+// speculative drains it fed (DESIGN.md §15). The package stays only
+// because bench/ still measures it, and goes with ROADMAP item 1's
+// bench edit.
+//
 // A region is one top-level subtree of an answer document, identified by
 // its child index under the answer root (the med_home elements of the
 // running example, the book elements of allbooks, …). Sessions reveal

@@ -46,7 +46,7 @@ type Entry struct {
 	key Key
 	c   *Cache
 
-	// prev and next link the entry into its class's recency list (see
+	// prev and next link the entry into the cache's recency list (see
 	// lru); guarded by c.mu. Coarse LRU: moved per open, not per
 	// navigation.
 	prev, next *Entry
@@ -58,14 +58,6 @@ type Entry struct {
 	// mut counts mutations that extended the known region; the cluster
 	// L2 flusher uses it to skip entries unchanged since the last flush.
 	mut atomic.Int64
-
-	// spec marks an entry created by a speculative prefetch rather than
-	// by client demand. Speculative bytes are accounted in the cache's
-	// separate speculative ledger and evicted first under pressure, so a
-	// misprediction can never push a demand-loaded region out of budget.
-	// The first demand open of the key promotes the entry (see
-	// Cache.Open); promotion is one-way, like completeness.
-	spec atomic.Bool
 
 	mu    sync.RWMutex
 	root  *cnode
@@ -111,10 +103,6 @@ func newEntry(c *Cache, k Key) *Entry {
 // Key returns the entry's identity.
 func (e *Entry) Key() Key { return e.key }
 
-// Speculative reports whether the entry is still speculation-funded:
-// created by a prefetch and not yet opened by client demand.
-func (e *Entry) Speculative() bool { return e.spec.Load() }
-
 // Mutations returns the number of region-extending writes so far; a
 // value unchanged since a previous call means the explored region is
 // unchanged too.
@@ -136,16 +124,13 @@ func (e *Entry) node(path []int) *cnode {
 	return n
 }
 
-// account publishes a byte delta to the owning cache (unless evicted),
-// into the ledger matching the entry's current class. Caller must NOT
-// hold e.mu. A delta raced by a concurrent promotion may land in the
-// wrong ledger; the split is approximate by the same in-flight margin
-// the dead-entry race already tolerates, while the total never drifts.
+// account publishes a byte delta to the owning cache (unless evicted).
+// Caller must NOT hold e.mu.
 func (e *Entry) account(delta int64) {
 	if delta == 0 || e.dead.Load() {
 		return
 	}
-	e.c.addBytes(delta, e.spec.Load())
+	e.c.addBytes(delta)
 }
 
 // lookupLabel returns the cached label of the node at path.

@@ -234,12 +234,10 @@ func (e *Entry) Complete() bool {
 }
 
 // RegionKnown reports whether the region-th top-level subtree of the
-// answer is already explored as far as a speculative drain of it would
-// go: deep, the whole subtree is complete; shallow, the region's label
-// and its children's labels are known and its child list is complete.
-// A region past the end of a complete top-level child list is known
-// too — the drain would only rediscover that it does not exist.
-func (e *Entry) RegionKnown(region int, deep bool) bool {
+// answer is already explored whole: its subtree is closed. A region
+// past the end of a complete top-level child list is known too — a walk
+// would only rediscover that it does not exist.
+func (e *Entry) RegionKnown(region int) bool {
 	if e.root.closed.Load() {
 		return true
 	}
@@ -249,19 +247,7 @@ func (e *Entry) RegionKnown(region int, deep bool) bool {
 	if region >= len(top) {
 		return e.root.complete
 	}
-	n := top[region]
-	if deep {
-		return n.isClosed()
-	}
-	if !n.labelKnown || !n.complete {
-		return false
-	}
-	for _, k := range n.kids {
-		if !k.labelKnown {
-			return false
-		}
-	}
-	return true
+	return top[region].isClosed()
 }
 
 // Tree returns a deep copy of the entry's region as a plain tree, but

@@ -115,24 +115,17 @@ type Cache struct {
 	planMu sync.Mutex
 	plans  map[bucketKey][]planEntry
 
-	mu    sync.Mutex
-	bytes int64 // demand-class retained bytes
-	// specBytes is the speculative ledger: bytes retained by entries a
-	// prefetch created that no demand open has touched yet. The byte
-	// budget covers bytes+specBytes, but eviction spends the speculative
-	// ledger first (see evictOverLocked), so speculation can never push
-	// demand-loaded regions out.
-	specBytes   int64
-	specEntries int
-	entries     map[Key]*Entry
-	// demandLRU and specLRU hold every live entry of their class, most
-	// recently opened first, so eviction picks its victim in O(1).
-	demandLRU, specLRU lru
+	mu      sync.Mutex
+	bytes   int64 // retained bytes
+	entries map[Key]*Entry
+	// recent holds every live entry, most recently opened first, so
+	// eviction picks its victim in O(1).
+	recent lru
 }
 
 // lru is an intrusive recency list of entries (Entry.prev/next), most
-// recently opened at the front. Guarded by c.mu; an entry is in its
-// class's list exactly while it is in c.entries.
+// recently opened at the front. Guarded by c.mu; an entry is in the
+// list exactly while it is in c.entries.
 type lru struct{ front, back *Entry }
 
 func (l *lru) pushFront(e *Entry) {
@@ -159,19 +152,10 @@ func (l *lru) remove(e *Entry) {
 	e.prev, e.next = nil, nil
 }
 
-// lruLocked returns the recency list of e's class. Caller holds c.mu.
-func (c *Cache) lruLocked(e *Entry) *lru {
-	if e.spec.Load() {
-		return &c.specLRU
-	}
-	return &c.demandLRU
-}
-
 // touchLocked marks e as just opened. Caller holds c.mu.
 func (c *Cache) touchLocked(e *Entry) {
-	l := c.lruLocked(e)
-	l.remove(e)
-	l.pushFront(e)
+	c.recent.remove(e)
+	c.recent.pushFront(e)
 }
 
 // New returns an empty cache. maxBytes caps the approximate retained
@@ -259,10 +243,10 @@ func (c *Cache) dropBelow(g uint64) {
 	c.prunePlansBelow(g)
 }
 
-// Entry opens the demand entry for (name, fingerprint) under the
-// current generation and the given registry version (see Open).
+// Entry opens the entry for (name, fingerprint) under the current
+// generation and the given registry version (see Open).
 func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
-	return c.Open(Key{Generation: c.gen.Load(), Registry: registry, Name: name, Fingerprint: fingerprint}, false)
+	return c.Open(Key{Generation: c.gen.Load(), Registry: registry, Name: name, Fingerprint: fingerprint})
 }
 
 // Open returns the shared entry for k — what cache-aware documents read
@@ -273,40 +257,27 @@ func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
 //     engine-build time, not at open time: an engine built before an
 //     Invalidate must not publish its (now stale) derivations where
 //     fresh engines read, so the entry returned is private to the
-//     caller, unaccounted, and never shared through the cache map.
+//     caller, unaccounted, and never shared through the cache map. It
+//     is still filled from the remote tier: its key carries the
+//     generation, so a peer that has not invalidated yet either holds
+//     exactly that epoch's region or misses.
 //   - Create and account: a new entry's fixed footprint (root node plus
 //     key overhead) is charged at creation, symmetric with dropLocked.
-//   - Promote: a demand open that reaches a speculatively created entry
-//     moves it to the demand class (the prediction paid off).
-//   - Touch: the entry moves to the front of its class's recency list
-//     (a new entry starts there).
+//   - Touch: the entry moves to the front of the recency list (a new
+//     entry starts there).
 //   - Fetch from the remote tier once, on creation (the L2 fill).
-//
-// spec marks the open as speculative (the prefetch drain worker). That
-// changes three things and nothing else: an entry it creates is charged
-// to the speculative ledger and evicted first under pressure until a
-// demand open promotes it; an existing entry keeps its class, so
-// speculation never demotes demand-loaded data; and a detached entry is
-// not filled from the remote tier, whereas a detached demand entry is —
-// its key carries the generation, so a peer that has not invalidated
-// yet either holds exactly that epoch's region or misses.
-func (c *Cache) Open(k Key, spec bool) *Entry {
+func (c *Cache) Open(k Key) *Entry {
 	k = c.internKey(k)
 	if k.Generation != c.gen.Load() {
 		e := newEntry(c, k)
 		e.dead.Store(true)
-		e.spec.Store(spec)
-		if !spec {
-			e.Merge(c.fetch(k))
-		}
+		e.Merge(c.fetch(k))
 		return e
 	}
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if !ok {
-		e = c.insertLocked(k, spec)
-	} else if !spec && e.spec.Load() {
-		c.promoteLocked(e)
+		e = c.insertLocked(k)
 	} else {
 		c.touchLocked(e)
 	}
@@ -320,36 +291,14 @@ func (c *Cache) Open(k Key, spec bool) *Entry {
 }
 
 // insertLocked creates and maps the entry for k, charging its fixed
-// footprint to the ledger of its class. Caller holds c.mu.
-func (c *Cache) insertLocked(k Key, spec bool) *Entry {
+// footprint. Caller holds c.mu.
+func (c *Cache) insertLocked(k Key) *Entry {
 	e := newEntry(c, k)
 	c.entries[k] = e
-	if spec {
-		e.spec.Store(true)
-		c.specBytes += e.bytes
-		c.specEntries++
-	} else {
-		c.bytes += e.bytes
-	}
-	c.lruLocked(e).pushFront(e)
+	c.bytes += e.bytes
+	c.recent.pushFront(e)
 	c.evictOverLocked()
 	return e
-}
-
-// promoteLocked reclassifies a speculative entry as demand-loaded,
-// moving its accounted bytes from the speculative ledger to the demand
-// ledger and the entry to the front of the demand recency list. Caller
-// holds c.mu; c.mu → e.mu is the established order.
-func (c *Cache) promoteLocked(e *Entry) {
-	e.mu.Lock()
-	b := e.bytes
-	e.mu.Unlock()
-	c.specLRU.remove(e)
-	e.spec.Store(false)
-	c.demandLRU.pushFront(e)
-	c.specBytes -= b
-	c.bytes += b
-	c.specEntries--
 }
 
 // Peek returns the live entry for k, or nil: no creation, no LRU touch,
@@ -382,7 +331,7 @@ func (c *Cache) Absorb(k Key, r *Region) bool {
 	}
 	e, ok := c.entries[k]
 	if !ok {
-		e = c.insertLocked(k, false)
+		e = c.insertLocked(k)
 	} else {
 		c.touchLocked(e)
 	}
@@ -406,55 +355,38 @@ func (c *Cache) ForEach(f func(*Entry)) {
 	}
 }
 
-// dropLocked removes an entry, releasing its bytes from the ledger of
-// its class. Caller holds c.mu.
+// dropLocked removes an entry, releasing its bytes. Caller holds c.mu.
 func (c *Cache) dropLocked(e *Entry) {
 	delete(c.entries, e.key)
-	c.lruLocked(e).remove(e)
+	c.recent.remove(e)
 	e.dead.Store(true)
 	e.mu.Lock()
 	b := e.bytes
 	e.mu.Unlock()
-	if e.spec.Load() {
-		c.specBytes -= b
-		c.specEntries--
-	} else {
-		c.bytes -= b
-	}
+	c.bytes -= b
 	c.evictions.Add(1)
 }
 
-// addBytes accounts newly retained bytes into the demand or speculative
-// ledger and evicts entries while over budget.
-func (c *Cache) addBytes(n int64, spec bool) {
+// addBytes accounts newly retained bytes and evicts entries while over
+// budget.
+func (c *Cache) addBytes(n int64) {
 	if n == 0 {
 		return
 	}
 	c.mu.Lock()
-	if spec {
-		c.specBytes += n
-	} else {
-		c.bytes += n
-	}
+	c.bytes += n
 	c.evictOverLocked()
 	c.mu.Unlock()
 }
 
-// evictOverLocked evicts entries while the cache is over budget
-// (demand + speculative ledgers combined). Speculative entries are
-// evicted first — least-recently-opened among them — and only when the
-// speculative class is exhausted do demand entries start losing their
-// usual LRU fights: a prefetched region must never displace data a
-// client actually asked for. Each victim is the back of its class's
-// recency list, so eviction costs O(1) per entry dropped. On a cache
-// with no remote tier the victim's plan also leaves the semantic index
-// (see forgetPlan). Caller holds c.mu; c.mu → c.planMu is the order.
+// evictOverLocked evicts least-recently-opened entries while the cache
+// is over budget. Each victim is the back of the recency list, so
+// eviction costs O(1) per entry dropped. On a cache with no remote tier
+// the victim's plan also leaves the semantic index (see forgetPlan).
+// Caller holds c.mu; c.mu → c.planMu is the order.
 func (c *Cache) evictOverLocked() {
-	for c.maxBytes > 0 && c.bytes+c.specBytes > c.maxBytes {
-		e := c.specLRU.back
-		if e == nil {
-			e = c.demandLRU.back
-		}
+	for c.maxBytes > 0 && c.bytes > c.maxBytes {
+		e := c.recent.back
 		if e == nil {
 			return
 		}
@@ -470,15 +402,10 @@ type Stats struct {
 	Generation uint64 `json:"generation"`
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
-	// SpecEntries/SpecBytes are the speculative class: entries a
-	// prefetch created that no demand open has promoted yet. They share
-	// the byte budget with Bytes but are evicted first.
-	SpecEntries int   `json:"spec_entries,omitempty"`
-	SpecBytes   int64 `json:"spec_bytes,omitempty"`
-	Hits        int64 `json:"hits"`        // navigations answered without touching an engine
-	Misses      int64 `json:"misses"`      // navigations that drove a lazy engine
-	BytesSaved  int64 `json:"bytes_saved"` // label bytes served from the cache
-	Evictions   int64 `json:"evictions"`   // entries dropped by budget or invalidation
+	Hits       int64  `json:"hits"`        // navigations answered without touching an engine
+	Misses     int64  `json:"misses"`      // navigations that drove a lazy engine
+	BytesSaved int64  `json:"bytes_saved"` // label bytes served from the cache
+	Evictions  int64  `json:"evictions"`   // entries dropped by budget or invalidation
 
 	// Semantic-cache totals (plan containment; see planindex.go).
 	SemanticHits            int64 `json:"semantic_hits"`             // queries answered from a subsuming region
@@ -496,7 +423,6 @@ type Stats struct {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	entries, bytes := len(c.entries), c.bytes
-	specEntries, specBytes := c.specEntries, c.specBytes
 	c.mu.Unlock()
 	c.internMu.Lock()
 	interned := c.internBytes
@@ -505,8 +431,6 @@ func (c *Cache) Stats() Stats {
 		Generation:              c.gen.Load(),
 		Entries:                 entries,
 		Bytes:                   bytes,
-		SpecEntries:             specEntries,
-		SpecBytes:               specBytes,
 		Hits:                    c.hits.Load(),
 		Misses:                  c.misses.Load(),
 		BytesSaved:              c.bytesSaved.Load(),

@@ -23,7 +23,7 @@ func subsumeKey(c *Cache, fp string) Key {
 // equals planFor("a") (so every planFor("a") candidate contains it) and
 // reports whether it hit and how often rebuild ran.
 func trySubsume(c *Cache) (hit bool, rebuilds int) {
-	sub := c.Open(subsumeKey(c, "sub"), false)
+	sub := c.Open(subsumeKey(c, "sub"))
 	hit = c.Subsume(sub, planFor("a"), func(_ *algebra.Containment, t *xmltree.Tree) (*xmltree.Tree, bool) {
 		rebuilds++
 		return t, true
@@ -52,7 +52,7 @@ func TestSemanticSkipsIncompleteBeforeContainment(t *testing.T) {
 	c := New(0)
 	c.IndexPlan(subsumeKey(c, "contained"), planFor("a"))
 	c.IndexPlan(subsumeKey(c, "other"), planFor("b")) // contains nothing here
-	c.Open(subsumeKey(c, "contained"), false).MergeTree(xmltree.Elem("bs", xmltree.Hole("more")))
+	c.Open(subsumeKey(c, "contained")).MergeTree(xmltree.Elem("bs", xmltree.Hole("more")))
 	// "other" has no entry at all.
 
 	hit, rebuilds := trySubsume(c)
@@ -95,7 +95,7 @@ func TestEvictedPlansFreeTheirBucketSlots(t *testing.T) {
 	for i := 0; i < maxPlansPerBucket; i++ {
 		k := subsumeKey(c, fmt.Sprintf("old%02d", i))
 		c.IndexPlan(k, planFor("b"))
-		c.Open(k, false)
+		c.Open(k)
 	}
 	c.mu.Lock()
 	c.maxBytes = 1
@@ -108,14 +108,14 @@ func TestEvictedPlansFreeTheirBucketSlots(t *testing.T) {
 
 	k := subsumeKey(c, "super")
 	c.IndexPlan(k, planFor("a"))
-	c.Open(k, false).MergeTree(superTree())
+	c.Open(k).MergeTree(superTree())
 	if hit, _ := trySubsume(c); !hit {
 		t.Fatal("the complete 33rd superset was not indexed: evicted plans still hold the bucket")
 	}
 }
 
 // TestOpenAndAbsorbRefreshRecency: an Open or an Absorb of an existing
-// entry makes it the most recently used of its class, so eviction takes
+// entry makes it the most recently used, so eviction takes
 // the entry neither touched.
 func TestOpenAndAbsorbRefreshRecency(t *testing.T) {
 	c := New(0)
@@ -143,7 +143,7 @@ func BenchmarkOpenAtBudget(b *testing.B) {
 		return Key{Registry: 1, Name: "v", Fingerprint: fmt.Sprintf("fp%d", i)}
 	}
 	for i := 0; i < n; i++ {
-		c.Open(key(i), false)
+		c.Open(key(i))
 	}
 	keys := make([]Key, b.N)
 	for i := range keys {
@@ -152,6 +152,6 @@ func BenchmarkOpenAtBudget(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, k := range keys {
-		c.Open(k, false)
+		c.Open(k)
 	}
 }

@@ -73,6 +73,10 @@ func (d *Doc) Path(id nav.ID) (path []int, ok bool) {
 	return r.path, true
 }
 
+// RegionKnown reports whether the document's entry holds the
+// region-th top-level subtree of the answer whole (Entry.RegionKnown).
+func (d *Doc) RegionKnown(region int) bool { return d.entry.RegionKnown(region) }
+
 // WindowNode returns the id of node i of the window at anchor. A server
 // that shipped a window resolves the handles it reserved for the window's
 // nodes with it, lazily, when a command first names one.

@@ -143,20 +143,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("mix_region_cache_semantic_candidates_total", "candidate superset plans examined by the containment checker", st.Cache.SemanticCandidates)
 		counter("mix_region_cache_semantic_incomplete_skips_total", "candidate plans skipped because their region was not fully explored (before the containment check when the node has no remote tier)", st.Cache.SemanticIncompleteSkips)
 		gauge("mix_region_cache_interned_bytes", "key-string vocabulary retained by the cache interner", st.Cache.InternedBytes)
-		gauge("mix_region_cache_spec_entries", "speculative-class entries no demand navigation has touched", st.Cache.SpecEntries)
-		gauge("mix_region_cache_spec_bytes", "bytes retained by speculative-class entries", st.Cache.SpecBytes)
-	}
-	if st.Prefetch != nil {
-		counter("mix_prefetch_issued_total", "speculative region drains spawned", st.Prefetch.Issued)
-		counter("mix_prefetch_hits_total", "predictions confirmed by the client engaging the predicted region", st.Prefetch.Hits)
-		counter("mix_prefetch_wasted_total", "predictions contradicted by the client engaging elsewhere", st.Prefetch.Wasted)
-		counter("mix_prefetch_cancelled_total", "speculative drains cancelled mid-flight", st.Prefetch.Cancelled)
-		counter("mix_prefetch_navs_total", "navigations issued at the speculative answer boundary", st.Prefetch.Navs)
-		counter("mix_prefetch_src_navs_total", "source navigations speculative drains made on their sessions' queries", st.Prefetch.SrcNavs)
-		gauge("mix_prefetch_inflight", "speculative drains currently running", st.Prefetch.Inflight)
-		if resolved := st.Prefetch.Hits + st.Prefetch.Wasted; resolved > 0 {
-			gauge("mix_prefetch_accuracy_percent", "resolved predictions the client confirmed, in percent", st.Prefetch.Hits*100/resolved)
-		}
 	}
 	if st.Cluster != nil {
 		gauge("mix_cluster_members", "fleet members on the consistent-hash ring", st.Cluster.Members)

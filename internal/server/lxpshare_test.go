@@ -1,9 +1,9 @@
 package server_test
 
 // Shared LXP buffers behind server.New: the factory builds one catalog
-// per source epoch, and every session of the epoch — its demand
-// navigations and its speculative drains alike — navigates the
-// catalog's one open tree per LXP source. Each generation pays at most
+// per source epoch, and every session of the epoch — its navigations
+// and its drill walks alike — navigates the catalog's one open tree per
+// LXP source. Each generation pays at most
 // one get_root and each fill once, the catalog's buffer stats count
 // every fill exactly once, no buffer outlives its epoch into the next,
 // and answers stay identical to an uncached replay (run with -race).
@@ -147,6 +147,19 @@ func eagerAnswer(t *testing.T, homes *xmltree.Tree, query string) *xmltree.Tree 
 	return want
 }
 
+// waitIdle waits until the server has no live session, so every closed
+// client's dropSession has run.
+func waitIdle(t *testing.T, srv *server.Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().SessionsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sessions did not close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSharedLXPBufferServerSessions(t *testing.T) {
 	homes := pfHomes()
 	counting := shareWrapper(homes)
@@ -199,8 +212,7 @@ func TestSharedLXPBufferServerSessions(t *testing.T) {
 			}
 		}
 	}
-	pfWaitIdle(t, srv)
-	pfQuiesce(t, srv)
+	waitIdle(t, srv)
 
 	cs.waitFills(t, counting)
 	if n := roots(counting); n != rounds {
@@ -353,7 +365,7 @@ func TestSharedLXPBufferInvalidate(t *testing.T) {
 	}
 
 	before.Close()
-	pfWaitIdle(t, srv)
+	waitIdle(t, srv)
 	cs.waitFills(t, oldWrap, newWrap)
 	cs.mu.Lock()
 	bufs := append([]*buffer.Buffer(nil), cs.bufs...)

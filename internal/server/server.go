@@ -106,18 +106,14 @@ type config struct {
 	// SlowRing is the flight-recorder capacity in retained roots
 	// (rounded up to a power of two; <= 0 = telemetry.DefaultSlowRing).
 	SlowRing int
-	// Prefetch enables navigation-driven speculative prefetch: the
-	// server learns each view's region-to-region transition pattern and
-	// warms the predicted next region before the client asks (DESIGN.md
-	// §15). Off by default; requires RegionCache. When off, not a single
-	// instruction of the prefetch layer runs on the session hot path.
+	// Prefetch enables the drill walk: a client's first descent into a
+	// region the region cache does not hold derives the whole region
+	// before the down is answered (DESIGN.md §15). Off by default;
+	// requires RegionCache.
 	Prefetch bool
-	// PrefetchBudget bounds each speculative drain (zero fields take the
-	// defaults below).
+	// PrefetchBudget bounds each walk (zero fields take the defaults,
+	// DefaultPrefetchNavs and DefaultPrefetchBytes).
 	PrefetchBudget core.PrefetchBudget
-	// PrefetchConfidence is the minimum successor-model confidence that
-	// triggers a drain (0 takes the default).
-	PrefetchConfidence float64
 
 	factory Factory
 }
@@ -169,21 +165,19 @@ func WithSlowNav(threshold time.Duration, ring int) Option {
 	return func(c *config) { c.SlowThreshold, c.SlowRing = threshold, ring }
 }
 
-// WithPrefetch toggles navigation-driven speculative prefetch (off by
-// default; requires a region cache: WithRegionCache or WithCluster).
+// WithPrefetch toggles the drill walk (off by default; requires a
+// region cache: WithRegionCache or WithCluster).
 func WithPrefetch(on bool) Option { return func(c *config) { c.Prefetch = on } }
 
-// WithPrefetchBudget bounds each speculative drain (zero fields keep
-// the defaults: DefaultPrefetchNavs / DefaultPrefetchBytes).
+// WithPrefetchBudget bounds each drill walk (zero fields keep the
+// defaults: DefaultPrefetchNavs / DefaultPrefetchBytes).
 func WithPrefetchBudget(b core.PrefetchBudget) Option {
 	return func(c *config) { c.PrefetchBudget = b }
 }
 
-// WithPrefetchConfidence sets the minimum successor-model confidence
-// that triggers a speculative drain (0 keeps DefaultPrefetchConfidence).
-func WithPrefetchConfidence(conf float64) Option {
-	return func(c *config) { c.PrefetchConfidence = conf }
-}
+// WithPrefetchConfidence has no effect. It stays only because bench/
+// still calls it; it goes with ROADMAP item 1's bench edit.
+func WithPrefetchConfidence(float64) Option { return func(*config) {} }
 
 // Server is a mixd instance. Create with New, run with Serve, stop with
 // Shutdown.
@@ -229,10 +223,6 @@ type Server struct {
 	// (see window.go).
 	scratch sync.Pool
 
-	// prefetch is the speculative prefetcher (nil = off): the successor
-	// model and the drain workers.
-	prefetch *prefetcher
-
 	mu       sync.Mutex
 	l        net.Listener
 	sessions map[uint64]*session
@@ -275,6 +265,17 @@ func newServer(cfg config) (*Server, error) {
 			cfg.NodeName = n.Self()
 		}
 	}
+	if cfg.Prefetch {
+		if cfg.RegionCache == nil {
+			return nil, errors.New("server: prefetch requires a region cache (WithRegionCache or WithCluster)")
+		}
+		if cfg.PrefetchBudget.MaxNavs == 0 {
+			cfg.PrefetchBudget.MaxNavs = DefaultPrefetchNavs
+		}
+		if cfg.PrefetchBudget.MaxBytes == 0 {
+			cfg.PrefetchBudget.MaxBytes = DefaultPrefetchBytes
+		}
+	}
 	s := &Server{
 		cfg:       cfg,
 		log:       log,
@@ -290,12 +291,6 @@ func newServer(cfg config) (*Server, error) {
 	s.scratch.New = func() any { return new(winScratch) }
 	if cfg.Trace && cfg.SlowThreshold >= 0 {
 		s.flight = telemetry.NewFlightRecorder(cfg.SlowRing, cfg.SlowThreshold)
-	}
-	if cfg.Prefetch {
-		if cfg.RegionCache == nil {
-			return nil, errors.New("server: prefetch requires a region cache (WithRegionCache or WithCluster)")
-		}
-		s.prefetch = newPrefetcher(s)
 	}
 	if cfg.Trace && s.cluster != nil {
 		// Peer control links get their own recorders: cross-node work a
@@ -387,15 +382,8 @@ func (s *Server) BumpRegistry() { s.Update(nil) }
 // endEpoch retires the catalog built against the old sources once the
 // cache generation has moved — by Update here, or by a peer's broadcast
 // (handleInvalidate), under epochMu — so the next open builds a fresh
-// one, and stops speculation about the old world: running drains are
-// cancelled and successor tables keyed to dead generations evicted.
-func (s *Server) endEpoch() {
-	s.catalog.Store(nil)
-	if p := s.prefetch; p != nil {
-		p.cancelAll()
-		p.model.EvictBelow(s.cache.Generation())
-	}
-}
+// one.
+func (s *Server) endEpoch() { s.catalog.Store(nil) }
 
 // RegionCache returns the shared region cache (nil when caching is off).
 func (s *Server) RegionCache() *regioncache.Cache { return s.cache }
@@ -466,8 +454,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 
 func (s *Server) dropSession(sess *session) {
 	// Fold the session's counters into the finished-session base FIRST
-	// — before the drop is logged and before any teardown (proxy close,
-	// drain wait) that could fail or block — so no exit path
+	// — before the drop is logged and before any teardown (proxy close)
+	// that could fail or block — so no exit path
 	// can report the session gone while its navigations are still
 	// unaccounted. The snapshot is taken once and reused for the log
 	// line, so the log always matches what was folded. Folding and
@@ -482,13 +470,11 @@ func (s *Server) dropSession(sess *session) {
 		"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
 		"uptime", time.Since(sess.born).Round(time.Millisecond).String())
 	sess.closeProxy()
-	sess.closeView()
 	if sess.scr != nil {
 		s.scratch.Put(sess.scr)
 		sess.scr = nil
 	}
-	// Active until torn down: a session whose drain is still running
-	// holds its slot.
+	// Active until torn down.
 	s.active.Add(-1)
 }
 
@@ -510,9 +496,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		open = append(open, sess)
 	}
 	s.mu.Unlock()
-	if s.prefetch != nil {
-		s.prefetch.close()
-	}
 
 	s.log.Info("draining", "sessions", len(open))
 
@@ -586,12 +569,7 @@ func (s *Server) Stats() vxdp.Stats {
 			SemanticCandidates:      cs.SemanticCandidates,
 			SemanticIncompleteSkips: cs.SemanticIncompleteSkips,
 			InternedBytes:           cs.InternedBytes,
-			SpecEntries:             int64(cs.SpecEntries),
-			SpecBytes:               cs.SpecBytes,
 		}
-	}
-	if s.prefetch != nil {
-		st.Prefetch = s.prefetch.stats()
 	}
 	st.Pool = &vxdp.PoolStats{Created: s.built.Load(), Reused: s.served.Load()}
 	if s.cluster != nil {

@@ -13,7 +13,6 @@ import (
 	"mix/internal/mediator"
 	"mix/internal/metrics"
 	"mix/internal/nav"
-	"mix/internal/predict"
 	"mix/internal/regioncache"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
@@ -62,21 +61,6 @@ type session struct {
 	// if the owner is lost mid-session.
 	proxy      *proxyLink
 	proxyQuery string
-
-	// Speculative-prefetch state, live only with prefetch on AND the
-	// open view cache-named (geo nil otherwise — the off path pays one
-	// nil check). geo maps issued handles to their region geometry;
-	// viewKey identifies the view to the successor model and viewRes is
-	// its query, the one drains run on; lastEngaged is the last region
-	// engaged (-1 = none); pending is the unresolved predicted region
-	// (-1 = none); drain is the last drain this session spawned, which
-	// closeView cancels and waits for. All session-goroutine local.
-	geo         map[uint64]nodePos
-	viewKey     predict.Key
-	viewRes     *mediator.Result
-	lastEngaged int
-	pending     int
-	drain       *specRun
 }
 
 // run is the session loop: read a frame, dispatch, respond — until the
@@ -323,8 +307,7 @@ func (s *session) compile(query string) (*mediator.Result, error) {
 }
 
 // installView makes a compiled query result the session's document and
-// resets the handle table (and, with prefetch on, the region-geometry
-// state the successor model feeds on).
+// resets the handle table.
 func (s *session) installView(res *mediator.Result) {
 	s.opens.Add(1)
 	// Count every navigation this session answers on its own counters
@@ -340,40 +323,15 @@ func (s *session) installView(res *mediator.Result) {
 	s.cached, _ = doc.(*regioncache.Doc)
 	clear(s.wins)
 	s.wins = s.wins[:0]
-	s.lastEngaged = -1
-	s.pending = -1
-	s.closeView()
-	if s.srv.prefetch != nil {
-		if k := res.RegionKey(); k.Name != "" {
-			s.geo = map[uint64]nodePos{}
-			s.viewKey = k
-			s.viewRes = res
-		}
-	}
 }
 
-// leaveView forgets the open view — document, handles, windows and
-// prefetch state — when the view moves to another node.
+// leaveView forgets the open view — document, handles and windows —
+// when the view moves to another node.
 func (s *session) leaveView() {
 	s.doc = nil
 	s.handles = nil
 	s.cached = nil
 	s.wins = nil
-	s.closeView()
-}
-
-// closeView forgets the session's prefetch view state. A drain still
-// running on the view's query is cancelled and waited for first, so no
-// drain outlives its view: a reopen, a move to another node and the
-// session's end (hence Shutdown) all wait for it.
-func (s *session) closeView() {
-	if s.drain != nil {
-		s.drain.wait()
-		s.drain = nil
-	}
-	s.geo = nil
-	s.viewKey = predict.Key{}
-	s.viewRes = nil
 }
 
 // issue registers a node ID and returns its wire handle.
@@ -413,11 +371,7 @@ func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 	case vxdp.OpRoot:
 		id, err = s.doc.Root()
 	case vxdp.OpDown:
-		if s.geo != nil {
-			id, err = s.down(cmd.ID, base)
-		} else {
-			id, err = s.doc.Down(base)
-		}
+		id, err = s.down(base)
 	case vxdp.OpRight:
 		id, err = s.doc.Right(base)
 	case vxdp.OpSelect:
@@ -426,9 +380,6 @@ func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 		label, ferr := s.doc.Fetch(base)
 		if ferr != nil {
 			return navErr("%v", ferr)
-		}
-		if s.geo != nil {
-			s.noteFetch(cmd.ID)
 		}
 		return navResult{nr: vxdp.NavResult{OK: true, Label: label}}
 	default:
@@ -440,9 +391,5 @@ func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 	if id == nil {
 		return navResult{nr: vxdp.NavResult{OK: false}}
 	}
-	h := s.issue(id)
-	if s.geo != nil {
-		s.noteMove(cmd.Op, cmd.ID, h)
-	}
-	return navResult{nr: vxdp.NavResult{OK: true, ID: h}, node: id}
+	return navResult{nr: vxdp.NavResult{OK: true, ID: s.issue(id)}, node: id}
 }

@@ -16,9 +16,7 @@ import (
 // work and no engine call: a closed subtree answers every navigation
 // in it from the cache. Node i of a window gets handle resp.ID+i,
 // reserved as one range and resolved only when a command names it, so
-// a window costs the handle table nothing per node. With prefetch on,
-// the session turns what a window lets the client skip back into
-// region engagements (noteWindow, node).
+// a window costs the handle table nothing per node.
 
 // winRange is the handle range one shipped window reserved: handles
 // first … first+count-1 are nodes 0 … count-1 of the window at anchor.
@@ -52,17 +50,12 @@ func (s *session) window(h uint64, id nav.ID) []vxdp.WinNode {
 		s.nextH += uint64(n - 1)
 		s.wins = append(s.wins, winRange{first: h, count: n, anchor: id})
 	}
-	if s.geo != nil && len(e.win) > 0 {
-		s.noteWindow(h, e.win)
-	}
 	return e.win
 }
 
 // node resolves a wire handle: from the handle table, or — for a node a
 // window shipped — by walking the entry from the window's anchor, once,
-// memoized in the table. With prefetch on, a window handle gets the
-// region geometry of its entry path, so moves from it engage regions
-// as moves from an issued handle do.
+// memoized in the table.
 func (s *session) node(h uint64) (nav.ID, bool) {
 	if id, ok := s.handles[h]; ok {
 		return id, true
@@ -77,8 +70,5 @@ func (s *session) node(h uint64) (nav.ID, bool) {
 		return nil, false
 	}
 	s.handles[h] = id
-	if path, ok := s.cached.Path(id); ok && len(path) > 0 && s.geo != nil {
-		s.geo[h] = nodePos{depth: len(path), top: path[0]}
-	}
 	return id, true
 }

@@ -283,25 +283,20 @@ type Stats struct {
 	// Cluster, present when the server runs as a cluster node, reports
 	// ring routing, proxying, and L2 region-cache traffic.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
-	// Prefetch, present when the server runs the speculative prefetcher
-	// (mixd -prefetch), reports prediction and drain effectiveness.
+	// Prefetch is never filled. It stays only because bench/ still
+	// reads it; it goes with ROADMAP item 1's bench edit.
 	Prefetch *PrefetchStats `json:"prefetch,omitempty"`
 }
 
-// PrefetchStats reports the speculative prefetcher's effectiveness: how
-// many drains it issued, how the predictions resolved against the
-// client's actual next engagement, and what the speculation cost in
-// navigations at the speculative answer boundary. Issued − Hits −
-// Wasted − Cancelled is the number still unresolved (inflight or
-// awaiting the client's next move).
+// PrefetchStats is the wire form of counters no server fills. It stays
+// only because bench/ still reads it; it goes with ROADMAP item 1's
+// bench edit.
 type PrefetchStats struct {
-	Issued    int64 `json:"issued"`
-	Hits      int64 `json:"hits"`               // client engaged the predicted region
-	Wasted    int64 `json:"wasted"`             // client engaged a different region
-	Cancelled int64 `json:"cancelled"`          // drain cancelled (demand pre-empt, epoch bump)
-	Navs      int64 `json:"navs"`               // speculative answer-boundary navigations
-	SrcNavs   int64 `json:"src_navs"`           // source navigations the drains made
-	Inflight  int64 `json:"inflight,omitempty"` // drains currently running
+	Issued   int64 `json:"issued"`
+	Hits     int64 `json:"hits"`
+	Wasted   int64 `json:"wasted"`
+	Navs     int64 `json:"navs"`
+	Inflight int64 `json:"inflight,omitempty"`
 }
 
 // ClusterStats mirrors cluster.Stats on the wire: how sessions were
@@ -391,11 +386,6 @@ type CacheStats struct {
 	// InternedBytes is the cache's key-string vocabulary (charged once
 	// per distinct name/fingerprint, never released).
 	InternedBytes int64 `json:"interned_bytes"`
-	// The speculative class: entries published by the prefetcher that no
-	// demand navigation has touched yet. They are accounted separately
-	// and evicted before any demand entry under pressure.
-	SpecEntries int64 `json:"spec_entries,omitempty"`
-	SpecBytes   int64 `json:"spec_bytes,omitempty"`
 }
 
 // PoolStats reports how opens were served by the server's catalogs,

@@ -9,28 +9,25 @@ import (
 )
 
 // Client personas: scripted region-level navigation behaviors over a
-// virtual answer document, used by the prefetch experiments (E19) and
-// mixbench -persona. A persona is a Script — an ordered list of region
-// visits — generated deterministically from a seed, so two runs (e.g.
-// prefetch on vs off) replay byte-identical navigation.
+// virtual answer document, replayed by the bench spine's sessions and
+// the server's drill-walk tests. A persona is a Script — an ordered list
+// of region visits — generated deterministically from a seed, so two
+// runs (e.g. prefetch on vs off) replay byte-identical navigation.
 //
-// The three personas span the successor-model's operating range:
+// The three personas:
 //
 //   - deep-drill reads every region in order and explores it fully —
-//     the maximally predictable client speculative prefetch exists for;
-//   - glance skims region tops in order, skipping some — sequential but
-//     shallow, so predictions should arrive with the shallow depth bit;
-//   - select-heavy jumps between regions by label selection — the
-//     navigation pattern whose landing position the server cannot
-//     track, so the model should mostly stay silent.
+//     the client the drill walk ships whole regions to;
+//   - glance skims region tops in order, skipping some, and never
+//     descends below a region top;
+//   - select-heavy jumps between regions by label selection.
 
 // Step is one region visit of a scripted persona.
 type Step struct {
 	// Region is the 0-based top-level region index to visit.
 	Region int
 	// Deep explores the region's whole subtree; false fetches the
-	// region's top label only (a glance that never descends, so it
-	// carries no drill signal).
+	// region's top label only (a glance that never descends).
 	Deep bool
 	// Select reaches the region by a label-select jump instead of a
 	// right-scan over the preceding region tops.
@@ -67,9 +64,7 @@ func GlanceScript(regions int, seed int64) []Step {
 }
 
 // SelectHeavyScript is the jumper: regions visits to seeded random
-// regions reached by label selection, shallow. Its transitions carry no
-// stable delta, so a well-behaved successor model learns nothing
-// actionable from it.
+// regions reached by label selection, shallow.
 func SelectHeavyScript(regions int, seed int64) []Step {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]Step, 0, regions)
@@ -91,8 +86,7 @@ type Selector interface {
 // VXDP session and against a local oracle document. After each step it
 // calls after (if non-nil) with the step index and the marshaled
 // explored part — the subtree for deep steps, the top label otherwise —
-// letting the caller interleave measurements or quiescence between
-// steps. Replaying a script whose regions exceed the document's
+// letting the caller interleave measurements between steps. Replaying a script whose regions exceed the document's
 // top-level width is an error.
 func ReplayPersona(doc nav.Document, script []Step, after func(step int, explored string) error) error {
 	root, err := doc.Root()
@@ -135,8 +129,8 @@ func ReplayPersona(doc nav.Document, script []Step, after func(step int, explore
 				return err
 			}
 			if st.Select {
-				// Land on the same node through the select op so a
-				// tracking server sees the jump it cannot position.
+				// Land on the same node through the select op, so the
+				// server sees the jump.
 				if sel, ok := doc.(Selector); ok {
 					p, err := sel.SelectLabel(cur, label, true)
 					if err != nil {
