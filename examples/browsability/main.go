@@ -77,7 +77,11 @@ func measure(plan algebra.Op, n int, opts core.Options) int64 {
 		counters = append(counters, cd)
 		e.Register(name, cd)
 	}
-	q, err := e.Compile(plan)
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	q, err := e.Compile(v)
 	if err != nil {
 		log.Fatal(err)
 	}

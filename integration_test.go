@@ -27,6 +27,15 @@ import (
 	"mix/internal/xmltree"
 )
 
+// compile prepares plan as an uncached view and compiles it on e.
+func compile(e *core.Engine, plan algebra.Op) (*core.Query, error) {
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		return nil, err
+	}
+	return e.Compile(v)
+}
+
 // --- randomized plan equivalence ----------------------------------------
 
 // planGen builds random valid algebra plans over the sources s0/s1.
@@ -159,7 +168,7 @@ func TestQuickRandomPlansLazyEqualsEager(t *testing.T) {
 			e := core.New(opts)
 			e.Register("s0", nav.NewTreeDoc(src0))
 			e.Register("s1", nav.NewTreeDoc(src1))
-			q, err := e.Compile(plan)
+			q, err := compile(e, plan)
 			if err != nil {
 				t.Logf("seed %d: compile: %v", seed, err)
 				return false
@@ -200,7 +209,7 @@ func TestQuickRandomPlansPartialExplorationPrefix(t *testing.T) {
 		e := core.New(core.DefaultOptions())
 		e.Register("s0", nav.NewTreeDoc(src0))
 		e.Register("s1", nav.NewTreeDoc(src1))
-		q, err := e.Compile(plan)
+		q, err := compile(e, plan)
 		if err != nil {
 			return false
 		}
@@ -328,7 +337,7 @@ func TestDistributedPartialExplorationFetchesPart(t *testing.T) {
 	grp := &algebra.GroupBy{Input: gd, By: nil, Var: "B", Out: "BS"}
 	ans := &algebra.CreateElement{Input: grp,
 		Label: algebra.LabelSpec{Const: "hits"}, Children: "BS", Out: "A"}
-	q, err := e.Compile(&algebra.TupleDestroy{Input: ans, Var: "A"})
+	q, err := compile(e, &algebra.TupleDestroy{Input: ans, Var: "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +395,7 @@ func TestSourceFailureSurfacesToClient(t *testing.T) {
 			Input:  &algebra.Source{URL: "homesSrc", Var: "r"},
 			Parent: "r", Path: pathexpr.MustParse("home"), Out: "H",
 		}
-		q, err := e.Compile(&algebra.Project{Input: gd, Keep: []string{"H"}})
+		q, err := compile(e, &algebra.Project{Input: gd, Keep: []string{"H"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +525,7 @@ func TestQuickRandomPlansOverBufferedSources(t *testing.T) {
 		plain := core.New(core.DefaultOptions())
 		plain.Register("s0", nav.NewTreeDoc(src0))
 		plain.Register("s1", nav.NewTreeDoc(src1))
-		pq, err := plain.Compile(plan)
+		pq, err := compile(plain, plan)
 		if err != nil {
 			return false
 		}
@@ -535,7 +544,7 @@ func TestQuickRandomPlansOverBufferedSources(t *testing.T) {
 			}
 			buffered.Register(name, b)
 		}
-		bq, err := buffered.Compile(plan)
+		bq, err := compile(buffered, plan)
 		if err != nil {
 			return false
 		}
@@ -634,7 +643,7 @@ func TestQuickRewritePreservesSemantics(t *testing.T) {
 		le := core.New(core.DefaultOptions())
 		le.Register("s0", nav.NewTreeDoc(src0))
 		le.Register("s1", nav.NewTreeDoc(src1))
-		q, err := le.Compile(rewritten)
+		q, err := compile(le, rewritten)
 		if err != nil {
 			return false
 		}

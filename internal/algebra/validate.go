@@ -17,7 +17,7 @@ func Validate(p Op) error {
 
 // varList is the set of variables an operator's output bindings carry.
 // Plans carry a handful of variables, so a slice without duplicates is
-// scanned rather than hashed: Engine.Compile validates on every open.
+// scanned rather than hashed.
 type varList []string
 
 func (s varList) has(v string) bool { return slices.Contains(s, v) }

@@ -19,14 +19,15 @@ func benchEngine(b *testing.B, n int) (*Engine, map[string]*xmltree.Tree) {
 	return e, srcs
 }
 
-// BenchmarkCompile: preprocessing cost — building the tree of lazy
-// mediators (must be cheap: no source access).
+// BenchmarkCompile: the per-open cost of a prepared view — resolving
+// its sources and deferring the tree of lazy mediators (must be cheap:
+// no source access).
 func BenchmarkCompile(b *testing.B) {
 	e, _ := benchEngine(b, 100)
-	plan := workload.HomesSchoolsPlan()
+	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Compile(plan); err != nil {
+		if _, err := e.Compile(view); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,10 +36,10 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkFirstResult: time to the first med_home label.
 func BenchmarkFirstResult(b *testing.B) {
 	e, _ := benchEngine(b, 500)
-	plan := workload.HomesSchoolsPlan()
+	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q, err := e.Compile(plan)
+		q, err := e.Compile(view)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,10 +55,10 @@ func BenchmarkFirstResult(b *testing.B) {
 // no allocations (compare against BenchmarkFullMaterializeTraced).
 func BenchmarkFullMaterialize(b *testing.B) {
 	e, _ := benchEngine(b, 200)
-	plan := workload.HomesSchoolsPlan()
+	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q, err := e.Compile(plan)
+		q, err := e.Compile(view)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,13 +74,13 @@ func BenchmarkFullMaterialize(b *testing.B) {
 // binding links, descent frames) the -benchmem columns pin.
 func BenchmarkColdJoinGroupBy(b *testing.B) {
 	homes, schools := workload.HomesSchools(400, 200, 200, 42)
-	plan := workload.HomesSchoolsPlan()
+	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := New(DefaultOptions())
 		e.Register("homesSrc", nav.NewTreeDoc(homes))
 		e.Register("schoolsSrc", nav.NewTreeDoc(schools))
-		q, err := e.Compile(plan)
+		q, err := e.Compile(view)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,10 +95,10 @@ func BenchmarkColdJoinGroupBy(b *testing.B) {
 func BenchmarkFullMaterializeTraced(b *testing.B) {
 	e, _ := benchEngine(b, 200)
 	e.SetTracer(trace.New())
-	plan := workload.HomesSchoolsPlan()
+	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q, err := e.Compile(plan)
+		q, err := e.Compile(view)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,10 +13,11 @@ import (
 	"mix/internal/xmltree"
 )
 
-// Engine compiles algebra plans against a registry of named sources.
-// The registry is internally synchronized: sources may be registered
-// concurrently with compilations (a compile sees a registration that
-// happens before it; compiled queries keep the source they resolved).
+// Engine compiles prepared views (see Prepare) against a registry of
+// named sources. The registry is internally synchronized: sources may be
+// registered concurrently with compilations (a compile sees a
+// registration that happens before it; compiled queries keep the source
+// they resolved).
 type Engine struct {
 	opts Options
 
@@ -27,7 +27,7 @@ type Engine struct {
 	tracer *trace.Recorder
 
 	// cache, when non-nil, is the shared cross-session region cache;
-	// queries with a cache name get a cache-aware answer document
+	// queries of a named view get a cache-aware answer document
 	// (see Query.Document and SetRegionCache). cacheGen is the cache
 	// generation sampled when the cache was installed: entries are
 	// opened at that pinned generation, so an engine built before an
@@ -63,10 +63,9 @@ func (e *Engine) Register(name string, doc nav.Document) {
 func (e *Engine) RegistryVersion() uint64 { return e.regVer.Load() }
 
 // SetRegionCache installs the shared cross-session region cache.
-// Queries compiled afterwards whose cache name is set (SetCacheName)
-// return cache-aware answer documents from Document. Set it before
-// compiling; it is not synchronized with concurrent Compile calls. A
-// nil cache (the default) leaves every query uncached. The cache's
+// Queries compiled afterwards from a named view (see Prepare) return
+// cache-aware answer documents from Document. Set it before compiling;
+// it is not synchronized with concurrent Compile calls. A nil cache (the default) leaves every query uncached. The cache's
 // current generation is pinned here: install the cache when the engine
 // is built, so an engine that outlives an invalidation detaches from
 // the shared entries instead of polluting the fresh generation.
@@ -77,9 +76,6 @@ func (e *Engine) SetRegionCache(c *regioncache.Cache) {
 	}
 }
 
-// RegionCache returns the installed region cache (nil if none).
-func (e *Engine) RegionCache() *regioncache.Cache { return e.cache }
-
 // lookup resolves a registered source.
 func (e *Engine) lookup(name string) (nav.Document, bool) {
 	e.regMu.RLock()
@@ -88,36 +84,17 @@ func (e *Engine) lookup(name string) (nav.Document, bool) {
 	return doc, ok
 }
 
-// SourceNames returns the registered source names, sorted.
-func (e *Engine) SourceNames() []string {
-	e.regMu.RLock()
-	out := make([]string, 0, len(e.reg))
-	for n := range e.reg {
-		out = append(out, n)
-	}
-	e.regMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// Query is a compiled plan: the tree of lazy mediators, ready to serve
+// Query is a compiled view: the tree of lazy mediators, ready to serve
 // navigations. Building a Query performs no source access.
 type Query struct {
-	plan    algebra.Op
-	eng     *Engine
-	topVars []string
+	view *View
+	eng  *Engine
 
-	// cacheName/fingerprint/regVer key the query's region-cache entry
-	// (see SetCacheName); regVer is captured at compile time, when the
-	// plan's sources are resolved.
-	cacheName   string
+	// fingerprint/regVer complete the view's region-cache key (see
+	// RegionKey); both are fixed at compile time, regVer when the view's
+	// sources are resolved.
 	fingerprint string
 	regVer      uint64
-
-	// canon is the canonical (RenameVars normal form) plan, kept when
-	// the plan canonicalizes; it is what the containment checker
-	// compares (see semantic.go).
-	canon algebra.Op
 
 	// semMu/semTried gate the one semantic-cache attempt per query (see
 	// entry): it runs on the first demand open that finds the entry
@@ -139,43 +116,37 @@ type Query struct {
 	tracer *trace.Recorder
 }
 
-// Compile validates the plan, resolves every source it names and
-// samples the registry version: every error a plan can fail with
-// surfaces here. The tree of lazy mediators — the operator builders and
-// their path DFAs — is built on the first pull of the top-level log, so
-// a query whose answer the region cache already holds in full never
-// builds one. No source is accessed.
-func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
-	if err := algebra.Validate(plan); err != nil {
-		return nil, err
-	}
-	// Validate rejects unknown operators, so a nested tupleDestroy is the
-	// one plan compileNode would refuse; it is caught here, not at the
-	// first navigation.
-	q := &Query{plan: plan, eng: e, topVars: plan.OutVars(), regVer: e.RegistryVersion(), tracer: e.tracer}
-	c := &compiler{e: e, q: q, srcs: map[string]nav.Document{}}
-	var missing string
-	nested := false
-	algebra.Walk(plan, func(op algebra.Op) {
-		switch op := op.(type) {
-		case *algebra.Source:
-			if doc, ok := e.lookup(op.URL); ok {
-				c.srcs[op.URL] = doc
-			} else if missing == "" {
-				missing = op.URL
-			}
-		case *algebra.TupleDestroy:
-			nested = nested || op != plan
+// Compile resolves every source v names and samples the registry
+// version; an unregistered source is the one error left to it. A named
+// view's canonical plan is (re)indexed for the semantic tier on every
+// compile, so a plan the index evicted is found again. The tree of lazy
+// mediators — the operator builders and their path DFAs — is built on
+// the first pull of the top-level log, so a query whose answer the
+// region cache already holds in full never builds one. No source is
+// accessed.
+func (e *Engine) Compile(v *View) (*Query, error) {
+	q := &Query{view: v, eng: e, fingerprint: v.fp, regVer: e.RegistryVersion(), tracer: e.tracer}
+	c := &compiler{e: e, q: q, srcs: make(map[string]nav.Document, len(v.sources))}
+	for _, name := range v.sources {
+		doc, ok := e.lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("core: plan references unregistered source %q", name)
 		}
-	})
-	if missing != "" {
-		return nil, fmt.Errorf("core: plan references unregistered source %q", missing)
+		c.srcs[name] = doc
 	}
-	if nested {
-		return nil, errNestedTupleDestroy
+	if v.opaque != "" {
+		// An opaque plan mints a fresh fingerprint per query, so no two
+		// of its opens ever share an entry.
+		q.fingerprint = regioncache.OpaqueFingerprint(v.opaque)
 	}
-	input := plan
-	td, isTD := plan.(*algebra.TupleDestroy)
+	if v.canon != nil && e.cache != nil {
+		// Publish the canonical plan in the semantic index so other
+		// queries of this view can discover it as a superset candidate
+		// (IndexPlan drops stale generations itself).
+		e.cache.IndexPlan(q.RegionKey(), v.canon)
+	}
+	input := v.plan
+	td, isTD := input.(*algebra.TupleDestroy)
 	if isTD {
 		input = td.Input
 	}
@@ -208,45 +179,11 @@ func (e *Engine) Compile(plan algebra.Op) (*Query, error) {
 	return q, nil
 }
 
-// SetCacheName enables region caching for this query under the given
-// name (conventionally the view names the query was composed from); it
-// is SetCacheKey with the plan's canonical form computed here. A plan
-// with no canonical form gets an opaque fingerprint of its own.
-func (q *Query) SetCacheName(name string) {
-	canon, fp, _ := regioncache.Canonical(q.plan)
-	q.SetCacheKey(name, canon, fp)
-}
+// CacheName returns the region-cache name the view was prepared under.
+func (q *Query) CacheName() string { return q.view.name }
 
-// SetCacheKey enables region caching for this query under the given
-// name, with the canonical plan and fingerprint regioncache.Canonical
-// gives for it (canon nil for a plan with no canonical form). The cache
-// key is completed by the registry version captured at compile time.
-// With no engine cache installed or an empty name, Document stays
-// uncached.
-func (q *Query) SetCacheKey(name string, canon algebra.Op, fp string) {
-	q.cacheName = name
-	// The fingerprint is kept even without an engine cache: cluster
-	// routing hashes (name, fingerprint) to pick the owner node whether
-	// or not this node caches locally.
-	if name != "" && q.fingerprint == "" {
-		q.fingerprint = fp
-		if canon != nil {
-			q.canon = canon
-			// Publish the canonical plan in the semantic index so other
-			// queries of this view can discover it as a superset
-			// candidate (IndexPlan drops stale generations itself).
-			if c := q.eng.cache; c != nil {
-				c.IndexPlan(q.RegionKey(), canon)
-			}
-		}
-	}
-}
-
-// CacheName returns the region-cache name set by SetCacheName.
-func (q *Query) CacheName() string { return q.cacheName }
-
-// Fingerprint returns the canonical plan fingerprint computed by
-// SetCacheName ("" before it is called or for unnamed queries). With
+// Fingerprint returns the view's canonical plan fingerprint, or the
+// opaque one minted at compile time ("" for unnamed views). With
 // CacheName it identifies the same answer document across engines — the
 // region-cache key and the cluster routing key.
 func (q *Query) Fingerprint() string { return q.fingerprint }
@@ -291,15 +228,15 @@ func (q *Query) Document() nav.Document {
 // already complete.
 func (q *Query) entry() *regioncache.Entry {
 	c := q.eng.cache
-	if c == nil || q.cacheName == "" {
+	if c == nil || q.view.name == "" {
 		return nil
 	}
 	e := c.Open(q.RegionKey())
-	if q.canon != nil {
+	if q.view.canon != nil {
 		q.semMu.Lock()
 		if !q.semTried && !e.Complete() {
 			q.semTried = true
-			c.Subsume(e, q.canon, q.rebuild)
+			c.Subsume(e, q.view.canon, q.rebuild)
 		}
 		q.semMu.Unlock()
 	}
@@ -323,7 +260,7 @@ func (q *Query) bindingsNode() Node {
 		if err != nil {
 			return nil, err
 		}
-		return bindingList{log: log, vars: q.topVars}, nil
+		return bindingList{log: log, vars: q.view.topVars}, nil
 	}))
 }
 

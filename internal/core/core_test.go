@@ -27,9 +27,26 @@ func engineWith(opts Options, srcs map[string]*xmltree.Tree) (*Engine, map[strin
 	return e, counters
 }
 
+// mustPrepare prepares p under the region-cache name ("" for an
+// uncached view).
+func mustPrepare(tb testing.TB, p algebra.Op, name string) *View {
+	tb.Helper()
+	v, err := Prepare(p, name)
+	if err != nil {
+		tb.Fatalf("Prepare: %v\nplan:\n%s", err, algebra.String(p))
+	}
+	return v
+}
+
 func mustCompile(t *testing.T, e *Engine, p algebra.Op) *Query {
 	t.Helper()
-	q, err := e.Compile(p)
+	return mustCompileAs(t, e, p, "")
+}
+
+// mustCompileAs compiles p prepared under the region-cache name.
+func mustCompileAs(t *testing.T, e *Engine, p algebra.Op, name string) *Query {
+	t.Helper()
+	q, err := e.Compile(mustPrepare(t, p, name))
 	if err != nil {
 		t.Fatalf("Compile: %v\nplan:\n%s", err, algebra.String(p))
 	}
@@ -71,27 +88,81 @@ func TestSourceSingletonBinding(t *testing.T) {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	e := New(DefaultOptions())
-	if _, err := e.Compile(&algebra.Source{URL: "missing", Var: "X"}); err == nil {
-		t.Fatal("unregistered source must fail at compile time")
-	}
-	if _, err := e.Compile(&algebra.Source{URL: "", Var: ""}); err == nil {
+// TestPrepareErrors: every plan error but an unregistered source
+// surfaces at Prepare, before any engine sees the plan.
+func TestPrepareErrors(t *testing.T) {
+	if _, err := Prepare(&algebra.Source{URL: "", Var: ""}, ""); err == nil {
 		t.Fatal("invalid plan must fail validation")
 	}
-	e.Register("s", nav.NewTreeDoc(xmltree.Elem("r")))
-	if _, err := e.Compile(&algebra.Select{
+	if _, err := Prepare(&algebra.Select{
 		Input: &algebra.Source{URL: "s", Var: "X"},
 		Cond:  algebra.Eq(algebra.V("nope"), algebra.Lit("1")),
-	}); err == nil {
+	}, "v"); err == nil {
 		t.Fatal("condition over unknown variable must fail validation")
 	}
 	// The one plan Validate passes but no pipeline can be built for
-	// fails at Compile, not at the first pull.
-	if _, err := e.Compile(&algebra.Distinct{Input: &algebra.TupleDestroy{
+	// fails at Prepare, not at the first pull.
+	if _, err := Prepare(&algebra.Distinct{Input: &algebra.TupleDestroy{
 		Input: &algebra.Source{URL: "s", Var: "X"}, Var: "X",
-	}}); !errors.Is(err, errNestedTupleDestroy) {
-		t.Fatalf("nested tupleDestroy: Compile = %v", err)
+	}}, ""); !errors.Is(err, errNestedTupleDestroy) {
+		t.Fatalf("nested tupleDestroy: Prepare = %v", err)
+	}
+}
+
+// TestPrepareKeysOnce: one named view compiles on any engine to the
+// same cache key, concurrently, and an unnamed view carries none.
+func TestPrepareKeysOnce(t *testing.T) {
+	homes, _ := workload.HomesSchools(4, 0, 2, 9)
+	plan := &algebra.GetDescendants{
+		Input:  &algebra.Source{URL: "homesSrc", Var: "R"},
+		Parent: "R", Path: pathexpr.MustParse("home"), Out: "H",
+	}
+	named := mustPrepare(t, plan, "v")
+	_, want, _ := regioncache.Canonical(plan)
+	fps := make(chan string, 4)
+	for range cap(fps) {
+		go func() {
+			e, _ := engineWith(DefaultOptions(), map[string]*xmltree.Tree{"homesSrc": homes})
+			e.SetRegionCache(regioncache.New(0))
+			q, err := e.Compile(named)
+			if err != nil {
+				fps <- err.Error()
+				return
+			}
+			fps <- q.CacheName() + " " + q.Fingerprint()
+		}()
+	}
+	for range cap(fps) {
+		if got := <-fps; got != "v "+want {
+			t.Fatalf("compiled key %q, want %q", got, "v "+want)
+		}
+	}
+	e, _ := engineWith(DefaultOptions(), map[string]*xmltree.Tree{"homesSrc": homes})
+	if q := mustCompile(t, e, plan); q.CacheName() != "" || q.Fingerprint() != "" {
+		t.Fatalf("unnamed view keyed (%q, %q)", q.CacheName(), q.Fingerprint())
+	}
+}
+
+// TestCompileErrors: the registry is Compile's one input, so an
+// unregistered source is its one error, reported for the first missing
+// source in walk order; one view compiles once the source is there.
+func TestCompileErrors(t *testing.T) {
+	e := New(DefaultOptions())
+	v := mustPrepare(t, &algebra.Join{
+		Left:  &algebra.Source{URL: "a", Var: "X"},
+		Right: &algebra.Source{URL: "b", Var: "Y"},
+		Cond:  algebra.True{},
+	}, "v")
+	if _, err := e.Compile(v); err == nil || !strings.Contains(err.Error(), `unregistered source "a"`) {
+		t.Fatalf("Compile = %v, want the unregistered source a", err)
+	}
+	e.Register("a", nav.NewTreeDoc(xmltree.Elem("r")))
+	if _, err := e.Compile(v); err == nil || !strings.Contains(err.Error(), `unregistered source "b"`) {
+		t.Fatalf("Compile = %v, want the unregistered source b", err)
+	}
+	e.Register("b", nav.NewTreeDoc(xmltree.Elem("r")))
+	if _, err := e.Compile(v); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -110,8 +181,7 @@ func TestPipelineBuiltOnFirstPull(t *testing.T) {
 	}
 	built := func(q *Query) bool { return q.top.log != nil || q.top.err != nil }
 
-	cold := mustCompile(t, e, plan())
-	cold.SetCacheName("v")
+	cold := mustCompileAs(t, e, plan(), "v")
 	if built(cold) {
 		t.Fatal("Compile built the pipeline")
 	}
@@ -119,8 +189,7 @@ func TestPipelineBuiltOnFirstPull(t *testing.T) {
 	if !built(cold) {
 		t.Fatal("a cold materialization built no pipeline")
 	}
-	warm := mustCompile(t, e, plan())
-	warm.SetCacheName("v")
+	warm := mustCompileAs(t, e, plan(), "v")
 	if got := xmltree.MarshalXML(mustMaterialize(t, warm)); got != want {
 		t.Fatalf("warm answer differs:\n%s\nvs\n%s", got, want)
 	}
@@ -755,12 +824,18 @@ func drainList(l list) ([]Node, error) {
 	}
 }
 
+// TestEngineRegistry: every Register moves the registry version, and a
+// re-registered name replaces its source for later compiles.
 func TestEngineRegistry(t *testing.T) {
 	e := New(DefaultOptions())
-	e.Register("b", nav.NewTreeDoc(xmltree.Elem("x")))
+	e.Register("a", nav.NewTreeDoc(xmltree.Elem("x")))
 	e.Register("a", nav.NewTreeDoc(xmltree.Elem("y")))
-	names := e.SourceNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("SourceNames = %v", names)
+	if v := e.RegistryVersion(); v != 2 {
+		t.Fatalf("RegistryVersion = %d after two Registers, want 2", v)
+	}
+	got := mustMaterialize(t, mustCompile(t, e, &algebra.Source{URL: "a", Var: "X"}))
+	want := xmltree.Elem("bs", xmltree.Elem("b", xmltree.Elem("X", xmltree.Elem("y"))))
+	if !xmltree.Equal(got, want) {
+		t.Fatalf("got %v\nwant %v", got, want)
 	}
 }

@@ -223,12 +223,12 @@ func TestAtomFingerprintBridgesElementLeaf(t *testing.T) {
 func BenchmarkDistinctDetailKeys(b *testing.B) {
 	homes := workload.DetailedHomes(160, 200, 12, 7)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes}
-	plan := workload.DistinctZipGroupsPlan("homesSrc")
+	view := mustPrepare(b, workload.DistinctZipGroupsPlan("homesSrc"), "")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _ := engineWith(DefaultOptions(), srcs)
-		q, err := e.Compile(plan)
+		q, err := e.Compile(view)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -466,7 +466,7 @@ func (c *compiler) compile(p algebra.Op) (builder, error) {
 }
 
 // errNestedTupleDestroy rejects a tupleDestroy below the plan root;
-// Engine.Compile reports it before any builder exists.
+// Prepare reports it, so no View carries one.
 var errNestedTupleDestroy = errors.New("core: tupleDestroy must be the plan root")
 
 // compileNode dispatches compilation per operator.
@@ -502,8 +502,6 @@ func (c *compiler) compileNode(p algebra.Op) (builder, error) {
 		return c.compilePerBinding(op.Input, constKernel(op))
 	case *algebra.Rename:
 		return c.compilePerBinding(op.Input, renameKernel(op))
-	case *algebra.TupleDestroy:
-		return nil, errNestedTupleDestroy
 	default:
 		return nil, fmt.Errorf("core: unsupported operator %T", p)
 	}

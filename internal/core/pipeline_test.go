@@ -154,15 +154,14 @@ func TestEveryConfigurationMatchesEager(t *testing.T) {
 		if cached {
 			e.SetRegionCache(regioncache.New(0))
 		}
-		q := mustCompile(t, e, mk())
+		name := ""
 		if cached {
-			q.SetCacheName("v")
+			name = "v"
 		}
-		answer := xmltree.MarshalXML(mustMaterialize(t, q))
+		answer := xmltree.MarshalXML(mustMaterialize(t, mustCompileAs(t, e, mk(), name)))
 		if cached {
 			before := sumNavs(counters)
-			again := mustCompile(t, e, mk())
-			again.SetCacheName("v")
+			again := mustCompileAs(t, e, mk(), name)
 			if warm := xmltree.MarshalXML(mustMaterialize(t, again)); warm != answer {
 				t.Fatalf("%+v: cached answer differs from the cold one:\n%s\nvs\n%s", o, warm, answer)
 			}

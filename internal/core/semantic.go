@@ -24,7 +24,7 @@ func (q *Query) rebuild(ct *algebra.Containment, super *xmltree.Tree) (*xmltree.
 	if ct.Shape == algebra.ShapeConstruct {
 		return constructAnswer(ct, super)
 	}
-	return bindingsAnswer(ct, super, q.topVars)
+	return bindingsAnswer(ct, super, q.view.topVars)
 }
 
 // acceptsLabel is the single-step path test: the path accepts exactly

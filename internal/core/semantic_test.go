@@ -57,14 +57,12 @@ func drainSemPair(t *testing.T, superPlan, subPlan algebra.Op, srcs map[string]*
 	e.SetRegionCache(cache)
 
 	if superset {
-		qs := mustCompile(t, e, superPlan)
-		qs.SetCacheName("v")
+		qs := mustCompileAs(t, e, superPlan, "v")
 		mustMaterialize(t, qs)
 	}
 
 	before := sumNavs(counters)
-	qq := mustCompile(t, e, subPlan)
-	qq.SetCacheName("v")
+	qq := mustCompileAs(t, e, subPlan, "v")
 	got := mustMaterialize(t, qq)
 	return got, sumNavs(counters) - before, cache.Stats()
 }
@@ -226,8 +224,7 @@ func TestSemanticRejectsPartialSuperset(t *testing.T) {
 	cache := regioncache.New(0)
 	e.SetRegionCache(cache)
 
-	qs := mustCompile(t, e, translateQ(t, superQ))
-	qs.SetCacheName("v")
+	qs := mustCompileAs(t, e, translateQ(t, superQ), "v")
 	// Explore only the root label: the entry exists and is indexed but
 	// is nowhere near complete.
 	doc := qs.Document()
@@ -239,8 +236,7 @@ func TestSemanticRejectsPartialSuperset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qq := mustCompile(t, e, translateQ(t, subQ))
-	qq.SetCacheName("v")
+	qq := mustCompileAs(t, e, translateQ(t, subQ), "v")
 	got := mustMaterialize(t, qq)
 	want := oracle(t, translateQ(t, subQ), srcs)
 	if !xmltree.Equal(got, want) {

@@ -33,7 +33,7 @@ func traceTotalsMatchCounters(t *testing.T, opts Options) {
 	for name, cd := range counters {
 		e.Register(name, cd)
 	}
-	q, err := e.Compile(workload.HomesSchoolsPlan())
+	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
-	q, err := e.Compile(workload.HomesSchoolsPlan())
+	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestUntracedEngineHasNoWrappers(t *testing.T) {
 	e := New(DefaultOptions())
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
-	q, err := e.Compile(workload.HomesSchoolsPlan())
+	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFleetIdentityReachesEngineRoots(t *testing.T) {
 	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
-	q, err := e.Compile(workload.HomesSchoolsPlan())
+	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}

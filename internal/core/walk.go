@@ -30,7 +30,7 @@ func (q *Query) RegionKey() regioncache.Key {
 	return regioncache.Key{
 		Generation:  q.eng.cacheGen,
 		Registry:    q.regVer,
-		Name:        q.cacheName,
+		Name:        q.view.name,
 		Fingerprint: q.fingerprint,
 	}
 }

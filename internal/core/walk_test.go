@@ -19,11 +19,7 @@ func walkRig(t *testing.T) (*Query, nav.Document, nav.ID) {
 	eng.Register("homesSrc", nav.NewTreeDoc(homes))
 	eng.Register("schoolsSrc", nav.NewTreeDoc(schools))
 	eng.SetRegionCache(regioncache.New(0))
-	q, err := eng.Compile(workload.HomesSchoolsPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.SetCacheName("homes")
+	q := mustCompileAs(t, eng, workload.HomesSchoolsPlan(), "homes")
 	doc := q.Document()
 	root, err := doc.Root()
 	if err != nil {

@@ -13,6 +13,15 @@ import (
 	"mix/internal/xmltree"
 )
 
+// compile prepares plan as an uncached view and compiles it on e.
+func compile(e *core.Engine, plan algebra.Op) (*core.Query, error) {
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		return nil, err
+	}
+	return e.Compile(v)
+}
+
 func evalWith(t *testing.T, srcs map[string]*xmltree.Tree, plan algebra.Op) *xmltree.Tree {
 	t.Helper()
 	e := New()
@@ -32,7 +41,7 @@ func lazyWith(t *testing.T, srcs map[string]*xmltree.Tree, plan algebra.Op) *xml
 	for name, tr := range srcs {
 		e.Register(name, nav.NewTreeDoc(tr))
 	}
-	q, err := e.Compile(plan)
+	q, err := compile(e, plan)
 	if err != nil {
 		t.Fatalf("lazy Compile: %v", err)
 	}
@@ -203,7 +212,7 @@ func TestQuickGetDescendantsLazyEqualsEager(t *testing.T) {
 		}
 		le := core.New(core.DefaultOptions())
 		le.Register("s", nav.NewTreeDoc(src))
-		q, err := le.Compile(plan)
+		q, err := compile(le, plan)
 		if err != nil {
 			return false
 		}

@@ -27,7 +27,11 @@ func lazyRun(opts core.Options, srcs map[string]*xmltree.Tree, plan algebra.Op) 
 		counters[name] = cd
 		e.Register(name, cd)
 	}
-	q, err := e.Compile(plan)
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		panic(fmt.Sprintf("experiments: prepare: %v", err))
+	}
+	q, err := e.Compile(v)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: compile: %v", err))
 	}
@@ -299,11 +303,12 @@ func E5PartialExploration() Table {
 		}
 		e := core.New(core.DefaultOptions())
 		e.Register("amazon", b)
-		plan := workload.AllBooksPlan("amazon", "amazon2", "databases")
-		// Single-source variant: reuse the same catalog for both legs
-		// is unnecessary; build a single-leg plan instead.
-		plan = singleSourceBooks("amazon", "databases")
-		q, err := e.Compile(plan)
+		plan := singleSourceBooks("amazon", "databases")
+		v, err := core.Prepare(plan, "")
+		if err != nil {
+			panic(err)
+		}
+		q, err := e.Compile(v)
 		if err != nil {
 			panic(err)
 		}

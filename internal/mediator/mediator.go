@@ -57,11 +57,11 @@ func DefaultOptions() Options {
 // or miss).
 //
 // Preprocessing runs once per query text: the mediator memoizes, by the
-// exact text, the final plan, its cache name, browsability and
-// canonical form (see Query). The memo holds at most maxPrepared texts
-// and is cleared by DefineView; the view catalogue and Options are its
-// only other inputs, and it holds nothing tied to a registry version or
-// cache generation.
+// exact text, the prepared view (core.Prepare: the final plan, validated
+// and keyed for the region cache) and its browsability (see Query). The
+// memo holds at most maxPrepared texts and is cleared by DefineView; the
+// view catalogue and Options are its only other inputs, and it holds
+// nothing tied to a registry version or cache generation.
 type Mediator struct {
 	opts   Options
 	engine *core.Engine
@@ -71,7 +71,7 @@ type Mediator struct {
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
 	viewVer uint64                // DefineView count: a prepare that spans one is not memoized
 	nview   int
-	memo    map[string]*prepared      // by query text
+	memo    map[string]memoEntry      // by query text
 	buffers map[string]*buffer.Buffer // LXP buffers registered, by source name
 }
 
@@ -80,14 +80,11 @@ type Mediator struct {
 // without growing it.
 const maxPrepared = 256
 
-// prepared is the product of preprocessing one query text. It is shared,
-// read-only, by every Result of the text, across goroutines.
-type prepared struct {
-	plan  algebra.Op // final (composed, rewritten) plan
-	name  string     // region-cache name (cacheName of the composed views)
-	cls   algebra.Browsability
-	canon algebra.Op // canonical plan; nil when the plan has no canonical form
-	fp    string     // canon's fingerprint ("" when canon is nil)
+// memoEntry is the product of preprocessing one query text. Its view is
+// shared, read-only, by every Result of the text, across goroutines.
+type memoEntry struct {
+	view *core.View
+	cls  algebra.Browsability
 }
 
 // New creates a mediator.
@@ -97,7 +94,7 @@ func New(opts Options) *Mediator {
 		engine: core.New(opts.Engine),
 		eager:  eager.New(),
 		views:  map[string]algebra.Op{},
-		memo:   map[string]*prepared{},
+		memo:   map[string]memoEntry{},
 	}
 }
 
@@ -238,7 +235,7 @@ func (r *Result) Root() (*Element, error) { return Wrap(r.Document()) }
 func (r *Result) Materialize() (*xmltree.Tree, error) { return r.query.Materialize() }
 
 // Query preprocesses a XMAS query — once per text, then from the memo —
-// and compiles the plan into a prepared Result. Compile errors surface
+// and compiles the prepared view into a Result. Compile errors surface
 // here; the operator pipeline itself is built on the first navigation
 // that reaches the engine, so an answer the region cache holds in full
 // never builds one. No source is accessed.
@@ -247,18 +244,11 @@ func (m *Mediator) Query(xmasText string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cq, err := m.engine.Compile(p.plan)
+	cq, err := m.engine.Compile(p.view)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: compiling plan: %w", err)
 	}
-	if p.canon != nil {
-		cq.SetCacheKey(p.name, p.canon, p.fp)
-	} else {
-		// An opaque plan mints a fresh fingerprint per query, so no two
-		// of its opens ever share an entry.
-		cq.SetCacheName(p.name)
-	}
-	return &Result{Plan: p.plan, Browsability: p.cls, query: cq}, nil
+	return &Result{Plan: p.view.Plan(), Browsability: p.cls, query: cq}, nil
 }
 
 // cacheName renders the region-cache name of a query composed from the
@@ -294,12 +284,12 @@ func (m *Mediator) Prepare(xmasText string) (algebra.Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.plan, nil
+	return p.view.Plan(), nil
 }
 
 // prepare returns the memoized preprocessing of xmasText, running
 // preprocess on a miss. Errors are never memoized.
-func (m *Mediator) prepare(xmasText string) (*prepared, error) {
+func (m *Mediator) prepare(xmasText string) (memoEntry, error) {
 	m.mu.Lock()
 	p, ok := m.memo[xmasText]
 	ver := m.viewVer
@@ -309,7 +299,7 @@ func (m *Mediator) prepare(xmasText string) (*prepared, error) {
 	}
 	p, err := m.preprocess(xmasText)
 	if err != nil {
-		return nil, err
+		return memoEntry{}, err
 	}
 	m.mu.Lock()
 	if m.viewVer == ver {
@@ -325,35 +315,32 @@ func (m *Mediator) prepare(xmasText string) (*prepared, error) {
 	return p, nil
 }
 
-// preprocess parses, composes, rewrites and validates a XMAS query and
-// derives everything Query needs from the plan that depends on nothing
-// else: cache name, browsability and canonical form.
-func (m *Mediator) preprocess(xmasText string) (*prepared, error) {
+// preprocess parses, composes and rewrites a XMAS query, prepares the
+// plan under the composed views' cache name (core.Prepare validates and
+// canonicalizes it) and classifies its browsability.
+func (m *Mediator) preprocess(xmasText string) (memoEntry, error) {
 	q, err := xmas.Parse(xmasText)
 	if err != nil {
-		return nil, err
+		return memoEntry{}, err
 	}
 	plan, err := q.Translate()
 	if err != nil {
-		return nil, err
+		return memoEntry{}, err
 	}
 	var views []string
 	plan, err = m.compose(plan, &views)
 	if err != nil {
-		return nil, err
+		return memoEntry{}, err
 	}
 	if m.opts.Rewrite {
 		plan = algebra.Rewrite(plan)
 	}
-	if err := algebra.Validate(plan); err != nil {
-		return nil, fmt.Errorf("mediator: composed plan invalid: %w", err)
+	view, err := core.Prepare(plan, cacheName(views))
+	if err != nil {
+		return memoEntry{}, fmt.Errorf("mediator: composed plan invalid: %w", err)
 	}
 	cls, _ := algebra.Classify(plan, m.opts.Engine.NativeSelect)
-	p := &prepared{plan: plan, name: cacheName(views), cls: cls}
-	if canon, fp, ok := regioncache.Canonical(plan); ok {
-		p.canon, p.fp = canon, fp
-	}
-	return p, nil
+	return memoEntry{view: view, cls: cls}, nil
 }
 
 // compose substitutes each Source node that names a defined view with

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/core"
 	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
 	"mix/internal/workload"
@@ -150,14 +151,16 @@ func homeScan() algebra.Op {
 	}
 }
 
-// memoize stores plan under text, as if preprocessing had produced it.
-func memoize(m *Mediator, text string, plan algebra.Op) {
-	p := &prepared{plan: plan, name: "query"}
-	if canon, fp, ok := regioncache.Canonical(plan); ok {
-		p.canon, p.fp = canon, fp
+// memoize stores plan, prepared, under text, as if preprocessing had
+// produced it.
+func memoize(t *testing.T, m *Mediator, text string, plan algebra.Op) {
+	t.Helper()
+	view, err := core.Prepare(plan, "query")
+	if err != nil {
+		t.Fatal(err)
 	}
 	m.mu.Lock()
-	m.memo[text] = p
+	m.memo[text] = memoEntry{view: view}
 	m.mu.Unlock()
 }
 
@@ -166,8 +169,8 @@ func memoize(m *Mediator, text string, plan algebra.Op) {
 // of it never share a region-cache entry.
 func TestMemoOpaquePlanFingerprints(t *testing.T) {
 	m := cachedMediator(t, 42)
-	memoize(m, "opaque", &algebra.Select{Input: homeScan(), Cond: opaqueCond{algebra.True{}}})
-	memoize(m, "canonical", &algebra.Select{Input: homeScan(), Cond: algebra.True{}})
+	memoize(t, m, "opaque", &algebra.Select{Input: homeScan(), Cond: opaqueCond{algebra.True{}}})
+	memoize(t, m, "canonical", &algebra.Select{Input: homeScan(), Cond: algebra.True{}})
 	fingerprints := func(text string) (string, string) {
 		t.Helper()
 		var fps [2]string
@@ -228,16 +231,14 @@ func TestMemoRegistryVersionInRegionKey(t *testing.T) {
 }
 
 // TestMemoCompileErrorsAtQuery: a plan the operator compiler rejects
-// fails at Query even from the memo, and a memoized text whose compile
-// failed succeeds once its source is registered.
+// never reaches the memo, since only core.Prepare builds what it holds,
+// and a memoized text whose compile failed succeeds once its source is
+// registered.
 func TestMemoCompileErrorsAtQuery(t *testing.T) {
 	m := newMediator(t, 45)
-	memoize(m, "nested", &algebra.Distinct{Input: &algebra.TupleDestroy{Input: homeScan(), Var: "H"}})
-	for range 2 {
-		res, err := m.Query("nested")
-		if err == nil || !strings.Contains(err.Error(), "tupleDestroy must be the plan root") {
-			t.Fatalf("Query = %v, %v; want the nested tupleDestroy error", res, err)
-		}
+	nested := &algebra.Distinct{Input: &algebra.TupleDestroy{Input: homeScan(), Var: "H"}}
+	if _, err := core.Prepare(nested, "query"); err == nil || !strings.Contains(err.Error(), "tupleDestroy must be the plan root") {
+		t.Fatalf("Prepare = %v; want the nested tupleDestroy error", err)
 	}
 	const later = `CONSTRUCT <a> $X {$X} </a> {} WHERE laterSrc r.x $X`
 	if _, err := m.Query(later); err == nil {
@@ -273,10 +274,12 @@ func warmMediator(tb testing.TB) *Mediator {
 
 // warmOpenAllocs bounds the allocations of a warm open — a memo hit
 // compiled and its cache-aware document built over a complete entry.
-// It measured 64 (Go 1.24, amd64), most of them the input slices
-// Validate and Compile's source walk read; before the memo and the
-// deferred pipeline the same open made 606.
-const warmOpenAllocs = 70
+// It measured 12 (Go 1.24, amd64): the Query with its resolved-source
+// map and deferred pipeline root, the cache-aware document and the
+// Result; the plan was validated and canonicalized once, by
+// core.Prepare. Before the prepared view the same open made 64, and
+// before the memo and the deferred pipeline 606.
+const warmOpenAllocs = 18
 
 // TestWarmQueryAllocs pins the warm open's allocation bound: no
 // preprocessing and no operator pipeline.

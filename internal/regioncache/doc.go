@@ -63,12 +63,15 @@ type rid struct {
 	path []int
 }
 
+// pathKey renders a path as "/0/3": one allocation, the string itself.
 func pathKey(path []int) string {
-	k := ""
+	var buf [64]byte
+	k := buf[:0]
 	for _, i := range path {
-		k += "/" + strconv.Itoa(i)
+		k = append(k, '/')
+		k = strconv.AppendInt(k, int64(i), 10)
 	}
-	return k
+	return string(k)
 }
 
 func (d *Doc) id(p nav.ID) (*rid, error) {

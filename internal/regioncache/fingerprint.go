@@ -8,7 +8,7 @@ import (
 )
 
 // opaqueSeq distinguishes the fingerprints of plans that cannot be
-// canonicalized; see Canonical.
+// canonicalized; see OpaqueFingerprint.
 var opaqueSeq atomic.Uint64
 
 // opaquePrefix marks a fingerprint from Canonical's fallback path. Such
@@ -26,14 +26,10 @@ const opaquePrefix = "!opaque:"
 // fingerprint, which is what lets sessions share cache entries and the
 // semantic plan index compare plans structurally.
 //
-// Plans containing operators RenameVars cannot rebuild return ok=false
-// with a nil canonical plan and an *opaque* fingerprint: a "!opaque:"
-// marker carrying a process-unique sequence number. Such plans still
-// get a usable cache identity, but two distinct non-canonicalizable
-// plans can never collide on it (the old fallback rendered the raw plan
-// text, under which two plans differing only in variable naming — or
-// two unknown operator types rendering alike — could share a slot), and
-// ok=false keeps them out of the semantic plan index entirely.
+// Plans containing operators RenameVars cannot rebuild have no
+// canonical form: ok=false, with no plan and no fingerprint. Such a
+// plan's cache identity comes from OpaqueFingerprint, and ok=false keeps
+// it out of the semantic plan index entirely.
 func Canonical(p algebra.Op) (canon algebra.Op, fp string, ok bool) {
 	n := 0
 	names := map[string]string{}
@@ -47,15 +43,14 @@ func Canonical(p algebra.Op) (canon algebra.Op, fp string, ok bool) {
 		return s
 	})
 	if err != nil {
-		marker := opaquePrefix + strconv.FormatUint(opaqueSeq.Add(1), 10) + ":"
-		return nil, marker + algebra.String(p), false
+		return nil, "", false
 	}
 	return c, algebra.String(c), true
 }
 
-// Fingerprint renders a canonical identity for an algebra plan; it is
-// Canonical without the plan half.
-func Fingerprint(p algebra.Op) string {
-	_, fp, _ := Canonical(p)
-	return fp
+// OpaqueFingerprint mints a fingerprint for a plan with no canonical
+// form from its rendering: the "!opaque:" marker and a process-unique
+// sequence number before the rendering, so no two mints ever collide.
+func OpaqueFingerprint(rendering string) string {
+	return opaquePrefix + strconv.FormatUint(opaqueSeq.Add(1), 10) + ":" + rendering
 }

@@ -314,11 +314,18 @@ func TestFingerprintCanonicalAcrossVariablePrefixes(t *testing.T) {
 			Out:    prefix + "Y",
 		}
 	}
-	a, b := Fingerprint(mk("view1~")), Fingerprint(mk("view2~"))
+	fingerprint := func(p algebra.Op) string {
+		_, fp, ok := Canonical(p)
+		if !ok {
+			t.Fatalf("no canonical form for %s", algebra.String(p))
+		}
+		return fp
+	}
+	a, b := fingerprint(mk("view1~")), fingerprint(mk("view2~"))
 	if a != b {
 		t.Fatalf("fingerprints differ:\n%s\n%s", a, b)
 	}
-	if a == Fingerprint(&algebra.Source{URL: "other", Var: "X"}) {
+	if a == fingerprint(&algebra.Source{URL: "other", Var: "X"}) {
 		t.Fatal("distinct plans share a fingerprint")
 	}
 }
@@ -328,5 +335,22 @@ func TestNilCacheWrapPassthrough(t *testing.T) {
 	inner := nav.NewTreeDoc(sampleTree())
 	if got := c.Wrap("v", "fp", 1, inner); got != nav.Document(inner) {
 		t.Fatal("nil cache must return the inner document unchanged")
+	}
+}
+
+// TestPathKey pins the rendering error messages print and the one
+// allocation a key costs.
+func TestPathKey(t *testing.T) {
+	for _, c := range []struct {
+		path []int
+		want string
+	}{{nil, ""}, {[]int{0}, "/0"}, {[]int{0, 3, 12}, "/0/3/12"}} {
+		if got := pathKey(c.path); got != c.want {
+			t.Fatalf("pathKey(%v) = %q, want %q", c.path, got, c.want)
+		}
+	}
+	path := []int{0, 3, 12, 7, 1024}
+	if n := testing.AllocsPerRun(100, func() { _ = pathKey(path) }); n > 1 {
+		t.Fatalf("pathKey allocates %v times, want 1", n)
 	}
 }

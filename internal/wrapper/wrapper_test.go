@@ -20,6 +20,15 @@ import (
 	"mix/internal/xmltree"
 )
 
+// compile prepares plan as an uncached view and compiles it on e.
+func compile(e *core.Engine, plan algebra.Op) (*core.Query, error) {
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		return nil, err
+	}
+	return e.Compile(v)
+}
+
 func sampleDB() *relational.DB {
 	db := relational.NewDB("realestate")
 	homes := db.Create("homes", "addr", "zip")
@@ -252,7 +261,7 @@ func TestRelationalDottedNames(t *testing.T) {
 			}
 			e := core.New(core.DefaultOptions())
 			e.Register("src", b)
-			q, err := e.Compile(plan)
+			q, err := compile(e, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -480,7 +489,7 @@ func TestOODBThroughEngine(t *testing.T) {
 		Input:  &algebra.Source{URL: "company", Var: "R"},
 		Parent: "R", Path: pathexpr.MustParse("Employee.Employee.name._"), Out: "N",
 	}
-	q, err := e.Compile(&algebra.Project{Input: gd, Keep: []string{"N"}})
+	q, err := compile(e, &algebra.Project{Input: gd, Keep: []string{"N"}})
 	if err != nil {
 		t.Fatal(err)
 	}

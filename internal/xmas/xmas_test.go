@@ -13,6 +13,15 @@ import (
 	"mix/internal/xmltree"
 )
 
+// compile prepares plan as an uncached view and compiles it on e.
+func compile(e *core.Engine, plan algebra.Op) (*core.Query, error) {
+	v, err := core.Prepare(plan, "")
+	if err != nil {
+		return nil, err
+	}
+	return e.Compile(v)
+}
+
 // fig3 is the paper's running-example query (Fig. 3), verbatim except
 // for whitespace.
 const fig3 = `
@@ -117,7 +126,7 @@ func evalBoth(t *testing.T, q *Query, src map[string]*xmltree.Tree) *xmltree.Tre
 	for n, tr := range src {
 		le.Register(n, nav.NewTreeDoc(tr))
 	}
-	cq, err := le.Compile(plan)
+	cq, err := compile(le, plan)
 	if err != nil {
 		t.Fatalf("lazy compile: %v", err)
 	}
@@ -140,7 +149,7 @@ func TestFig3MatchesHandBuiltPlan(t *testing.T) {
 	for n, tr := range src {
 		le.Register(n, nav.NewTreeDoc(tr))
 	}
-	cq, err := le.Compile(workload.HomesSchoolsPlan())
+	cq, err := compile(le, workload.HomesSchoolsPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
