@@ -22,24 +22,24 @@ type binding struct {
 	kind   bindKind
 	parent *binding
 
-	// bindLink: the bound variable, its lazy value and the memoized
-	// materialization of that value.
-	name string
+	// bindLink: the lazy value bound to op.to and its memoized
+	// materialization, shared by every binding derived from the link.
 	val  Node
 	tree *xmltree.Tree
 
 	// mergeLink: the right-hand binding.
 	co *binding
 
-	// projectLink, renameLink: the operator's constant, shared by every
-	// link the operator creates.
+	// bindLink, projectLink, renameLink: the operator's constant, shared
+	// by every link the operator creates.
 	op *linkOp
 
 	// keys memoizes key() results on the binding a stream element
 	// hands out, so the repeated group/member scans of groupBy
 	// (Appendix A's nextgb/next) pay for key construction once per
-	// binding rather than once per scan.
-	keys keyMemo
+	// binding rather than once per scan. Allocated on first use: most
+	// links are never keyed.
+	keys *keyMemo
 }
 
 type bindKind uint8
@@ -52,17 +52,16 @@ const (
 	renameLink
 )
 
-// linkOp is the compile-time constant of a project (keep) or rename
-// (from → to) operator. Holding it by pointer keeps every link — the
-// bindLinks most of all — free of fields only the rarer kinds need.
+// linkOp is the compile-time constant of a bind (to), project (keep)
+// or rename (from → to) operator. Holding it by pointer keeps every
+// link free of fields only some kinds need.
 type linkOp struct {
 	keep     []string
 	from, to string
 }
 
-// keyMemo memoizes operator keys by their joined variable list ck: one
-// inline slot (a binding is almost always keyed under one list) and a
-// chain of overflow slots for the rest. An empty key marks a free slot.
+// keyMemo memoizes operator keys by their joined variable list ck, one
+// slot per list (a binding is almost always keyed under one).
 type keyMemo struct {
 	ck, key string
 	more    *keyMemo
@@ -70,30 +69,20 @@ type keyMemo struct {
 
 func (m *keyMemo) get(ck string) (string, bool) {
 	for ; m != nil; m = m.more {
-		if m.key != "" && m.ck == ck {
+		if m.ck == ck {
 			return m.key, true
 		}
 	}
 	return "", false
 }
 
-func (m *keyMemo) put(ck, key string) {
-	switch {
-	case key == "": // nothing to remember (no variables)
-	case m.key == "":
-		m.ck, m.key = ck, key
-	default:
-		m.more = &keyMemo{ck: ck, key: key, more: m.more}
-	}
-}
-
 var emptyBinding = &binding{kind: rootLink}
 
 func newBinding() *binding { return emptyBinding }
 
-// with returns b extended with name bound to v (the paper's bᵢ + X[v]).
-func (b *binding) with(name string, v Node) *binding {
-	return &binding{kind: bindLink, parent: b, name: name, val: v}
+// with returns b extended with v bound to op.to (the paper's bᵢ + X[v]).
+func (b *binding) with(op *linkOp, v Node) *binding {
+	return &binding{kind: bindLink, parent: b, val: v, op: op}
 }
 
 // project restricts b to the variables op keeps.
@@ -116,7 +105,7 @@ func (b *binding) lookup(name string) *binding {
 	for cur := b; cur != nil; {
 		switch cur.kind {
 		case bindLink:
-			if cur.name == name {
+			if cur.op.to == name {
 				return cur
 			}
 			cur = cur.parent

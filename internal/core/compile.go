@@ -45,6 +45,33 @@ type Engine struct {
 	// intern canonicalizes the label vocabulary the engine's DFA caches
 	// key on; shared across all plans compiled by this engine.
 	intern *xmltree.Interner
+
+	// dfas keeps the automaton of each path expression, keyed by its
+	// canonical string, for the engine's lifetime (see pathDFA).
+	dfaMu sync.Mutex
+	dfas  map[string]*pathexpr.DFA
+}
+
+// maxDFAs caps the engine's automaton memo; a path first seen past the
+// cap gets a private automaton, as a fresh compile would.
+const maxDFAs = 256
+
+// pathDFA returns the lazy DFA of path p. Every open of every plan on
+// the engine shares one automaton per path, so transitions determinized
+// by one descent are map hits for the next. Automata depend on the
+// expression alone, so Register keeps them.
+func (e *Engine) pathDFA(p *pathexpr.Expr) *pathexpr.DFA {
+	key := p.String()
+	e.dfaMu.Lock()
+	defer e.dfaMu.Unlock()
+	if d, ok := e.dfas[key]; ok {
+		return d
+	}
+	d := pathexpr.NewDFA(pathexpr.Compile(p), e.intern)
+	if len(e.dfas) < maxDFAs {
+		e.dfas[key] = d
+	}
+	return d
 }
 
 // Register makes doc available to plans under the given source name.
@@ -120,10 +147,10 @@ type Query struct {
 // version; an unregistered source is the one error left to it. A named
 // view's canonical plan is (re)indexed for the semantic tier on every
 // compile, so a plan the index evicted is found again. The tree of lazy
-// mediators — the operator builders and their path DFAs — is built on
-// the first pull of the top-level log, so a query whose answer the
-// region cache already holds in full never builds one. No source is
-// accessed.
+// mediators — the operator builders, stepping the engine's path DFAs —
+// is built on the first pull of the top-level log, so a query whose
+// answer the region cache already holds in full never builds one. No
+// source is accessed.
 func (e *Engine) Compile(v *View) (*Query, error) {
 	q := &Query{view: v, eng: e, fingerprint: v.fp, regVer: e.RegistryVersion(), tracer: e.tracer}
 	c := &compiler{e: e, q: q, srcs: make(map[string]nav.Document, len(v.sources))}
@@ -305,7 +332,7 @@ func (q *Query) Materialize() (*xmltree.Tree, error) {
 // applies (see pipeline.go).
 
 func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
-	varName, out := op.Var, op.Out
+	varName, out := op.Var, &linkOp{to: op.Out}
 	return func(b *binding) (*binding, error) {
 		v, err := b.node(varName)
 		if err != nil {
@@ -316,7 +343,7 @@ func wrapListKernel(op *algebra.WrapList) func(*binding) (*binding, error) {
 }
 
 func constKernel(op *algebra.Const) func(*binding) (*binding, error) {
-	value, out := op.Value, op.Out
+	value, out := op.Value, &linkOp{to: op.Out}
 	return func(b *binding) (*binding, error) {
 		return b.with(out, FromTree(value)), nil
 	}
@@ -336,7 +363,7 @@ func renameKernel(op *algebra.Rename) func(*binding) (*binding, error) {
 }
 
 func concatKernel(op *algebra.Concatenate) func(*binding) (*binding, error) {
-	x, y, out := op.X, op.Y, op.Out
+	x, y, out := op.X, op.Y, &linkOp{to: op.Out}
 	return func(b *binding) (*binding, error) {
 		xv, err := b.node(x)
 		if err != nil {
@@ -352,7 +379,7 @@ func concatKernel(op *algebra.Concatenate) func(*binding) (*binding, error) {
 }
 
 func createElementKernel(op *algebra.CreateElement) func(*binding) (*binding, error) {
-	spec, ch, out := op.Label, op.Children, op.Out
+	spec, ch, out := op.Label, op.Children, &linkOp{to: op.Out}
 	return func(b *binding) (*binding, error) {
 		cv, err := b.node(ch)
 		if err != nil {
@@ -404,8 +431,10 @@ func projectKernel(op *algebra.Project) func(*binding) (*binding, error) {
 // level, state the DFA state before each of their labels (each
 // transition a memoized map hit), and once sibs run out the enclosing
 // level resumes at its siblings resume under frame up. Subtrees whose
-// state cannot reach acceptance are pruned without exploration; every
-// alive sibling costs exactly one allocation, the frame of its children.
+// state cannot reach acceptance are pruned without exploration, and so
+// are the children of a match no label can extend (homes.home never
+// reads a home's children); every match or alive sibling costs exactly
+// one allocation, the frame the descent continues from.
 type dfaFrame struct {
 	dfa    *pathexpr.DFA
 	up     *dfaFrame
@@ -415,7 +444,7 @@ type dfaFrame struct {
 }
 
 func newDFAMatchList(dfa *pathexpr.DFA, parent Node) *dfaFrame {
-	return &dfaFrame{dfa: dfa, state: dfa.Start(), sibs: parent.Children()}
+	return &dfaFrame{dfa: dfa, state: dfa.Start().ID, sibs: parent.Children()}
 }
 
 func (f *dfaFrame) next() (Node, list, error) {
@@ -437,13 +466,18 @@ func (f *dfaFrame) next() (Node, list, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		st2 := dfa.Step(f.state, label)
-		if !dfa.Alive(st2) {
+		st := dfa.Step(f.state, label)
+		if !st.Alive {
 			sibs = rest
 			continue
 		}
-		f = &dfaFrame{dfa: dfa, up: f, state: st2, sibs: c.Children(), resume: rest}
-		if dfa.Accepting(st2) {
+		if !st.Descends {
+			// An alive state that cannot descend accepts: a match whose
+			// children cannot extend it. Continue with its siblings.
+			return c, &dfaFrame{dfa: dfa, up: f.up, state: f.state, sibs: rest, resume: f.resume}, nil
+		}
+		f = &dfaFrame{dfa: dfa, up: f, state: st.ID, sibs: c.Children(), resume: rest}
+		if st.Accepting {
 			return c, f, nil
 		}
 		sibs = f.sibs

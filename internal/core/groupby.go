@@ -26,7 +26,7 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	by, varName, out := op.By, op.Var, op.Out
+	by, varName, out := op.By, op.Var, &linkOp{to: op.Out}
 	ks, cache := c.ks, c.e.opts.GroupCache
 	ck, proj := strings.Join(by, "\x01"), &linkOp{keep: by}
 	return func() (cursor, error) {
@@ -101,7 +101,7 @@ type groupsCursor struct {
 	ck      string
 	proj    *linkOp // projects a group head onto by
 	varName string
-	out     string
+	out     *linkOp // binds the grouped list
 	seen    map[string]bool
 }
 

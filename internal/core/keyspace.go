@@ -135,6 +135,6 @@ func (b *binding) key(ck string, ks *keyspace, vars []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b.keys.put(ck, k)
+	b.keys = &keyMemo{ck: ck, key: k, more: b.keys}
 	return k, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"mix/internal/nav"
+	"mix/internal/pathexpr"
 	"mix/internal/xmltree"
 )
 
@@ -54,5 +55,6 @@ func DefaultOptions() Options {
 // cache — the paper's fully naive evaluator; New(DefaultOptions()) is
 // the all-defaults engine.
 func New(o Options) *Engine {
-	return &Engine{opts: o, reg: map[string]nav.Document{}, intern: xmltree.NewInterner()}
+	return &Engine{opts: o, reg: map[string]nav.Document{}, intern: xmltree.NewInterner(),
+		dfas: map[string]*pathexpr.DFA{}}
 }

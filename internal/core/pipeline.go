@@ -260,7 +260,7 @@ func (f *filterCursor) fork() cursor {
 type expandCursor struct {
 	in   cursor
 	mk   func(*binding) (list, error)
-	out  string
+	out  *linkOp  // binds each match
 	base *binding // binding currently being expanded
 	cur  list     // its remaining match list
 }
@@ -526,9 +526,9 @@ func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
 	if c.q.tracer != nil {
 		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.q.tracer)
 	}
-	varName := op.Var
+	bind := &linkOp{to: op.Var}
 	return func() (cursor, error) {
-		b := newBinding().with(varName, SourceRoot(doc))
+		b := newBinding().with(bind, SourceRoot(doc))
 		return &sliceCursor{buf: []*binding{b}}, nil
 	}, nil
 }
@@ -538,8 +538,8 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, e
 	if err != nil {
 		return nil, err
 	}
-	dfa := pathexpr.NewDFA(pathexpr.Compile(op.Path), c.e.intern)
-	parent, out := op.Parent, op.Out
+	dfa := c.e.pathDFA(op.Path)
+	parent, out := op.Parent, &linkOp{to: op.Out}
 	raw := func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
@@ -590,7 +590,7 @@ func (c *compiler) compileFusedLabelScan(gd *algebra.GetDescendants, label strin
 	if err != nil {
 		return nil, err
 	}
-	parent, out := gd.Parent, gd.Out
+	parent, out := gd.Parent, &linkOp{to: gd.Out}
 	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
@@ -679,7 +679,7 @@ func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
 
 // descendCursor expands each input binding into the descendants of its
 // parent value that the path matches, bound to out.
-func descendCursor(in cursor, parent, out string, dfa *pathexpr.DFA) *expandCursor {
+func descendCursor(in cursor, parent string, out *linkOp, dfa *pathexpr.DFA) *expandCursor {
 	return &expandCursor{in: in, out: out, mk: func(b *binding) (list, error) {
 		pv, err := b.node(parent)
 		if err != nil {

@@ -115,21 +115,25 @@ func bindingsAnswer(ct *algebra.Containment, super *xmltree.Tree, subVars []stri
 // chainStep is a precompiled ChainOp: the path compiled to a DFA once
 // per candidate instead of once per group subtree.
 type chainStep struct {
-	parent, out string
-	dfa         *pathexpr.DFA
-	cond        algebra.Cond
+	parent string
+	out    *linkOp
+	dfa    *pathexpr.DFA
+	cond   algebra.Cond
 }
 
 func compileChain(ops []algebra.ChainOp) []chainStep {
 	steps := make([]chainStep, len(ops))
 	for i, op := range ops {
-		steps[i] = chainStep{parent: op.Parent, out: op.Out, cond: op.Cond}
+		steps[i] = chainStep{parent: op.Parent, out: &linkOp{to: op.Out}, cond: op.Cond}
 		if op.Path != nil {
 			steps[i].dfa = pathexpr.NewDFA(pathexpr.Compile(op.Path), nil)
 		}
 	}
 	return steps
 }
+
+// groupChainBind binds a group subtree to GroupChainVar.
+var groupChainBind = &linkOp{to: algebra.GroupChainVar}
 
 // countChain counts the derivations of a group chain over one
 // materialized group subtree: the number of bindings the chain's
@@ -138,7 +142,7 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 // descents evaluate exactly as the from-source pipeline would.
 func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 	var c cursor = &sliceCursor{buf: []*binding{
-		newBinding().with(algebra.GroupChainVar, FromTree(root))}}
+		newBinding().with(groupChainBind, FromTree(root))}}
 	for _, st := range steps {
 		if st.dfa != nil {
 			c = descendCursor(c, st.parent, st.out, st.dfa)

@@ -148,22 +148,23 @@ func TestE9Shape(t *testing.T) {
 }
 
 // TestPaperAblationCounts pins the navigation counts of the three paper
-// ablations. They are deterministic, and they are the numbers the
-// persistent-stream operators this engine started from produced: what
-// turning a cache off re-derives is part of the reproduction, not an
-// implementation detail.
+// ablations. They are deterministic: the numbers the persistent-stream
+// operators this engine started from produced, less the children of
+// matches no label can extend, which the pruned descent never reads.
+// What turning a cache off re-derives is part of the reproduction, not
+// an implementation detail.
 func TestPaperAblationCounts(t *testing.T) {
 	for _, tc := range []struct {
 		table Table
 		want  [][]string // the count columns, row by row
 	}{
 		{table("E6"), [][]string{
-			{"20", "1524", "8402"}, {"50", "3492", "47690"}, {"100", "7402", "185800"}}},
+			{"20", "1404", "6002"}, {"50", "3192", "32690"}, {"100", "6802", "125800"}}},
 		{table("E7"), [][]string{
-			{"50", "20", "652", "13040"}, {"200", "20", "2602", "52040"}, {"800", "20", "10402", "208040"}}},
+			{"50", "20", "352", "7040"}, {"200", "20", "1402", "28040"}, {"800", "20", "5602", "112040"}}},
 		{table("E9"), [][]string{
-			{"30", "2090", "286", "20750", "20750"}, {"60", "4258", "654", "79378", "79378"},
-			{"120", "8552", "1348", "309992", "309992"}}},
+			{"30", "1670", "286", "16610", "16610"}, {"60", "3418", "654", "63898", "63898"},
+			{"120", "6872", "1348", "250232", "250232"}}},
 	} {
 		if len(tc.table.Rows) != len(tc.want) {
 			t.Fatalf("%s: %d rows, want %d", tc.table.ID, len(tc.table.Rows), len(tc.want))

@@ -19,11 +19,14 @@ import (
 // the label sequences actually consumed are ever materialized, so the
 // classic exponential subset-construction blowup cannot happen unless
 // the input itself drives the automaton through that many distinct
-// sets. Each state's Accepting/Alive bits are precomputed at creation,
-// making those checks O(1) as well (the NFA's Alive scans the state
-// set against reverse reachability on every call).
+// sets. Each state's Accepting/Alive/Descends bits are precomputed at
+// creation and handed out with the state by Step, so a visited sibling
+// takes the lock once (the NFA's Alive scans the state set against
+// reverse reachability on every call).
 //
-// A DFA is safe for concurrent use.
+// A DFA depends only on its expression, never on a document: one
+// automaton may serve every descent over that path, and is safe for
+// concurrent use.
 type DFA struct {
 	nfa *NFA
 	in  *xmltree.Interner // optional: canonicalizes transition-map keys
@@ -32,14 +35,27 @@ type DFA struct {
 	states []dfaState
 	index  map[string]int // StateSet.Key() → state id
 	dead   int            // id of the empty-set state
-	start  int            // id of the start state, fixed at construction
+	start  State          // the start state, fixed at construction
 }
 
 type dfaState struct {
-	set       StateSet
-	accepting bool
-	alive     bool
-	next      map[string]int // label → state id
+	set  StateSet
+	bits State
+	next map[string]int // label → state id
+}
+
+// State is a DFA state id with its precomputed bits.
+type State struct {
+	ID int
+	// Accepting: the label sequence consumed so far is a complete match.
+	Accepting bool
+	// Alive: some continuation can still match; false means the descent
+	// can prune the subtree below this point.
+	Alive bool
+	// Descends: some one-label step leads to an Alive state. An
+	// accepting state without it is a dead end below: the match's
+	// children can never extend it, so the descent does not enter them.
+	Descends bool
 }
 
 // Package-wide cache counters, exposed on /metrics as mix_dfa_cache_*.
@@ -63,10 +79,10 @@ func DFAStats() (hits, misses, states int64) {
 func NewDFA(nfa *NFA, in *xmltree.Interner) *DFA {
 	d := &DFA{nfa: nfa, in: in, index: make(map[string]int)}
 	// State 0 is the dead state (empty set): stepping from it stays
-	// there, and Alive reports false, so pruned descents short-circuit
-	// without touching the cache.
+	// there, and all its bits are false, so pruned descents
+	// short-circuit without touching the cache.
 	d.dead = d.addLocked(StateSet{})
-	d.start = d.addLocked(nfa.Start())
+	d.start = d.states[d.addLocked(nfa.Start())].bits
 	return d
 }
 
@@ -79,55 +95,37 @@ func (d *DFA) addLocked(set StateSet) int {
 	}
 	id := len(d.states)
 	d.states = append(d.states, dfaState{
-		set:       set,
-		accepting: d.nfa.Accepting(set),
-		alive:     d.nfa.Alive(set),
-		next:      make(map[string]int),
+		set: set,
+		bits: State{ID: id, Accepting: d.nfa.Accepting(set),
+			Alive: d.nfa.Alive(set), Descends: d.nfa.Descends(set)},
+		next: make(map[string]int),
 	})
 	d.index[key] = id
 	dfaStates.Add(1)
 	return id
 }
 
-// Start returns the id of the start state.
-func (d *DFA) Start() int { return d.start }
+// Start returns the start state.
+func (d *DFA) Start() State { return d.start }
 
-// Step consumes one label and returns the id of the resulting state.
-func (d *DFA) Step(state int, label string) int {
-	if state == d.dead {
-		return d.dead
+// Step consumes one label from state from and returns the resulting
+// state with its bits.
+func (d *DFA) Step(from int, label string) State {
+	if from == d.dead {
+		return State{ID: d.dead}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := &d.states[state]
+	s := &d.states[from]
 	if to, ok := s.next[label]; ok {
 		dfaHits.Add(1)
-		return to
+		return d.states[to].bits
 	}
 	to := d.addLocked(d.nfa.Step(s.set, label))
 	// addLocked may grow d.states; re-index rather than reuse s.
-	d.states[state].next[d.in.Intern(label)] = to
+	d.states[from].next[d.in.Intern(label)] = to
 	dfaMisses.Add(1)
-	return to
-}
-
-// Accepting reports whether the label sequence consumed so far is a
-// complete match.
-func (d *DFA) Accepting(state int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.states[state].accepting
-}
-
-// Alive reports whether any continuation can still match; false means
-// the descent can prune the subtree below this point.
-func (d *DFA) Alive(state int) bool {
-	if state == d.dead {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.states[state].alive
+	return d.states[to].bits
 }
 
 // Size returns the number of materialized DFA states (including the
@@ -143,10 +141,9 @@ func (d *DFA) Size() int {
 func (d *DFA) Matches(labels []string) bool {
 	s := d.Start()
 	for _, l := range labels {
-		s = d.Step(s, l)
-		if s == d.dead {
+		if s = d.Step(s.ID, l); !s.Alive {
 			return false
 		}
 	}
-	return d.Accepting(s)
+	return s.Accepting
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mix/internal/pathexpr/pathexprtest"
 )
 
 func TestDFAMatchesAgreeWithNFA(t *testing.T) {
@@ -33,21 +35,28 @@ func TestDFAMatchesAgreeWithNFA(t *testing.T) {
 }
 
 func TestDFAStatewiseEquivalence(t *testing.T) {
-	// Step/Accepting/Alive must agree with the NFA at every prefix, not
-	// just the final Matches verdict — the lazy descent consults all
-	// three at each node.
+	// Step's Accepting/Alive/Descends bits must agree with the NFA at
+	// every prefix, not just the final Matches verdict — the lazy
+	// descent consults all three at each node.
 	nfa := Compile(MustParse("(a|b)*.x.y?"))
 	dfa := NewDFA(nfa, nil)
 	seq := []string{"a", "b", "a", "x", "y", "z"}
 	ns, ds := nfa.Start(), dfa.Start()
 	for i, l := range seq {
-		ns, ds = nfa.Step(ns, l), dfa.Step(ds, l)
-		if nfa.Accepting(ns) != dfa.Accepting(ds) {
+		ns, ds = nfa.Step(ns, l), dfa.Step(ds.ID, l)
+		if nfa.Accepting(ns) != ds.Accepting {
 			t.Fatalf("prefix %v: accepting disagrees", seq[:i+1])
 		}
-		if nfa.Alive(ns) != dfa.Alive(ds) {
+		if nfa.Alive(ns) != ds.Alive {
 			t.Fatalf("prefix %v: alive disagrees", seq[:i+1])
 		}
+		if nfa.Descends(ns) != ds.Descends {
+			t.Fatalf("prefix %v: descends disagrees", seq[:i+1])
+		}
+	}
+	// After "x.y" the match can only end: accepting, alive, a dead end.
+	if s := dfa.Step(dfa.Step(dfa.Start().ID, "x").ID, "y"); !s.Accepting || !s.Alive || s.Descends {
+		t.Fatalf("x.y: %+v, want an accepting dead end", s)
 	}
 }
 
@@ -55,7 +64,7 @@ func TestDFACachesTransitions(t *testing.T) {
 	nfa := Compile(MustParse("a*.x"))
 	dfa := NewDFA(nfa, nil)
 	h0, m0, _ := DFAStats()
-	s := dfa.Start()
+	s := dfa.Start().ID
 	dfa.Step(s, "a") // miss
 	dfa.Step(s, "a") // hit
 	dfa.Step(s, "a") // hit
@@ -85,15 +94,14 @@ func TestDFAStartNoAllocs(t *testing.T) {
 func TestDFADeadStateSticks(t *testing.T) {
 	nfa := Compile(MustParse("a.b"))
 	dfa := NewDFA(nfa, nil)
-	s := dfa.Start()
-	s = dfa.Step(s, "z") // no match possible
-	if dfa.Alive(s) {
-		t.Fatalf("dead state reports alive")
+	s := dfa.Step(dfa.Start().ID, "z") // no match possible
+	if s.Alive || s.Descends {
+		t.Fatalf("dead state reports alive or descending: %+v", s)
 	}
-	if dfa.Step(s, "a") != s {
+	if dfa.Step(s.ID, "a") != s {
 		t.Errorf("stepping from the dead state must stay dead")
 	}
-	if dfa.Accepting(s) {
+	if s.Accepting {
 		t.Errorf("dead state accepting")
 	}
 }
@@ -114,9 +122,9 @@ func TestDFAConcurrent(t *testing.T) {
 				for j := 0; j < r.Intn(6); j++ {
 					l := labels[r.Intn(len(labels))]
 					seq = append(seq, l)
-					s = dfa.Step(s, l)
+					s = dfa.Step(s.ID, l)
 				}
-				if got, want := dfa.Accepting(s), nfa.Matches(seq); got != want {
+				if got, want := s.Accepting, nfa.Matches(seq); got != want {
 					t.Errorf("seq %v: dfa=%v nfa=%v", seq, got, want)
 					return
 				}
@@ -126,37 +134,14 @@ func TestDFAConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// randExpr builds a random path-expression string from a byte budget —
-// shared by the fuzz target below and FuzzDFAMatchesNFA's corpus.
-func randExpr(r *rand.Rand, depth int) string {
-	labels := []string{"a", "b", "c", "_"}
-	if depth <= 0 || r.Intn(3) == 0 {
-		return labels[r.Intn(len(labels))]
-	}
-	switch r.Intn(6) {
-	case 0:
-		return randExpr(r, depth-1) + "." + randExpr(r, depth-1)
-	case 1:
-		return "(" + randExpr(r, depth-1) + "|" + randExpr(r, depth-1) + ")"
-	case 2:
-		return "(" + randExpr(r, depth-1) + ")*"
-	case 3:
-		return "(" + randExpr(r, depth-1) + ")+"
-	case 4:
-		return "(" + randExpr(r, depth-1) + ")?"
-	default:
-		return labels[r.Intn(len(labels))]
-	}
-}
-
 func TestDFARandomizedEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	alphabet := []string{"a", "b", "c", "d"}
 	for i := 0; i < 300; i++ {
-		src := randExpr(r, 3)
+		src := pathexprtest.Expr(r, 3)
 		e, err := Parse(src)
 		if err != nil {
-			t.Fatalf("randExpr produced unparsable %q: %v", src, err)
+			t.Fatalf("pathexprtest.Expr produced unparsable %q: %v", src, err)
 		}
 		nfa := Compile(e)
 		dfa := NewDFA(nfa, nil)
@@ -174,8 +159,10 @@ func TestDFARandomizedEquivalence(t *testing.T) {
 
 // FuzzDFAMatchesNFA asserts the lazy DFA is observationally equivalent
 // to the raw NFA: same Matches verdict, and same Accepting/Alive at
-// every prefix. The first input byte string selects/derives a path
-// expression; the second drives the label sequence.
+// every prefix. Descends must hold exactly when some label of the
+// expression's alphabet, or a label outside it, steps to an alive state.
+// The first input byte string selects/derives a path expression; the
+// second drives the label sequence.
 func FuzzDFAMatchesNFA(f *testing.F) {
 	f.Add("a*.x", "aax")
 	f.Add("(a|b).c", "bc")
@@ -192,20 +179,43 @@ func FuzzDFAMatchesNFA(f *testing.F) {
 		}
 		nfa := Compile(e)
 		dfa := NewDFA(nfa, nil)
+		// Every label outside the expression's alphabet steps alike, so
+		// the alphabet plus one fresh label covers every step.
+		sigma := map[string]bool{}
+		atomLabels(e.root, sigma)
+		steps := []string{"\x00fresh"}
+		for l := range sigma {
+			steps = append(steps, l)
+		}
+		descends := func(ns StateSet) bool {
+			for _, l := range steps {
+				if nfa.Alive(nfa.Step(ns, l)) {
+					return true
+				}
+			}
+			return false
+		}
 		// Map each input byte to a small label alphabet plus the
 		// occasional multi-byte label so interned keys get exercised.
 		labels := []string{"a", "b", "c", "x", "home", "zip", "_lit"}
 		ns, ds := nfa.Start(), dfa.Start()
 		var prefix []string
-		for i := 0; i < len(seqBytes); i++ {
+		for i := 0; ; i++ {
+			if want := descends(ns); ds.Descends != want {
+				t.Fatalf("expr %q prefix %v: descends = %v, want %v",
+					exprSrc, prefix, ds.Descends, want)
+			}
+			if i == len(seqBytes) {
+				break
+			}
 			l := labels[int(seqBytes[i])%len(labels)]
 			prefix = append(prefix, l)
-			ns, ds = nfa.Step(ns, l), dfa.Step(ds, l)
-			if nfa.Accepting(ns) != dfa.Accepting(ds) {
+			ns, ds = nfa.Step(ns, l), dfa.Step(ds.ID, l)
+			if nfa.Accepting(ns) != ds.Accepting {
 				t.Fatalf("expr %q prefix %v: accepting disagrees (nfa=%v)",
 					exprSrc, prefix, nfa.Accepting(ns))
 			}
-			if nfa.Alive(ns) != dfa.Alive(ds) {
+			if nfa.Alive(ns) != ds.Alive {
 				t.Fatalf("expr %q prefix %v: alive disagrees (nfa=%v)",
 					exprSrc, prefix, nfa.Alive(ns))
 			}
@@ -236,8 +246,8 @@ func BenchmarkStepDFA(b *testing.B) {
 	start := dfa.Start()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := dfa.Step(start, "a")
-		s = dfa.Step(s, "zip")
-		dfa.Step(s, "92093")
+		s := dfa.Step(start.ID, "a")
+		s = dfa.Step(s.ID, "zip")
+		dfa.Step(s.ID, "92093")
 	}
 }

@@ -158,6 +158,23 @@ func (m *NFA) Alive(s StateSet) bool {
 	return false
 }
 
+// Descends reports whether some one-label step from s leads to an
+// Alive state set. A label edge's target is in the ε-closure of the
+// step, and reverse reachability is closed under ε-predecessors, so the
+// step is alive exactly when some label edge out of s targets a state
+// that can reach accept.
+func (m *NFA) Descends(s StateSet) bool {
+	reach := m.canReachAccept()
+	for _, st := range s {
+		for _, e := range m.edges[st] {
+			if e.kind != tEps && reach[e.to] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (m *NFA) canReachAccept() []bool {
 	if m.reach != nil {
 		return m.reach
