@@ -65,7 +65,7 @@ func TestBindingLinkSize(t *testing.T) {
 // coldJoinGroupByAllocs bounds the allocations of the cold med-home
 // plan: compiled on a fresh engine over fresh sources and drained. It
 // measured 24 993 (Go 1.24, amd64); the bound adds the six that
-// warmOpenAllocs (internal/mediator) adds to its measured 12. Before
+// warmOpenAllocs (internal/mediator) adds to its measurement. Before
 // the descent skipped the children of dead-end matches and the binding
 // link shrank to 64 bytes, the same plan made 27 207.
 const coldJoinGroupByAllocs = 24993 + 6

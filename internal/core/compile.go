@@ -21,9 +21,9 @@ import (
 type Engine struct {
 	opts Options
 
-	// tracer is the recorder every query compiled afterwards starts
-	// with (see SetTracer in trace.go). nil — the default — compiles
-	// plans with no instrumentation at all.
+	// tracer is the recorder Document traces into (see SetTracer in
+	// trace.go). nil — the default — builds pipelines with no
+	// instrumentation at all.
 	tracer *trace.Recorder
 
 	// cache, when non-nil, is the shared cross-session region cache;
@@ -92,10 +92,13 @@ func (e *Engine) RegistryVersion() uint64 { return e.regVer.Load() }
 // SetRegionCache installs the shared cross-session region cache.
 // Queries compiled afterwards from a named view (see Prepare) return
 // cache-aware answer documents from Document. Set it before compiling;
-// it is not synchronized with concurrent Compile calls. A nil cache (the default) leaves every query uncached. The cache's
-// current generation is pinned here: install the cache when the engine
-// is built, so an engine that outlives an invalidation detaches from
-// the shared entries instead of polluting the fresh generation.
+// it is not synchronized with concurrent Compile calls. A nil cache
+// (the default) leaves every query uncached.
+//
+// The cache's current generation is pinned here: install the cache when
+// the engine is built, so an engine that outlives an invalidation
+// detaches from the shared entries instead of polluting the fresh
+// generation.
 func (e *Engine) SetRegionCache(c *regioncache.Cache) {
 	e.cache = c
 	if c != nil {
@@ -111,55 +114,48 @@ func (e *Engine) lookup(name string) (nav.Document, bool) {
 	return doc, ok
 }
 
-// Query is a compiled view: the tree of lazy mediators, ready to serve
-// navigations. Building a Query performs no source access.
+// Query is a compiled view: its sources resolved and its region-cache
+// key fixed. Building a Query accesses no source and builds no pipeline.
 type Query struct {
 	view *View
 	eng  *Engine
 
 	// fingerprint/regVer complete the view's region-cache key (see
 	// RegionKey); both are fixed at compile time, regVer when the view's
-	// sources are resolved.
+	// sources are resolved into srcs (parallel to view.sources).
 	fingerprint string
 	regVer      uint64
+	srcs        []nav.Document
 
-	// semMu/semTried gate the one semantic-cache attempt per query (see
-	// entry): it runs on the first demand open that finds the entry
-	// incomplete, and its verdict — materialized into the entry on a
-	// hit — is served by the exact-match layer forever after.
-	semMu    sync.Mutex
-	semTried bool
+	entOnce sync.Once
+	ent     *regioncache.Entry // see entry
 
-	// top is the query's top-level pipeline behind the one log every
-	// Document replays. For tupleDestroy plans it is the pipeline of the
-	// root's input and answer the lazy root node of the virtual answer
-	// document resolved from its first binding; otherwise answer is nil
-	// and Document renders the log as the bs[b[…]…] binding tree.
-	top    *lazyLog
-	answer Node
+	// top is the top-level pipeline behind the one log every answer
+	// document replays, and ans the lazy answer root over it (see root).
+	top *lazyLog
+	ans Node
 
-	// tracer is the recorder of the query's spans (see SetTracer);
-	// nil compiles the pipeline with no instrumentation.
-	tracer *trace.Recorder
+	// rec is the recorder of the navigation being served (nil: none),
+	// traced the source documents of a pipeline built while one was set.
+	rec    *trace.Recorder
+	traced []*trace.Doc
 }
 
 // Compile resolves every source v names and samples the registry
 // version; an unregistered source is the one error left to it. A named
 // view's canonical plan is (re)indexed for the semantic tier on every
-// compile, so a plan the index evicted is found again. The tree of lazy
-// mediators — the operator builders, stepping the engine's path DFAs —
-// is built on the first pull of the top-level log, so a query whose
-// answer the region cache already holds in full never builds one. No
-// source is accessed.
+// compile, so a plan the index evicted is found again. No source is
+// accessed and no operator pipeline is built: a query of a named view
+// builds one only if it becomes its region-cache entry's producer.
 func (e *Engine) Compile(v *View) (*Query, error) {
-	q := &Query{view: v, eng: e, fingerprint: v.fp, regVer: e.RegistryVersion(), tracer: e.tracer}
-	c := &compiler{e: e, q: q, srcs: make(map[string]nav.Document, len(v.sources))}
-	for _, name := range v.sources {
+	q := &Query{view: v, eng: e, fingerprint: v.fp, regVer: e.RegistryVersion(),
+		srcs: make([]nav.Document, len(v.sources))}
+	for i, name := range v.sources {
 		doc, ok := e.lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("core: plan references unregistered source %q", name)
 		}
-		c.srcs[name] = doc
+		q.srcs[i] = doc
 	}
 	if v.opaque != "" {
 		// An opaque plan mints a fresh fingerprint per query, so no two
@@ -172,12 +168,24 @@ func (e *Engine) Compile(v *View) (*Query, error) {
 		// (IndexPlan drops stale generations itself).
 		e.cache.IndexPlan(q.RegionKey(), v.canon)
 	}
-	input := v.plan
+	return q, nil
+}
+
+// root returns the lazy root of the query's answer, built on the first
+// call. The tree of lazy mediators behind it — the operator builders,
+// stepping the engine's path DFAs — is built on its first pull, traced
+// if a recorder is set then.
+func (q *Query) root() Node {
+	if q.ans != nil {
+		return q.ans
+	}
+	c := &compiler{e: q.eng, q: q}
+	input := q.view.plan
 	td, isTD := input.(*algebra.TupleDestroy)
 	if isTD {
 		input = td.Input
 	}
-	q.top = &lazyLog{in: func() (cursor, error) {
+	top := &lazyLog{in: func() (cursor, error) {
 		c.ks = newKeyspace()
 		bb, err := c.compile(input)
 		if err != nil {
@@ -185,25 +193,34 @@ func (e *Engine) Compile(v *View) (*Query, error) {
 		}
 		return bb()
 	}}
-	if isTD {
-		// The answer element resolves from the first binding only, pulled
-		// on first navigation.
-		q.answer = &lazyNode{resolve: func() (Node, error) {
-			log, err := q.top.get()
+	q.top = top
+	if !isTD {
+		q.ans = NewElem("bs", deferList(func() (list, error) {
+			log, err := top.get()
 			if err != nil {
 				return nil, err
 			}
-			b, err := log.at(0)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				return nil, fmt.Errorf("core: tupleDestroy over empty binding list")
-			}
-			return b.node(td.Var)
-		}}
+			return bindingList{log: log, vars: q.view.topVars}, nil
+		}))
+		return q.ans
 	}
-	return q, nil
+	// The answer element resolves from the first binding only, pulled on
+	// first navigation.
+	q.ans = &lazyNode{resolve: func() (Node, error) {
+		log, err := top.get()
+		if err != nil {
+			return nil, err
+		}
+		b, err := log.at(0)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return nil, fmt.Errorf("core: tupleDestroy over empty binding list")
+		}
+		return b.node(td.Var)
+	}}
+	return q.ans
 }
 
 // CacheName returns the region-cache name the view was prepared under.
@@ -215,59 +232,52 @@ func (q *Query) CacheName() string { return q.view.name }
 // region-cache key and the cluster routing key.
 func (q *Query) Fingerprint() string { return q.fingerprint }
 
-// Document returns the virtual answer document. For tupleDestroy-rooted
-// plans this is the constructed answer element; for other plans it is
-// the binding-list tree bs[b[…]…] (the inter-mediator view of Fig. 2).
-// Obtaining the document and its root handle accesses no source.
+// Document returns the virtual answer document, traced into the
+// engine's recorder (see TracedDocument).
+func (q *Query) Document() nav.Document { return q.TracedDocument(q.eng.tracer) }
+
+// TracedDocument returns the virtual answer document, tracing into rec
+// (nil: none): the constructed answer element for tupleDestroy-rooted
+// plans, else the binding-list tree bs[b[…]…] (the inter-mediator view
+// of Fig. 2). Obtaining it and its root handle accesses no source.
 //
-// When the engine has a region cache and the query a cache name, the
-// returned document is cache-aware: navigations over regions another
-// session (or an earlier Document of this query) already explored are
-// answered from the shared cache without touching this query's lazy
-// streams; only cache misses drive them.
-func (q *Query) Document() nav.Document {
-	root := q.answer
-	if root == nil {
-		root = q.bindingsNode()
+// With a region cache and a cache name, the document reads the shared
+// entry: a miss drives the entry's one producer, the answer of the first
+// query that missed, with rec lent to it for the span of the miss.
+func (q *Query) TracedDocument(rec *trace.Recorder) nav.Document {
+	if e := q.entry(); e != nil {
+		return regioncache.NewDoc(e, q.answer, rec)
 	}
-	inner := NewVDoc(root)
-	entry := q.entry()
-	if entry == nil {
-		return inner
-	}
-	doc := regioncache.NewDoc(entry, inner)
-	if rec := q.tracer; rec != nil {
-		doc.Observe = func(op string, hit bool) {
-			label := "cache:miss"
-			if hit {
-				label = "cache:hit"
-			}
-			rec.End(rec.Begin(label, op))
-		}
-	}
-	return doc
+	d := &VDoc{root: q.root(), q: q}
+	d.Trace(rec)
+	return d
 }
 
-// entry resolves the query's region-cache entry: nil without an engine
-// cache or a cache name, else regioncache.Cache.Open of RegionKey (L1,
-// then the L2 fetch on creation). It then makes the query's one
-// semantic attempt (regioncache.Cache.Subsume) if the entry is not
-// already complete.
+// answer builds the query's answer document afresh as its entry's
+// producer: one the entry retired after a failed navigation keeps the
+// error in its lazy streams.
+func (q *Query) answer() nav.Document {
+	q.ans, q.traced = nil, nil
+	return &VDoc{root: q.root(), q: q}
+}
+
+// entry resolves the query's region-cache entry once: nil without an
+// engine cache or a cache name, else regioncache.Cache.Open of RegionKey
+// (L1, then the L2 fetch on creation). The first query to find the entry
+// incomplete then makes the entry's one semantic attempt
+// (regioncache.Cache.Subsume).
 func (q *Query) entry() *regioncache.Entry {
 	c := q.eng.cache
 	if c == nil || q.view.name == "" {
 		return nil
 	}
-	e := c.Open(q.RegionKey())
-	if q.view.canon != nil {
-		q.semMu.Lock()
-		if !q.semTried && !e.Complete() {
-			q.semTried = true
-			c.Subsume(e, q.view.canon, q.rebuild)
+	q.entOnce.Do(func() {
+		q.ent = c.Open(q.RegionKey())
+		if q.view.canon != nil && !q.ent.Complete() && q.ent.FirstSemantic() {
+			c.Subsume(q.ent, q.view.canon, q.rebuild)
 		}
-		q.semMu.Unlock()
-	}
-	return e
+	})
+	return q.ent
 }
 
 // Warm resolves the query's entry the way Document does and reports
@@ -277,18 +287,6 @@ func (q *Query) entry() *regioncache.Entry {
 func (q *Query) Warm() bool {
 	e := q.entry()
 	return e != nil && e.Complete()
-}
-
-// bindingsNode renders the top-level binding list as a lazy
-// bs[b[X[…]…]…] tree in plan OutVars order.
-func (q *Query) bindingsNode() Node {
-	return NewElem("bs", deferList(func() (list, error) {
-		log, err := q.top.get()
-		if err != nil {
-			return nil, err
-		}
-		return bindingList{log: log, vars: q.view.topVars}, nil
-	}))
 }
 
 // bindingList renders the top-level log as a lazy list of b[…] nodes,

@@ -179,7 +179,7 @@ func TestPipelineBuiltOnFirstPull(t *testing.T) {
 			Parent: "R", Path: pathexpr.MustParse("home.zip"), Out: "Z",
 		}
 	}
-	built := func(q *Query) bool { return q.top.log != nil || q.top.err != nil }
+	built := func(q *Query) bool { return q.top != nil && (q.top.log != nil || q.top.err != nil) }
 
 	cold := mustCompileAs(t, e, plan(), "v")
 	if built(cold) {

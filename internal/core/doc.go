@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mix/internal/nav"
+	"mix/internal/trace"
 )
 
 // VDoc exposes a lazy Node tree as a nav.Document: the virtual XML
@@ -16,10 +17,23 @@ import (
 // information").
 type VDoc struct {
 	root Node
+	q    *Query // the query whose answer this is (nil: none)
 }
 
 // NewVDoc exposes root as a virtual document.
 func NewVDoc(root Node) *VDoc { return &VDoc{root: root} }
+
+// Trace routes the spans of the query's next navigations to rec (nil:
+// none); a pipeline built untraced stays untraced. A region-cache entry
+// lends its producer each missing session's recorder through it.
+func (d *VDoc) Trace(rec *trace.Recorder) {
+	if q := d.q; q != nil {
+		q.rec = rec
+		for _, td := range q.traced {
+			td.Rec = rec
+		}
+	}
+}
 
 // vid is the node-id: the handle to a node plus the lazy sibling
 // remainder (nil for the root, which has no siblings).

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"mix/internal/nav"
 	"mix/internal/xmltree"
 )
 
@@ -32,17 +31,16 @@ import (
 // from different queries — or from the same plan compiled twice — are
 // never mixed.
 
-// compiler carries the per-compile state threaded through plan
-// compilation: the engine (options, interner), the query being
-// compiled (and its recorder), the source documents Compile resolved,
-// and the query-scoped keyspace. Engine.Compile may be called
-// concurrently, so per-compile state lives here rather than on the
+// compiler carries the per-build state threaded through plan
+// compilation: the engine (options, interner), the query being built
+// (its recorder and the source documents Compile resolved), and the
+// query-scoped keyspace. Pipelines of one engine may be built
+// concurrently, so per-build state lives here rather than on the
 // Engine.
 type compiler struct {
-	e    *Engine
-	q    *Query
-	srcs map[string]nav.Document
-	ks   *keyspace
+	e  *Engine
+	q  *Query
+	ks *keyspace
 }
 
 // keyspace disambiguates fingerprint collisions within one query.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -175,22 +176,23 @@ func (c *logCursor) next() (*binding, error) {
 func (c *logCursor) fork() cursor { f := *c; return &f }
 
 // tracedCursor wraps an operator's cursor so every pull opens a
-// "next" span.
+// "next" span in the recorder of the navigation being served.
 type tracedCursor struct {
 	in    cursor
 	label string
-	rec   *trace.Recorder
+	q     *Query
 }
 
 func (t *tracedCursor) next() (*binding, error) {
-	sp := t.rec.Begin(t.label, "next")
+	rec := t.q.rec
+	sp := rec.Begin(t.label, "next")
 	b, err := t.in.next()
-	t.rec.End(sp)
+	rec.End(sp)
 	return b, err
 }
 
 func (t *tracedCursor) fork() cursor {
-	return &tracedCursor{in: t.in.fork(), label: t.label, rec: t.rec}
+	return &tracedCursor{in: t.in.fork(), label: t.label, q: t.q}
 }
 
 // sliceCursor serves a fixed slice (sources, sorted orderBy output).
@@ -452,16 +454,16 @@ func (s *sortCursor) fork() cursor {
 // boundary of the observability layer).
 func (c *compiler) compile(p algebra.Op) (builder, error) {
 	bb, err := c.compileNode(p)
-	if err != nil || c.q.tracer == nil {
+	if err != nil || c.q.rec == nil {
 		return bb, err
 	}
-	label, rec := opLabel(p), c.q.tracer
+	label, q := opLabel(p), c.q
 	return func() (cursor, error) {
 		cur, err := bb()
 		if err != nil {
 			return nil, err
 		}
-		return &tracedCursor{in: cur, label: label, rec: rec}, nil
+		return &tracedCursor{in: cur, label: label, q: q}, nil
 	}, nil
 }
 
@@ -522,9 +524,11 @@ func (c *compiler) compilePerBinding(input algebra.Op, fn func(*binding) (*bindi
 }
 
 func (c *compiler) compileSource(op *algebra.Source) (builder, error) {
-	doc := c.srcs[op.URL]
-	if c.q.tracer != nil {
-		doc = trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.q.tracer)
+	doc := c.q.srcs[slices.Index(c.q.view.sources, op.URL)]
+	if c.q.rec != nil {
+		td := trace.NewDoc(doc, trace.SourcePrefix+op.URL, c.q.rec)
+		c.q.traced = append(c.q.traced, td)
+		doc = td
 	}
 	bind := &linkOp{to: op.Var}
 	return func() (cursor, error) {

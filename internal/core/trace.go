@@ -7,20 +7,15 @@ import (
 	"mix/internal/trace"
 )
 
-// SetTracer installs the navigation-trace recorder every query compiled
-// *after* the call starts with (see Query.SetTracer). Set it before
+// SetTracer installs the navigation-trace recorder Query.Document traces
+// into; Query.TracedDocument picks another per document. A pipeline
+// built while a recorder is set gets a trace.Doc at every source
+// boundary and a traced cursor at every operator boundary, so each
+// client navigation unfolds into a causal span tree (operator pulls →
+// source navigations). A pipeline built without one is completely
+// untouched — tracing off is the zero-cost default. Set it before
 // compiling; it is not synchronized with concurrent Compile calls.
 func (e *Engine) SetTracer(rec *trace.Recorder) { e.tracer = rec }
-
-// SetTracer routes the query's spans to rec (nil: none), replacing the
-// engine's recorder for this query alone, so queries of one engine can
-// trace into different recorders. A traced query gets a trace.Doc at
-// every source boundary and a traced cursor at every operator boundary,
-// so each client navigation unfolds into a causal span tree (operator
-// pulls → source navigations). A query without a recorder is completely
-// untouched — tracing off is the zero-cost default. Call it before the
-// first Document.
-func (q *Query) SetTracer(rec *trace.Recorder) { q.tracer = rec }
 
 // opLabel names an operator for trace spans and latency histograms.
 func opLabel(p algebra.Op) string {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mix/internal/lxp"
+	"mix/internal/nav"
 )
 
 // memo runs each experiment at most once per test binary: the golden,
@@ -264,7 +265,7 @@ func TestE13Shape(t *testing.T) {
 
 func TestE12Shape(t *testing.T) {
 	tb := table("E12")
-	if len(tb.Rows) != 5 {
+	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for i := range tb.Rows {
@@ -289,6 +290,19 @@ func TestE12Shape(t *testing.T) {
 		if src := col(t, tb, i, 3); src == 0 {
 			t.Fatalf("row %d should re-derive at the sources: %v", i, tb.Rows[i])
 		}
+	}
+	// Continuing past the warm results (row 6) costs the sources exactly
+	// what the deriving session pays for the same further results: a
+	// private session's cost for all of them less its cost for the
+	// first ones.
+	cold := func(k int) int64 {
+		var srcs []*nav.CountingDoc
+		e12Session(nil, k, &srcs)
+		return sourceNavs(srcs)
+	}
+	want := cold(e12First+e12More) - cold(e12First)
+	if src := col(t, tb, 5, 3); src != want || want == 0 {
+		t.Fatalf("continuing past the warm prefix cost %d source navigations, the deriving session %d", src, want)
 	}
 }
 

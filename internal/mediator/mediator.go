@@ -99,11 +99,11 @@ func New(opts Options) *Mediator {
 }
 
 // SetTracer installs a navigation-trace recorder on the mediator's
-// engine: queries prepared after the call produce causal traces of how
-// client navigations fan out through the lazy-mediator tree into
-// source navigations (Result.SetTracer picks another recorder for one
-// query). Install before the first Query; without a tracer, query
-// evaluation is completely uninstrumented.
+// engine: answer documents (Result.Document) produce causal traces of
+// how client navigations fan out through the lazy-mediator tree into
+// source navigations (Result.TracedDocument picks another recorder for
+// one document). Install before the first Query; without a tracer,
+// query evaluation is completely uninstrumented.
 func (m *Mediator) SetTracer(rec *trace.Recorder) { m.engine.SetTracer(rec) }
 
 // SetRegionCache installs a shared cross-session region cache: answer
@@ -202,10 +202,10 @@ type Result struct {
 // root handle) performs no source access.
 func (r *Result) Document() nav.Document { return r.query.Document() }
 
-// SetTracer routes this result's navigation spans to rec instead of the
-// mediator's recorder (see core.Query.SetTracer): sessions sharing one
-// mediator each trace into their own. Call it before Document.
-func (r *Result) SetTracer(rec *trace.Recorder) { r.query.SetTracer(rec) }
+// TracedDocument returns the virtual answer document, tracing into rec
+// instead of the mediator's recorder: sessions sharing one mediator each
+// trace into their own.
+func (r *Result) TracedDocument(rec *trace.Recorder) nav.Document { return r.query.TracedDocument(rec) }
 
 // CacheKey returns the (view name, canonical plan fingerprint) pair
 // that identifies this query's answer document across mediator

@@ -274,12 +274,14 @@ func warmMediator(tb testing.TB) *Mediator {
 
 // warmOpenAllocs bounds the allocations of a warm open — a memo hit
 // compiled and its cache-aware document built over a complete entry.
-// It measured 12 (Go 1.24, amd64): the Query with its resolved-source
-// map and deferred pipeline root, the cache-aware document and the
+// It measured 5 (Go 1.24, amd64): the Query with its resolved-source
+// slice, the cache-aware document with its producer func, and the
 // Result; the plan was validated and canonicalized once, by
-// core.Prepare. Before the prepared view the same open made 64, and
-// before the memo and the deferred pipeline 606.
-const warmOpenAllocs = 18
+// core.Prepare, and no pipeline root is built, since the entry owns its
+// producer. The bound adds six, as it always has. Before the entry
+// owned its producer the same open made 12, before the prepared view
+// 64, and before the memo and the deferred pipeline 606.
+const warmOpenAllocs = 11
 
 // TestWarmQueryAllocs pins the warm open's allocation bound: no
 // preprocessing and no operator pipeline.

@@ -2,76 +2,48 @@ package regioncache
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
 
 	"mix/internal/nav"
+	"mix/internal/trace"
 )
 
-// Doc is the cache-aware nav.Document installed at the answer boundary:
-// it answers d/r/f from the shared Entry when the region is cached (a
-// hit costs zero navigations on the wrapped document) and falls through
-// to the wrapped lazy document on a miss, publishing what it learns.
-//
-// Node-ids are paths from the answer root. On the miss path the wrapped
-// document's own ids are resolved lazily: the Doc replays d/r commands
-// from the deepest already-resolved ancestor, so a session that reached
-// a frontier purely through cache hits pays the replay cost only when —
-// and where — it actually crosses the frontier. Resolved inner ids are
-// memoized per Doc (per session), never shared.
-//
-// A Doc is safe for concurrent use, but the wrapped document is driven
-// under the Doc's lock: sessions own their wrapped engine exclusively,
-// exactly as without the cache.
+// Doc is one session's cache-aware nav.Document over a shared Entry,
+// installed at the answer boundary: it answers d/r/f from the entry when
+// the region is cached (a hit costs zero navigations at the sources) and
+// hands a miss to the entry's one producer, which continues from the
+// deepest node any session resolved (see Entry). Node-ids are paths from
+// the answer root. A Doc is safe for concurrent use.
 type Doc struct {
-	entry *Entry
-	inner nav.Document
-
-	// Observe, when non-nil, is called for every command answered, with
-	// the DOM-VXD op name and whether it was a cache hit. The compiler
-	// wires this to the navigation tracer so hits/misses show up in
-	// span forests.
-	Observe func(op string, hit bool)
-
-	mu  sync.Mutex
-	ids map[string]nav.ID // pathKey → resolved inner id
+	entry   *Entry
+	produce func() nav.Document // builds the producer if the entry has none
+	// rec, when non-nil, records a cache:hit or cache:miss span per
+	// command and is lent to the producer for the span of each miss, so
+	// the source spans it causes nest under this session's client span.
+	rec *trace.Recorder
 }
 
-// NewDoc wraps inner with the shared entry. A nil entry or nil inner is
-// a programming error.
-func NewDoc(entry *Entry, inner nav.Document) *Doc {
-	return &Doc{entry: entry, inner: inner, ids: map[string]nav.ID{}}
+// NewDoc returns a session's document over entry; rec (nil: untraced)
+// is the session's span recorder.
+func NewDoc(entry *Entry, produce func() nav.Document, rec *trace.Recorder) *Doc {
+	return &Doc{entry: entry, produce: produce, rec: rec}
 }
 
 // Wrap returns the cache-aware document for (name, fingerprint,
-// registry) over inner, sharing the entry with every other Wrap of the
-// same key in the current generation. A nil Cache returns inner
-// unchanged, so callers can wire the cache unconditionally.
+// registry), sharing the entry with every other Wrap of the same key in
+// the current generation; inner becomes the entry's producer if the
+// entry has none. A nil Cache returns inner unchanged, so callers can
+// wire the cache unconditionally.
 func (c *Cache) Wrap(name, fingerprint string, registry uint64, inner nav.Document) nav.Document {
 	if c == nil {
 		return inner
 	}
-	return NewDoc(c.Entry(name, fingerprint, registry), inner)
+	return NewDoc(c.Entry(name, fingerprint, registry), func() nav.Document { return inner }, nil)
 }
-
-// Unwrap returns the wrapped document (see nav.Wrapper).
-func (d *Doc) Unwrap() nav.Document { return d.inner }
 
 // rid is the Doc's node-id: the path from the answer root.
 type rid struct {
 	d    *Doc
 	path []int
-}
-
-// pathKey renders a path as "/0/3": one allocation, the string itself.
-func pathKey(path []int) string {
-	var buf [64]byte
-	k := buf[:0]
-	for _, i := range path {
-		k = append(k, '/')
-		k = strconv.AppendInt(k, int64(i), 10)
-	}
-	return string(k)
 }
 
 func (d *Doc) id(p nav.ID) (*rid, error) {
@@ -83,77 +55,23 @@ func (d *Doc) id(p nav.ID) (*rid, error) {
 }
 
 func (d *Doc) observe(op nav.Op, hit bool) {
+	label := "cache:miss"
 	if hit {
 		d.entry.c.hits.Add(1)
+		label = "cache:hit"
 	} else {
 		d.entry.c.misses.Add(1)
 	}
-	if d.Observe != nil {
-		d.Observe(string(op), hit)
+	if d.rec != nil {
+		d.rec.End(d.rec.Begin(label, string(op)))
 	}
 }
 
 // Root implements nav.Document. Like the lazy engine's own root, it
-// performs no navigation at all — the inner root is resolved on first
-// miss.
+// performs no navigation at all: the producer's root is resolved on the
+// first miss.
 func (d *Doc) Root() (nav.ID, error) {
 	return &rid{d: d}, nil
-}
-
-// resolve returns the inner document's id for r, replaying d/r commands
-// from the deepest resolved ancestor. Caller holds d.mu.
-func (d *Doc) resolve(r *rid) (nav.ID, error) {
-	pk := pathKey(r.path)
-	if id, ok := d.ids[pk]; ok {
-		return id, nil
-	}
-	// Deepest resolved ancestor (the root resolves via inner.Root).
-	depth := len(r.path)
-	var cur nav.ID
-	for ; depth > 0; depth-- {
-		if id, ok := d.ids[pathKey(r.path[:depth])]; ok {
-			cur = id
-			break
-		}
-	}
-	if cur == nil {
-		root, err := d.inner.Root()
-		if err != nil {
-			return nil, err
-		}
-		if root == nil {
-			return nil, fmt.Errorf("regioncache: wrapped document has no root")
-		}
-		cur = root
-		d.ids[""] = cur
-	}
-	for lvl := depth; lvl < len(r.path); lvl++ {
-		idx := r.path[lvl]
-		next, err := d.inner.Down(cur)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < idx && next != nil; j++ {
-			next, err = d.inner.Right(next)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if next == nil {
-			// The cache says this node exists but the session's own
-			// engine disagrees: the underlying sources changed without a
-			// generation bump.
-			return nil, fmt.Errorf("regioncache: document diverged from cache at %s (missing registry invalidation?)", pathKey(r.path[:lvl+1]))
-		}
-		cur = next
-		d.ids[pathKey(r.path[:lvl+1])] = cur
-	}
-	return cur, nil
-}
-
-// childPath allocates the path of child i under path.
-func childPath(path []int, i int) []int {
-	return append(append(make([]int, 0, len(path)+1), path...), i)
 }
 
 // Down implements nav.Document.
@@ -162,32 +80,7 @@ func (d *Doc) Down(p nav.ID) (nav.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ok, known := d.entry.lookupChild(r.path, 0); known {
-		d.observe(nav.OpDown, true)
-		if !ok {
-			return nil, nil
-		}
-		return &rid{d: d, path: childPath(r.path, 0)}, nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	base, err := d.resolve(r)
-	if err != nil {
-		return nil, err
-	}
-	child, err := d.inner.Down(base)
-	if err != nil {
-		return nil, err
-	}
-	d.observe(nav.OpDown, false)
-	if child == nil {
-		d.entry.storeChild(r.path, 0, false)
-		return nil, nil
-	}
-	cp := childPath(r.path, 0)
-	d.ids[pathKey(cp)] = child
-	d.entry.storeChild(r.path, 0, true)
-	return &rid{d: d, path: cp}, nil
+	return d.step(nav.OpDown, r.path, r.path, 0)
 }
 
 // Right implements nav.Document.
@@ -200,32 +93,36 @@ func (d *Doc) Right(p nav.ID) (nav.ID, error) {
 		return nil, nil // the answer root has no siblings
 	}
 	parent, i := r.path[:len(r.path)-1], r.path[len(r.path)-1]
-	if ok, known := d.entry.lookupChild(parent, i+1); known {
-		d.observe(nav.OpRight, true)
-		if !ok {
-			return nil, nil
+	return d.step(nav.OpRight, r.path, parent, i+1)
+}
+
+// step answers d or r from the node at from, landing on child i of the
+// node at parent: from the entry when it knows, else from the producer
+// under the entry's producer lock, which a hit never takes.
+func (d *Doc) step(op nav.Op, from, parent []int, i int) (nav.ID, error) {
+	e := d.entry
+	exists, known := e.lookupChild(parent, i)
+	if !known {
+		e.pmu.Lock()
+		defer e.pmu.Unlock()
+		// Another session may have derived the child while this one waited.
+		if exists, known = e.lookupChild(parent, i); !known {
+			next, _, err := e.derive(d, op, from)
+			if err != nil {
+				return nil, err
+			}
+			d.observe(op, false)
+			e.storeChild(parent, i, next)
+			exists = next != nil
 		}
-		return &rid{d: d, path: childPath(parent, i+1)}, nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	base, err := d.resolve(r)
-	if err != nil {
-		return nil, err
+	if known {
+		d.observe(op, true)
 	}
-	sib, err := d.inner.Right(base)
-	if err != nil {
-		return nil, err
-	}
-	d.observe(nav.OpRight, false)
-	if sib == nil {
-		d.entry.storeChild(parent, i+1, false)
+	if !exists {
 		return nil, nil
 	}
-	sp := childPath(parent, i+1)
-	d.ids[pathKey(sp)] = sib
-	d.entry.storeChild(parent, i+1, true)
-	return &rid{d: d, path: sp}, nil
+	return &rid{d: d, path: append(append(make([]int, 0, len(parent)+1), parent...), i)}, nil
 }
 
 // Fetch implements nav.Document.
@@ -234,22 +131,22 @@ func (d *Doc) Fetch(p nav.ID) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if label, ok := d.entry.lookupLabel(r.path); ok {
+	e := d.entry
+	label, known := e.lookupLabel(r.path)
+	if !known {
+		e.pmu.Lock()
+		defer e.pmu.Unlock()
+		if label, known = e.lookupLabel(r.path); !known {
+			if _, label, err = e.derive(d, nav.OpFetch, r.path); err != nil {
+				return "", err
+			}
+			d.observe(nav.OpFetch, false)
+			e.storeLabel(r.path, label)
+		}
+	}
+	if known {
 		d.observe(nav.OpFetch, true)
-		d.entry.c.bytesSaved.Add(int64(len(label)))
-		return label, nil
+		e.c.bytesSaved.Add(int64(len(label)))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	base, err := d.resolve(r)
-	if err != nil {
-		return "", err
-	}
-	label, err := d.inner.Fetch(base)
-	if err != nil {
-		return "", err
-	}
-	d.observe(nav.OpFetch, false)
-	d.entry.storeLabel(r.path, label)
 	return label, nil
 }

@@ -1,10 +1,13 @@
 package regioncache
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"mix/internal/nav"
+	"mix/internal/trace"
 	"mix/internal/xmltree"
 )
 
@@ -32,16 +35,15 @@ func keyOverhead(k Key) int64 {
 	return o
 }
 
-// Entry is the cached partial tree for one Key: labels and child-list
-// prefixes of the explored region of a virtual answer document. An entry
-// has no holes — what is known is a *prefix* of each child list plus a
-// completeness bit, which is exactly what left-to-right DOM-VXD
-// navigation discovers.
-//
-// All reads copy immutable values out under a read lock (copy-on-read);
-// writers only ever extend the known region, and because an entry is
-// pinned to one (generation, registry version), concurrent writers can
-// only publish identical data — merge races are benign.
+// Entry is the cached partial tree for one Key (see the package
+// comment): labels and child-list prefixes of the explored region of a
+// virtual answer document, read under a read lock and only ever
+// extended. What it does not know, its one producer derives: a lazy
+// answer document, built on the entry's first miss by the session that
+// missed (Doc) and driven by every session's misses under the producer
+// lock, never under the lock hits take. The producer's node-ids live on
+// the nodes it derived, so it continues from wherever any session left
+// it, until the entry is complete.
 type Entry struct {
 	key Key
 	c   *Cache
@@ -62,6 +64,12 @@ type Entry struct {
 	mu    sync.RWMutex
 	root  *cnode
 	bytes int64
+
+	// pmu, the producer lock, guards prod and every cnode's id; it is
+	// taken before mu and the cache's locks.
+	pmu      sync.Mutex
+	prod     nav.Document
+	semTried atomic.Bool // see FirstSemantic
 }
 
 // cnode is one node of the cached partial tree.
@@ -74,6 +82,9 @@ type cnode struct {
 	// changes, so once set it never needs re-checking. Atomic because
 	// it is set under the entry's read lock.
 	closed atomic.Bool
+	// id is the producer's node-id, nil on a node a merge published
+	// until resolve replays to it. Guarded by the entry's pmu.
+	id nav.ID
 }
 
 // isClosed reports whether n's whole subtree is explored: its label is
@@ -181,23 +192,21 @@ func (e *Entry) lookupChild(path []int, i int) (ok, known bool) {
 	return false, false
 }
 
-// storeChild records the outcome of navigating to child i of the node
-// at path: exists extends the known prefix (only when i is exactly the
-// frontier), !exists marks the child list complete at length i.
-func (e *Entry) storeChild(path []int, i int, exists bool) {
+// storeChild records the outcome of the producer's navigation to child
+// i of the node at path: a non-nil id extends the known prefix (only
+// when i is exactly the frontier) and stays on the new node, a nil id
+// marks the child list complete at length i. Caller holds e.pmu.
+func (e *Entry) storeChild(path []int, i int, id nav.ID) {
 	e.mu.Lock()
 	var delta int64
-	changed := false
-	if n := e.node(path); n != nil && !n.complete {
-		if exists && i == len(n.kids) {
-			n.kids = append(n.kids, &cnode{})
-			delta = nodeBytes
-			e.bytes += delta
-			changed = true
-		} else if !exists && i == len(n.kids) {
-			n.complete = true
-			changed = true
-		}
+	n := e.node(path)
+	changed := n != nil && !n.complete && i == len(n.kids)
+	if changed && id != nil {
+		n.kids = append(n.kids, &cnode{id: id})
+		delta = nodeBytes
+		e.bytes += delta
+	} else if changed {
+		n.complete = true
 	}
 	e.mu.Unlock()
 	if changed {
@@ -205,6 +214,118 @@ func (e *Entry) storeChild(path []int, i int, exists bool) {
 	}
 	e.account(delta)
 }
+
+// tracer is a producer that routes the spans of the navigations that
+// follow to rec (nil: none).
+type tracer interface{ Trace(rec *trace.Recorder) }
+
+// derive navigates the producer for d's miss: op (d, r or f) from the
+// node at path. It builds the producer from d if the entry has none, and
+// lends it d's recorder for the span of the navigation. A failed
+// navigation drops the producer with every id it issued, since its lazy
+// streams keep the error; the next miss builds a fresh one, which
+// replays to the nodes it needs. Caller holds e.pmu.
+func (e *Entry) derive(d *Doc, op nav.Op, path []int) (id nav.ID, label string, err error) {
+	if e.prod == nil {
+		e.prod = d.produce()
+	}
+	if t, ok := e.prod.(tracer); ok {
+		t.Trace(d.rec)
+		defer t.Trace(nil)
+	}
+	base, err := e.resolve(path)
+	if err == nil {
+		switch op {
+		case nav.OpDown:
+			id, err = e.prod.Down(base)
+		case nav.OpRight:
+			id, err = e.prod.Right(base)
+		default:
+			label, err = e.prod.Fetch(base)
+		}
+	}
+	if err != nil {
+		e.retire()
+	}
+	return id, label, err
+}
+
+// settle retires the producer of a complete entry, which no navigation
+// can miss again. Open calls it, so an entry's next open lets go of what
+// its last miss derived.
+func (e *Entry) settle() {
+	if e.Complete() {
+		e.pmu.Lock()
+		if e.prod != nil {
+			e.retire()
+		}
+		e.pmu.Unlock()
+	}
+}
+
+// retire drops the producer and every id it issued. Caller holds e.pmu.
+func (e *Entry) retire() {
+	e.prod = nil
+	e.mu.RLock()
+	forgetIDs(e.root)
+	e.mu.RUnlock()
+}
+
+func forgetIDs(n *cnode) {
+	n.id = nil
+	for _, k := range n.kids {
+		forgetIDs(k)
+	}
+}
+
+// resolve returns the producer's id for the node at path. Most nodes
+// carry the id the producer derived them under. The rest were published
+// by a merge (a peer's region, a semantic answer): resolve replays d/r
+// to them from the nearest node to their left or above that carries an
+// id, and leaves an id on every node it crosses, so each is replayed at
+// most once per entry. Caller holds e.pmu.
+func (e *Entry) resolve(path []int) (nav.ID, error) {
+	n := e.root
+	if n.id == nil {
+		root, err := e.prod.Root()
+		if err != nil {
+			return nil, err
+		}
+		n.id = root
+	}
+	for lvl, idx := range path {
+		// Kids only grow by append, so the snapshot's nodes stay put.
+		e.mu.RLock()
+		kids := n.kids
+		e.mu.RUnlock()
+		j := idx
+		for j >= 0 && kids[j].id == nil {
+			j--
+		}
+		for ; j < idx; j++ {
+			var next nav.ID
+			var err error
+			if j < 0 {
+				next, err = e.prod.Down(n.id)
+			} else {
+				next, err = e.prod.Right(kids[j].id)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if next == nil {
+				return nil, fmt.Errorf("regioncache: document diverged from cache at %v (missing registry invalidation?)", path[:lvl+1])
+			}
+			kids[j+1].id = next
+		}
+		n = kids[idx]
+	}
+	return n.id, nil
+}
+
+// FirstSemantic reports whether this call is the entry's first, so that
+// the caller makes the entry's one semantic attempt (Cache.Subsume).
+func (e *Entry) FirstSemantic() bool { return !e.semTried.Swap(true) }
 
 // MergeTree publishes a materialized fragment rooted at the entry's
 // root into the cache. Hole children (xmltree.IsHole) and everything to

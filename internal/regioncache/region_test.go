@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"mix/internal/nav"
 )
 
 // TestKeyOverheadAccounting: key strings are interned — each entry is
@@ -97,18 +99,21 @@ func TestKeyOverheadDrivesEviction(t *testing.T) {
 	}
 }
 
+// stubID stands for a producer's node-id in entries no Doc navigates.
+var stubID nav.ID = "stub"
+
 func buildEntry(c *Cache) *Entry {
 	e := c.Entry("v", "fp", 1)
 	// <a> <b> x y </b> <c/> ... </a> with the ... frontier unknown.
 	e.storeLabel(nil, "a")
-	e.storeChild(nil, 0, true)
+	e.storeChild(nil, 0, stubID)
 	e.storeLabel([]int{0}, "b")
-	e.storeChild([]int{0}, 0, true)
+	e.storeChild([]int{0}, 0, stubID)
 	e.storeLabel([]int{0, 0}, "x")
-	e.storeChild([]int{0}, 1, true)
+	e.storeChild([]int{0}, 1, stubID)
 	e.storeLabel([]int{0, 1}, "y")
-	e.storeChild([]int{0}, 2, false) // b complete
-	e.storeChild(nil, 1, true)
+	e.storeChild([]int{0}, 2, nil) // b complete
+	e.storeChild(nil, 1, stubID)
 	e.storeLabel([]int{1}, "c")
 	return e
 }
@@ -246,7 +251,7 @@ func TestMutationsCounter(t *testing.T) {
 	if e.Mutations() != m1 {
 		t.Fatalf("re-storing a known label bumped Mutations %d -> %d", m1, e.Mutations())
 	}
-	e.storeChild(nil, 0, true)
+	e.storeChild(nil, 0, stubID)
 	if e.Mutations() == m1 {
 		t.Fatal("storeChild did not bump Mutations")
 	}

@@ -2,14 +2,12 @@
 // *explored regions* of virtual answer documents.
 //
 // The paper's lazy mediators evaluate a view only as far as one client's
-// navigation demands — but they re-derive every explored fragment for
-// every client. At scale (the ROADMAP's millions-of-users north star)
-// redundant source navigations across sessions dominate: N clients
-// glancing at the first results of the same view each pay the full
-// join/descent cost. The region cache makes concurrent sessions cheaper
-// than linear: the first session to explore a region of an answer
-// document publishes what it saw, and every later session navigating the
-// same region is answered from the cache with *zero* source navigations.
+// navigation demands, but each client derives its own answer. The region
+// cache shares the derivation: the first session to explore a region of
+// an answer document publishes what it saw, every later session
+// navigating the same region is answered with *zero* source
+// navigations, and a session that goes past the region pays only for
+// what lies past it. DESIGN.md §8 has the whole design.
 //
 // # Key scheme
 //
@@ -26,26 +24,27 @@
 // the same query text compiled by different mediator instances (whose
 // fresh-variable counters differ) maps to the same entry.
 //
-// # Copy-on-read, never the lazy streams
+// # One producer per entry
 //
 // An entry stores plain labels and child-count structure — an "open
 // tree" like the buffer component's, but without holes: what is known is
-// a prefix of each child list plus a completeness bit. Serving a hit
-// copies immutable strings out of the entry and never touches any
-// session's single-consumer lazy streams; a miss drives the session's
-// own engine (exactly what an uncached client would have done) and then
-// publishes the result. Because every entry is pinned to one
-// (generation, registry version) pair, concurrent sessions can only
-// publish identical answers, so merge races are benign.
+// a prefix of each child list plus a completeness bit. A hit copies
+// immutable strings out of the entry under its read lock. A miss, from
+// any session, drives the entry's one producer — the lazy answer of the
+// first query that missed — under a separate lock, from the deepest node
+// any session resolved, and publishes the outcome (see Entry). Because
+// every entry is pinned to one (generation, registry version) pair,
+// whatever publishes into it, the producer or a peer, publishes
+// identical answers, so merge races are benign.
 //
 // # Invalidation, never staleness
 //
 // Invalidate bumps the generation and drops every older entry. Sessions
 // that opened a view before the bump keep their (now unreachable) entry
-// and stay consistent with their own engine's sources; sessions opened
+// and its producer over the sources of the old epoch; sessions opened
 // after the bump start a fresh entry. A cache can therefore serve stale
 // *sessions*, but never a stale *answer*: a hit always agrees with what
-// the session's own engine would have derived.
+// the producer of its epoch derives.
 package regioncache
 
 import (
@@ -152,12 +151,6 @@ func (l *lru) remove(e *Entry) {
 	e.prev, e.next = nil, nil
 }
 
-// touchLocked marks e as just opened. Caller holds c.mu.
-func (c *Cache) touchLocked(e *Entry) {
-	c.recent.remove(e)
-	c.recent.pushFront(e)
-}
-
 // New returns an empty cache. maxBytes caps the approximate retained
 // size; when exceeded, least-recently-opened entries are evicted whole.
 // maxBytes <= 0 means unlimited.
@@ -250,55 +243,53 @@ func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
 }
 
 // Open returns the shared entry for k — what cache-aware documents read
-// and write — creating it if needed. It is the one way into the cache;
-// the steps, in order:
-//
-//   - Detach on a stale generation. k.Generation is sampled at
-//     engine-build time, not at open time: an engine built before an
-//     Invalidate must not publish its (now stale) derivations where
-//     fresh engines read, so the entry returned is private to the
-//     caller, unaccounted, and never shared through the cache map. It
-//     is still filled from the remote tier: its key carries the
-//     generation, so a peer that has not invalidated yet either holds
-//     exactly that epoch's region or misses.
-//   - Create and account: a new entry's fixed footprint (root node plus
-//     key overhead) is charged at creation, symmetric with dropLocked.
-//   - Touch: the entry moves to the front of the recency list (a new
-//     entry starts there).
-//   - Fetch from the remote tier once, on creation (the L2 fill).
+// and write — creating it if needed; it is the one way into the cache.
+// A key of a stale generation gets a private entry: k.Generation is
+// sampled when the engine is built, and an engine built before an
+// Invalidate must not publish its stale derivations where fresh engines
+// read, so the entry is unaccounted and never shared through the map.
+// A created entry, private or not, is filled once from the remote tier
+// (the L2 fill), outside c.mu. Its key carries the generation, so a
+// peer that has not invalidated yet either holds exactly that epoch's
+// region or misses. An existing entry is settled (Entry.settle).
 func (c *Cache) Open(k Key) *Entry {
 	k = c.internKey(k)
-	if k.Generation != c.gen.Load() {
-		e := newEntry(c, k)
+	e, created := c.live(k)
+	if e == nil {
+		e, created = newEntry(c, k), true
 		e.dead.Store(true)
-		e.Merge(c.fetch(k))
-		return e
 	}
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if !ok {
-		e = c.insertLocked(k)
+	if created {
+		e.Merge(c.fetch(k))
 	} else {
-		c.touchLocked(e)
-	}
-	c.mu.Unlock()
-	if !ok {
-		// Outside c.mu; Merge is concurrency-safe and can only extend the
-		// entry, so racing sessions stay correct.
-		e.Merge(c.fetch(k))
+		e.settle()
 	}
 	return e
 }
 
-// insertLocked creates and maps the entry for k, charging its fixed
-// footprint. Caller holds c.mu.
-func (c *Cache) insertLocked(k Key) *Entry {
-	e := newEntry(c, k)
+// live returns the mapped entry for k, moved to the front of the
+// recency list, or creates it and charges its fixed footprint (root node
+// plus key overhead, symmetric with dropLocked); created reports which.
+// It returns nil for a generation other than the current one, checked
+// under c.mu, so a racing Invalidate cannot leave a stale entry in the
+// map after dropBelow swept it.
+func (c *Cache) live(k Key) (e *Entry, created bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k.Generation != c.gen.Load() {
+		return nil, false
+	}
+	if e = c.entries[k]; e != nil {
+		c.recent.remove(e)
+		c.recent.pushFront(e)
+		return e, false
+	}
+	e = newEntry(c, k)
 	c.entries[k] = e
 	c.bytes += e.bytes
 	c.recent.pushFront(e)
 	c.evictOverLocked()
-	return e
+	return e, true
 }
 
 // Peek returns the live entry for k, or nil: no creation, no LRU touch,
@@ -321,21 +312,10 @@ func (c *Cache) Absorb(k Key, r *Region) bool {
 	if r == nil || k.Generation != c.gen.Load() {
 		return false
 	}
-	k = c.internKey(k)
-	c.mu.Lock()
-	// Re-check under the lock so a racing Invalidate cannot leave a
-	// stale-generation entry in the map after dropBelow swept it.
-	if k.Generation != c.gen.Load() {
-		c.mu.Unlock()
+	e, _ := c.live(c.internKey(k))
+	if e == nil {
 		return false
 	}
-	e, ok := c.entries[k]
-	if !ok {
-		e = c.insertLocked(k)
-	} else {
-		c.touchLocked(e)
-	}
-	c.mu.Unlock()
 	e.Merge(r)
 	return true
 }

@@ -1,10 +1,14 @@
 package regioncache
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mix/internal/algebra"
 	"mix/internal/nav"
@@ -18,6 +22,12 @@ func sampleTree() *xmltree.Tree {
 		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h2")), xmltree.Elem("school", xmltree.Leaf("s2"))),
 		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h3"))),
 	)
+}
+
+// newDoc returns a session's document over entry whose producer, if the
+// entry has none on the session's first miss, is inner.
+func newDoc(entry *Entry, inner nav.Document) *Doc {
+	return NewDoc(entry, func() nav.Document { return inner }, nil)
 }
 
 // explore walks doc depth-first and returns the fully materialized tree.
@@ -55,7 +65,7 @@ func TestColdThenWarmZeroInnerNavigations(t *testing.T) {
 	entry := c.Entry("v", "fp", 1)
 
 	cold := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
-	got := explore(t, NewDoc(entry, cold))
+	got := explore(t, newDoc(entry, cold))
 	if !xmltree.Equal(got, sampleTree()) {
 		t.Fatalf("cold explore mismatch:\n%s", got)
 	}
@@ -65,7 +75,7 @@ func TestColdThenWarmZeroInnerNavigations(t *testing.T) {
 
 	// A second session over the same entry: every command is a hit.
 	warm := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
-	got2 := explore(t, NewDoc(entry, warm))
+	got2 := explore(t, newDoc(entry, warm))
 	if !xmltree.Equal(got2, sampleTree()) {
 		t.Fatalf("warm explore mismatch:\n%s", got2)
 	}
@@ -82,8 +92,10 @@ func TestPartialExplorationResolvesFrontierOnly(t *testing.T) {
 	c := New(0)
 	entry := c.Entry("v", "fp", 1)
 
-	// Session 1 explores only the first b element.
-	d1 := NewDoc(entry, nav.NewTreeDoc(sampleTree()))
+	// Session 1 explores only the first b element; its document becomes
+	// the entry's producer.
+	prod := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
+	d1 := newDoc(entry, prod)
 	root, _ := d1.Root()
 	b1, _ := d1.Down(root)
 	h1, _ := d1.Down(b1)
@@ -91,25 +103,200 @@ func TestPartialExplorationResolvesFrontierOnly(t *testing.T) {
 		t.Fatalf("fetch = %q", l)
 	}
 
-	// Session 2 walks past the cached frontier; the inner doc is only
-	// consulted where the cache runs out.
-	warm := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
-	d2 := NewDoc(entry, warm)
+	// Session 2 walks past the cached frontier: the entry answers what
+	// it holds, and the producer continues from where session 1 left it.
+	unused := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
+	d2 := newDoc(entry, unused)
+	before := prod.Counters.Snapshot()
 	root2, _ := d2.Root()
 	b, _ := d2.Down(root2)                 // hit
 	h, _ := d2.Down(b)                     // hit
 	if _, err := d2.Fetch(h); err != nil { // hit
 		t.Fatal(err)
 	}
-	if n := warm.Counters.Navigations(); n != 0 {
-		t.Fatalf("within cached region: %d inner navigations, want 0", n)
+	if d := prod.Counters.Snapshot().Sub(before); d.Navigations() != 0 {
+		t.Fatalf("within cached region: %+v producer navigations, want 0", d)
 	}
-	sib, err := d2.Right(h) // miss: resolve h (root+d) + one r
+	sib, err := d2.Right(h) // miss: one r from h, whose id the producer kept
 	if err != nil || sib == nil {
 		t.Fatalf("right: %v %v", sib, err)
 	}
-	if warm.Counters.Right.Load() != 1 {
-		t.Fatalf("frontier Right billed %d inner r, want 1", warm.Counters.Right.Load())
+	if d := prod.Counters.Snapshot().Sub(before); d.Right != 1 || d.Navigations() != 1 {
+		t.Fatalf("frontier Right cost %+v producer navigations, want one r", d)
+	}
+	if n := unused.Counters.Navigations(); n != 0 {
+		t.Fatalf("the second session's document was navigated %d times; the entry has a producer", n)
+	}
+}
+
+// TestMergedRegionReplayedOnce: nodes a merge published carry no
+// producer id, so the first miss past them replays d/r to them from the
+// producer's nearest known node, and no later miss replays them again.
+func TestMergedRegionReplayedOnce(t *testing.T) {
+	e := New(0).Entry("v", "fp", 1)
+	e.MergeTree(xmltree.Elem("bs",
+		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h1")), xmltree.Hole("more")),
+		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h2")), xmltree.Hole("more")),
+		xmltree.Hole("more")))
+	prod := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
+	d := newDoc(e, prod)
+	root, _ := d.Root()
+	b1, _ := d.Down(root)
+	b2, _ := d.Right(b1)
+	if prod.Counters.Navigations() != 0 {
+		t.Fatal("the merged prefix was not answered from the entry")
+	}
+	// Past the merged prefix: root, d, r to b2, then the r that misses.
+	if b3, err := d.Right(b2); err != nil || b3 == nil {
+		t.Fatalf("right past the merge: %v %v", b3, err)
+	}
+	if got := prod.Counters.Snapshot(); got.Root != 1 || got.Down != 1 || got.Right != 2 {
+		t.Fatalf("first miss past the merge cost %+v, want root + d + 2 r", got)
+	}
+	// b1's school is unknown: b1 already carries its id, so only its
+	// own d and r are paid.
+	before := prod.Counters.Snapshot()
+	h, _ := d.Down(b1)
+	if s, err := d.Right(h); err != nil || s == nil {
+		t.Fatalf("school: %v %v", s, err)
+	}
+	if got := prod.Counters.Snapshot().Sub(before); got.Root != 0 || got.Down != 1 || got.Right != 1 {
+		t.Fatalf("second miss cost %+v, want one d (the replay to home) and one r", got)
+	}
+}
+
+// TestCompleteEntryRetiresProducer: once the entry is complete no
+// navigation can miss, so its next open lets go of its producer and the
+// ids it issued.
+func TestCompleteEntryRetiresProducer(t *testing.T) {
+	c := New(0)
+	e := c.Entry("v", "fp", 1)
+	explore(t, newDoc(e, nav.NewTreeDoc(sampleTree())))
+	if !e.Complete() || e.prod == nil {
+		t.Fatal("explored entry is not complete, or has no producer")
+	}
+	if c.Entry("v", "fp", 1) != e || e.prod != nil || e.root.id != nil {
+		t.Fatal("reopening a complete entry kept its producer")
+	}
+}
+
+// failDoc fails every navigation while fail is set.
+type failDoc struct {
+	nav.Document
+	fail bool
+}
+
+func (f *failDoc) err() error {
+	if f.fail {
+		return errors.New("source down")
+	}
+	return nil
+}
+
+func (f *failDoc) Down(p nav.ID) (nav.ID, error) {
+	if err := f.err(); err != nil {
+		return nil, err
+	}
+	return f.Document.Down(p)
+}
+
+func (f *failDoc) Right(p nav.ID) (nav.ID, error) {
+	if err := f.err(); err != nil {
+		return nil, err
+	}
+	return f.Document.Right(p)
+}
+
+// TestFailedProducerIsReplaced: a producer whose navigation fails is
+// dropped, since a lazy answer keeps its errors; the next miss, from
+// another session, builds a fresh producer from that session and
+// replays to the nodes the first one derived.
+func TestFailedProducerIsReplaced(t *testing.T) {
+	e := New(0).Entry("v", "fp", 1)
+	flaky := &failDoc{Document: nav.NewTreeDoc(sampleTree())}
+	a := newDoc(e, flaky)
+	root, _ := a.Root()
+	b1, _ := a.Down(root)
+	flaky.fail = true
+	if _, err := a.Right(b1); err == nil {
+		t.Fatal("the failing source's error was not reported")
+	}
+	healthy := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
+	if got := explore(t, newDoc(e, healthy)); !xmltree.Equal(got, sampleTree()) {
+		t.Fatalf("explore after a failed producer:\n%s", got)
+	}
+	if healthy.Counters.Navigations() == 0 {
+		t.Fatal("the entry kept the failed producer")
+	}
+}
+
+// gateDoc blocks every navigation while its gate is armed, after
+// announcing it on entered.
+type gateDoc struct {
+	nav.Document
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateDoc) wait() {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+}
+
+func (g *gateDoc) Down(p nav.ID) (nav.ID, error)  { g.wait(); return g.Document.Down(p) }
+func (g *gateDoc) Right(p nav.ID) (nav.ID, error) { g.wait(); return g.Document.Right(p) }
+func (g *gateDoc) Fetch(p nav.ID) (string, error) { g.wait(); return g.Document.Fetch(p) }
+
+// TestHitNeverWaitsOnMiss: while one session's miss is blocked inside
+// the producer's source, another session's hits on the entry's known
+// prefix return. The producer runs under its own lock, not the entry's
+// read/write lock.
+func TestHitNeverWaitsOnMiss(t *testing.T) {
+	e := New(0).Entry("v", "fp", 1)
+	gate := &gateDoc{Document: nav.NewTreeDoc(sampleTree()), entered: make(chan struct{}), release: make(chan struct{})}
+	a := newDoc(e, gate)
+	root, _ := a.Root()
+	b1, err := a.Down(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Fetch(b1); err != nil {
+		t.Fatal(err)
+	}
+
+	gate.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Right(b1) // a miss: blocks inside the producer
+		done <- err
+	}()
+	<-gate.entered
+
+	b := newDoc(e, nav.NewTreeDoc(sampleTree()))
+	hits := make(chan error, 1)
+	go func() {
+		broot, _ := b.Root()
+		kid, err := b.Down(broot)
+		if err == nil {
+			_, err = b.Fetch(kid)
+		}
+		hits <- err
+	}()
+	select {
+	case err := <-hits:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a hit on the known prefix waited on another session's miss")
+	}
+	gate.armed.Store(false)
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -153,10 +340,10 @@ func TestRegistryVersionSeparatesEntries(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(200) // tiny budget: a few nodes
 	old := c.Entry("old", "fp", 1)
-	d1 := NewDoc(old, nav.NewTreeDoc(sampleTree()))
+	d1 := newDoc(old, nav.NewTreeDoc(sampleTree()))
 	explore(t, d1)
 	hot := c.Entry("hot", "fp", 1)
-	d2 := NewDoc(hot, nav.NewTreeDoc(sampleTree()))
+	d2 := newDoc(hot, nav.NewTreeDoc(sampleTree()))
 	explore(t, d2)
 	if !old.dead.Load() {
 		t.Fatal("LRU entry not evicted under budget pressure")
@@ -203,7 +390,7 @@ func TestMergeTreeSkipsHolesAndRightSiblings(t *testing.T) {
 func TestExportRendersOpenTree(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)
-	d := NewDoc(e, nav.NewTreeDoc(sampleTree()))
+	d := newDoc(e, nav.NewTreeDoc(sampleTree()))
 	root, _ := d.Root()
 	d.Fetch(root)
 	b, _ := d.Down(root)
@@ -220,28 +407,28 @@ func TestExportRendersOpenTree(t *testing.T) {
 func TestDivergenceDetected(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)
-	// The cache knows a child exists...
-	e.storeChild(nil, 0, true)
-	// ...but the session's own document is a lone leaf.
-	d := NewDoc(e, nav.NewTreeDoc(xmltree.Elem("bs")))
+	// A peer published a child...
+	e.MergeTree(xmltree.Elem("bs", xmltree.Elem("b", xmltree.Hole("more")), xmltree.Hole("more")))
+	// ...but the producer is a lone leaf.
+	d := newDoc(e, nav.NewTreeDoc(xmltree.Elem("bs")))
 	root, _ := d.Root()
 	child, err := d.Down(root) // hit: served from cache
 	if err != nil || child == nil {
 		t.Fatalf("down: %v %v", child, err)
 	}
-	if _, err := d.Fetch(child); err == nil {
-		t.Fatal("fetching a node the engine cannot produce should report divergence")
+	if _, err := d.Down(child); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("navigating below a node the producer cannot reach = %v, want divergence", err)
 	}
 }
 
 func TestForeignID(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)
-	d := NewDoc(e, nav.NewTreeDoc(sampleTree()))
+	d := newDoc(e, nav.NewTreeDoc(sampleTree()))
 	if _, err := d.Down("nonsense"); err == nil {
 		t.Fatal("foreign id accepted")
 	}
-	other := NewDoc(e, nav.NewTreeDoc(sampleTree()))
+	other := newDoc(e, nav.NewTreeDoc(sampleTree()))
 	oroot, _ := other.Root()
 	if _, err := d.Down(oroot); err == nil {
 		t.Fatal("id of another Doc accepted")
@@ -258,7 +445,7 @@ func TestConcurrentSessionsConsistent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			entry := c.Entry("v", "fp", 1)
-			doc := NewDoc(entry, nav.NewTreeDoc(sampleTree()))
+			doc := newDoc(entry, nav.NewTreeDoc(sampleTree()))
 			root, err := doc.Root()
 			if err != nil {
 				errs <- err
@@ -335,22 +522,5 @@ func TestNilCacheWrapPassthrough(t *testing.T) {
 	inner := nav.NewTreeDoc(sampleTree())
 	if got := c.Wrap("v", "fp", 1, inner); got != nav.Document(inner) {
 		t.Fatal("nil cache must return the inner document unchanged")
-	}
-}
-
-// TestPathKey pins the rendering error messages print and the one
-// allocation a key costs.
-func TestPathKey(t *testing.T) {
-	for _, c := range []struct {
-		path []int
-		want string
-	}{{nil, ""}, {[]int{0}, "/0"}, {[]int{0, 3, 12}, "/0/3/12"}} {
-		if got := pathKey(c.path); got != c.want {
-			t.Fatalf("pathKey(%v) = %q, want %q", c.path, got, c.want)
-		}
-	}
-	path := []int{0, 3, 12, 7, 1024}
-	if n := testing.AllocsPerRun(100, func() { _ = pathKey(path) }); n > 1 {
-		t.Fatalf("pathKey allocates %v times, want 1", n)
 	}
 }

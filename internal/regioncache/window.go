@@ -37,10 +37,6 @@ type WindowNode struct {
 	Unknown bool   `json:"u,omitempty"`
 }
 
-// Complete reports whether the document's entry is fully explored (see
-// Entry.Complete).
-func (d *Doc) Complete() bool { return d.entry.Complete() }
-
 // Window returns dst[:0] extended by the window at anchor, an id this
 // document issued. cost(label) is a node's share of budget; the window
 // stops before the first node that does not fit, so it is always a
@@ -95,7 +91,7 @@ func (d *Doc) WindowNode(anchor nav.ID, i int) (nav.ID, error) {
 			return &rid{d: d, path: p[:len(p):len(p)]}, nil
 		}
 	}
-	return nil, fmt.Errorf("regioncache: no node %d in the window at %s", i, pathKey(r.path))
+	return nil, fmt.Errorf("regioncache: no node %d in the window at %v", i, r.path)
 }
 
 // windowScope returns the nodes a window at path walks, each followed by

@@ -1,6 +1,7 @@
 package regioncache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -141,7 +142,7 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 	for trial := range 300 {
 		tree := genTree(r, 1+r.Intn(4))
 		e := New(0).Entry("v", "fp", 1)
-		d := NewDoc(e, nav.NewTreeDoc(tree))
+		d := newDoc(e, nav.NewTreeDoc(tree))
 		root, _ := d.Root()
 		ids := []nav.ID{root}
 		for range r.Intn(40) {
@@ -179,7 +180,7 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 			}
 			index := map[string]int32{}
 			for i, p := range order {
-				index[pathKey(p)] = int32(i)
+				index[fmt.Sprint(p)] = int32(i)
 			}
 			for i, n := range win {
 				p := order[i]
@@ -195,10 +196,10 @@ func TestWindowClosedPrefixProperty(t *testing.T) {
 				}
 				down, right := int32(WindowNone), int32(WindowNone)
 				if len(node.Children) > 0 {
-					down = index[pathKey(append(slices.Clip(p), 0))]
+					down = index[fmt.Sprint(append(slices.Clip(p), 0))]
 				}
 				if len(p) > 0 && p[len(p)-1]+1 < len(at(tree, p[:len(p)-1]).Children) {
-					right = index[pathKey(append(slices.Clip(p[:len(p)-1]), p[len(p)-1]+1))]
+					right = index[fmt.Sprint(append(slices.Clip(p[:len(p)-1]), p[len(p)-1]+1))]
 				}
 				for _, l := range []struct{ got, want int32 }{{n.Down, down}, {n.Right, right}} {
 					if l.got != WindowOut && l.got != l.want {

@@ -24,9 +24,9 @@ func windowTree() *xmltree.Tree {
 func completeDoc(t *testing.T) *Doc {
 	t.Helper()
 	e := New(0).Entry("v", "fp", 1)
-	explore(t, NewDoc(e, nav.NewTreeDoc(windowTree())))
-	d := NewDoc(e, nav.NewTreeDoc(windowTree()))
-	if !d.Complete() {
+	explore(t, newDoc(e, nav.NewTreeDoc(windowTree())))
+	d := newDoc(e, nav.NewTreeDoc(windowTree()))
+	if !d.entry.Complete() {
 		t.Fatal("explored entry is not complete")
 	}
 	return d
@@ -158,13 +158,13 @@ func TestWindowBudgetCutsAPrefix(t *testing.T) {
 // no window, even where it knows the nodes.
 func TestWindowOnlyFromCompleteEntries(t *testing.T) {
 	e := New(0).Entry("v", "fp", 1)
-	d := NewDoc(e, nav.NewTreeDoc(windowTree()))
+	d := newDoc(e, nav.NewTreeDoc(windowTree()))
 	root, _ := d.Root()
 	a, _ := d.Down(root)
 	if _, err := d.Fetch(a); err != nil {
 		t.Fatal(err)
 	}
-	if d.Complete() {
+	if d.entry.Complete() {
 		t.Fatal("partly explored entry reports complete")
 	}
 	if win := d.Window(root, nil, 1<<20, one); len(win) != 0 {

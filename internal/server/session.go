@@ -287,23 +287,15 @@ func (s *session) open(query string) error {
 	return nil
 }
 
-// compile compiles the query on the current catalog, tracing into the
-// session's recorder. Every open loads the catalog afresh, so an open
-// after Update sees the new data.
+// compile compiles the query on the current catalog. Every open loads
+// the catalog afresh, so an open after Update sees the new data.
 func (s *session) compile(query string) (*mediator.Result, error) {
 	cat, err := s.srv.catalogNow()
 	if err != nil {
 		return nil, fmt.Errorf("building the source catalog: %v", err)
 	}
 	s.cat = cat
-	res, err := cat.Query(query)
-	if err != nil {
-		return nil, err
-	}
-	if s.rec != nil {
-		res.SetTracer(s.rec)
-	}
-	return res, nil
+	return cat.Query(query)
 }
 
 // installView makes a compiled query result the session's document and
@@ -313,7 +305,7 @@ func (s *session) installView(res *mediator.Result) {
 	// Count every navigation this session answers on its own counters
 	// (folded into the server totals); with tracing on, also root a span
 	// tree per client command.
-	doc := res.Document()
+	doc := res.TracedDocument(s.rec)
 	s.doc = &nav.CountingDoc{Doc: doc, Counters: &s.nav}
 	if s.rec != nil {
 		s.doc = trace.NewDoc(s.doc, trace.ClientLabel, s.rec)
