@@ -18,8 +18,7 @@
 package algebra
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"mix/internal/pathexpr"
 )
@@ -32,8 +31,9 @@ type Op interface {
 	// OutVars returns the variable names carried by output bindings,
 	// in binding-tree order, given the input variable lists.
 	OutVars() []string
-	// opString renders just this node (without inputs).
-	opString() string
+	// appendOp appends the rendering of just this node (without
+	// inputs) to b.
+	appendOp(b []byte) []byte
 }
 
 // Source produces the singleton binding list bs[b[v[e]]] where e is the
@@ -51,7 +51,10 @@ func (s *Source) Inputs() []Op { return nil }
 // OutVars implements Op.
 func (s *Source) OutVars() []string { return []string{s.Var} }
 
-func (s *Source) opString() string { return fmt.Sprintf("source[%s→$%s]", s.URL, s.Var) }
+func (s *Source) appendOp(b []byte) []byte {
+	b = append(append(append(b, "source["...), s.URL...), "→$"...)
+	return append(append(b, s.Var...), ']')
+}
 
 // GetDescendants extracts, for each input binding b and each descendant
 // d of b.Parent reachable by a downward path matching Path, the output
@@ -72,8 +75,9 @@ func (g *GetDescendants) Inputs() []Op { return []Op{g.Input} }
 // OutVars implements Op.
 func (g *GetDescendants) OutVars() []string { return append(g.Input.OutVars(), g.Out) }
 
-func (g *GetDescendants) opString() string {
-	return fmt.Sprintf("getDescendants[$%s, %s → $%s]", g.Parent, g.Path, g.Out)
+func (g *GetDescendants) appendOp(b []byte) []byte {
+	b = append(append(append(b, "getDescendants[$"...), g.Parent...), ", "...)
+	return appendArrow(append(b, g.Path.String()...), g.Out)
 }
 
 // Select keeps only the input bindings satisfying Cond (σ).
@@ -88,7 +92,9 @@ func (s *Select) Inputs() []Op { return []Op{s.Input} }
 // OutVars implements Op.
 func (s *Select) OutVars() []string { return s.Input.OutVars() }
 
-func (s *Select) opString() string { return fmt.Sprintf("select[%s]", s.Cond) }
+func (s *Select) appendOp(b []byte) []byte {
+	return append(appendCond(append(b, "select["...), s.Cond), ']')
+}
 
 // Join produces, for each pair of left/right bindings satisfying Cond,
 // their concatenation (nested-loops ⋈; with a trivially true condition
@@ -104,7 +110,9 @@ func (j *Join) Inputs() []Op { return []Op{j.Left, j.Right} }
 // OutVars implements Op.
 func (j *Join) OutVars() []string { return append(j.Left.OutVars(), j.Right.OutVars()...) }
 
-func (j *Join) opString() string { return fmt.Sprintf("join[%s]", j.Cond) }
+func (j *Join) appendOp(b []byte) []byte {
+	return append(appendCond(append(b, "join["...), j.Cond), ']')
+}
 
 // GroupBy groups the bindings of Var by the values of the By variables
 // (groupBy_{v1..vk, v→l}): for each group agreeing on the By values one
@@ -123,12 +131,13 @@ func (g *GroupBy) Inputs() []Op { return []Op{g.Input} }
 // OutVars implements Op.
 func (g *GroupBy) OutVars() []string { return append(append([]string{}, g.By...), g.Out) }
 
-func (g *GroupBy) opString() string {
-	by := ""
+func (g *GroupBy) appendOp(b []byte) []byte {
+	b = append(b, "groupBy[{"...)
 	if len(g.By) > 0 {
-		by = "$" + strings.Join(g.By, ",$")
+		b = appendVars(b, g.By)
 	}
-	return fmt.Sprintf("groupBy[{%s} $%s → $%s]", by, g.Var, g.Out)
+	b = append(append(append(b, "} $"...), g.Var...), " → $"...)
+	return append(append(b, g.Out...), ']')
 }
 
 // Concatenate produces b + Out[conc] where conc is the list
@@ -146,8 +155,9 @@ func (c *Concatenate) Inputs() []Op { return []Op{c.Input} }
 // OutVars implements Op.
 func (c *Concatenate) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
 
-func (c *Concatenate) opString() string {
-	return fmt.Sprintf("concatenate[$%s,$%s → $%s]", c.X, c.Y, c.Out)
+func (c *Concatenate) appendOp(b []byte) []byte {
+	b = append(append(append(b, "concatenate[$"...), c.X...), ",$"...)
+	return appendArrow(append(b, c.Y...), c.Out)
 }
 
 // LabelSpec is the label parameter of createElement: either a constant
@@ -157,11 +167,13 @@ type LabelSpec struct {
 	Var   string // non-empty means dynamic label
 }
 
-func (l LabelSpec) String() string {
+func (l LabelSpec) String() string { return string(l.appendTo(nil)) }
+
+func (l LabelSpec) appendTo(b []byte) []byte {
 	if l.Var != "" {
-		return "$" + l.Var
+		return append(append(b, '$'), l.Var...)
 	}
-	return fmt.Sprintf("%q", l.Const)
+	return strconv.AppendQuote(b, l.Const)
 }
 
 // CreateElement produces b + Out[l[c1…cn]] where l is the value of
@@ -181,8 +193,9 @@ func (c *CreateElement) Inputs() []Op { return []Op{c.Input} }
 // OutVars implements Op.
 func (c *CreateElement) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
 
-func (c *CreateElement) opString() string {
-	return fmt.Sprintf("createElement[%s, $%s → $%s]", c.Label, c.Children, c.Out)
+func (c *CreateElement) appendOp(b []byte) []byte {
+	b = append(c.Label.appendTo(append(b, "createElement["...)), ", $"...)
+	return appendArrow(append(b, c.Children...), c.Out)
 }
 
 // OrderBy reorders the bindings by the values of the Keys variables
@@ -200,8 +213,8 @@ func (o *OrderBy) Inputs() []Op { return []Op{o.Input} }
 // OutVars implements Op.
 func (o *OrderBy) OutVars() []string { return o.Input.OutVars() }
 
-func (o *OrderBy) opString() string {
-	return fmt.Sprintf("orderBy[$%s]", strings.Join(o.Keys, ",$"))
+func (o *OrderBy) appendOp(b []byte) []byte {
+	return append(appendVars(append(b, "orderBy["...), o.Keys), ']')
 }
 
 // Project keeps only the named variables of each binding (π).
@@ -216,7 +229,9 @@ func (p *Project) Inputs() []Op { return []Op{p.Input} }
 // OutVars implements Op.
 func (p *Project) OutVars() []string { return append([]string{}, p.Keep...) }
 
-func (p *Project) opString() string { return fmt.Sprintf("project[$%s]", strings.Join(p.Keep, ",$")) }
+func (p *Project) appendOp(b []byte) []byte {
+	return append(appendVars(append(b, "project["...), p.Keep), ']')
+}
 
 // Union appends the right binding list after the left (∪, list
 // semantics: duplicates preserved, order left-then-right). Both inputs
@@ -231,7 +246,7 @@ func (u *Union) Inputs() []Op { return []Op{u.Left, u.Right} }
 // OutVars implements Op.
 func (u *Union) OutVars() []string { return u.Left.OutVars() }
 
-func (u *Union) opString() string { return "union" }
+func (u *Union) appendOp(b []byte) []byte { return append(b, "union"...) }
 
 // Difference removes from the left list every binding structurally
 // equal to some right binding (\). Unbrowsable on the right input.
@@ -245,7 +260,7 @@ func (d *Difference) Inputs() []Op { return []Op{d.Left, d.Right} }
 // OutVars implements Op.
 func (d *Difference) OutVars() []string { return d.Left.OutVars() }
 
-func (d *Difference) opString() string { return "difference" }
+func (d *Difference) appendOp(b []byte) []byte { return append(b, "difference"...) }
 
 // Distinct removes duplicate bindings, keeping first occurrences (δ).
 type Distinct struct {
@@ -258,7 +273,7 @@ func (d *Distinct) Inputs() []Op { return []Op{d.Input} }
 // OutVars implements Op.
 func (d *Distinct) OutVars() []string { return d.Input.OutVars() }
 
-func (d *Distinct) opString() string { return "distinct" }
+func (d *Distinct) appendOp(b []byte) []byte { return append(b, "distinct"...) }
 
 // TupleDestroy unwraps the singleton binding list bs[b[v[e]]] and
 // returns the element e as the final document. It is always the plan
@@ -274,29 +289,92 @@ func (t *TupleDestroy) Inputs() []Op { return []Op{t.Input} }
 // OutVars implements Op.
 func (t *TupleDestroy) OutVars() []string { return nil }
 
-func (t *TupleDestroy) opString() string { return fmt.Sprintf("tupleDestroy[$%s]", t.Var) }
-
-// String renders the plan as an indented operator tree, root first, in
-// the style of Fig. 4.
-func String(p Op) string {
-	var b strings.Builder
-	writePlan(&b, p, 0)
-	return b.String()
+func (t *TupleDestroy) appendOp(b []byte) []byte {
+	return append(append(append(b, "tupleDestroy[$"...), t.Var...), ']')
 }
 
-func writePlan(b *strings.Builder, p Op, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(p.opString())
-	b.WriteByte('\n')
-	for _, in := range p.Inputs() {
-		writePlan(b, in, depth+1)
+// String renders the plan as an indented operator tree, root first, in
+// the style of Fig. 4, into one buffer.
+func String(p Op) string { return string(appendPlan(make([]byte, 0, 2048), p, 0)) }
+
+func appendPlan(b []byte, p Op, depth int) []byte {
+	for range depth {
+		b = append(b, "  "...)
 	}
+	b = append(p.appendOp(b), '\n')
+	var buf [2]Op
+	for _, in := range inputs(p, &buf) {
+		b = appendPlan(b, in, depth+1)
+	}
+	return b
+}
+
+// inputs returns p.Inputs() in buf, so a walk of a plan allocates
+// nothing for it.
+func inputs(p Op, buf *[2]Op) []Op {
+	switch op := p.(type) {
+	case *Source:
+		return nil
+	case *Join:
+		buf[0], buf[1] = op.Left, op.Right
+		return buf[:]
+	case *Union:
+		buf[0], buf[1] = op.Left, op.Right
+		return buf[:]
+	case *Difference:
+		buf[0], buf[1] = op.Left, op.Right
+		return buf[:]
+	case *GetDescendants:
+		buf[0] = op.Input
+	case *Select:
+		buf[0] = op.Input
+	case *GroupBy:
+		buf[0] = op.Input
+	case *Concatenate:
+		buf[0] = op.Input
+	case *CreateElement:
+		buf[0] = op.Input
+	case *OrderBy:
+		buf[0] = op.Input
+	case *Project:
+		buf[0] = op.Input
+	case *Distinct:
+		buf[0] = op.Input
+	case *TupleDestroy:
+		buf[0] = op.Input
+	case *WrapList:
+		buf[0] = op.Input
+	case *Const:
+		buf[0] = op.Input
+	case *Rename:
+		buf[0] = op.Input
+	default:
+		return p.Inputs()
+	}
+	return buf[:1]
+}
+
+// appendVars appends vars as "$a,$b,…".
+func appendVars(b []byte, vars []string) []byte {
+	for i, v := range vars {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(b, '$'), v...)
+	}
+	return b
+}
+
+// appendArrow appends " → $out]", the tail of most renderings.
+func appendArrow(b []byte, out string) []byte {
+	return append(append(append(b, " → $"...), out...), ']')
 }
 
 // Walk visits p and all its descendants, root first.
 func Walk(p Op, fn func(Op)) {
 	fn(p)
-	for _, in := range p.Inputs() {
+	var buf [2]Op
+	for _, in := range inputs(p, &buf) {
 		Walk(in, fn)
 	}
 }

@@ -52,11 +52,13 @@ func V(name string) Operand { return Operand{Var: name} }
 // Lit returns a literal operand.
 func Lit(s string) Operand { return Operand{Lit: s} }
 
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendTo(nil)) }
+
+func (o Operand) appendTo(b []byte) []byte {
 	if o.Var != "" {
-		return "$" + o.Var
+		return append(append(b, '$'), o.Var...)
 	}
-	return strconv.Quote(o.Lit)
+	return strconv.AppendQuote(b, o.Lit)
 }
 
 // value evaluates o against b. A literal is always a leaf, so it is
@@ -191,7 +193,7 @@ func (c *Cmp) EquiKeys() [][2]string {
 	return nil
 }
 
-func (c *Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
+func (c *Cmp) String() string { return string(appendCond(nil, c)) }
 
 // And is conjunction.
 type And struct{ L, R Cond }
@@ -212,7 +214,7 @@ func (a *And) Vars() []string { return append(a.L.Vars(), a.R.Vars()...) }
 // by either side.
 func (a *And) EquiKeys() [][2]string { return append(a.L.EquiKeys(), a.R.EquiKeys()...) }
 
-func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
+func (a *And) String() string { return string(appendCond(nil, a)) }
 
 // Or is disjunction.
 type Or struct{ L, R Cond }
@@ -233,7 +235,7 @@ func (o *Or) Vars() []string { return append(o.L.Vars(), o.R.Vars()...) }
 // equalities.
 func (o *Or) EquiKeys() [][2]string { return nil }
 
-func (o *Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
+func (o *Or) String() string { return string(appendCond(nil, o)) }
 
 // Not is negation.
 type Not struct{ C Cond }
@@ -250,7 +252,7 @@ func (n *Not) Vars() []string { return n.C.Vars() }
 // EquiKeys implements Cond.
 func (n *Not) EquiKeys() [][2]string { return nil }
 
-func (n *Not) String() string { return fmt.Sprintf("NOT %s", n.C) }
+func (n *Not) String() string { return string(appendCond(nil, n)) }
 
 // True is the always-true condition (turns Join into a product).
 type True struct{}
@@ -289,4 +291,36 @@ func (m *LabelMatch) Vars() []string { return []string{m.Var} }
 // EquiKeys implements Cond.
 func (m *LabelMatch) EquiKeys() [][2]string { return nil }
 
-func (m *LabelMatch) String() string { return fmt.Sprintf("label($%s) = %q", m.Var, m.Label) }
+func (m *LabelMatch) String() string { return string(appendCond(nil, m)) }
+
+// appendCond appends c's rendering to b: the byte-for-byte output
+// fmt's %s gives c, a nil condition included, without fmt. A condition
+// type from outside the package renders through its String method.
+func appendCond(b []byte, c Cond) []byte {
+	switch c := c.(type) {
+	case nil:
+		return append(b, "%!s(<nil>)"...)
+	case *Cmp:
+		b = append(c.L.appendTo(b), ' ')
+		b = append(append(b, c.Op...), ' ')
+		return c.R.appendTo(b)
+	case *And:
+		return appendJunction(b, c.L, " AND ", c.R)
+	case *Or:
+		return appendJunction(b, c.L, " OR ", c.R)
+	case *Not:
+		return appendCond(append(b, "NOT "...), c.C)
+	case True:
+		return append(b, "true"...)
+	case *LabelMatch:
+		b = append(append(append(b, "label($"...), c.Var...), ") = "...)
+		return strconv.AppendQuote(b, c.Label)
+	default:
+		return append(b, c.String()...)
+	}
+}
+
+func appendJunction(b []byte, l Cond, op string, r Cond) []byte {
+	b = append(appendCond(append(b, '('), l), op...)
+	return append(appendCond(b, r), ')')
+}

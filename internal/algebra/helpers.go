@@ -1,10 +1,6 @@
 package algebra
 
-import (
-	"fmt"
-
-	"mix/internal/xmltree"
-)
+import "mix/internal/xmltree"
 
 // Helper operators used by the XMAS-to-algebra translation and by
 // view composition. All three are pure per-binding restructurings
@@ -25,7 +21,9 @@ func (w *WrapList) Inputs() []Op { return []Op{w.Input} }
 // OutVars implements Op.
 func (w *WrapList) OutVars() []string { return append(w.Input.OutVars(), w.Out) }
 
-func (w *WrapList) opString() string { return fmt.Sprintf("wrapList[$%s → $%s]", w.Var, w.Out) }
+func (w *WrapList) appendOp(b []byte) []byte {
+	return appendArrow(append(append(b, "wrapList[$"...), w.Var...), w.Out)
+}
 
 // Const binds Out to a fixed tree for each input binding (literal
 // content in CONSTRUCT templates).
@@ -41,7 +39,9 @@ func (c *Const) Inputs() []Op { return []Op{c.Input} }
 // OutVars implements Op.
 func (c *Const) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
 
-func (c *Const) opString() string { return fmt.Sprintf("const[%s → $%s]", c.Value, c.Out) }
+func (c *Const) appendOp(b []byte) []byte {
+	return appendArrow(append(append(b, "const["...), c.Value.String()...), c.Out)
+}
 
 // Rename renames variable From to To in every binding (view
 // composition glue).
@@ -66,4 +66,6 @@ func (r *Rename) OutVars() []string {
 	return out
 }
 
-func (r *Rename) opString() string { return fmt.Sprintf("rename[$%s → $%s]", r.From, r.To) }
+func (r *Rename) appendOp(b []byte) []byte {
+	return appendArrow(append(append(b, "rename[$"...), r.From...), r.To)
+}

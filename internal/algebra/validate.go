@@ -44,19 +44,19 @@ func validate(p Op) (varList, error) {
 func checkOp(p Op, inVars []varList) (varList, error) {
 	need := func(set varList, name, what string) error {
 		if name == "" {
-			return fmt.Errorf("algebra: %s: empty variable name in %s", what, p.opString())
+			return fmt.Errorf("algebra: %s: empty variable name in %s", what, p.appendOp(nil))
 		}
 		if !set.has(name) {
-			return fmt.Errorf("algebra: %s: variable $%s not defined by input of %s", what, name, p.opString())
+			return fmt.Errorf("algebra: %s: variable $%s not defined by input of %s", what, name, p.appendOp(nil))
 		}
 		return nil
 	}
 	fresh := func(set varList, name string) error {
 		if name == "" {
-			return fmt.Errorf("algebra: empty output variable in %s", p.opString())
+			return fmt.Errorf("algebra: empty output variable in %s", p.appendOp(nil))
 		}
 		if set.has(name) {
-			return fmt.Errorf("algebra: output variable $%s of %s shadows an input variable", name, p.opString())
+			return fmt.Errorf("algebra: output variable $%s of %s shadows an input variable", name, p.appendOp(nil))
 		}
 		return nil
 	}

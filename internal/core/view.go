@@ -66,3 +66,37 @@ func Prepare(plan algebra.Op, name string) (*View, error) {
 // Plan returns the prepared plan. It is shared by every compile of the
 // view: read-only.
 func (v *View) Plan() algebra.Op { return v.plan }
+
+// Bind returns the view of the same plan with its literals bound
+// through lits (algebra.BindLiterals): the plan and the canonical plan
+// are copied with the literals substituted, and the fingerprint, or an
+// opaque view's rendering, is rendered again. Literals decide no
+// validation, source, top-level variable or cache name, so those are
+// shared with v, which is not modified. lits should map only
+// placeholders no plan holds by accident, such as the sentinels of
+// xmas.Query.Template.
+func (v *View) Bind(lits map[string]string) *View {
+	w := *v
+	w.plan = algebra.BindLiterals(v.plan, lits)
+	if v.canon != nil {
+		w.canon = algebra.BindLiterals(v.canon, lits)
+		w.fp = algebra.String(w.canon)
+	} else if v.opaque != "" {
+		w.opaque = algebra.String(w.plan)
+	}
+	return &w
+}
+
+// Name returns the region-cache name the view was prepared under.
+func (v *View) Name() string { return v.name }
+
+// Fingerprint returns the canonical plan's fingerprint: "" for an
+// unnamed view or a plan with no canonical form.
+func (v *View) Fingerprint() string { return v.fp }
+
+// Sources returns the names of the sources the plan reads, distinct, in
+// walk order: read-only.
+func (v *View) Sources() []string { return v.sources }
+
+// TopVars returns the plan's top-level variables: read-only.
+func (v *View) TopVars() []string { return v.topVars }

@@ -58,10 +58,15 @@ func DefaultOptions() Options {
 //
 // Preprocessing runs once per query text: the mediator memoizes, by the
 // exact text, the prepared view (core.Prepare: the final plan, validated
-// and keyed for the region cache) and its browsability (see Query). The
-// memo holds at most maxPrepared texts and is cleared by DefineView; the
-// view catalogue and Options are its only other inputs, and it holds
-// nothing tied to a registry version or cache generation.
+// and keyed for the region cache) and its browsability (see Query). A
+// text it has not seen is preprocessed once per query shape instead —
+// the text with its literals lifted out (xmas.Query.Shape): on a shape's
+// second sighting the mediator preprocesses one template of it, with
+// sentinel literals, and binds every later text's literals into the
+// template's view (core.View.Bind). Each memo holds at most maxPrepared
+// entries and is cleared by DefineView; the view catalogue and Options
+// are their only other inputs, and they hold nothing tied to a registry
+// version or cache generation.
 type Mediator struct {
 	opts   Options
 	engine *core.Engine
@@ -72,12 +77,12 @@ type Mediator struct {
 	viewVer uint64                // DefineView count: a prepare that spans one is not memoized
 	nview   int
 	memo    map[string]memoEntry      // by query text
+	shapes  map[string]*shapeEntry    // by query shape; nil until the second sighting
 	buffers map[string]*buffer.Buffer // LXP buffers registered, by source name
 }
 
-// maxPrepared bounds the prepared-view memo. A full memo drops an
-// arbitrary entry per insert, so a stream of fresh texts churns it
-// without growing it.
+// maxPrepared bounds the prepared-view memo and the shape memo (see
+// bounded).
 const maxPrepared = 256
 
 // memoEntry is the product of preprocessing one query text. Its view is
@@ -85,6 +90,23 @@ const maxPrepared = 256
 type memoEntry struct {
 	view *core.View
 	cls  algebra.Browsability
+}
+
+// shapeEntry is the preprocessed template of a query shape: the view of
+// its plan, whose i-th literal is sentinels[i] (xmas.Query.Template).
+type shapeEntry struct {
+	memoEntry
+	sentinels []string
+}
+
+// bind returns the preprocessing of the query of the shape whose
+// literals are lits.
+func (s *shapeEntry) bind(lits []xmas.Literal) memoEntry {
+	m := make(map[string]string, len(lits))
+	for i, l := range lits {
+		m[s.sentinels[i]] = l.Value
+	}
+	return memoEntry{view: s.view.Bind(m), cls: s.cls}
 }
 
 // New creates a mediator.
@@ -95,6 +117,7 @@ func New(opts Options) *Mediator {
 		eager:  eager.New(),
 		views:  map[string]algebra.Op{},
 		memo:   map[string]memoEntry{},
+		shapes: map[string]*shapeEntry{},
 	}
 }
 
@@ -166,8 +189,8 @@ func (m *Mediator) BufferStats() map[string]buffer.Stats {
 
 // DefineView registers a XMAS view definition under the given name.
 // Queries may then use the name like a source; at preprocessing time
-// the query is composed with the view. It clears the prepared-view memo,
-// so every later query text is composed afresh.
+// the query is composed with the view. It clears the prepared-view and
+// shape memos, so every later query text is composed afresh.
 func (m *Mediator) DefineView(name, xmasText string) error {
 	q, err := xmas.Parse(xmasText)
 	if err != nil {
@@ -181,6 +204,7 @@ func (m *Mediator) DefineView(name, xmasText string) error {
 	m.views[name] = plan
 	m.viewVer++
 	clear(m.memo)
+	clear(m.shapes)
 	m.mu.Unlock()
 	return nil
 }
@@ -234,11 +258,11 @@ func (r *Result) Root() (*Element, error) { return Wrap(r.Document()) }
 // Materialize fully evaluates the answer.
 func (r *Result) Materialize() (*xmltree.Tree, error) { return r.query.Materialize() }
 
-// Query preprocesses a XMAS query — once per text, then from the memo —
-// and compiles the prepared view into a Result. Compile errors surface
-// here; the operator pipeline itself is built on the first navigation
-// that reaches the engine, so an answer the region cache holds in full
-// never builds one. No source is accessed.
+// Query preprocesses a XMAS query — once per text or query shape, then
+// from the memos — and compiles the prepared view into a Result.
+// Compile errors surface here; the operator pipeline itself is built on
+// the first navigation that reaches the engine, so an answer the region
+// cache holds in full never builds one. No source is accessed.
 func (m *Mediator) Query(xmasText string) (*Result, error) {
 	p, err := m.prepare(xmasText)
 	if err != nil {
@@ -287,8 +311,9 @@ func (m *Mediator) Prepare(xmasText string) (algebra.Op, error) {
 	return p.view.Plan(), nil
 }
 
-// prepare returns the memoized preprocessing of xmasText, running
-// preprocess on a miss. Errors are never memoized.
+// prepare returns the memoized preprocessing of xmasText, else parses
+// it and preprocesses it by its shape (fromShape). Errors are never
+// memoized.
 func (m *Mediator) prepare(xmasText string) (memoEntry, error) {
 	m.mu.Lock()
 	p, ok := m.memo[xmasText]
@@ -297,32 +322,79 @@ func (m *Mediator) prepare(xmasText string) (memoEntry, error) {
 	if ok {
 		return p, nil
 	}
-	p, err := m.preprocess(xmasText)
+	q, err := xmas.Parse(xmasText)
+	if err != nil {
+		return memoEntry{}, err
+	}
+	p, err = m.fromShape(q, ver)
 	if err != nil {
 		return memoEntry{}, err
 	}
 	m.mu.Lock()
 	if m.viewVer == ver {
-		if len(m.memo) >= maxPrepared {
-			for k := range m.memo {
-				delete(m.memo, k)
-				break
-			}
-		}
+		bounded(m.memo)
 		m.memo[xmasText] = p
 	}
 	m.mu.Unlock()
 	return p, nil
 }
 
-// preprocess parses, composes and rewrites a XMAS query, prepares the
+// fromShape preprocesses q, sampled at view version ver, by its shape.
+// A query without literals, or of a shape not seen before, is
+// preprocessed whole, the shape then marked seen. On the second
+// sighting the shape's template is preprocessed and kept, and this and
+// every later query of the shape bind their literals into its view. A
+// template that fails to preprocess is not kept, and q is preprocessed
+// whole, so an invalid text fails with its own error.
+func (m *Mediator) fromShape(q *xmas.Query, ver uint64) (memoEntry, error) {
+	if len(q.Literals) == 0 {
+		return m.preprocess(q)
+	}
+	shape := q.Shape()
+	m.mu.Lock()
+	s, seen := m.shapes[shape]
+	if !seen && m.viewVer == ver {
+		bounded(m.shapes)
+		m.shapes[shape] = nil
+	}
+	m.mu.Unlock()
+	if !seen {
+		return m.preprocess(q)
+	}
+	if s == nil {
+		t, sentinels := q.Template()
+		p, err := m.preprocess(t)
+		if err != nil {
+			return m.preprocess(q)
+		}
+		s = &shapeEntry{memoEntry: p, sentinels: sentinels}
+		m.mu.Lock()
+		if m.viewVer == ver {
+			bounded(m.shapes)
+			m.shapes[shape] = s
+		}
+		m.mu.Unlock()
+	}
+	return s.bind(q.Literals), nil
+}
+
+// bounded makes room for one more entry in a memo: a full memo drops an
+// arbitrary entry, so a stream of fresh keys churns it without growing
+// it. Caller holds m.mu.
+func bounded[V any](memo map[string]V) {
+	if len(memo) < maxPrepared {
+		return
+	}
+	for k := range memo {
+		delete(memo, k)
+		return
+	}
+}
+
+// preprocess composes and rewrites a parsed XMAS query, prepares the
 // plan under the composed views' cache name (core.Prepare validates and
 // canonicalizes it) and classifies its browsability.
-func (m *Mediator) preprocess(xmasText string) (memoEntry, error) {
-	q, err := xmas.Parse(xmasText)
-	if err != nil {
-		return memoEntry{}, err
-	}
+func (m *Mediator) preprocess(q *xmas.Query) (memoEntry, error) {
 	plan, err := q.Translate()
 	if err != nil {
 		return memoEntry{}, err

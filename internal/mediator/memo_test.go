@@ -6,8 +6,10 @@ package mediator
 // under -race.
 
 import (
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mix/internal/algebra"
@@ -309,4 +311,249 @@ func BenchmarkQueryWarm(b *testing.B) {
 		}
 		res.Document()
 	}
+}
+
+// medHomeFresh is the med-home join with one literal per open: a
+// comparison that always holds (zip codes start at 91000), so every
+// text is new, with a new fingerprint and the same answer.
+const medHomeFresh = `CONSTRUCT <answer> <med_home> $H $S {$S} </med_home> {$H} </answer> {}
+WHERE homesSrc homes.home $H AND $H zip._ $V1 AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2 AND $V1 > "`
+
+// freshTexts returns n med-home texts with the literals from, from+1, ….
+func freshTexts(from, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = medHomeFresh + strconv.Itoa(from+i) + `"`
+	}
+	return out
+}
+
+// BenchmarkQueryFresh opens a text of a seen shape with a literal never
+// seen before: the exact-text memo misses, and the open binds the
+// literal into the shape's template.
+func BenchmarkQueryFresh(b *testing.B) {
+	m := cachedMediator(b, 47)
+	texts := freshTexts(0, b.N+2)
+	for _, q := range texts[:2] {
+		if _, err := m.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	texts = texts[2:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if _, err := m.Query(texts[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// freshQueryAllocs bounds the allocations of a fresh-literal open of a
+// seen shape: the parse that finds the literal, the bound view's copied
+// plan spines and re-rendered fingerprint, and the compile. It measured
+// 76 (Go 1.24, amd64); the bound adds six, as warmOpenAllocs does. The
+// same open preprocessed the whole text, 415 allocations, before the
+// shape memo.
+const freshQueryAllocs = 82
+
+// TestFreshLiteralQueryAllocs pins the fresh-literal open's allocation
+// bound: no translation, composition, rewriting or canonicalization.
+func TestFreshLiteralQueryAllocs(t *testing.T) {
+	m := cachedMediator(t, 48)
+	const runs = 100
+	texts := freshTexts(0, runs+3)
+	for _, q := range texts[:2] {
+		if _, err := m.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 2
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := m.Query(texts[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > freshQueryAllocs {
+		t.Errorf("fresh-literal open allocates %v times, bound %d", allocs, freshQueryAllocs)
+	}
+}
+
+// TestShapeMemoSecondSighting: a shape seen once is preprocessed whole
+// and only marked; its second sighting keeps a template, and later
+// texts of the shape bind into it. A text without literals never enters
+// the shape memo, and DefineView clears it.
+func TestShapeMemoSecondSighting(t *testing.T) {
+	m := newMediator(t, 49)
+	texts := freshTexts(0, 3)
+	shapes := func() (seen, templates int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, s := range m.shapes {
+			seen++
+			if s != nil {
+				templates++
+			}
+		}
+		return seen, templates
+	}
+	want := []struct{ seen, templates int }{{1, 0}, {1, 1}, {1, 1}}
+	for i, q := range texts {
+		if _, err := m.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if s, tm := shapes(); s != want[i].seen || tm != want[i].templates {
+			t.Fatalf("after open %d: %d shapes, %d templates; want %d, %d",
+				i+1, s, tm, want[i].seen, want[i].templates)
+		}
+	}
+	if _, err := m.Query(homesSchoolsView); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := shapes(); s != 1 {
+		t.Fatalf("a text without literals entered the shape memo: %d shapes", s)
+	}
+	if err := m.DefineView("v", `CONSTRUCT <vs> $H {$H} </vs> {} WHERE homesSrc homes.home $H`); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := shapes(); s != 0 {
+		t.Fatalf("DefineView left %d shapes", s)
+	}
+}
+
+// TestPoolFlatUnderFreshLiterals: 10 000 fresh-literal opens, each
+// deriving its answer's first result, on a 64 KiB cache leave the
+// key-string pool holding only the fingerprints of what the cache
+// holds: evicted entries and freed plan slots release theirs.
+func TestPoolFlatUnderFreshLiterals(t *testing.T) {
+	c := regioncache.New(64 << 10)
+	m := New(DefaultOptions())
+	m.SetRegionCache(c)
+	h, s := workload.HomesSchools(15, 20, 4, 50)
+	m.RegisterTree("homesSrc", h)
+	m.RegisterTree("schoolsSrc", s)
+	const text = `CONSTRUCT <hs> $H {$H} </hs> {} WHERE homesSrc homes.home $H AND $H zip._ $V AND $V > "`
+	open := func(k int) {
+		res, err := m.Query(text + strconv.Itoa(k) + `"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := res.Document()
+		root, err := d.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Down(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var early int64
+	for k := range 10_000 {
+		open(k)
+		if k == 999 {
+			early = c.Stats().InternedBytes
+		}
+	}
+	st := c.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("the cache never evicted: the test does not exercise release")
+	}
+	if st.InternedBytes > early+early/4 {
+		t.Fatalf("pool grew from %d B after 1 000 opens to %d B after 10 000 (%d entries live)",
+			early, st.InternedBytes, st.Entries)
+	}
+}
+
+// TestDefineViewRacesFreshOpens: eight goroutines open fresh literals of
+// one shape over a view while DefineView redefines it. No open may get a
+// plan composed with a definition older than the latest one completed
+// before the open began. Run under -race.
+func TestDefineViewRacesFreshOpens(t *testing.T) {
+	m := newMediator(t, 51)
+	define := func(gen int) {
+		body := `CONSTRUCT <vs> $H {$H} </vs> {} WHERE homesSrc homes.home $H AND $H zip._ $Z AND $Z != "gen` +
+			strconv.Itoa(gen) + `"`
+		if err := m.DefineView("v", body); err != nil {
+			t.Error(err)
+		}
+	}
+	// generation returns the view generation a plan was composed with.
+	generation := func(plan algebra.Op) int {
+		gen := -1
+		algebra.Walk(plan, func(op algebra.Op) {
+			if s, ok := op.(*algebra.Select); ok {
+				for _, l := range literals(s.Cond) {
+					if g, err := strconv.Atoi(strings.TrimPrefix(l, "gen")); err == nil && strings.HasPrefix(l, "gen") {
+						gen = g
+					}
+				}
+			}
+		})
+		return gen
+	}
+	define(0)
+	const opens, workers = 300, 8
+	var defined, next atomic.Int64
+	stop := make(chan struct{})
+	definer := make(chan struct{})
+	go func() {
+		defer close(definer)
+		for gen := 1; ; gen++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			define(gen)
+			defined.Store(int64(gen))
+		}
+	}()
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range opens {
+				floor := defined.Load()
+				k := next.Add(1)
+				res, err := m.Query(`CONSTRUCT <out> $X {$X} </out> {} WHERE v vs._ $X AND $X != "q` + strconv.FormatInt(k, 10) + `"`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if g := generation(res.Plan); int64(g) < floor {
+					t.Errorf("open begun after definition %d composed definition %d", floor, g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-definer
+	if defined.Load() < 2 {
+		t.Fatalf("only %d redefinitions ran during the opens", defined.Load())
+	}
+}
+
+// literals returns the literal operands of c's comparisons.
+func literals(c algebra.Cond) []string {
+	switch c := c.(type) {
+	case *algebra.Cmp:
+		var out []string
+		for _, o := range []algebra.Operand{c.L, c.R} {
+			if o.Var == "" {
+				out = append(out, o.Lit)
+			}
+		}
+		return out
+	case *algebra.And:
+		return append(literals(c.L), literals(c.R)...)
+	case *algebra.Or:
+		return append(literals(c.L), literals(c.R)...)
+	case *algebra.Not:
+		return literals(c.C)
+	}
+	return nil
 }

@@ -23,12 +23,17 @@ package pathexpr
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
-// Expr is a parsed path expression.
+// Expr is a parsed path expression. It is immutable, so its rendering
+// is computed once, on first use.
 type Expr struct {
 	root node
 	src  string
+
+	strOnce sync.Once
+	str     string
 }
 
 // node is the expression AST.
@@ -75,7 +80,8 @@ func (e *Expr) String() string {
 	if e == nil || e.root == nil {
 		return ""
 	}
-	return e.root.str()
+	e.strOnce.Do(func() { e.str = e.root.str() })
+	return e.str
 }
 
 // Source returns the original text the expression was parsed from.

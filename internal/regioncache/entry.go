@@ -21,12 +21,12 @@ const nodeBytes = 48
 const keyFixedBytes = 96
 
 // keyOverhead is the fixed retained size of an entry's key. Name and
-// canonical-fingerprint content is interned through the cache's pool
-// (see internKey) and charged once per distinct string to
-// Stats.InternedBytes, so entries no longer re-carry — or re-count —
-// their own copies. The one exception is an opaque fingerprint
-// (Canonical's fallback): process-unique, never interned, so its bytes
-// still ride on the entry that owns it.
+// canonical-fingerprint content lives in the cache's key-string pool
+// (see holdKey) and is charged once per held string to
+// Stats.InternedBytes, so entries neither re-carry nor re-count their
+// own copies. The one exception is an opaque fingerprint (Canonical's
+// fallback): process-unique, never pooled, so its bytes ride on the
+// entry that owns it.
 func keyOverhead(k Key) int64 {
 	o := int64(keyFixedBytes)
 	if strings.HasPrefix(k.Fingerprint, opaquePrefix) {

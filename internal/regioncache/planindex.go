@@ -42,13 +42,12 @@ type planEntry struct {
 // fingerprint already present in its bucket is not re-added, and a full
 // bucket drops the newcomer rather than evicting (the exact-match fast
 // path is unaffected either way). Without a remote tier, evicting an
-// entry frees its plan's slot (forgetPlan).
+// entry frees its plan's slot (forgetPlan). A slot holds its key's
+// strings in the pool until it is freed.
 func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
 	if c == nil || canon == nil || k.Generation != c.gen.Load() {
 		return
 	}
-	k.Name = c.internStr(k.Name)
-	k.Fingerprint = c.internStr(k.Fingerprint)
 	b := bucketKey{gen: k.Generation, registry: k.Registry, name: k.Name}
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
@@ -61,6 +60,8 @@ func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
 	if len(ps) >= maxPlansPerBucket {
 		return
 	}
+	k = c.holdKey(k)
+	b.name = k.Name
 	c.plans[b] = append(ps, planEntry{key: k, plan: canon})
 }
 
@@ -84,6 +85,7 @@ func (c *Cache) forgetPlan(k Key) {
 		} else {
 			c.plans[b] = slices.Delete(ps, i, i+1)
 		}
+		c.releaseKey(p.key)
 		return
 	}
 }
@@ -181,42 +183,74 @@ func (c *Cache) completeTree(k Key) *xmltree.Tree {
 // mirroring dropBelow on entries.
 func (c *Cache) prunePlansBelow(g uint64) {
 	c.planMu.Lock()
-	for b := range c.plans {
+	for b, ps := range c.plans {
 		if b.gen < g {
 			delete(c.plans, b)
+			for _, p := range ps {
+				c.releaseKey(p.key)
+			}
 		}
 	}
 	c.planMu.Unlock()
 }
 
-// internStr deduplicates a key string through the cache's interner,
-// charging its content bytes exactly once (on first sight) to the
-// intern pool. The pool is never released — it grows with the view
-// vocabulary, not the entry count — so its bytes are reported
-// separately (Stats.InternedBytes) and excluded from the eviction
-// budget.
-func (c *Cache) internStr(s string) string {
-	c.internMu.Lock()
-	before := c.intern.Len()
-	out := c.intern.Intern(s)
-	if c.intern.Len() > before {
-		c.internBytes += int64(len(s))
-	}
-	c.internMu.Unlock()
-	return out
+// pooled is one string of the cache's key-string pool and the number of
+// live entries and plan-index slots that hold it.
+type pooled struct {
+	s    string
+	refs int
 }
 
-// internKey deduplicates a key's strings through the pool. Opaque
-// fingerprints are exempt: each is process-unique (a fresh counter per
-// non-canonicalizable plan), so interning them would grow the pool with
-// every such query instead of with the view vocabulary; they stay
-// entry-carried and entry-accounted.
-func (c *Cache) internKey(k Key) Key {
-	k.Name = c.internStr(k.Name)
+// hold returns the pool's copy of s for one more holder. The first
+// holder charges the content bytes to the pool (Stats.InternedBytes),
+// once however many entries and slots share the string.
+func (c *Cache) hold(s string) string {
+	c.poolMu.Lock()
+	p, ok := c.pool[s]
+	if !ok {
+		p.s = s
+		c.poolBytes += int64(len(s))
+	}
+	p.refs++
+	c.pool[s] = p
+	c.poolMu.Unlock()
+	return p.s
+}
+
+// release drops one holder of s; the last one returns its bytes, so the
+// pool holds the names and fingerprints of what the cache holds, not of
+// everything it ever held.
+func (c *Cache) release(s string) {
+	c.poolMu.Lock()
+	if p, ok := c.pool[s]; ok {
+		if p.refs--; p.refs > 0 {
+			c.pool[s] = p
+		} else {
+			delete(c.pool, s)
+			c.poolBytes -= int64(len(s))
+		}
+	}
+	c.poolMu.Unlock()
+}
+
+// holdKey holds a key's strings in the pool for one more entry or plan
+// slot. Opaque fingerprints are exempt: each is process-unique (a fresh
+// counter per non-canonicalizable plan) and has one holder, its entry,
+// which carries and is charged for its bytes (keyOverhead).
+func (c *Cache) holdKey(k Key) Key {
+	k.Name = c.hold(k.Name)
 	if !strings.HasPrefix(k.Fingerprint, opaquePrefix) {
-		k.Fingerprint = c.internStr(k.Fingerprint)
+		k.Fingerprint = c.hold(k.Fingerprint)
 	}
 	return k
+}
+
+// releaseKey undoes holdKey.
+func (c *Cache) releaseKey(k Key) {
+	c.release(k.Name)
+	if !strings.HasPrefix(k.Fingerprint, opaquePrefix) {
+		c.release(k.Fingerprint)
+	}
 }
 
 // Complete reports whether the entry's region is fully explored: every

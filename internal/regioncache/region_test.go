@@ -8,11 +8,11 @@ import (
 	"mix/internal/nav"
 )
 
-// TestKeyOverheadAccounting: key strings are interned — each entry is
+// TestKeyOverheadAccounting: key strings are pooled — each entry is
 // charged only the fixed key overhead against the eviction budget,
-// while name/fingerprint content is charged once per *distinct* string
-// to the never-released intern pool (Stats.InternedBytes), and drop
-// accounting stays exactly symmetric with creation.
+// while name/fingerprint content is charged once per *distinct* held
+// string to the pool (Stats.InternedBytes), and drop accounting stays
+// exactly symmetric with creation, for the pool too.
 func TestKeyOverheadAccounting(t *testing.T) {
 	c := New(0)
 	name, fp := "homeview", strings.Repeat("S0:p(v0,v1)|", 20)
@@ -44,15 +44,14 @@ func TestKeyOverheadAccounting(t *testing.T) {
 	if got := c.Stats().InternedBytes; got != wantIntern {
 		t.Fatalf("interned bytes grew on re-open: %d, want %d", got, wantIntern)
 	}
-	// Dropping everything returns the budget to exactly zero: creation
-	// accounting and drop accounting are symmetric. The intern pool is
-	// a vocabulary floor — invalidation does not release it.
+	// Dropping everything returns the budget and the pool to exactly
+	// zero: creation accounting and drop accounting are symmetric.
 	c.Invalidate()
 	if got := c.Stats().Bytes; got != 0 {
 		t.Fatalf("bytes after invalidate = %d, want 0", got)
 	}
-	if got := c.Stats().InternedBytes; got != wantIntern {
-		t.Fatalf("interned bytes after invalidate = %d, want %d", got, wantIntern)
+	if got := c.Stats().InternedBytes; got != 0 {
+		t.Fatalf("interned bytes after invalidate = %d, want 0", got)
 	}
 	_ = e
 }

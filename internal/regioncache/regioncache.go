@@ -50,8 +50,6 @@ package regioncache
 import (
 	"sync"
 	"sync/atomic"
-
-	"mix/internal/xmltree"
 )
 
 // Key identifies one cached virtual document region (see the package
@@ -102,13 +100,13 @@ type Cache struct {
 	remoteMu sync.RWMutex
 	remote   Remote
 
-	// intern deduplicates key strings (view names, fingerprints) across
-	// entries and the plan index; internBytes is the pool's content
-	// size, charged once per distinct string and never released (see
-	// internStr).
-	intern      *xmltree.Interner
-	internMu    sync.Mutex
-	internBytes int64
+	// pool deduplicates key strings (view names, fingerprints) across
+	// live entries and plan-index slots; poolBytes is its content
+	// size, each string charged once while anything holds it (see
+	// hold).
+	pool      map[string]pooled
+	poolMu    sync.Mutex
+	poolBytes int64
 
 	// plans is the semantic plan index (see planindex.go).
 	planMu sync.Mutex
@@ -158,7 +156,7 @@ func New(maxBytes int64) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
 		entries:  map[Key]*Entry{},
-		intern:   xmltree.NewInterner(),
+		pool:     map[string]pooled{},
 		plans:    map[bucketKey][]planEntry{},
 	}
 }
@@ -253,7 +251,6 @@ func (c *Cache) Entry(name, fingerprint string, registry uint64) *Entry {
 // peer that has not invalidated yet either holds exactly that epoch's
 // region or misses. An existing entry is settled (Entry.settle).
 func (c *Cache) Open(k Key) *Entry {
-	k = c.internKey(k)
 	e, created := c.live(k)
 	if e == nil {
 		e, created = newEntry(c, k), true
@@ -268,8 +265,9 @@ func (c *Cache) Open(k Key) *Entry {
 }
 
 // live returns the mapped entry for k, moved to the front of the
-// recency list, or creates it and charges its fixed footprint (root node
-// plus key overhead, symmetric with dropLocked); created reports which.
+// recency list, or creates it, holds its key's strings in the pool and
+// charges its fixed footprint (root node plus key overhead, symmetric
+// with dropLocked); created reports which.
 // It returns nil for a generation other than the current one, checked
 // under c.mu, so a racing Invalidate cannot leave a stale entry in the
 // map after dropBelow swept it.
@@ -284,6 +282,7 @@ func (c *Cache) live(k Key) (e *Entry, created bool) {
 		c.recent.pushFront(e)
 		return e, false
 	}
+	k = c.holdKey(k)
 	e = newEntry(c, k)
 	c.entries[k] = e
 	c.bytes += e.bytes
@@ -312,7 +311,7 @@ func (c *Cache) Absorb(k Key, r *Region) bool {
 	if r == nil || k.Generation != c.gen.Load() {
 		return false
 	}
-	e, _ := c.live(c.internKey(k))
+	e, _ := c.live(k)
 	if e == nil {
 		return false
 	}
@@ -335,9 +334,11 @@ func (c *Cache) ForEach(f func(*Entry)) {
 	}
 }
 
-// dropLocked removes an entry, releasing its bytes. Caller holds c.mu.
+// dropLocked removes an entry, releasing its bytes and its key's hold
+// on the pool. Caller holds c.mu.
 func (c *Cache) dropLocked(e *Entry) {
 	delete(c.entries, e.key)
+	c.releaseKey(e.key)
 	c.recent.remove(e)
 	e.dead.Store(true)
 	e.mu.Lock()
@@ -393,9 +394,10 @@ type Stats struct {
 	SemanticCandidates      int64 `json:"semantic_candidates"`       // candidate plans scanned
 	SemanticIncompleteSkips int64 `json:"semantic_incomplete_skips"` // candidates not fully explored (see Subsume)
 
-	// InternedBytes is the content size of the key-string intern pool:
-	// charged once per distinct view name / fingerprint, never
-	// released, and excluded from Bytes and the eviction budget.
+	// InternedBytes is the content size of the key-string pool: each
+	// view name and fingerprint a live entry or plan-index slot holds,
+	// charged once however many hold it and released with the last.
+	// It is excluded from Bytes and the eviction budget.
 	InternedBytes int64 `json:"interned_bytes"`
 }
 
@@ -404,9 +406,9 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	entries, bytes := len(c.entries), c.bytes
 	c.mu.Unlock()
-	c.internMu.Lock()
-	interned := c.internBytes
-	c.internMu.Unlock()
+	c.poolMu.Lock()
+	interned := c.poolBytes
+	c.poolMu.Unlock()
 	return Stats{
 		Generation:              c.gen.Load(),
 		Entries:                 entries,

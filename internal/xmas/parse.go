@@ -41,6 +41,20 @@ type Query struct {
 	// body bindings are reordered by their values before construction.
 	// A query with ORDERBY is unbrowsable (Definition 2).
 	OrderBy []string
+	// Literals lists the literals the query's shape lifts out (see
+	// Shape), in source order: the operands of literal comparisons,
+	// quoted or bare, and the text items of the CONSTRUCT clause.
+	Literals []Literal
+
+	src string // the comment-stripped source Literals index
+}
+
+// Literal is one literal of a parsed query: its value, which is the
+// bytes [Pos, End) of the comment-stripped source — inside the quotes
+// of a quoted literal.
+type Literal struct {
+	Value    string
+	Pos, End int
 }
 
 // Element is a template element of the CONSTRUCT clause.
@@ -140,7 +154,12 @@ func (e *SyntaxError) Error() string {
 // Parse parses a XMAS query.
 func Parse(src string) (*Query, error) {
 	p := &parser{src: stripComments(src)}
-	return p.query()
+	q, err := p.query()
+	if err != nil {
+		return nil, err
+	}
+	q.Literals, q.src = p.lits, p.src
+	return q, nil
 }
 
 // MustParse is Parse for fixtures; it panics on error.
@@ -155,6 +174,9 @@ func MustParse(src string) *Query {
 // stripComments removes %-to-end-of-line comments, preserving offsets
 // by blanking rather than deleting.
 func stripComments(src string) string {
+	if strings.IndexByte(src, '%') < 0 {
+		return src
+	}
 	b := []byte(src)
 	in := false
 	for i := range b {
@@ -172,8 +194,9 @@ func stripComments(src string) string {
 }
 
 type parser struct {
-	src string
-	pos int
+	src  string
+	pos  int
+	lits []Literal
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -331,7 +354,7 @@ func (p *parser) templateItem() (Item, error) {
 		}
 		return &VarItem{Name: name, Group: p.group()}, nil
 	case '"':
-		lit, err := p.quoted()
+		lit, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +394,8 @@ func (p *parser) group() *Group {
 	return g
 }
 
-func (p *parser) quoted() (string, error) {
+// literal parses a quoted literal and records it in p.lits.
+func (p *parser) literal() (string, error) {
 	if p.peek() != '"' {
 		return "", p.errf("expected '\"'")
 	}
@@ -384,6 +408,7 @@ func (p *parser) quoted() (string, error) {
 		return "", p.errf("unterminated string literal")
 	}
 	lit := p.src[start:p.pos]
+	p.lits = append(p.lits, Literal{Value: lit, Pos: start, End: p.pos})
 	p.pos++
 	return lit, nil
 }
@@ -454,7 +479,7 @@ func (p *parser) condRest(left, op string) (Atom, error) {
 		}
 		return &CondAtom{Op: op, Left: left, Right: r, RightIsVar: true}, nil
 	case p.peek() == '"':
-		lit, err := p.quoted()
+		lit, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
@@ -468,6 +493,7 @@ func (p *parser) condRest(left, op string) (Atom, error) {
 		if lit == "" {
 			return nil, p.errf("expected comparison operand")
 		}
+		p.lits = append(p.lits, Literal{Value: lit, Pos: start, End: p.pos})
 		return &CondAtom{Op: op, Left: left, Right: lit}, nil
 	}
 }
