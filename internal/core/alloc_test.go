@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
 
+	"mix/internal/algebra"
 	"mix/internal/nav"
+	"mix/internal/regioncache"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
@@ -89,5 +92,53 @@ func TestColdJoinGroupByAllocs(t *testing.T) {
 	})
 	if allocs > coldJoinGroupByAllocs {
 		t.Errorf("cold med-home plan allocates %v times, bound %d", allocs, coldJoinGroupByAllocs)
+	}
+}
+
+// semanticHitAllocs bounds the allocations of one semantic hit: the
+// compile and open of a fresh-literal σ-restriction of the benchmark's
+// 48-home "homes" view, answered from that view's complete entry. It
+// measured 1 388 (Go 1.24, amd64); the bound adds six, as
+// coldJoinGroupByAllocs does. When the hit deep-copied the superset
+// into a tree and merged a rebuilt tree back, it made 2 375.
+const semanticHitAllocs = 1388 + 6
+
+// TestSemanticHitAllocs pins the allocations of one semantic hit.
+func TestSemanticHitAllocs(t *testing.T) {
+	homes, _ := workload.HomesSchools(48, 24, 8, 12)
+	e := New(DefaultOptions())
+	e.Register("homesSrc", nav.NewTreeDoc(homes))
+	e.SetRegionCache(regioncache.New(64 << 20))
+	prepare := func(text string) *View {
+		return mustPrepare(t, algebra.Rewrite(translateQ(t, text)), "query")
+	}
+	super, err := e.Compile(prepare(`CONSTRUCT <homes> $H {$H} </homes> {} WHERE homesSrc homes.home $H`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := super.Materialize(); err != nil || !super.Warm() {
+		t.Fatalf("superset not complete after a drain: %v", err)
+	}
+	// AllocsPerRun makes one warm-up call on top of the measured runs,
+	// and every call needs a fingerprint no earlier one had.
+	const runs = 20
+	views := make([]*View, runs+1)
+	for i := range views {
+		views[i] = prepare(fmt.Sprintf(`CONSTRUCT <homes> $H {$H} </homes> {}
+WHERE homesSrc homes.home $H AND $H price._ $P AND $P < "600000" AND $P > "%d"`, i))
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		q, err := e.Compile(views[n])
+		n++
+		if err != nil || !q.Warm() {
+			t.Fatalf("open %d: not answered semantically (%v)", n, err)
+		}
+	})
+	if hits := e.cache.Stats().SemanticHits; hits != runs+1 {
+		t.Fatalf("%d semantic hits, want %d", hits, runs+1)
+	}
+	if allocs > semanticHitAllocs {
+		t.Errorf("one semantic hit allocates %v times, bound %d", allocs, semanticHitAllocs)
 	}
 }

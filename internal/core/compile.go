@@ -120,12 +120,11 @@ type Query struct {
 	view *View
 	eng  *Engine
 
-	// fingerprint/regVer complete the view's region-cache key (see
-	// RegionKey); both are fixed at compile time, regVer when the view's
-	// sources are resolved into srcs (parallel to view.sources).
-	fingerprint string
-	regVer      uint64
-	srcs        []nav.Document
+	// regVer completes the view's region-cache key (see RegionKey): the
+	// registry version when the view's sources were resolved into srcs
+	// (parallel to view.sources).
+	regVer uint64
+	srcs   []nav.Document
 
 	entOnce sync.Once
 	ent     *regioncache.Entry // see entry
@@ -148,7 +147,7 @@ type Query struct {
 // accessed and no operator pipeline is built: a query of a named view
 // builds one only if it becomes its region-cache entry's producer.
 func (e *Engine) Compile(v *View) (*Query, error) {
-	q := &Query{view: v, eng: e, fingerprint: v.fp, regVer: e.RegistryVersion(),
+	q := &Query{view: v, eng: e, regVer: e.RegistryVersion(),
 		srcs: make([]nav.Document, len(v.sources))}
 	for i, name := range v.sources {
 		doc, ok := e.lookup(name)
@@ -156,11 +155,6 @@ func (e *Engine) Compile(v *View) (*Query, error) {
 			return nil, fmt.Errorf("core: plan references unregistered source %q", name)
 		}
 		q.srcs[i] = doc
-	}
-	if v.opaque != "" {
-		// An opaque plan mints a fresh fingerprint per query, so no two
-		// of its opens ever share an entry.
-		q.fingerprint = regioncache.OpaqueFingerprint(v.opaque)
 	}
 	if v.canon != nil && e.cache != nil {
 		// Publish the canonical plan in the semantic index so other
@@ -226,11 +220,10 @@ func (q *Query) root() Node {
 // CacheName returns the region-cache name the view was prepared under.
 func (q *Query) CacheName() string { return q.view.name }
 
-// Fingerprint returns the view's canonical plan fingerprint, or the
-// opaque one minted at compile time ("" for unnamed views). With
-// CacheName it identifies the same answer document across engines — the
-// region-cache key and the cluster routing key.
-func (q *Query) Fingerprint() string { return q.fingerprint }
+// Fingerprint returns the view's canonical plan fingerprint ("" for
+// unnamed views). With CacheName it identifies the same answer document
+// across engines — the region-cache key and the cluster routing key.
+func (q *Query) Fingerprint() string { return q.view.fp }
 
 // Document returns the virtual answer document, traced into the
 // engine's recorder (see TracedDocument).

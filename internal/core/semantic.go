@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mix/internal/algebra"
 	"mix/internal/pathexpr"
+	"mix/internal/regioncache"
 	"mix/internal/xmltree"
 )
 
@@ -12,17 +14,19 @@ import (
 // (DESIGN.md §14): when another cached plan of the same view subsumes
 // this query's plan and its region is *fully explored* — locally or at
 // its cluster owner — the query's whole answer is rebuilt by filtering
-// that materialized region and merged into the query's own entry. The
-// exact-match cache layer then serves every navigation from the entry,
-// so a semantic hit costs zero source navigations, exactly like an
-// exact warm hit. The candidate loop is regioncache.Cache.Subsume; this
-// file supplies the rebuild it calls.
+// that region and merged into the query's own entry. The exact-match
+// cache layer then serves every navigation from the entry, so a
+// semantic hit costs zero source navigations, exactly like an exact
+// warm hit. The candidate loop is regioncache.Cache.Subsume; this file
+// supplies the rebuild it calls, which reads the superset's region and
+// writes the query's answer as a region, copying value and group
+// subtrees across whole.
 
 // rebuild derives this query's answer from a subsuming plan's fully
-// explored answer tree, in the shape the containment evidence names.
-func (q *Query) rebuild(ct *algebra.Containment, super *xmltree.Tree) (*xmltree.Tree, bool) {
+// explored region, in the shape the containment evidence names.
+func (q *Query) rebuild(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
 	if ct.Shape == algebra.ShapeConstruct {
-		return constructAnswer(ct, super)
+		return q.constructAnswer(ct, super)
 	}
 	return bindingsAnswer(ct, super, q.view.topVars)
 }
@@ -36,15 +40,20 @@ func acceptsLabel(n *pathexpr.NFA, label string) bool {
 }
 
 // semBinding is the ValueGetter residual conditions evaluate against in
-// the bindings shape: canonical sub variable → materialized value.
-type semBinding map[string]*xmltree.Tree
+// the bindings shape: the canonical sub variables and the region nodes
+// of their values, positionally aligned. A value is materialized only
+// when a condition reads it.
+type semBinding struct {
+	r    *regioncache.Region
+	vars []string
+	vals []int
+}
 
 func (g semBinding) Value(name string) (*xmltree.Tree, error) {
-	t, ok := g[name]
-	if !ok {
-		return nil, fmt.Errorf("core: semantic residual references unknown variable %q", name)
+	if i := slices.Index(g.vars, name); i >= 0 {
+		return g.r.Subtree(g.vals[i]), nil
 	}
-	return t, nil
+	return nil, fmt.Errorf("core: semantic residual references unknown variable %q", name)
 }
 
 // bindingsAnswer rebuilds sub's bs[b[…]…] answer from super's: each b
@@ -52,13 +61,9 @@ func (g semBinding) Value(name string) (*xmltree.Tree, error) {
 // residual condition, and the kept children are relabeled to sub's
 // runtime output variables. Any structural surprise returns ok=false
 // and the engine falls back to the source-backed plan.
-func bindingsAnswer(ct *algebra.Containment, super *xmltree.Tree, subVars []string) (*xmltree.Tree, bool) {
-	if super.Label != "bs" || len(subVars) != len(ct.SubTopVars) {
+func bindingsAnswer(ct *algebra.Containment, super *regioncache.Region, subVars []string) (*regioncache.Region, bool) {
+	if super.Label(0) != "bs" || len(subVars) != len(ct.SubTopVars) {
 		return nil, false
-	}
-	pos := map[string]int{}
-	for i, v := range ct.SubTopVars {
-		pos[v] = i
 	}
 	type ptest struct {
 		idx int
@@ -66,29 +71,36 @@ func bindingsAnswer(ct *algebra.Containment, super *xmltree.Tree, subVars []stri
 	}
 	tests := make([]ptest, 0, len(ct.Paths))
 	for _, pr := range ct.Paths {
-		i, ok := pos[pr.Var]
-		if !ok {
+		i := slices.Index(ct.SubTopVars, pr.Var)
+		if i < 0 {
 			return nil, false
 		}
 		tests = append(tests, ptest{idx: i, nfa: pathexpr.Compile(pr.Sub)})
 	}
-	out := &xmltree.Tree{Label: "bs"}
-	for _, b := range super.Children {
-		if b.Label != "b" || len(b.Children) != len(ct.SubTopVars) {
+	getter := semBinding{r: super, vars: ct.SubTopVars, vals: make([]int, len(subVars))}
+	vals := getter.vals
+	var out regioncache.RegionBuilder
+	out.Grow(super.Nodes())
+	out.Open("bs")
+	for b := super.Child(0); b >= 0; b = super.Next(b) {
+		if super.Label(b) != "b" {
 			return nil, false
 		}
-		vals := make([]*xmltree.Tree, len(b.Children))
-		getter := semBinding{}
-		for i, ch := range b.Children {
-			if len(ch.Children) != 1 {
+		n := 0
+		for ch := super.Child(b); ch >= 0; ch = super.Next(ch) {
+			v := super.Child(ch)
+			if n == len(vals) || v < 0 || super.Next(v) >= 0 {
 				return nil, false
 			}
-			vals[i] = ch.Children[0]
-			getter[ct.SubTopVars[i]] = vals[i]
+			vals[n] = v
+			n++
+		}
+		if n != len(vals) {
+			return nil, false
 		}
 		keep := true
 		for _, tst := range tests {
-			if !acceptsLabel(tst.nfa, vals[tst.idx].Label) {
+			if !acceptsLabel(tst.nfa, super.Label(vals[tst.idx])) {
 				keep = false
 				break
 			}
@@ -103,17 +115,20 @@ func bindingsAnswer(ct *algebra.Containment, super *xmltree.Tree, subVars []stri
 		if !keep {
 			continue
 		}
-		nb := &xmltree.Tree{Label: "b", Children: make([]*xmltree.Tree, len(vals))}
+		out.Open("b")
 		for i, v := range vals {
-			nb.Children[i] = &xmltree.Tree{Label: subVars[i], Children: []*xmltree.Tree{v}}
+			out.Open(subVars[i])
+			out.Copy(super, v)
+			out.Close()
 		}
-		out.Children = append(out.Children, nb)
+		out.Close()
 	}
-	return out, true
+	out.Close()
+	return out.Region(), true
 }
 
-// chainStep is a precompiled ChainOp: the path compiled to a DFA once
-// per candidate instead of once per group subtree.
+// chainStep is a compiled ChainOp: its path's automaton is the engine's
+// (Engine.pathDFA), shared with every descent over the same path.
 type chainStep struct {
 	parent string
 	out    *linkOp
@@ -121,12 +136,12 @@ type chainStep struct {
 	cond   algebra.Cond
 }
 
-func compileChain(ops []algebra.ChainOp) []chainStep {
+func (q *Query) compileChain(ops []algebra.ChainOp) []chainStep {
 	steps := make([]chainStep, len(ops))
 	for i, op := range ops {
 		steps[i] = chainStep{parent: op.Parent, out: &linkOp{to: op.Out}, cond: op.Cond}
 		if op.Path != nil {
-			steps[i].dfa = pathexpr.NewDFA(pathexpr.Compile(op.Path), nil)
+			steps[i].dfa = q.eng.pathDFA(op.Path)
 		}
 	}
 	return steps
@@ -135,12 +150,16 @@ func compileChain(ops []algebra.ChainOp) []chainStep {
 // groupChainBind binds a group subtree to GroupChainVar.
 var groupChainBind = &linkOp{to: algebra.GroupChainVar}
 
-// countChain counts the derivations of a group chain over one
-// materialized group subtree: the number of bindings the chain's
-// getDescendants/select suffix produces from GroupChainVar ↦ root. It
-// reuses the engine's own operator cursors, so chain conditions and
-// descents evaluate exactly as the from-source pipeline would.
+// countChain counts the derivations of a group chain over one group
+// subtree: the number of bindings the chain's getDescendants/select
+// suffix produces from GroupChainVar ↦ root. It reuses the engine's own
+// operator cursors, so chain conditions and descents evaluate exactly
+// as the from-source pipeline would. An empty chain derives the one
+// binding it starts from.
 func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
+	if len(steps) == 0 {
+		return 1, nil
+	}
 	var c cursor = &sliceCursor{buf: []*binding{
 		newBinding().with(groupChainBind, FromTree(root))}}
 	for _, st := range steps {
@@ -153,11 +172,11 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 			}}
 		}
 	}
-	all, err := drain(c)
-	if err != nil {
-		return 0, err
+	for n := 0; ; n++ {
+		if b, err := c.next(); b == nil {
+			return n, err
+		}
 	}
-	return len(all), nil
 }
 
 // constructAnswer rebuilds sub's constructed answer element from
@@ -171,54 +190,59 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 // m(T) — or m(T) = 0 for a subtree that is nonetheless present — means
 // the region does not decode under this containment; ok=false falls
 // back to the source-backed plan.
-func constructAnswer(ct *algebra.Containment, super *xmltree.Tree) (*xmltree.Tree, bool) {
+func (q *Query) constructAnswer(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
 	// Descend the decoration stack: each level holds exactly one
 	// element of the next label; the innermost children are the grouped
 	// values the runs decode.
-	if len(ct.RootLabels) == 0 || super.Label != ct.RootLabels[0] {
+	if len(ct.RootLabels) == 0 || super.Label(0) != ct.RootLabels[0] {
 		return nil, false
 	}
-	inner := super
+	inner := 0
 	for _, l := range ct.RootLabels[1:] {
-		if len(inner.Children) != 1 || inner.Children[0].Label != l {
+		c := super.Child(inner)
+		if c < 0 || super.Next(c) >= 0 || super.Label(c) != l {
 			return nil, false
 		}
-		inner = inner.Children[0]
+		inner = c
 	}
-	superSteps := compileChain(ct.SuperChain)
-	subSteps := compileChain(ct.SubChain)
+	superSteps := q.compileChain(ct.SuperChain)
+	subSteps := q.compileChain(ct.SubChain)
 	var groupNFA *pathexpr.NFA
 	if ct.GroupPath != nil {
 		groupNFA = pathexpr.Compile(ct.GroupPath.Sub)
 	}
-	out := &xmltree.Tree{Label: ct.RootLabels[len(ct.RootLabels)-1]}
-	kids := inner.Children
-	for i := 0; i < len(kids); {
-		j := i + 1
-		for j < len(kids) && xmltree.Equal(kids[i], kids[j]) {
-			j++
+	var out regioncache.RegionBuilder
+	out.Grow(super.Nodes())
+	for _, l := range ct.RootLabels {
+		out.Open(l)
+	}
+	for i := super.Child(inner); i >= 0; {
+		j, run := super.Next(i), 1
+		for j >= 0 && super.Equal(i, j) {
+			j, run = super.Next(j), run+1
 		}
-		T := kids[i]
-		run := j - i
+		var T *xmltree.Tree
+		if len(superSteps)+len(subSteps) > 0 {
+			T = super.Subtree(i)
+		}
 		m, err := countChain(superSteps, T)
 		if err != nil || m < 1 || run%m != 0 {
 			return nil, false
 		}
 		contexts := run / m
-		if groupNFA == nil || acceptsLabel(groupNFA, T.Label) {
+		if groupNFA == nil || acceptsLabel(groupNFA, super.Label(i)) {
 			cnt, err := countChain(subSteps, T)
 			if err != nil {
 				return nil, false
 			}
 			for n := 0; n < contexts*cnt; n++ {
-				out.Children = append(out.Children, T)
+				out.Copy(super, i)
 			}
 		}
 		i = j
 	}
-	// Re-wrap the decorated levels, innermost out.
-	for i := len(ct.RootLabels) - 2; i >= 0; i-- {
-		out = &xmltree.Tree{Label: ct.RootLabels[i], Children: []*xmltree.Tree{out}}
+	for range ct.RootLabels {
+		out.Close()
 	}
-	return out, true
+	return out.Region(), true
 }

@@ -15,7 +15,7 @@ import (
 // from a subsuming cached region, the answer must be byte-identical to
 // the from-source drain and cost zero source navigations.
 
-func translateQ(t *testing.T, text string) algebra.Op {
+func translateQ(t testing.TB, text string) algebra.Op {
 	t.Helper()
 	q, err := xmas.Parse(text)
 	if err != nil {

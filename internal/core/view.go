@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 
 	"mix/internal/algebra"
@@ -18,20 +19,24 @@ type View struct {
 	sources []string // the source names the plan reads, distinct, in walk order
 
 	// canon and fp are the canonical plan and its fingerprint
-	// (regioncache.Canonical) of a named view. A named plan with no
-	// canonical form keeps its rendering in opaque instead, from which
-	// every Compile mints a fresh fingerprint.
-	canon  algebra.Op
-	fp     string
-	opaque string
+	// (regioncache.Canonical) of a named view.
+	canon algebra.Op
+	fp    string
 }
+
+// errNoCanonicalForm rejects a named plan regioncache.Canonical cannot
+// canonicalize: it would have no region-cache key.
+var errNoCanonicalForm = errors.New("core: named plan has no canonical form")
 
 // Prepare validates plan, rejects a tupleDestroy below its root and
 // records what every compile of the plan reads: its top-level
 // variables, the sources it names and, under a non-empty region-cache
 // name (conventionally the view names the query was composed from), its
-// canonical form and fingerprint. Every error a plan can fail with
-// except an unregistered source surfaces here.
+// canonical form and fingerprint. A named plan with no canonical form
+// has no cache identity and is rejected; after Validate only a
+// condition type from outside internal/algebra can cause that. Every
+// error a plan can fail with except an unregistered source surfaces
+// here.
 func Prepare(plan algebra.Op, name string) (*View, error) {
 	if err := algebra.Validate(plan); err != nil {
 		return nil, err
@@ -54,11 +59,11 @@ func Prepare(plan algebra.Op, name string) (*View, error) {
 		return nil, errNestedTupleDestroy
 	}
 	if name != "" {
-		if canon, fp, ok := regioncache.Canonical(plan); ok {
-			v.canon, v.fp = canon, fp
-		} else {
-			v.opaque = algebra.String(plan)
+		canon, fp, ok := regioncache.Canonical(plan)
+		if !ok {
+			return nil, errNoCanonicalForm
 		}
+		v.canon, v.fp = canon, fp
 	}
 	return v, nil
 }
@@ -69,8 +74,8 @@ func (v *View) Plan() algebra.Op { return v.plan }
 
 // Bind returns the view of the same plan with its literals bound
 // through lits (algebra.BindLiterals): the plan and the canonical plan
-// are copied with the literals substituted, and the fingerprint, or an
-// opaque view's rendering, is rendered again. Literals decide no
+// are copied with the literals substituted, and the fingerprint is
+// rendered again. Literals decide no
 // validation, source, top-level variable or cache name, so those are
 // shared with v, which is not modified. lits should map only
 // placeholders no plan holds by accident, such as the sentinels of
@@ -81,8 +86,6 @@ func (v *View) Bind(lits map[string]string) *View {
 	if v.canon != nil {
 		w.canon = algebra.BindLiterals(v.canon, lits)
 		w.fp = algebra.String(w.canon)
-	} else if v.opaque != "" {
-		w.opaque = algebra.String(w.plan)
 	}
 	return &w
 }
@@ -91,7 +94,7 @@ func (v *View) Bind(lits map[string]string) *View {
 func (v *View) Name() string { return v.name }
 
 // Fingerprint returns the canonical plan's fingerprint: "" for an
-// unnamed view or a plan with no canonical form.
+// unnamed view.
 func (v *View) Fingerprint() string { return v.fp }
 
 // Sources returns the names of the sources the plan reads, distinct, in

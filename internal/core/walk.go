@@ -31,7 +31,7 @@ func (q *Query) RegionKey() regioncache.Key {
 		Generation:  q.eng.cacheGen,
 		Registry:    q.regVer,
 		Name:        q.view.name,
-		Fingerprint: q.fingerprint,
+		Fingerprint: q.view.fp,
 	}
 }
 

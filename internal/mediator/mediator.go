@@ -36,8 +36,6 @@ import (
 type Options struct {
 	// Engine options (operator caches, native select).
 	Engine core.Options
-	// Rewrite enables the navigational-complexity rewriting phase.
-	Rewrite bool
 	// LXPBatch, when > 1, makes sources registered with RegisterLXP
 	// coalesce up to this many holes per fill round trip (the buffer's
 	// Batch knob over lxp.FillMany). 0 or 1 keeps single-hole fills.
@@ -45,9 +43,9 @@ type Options struct {
 }
 
 // DefaultOptions enables every engine cache (core.DefaultOptions) and
-// rewriting, and leaves LXP fills single-hole.
+// leaves LXP fills single-hole.
 func DefaultOptions() Options {
-	return Options{Engine: core.DefaultOptions(), Rewrite: true}
+	return Options{Engine: core.DefaultOptions()}
 }
 
 // Mediator is a configured MIX mediator instance. Queries may be
@@ -404,9 +402,7 @@ func (m *Mediator) preprocess(q *xmas.Query) (memoEntry, error) {
 	if err != nil {
 		return memoEntry{}, err
 	}
-	if m.opts.Rewrite {
-		plan = algebra.Rewrite(plan)
-	}
+	plan = algebra.Rewrite(plan)
 	view, err := core.Prepare(plan, cacheName(views))
 	if err != nil {
 		return memoEntry{}, fmt.Errorf("mediator: composed plan invalid: %w", err)

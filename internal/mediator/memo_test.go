@@ -153,48 +153,23 @@ func homeScan() algebra.Op {
 	}
 }
 
-// memoize stores plan, prepared, under text, as if preprocessing had
-// produced it.
-func memoize(t *testing.T, m *Mediator, text string, plan algebra.Op) {
-	t.Helper()
-	view, err := core.Prepare(plan, "query")
+// TestPrepareRejectsOpaqueNamedPlan: a plan with no canonical form has
+// no region-cache key, so preparing it under a cache name fails, while
+// the same plan prepares unnamed and a canonical one prepares named.
+func TestPrepareRejectsOpaqueNamedPlan(t *testing.T) {
+	opaque := &algebra.Select{Input: homeScan(), Cond: opaqueCond{algebra.True{}}}
+	if _, err := core.Prepare(opaque, "query"); err == nil {
+		t.Fatal("a named plan with no canonical form was prepared")
+	}
+	if _, err := core.Prepare(opaque, ""); err != nil {
+		t.Fatalf("unnamed plan with no canonical form: %v", err)
+	}
+	v, err := core.Prepare(&algebra.Select{Input: homeScan(), Cond: algebra.True{}}, "query")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	m.memo[text] = memoEntry{view: view}
-	m.mu.Unlock()
-}
-
-// TestMemoOpaquePlanFingerprints: a memoized plan without a canonical
-// form still mints a distinct opaque fingerprint per Query, so two opens
-// of it never share a region-cache entry.
-func TestMemoOpaquePlanFingerprints(t *testing.T) {
-	m := cachedMediator(t, 42)
-	memoize(t, m, "opaque", &algebra.Select{Input: homeScan(), Cond: opaqueCond{algebra.True{}}})
-	memoize(t, m, "canonical", &algebra.Select{Input: homeScan(), Cond: algebra.True{}})
-	fingerprints := func(text string) (string, string) {
-		t.Helper()
-		var fps [2]string
-		var answers [2]string
-		for i := range fps {
-			res, err := m.Query(text)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, fps[i] = res.CacheKey()
-			answers[i] = xmltree.MarshalXML(mustMaterialize(t, res))
-		}
-		if answers[0] != answers[1] {
-			t.Fatalf("%s: answers differ between opens", text)
-		}
-		return fps[0], fps[1]
-	}
-	if a, b := fingerprints("opaque"); a == b {
-		t.Fatalf("opaque plan shares fingerprint %q across opens", a)
-	}
-	if a, b := fingerprints("canonical"); a != b {
-		t.Fatalf("canonical plan fingerprints differ: %q vs %q", a, b)
+	if v.Fingerprint() == "" {
+		t.Fatal("canonical named plan has no fingerprint")
 	}
 }
 

@@ -217,8 +217,8 @@ func TestShapeBindMatchesPreprocessing(t *testing.T) {
 						got, gotErr := m.prepare(s)
 						want, wantErr := whole(ref, s)
 						if d := sameView(got, gotErr, want, wantErr); d != nil {
-							t.Fatalf("rewrite %v, catalogue %v, trial %d, open %d of\n%q\nsubstituted as\n%q\n%v",
-								opts.Rewrite, cat != nil, trial, i+1, text, s, d)
+							t.Fatalf("options %+v, catalogue %v, trial %d, open %d of\n%q\nsubstituted as\n%q\n%v",
+								opts, cat != nil, trial, i+1, text, s, d)
 						}
 					}
 					if err == nil && len(q.Literals) > 0 {

@@ -95,15 +95,8 @@ func SelectorOf(doc Document) (Selector, bool) {
 		}
 		cur = w.Unwrap()
 	}
-	// The innermost document decides nativeness: either through the
-	// legacy NativeSelect hook (for wrappers outside this repository
-	// that predate Unwrap) or by implementing Selector itself.
-	if n, ok := cur.(interface{ NativeSelect() bool }); ok {
-		if !n.NativeSelect() {
-			return nil, false
-		}
-		return s, true
-	}
+	// The innermost document decides nativeness by implementing
+	// Selector itself.
 	if _, ok := cur.(Selector); !ok {
 		return nil, false
 	}

@@ -2,13 +2,11 @@ package regioncache
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"mix/internal/nav"
 	"mix/internal/trace"
-	"mix/internal/xmltree"
 )
 
 // nodeBytes approximates the retained size of one cached node beyond its
@@ -17,23 +15,11 @@ const nodeBytes = 48
 
 // keyFixedBytes approximates the fixed retained size of one entry's key
 // and bookkeeping beyond its strings: two uint64s, the map bucket slot,
-// the Entry struct itself.
+// the Entry struct itself. Name and fingerprint content lives in the
+// cache's key-string pool (see holdKey) and is charged once per held
+// string to Stats.InternedBytes, so entries neither re-carry nor
+// re-count their own copies.
 const keyFixedBytes = 96
-
-// keyOverhead is the fixed retained size of an entry's key. Name and
-// canonical-fingerprint content lives in the cache's key-string pool
-// (see holdKey) and is charged once per held string to
-// Stats.InternedBytes, so entries neither re-carry nor re-count their
-// own copies. The one exception is an opaque fingerprint (Canonical's
-// fallback): process-unique, never pooled, so its bytes ride on the
-// entry that owns it.
-func keyOverhead(k Key) int64 {
-	o := int64(keyFixedBytes)
-	if strings.HasPrefix(k.Fingerprint, opaquePrefix) {
-		o += int64(len(k.Fingerprint))
-	}
-	return o
-}
 
 // Entry is the cached partial tree for one Key (see the package
 // comment): labels and child-list prefixes of the explored region of a
@@ -108,7 +94,7 @@ func (n *cnode) isClosed() bool {
 }
 
 func newEntry(c *Cache, k Key) *Entry {
-	return &Entry{key: k, c: c, root: &cnode{}, bytes: nodeBytes + keyOverhead(k)}
+	return &Entry{key: k, c: c, root: &cnode{}, bytes: nodeBytes + keyFixedBytes}
 }
 
 // Key returns the entry's identity.
@@ -326,47 +312,3 @@ func (e *Entry) resolve(path []int) (nav.ID, error) {
 // FirstSemantic reports whether this call is the entry's first, so that
 // the caller makes the entry's one semantic attempt (Cache.Subsume).
 func (e *Entry) FirstSemantic() bool { return !e.semTried.Swap(true) }
-
-// MergeTree publishes a materialized fragment rooted at the entry's
-// root into the cache. Hole children (xmltree.IsHole) and everything to
-// their right are skipped — only the index-stable prefix of each child
-// list is merged, and a child list with no hole is marked complete.
-// Holes stand for zero or more unexplored siblings, as in the buffer
-// component's open trees.
-func (e *Entry) MergeTree(t *xmltree.Tree) {
-	if t == nil || t.IsHole() {
-		return
-	}
-	e.mu.Lock()
-	before := e.bytes
-	e.merge(e.root, t)
-	delta := e.bytes - before
-	e.mu.Unlock()
-	e.touch()
-	e.account(delta)
-}
-
-// merge folds t into n. Caller holds e.mu for writing.
-func (e *Entry) merge(n *cnode, t *xmltree.Tree) {
-	if !n.labelKnown {
-		n.label, n.labelKnown = t.Label, true
-		e.bytes += int64(len(t.Label))
-	}
-	stable := len(t.Children)
-	for i, c := range t.Children {
-		if c.IsHole() {
-			stable = i
-			break
-		}
-	}
-	for i := 0; i < stable; i++ {
-		if i == len(n.kids) {
-			n.kids = append(n.kids, &cnode{})
-			e.bytes += nodeBytes
-		}
-		e.merge(n.kids[i], t.Children[i])
-	}
-	if stable == len(t.Children) && !n.complete {
-		n.complete = true
-	}
-}

@@ -2,10 +2,8 @@ package regioncache
 
 import (
 	"slices"
-	"strings"
 
 	"mix/internal/algebra"
-	"mix/internal/xmltree"
 )
 
 // This file is the semantic half of the region cache (DESIGN.md §14):
@@ -13,7 +11,8 @@ import (
 // the one lookup (Subsume) that answers a query from a cached plan that
 // subsumes it, and the completeness accessors that make a superset
 // region safe to answer from — a partial region must never silently
-// truncate a subsumed answer.
+// truncate a subsumed answer. The superset is read, and the subset's
+// answer published, in the wire form of region.go.
 
 // maxPlansPerBucket bounds the candidate set a semantic lookup scans.
 // Buckets group plans sharing (generation, registry, view name); within
@@ -37,11 +36,10 @@ type planEntry struct {
 }
 
 // IndexPlan records a canonical plan in the semantic index. Nil plans
-// (non-canonicalizable — their opaque fingerprints must never be
-// compared structurally) and stale generations are skipped; a
-// fingerprint already present in its bucket is not re-added, and a full
-// bucket drops the newcomer rather than evicting (the exact-match fast
-// path is unaffected either way). Without a remote tier, evicting an
+// and stale generations are skipped; a fingerprint already present in
+// its bucket is not re-added, and a full bucket drops the newcomer
+// rather than evicting (the exact-match fast path is unaffected either
+// way). Without a remote tier, evicting an
 // entry frees its plan's slot (forgetPlan). A slot holds its key's
 // strings in the pool until it is freed.
 func (c *Cache) IndexPlan(k Key, canon algebra.Op) {
@@ -98,8 +96,9 @@ func (c *Cache) candidates(k Key) []planEntry {
 	b := bucketKey{gen: k.Generation, registry: k.Registry, name: k.Name}
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	var out []planEntry
-	for _, p := range c.plans[b] {
+	ps := c.plans[b]
+	out := make([]planEntry, 0, len(ps))
+	for _, p := range ps {
 		if p.key.Fingerprint != k.Fingerprint {
 			out = append(out, p)
 		}
@@ -110,73 +109,60 @@ func (c *Cache) candidates(k Key) []planEntry {
 // Subsume is the semantic lookup: it tries to answer the query whose
 // canonical plan is sub, and whose entry is e, from a cached plan of the
 // same view that subsumes it. For each candidate in the plan index it
-// checks containment (algebra.Analyze); obtains the candidate's fully
-// explored answer tree — from the local entry, else by one Remote.Fetch
-// of the candidate's key, absorbing the region here so later subsumed
-// queries stay node-local; and hands both to rebuild, which derives the
-// query's own answer (ok=false: the tree does not decode under this
-// containment). The first rebuilt answer is merged into e, after which
-// e.Complete() holds and every navigation is served from the entry.
+// checks containment (algebra.Analyze); finds the candidate's complete
+// entry — the local one, else one Remote.Fetch of the candidate's key,
+// absorbed here so later subsumed queries stay node-local; exports it
+// (Entry.Export) and hands the region to rebuild, which derives the
+// query's own answer as a complete region (ok=false: the region does
+// not decode under this containment). The first rebuilt answer is
+// merged into e, after which e.Complete() holds and every navigation is
+// served from the entry. rebuild always reads a local export, never the
+// links a peer wrote.
 //
-// A candidate's region counts only when complete — locally via
-// Entry.Tree, remotely via Region.Complete — so a partial superset is
-// skipped (and never absorbed) wherever it lives. With no remote tier
-// the live local entry is the only place a complete superset can be, so
-// completeness is checked first and a candidate whose entry is missing
-// or partial is skipped before paying for containment; with a remote,
-// only the owner knows, so containment comes first and the one Fetch
-// after it. Either way the skip counts as incomplete. Subsume reports
-// whether it answered the query and keeps the semantic counters of
-// Stats.
-func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, *xmltree.Tree) (*xmltree.Tree, bool)) bool {
+// A candidate counts only when complete — locally via Entry.Complete,
+// remotely via Region.Complete — so a partial superset is skipped (and
+// never absorbed) wherever it lives. With no remote tier the live local
+// entry is the only place a complete superset can be, so completeness
+// is checked first and a candidate whose entry is missing or partial is
+// skipped before paying for containment; with a remote, only the owner
+// knows, so containment comes first and the one Fetch after it. Either
+// way the skip counts as incomplete. Subsume reports whether it
+// answered the query and keeps the semantic counters of Stats.
+func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, *Region) (*Region, bool)) bool {
 	cands := c.candidates(e.key)
 	if len(cands) > 0 {
 		c.semCandidates.Add(int64(len(cands)))
 	}
 	local := c.tier() == nil
 	for _, cand := range cands {
-		if local {
-			if le := c.Peek(cand.key); le == nil || !le.Complete() {
-				c.semIncompleteSkips.Add(1)
-				continue
-			}
+		le := c.Peek(cand.key)
+		if local && (le == nil || !le.Complete()) {
+			c.semIncompleteSkips.Add(1)
+			continue
 		}
 		ct, ok := algebra.Analyze(cand.plan, sub)
 		if !ok {
 			continue
 		}
-		super := c.completeTree(cand.key)
-		if super == nil {
+		if le == nil || !le.Complete() {
+			if r := c.fetch(cand.key); r.Complete() && c.Absorb(cand.key, r) {
+				le = c.Peek(cand.key)
+			}
+		}
+		if le == nil || !le.Complete() {
 			c.semIncompleteSkips.Add(1)
 			continue
 		}
-		ans, ok := rebuild(ct, super)
+		ans, ok := rebuild(ct, le.Export())
 		if !ok {
 			continue
 		}
-		e.MergeTree(ans)
+		e.Merge(ans)
 		c.semHits.Add(1)
 		return true
 	}
 	c.semMisses.Add(1)
 	return false
-}
-
-// completeTree returns the fully explored answer tree under k — the
-// local entry's, else the remote tier's (absorbed into the local
-// cache) — or nil when neither holds it complete.
-func (c *Cache) completeTree(k Key) *xmltree.Tree {
-	e := c.Peek(k)
-	if e == nil || !e.Complete() {
-		if r := c.fetch(k); r.Complete() && c.Absorb(k, r) {
-			e = c.Peek(k)
-		}
-	}
-	if e == nil {
-		return nil
-	}
-	t, _ := e.Tree()
-	return t
 }
 
 // prunePlansBelow drops index buckets from generations older than g,
@@ -234,23 +220,17 @@ func (c *Cache) release(s string) {
 }
 
 // holdKey holds a key's strings in the pool for one more entry or plan
-// slot. Opaque fingerprints are exempt: each is process-unique (a fresh
-// counter per non-canonicalizable plan) and has one holder, its entry,
-// which carries and is charged for its bytes (keyOverhead).
+// slot.
 func (c *Cache) holdKey(k Key) Key {
 	k.Name = c.hold(k.Name)
-	if !strings.HasPrefix(k.Fingerprint, opaquePrefix) {
-		k.Fingerprint = c.hold(k.Fingerprint)
-	}
+	k.Fingerprint = c.hold(k.Fingerprint)
 	return k
 }
 
 // releaseKey undoes holdKey.
 func (c *Cache) releaseKey(k Key) {
 	c.release(k.Name)
-	if !strings.HasPrefix(k.Fingerprint, opaquePrefix) {
-		c.release(k.Fingerprint)
-	}
+	c.release(k.Fingerprint)
 }
 
 // Complete reports whether the entry's region is fully explored: every
@@ -282,24 +262,4 @@ func (e *Entry) RegionKnown(region int) bool {
 		return e.root.complete
 	}
 	return top[region].isClosed()
-}
-
-// Tree returns a deep copy of the entry's region as a plain tree, but
-// only when the region is fully explored — the semantic cache must
-// never filter a truncated superset. ok=false means incomplete.
-func (e *Entry) Tree() (*xmltree.Tree, bool) {
-	if !e.Complete() {
-		return nil, false
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return treeOf(e.root), true
-}
-
-func treeOf(n *cnode) *xmltree.Tree {
-	t := &xmltree.Tree{Label: n.label}
-	for _, k := range n.kids {
-		t.Children = append(t.Children, treeOf(k))
-	}
-	return t
 }

@@ -2,9 +2,11 @@ package regioncache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/xmltree"
 )
@@ -73,20 +75,51 @@ func TestPlanIndexGenerations(t *testing.T) {
 	}
 }
 
+// walk navigates d from id by ops ('d' down, 'r' right), fetching
+// the label of every node it lands on, and returns the last node (nil
+// once a step finds none).
+func walk(t *testing.T, d nav.Document, id nav.ID, ops string) nav.ID {
+	t.Helper()
+	var err error
+	for _, op := range ops {
+		if op == 'd' {
+			id, err = d.Down(id)
+		} else {
+			id, err = d.Right(id)
+		}
+		if err != nil {
+			t.Fatalf("%c: %v", op, err)
+		}
+		if id == nil {
+			return nil
+		}
+		if _, err = d.Fetch(id); err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
+	}
+	return id
+}
+
 // TestRegionKnown: a region is known when its whole subtree is
 // complete — a known child list with unexplored grandchildren is not
 // enough — and past the end of the answer only once the top-level child
 // list is complete.
 func TestRegionKnown(t *testing.T) {
-	open := func(label string, kids ...*xmltree.Tree) *xmltree.Tree {
-		return &xmltree.Tree{Label: label, Children: append(kids, xmltree.Hole("more"))}
-	}
-	leaf := func(label string) *xmltree.Tree { return &xmltree.Tree{Label: label} }
-	r0 := &xmltree.Tree{Label: "r0", Children: []*xmltree.Tree{leaf("x"), leaf("y")}}
-	r1 := &xmltree.Tree{Label: "r1", Children: []*xmltree.Tree{open("p")}} // p's own children unknown
-	r2 := open("r2")                                                       // child list unknown
 	e := New(0).Entry("v", "fp", 1)
-	e.MergeTree(open("a", r0, r1, r2))
+	d := newDoc(e, nav.NewTreeDoc(xmltree.Elem("a",
+		xmltree.Elem("r0", xmltree.Leaf("x"), xmltree.Leaf("y")),
+		xmltree.Elem("r1", xmltree.Leaf("p")),
+		xmltree.Leaf("r2"))))
+	root, _ := d.Root()
+	d.Fetch(root)
+	r0 := walk(t, d, root, "d")
+	walk(t, d, r0, "dd")  // x has no children
+	walk(t, d, r0, "drd") // nor has y
+	walk(t, d, r0, "drr") // and y is r0's last child
+	r1 := walk(t, d, r0, "r")
+	p := walk(t, d, r1, "d") // p's own children unknown
+	walk(t, d, p, "r")
+	r2 := walk(t, d, r1, "r") // its child list unknown
 	check := func(region int, want bool) {
 		t.Helper()
 		if got := e.RegionKnown(region); got != want {
@@ -97,52 +130,43 @@ func TestRegionKnown(t *testing.T) {
 	check(1, false)
 	check(2, false)
 	check(3, false) // the answer may have a fourth region
-	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{r0, r1, r2}})
+	walk(t, d, r2, "r")
 	check(3, true) // it has not
 	check(9, true)
 	check(2, false)
-	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{r0,
-		{Label: "r1", Children: []*xmltree.Tree{leaf("p")}}, leaf("r2")}})
+	walk(t, d, p, "d")
+	walk(t, d, r2, "d")
 	if !e.Complete() {
-		t.Fatal("fully merged entry not Complete")
+		t.Fatal("fully explored entry not Complete")
 	}
 	check(1, true)
 	check(2, true)
 }
 
-func TestEntryCompleteAndTree(t *testing.T) {
-	c := New(0)
-	e := c.Entry("v", "fp", 1)
-	// An open frontier (hole after b) keeps the region incomplete.
-	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{
-		{Label: "b"}, xmltree.Hole("more"),
-	}})
+// TestEntryComplete: completeness needs every label and every child
+// list, and the wire form carries it.
+func TestEntryComplete(t *testing.T) {
+	tree := xmltree.Elem("a", xmltree.Leaf("b"), xmltree.Leaf("c"))
+	e := New(0).Entry("v", "fp", 1)
+	d := newDoc(e, nav.NewTreeDoc(tree))
+	root, _ := d.Root()
+	d.Fetch(root)
+	walk(t, d, root, "dd") // b is a leaf, but a's list may go on
 	if e.Complete() {
 		t.Fatal("entry with unexplored frontier reports Complete")
-	}
-	if _, ok := e.Tree(); ok {
-		t.Fatal("Tree() handed out a truncated region")
 	}
 	if e.Export().Complete() {
 		t.Fatal("Region.Complete() holds for an incomplete region")
 	}
-	// Publishing the full materialization closes every child list.
-	e.MergeTree(&xmltree.Tree{Label: "a", Children: []*xmltree.Tree{
-		{Label: "b"}, {Label: "c"},
-	}})
-	if !e.Complete() {
-		t.Fatal("fully explored entry not Complete")
+	if got := explore(t, d); !e.Complete() || !xmltree.Equal(got, tree) {
+		t.Fatalf("fully explored entry: Complete %v, tree %v", e.Complete(), got)
 	}
-	tr, ok := e.Tree()
-	if !ok || tr.Label != "a" || len(tr.Children) != 2 || tr.Children[1].Label != "c" {
-		t.Fatalf("Tree() = %v, %v", tr, ok)
-	}
-	// The wire form carries completeness: the export is complete, and
-	// merged into an empty entry it yields the same tree.
+	// The export is complete, and merged into an empty entry it makes
+	// that entry complete with the same region.
 	reg := e.Export()
 	f := New(0).Entry("v", "fp", 1)
 	f.Merge(reg)
-	if wt, ok := f.Tree(); !reg.Complete() || !ok || !xmltree.Equal(wt, tr) {
-		t.Fatalf("merged export: complete %v, Tree() = %v, %v, want %v", reg.Complete(), wt, ok, tr)
+	if !reg.Complete() || !f.Complete() || !slices.Equal(*f.Export(), *reg) {
+		t.Fatalf("merged export: complete %v/%v, region %+v, want %+v", reg.Complete(), f.Complete(), *f.Export(), *reg)
 	}
 }

@@ -1,5 +1,11 @@
 package regioncache
 
+import (
+	"slices"
+
+	"mix/internal/xmltree"
+)
+
 // Region is the wire-portable rendering of an entry's explored region:
 // its nodes in window order (see windowWalk), with nothing cut. It is
 // the payload of the cluster L2 protocol's region_get/region_put ops
@@ -25,10 +31,19 @@ func (r *Region) Nodes() int {
 func (e *Entry) Export() *Region {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var w windowWalk
+	w := windowWalk{dst: make([]WindowNode, 0, e.root.size())}
 	w.list([]*cnode{e.root}, -1, true) // the root has no siblings
 	r := Region(w.dst)
 	return &r
+}
+
+// size returns the number of known nodes in n's subtree.
+func (n *cnode) size() int {
+	s := 1
+	for _, k := range n.kids {
+		s += k.size()
+	}
+	return s
 }
 
 // Empty reports whether the region carries no information beyond an
@@ -50,10 +65,10 @@ func (r *Region) Complete() bool {
 
 // Merge folds a peer's region into the entry, extending what is known
 // and never contradicting it: labels only fill in where unknown, child
-// lists only grow, completeness only switches on. Because both sides
-// derived from the same (generation, registry version, view,
-// fingerprint) answer document, concurrent merges can only agree —
-// exactly the benign-race argument of MergeTree.
+// lists only grow, completeness only switches on. Because every writer
+// derives from the same (generation, registry version, view,
+// fingerprint) answer document — the entry's producer, a peer's, or a
+// semantic rebuild — concurrent merges can only agree.
 func (e *Entry) Merge(r *Region) {
 	if r == nil {
 		return
@@ -121,3 +136,104 @@ func (e *Entry) mergeRegion(r Region) {
 		n = top.parent.kids[top.pos]
 	}
 }
+
+// The reads below serve the semantic rebuild (Cache.Subsume), which
+// decodes a complete region — every label known, every child list
+// whole — and so never meets WindowOut or an unknown label. Node 0 is
+// the root; a node's children and right sibling are named by index, -1
+// for none.
+
+// Label returns the label of node i.
+func (r *Region) Label(i int) string { return (*r)[i].Label }
+
+// Child returns the index of node i's first child, or -1.
+func (r *Region) Child(i int) int { return max(int((*r)[i].Down), -1) }
+
+// Next returns the index of node i's right sibling, or -1.
+func (r *Region) Next(i int) int { return max(int((*r)[i].Right), -1) }
+
+// size returns the number of nodes in the subtree at node i.
+func (r *Region) size(i int) int {
+	n := 1
+	for c := r.Child(i); c >= 0; c = r.Next(c) {
+		n += r.size(c)
+	}
+	return n
+}
+
+// Equal reports whether the subtrees at nodes i and j are equal: the
+// same labels in the same shape.
+func (r *Region) Equal(i, j int) bool {
+	if r.Label(i) != r.Label(j) {
+		return false
+	}
+	a, b := r.Child(i), r.Child(j)
+	for ; a >= 0 && b >= 0; a, b = r.Next(a), r.Next(b) {
+		if !r.Equal(a, b) {
+			return false
+		}
+	}
+	return a == b
+}
+
+// Subtree materializes the subtree at node i: one allocation for its
+// nodes and one for their child lists.
+func (r *Region) Subtree(i int) *xmltree.Tree {
+	nodes := (*r)[i : i+r.size(i)]
+	ts := make([]xmltree.Tree, len(nodes))
+	kids := make([]*xmltree.Tree, len(nodes)-1) // every node but the root is a child
+	for k := range nodes {
+		ts[k].Label = nodes[k].Label
+		n := 0
+		for c := nodes[k].Down; c >= 0; c = (*r)[c].Right {
+			kids[n] = &ts[int(c)-i]
+			n++
+		}
+		ts[k].Children, kids = kids[:n:n], kids[n:]
+	}
+	return &ts[0]
+}
+
+// RegionBuilder writes a complete region tree-wise: Open starts a node
+// as the next child of the open one, Copy appends a copy of another
+// region's subtree there, and Close ends the open node's child list.
+// The first node opened or copied is the root. The zero value is an
+// empty builder.
+type RegionBuilder struct {
+	dst  Region
+	open []struct{ at, last int32 } // open nodes, innermost last, with their last child
+}
+
+// Open starts a node labelled label.
+func (b *RegionBuilder) Open(label string) {
+	at := int32(len(b.dst))
+	if n := len(b.open); n > 0 {
+		p := &b.open[n-1]
+		if p.last == WindowNone {
+			b.dst[p.at].Down = at
+		} else {
+			b.dst[p.last].Right = at
+		}
+		p.last = at
+	}
+	b.dst = append(b.dst, WindowNode{Label: label, Down: WindowNone, Right: WindowNone})
+	b.open = append(b.open, struct{ at, last int32 }{at, WindowNone})
+}
+
+// Copy appends a copy of the subtree at node i of r, a complete region.
+func (b *RegionBuilder) Copy(r *Region, i int) {
+	b.Open(r.Label(i))
+	for c := r.Child(i); c >= 0; c = r.Next(c) {
+		b.Copy(r, c)
+	}
+	b.Close()
+}
+
+// Grow makes room for n more nodes.
+func (b *RegionBuilder) Grow(n int) { b.dst = slices.Grow(b.dst, n) }
+
+// Close ends the child list of the innermost open node.
+func (b *RegionBuilder) Close() { b.open = b.open[:len(b.open)-1] }
+
+// Region returns the region built so far.
+func (b *RegionBuilder) Region() *Region { return &b.dst }

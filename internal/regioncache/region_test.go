@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mix/internal/nav"
+	"mix/internal/xmltree"
 )
 
 // TestKeyOverheadAccounting: key strings are pooled — each entry is
@@ -54,27 +55,6 @@ func TestKeyOverheadAccounting(t *testing.T) {
 		t.Fatalf("interned bytes after invalidate = %d, want 0", got)
 	}
 	_ = e
-}
-
-// TestOpaqueFingerprintNotInterned: opaque fingerprints are
-// process-unique, so pooling them would leak; their bytes must ride on
-// the entry (released on drop) and never touch the intern pool.
-func TestOpaqueFingerprintNotInterned(t *testing.T) {
-	c := New(0)
-	fp := opaquePrefix + "7:plan"
-	c.Entry("v", fp, 1)
-	want := int64(nodeBytes) + keyFixedBytes + int64(len(fp))
-	wantIntern := int64(len("v"))
-	if got := c.Stats().Bytes; got != want {
-		t.Fatalf("bytes with opaque fingerprint = %d, want %d", got, want)
-	}
-	if got := c.Stats().InternedBytes; got != wantIntern {
-		t.Fatalf("interned bytes = %d, want %d (name only)", got, wantIntern)
-	}
-	c.Invalidate()
-	if got := c.Stats().Bytes; got != 0 {
-		t.Fatalf("bytes after invalidate = %d, want 0", got)
-	}
 }
 
 // TestKeyOverheadDrivesEviction: entries whose *keys* dominate their
@@ -286,5 +266,58 @@ func TestAbsorb(t *testing.T) {
 	}
 	if c.Absorb(Key{Generation: 1, Registry: 1, Name: "v", Fingerprint: "fp"}, reg) != true {
 		t.Fatal("absorb at the new generation rejected")
+	}
+}
+
+// TestRegionBuilder: a region read by index and rebuilt tree-wise from
+// copies of its subtrees merges into a complete entry holding exactly
+// the built tree.
+func TestRegionBuilder(t *testing.T) {
+	src := New(0).Entry("v", "src", 1)
+	explore(t, newDoc(src, nav.NewTreeDoc(xmltree.Elem("bs",
+		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
+		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
+		xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2")))))))
+	r := src.Export()
+	// Window order: bs 0, b 1, x 2, 1 3, b 4, x 5, 1 6, b 7, y 8, 2 9.
+	if r.Child(0) != 1 || r.Next(1) != 4 || r.Next(7) != -1 || r.Child(3) != -1 || r.Label(8) != "y" {
+		t.Fatalf("links of %+v", *r)
+	}
+	for _, c := range []struct {
+		i, j int
+		want bool
+	}{{1, 4, true}, {2, 5, true}, {1, 7, false}, {3, 9, false}, {2, 3, false}} {
+		if got := r.Equal(c.i, c.j); got != c.want {
+			t.Errorf("Equal(%d, %d) = %v, want %v", c.i, c.j, got, c.want)
+		}
+	}
+	if got := r.Subtree(7); !xmltree.Equal(got, xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2")))) {
+		t.Fatalf("Subtree(7) = %v", got)
+	}
+
+	var b RegionBuilder
+	b.Open("out")
+	b.Copy(r, 7)
+	b.Copy(r, 1)
+	b.Open("z")
+	b.Copy(r, 3)
+	b.Close()
+	b.Open("e")
+	b.Close()
+	b.Close()
+	dst := New(0).Entry("v", "dst", 1)
+	dst.Merge(b.Region())
+	if !dst.Complete() {
+		t.Fatalf("built region %+v merged incomplete", *b.Region())
+	}
+	want := xmltree.Elem("out",
+		xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2"))),
+		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
+		xmltree.Elem("z", xmltree.Leaf("1")),
+		xmltree.Leaf("e"))
+	unused := nav.NewCountingDoc(nav.NewTreeDoc(want))
+	if got := explore(t, newDoc(dst, unused)); !xmltree.Equal(got, want) || unused.Counters.Navigations() != 0 {
+		t.Fatalf("built entry reads %v after %d producer navigations, want %v from the entry alone",
+			got, unused.Counters.Navigations(), want)
 	}
 }

@@ -134,10 +134,16 @@ func TestPartialExplorationResolvesFrontierOnly(t *testing.T) {
 // producer's nearest known node, and no later miss replays them again.
 func TestMergedRegionReplayedOnce(t *testing.T) {
 	e := New(0).Entry("v", "fp", 1)
-	e.MergeTree(xmltree.Elem("bs",
-		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h1")), xmltree.Hole("more")),
-		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h2")), xmltree.Hole("more")),
-		xmltree.Hole("more")))
+	// bs[b[home[h1], …], b[home[h2], …], …], each … a list that may go on.
+	e.Merge(&Region{
+		{Label: "bs", Down: 1, Right: WindowNone},
+		{Label: "b", Down: 2, Right: 4},
+		{Label: "home", Down: 3, Right: WindowOut},
+		{Label: "h1", Down: WindowNone, Right: WindowNone},
+		{Label: "b", Down: 5, Right: WindowOut},
+		{Label: "home", Down: 6, Right: WindowOut},
+		{Label: "h2", Down: WindowNone, Right: WindowNone},
+	})
 	prod := nav.NewCountingDoc(nav.NewTreeDoc(sampleTree()))
 	d := newDoc(e, prod)
 	root, _ := d.Root()
@@ -357,33 +363,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestMergeTreeSkipsHolesAndRightSiblings(t *testing.T) {
-	c := New(0)
-	e := c.Entry("v", "fp", 1)
-	open := xmltree.Elem("bs",
-		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h1"))),
-		xmltree.Hole("h"),
-		xmltree.Elem("b", xmltree.Elem("home", xmltree.Leaf("h2"))),
-	)
-	e.MergeTree(open)
-
-	// The prefix before the hole is merged...
-	if ok, known := e.lookupChild(nil, 0); !ok || !known {
-		t.Fatal("first child not merged")
-	}
-	if l, ok := e.lookupLabel([]int{0, 0, 0}); !ok || l != "h1" {
-		t.Fatalf("deep label = %q %v", l, ok)
-	}
-	// ...the hole and everything right of it are not (indices unstable).
-	if _, known := e.lookupChild(nil, 1); known {
-		t.Fatal("child at the hole position merged")
-	}
-	// A hole-free child list is complete.
-	if ok, known := e.lookupChild([]int{0}, 1); ok || !known {
-		t.Fatalf("complete child list: ok=%v known=%v, want absent+known", ok, known)
-	}
-}
-
 // TestExportRendersOpenTree: an export renders an incomplete child list
 // as a link past the region (WindowOut), a node whose label is known but
 // whose children are not with Down = WindowOut.
@@ -408,7 +387,7 @@ func TestDivergenceDetected(t *testing.T) {
 	c := New(0)
 	e := c.Entry("v", "fp", 1)
 	// A peer published a child...
-	e.MergeTree(xmltree.Elem("bs", xmltree.Elem("b", xmltree.Hole("more")), xmltree.Hole("more")))
+	e.Merge(&Region{{Label: "bs", Down: 1, Right: WindowNone}, {Label: "b", Down: WindowOut, Right: WindowOut}})
 	// ...but the producer is a lone leaf.
 	d := newDoc(e, nav.NewTreeDoc(xmltree.Elem("bs")))
 	root, _ := d.Root()

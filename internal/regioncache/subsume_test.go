@@ -2,9 +2,11 @@ package regioncache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/nav"
 	"mix/internal/xmltree"
 )
 
@@ -21,14 +23,16 @@ func subsumeKey(c *Cache, fp string) Key {
 
 // trySubsume runs the semantic lookup for a fresh sub entry whose plan
 // equals planFor("a") (so every planFor("a") candidate contains it) and
-// reports whether it hit and how often rebuild ran.
-func trySubsume(c *Cache) (hit bool, rebuilds int) {
+// reports whether it hit, how often rebuild ran and the region it last
+// read.
+func trySubsume(c *Cache) (hit bool, rebuilds int, read *Region) {
 	sub := c.Open(subsumeKey(c, "sub"))
-	hit = c.Subsume(sub, planFor("a"), func(_ *algebra.Containment, t *xmltree.Tree) (*xmltree.Tree, bool) {
+	hit = c.Subsume(sub, planFor("a"), func(_ *algebra.Containment, r *Region) (*Region, bool) {
 		rebuilds++
-		return t, true
+		read = r
+		return r, true
 	})
-	return hit, rebuilds
+	return hit, rebuilds, read
 }
 
 // fakeRemote answers every Fetch with one fixed region.
@@ -52,10 +56,10 @@ func TestSemanticSkipsIncompleteBeforeContainment(t *testing.T) {
 	c := New(0)
 	c.IndexPlan(subsumeKey(c, "contained"), planFor("a"))
 	c.IndexPlan(subsumeKey(c, "other"), planFor("b")) // contains nothing here
-	c.Open(subsumeKey(c, "contained")).MergeTree(xmltree.Elem("bs", xmltree.Hole("more")))
+	c.Open(subsumeKey(c, "contained")).Merge(&Region{{Label: "bs", Down: WindowOut, Right: WindowNone}})
 	// "other" has no entry at all.
 
-	hit, rebuilds := trySubsume(c)
+	hit, rebuilds, _ := trySubsume(c)
 	if hit || rebuilds != 0 {
 		t.Fatalf("partial superset: hit=%v after %d rebuilds; want a miss that never rebuilds", hit, rebuilds)
 	}
@@ -66,20 +70,25 @@ func TestSemanticSkipsIncompleteBeforeContainment(t *testing.T) {
 	remote := &fakeRemote{}
 	remote.region = regionOf(t, superTree())
 	c.SetRemote(remote)
-	hit, rebuilds = trySubsume(c)
+	hit, rebuilds, read := trySubsume(c)
 	if !hit || rebuilds != 1 {
 		t.Fatalf("with a remote holding the complete superset: hit=%v, %d rebuilds; want a hit", hit, rebuilds)
+	}
+	// The rebuild reads the absorbed entry's export, not the peer's links.
+	if read == remote.region || !slices.Equal(*read, *remote.region) {
+		t.Fatalf("rebuild read %p %+v, want a local export equal to the peer's %p", read, *read, remote.region)
 	}
 	if remote.fetches == 0 {
 		t.Fatal("the remote tier was never asked")
 	}
 }
 
-// regionOf exports a complete region holding t.
+// regionOf exports a complete region holding tr: an entry explored
+// whole over it.
 func regionOf(t *testing.T, tr *xmltree.Tree) *Region {
 	t.Helper()
 	e := New(0).Entry("tmp", "tmp", 1)
-	e.MergeTree(tr)
+	explore(t, newDoc(e, nav.NewTreeDoc(tr)))
 	r := e.Export()
 	if !r.Complete() {
 		t.Fatal("exported region is not complete")
@@ -108,8 +117,8 @@ func TestEvictedPlansFreeTheirBucketSlots(t *testing.T) {
 
 	k := subsumeKey(c, "super")
 	c.IndexPlan(k, planFor("a"))
-	c.Open(k).MergeTree(superTree())
-	if hit, _ := trySubsume(c); !hit {
+	c.Open(k).Merge(regionOf(t, superTree()))
+	if hit, _, _ := trySubsume(c); !hit {
 		t.Fatal("the complete 33rd superset was not indexed: evicted plans still hold the bucket")
 	}
 }
