@@ -229,6 +229,59 @@ func TestClusterL2RegionSharing(t *testing.T) {
 	}
 }
 
+// TestClusterFlushPublishesOnlyLocalGrowth: a non-owner that proxies an
+// open of a view its owner has partly explored fills its entry from the
+// owner (the L2 fill) and grows it no further, since the owner derives.
+// Its Flush must not send that region back to the owner it came from.
+func TestClusterFlushPublishesOnlyLocalGrowth(t *testing.T) {
+	h, err := fleet.Start(3, cluster.Config{
+		Mode:           cluster.ModeProxy,
+		HealthInterval: 200 * time.Millisecond,
+		FlushInterval:  time.Hour, // only the explicit Flush below publishes
+		DialTimeout:    2 * time.Second,
+		CallTimeout:    5 * time.Second,
+		FailAfter:      2,
+	}, func(int) (server.Factory, []server.Option) { return mixdFactory(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := h.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	q := queryCorpus[1].q
+	owner := ownerOf(t, h, q)
+	proxy := (owner + 1) % 3
+
+	// The owner explores the first answers only: its entry is partial,
+	// so the non-owner's open is proxied rather than served locally.
+	oc, err := vxdp.Dial(h.Members[owner].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Close()
+	if err := oc.Open(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nav.ExploreFirst(oc, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	fills := h.Members[owner].Node.Stats().L2Fills
+	proxied := h.Members[proxy].Node.Stats().Proxied
+	if got, want := materializeVia(t, h.Members[proxy].Addr, q), wantAnswer(t, q); got != want {
+		t.Fatal("proxied answer differs")
+	}
+	if st := h.Members[proxy].Node.Stats(); st.Proxied == proxied || st.L2Hits == 0 {
+		t.Fatalf("the non-owner's open was not proxied over an L2-filled entry: %+v", st)
+	}
+	h.Members[proxy].Node.Flush()
+	if got := h.Members[owner].Node.Stats().L2Fills - fills; got != 0 {
+		t.Fatalf("flush echoed %d region(s) the owner already had back to it", got)
+	}
+}
+
 // TestClusterInvalidationNeverServesStale: after a registry bump on one
 // node, the broadcast raises every member to the new generation, and a
 // warm open keyed to the new epoch must NOT fill from regions explored

@@ -69,7 +69,6 @@ func TestInteractTraceHook(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	m := mediator.New(mediator.DefaultOptions())
 	rec := trace.New()
-	m.SetTracer(rec)
 	m.RegisterTree("homesSrc", homes)
 	m.RegisterTree("schoolsSrc", schools)
 	res, err := m.Query(`
@@ -79,7 +78,7 @@ AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := mediator.Wrap(trace.NewDoc(res.Document(), trace.ClientLabel, rec))
+	root, err := mediator.Wrap(trace.NewDoc(res.TracedDocument(rec), trace.ClientLabel, rec))
 	if err != nil {
 		t.Fatal(err)
 	}

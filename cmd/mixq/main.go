@@ -111,7 +111,6 @@ func main() {
 			fatal(fmt.Errorf("-trace instruments the lazy engine; it does not apply to -eager"))
 		}
 		rec = trace.New()
-		m.SetTracer(rec)
 	}
 	counters := map[string]*nav.CountingDoc{}
 	for _, s := range srcs {
@@ -160,7 +159,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		doc := res.Document()
+		doc := res.TracedDocument(rec)
 		var after func(io.Writer)
 		if rec != nil {
 			doc = trace.NewDoc(doc, trace.ClientLabel, rec)
@@ -184,7 +183,7 @@ func main() {
 		var res *mediator.Result
 		res, err = m.Query(query)
 		if err == nil {
-			doc := res.Document()
+			doc := res.TracedDocument(rec)
 			if rec != nil {
 				doc = trace.NewDoc(doc, trace.ClientLabel, rec)
 			}

@@ -107,7 +107,7 @@ AND $Z1 = $Z2
 	fmt.Printf("  LXP fills (chunk=%d):      %5d\n", *chunk, rw.Counters.Fills.Load())
 	fmt.Printf("  LXP bytes:                 %5d\n", rw.Counters.Bytes.Load())
 	fmt.Printf("  school navigations:        %5d\n", schoolsDoc.Counters.Navigations())
-	fmt.Printf("  buffered open tree still has %d unexplored hole(s)\n", buf.PendingHoles())
+	fmt.Printf("  buffered open tree still has %d unexplored hole(s)\n", buf.Stats().PendingHoles)
 
 	// Peek at the open tree: the explored part of the source view,
 	// with holes for the unexplored remainder (Definition 3/4).

@@ -23,11 +23,10 @@ import (
 	"mix/internal/pathexpr"
 )
 
-// Op is a node of an algebra plan. Every operator lists its inputs via
-// Inputs and the variables its output bindings carry via OutVars.
+// Op is a node of an algebra plan. Every operator lists the variables
+// its output bindings carry via OutVars; Walk reaches its inputs and
+// MapInputs rebuilds it around new ones.
 type Op interface {
-	// Inputs returns the operator's input plans, outermost first.
-	Inputs() []Op
 	// OutVars returns the variable names carried by output bindings,
 	// in binding-tree order, given the input variable lists.
 	OutVars() []string
@@ -44,9 +43,6 @@ type Source struct {
 	// Var is the variable bound to the source root.
 	Var string
 }
-
-// Inputs implements Op.
-func (s *Source) Inputs() []Op { return nil }
 
 // OutVars implements Op.
 func (s *Source) OutVars() []string { return []string{s.Var} }
@@ -69,9 +65,6 @@ type GetDescendants struct {
 	Out string
 }
 
-// Inputs implements Op.
-func (g *GetDescendants) Inputs() []Op { return []Op{g.Input} }
-
 // OutVars implements Op.
 func (g *GetDescendants) OutVars() []string { return append(g.Input.OutVars(), g.Out) }
 
@@ -85,9 +78,6 @@ type Select struct {
 	Input Op
 	Cond  Cond
 }
-
-// Inputs implements Op.
-func (s *Select) Inputs() []Op { return []Op{s.Input} }
 
 // OutVars implements Op.
 func (s *Select) OutVars() []string { return s.Input.OutVars() }
@@ -103,9 +93,6 @@ type Join struct {
 	Left, Right Op
 	Cond        Cond
 }
-
-// Inputs implements Op.
-func (j *Join) Inputs() []Op { return []Op{j.Left, j.Right} }
 
 // OutVars implements Op.
 func (j *Join) OutVars() []string { return append(j.Left.OutVars(), j.Right.OutVars()...) }
@@ -124,9 +111,6 @@ type GroupBy struct {
 	Var   string
 	Out   string
 }
-
-// Inputs implements Op.
-func (g *GroupBy) Inputs() []Op { return []Op{g.Input} }
 
 // OutVars implements Op.
 func (g *GroupBy) OutVars() []string { return append(append([]string{}, g.By...), g.Out) }
@@ -148,9 +132,6 @@ type Concatenate struct {
 	X, Y  string
 	Out   string
 }
-
-// Inputs implements Op.
-func (c *Concatenate) Inputs() []Op { return []Op{c.Input} }
 
 // OutVars implements Op.
 func (c *Concatenate) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
@@ -187,9 +168,6 @@ type CreateElement struct {
 	Out      string
 }
 
-// Inputs implements Op.
-func (c *CreateElement) Inputs() []Op { return []Op{c.Input} }
-
 // OutVars implements Op.
 func (c *CreateElement) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
 
@@ -207,9 +185,6 @@ type OrderBy struct {
 	Keys  []string
 }
 
-// Inputs implements Op.
-func (o *OrderBy) Inputs() []Op { return []Op{o.Input} }
-
 // OutVars implements Op.
 func (o *OrderBy) OutVars() []string { return o.Input.OutVars() }
 
@@ -222,9 +197,6 @@ type Project struct {
 	Input Op
 	Keep  []string
 }
-
-// Inputs implements Op.
-func (p *Project) Inputs() []Op { return []Op{p.Input} }
 
 // OutVars implements Op.
 func (p *Project) OutVars() []string { return append([]string{}, p.Keep...) }
@@ -240,9 +212,6 @@ type Union struct {
 	Left, Right Op
 }
 
-// Inputs implements Op.
-func (u *Union) Inputs() []Op { return []Op{u.Left, u.Right} }
-
 // OutVars implements Op.
 func (u *Union) OutVars() []string { return u.Left.OutVars() }
 
@@ -254,9 +223,6 @@ type Difference struct {
 	Left, Right Op
 }
 
-// Inputs implements Op.
-func (d *Difference) Inputs() []Op { return []Op{d.Left, d.Right} }
-
 // OutVars implements Op.
 func (d *Difference) OutVars() []string { return d.Left.OutVars() }
 
@@ -266,9 +232,6 @@ func (d *Difference) appendOp(b []byte) []byte { return append(b, "difference"..
 type Distinct struct {
 	Input Op
 }
-
-// Inputs implements Op.
-func (d *Distinct) Inputs() []Op { return []Op{d.Input} }
 
 // OutVars implements Op.
 func (d *Distinct) OutVars() []string { return d.Input.OutVars() }
@@ -282,9 +245,6 @@ type TupleDestroy struct {
 	Input Op
 	Var   string
 }
-
-// Inputs implements Op.
-func (t *TupleDestroy) Inputs() []Op { return []Op{t.Input} }
 
 // OutVars implements Op.
 func (t *TupleDestroy) OutVars() []string { return nil }
@@ -309,12 +269,10 @@ func appendPlan(b []byte, p Op, depth int) []byte {
 	return b
 }
 
-// inputs returns p.Inputs() in buf, so a walk of a plan allocates
-// nothing for it.
+// inputs returns p's input plans, outermost first, in buf, so a walk
+// of a plan allocates nothing for it.
 func inputs(p Op, buf *[2]Op) []Op {
 	switch op := p.(type) {
-	case *Source:
-		return nil
 	case *Join:
 		buf[0], buf[1] = op.Left, op.Right
 		return buf[:]
@@ -348,10 +306,110 @@ func inputs(p Op, buf *[2]Op) []Op {
 		buf[0] = op.Input
 	case *Rename:
 		buf[0] = op.Input
-	default:
-		return p.Inputs()
+	default: // *Source
+		return nil
 	}
 	return buf[:1]
+}
+
+// MapInputs returns a copy of p with each input replaced by fn(input),
+// outermost first; if fn is the identity on every input, p itself is
+// returned. It is the one way a plan is rebuilt around new inputs:
+// rewriting, literal binding and view composition all go through it.
+func MapInputs(p Op, fn func(Op) Op) Op {
+	switch op := p.(type) {
+	case *GetDescendants:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &GetDescendants{Input: in, Parent: op.Parent, Path: op.Path, Out: op.Out}
+	case *Select:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Select{Input: in, Cond: op.Cond}
+	case *Join:
+		l, r := fn(op.Left), fn(op.Right)
+		if l == op.Left && r == op.Right {
+			return op
+		}
+		return &Join{Left: l, Right: r, Cond: op.Cond}
+	case *GroupBy:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &GroupBy{Input: in, By: op.By, Var: op.Var, Out: op.Out}
+	case *Concatenate:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Concatenate{Input: in, X: op.X, Y: op.Y, Out: op.Out}
+	case *CreateElement:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &CreateElement{Input: in, Label: op.Label, Children: op.Children, Out: op.Out}
+	case *OrderBy:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &OrderBy{Input: in, Keys: op.Keys}
+	case *Project:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Project{Input: in, Keep: op.Keep}
+	case *Union:
+		l, r := fn(op.Left), fn(op.Right)
+		if l == op.Left && r == op.Right {
+			return op
+		}
+		return &Union{Left: l, Right: r}
+	case *Difference:
+		l, r := fn(op.Left), fn(op.Right)
+		if l == op.Left && r == op.Right {
+			return op
+		}
+		return &Difference{Left: l, Right: r}
+	case *Distinct:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Distinct{Input: in}
+	case *TupleDestroy:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &TupleDestroy{Input: in, Var: op.Var}
+	case *WrapList:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &WrapList{Input: in, Var: op.Var, Out: op.Out}
+	case *Const:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Const{Input: in, Value: op.Value, Out: op.Out}
+	case *Rename:
+		in := fn(op.Input)
+		if in == op.Input {
+			return op
+		}
+		return &Rename{Input: in, From: op.From, To: op.To}
+	}
+	return p // *Source
 }
 
 // appendVars appends vars as "$a,$b,…".

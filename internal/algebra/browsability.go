@@ -144,7 +144,8 @@ func isSingleton(p Op) bool {
 		_, isTrue := op.Cond.(True)
 		return isTrue && isSingleton(op.Left) && isSingleton(op.Right)
 	case *Concatenate, *CreateElement, *WrapList, *Const, *Rename, *Project, *Distinct:
-		return isSingleton(p.Inputs()[0])
+		var buf [2]Op
+		return isSingleton(inputs(p, &buf)[0])
 	default:
 		return false
 	}

@@ -15,9 +15,6 @@ type WrapList struct {
 	Out   string
 }
 
-// Inputs implements Op.
-func (w *WrapList) Inputs() []Op { return []Op{w.Input} }
-
 // OutVars implements Op.
 func (w *WrapList) OutVars() []string { return append(w.Input.OutVars(), w.Out) }
 
@@ -33,9 +30,6 @@ type Const struct {
 	Out   string
 }
 
-// Inputs implements Op.
-func (c *Const) Inputs() []Op { return []Op{c.Input} }
-
 // OutVars implements Op.
 func (c *Const) OutVars() []string { return append(c.Input.OutVars(), c.Out) }
 
@@ -50,9 +44,6 @@ type Rename struct {
 	From  string
 	To    string
 }
-
-// Inputs implements Op.
-func (r *Rename) Inputs() []Op { return []Op{r.Input} }
 
 // OutVars implements Op.
 func (r *Rename) OutVars() []string {

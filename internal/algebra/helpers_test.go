@@ -18,7 +18,8 @@ func TestHelperOpsSurface(t *testing.T) {
 	if got := r.OutVars(); len(got) != 3 || got[2] != "D" {
 		t.Fatalf("rename OutVars = %v", got)
 	}
-	if len(w.Inputs()) != 1 || len(c.Inputs()) != 1 || len(r.Inputs()) != 1 {
+	var buf [2]Op
+	if len(inputs(w, &buf)) != 1 || len(inputs(c, &buf)) != 1 || len(inputs(r, &buf)) != 1 {
 		t.Fatal("Inputs arity")
 	}
 	if err := Validate(r); err != nil {
@@ -170,7 +171,7 @@ func TestIsSingletonCases(t *testing.T) {
 }
 
 func TestRewriteThroughHelperOps(t *testing.T) {
-	// mapInputs must rebuild helper operators too: rewrite below them.
+	// MapInputs must rebuild helper operators too: rewrite below them.
 	src := &Source{URL: "s", Var: "X"}
 	inner := &Select{Input: &Select{Input: src, Cond: Eq(V("X"), Lit("1"))},
 		Cond: Eq(V("X"), Lit("2"))}

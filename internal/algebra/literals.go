@@ -7,7 +7,7 @@ import "mix/internal/xmltree"
 // labels of const trees. An operator with no such literal below it is
 // shared with p, which is not modified.
 func BindLiterals(p Op, lits map[string]string) Op {
-	q := mapInputs(p, func(in Op) Op { return BindLiterals(in, lits) })
+	q := MapInputs(p, func(in Op) Op { return BindLiterals(in, lits) })
 	switch op := q.(type) {
 	case *Select:
 		if c, ok := bindCond(op.Cond, lits); ok {

@@ -67,8 +67,9 @@ func TestRenderTable(t *testing.T) {
 		{"const nil", &Const{Input: src, Out: "T"}, "const[⊥ → $T]"},
 		{"rename", &Rename{Input: src, From: "A", To: "B"}, "rename[$A → $B]"},
 	}
+	var buf [2]Op
 	for _, c := range cases {
-		if got := String(c.op); len(c.op.Inputs()) == 0 && got != c.want+"\n" {
+		if got := String(c.op); len(inputs(c.op, &buf)) == 0 && got != c.want+"\n" {
 			t.Errorf("%s: String = %q, want %q", c.name, got, c.want+"\n")
 		}
 		if got := string(c.op.appendOp(nil)); got != c.want {

@@ -42,7 +42,7 @@ func Rewrite(p Op) Op {
 func rewriteOnce(p Op) (Op, bool) {
 	// Rewrite inputs first (bottom-up).
 	changed := false
-	p = mapInputs(p, func(in Op) Op {
+	p = MapInputs(p, func(in Op) Op {
 		q, c := rewriteOnce(in)
 		changed = changed || c
 		return q
@@ -155,106 +155,6 @@ func intersect(vars []string, set map[string]bool) []string {
 		}
 	}
 	return out
-}
-
-// mapInputs returns a copy of p with each input replaced by fn(input);
-// if fn is the identity on every input, p itself is returned.
-func mapInputs(p Op, fn func(Op) Op) Op {
-	switch op := p.(type) {
-	case *Source:
-		return op
-	case *GetDescendants:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &GetDescendants{Input: in, Parent: op.Parent, Path: op.Path, Out: op.Out}
-	case *Select:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Select{Input: in, Cond: op.Cond}
-	case *Join:
-		l, r := fn(op.Left), fn(op.Right)
-		if l == op.Left && r == op.Right {
-			return op
-		}
-		return &Join{Left: l, Right: r, Cond: op.Cond}
-	case *GroupBy:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &GroupBy{Input: in, By: op.By, Var: op.Var, Out: op.Out}
-	case *Concatenate:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Concatenate{Input: in, X: op.X, Y: op.Y, Out: op.Out}
-	case *CreateElement:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &CreateElement{Input: in, Label: op.Label, Children: op.Children, Out: op.Out}
-	case *OrderBy:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &OrderBy{Input: in, Keys: op.Keys}
-	case *Project:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Project{Input: in, Keep: op.Keep}
-	case *Union:
-		l, r := fn(op.Left), fn(op.Right)
-		if l == op.Left && r == op.Right {
-			return op
-		}
-		return &Union{Left: l, Right: r}
-	case *Difference:
-		l, r := fn(op.Left), fn(op.Right)
-		if l == op.Left && r == op.Right {
-			return op
-		}
-		return &Difference{Left: l, Right: r}
-	case *Distinct:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Distinct{Input: in}
-	case *TupleDestroy:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &TupleDestroy{Input: in, Var: op.Var}
-	case *WrapList:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &WrapList{Input: in, Var: op.Var, Out: op.Out}
-	case *Const:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Const{Input: in, Value: op.Value, Out: op.Out}
-	case *Rename:
-		in := fn(op.Input)
-		if in == op.Input {
-			return op
-		}
-		return &Rename{Input: in, From: op.From, To: op.To}
-	}
-	return p
 }
 
 func varSet(vars []string) map[string]bool {

@@ -26,7 +26,8 @@ func (s varList) has(v string) bool { return slices.Contains(s, v) }
 // small: plans nest a dozen operators deep, and the per-operator checks
 // (checkOp) sit on the stack one at a time rather than once per level.
 func validate(p Op) (varList, error) {
-	ins := p.Inputs()
+	var opBuf [2]Op
+	ins := inputs(p, &opBuf)
 	var buf [2]varList // no operator has more than two inputs
 	inVars := buf[:len(ins)]
 	for i, in := range ins {

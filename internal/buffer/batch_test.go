@@ -88,7 +88,7 @@ func TestBatchedPrefetchDrain(t *testing.T) {
 		}
 		b.StartPrefetch()
 		deadline := time.Now().Add(30 * time.Second)
-		for b.PendingHoles() > 0 && time.Now().Before(deadline) {
+		for b.Stats().PendingHoles > 0 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		b.StopPrefetch()
@@ -137,7 +137,7 @@ func (s *failAfterRoot) Fill(id string) ([]*xmltree.Tree, error) {
 }
 
 // TestPrefetchErrorRecorded: prefetch failures must not crash or hang
-// the buffer, and must be observable through Stats/LastPrefetchError
+// the buffer, and must be observable through Stats
 // (satellite: surface the last prefetch error).
 func TestPrefetchErrorRecorded(t *testing.T) {
 	boom := errors.New("wrapper unreachable")
@@ -150,16 +150,12 @@ func TestPrefetchErrorRecorded(t *testing.T) {
 	}
 	b.StartPrefetch()
 	deadline := time.Now().Add(30 * time.Second)
-	for b.LastPrefetchError() == nil && time.Now().Before(deadline) {
+	for b.Stats().LastPrefetchError == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	b.StopPrefetch()
-	if got := b.LastPrefetchError(); !errors.Is(got, boom) {
-		t.Fatalf("LastPrefetchError = %v, want %v", got, boom)
-	}
-	st := b.Stats()
-	if st.PrefetchErrors == 0 || st.LastPrefetchError == "" {
-		t.Fatalf("stats do not surface the prefetch failure: %+v", st)
+	if st := b.Stats(); st.PrefetchErrors == 0 || !errors.Is(st.LastPrefetchError, boom) {
+		t.Fatalf("stats do not surface the prefetch failure: %+v, want %v", st, boom)
 	}
 	// The demand path still reports the error itself, independently.
 	root, err := b.Root()
@@ -202,11 +198,11 @@ func BenchmarkFillsBatchedVsSingle(b *testing.B) {
 				}
 				buf.StartPrefetch()
 				deadline := time.Now().Add(time.Minute)
-				for buf.PendingHoles() > 0 && time.Now().Before(deadline) {
+				for buf.Stats().PendingHoles > 0 && time.Now().Before(deadline) {
 					time.Sleep(20 * time.Microsecond)
 				}
 				buf.StopPrefetch()
-				if buf.PendingHoles() != 0 {
+				if buf.Stats().PendingHoles != 0 {
 					b.Fatal("drain did not finish")
 				}
 			}

@@ -127,82 +127,38 @@ func (b *Buffer) EnableLookahead() {
 	b.mu.Unlock()
 }
 
-// Fills returns the number of fill requests issued so far (including
-// prefetch fills).
-func (b *Buffer) Fills() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fills
-}
-
-// DemandFills returns the fills issued on the client's navigation path
-// (total minus prefetch fills) — the latency the client actually waits
-// for.
-func (b *Buffer) DemandFills() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fills - b.prefetchFills
-}
-
-// PendingHoles returns the number of known unexplored holes.
-func (b *Buffer) PendingHoles() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.pending)
-	if b.root.hole {
-		n++
-	}
-	return n
-}
-
-// RoundTrips returns the number of wire round trips issued so far; with
-// batching enabled it can be much smaller than Fills.
-func (b *Buffer) RoundTrips() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.roundTrips
-}
-
-// LastPrefetchError returns the most recent prefetch failure, nil if
-// prefetching has never failed. Prefetching is best-effort — a failure
-// never surfaces on the demand path unless the demand path hits it too
-// — so this is how operators find out prefetch has been dying.
-func (b *Buffer) LastPrefetchError() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastPrefetchErr
-}
-
-// Stats is a snapshot of the buffer's fill accounting.
+// Stats is a snapshot of the buffer's fill accounting. Prefetching is
+// best-effort — a failure never surfaces on the demand path unless the
+// demand path hits it too — so PrefetchErrors and LastPrefetchError are
+// how operators find out prefetch has been dying.
 type Stats struct {
-	Fills             int    // fill requests issued (holes filled)
-	DemandFills       int    // fills the client's navigation waited for
-	PrefetchFills     int    // fills issued by the prefetchers
-	RoundTrips        int    // wire round trips (batched fills share one)
-	BatchedFills      int    // holes filled via multi-hole round trips
-	PendingHoles      int    // known unexplored holes
-	PrefetchErrors    int    // prefetch fills that failed
-	LastPrefetchError string // most recent prefetch failure ("" if none)
+	Fills             int   // fill requests issued (holes filled)
+	DemandFills       int   // fills the client's navigation waited for
+	PrefetchFills     int   // fills issued by the prefetchers
+	RoundTrips        int   // wire round trips (batched fills share one)
+	BatchedFills      int   // holes filled via multi-hole round trips
+	PendingHoles      int   // known unexplored holes
+	PrefetchErrors    int   // prefetch fills that failed
+	LastPrefetchError error // most recent prefetch failure (nil if none)
 }
 
-// Stats returns a consistent snapshot of the buffer's accounting.
+// Stats returns a consistent snapshot of the buffer's accounting, the
+// one read of it.
 func (b *Buffer) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := Stats{
-		Fills:          b.fills,
-		DemandFills:    b.fills - b.prefetchFills,
-		PrefetchFills:  b.prefetchFills,
-		RoundTrips:     b.roundTrips,
-		BatchedFills:   b.batchedFills,
-		PendingHoles:   len(b.pending),
-		PrefetchErrors: b.prefetchErrs,
+		Fills:             b.fills,
+		DemandFills:       b.fills - b.prefetchFills,
+		PrefetchFills:     b.prefetchFills,
+		RoundTrips:        b.roundTrips,
+		BatchedFills:      b.batchedFills,
+		PendingHoles:      len(b.pending),
+		PrefetchErrors:    b.prefetchErrs,
+		LastPrefetchError: b.lastPrefetchErr,
 	}
 	if b.root.hole {
 		s.PendingHoles++
-	}
-	if b.lastPrefetchErr != nil {
-		s.LastPrefetchError = b.lastPrefetchErr.Error()
 	}
 	return s
 }

@@ -94,8 +94,8 @@ func TestBufferRepeatNavigationFillsOnce(t *testing.T) {
 	if cs.Counters.Fills.Load() != n {
 		t.Fatal("re-navigation must be served from the buffer")
 	}
-	if b.Fills() != int(n) {
-		t.Fatalf("Buffer.Fills = %d, counter = %d", b.Fills(), n)
+	if b.Stats().Fills != int(n) {
+		t.Fatalf("Buffer.Fills = %d, counter = %d", b.Stats().Fills, n)
 	}
 }
 
@@ -317,9 +317,9 @@ func TestAsyncPrefetchFillsEverything(t *testing.T) {
 	}
 	b.StartPrefetch()
 	deadline := time.Now().Add(5 * time.Second)
-	for b.PendingHoles() > 0 {
+	for b.Stats().PendingHoles > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher stalled with %d holes:\n%v", b.PendingHoles(), b.Snapshot())
+			t.Fatalf("prefetcher stalled with %d holes:\n%v", b.Stats().PendingHoles, b.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -394,7 +394,7 @@ func TestStopPrefetchIdle(t *testing.T) {
 	}
 	b.StartPrefetch()
 	b.StopPrefetch() // must not hang even though the root is unresolved
-	if b.PendingHoles() != 1 {
-		t.Fatalf("pending = %d, want the root hole", b.PendingHoles())
+	if b.Stats().PendingHoles != 1 {
+		t.Fatalf("pending = %d, want the root hole", b.Stats().PendingHoles)
 	}
 }

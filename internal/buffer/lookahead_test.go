@@ -142,9 +142,9 @@ func TestLazyRootNewSendsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.count("get_root") != 1 || s.total() != 2 || b.Fills() != 1 {
+	if s.count("get_root") != 1 || s.total() != 2 || b.Stats().Fills != 1 {
 		t.Fatalf("three Root() calls: %d get_root, %d messages, %d fills; want 1, 2, 1",
-			s.count("get_root"), s.total(), b.Fills())
+			s.count("get_root"), s.total(), b.Stats().Fills)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestLazyRootBadURI(t *testing.T) {
 	if _, err := b.Root(); err == nil || !strings.Contains(err.Error(), `"elsewhere"`) {
 		t.Fatalf("first Root() = %v, want the get_root failure naming the uri", err)
 	}
-	if b.Fills() != 0 {
-		t.Fatalf("a failed get_root was followed by %d fills", b.Fills())
+	if b.Stats().Fills != 0 {
+		t.Fatalf("a failed get_root was followed by %d fills", b.Stats().Fills)
 	}
 	got, err := nav.Materialize(b)
 	if err != nil {
@@ -341,7 +341,7 @@ func TestLookaheadScan(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := b.Stats(); st.PrefetchErrors != 1 || !strings.Contains(st.LastPrefetchError, "1:16") {
+	if st := b.Stats(); st.PrefetchErrors != 1 || st.LastPrefetchError == nil || !strings.Contains(st.LastPrefetchError.Error(), "1:16") {
 		t.Fatalf("stats after a failed lookahead: %+v", st)
 	}
 	rights(t, b, item1, 8) // crosses 1:16: a demand fill that succeeds
@@ -364,9 +364,9 @@ func TestLookaheadScan(t *testing.T) {
 	if !xmltree.Equal(b.Snapshot(), plain.Snapshot()) {
 		t.Fatal("snapshot differs from the lookahead-free buffer's")
 	}
-	if st := b.Stats(); st.Fills != plain.Fills()+1 || st.PendingHoles != 0 {
+	if st := b.Stats(); st.Fills != plain.Stats().Fills+1 || st.PendingHoles != 0 {
 		t.Fatalf("%d fills (lookahead-free: %d, plus the one that failed), %d holes pending",
-			st.Fills, plain.Fills(), st.PendingHoles)
+			st.Fills, plain.Stats().Fills, st.PendingHoles)
 	}
 	if s.peak > 2 {
 		t.Fatalf("%d fills at the server at once: more than a demand fill and one lookahead", s.peak)

@@ -338,9 +338,12 @@ func (n *Node) Fetch(k regioncache.Key) *regioncache.Region {
 func (n *Node) RecordCompleteLocal() { n.semLocal.Add(1) }
 
 // Flush publishes every locally explored region whose key another
-// member owns — and which grew since its last publication — to its
-// owner via region_put. Safe to call concurrently with serving; the
-// background flush loop calls it every FlushInterval.
+// member owns — and which grew here since its last publication — to its
+// owner via region_put. Only local growth counts (Entry.Mutations): an
+// entry filled from its owner, or absorbed from a peer, and not explored
+// further is the owner's knowledge already, and is never sent back.
+// Safe to call concurrently with serving; the background flush loop
+// calls it every FlushInterval.
 func (n *Node) Flush() {
 	gen := n.cache.Generation()
 	n.pruneFlushed(gen)
@@ -355,10 +358,10 @@ func (n *Node) Flush() {
 		}
 		mut := e.Mutations()
 		n.flushMu.Lock()
-		last, seen := n.flushed[k]
+		last := n.flushed[k]
 		n.flushMu.Unlock()
-		if seen && mut == last {
-			return
+		if mut == last {
+			return // no local growth: an L2 fill is the owner's own region
 		}
 		p := n.peers[owner]
 		if p == nil || !p.alive() {

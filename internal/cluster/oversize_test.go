@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"mix/internal/nav"
 	"mix/internal/regioncache"
 	"mix/internal/vxdp"
+	"mix/internal/xmltree"
 )
 
 // oversized returns a region whose encoding is just over MaxRegionWire:
@@ -87,11 +89,10 @@ func TestOversizedRegionStaysLocal(t *testing.T) {
 		}
 	}
 	big, small := oversized(t), regioncache.Region{{Label: "a", Down: regioncache.WindowNone, Right: regioncache.WindowNone}}
-	if !cache.Absorb(keys[0], &big) || !cache.Absorb(keys[1], &small) {
-		t.Fatal("absorb rejected")
-	}
+	explore(t, cache, keys[0], big)
+	explore(t, cache, keys[1], small)
 	if got := cache.Peek(keys[0]).Export(); !slices.Equal(*got, big) {
-		t.Fatal("the absorbed region does not export as itself")
+		t.Fatal("the explored region does not export as the one asked for")
 	}
 	if RegionFits(&big) {
 		t.Fatal("RegionFits passes a region over MaxRegionWire")
@@ -109,5 +110,41 @@ func TestOversizedRegionStaysLocal(t *testing.T) {
 	n.flushMu.Unlock()
 	if !ok || mut != cache.Peek(keys[0]).Mutations() {
 		t.Fatalf("oversized region flushed at %d (%v), want marked at %d", mut, ok, cache.Peek(keys[0]).Mutations())
+	}
+}
+
+// explore grows k's entry into the flat region r (a root and its
+// children) the way a session's navigations do, so the growth is local
+// and Flush publishes it: the producer serves r's shape, and the walk
+// fetches the labels r knows and probes exactly the child lists r
+// closes.
+func explore(t *testing.T, cache *regioncache.Cache, k regioncache.Key, r regioncache.Region) {
+	t.Helper()
+	kids := make([]*xmltree.Tree, len(r)-1)
+	for i := range kids {
+		kids[i] = xmltree.Leaf(r[i+1].Label)
+	}
+	tree := xmltree.Elem(r[0].Label, kids...)
+	doc := regioncache.NewDoc(cache.Open(k), func() nav.Document { return nav.NewTreeDoc(tree) }, nil)
+	id, err := doc.Root()
+	for i := 0; err == nil && id != nil; i++ {
+		if !r[i].Unknown {
+			_, err = doc.Fetch(id)
+		}
+		if err == nil && i > 0 && r[i].Down == regioncache.WindowNone {
+			_, err = doc.Down(id) // a leaf: its empty list closes
+		}
+		switch {
+		case err != nil:
+		case i == 0:
+			id, err = doc.Down(id)
+		case i+1 < len(r) || r[i].Right == regioncache.WindowNone:
+			id, err = doc.Right(id)
+		default:
+			id = nil
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

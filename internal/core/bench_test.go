@@ -50,9 +50,9 @@ func BenchmarkFirstResult(b *testing.B) {
 }
 
 // BenchmarkFullMaterialize: complete lazy evaluation of the running
-// example. With no tracer installed this must match the pre-trace
-// baseline exactly — the nil-tracer compile path adds no wrappers and
-// no allocations (compare against BenchmarkFullMaterializeTraced).
+// example. Untraced, this must match the pre-trace baseline exactly —
+// the nil-tracer compile path adds no wrappers and no allocations
+// (compare against BenchmarkFullMaterializeTraced).
 func BenchmarkFullMaterialize(b *testing.B) {
 	e, _ := benchEngine(b, 200)
 	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
@@ -90,11 +90,11 @@ func BenchmarkColdJoinGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkFullMaterializeTraced: the same evaluation with a recorder
-// installed — the price of observability when it is switched on.
+// BenchmarkFullMaterializeTraced: the same evaluation traced into a
+// recorder — the price of observability when it is switched on.
 func BenchmarkFullMaterializeTraced(b *testing.B) {
 	e, _ := benchEngine(b, 200)
-	e.SetTracer(trace.New())
+	rec := trace.New()
 	view := mustPrepare(b, workload.HomesSchoolsPlan(), "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -102,9 +102,9 @@ func BenchmarkFullMaterializeTraced(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := q.Materialize(); err != nil {
+		if _, err := nav.Materialize(q.TracedDocument(rec)); err != nil {
 			b.Fatal(err)
 		}
-		e.tracer.Take() // don't let the forest accumulate across iterations
+		rec.Take() // don't let the forest accumulate across iterations
 	}
 }

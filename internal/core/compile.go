@@ -21,11 +21,6 @@ import (
 type Engine struct {
 	opts Options
 
-	// tracer is the recorder Document traces into (see SetTracer in
-	// trace.go). nil — the default — builds pipelines with no
-	// instrumentation at all.
-	tracer *trace.Recorder
-
 	// cache, when non-nil, is the shared cross-session region cache;
 	// queries of a named view get a cache-aware answer document
 	// (see Query.Document and SetRegionCache). cacheGen is the cache
@@ -225,9 +220,9 @@ func (q *Query) CacheName() string { return q.view.name }
 // across engines — the region-cache key and the cluster routing key.
 func (q *Query) Fingerprint() string { return q.view.fp }
 
-// Document returns the virtual answer document, traced into the
-// engine's recorder (see TracedDocument).
-func (q *Query) Document() nav.Document { return q.TracedDocument(q.eng.tracer) }
+// Document returns the virtual answer document, untraced (see
+// TracedDocument).
+func (q *Query) Document() nav.Document { return q.TracedDocument(nil) }
 
 // TracedDocument returns the virtual answer document, tracing into rec
 // (nil: none): the constructed answer element for tupleDestroy-rooted

@@ -28,15 +28,16 @@ func (q *Query) rebuild(ct *algebra.Containment, super *regioncache.Region) (*re
 	if ct.Shape == algebra.ShapeConstruct {
 		return q.constructAnswer(ct, super)
 	}
-	return bindingsAnswer(ct, super, q.view.topVars)
+	return q.bindingsAnswer(ct, super)
 }
 
 // acceptsLabel is the single-step path test: the path accepts exactly
 // the one-label sequence [label]. PathRewrite paths are single-step by
 // construction (see algebra.PathRewrite), so a node's own label decides
-// its membership.
-func acceptsLabel(n *pathexpr.NFA, label string) bool {
-	return n.Accepting(n.Step(n.Start(), label))
+// its membership. The automaton is the engine's (Engine.pathDFA), so a
+// label one hit has tested is one map hit for the next.
+func acceptsLabel(d *pathexpr.DFA, label string) bool {
+	return d.Step(d.Start().ID, label).Accepting
 }
 
 // semBinding is the ValueGetter residual conditions evaluate against in
@@ -56,18 +57,19 @@ func (g semBinding) Value(name string) (*xmltree.Tree, error) {
 	return nil, fmt.Errorf("core: semantic residual references unknown variable %q", name)
 }
 
-// bindingsAnswer rebuilds sub's bs[b[…]…] answer from super's: each b
-// is kept iff its positional values pass the path label tests and the
-// residual condition, and the kept children are relabeled to sub's
-// runtime output variables. Any structural surprise returns ok=false
-// and the engine falls back to the source-backed plan.
-func bindingsAnswer(ct *algebra.Containment, super *regioncache.Region, subVars []string) (*regioncache.Region, bool) {
+// bindingsAnswer rebuilds the query's bs[b[…]…] answer from super's:
+// each b is kept iff its positional values pass the path label tests
+// and the residual condition, and the kept children are relabeled to
+// the query's runtime output variables. Any structural surprise returns
+// ok=false and the engine falls back to the source-backed plan.
+func (q *Query) bindingsAnswer(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
+	subVars := q.view.topVars
 	if super.Label(0) != "bs" || len(subVars) != len(ct.SubTopVars) {
 		return nil, false
 	}
 	type ptest struct {
 		idx int
-		nfa *pathexpr.NFA
+		dfa *pathexpr.DFA
 	}
 	tests := make([]ptest, 0, len(ct.Paths))
 	for _, pr := range ct.Paths {
@@ -75,7 +77,7 @@ func bindingsAnswer(ct *algebra.Containment, super *regioncache.Region, subVars 
 		if i < 0 {
 			return nil, false
 		}
-		tests = append(tests, ptest{idx: i, nfa: pathexpr.Compile(pr.Sub)})
+		tests = append(tests, ptest{idx: i, dfa: q.eng.pathDFA(pr.Sub)})
 	}
 	getter := semBinding{r: super, vars: ct.SubTopVars, vals: make([]int, len(subVars))}
 	vals := getter.vals
@@ -100,7 +102,7 @@ func bindingsAnswer(ct *algebra.Containment, super *regioncache.Region, subVars 
 		}
 		keep := true
 		for _, tst := range tests {
-			if !acceptsLabel(tst.nfa, super.Label(vals[tst.idx])) {
+			if !acceptsLabel(tst.dfa, super.Label(vals[tst.idx])) {
 				keep = false
 				break
 			}
@@ -207,9 +209,9 @@ func (q *Query) constructAnswer(ct *algebra.Containment, super *regioncache.Regi
 	}
 	superSteps := q.compileChain(ct.SuperChain)
 	subSteps := q.compileChain(ct.SubChain)
-	var groupNFA *pathexpr.NFA
+	var groupDFA *pathexpr.DFA
 	if ct.GroupPath != nil {
-		groupNFA = pathexpr.Compile(ct.GroupPath.Sub)
+		groupDFA = q.eng.pathDFA(ct.GroupPath.Sub)
 	}
 	var out regioncache.RegionBuilder
 	out.Grow(super.Nodes())
@@ -230,7 +232,7 @@ func (q *Query) constructAnswer(ct *algebra.Containment, super *regioncache.Regi
 			return nil, false
 		}
 		contexts := run / m
-		if groupNFA == nil || acceptsLabel(groupNFA, super.Label(i)) {
+		if groupDFA == nil || acceptsLabel(groupDFA, super.Label(i)) {
 			cnt, err := countChain(subSteps, T)
 			if err != nil {
 				return nil, false

@@ -25,7 +25,6 @@ func traceTotalsMatchCounters(t *testing.T, opts Options) {
 	homes, schools := workload.HomesSchools(8, 8, 3, 7)
 	rec := trace.New()
 	e := New(opts)
-	e.SetTracer(rec)
 	counters := map[string]*nav.CountingDoc{
 		"homesSrc":   nav.NewCountingDoc(nav.NewTreeDoc(homes)),
 		"schoolsSrc": nav.NewCountingDoc(nav.NewTreeDoc(schools)),
@@ -39,7 +38,7 @@ func traceTotalsMatchCounters(t *testing.T, opts Options) {
 	}
 	// The client document is traced too, so every client command roots
 	// a span tree.
-	doc := trace.NewDoc(q.Document(), trace.ClientLabel, rec)
+	doc := trace.NewDoc(q.TracedDocument(rec), trace.ClientLabel, rec)
 
 	snap := func() metrics.Snapshot {
 		var s metrics.Snapshot
@@ -92,14 +91,13 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	rec := trace.New()
 	e := New(DefaultOptions())
-	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
 	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := trace.NewDoc(q.Document(), trace.ClientLabel, rec)
+	doc := trace.NewDoc(q.TracedDocument(rec), trace.ClientLabel, rec)
 	root, err := doc.Root()
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +129,11 @@ func TestTraceShowsOperatorFanOut(t *testing.T) {
 	}
 }
 
-// TestUntracedEngineHasNoWrappers ensures the zero-cost default: with
-// no tracer installed nothing about compilation changes (the traced
-// benchmark comparison in bench_test.go quantifies this; here we just
-// pin the nil-tracer path through a full evaluation).
+// TestUntracedEngineHasNoWrappers ensures the zero-cost default: a
+// document obtained without a recorder changes nothing about
+// compilation (the traced benchmark comparison in bench_test.go
+// quantifies this; here we just pin the untraced path through a full
+// evaluation).
 func TestUntracedEngineHasNoWrappers(t *testing.T) {
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	e := New(DefaultOptions())
@@ -160,14 +159,13 @@ func TestFleetIdentityReachesEngineRoots(t *testing.T) {
 	rec := trace.New()
 	rec.Node = "owner-node"
 	e := New(DefaultOptions())
-	e.SetTracer(rec)
 	e.Register("homesSrc", nav.NewTreeDoc(homes))
 	e.Register("schoolsSrc", nav.NewTreeDoc(schools))
 	q, err := e.Compile(mustPrepare(t, workload.HomesSchoolsPlan(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := trace.NewDoc(q.Document(), trace.ClientLabel, rec)
+	doc := trace.NewDoc(q.TracedDocument(rec), trace.ClientLabel, rec)
 
 	remote := trace.Context{TraceID: trace.NewTraceID(), SpanID: 4242}
 	rec.SetRemoteParent(remote)

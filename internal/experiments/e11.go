@@ -52,29 +52,23 @@ func E11AsyncPrefetch() Table {
 	if _, err := nav.ExploreFirst(b, 5); err != nil {
 		panic(err)
 	}
-	t.Rows = append(t.Rows, []string{"1: demand-read first 5",
-		itoa(int64(b.DemandFills())), itoa(int64(b.Fills() - b.DemandFills())),
-		itoa(int64(b.PendingHoles()))})
+	t.Rows = append(t.Rows, e11Row("1: demand-read first 5", b.Stats(), 0))
 
 	// Phase 2: think time — the prefetcher drains the source.
 	b.StartPrefetch()
 	deadline := time.Now().Add(30 * time.Second)
-	for b.PendingHoles() > 0 && time.Now().Before(deadline) {
+	for b.Stats().PendingHoles > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	b.StopPrefetch()
-	t.Rows = append(t.Rows, []string{"2: think time (prefetch)",
-		itoa(int64(b.DemandFills())), itoa(int64(b.Fills() - b.DemandFills())),
-		itoa(int64(b.PendingHoles()))})
+	t.Rows = append(t.Rows, e11Row("2: think time (prefetch)", b.Stats(), 0))
 
 	// Phase 3: the user reads everything else.
-	demandBefore := b.DemandFills()
+	demandBefore := b.Stats().DemandFills
 	if _, err := nav.Materialize(b); err != nil {
 		panic(err)
 	}
-	t.Rows = append(t.Rows, []string{"3: read the rest",
-		itoa(int64(b.DemandFills() - demandBefore)), itoa(int64(b.Fills() - b.DemandFills())),
-		itoa(int64(b.PendingHoles()))})
+	t.Rows = append(t.Rows, e11Row("3: read the rest", b.Stats(), demandBefore))
 
 	// Rows 4–5: a cold scan without think time.
 	var scans [2]*buffer.Buffer
@@ -94,12 +88,17 @@ func E11AsyncPrefetch() Table {
 			panic("E11: " + label + ": scan read a different document")
 		}
 		scans[i] = sb
-		t.Rows = append(t.Rows, []string{label,
-			itoa(int64(sb.DemandFills())), itoa(int64(sb.Fills() - sb.DemandFills())),
-			itoa(int64(sb.PendingHoles()))})
+		t.Rows = append(t.Rows, e11Row(label, sb.Stats(), 0))
 	}
 	if !xmltree.Equal(scans[0].Snapshot(), scans[1].Snapshot()) {
 		panic("E11: lookahead scan buffered a different document")
 	}
 	return t
+}
+
+// e11Row renders one phase: the demand fills since demandBefore, the
+// prefetch fills so far and the holes still pending.
+func e11Row(phase string, st buffer.Stats, demandBefore int) []string {
+	return []string{phase, itoa(int64(st.DemandFills - demandBefore)),
+		itoa(int64(st.PrefetchFills)), itoa(int64(st.PendingHoles))}
 }

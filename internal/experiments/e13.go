@@ -77,7 +77,7 @@ func drainPrefetch(b *buffer.Buffer) time.Duration {
 	}
 	b.StartPrefetch()
 	deadline := time.Now().Add(60 * time.Second)
-	for b.PendingHoles() > 0 && time.Now().Before(deadline) {
+	for b.Stats().PendingHoles > 0 && time.Now().Before(deadline) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	b.StopPrefetch()
@@ -109,7 +109,7 @@ func batchedFillRows() (rows [][]string, timing []string) {
 		if err != nil {
 			panic(err)
 		}
-		return b.RoundTrips(), elapsed, xmltree.Equal(got, want)
+		return b.Stats().RoundTrips, elapsed, xmltree.Equal(got, want)
 	}
 	t1, d1, ok1 := run(1)
 	t8, d8, ok8 := run(8)

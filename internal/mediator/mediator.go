@@ -119,14 +119,6 @@ func New(opts Options) *Mediator {
 	}
 }
 
-// SetTracer installs a navigation-trace recorder on the mediator's
-// engine: answer documents (Result.Document) produce causal traces of
-// how client navigations fan out through the lazy-mediator tree into
-// source navigations (Result.TracedDocument picks another recorder for
-// one document). Install before the first Query; without a tracer,
-// query evaluation is completely uninstrumented.
-func (m *Mediator) SetTracer(rec *trace.Recorder) { m.engine.SetTracer(rec) }
-
 // SetRegionCache installs a shared cross-session region cache: answer
 // documents of queries prepared after the call serve already-explored
 // regions from the cache (published by any mediator sharing it) instead
@@ -220,13 +212,13 @@ type Result struct {
 	query *core.Query
 }
 
-// Document returns the virtual answer document. Obtaining it (and its
-// root handle) performs no source access.
+// Document returns the virtual answer document, untraced. Obtaining it
+// (and its root handle) performs no source access.
 func (r *Result) Document() nav.Document { return r.query.Document() }
 
 // TracedDocument returns the virtual answer document, tracing into rec
-// instead of the mediator's recorder: sessions sharing one mediator each
-// trace into their own.
+// (nil: none). It is the one way to trace an answer: sessions sharing
+// one mediator each trace into their own recorder.
 func (r *Result) TracedDocument(rec *trace.Recorder) nav.Document { return r.query.TracedDocument(rec) }
 
 // CacheKey returns the (view name, canonical plan fingerprint) pair
@@ -458,116 +450,22 @@ func (m *Mediator) substitute(p algebra.Op, depth int, views *[]string) (algebra
 		}
 		return body, nil
 	}
-	// Any other operator is copied with its inputs substituted.
-	return m.rebuild(p, depth, views)
-}
-
-func (m *Mediator) rebuild(p algebra.Op, depth int, views *[]string) (algebra.Op, error) {
-	sub := func(q algebra.Op) (algebra.Op, error) { return m.substitute(q, depth, views) }
-	switch op := p.(type) {
-	case *algebra.GetDescendants:
-		in, err := sub(op.Input)
+	// Any other operator is copied with its inputs substituted; the
+	// first error stops the walk.
+	var err error
+	q := algebra.MapInputs(p, func(in algebra.Op) algebra.Op {
 		if err != nil {
-			return nil, err
+			return in
 		}
-		return &algebra.GetDescendants{Input: in, Parent: op.Parent, Path: op.Path, Out: op.Out}, nil
-	case *algebra.Select:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
+		out, e := m.substitute(in, depth, views)
+		if e != nil {
+			err = e
+			return in
 		}
-		return &algebra.Select{Input: in, Cond: op.Cond}, nil
-	case *algebra.Join:
-		l, err := sub(op.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sub(op.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Join{Left: l, Right: r, Cond: op.Cond}, nil
-	case *algebra.GroupBy:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.GroupBy{Input: in, By: op.By, Var: op.Var, Out: op.Out}, nil
-	case *algebra.Concatenate:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Concatenate{Input: in, X: op.X, Y: op.Y, Out: op.Out}, nil
-	case *algebra.CreateElement:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.CreateElement{Input: in, Label: op.Label, Children: op.Children, Out: op.Out}, nil
-	case *algebra.OrderBy:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.OrderBy{Input: in, Keys: op.Keys}, nil
-	case *algebra.Project:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Project{Input: in, Keep: op.Keep}, nil
-	case *algebra.Union:
-		l, err := sub(op.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sub(op.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Union{Left: l, Right: r}, nil
-	case *algebra.Difference:
-		l, err := sub(op.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sub(op.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Difference{Left: l, Right: r}, nil
-	case *algebra.Distinct:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Distinct{Input: in}, nil
-	case *algebra.WrapList:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.WrapList{Input: in, Var: op.Var, Out: op.Out}, nil
-	case *algebra.Const:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Const{Input: in, Value: op.Value, Out: op.Out}, nil
-	case *algebra.Rename:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.Rename{Input: in, From: op.From, To: op.To}, nil
-	case *algebra.TupleDestroy:
-		in, err := sub(op.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &algebra.TupleDestroy{Input: in, Var: op.Var}, nil
-	default:
-		return nil, fmt.Errorf("mediator: cannot compose through %T", p)
+		return out
+	})
+	if err != nil {
+		return nil, err
 	}
+	return q, nil
 }

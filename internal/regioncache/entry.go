@@ -43,8 +43,10 @@ type Entry struct {
 	// no longer count against the budget.
 	dead atomic.Bool
 
-	// mut counts mutations that extended the known region; the cluster
-	// L2 flusher uses it to skip entries unchanged since the last flush.
+	// mut counts the writes that extended the known region from this
+	// node's own derivations (the producer, a semantic rebuild), not
+	// from merged peer regions; the cluster L2 flusher publishes only
+	// entries it moved since the last flush.
 	mut atomic.Int64
 
 	mu    sync.RWMutex
@@ -100,9 +102,10 @@ func newEntry(c *Cache, k Key) *Entry {
 // Key returns the entry's identity.
 func (e *Entry) Key() Key { return e.key }
 
-// Mutations returns the number of region-extending writes so far; a
-// value unchanged since a previous call means the explored region is
-// unchanged too.
+// Mutations returns the number of region-extending writes this node
+// derived so far; a value unchanged since a previous call means no
+// local growth since then (a merged peer region does not count, see
+// Merge).
 func (e *Entry) Mutations() int64 { return e.mut.Load() }
 
 // touch records one region-extending write.

@@ -157,7 +157,9 @@ func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containm
 		if !ok {
 			continue
 		}
-		e.Merge(ans)
+		if e.Merge(ans) {
+			e.touch() // derived here: local growth the flusher publishes
+		}
 		c.semHits.Add(1)
 		return true
 	}

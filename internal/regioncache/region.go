@@ -68,18 +68,21 @@ func (r *Region) Complete() bool {
 // lists only grow, completeness only switches on. Because every writer
 // derives from the same (generation, registry version, view,
 // fingerprint) answer document — the entry's producer, a peer's, or a
-// semantic rebuild — concurrent merges can only agree.
-func (e *Entry) Merge(r *Region) {
+// semantic rebuild — concurrent merges can only agree. It reports
+// whether the entry grew. A merge leaves Mutations alone: it counts
+// what this node derived, so the flusher never sends a peer's region
+// back to it.
+func (e *Entry) Merge(r *Region) bool {
 	if r == nil {
-		return
+		return false
 	}
 	e.mu.Lock()
 	before := e.bytes
-	e.mergeRegion(*r)
+	grew := e.mergeRegion(*r)
 	delta := e.bytes - before
 	e.mu.Unlock()
-	e.touch()
 	e.account(delta)
+	return grew
 }
 
 // mergeRegion is Merge's one linear pass over r in window order. There
@@ -88,9 +91,9 @@ func (e *Entry) Merge(r *Region) {
 // "unknown past here": a region from a hostile peer can make it neither
 // loop, recurse nor visit a node twice. A child past a list the entry
 // knows to be complete contradicts the entry and ends the pass; what was
-// merged before it stays, since it can only be true. Caller holds e.mu
-// for writing.
-func (e *Entry) mergeRegion(r Region) {
+// merged before it stays, since it can only be true. It reports
+// whether the entry grew. Caller holds e.mu for writing.
+func (e *Entry) mergeRegion(r Region) (grew bool) {
 	// up holds the lists the pass is inside: each list's parent, the
 	// parent's index in r and the position of the list's current node.
 	type open struct {
@@ -103,38 +106,41 @@ func (e *Entry) mergeRegion(r Region) {
 		if w := r[i]; !w.Unknown && !n.labelKnown {
 			n.label, n.labelKnown = w.Label, true
 			e.bytes += int64(len(w.Label))
+			grew = true
 		}
 		at := i
 		i++
 		if r[at].Down == int32(i) && i < len(r) {
 			up = append(up, open{parent: n, at: at})
 		} else {
-			if r[at].Down == WindowNone && len(n.kids) == 0 {
-				n.complete = true
+			if r[at].Down == WindowNone && len(n.kids) == 0 && !n.complete {
+				n.complete, grew = true, true
 			}
 			// at's subtree ends before i: climb to the list i goes on.
 			for len(up) > 0 && (r[at].Right != int32(i) || i == len(r)) {
 				top := up[len(up)-1]
-				if r[at].Right == WindowNone && len(top.parent.kids) == top.pos+1 {
-					top.parent.complete = true
+				if r[at].Right == WindowNone && len(top.parent.kids) == top.pos+1 && !top.parent.complete {
+					top.parent.complete, grew = true, true
 				}
 				at, up = top.at, up[:len(up)-1]
 			}
 			if len(up) == 0 {
-				return // past the root's subtree
+				return grew // past the root's subtree
 			}
 			up[len(up)-1].pos++
 		}
 		top := up[len(up)-1]
 		if p := top.parent; top.pos == len(p.kids) {
 			if p.complete {
-				return
+				return grew
 			}
 			p.kids = append(p.kids, &cnode{})
 			e.bytes += nodeBytes
+			grew = true
 		}
 		n = top.parent.kids[top.pos]
 	}
+	return grew
 }
 
 // The reads below serve the semantic rebuild (Cache.Subsume), which

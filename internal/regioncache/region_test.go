@@ -234,6 +234,16 @@ func TestMutationsCounter(t *testing.T) {
 	if e.Mutations() == m1 {
 		t.Fatal("storeChild did not bump Mutations")
 	}
+	// A merged region is a peer's knowledge, not local growth: it grows
+	// the entry, once, and leaves Mutations where it was.
+	m2 := e.Mutations()
+	reg := &Region{{Label: "a", Down: 1, Right: WindowNone}, {Label: "b", Down: WindowNone, Right: WindowNone}}
+	if !e.Merge(reg) || e.Merge(reg) {
+		t.Fatal("Merge should report growth exactly once")
+	}
+	if e.Mutations() != m2 {
+		t.Fatalf("merging a peer region bumped Mutations %d -> %d", m2, e.Mutations())
+	}
 }
 
 // TestAbsorb: peer-published regions merge into the live entry only

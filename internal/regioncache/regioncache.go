@@ -378,7 +378,10 @@ func (c *Cache) evictOverLocked() {
 	}
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness.
+// Stats is a point-in-time snapshot of cache effectiveness. It is also
+// the stats op's cache block on the wire (vxdp.CacheStats): hits are
+// navigations answered with zero source navigations, bytes_saved the
+// label bytes served from the cache.
 type Stats struct {
 	Generation uint64 `json:"generation"`
 	Entries    int    `json:"entries"`
@@ -388,7 +391,12 @@ type Stats struct {
 	BytesSaved int64  `json:"bytes_saved"` // label bytes served from the cache
 	Evictions  int64  `json:"evictions"`   // entries dropped by budget or invalidation
 
-	// Semantic-cache totals (plan containment; see planindex.go).
+	// Semantic-cache totals (plan containment; see planindex.go):
+	// queries answered from a subsuming cached plan's region, queries
+	// that found no usable superset, candidate plans examined, and
+	// candidates skipped because their region was not fully explored —
+	// after containment held, or, on a node with no remote tier, before
+	// containment was tried.
 	SemanticHits            int64 `json:"semantic_hits"`             // queries answered from a subsuming region
 	SemanticMisses          int64 `json:"semantic_misses"`           // lookups with no usable superset
 	SemanticCandidates      int64 `json:"semantic_candidates"`       // candidate plans scanned

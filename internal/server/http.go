@@ -132,7 +132,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	if st.Cache != nil {
 		gauge("mix_region_cache_generation", "region cache invalidation epoch", int64(st.Cache.Generation))
-		gauge("mix_region_cache_entries", "live region cache entries", st.Cache.Entries)
+		gauge("mix_region_cache_entries", "live region cache entries", int64(st.Cache.Entries))
 		gauge("mix_region_cache_bytes", "approximate bytes retained by the region cache", st.Cache.Bytes)
 		counter("mix_region_cache_hits_total", "navigations answered from the shared region cache", st.Cache.Hits)
 		counter("mix_region_cache_misses_total", "navigations that drove a lazy engine", st.Cache.Misses)

@@ -556,20 +556,7 @@ func (s *Server) Stats() vxdp.Stats {
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		st.Cache = &vxdp.CacheStats{
-			Generation:              cs.Generation,
-			Entries:                 int64(cs.Entries),
-			Bytes:                   cs.Bytes,
-			Hits:                    cs.Hits,
-			Misses:                  cs.Misses,
-			BytesSaved:              cs.BytesSaved,
-			Evictions:               cs.Evictions,
-			SemanticHits:            cs.SemanticHits,
-			SemanticMisses:          cs.SemanticMisses,
-			SemanticCandidates:      cs.SemanticCandidates,
-			SemanticIncompleteSkips: cs.SemanticIncompleteSkips,
-			InternedBytes:           cs.InternedBytes,
-		}
+		st.Cache = &cs
 	}
 	st.Pool = &vxdp.PoolStats{Created: s.built.Load(), Reused: s.served.Load()}
 	if s.cluster != nil {

@@ -156,6 +156,10 @@ func sourceStats(m map[string]buffer.Stats) []vxdp.SourceStats {
 	out := make([]vxdp.SourceStats, 0, len(names))
 	for _, name := range names {
 		bs := m[name]
+		var lastErr string
+		if bs.LastPrefetchError != nil {
+			lastErr = bs.LastPrefetchError.Error()
+		}
 		out = append(out, vxdp.SourceStats{
 			Name:              name,
 			Fills:             int64(bs.Fills),
@@ -165,7 +169,7 @@ func sourceStats(m map[string]buffer.Stats) []vxdp.SourceStats {
 			BatchedFills:      int64(bs.BatchedFills),
 			PendingHoles:      int64(bs.PendingHoles),
 			PrefetchErrors:    int64(bs.PrefetchErrors),
-			LastPrefetchError: bs.LastPrefetchError,
+			LastPrefetchError: lastErr,
 		})
 	}
 	return out

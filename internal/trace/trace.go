@@ -5,18 +5,18 @@
 // per-operator attribution of the paper's navigational-complexity
 // measure (Def. 2), with per-span wall-clock latency attached.
 //
-// A Recorder is installed into an engine (core.Engine.SetTracer) before
-// a plan is compiled; the compiler then wraps every operator boundary
-// and every source document so that each pull and each answered
-// navigation command opens a span. Because lazy evaluation is
+// A Recorder is handed to one answer document (core.Query.TracedDocument,
+// or mediator.Result.TracedDocument) before its pipeline is built; the
+// compiler then wraps every operator boundary and every source document
+// so that each pull and each answered navigation command opens a span. Because lazy evaluation is
 // pull-driven and synchronous, span nesting is maintained with a simple
 // stack: the span open when a child span begins is its causal parent.
 // Operator caches are visible as *absent* spans — a memoized replay
 // answers without re-entering the traced boundary.
 //
-// Tracing is strictly opt-in: a nil *Recorder records nothing, and an
-// engine without a tracer compiles exactly the plan it would compile
-// otherwise (no wrappers, no allocations on the hot path).
+// Tracing is strictly opt-in: a nil *Recorder records nothing, and a
+// document obtained without one compiles exactly the plan it would
+// compile otherwise (no wrappers, no allocations on the hot path).
 package trace
 
 import (

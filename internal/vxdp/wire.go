@@ -362,31 +362,9 @@ type SourceStats struct {
 	LastPrefetchError string `json:"last_prefetch_error,omitempty"`
 }
 
-// CacheStats mirrors the server's region-cache totals on the wire (see
-// internal/regioncache): hits are navigations answered with zero source
-// navigations, bytes_saved the label bytes served from the cache.
-type CacheStats struct {
-	Generation uint64 `json:"generation"`
-	Entries    int64  `json:"entries"`
-	Bytes      int64  `json:"bytes"`
-	Hits       int64  `json:"hits"`
-	Misses     int64  `json:"misses"`
-	BytesSaved int64  `json:"bytes_saved"`
-	Evictions  int64  `json:"evictions"`
-	// The semantic tier (plan containment; DESIGN.md §14): queries
-	// answered from a subsuming cached plan's region, queries that
-	// found no usable superset, candidate plans examined, and
-	// candidates skipped because their region was not fully explored —
-	// after containment held, or, on a node with no remote tier, before
-	// containment was tried.
-	SemanticHits            int64 `json:"semantic_hits"`
-	SemanticMisses          int64 `json:"semantic_misses"`
-	SemanticCandidates      int64 `json:"semantic_candidates"`
-	SemanticIncompleteSkips int64 `json:"semantic_incomplete_skips"`
-	// InternedBytes is the cache's key-string vocabulary (charged once
-	// per distinct name/fingerprint, never released).
-	InternedBytes int64 `json:"interned_bytes"`
-}
+// CacheStats is the server's region-cache totals on the wire: the
+// cache's own snapshot (regioncache.Stats), JSON tags and all.
+type CacheStats = regioncache.Stats
 
 // PoolStats reports how opens were served by the server's catalogs,
 // one mediator per source epoch.

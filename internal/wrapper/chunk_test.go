@@ -99,7 +99,7 @@ func settle(b *buffer.Buffer, srv *tally) {
 	for quiet := 0; quiet < 3 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 		s, f := srv.started.Load(), srv.finished.Load()
-		if s == f && int64(b.Fills()) == s {
+		if s == f && int64(b.Stats().Fills) == s {
 			quiet++
 		} else {
 			quiet = 0
