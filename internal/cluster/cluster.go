@@ -143,11 +143,6 @@ type Node struct {
 	invalRecv  atomic.Int64
 	semLocal   atomic.Int64
 
-	// flushed remembers the Mutations() count last published per key,
-	// so sweeps only ship regions that grew since.
-	flushMu sync.Mutex
-	flushed map[regioncache.Key]int64
-
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
@@ -175,13 +170,12 @@ func New(cfg Config, cache *regioncache.Cache) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		ring:    ring,
-		cache:   cache,
-		peers:   map[string]*peer{},
-		flushed: map[regioncache.Key]int64{},
-		stop:    make(chan struct{}),
+		cfg:   cfg,
+		log:   cfg.Logger,
+		ring:  ring,
+		cache: cache,
+		peers: map[string]*peer{},
+		stop:  make(chan struct{}),
 	}
 	for _, m := range ring.Members() {
 		if m != cfg.Self {
@@ -346,7 +340,6 @@ func (n *Node) RecordCompleteLocal() { n.semLocal.Add(1) }
 // calls it every FlushInterval.
 func (n *Node) Flush() {
 	gen := n.cache.Generation()
-	n.pruneFlushed(gen)
 	n.cache.ForEach(func(e *regioncache.Entry) {
 		k := e.Key()
 		if k.Generation != gen {
@@ -357,10 +350,7 @@ func (n *Node) Flush() {
 			return
 		}
 		mut := e.Mutations()
-		n.flushMu.Lock()
-		last := n.flushed[k]
-		n.flushMu.Unlock()
-		if mut == last {
+		if mut == e.Published() {
 			return // no local growth: an L2 fill is the owner's own region
 		}
 		p := n.peers[owner]
@@ -371,34 +361,16 @@ func (n *Node) Flush() {
 		if reg.Empty() || !RegionFits(reg) {
 			// Empty and oversized regions stay node-local; remember the
 			// count so the sweep does not re-export them every interval.
-			n.markFlushed(k, mut)
+			e.MarkPublished(mut)
 			return
 		}
 		err := p.do(func(c *vxdp.Client) error {
 			return c.RegionPut(vxdp.WireKey(k), reg)
 		})
 		if err == nil {
-			n.markFlushed(k, mut)
+			e.MarkPublished(mut)
 		}
 	})
-}
-
-func (n *Node) markFlushed(k regioncache.Key, mut int64) {
-	n.flushMu.Lock()
-	n.flushed[k] = mut
-	n.flushMu.Unlock()
-}
-
-// pruneFlushed forgets publication state for dead generations, so the
-// map cannot grow across invalidation epochs.
-func (n *Node) pruneFlushed(gen uint64) {
-	n.flushMu.Lock()
-	for k := range n.flushed {
-		if k.Generation != gen {
-			delete(n.flushed, k)
-		}
-	}
-	n.flushMu.Unlock()
 }
 
 // BroadcastInvalidate tells every peer to raise its region-cache

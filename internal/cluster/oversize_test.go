@@ -38,22 +38,21 @@ func oversized(t *testing.T) regioncache.Region {
 	return r
 }
 
-// TestOversizedRegionStaysLocal: Flush does not put a region over
-// MaxRegionWire to its owner, but marks it flushed, so later sweeps skip
-// it until it grows; a small region under a key of the same owner does
-// go out.
-func TestOversizedRegionStaysLocal(t *testing.T) {
+// fakeOwner listens on loopback as a peer that answers every frame OK
+// and records the keys of the region_puts it receives; puts returns
+// them so far.
+func fakeOwner(t *testing.T) (addr string, puts func() []vxdp.RegionKey) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer l.Close()
+	t.Cleanup(func() { l.Close(); wg.Wait() })
 	var mu sync.Mutex
-	var puts []vxdp.RegionKey
+	var got []vxdp.RegionKey
 	wg.Add(1)
-	go func() { // the owner: records region_puts, answers every frame OK
+	go func() {
 		defer wg.Done()
 		conn, err := l.Accept()
 		if err != nil {
@@ -67,7 +66,7 @@ func TestOversizedRegionStaysLocal(t *testing.T) {
 			}
 			if req.Op == vxdp.OpRegionPut {
 				mu.Lock()
-				puts = append(puts, *req.Region)
+				got = append(got, *req.Region)
 				mu.Unlock()
 			}
 			if vxdp.WriteFrame(conn, vxdp.Response{NavResult: vxdp.NavResult{OK: true}}) != nil {
@@ -75,19 +74,38 @@ func TestOversizedRegionStaysLocal(t *testing.T) {
 			}
 		}
 	}()
+	return l.Addr().String(), func() []vxdp.RegionKey {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(got)
+	}
+}
 
+// ownedKeys returns count keys of view v in cache's generation that
+// owner owns on n's ring.
+func ownedKeys(n *Node, cache *regioncache.Cache, owner string, count int) []regioncache.Key {
+	var keys []regioncache.Key
+	for i := 0; len(keys) < count; i++ {
+		if fp := "fp" + strconv.Itoa(i); n.Owner("v", fp) == owner {
+			keys = append(keys, regioncache.Key{Generation: cache.Generation(), Registry: 1, Name: "v", Fingerprint: fp})
+		}
+	}
+	return keys
+}
+
+// TestOversizedRegionStaysLocal: Flush does not put a region over
+// MaxRegionWire to its owner, but marks it flushed, so later sweeps skip
+// it until it grows; a small region under a key of the same owner does
+// go out.
+func TestOversizedRegionStaysLocal(t *testing.T) {
+	owner, puts := fakeOwner(t)
 	cache := regioncache.New(0)
-	n, err := New(Config{Self: "127.0.0.1:7800", Peers: []string{l.Addr().String()}, Logger: quietLogger()}, cache)
+	n, err := New(Config{Self: "127.0.0.1:7800", Peers: []string{owner}, Logger: quietLogger()}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	var keys []regioncache.Key
-	for i := 0; len(keys) < 2; i++ {
-		if fp := "fp" + strconv.Itoa(i); n.Owner("v", fp) == l.Addr().String() {
-			keys = append(keys, regioncache.Key{Generation: cache.Generation(), Registry: 1, Name: "v", Fingerprint: fp})
-		}
-	}
+	keys := ownedKeys(n, cache, owner, 2)
 	big, small := oversized(t), regioncache.Region{{Label: "a", Down: regioncache.WindowNone, Right: regioncache.WindowNone}}
 	explore(t, cache, keys[0], big)
 	explore(t, cache, keys[1], small)
@@ -99,17 +117,53 @@ func TestOversizedRegionStaysLocal(t *testing.T) {
 	}
 
 	n.Flush()
-	mu.Lock()
-	got := slices.Clone(puts)
-	mu.Unlock()
-	if want := []vxdp.RegionKey{vxdp.WireKey(keys[1])}; !slices.Equal(got, want) {
+	if got, want := puts(), []vxdp.RegionKey{vxdp.WireKey(keys[1])}; !slices.Equal(got, want) {
 		t.Fatalf("region_puts %+v, want only the small region's %+v", got, want)
 	}
-	n.flushMu.Lock()
-	mut, ok := n.flushed[keys[0]]
-	n.flushMu.Unlock()
-	if !ok || mut != cache.Peek(keys[0]).Mutations() {
-		t.Fatalf("oversized region flushed at %d (%v), want marked at %d", mut, ok, cache.Peek(keys[0]).Mutations())
+	if e := cache.Peek(keys[0]); e.Published() != e.Mutations() {
+		t.Fatalf("oversized region flushed at %d, want marked at %d", e.Published(), e.Mutations())
+	}
+}
+
+// TestFlushRepublishesAfterEviction: the record of what Flush published
+// dies with the entry. A key published, evicted and derived again to the
+// same mutation count is published again by the next Flush.
+func TestFlushRepublishesAfterEviction(t *testing.T) {
+	owner, puts := fakeOwner(t)
+	cache := regioncache.New(4 << 10)
+	n, err := New(Config{Self: "127.0.0.1:7800", Peers: []string{owner}, Logger: quietLogger()}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	keys := ownedKeys(n, cache, owner, 200)
+	small := regioncache.Region{
+		{Label: "a", Down: 1, Right: regioncache.WindowNone},
+		{Label: "b", Down: regioncache.WindowNone, Right: regioncache.WindowNone},
+	}
+	explore(t, cache, keys[0], small)
+	mut := cache.Peek(keys[0]).Mutations()
+	n.Flush()
+	if got := len(puts()); got != 1 {
+		t.Fatalf("%d region_puts after the first Flush, want 1", got)
+	}
+	for _, k := range keys[1:] {
+		if cache.Peek(keys[0]) == nil {
+			break
+		}
+		explore(t, cache, k, small)
+	}
+	if cache.Peek(keys[0]) != nil {
+		t.Fatalf("%d entries in a %d-byte cache did not evict the first", len(keys), 4<<10)
+	}
+	explore(t, cache, keys[0], small)
+	if got := cache.Peek(keys[0]).Mutations(); got != mut {
+		t.Fatalf("re-derived entry at mutation %d, want the first derivation's %d", got, mut)
+	}
+	before := len(puts())
+	n.Flush()
+	if !slices.Contains(puts()[before:], vxdp.WireKey(keys[0])) {
+		t.Fatal("Flush skipped a re-derived key because its evicted entry had been published")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mix/internal/algebra"
 	"mix/internal/nav"
+	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
@@ -65,13 +66,46 @@ func TestBindingLinkSize(t *testing.T) {
 	}
 }
 
+// TestDescentAllocsPerMatch pins the cost of getDescendants: homes.home
+// over N homes allocates at most two objects per match, its source
+// position and its binding link, plus a constant for the cursor and
+// its stack.
+func TestDescentAllocsPerMatch(t *testing.T) {
+	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")), nil)
+	for _, n := range []int{100, 1000} {
+		homes, _ := workload.HomesSchools(n, 0, 5, 3)
+		doc := nav.NewTreeDoc(xmltree.Elem("doc", homes))
+		matches := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			c := newDescent(dfa, SourceRoot(doc))
+			for matches = 0; ; matches++ {
+				b, err := c.next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+			}
+		})
+		if matches != n {
+			t.Fatalf("%d matches over %d homes", matches, n)
+		}
+		if bound := 2*n + 16; allocs > float64(bound) {
+			t.Errorf("homes.home over %d homes allocates %v times, bound %d", n, allocs, bound)
+		}
+	}
+}
+
 // coldJoinGroupByAllocs bounds the allocations of the cold med-home
 // plan: compiled on a fresh engine over fresh sources and drained. It
-// measured 24 993 (Go 1.24, amd64); the bound adds the six that
-// warmOpenAllocs (internal/mediator) adds to its measurement. Before
-// the descent skipped the children of dead-end matches and the binding
-// link shrank to 64 bytes, the same plan made 27 207.
-const coldJoinGroupByAllocs = 24993 + 6
+// measured 20 384 (Go 1.24, amd64); the bound adds the six that
+// warmOpenAllocs (internal/mediator) adds to its measurement. While
+// the descent allocated a frame per match and a position per source
+// step, the same plan made 24 993; before the descent skipped the
+// children of dead-end matches and the binding link shrank to 64
+// bytes, 27 207.
+const coldJoinGroupByAllocs = 20384 + 6
 
 // TestColdJoinGroupByAllocs pins the allocations of one iteration of
 // BenchmarkColdJoinGroupBy.

@@ -411,65 +411,6 @@ func projectKernel(op *algebra.Project) func(*binding) (*binding, error) {
 	}
 }
 
-// dfaFrame lazily enumerates, in document order, the descendants
-// reachable through paths the lazy DFA accepts. A frame is one level of
-// a persistent descent: sibs are the siblings still to visit at this
-// level, state the DFA state before each of their labels (each
-// transition a memoized map hit), and once sibs run out the enclosing
-// level resumes at its siblings resume under frame up. Subtrees whose
-// state cannot reach acceptance are pruned without exploration, and so
-// are the children of a match no label can extend (homes.home never
-// reads a home's children); every match or alive sibling costs exactly
-// one allocation, the frame the descent continues from.
-type dfaFrame struct {
-	dfa    *pathexpr.DFA
-	up     *dfaFrame
-	state  int
-	sibs   list
-	resume list // up's siblings after the one this frame descends from
-}
-
-func newDFAMatchList(dfa *pathexpr.DFA, parent Node) *dfaFrame {
-	return &dfaFrame{dfa: dfa, state: dfa.Start().ID, sibs: parent.Children()}
-}
-
-func (f *dfaFrame) next() (Node, list, error) {
-	dfa := f.dfa
-	sibs := f.sibs
-	for {
-		c, rest, err := sibs.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if c == nil {
-			if f.up == nil {
-				return nil, nil, nil
-			}
-			sibs, f = f.resume, f.up
-			continue
-		}
-		label, err := c.Label()
-		if err != nil {
-			return nil, nil, err
-		}
-		st := dfa.Step(f.state, label)
-		if !st.Alive {
-			sibs = rest
-			continue
-		}
-		if !st.Descends {
-			// An alive state that cannot descend accepts: a match whose
-			// children cannot extend it. Continue with its siblings.
-			return c, &dfaFrame{dfa: dfa, up: f.up, state: f.state, sibs: rest, resume: f.resume}, nil
-		}
-		f = &dfaFrame{dfa: dfa, up: f, state: st.ID, sibs: c.Children(), resume: rest}
-		if st.Accepting {
-			return c, f, nil
-		}
-		sibs = f.sibs
-	}
-}
-
 // selectScanList enumerates the children of parent with the given label
 // using d plus native select(σ) jumps (sel non-nil), falling back to
 // the generic r/f scan when the source lacks the command.

@@ -77,6 +77,30 @@ func unprunedWalk(dfa *pathexpr.DFA, n Node, state int, out *[]Node) error {
 	}
 }
 
+// newDescent returns the getDescendants cursor over the one parent
+// value n, binding each match to X.
+func newDescent(dfa *pathexpr.DFA, n Node) *descendCursor {
+	in := &sliceCursor{buf: []*binding{newBinding().with(&linkOp{to: "P"}, n)}}
+	return &descendCursor{in: in, parent: "P", out: &linkOp{to: "X"}, dfa: dfa}
+}
+
+// drainMatches pulls c to exhaustion and returns the matches it bound
+// to X.
+func drainMatches(t *testing.T, c cursor) []Node {
+	t.Helper()
+	bs, err := drain(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Node, len(bs))
+	for i, b := range bs {
+		if out[i], err = b.node("X"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // sourceTrees maps source-backed nodes of td to the subtrees they
 // denote, so matches compare by identity.
 func sourceTrees(t *testing.T, td *nav.TreeDoc, nodes []Node) []*xmltree.Tree {
@@ -116,17 +140,7 @@ func TestPrunedDescentMatchesNFA(t *testing.T) {
 		dfa := pathexpr.NewDFA(pathexpr.Compile(expr), nil)
 
 		pruned := nav.NewCountingDoc(td)
-		var got []Node
-		for l := list(newDFAMatchList(dfa, &srcPos{doc: pruned, id: root})); ; {
-			c, rest, err := l.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c == nil {
-				break
-			}
-			got, l = append(got, c), rest
-		}
+		got := drainMatches(t, newDescent(dfa, &srcPos{doc: pruned, id: root}))
 
 		unpruned := nav.NewCountingDoc(td)
 		var ref []Node
@@ -162,22 +176,68 @@ func TestPrunedDescentSkipsMatchChildren(t *testing.T) {
 	root, _ := cd.Root()
 	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")), nil)
 	cd.Counters.Reset()
-	n := 0
-	for l := list(newDFAMatchList(dfa, &srcPos{doc: cd, id: root})); ; n++ {
-		c, rest, err := l.next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c == nil {
-			break
-		}
-		l = rest
-	}
+	n := len(drainMatches(t, newDescent(dfa, &srcPos{doc: cd, id: root})))
 	// d and f on homes, then per home one r (d for the first) and one f,
 	// and the two r that end the home list and the root's.
 	s := cd.Counters.Snapshot()
 	if n != 20 || s.Down != 2 || s.Right != 21 || s.Fetch != 21 {
 		t.Fatalf("%d matches with d=%d r=%d f=%d; want 20 with d=2 r=21 f=21", n, s.Down, s.Right, s.Fetch)
+	}
+}
+
+// TestDescentForkIndependent: a descent forked mid-walk continues in
+// both copies with the same remaining matches, and the fork's pulls
+// leave the original's position alone. It forks at every match, over a
+// source parent and over a constructed parent whose children mix a
+// constructed subtree and a source one, so the copied stack holds both
+// kinds of level.
+func TestDescentForkIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	tree, built := randomLabelTree(r, 5), randomLabelTree(r, 3)
+	td := nav.NewTreeDoc(tree)
+	root, _ := td.Root()
+	src := &srcPos{doc: td, id: root}
+	parents := map[string]Node{
+		"source":      src,
+		"constructed": NewElem("c", consList{head: FromTree(built), tail: singletonList(src)}),
+	}
+	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("_*.b")), nil)
+	identities := func(nodes []Node) []*xmltree.Tree {
+		out := make([]*xmltree.Tree, len(nodes))
+		for i, n := range nodes {
+			if tn, ok := n.(treeNode); ok {
+				out[i] = tn.t
+			} else {
+				out[i] = sourceTrees(t, td, []Node{n})[0]
+			}
+		}
+		return out
+	}
+	for name, parent := range parents {
+		want := identities(drainMatches(t, newDescent(dfa, parent)))
+		if len(want) < 5 {
+			t.Fatalf("%s: %d matches; the test needs a longer walk", name, len(want))
+		}
+		depth := 0
+		for k := 0; k <= len(want); k++ {
+			orig := newDescent(dfa, parent)
+			for i := 0; i < k; i++ {
+				if b, err := orig.next(); b == nil {
+					t.Fatalf("%s: pull %d ended early (%v)", name, i, err)
+				}
+			}
+			depth = max(depth, len(orig.stack))
+			fork := orig.fork()
+			if got := identities(drainMatches(t, fork)); !slices.Equal(got, want[k:]) {
+				t.Fatalf("%s: a fork after %d matches yields %d matches, want the remaining %d", name, k, len(got), len(want)-k)
+			}
+			if got := identities(drainMatches(t, orig)); !slices.Equal(got, want[k:]) {
+				t.Fatalf("%s: after its fork drained, the original yields %d matches from match %d, want %d", name, len(got), k, len(want)-k)
+			}
+		}
+		if depth < 3 {
+			t.Fatalf("%s: forks saw at most %d levels; the test needs a deeper walk", name, depth)
+		}
 	}
 }
 

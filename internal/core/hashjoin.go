@@ -60,9 +60,11 @@ func varSet(vars []string) map[string]bool {
 // comparisons, so the bucket key stays a necessary condition for the
 // join condition. Collisions are harmless here (unlike operator keys):
 // the full condition is re-evaluated on every probed pair anyway, so a
-// colliding pair merely costs one wasted evaluation.
+// colliding pair merely costs one wasted evaluation. Up to fpKeyVars
+// variables the key bytes live on the stack, as fpKey's do.
 func atomKeyFP(b *binding, vars []string) (string, error) {
-	raw := make([]byte, 0, len(vars)*16)
+	var rawBuf [fpKeyVars * 16]byte
+	raw := rawBuf[:0]
 	for _, v := range vars {
 		t, err := b.Value(v)
 		if err != nil {

@@ -255,10 +255,10 @@ func (f *filterCursor) fork() cursor {
 	return &filterCursor{in: f.in.fork(), pred: f.pred}
 }
 
-// expandCursor is the flatMap: each input binding expands into a lazy
-// node list (getDescendants matches, fused σ-scan matches), bound to
-// out. The list is stepped one node per pull, so the descent never
-// explores beyond the match it returns.
+// expandCursor is the flatMap of the fused σ-scan: each input binding
+// expands into a lazy node list, bound to out. The list is stepped one
+// node per pull, so the scan never explores beyond the match it
+// returns.
 type expandCursor struct {
 	in   cursor
 	mk   func(*binding) (list, error)
@@ -295,6 +295,141 @@ func (e *expandCursor) next() (*binding, error) {
 func (e *expandCursor) fork() cursor {
 	f := *e
 	f.in = e.in.fork()
+	return &f
+}
+
+// descendCursor is getDescendants: each input binding expands into the
+// descendants of its parent value, in document order, that the lazy
+// DFA accepts, bound to out. The cursor owns its walk: a stack of
+// levels, one per depth, reused across input bindings. Subtrees whose
+// state cannot reach acceptance are pruned without exploration, and so
+// are the children of a match no label can extend (homes.home never
+// reads a home's children). The walk allocates only what it hands out:
+// a match's source position and its binding link.
+type descendCursor struct {
+	in     cursor
+	parent string
+	out    *linkOp
+	dfa    *pathexpr.DFA
+	base   *binding    // binding currently being expanded
+	stack  []walkLevel // its descent; empty between bindings
+}
+
+// walkLevel is one depth of a descent: the siblings still to visit and
+// the DFA state before their labels. A level with a document is a
+// source level, stepping d/r/f on it directly: id is the parent until
+// started, then the last sibling visited. Any other level steps sibs,
+// the persistent list of the siblings left (constructed values).
+type walkLevel struct {
+	state   int
+	started bool
+	doc     nav.Document
+	id      nav.ID
+	sibs    list
+}
+
+// step advances lv to its next sibling and returns its label, with ok
+// false once the siblings run out. A generic level also returns the
+// sibling's node; a source level leaves the sibling at lv.id and boxes
+// nothing.
+func (lv *walkLevel) step() (c Node, label string, ok bool, err error) {
+	if lv.doc == nil {
+		if c, lv.sibs, err = lv.sibs.next(); c == nil || err != nil {
+			return nil, "", false, err
+		}
+		label, err = c.Label()
+		return c, label, err == nil, err
+	}
+	var id nav.ID
+	if lv.started {
+		id, err = lv.doc.Right(lv.id)
+	} else {
+		id, err = lv.doc.Down(lv.id)
+	}
+	if id == nil || err != nil {
+		return nil, "", false, err
+	}
+	lv.id, lv.started = id, true
+	label, err = lv.doc.Fetch(id)
+	return nil, label, err == nil, err
+}
+
+// push opens the level of n's children under DFA state. A lazy node is
+// forced here, so a SourceRoot's first source step follows its Root.
+func (d *descendCursor) push(n Node, state int) error {
+	if ln, ok := n.(*lazyNode); ok {
+		var err error
+		if n, err = ln.force(); err != nil {
+			return err
+		}
+	}
+	if s, ok := n.(*srcPos); ok {
+		d.stack = append(d.stack, walkLevel{state: state, doc: s.doc, id: s.id})
+	} else {
+		d.stack = append(d.stack, walkLevel{state: state, sibs: n.Children()})
+	}
+	return nil
+}
+
+func (d *descendCursor) next() (*binding, error) {
+	for {
+		top := len(d.stack) - 1
+		if top < 0 {
+			b, err := d.in.next()
+			if b == nil {
+				d.base = nil
+				return nil, err
+			}
+			pv, err := b.node(d.parent)
+			if err != nil {
+				return nil, err
+			}
+			if err := d.push(pv, d.dfa.Start().ID); err != nil {
+				return nil, err
+			}
+			d.base = b
+			continue
+		}
+		lv := &d.stack[top]
+		c, label, ok, err := lv.step()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			d.stack[top] = walkLevel{}
+			d.stack = d.stack[:top]
+			continue
+		}
+		st := d.dfa.Step(lv.state, label)
+		if !st.Alive {
+			continue
+		}
+		doc, id := lv.doc, lv.id
+		if st.Descends {
+			if doc != nil {
+				d.stack = append(d.stack, walkLevel{state: st.ID, doc: doc, id: id})
+			} else if err := d.push(c, st.ID); err != nil {
+				return nil, err
+			}
+			if !st.Accepting {
+				continue
+			}
+		}
+		// The child matches: it accepts, or it cannot descend, and an
+		// alive state that cannot descend accepts. The walk resumes
+		// below it if it descends, else at its siblings.
+		if doc != nil {
+			c = &srcPos{doc: doc, id: id}
+		}
+		return d.base.with(d.out, c), nil
+	}
+}
+
+// fork copies the stack: levels are values, and generic sibling lists
+// are persistent, so the copy and the original step independently.
+func (d *descendCursor) fork() cursor {
+	f := *d
+	f.in, f.stack = d.in.fork(), slices.Clone(d.stack)
 	return &f
 }
 
@@ -549,7 +684,7 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, e
 		if err != nil {
 			return nil, err
 		}
-		return descendCursor(cur, parent, out, dfa), nil
+		return &descendCursor{in: cur, parent: parent, out: out, dfa: dfa}, nil
 	}
 	if o := c.e.opts; o.PathCache && !(o.JoinCache && o.GroupCache) {
 		// The operator-level cache of Section 3: the explored part of the
@@ -679,18 +814,6 @@ func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
 		return &distinctCursor{in: cur, ks: ks, vars: vars,
 			ck: strings.Join(vars, "\x01"), seen: map[string]bool{}}, nil
 	}, nil
-}
-
-// descendCursor expands each input binding into the descendants of its
-// parent value that the path matches, bound to out.
-func descendCursor(in cursor, parent string, out *linkOp, dfa *pathexpr.DFA) *expandCursor {
-	return &expandCursor{in: in, out: out, mk: func(b *binding) (list, error) {
-		pv, err := b.node(parent)
-		if err != nil {
-			return nil, err
-		}
-		return newDFAMatchList(dfa, pv), nil
-	}}
 }
 
 // fusedScanList builds the fused σ_label child scan for one parent

@@ -166,7 +166,7 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 		newBinding().with(groupChainBind, FromTree(root))}}
 	for _, st := range steps {
 		if st.dfa != nil {
-			c = descendCursor(c, st.parent, st.out, st.dfa)
+			c = &descendCursor{in: c, parent: st.parent, out: st.out, dfa: st.dfa}
 		} else {
 			cond := st.cond
 			c = &filterCursor{in: c, pred: func(b *binding) (bool, error) {

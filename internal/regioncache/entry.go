@@ -48,6 +48,10 @@ type Entry struct {
 	// from merged peer regions; the cluster L2 flusher publishes only
 	// entries it moved since the last flush.
 	mut atomic.Int64
+	// pub is the mut count the flusher last published (or chose to keep
+	// local); it dies with the entry, so an evicted key leaves no
+	// publication state behind.
+	pub atomic.Int64
 
 	mu    sync.RWMutex
 	root  *cnode
@@ -107,6 +111,15 @@ func (e *Entry) Key() Key { return e.key }
 // local growth since then (a merged peer region does not count, see
 // Merge).
 func (e *Entry) Mutations() int64 { return e.mut.Load() }
+
+// Published returns the Mutations count last passed to MarkPublished:
+// the growth the cluster flusher has already sent to the key's owner,
+// or chosen to keep local. A fresh entry reads 0.
+func (e *Entry) Published() int64 { return e.pub.Load() }
+
+// MarkPublished records that the entry's region as of Mutations count
+// mut needs no further publication.
+func (e *Entry) MarkPublished(mut int64) { e.pub.Store(mut) }
 
 // touch records one region-extending write.
 func (e *Entry) touch() { e.mut.Add(1) }
