@@ -7,54 +7,162 @@ import (
 	"unsafe"
 
 	"mix/internal/algebra"
+	"mix/internal/buffer"
+	"mix/internal/lxp"
+	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
+	"mix/internal/trace"
 	"mix/internal/workload"
 	"mix/internal/xmltree"
 )
 
+// hiddenTrees hides the document it embeds from capability probes: it
+// has no Unwrap, so nav.TreeDocOf cannot see a TreeDoc behind it and
+// materialization copies.
+type hiddenTrees struct{ nav.Document }
+
 // TestMaterializeLeafAllocs pins the cost of the commonest
 // materialization — a one-node value such as $V1 in "$H zip._ $V1",
-// compared by a join or σ condition: at most one allocation of at most
-// 128 bytes, and exactly the f and d commands the value needs.
+// compared by a join or σ condition — and that it issues exactly the f
+// and d commands the value needs. Over an in-memory source the value
+// is the source's own leaf and costs nothing; over a document that
+// hides its trees it costs at most one allocation of at most 128 bytes.
 func TestMaterializeLeafAllocs(t *testing.T) {
 	src := xmltree.Elem("home", xmltree.Text("zip", "91220"))
-	cd := nav.NewCountingDoc(nav.NewTreeDoc(src))
-	root, _ := cd.Doc.Root()
-	zip, _ := cd.Doc.Down(root)
-	leaf, _ := cd.Doc.Down(zip)
-	v := Node(&srcPos{doc: cd, id: leaf})
+	for _, c := range []struct {
+		name   string
+		inner  nav.Document
+		allocs float64
+		bytes  uint64
+	}{
+		{"tree source", nav.NewTreeDoc(src), 0, 0},
+		{"hidden trees", hiddenTrees{nav.NewTreeDoc(src)}, 1, 128},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cd := nav.NewCountingDoc(c.inner)
+			root, _ := cd.Doc.Root()
+			zip, _ := cd.Doc.Down(root)
+			leaf, _ := cd.Doc.Down(zip)
+			v := Node(&srcPos{doc: cd, id: leaf})
 
-	got, err := MaterializeNode(v)
-	if err != nil || !xmltree.Equal(got, xmltree.Leaf("91220")) {
-		t.Fatalf("MaterializeNode = %v, %v; want leaf 91220", got, err)
+			got, err := MaterializeNode(v)
+			if err != nil || !xmltree.Equal(got, xmltree.Leaf("91220")) {
+				t.Fatalf("MaterializeNode = %v, %v; want leaf 91220", got, err)
+			}
+
+			const runs = 1000
+			cd.Counters.Reset()
+			var sink *xmltree.Tree
+			allocs := testing.AllocsPerRun(runs, func() { sink, _ = MaterializeNode(v) })
+			if allocs > c.allocs {
+				t.Errorf("materializing a leaf: %.2f allocs, want <= %v", allocs, c.allocs)
+			}
+			// AllocsPerRun makes one warm-up call on top of the measured runs.
+			s := cd.Counters.Snapshot()
+			if s.Fetch != runs+1 || s.Down != runs+1 || s.Right != 0 {
+				t.Errorf("navigation per leaf: f=%d d=%d r=%d over %d runs, want one f and one d each",
+					s.Fetch, s.Down, s.Right, runs+1)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				sink, _ = MaterializeNode(v)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > c.bytes {
+				t.Errorf("materializing a leaf: %d B per call, want <= %d", per, c.bytes)
+			}
+			_ = sink
+		})
+	}
+}
+
+// TestMaterializeSharesSourceSubtree: a source value behind a
+// CountingDoc and a trace.Doc over a TreeDoc materializes to the
+// TreeDoc's own subtree, allocating nothing, and issues the same
+// commands and source spans as over a document that hides its trees,
+// which gets a copy. An LXP buffer holds no trees: its values are
+// copies too.
+func TestMaterializeSharesSourceSubtree(t *testing.T) {
+	src := xmltree.Elem("doc", xmltree.Elem("home",
+		xmltree.Text("zip", "91220"),
+		xmltree.Elem("rooms", xmltree.Leaf("3"), xmltree.Leaf("4"))))
+	type read struct {
+		tree  *xmltree.Tree
+		nav   metrics.Snapshot
+		spans int64
+	}
+	// chain puts inner behind a CountingDoc and a trace.Doc and returns
+	// the traced document and the value of doc/home.
+	chain := func(inner nav.Document) (*trace.Doc, *nav.CountingDoc, Node) {
+		cd := nav.NewCountingDoc(inner)
+		td := trace.NewDoc(cd, trace.SourcePrefix+"homes", trace.New())
+		root, _ := inner.Root()
+		home, _ := inner.Down(root)
+		return td, cd, &srcPos{doc: td, id: home}
+	}
+	materialize := func(td *trace.Doc, cd *nav.CountingDoc, v Node) read {
+		cd.Counters.Reset()
+		td.Rec.Take()
+		got, err := MaterializeNode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return read{got, cd.Counters.Snapshot(), trace.SourceNavigations(td.Rec.Take())}
 	}
 
-	const runs = 1000
-	cd.Counters.Reset()
-	var sink *xmltree.Tree
-	allocs := testing.AllocsPerRun(runs, func() { sink, _ = MaterializeNode(v) })
-	if allocs > 1 {
-		t.Errorf("materializing a leaf: %.2f allocs, want <= 1", allocs)
+	treeDoc := nav.NewTreeDoc(src)
+	td, cd, v := chain(treeDoc)
+	shared := materialize(td, cd, v)
+	want, err := treeDoc.Tree(v.(*srcPos).id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// AllocsPerRun makes one warm-up call on top of the measured runs.
-	s := cd.Counters.Snapshot()
-	if s.Fetch != runs+1 || s.Down != runs+1 || s.Right != 0 {
-		t.Errorf("navigation per leaf: f=%d d=%d r=%d over %d runs, want one f and one d each",
-			s.Fetch, s.Down, s.Right, runs+1)
+	if shared.tree != want {
+		t.Errorf("value over a TreeDoc is a copy, want the source's own subtree")
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		sink, _ = MaterializeNode(v)
+	copied := materialize(chain(hiddenTrees{nav.NewTreeDoc(src)}))
+	if copied.tree == want || !xmltree.Equal(copied.tree, want) {
+		t.Errorf("value over hidden trees = %v, want an equal copy of %v", copied.tree, want)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 128 {
-		t.Errorf("materializing a leaf: %d B per call, want <= 128", per)
+	// Six nodes: one f and one d each, one r after each non-root node.
+	if w := (metrics.Snapshot{Fetch: 6, Down: 6, Right: 5}); shared.nav != w || copied.nav != w {
+		t.Errorf("navigations shared %+v, copied %+v, want %+v", shared.nav, copied.nav, w)
 	}
-	_ = sink
+	if shared.spans != shared.nav.Navigations() || copied.spans != shared.spans {
+		t.Errorf("source spans shared %d, copied %d, want %d", shared.spans, copied.spans, shared.nav.Navigations())
+	}
+
+	// With the recorder detached, the trace.Doc records nothing and the
+	// shared walk allocates nothing.
+	td.Rec = nil
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = MaterializeNode(v) }); allocs != 0 {
+		t.Errorf("shared value: %v allocs, want 0", allocs)
+	}
+
+	buf, err := buffer.New(&lxp.TreeServer{Tree: src}, "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := buf.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := buf.Down(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MaterializeNode(&srcPos{doc: nav.NewCountingDoc(buf), id: home})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == want || !xmltree.Equal(got, want) {
+		t.Errorf("value over an LXP buffer = %v, want an equal copy of %v", got, want)
+	}
 }
 
 // TestBindingLinkSize pins the binding link at 64 bytes: the operator
@@ -99,13 +207,14 @@ func TestDescentAllocsPerMatch(t *testing.T) {
 
 // coldJoinGroupByAllocs bounds the allocations of the cold med-home
 // plan: compiled on a fresh engine over fresh sources and drained. It
-// measured 20 384 (Go 1.24, amd64); the bound adds the six that
+// measured 17 543 (Go 1.24, amd64); the bound adds the six that
 // warmOpenAllocs (internal/mediator) adds to its measurement. While
-// the descent allocated a frame per match and a position per source
-// step, the same plan made 24 993; before the descent skipped the
+// key and condition values copied their source subtrees, the same plan
+// made 20 384; while the descent allocated a frame per match and a
+// position per source step, 24 993; before the descent skipped the
 // children of dead-end matches and the binding link shrank to 64
 // bytes, 27 207.
-const coldJoinGroupByAllocs = 20384 + 6
+const coldJoinGroupByAllocs = 17543 + 6
 
 // TestColdJoinGroupByAllocs pins the allocations of one iteration of
 // BenchmarkColdJoinGroupBy.

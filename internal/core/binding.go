@@ -154,7 +154,8 @@ func (b *binding) node(name string) (Node, error) {
 
 // Value materializes the value bound to name (algebra.ValueGetter).
 // The materialization is memoized on the defining link, so it is
-// shared by every binding derived from it.
+// shared by every binding derived from it. Over an in-memory source it
+// is the source's own subtree (MaterializeNode), so it is read-only.
 func (b *binding) Value(name string) (*xmltree.Tree, error) {
 	l := b.lookup(name)
 	if l == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"mix/internal/algebra"
@@ -160,6 +161,54 @@ func TestKeyspaceSlots(t *testing.T) {
 	}
 	if got := ks.resolve("otherkey", b); got != 0 {
 		t.Errorf("different key must start at slot 0, got %d", got)
+	}
+	// A repeated $H key over an in-memory source is the same source node
+	// again, which xmltree.Equal matches by pointer.
+	h := []*xmltree.Tree{xmltree.Elem("home", xmltree.Text("zip", "92093"))}
+	if ks.resolve("homekey", h) != 0 || ks.resolve("homekey", h) != 0 {
+		t.Errorf("a repeated $H key must resolve to slot 0")
+	}
+}
+
+// TestSharedSourceConcurrentColdPlans: two engines over the same
+// in-memory source documents compile and drain the cold med-home plan
+// at once. Key values are the sources' own nodes, so both memoize
+// fingerprints on the same trees (run it under -race). Both answers
+// equal internal/eager's.
+func TestSharedSourceConcurrentColdPlans(t *testing.T) {
+	homes, schools := workload.HomesSchools(60, 40, 8, 5)
+	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
+	plan := workload.HomesSchoolsPlan()
+	want := eagerAnswer(t, plan, srcs)
+	view := mustPrepare(t, plan, "")
+	hd, sd := nav.NewTreeDoc(homes), nav.NewTreeDoc(schools)
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := New(DefaultOptions())
+			e.Register("homesSrc", nav.NewCountingDoc(hd))
+			e.Register("schoolsSrc", nav.NewCountingDoc(sd))
+			q, err := e.Compile(view)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			tree, err := q.Materialize()
+			got[i], errs[i] = xmltree.MarshalXML(tree), err
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("engine %d answered\n%s\nwant\n%s", i, got[i], want)
+		}
 	}
 }
 

@@ -29,7 +29,9 @@ import (
 // pipeline is built, threaded by the compiler), which bounds retention:
 // it can never outlive the bindings whose trees it references, and keys
 // from different queries — or from the same plan compiled twice — are
-// never mixed.
+// never mixed. A representative is the value MaterializeNode returned:
+// over an in-memory source, a pointer into the source itself, so a
+// repeated key compares a tree with itself and Equal answers at once.
 
 // compiler carries the per-build state threaded through plan
 // compilation: the engine (options, interner), the query being built

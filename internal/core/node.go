@@ -289,38 +289,41 @@ func (k treeKids) next() (Node, list, error) {
 // operator keys (comparing typically-small values like zip codes), the
 // eager baseline, and tests.
 //
-// Materialization is the hottest allocator in key-heavy plans, so the
-// walk is allocation-aware: nodes and child slices are carved from a
-// per-call arena (O(size/chunk) heap allocations instead of O(size)),
-// and source-backed subtrees are walked by issuing d/r/f commands
-// directly instead of through the boxed Node/list cursors. The direct
-// walk issues exactly the command sequence the generic walk would —
-// Fetch(n), Down(n), then per child: its subtree followed by
-// Right(child) — so wrappers (counting, tracing, region caches) see an
-// unchanged command stream.
+// A source-backed subtree is walked by nav.Explorer.Shared, which
+// issues d/r/f commands directly instead of through the boxed
+// Node/list cursors — exactly the command sequence the generic walk
+// would: Fetch(n), Down(n), then per child its subtree followed by
+// Right(child) — so wrappers (counting, tracing) see an unchanged
+// command stream. Over an in-memory source (innermost document a
+// nav.TreeDoc) the result is the source's own subtree: nothing is
+// copied, and a fingerprint memoized on it serves every query of the
+// catalog. Other sources (LXP buffers, documents outside the wrapper
+// chain) and constructed levels are copied into a per-call arena. The
+// result may therefore share nodes with a source and must be treated
+// as read-only.
 func MaterializeNode(v Node) (*xmltree.Tree, error) {
 	var m materializer
 	return m.node(v)
 }
 
 // materializer is the single-use scratch state of one MaterializeNode
-// call: the tree arena plus a shared child-pointer stack (each nesting
+// call: the explorer whose arena holds every copied node, plus a
+// shared child-pointer stack for the constructed levels (each nesting
 // level uses the segment above its mark, so one slice serves the whole
 // recursion).
 type materializer struct {
-	arena   xmltree.Arena
+	ex      nav.Explorer
 	scratch []*xmltree.Tree
 }
 
 func (m *materializer) node(v Node) (*xmltree.Tree, error) {
 	if s, ok := v.(*srcPos); ok {
-		return m.src(s.doc, s.id)
+		return m.ex.Shared(s.doc, s.id)
 	}
 	label, err := v.Label()
 	if err != nil {
 		return nil, err
 	}
-	t := m.arena.NewNode(label)
 	mark := len(m.scratch)
 	l := v.Children()
 	for {
@@ -338,34 +341,7 @@ func (m *materializer) node(v Node) (*xmltree.Tree, error) {
 		m.scratch = append(m.scratch, ct)
 		l = rest
 	}
-	t.Children = m.arena.Children(m.scratch[mark:])
-	m.scratch = m.scratch[:mark]
-	return t, nil
-}
-
-// src materializes a source-backed subtree with direct navigation.
-func (m *materializer) src(doc nav.Document, id nav.ID) (*xmltree.Tree, error) {
-	label, err := doc.Fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	t := m.arena.NewNode(label)
-	c, err := doc.Down(id)
-	if err != nil {
-		return nil, err
-	}
-	mark := len(m.scratch)
-	for c != nil {
-		ct, err := m.src(doc, c)
-		if err != nil {
-			return nil, err
-		}
-		m.scratch = append(m.scratch, ct)
-		if c, err = doc.Right(c); err != nil {
-			return nil, err
-		}
-	}
-	t.Children = m.arena.Children(m.scratch[mark:])
+	t := m.ex.Node(label, m.scratch[mark:])
 	m.scratch = m.scratch[:mark]
 	return t, nil
 }

@@ -25,20 +25,53 @@ func Materialize(doc Document) (*xmltree.Tree, error) {
 	if root == nil {
 		return nil, fmt.Errorf("nav: document has no root")
 	}
-	var m treeExplorer
-	return m.materializeFrom(doc, root, 0)
+	var m Explorer
+	return m.explore(doc, root, 0, true)
 }
 
-// treeExplorer carries the allocation state of one Materialize call: an
-// arena for result nodes and a shared child-collection stack.
-type treeExplorer struct {
+// Explorer is the scratch state of materializing subtrees through d, r
+// and f: an arena for result nodes and one child-collection stack that
+// every nesting level shares (a level uses the segment above its
+// mark). The zero value is ready for use. An Explorer is not safe for
+// concurrent use; the trees it returns outlive it.
+type Explorer struct {
 	arena   xmltree.Arena
 	scratch []*xmltree.Tree
 }
 
 const maxDepth = 10_000
 
-func (m *treeExplorer) materializeFrom(doc Document, p ID, depth int) (*xmltree.Tree, error) {
+// Shared returns the subtree rooted at p, issuing through doc exactly
+// the commands Subtree issues — Fetch(p), Down(p), then per child the
+// child's walk followed by Right(child) — so counters and traces on
+// the wrapper chain see an unchanged stream. When the innermost
+// document is a TreeDoc (TreeDocOf), the result is that document's own
+// subtree: it is shared and must be treated as read-only, and no node
+// is allocated. Any other document gets a fresh copy.
+func (m *Explorer) Shared(doc Document, p ID) (*xmltree.Tree, error) {
+	td, ok := TreeDocOf(doc)
+	if !ok {
+		return m.explore(doc, p, 0, true)
+	}
+	if _, err := m.explore(doc, p, 0, false); err != nil {
+		return nil, err
+	}
+	return td.Tree(p)
+}
+
+// Node returns a node labelled label over a copy of kids, carved from
+// the same arena as the copies: the constructed levels of a value
+// whose leaves are source subtrees.
+func (m *Explorer) Node(label string, kids []*xmltree.Tree) *xmltree.Tree {
+	t := m.arena.NewNode(label)
+	t.Children = m.arena.Children(kids)
+	return t
+}
+
+// explore walks the subtree rooted at p with d, r and f and, when keep
+// is set, copies what it reads into the arena; otherwise it only
+// issues the commands and returns nil.
+func (m *Explorer) explore(doc Document, p ID, depth int, keep bool) (*xmltree.Tree, error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("nav: document deeper than %d (cycle in virtual document?)", maxDepth)
 	}
@@ -46,24 +79,28 @@ func (m *treeExplorer) materializeFrom(doc Document, p ID, depth int) (*xmltree.
 	if err != nil {
 		return nil, err
 	}
-	t := m.arena.NewNode(label)
 	child, err := doc.Down(p)
 	if err != nil {
 		return nil, err
 	}
 	mark := len(m.scratch)
 	for child != nil {
-		ct, err := m.materializeFrom(doc, child, depth+1)
+		ct, err := m.explore(doc, child, depth+1, keep)
 		if err != nil {
 			return nil, err
 		}
-		m.scratch = append(m.scratch, ct)
+		if keep {
+			m.scratch = append(m.scratch, ct)
+		}
 		child, err = doc.Right(child)
 		if err != nil {
 			return nil, err
 		}
 	}
-	t.Children = m.arena.Children(m.scratch[mark:])
+	if !keep {
+		return nil, nil
+	}
+	t := m.Node(label, m.scratch[mark:])
 	m.scratch = m.scratch[:mark]
 	return t, nil
 }
@@ -88,9 +125,9 @@ func ExploreFirst(doc Document, k int) (*xmltree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m treeExplorer
+	var m Explorer
 	for i := 0; child != nil && i < k; i++ {
-		ct, err := m.materializeFrom(doc, child, 1)
+		ct, err := m.explore(doc, child, 1, true)
 		if err != nil {
 			return nil, err
 		}
@@ -158,10 +195,10 @@ func Path(doc Document, labels ...string) (ID, error) {
 	return p, nil
 }
 
-// Subtree materializes the subtree rooted at p.
+// Subtree materializes a fresh copy of the subtree rooted at p.
 func Subtree(doc Document, p ID) (*xmltree.Tree, error) {
-	var m treeExplorer
-	return m.materializeFrom(doc, p, 0)
+	var m Explorer
+	return m.explore(doc, p, 0, true)
 }
 
 // Equivalent reports whether two documents materialize to structurally

@@ -68,12 +68,25 @@ type Selector interface {
 }
 
 // Wrapper is implemented by Documents that wrap another Document to
-// observe or augment it (counting, tracing, region caching, …); Unwrap
-// returns the wrapped document. Capability probes such as SelectorOf
-// walk the wrapper chain, so wrapping never changes the navigation
-// command set NC — only the innermost document does.
+// observe or augment it (counting, tracing, …); Unwrap returns the
+// wrapped document. A wrapper passes IDs and labels through unchanged:
+// an ID it hands out is the wrapped document's ID, and a label is the
+// wrapped document's label. Capability probes (SelectorOf, TreeDocOf)
+// rely on that to ask the innermost document, so wrapping never changes
+// the navigation command set NC — only the innermost document does.
 type Wrapper interface {
 	Unwrap() Document
+}
+
+// innermost follows doc's wrapper chain to the document it ends in.
+func innermost(doc Document) Document {
+	for {
+		w, ok := doc.(Wrapper)
+		if !ok {
+			return doc
+		}
+		doc = w.Unwrap()
+	}
 }
 
 // SelectorOf is the one capability probe for the select(σ) command: it
@@ -87,20 +100,22 @@ func SelectorOf(doc Document) (Selector, bool) {
 	if !ok {
 		return nil, false
 	}
-	cur := doc
-	for {
-		w, ok := cur.(Wrapper)
-		if !ok {
-			break
-		}
-		cur = w.Unwrap()
-	}
 	// The innermost document decides nativeness by implementing
 	// Selector itself.
-	if _, ok := cur.(Selector); !ok {
+	if _, ok := innermost(doc).(Selector); !ok {
 		return nil, false
 	}
 	return s, true
+}
+
+// TreeDocOf is the capability probe for zero-copy subtrees: it unwraps
+// doc's wrapper chain and reports whether the innermost document is a
+// TreeDoc, whose nodes are immutable trees. Reading a tree from it
+// (TreeDoc.Tree) is not a navigation command, so a caller that bills
+// commands still issues them through doc; Explorer.Shared does both.
+func TreeDocOf(doc Document) (*TreeDoc, bool) {
+	td, ok := innermost(doc).(*TreeDoc)
+	return td, ok
 }
 
 // Select advances from p to the first sibling to the right whose label
@@ -222,7 +237,8 @@ func (d *TreeDoc) children(n *treeNode) []treeNode {
 	return ks
 }
 
-// NewTreeDoc returns a Document exposing t.
+// NewTreeDoc returns a Document exposing t. The document hands out
+// t's own nodes (Tree), so t must not be mutated afterwards.
 func NewTreeDoc(t *xmltree.Tree) *TreeDoc {
 	return &TreeDoc{root: &treeNode{t: t}}
 }
@@ -300,7 +316,11 @@ func (d *TreeDoc) SelectRight(p ID, sigma Predicate, fromSelf bool) (ID, error) 
 }
 
 // Tree returns the underlying subtree of an ID issued by this
-// document. It is an escape hatch for tests and eager evaluation.
+// document — the document's own nodes, not a copy, so the result is
+// shared and read-only. Explorer.Shared hands it out as the value of a
+// source node after walking it through the wrapper chain, which is how
+// operator keys and conditions over in-memory sources read values
+// without copying them.
 func (d *TreeDoc) Tree(p ID) (*xmltree.Tree, error) {
 	n, err := d.node(p)
 	if err != nil {

@@ -136,10 +136,15 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Equal reports whether t and u are structurally equal (same labels and
-// the same ordered children, recursively). It ignores node identity.
+// the same ordered children, recursively). Node identity only ever
+// shortcuts it: the same pointer is equal to itself without a walk,
+// which is what a repeated value over a shared source tree compares.
 func Equal(t, u *Tree) bool {
+	if t == u {
+		return true
+	}
 	if t == nil || u == nil {
-		return t == u
+		return false
 	}
 	if t.Label != u.Label || len(t.Children) != len(u.Children) {
 		return false

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,22 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 	if Equal(Elem("a", Leaf("x")), Elem("a")) {
 		t.Fatal("different child counts equal")
+	}
+}
+
+// TestEqualSamePointer: a tree is equal to itself without a walk, at
+// the top and at every child. A cyclic tree shows it, since a walk over
+// it never ends; the stack cap makes a missing shortcut fail at once
+// instead of growing a 1 GB stack.
+func TestEqualSamePointer(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	cyc := Elem("a")
+	cyc.Children = []*Tree{cyc}
+	if !Equal(cyc, cyc) {
+		t.Error("a tree is not equal to itself")
+	}
+	if !Equal(Elem("r", cyc), Elem("r", cyc)) {
+		t.Error("two trees sharing a child are not equal")
 	}
 }
 
