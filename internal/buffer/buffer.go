@@ -4,13 +4,20 @@
 // LXP wrapper (which ships coarse XML fragments), reconciling the two
 // granularities.
 //
-// The buffer maintains an *open tree* — a partial copy of the source
-// view containing hole nodes for unexplored parts. Navigation commands
-// are answered from the buffered tree when possible; when a navigation
+// The buffer maintains an *open tree* — the explored part of the source
+// view, with hole nodes for unexplored parts. Navigation commands are
+// answered from the buffered tree when possible; when a navigation
 // "hits a hole", the buffer issues a fill request and splices the
 // returned fragment (which may itself contain holes at arbitrary
 // positions, under the liberal protocol) in place of the hole, then
 // retries — the recursive d(p)/chase_first(p) algorithm of Fig. 8.
+//
+// The open tree keeps what arrived rather than copying it: a buffer
+// node is a view of the fragment node it stands for, a splice grafts
+// only the parts of a fragment that hold a hole, and a closed part
+// grafts its child lists as navigation enters them. A closed part is
+// also a value: ClosedTree hands it out (nav.TreeHolder), so keys and
+// conditions over it read the wrapper's own tree.
 //
 // The buffer implements nav.Document, so mediators cannot tell a
 // buffered remote source from a local tree. It is safe for concurrent
@@ -34,17 +41,29 @@ import (
 	"mix/internal/xmltree"
 )
 
-// node is one node of the buffered open tree. Children are spliced in
-// place as fills arrive, so node pointers handed out as nav.IDs stay
-// valid forever.
+// node is one node of the buffered open tree: a view of the fragment
+// node t it stands for, from which it reads its label and, for a hole,
+// its identifier. Children are spliced in place as fills arrive, so
+// node pointers handed out as nav.IDs stay valid forever.
+//
+// A node's child list is grafted only when needed: a splice grafts the
+// subtrees of a fill that hold a hole (so every hole is known, and
+// pending, at once), and a closed subtree stays one node whose list is
+// grafted on the first Down into it. t of a closed node is therefore
+// the node's whole subtree, which ClosedTree hands out as its value.
 type node struct {
-	label    string
-	children []*node
+	t        *xmltree.Tree // the fragment node; nil for the root hole until get_root answers
+	children []*node       // valid once grafted
 	parent   *node
 	hole     bool
-	holeID   string
 	inFlight bool // a fill for this hole is on the wire
+	closed   bool // t's subtree holds no hole
+	grafted  bool // children mirrors the node's child list
 }
+
+// holeID is the identifier of a hole node ("" for the root hole until
+// get_root answers).
+func (n *node) holeID() string { return n.t.HoleID() }
 
 // Buffer is an open-tree cache over one LXP session.
 //
@@ -69,7 +88,8 @@ type Buffer struct {
 	roundTrips    int // wire round trips (a batched fill is one trip)
 	batchedFills  int // holes filled as part of a multi-hole round trip
 	stopped       bool
-	slab          []node // current allocation slab for graft (see newNode)
+	slab          []node          // current allocation slab for graft (see newNode)
+	open          []*xmltree.Tree // graft's scratch: a fill's open nodes, in document order
 
 	prefetchErrs    int   // prefetch fills that failed
 	lastPrefetchErr error // most recent prefetch failure (nil if none)
@@ -174,7 +194,7 @@ func (b *Buffer) Root() (nav.ID, error) {
 			b.cond.Wait()
 			continue
 		}
-		if b.root.holeID == "" {
+		if b.root.t == nil {
 			if err := b.getRootLocked(); err != nil {
 				return nil, err
 			}
@@ -186,10 +206,10 @@ func (b *Buffer) Root() (nav.ID, error) {
 		}
 		if b.root.hole { // still ours to resolve
 			if len(trees) != 1 || trees[0].IsHole() {
-				return nil, &lxp.ProtocolError{HoleID: b.root.holeID,
+				return nil, &lxp.ProtocolError{HoleID: b.root.holeID(),
 					Msg: fmt.Sprintf("root fill must return one element, got %d trees", len(trees))}
 			}
-			b.root = b.graft(trees[0], nil)
+			b.root = b.graft(nil, trees, nil)[0]
 			b.cond.Broadcast()
 		}
 	}
@@ -210,23 +230,82 @@ func (b *Buffer) newNode() *node {
 	return &b.slab[len(b.slab)-1]
 }
 
-// graft converts a fill fragment into buffer nodes. Caller holds mu.
-func (b *Buffer) graft(t *xmltree.Tree, parent *node) *node {
-	n := b.newNode()
-	n.parent = parent
-	if t.IsHole() {
-		n.hole, n.holeID = true, t.HoleID()
-		b.pending = append(b.pending, n)
-		return n
+// graft turns the trees of one fill into buffer nodes under parent and
+// appends them to dst. One post-order pass (markOpen) finds the
+// fragment nodes that hold a hole; the graft then descends through
+// exactly those, so their holes join pending in document order, and
+// leaves every closed subtree one node whose child list enter grafts on
+// the first Down into it. Caller holds mu.
+func (b *Buffer) graft(dst []*node, trees []*xmltree.Tree, parent *node) []*node {
+	for _, t := range trees {
+		b.markOpen(t)
 	}
-	n.label = t.Label
-	if len(t.Children) > 0 {
-		n.children = make([]*node, len(t.Children))
-		for i, c := range t.Children {
-			n.children[i] = b.graft(c, n)
+	open := b.open
+	for _, t := range trees {
+		dst = append(dst, b.graftNode(t, parent, &open))
+	}
+	clear(b.open)
+	b.open = b.open[:0]
+	return dst
+}
+
+// markOpen reports whether t holds a hole, appending every non-hole
+// node of t's subtree that does to b.open in document order: a node is
+// appended on entry and taken back on exit if nothing under it was open.
+func (b *Buffer) markOpen(t *xmltree.Tree) bool {
+	if t.IsHole() {
+		return true
+	}
+	at := len(b.open)
+	b.open = append(b.open, t)
+	open := false
+	for _, c := range t.Children {
+		if b.markOpen(c) {
+			open = true
 		}
 	}
+	if !open {
+		b.open = b.open[:at]
+	}
+	return open
+}
+
+// graftNode makes the node for fragment node t. open holds the open
+// nodes markOpen found that are still to be grafted, in document order,
+// so t is open exactly when it heads the list.
+func (b *Buffer) graftNode(t *xmltree.Tree, parent *node, open *[]*xmltree.Tree) *node {
+	n := b.newNode()
+	n.t, n.parent = t, parent
+	switch {
+	case t.IsHole():
+		n.hole = true
+		b.pending = append(b.pending, n)
+	case len(*open) > 0 && (*open)[0] == t:
+		*open = (*open)[1:]
+		n.grafted = true
+		n.children = make([]*node, len(t.Children))
+		for i, c := range t.Children {
+			n.children[i] = b.graftNode(c, n, open)
+		}
+	default:
+		n.closed = true
+	}
 	return n
+}
+
+// enter grafts the child list of a closed node on the first Down into
+// it; the children of a closed node are closed. Caller holds mu.
+func (b *Buffer) enter(n *node) {
+	n.grafted = true
+	if len(n.t.Children) == 0 {
+		return
+	}
+	n.children = make([]*node, len(n.t.Children))
+	for i, c := range n.t.Children {
+		k := b.newNode()
+		k.t, k.parent, k.closed = c, n, true
+		n.children[i] = k
+	}
 }
 
 // getRootLocked sends get_root with mu released during the round trip;
@@ -246,7 +325,7 @@ func (b *Buffer) getRootLocked() error {
 	if err != nil {
 		return fmt.Errorf("buffer: opening %q: %w", b.uri, err)
 	}
-	b.root.holeID = id
+	b.root.t = xmltree.Hole(id)
 	return nil
 }
 
@@ -259,9 +338,10 @@ func (b *Buffer) fillLocked(h *node) ([]*xmltree.Tree, error) {
 	b.fills++
 	b.roundTrips++
 	b.mu.Unlock()
-	trees, err := b.srv.Fill(h.holeID)
+	id := h.holeID()
+	trees, err := b.srv.Fill(id)
 	if err == nil {
-		err = lxp.ValidateFill(h.holeID, trees)
+		err = lxp.ValidateFill(id, trees)
 	}
 	b.mu.Lock()
 	h.inFlight = false
@@ -280,7 +360,7 @@ func (b *Buffer) fillManyLocked(holes []*node) (map[string][]*xmltree.Tree, erro
 	ids := make([]string, len(holes))
 	for i, h := range holes {
 		h.inFlight = true
-		ids[i] = h.holeID
+		ids[i] = h.holeID()
 	}
 	b.fills += len(holes)
 	b.batchedFills += len(holes)
@@ -347,7 +427,7 @@ func (b *Buffer) expandGroup(group []*node) error {
 		if err != nil {
 			return err
 		}
-		fills = map[string][]*xmltree.Tree{group[0].holeID: trees}
+		fills = map[string][]*xmltree.Tree{group[0].holeID(): trees}
 	} else {
 		var err error
 		if fills, err = b.fillManyLocked(group); err != nil {
@@ -359,7 +439,7 @@ func (b *Buffer) expandGroup(group []*node) error {
 		if !h.hole {
 			continue // lost a race; result discarded
 		}
-		if err := b.splice(h, fills[h.holeID]); err != nil && firstErr == nil {
+		if err := b.splice(h, fills[h.holeID()]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -384,13 +464,9 @@ func (b *Buffer) splice(h *node, trees []*xmltree.Tree) error {
 	if idx < 0 {
 		return fmt.Errorf("buffer: internal error: hole not under its parent")
 	}
-	repl := make([]*node, 0, len(trees))
-	for _, t := range trees {
-		repl = append(repl, b.graft(t, p))
-	}
-	nc := make([]*node, 0, len(p.children)-1+len(repl))
+	nc := make([]*node, 0, len(p.children)-1+len(trees))
 	nc = append(nc, p.children[:idx]...)
-	nc = append(nc, repl...)
+	nc = b.graft(nc, trees, p)
 	nc = append(nc, p.children[idx+1:]...)
 	p.children = nc
 	h.hole = false // mark resolved for waiters holding the old pointer
@@ -413,7 +489,7 @@ func (b *Buffer) removePending(h *node) {
 func (b *Buffer) checkNoAdjacentHoles(p *node) error {
 	for i := 1; i < len(p.children); i++ {
 		if p.children[i].hole && p.children[i-1].hole {
-			return &lxp.ProtocolError{HoleID: p.children[i].holeID,
+			return &lxp.ProtocolError{HoleID: p.children[i].holeID(),
 				Msg: "splice produced adjacent holes"}
 		}
 	}
@@ -534,6 +610,9 @@ func (b *Buffer) Down(p nav.ID) (nav.ID, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if !n.grafted {
+		b.enter(n)
+	}
 	for {
 		if len(n.children) == 0 {
 			return nil, nil // genuine leaf: done
@@ -605,7 +684,22 @@ func (b *Buffer) Fetch(p nav.ID) (string, error) {
 	if n.hole {
 		return "", fmt.Errorf("buffer: internal error: fetch on hole")
 	}
-	return n.label, nil
+	return n.t.Label, nil
+}
+
+// ClosedTree implements nav.TreeHolder: the value of a node whose
+// subtree arrived without a hole is the fragment subtree the wrapper
+// sent, shared and read-only. A node whose fragment held a hole has no
+// such tree — its holes were filled in the buffer, not in the fragment
+// — and gets nil, even once every hole under it is filled. The closed
+// bit is set when the node is made and never changes, so no lock is
+// taken.
+func (b *Buffer) ClosedTree(p nav.ID) *xmltree.Tree {
+	n, ok := p.(*node)
+	if !ok || n == nil || !n.closed {
+		return nil
+	}
+	return n.t
 }
 
 // Snapshot returns a copy of the current open tree (holes included) for
@@ -620,10 +714,13 @@ func (b *Buffer) Snapshot() *xmltree.Tree {
 }
 
 func snap(n *node) *xmltree.Tree {
-	if n.hole {
-		return xmltree.Hole(n.holeID)
+	switch {
+	case n.hole:
+		return xmltree.Hole(n.holeID())
+	case !n.grafted:
+		return n.t.Clone()
 	}
-	t := &xmltree.Tree{Label: n.label}
+	t := &xmltree.Tree{Label: n.t.Label}
 	for _, c := range n.children {
 		t.Children = append(t.Children, snap(c))
 	}

@@ -126,11 +126,16 @@ func TestBufferSnapshotShowsHoles(t *testing.T) {
 // liberalServer serves a fixed tree but answers fills in a maximally
 // liberal way: children are revealed in a random order, one real
 // element per fill, with holes for both the left and right remainders.
+// With deep set, a revealed element's children are, at random, one
+// hole, the element's own closed subtree, or revealed the same way in
+// the same fill, so holes and closed subtrees sit at any depth of a
+// fragment.
 type liberalServer struct {
 	tree  *xmltree.Tree
 	r     *rand.Rand
 	holes map[string][]*xmltree.Tree // hole id → the sublist it represents
 	next  int
+	deep  bool
 }
 
 func newLiberalServer(t *xmltree.Tree, seed int64) *liberalServer {
@@ -152,7 +157,8 @@ func (s *liberalServer) fresh(sublist []*xmltree.Tree) string {
 
 // Fill reveals one element of the hole's sublist, chosen at random,
 // leaving holes on both sides; the revealed element's children are a
-// single fresh hole (unless it is a leaf).
+// single fresh hole (unless it is a leaf), or, with deep set, see
+// liberalServer.
 func (s *liberalServer) Fill(id string) ([]*xmltree.Tree, error) {
 	sub, ok := s.holes[id]
 	if !ok {
@@ -162,11 +168,28 @@ func (s *liberalServer) Fill(id string) ([]*xmltree.Tree, error) {
 	if len(sub) == 0 {
 		return nil, nil
 	}
+	return s.reveal(sub), nil
+}
+
+// reveal renders a non-empty sublist as one element chosen at random
+// with holes for the remainders on both sides.
+func (s *liberalServer) reveal(sub []*xmltree.Tree) []*xmltree.Tree {
 	pick := s.r.Intn(len(sub))
 	chosen := sub[pick]
 	rendered := &xmltree.Tree{Label: chosen.Label}
 	if len(chosen.Children) > 0 {
-		rendered.Children = []*xmltree.Tree{xmltree.Hole(s.fresh(chosen.Children))}
+		k := 0
+		if s.deep {
+			k = s.r.Intn(3)
+		}
+		switch k {
+		case 0:
+			rendered.Children = []*xmltree.Tree{xmltree.Hole(s.fresh(chosen.Children))}
+		case 1:
+			rendered = chosen // closed: the source's own subtree
+		default:
+			rendered.Children = s.reveal(chosen.Children)
+		}
 	}
 	var out []*xmltree.Tree
 	if pick > 0 {
@@ -176,7 +199,7 @@ func (s *liberalServer) Fill(id string) ([]*xmltree.Tree, error) {
 	if pick+1 < len(sub) {
 		out = append(out, xmltree.Hole(s.fresh(sub[pick+1:])))
 	}
-	return out, nil
+	return out
 }
 
 func TestBufferLiberalProtocol(t *testing.T) {
@@ -196,6 +219,12 @@ func TestBufferLiberalProtocol(t *testing.T) {
 	}
 }
 
+// TestQuickBufferLiberalEqualsTree: over liberal fragments — with deep
+// set on every other seed, holes and closed subtrees at any depth — a
+// random navigation answers what the source tree answers, and after
+// every step the pending holes are the holes of Snapshot, and mutating
+// a Snapshot changes nothing the buffer answers. The prefetcher then
+// drains the rest, and the buffer materializes to the source tree.
 func TestQuickBufferLiberalEqualsTree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -203,16 +232,106 @@ func TestQuickBufferLiberalEqualsTree(t *testing.T) {
 		if tr.IsLeaf() {
 			tr = xmltree.Elem("root", tr)
 		}
-		b, err := New(newLiberalServer(tr, seed+1), "u")
+		want := tr.Clone()
+		srv := newLiberalServer(tr, seed+1)
+		srv.deep = seed%2 == 0
+		b, err := New(srv, "u")
 		if err != nil {
 			return false
 		}
+		if err := liberalWalk(b, tr, r); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		b.StartPrefetch()
+		for deadline := time.Now().Add(5 * time.Second); b.Stats().PendingHoles > 0; {
+			if time.Now().After(deadline) {
+				t.Logf("seed %d: prefetcher stalled with %d holes", seed, b.Stats().PendingHoles)
+				return false
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		b.StopPrefetch()
 		got, err := nav.Materialize(b)
-		return err == nil && xmltree.Equal(got, tr)
+		return err == nil && xmltree.Equal(got, want) && xmltree.Equal(b.Snapshot(), want) &&
+			xmltree.Equal(tr, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// liberalWalk navigates b at random alongside the source tree tr it
+// buffers, checking every answer against tr and the buffer's
+// invariants after every step.
+func liberalWalk(b *Buffer, tr *xmltree.Tree, r *rand.Rand) error {
+	type pos struct {
+		id  nav.ID
+		t   *xmltree.Tree
+		idx int // index among the parent's children
+	}
+	root, err := b.Root()
+	if err != nil {
+		return err
+	}
+	path := []pos{{root, tr, 0}}
+	for step := 0; step < 40; step++ {
+		cur := &path[len(path)-1]
+		switch r.Intn(4) {
+		case 0: // down
+			id, err := b.Down(cur.id)
+			if err != nil {
+				return err
+			}
+			if (id == nil) != cur.t.IsLeaf() {
+				return fmt.Errorf("step %d: Down = %v under %q", step, id, cur.t.Label)
+			}
+			if id != nil {
+				path = append(path, pos{id, cur.t.Children[0], 0})
+			}
+		case 1: // right
+			var next *xmltree.Tree
+			if len(path) > 1 {
+				if sibs := path[len(path)-2].t.Children; cur.idx+1 < len(sibs) {
+					next = sibs[cur.idx+1]
+				}
+			}
+			id, err := b.Right(cur.id)
+			if err != nil {
+				return err
+			}
+			if (id == nil) != (next == nil) {
+				return fmt.Errorf("step %d: Right = %v after %q", step, id, cur.t.Label)
+			}
+			if id != nil {
+				*cur = pos{id, next, cur.idx + 1}
+			}
+		case 2: // up
+			if len(path) > 1 {
+				path = path[:len(path)-1]
+			}
+		}
+		cur = &path[len(path)-1]
+		if l, err := b.Fetch(cur.id); err != nil || l != cur.t.Label {
+			return fmt.Errorf("step %d: Fetch = %q, %v, want %q", step, l, err, cur.t.Label)
+		}
+		snap, ref := b.Snapshot(), b.Snapshot()
+		if n := len(snap.Holes()); n != b.Stats().PendingHoles {
+			return fmt.Errorf("step %d: %d holes in the snapshot, %d pending", step, n, b.Stats().PendingHoles)
+		}
+		snap.Walk(func(n *xmltree.Tree, _ int) bool {
+			n.Label += "!"
+			n.Children = n.Children[:len(n.Children)/2]
+			return true
+		})
+		if again := b.Snapshot(); !xmltree.Equal(again, ref) {
+			return fmt.Errorf("step %d: mutating a snapshot changed the buffer: %v, was %v", step, again, ref)
+		}
+		if l, err := b.Fetch(cur.id); err != nil || l != cur.t.Label {
+			return fmt.Errorf("step %d: after mutating a snapshot, Fetch = %q, %v, want %q", step, l, err, cur.t.Label)
+		}
+	}
+	return nil
 }
 
 func randomTree(r *rand.Rand, depth int) *xmltree.Tree {

@@ -10,7 +10,10 @@ import (
 )
 
 // BenchmarkColdDrain drains a cold 150-book chunked catalog over real
-// TCP: LXP codec and buffer grafting per fill.
+// TCP: LXP codec, fills and splices. A full drain enters every child
+// list, so the buffer still grafts every node; of the lazy graft it
+// gains only the smaller node (BenchmarkGlanceOverLXP measures a read
+// that leaves most lists unentered).
 func BenchmarkColdDrain(b *testing.B) {
 	catalog := workload.Books("az", 150, 7)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

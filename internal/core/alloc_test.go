@@ -19,8 +19,8 @@ import (
 )
 
 // hiddenTrees hides the document it embeds from capability probes: it
-// has no Unwrap, so nav.TreeDocOf cannot see a TreeDoc behind it and
-// materialization copies.
+// has no Unwrap, so nav.Explorer.Shared cannot see the TreeHolder behind
+// it and materialization copies.
 type hiddenTrees struct{ nav.Document }
 
 // TestMaterializeLeafAllocs pins the cost of the commonest
@@ -80,12 +80,27 @@ func TestMaterializeLeafAllocs(t *testing.T) {
 	}
 }
 
+// recordFills keeps every tree an LXP server ships, so a test can tell
+// a buffer value that is the wrapper's own fragment from a copy.
+type recordFills struct {
+	lxp.Server
+	trees []*xmltree.Tree
+}
+
+func (r *recordFills) Fill(id string) ([]*xmltree.Tree, error) {
+	trees, err := r.Server.Fill(id)
+	r.trees = append(r.trees, trees...)
+	return trees, err
+}
+
 // TestMaterializeSharesSourceSubtree: a source value behind a
 // CountingDoc and a trace.Doc over a TreeDoc materializes to the
 // TreeDoc's own subtree, allocating nothing, and issues the same
 // commands and source spans as over a document that hides its trees,
-// which gets a copy. An LXP buffer holds no trees: its values are
-// copies too.
+// which gets a copy. Over an LXP buffer, a value whose fragment arrived
+// without a hole is that fragment, and one whose fragment held a hole
+// is an equal copy (the walk filled the hole in the buffer, not in the
+// fragment); both issue the same commands too.
 func TestMaterializeSharesSourceSubtree(t *testing.T) {
 	src := xmltree.Elem("doc", xmltree.Elem("home",
 		xmltree.Text("zip", "91220"),
@@ -113,29 +128,30 @@ func TestMaterializeSharesSourceSubtree(t *testing.T) {
 		}
 		return read{got, cd.Counters.Snapshot(), trace.SourceNavigations(td.Rec.Take())}
 	}
+	// Six nodes: one f and one d each, one r after each non-root node.
+	wantNav := metrics.Snapshot{Fetch: 6, Down: 6, Right: 5}
+	sameCommands := func(name string, r read) {
+		t.Helper()
+		if r.nav != wantNav || r.spans != wantNav.Navigations() {
+			t.Errorf("%s: navigations %+v and %d source spans, want %+v and %d",
+				name, r.nav, r.spans, wantNav, wantNav.Navigations())
+		}
+	}
 
 	treeDoc := nav.NewTreeDoc(src)
 	td, cd, v := chain(treeDoc)
 	shared := materialize(td, cd, v)
-	want, err := treeDoc.Tree(v.(*srcPos).id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := src.Children[0]
 	if shared.tree != want {
 		t.Errorf("value over a TreeDoc is a copy, want the source's own subtree")
 	}
+	sameCommands("tree source", shared)
 
 	copied := materialize(chain(hiddenTrees{nav.NewTreeDoc(src)}))
 	if copied.tree == want || !xmltree.Equal(copied.tree, want) {
 		t.Errorf("value over hidden trees = %v, want an equal copy of %v", copied.tree, want)
 	}
-	// Six nodes: one f and one d each, one r after each non-root node.
-	if w := (metrics.Snapshot{Fetch: 6, Down: 6, Right: 5}); shared.nav != w || copied.nav != w {
-		t.Errorf("navigations shared %+v, copied %+v, want %+v", shared.nav, copied.nav, w)
-	}
-	if shared.spans != shared.nav.Navigations() || copied.spans != shared.spans {
-		t.Errorf("source spans shared %d, copied %d, want %d", shared.spans, copied.spans, shared.nav.Navigations())
-	}
+	sameCommands("hidden trees", copied)
 
 	// With the recorder detached, the trace.Doc records nothing and the
 	// shared walk allocates nothing.
@@ -144,25 +160,30 @@ func TestMaterializeSharesSourceSubtree(t *testing.T) {
 		t.Errorf("shared value: %v allocs, want 0", allocs)
 	}
 
-	buf, err := buffer.New(&lxp.TreeServer{Tree: src}, "doc")
-	if err != nil {
-		t.Fatal(err)
+	// The whole document in one fragment: doc/home is the fragment's
+	// own node.
+	whole := &recordFills{Server: &lxp.TreeServer{Tree: src}}
+	buf, _ := buffer.New(whole, "doc")
+	closed := materialize(chain(buf))
+	if len(whole.trees) != 1 || closed.tree != whole.trees[0].Children[0] {
+		t.Errorf("value over a closed LXP fragment is a copy, want the fragment's own subtree")
 	}
-	root, err := buf.Root()
-	if err != nil {
-		t.Fatal(err)
+	sameCommands("closed LXP fragment", closed)
+
+	// Subtrees over three nodes ship as label[hole]: home arrives as
+	// home[hole], so its value is a copy of what the buffer filled in.
+	chunked := &recordFills{Server: &lxp.TreeServer{Tree: src, InlineLimit: 3}}
+	buf, _ = buffer.New(chunked, "doc")
+	filled := materialize(chain(buf))
+	if !xmltree.Equal(filled.tree, want) {
+		t.Errorf("value over an LXP fragment with a hole = %v, want %v", filled.tree, want)
 	}
-	home, err := buf.Down(root)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range append(chunked.trees, src.Children...) {
+		if filled.tree == f {
+			t.Errorf("value over an LXP fragment with a hole is a shipped tree, want a copy")
+		}
 	}
-	got, err := MaterializeNode(&srcPos{doc: nav.NewCountingDoc(buf), id: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == want || !xmltree.Equal(got, want) {
-		t.Errorf("value over an LXP buffer = %v, want an equal copy of %v", got, want)
-	}
+	sameCommands("LXP fragment with a hole", filled)
 }
 
 // TestBindingLinkSize pins the binding link at 64 bytes: the operator

@@ -17,10 +17,18 @@ import (
 // engineWith registers materialized tree sources behind counting
 // wrappers and returns the engine plus the per-source counters.
 func engineWith(opts Options, srcs map[string]*xmltree.Tree) (*Engine, map[string]*nav.CountingDoc) {
+	return engineOver(opts, srcs, treeSource)
+}
+
+// treeSource exposes a source tree as an in-memory document.
+func treeSource(t *xmltree.Tree) nav.Document { return nav.NewTreeDoc(t) }
+
+// engineOver is engineWith with each source tree exposed by doc.
+func engineOver(opts Options, srcs map[string]*xmltree.Tree, doc func(*xmltree.Tree) nav.Document) (*Engine, map[string]*nav.CountingDoc) {
 	e := New(opts)
 	counters := map[string]*nav.CountingDoc{}
 	for name, t := range srcs {
-		cd := nav.NewCountingDoc(nav.NewTreeDoc(t))
+		cd := nav.NewCountingDoc(doc(t))
 		counters[name] = cd
 		e.Register(name, cd)
 	}

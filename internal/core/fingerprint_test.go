@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mix/internal/algebra"
+	"mix/internal/buffer"
+	"mix/internal/lxp"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
 	"mix/internal/workload"
@@ -73,6 +75,21 @@ func TestFingerprintsByteIdentical(t *testing.T) {
 	}
 }
 
+// sourceKinds are the documents the fingerprint tests run their
+// sources as: in-memory trees, and LXP buffers over chunked servers,
+// whose values are partly the wrapper's closed fragments and partly
+// copies of fragments that held a hole.
+var sourceKinds = []struct {
+	name string
+	doc  func(*xmltree.Tree) nav.Document
+}{
+	{"tree", treeSource},
+	{"lxp", func(t *xmltree.Tree) nav.Document {
+		b, _ := buffer.New(&lxp.TreeServer{Tree: t, Chunk: 3, InlineLimit: 4}, "u")
+		return b
+	}},
+}
+
 // TestFingerprintsNavigationIdentical: fingerprints decide only which
 // values a key holds equal, never what is navigated — with every
 // fingerprint forced to collide, each source sees the same navigation
@@ -82,19 +99,23 @@ func TestFingerprintsNavigationIdentical(t *testing.T) {
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
 	for name, plan := range keyPlans() {
 		t.Run(name, func(t *testing.T) {
-			eReal, cReal := engineWith(DefaultOptions(), srcs)
-			mustMaterialize(t, mustCompile(t, eReal, plan))
-			var cCol map[string]*nav.CountingDoc
-			withCollidingFingerprints(func() {
-				var eCol *Engine
-				eCol, cCol = engineWith(DefaultOptions(), srcs)
-				mustMaterialize(t, mustCompile(t, eCol, plan))
-			})
-			for src, c := range cReal {
-				if got, want := cCol[src].Counters.Snapshot(), c.Counters.Snapshot(); got != want {
-					t.Errorf("source %s: navigations with colliding fingerprints %+v, with real ones %+v",
-						src, got, want)
-				}
+			for _, k := range sourceKinds {
+				t.Run(k.name, func(t *testing.T) {
+					eReal, cReal := engineOver(DefaultOptions(), srcs, k.doc)
+					mustMaterialize(t, mustCompile(t, eReal, plan))
+					var cCol map[string]*nav.CountingDoc
+					withCollidingFingerprints(func() {
+						var eCol *Engine
+						eCol, cCol = engineOver(DefaultOptions(), srcs, k.doc)
+						mustMaterialize(t, mustCompile(t, eCol, plan))
+					})
+					for src, c := range cReal {
+						if got, want := cCol[src].Counters.Snapshot(), c.Counters.Snapshot(); got != want {
+							t.Errorf("source %s: navigations with colliding fingerprints %+v, with real ones %+v",
+								src, got, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -126,13 +147,17 @@ func TestFingerprintCollisionFallback(t *testing.T) {
 	for name, plan := range keyPlans() {
 		t.Run(name, func(t *testing.T) {
 			want := eagerAnswer(t, plan, srcs)
-			var got string
-			withCollidingFingerprints(func() {
-				e, _ := engineWith(DefaultOptions(), srcs)
-				got = xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan)))
-			})
-			if got != want {
-				t.Errorf("collision fallback broke the answer\n got: %s\nwant: %s", got, want)
+			for _, k := range sourceKinds {
+				t.Run(k.name, func(t *testing.T) {
+					var got string
+					withCollidingFingerprints(func() {
+						e, _ := engineOver(DefaultOptions(), srcs, k.doc)
+						got = xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, plan)))
+					})
+					if got != want {
+						t.Errorf("collision fallback broke the answer\n got: %s\nwant: %s", got, want)
+					}
+				})
 			}
 		})
 	}

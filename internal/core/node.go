@@ -294,13 +294,14 @@ func (k treeKids) next() (Node, list, error) {
 // Node/list cursors — exactly the command sequence the generic walk
 // would: Fetch(n), Down(n), then per child its subtree followed by
 // Right(child) — so wrappers (counting, tracing) see an unchanged
-// command stream. Over an in-memory source (innermost document a
-// nav.TreeDoc) the result is the source's own subtree: nothing is
-// copied, and a fingerprint memoized on it serves every query of the
-// catalog. Other sources (LXP buffers, documents outside the wrapper
-// chain) and constructed levels are copied into a per-call arena. The
-// result may therefore share nodes with a source and must be treated
-// as read-only.
+// command stream. Where the innermost document holds the subtree
+// closed (nav.TreeHolder: any node of an in-memory nav.TreeDoc, a node
+// of an LXP buffer whose fragment arrived without a hole) the result is
+// that subtree: nothing is copied, and a fingerprint memoized on it
+// serves every query of the catalog. Other subtrees (a buffer fragment
+// that held a hole, documents outside the wrapper chain) and
+// constructed levels are copied into a per-call arena. The result may
+// therefore share nodes with a source and must be treated as read-only.
 func MaterializeNode(v Node) (*xmltree.Tree, error) {
 	var m materializer
 	return m.node(v)

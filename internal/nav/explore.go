@@ -44,19 +44,24 @@ const maxDepth = 10_000
 // Shared returns the subtree rooted at p, issuing through doc exactly
 // the commands Subtree issues — Fetch(p), Down(p), then per child the
 // child's walk followed by Right(child) — so counters and traces on
-// the wrapper chain see an unchanged stream. When the innermost
-// document is a TreeDoc (TreeDocOf), the result is that document's own
-// subtree: it is shared and must be treated as read-only, and no node
-// is allocated. Any other document gets a fresh copy.
+// the wrapper chain see an unchanged stream. It asks the innermost
+// document (a TreeHolder) for p's closed tree before it walks: when
+// there is one — any node of a TreeDoc, a node of an LXP buffer whose
+// fragment arrived without a hole — the result is that tree, shared
+// and read-only, with any fingerprint memoized on it, and no node is
+// allocated. Any other subtree gets a fresh copy.
 func (m *Explorer) Shared(doc Document, p ID) (*xmltree.Tree, error) {
-	td, ok := TreeDocOf(doc)
-	if !ok {
+	var t *xmltree.Tree
+	if th, ok := innermost(doc).(TreeHolder); ok {
+		t = th.ClosedTree(p)
+	}
+	if t == nil {
 		return m.explore(doc, p, 0, true)
 	}
 	if _, err := m.explore(doc, p, 0, false); err != nil {
 		return nil, err
 	}
-	return td.Tree(p)
+	return t, nil
 }
 
 // Node returns a node labelled label over a copy of kids, carved from

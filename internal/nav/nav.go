@@ -71,9 +71,10 @@ type Selector interface {
 // observe or augment it (counting, tracing, …); Unwrap returns the
 // wrapped document. A wrapper passes IDs and labels through unchanged:
 // an ID it hands out is the wrapped document's ID, and a label is the
-// wrapped document's label. Capability probes (SelectorOf, TreeDocOf)
-// rely on that to ask the innermost document, so wrapping never changes
-// the navigation command set NC — only the innermost document does.
+// wrapped document's label. Capability probes (SelectorOf, and the
+// TreeHolder probe of Explorer.Shared) rely on that to ask the
+// innermost document, so wrapping never changes the navigation command
+// set NC — only the innermost document does.
 type Wrapper interface {
 	Unwrap() Document
 }
@@ -108,14 +109,17 @@ func SelectorOf(doc Document) (Selector, bool) {
 	return s, true
 }
 
-// TreeDocOf is the capability probe for zero-copy subtrees: it unwraps
-// doc's wrapper chain and reports whether the innermost document is a
-// TreeDoc, whose nodes are immutable trees. Reading a tree from it
-// (TreeDoc.Tree) is not a navigation command, so a caller that bills
-// commands still issues them through doc; Explorer.Shared does both.
-func TreeDocOf(doc Document) (*TreeDoc, bool) {
-	td, ok := innermost(doc).(*TreeDoc)
-	return td, ok
+// TreeHolder is the capability of documents whose nodes can stand for
+// immutable trees: a TreeDoc, whose every node is one, and an LXP
+// buffer, whose nodes that arrived without a hole are. Explorer.Shared
+// asks the innermost document of a wrapper chain for it.
+type TreeHolder interface {
+	// ClosedTree returns the subtree rooted at p as the document holds
+	// it — its own nodes, shared and read-only — when that subtree is
+	// closed, and nil otherwise (also for an ID the document did not
+	// issue). It is not a navigation command: it reads one bit of p and
+	// walks nothing.
+	ClosedTree(p ID) *xmltree.Tree
 }
 
 // Select advances from p to the first sibling to the right whose label
@@ -315,16 +319,17 @@ func (d *TreeDoc) SelectRight(p ID, sigma Predicate, fromSelf bool) (ID, error) 
 	return nil, nil
 }
 
-// Tree returns the underlying subtree of an ID issued by this
-// document — the document's own nodes, not a copy, so the result is
-// shared and read-only. Explorer.Shared hands it out as the value of a
-// source node after walking it through the wrapper chain, which is how
+// ClosedTree implements TreeHolder: every subtree of a TreeDoc is
+// closed, so it returns the underlying subtree of an ID issued by this
+// document — the document's own nodes, not a copy, shared and
+// read-only. Explorer.Shared hands it out as the value of a source
+// node after walking it through the wrapper chain, which is how
 // operator keys and conditions over in-memory sources read values
 // without copying them.
-func (d *TreeDoc) Tree(p ID) (*xmltree.Tree, error) {
+func (d *TreeDoc) ClosedTree(p ID) *xmltree.Tree {
 	n, err := d.node(p)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return n.t, nil
+	return n.t
 }

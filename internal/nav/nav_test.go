@@ -351,12 +351,11 @@ func TestTreeDocTreeAccessor(t *testing.T) {
 	orig := sampleTree()
 	doc := NewTreeDoc(orig)
 	root, _ := doc.Root()
-	got, err := doc.Tree(root)
-	if err != nil || got != orig {
-		t.Fatalf("Tree accessor: %v %v", got, err)
+	if got := doc.ClosedTree(root); got != orig {
+		t.Fatalf("ClosedTree(root) = %v, want the document's own tree", got)
 	}
-	if _, err := doc.Tree(42); err == nil {
-		t.Fatal("foreign id should error")
+	if got := doc.ClosedTree(42); got != nil {
+		t.Fatalf("ClosedTree of a foreign id = %v, want nil", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"net"
 	"time"
 
@@ -129,19 +128,18 @@ func proxyTracedOp(op string) bool {
 type proxyLink struct {
 	owner string
 	conn  net.Conn
-	r     *bufio.Reader
-	w     *bufio.Writer
+	fr    *vxdp.Frames  // pooled like a session's; drop returns them
 	resp  vxdp.Response // every relayed response decodes into this one
 }
 
 func (p *proxyLink) do(req vxdp.Request) (vxdp.Response, error) {
-	if err := vxdp.WriteRequest(p.w, &req); err != nil {
+	if err := vxdp.WriteRequest(p.fr.W, &req); err != nil {
 		return vxdp.Response{}, err
 	}
-	if err := p.w.Flush(); err != nil {
+	if err := p.fr.W.Flush(); err != nil {
 		return vxdp.Response{}, err
 	}
-	if err := vxdp.ReadResponse(p.r, &p.resp); err != nil {
+	if err := vxdp.ReadResponse(p.fr.R, &p.resp); err != nil {
 		return vxdp.Response{}, err
 	}
 	return p.resp, nil
@@ -153,9 +151,16 @@ func (s *session) closeProxy() {
 	if s.proxy == nil {
 		return
 	}
-	_ = vxdp.WriteFrame(s.proxy.w, vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpClose}})
-	_ = s.proxy.w.Flush()
+	_ = vxdp.WriteFrame(s.proxy.fr.W, vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpClose}})
+	_ = s.proxy.fr.W.Flush()
+	s.dropProxy()
+}
+
+// dropProxy closes the proxy link's connection and returns its frame
+// buffers to the pool.
+func (s *session) dropProxy() {
 	_ = s.proxy.conn.Close()
+	s.proxy.fr.Release()
 	s.proxy = nil
 }
 
@@ -242,7 +247,7 @@ func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
 		if err != nil {
 			return vxdp.Response{}, err
 		}
-		s.proxy = &proxyLink{owner: owner, conn: conn, r: bufio.NewReaderSize(conn, vxdp.FrameBuffer), w: bufio.NewWriterSize(conn, vxdp.FrameBuffer)}
+		s.proxy = &proxyLink{owner: owner, conn: conn, fr: vxdp.GetFrames(conn)}
 	}
 	resp, err := s.proxy.do(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpOpen}, Query: query, Proxied: true})
 	if err != nil {
@@ -303,8 +308,7 @@ func (s *session) forward(req vxdp.Request) vxdp.Response {
 	}
 	owner := s.proxy.owner
 	s.srv.cluster.ReportFailure(owner)
-	_ = s.proxy.conn.Close()
-	s.proxy = nil
+	s.dropProxy()
 	s.srv.cluster.RecordDegraded()
 	query := s.proxyQuery
 	s.proxyQuery = ""

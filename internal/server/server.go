@@ -474,6 +474,10 @@ func (s *Server) dropSession(sess *session) {
 		s.scratch.Put(sess.scr)
 		sess.scr = nil
 	}
+	if sess.fr != nil { // after the session's last write
+		sess.fr.Release()
+		sess.fr = nil
+	}
 	// Active until torn down.
 	s.active.Add(-1)
 }

@@ -24,7 +24,7 @@ CONSTRUCT <answer> <med_home> $H $S {$S} </med_home> {$H} </answer> {}
 WHERE homesSrc homes.home $H AND $H zip._ $V1
 AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2`
 
-func start(t *testing.T, opts ...server.Option) (*server.Server, string) {
+func start(t testing.TB, opts ...server.Option) (*server.Server, string) {
 	t.Helper()
 	homes, schools := workload.HomesSchools(10, 10, 3, 5)
 	return boot(t, func(rc *regioncache.Cache) (*mediator.Mediator, error) {
@@ -117,6 +117,26 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if _, err := c.Root(); err == nil {
 		t.Fatal("navigation on an evicted session succeeded")
+	}
+}
+
+// TestIdleEvictionNotice: an idle session's eviction notice reaches
+// the client before the connection closes — it is the session's last
+// write, made before its frame buffers go back to the pool.
+func TestIdleEvictionNotice(t *testing.T) {
+	_, addr := start(t, server.WithIdleTimeout(50*time.Millisecond))
+	for i := 0; i < 3; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var resp vxdp.Response
+		err = vxdp.ReadFrame(conn, &resp)
+		conn.Close()
+		if err != nil || !strings.Contains(resp.Err, "evicted") {
+			t.Fatalf("session %d: read %+v, %v; want the eviction notice", i, resp, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -47,7 +46,9 @@ type session struct {
 
 	// scr is the window scratch, drawn from the server's pool at the
 	// first window and returned when the session ends (see window.go).
+	// fr is the connection's pooled frame buffers, returned with it.
 	scr *winScratch
+	fr  *vxdp.Frames
 
 	// Read-ahead windows (see window.go): cached is the open view's
 	// region-cache document, nil when the view has none (no windows);
@@ -68,8 +69,8 @@ type session struct {
 func (s *session) run() {
 	defer s.srv.dropSession(s)
 	defer s.conn.Close()
-	r := bufio.NewReaderSize(s.conn, vxdp.FrameBuffer)
-	w := bufio.NewWriterSize(s.conn, vxdp.FrameBuffer)
+	s.fr = vxdp.GetFrames(s.conn)
+	r, w := s.fr.R, s.fr.W
 	// One request and one response serve every frame of the session.
 	var (
 		req  vxdp.Request

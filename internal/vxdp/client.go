@@ -1,7 +1,6 @@
 package vxdp
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -36,8 +35,10 @@ import (
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	// fr holds the connection's pooled frame buffers; Close releases
+	// them and sets fr to nil, which is how every call tells a closed
+	// client (guarded by mu).
+	fr *Frames
 
 	// rec, when non-nil, makes the session fleet-traced: every
 	// navigation opens a local span, injects its trace context into the
@@ -85,16 +86,27 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an established connection.
+// NewClient wraps an established connection. Its frame buffers come
+// from the pool; Close returns them.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReaderSize(conn, FrameBuffer), w: bufio.NewWriterSize(conn, FrameBuffer)}
+	return &Client{conn: conn, fr: GetFrames(conn)}
 }
 
-// Close ends the session (best effort) and closes the connection.
+// Close ends the session (best effort), closes the connection and
+// returns the frame buffers to the pool. It is idempotent: a second
+// Close, and every call after the first, returns net.ErrClosed without
+// touching the connection or a buffer.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	_ = WriteFrame(c.w, Request{Cmd: Cmd{Op: OpClose}})
-	_ = c.w.Flush()
+	if c.fr == nil {
+		c.mu.Unlock()
+		return net.ErrClosed
+	}
+	_ = WriteFrame(c.fr.W, Request{Cmd: Cmd{Op: OpClose}})
+	_ = c.fr.W.Flush()
+	c.fr.Release()
+	c.fr = nil
+	c.clearWindows()
 	c.mu.Unlock()
 	return c.conn.Close()
 }
@@ -149,6 +161,9 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 
 // roundTripLocked is roundTrip for callers that hold c.mu.
 func (c *Client) roundTripLocked(req Request) (Response, error) {
+	if c.fr == nil {
+		return Response{}, net.ErrClosed
+	}
 	c.roundTrips.Add(1)
 	if req.Op == OpOpen {
 		c.clearWindows()
@@ -184,13 +199,13 @@ func (c *Client) roundTripLocked(req Request) (Response, error) {
 // exchange performs one request/response cycle, decoding into c.resp.
 // Callers hold c.mu.
 func (c *Client) exchange(req *Request) error {
-	if err := WriteRequest(c.w, req); err != nil {
+	if err := WriteRequest(c.fr.W, req); err != nil {
 		return err
 	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.fr.W.Flush(); err != nil {
 		return err
 	}
-	if err := ReadResponse(c.r, &c.resp); err != nil {
+	if err := ReadResponse(c.fr.R, &c.resp); err != nil {
 		return err
 	}
 	if c.resp.Err != "" {
