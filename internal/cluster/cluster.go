@@ -592,9 +592,12 @@ func (p *peer) failLocked(err error) {
 	p.backoffUntil = time.Now().Add(p.backoff)
 }
 
+// dropLinkLocked closes the control link and returns its frame buffers
+// to the pool. It writes no close frame: the link has usually just
+// failed. Calls run under p.mu, so none is in flight on the client.
 func (p *peer) dropLinkLocked() {
-	if p.conn != nil {
-		_ = p.conn.Close()
+	if p.client != nil {
+		_ = p.client.Drop() // closes p.conn too
 	}
 	p.conn = nil
 	p.client = nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"log/slog"
+	"net"
 	"testing"
 	"time"
 
@@ -129,4 +130,62 @@ func TestNodeFetchSkipsDownPeer(t *testing.T) {
 		// Down-peer short-circuit is not an L2 miss: no peer was asked.
 		t.Fatalf("down-peer fetch counted as L2 miss: %+v", n.Stats())
 	}
+}
+
+// TestDroppedLinkReleasesFrames: a control link dropped after a
+// transport failure returns its frame buffers — the old client answers
+// net.ErrClosed itself, before touching the closed connection (which
+// would fail with an error that only wraps it) — and the next call
+// dials a fresh link.
+func TestDroppedLinkReleasesFrames(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close() // a peer that dies on every call
+		}
+	}()
+	cfg := Config{
+		Self:        "127.0.0.1:7800",
+		FailAfter:   3,
+		DialTimeout: time.Second,
+		CallTimeout: time.Second,
+		MaxBackoff:  time.Second,
+		Logger:      quietLogger(),
+	}
+	cfg.fill()
+	p := newPeer(l.Addr().String(), cfg)
+	var old *vxdp.Client
+	ping := func(c *vxdp.Client) error {
+		old = c
+		_, err := c.Ping()
+		return err
+	}
+	if err := p.do(ping); err == nil || errors.Is(err, vxdp.ErrRemote) {
+		t.Fatalf("ping of a dead link: %v, want a transport error", err)
+	}
+	first := old
+	if p.client != nil || p.conn != nil {
+		t.Fatal("failed link kept")
+	}
+	if _, err := first.Ping(); err != net.ErrClosed {
+		t.Fatalf("dropped client's Ping: %v, want net.ErrClosed", err)
+	}
+	if err := first.Close(); err != net.ErrClosed {
+		t.Fatalf("dropped client's Close: %v, want net.ErrClosed", err)
+	}
+	if err := p.do(ping); err == nil {
+		t.Fatal("ping of a dead link succeeded")
+	}
+	if old == first {
+		t.Fatal("the call after a drop reused the dropped client")
+	}
+	p.close()
 }

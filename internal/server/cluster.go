@@ -109,11 +109,12 @@ func (s *Server) handleInvalidate(req vxdp.Request) vxdp.Response {
 }
 
 // proxyTracedOp reports whether a forwarded command gets a proxy span:
-// the navigation commands. Introspection forwards (trace)
-// must not open spans — they would pollute the forest they fetch.
+// the navigation commands and the open, which answers the root.
+// Introspection forwards (trace) must not open spans — they would
+// pollute the forest they fetch.
 func proxyTracedOp(op string) bool {
 	switch op {
-	case vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch, vxdp.OpSelect:
+	case vxdp.OpOpen, vxdp.OpRoot, vxdp.OpDown, vxdp.OpRight, vxdp.OpFetch, vxdp.OpSelect:
 		return true
 	}
 	return false
@@ -180,7 +181,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 		if err := s.open(req.Query); err != nil {
 			return errResp("%v", err)
 		}
-		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
+		return s.opened(req.TraceCtx)
 	}
 	// The ring is about to decide; record how long the whole routed open
 	// takes under the decision it lands on (degraded fallbacks count as
@@ -198,7 +199,7 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 	serveLocal := func() vxdp.Response {
 		s.closeProxy()
 		s.installView(res)
-		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}}
+		return s.opened(req.TraceCtx)
 	}
 	if cl.IsSelf(owner) {
 		cl.RecordOwnedLocal()
@@ -218,16 +219,21 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 		cl.RecordCompleteLocal()
 		return serveLocal()
 	}
-	resp, err := s.startProxy(owner, req.Query)
+	resp, err := s.startProxy(owner, req)
 	if err != nil || resp.Err != "" || !resp.OK {
 		// Owner unreachable or refusing (capacity, bad config): degrade
-		// to the answer this node can always give — its own sources.
+		// to the answer this node can always give — its own sources. A
+		// refused hop's span, drained for a traced client, stays in the
+		// open's forest.
 		if err != nil {
 			cl.ReportFailure(owner)
 		}
+		hop := resp.Spans
 		s.closeProxy()
 		cl.RecordDegraded()
-		return serveLocal()
+		local := serveLocal()
+		local.Spans = append(hop, local.Spans...)
+		return local
 	}
 	mode = "proxy"
 	cl.RecordProxied()
@@ -237,8 +243,11 @@ func (s *session) openRouted(req vxdp.Request) vxdp.Response {
 
 // startProxy establishes (or reuses) the proxy link to owner and opens
 // the view there. The forwarded open is marked Proxied so the owner
-// serves it locally no matter what its own ring says.
-func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
+// serves it locally no matter what its own ring says; the owner's
+// answer — the root it opened on, window and spans included — comes
+// back as the open's own (the spans under this hop's span, on a
+// tracing node).
+func (s *session) startProxy(owner string, req vxdp.Request) (vxdp.Response, error) {
 	if s.proxy != nil && s.proxy.owner != owner {
 		s.closeProxy()
 	}
@@ -249,12 +258,12 @@ func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
 		}
 		s.proxy = &proxyLink{owner: owner, conn: conn, fr: vxdp.GetFrames(conn)}
 	}
-	resp, err := s.proxy.do(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpOpen}, Query: query, Proxied: true})
+	resp, err := s.relay(vxdp.Request{Cmd: vxdp.Cmd{Op: vxdp.OpOpen}, Query: req.Query, Proxied: true, TraceCtx: req.TraceCtx})
 	if err != nil {
 		s.closeProxy()
 		return vxdp.Response{}, err
 	}
-	s.proxyQuery = query
+	s.proxyQuery = req.Query
 	return resp, nil
 }
 
@@ -264,6 +273,26 @@ func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
 // sources, and the in-flight command gets an error telling the client
 // to restart navigation from the root — handles minted by the owner are
 // meaningless here.
+func (s *session) forward(req vxdp.Request) vxdp.Response {
+	resp, err := s.relay(req)
+	if err == nil {
+		s.srv.cluster.RecordProxied()
+		return resp
+	}
+	owner := s.proxy.owner
+	s.srv.cluster.ReportFailure(owner)
+	s.dropProxy()
+	s.srv.cluster.RecordDegraded()
+	query := s.proxyQuery
+	s.proxyQuery = ""
+	if oerr := s.open(query); oerr != nil {
+		return errResp("cluster: owner %s lost and local reopen failed: %v", owner, oerr)
+	}
+	return errResp("cluster: owner %s lost; view reopened locally, restart navigation from root", owner)
+}
+
+// relay sends one request over the proxy link and returns the owner's
+// response.
 //
 // On a tracing node the hop itself is a span: the proxy opens a span
 // labelled trace.ProxyLabel (parented under the client's context when
@@ -273,7 +302,7 @@ func (s *session) startProxy(owner, query string) (vxdp.Response, error) {
 // tree as one unit. If the original client was tracing, the stitched
 // forest is drained back into the response for the client to graft in
 // turn.
-func (s *session) forward(req vxdp.Request) vxdp.Response {
+func (s *session) relay(req vxdp.Request) (vxdp.Response, error) {
 	var sp *trace.Span
 	clientCtx := req.TraceCtx
 	if s.rec != nil && proxyTracedOp(req.Op) {
@@ -286,34 +315,23 @@ func (s *session) forward(req vxdp.Request) vxdp.Response {
 		req.TraceCtx = &ctx
 	}
 	resp, err := s.proxy.do(req)
-	if err == nil {
-		if sp != nil {
-			if len(resp.Spans) > 0 {
-				trace.Stitch(sp, resp.Spans)
-				resp.Spans = nil
-			}
-			s.rec.End(sp)
-			if clientCtx != nil {
-				resp.Spans = s.rec.Take()
-			}
-		}
-		s.srv.cluster.RecordProxied()
-		return resp
+	if sp == nil {
+		return resp, err
 	}
-	if sp != nil {
+	if err != nil {
 		// The hop failed mid-span: close it (it stays in the recorder as
-		// an orphan the next trace fetch will surface — a useful breadcrumb
-		// for exactly this failure) and fall through to the degrade path.
+		// an orphan the next trace fetch will surface — a useful
+		// breadcrumb for exactly this failure).
 		s.rec.End(sp)
+		return resp, err
 	}
-	owner := s.proxy.owner
-	s.srv.cluster.ReportFailure(owner)
-	s.dropProxy()
-	s.srv.cluster.RecordDegraded()
-	query := s.proxyQuery
-	s.proxyQuery = ""
-	if oerr := s.open(query); oerr != nil {
-		return errResp("cluster: owner %s lost and local reopen failed: %v", owner, oerr)
+	if len(resp.Spans) > 0 {
+		trace.Stitch(sp, resp.Spans)
+		resp.Spans = nil
 	}
-	return errResp("cluster: owner %s lost; view reopened locally, restart navigation from root", owner)
+	s.rec.End(sp)
+	if clientCtx != nil {
+		resp.Spans = s.rec.Take()
+	}
+	return resp, nil
 }

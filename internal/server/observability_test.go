@@ -46,9 +46,9 @@ func TestStatsOpOverWire(t *testing.T) {
 	if st.SessionsActive != 1 || st.SessionsTotal != 1 {
 		t.Fatalf("sessions active=%d total=%d, want 1/1", st.SessionsActive, st.SessionsTotal)
 	}
-	// open + root + down + fetch + stats = 5 frames.
-	if st.Msgs != 5 {
-		t.Fatalf("msgs = %d, want 5", st.Msgs)
+	// open (which answers the root) + down + fetch + stats = 4 frames.
+	if st.Msgs != 4 {
+		t.Fatalf("msgs = %d, want 4", st.Msgs)
 	}
 	if st.Navs != 3 || st.Root != 1 || st.Down != 1 || st.Fetch != 1 {
 		t.Fatalf("server navs = %+v", st)
@@ -63,8 +63,8 @@ func TestStatsOpOverWire(t *testing.T) {
 	if s.ID == 0 || s.UptimeMs < 0 {
 		t.Fatalf("session identity: %+v", s)
 	}
-	if s.Opens != 1 || s.Msgs != 5 {
-		t.Fatalf("session opens=%d msgs=%d, want 1/5", s.Opens, s.Msgs)
+	if s.Opens != 1 || s.Msgs != 4 {
+		t.Fatalf("session opens=%d msgs=%d, want 1/4", s.Opens, s.Msgs)
 	}
 	if s.Navs != 3 || s.Root != 1 || s.Down != 1 || s.Fetch != 1 || s.Right != 0 || s.Select != 0 {
 		t.Fatalf("session navs = %+v", s)
@@ -101,9 +101,10 @@ func TestStatsAggregatesAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// c1: root, root, down; c2: root → server-wide root=3, down=1.
-	if st.Root != 3 || st.Down != 1 {
-		t.Fatalf("server-wide root=%d down=%d, want 3/1", st.Root, st.Down)
+	// Each open counts one root; the clients' Root calls answer from it.
+	// c1: root, down; c2: root → server-wide root=2, down=1.
+	if st.Root != 2 || st.Down != 1 {
+		t.Fatalf("server-wide root=%d down=%d, want 2/1", st.Root, st.Down)
 	}
 	if st.Session.Root != 1 || st.Session.Down != 0 {
 		t.Fatalf("c2's session block leaked c1's navigations: %+v", st.Session)

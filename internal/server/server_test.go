@@ -99,10 +99,11 @@ func TestIdleEviction(t *testing.T) {
 	if err := c.Open(joinQuery); err != nil {
 		t.Fatal(err)
 	}
-	// Activity within the idle window keeps the session alive.
+	// Activity within the idle window keeps the session alive. The probe
+	// is a ping: Root after Open answers from the open, without a frame.
 	for i := 0; i < 3; i++ {
 		time.Sleep(40 * time.Millisecond)
-		if _, err := c.Root(); err != nil {
+		if _, err := c.Ping(); err != nil {
 			t.Fatalf("live session evicted during activity: %v", err)
 		}
 	}
@@ -115,8 +116,8 @@ func TestIdleEviction(t *testing.T) {
 	if st.SessionsActive != 0 || st.SessionsEvicted == 0 {
 		t.Fatalf("idle session not evicted: %+v", st)
 	}
-	if _, err := c.Root(); err == nil {
-		t.Fatal("navigation on an evicted session succeeded")
+	if _, err := c.Ping(); err == nil {
+		t.Fatal("command on an evicted session succeeded")
 	}
 }
 
@@ -153,7 +154,7 @@ func TestMaxLifetimeEviction(t *testing.T) {
 	// Keep the session busy; the lifetime cap evicts it anyway.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := c.Root(); err != nil {
+		if _, err := c.Ping(); err != nil {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -210,7 +211,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
-	if _, err := c.Root(); err == nil {
+	if _, err := c.Ping(); err == nil {
 		t.Fatal("drained session still answering")
 	}
 	// Drained sessions are not "evicted" — they were shut down.

@@ -195,15 +195,7 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 			*resp = errResp("no view open (send an open frame first)")
 			return false
 		}
-		traced := s.beginFleetTrace(req.TraceCtx)
-		res := s.navigate(&req.Cmd)
-		*resp = vxdp.Response{NavResult: res.nr}
-		if s.cached != nil && res.node != nil {
-			resp.Win = s.window(res.nr.ID, res.node)
-		}
-		if traced {
-			s.endFleetTrace(resp)
-		}
+		s.answer(&req.Cmd, req.TraceCtx, resp)
 	case vxdp.OpStats:
 		st := s.srv.Stats()
 		n := s.nav.Snapshot()
@@ -257,6 +249,36 @@ func (s *session) dispatch(req *vxdp.Request, resp *vxdp.Response) (last bool) {
 		*resp = errResp("unknown op %q", req.Op)
 	}
 	return false
+}
+
+// answer executes one navigation of the open view into resp: its
+// result, the read-ahead window at the node it lands on, and — when the
+// request carries a trace context — the spans it recorded.
+func (s *session) answer(cmd *vxdp.Cmd, ctx *trace.Context, resp *vxdp.Response) {
+	traced := s.beginFleetTrace(ctx)
+	res := s.navigate(cmd)
+	*resp = vxdp.Response{NavResult: res.nr}
+	if s.cached != nil && res.node != nil {
+		resp.Win = s.window(res.nr.ID, res.node)
+	}
+	if traced {
+		s.endFleetTrace(resp)
+	}
+}
+
+// opened answers an open the session has just served locally with the
+// view's root, exactly as a root command would answer it: its handle
+// and, when the cache entry holds it closed, its window. So the client
+// reaches its first answer without a root round trip. A root that fails
+// or is ⊥ leaves the open a plain success; the client's root command
+// then gets the answer it always got.
+func (s *session) opened(ctx *trace.Context) vxdp.Response {
+	var resp vxdp.Response
+	s.answer(&vxdp.Cmd{Op: vxdp.OpRoot}, ctx, &resp)
+	if resp.Err != "" || !resp.OK {
+		return vxdp.Response{NavResult: vxdp.NavResult{OK: true}, Spans: resp.Spans}
+	}
+	return resp
 }
 
 // beginFleetTrace arms the session recorder for one remotely-parented

@@ -29,9 +29,10 @@ import (
 //
 // Wherever a navigation lands on a subtree the server has explored in
 // full, on any view, the result carries a read-ahead window (see the
-// package documentation), and the client answers d/r/f/select — and
-// root, after the first — from it wherever the window decides the
-// command; a −2 link, and everything else, is one round trip as before.
+// package documentation), and the client answers d/r/f/select from it
+// wherever the window decides the command; a −2 link, and everything
+// else, is one round trip as before. The open answers with the root,
+// window included, so Root after Open costs no round trip.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -53,9 +54,9 @@ type Client struct {
 	resp Response
 
 	// wins holds the read-ahead windows absorbed since the last clear, in
-	// handle order; root is the answer root once a root response carried
-	// a window (guarded by mu). Open and any error clear both: after
-	// them a handle may name another node, or none.
+	// handle order; root is the answer root once the open or a windowed
+	// root response returned it (guarded by mu). Open and any error clear
+	// both: after them a handle may name another node, or none.
 	wins []window
 	root nav.ID
 
@@ -93,17 +94,26 @@ func NewClient(conn net.Conn) *Client {
 }
 
 // Close ends the session (best effort), closes the connection and
-// returns the frame buffers to the pool. It is idempotent: a second
-// Close, and every call after the first, returns net.ErrClosed without
-// touching the connection or a buffer.
-func (c *Client) Close() error {
+// returns the frame buffers to the pool. It is idempotent together with
+// Drop: after either, a second Close or Drop, and every call, returns
+// net.ErrClosed without touching the connection or a buffer.
+func (c *Client) Close() error { return c.shut(true) }
+
+// Drop is Close for a connection that has failed: it closes the
+// connection and returns the frame buffers without writing a close
+// frame first.
+func (c *Client) Drop() error { return c.shut(false) }
+
+func (c *Client) shut(notify bool) error {
 	c.mu.Lock()
 	if c.fr == nil {
 		c.mu.Unlock()
 		return net.ErrClosed
 	}
-	_ = WriteFrame(c.fr.W, Request{Cmd: Cmd{Op: OpClose}})
-	_ = c.fr.W.Flush()
+	if notify {
+		_ = WriteFrame(c.fr.W, Request{Cmd: Cmd{Op: OpClose}})
+		_ = c.fr.W.Flush()
+	}
 	c.fr.Release()
 	c.fr = nil
 	c.clearWindows()
@@ -219,9 +229,21 @@ func (c *Client) exchange(req *Request) error {
 // session replaces the first (all previously issued handles die).
 // Against a cluster member the view may live on another node; the
 // member proxies the session there, so the client never learns where.
+//
+// The server answers the open with the view's root — its handle and,
+// on a complete view, its window — so the Root call that follows costs
+// no round trip.
 func (c *Client) Open(query string) error {
-	_, err := c.roundTrip(Request{Cmd: Cmd{Op: OpOpen}, Query: query})
-	return err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: OpOpen}, Query: query})
+	if err != nil {
+		return err
+	}
+	if resp.ID != 0 { // handle 0 is never issued: an open without a root
+		c.root = c.landed(&resp)
+	}
+	return nil
 }
 
 // handle extracts the wire handle of an ID issued by this client.
@@ -248,7 +270,7 @@ func (c *Client) clearWindows() {
 	c.root = nil
 }
 
-// landed converts a root/down/right/select response into the node it
+// landed converts an open/root/down/right/select response into the node it
 // names (nil for ⊥), absorbing the window it carries: the window's
 // slice becomes the client's, stamped with handles, so the absorbed
 // window costs the client no allocation beyond its decoding. Caller
@@ -329,8 +351,10 @@ func (w *window) localSelect(i int, label string, fromSelf bool) (nav.ID, bool) 
 	return &w.nodes[i], true
 }
 
-// Root implements nav.Document. Once a root response has carried a
-// window, later calls answer from it.
+// Root implements nav.Document. It answers from the root the open
+// returned, and once a root response has carried a window, from that;
+// otherwise it is one round trip (after an error, say, or against a
+// server whose open returns no root).
 func (c *Client) Root() (nav.ID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

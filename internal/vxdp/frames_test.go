@@ -3,6 +3,7 @@ package vxdp_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -53,6 +54,37 @@ func TestClientCloseIdempotent(t *testing.T) {
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, net.ErrClosed) {
 			t.Errorf("%s after Close: %v, want net.ErrClosed", name, err)
+		}
+	}
+}
+
+// TestClientDropReleasesOnly: Drop closes a failed connection and
+// returns the frame buffers without writing a close frame; after it,
+// Close, Drop and every command return net.ErrClosed, as after Close.
+func TestClientDropReleasesOnly(t *testing.T) {
+	a, b := net.Pipe()
+	c := vxdp.NewClient(a)
+	written := make(chan int, 1)
+	go func() {
+		n, _ := io.Copy(io.Discard, b)
+		written <- int(n)
+	}()
+	if err := c.Drop(); err != nil {
+		t.Fatalf("Drop: %v", err)
+	}
+	if n := <-written; n != 0 {
+		t.Fatalf("Drop wrote %d bytes to the connection, want none", n)
+	}
+	calls := map[string]func() error{
+		"Close": c.Close,
+		"Drop":  c.Drop,
+		"Open":  func() error { return c.Open(joinQuery) },
+		"Root":  func() error { _, err := c.Root(); return err },
+		"Ping":  func() error { _, err := c.Ping(); return err },
+	}
+	for name, call := range calls {
+		if err := call(); err != net.ErrClosed {
+			t.Errorf("%s after Drop: %v, want net.ErrClosed", name, err)
 		}
 	}
 }

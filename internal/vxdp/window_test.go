@@ -48,16 +48,22 @@ func refSelect(win []WinNode, i int, label string, fromSelf bool) (at int, decid
 
 // FuzzWindowAbsorb: a window is server input, so a hostile one must
 // neither crash the client nor hang it. The fuzzer ships an arbitrary
-// window with the root. Then, from every node, Down, Right, Fetch and
-// SelectLabel either answer from the window exactly as its links say —
-// where a link points strictly forward inside the window, or is ⊥ — or
-// fall back to one round trip, whose ⊥ the fake server decides.
+// window with the root — in the open's response, or in a root
+// command's. After an open that named a root, Root costs no round trip.
+// Then, from every node, Down, Right, Fetch and SelectLabel either
+// answer from the window exactly as its links say — where a link points
+// strictly forward inside the window, or is ⊥ — or fall back to one
+// round trip, whose ⊥ the fake server decides.
 func FuzzWindowAbsorb(f *testing.F) {
-	f.Add(uint64(100), []byte{0, 1, 0xff, 1, 0xff, 2, 2, 0xfe, 0xff})  // root, two children, the last cut
-	f.Add(uint64(7), []byte{0, 0, 0, 1, 0, 1})                         // links to self
-	f.Add(uint64(5), []byte{1, 2, 1, 2, 0, 0, 1, 0x80, 0x7f})          // links backwards, out of range
-	f.Add(uint64(math.MaxUint64-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}) // handles past the top
-	f.Fuzz(func(t *testing.T, rootID uint64, data []byte) {
+	f.Add(uint64(100), []byte{0, 1, 0xff, 1, 0xff, 2, 2, 0xfe, 0xff}, false)  // root, two children, the last cut
+	f.Add(uint64(7), []byte{0, 0, 0, 1, 0, 1}, false)                         // links to self
+	f.Add(uint64(5), []byte{1, 2, 1, 2, 0, 0, 1, 0x80, 0x7f}, false)          // links backwards, out of range
+	f.Add(uint64(math.MaxUint64-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}, false) // handles past the top
+	f.Add(uint64(100), []byte{0, 1, 0xff, 1, 0xff, 2, 2, 0xfe, 0xff}, true)   // the same, from the open
+	f.Add(uint64(3), []byte{}, true)                                          // an open whose root has no window
+	f.Add(uint64(0), []byte{0, 1, 0xff, 1, 0xff, 0xff}, true)                 // an open that names no root
+	f.Add(uint64(math.MaxUint64-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}, true)
+	f.Fuzz(func(t *testing.T, rootID uint64, data []byte, viaOpen bool) {
 		data = data[:min(len(data), 3*128)]
 		win := make([]WinNode, len(data)/3)
 		for i := range win {
@@ -69,7 +75,7 @@ func FuzzWindowAbsorb(f *testing.F) {
 		}
 		c := fakeServer(t, func(req *Request) Response {
 			switch req.Op {
-			case OpRoot:
+			case OpOpen, OpRoot:
 				return Response{NavResult: NavResult{OK: true, ID: rootID}, Win: win}
 			case OpFetch:
 				return Response{NavResult: NavResult{OK: true, Label: "server"}}
@@ -79,7 +85,13 @@ func FuzzWindowAbsorb(f *testing.F) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			checkAbsorbed(t, c, rootID, win)
+			if viaOpen {
+				if err := c.Open("q"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			checkAbsorbed(t, c, rootID, win, viaOpen && rootID != 0)
 		}()
 		select {
 		case <-done:
@@ -90,12 +102,17 @@ func FuzzWindowAbsorb(f *testing.F) {
 }
 
 // checkAbsorbed drives every command from every node of the window the
-// root response carried; see FuzzWindowAbsorb.
-func checkAbsorbed(t *testing.T, c *Client, rootID uint64, win []WinNode) {
+// root came with; opened reports that the open named the root, so Root
+// must answer without a round trip. See FuzzWindowAbsorb.
+func checkAbsorbed(t *testing.T, c *Client, rootID uint64, win []WinNode, opened bool) {
+	before := c.RoundTrips()
 	root, err := c.Root()
 	if err != nil {
 		t.Error(err)
 		return
+	}
+	if trips := c.RoundTrips() - before; opened && trips != 0 || !opened && trips != 1 {
+		t.Errorf("Root took %d round trips (root named by the open: %v)", trips, opened)
 	}
 	if len(win) == 0 || rootID > math.MaxUint64-uint64(len(win)) {
 		// Nothing absorbed: every command is a round trip.

@@ -19,6 +19,7 @@
 // followed by a JSON object of at most MaxFrame bytes. Requests are
 //
 //	{"op":"open","query":Q}          compile XMAS query Q, open the view
+//	                                 → handle of the answer root
 //	{"op":"root"}                    → handle of the answer root
 //	{"op":"down","id":H}             → handle of H's first child, or ⊥
 //	{"op":"right","id":H}            → handle of H's right sibling, or ⊥
@@ -60,7 +61,14 @@
 //
 // # Read-ahead windows
 //
-// When a root/down/right/select command lands on a node whose subtree
+// The open answers like a root command — {"ok":true,"id":H[,"win":…]},
+// the id and window of the answer root — so a session reaches its first
+// answer in one round trip; an open whose root fails or is ⊥ answers
+// {"ok":true} alone, and a root command then gets the failure. A root
+// command stays valid after an open and issues a fresh handle; clients
+// that ignore the open's "id" and "win" see the protocol unchanged.
+//
+// When an open/root/down/right/select command lands on a node whose subtree
 // the server has already explored in full (its label and every child
 // list under it known: the subtree is closed), the response may carry
 // a window: the landed node, its subtree, then its right siblings and
@@ -214,7 +222,8 @@ type Request struct {
 // NavResult is the outcome of one navigation command.
 type NavResult struct {
 	// OK reports whether the command produced a node (or, for fetch and
-	// open, succeeded). OK=false with empty Err is ⊥.
+	// open, succeeded; an open's ID, when set, is the answer root's).
+	// OK=false with empty Err is ⊥.
 	OK    bool   `json:"ok,omitempty"`
 	ID    uint64 `json:"id,omitempty"`
 	Label string `json:"label,omitempty"`
@@ -224,7 +233,7 @@ type NavResult struct {
 // Response is a server→client frame.
 type Response struct {
 	NavResult
-	// Win is the read-ahead window of a root/down/right/select result
+	// Win is the read-ahead window of an open/root/down/right/select result
 	// that landed on a closed subtree: node i has handle ID+i.
 	Win   []WinNode     `json:"win,omitempty"`
 	Stats *Stats        `json:"stats,omitempty"` // stats
@@ -267,7 +276,7 @@ type Stats struct {
 	Right           int64 `json:"right"`
 	Fetch           int64 `json:"fetch"`
 	Select          int64 `json:"select"`
-	Root            int64 `json:"root"`
+	Root            int64 `json:"root"` // root commands, and opens: a node serving one answers the root
 	// Session, present only in responses to the stats command, describes
 	// the asking session itself.
 	Session *SessionStats `json:"session,omitempty"`
