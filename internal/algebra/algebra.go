@@ -255,7 +255,10 @@ func (t *TupleDestroy) appendOp(b []byte) []byte {
 
 // String renders the plan as an indented operator tree, root first, in
 // the style of Fig. 4, into one buffer.
-func String(p Op) string { return string(appendPlan(make([]byte, 0, 2048), p, 0)) }
+func String(p Op) string { return string(AppendString(make([]byte, 0, 2048), p)) }
+
+// AppendString appends String(p) to b.
+func AppendString(b []byte, p Op) []byte { return appendPlan(b, p, 0) }
 
 func appendPlan(b []byte, p Op, depth int) []byte {
 	for range depth {

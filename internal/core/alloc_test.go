@@ -229,7 +229,10 @@ func TestDescentAllocsPerMatch(t *testing.T) {
 // coldJoinGroupByAllocs bounds the allocations of the cold med-home
 // plan: compiled on a fresh engine over fresh sources and drained. It
 // measured 17 543 (Go 1.24, amd64); the bound adds the six that
-// warmOpenAllocs (internal/mediator) adds to its measurement. While
+// warmOpenAllocs (internal/mediator) adds to its measurement. Since the
+// engine shares the plan's chains (its one reader pays for two inputs)
+// and a keyspace stores each distinct key's tuple in one allocation, it
+// measures 17 302. While
 // key and condition values copied their source subtrees, the same plan
 // made 20 384; while the descent allocated a frame per match and a
 // position per source step, 24 993; before the descent skipped the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mix/internal/xmltree"
 )
@@ -16,8 +17,14 @@ import (
 // not once per pair ("the nested-loops join operator stores … the
 // attributes that participate in the join condition", Section 3).
 //
-// Bindings are not safe for concurrent use; a query's virtual document
-// is navigated by one client at a time, as in the paper's architecture.
+// A binding is immutable once an operator hands it out, except for its
+// two memos, which are atomic, and the log link of a chain input (co,
+// guarded by the input's lock): a binding in an engine-wide shared
+// input (see input) is read by the queries of every session at once.
+// The materialization (tree) is published by compare-and-swap, so
+// racing readers agree on one tree; the key memo (keys) is scoped to
+// the keyspace of the query that computed it and is never read by
+// another.
 type binding struct {
 	kind   bindKind
 	parent *binding
@@ -25,9 +32,11 @@ type binding struct {
 	// bindLink: the lazy value bound to op.to and its memoized
 	// materialization, shared by every binding derived from the link.
 	val  Node
-	tree *xmltree.Tree
+	tree atomic.Pointer[xmltree.Tree]
 
-	// mergeLink: the right-hand binding.
+	// mergeLink: the right-hand binding. A bindLink a chain input logs
+	// (see input): the next binding of that log, written once, under
+	// the input's lock, and read only under it.
 	co *binding
 
 	// bindLink, projectLink, renameLink: the operator's constant, shared
@@ -39,7 +48,7 @@ type binding struct {
 	// (Appendix A's nextgb/next) pay for key construction once per
 	// binding rather than once per scan. Allocated on first use: most
 	// links are never keyed.
-	keys *keyMemo
+	keys atomic.Pointer[keyMemo]
 }
 
 type bindKind uint8
@@ -60,16 +69,21 @@ type linkOp struct {
 	from, to string
 }
 
-// keyMemo memoizes operator keys by their joined variable list ck, one
-// slot per list (a binding is almost always keyed under one).
+// keyMemo memoizes the operator keys of one keyspace by their joined
+// variable list ck, one slot per list (a binding is almost always keyed
+// under one). A key's collision slot is the keyspace's, so a memo is
+// read only under the keyspace that wrote it. The list is immutable:
+// key publishes a new head, dropping the memos of any other keyspace,
+// so a binding shared by many queries holds the memos of one at a time.
 type keyMemo struct {
+	ks      *keyspace
 	ck, key string
 	more    *keyMemo
 }
 
-func (m *keyMemo) get(ck string) (string, bool) {
+func (m *keyMemo) get(ks *keyspace, ck string) (string, bool) {
 	for ; m != nil; m = m.more {
-		if m.ck == ck {
+		if m.ks == ks && m.ck == ck {
 			return m.key, true
 		}
 	}
@@ -156,17 +170,22 @@ func (b *binding) node(name string) (Node, error) {
 // The materialization is memoized on the defining link, so it is
 // shared by every binding derived from it. Over an in-memory source it
 // is the source's own subtree (MaterializeNode), so it is read-only.
+// Readers that race on a link's first materialization each navigate
+// it; the first to publish wins and every reader returns its tree.
 func (b *binding) Value(name string) (*xmltree.Tree, error) {
 	l := b.lookup(name)
 	if l == nil {
 		return nil, fmt.Errorf("core: unbound variable $%s", name)
 	}
-	if l.tree == nil {
-		t, err := MaterializeNode(l.val)
-		if err != nil {
-			return nil, err
-		}
-		l.tree = t
+	if t := l.tree.Load(); t != nil {
+		return t, nil
 	}
-	return l.tree, nil
+	t, err := MaterializeNode(l.val)
+	if err != nil {
+		return nil, err
+	}
+	if !l.tree.CompareAndSwap(nil, t) {
+		t = l.tree.Load()
+	}
+	return t, nil
 }

@@ -45,6 +45,13 @@ type Engine struct {
 	// canonical string, for the engine's lifetime (see pathDFA).
 	dfaMu sync.Mutex
 	dfas  map[string]*pathexpr.DFA
+
+	// share is set for the all-caches engine, whose untraced queries
+	// read their source-access chains from shared, one input per chain
+	// and registry version (see share.go).
+	share   bool
+	shareMu sync.Mutex
+	shared  []*input
 }
 
 // maxDFAs caps the engine's automaton memo; a path first seen past the
@@ -70,12 +77,14 @@ func (e *Engine) pathDFA(p *pathexpr.Expr) *pathexpr.DFA {
 }
 
 // Register makes doc available to plans under the given source name.
-// Registering an existing name replaces the source.
+// Registering an existing name replaces the source. The shared inputs
+// derived at earlier registry versions are dropped; queries compiled
+// before the call keep reading theirs.
 func (e *Engine) Register(name string, doc nav.Document) {
 	e.regMu.Lock()
 	e.reg[name] = doc
 	e.regMu.Unlock()
-	e.regVer.Add(1)
+	e.retireShared(e.regVer.Add(1))
 }
 
 // RegistryVersion returns the source-registry version: the number of
@@ -163,7 +172,8 @@ func (e *Engine) Compile(v *View) (*Query, error) {
 // root returns the lazy root of the query's answer, built on the first
 // call. The tree of lazy mediators behind it — the operator builders,
 // stepping the engine's path DFAs — is built on its first pull, traced
-// if a recorder is set then.
+// if a recorder is set then, and otherwise reading its chains from the
+// engine's shared inputs where the engine shares (see share.go).
 func (q *Query) root() Node {
 	if q.ans != nil {
 		return q.ans
@@ -175,7 +185,7 @@ func (q *Query) root() Node {
 		input = td.Input
 	}
 	top := &lazyLog{in: func() (cursor, error) {
-		c.ks = newKeyspace()
+		c.ks, c.share = newKeyspace(), q.eng.share && q.rec == nil
 		bb, err := c.compile(input)
 		if err != nil {
 			return nil, err

@@ -77,22 +77,42 @@ func atomKeyFP(b *binding, vars []string) (string, error) {
 
 // compileJoin compiles a join. With JoinCache the inner input is
 // derived at most once: into the hash index when the condition implies
-// a bridging equality, into a log all outer bindings replay otherwise
-// (Section 3: "the nested-loops join operator stores the parts of the
-// inner argument of the loop"). Without it the nested loops re-derive
-// the inner from its sources for every outer binding (the E6 ablation);
-// the hash index *is* an inner cache, so it needs JoinCache.
+// a bridging equality, into an input all outer bindings replay
+// otherwise (Section 3: "the nested-loops join operator stores the
+// parts of the inner argument of the loop"). An inner that is a chain
+// the query shares is the engine's shared input, and its hash index is
+// kept with it, so every query of the catalog probes one index. Without
+// JoinCache the nested loops re-derive the inner from its sources for
+// every outer binding (the E6 ablation); the hash index *is* an inner
+// cache, so it needs JoinCache.
 func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 	left, err := c.compile(op.Left)
 	if err != nil {
 		return nil, err
 	}
+	cond, cache := op.Cond, c.e.opts.JoinCache
+	lk, rk, equi := equiJoinKeys(op)
+	shared, err := c.shared(op.Right)
+	if err != nil {
+		return nil, err
+	}
+	if shared != nil {
+		return func() (cursor, error) {
+			lc, err := left()
+			if err != nil {
+				return nil, err
+			}
+			if equi {
+				return &hashJoinCursor{out: lc, idx: shared.index(rk), cond: cond, lkeys: lk}, nil
+			}
+			return &nlJoinCursor{out: lc, inner: shared, cond: cond}, nil
+		}, nil
+	}
 	right, err := c.compile(op.Right)
 	if err != nil {
 		return nil, err
 	}
-	cond, cache := op.Cond, c.e.opts.JoinCache
-	if lk, rk, ok := equiJoinKeys(op); ok && cache {
+	if equi && cache {
 		return func() (cursor, error) {
 			lc, err := left()
 			if err != nil {
@@ -107,7 +127,7 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := &nlJoinCursor{out: lc, inner: &lazyLog{in: right}, cond: cond}
+		j := &nlJoinCursor{out: lc, inner: newInput(right), cond: cond}
 		if !cache {
 			j.rederive = right
 		}
@@ -116,16 +136,17 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 }
 
 // nlJoinCursor is the nested-loops join: each outer binding steps
-// through the inner log, evaluating the condition per pair. With
-// JoinCache the one log is the inner cache; without it (rederive set)
-// every outer binding gets a fresh log over a fresh inner derivation.
+// through the inner input, evaluating the condition per pair. With
+// JoinCache the one input is the inner cache; without it (rederive
+// set) every outer binding gets a fresh input over a fresh inner
+// derivation.
 type nlJoinCursor struct {
 	out      cursor
-	inner    *lazyLog
+	inner    *input
 	rederive builder
 	cond     algebra.Cond
 	lb       *binding // current outer binding
-	ipos     int      // position in the inner log
+	ipos     logPos   // position in the inner input
 }
 
 func (j *nlJoinCursor) next() (*binding, error) {
@@ -135,25 +156,20 @@ func (j *nlJoinCursor) next() (*binding, error) {
 			if lb == nil {
 				return nil, err
 			}
-			j.lb, j.ipos = lb, 0
+			j.lb, j.ipos = lb, logPos{}
 		}
-		log, err := j.inner.get()
-		if err != nil {
-			return nil, err
-		}
-		rb, err := log.at(j.ipos)
+		rb, err := j.inner.next(&j.ipos)
 		if err != nil {
 			return nil, err
 		}
 		if rb == nil {
 			j.lb = nil
 			if j.rederive != nil {
-				j.inner = &lazyLog{in: j.rederive}
+				j.inner = newInput(j.rederive)
 			}
 			continue
 		}
 		merged := merge(j.lb, rb)
-		j.ipos++
 		ok, err := j.cond.Eval(merged)
 		if err != nil {
 			return nil, err
@@ -177,38 +193,70 @@ func (j *nlJoinCursor) fork() cursor {
 // derived only on first demand; each advance ingests one inner binding.
 // It is shared, mutable state behind the join cursor and its forks —
 // safe because buckets only ever grow, in inner order, so a replayed
-// probe re-reads a (possibly longer) prefix of the same bucket.
+// probe re-reads a (possibly longer) prefix of the same bucket. A
+// private index reads its own derivation of the inner (right); the
+// index of a shared input (in) reads that input's log and is probed
+// under its lock, by the queries of every session.
 type hashIndex struct {
+	in      *input
 	right   builder
 	src     cursor // nil until first advance, nil again when done
 	keys    []string
 	buckets map[string][]*binding
 	done    bool
+	err     error // the failure that ended the index, for every later probe
+}
+
+// probe returns the binding at position pos of the bucket under key,
+// advancing the index until the bucket has it; nil once the inner input
+// is exhausted (or the memoized failure).
+func (h *hashIndex) probe(key string, pos int) (*binding, error) {
+	if h.in != nil {
+		h.in.mu.Lock()
+	}
+	var b *binding
+	var err error
+	for {
+		if bucket := h.buckets[key]; pos < len(bucket) {
+			b = bucket[pos]
+			break
+		}
+		var more bool
+		if more, err = h.advance(); !more {
+			break
+		}
+	}
+	if h.in != nil {
+		h.in.mu.Unlock()
+		if err != nil {
+			h.in.drop()
+		}
+	}
+	return b, err
 }
 
 // advance ingests the next inner binding, reporting whether there was
-// one. A keying failure keeps the already-filed prefix and terminates
-// the index.
+// one. A failure keeps the already-filed prefix and ends the index.
 func (h *hashIndex) advance() (bool, error) {
 	if h.done {
-		return false, nil
+		return false, h.err
 	}
 	if h.src == nil {
 		c, err := h.right()
 		if err != nil {
-			h.done = true
+			h.done, h.err = true, err
 			return false, err
 		}
 		h.src = c
 	}
 	b, err := h.src.next()
 	if b == nil {
-		h.done, h.src = true, nil
+		h.done, h.err, h.src = true, err, nil
 		return false, err
 	}
 	k, err := atomKeyFP(b, h.keys)
 	if err != nil {
-		h.done, h.src = true, nil
+		h.done, h.err, h.src = true, err, nil
 		return false, err
 	}
 	h.buckets[k] = append(h.buckets[k], b)
@@ -216,8 +264,8 @@ func (h *hashIndex) advance() (bool, error) {
 	return true, nil
 }
 
-// hashJoinCursor probes the shared index: each outer binding scans
-// its bucket, advancing the index one inner binding at a time when the
+// hashJoinCursor probes the index: each outer binding scans its
+// bucket, advancing the index one inner binding at a time when the
 // indexed prefix runs out.
 type hashJoinCursor struct {
 	out   cursor
@@ -242,24 +290,22 @@ func (c *hashJoinCursor) next() (*binding, error) {
 			}
 			c.lb, c.key, c.pos = lb, k, 0
 		}
-		if bucket := c.idx.buckets[c.key]; c.pos < len(bucket) {
-			merged := merge(c.lb, bucket[c.pos])
-			c.pos++
-			ok, err := c.cond.Eval(merged)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return merged, nil
-			}
-			continue
-		}
-		more, err := c.idx.advance()
+		rb, err := c.idx.probe(c.key, c.pos)
 		if err != nil {
 			return nil, err
 		}
-		if !more {
+		if rb == nil {
 			c.lb = nil
+			continue
+		}
+		c.pos++
+		merged := merge(c.lb, rb)
+		ok, err := c.cond.Eval(merged)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return merged, nil
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"slices"
 	"sync"
 
 	"mix/internal/xmltree"
@@ -26,32 +25,39 @@ import (
 // always do.
 //
 // The keyspace is scoped to one compiled query (created when its
-// pipeline is built, threaded by the compiler), which bounds retention:
-// it can never outlive the bindings whose trees it references, and keys
-// from different queries — or from the same plan compiled twice — are
-// never mixed. A representative is the value MaterializeNode returned:
-// over an in-memory source, a pointer into the source itself, so a
-// repeated key compares a tree with itself and Equal answers at once.
+// pipeline is built, threaded by the compiler), so keys from different
+// queries — or from the same plan compiled twice — are never mixed. It
+// lives as long as the bindings whose key memos name it: the query's
+// own, and, for a binding of an engine-wide shared input, until the
+// next query keys that binding. A representative is the value
+// MaterializeNode returned: over an in-memory source, a pointer into
+// the source itself, so a repeated key compares a tree with itself and
+// Equal answers at once.
 
 // compiler carries the per-build state threaded through plan
 // compilation: the engine (options, interner), the query being built
-// (its recorder and the source documents Compile resolved), and the
-// query-scoped keyspace. Pipelines of one engine may be built
-// concurrently, so per-build state lives here rather than on the
+// (its recorder and the source documents Compile resolved), the
+// query-scoped keyspace, and whether the build reads the engine's
+// shared inputs (see compiler.shared). Pipelines of one engine may be
+// built concurrently, so per-build state lives here rather than on the
 // Engine.
 type compiler struct {
-	e  *Engine
-	q  *Query
-	ks *keyspace
+	e     *Engine
+	q     *Query
+	ks    *keyspace
+	share bool
 }
 
 // keyspace disambiguates fingerprint collisions within one query.
 type keyspace struct {
-	mu   sync.Mutex
-	reps map[string][][]*xmltree.Tree // fp key → distinct tuples seen
+	mu sync.Mutex
+	// reps maps a fingerprint key to the distinct tuples seen under it,
+	// stored back to back: every tuple under one key has the same
+	// length, since the key holds one fingerprint per value.
+	reps map[string][]*xmltree.Tree
 }
 
-func newKeyspace() *keyspace { return &keyspace{reps: map[string][][]*xmltree.Tree{}} }
+func newKeyspace() *keyspace { return &keyspace{reps: map[string][]*xmltree.Tree{}} }
 
 // resolve returns the collision slot of the tuple under key: 0 for the
 // first tuple observed with this fingerprint key (the overwhelmingly
@@ -61,14 +67,15 @@ func newKeyspace() *keyspace { return &keyspace{reps: map[string][][]*xmltree.Tr
 func (ks *keyspace) resolve(key string, tuple []*xmltree.Tree) int {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	reps := ks.reps[key]
-	for i, rep := range reps {
-		if tuplesEqual(rep, tuple) {
-			return i
+	reps, n := ks.reps[key], len(tuple)
+	slot := 0
+	for ; (slot+1)*n <= len(reps); slot++ {
+		if tuplesEqual(reps[slot*n:(slot+1)*n], tuple) {
+			return slot
 		}
 	}
-	ks.reps[key] = append(reps, slices.Clone(tuple))
-	return len(reps)
+	ks.reps[key] = append(reps, tuple...)
+	return slot
 }
 
 func tuplesEqual(a, b []*xmltree.Tree) bool {
@@ -124,17 +131,26 @@ const fpKeyVars = 4
 
 // key returns the operator key for the values of vars — the map key
 // distinct/groupBy/difference deduplicate on — memoized per binding
-// under ck, the joined variable list (precomputed by the operator), so
-// the repeated group/member scans of groupBy pay for key construction
-// once.
+// under ck, the joined variable list (precomputed by the operator), and
+// ks, so the repeated group/member scans of groupBy pay for key
+// construction once.
 func (b *binding) key(ck string, ks *keyspace, vars []string) (string, error) {
-	if k, ok := b.keys.get(ck); ok {
+	if k, ok := b.keys.Load().get(ks, ck); ok {
 		return k, nil
 	}
 	k, err := b.fpKey(ks, vars)
 	if err != nil {
 		return "", err
 	}
-	b.keys = &keyMemo{ck: ck, key: k, more: b.keys}
-	return k, nil
+	m := &keyMemo{ks: ks, ck: ck, key: k}
+	for {
+		old := b.keys.Load()
+		m.more = nil
+		if old != nil && old.ks == ks {
+			m.more = old
+		}
+		if b.keys.CompareAndSwap(old, m) {
+			return k, nil
+		}
+	}
 }

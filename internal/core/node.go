@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"mix/internal/nav"
 	"mix/internal/xmltree"
@@ -221,24 +222,26 @@ func (leafNode) Children() list           { return emptyList{} }
 // lazyNode defers resolution of the underlying node until first use —
 // this is how the mediator hands out the answer-root handle without
 // touching the sources (Section 3: "returns a handle to the root
-// element … without even accessing the sources").
+// element … without even accessing the sources"). It resolves once even
+// under concurrent use: the elements a chain's dynamic-label
+// createElement binds in an engine-wide shared input are forced by
+// whichever query reaches them first.
 type lazyNode struct {
 	resolve func() (Node, error)
 
-	forced bool
-	n      Node
-	err    error
+	once sync.Once
+	n    Node
+	err  error
 }
 
 func (l *lazyNode) force() (Node, error) {
-	if !l.forced {
+	l.once.Do(func() {
 		l.n, l.err = l.resolve()
-		l.forced = true
 		l.resolve = nil
 		if l.err == nil && l.n == nil {
 			l.err = fmt.Errorf("core: lazy node resolved to nothing")
 		}
-	}
+	})
 	return l.n, l.err
 }
 

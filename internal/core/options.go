@@ -13,8 +13,8 @@ import (
 //     into an incrementally-built hash index when the condition implies
 //     a variable equality bridging the two inputs (Cond.EquiKeys; each
 //     outer binding probes only its bucket, and the index grows only as
-//     far as probing forces the inner input), into the nested-loops log
-//     every outer binding replays otherwise. Off, the nested loops
+//     far as probing forces the inner input), into the nested-loops
+//     input every outer binding replays otherwise. Off, the nested loops
 //     re-derive the inner input per outer binding: the E6 ablation.
 //   - PathCache — getDescendants keeps the explored part of its descent,
 //     so re-iterating its output does not re-run the (possibly
@@ -22,6 +22,14 @@ import (
 //     that to show: the operator keeps a log only when JoinCache or
 //     GroupCache is off (with both on every operator is read once, by
 //     one consumer). Off under such an ancestor is the E7 ablation.
+//
+// With all three caches on and NativeSelect off (DefaultOptions), the
+// first two widen from one query to the catalog: an untraced query
+// reads each source-access chain of its plan (source, getDescendants,
+// createElement and wrapList only) from one input the engine derives
+// per chain and registry version, and a hash join over such a chain
+// probes one index kept with it (see share.go). Any other option set
+// shares nothing, so the ablation experiments count per query.
 //   - GroupCache — groupBy caches its input and the grouped value lists
 //     for the group-by lists in Gprev (Appendix A). Off, every visit of
 //     a value list continues the input scan from the previous member,
@@ -56,5 +64,5 @@ func DefaultOptions() Options {
 // the all-defaults engine.
 func New(o Options) *Engine {
 	return &Engine{opts: o, reg: map[string]nav.Document{}, intern: xmltree.NewInterner(),
-		dfas: map[string]*pathexpr.DFA{}}
+		dfas: map[string]*pathexpr.DFA{}, share: o == DefaultOptions()}
 }

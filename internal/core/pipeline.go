@@ -34,17 +34,25 @@ import (
 //
 //   - the top log every Document replays (always on — the client may
 //     navigate from any node it has seen);
-//   - JoinCache: the nested-loops inner input is one replayLog shared by
-//     all outer bindings (the hash index plays the same role). Off,
-//     the join re-invokes the inner builder per outer binding;
+//   - JoinCache: the nested-loops inner input is one input (a log
+//     behind a lock, see input) shared by all outer bindings (the hash
+//     index plays the same role). Off, the join re-invokes the inner
+//     builder per outer binding;
 //   - GroupCache: the groupBy input is one replayLog, group value lists
 //     are memoized positions into it. Off, a value list continues the
 //     input scan from a fork() of the cursor at the previous member,
 //     re-deriving the bindings on every visit;
 //   - PathCache: where an ablation above re-invokes or forks its
 //     builder, getDescendants hands out replay cursors over one shared
-//     log instead of re-running the descent. With both other caches on
-//     nothing re-invokes or forks, so default plans carry no such log.
+//     input instead of re-running the descent. With both other caches on
+//     nothing re-invokes or forks, so default plans carry no such log;
+//   - the catalog-wide input (share.go): with every cache on, a
+//     source-access chain — a sub-plan of source, getDescendants,
+//     createElement and wrapList only — is derived once per registry
+//     version for every query of the engine that contains it, and a
+//     hash join whose whole inner is such a chain probes one index
+//     shared with it. The paper's operator caches, widened from one
+//     query to the catalog.
 
 // cursor is the operator output: next returns the next binding, or
 // (nil, nil) at end of input, or (nil, err) on failure. A consumer
@@ -137,43 +145,6 @@ func (l *lazyLog) get() (*replayLog, error) {
 	}
 	return l.log, l.err
 }
-
-// fork snapshots the log for a reader whose input must not be shared
-// (the uncached nested-loops inner): the derived prefix is copied, the
-// remainder re-derived from a fork of the source cursor.
-func (l *lazyLog) fork() *lazyLog {
-	if l.log == nil {
-		return &lazyLog{in: l.in, err: l.err}
-	}
-	f := *l.log
-	f.buf = append([]*binding(nil), f.buf...)
-	if f.src != nil {
-		f.src = f.src.fork()
-	}
-	return &lazyLog{log: &f}
-}
-
-// logCursor replays a shared lazyLog from its own position: what
-// getDescendants hands out under PathCache where builders are
-// re-invoked or cursors forked.
-type logCursor struct {
-	log *lazyLog
-	pos int
-}
-
-func (c *logCursor) next() (*binding, error) {
-	log, err := c.log.get()
-	if err != nil {
-		return nil, err
-	}
-	b, err := log.at(c.pos)
-	if b != nil {
-		c.pos++
-	}
-	return b, err
-}
-
-func (c *logCursor) fork() cursor { f := *c; return &f }
 
 // tracedCursor wraps an operator's cursor so every pull opens a
 // "next" span in the recorder of the navigation being served.
@@ -584,10 +555,18 @@ func (s *sortCursor) fork() cursor {
 	return &f
 }
 
-// compile builds the cursor constructor for a plan node, wrapping it
-// with a traced cursor when the query traces (the per-operator
-// boundary of the observability layer).
+// compile builds the cursor constructor for a plan node: a reader of
+// the engine's shared input when the node is a chain the query shares,
+// else the operator's own builder, wrapped with a traced cursor when
+// the query traces (the per-operator boundary of the observability
+// layer).
 func (c *compiler) compile(p algebra.Op) (builder, error) {
+	if in, err := c.shared(p); in != nil || err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return func() (cursor, error) { return &inputCursor{in: in}, nil }, nil
+	}
 	bb, err := c.compileNode(p)
 	if err != nil || c.q.rec == nil {
 		return bb, err
@@ -693,8 +672,8 @@ func (c *compiler) compileGetDescendants(op *algebra.GetDescendants) (builder, e
 		// instead of re-navigating. With both of those caches on nothing
 		// re-invokes this builder or forks its cursor, and the log would
 		// be dead weight.
-		memo := &lazyLog{in: raw}
-		return func() (cursor, error) { return &logCursor{log: memo}, nil }, nil
+		memo := newInput(raw)
+		return func() (cursor, error) { return &inputCursor{in: memo}, nil }, nil
 	}
 	return raw, nil
 }

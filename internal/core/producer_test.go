@@ -231,3 +231,47 @@ func TestProducerRebuiltAfterFailure(t *testing.T) {
 		t.Fatalf("answer after recovery:\n%s\nwant\n%s", xmltree.MarshalXML(got), want)
 	}
 }
+
+// TestSharedInnerRebuiltAfterFailure: a failed derivation of a shared
+// join inner is dropped from the engine, so a query's memoized error
+// does not poison the registry version. With a region cache, the
+// entry's fresh producer derives the inner afresh once the source
+// recovers; without one, so does the next plan.
+func TestSharedInnerRebuiltAfterFailure(t *testing.T) {
+	homes, schools := workload.HomesSchools(10, 8, 3, 7)
+	want := eagerAnswer(t, workload.HomesSchoolsPlan(),
+		map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools})
+	for _, cached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("region cache %v", cached), func(t *testing.T) {
+			src := &flakyDoc{Document: nav.NewTreeDoc(schools)}
+			e := New(DefaultOptions())
+			e.Register("homesSrc", nav.NewTreeDoc(homes))
+			e.Register("schoolsSrc", src)
+			name := ""
+			if cached {
+				e.SetRegionCache(regioncache.New(0))
+				name = "v"
+			}
+			doc := mustCompileAs(t, e, workload.HomesSchoolsPlan(), name).Document()
+			root, err := doc.Root()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.down.Store(true)
+			if _, err := doc.Down(root); err == nil {
+				t.Fatal("the join inner's failure was not reported")
+			}
+			src.down.Store(false)
+			if !cached {
+				doc = mustCompileAs(t, e, workload.HomesSchoolsPlan(), name).Document()
+			}
+			got, err := nav.Materialize(doc)
+			if err != nil {
+				t.Fatalf("after the source recovered: %v", err)
+			}
+			if xmltree.MarshalXML(got) != want {
+				t.Fatalf("answer after recovery:\n%s\nwant\n%s", xmltree.MarshalXML(got), want)
+			}
+		})
+	}
+}

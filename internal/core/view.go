@@ -14,9 +14,10 @@ import (
 // may compile it any number of times, concurrently.
 type View struct {
 	plan    algebra.Op
-	name    string   // region-cache name; "" leaves compiled queries uncached
-	topVars []string // plan.OutVars()
-	sources []string // the source names the plan reads, distinct, in walk order
+	name    string      // region-cache name; "" leaves compiled queries uncached
+	topVars []string    // plan.OutVars()
+	sources []string    // the source names the plan reads, distinct, in walk order
+	chains  []chainSpec // the plan's source-access chains (see share.go)
 
 	// canon and fp are the canonical plan and its fingerprint
 	// (regioncache.Canonical) of a named view.
@@ -58,6 +59,7 @@ func Prepare(plan algebra.Op, name string) (*View, error) {
 	if nested {
 		return nil, errNestedTupleDestroy
 	}
+	v.chains = chainsOf(plan, v.sources)
 	if name != "" {
 		canon, fp, ok := regioncache.Canonical(plan)
 		if !ok {
