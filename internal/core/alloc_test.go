@@ -228,17 +228,17 @@ func TestDescentAllocsPerMatch(t *testing.T) {
 
 // coldJoinGroupByAllocs bounds the allocations of the cold med-home
 // plan: compiled on a fresh engine over fresh sources and drained. It
-// measured 17 543 (Go 1.24, amd64); the bound adds the six that
-// warmOpenAllocs (internal/mediator) adds to its measurement. Since the
-// engine shares the plan's chains (its one reader pays for two inputs)
-// and a keyspace stores each distinct key's tuple in one allocation, it
-// measures 17 302. While
-// key and condition values copied their source subtrees, the same plan
-// made 20 384; while the descent allocated a frame per match and a
-// position per source step, 24 993; before the descent skipped the
-// children of dead-end matches and the binding link shrank to 64
-// bytes, 27 207.
-const coldJoinGroupByAllocs = 17543 + 6
+// measures 15 699 (Go 1.24, amd64); the bound adds the six that
+// warmOpenAllocs (internal/mediator) adds to its measurement. While
+// operator keys were strings, made exact by a per-query keyspace and
+// memoized on the binding, it measured 17 302; before the engine shared
+// the plan's chains and a keyspace stored each distinct key's tuple in
+// one allocation, 17 543. While key and condition values copied their
+// source subtrees, the same plan made 20 384; while the descent
+// allocated a frame per match and a position per source step, 24 993;
+// before the descent skipped the children of dead-end matches and the
+// binding link shrank to 64 bytes, 27 207.
+const coldJoinGroupByAllocs = 15699 + 6
 
 // TestColdJoinGroupByAllocs pins the allocations of one iteration of
 // BenchmarkColdJoinGroupBy.

@@ -18,13 +18,12 @@ import (
 // attributes that participate in the join condition", Section 3).
 //
 // A binding is immutable once an operator hands it out, except for its
-// two memos, which are atomic, and the log link of a chain input (co,
-// guarded by the input's lock): a binding in an engine-wide shared
-// input (see input) is read by the queries of every session at once.
-// The materialization (tree) is published by compare-and-swap, so
-// racing readers agree on one tree; the key memo (keys) is scoped to
-// the keyspace of the query that computed it and is never read by
-// another.
+// value memo (tree) and the log link of a chain input (co, guarded by
+// the input's lock): a binding in an engine-wide shared input (see
+// input) is read by the queries of every session at once. The
+// materialization is published by compare-and-swap, so racing readers
+// agree on one tree. An operator key is computed from the values
+// (key.go), so the binding keeps no per-query state.
 type binding struct {
 	kind   bindKind
 	parent *binding
@@ -42,13 +41,6 @@ type binding struct {
 	// bindLink, projectLink, renameLink: the operator's constant, shared
 	// by every link the operator creates.
 	op *linkOp
-
-	// keys memoizes key() results on the binding a stream element
-	// hands out, so the repeated group/member scans of groupBy
-	// (Appendix A's nextgb/next) pay for key construction once per
-	// binding rather than once per scan. Allocated on first use: most
-	// links are never keyed.
-	keys atomic.Pointer[keyMemo]
 }
 
 type bindKind uint8
@@ -67,27 +59,6 @@ const (
 type linkOp struct {
 	keep     []string
 	from, to string
-}
-
-// keyMemo memoizes the operator keys of one keyspace by their joined
-// variable list ck, one slot per list (a binding is almost always keyed
-// under one). A key's collision slot is the keyspace's, so a memo is
-// read only under the keyspace that wrote it. The list is immutable:
-// key publishes a new head, dropping the memos of any other keyspace,
-// so a binding shared by many queries holds the memos of one at a time.
-type keyMemo struct {
-	ks      *keyspace
-	ck, key string
-	more    *keyMemo
-}
-
-func (m *keyMemo) get(ks *keyspace, ck string) (string, bool) {
-	for ; m != nil; m = m.more {
-		if m.ks == ks && m.ck == ck {
-			return m.key, true
-		}
-	}
-	return "", false
 }
 
 var emptyBinding = &binding{kind: rootLink}

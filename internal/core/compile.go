@@ -185,7 +185,7 @@ func (q *Query) root() Node {
 		input = td.Input
 	}
 	top := &lazyLog{in: func() (cursor, error) {
-		c.ks, c.share = newKeyspace(), q.eng.share && q.rec == nil
+		c.share = q.eng.share && q.rec == nil
 		bb, err := c.compile(input)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,8 +125,8 @@ func TestFingerprintsNavigationIdentical(t *testing.T) {
 }
 
 // withCollidingFingerprints forces every structural fingerprint to one
-// value for the duration of fn, so keyspace disambiguation carries the
-// entire correctness burden.
+// value for the duration of fn, so the Equal check where keys meet
+// carries the entire correctness burden.
 func withCollidingFingerprints(fn func()) {
 	origTree, origAtom := treeFP, atomFP
 	treeFP = func(*xmltree.Tree) xmltree.Fingerprint {
@@ -138,9 +141,9 @@ func withCollidingFingerprints(fn func()) {
 
 // TestFingerprintCollisionFallback: with every value forced into one
 // fingerprint bucket, answers must still equal internal/eager's — the
-// Equal fallback in keyspace.resolve (and the full condition re-check
-// in the hash join) is the only thing separating values, and it must
-// be enough.
+// Equal check where keys meet (and the full condition re-check in the
+// hash join) is the only thing separating values, and it must be
+// enough.
 func TestFingerprintCollisionFallback(t *testing.T) {
 	homes, schools := workload.HomesSchools(25, 25, 4, 17)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -163,35 +166,97 @@ func TestFingerprintCollisionFallback(t *testing.T) {
 	}
 }
 
-// TestKeyspaceSlots exercises resolve directly: equal tuples share a
-// slot, distinct colliding tuples get distinct slots, across
-// interleaved orders.
-func TestKeyspaceSlots(t *testing.T) {
-	ks := newKeyspace()
-	a := []*xmltree.Tree{xmltree.Text("zip", "92093")}
-	a2 := []*xmltree.Tree{xmltree.Text("zip", "92093")} // equal to a
-	b := []*xmltree.Tree{xmltree.Text("zip", "91220")}  // distinct
-	key := "samekey"
-	if got := ks.resolve(key, a); got != 0 {
-		t.Errorf("first tuple slot = %d, want 0", got)
+// keyRows is a source of rows a[x] b[y], one per tuple (x, y).
+func keyRows(tuples [][2]string) *xmltree.Tree {
+	rows := make([]*xmltree.Tree, len(tuples))
+	for i, tp := range tuples {
+		rows[i] = xmltree.Elem("row", xmltree.Text("a", tp[0]), xmltree.Text("b", tp[1]))
 	}
-	if got := ks.resolve(key, b); got != 1 {
-		t.Errorf("colliding distinct tuple slot = %d, want 1", got)
+	return xmltree.Elem("rows", rows...)
+}
+
+// rowValues binds each row of src to $R and its a and b values to $A
+// and $B.
+func rowValues(src string) algebra.Op {
+	var op algebra.Op = &algebra.GetDescendants{Input: &algebra.Source{URL: src, Var: "r"},
+		Parent: "r", Path: pathexpr.MustParse("row"), Out: "R"}
+	for _, v := range []string{"A", "B"} {
+		op = &algebra.GetDescendants{Input: op, Parent: "R",
+			Path: pathexpr.MustParse(strings.ToLower(v) + "._"), Out: v}
 	}
-	if got := ks.resolve(key, a2); got != 0 {
-		t.Errorf("equal tuple re-resolved to %d, want 0", got)
+	return op
+}
+
+// orders returns every ordering of tuples.
+func orders(tuples [][2]string) [][][2]string {
+	if len(tuples) <= 1 {
+		return [][][2]string{tuples}
 	}
-	if got := ks.resolve(key, b); got != 1 {
-		t.Errorf("second distinct tuple re-resolved to %d, want 1", got)
+	var out [][][2]string
+	for i := range tuples {
+		rest := slices.Delete(slices.Clone(tuples), i, i+1)
+		for _, o := range orders(rest) {
+			out = append(out, append([][2]string{tuples[i]}, o...))
+		}
 	}
-	if got := ks.resolve("otherkey", b); got != 0 {
-		t.Errorf("different key must start at slot 0, got %d", got)
-	}
-	// A repeated $H key over an in-memory source is the same source node
-	// again, which xmltree.Equal matches by pointer.
-	h := []*xmltree.Tree{xmltree.Elem("home", xmltree.Text("zip", "92093"))}
-	if ks.resolve("homekey", h) != 0 || ks.resolve("homekey", h) != 0 {
-		t.Errorf("a repeated $H key must resolve to slot 0")
+	return out
+}
+
+// TestCollidingKeysMeetByEqual: with every fingerprint forced to one
+// value, every key meets every other, so only the Equal check where
+// keys meet tells tuples apart. Equal and unequal tuples, interleaved
+// in every order, through groupBy (GroupCache on and off), distinct and
+// difference, keyed on one variable and on two: equal tuples form one
+// group or survivor, unequal ones stay apart, and every answer equals
+// internal/eager's. Equal values are distinct nodes of the source, so
+// no pointer identity decides it.
+func TestCollidingKeysMeetByEqual(t *testing.T) {
+	tuples := [][2]string{{"1", "x"}, {"2", "x"}, {"1", "x"}, {"1", "y"}, {"2", "x"}}
+	right := keyRows([][2]string{{"3", "x"}, {"1", "y"}})
+	noGroupCache := DefaultOptions()
+	noGroupCache.GroupCache = false
+	for _, by := range [][]string{{"A"}, {"A", "B"}} {
+		distinctTuples := map[[2]string]bool{}
+		for _, tp := range tuples {
+			if len(by) == 1 {
+				tp[1] = ""
+			}
+			distinctTuples[tp] = true
+		}
+		plans := map[string]struct {
+			plan   algebra.Op
+			opts   Options
+			output int // bindings in the answer; -1: left to eager alone
+		}{
+			"groupBy": {&algebra.GroupBy{Input: rowValues("L"), By: by, Var: "R", Out: "G"},
+				DefaultOptions(), len(distinctTuples)},
+			"groupBy without GroupCache": {&algebra.GroupBy{Input: rowValues("L"), By: by, Var: "R", Out: "G"},
+				noGroupCache, len(distinctTuples)},
+			"distinct": {&algebra.Distinct{Input: &algebra.Project{Input: rowValues("L"), Keep: by}},
+				DefaultOptions(), len(distinctTuples)},
+			"difference": {&algebra.Difference{
+				Left:  &algebra.Project{Input: rowValues("L"), Keep: by},
+				Right: &algebra.Project{Input: rowValues("Rt"), Keep: by}}, DefaultOptions(), -1},
+		}
+		for name, p := range plans {
+			t.Run(fmt.Sprintf("%s by %v", name, by), func(t *testing.T) {
+				for _, order := range orders(tuples) {
+					srcs := map[string]*xmltree.Tree{"L": keyRows(order), "Rt": right}
+					want := eagerAnswer(t, p.plan, srcs)
+					var got *xmltree.Tree
+					withCollidingFingerprints(func() {
+						e, _ := engineWith(p.opts, srcs)
+						got = mustMaterialize(t, mustCompile(t, e, p.plan))
+					})
+					if xmltree.MarshalXML(got) != want {
+						t.Fatalf("order %v: answer\n%s\nwant\n%s", order, xmltree.MarshalXML(got), want)
+					}
+					if n := len(got.Children); p.output >= 0 && n != p.output {
+						t.Fatalf("order %v: %d bindings, want %d", order, n, p.output)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"maps"
-	"strings"
-
 	"mix/internal/algebra"
 	"mix/internal/xmltree"
 )
@@ -26,9 +23,8 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	by, varName, out := op.By, op.Var, &linkOp{to: op.Out}
-	ks, cache := c.ks, c.e.opts.GroupCache
-	ck, proj := strings.Join(by, "\x01"), &linkOp{keep: by}
+	by, out, cache := op.By, &linkOp{to: op.Out}, c.e.opts.GroupCache
+	spec, proj := &groupSpec{by: by, varName: op.Var}, &linkOp{keep: by}
 	return func() (cursor, error) {
 		if len(by) == 0 {
 			// Grouping by {} yields exactly one output binding — even for
@@ -38,15 +34,14 @@ func (c *compiler) compileGroupBy(op *algebra.GroupBy) (builder, error) {
 			// answer root with zero source accesses.
 			var values list
 			if cache {
-				values = memoize(logValueList{in: &lazyLog{in: in}, varName: varName})
+				values = memoize(logValueList{in: &lazyLog{in: in}, varName: spec.varName})
 			} else {
-				values = scanList{in: in, varName: varName}
+				values = scanList{group: group{groupSpec: spec}, in: in}
 			}
 			b := newBinding().with(out, NewElem(xmltree.ListLabel, values))
 			return &sliceCursor{buf: []*binding{b}}, nil
 		}
-		g := &groupsCursor{ks: ks, by: by, ck: ck, proj: proj,
-			varName: varName, out: out, seen: map[string]bool{}}
+		g := &groupsCursor{spec: spec, proj: proj, out: out, seen: newKeySet(by)}
 		if cache {
 			g.in = &lazyLog{in: in}
 			return g, nil
@@ -88,21 +83,18 @@ func (v logValueList) next() (Node, list, error) {
 }
 
 // groupsCursor emits one output binding per distinct group-by list, in
-// order of first occurrence, keying with the joined variable list
-// precomputed. With GroupCache it scans the shared input log (in);
-// without, it pulls the input cursor (src), so that a fork of src taken
-// at a group head continues the scan exactly after it.
+// order of first occurrence; seen holds each group's head. With
+// GroupCache it scans the shared input log (in); without, it pulls the
+// input cursor (src), so that a fork of src taken at a group head
+// continues the scan exactly after it.
 type groupsCursor struct {
-	in      *lazyLog
-	pos     int
-	src     cursor
-	ks      *keyspace
-	by      []string
-	ck      string
-	proj    *linkOp // projects a group head onto by
-	varName string
-	out     *linkOp // binds the grouped list
-	seen    map[string]bool
+	in   *lazyLog
+	pos  int
+	src  cursor
+	spec *groupSpec
+	proj *linkOp // projects a group head onto by
+	out  *linkOp // binds the grouped list
+	seen *keySet
 }
 
 func (g *groupsCursor) next() (*binding, error) {
@@ -124,27 +116,25 @@ func (g *groupsCursor) next() (*binding, error) {
 		if b == nil {
 			return nil, err
 		}
-		k, err := b.key(g.ck, g.ks, g.by)
+		added, k, err := g.seen.add(b)
 		if err != nil {
 			return nil, err
 		}
 		head := g.pos
 		g.pos++
-		if g.seen[k] {
+		if !added {
 			continue
 		}
-		g.seen[k] = true
 		// New group: its member list starts at the group head and
-		// continues through the rest of the input with the same key. The
-		// output binding keeps the group-by variables (sharing the
+		// continues through the rest of the input with the same values.
+		// The output binding keeps the group-by variables (sharing the
 		// head's links and memoized values) plus the lazy grouped list.
+		grp := group{groupSpec: g.spec, head: b, key: k}
 		var values list
 		if log != nil {
-			values = memoize(memberList{log: log, pos: head, ks: g.ks,
-				by: g.by, key: k, ck: g.ck, varName: g.varName})
+			values = memoize(memberList{group: grp, log: log, pos: head})
 		} else {
-			values = scanList{head: b, from: g.src.fork(), ks: g.ks,
-				by: g.by, key: k, ck: g.ck, varName: g.varName}
+			values = scanList{group: grp, pending: b, from: g.src.fork()}
 		}
 		return b.project(g.proj).with(g.out, NewElem(xmltree.ListLabel, values)), nil
 	}
@@ -152,71 +142,82 @@ func (g *groupsCursor) next() (*binding, error) {
 
 func (g *groupsCursor) fork() cursor {
 	f := *g
-	f.seen = maps.Clone(g.seen)
+	f.seen = g.seen.clone()
 	if g.src != nil {
 		f.src = g.src.fork()
 	}
 	return &f
 }
 
-// memberList is one group's lazy value list: the varName values of the
-// log positions from the group head onward whose group-by key matches.
-type memberList struct {
-	log     *replayLog
-	pos     int
-	ks      *keyspace
+// groupSpec is a groupBy's constant: the group-by variables, and the
+// variable whose values a group lists.
+type groupSpec struct {
 	by      []string
-	key     string
-	ck      string
 	varName string
 }
 
+// group identifies one group's members, for its value list: the
+// bindings whose values of by are the head's. A member's key equals the
+// head's, and its values are Equal to the head's.
+type group struct {
+	*groupSpec
+	head *binding
+	key  xmltree.Fingerprint
+}
+
+func (g *group) member(b *binding) (bool, error) {
+	k, err := b.key(g.by)
+	if err != nil || k != g.key {
+		return false, err
+	}
+	return sameValues(b, g.head, g.by)
+}
+
+// memberList is one group's lazy value list: the varName values of the
+// log positions from the group head onward that are members.
+type memberList struct {
+	group
+	log *replayLog
+	pos int
+}
+
 func (m memberList) next() (Node, list, error) {
-	pos := m.pos
 	for {
-		b, err := m.log.at(pos)
-		if err != nil {
-			return nil, nil, err
-		}
+		b, err := m.log.at(m.pos)
 		if b == nil {
-			return nil, nil, nil
+			return nil, nil, err
 		}
-		k, err := b.key(m.ck, m.ks, m.by)
+		m.pos++
+		ok, err := m.member(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		pos++
-		if k != m.key {
+		if !ok {
 			continue
 		}
 		n, err := b.node(m.varName)
 		if err != nil {
 			return nil, nil, err
 		}
-		return n, memberList{log: m.log, pos: pos, ks: m.ks, by: m.by,
-			key: m.key, ck: m.ck, varName: m.varName}, nil
+		return n, m, nil
 	}
 }
 
 // scanList is a group's value list with GroupCache off. Nothing is
 // kept between visits: each step pulls a fork of from — the input
 // cursor as it stood after the previous member, never advanced itself —
-// until the next binding with the group's key, re-deriving every
-// binding it crosses. Forking is what keeps the list persistent: any
-// saved handle continues from its own snapshot.
+// until the next member, re-deriving every binding it crosses. Forking
+// is what keeps the list persistent: any saved handle continues from
+// its own snapshot.
 type scanList struct {
-	head    *binding // the group head: emitted first, from is already past it
+	group
+	pending *binding // the group head: emitted first, from is already past it
 	from    cursor   // input snapshot after the previous member; nil only for
 	in      builder  // the head of a by = {} list, which derives the input from in
-	ks      *keyspace
-	by      []string
-	key     string
-	ck      string
-	varName string
 }
 
 func (m scanList) next() (Node, list, error) {
-	b, cur := m.head, m.from
+	b, cur := m.pending, m.from
 	if b == nil {
 		if cur != nil {
 			cur = cur.fork()
@@ -232,11 +233,11 @@ func (m scanList) next() (Node, list, error) {
 				return nil, nil, err
 			}
 			if len(m.by) > 0 {
-				k, err := nb.key(m.ck, m.ks, m.by)
+				ok, err := m.member(nb)
 				if err != nil {
 					return nil, nil, err
 				}
-				if k != m.key {
+				if !ok {
 					continue
 				}
 			}
@@ -247,6 +248,6 @@ func (m scanList) next() (Node, list, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m.head, m.from = nil, cur
+	m.pending, m.from = nil, cur
 	return n, m, nil
 }

@@ -1,6 +1,9 @@
 package core
 
-import "mix/internal/algebra"
+import (
+	"mix/internal/algebra"
+	"mix/internal/xmltree"
+)
 
 // Hash equi-join.
 //
@@ -54,25 +57,14 @@ func varSet(vars []string) map[string]bool {
 	return m
 }
 
-// atomKeyFP is the bucket key: 16 bytes per key variable,
-// hashing the value's *atomic form* (AtomFingerprint), never its
-// structure — atom equality is what Cmp applies to mixed element/leaf
-// comparisons, so the bucket key stays a necessary condition for the
-// join condition. Collisions are harmless here (unlike operator keys):
-// the full condition is re-evaluated on every probed pair anyway, so a
-// colliding pair merely costs one wasted evaluation. Up to fpKeyVars
-// variables the key bytes live on the stack, as fpKey's do.
-func atomKeyFP(b *binding, vars []string) (string, error) {
-	var rawBuf [fpKeyVars * 16]byte
-	raw := rawBuf[:0]
-	for _, v := range vars {
-		t, err := b.Value(v)
-		if err != nil {
-			return "", err
-		}
-		raw = atomFP(t).AppendKey(raw)
-	}
-	return string(raw), nil
+// atomKey is the bucket key: the fingerprints of the key variables'
+// *atomic forms* (AtomFingerprint), never their structure — atom
+// equality is what Cmp applies to mixed element/leaf comparisons, so
+// the bucket key stays a necessary condition for the join condition.
+// A colliding pair costs one evaluation of the condition, which is
+// re-evaluated on every probed pair anyway.
+func atomKey(b *binding, vars []string) (xmltree.Fingerprint, error) {
+	return b.keyBy(atomFP, vars)
 }
 
 // compileJoin compiles a join. With JoinCache the inner input is
@@ -118,7 +110,7 @@ func (c *compiler) compileJoin(op *algebra.Join) (builder, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx := &hashIndex{right: right, keys: rk, buckets: map[string][]*binding{}}
+			idx := &hashIndex{right: right, keys: rk}
 			return &hashJoinCursor{out: lc, idx: idx, cond: cond, lkeys: lk}, nil
 		}, nil
 	}
@@ -202,7 +194,7 @@ type hashIndex struct {
 	right   builder
 	src     cursor // nil until first advance, nil again when done
 	keys    []string
-	buckets map[string][]*binding
+	buckets map[xmltree.Fingerprint][]*binding
 	done    bool
 	err     error // the failure that ended the index, for every later probe
 }
@@ -210,7 +202,7 @@ type hashIndex struct {
 // probe returns the binding at position pos of the bucket under key,
 // advancing the index until the bucket has it; nil once the inner input
 // is exhausted (or the memoized failure).
-func (h *hashIndex) probe(key string, pos int) (*binding, error) {
+func (h *hashIndex) probe(key xmltree.Fingerprint, pos int) (*binding, error) {
 	if h.in != nil {
 		h.in.mu.Lock()
 	}
@@ -254,10 +246,13 @@ func (h *hashIndex) advance() (bool, error) {
 		h.done, h.err, h.src = true, err, nil
 		return false, err
 	}
-	k, err := atomKeyFP(b, h.keys)
+	k, err := atomKey(b, h.keys)
 	if err != nil {
 		h.done, h.err, h.src = true, err, nil
 		return false, err
+	}
+	if h.buckets == nil {
+		h.buckets = map[xmltree.Fingerprint][]*binding{}
 	}
 	h.buckets[k] = append(h.buckets[k], b)
 	loggedBindings.Add(1)
@@ -272,9 +267,9 @@ type hashJoinCursor struct {
 	idx   *hashIndex
 	cond  algebra.Cond
 	lkeys []string
-	lb    *binding // current outer binding
-	key   string   // its bucket key
-	pos   int      // next unexamined position in its bucket
+	lb    *binding            // current outer binding
+	key   xmltree.Fingerprint // its bucket key
+	pos   int                 // next unexamined position in its bucket
 }
 
 func (c *hashJoinCursor) next() (*binding, error) {
@@ -284,7 +279,7 @@ func (c *hashJoinCursor) next() (*binding, error) {
 			if lb == nil {
 				return nil, err
 			}
-			k, err := atomKeyFP(lb, c.lkeys)
+			k, err := atomKey(lb, c.lkeys)
 			if err != nil {
 				return nil, err
 			}

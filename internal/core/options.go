@@ -46,7 +46,7 @@ import (
 //
 // Whatever the options, equality-heavy operators (distinct, groupBy,
 // difference, hash-join buckets) key on structural fingerprints (see
-// keyspace.go) and getDescendants steps a lazily-determinized path DFA.
+// key.go) and getDescendants steps a lazily-determinized path DFA.
 type Options struct {
 	JoinCache    bool
 	PathCache    bool

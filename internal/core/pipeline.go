@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"mix/internal/algebra"
@@ -439,14 +437,10 @@ func (c *chainCursor) fork() cursor {
 	return &f
 }
 
-// distinctCursor keeps first occurrences, keying with the joined
-// variable list precomputed.
+// distinctCursor keeps first occurrences.
 type distinctCursor struct {
 	in   cursor
-	ks   *keyspace
-	vars []string
-	ck   string
-	seen map[string]bool
+	seen *keySet
 }
 
 func (d *distinctCursor) next() (*binding, error) {
@@ -455,12 +449,11 @@ func (d *distinctCursor) next() (*binding, error) {
 		if b == nil {
 			return nil, err
 		}
-		k, err := b.key(d.ck, d.ks, d.vars)
+		added, _, err := d.seen.add(b)
 		if err != nil {
 			return nil, err
 		}
-		if !d.seen[k] {
-			d.seen[k] = true
+		if added {
 			return b, nil
 		}
 	}
@@ -468,20 +461,19 @@ func (d *distinctCursor) next() (*binding, error) {
 
 func (d *distinctCursor) fork() cursor {
 	f := *d
-	f.in, f.seen = d.in.fork(), maps.Clone(d.seen)
+	f.in, f.seen = d.in.fork(), d.seen.clone()
 	return &f
 }
 
-// diffCursor emits the left bindings whose key tuple the right input
-// never produced. The right side is drained in full — but only once the
-// first left binding exists, and never if the left input is empty.
+// diffCursor emits the left bindings whose values of vars the right
+// input never produced. The right side is drained in full — but only
+// once the first left binding exists, and never if the left input is
+// empty.
 type diffCursor struct {
 	in    cursor
 	right builder
-	ks    *keyspace
 	vars  []string
-	ck    string
-	seen  map[string]bool
+	seen  *keySet
 }
 
 func (d *diffCursor) next() (*binding, error) {
@@ -491,29 +483,39 @@ func (d *diffCursor) next() (*binding, error) {
 			return nil, err
 		}
 		if d.seen == nil {
-			rc, err := d.right()
-			if err != nil {
-				return nil, err
-			}
-			all, err := drain(rc)
-			if err != nil {
-				return nil, err
-			}
-			if d.seen, err = keySeen(all, d.ks, d.vars); err != nil {
+			if d.seen, err = d.drainRight(); err != nil {
 				return nil, err
 			}
 		}
-		k, err := b.key(d.ck, d.ks, d.vars)
+		h, _, err := d.seen.find(b)
 		if err != nil {
 			return nil, err
 		}
-		if !d.seen[k] {
+		if h == nil {
 			return b, nil
 		}
 	}
 }
 
-// fork shares the right-side key set rather than copying it: once built
+// drainRight holds every distinct right-side tuple.
+func (d *diffCursor) drainRight() (*keySet, error) {
+	rc, err := d.right()
+	if err != nil {
+		return nil, err
+	}
+	seen := newKeySet(d.vars)
+	for {
+		b, err := rc.next()
+		if b == nil {
+			return seen, err
+		}
+		if _, _, err := seen.add(b); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// fork shares the right-side set rather than copying it: once built
 // it is never written again, and the first pull — which precedes any
 // fork — builds it.
 func (d *diffCursor) fork() cursor {
@@ -553,6 +555,18 @@ func (s *sortCursor) fork() cursor {
 		f.in = s.in.fork()
 	}
 	return &f
+}
+
+// compiler carries the per-build state threaded through plan
+// compilation: the engine (options, interner), the query being built
+// (its recorder and the source documents Compile resolved), and whether
+// the build reads the engine's shared inputs (see compiler.shared).
+// Pipelines of one engine may be built concurrently, so per-build state
+// lives here rather than on the Engine.
+type compiler struct {
+	e     *Engine
+	q     *Query
+	share bool
 }
 
 // compile builds the cursor constructor for a plan node: a reader of
@@ -767,14 +781,12 @@ func (c *compiler) compileDifference(op *algebra.Difference) (builder, error) {
 		return nil, err
 	}
 	vars := op.Left.OutVars()
-	ks := c.ks
 	return func() (cursor, error) {
 		lc, err := lb()
 		if err != nil {
 			return nil, err
 		}
-		return &diffCursor{in: lc, right: rb, ks: ks, vars: vars,
-			ck: strings.Join(vars, "\x01")}, nil
+		return &diffCursor{in: lc, right: rb, vars: vars}, nil
 	}, nil
 }
 
@@ -784,14 +796,12 @@ func (c *compiler) compileDistinct(op *algebra.Distinct) (builder, error) {
 		return nil, err
 	}
 	vars := op.Input.OutVars()
-	ks := c.ks
 	return func() (cursor, error) {
 		cur, err := in()
 		if err != nil {
 			return nil, err
 		}
-		return &distinctCursor{in: cur, ks: ks, vars: vars,
-			ck: strings.Join(vars, "\x01"), seen: map[string]bool{}}, nil
+		return &distinctCursor{in: cur, seen: newKeySet(vars)}, nil
 	}, nil
 }
 
@@ -842,19 +852,4 @@ func sortBindings(all []*binding, keys []string) ([]*binding, error) {
 		out[i] = r.b
 	}
 	return out, nil
-}
-
-// keySeen builds the membership set of the operator keys of all
-// bindings (the difference right side).
-func keySeen(all []*binding, ks *keyspace, vars []string) (map[string]bool, error) {
-	ck := strings.Join(vars, "\x01")
-	seen := make(map[string]bool, len(all))
-	for _, b := range all {
-		k, err := b.key(ck, ks, vars)
-		if err != nil {
-			return nil, err
-		}
-		seen[k] = true
-	}
-	return seen, nil
 }

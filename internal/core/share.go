@@ -173,8 +173,7 @@ func (in *input) index(keys []string) *hashIndex {
 			return h
 		}
 	}
-	h := &hashIndex{in: in, src: &inputCursor{in: in, held: true}, keys: keys,
-		buckets: map[string][]*binding{}}
+	h := &hashIndex{in: in, src: &inputCursor{in: in, held: true}, keys: keys}
 	in.idx = append(in.idx, h)
 	return h
 }

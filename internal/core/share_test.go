@@ -23,6 +23,9 @@ const (
 WHERE homesSrc homes.home $H AND $H zip._ $V1 AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2 AND $V1 > "%d"`
 	bySchoolText = `CONSTRUCT <byschool> <sch> $S $H {$H} </sch> {$S} </byschool> {}
 WHERE schoolsSrc schools.school $S AND $S zip._ $V2 AND homesSrc homes.home $H AND $H zip._ $V1 AND $V1 = $V2 AND $V2 > "%d"`
+	// by-zip: a groupBy directly over a σ on a shared chain.
+	byZipText = `CONSTRUCT <zips> <z> $V $H {$H} </z> {$V} </zips> {}
+WHERE homesSrc homes.home $H AND $H zip._ $V AND $V > "%d"`
 )
 
 // literalView prepares the rewritten plan of text with lit bound.
@@ -131,10 +134,12 @@ func TestSecondLiteralReadsSharedInputs(t *testing.T) {
 // secondLiteralAllocs bounds the allocations of a med-home literal on
 // an engine whose shared inputs an earlier literal derived in full:
 // its compile and a full scan of its answer (walkAnswers), over the
-// sources of TestColdJoinGroupByAllocs. It measured 6 114 (Go 1.24,
-// amd64); the bound adds six, as coldJoinGroupByAllocs does. The same
-// scan on an engine that shares nothing makes 8 983.
-const secondLiteralAllocs = 6114 + 6
+// sources of TestColdJoinGroupByAllocs. It measures 4 774 (Go 1.24,
+// amd64); the bound adds six, as coldJoinGroupByAllocs does. While
+// operator keys were strings made exact by a per-query keyspace, it
+// measured 6 114. The same scan on an engine that shares nothing made
+// 8 983 then.
+const secondLiteralAllocs = 4774 + 6
 
 // TestSecondLiteralAllocs pins the allocations of a literal that reads
 // its chains and its join index from the engine.
@@ -175,11 +180,10 @@ func TestSecondLiteralAllocs(t *testing.T) {
 // zip chains), answers as internal/eager does. Hash and nested-loops
 // joins over a shared inner and groupBy, distinct and difference keying
 // shared bindings are among them. With every value forced into one
-// fingerprint, the plans' keys differ only in their keyspaces' slots,
-// so a key memoized by one query and read by another would show: the
-// sweep starts with a groupBy that keys only the 91000 bindings, so
-// the next groupBy over every zip would file another zip under the
-// 91000 group's key.
+// fingerprint, every key of every plan is one value, so only the Equal
+// check where keys meet tells zips apart: the sweep starts with a
+// groupBy that keys only the 91000 bindings, and a later groupBy over
+// every zip that trusted a key would file every zip under the first.
 func TestSharedInputsMatchEager(t *testing.T) {
 	homes, schools := workload.HomesSchools(23, 17, 5, 3)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -305,10 +309,12 @@ func TestSharedInputsBounded(t *testing.T) {
 // TestSharedInputsConcurrentPlans: sessions drain med-home plans for
 // several literals and by-school plans on one engine with a region
 // cache, all at once; a shared chain and a shared join index are read
-// by many of them together (run it under -race). So do sessions of an
-// uncached plan whose chain ends in a dynamic-label createElement,
-// whose lazy elements the sessions resolve. Every answer equals
-// internal/eager's.
+// by many of them together (run it under -race). So do sessions of
+// by-zip plans and of a distinct, each directly over a σ on a shared
+// chain, which key the chain's own bindings at several literals at
+// once, and sessions of an uncached plan whose chain ends in a
+// dynamic-label createElement, whose lazy elements the sessions
+// resolve. Every answer equals internal/eager's.
 func TestSharedInputsConcurrentPlans(t *testing.T) {
 	homes, schools := workload.HomesSchools(60, 40, 8, 5)
 	trees := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
@@ -322,7 +328,15 @@ func TestSharedInputsConcurrentPlans(t *testing.T) {
 	var views []*View
 	for i, lit := range []int{91000, 91001, 91003, 91005} {
 		views = append(views, literalView(t, medHomeText, lit, "med-home"),
-			literalView(t, bySchoolText, lit+i%2, "by-school"))
+			literalView(t, bySchoolText, lit+i%2, "by-school"),
+			literalView(t, byZipText, lit, "by-zip"),
+			// The distinct zips above lit, keyed on the chain's two
+			// variables: the source root and the zip.
+			mustPrepare(t, &algebra.Distinct{Input: &algebra.Select{
+				Input: &algebra.GetDescendants{Input: &algebra.Source{URL: "homesSrc", Var: "R"},
+					Parent: "R", Path: pathexpr.MustParse("home.zip._"), Out: "V"},
+				Cond: &algebra.Cmp{Op: algebra.OpGt, L: algebra.V("V"), R: algebra.Lit(fmt.Sprint(lit))},
+			}}, ""))
 	}
 	// Each home, relabeled by its zip code.
 	views = append(views, mustPrepare(t, &algebra.Project{
@@ -371,7 +385,7 @@ func TestSharedInputsConcurrentPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := sharedCount(e); n != 5 {
-		t.Errorf("%d shared inputs, want the 4 chains of the two templates and the relabeling chain", n)
+	if n := sharedCount(e); n != 7 {
+		t.Errorf("%d shared inputs, want the 4 chains of the two join templates, the by-zip, distinct and relabeling chains", n)
 	}
 }

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -16,7 +15,7 @@ import (
 //
 //	Equal(t, u)  ⇒  t.Fingerprint() == u.Fingerprint()
 //
-// so operators can compare 16 bytes instead of strings; the (vanishing,
+// so operators can compare 16-byte values instead of strings; the (vanishing,
 // but possible) converse failure — two structurally different trees
 // with the same fingerprint — is handled by the callers' collision
 // fallback, which re-checks Equal on fingerprint-equal values.
@@ -45,13 +44,15 @@ type Fingerprint struct {
 // in), so zero doubles as "absent".
 func (f Fingerprint) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
 
-// AppendKey appends the fingerprint's 16 bytes (big-endian Hi then Lo)
-// to dst — the compact map-key form used by operator key strings.
-func (f Fingerprint) AppendKey(dst []byte) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], f.Hi)
-	binary.BigEndian.PutUint64(b[8:], f.Lo)
-	return append(dst, b[:]...)
+// Fold continues the FNV-1a hash f over g's 16 bytes, as a node's hash
+// continues over its children's fingerprints. Folding the fingerprints
+// of a tuple of trees, in order, keys the tuple by one comparable
+// value: equal tuples fold equal. It allocates nothing.
+func (f Fingerprint) Fold(g Fingerprint) Fingerprint {
+	s := fnv128a{hi: f.Hi, lo: f.Lo}
+	s.writeUint64(g.Hi)
+	s.writeUint64(g.Lo)
+	return Fingerprint{Hi: s.hi, Lo: s.lo}
 }
 
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }

@@ -129,17 +129,18 @@ func TestAtomFingerprint(t *testing.T) {
 	}
 }
 
-func TestFingerprintAppendKey(t *testing.T) {
-	fp := Fingerprint{Hi: 0x0102030405060708, Lo: 0x090a0b0c0d0e0f10}
-	key := fp.AppendKey(nil)
-	if len(key) != 16 {
-		t.Fatalf("AppendKey length = %d, want 16", len(key))
+// TestFingerprintFold: a folded tuple key depends on every member and
+// on their order, and equal tuples fold equal.
+func TestFingerprintFold(t *testing.T) {
+	a, b := Text("zip", "92093").Fingerprint(), Text("zip", "91220").Fingerprint()
+	if a.Fold(b) != Text("zip", "92093").Fingerprint().Fold(Text("zip", "91220").Fingerprint()) {
+		t.Errorf("equal tuples must fold equal")
 	}
-	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	for i := range want {
-		if key[i] != want[i] {
-			t.Fatalf("AppendKey = %x, want %x", key, want)
-		}
+	if a.Fold(b) == b.Fold(a) {
+		t.Errorf("folding must depend on the order")
+	}
+	if a.Fold(b) == a.Fold(a) || a.Fold(b) == a || a.Fold(b).IsZero() {
+		t.Errorf("a fold must (virtually always) differ from its parts and from other tuples")
 	}
 }
 
