@@ -200,7 +200,7 @@ func TestBindingLinkSize(t *testing.T) {
 // position and its binding link, plus a constant for the cursor and
 // its stack.
 func TestDescentAllocsPerMatch(t *testing.T) {
-	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")), nil)
+	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")))
 	for _, n := range []int{100, 1000} {
 		homes, _ := workload.HomesSchools(n, 0, 5, 3)
 		doc := nav.NewTreeDoc(xmltree.Elem("doc", homes))

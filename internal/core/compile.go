@@ -37,14 +37,8 @@ type Engine struct {
 	regMu sync.RWMutex
 	reg   map[string]nav.Document
 
-	// intern canonicalizes the label vocabulary the engine's DFA caches
-	// key on; shared across all plans compiled by this engine.
-	intern *xmltree.Interner
-
-	// dfas keeps the automaton of each path expression, keyed by its
-	// canonical string, for the engine's lifetime (see pathDFA).
-	dfaMu sync.Mutex
-	dfas  map[string]*pathexpr.DFA
+	// paths is the engine's table of path automata (see Automata).
+	paths atomic.Pointer[Automata]
 
 	// share is set for the all-caches engine, whose untraced queries
 	// read their source-access chains from shared, one input per chain
@@ -54,27 +48,55 @@ type Engine struct {
 	shared  []*input
 }
 
-// maxDFAs caps the engine's automaton memo; a path first seen past the
-// cap gets a private automaton, as a fresh compile would.
+// Automata is a table of path automata, one per path expression, keyed
+// by its canonical string. Every open of every plan on an engine steps
+// its engine's table, so transitions determinized by one descent are
+// lookups for the next. An automaton depends on its expression alone —
+// not on a source, a registry version, an option or a view — so
+// Register keeps the table, and engines of successive source epochs may
+// share one (see Engine.UseAutomata). Safe for concurrent use.
+type Automata struct {
+	mu sync.Mutex
+	m  map[string]*pathexpr.DFA
+}
+
+// newAutomata returns an empty automaton table.
+func newAutomata() *Automata { return &Automata{m: map[string]*pathexpr.DFA{}} }
+
+// maxDFAs caps an automaton table; a full table drops an arbitrary
+// automaton to make room, so a table that outlives many epochs keeps
+// memoizing the paths its queries use now.
 const maxDFAs = 256
 
-// pathDFA returns the lazy DFA of path p. Every open of every plan on
-// the engine shares one automaton per path, so transitions determinized
-// by one descent are map hits for the next. Automata depend on the
-// expression alone, so Register keeps them.
-func (e *Engine) pathDFA(p *pathexpr.Expr) *pathexpr.DFA {
+// dfa returns the automaton of path p, building and keeping it on
+// first use.
+func (a *Automata) dfa(p *pathexpr.Expr) *pathexpr.DFA {
 	key := p.String()
-	e.dfaMu.Lock()
-	defer e.dfaMu.Unlock()
-	if d, ok := e.dfas[key]; ok {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if d, ok := a.m[key]; ok {
 		return d
 	}
-	d := pathexpr.NewDFA(pathexpr.Compile(p), e.intern)
-	if len(e.dfas) < maxDFAs {
-		e.dfas[key] = d
+	if len(a.m) >= maxDFAs {
+		for k := range a.m {
+			delete(a.m, k)
+			break
+		}
 	}
+	d := pathexpr.NewDFA(pathexpr.Compile(p))
+	a.m[key] = d
 	return d
 }
+
+// Automata returns the engine's automaton table.
+func (e *Engine) Automata() *Automata { return e.paths.Load() }
+
+// UseAutomata makes plans compiled afterwards step the automata of a,
+// typically the table of the engine an earlier source epoch built.
+func (e *Engine) UseAutomata(a *Automata) { e.paths.Store(a) }
+
+// pathDFA returns the automaton of path p from the engine's table.
+func (e *Engine) pathDFA(p *pathexpr.Expr) *pathexpr.DFA { return e.paths.Load().dfa(p) }
 
 // Register makes doc available to plans under the given source name.
 // Registering an existing name replaces the source. The shared inputs

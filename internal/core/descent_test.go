@@ -135,7 +135,7 @@ func TestPrunedDescentMatchesNFA(t *testing.T) {
 		want := nfaMatches(pathexpr.Compile(expr), tree)
 		td := nav.NewTreeDoc(tree)
 		root, _ := td.Root()
-		dfa := pathexpr.NewDFA(pathexpr.Compile(expr), nil)
+		dfa := pathexpr.NewDFA(pathexpr.Compile(expr))
 
 		pruned := nav.NewCountingDoc(td)
 		got := drainMatches(t, newDescent(dfa, &srcPos{doc: pruned, id: root}))
@@ -172,7 +172,7 @@ func TestPrunedDescentSkipsMatchChildren(t *testing.T) {
 	homes, _ := workload.HomesSchools(20, 0, 5, 3)
 	cd := nav.NewCountingDoc(nav.NewTreeDoc(xmltree.Elem("doc", homes)))
 	root, _ := cd.Root()
-	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")), nil)
+	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("homes.home")))
 	cd.Counters.Reset()
 	n := len(drainMatches(t, newDescent(dfa, &srcPos{doc: cd, id: root})))
 	// d and f on homes, then per home one r (d for the first) and one f,
@@ -199,7 +199,7 @@ func TestDescentForkIndependent(t *testing.T) {
 		"source":      src,
 		"constructed": NewElem("c", consList{head: FromTree(built), tail: singletonList(src)}),
 	}
-	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("_*.b")), nil)
+	dfa := pathexpr.NewDFA(pathexpr.Compile(pathexpr.MustParse("_*.b")))
 	identities := func(nodes []Node) []*xmltree.Tree {
 		out := make([]*xmltree.Tree, len(nodes))
 		for i, n := range nodes {
@@ -301,14 +301,15 @@ func TestSharedAutomataConcurrentOpens(t *testing.T) {
 	if _, _, after := pathexpr.DFAStats(); after != before {
 		t.Fatalf("a warm pass materialized %d automaton states", after-before)
 	}
-	e.dfaMu.Lock()
-	defer e.dfaMu.Unlock()
+	a := e.Automata()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	// The fused label scan steps no automaton, so some plan paths may
 	// have none; no path has two.
-	if len(e.dfas) > len(paths) {
-		t.Fatalf("%d automata for %d distinct paths", len(e.dfas), len(paths))
+	if len(a.m) > len(paths) {
+		t.Fatalf("%d automata for %d distinct paths", len(a.m), len(paths))
 	}
-	for key := range e.dfas {
+	for key := range a.m {
 		if !paths[key] {
 			t.Fatalf("automaton for %q, which no plan names", key)
 		}
@@ -316,8 +317,9 @@ func TestSharedAutomataConcurrentOpens(t *testing.T) {
 }
 
 // TestAutomatonMemoBounded: a flood of distinct paths leaves the
-// engine's automaton memo at its cap, and the paths past the cap, on
-// private automata, still answer as internal/eager does.
+// engine's automaton memo at its cap, every path answers as
+// internal/eager does, and a path first seen once the memo is full is
+// still memoized: its second open materializes no automaton state.
 func TestAutomatonMemoBounded(t *testing.T) {
 	src := xmltree.Elem("r", xmltree.Elem("a", xmltree.Leaf("1")), xmltree.Elem("b", xmltree.Leaf("2")))
 	srcs := map[string]*xmltree.Tree{"s": src}
@@ -332,9 +334,23 @@ func TestAutomatonMemoBounded(t *testing.T) {
 			t.Fatalf("path %d: answer differs from eager:\n%s\nvs\n%s", i, got, want)
 		}
 	}
-	e.dfaMu.Lock()
-	defer e.dfaMu.Unlock()
-	if len(e.dfas) > maxDFAs {
-		t.Fatalf("%d automata memoized, cap %d", len(e.dfas), maxDFAs)
+	late := func() algebra.Op {
+		return &algebra.GetDescendants{Input: &algebra.Source{URL: "s", Var: "R"}, Parent: "R",
+			Path: pathexpr.MustParse("(b|late)._"), Out: "X"}
+	}
+	mustMaterialize(t, mustCompile(t, e, late()))
+	_, _, before := pathexpr.DFAStats()
+	got := xmltree.MarshalXML(mustMaterialize(t, mustCompile(t, e, late())))
+	if _, _, after := pathexpr.DFAStats(); after != before {
+		t.Fatalf("the second open of a path first seen past the cap materialized %d automaton states", after-before)
+	}
+	if want := eagerAnswer(t, late(), srcs); got != want {
+		t.Fatalf("late path: answer differs from eager:\n%s\nvs\n%s", got, want)
+	}
+	a := e.Automata()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.m) > maxDFAs {
+		t.Fatalf("%d automata memoized, cap %d", len(a.m), maxDFAs)
 	}
 }

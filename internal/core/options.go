@@ -1,10 +1,6 @@
 package core
 
-import (
-	"mix/internal/nav"
-	"mix/internal/pathexpr"
-	"mix/internal/xmltree"
-)
+import "mix/internal/nav"
 
 // Options control the operator-local caches and the navigation command
 // set, mirroring the knobs the paper discusses:
@@ -63,6 +59,7 @@ func DefaultOptions() Options {
 // cache — the paper's fully naive evaluator; New(DefaultOptions()) is
 // the all-defaults engine.
 func New(o Options) *Engine {
-	return &Engine{opts: o, reg: map[string]nav.Document{}, intern: xmltree.NewInterner(),
-		dfas: map[string]*pathexpr.DFA{}, share: o == DefaultOptions()}
+	e := &Engine{opts: o, reg: map[string]nav.Document{}, share: o == DefaultOptions()}
+	e.paths.Store(newAutomata())
+	return e
 }

@@ -15,7 +15,7 @@ import (
 // encoding/json path would pay one intermediate struct, one conversion
 // and several small allocations per node, per direction. The encoder
 // writes response JSON directly from []*xmltree.Tree, and the decoder
-// builds trees straight from the payload — arena nodes, interned labels.
+// builds trees straight from the payload — block nodes, interned labels.
 // The bytes on the wire are exactly what encoding/json renders for the
 // request/response structs (field order, omitempty holes, "trees":null
 // vs [], sorted "many" keys, HTML-safe string escaping). The decoder
@@ -148,16 +148,78 @@ func writeResponse(w io.Writer, lr *leanResponse) error {
 // encodeRequest write: fixed key order, no whitespace. The first thing
 // out of that shape sets bad, after which every method is a no-op, and
 // the caller decodes the payload with encoding/json instead. Trees are
-// built from an arena with interned labels, on either path.
+// built with interned labels from blocks sized to the frame (see
+// reserve), on either path.
 type decoder struct {
 	b       []byte
 	i       int
 	bad     bool
 	depth   int // open {/[ nesting, bounded like encoding/json
 	in      *xmltree.Interner
-	arena   *xmltree.Arena
+	nodes   []xmltree.Tree  // the frame's current node block, carved front to back
+	kids    []*xmltree.Tree // the frame's current child-pointer block, likewise
+	left    int             // nodes counted in the frame and not yet in a block
+	kidLeft int             // child pointers likewise
 	scratch []*xmltree.Tree
 	unq     []byte // the last escaped string, unquoted
+}
+
+// maxBlock caps a block, in nodes. A frame's count is a scan, not a
+// parse, so a frame that turns out malformed (or non-canonical) has
+// cost at most one block of each kind before it is refused.
+const maxBlock = 1 << 10
+
+// reserve sizes the blocks of a frame of n nodes. Every node sits in
+// exactly one list — a child list, the trees list or a many list — so
+// n child pointers hold every list. Blocks are allocated as the parse
+// reaches them, at most maxBlock nodes each; a frame of up to maxBlock
+// nodes gets one block of each kind, exactly sized. The blocks belong
+// to this frame alone: its trees live exactly as long as whoever holds
+// them, and no other frame's nodes keep them alive.
+func (d *decoder) reserve(n int) {
+	d.nodes, d.kids = nil, nil
+	d.left, d.kidLeft = n, n
+}
+
+// newNode carves a node off the node block. A frame whose count runs
+// short (only a miscounted frame can) costs a node of its own.
+func (d *decoder) newNode(label string) *xmltree.Tree {
+	if len(d.nodes) == 0 {
+		if d.left == 0 {
+			return &xmltree.Tree{Label: label}
+		}
+		k := min(d.left, maxBlock)
+		d.nodes, d.left = make([]xmltree.Tree, k), d.left-k
+	}
+	t := &d.nodes[0]
+	d.nodes = d.nodes[1:]
+	t.Label = label
+	return t
+}
+
+// list copies a list's trees into the child-pointer block and returns
+// it, nil when empty. It has no spare capacity, so appending to it
+// cannot clobber a neighbour.
+func (d *decoder) list(trees []*xmltree.Tree) []*xmltree.Tree {
+	n := len(trees)
+	if n == 0 {
+		return nil
+	}
+	if len(d.kids) < n {
+		// The rest of the current block goes back to the count.
+		if left := d.kidLeft + len(d.kids); left >= n {
+			k := max(n, min(left, maxBlock))
+			d.kids, d.kidLeft = make([]*xmltree.Tree, k), left-k
+		}
+	}
+	var out []*xmltree.Tree
+	if len(d.kids) >= n {
+		out, d.kids = d.kids[:n:n], d.kids[n:]
+	} else {
+		out = make([]*xmltree.Tree, n)
+	}
+	copy(out, trees)
+	return out
 }
 
 // maxDecodeDepth is encoding/json's nesting bound: a payload too deep
@@ -239,17 +301,16 @@ func (d *decoder) uint() uint64 {
 	return n
 }
 
+// nodeOpen begins every node of a canonical payload and occurs nowhere
+// else in one: inside a JSON string its quotes would be escaped.
+var nodeOpen = []byte(`{"l":`)
+
 // decodeResponse parses one response payload. in may be nil (labels
-// are then plain strings); arena may be nil (a throwaway arena is used
-// then). A long-lived caller such as Client passes a persistent arena
-// so node chunks amortize across many small frames.
-// The result is written into lr (reset first) so short-lived callers
-// can keep it on the stack.
-func decodeResponse(payload []byte, in *xmltree.Interner, arena *xmltree.Arena, lr *leanResponse) error {
-	if arena == nil {
-		arena = new(xmltree.Arena)
-	}
-	d := decoder{b: payload, in: in, arena: arena}
+// are then plain strings). The result is written into lr (reset first)
+// so short-lived callers can keep it on the stack.
+func decodeResponse(payload []byte, in *xmltree.Interner, lr *leanResponse) error {
+	d := decoder{b: payload, in: in}
+	d.reserve(bytes.Count(payload, nodeOpen))
 	*lr = leanResponse{}
 	if d.response(lr); d.done() {
 		return nil
@@ -260,6 +321,11 @@ func decodeResponse(payload []byte, in *xmltree.Interner, arena *xmltree.Arena, 
 		return fmt.Errorf("lxp: malformed response: %w", err)
 	}
 	*lr = leanResponse{rid: resp.Rid, hole: resp.Hole, err: resp.Err}
+	n := wireCount(resp.Trees)
+	for _, ws := range resp.Many {
+		n += wireCount(ws)
+	}
+	d.reserve(n)
 	if resp.Trees != nil {
 		lr.trees, lr.hasTrees = d.wireTrees(resp.Trees, false), true
 	}
@@ -270,6 +336,15 @@ func decodeResponse(payload []byte, in *xmltree.Interner, arena *xmltree.Arena, 
 		}
 	}
 	return nil
+}
+
+// wireCount returns the number of nodes in ws.
+func wireCount(ws []wireTree) int {
+	n := len(ws)
+	for _, w := range ws {
+		n += wireCount(w.C)
+	}
+	return n
 }
 
 // response parses the shape encodeResponse writes.
@@ -306,7 +381,7 @@ func (d *decoder) response(lr *leanResponse) {
 	d.close("}")
 }
 
-// trees parses [tree,…] into an arena-backed slice, nil when empty,
+// trees parses [tree,…] into a block-backed slice, nil when empty,
 // collecting the elements on the shared scratch stack.
 // holeKids marks the child list of a hole element: its label is the
 // hole identifier — unique for the session, so interning it would only
@@ -317,16 +392,16 @@ func (d *decoder) trees(holeKids bool) []*xmltree.Tree {
 	for n := 0; d.next("]", n); n++ {
 		d.scratch = append(d.scratch, d.tree(holeKids))
 	}
-	out := d.arena.Children(d.scratch[mark:])
+	out := d.list(d.scratch[mark:])
 	d.scratch = d.scratch[:mark]
 	return out
 }
 
-// tree parses {"l":label} or {"l":label,"c":[…]} into an arena node.
+// tree parses {"l":label} or {"l":label,"c":[…]} into a block node.
 func (d *decoder) tree(holeChild bool) *xmltree.Tree {
 	d.open("{")
 	d.expect(`"l":`)
-	t := d.arena.NewNode(d.str(!holeChild))
+	t := d.newNode(d.str(!holeChild))
 	if d.lit(`,"c":`) {
 		t.Children = d.trees(t.Label == xmltree.HoleLabel)
 	}
@@ -343,21 +418,21 @@ func (d *decoder) wireTrees(ws []wireTree, holeKids bool) []*xmltree.Tree {
 		if !holeKids {
 			label = d.in.Intern(label)
 		}
-		t := d.arena.NewNode(label)
+		t := d.newNode(label)
 		t.Children = d.wireTrees(w.C, label == xmltree.HoleLabel)
 		d.scratch = append(d.scratch, t)
 	}
-	out := d.arena.Children(d.scratch[mark:])
+	out := d.list(d.scratch[mark:])
 	d.scratch = d.scratch[:mark]
 	return out
 }
 
 // readResponse reads one response frame from r and decodes it. Decoded
 // trees never alias the frame: labels are interned or copied, nodes
-// live in the arena.
-func readResponse(r io.Reader, in *xmltree.Interner, arena *xmltree.Arena, lr *leanResponse) error {
+// live in the frame's own blocks.
+func readResponse(r io.Reader, in *xmltree.Interner, lr *leanResponse) error {
 	return wirejson.ReadFrame(r, maxFrame, func(p []byte) error {
-		return decodeResponse(p, in, arena, lr)
+		return decodeResponse(p, in, lr)
 	})
 }
 

@@ -3,6 +3,7 @@ package lxp
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"mix/internal/xmltree"
@@ -107,7 +108,7 @@ func TestLeanDecodeMatchesJSON(t *testing.T) {
 	)
 	for _, payload := range payloads {
 		got := new(leanResponse)
-		err := decodeResponse([]byte(payload), xmltree.NewInterner(), nil, got)
+		err := decodeResponse([]byte(payload), xmltree.NewInterner(), got)
 		if err != nil {
 			t.Errorf("lean decode failed on %q: %v", payload, err)
 			continue
@@ -130,8 +131,29 @@ func TestLeanDecodeRejects(t *testing.T) {
 		`{"trees":null}x`, `{"hole":"a"`, `{"trees":[{"l":"a"},]}`, `{"trees":truex}`,
 		`{"x":xyz,"trees":null}`, `{"x":-,"hole":"a"}`, `{"x":tru}`,
 	} {
-		if err := decodeResponse([]byte(payload), nil, nil, new(leanResponse)); err == nil {
+		if err := decodeResponse([]byte(payload), nil, new(leanResponse)); err == nil {
 			t.Errorf("lean decode accepted malformed payload %q", payload)
+		}
+	}
+}
+
+// TestMalformedFrameAllocatesLittle: a frame is counted before it is
+// parsed, so a malformed one full of node openings must not cost a
+// block per counted node: refusing 1 MB of them, bare or after a valid
+// first node, allocates at most a block's worth, not the ~15 MB two
+// blocks for 200 000 nodes would take.
+func TestMalformedFrameAllocatesLittle(t *testing.T) {
+	flood := bytes.Repeat(nodeOpen, 200_000)
+	for _, payload := range [][]byte{flood, append([]byte(`{"rid":1,"trees":[{"l":"a"},`), flood...)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decodeResponse(payload, nil, new(leanResponse))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("decoded a malformed frame of %d bytes", len(payload))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("refusing a malformed frame of %d bytes allocated %d bytes", len(payload), got)
 		}
 	}
 }
@@ -149,7 +171,7 @@ func TestDecodeInternsLabelsNotHoleIDs(t *testing.T) {
 	}
 	for _, payload := range [][]byte{canonical, append([]byte(" "), canonical...)} {
 		in := xmltree.NewInterner()
-		if err := decodeResponse(payload, in, nil, new(leanResponse)); err != nil {
+		if err := decodeResponse(payload, in, new(leanResponse)); err != nil {
 			t.Fatal(err)
 		}
 		if in.Len() != 3 { // a, the hole label, é
@@ -181,7 +203,7 @@ func TestLeanDecodeNestingBound(t *testing.T) {
 	} {
 		var buf bytes.Buffer
 		encodeResponse(&buf, &tc.lr)
-		leanErr := decodeResponse(buf.Bytes(), nil, nil, new(leanResponse))
+		leanErr := decodeResponse(buf.Bytes(), nil, new(leanResponse))
 		jsonErr := json.Unmarshal(buf.Bytes(), new(response))
 		if (leanErr == nil) != (tc.depth <= 10000) || (jsonErr == nil) != (tc.depth <= 10000) {
 			t.Errorf("nesting %d: lean %v, encoding/json %v", tc.depth, leanErr, jsonErr)
@@ -223,7 +245,7 @@ func FuzzLeanCodecRoundTrip(f *testing.F) {
 			t.Fatalf("lean encoding diverged\n got: %s\nwant: %s", buf.String(), want)
 		}
 		got := new(leanResponse)
-		if err := decodeResponse(buf.Bytes(), xmltree.NewInterner(), nil, got); err != nil {
+		if err := decodeResponse(buf.Bytes(), xmltree.NewInterner(), got); err != nil {
 			t.Fatalf("lean decode of own encoding failed: %v", err)
 		}
 		var resp response
@@ -249,7 +271,7 @@ func FuzzLeanDecode(f *testing.F) {
 	f.Add([]byte(`{"trees":[],"rid":18446744073709551615,"rid":null}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got := new(leanResponse)
-		leanErr := decodeResponse(payload, xmltree.NewInterner(), nil, got)
+		leanErr := decodeResponse(payload, xmltree.NewInterner(), got)
 		var resp response
 		jsonErr := json.Unmarshal(payload, &resp)
 		if (leanErr != nil) != (jsonErr != nil) {
@@ -284,7 +306,7 @@ func TestEscapedLabelsStayLean(t *testing.T) {
 		}
 		in := xmltree.NewInterner()
 		return testing.AllocsPerRun(50, func() {
-			if err := decodeResponse(payload, in, nil, new(leanResponse)); err != nil {
+			if err := decodeResponse(payload, in, new(leanResponse)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -346,7 +368,7 @@ func BenchmarkDecodeResponseLean(b *testing.B) {
 	in := xmltree.NewInterner()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := decodeResponse(payload, in, nil, new(leanResponse)); err != nil {
+		if err := decodeResponse(payload, in, new(leanResponse)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		_ = readRequest(bytes.NewReader(data), &req) // must not panic
-		_ = readResponse(bytes.NewReader(data), nil, nil, new(leanResponse))
+		_ = readResponse(bytes.NewReader(data), nil, new(leanResponse))
 	})
 }
 

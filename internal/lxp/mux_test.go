@@ -440,7 +440,7 @@ func TestMuxRidByteIdentity(t *testing.T) {
 				t.Errorf("%s rid=%d: lean response diverges\n got: %s\nwant: %s", name, rid, buf.Bytes(), want)
 			}
 			var got leanResponse
-			if err := decodeResponse(want, nil, nil, &got); err != nil || got.rid != rid {
+			if err := decodeResponse(want, nil, &got); err != nil || got.rid != rid {
 				t.Errorf("%s: decoded rid %d (%v), want %d", name, got.rid, err, rid)
 			}
 		}
@@ -461,7 +461,7 @@ func TestMuxRidByteIdentity(t *testing.T) {
 			t.Errorf("decodeRequest(%s) = rid %d, %v; encoding/json: rid %d, ok=%v", payload, got.Rid, err, want.Rid, ok)
 		}
 		var lr leanResponse
-		if err := decodeResponse([]byte(payload), nil, nil, &lr); (err == nil) != ok || (ok && lr.rid != want.Rid) {
+		if err := decodeResponse([]byte(payload), nil, &lr); (err == nil) != ok || (ok && lr.rid != want.Rid) {
 			t.Errorf("decodeResponse(%s) = rid %d, %v; want rid %d, ok=%v", payload, lr.rid, err, want.Rid, ok)
 		}
 	}

@@ -23,7 +23,10 @@ import (
 // Both frame writers (writeRequest, writeResponse) assemble their
 // frame first and hand it over in exactly one Write; frameWriter relies
 // on that to keep concurrent senders' frames whole. codec.go encodes
-// and decodes the JSON payloads.
+// and decodes the JSON payloads. A decoded response keeps nothing of
+// the connection but interned labels: its nodes live in blocks of its
+// own, so a connection that outlives many source epochs holds no
+// fragment of a retired one.
 
 // maxFrame bounds a single LXP frame; fills larger than this indicate
 // a runaway wrapper.
@@ -86,10 +89,13 @@ type Client struct {
 
 	readerDone chan struct{} // closed when the reader goroutine has exited
 
-	// Reader goroutine only.
+	// Reader goroutine only. Each response is decoded into blocks of its
+	// own (see decoder.reserve), so a fragment lives exactly as long as
+	// the buffer that keeps it, however long the connection lives. The
+	// interner is the one state decoding keeps across frames, and it
+	// holds at most xmltree.MaxInterned labels.
 	r      *bufio.Reader
-	intern *xmltree.Interner // label dedup for lean decoding
-	arena  xmltree.Arena     // node storage for lean decoding, amortized across frames
+	intern *xmltree.Interner
 }
 
 // call is one parked round trip. Calls are pooled together with their
@@ -153,7 +159,7 @@ func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
 		var lr leanResponse
-		if err := readResponse(c.r, c.intern, &c.arena, &lr); err != nil {
+		if err := readResponse(c.r, c.intern, &lr); err != nil {
 			c.fail(fmt.Errorf("lxp: connection lost: %w", err))
 			return
 		}

@@ -15,10 +15,12 @@ package mediator
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mix/internal/algebra"
 	"mix/internal/buffer"
@@ -61,22 +63,43 @@ func DefaultOptions() Options {
 // the text with its literals lifted out (xmas.Query.Shape): on a shape's
 // second sighting the mediator preprocesses one template of it, with
 // sentinel literals, and binds every later text's literals into the
-// template's view (core.View.Bind). Each memo holds at most maxPrepared
-// entries and is cleared by DefineView; the view catalogue and Options
-// are their only other inputs, and they hold nothing tied to a registry
-// version or cache generation.
+// template's view (core.View.Bind). The memos and the engine's path
+// automata read no source (see Memos), so a mediator built for a later
+// source epoch may adopt an earlier one's (Adopt).
 type Mediator struct {
 	opts   Options
 	engine *core.Engine
 	eager  *eager.Evaluator
+	memos  atomic.Pointer[Memos] // replaced, never cleared, by DefineView and Adopt
 
 	mu      sync.Mutex
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
-	viewVer uint64                // DefineView count: a prepare that spans one is not memoized
 	nview   int
-	memo    map[string]memoEntry      // by query text
-	shapes  map[string]*shapeEntry    // by query shape; nil until the second sighting
 	buffers map[string]*buffer.Buffer // LXP buffers registered, by source name
+}
+
+// Memos is a mediator's compile state that reads no source: the
+// prepared-view memo by query text, the shape memo and the engine's
+// path-automaton table. Its only inputs are the mediator's Options and
+// view definitions, which it records and never changes: DefineView
+// moves its mediator onto fresh memos instead of clearing shared ones.
+// Mediators with equal options and views may therefore share one Memos
+// by reference (Adopt), across source epochs; it holds no source,
+// buffer, registry version or cache generation, so sharing it keeps no
+// retired catalog alive. Each memo holds at most maxPrepared entries.
+type Memos struct {
+	opts  Options
+	defs  map[string]string // view name → XMAS text
+	paths *core.Automata
+
+	mu     sync.Mutex
+	memo   map[string]memoEntry   // by query text
+	shapes map[string]*shapeEntry // by query shape; nil until the second sighting
+}
+
+func newMemos(opts Options, defs map[string]string, paths *core.Automata) *Memos {
+	return &Memos{opts: opts, defs: defs, paths: paths,
+		memo: map[string]memoEntry{}, shapes: map[string]*shapeEntry{}}
 }
 
 // maxPrepared bounds the prepared-view memo and the shape memo (see
@@ -109,14 +132,35 @@ func (s *shapeEntry) bind(lits []xmas.Literal) memoEntry {
 
 // New creates a mediator.
 func New(opts Options) *Mediator {
-	return &Mediator{
+	m := &Mediator{
 		opts:   opts,
 		engine: core.New(opts.Engine),
 		eager:  eager.New(),
 		views:  map[string]algebra.Op{},
-		memo:   map[string]memoEntry{},
-		shapes: map[string]*shapeEntry{},
 	}
+	m.memos.Store(newMemos(opts, nil, m.engine.Automata()))
+	return m
+}
+
+// Memos returns the mediator's current compile state (see Memos).
+func (m *Mediator) Memos() *Memos { return m.memos.Load() }
+
+// Adopt moves m onto t, the memos of another mediator, when both were
+// built with equal Options and view definitions, and reports whether it
+// did: the views t holds then compose exactly as m's would, and its
+// automata step as m's would. A server hands a retired catalog's memos
+// to the next one, so a new source epoch re-prepares no query text it
+// has seen. Call it before serving queries.
+func (m *Mediator) Adopt(t *Memos) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.memos.Load()
+	if t == nil || t.opts != cur.opts || !maps.Equal(t.defs, cur.defs) {
+		return false
+	}
+	m.memos.Store(t)
+	m.engine.UseAutomata(t.paths)
+	return true
 }
 
 // SetRegionCache installs a shared cross-session region cache: answer
@@ -179,8 +223,9 @@ func (m *Mediator) BufferStats() map[string]buffer.Stats {
 
 // DefineView registers a XMAS view definition under the given name.
 // Queries may then use the name like a source; at preprocessing time
-// the query is composed with the view. It clears the prepared-view and
-// shape memos, so every later query text is composed afresh.
+// the query is composed with the view. It moves the mediator onto
+// fresh prepared-view and shape memos, so every later query text is
+// composed afresh; a mediator sharing the old memos keeps them.
 func (m *Mediator) DefineView(name, xmasText string) error {
 	q, err := xmas.Parse(xmasText)
 	if err != nil {
@@ -192,9 +237,13 @@ func (m *Mediator) DefineView(name, xmasText string) error {
 	}
 	m.mu.Lock()
 	m.views[name] = plan
-	m.viewVer++
-	clear(m.memo)
-	clear(m.shapes)
+	old := m.memos.Load()
+	defs := maps.Clone(old.defs)
+	if defs == nil {
+		defs = map[string]string{}
+	}
+	defs[name] = xmasText
+	m.memos.Store(newMemos(old.opts, defs, old.paths))
 	m.mu.Unlock()
 	return nil
 }
@@ -303,12 +352,15 @@ func (m *Mediator) Prepare(xmasText string) (algebra.Op, error) {
 
 // prepare returns the memoized preprocessing of xmasText, else parses
 // it and preprocesses it by its shape (fromShape). Errors are never
-// memoized.
+// memoized. The memos are sampled once: a DefineView under way replaces
+// them, and what this call preprocessed enters only memos that are
+// still the mediator's, so no memo keeps a plan composed with views
+// other than its own.
 func (m *Mediator) prepare(xmasText string) (memoEntry, error) {
-	m.mu.Lock()
-	p, ok := m.memo[xmasText]
-	ver := m.viewVer
-	m.mu.Unlock()
+	t := m.memos.Load()
+	t.mu.Lock()
+	p, ok := t.memo[xmasText]
+	t.mu.Unlock()
 	if ok {
 		return p, nil
 	}
@@ -316,61 +368,74 @@ func (m *Mediator) prepare(xmasText string) (memoEntry, error) {
 	if err != nil {
 		return memoEntry{}, err
 	}
-	p, err = m.fromShape(q, ver)
+	p, err = m.fromShape(q, t)
 	if err != nil {
 		return memoEntry{}, err
 	}
-	m.mu.Lock()
-	if m.viewVer == ver {
-		bounded(m.memo)
-		m.memo[xmasText] = p
-	}
-	m.mu.Unlock()
+	m.keep(t, func() {
+		bounded(t.memo)
+		t.memo[xmasText] = p
+	})
 	return p, nil
 }
 
-// fromShape preprocesses q, sampled at view version ver, by its shape.
+// keep runs add, which writes one of t's memos, if t is still m's
+// memos. DefineView replaces them under m.mu after writing the view, so
+// a plan composed before the replacement is kept only in the memos of
+// the views it was composed with.
+func (m *Mediator) keep(t *Memos, add func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.memos.Load() != t {
+		return
+	}
+	t.mu.Lock()
+	add()
+	t.mu.Unlock()
+}
+
+// fromShape preprocesses q, whose memos are t, by its shape.
 // A query without literals, or of a shape not seen before, is
 // preprocessed whole, the shape then marked seen. On the second
 // sighting the shape's template is preprocessed and kept, and this and
 // every later query of the shape bind their literals into its view. A
 // template that fails to preprocess is not kept, and q is preprocessed
 // whole, so an invalid text fails with its own error.
-func (m *Mediator) fromShape(q *xmas.Query, ver uint64) (memoEntry, error) {
+func (m *Mediator) fromShape(q *xmas.Query, t *Memos) (memoEntry, error) {
 	if len(q.Literals) == 0 {
 		return m.preprocess(q)
 	}
 	shape := q.Shape()
-	m.mu.Lock()
-	s, seen := m.shapes[shape]
-	if !seen && m.viewVer == ver {
-		bounded(m.shapes)
-		m.shapes[shape] = nil
-	}
-	m.mu.Unlock()
+	t.mu.Lock()
+	s, seen := t.shapes[shape]
+	t.mu.Unlock()
 	if !seen {
+		m.keep(t, func() {
+			if _, ok := t.shapes[shape]; !ok {
+				bounded(t.shapes)
+				t.shapes[shape] = nil
+			}
+		})
 		return m.preprocess(q)
 	}
 	if s == nil {
-		t, sentinels := q.Template()
-		p, err := m.preprocess(t)
+		tq, sentinels := q.Template()
+		p, err := m.preprocess(tq)
 		if err != nil {
 			return m.preprocess(q)
 		}
 		s = &shapeEntry{memoEntry: p, sentinels: sentinels}
-		m.mu.Lock()
-		if m.viewVer == ver {
-			bounded(m.shapes)
-			m.shapes[shape] = s
-		}
-		m.mu.Unlock()
+		m.keep(t, func() {
+			bounded(t.shapes)
+			t.shapes[shape] = s
+		})
 	}
 	return s.bind(q.Literals), nil
 }
 
 // bounded makes room for one more entry in a memo: a full memo drops an
 // arbitrary entry, so a stream of fresh keys churns it without growing
-// it. Caller holds m.mu.
+// it. Caller holds the memos' lock.
 func bounded[V any](memo map[string]V) {
 	if len(memo) < maxPrepared {
 		return

@@ -363,9 +363,10 @@ func TestShapeMemoSecondSighting(t *testing.T) {
 	m := newMediator(t, 49)
 	texts := freshTexts(0, 3)
 	shapes := func() (seen, templates int) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for _, s := range m.shapes {
+		memos := m.Memos()
+		memos.mu.Lock()
+		defer memos.mu.Unlock()
+		for _, s := range memos.shapes {
 			seen++
 			if s != nil {
 				templates++

@@ -222,11 +222,12 @@ func TestShapeBindMatchesPreprocessing(t *testing.T) {
 						}
 					}
 					if err == nil && len(q.Literals) > 0 {
-						m.mu.Lock()
-						if m.shapes[q.Shape()] != nil {
+						memos := m.Memos()
+						memos.mu.Lock()
+						if memos.shapes[q.Shape()] != nil {
 							bound++
 						}
-						m.mu.Unlock()
+						memos.mu.Unlock()
 					}
 				}
 			}
@@ -252,9 +253,10 @@ func TestTemplateErrorsFallBack(t *testing.T) {
 			t.Fatalf("open %d: error %v, want %v", k, err, want)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for shape, s := range m.shapes {
+	memos := m.Memos()
+	memos.mu.Lock()
+	defer memos.mu.Unlock()
+	for shape, s := range memos.shapes {
 		if s != nil {
 			t.Fatalf("shape %q kept a template that does not preprocess", shape)
 		}

@@ -3,8 +3,6 @@ package pathexpr
 import (
 	"sync"
 	"sync/atomic"
-
-	"mix/internal/xmltree"
 )
 
 // DFA is a lazily-determinized view of an NFA. The NFA's Step recomputes
@@ -12,8 +10,17 @@ import (
 // getDescendants descent calls it for every sibling of every explored
 // node, and wide documents repeat the same few labels thousands of
 // times. The DFA memoizes each subset-construction state the descent
-// actually reaches and each labeled transition out of it, so repeated
-// scans cost one map hit instead of a closure recomputation.
+// actually reaches and each transition out of it, so repeated scans
+// cost one lookup instead of a closure recomputation.
+//
+// Transitions are kept by label class, not by label. The alphabet is
+// the atom labels the NFA names; every other label crosses only
+// wildcard edges, so all of them step alike. A state therefore holds
+// len(alphabet)+1 transitions: one per named label and one shared by
+// every other label. A path such as price._ steps over every data
+// value below price with one transition, however many distinct values
+// the sources hold, so an automaton's size depends on its expression
+// and on no document.
 //
 // Determinization is lazy and demand-driven: only states reachable from
 // the label sequences actually consumed are ever materialized, so the
@@ -28,8 +35,8 @@ import (
 // automaton may serve every descent over that path, and is safe for
 // concurrent use.
 type DFA struct {
-	nfa *NFA
-	in  *xmltree.Interner // optional: canonicalizes transition-map keys
+	nfa   *NFA
+	class map[string]int // atom label → class; any other label is class len(class)
 
 	mu     sync.Mutex
 	states []dfaState
@@ -41,7 +48,7 @@ type DFA struct {
 type dfaState struct {
 	set  StateSet
 	bits State
-	next map[string]int // label → state id
+	next []int // by label class: target state id + 1; 0 = not yet computed
 }
 
 // State is a DFA state id with its precomputed bits.
@@ -65,19 +72,24 @@ var (
 	dfaStates atomic.Int64
 )
 
-// DFAStats reports memoized-transition hits, misses (transitions
+// DFAStats reports memoized-transition hits, misses (class transitions
 // computed from the NFA), and the total number of DFA states
 // materialized across all automata since process start.
 func DFAStats() (hits, misses, states int64) {
 	return dfaHits.Load(), dfaMisses.Load(), dfaStates.Load()
 }
 
-// NewDFA wraps nfa in a lazy DFA. The interner, when non-nil, is used
-// to canonicalize the label strings keying transition maps (sharing
-// storage with labels interned elsewhere, e.g. by the wire decoder);
-// nil disables interning.
-func NewDFA(nfa *NFA, in *xmltree.Interner) *DFA {
-	d := &DFA{nfa: nfa, in: in, index: make(map[string]int)}
+// NewDFA wraps nfa in a lazy DFA over the label classes of nfa's
+// alphabet.
+func NewDFA(nfa *NFA) *DFA {
+	d := &DFA{nfa: nfa, class: map[string]int{}, index: make(map[string]int)}
+	for _, es := range nfa.edges {
+		for _, e := range es {
+			if _, ok := d.class[e.label]; e.kind == tAtom && !ok {
+				d.class[e.label] = len(d.class)
+			}
+		}
+	}
 	// State 0 is the dead state (empty set): stepping from it stays
 	// there, and all its bits are false, so pruned descents
 	// short-circuit without touching the cache.
@@ -98,7 +110,7 @@ func (d *DFA) addLocked(set StateSet) int {
 		set: set,
 		bits: State{ID: id, Accepting: d.nfa.Accepting(set),
 			Alive: d.nfa.Alive(set), Descends: d.nfa.Descends(set)},
-		next: make(map[string]int),
+		next: make([]int, len(d.class)+1),
 	})
 	d.index[key] = id
 	dfaStates.Add(1)
@@ -114,16 +126,20 @@ func (d *DFA) Step(from int, label string) State {
 	if from == d.dead {
 		return State{ID: d.dead}
 	}
+	c, ok := d.class[label]
+	if !ok {
+		c = len(d.class)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := &d.states[from]
-	if to, ok := s.next[label]; ok {
+	if to := d.states[from].next[c]; to > 0 {
 		dfaHits.Add(1)
-		return d.states[to].bits
+		return d.states[to-1].bits
 	}
-	to := d.addLocked(d.nfa.Step(s.set, label))
-	// addLocked may grow d.states; re-index rather than reuse s.
-	d.states[from].next[d.in.Intern(label)] = to
+	// Any label of the class computes the class's step: a label outside
+	// the alphabet matches no atom edge.
+	to := d.addLocked(d.nfa.Step(d.states[from].set, label))
+	d.states[from].next[c] = to + 1
 	dfaMisses.Add(1)
 	return d.states[to].bits
 }

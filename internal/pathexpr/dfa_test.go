@@ -2,6 +2,7 @@ package pathexpr
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func TestDFAMatchesAgreeWithNFA(t *testing.T) {
 	}
 	for _, src := range exprs {
 		nfa := Compile(MustParse(src))
-		dfa := NewDFA(nfa, nil)
+		dfa := NewDFA(nfa)
 		for _, seq := range seqs {
 			if got, want := dfa.Matches(seq), nfa.Matches(seq); got != want {
 				t.Errorf("%q on %v: dfa=%v nfa=%v", src, seq, got, want)
@@ -39,7 +40,7 @@ func TestDFAStatewiseEquivalence(t *testing.T) {
 	// every prefix, not just the final Matches verdict — the lazy
 	// descent consults all three at each node.
 	nfa := Compile(MustParse("(a|b)*.x.y?"))
-	dfa := NewDFA(nfa, nil)
+	dfa := NewDFA(nfa)
 	seq := []string{"a", "b", "a", "x", "y", "z"}
 	ns, ds := nfa.Start(), dfa.Start()
 	for i, l := range seq {
@@ -62,7 +63,7 @@ func TestDFAStatewiseEquivalence(t *testing.T) {
 
 func TestDFACachesTransitions(t *testing.T) {
 	nfa := Compile(MustParse("a*.x"))
-	dfa := NewDFA(nfa, nil)
+	dfa := NewDFA(nfa)
 	h0, m0, _ := DFAStats()
 	s := dfa.Start().ID
 	dfa.Step(s, "a") // miss
@@ -80,7 +81,7 @@ func TestDFACachesTransitions(t *testing.T) {
 // TestDFAStartNoAllocs pins that the start state is materialized once,
 // at construction: getDescendants asks for it per input binding.
 func TestDFAStartNoAllocs(t *testing.T) {
-	dfa := NewDFA(Compile(MustParse("(a|b)*.x._")), nil)
+	dfa := NewDFA(Compile(MustParse("(a|b)*.x._")))
 	want := dfa.Start()
 	if allocs := testing.AllocsPerRun(100, func() {
 		if dfa.Start() != want {
@@ -93,7 +94,7 @@ func TestDFAStartNoAllocs(t *testing.T) {
 
 func TestDFADeadStateSticks(t *testing.T) {
 	nfa := Compile(MustParse("a.b"))
-	dfa := NewDFA(nfa, nil)
+	dfa := NewDFA(nfa)
 	s := dfa.Step(dfa.Start().ID, "z") // no match possible
 	if s.Alive || s.Descends {
 		t.Fatalf("dead state reports alive or descending: %+v", s)
@@ -108,7 +109,7 @@ func TestDFADeadStateSticks(t *testing.T) {
 
 func TestDFAConcurrent(t *testing.T) {
 	nfa := Compile(MustParse("(a|b)*.x"))
-	dfa := NewDFA(nfa, nil)
+	dfa := NewDFA(nfa)
 	labels := []string{"a", "b", "x", "z"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -144,7 +145,7 @@ func TestDFARandomizedEquivalence(t *testing.T) {
 			t.Fatalf("pathexprtest.Expr produced unparsable %q: %v", src, err)
 		}
 		nfa := Compile(e)
-		dfa := NewDFA(nfa, nil)
+		dfa := NewDFA(nfa)
 		for j := 0; j < 20; j++ {
 			seq := make([]string, r.Intn(7))
 			for k := range seq {
@@ -178,7 +179,7 @@ func FuzzDFAMatchesNFA(f *testing.F) {
 			return // invalid expression: nothing to compare
 		}
 		nfa := Compile(e)
-		dfa := NewDFA(nfa, nil)
+		dfa := NewDFA(nfa)
 		// Every label outside the expression's alphabet steps alike, so
 		// the alphabet plus one fresh label covers every step.
 		sigma := map[string]bool{}
@@ -195,8 +196,9 @@ func FuzzDFAMatchesNFA(f *testing.F) {
 			}
 			return false
 		}
-		// Map each input byte to a small label alphabet plus the
-		// occasional multi-byte label so interned keys get exercised.
+		// Map each input byte to a small label set, some inside the
+		// expression's alphabet and some outside, so both kinds of
+		// label class get exercised.
 		labels := []string{"a", "b", "c", "x", "home", "zip", "_lit"}
 		ns, ds := nfa.Start(), dfa.Start()
 		var prefix []string
@@ -230,6 +232,31 @@ func FuzzDFAMatchesNFA(f *testing.F) {
 	})
 }
 
+// TestDFASizeIndependentOfData: a path steps over data values with
+// one shared transition per state, so stepping zip._ over 10⁴ distinct
+// labels outside its alphabet materializes at most states × (|{zip}|+1)
+// transitions, however many labels it sees.
+func TestDFASizeIndependentOfData(t *testing.T) {
+	dfa := NewDFA(Compile(MustParse("zip._")))
+	_, m0, _ := DFAStats()
+	for i := 0; i < 10000; i++ {
+		s := dfa.Start()
+		if s = dfa.Step(s.ID, "zip"); !s.Alive {
+			t.Fatal("zip: not alive")
+		}
+		if s = dfa.Step(s.ID, "9"+strconv.Itoa(i)); !s.Accepting {
+			t.Fatalf("zip.9%d: not accepting", i)
+		}
+		dfa.Step(s.ID, "x"+strconv.Itoa(i))           // below the match
+		dfa.Step(dfa.Start().ID, "y"+strconv.Itoa(i)) // outside the path
+	}
+	_, m1, _ := DFAStats()
+	const classes = 2 // zip, and every other label
+	if bound := int64(dfa.Size() * classes); m1-m0 > bound {
+		t.Fatalf("%d transitions over %d states, bound %d", m1-m0, dfa.Size(), bound)
+	}
+}
+
 func BenchmarkStepNFA(b *testing.B) {
 	nfa := Compile(MustParse("(a|b)*.zip._"))
 	start := nfa.Start()
@@ -242,7 +269,7 @@ func BenchmarkStepNFA(b *testing.B) {
 }
 
 func BenchmarkStepDFA(b *testing.B) {
-	dfa := NewDFA(Compile(MustParse("(a|b)*.zip._")), nil)
+	dfa := NewDFA(Compile(MustParse("(a|b)*.zip._")))
 	start := dfa.Start()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

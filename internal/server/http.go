@@ -170,8 +170,8 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("mix_fp_cache_hits_total", "fingerprint requests served from the per-tree memo", fpHits)
 
 	dfaHits, dfaMisses, dfaStates := pathexpr.DFAStats()
-	counter("mix_dfa_cache_hits_total", "path-DFA transitions served from cache", dfaHits)
-	counter("mix_dfa_cache_misses_total", "path-DFA transitions built from NFA subset construction", dfaMisses)
+	counter("mix_dfa_cache_hits_total", "path-DFA steps served from a cached label-class transition", dfaHits)
+	counter("mix_dfa_cache_misses_total", "path-DFA label-class transitions built from NFA subset construction, at most one per state and class", dfaMisses)
 	gauge("mix_dfa_states", "materialized lazy-DFA states across live matchers", dfaStates)
 
 	wg, wn := wirejson.BufferPoolStats()

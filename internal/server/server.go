@@ -11,7 +11,11 @@
 // included), view definitions and prepared-view memo are shared. Lazy
 // evaluation state is not: it lives in the query each open compiles, so
 // N clients exploring the same view proceed independently. Update ends
-// the epoch; the next open builds the next catalog.
+// the epoch; the next open builds the next catalog. A new epoch rebuilds
+// only what reads the sources: the retired catalog's memos (prepared
+// views, query shapes, path automata) read none, so the server keeps
+// them — never the catalog — and the next catalog adopts them when its
+// options and views are the same (mediator.Adopt).
 //
 // The session lifecycle is
 //
@@ -213,11 +217,13 @@ type Server struct {
 	cluster *cluster.Node
 	// catalog is the current source epoch's mediator, nil until the
 	// epoch's first open builds it (see catalogNow). epochMu makes
-	// building a catalog, and ending its epoch, one step each. built
-	// counts the catalogs the factory built, served the opens an
-	// existing catalog answered.
+	// building a catalog, and ending its epoch, one step each. memos
+	// are the retired catalog's compile state, kept for the next one
+	// (guarded by epochMu). built counts the catalogs the factory built,
+	// served the opens an existing catalog answered.
 	catalog       atomic.Pointer[mediator.Mediator]
 	epochMu       sync.Mutex
+	memos         *mediator.Memos
 	built, served atomic.Int64
 	// scratch holds the window scratch of finished sessions for reuse
 	// (see window.go).
@@ -325,7 +331,10 @@ func (s *Server) newRecorder() *trace.Recorder {
 // epoch's first open. The factory runs under epochMu, which Update
 // holds too, so the data it reads and the cache generation it pins
 // belong to one epoch. A factory error goes to this open and is not
-// kept: the next open tries again.
+// kept: the next open tries again. The new catalog adopts the retired
+// one's memos when its options and views equal theirs
+// (mediator.Adopt), so the epoch re-prepares no query text and
+// re-determinizes no path automaton an earlier epoch already has.
 func (s *Server) catalogNow() (*mediator.Mediator, error) {
 	if m := s.catalog.Load(); m != nil {
 		s.served.Add(1)
@@ -341,6 +350,8 @@ func (s *Server) catalogNow() (*mediator.Mediator, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.Adopt(s.memos)
+	s.memos = nil
 	s.catalog.Store(m)
 	s.built.Add(1)
 	return m, nil
@@ -382,8 +393,14 @@ func (s *Server) BumpRegistry() { s.Update(nil) }
 // endEpoch retires the catalog built against the old sources once the
 // cache generation has moved — by Update here, or by a peer's broadcast
 // (handleInvalidate), under epochMu — so the next open builds a fresh
-// one.
-func (s *Server) endEpoch() { s.catalog.Store(nil) }
+// one. The server keeps the retired catalog's memos, which read no
+// source, and drops the catalog itself: its sources and buffers stay
+// only as long as sessions opened on it.
+func (s *Server) endEpoch() {
+	if m := s.catalog.Swap(nil); m != nil {
+		s.memos = m.Memos()
+	}
+}
 
 // RegionCache returns the shared region cache (nil when caching is off).
 func (s *Server) RegionCache() *regioncache.Cache { return s.cache }

@@ -11,13 +11,15 @@ package xmltree
 // the first child list), and each replacement doubles the previous
 // capacity up to arenaChunk. A one-node materialization — the common
 // leaf value of a join or σ condition — therefore pays for one node,
-// not a full chunk, while a long-lived arena (the LXP decoder's)
-// settles at arenaChunk-sized chunks after a few replacements.
+// not a full chunk.
 //
-// An Arena is scratch state for one materialization (or one decoder);
-// it is not safe for concurrent use. The trees it produces are
-// ordinary immutable *Tree values with ordinary lifetimes — the chunks
-// stay reachable exactly as long as any node carved from them is.
+// An Arena is scratch state for one materialization; it is not safe
+// for concurrent use. The trees it produces are ordinary immutable
+// *Tree values — the chunks stay reachable exactly as long as any node
+// carved from them is. A chunk can hold nodes of two trees, and one
+// tree's nodes can point into the other's chunks, so an arena kept
+// across many trees ties their lifetimes together: keep one per
+// materialization, not per connection.
 type Arena struct {
 	nodes []Tree  // current node chunk; replaced, never regrown
 	ptrs  []*Tree // current child-pointer chunk; replaced, never regrown

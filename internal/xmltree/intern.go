@@ -9,13 +9,14 @@ import (
 // vocabulary of element names over an arbitrarily large node count, so
 // interning the labels of decoded trees collapses the per-node string
 // allocations of a whole catalog to one allocation per *distinct*
-// label. Engines intern the labels their DFA caches key on; LXP clients
-// intern the labels of every tree they decode off the wire.
+// label. LXP clients intern the labels of every tree they decode off the
+// wire.
 //
 // An Interner is safe for concurrent use. It grows with the label
-// vocabulary (not the document size); callers that decode untrusted
-// input with unbounded vocabularies should scope the interner to the
-// connection so it is released with it.
+// vocabulary (not the document size) up to MaxInterned strings; a full
+// table is emptied before it admits the next, so data values that
+// change with the sources cannot grow it for the interner's whole life,
+// and names first seen late are interned all the same.
 type Interner struct {
 	mu   sync.Mutex
 	m    map[string]string
@@ -23,8 +24,23 @@ type Interner struct {
 	miss atomic.Int64
 }
 
+// MaxInterned caps an Interner's table. Element names repeat and are
+// admitted again soon after the table is emptied. An LXP connection of
+// the remote-sources benchmark workload holds 342–508 labels, so the
+// cap is reached only by data values that keep changing.
+const MaxInterned = 1 << 14
+
 // NewInterner returns an empty interner.
 func NewInterner() *Interner { return &Interner{m: make(map[string]string)} }
+
+// admitLocked registers s, emptying a full table first. Caller holds
+// in.mu.
+func (in *Interner) admitLocked(s string) {
+	if len(in.m) >= MaxInterned {
+		clear(in.m)
+	}
+	in.m[s] = s
+}
 
 // Intern returns the canonical copy of s, registering it on first use.
 func (in *Interner) Intern(s string) string {
@@ -37,7 +53,7 @@ func (in *Interner) Intern(s string) string {
 		in.hits.Add(1)
 		return c
 	}
-	in.m[s] = s
+	in.admitLocked(s)
 	in.mu.Unlock()
 	in.miss.Add(1)
 	return s
@@ -58,7 +74,7 @@ func (in *Interner) InternBytes(b []byte) string {
 		return c
 	}
 	s := string(b)
-	in.m[s] = s
+	in.admitLocked(s)
 	in.mu.Unlock()
 	in.miss.Add(1)
 	return s
