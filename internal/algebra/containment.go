@@ -1,66 +1,49 @@
 package algebra
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
 	"mix/internal/pathexpr"
-	"mix/internal/xmltree"
 )
 
 // This file implements the conservative plan-containment checker behind
 // the semantic region cache (DESIGN.md §14). Given two canonicalized
-// plans — a cached *super* plan and a freshly compiled *sub* plan — it
-// decides whether every answer of sub can be reconstructed from super's
-// fully materialized answer document by purely local work: filtering
-// bindings with a residual condition, re-verifying weakened single-step
-// paths against subtree root labels, and re-running short
-// getDescendants/select chains over materialized group subtrees. The
-// checker is sound but deliberately incomplete: whenever a shape falls
-// outside the rules below it answers "no" and the engine falls back to
-// the ordinary source-backed plan.
+// construct plans — a cached *super* plan and a freshly compiled *sub*
+// plan — it decides whether sub's answer element can be rebuilt from
+// super's fully materialized one by local work over each grouped
+// subtree: a label test on a weakened group path and short
+// getDescendants/select chains. The checker is sound and deliberately
+// incomplete: it knows one answer shape, lets sub's extra operators
+// cross only the operators a XMAS WHERE clause writes, and answers "no"
+// to anything else, so the engine falls back to the ordinary
+// source-backed plan.
 
-// PathRewrite records a getDescendants whose path the sub plan
-// restricts relative to the super plan. Super is the super plan's full
-// path; Sub is always a *single-step* label test: either the sub path
+// PathRewrite records the group binding's path restriction: the sub
+// plan binds the grouped variable through Sub where the super plan uses
+// Super, and Sub is a *single-step* label test — either the sub path
 // itself (both paths single-step, L(sub) ⊆ L(super)) or the restricted
 // final step of two sequences with an identical prefix (see
 // weakenedStep). Either way the restriction is re-verified from the
 // materialized subtree alone — test its root label against Sub — which
 // is what makes the weakening sound.
 type PathRewrite struct {
-	// Var is the getDescendants output variable, in sub-plan names.
-	Var        string
 	Super, Sub *pathexpr.Expr
 }
 
-// ChainOp is one operator of a group chain (ShapeConstruct): a
-// getDescendants when Path is non-nil (Parent, Out are chain-local
-// variable names), otherwise a select over chain-local variables. The
-// chains are locally evaluable: starting from a binding of the group
-// variable to a materialized subtree, every parent and condition
-// variable is the group variable or an earlier chain output.
+// ChainOp is one operator of a group chain: a getDescendants when Path
+// is non-nil (Parent, Out are chain-local variable names), otherwise a
+// select over chain-local variables. The chains are locally evaluable:
+// starting from a binding of the group variable to a materialized
+// subtree, every parent and condition variable is the group variable
+// or an earlier chain output.
 type ChainOp struct {
 	Parent, Out string
 	Path        *pathexpr.Expr
 	Cond        Cond
 }
-
-// Shape says how a containment result is applied to the super plan's
-// materialized answer document.
-type Shape int
-
-const (
-	// ShapeBindings: both plans answer with a binding-list document
-	// bs[b[…]…]. Sub's answer is super's with each b kept iff it passes
-	// Residual and the Paths label tests, children relabeled to sub's
-	// output variables (positionally aligned).
-	ShapeBindings Shape = iota
-	// ShapeConstruct: both plans are tupleDestroy(createElement(groupBy
-	// by {}))) constructions. Sub's answer element is decoded from
-	// super's children by runs: see DESIGN.md §14.
-	ShapeConstruct
-)
 
 // GroupChainVar is the variable name both group chains bind the
 // materialized group subtree to; chain-local variables are renamed so
@@ -68,134 +51,173 @@ const (
 const GroupChainVar = "g~"
 
 // Containment is the evidence Analyze returns: everything an engine
-// needs to rebuild sub's answer from super's materialized answer.
+// needs to rebuild sub's answer from super's materialized answer. Both
+// plans are tupleDestroy(createElement(groupBy by {})) constructions;
+// sub's answer element is decoded from super's children by runs (see
+// DESIGN.md §14.1).
 type Containment struct {
-	Shape Shape
-
-	// ShapeBindings: Residual is the per-binding filter (True if none),
-	// Paths the per-binding label tests, SubTopVars sub's canonical
-	// output variables in positional alignment with super's answer
-	// children.
-	Residual   Cond
-	Paths      []PathRewrite
-	SubTopVars []string
-
-	// ShapeConstruct: the answer's decoration labels (outermost first —
+	// RootLabels are the answer's decoration labels, outermost first:
 	// each level holds exactly one child of the next label, and the
-	// innermost element's children are the grouped values), the
-	// per-group-subtree label test (nil if the grouping paths agree),
-	// and the two locally evaluable chains above the group binding.
+	// innermost element's children are the grouped values.
+	RootLabels []string
+	// GroupPath is the per-group-subtree label test, nil if the
+	// grouping paths agree.
+	GroupPath *PathRewrite
 	// SuperChain counts the multiplicity each subtree contributed to
 	// the innermost children; SubChain counts the multiplicity sub
 	// requires. Both bind GroupChainVar to the subtree.
-	RootLabels []string
-	GroupPath  *PathRewrite
 	SuperChain []ChainOp
 	SubChain   []ChainOp
 }
 
-// Contains is the simple entry point: it reports whether sub's answer
-// can be computed from a fully explored region of super's, returning
-// the residual condition and path rewrites to apply. Engines that need
-// the full reconstruction recipe (construction shapes) use Analyze.
+// Contains reports whether sub's answer can be rebuilt from a fully
+// explored region of super's. The residual is always True and paths
+// holds the group path restriction, if any; engines use Analyze, which
+// returns the whole recipe. Its one caller is the layer pass of bench/
+// (algebra.contains_us); it leaves with that pass's port (ROADMAP item
+// 17).
 func Contains(super, sub Op) (residual Cond, paths []PathRewrite, ok bool) {
 	c, ok := Analyze(super, sub)
 	if !ok {
 		return nil, nil, false
 	}
-	paths = append([]PathRewrite{}, c.Paths...)
 	if c.GroupPath != nil {
-		paths = append(paths, *c.GroupPath)
+		paths = []PathRewrite{*c.GroupPath}
 	}
-	return c.Residual, paths, true
+	return True{}, paths, true
 }
 
-// Analyze decides containment of sub in super. Both plans must be in
-// RenameVars normal form (regioncache.Canonical); variable names are
-// still compared via an on-the-fly bijection, since canonical numbering
-// depends on each plan's own structure.
+// Analyze decides containment of sub in super. Both plans must be valid
+// (Validate) and in RenameVars normal form (regioncache.Canonical);
+// variable names are still compared via an on-the-fly bijection, since
+// canonical numbering depends on each plan's own structure. Only
+// construct plans are recognized: any other root is "not contained".
+//
+// Each plan splits into its decoration stack (peelConstruct), the
+// select/getDescendants chain under the root groupBy (chainOf) and the
+// base below that chain. The bases must match (match), up to selects
+// and descents only sub applies; the chains must agree up to the group
+// binding, which alone may restrict its path; and what lies above the
+// group binding, plus sub's extra base operators, must be evaluable
+// from the group subtree alone (localChain), with super's part embedded
+// in sub's (embeds).
 func Analyze(super, sub Op) (*Containment, bool) {
-	if super == nil || sub == nil {
+	s, ok := super.(*TupleDestroy)
+	q, okq := sub.(*TupleDestroy)
+	if !ok || !okq {
 		return nil, false
 	}
-	if ts, ok := super.(*TupleDestroy); ok {
-		tq, ok := sub.(*TupleDestroy)
-		if !ok {
-			return nil, false
-		}
-		return analyzeConstruct(ts, tq)
-	}
-	if _, ok := sub.(*TupleDestroy); ok {
-		return nil, false
-	}
-	return analyzeBindings(super, sub)
-}
-
-// ---------------------------------------------------------------------
-// ShapeBindings: structural match with residual hoisting.
-
-func analyzeBindings(s, q Op) (*Containment, bool) {
-	m := newMatcher()
-	rs, ok := m.match(s, q)
+	sLabels, sGB, ok := peelConstruct(s)
 	if !ok {
 		return nil, false
 	}
-	subTop := q.OutVars()
-	supTop := s.OutVars()
-	// The filter-and-relabel evaluation is positional: super's b child k
-	// must be sub's output variable k under the bijection.
-	if len(supTop) != len(subTop) {
+	qLabels, qGB, ok := peelConstruct(q)
+	if !ok || !slices.Equal(sLabels, qLabels) {
 		return nil, false
 	}
-	for i := range supTop {
-		if m.fwd[supTop[i]] != subTop[i] {
+
+	sOps, sBase := chainOf(sGB.Input)
+	qOps, qBase := chainOf(qGB.Input)
+	m := matcher{}
+	// Sub's extra base operators survive only as the start of sub's
+	// chain: descents and conditions that localChain below certifies
+	// as evaluable from the group subtree alone. They then multiply or
+	// filter sub's bindings exactly as they did at their plan position
+	// — per base binding, hence per group context — which is what the
+	// run decode models.
+	extra, ok := m.match(sBase, qBase)
+	if !ok {
+		return nil, false
+	}
+	si := indexOfOut(sOps, sGB.Var)
+	if si != indexOfOut(qOps, qGB.Var) {
+		return nil, false
+	}
+	// A grouped variable bound in the (matched) base makes the whole
+	// chains "above the group binding"; otherwise the chains must agree
+	// 1:1 up to the group binding, which alone may weaken its path.
+	if si < 0 && m[sGB.Var] != qGB.Var {
+		return nil, false
+	}
+	var groupPath *PathRewrite
+	for k := 0; k <= si; k++ {
+		if groupPath, ok = m.matchChainOp(sOps[k], qOps[k], k == si); !ok {
 			return nil, false
 		}
 	}
-	allowed := map[string]bool{}
-	for _, v := range subTop {
-		allowed[v] = true
+
+	superChain, ok := localChain(sOps[si+1:], sGB.Var, "s~")
+	if !ok {
+		return nil, false
 	}
-	var cond Cond = True{}
-	var paths []PathRewrite
-	for _, r := range rs {
-		if r.gd != nil {
-			// An extra descent multiplies bindings; the positional
-			// filter-and-relabel evaluation cannot reproduce that.
-			return nil, false
-		}
-		if r.pr != nil {
-			if !allowed[r.pr.Var] {
-				return nil, false
-			}
-			paths = append(paths, *r.pr)
-			continue
-		}
-		for _, v := range r.cond.Vars() {
-			if !allowed[v] {
-				return nil, false
-			}
-		}
-		if _, isTrue := cond.(True); isTrue {
-			cond = r.cond
-		} else {
-			cond = &And{L: cond, R: r.cond}
-		}
+	// The extra operators sit below sub's above-group chain in the
+	// plan, so they come first; match returns them bottom-up, which
+	// keeps each descent before its dependents.
+	subChain, ok := localChain(append(extra, qOps[si+1:]...), qGB.Var, "q~")
+	// Soundness of the run decoding requires: whenever sub derives a
+	// binding from a subtree, super derives at least one (a subtree sub
+	// needs cannot be absent from super's children). Embedding super's
+	// chain into sub's — each super step covered by a sub step at least
+	// as strict — gives exactly that.
+	if !ok || !embeds(superChain, subChain) {
+		return nil, false
 	}
-	return &Containment{Shape: ShapeBindings, Residual: cond, Paths: paths,
-		SubTopVars: subTop}, true
+	return &Containment{RootLabels: sLabels, GroupPath: groupPath,
+		SuperChain: superChain, SubChain: subChain}, true
 }
 
-// residual is an obligation hoisted toward the plan root: a sub-plan
-// condition super does not apply, a path weakening to re-verify, or a
-// whole getDescendants the sub plan runs and super does not (gd).
-// Extra descents multiply bindings, so only the construct decode — via
-// a locally evaluable group chain — can discharge them;
-// analyzeBindings rejects them outright.
-type residual struct {
-	cond Cond
-	pr   *PathRewrite
-	gd   *GetDescendants
+// peelConstruct unwraps the decoration stack of a construction plan:
+// tupleDestroy over a constant-label createElement, optionally nesting
+// further wrapList(createElement(...)) levels, with the innermost
+// createElement's children coming straight from a groupBy with no
+// grouping variables. The groupBy yields exactly one binding per input
+// list, so each decoration level materializes exactly one element of
+// the next label, and the grouped values are the innermost element's
+// children. Returns the label stack (outermost first) and the groupBy.
+func peelConstruct(td *TupleDestroy) ([]string, *GroupBy, bool) {
+	var labels []string
+	v, p := td.Var, td.Input
+	for {
+		ce, ok := p.(*CreateElement)
+		if !ok || ce.Out != v || ce.Label.Var != "" {
+			return nil, nil, false
+		}
+		labels = append(labels, ce.Label.Const)
+		if gb, ok := ce.Input.(*GroupBy); ok {
+			return labels, gb, len(gb.By) == 0 && ce.Children == gb.Out
+		}
+		wl, ok := ce.Input.(*WrapList)
+		if !ok || ce.Children != wl.Out {
+			return nil, nil, false
+		}
+		v, p = wl.Var, wl.Input
+	}
+}
+
+// chainOf splits a plan into its select/getDescendants spine (bottom-up
+// order) and the base below it.
+func chainOf(p Op) (ops []Op, base Op) {
+	for {
+		switch t := p.(type) {
+		case *Select:
+			ops = append(ops, t)
+			p = t.Input
+		case *GetDescendants:
+			ops = append(ops, t)
+			p = t.Input
+		default:
+			slices.Reverse(ops)
+			return ops, p
+		}
+	}
+}
+
+// indexOfOut finds the getDescendants binding v in a chain, -1 if none.
+func indexOfOut(ops []Op, v string) int {
+	return slices.IndexFunc(ops, func(op Op) bool {
+		g, ok := op.(*GetDescendants)
+		return ok && g.Out == v
+	})
 }
 
 // weakenedStep decides whether the sub path restricts the super path in
@@ -211,640 +233,172 @@ func weakenedStep(sup, sub *pathexpr.Expr) (*pathexpr.Expr, bool) {
 	if pathexpr.SingleStep(sup) && pathexpr.SingleStep(sub) && pathexpr.Subset(sub, sup) {
 		return sub, true
 	}
-	supPre, supLast, ok := pathexpr.SplitLast(sup)
-	if !ok {
-		return nil, false
-	}
-	subPre, subLast, ok := pathexpr.SplitLast(sub)
-	if !ok || subPre != supPre || !pathexpr.Subset(subLast, supLast) {
+	supPre, supLast, okSup := pathexpr.SplitLast(sup)
+	subPre, subLast, okSub := pathexpr.SplitLast(sub)
+	if !okSup || !okSub || subPre != supPre || !pathexpr.Subset(subLast, supLast) {
 		return nil, false
 	}
 	return subLast, true
 }
 
-// matcher carries the variable bijection between the two canonical
-// namespaces (fwd: super → sub).
-type matcher struct {
-	fwd, rev map[string]string
-}
+// matcher is the variable bijection between the two canonical
+// namespaces: each super binder maps to the sub binder it was paired
+// with. Valid plans bind each variable once and every sub binder pairs
+// at most once, so the map is injective and a use pairs iff its super
+// name maps to its sub name.
+type matcher map[string]string
 
-func newMatcher() *matcher {
-	return &matcher{fwd: map[string]string{}, rev: map[string]string{}}
-}
-
-func (m *matcher) clone() *matcher {
-	c := newMatcher()
-	for k, v := range m.fwd {
-		c.fwd[k] = v
-	}
-	for k, v := range m.rev {
-		c.rev[k] = v
-	}
-	return c
-}
-
-func (m *matcher) adopt(o *matcher) { m.fwd, m.rev = o.fwd, o.rev }
-
-// bindVar records a fresh binder pair; it fails if either side is
-// already bound (plans in normal form bind each variable once, so a
-// rebinding means the shapes disagree).
-func (m *matcher) bindVar(sv, qv string) bool {
-	if _, ok := m.fwd[sv]; ok {
-		return false
-	}
-	if _, ok := m.rev[qv]; ok {
-		return false
-	}
-	m.fwd[sv] = qv
-	m.rev[qv] = sv
-	return true
-}
-
-// sameVar checks a variable *use*: the pair must already be in the
-// bijection (uses always sit above their binders in a valid plan).
-func (m *matcher) sameVar(sv, qv string) bool { return m.fwd[sv] == qv && m.rev[qv] == sv }
-
-func (m *matcher) sameVars(sv, qv []string) bool {
-	if len(sv) != len(qv) {
-		return false
-	}
-	for i := range sv {
-		if !m.sameVar(sv[i], qv[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// match compares the super node s against the sub node q, returning the
-// hoisted residuals. Residual conditions are in sub-plan names.
-func (m *matcher) match(s, q Op) ([]residual, bool) {
-	// An extra select on the sub side (sub strictly stricter): hoist its
-	// condition and keep matching below it. When both sides are selects
-	// the *Select case below tries pairing first.
-	if qs, ok := q.(*Select); ok {
-		if _, both := s.(*Select); !both {
-			rs, ok := m.match(s, qs.Input)
-			if !ok {
-				return nil, false
-			}
-			return append(rs, residual{cond: qs.Cond}), true
-		}
-	}
-	// An extra getDescendants on the sub side binds a variable super
-	// never derives: hoist the whole descent. When both sides are
-	// getDescendants the *GetDescendants case below tries pairing first.
-	if qg, ok := q.(*GetDescendants); ok {
-		if _, both := s.(*GetDescendants); !both {
-			rs, ok := m.match(s, qg.Input)
-			if !ok {
-				return nil, false
-			}
-			return append(rs, residual{gd: qg}), true
-		}
-	}
-
-	switch s := s.(type) {
-	case *Source:
-		qt, ok := q.(*Source)
-		if !ok || s.URL != qt.URL {
-			return nil, false
-		}
-		if !m.bindVar(s.Var, qt.Var) {
-			return nil, false
-		}
-		return nil, true
-
+// match compares the super base s against the sub base q, returning
+// the operators only sub applies (its extra selects and descents),
+// bottom-up. Extra operators hoist through the WHERE clause's descents,
+// selects and joins and through an ORDERBY sort; the source wrapper
+// XMAS puts above each source matches under the bijection; anything
+// else must be the same plan on both sides (same).
+func (m matcher) match(s, q Op) ([]Op, bool) {
+	switch qt := q.(type) {
 	case *Select:
-		qt, ok := q.(*Select)
-		if !ok {
-			return nil, false // super is stricter: it filters where sub does not
-		}
-		// Paired: sub's condition must imply super's, and sub's full
-		// condition becomes the residual (filtering super's output by it
-		// yields exactly sub's output). Structurally equal conditions
-		// need no residual at all.
-		if m2 := m.clone(); true {
-			if rs, ok := m2.match(s.Input, qt.Input); ok {
-				if mapped, ok := m2.mapCond(s.Cond); ok {
-					if mapped.String() == qt.Cond.String() {
-						m.adopt(m2)
-						return rs, true
-					}
-					if implies(qt.Cond, mapped) {
-						m.adopt(m2)
-						return append(rs, residual{cond: qt.Cond}), true
-					}
-				}
-			}
-		}
-		// Otherwise treat sub's select as extra and require super's
-		// select to pair further down.
-		rs, ok := m.match(s, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		return append(rs, residual{cond: qt.Cond}), true
-
-	case *GetDescendants:
-		qt, ok := q.(*GetDescendants)
-		if !ok {
-			return nil, false
-		}
-		// Paired first: same parent and binder under the bijection, with
-		// the same path or a weakening a label test re-verifies (see
-		// weakenedStep — a multi-step super path can otherwise reach
-		// deeper nodes whose labels coincidentally pass sub's test).
-		if m2 := m.clone(); true {
-			if rs, ok := m2.match(s.Input, qt.Input); ok &&
-				m2.sameVar(s.Parent, qt.Parent) && m2.bindVar(s.Out, qt.Out) {
-				if s.Path.String() == qt.Path.String() {
-					m.adopt(m2)
-					return rs, true
-				}
-				if step, okw := weakenedStep(s.Path, qt.Path); okw {
-					m.adopt(m2)
-					return append(rs, residual{pr: &PathRewrite{Var: qt.Out, Super: s.Path, Sub: step}}), true
-				}
-			}
-		}
-		// Otherwise treat sub's descent as extra and require super's to
+		// Paired first: sub's condition must imply super's, and it
+		// stays as an extra filter unless the two are the same
+		// condition. Otherwise sub's select is extra and super's must
 		// pair further down.
-		rs, ok := m.match(s, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		return append(rs, residual{gd: qt}), true
-
-	case *Join:
-		qt, ok := q.(*Join)
-		if !ok {
-			return nil, false
-		}
-		rl, ok := m.match(s.Left, qt.Left)
-		if !ok {
-			return nil, false
-		}
-		rr, ok := m.match(s.Right, qt.Right)
-		if !ok {
-			return nil, false
-		}
-		rs := append(rl, rr...)
-		mapped, ok := m.mapCond(s.Cond)
-		if !ok {
-			return nil, false
-		}
-		if mapped.String() == qt.Cond.String() {
-			return rs, true
-		}
-		if implies(qt.Cond, mapped) {
-			return append(rs, residual{cond: qt.Cond}), true
-		}
-		return nil, false
-
-	case *GroupBy:
-		// Grouping aggregates across bindings, so nothing commutes past
-		// it: the inputs must match exactly, with no pending residuals.
-		qt, ok := q.(*GroupBy)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok || len(rs) != 0 {
-			return nil, false
-		}
-		if !m.sameVars(s.By, qt.By) || !m.sameVar(s.Var, qt.Var) || !m.bindVar(s.Out, qt.Out) {
-			return nil, false
-		}
-		return nil, true
-
-	case *OrderBy:
-		// Stable sort commutes with filtering: sorting the filtered
-		// stream equals filtering the sorted stream.
-		qt, ok := q.(*OrderBy)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if !m.sameVars(s.Keys, qt.Keys) {
-			return nil, false
-		}
-		return rs, true
-
-	case *Project:
-		qt, ok := q.(*Project)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if !m.sameVars(s.Keep, qt.Keep) {
-			return nil, false
-		}
-		// Residuals survive only if projection keeps their variables.
-		kept := map[string]bool{}
-		for _, v := range qt.Keep {
-			kept[v] = true
-		}
-		for _, r := range rs {
-			for _, v := range residualVars(r) {
-				if !kept[v] {
-					return nil, false
+		if st, both := s.(*Select); both {
+			m2 := maps.Clone(m)
+			if extra, ok := m2.match(st.Input, qt.Input); ok {
+				mapped, _ := substCond(st.Cond, m2)
+				if mapped.String() == qt.Cond.String() {
+					maps.Copy(m, m2)
+					return extra, true
+				}
+				if implies(qt.Cond, mapped) {
+					maps.Copy(m, m2)
+					return append(extra, qt), true
 				}
 			}
 		}
-		return rs, true
-
-	case *Union:
-		// A residual from one branch would also filter the other
-		// branch's bindings once hoisted above the union; require both
-		// branches residual-free.
-		qt, ok := q.(*Union)
-		if !ok {
-			return nil, false
-		}
-		rl, ok := m.match(s.Left, qt.Left)
-		if !ok || len(rl) != 0 {
-			return nil, false
-		}
-		rr, ok := m.match(s.Right, qt.Right)
-		if !ok || len(rr) != 0 {
-			return nil, false
-		}
-		return nil, true
-
-	case *Difference:
-		// Filtering the left side commutes with subtraction; a filtered
-		// right side changes what is subtracted, so it must match
-		// exactly.
-		qt, ok := q.(*Difference)
-		if !ok {
-			return nil, false
-		}
-		rl, ok := m.match(s.Left, qt.Left)
-		if !ok {
-			return nil, false
-		}
-		rr, ok := m.match(s.Right, qt.Right)
-		if !ok || len(rr) != 0 {
-			return nil, false
-		}
-		// An extra descent on the left changes the left side's variable
-		// set, so subtraction would compare differently-shaped bindings;
-		// a valid plan cannot reach this, but stay conservative.
-		for _, r := range rl {
-			if r.gd != nil {
-				return nil, false
+		extra, ok := m.match(s, qt.Input)
+		return append(extra, qt), ok
+	case *GetDescendants:
+		// Paired first: same parent, path and binder under the
+		// bijection. Otherwise sub's descent is extra — it binds a
+		// variable super never derives — and super's must pair further
+		// down.
+		if st, both := s.(*GetDescendants); both {
+			m2 := maps.Clone(m)
+			if extra, ok := m2.match(st.Input, qt.Input); ok &&
+				m2[st.Parent] == qt.Parent && st.Path.String() == qt.Path.String() {
+				m2[st.Out] = qt.Out
+				maps.Copy(m, m2)
+				return extra, true
 			}
 		}
-		return rl, true
-
-	case *Distinct:
-		// Sound because distinct keys on every output variable: bindings
-		// with equal keys evaluate any residual identically, so
-		// filter-then-distinct equals distinct-then-filter (including
-		// first-occurrence order). An extra descent is different — sub's
-		// distinct collapses the multiplied copies while the hoisted
-		// chain would multiply the collapsed output, so it cannot cross.
-		qt, ok := q.(*Distinct)
-		if !ok {
-			return nil, false
+		extra, ok := m.match(s, qt.Input)
+		return append(extra, qt), ok
+	}
+	switch st := s.(type) {
+	case *Source:
+		if qt, ok := q.(*Source); ok && st.URL == qt.URL {
+			m[st.Var] = qt.Var
+			return nil, true
 		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		for _, r := range rs {
-			if r.gd != nil {
-				return nil, false
-			}
-		}
-		return rs, true
-
-	case *Concatenate:
-		qt, ok := q.(*Concatenate)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if !m.sameVar(s.X, qt.X) || !m.sameVar(s.Y, qt.Y) || !m.bindVar(s.Out, qt.Out) {
-			return nil, false
-		}
-		return rs, true
-
-	case *CreateElement:
-		qt, ok := q.(*CreateElement)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if s.Label.Var != "" || qt.Label.Var != "" {
-			if s.Label.Var == "" || qt.Label.Var == "" || !m.sameVar(s.Label.Var, qt.Label.Var) {
-				return nil, false
-			}
-		} else if s.Label.Const != qt.Label.Const {
-			return nil, false
-		}
-		if !m.sameVar(s.Children, qt.Children) || !m.bindVar(s.Out, qt.Out) {
-			return nil, false
-		}
-		return rs, true
-
 	case *WrapList:
-		qt, ok := q.(*WrapList)
-		if !ok {
-			return nil, false
+		if qt, ok := q.(*WrapList); ok {
+			extra, ok := m.match(st.Input, qt.Input)
+			m[st.Out] = qt.Out
+			return extra, ok && m[st.Var] == qt.Var
 		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
+	case *CreateElement:
+		if qt, ok := q.(*CreateElement); ok {
+			extra, ok := m.match(st.Input, qt.Input)
+			m[st.Out] = qt.Out
+			return extra, ok && st.Label.Var == "" && st.Label == qt.Label && m[st.Children] == qt.Children
 		}
-		if !m.sameVar(s.Var, qt.Var) || !m.bindVar(s.Out, qt.Out) {
-			return nil, false
+	case *Join:
+		// A left-major join keeps each binding's copies consecutive, so
+		// extra operators of either side hoist above it. The join
+		// conditions must be the same: a residual join condition is
+		// never evaluable from one group subtree.
+		if qt, ok := q.(*Join); ok {
+			el, okl := m.match(st.Left, qt.Left)
+			er, okr := m.match(st.Right, qt.Right)
+			return append(el, er...), okl && okr && m.sameCond(st.Cond, qt.Cond)
 		}
-		return rs, true
-
-	case *Const:
-		qt, ok := q.(*Const)
-		if !ok || !xmltree.Equal(s.Value, qt.Value) {
-			return nil, false
+	case *OrderBy:
+		// A stable sort commutes with filtering, and with multiplying a
+		// binding into consecutive copies of equal keys.
+		if qt, ok := q.(*OrderBy); ok {
+			extra, ok := m.match(st.Input, qt.Input)
+			return extra, ok && slices.EqualFunc(st.Keys, qt.Keys, func(sk, qk string) bool { return m[sk] == qk })
 		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if !m.bindVar(s.Out, qt.Out) {
-			return nil, false
-		}
-		return rs, true
-
-	case *Rename:
-		qt, ok := q.(*Rename)
-		if !ok {
-			return nil, false
-		}
-		rs, ok := m.match(s.Input, qt.Input)
-		if !ok {
-			return nil, false
-		}
-		if !m.sameVar(s.From, qt.From) || !m.bindVar(s.To, qt.To) {
-			return nil, false
-		}
-		// The renamed-away variable survives under its new name; rewrite
-		// residuals so the top-of-plan evaluation finds it.
-		out := make([]residual, 0, len(rs))
-		for _, r := range rs {
-			if r.pr != nil {
-				if r.pr.Var == qt.From {
-					pr := *r.pr
-					pr.Var = qt.To
-					r.pr = &pr
-				}
-				out = append(out, r)
-				continue
-			}
-			if r.gd != nil {
-				if r.gd.Parent == qt.From || r.gd.Out == qt.From {
-					g := *r.gd
-					if g.Parent == qt.From {
-						g.Parent = qt.To
-					}
-					if g.Out == qt.From {
-						g.Out = qt.To
-					}
-					r.gd = &g
-				}
-				out = append(out, r)
-				continue
-			}
-			out = append(out, residual{cond: renameCondVar(r.cond, qt.From, qt.To)})
-		}
-		return out, true
 	}
-
-	// Unknown or root-only operator (TupleDestroy): conservative no.
-	return nil, false
+	return nil, m.same(s, q)
 }
 
-func residualVars(r residual) []string {
-	if r.pr != nil {
-		return []string{r.pr.Var}
+// same reports whether q is s itself, the rule for every other
+// operator — a composed view's body, a nested template — which extra
+// operators cannot cross: equal plans produce equal binding lists. A
+// plan in normal form numbers its variables in RenameVars' visit
+// order, inputs first, so a part the two plans share below everything
+// that differs renders to the same text in both, variable names
+// included, and pairs each output variable with itself.
+func (m matcher) same(s, q Op) bool {
+	if _, ok := equalPlans(s, q, nil); !ok {
+		return false
 	}
-	if r.gd != nil {
-		// A hoisted descent re-derives from the group subtree, not from
-		// the plan's binding columns, so projection constrains nothing.
-		return nil
+	for _, v := range s.OutVars() {
+		m[v] = v
 	}
-	return r.cond.Vars()
+	return true
 }
 
-// ---------------------------------------------------------------------
-// ShapeConstruct: tupleDestroy(createElement(groupBy-by-{})) plans.
-
-func analyzeConstruct(s, q *TupleDestroy) (*Containment, bool) {
-	sLabels, sGB, ok := peelConstruct(s)
-	if !ok {
-		return nil, false
+// equalPlans compares two plans' renderings node by node, top-down,
+// stopping at the first node that differs; buf is scratch space.
+func equalPlans(s, q Op, buf []byte) ([]byte, bool) {
+	buf = s.appendOp(buf[:0])
+	n := len(buf)
+	buf = q.appendOp(buf)
+	var sIn, qIn [2]Op
+	si, qi := inputs(s, &sIn), inputs(q, &qIn)
+	if string(buf[:n]) != string(buf[n:]) || len(si) != len(qi) {
+		return buf, false
 	}
-	qLabels, qGB, ok := peelConstruct(q)
-	if !ok || len(sLabels) != len(qLabels) {
-		return nil, false
-	}
-	for i := range sLabels {
-		if sLabels[i] != qLabels[i] {
-			return nil, false
+	for i := range si {
+		var ok bool
+		if buf, ok = equalPlans(si[i], qi[i], buf); !ok {
+			return buf, false
 		}
 	}
-
-	sOps, sBase := chainOf(sGB.Input)
-	qOps, qBase := chainOf(qGB.Input)
-	m := newMatcher()
-	rs, ok := m.match(sBase, qBase)
-	if !ok {
-		return nil, false
-	}
-	// Residuals hoisted out of the base survive only as extra sub chain
-	// ops: descents and conditions that localChain below certifies as
-	// evaluable from the group subtree alone. They then multiply or
-	// filter sub's bindings exactly as they did at their original plan
-	// position — per base binding, hence per group context — which is
-	// what the run decode models. A path rewrite cannot: re-verifying it
-	// needs the weakened variable's value per context, which the
-	// materialized answer does not retain.
-	var qExtra []Op
-	for _, r := range rs {
-		switch {
-		case r.pr != nil:
-			return nil, false
-		case r.gd != nil:
-			qExtra = append(qExtra, r.gd)
-		default:
-			qExtra = append(qExtra, &Select{Cond: r.cond})
-		}
-	}
-
-	si := indexOfOut(sOps, sGB.Var)
-	qi := indexOfOut(qOps, qGB.Var)
-	if (si < 0) != (qi < 0) || si != qi {
-		return nil, false
-	}
-	var groupPath *PathRewrite
-	if si < 0 {
-		// The grouped variable is bound inside the (exactly matched)
-		// base; the whole chains are "above the group binding".
-		if m.fwd[sGB.Var] != qGB.Var {
-			return nil, false
-		}
-	} else {
-		// Below and at the group binding the chains must agree 1:1; only
-		// the group binding itself may weaken its (single-step) path.
-		for k := 0; k <= si; k++ {
-			gp, ok := m.matchChainOp(sOps[k], qOps[k], k == si)
-			if !ok {
-				return nil, false
-			}
-			if gp != nil {
-				groupPath = gp
-			}
-		}
-	}
-
-	superChain, ok := localChain(sOps[si+1:], sGB.Var, "s~")
-	if !ok {
-		return nil, false
-	}
-	// Base residuals sit below sub's above-group chain in the plan, so
-	// they come first; rs is already in bottom-up order, which keeps
-	// each descent before its dependents.
-	subChain, ok := localChain(append(qExtra, qOps[qi+1:]...), qGB.Var, "q~")
-	if !ok {
-		return nil, false
-	}
-	// Soundness of the run decoding requires: whenever sub derives a
-	// binding from a subtree, super derives at least one (a subtree sub
-	// needs cannot be absent from super's children). Embedding super's
-	// chain into sub's — each super step covered by a sub step at least
-	// as strict — gives exactly that.
-	if !embeds(superChain, subChain) {
-		return nil, false
-	}
-	return &Containment{Shape: ShapeConstruct, Residual: True{},
-		RootLabels: sLabels, GroupPath: groupPath,
-		SuperChain: superChain, SubChain: subChain}, true
-}
-
-// peelConstruct unwraps the decoration stack of a construction plan:
-// tupleDestroy over a constant-label createElement, optionally nesting
-// further wrapList(createElement(...)) levels, with the innermost
-// createElement's children coming straight from a groupBy with no
-// grouping variables. The groupBy yields exactly one binding per input
-// list, so each decoration level materializes exactly one element of
-// the next label, and the grouped values are the innermost element's
-// children. Returns the label stack (outermost first) and the groupBy.
-func peelConstruct(td *TupleDestroy) ([]string, *GroupBy, bool) {
-	ce, ok := td.Input.(*CreateElement)
-	if !ok || td.Var != ce.Out || ce.Label.Var != "" {
-		return nil, nil, false
-	}
-	labels := []string{ce.Label.Const}
-	for {
-		switch in := ce.Input.(type) {
-		case *GroupBy:
-			if len(in.By) != 0 || ce.Children != in.Out {
-				return nil, nil, false
-			}
-			return labels, in, true
-		case *WrapList:
-			if ce.Children != in.Out {
-				return nil, nil, false
-			}
-			inner, ok := in.Input.(*CreateElement)
-			if !ok || inner.Out != in.Var || inner.Label.Var != "" {
-				return nil, nil, false
-			}
-			labels = append(labels, inner.Label.Const)
-			ce = inner
-		default:
-			return nil, nil, false
-		}
-	}
-}
-
-// chainOf splits a plan into its select/getDescendants spine (bottom-up
-// order) and the base below it.
-func chainOf(p Op) (ops []Op, base Op) {
-	var rev []Op
-	for {
-		switch t := p.(type) {
-		case *Select:
-			rev = append(rev, t)
-			p = t.Input
-		case *GetDescendants:
-			rev = append(rev, t)
-			p = t.Input
-		default:
-			for i := len(rev) - 1; i >= 0; i-- {
-				ops = append(ops, rev[i])
-			}
-			return ops, p
-		}
-	}
-}
-
-// indexOfOut finds the getDescendants binding v in a chain, -1 if none.
-func indexOfOut(ops []Op, v string) int {
-	for i, op := range ops {
-		if g, ok := op.(*GetDescendants); ok && g.Out == v {
-			return i
-		}
-	}
-	return -1
+	return buf, true
 }
 
 // matchChainOp matches one below-group chain position exactly (modulo
 // the bijection), allowing path weakening only at the group binding.
-func (m *matcher) matchChainOp(sOp, qOp Op, weaken bool) (*PathRewrite, bool) {
-	switch st := sOp.(type) {
-	case *GetDescendants:
-		qt, ok := qOp.(*GetDescendants)
-		if !ok {
-			return nil, false
-		}
-		if !m.sameVar(st.Parent, qt.Parent) || !m.bindVar(st.Out, qt.Out) {
-			return nil, false
-		}
-		if st.Path.String() == qt.Path.String() {
-			return nil, true
-		}
-		if weaken {
-			if step, ok := weakenedStep(st.Path, qt.Path); ok {
-				return &PathRewrite{Var: GroupChainVar, Super: st.Path, Sub: step}, true
-			}
-		}
-		return nil, false
-	case *Select:
+// Chains hold only selects and descents.
+func (m matcher) matchChainOp(sOp, qOp Op, weaken bool) (*PathRewrite, bool) {
+	if st, ok := sOp.(*Select); ok {
 		qt, ok := qOp.(*Select)
-		if !ok {
-			return nil, false
-		}
-		mapped, ok := m.mapCond(st.Cond)
-		if !ok || mapped.String() != qt.Cond.String() {
-			return nil, false
-		}
+		return nil, ok && m.sameCond(st.Cond, qt.Cond)
+	}
+	st := sOp.(*GetDescendants)
+	qt, ok := qOp.(*GetDescendants)
+	if !ok || m[st.Parent] != qt.Parent {
+		return nil, false
+	}
+	m[st.Out] = qt.Out
+	if st.Path.String() == qt.Path.String() {
 		return nil, true
 	}
+	if step, ok := weakenedStep(st.Path, qt.Path); ok && weaken {
+		return &PathRewrite{Super: st.Path, Sub: step}, true
+	}
 	return nil, false
+}
+
+// sameCond reports whether super's condition s is sub's q under the
+// bijection. Callers match the condition's input first, so every
+// variable of s is mapped.
+func (m matcher) sameCond(s, q Cond) bool {
+	mapped, _ := substCond(s, m)
+	return mapped.String() == q.String()
 }
 
 // localChain renames an above-group chain into the chain-local
@@ -852,29 +406,23 @@ func (m *matcher) matchChainOp(sOp, qOp Op, weaken bool) (*PathRewrite, bool) {
 // rejects chains that are not locally evaluable over the group subtree.
 func localChain(ops []Op, g, prefix string) ([]ChainOp, bool) {
 	sub := map[string]string{g: GroupChainVar}
-	var out []ChainOp
+	out := make([]ChainOp, 0, len(ops))
 	for _, op := range ops {
-		switch t := op.(type) {
-		case *GetDescendants:
-			p, ok := sub[t.Parent]
-			if !ok {
-				return nil, false
-			}
-			if _, rebound := sub[t.Out]; rebound {
-				return nil, false
-			}
-			no := prefix + t.Out
-			sub[t.Out] = no
-			out = append(out, ChainOp{Parent: p, Out: no, Path: t.Path})
-		case *Select:
+		if t, ok := op.(*Select); ok {
 			c, ok := substCond(t.Cond, sub)
 			if !ok {
 				return nil, false
 			}
 			out = append(out, ChainOp{Cond: c})
-		default:
+			continue
+		}
+		t := op.(*GetDescendants)
+		p, ok := sub[t.Parent]
+		if !ok {
 			return nil, false
 		}
+		sub[t.Out] = prefix + t.Out
+		out = append(out, ChainOp{Parent: p, Out: sub[t.Out], Path: t.Path})
 	}
 	return out, true
 }
@@ -885,177 +433,75 @@ func localChain(ops []Op, g, prefix string) ([]ChainOp, bool) {
 // larger, and every super select to a sub select whose condition
 // implies it. Then any sub derivation over a subtree yields a super
 // derivation, i.e. sub-count ≥ 1 ⟹ super-count ≥ 1.
-func embeds(sup, subc []ChainOp) bool {
+func embeds(sup, sub []ChainOp) bool {
 	emb := map[string]string{GroupChainVar: GroupChainVar}
 	j := 0
 	for _, so := range sup {
-		found := false
-		for j < len(subc) {
-			qo := subc[j]
+		for j < len(sub) && !covers(so, sub[j], emb) {
 			j++
-			if so.Path != nil && qo.Path != nil {
-				if emb[so.Parent] == qo.Parent &&
-					(so.Path.String() == qo.Path.String() || pathexpr.Subset(qo.Path, so.Path)) {
-					emb[so.Out] = qo.Out
-					found = true
-					break
-				}
-			} else if so.Path == nil && qo.Path == nil {
-				if mapped, ok := substCond(so.Cond, emb); ok && implies(qo.Cond, mapped) {
-					found = true
-					break
-				}
-			}
 		}
-		if !found {
+		if j == len(sub) {
 			return false
 		}
+		j++
 	}
+	return true
+}
+
+// covers reports whether sub step qo is at least as strict as super
+// step so under the embedding emb, recording a descent's image.
+func covers(so, qo ChainOp, emb map[string]string) bool {
+	if so.Path == nil {
+		mapped, ok := substCond(so.Cond, emb)
+		return ok && qo.Path == nil && implies(qo.Cond, mapped)
+	}
+	if qo.Path == nil || emb[so.Parent] != qo.Parent || !pathexpr.Subset(qo.Path, so.Path) {
+		return false
+	}
+	emb[so.Out] = qo.Out
 	return true
 }
 
 // ---------------------------------------------------------------------
 // Condition mapping and implication.
 
-// mapCond rewrites a super-plan condition into sub-plan names through
-// the bijection; every referenced variable must already be mapped.
-func (m *matcher) mapCond(c Cond) (Cond, bool) { return substCond(c, m.fwd) }
-
-// renameCondVar rewrites one variable name, leaving others unchanged
-// (the Rename pass-through; cannot fail).
-func renameCondVar(c Cond, from, to string) Cond {
-	out, _ := substCondWith(c, func(v string) (string, bool) {
-		if v == from {
-			return to, true
-		}
-		return v, true
-	})
-	return out
-}
-
-// substCond rebuilds c with variables substituted; a variable missing
-// from the substitution map fails (the condition is not expressible in
-// the target namespace).
+// substCond rebuilds c with variables renamed through sub; a variable
+// missing from sub fails (the condition is not expressible in the
+// target namespace).
 func substCond(c Cond, sub map[string]string) (Cond, bool) {
-	return substCondWith(c, func(v string) (string, bool) {
-		nv, ok := sub[v]
-		return nv, ok
-	})
+	ok := true
+	r := renamer{f: func(v string) string {
+		nv, found := sub[v]
+		ok = ok && found
+		return nv
+	}}
+	out := r.cond(c)
+	return out, ok && r.err == nil
 }
 
-func substCondWith(c Cond, mapVar func(string) (string, bool)) (Cond, bool) {
-	mapOperand := func(o Operand) (Operand, bool) {
-		if o.Var == "" {
-			return o, true
-		}
-		nv, ok := mapVar(o.Var)
-		if !ok {
-			return Operand{}, false
-		}
-		return Operand{Var: nv}, true
-	}
-	switch t := c.(type) {
-	case *Cmp:
-		l, ok := mapOperand(t.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := mapOperand(t.R)
-		if !ok {
-			return nil, false
-		}
-		return &Cmp{Op: t.Op, L: l, R: r}, true
-	case *And:
-		l, ok := substCondWith(t.L, mapVar)
-		if !ok {
-			return nil, false
-		}
-		r, ok := substCondWith(t.R, mapVar)
-		if !ok {
-			return nil, false
-		}
-		return &And{L: l, R: r}, true
-	case *Or:
-		l, ok := substCondWith(t.L, mapVar)
-		if !ok {
-			return nil, false
-		}
-		r, ok := substCondWith(t.R, mapVar)
-		if !ok {
-			return nil, false
-		}
-		return &Or{L: l, R: r}, true
-	case *Not:
-		n, ok := substCondWith(t.C, mapVar)
-		if !ok {
-			return nil, false
-		}
-		return &Not{C: n}, true
-	case True:
-		return True{}, true
-	case *LabelMatch:
-		nv, ok := mapVar(t.Var)
-		if !ok {
-			return nil, false
-		}
-		return &LabelMatch{Var: nv, Label: t.Label}, true
-	}
-	return nil, false
-}
-
-// conjuncts flattens nested conjunctions.
+// conjuncts flattens nested conjunctions: the rewriter merges cascaded
+// selects into one (R3).
 func conjuncts(c Cond) []Cond {
 	if a, ok := c.(*And); ok {
 		return append(conjuncts(a.L), conjuncts(a.R)...)
 	}
-	if _, ok := c.(True); ok {
-		return nil
-	}
 	return []Cond{c}
 }
 
-// implies reports sub ⟹ super for two conditions over the same
-// variables: every super conjunct is either structurally present among
-// sub's conjuncts or interval-subsumed by one (Cmp over the same
-// variable against literals). Conservative: anything else is "no".
+// implies reports sub ⟹ super: every super conjunct is structurally
+// present among sub's conjuncts or implied by one of them (cmpImplies).
+// Conservative: anything else is "no".
 func implies(sub, super Cond) bool {
 	subCs := conjuncts(sub)
 	for _, sc := range conjuncts(super) {
-		if !impliedByAny(subCs, sc) {
+		ts := sc.String()
+		if !slices.ContainsFunc(subCs, func(c Cond) bool {
+			return c.String() == ts || cmpImplies(c, sc)
+		}) {
 			return false
 		}
 	}
 	return true
-}
-
-func impliedByAny(cs []Cond, target Cond) bool {
-	ts := target.String()
-	for _, c := range cs {
-		if c.String() == ts {
-			return true
-		}
-		if cmpImplies(c, target) {
-			return true
-		}
-	}
-	return false
-}
-
-// normCmp normalizes a comparison to variable-on-the-left form.
-func normCmp(c Cond) (*Cmp, bool) {
-	t, ok := c.(*Cmp)
-	if !ok {
-		return nil, false
-	}
-	if t.L.Var != "" && t.R.Var == "" {
-		return t, true
-	}
-	if t.L.Var == "" && t.R.Var != "" {
-		flip := map[CmpOp]CmpOp{OpEq: OpEq, OpNeq: OpNeq,
-			OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
-		return &Cmp{Op: flip[t.Op], L: t.R, R: t.L}, true
-	}
-	return nil, false
 }
 
 // litOrderImplies checks the literal-vs-literal relation needed to
@@ -1081,24 +527,18 @@ func lt(c int) bool { return c < 0 }
 func ge(c int) bool { return c >= 0 }
 func gt(c int) bool { return c > 0 }
 
-// cmpImplies reports q ⟹ s for var-vs-literal comparisons over the same
-// variable. An equality premise (x = a holds exactly when x's atom is
-// the string a) substitutes a for x, so the engine's hybrid Compare
-// decides directly; ordering-to-ordering chains go through
-// litOrderImplies. Equality conclusions require the exact literal
-// (Eval's = is string atom equality: "5.0" never implies equality with
-// "5"), and inequality conclusions use that an atom equal to b compares
-// as b does.
+// cmpImplies reports q ⟹ s for two comparisons of one variable against
+// literals, the only form XMAS writes (variable on the left). An
+// equality premise (x = a holds exactly when x's atom is the string a)
+// substitutes a for x, so the engine's hybrid Compare decides directly;
+// ordering-to-ordering chains go through litOrderImplies. Equality
+// conclusions require the exact literal (Eval's = is string atom
+// equality: "5.0" never implies equality with "5"), and inequality
+// conclusions use that an atom equal to b compares as b does.
 func cmpImplies(qc, sc Cond) bool {
-	q, ok := normCmp(qc)
-	if !ok {
-		return false
-	}
-	s, ok := normCmp(sc)
-	if !ok {
-		return false
-	}
-	if q.L.Var != s.L.Var {
+	q, okq := qc.(*Cmp)
+	s, oks := sc.(*Cmp)
+	if !okq || !oks || q.R.Var != "" || s.R.Var != "" || q.L.Var != s.L.Var {
 		return false
 	}
 	a, b := q.R.Lit, s.R.Lit

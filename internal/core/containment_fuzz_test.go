@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +97,39 @@ func FuzzContainmentSound(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), "30", true, false, uint8(0), uint8(0), uint8(1), "1x", true, false)
 	// NOT contained: restricted superset, unrestricted sub.
 	f.Add(uint8(0), uint8(0), uint8(0), "20", true, false, uint8(0), uint8(0), uint8(0), "20", false, false)
+	// One pair per implication rule (cmpImplies): the cached query
+	// restricts price by super, the asked one by sub. Literals differ,
+	// so structural equality never decides first.
+	for _, c := range []struct{ super, superLit, sub, subLit string }{
+		{"<", "30", "<=", "20"},
+		{"<", "30", "=", "19"},
+		{"<", "30", ">", "20"}, // no rule: not implied
+		{"<", "10", "<", "9"},  // numeric 9 < 10, but "9" > "10" as strings
+		{"<=", "30", "<", "20"},
+		{"<=", "19", "=", "19"},
+		{">", "10", ">", "15"},
+		{">", "10", ">=", "15"},
+		{">", "10", "=", "19"},
+		{">=", "10", ">", "10"},
+		{">=", "19", "=", "19"},
+		{"=", "19", "=", "65"},
+		{"!=", "19", "!=", "65"},
+		{"!=", "19", "=", "65"},
+		{"!=", "65", "<", "20"},
+		{"!=", "65", "<=", "20"},
+		{"!=", "9", ">", "10"},
+		{"!=", "9", ">=", "10"},
+		// At the boundary each rule must say no: the books priced 19
+		// are in sub's answer and not in super's.
+		{"<", "19", "<=", "19"},
+		{">", "19", ">=", "19"},
+		{"!=", "19", "<=", "19"},
+		{"!=", "19", ">=", "19"},
+		{"=", "19.0", "=", "19"},
+	} {
+		so, bo := slices.Index(fuzzOps, c.super), slices.Index(fuzzOps, c.sub)
+		f.Add(uint8(0), uint8(0), uint8(so), c.superLit, true, false, uint8(0), uint8(0), uint8(bo), c.subLit, true, false)
+	}
 	f.Fuzz(func(t *testing.T,
 		sp, sr, sop uint8, slit string, sHas, sNest bool,
 		bp, br, bop uint8, blit string, bHas, bNest bool) {

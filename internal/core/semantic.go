@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
 	"mix/internal/algebra"
 	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
@@ -19,17 +16,8 @@ import (
 // semantic hit costs zero source navigations, exactly like an exact
 // warm hit. The candidate loop is regioncache.Cache.Subsume; this file
 // supplies the rebuild it calls, which reads the superset's region and
-// writes the query's answer as a region, copying value and group
-// subtrees across whole.
-
-// rebuild derives this query's answer from a subsuming plan's fully
-// explored region, in the shape the containment evidence names.
-func (q *Query) rebuild(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
-	if ct.Shape == algebra.ShapeConstruct {
-		return q.constructAnswer(ct, super)
-	}
-	return q.bindingsAnswer(ct, super)
-}
+// writes the query's answer as a region, copying group subtrees across
+// whole.
 
 // acceptsLabel is the single-step path test: the path accepts exactly
 // the one-label sequence [label]. PathRewrite paths are single-step by
@@ -38,95 +26,6 @@ func (q *Query) rebuild(ct *algebra.Containment, super *regioncache.Region) (*re
 // label one hit has tested is one map hit for the next.
 func acceptsLabel(d *pathexpr.DFA, label string) bool {
 	return d.Step(d.Start().ID, label).Accepting
-}
-
-// semBinding is the ValueGetter residual conditions evaluate against in
-// the bindings shape: the canonical sub variables and the region nodes
-// of their values, positionally aligned. A value is materialized only
-// when a condition reads it.
-type semBinding struct {
-	r    *regioncache.Region
-	vars []string
-	vals []int
-}
-
-func (g semBinding) Value(name string) (*xmltree.Tree, error) {
-	if i := slices.Index(g.vars, name); i >= 0 {
-		return g.r.Subtree(g.vals[i]), nil
-	}
-	return nil, fmt.Errorf("core: semantic residual references unknown variable %q", name)
-}
-
-// bindingsAnswer rebuilds the query's bs[b[…]…] answer from super's:
-// each b is kept iff its positional values pass the path label tests
-// and the residual condition, and the kept children are relabeled to
-// the query's runtime output variables. Any structural surprise returns
-// ok=false and the engine falls back to the source-backed plan.
-func (q *Query) bindingsAnswer(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
-	subVars := q.view.topVars
-	if super.Label(0) != "bs" || len(subVars) != len(ct.SubTopVars) {
-		return nil, false
-	}
-	type ptest struct {
-		idx int
-		dfa *pathexpr.DFA
-	}
-	tests := make([]ptest, 0, len(ct.Paths))
-	for _, pr := range ct.Paths {
-		i := slices.Index(ct.SubTopVars, pr.Var)
-		if i < 0 {
-			return nil, false
-		}
-		tests = append(tests, ptest{idx: i, dfa: q.eng.pathDFA(pr.Sub)})
-	}
-	getter := semBinding{r: super, vars: ct.SubTopVars, vals: make([]int, len(subVars))}
-	vals := getter.vals
-	var out regioncache.RegionBuilder
-	out.Grow(super.Nodes())
-	out.Open("bs")
-	for b := super.Child(0); b >= 0; b = super.Next(b) {
-		if super.Label(b) != "b" {
-			return nil, false
-		}
-		n := 0
-		for ch := super.Child(b); ch >= 0; ch = super.Next(ch) {
-			v := super.Child(ch)
-			if n == len(vals) || v < 0 || super.Next(v) >= 0 {
-				return nil, false
-			}
-			vals[n] = v
-			n++
-		}
-		if n != len(vals) {
-			return nil, false
-		}
-		keep := true
-		for _, tst := range tests {
-			if !acceptsLabel(tst.dfa, super.Label(vals[tst.idx])) {
-				keep = false
-				break
-			}
-		}
-		if keep && ct.Residual != nil {
-			ok, err := ct.Residual.Eval(getter)
-			if err != nil {
-				return nil, false
-			}
-			keep = ok
-		}
-		if !keep {
-			continue
-		}
-		out.Open("b")
-		for i, v := range vals {
-			out.Open(subVars[i])
-			out.Copy(super, v)
-			out.Close()
-		}
-		out.Close()
-	}
-	out.Close()
-	return out.Region(), true
 }
 
 // chainStep is a compiled ChainOp: its path's automaton is the engine's
@@ -181,10 +80,12 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 	}
 }
 
-// constructAnswer rebuilds sub's constructed answer element from
-// super's by decoding runs: super's children are, per group context,
-// m(T) consecutive copies of the context's group subtree T, where m is
-// the super chain's derivation count over T (a function of T alone).
+// rebuild derives this query's constructed answer element from a
+// subsuming plan's fully explored region, in the shape of the
+// containment evidence, by decoding runs: super's children are, per
+// group context, m(T) consecutive copies of the context's group subtree
+// T, where m is the super chain's derivation count over T (a function
+// of T alone).
 // Grouping consecutive equal children therefore yields runs of length
 // contexts·m(T); sub keeps each context's subtree iff its root label
 // passes the (possibly restricted) group path and emits q(T) copies,
@@ -192,11 +93,11 @@ func countChain(steps []chainStep, root *xmltree.Tree) (int, error) {
 // m(T) — or m(T) = 0 for a subtree that is nonetheless present — means
 // the region does not decode under this containment; ok=false falls
 // back to the source-backed plan.
-func (q *Query) constructAnswer(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
+func (q *Query) rebuild(ct *algebra.Containment, super *regioncache.Region) (*regioncache.Region, bool) {
 	// Descend the decoration stack: each level holds exactly one
 	// element of the next label; the innermost children are the grouped
 	// values the runs decode.
-	if len(ct.RootLabels) == 0 || super.Label(0) != ct.RootLabels[0] {
+	if super.Label(0) != ct.RootLabels[0] {
 		return nil, false
 	}
 	inner := 0

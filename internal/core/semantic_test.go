@@ -5,7 +5,6 @@ import (
 
 	"mix/internal/algebra"
 	"mix/internal/nav"
-	"mix/internal/pathexpr"
 	"mix/internal/regioncache"
 	"mix/internal/xmas"
 	"mix/internal/xmltree"
@@ -166,23 +165,15 @@ func TestSemanticConstructJoin(t *testing.T) {
 	}
 }
 
-// TestSemanticBindingsResidual: bindings-shaped plans (no construct
-// root) with a residual σ and with a weakened path.
-func TestSemanticBindingsResidual(t *testing.T) {
+// TestSemanticConstructResidual: the sub query's σ reads the grouped
+// variable itself, so the rebuild filters each group subtree by it.
+func TestSemanticConstructResidual(t *testing.T) {
 	src := xmltree.Elem("r",
 		xmltree.Leaf("a"), xmltree.Leaf("b"), xmltree.Leaf("a"), xmltree.Leaf("c"))
 	srcs := map[string]*xmltree.Tree{"s": src}
-	gd := func(path string) *algebra.GetDescendants {
-		p, err := pathexpr.Parse(path)
-		if err != nil {
-			t.Fatalf("path %q: %v", path, err)
-		}
-		return &algebra.GetDescendants{
-			Input: &algebra.Source{URL: "s", Var: "X"}, Parent: "X", Path: p, Out: "Y"}
-	}
-	superPlan := gd("_")
-	subPlan := algebra.Op(&algebra.Select{Input: gd("_"),
-		Cond: &algebra.Cmp{Op: algebra.OpEq, L: algebra.V("Y"), R: algebra.Lit("a")}})
+	superQ := `CONSTRUCT <result> $Y {$Y} </result> {} WHERE s r._ $Y`
+	subQ := `CONSTRUCT <result> $Y {$Y} </result> {} WHERE s r._ $Y AND $Y = "a"`
+	superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
 
 	got, navs, st := drainSemPair(t, superPlan, subPlan, srcs, true)
 	want := oracle(t, subPlan, srcs)
@@ -191,20 +182,6 @@ func TestSemanticBindingsResidual(t *testing.T) {
 	}
 	if navs != 0 {
 		t.Fatalf("residual sub query cost %d source navigations, want 0", navs)
-	}
-	if st.SemanticHits != 1 {
-		t.Fatalf("semantic hits = %d (stats %+v)", st.SemanticHits, st)
-	}
-
-	// Path weakening: sub's gd matches only "a" children.
-	subPath := algebra.Op(gd("a"))
-	got, navs, st = drainSemPair(t, superPlan, subPath, srcs, true)
-	want = oracle(t, subPath, srcs)
-	if !xmltree.Equal(got, want) {
-		t.Fatalf("path-weakened answer differs\ngot  %v\nwant %v", got, want)
-	}
-	if navs != 0 {
-		t.Fatalf("path-weakened sub query cost %d source navigations, want 0", navs)
 	}
 	if st.SemanticHits != 1 {
 		t.Fatalf("semantic hits = %d (stats %+v)", st.SemanticHits, st)

@@ -7,18 +7,28 @@ import (
 
 	"mix/internal/algebra"
 	"mix/internal/nav"
-	"mix/internal/pathexpr"
+	"mix/internal/xmas"
 	"mix/internal/xmltree"
 )
 
-// planFor builds a distinct small canonical plan per label: the plan
-// index never inspects plan structure, so any non-nil Op will do, but
-// distinct paths keep fingerprints honest if a test ever canonicalizes.
+// planFor builds a distinct small canonical plan per label, as the
+// engine indexes it: the XMAS construct grouping the source's label
+// children, canonicalized. Plans of one label contain each other;
+// plans of two labels do not.
 func planFor(label string) algebra.Op {
-	return &algebra.GetDescendants{
-		Input:  &algebra.Source{URL: "s", Var: "v0"},
-		Parent: "v0", Path: pathexpr.MustParse(label), Out: "v1",
+	q, err := xmas.Parse(`CONSTRUCT <r> $X {$X} </r> {} WHERE s s.` + label + ` $X`)
+	if err != nil {
+		panic(err)
 	}
+	p, err := q.Translate()
+	if err != nil {
+		panic(err)
+	}
+	canon, _, ok := Canonical(p)
+	if !ok {
+		panic("planFor: no canonical form")
+	}
+	return canon
 }
 
 func TestPlanIndexCandidates(t *testing.T) {

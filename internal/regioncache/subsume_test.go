@@ -10,10 +10,10 @@ import (
 	"mix/internal/xmltree"
 )
 
-// superTree is a small fully explored answer: merged into an entry, it
-// makes the entry Complete.
+// superTree is a small fully explored answer of a planFor plan:
+// merged into an entry, it makes the entry Complete.
 func superTree() *xmltree.Tree {
-	return xmltree.Elem("bs", xmltree.Elem("b", xmltree.Leaf("x")), xmltree.Elem("b", xmltree.Leaf("y")))
+	return xmltree.Elem("r", xmltree.Elem("a", xmltree.Leaf("x")), xmltree.Elem("a", xmltree.Leaf("y")))
 }
 
 // subsumeKey is the key of plan fp in the test view's bucket.
@@ -56,7 +56,7 @@ func TestSemanticSkipsIncompleteBeforeContainment(t *testing.T) {
 	c := New(0)
 	c.IndexPlan(subsumeKey(c, "contained"), planFor("a"))
 	c.IndexPlan(subsumeKey(c, "other"), planFor("b")) // contains nothing here
-	c.Open(subsumeKey(c, "contained")).Merge(&Region{{Label: "bs", Down: WindowOut, Right: WindowNone}})
+	c.Open(subsumeKey(c, "contained")).Merge(&Region{{Label: "r", Down: WindowOut, Right: WindowNone}})
 	// "other" has no entry at all.
 
 	hit, rebuilds, _ := trySubsume(c)
