@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mix/internal/algebra"
 	"mix/internal/xmltree"
 )
 
@@ -69,34 +70,92 @@ func fuzzLit(s string) string {
 	return b.String()
 }
 
-func fuzzQuery(path, rest, op, lit string, restricted, nested bool) string {
+// fuzzSide is one query of a fuzzed pair: group path, an optional
+// σ-restriction (descent rest, comparison op with lit), an optional
+// second one (descent rest2 — fuzzRestPaths2[0] compares $P again —
+// with op2 and lit2), an optional cross product with a second scan of
+// the source, and an optional nested construct. Indexes wrap.
+type fuzzSide struct {
+	path, rest, op uint8
+	lit            string
+	restricted     bool
+	nested         bool
+	rest2, op2     uint8
+	lit2           string
+	restricted2    bool
+	joined         bool
+}
+
+// fuzzRestPaths2 are the second restriction's descents; "" restricts
+// $P again, so the rewriter merges the two selects into one And.
+var fuzzRestPaths2 = []string{"", "price._", "title._"}
+
+// fuzzJoin is the second scan of a joined side: every group value is
+// paired with both of fuzzBib's cd and dvd, so the answer holds each
+// value twice in a row, and the rewriter pushes the restrictions below
+// the join, into its left side.
+const fuzzJoin = ` AND src bib.(cd|dvd) $C`
+
+func (q fuzzSide) text() string {
 	var b strings.Builder
-	if nested {
+	if q.nested {
 		b.WriteString(`CONSTRUCT <answer> <r> $B {$B} </r> </answer> {} WHERE src `)
 	} else {
 		b.WriteString(`CONSTRUCT <r> $B {$B} </r> {} WHERE src `)
 	}
-	b.WriteString(path)
+	b.WriteString(fuzzPaths[int(q.path)%len(fuzzPaths)])
 	b.WriteString(` $B`)
-	if restricted {
-		b.WriteString(` AND $B ` + rest + ` $P AND $P ` + op + ` "` + lit + `"`)
+	if q.joined {
+		b.WriteString(fuzzJoin)
+	}
+	if q.restricted {
+		b.WriteString(` AND $B ` + fuzzRestPaths[int(q.rest)%len(fuzzRestPaths)] + ` $P AND $P ` +
+			fuzzOps[int(q.op)%len(fuzzOps)] + ` "` + fuzzLit(q.lit) + `"`)
+		if q.restricted2 {
+			v := "$P"
+			if r := fuzzRestPaths2[int(q.rest2)%len(fuzzRestPaths2)]; r != "" {
+				v = "$Q"
+				b.WriteString(` AND $B ` + r + ` $Q`)
+			}
+			b.WriteString(` AND ` + v + ` ` + fuzzOps[int(q.op2)%len(fuzzOps)] + ` "` + fuzzLit(q.lit2) + `"`)
+		}
 	}
 	return b.String()
 }
 
+// addPair adds one seed: the super side cached, the sub side asked.
+func addPair(f *testing.F, super, sub fuzzSide) {
+	f.Add(super.path, super.rest, super.op, super.lit, super.restricted, super.nested,
+		super.rest2, super.op2, super.lit2, super.restricted2, super.joined,
+		sub.path, sub.rest, sub.op, sub.lit, sub.restricted, sub.nested,
+		sub.rest2, sub.op2, sub.lit2, sub.restricted2, sub.joined)
+}
+
+// rewriteQ parses and translates text and rewrites the plan as the
+// mediator does for every plan it caches: cascaded selects merge into
+// one conjunction (R3) and selects move below joins (R1).
+func rewriteQ(t testing.TB, text string) algebra.Op {
+	t.Helper()
+	return algebra.Rewrite(translateQ(t, text))
+}
+
 func FuzzContainmentSound(f *testing.F) {
+	// restricted returns a side restricted by op and lit on price.
+	restricted := func(op, lit string) fuzzSide {
+		return fuzzSide{op: uint8(slices.Index(fuzzOps, op)), lit: lit, restricted: true}
+	}
 	// The E18 pair: unrestricted superset, σ-restricted sub.
-	f.Add(uint8(0), uint8(0), uint8(0), "20", false, false, uint8(0), uint8(0), uint8(0), "20", true, false)
+	addPair(f, fuzzSide{lit: "20"}, restricted("<", "20"))
 	// Path weakening: bib._ superset, bib.book sub, no conditions.
-	f.Add(uint8(1), uint8(0), uint8(0), "0", false, false, uint8(0), uint8(0), uint8(0), "0", false, false)
+	addPair(f, fuzzSide{path: 1, lit: "0"}, fuzzSide{lit: "0"})
 	// Alternation superset, label sub, nested construct on both sides.
-	f.Add(uint8(2), uint8(0), uint8(0), "0", false, true, uint8(3), uint8(0), uint8(0), "0", false, true)
+	addPair(f, fuzzSide{path: 2, lit: "0", nested: true}, fuzzSide{path: 3, lit: "0", nested: true})
 	// Implication between conditions: < "30" cached, < "20" asked.
-	f.Add(uint8(0), uint8(0), uint8(0), "30", true, false, uint8(0), uint8(0), uint8(0), "20", true, false)
+	addPair(f, restricted("<", "30"), restricted("<", "20"))
 	// Mixed-kind literals: numeric cached bound, non-numeric sub bound.
-	f.Add(uint8(0), uint8(0), uint8(0), "30", true, false, uint8(0), uint8(0), uint8(1), "1x", true, false)
+	addPair(f, restricted("<", "30"), fuzzSide{op: 1, lit: "1x", restricted: true})
 	// NOT contained: restricted superset, unrestricted sub.
-	f.Add(uint8(0), uint8(0), uint8(0), "20", true, false, uint8(0), uint8(0), uint8(0), "20", false, false)
+	addPair(f, restricted("<", "20"), fuzzSide{lit: "20"})
 	// One pair per implication rule (cmpImplies): the cached query
 	// restricts price by super, the asked one by sub. Literals differ,
 	// so structural equality never decides first.
@@ -127,22 +186,46 @@ func FuzzContainmentSound(f *testing.F) {
 		{"!=", "19", ">=", "19"},
 		{"=", "19.0", "=", "19"},
 	} {
-		so, bo := slices.Index(fuzzOps, c.super), slices.Index(fuzzOps, c.sub)
-		f.Add(uint8(0), uint8(0), uint8(so), c.superLit, true, false, uint8(0), uint8(0), uint8(bo), c.subLit, true, false)
+		addPair(f, restricted(c.super, c.superLit), restricted(c.sub, c.subLit))
 	}
+	// Two restrictions. On one variable the rewriter merges them into
+	// one And, whose conjuncts imply super's one condition, or each of
+	// super's two (in the other order), or fail to.
+	and := func(op, lit, op2, lit2 string) fuzzSide {
+		s := restricted(op, lit)
+		s.op2, s.lit2, s.restricted2 = uint8(slices.Index(fuzzOps, op2)), lit2, true
+		return s
+	}
+	addPair(f, restricted("<", "30"), and(">", "10", "<", "20"))
+	addPair(f, and("<", "30", ">", "11"), and(">", "12", "<", "20"))
+	addPair(f, and("<", "30", ">", "20"), and("<", "30", ">", "10")) // not contained
+	addPair(f, and("<", "30", ">", "11"), restricted("<", "20"))     // not contained
+	// On two variables: price bounded in both, title fixed in sub only,
+	// or in super only (not contained).
+	titled := func(s fuzzSide, lit string) fuzzSide {
+		s.rest2, s.op2, s.lit2, s.restricted2 = 2, uint8(slices.Index(fuzzOps, "=")), lit, true
+		return s
+	}
+	addPair(f, restricted("<", "30"), titled(restricted("<", "20"), "data"))
+	addPair(f, titled(restricted("<", "30"), "data"), restricted("<", "20"))
+	// Joined sides: each value twice in a row (runs of equal
+	// subtrees), the restrictions pushed into the join's left side.
+	// Only sub's restrictions can cross the join into its chain: a
+	// restriction both sides have pairs below the join, where the
+	// group subtree alone cannot evaluate sub's stricter one.
+	joined := func(s fuzzSide) fuzzSide { s.joined = true; return s }
+	addPair(f, joined(fuzzSide{lit: "0"}), joined(restricted("<", "20")))
+	addPair(f, joined(fuzzSide{lit: "0"}), joined(titled(restricted(">", "10"), "data")))
+	addPair(f, joined(restricted("<", "30")), joined(and(">", "10", "<", "20")))   // not contained
+	addPair(f, joined(fuzzSide{path: 1, lit: "0"}), joined(restricted("<", "30"))) // not contained
+	addPair(f, fuzzSide{lit: "0"}, joined(restricted("<", "20")))                  // not contained
 	f.Fuzz(func(t *testing.T,
-		sp, sr, sop uint8, slit string, sHas, sNest bool,
-		bp, br, bop uint8, blit string, bHas, bNest bool) {
-		superQ := fuzzQuery(
-			fuzzPaths[int(sp)%len(fuzzPaths)],
-			fuzzRestPaths[int(sr)%len(fuzzRestPaths)],
-			fuzzOps[int(sop)%len(fuzzOps)], fuzzLit(slit), sHas, sNest)
-		subQ := fuzzQuery(
-			fuzzPaths[int(bp)%len(fuzzPaths)],
-			fuzzRestPaths[int(br)%len(fuzzRestPaths)],
-			fuzzOps[int(bop)%len(fuzzOps)], fuzzLit(blit), bHas, bNest)
+		sp, sr, sop uint8, slit string, sHas, sNest bool, sr2, sop2 uint8, slit2 string, sHas2, sJoin bool,
+		bp, br, bop uint8, blit string, bHas, bNest bool, br2, bop2 uint8, blit2 string, bHas2, bJoin bool) {
+		superQ := fuzzSide{sp, sr, sop, slit, sHas, sNest, sr2, sop2, slit2, sHas2, sJoin}.text()
+		subQ := fuzzSide{bp, br, bop, blit, bHas, bNest, br2, bop2, blit2, bHas2, bJoin}.text()
 		srcs := map[string]*xmltree.Tree{"src": fuzzBib()}
-		superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
+		superPlan, subPlan := rewriteQ(t, superQ), rewriteQ(t, subQ)
 		want := oracle(t, subPlan, srcs)
 		got, _, _ := drainSemPair(t, superPlan, subPlan, srcs, true)
 		if !xmltree.Equal(got, want) {

@@ -10,6 +10,7 @@ import (
 	"mix/internal/algebra"
 	"mix/internal/nav"
 	"mix/internal/pathexpr"
+	"mix/internal/regioncache"
 	"mix/internal/trace"
 )
 
@@ -198,10 +199,10 @@ func (m *mapCursor) fork() cursor {
 	return &mapCursor{in: m.in.fork(), fn: m.fn}
 }
 
-// filterCursor keeps the bindings satisfying pred.
+// filterCursor keeps the bindings satisfying cond.
 type filterCursor struct {
 	in   cursor
-	pred func(*binding) (bool, error)
+	cond algebra.Cond
 }
 
 func (f *filterCursor) next() (*binding, error) {
@@ -210,7 +211,7 @@ func (f *filterCursor) next() (*binding, error) {
 		if b == nil {
 			return nil, err
 		}
-		ok, err := f.pred(b)
+		ok, err := f.cond.Eval(b)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +222,7 @@ func (f *filterCursor) next() (*binding, error) {
 }
 
 func (f *filterCursor) fork() cursor {
-	return &filterCursor{in: f.in.fork(), pred: f.pred}
+	return &filterCursor{in: f.in.fork(), cond: f.cond}
 }
 
 // expandCursor is the flatMap of the fused σ-scan: each input binding
@@ -287,14 +288,18 @@ type descendCursor struct {
 // walkLevel is one depth of a descent: the siblings still to visit and
 // the DFA state before their labels. A level with a document is a
 // source level, stepping d/r/f on it directly: id is the parent until
-// started, then the last sibling visited. Any other level steps sibs,
-// the persistent list of the siblings left (constructed values).
+// started, then the last sibling visited. A level with a tree reads
+// the children of a closed region-cache node in place (closedNode),
+// from child pos on. Any other level steps sibs, the persistent list of
+// the siblings left (constructed values).
 type walkLevel struct {
 	state   int
 	started bool
 	doc     nav.Document
 	id      nav.ID
 	sibs    list
+	tree    regioncache.Tree
+	pos     int
 }
 
 // step advances lv to its next sibling and returns its label, with ok
@@ -302,6 +307,14 @@ type walkLevel struct {
 // sibling's node; a source level leaves the sibling at lv.id and boxes
 // nothing.
 func (lv *walkLevel) step() (c Node, label string, ok bool, err error) {
+	if lv.tree != (regioncache.Tree{}) {
+		if lv.pos == lv.tree.Len() {
+			return nil, "", false, nil
+		}
+		t := lv.tree.Child(lv.pos)
+		lv.pos++
+		return closedNode{t}, t.Label(), true, nil
+	}
 	if lv.doc == nil {
 		if c, lv.sibs, err = lv.sibs.next(); c == nil || err != nil {
 			return nil, "", false, err
@@ -334,6 +347,8 @@ func (d *descendCursor) push(n Node, state int) error {
 	}
 	if s, ok := n.(*srcPos); ok {
 		d.stack = append(d.stack, walkLevel{state: state, doc: s.doc, id: s.id})
+	} else if c, ok := n.(closedNode); ok {
+		d.stack = append(d.stack, walkLevel{state: state, tree: c.t})
 	} else {
 		d.stack = append(d.stack, walkLevel{state: state, sibs: n.Children()})
 	}
@@ -711,9 +726,7 @@ func (c *compiler) compileSelect(op *algebra.Select) (builder, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterCursor{in: cur, pred: func(b *binding) (bool, error) {
-			return cond.Eval(b)
-		}}, nil
+		return &filterCursor{in: cur, cond: cond}, nil
 	}, nil
 }
 

@@ -81,7 +81,7 @@ func TestSemanticConstructSubsumed(t *testing.T) {
 	subQ := `CONSTRUCT <result> $B {$B} </result> {}
 	         WHERE src bib.book $B AND $B price._ $P AND $P < "20"`
 	srcs := map[string]*xmltree.Tree{"src": bibTree()}
-	superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
+	superPlan, subPlan := rewriteQ(t, superQ), rewriteQ(t, subQ)
 
 	got, navs, st := drainSemPair(t, superPlan, subPlan, srcs, true)
 	want := oracle(t, subPlan, srcs)
@@ -115,7 +115,7 @@ func TestSemanticConstructPathWeakened(t *testing.T) {
 	superQ := `CONSTRUCT <result> $B {$B} </result> {} WHERE src bib._ $B`
 	subQ := `CONSTRUCT <result> $B {$B} </result> {} WHERE src bib.book $B`
 	srcs := map[string]*xmltree.Tree{"src": bibTree()}
-	superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
+	superPlan, subPlan := rewriteQ(t, superQ), rewriteQ(t, subQ)
 
 	got, navs, st := drainSemPair(t, superPlan, subPlan, srcs, true)
 	want := oracle(t, subPlan, srcs)
@@ -150,7 +150,7 @@ func TestSemanticConstructJoin(t *testing.T) {
 		xmltree.Elem("school", xmltree.Text("zip", "92093")),
 	)
 	srcs := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
-	superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
+	superPlan, subPlan := rewriteQ(t, superQ), rewriteQ(t, subQ)
 
 	got, navs, st := drainSemPair(t, superPlan, subPlan, srcs, true)
 	want := oracle(t, subPlan, srcs)
@@ -173,7 +173,7 @@ func TestSemanticConstructResidual(t *testing.T) {
 	srcs := map[string]*xmltree.Tree{"s": src}
 	superQ := `CONSTRUCT <result> $Y {$Y} </result> {} WHERE s r._ $Y`
 	subQ := `CONSTRUCT <result> $Y {$Y} </result> {} WHERE s r._ $Y AND $Y = "a"`
-	superPlan, subPlan := translateQ(t, superQ), translateQ(t, subQ)
+	superPlan, subPlan := rewriteQ(t, superQ), rewriteQ(t, subQ)
 
 	got, navs, st := drainSemPair(t, superPlan, subPlan, srcs, true)
 	want := oracle(t, subPlan, srcs)
@@ -201,7 +201,7 @@ func TestSemanticRejectsPartialSuperset(t *testing.T) {
 	cache := regioncache.New(0)
 	e.SetRegionCache(cache)
 
-	qs := mustCompileAs(t, e, translateQ(t, superQ), "v")
+	qs := mustCompileAs(t, e, rewriteQ(t, superQ), "v")
 	// Explore only the root label: the entry exists and is indexed but
 	// is nowhere near complete.
 	doc := qs.Document()
@@ -213,9 +213,9 @@ func TestSemanticRejectsPartialSuperset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qq := mustCompileAs(t, e, translateQ(t, subQ), "v")
+	qq := mustCompileAs(t, e, rewriteQ(t, subQ), "v")
 	got := mustMaterialize(t, qq)
-	want := oracle(t, translateQ(t, subQ), srcs)
+	want := oracle(t, rewriteQ(t, subQ), srcs)
 	if !xmltree.Equal(got, want) {
 		t.Fatalf("fallback answer differs\ngot  %v\nwant %v", got, want)
 	}
@@ -236,8 +236,8 @@ func TestSemanticNotContained(t *testing.T) {
 	subQ := `CONSTRUCT <result> $B {$B} </result> {} WHERE src bib.book $B`
 	srcs := map[string]*xmltree.Tree{"src": bibTree()}
 
-	got, navs, st := drainSemPair(t, translateQ(t, superQ), translateQ(t, subQ), srcs, true)
-	want := oracle(t, translateQ(t, subQ), srcs)
+	got, navs, st := drainSemPair(t, rewriteQ(t, superQ), rewriteQ(t, subQ), srcs, true)
+	want := oracle(t, rewriteQ(t, subQ), srcs)
 	if !xmltree.Equal(got, want) {
 		t.Fatalf("answer differs\ngot  %v\nwant %v", got, want)
 	}

@@ -65,6 +65,14 @@ type Entry struct {
 }
 
 // cnode is one node of the cached partial tree.
+//
+// A closed cnode (isClosed) is never written again: storeLabel and
+// mergeRegion fill only an unknown label, storeChild and mergeRegion
+// extend or complete only an incomplete child list, and so does graft.
+// Only ids are written later, by the entry's own producer, which a
+// complete entry no longer has (see resolve). So entries may share
+// closed subtrees (Cache.Subsume): both are complete, and the lender
+// retires its producer first.
 type cnode struct {
 	label      string
 	kids       []*cnode // known prefix of the child list
@@ -74,8 +82,9 @@ type cnode struct {
 	// changes, so once set it never needs re-checking. Atomic because
 	// it is set under the entry's read lock.
 	closed atomic.Bool
-	// id is the producer's node-id, nil on a node a merge published
-	// until resolve replays to it. Guarded by the entry's pmu.
+	// id is the producer's node-id, nil on a node a merge or a graft
+	// published until resolve replays to it; no node below a nil one
+	// has one. Guarded by the entry's pmu.
 	id nav.ID
 }
 
@@ -273,7 +282,12 @@ func (e *Entry) retire() {
 	e.mu.RUnlock()
 }
 
+// forgetIDs clears the ids in n's subtree, stopping where they end, so
+// it never writes a node another entry lent.
 func forgetIDs(n *cnode) {
+	if n.id == nil {
+		return
+	}
 	n.id = nil
 	for _, k := range n.kids {
 		forgetIDs(k)
@@ -282,12 +296,16 @@ func forgetIDs(n *cnode) {
 
 // resolve returns the producer's id for the node at path. Most nodes
 // carry the id the producer derived them under. The rest were published
-// by a merge (a peer's region, a semantic answer): resolve replays d/r
-// to them from the nearest node to their left or above that carries an
-// id, and leaves an id on every node it crosses, so each is replayed at
-// most once per entry. Caller holds e.pmu.
+// by a merge (a peer's region): resolve replays d/r to them from the
+// nearest node to their left or above that carries an id, and leaves an
+// id on every node it crosses, so each is replayed at most once per
+// entry. A complete entry, which may share nodes, never misses, so it
+// never resolves (see cnode). Caller holds e.pmu.
 func (e *Entry) resolve(path []int) (nav.ID, error) {
 	n := e.root
+	if n.closed.Load() {
+		return nil, fmt.Errorf("regioncache: resolve of %v in a complete entry", path)
+	}
 	if n.id == nil {
 		root, err := e.prod.Root()
 		if err != nil {

@@ -11,8 +11,8 @@ import (
 // the one lookup (Subsume) that answers a query from a cached plan that
 // subsumes it, and the completeness accessors that make a superset
 // region safe to answer from — a partial region must never silently
-// truncate a subsumed answer. The superset is read, and the subset's
-// answer published, in the wire form of region.go.
+// truncate a subsumed answer. The superset is read in place, and the
+// subset's answer shares its closed subtrees (Tree).
 
 // maxPlansPerBucket bounds the candidate set a semantic lookup scans.
 // Buckets group plans sharing (generation, registry, view name); within
@@ -88,17 +88,15 @@ func (c *Cache) forgetPlan(k Key) {
 	}
 }
 
-// candidates returns the indexed plans that could subsume the plan
-// identified by k: same bucket, different fingerprint (the same
+// candidates appends to out the indexed plans that could subsume the
+// plan identified by k: same bucket, different fingerprint (the same
 // fingerprint is the exact-match fast path, handled before any
-// semantic work). The slice is freshly allocated; entries are shared.
-func (c *Cache) candidates(k Key) []planEntry {
+// semantic work). The plans are shared.
+func (c *Cache) candidates(k Key, out []planEntry) []planEntry {
 	b := bucketKey{gen: k.Generation, registry: k.Registry, name: k.Name}
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	ps := c.plans[b]
-	out := make([]planEntry, 0, len(ps))
-	for _, p := range ps {
+	for _, p := range c.plans[b] {
 		if p.key.Fingerprint != k.Fingerprint {
 			out = append(out, p)
 		}
@@ -111,13 +109,11 @@ func (c *Cache) candidates(k Key) []planEntry {
 // same view that subsumes it. For each candidate in the plan index it
 // checks containment (algebra.Analyze); finds the candidate's complete
 // entry — the local one, else one Remote.Fetch of the candidate's key,
-// absorbed here so later subsumed queries stay node-local; exports it
-// (Entry.Export) and hands the region to rebuild, which derives the
-// query's own answer as a complete region (ok=false: the region does
-// not decode under this containment). The first rebuilt answer is
-// merged into e, after which e.Complete() holds and every navigation is
-// served from the entry. rebuild always reads a local export, never the
-// links a peer wrote.
+// absorbed here so later subsumed queries stay node-local; retires its
+// producer (settle) and hands rebuild its root under its read lock.
+// rebuild returns the query's answer as new nodes over the candidate's
+// closed subtrees (ok=false: they do not decode under this
+// containment), which is grafted into e (adopt).
 //
 // A candidate counts only when complete — locally via Entry.Complete,
 // remotely via Region.Complete — so a partial superset is skipped (and
@@ -128,8 +124,9 @@ func (c *Cache) candidates(k Key) []planEntry {
 // knows, so containment comes first and the one Fetch after it. Either
 // way the skip counts as incomplete. Subsume reports whether it
 // answered the query and keeps the semantic counters of Stats.
-func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, *Region) (*Region, bool)) bool {
-	cands := c.candidates(e.key)
+func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containment, Tree) (Tree, bool)) bool {
+	var buf [maxPlansPerBucket]planEntry
+	cands := c.candidates(e.key, buf[:0])
 	if len(cands) > 0 {
 		c.semCandidates.Add(int64(len(cands)))
 	}
@@ -153,11 +150,14 @@ func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containm
 			c.semIncompleteSkips.Add(1)
 			continue
 		}
-		ans, ok := rebuild(ct, le.Export())
+		le.settle()
+		le.mu.RLock()
+		ans, ok := rebuild(ct, Tree{le.root})
+		le.mu.RUnlock()
 		if !ok {
 			continue
 		}
-		if e.Merge(ans) {
+		if e.adopt(ans) {
 			e.touch() // derived here: local growth the flusher publishes
 		}
 		c.semHits.Add(1)
@@ -165,6 +165,93 @@ func (c *Cache) Subsume(e *Entry, sub algebra.Op, rebuild func(*algebra.Containm
 	}
 	c.semMisses.Add(1)
 	return false
+}
+
+// Tree is a read handle on a closed node of a complete entry, or on a
+// node Elem built over such nodes. A closed node is never written again
+// (see cnode), so a Tree is read without a lock and may hang in any
+// number of entries at once.
+type Tree struct{ n *cnode }
+
+// Label returns the node's label.
+func (t Tree) Label() string { return t.n.label }
+
+// Len returns the number of the node's children.
+func (t Tree) Len() int { return len(t.n.kids) }
+
+// Child returns the node's i-th child.
+func (t Tree) Child(i int) Tree { return Tree{t.n.kids[i]} }
+
+// Equal reports whether t and u hold the same labels in the same shape.
+func (t Tree) Equal(u Tree) bool {
+	return t.n == u.n || t.n.label == u.n.label && slices.EqualFunc(t.n.kids, u.n.kids,
+		func(a, b *cnode) bool { return Tree{a}.Equal(Tree{b}) })
+}
+
+// Elem returns a new closed node labelled label whose children are
+// kids, themselves shared, not copied.
+func Elem(label string, kids ...Tree) Tree {
+	n := &cnode{label: label, labelKnown: true, complete: true, kids: make([]*cnode, len(kids))}
+	for i, k := range kids {
+		n.kids[i] = k.n
+	}
+	n.closed.Store(true)
+	return Tree{n}
+}
+
+// bytes returns what a copy of n's subtree is charged. A shared subtree
+// is charged as if copied, so sizes and eviction order ignore sharing.
+func (n *cnode) bytes() int64 {
+	b := int64(nodeBytes + len(n.label))
+	for _, k := range n.kids {
+		b += k.bytes()
+	}
+	return b
+}
+
+// adopt grafts t, the complete answer of e's key, into e and reports
+// whether e grew. It holds the producer lock: no resolve runs while
+// shared nodes join e, and a complete e never resolves again.
+func (e *Entry) adopt(t Tree) (grew bool) {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	e.mu.Lock()
+	before := e.bytes
+	if grew = !e.root.isClosed(); grew {
+		e.graft(e.root, t.n)
+	}
+	delta := e.bytes - before
+	e.mu.Unlock()
+	e.account(delta)
+	return grew
+}
+
+// graft completes dst, e's own node, from src, the same node of the
+// same answer, closed: an unknown label is filled in, a child dst
+// already has is grafted in turn, and the children past dst's known
+// prefix are src's own, shared. Like Merge it never contradicts what e
+// knows, and it writes only an unknown label or an incomplete child
+// list, never a closed node. Caller holds e.mu for writing.
+func (e *Entry) graft(dst, src *cnode) {
+	if !dst.labelKnown {
+		dst.label, dst.labelKnown = src.label, true
+		e.bytes += int64(len(src.label))
+	}
+	known := min(len(dst.kids), len(src.kids))
+	for i, k := range dst.kids[:known] {
+		e.graft(k, src.kids[i])
+	}
+	if !dst.complete {
+		for _, k := range src.kids[known:] {
+			e.bytes += k.bytes()
+		}
+		if known == 0 {
+			dst.kids = src.kids // complete: nothing appends to it
+		} else {
+			dst.kids = append(dst.kids, src.kids[known:]...)
+		}
+		dst.complete = true
+	}
 }
 
 // prunePlansBelow drops index buckets from generations older than g,

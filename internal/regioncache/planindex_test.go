@@ -38,18 +38,18 @@ func TestPlanIndexCandidates(t *testing.T) {
 	c.IndexPlan(k("fp2"), planFor("b"))
 	c.IndexPlan(k("fp1"), planFor("a")) // duplicate fingerprint: dropped
 
-	if got := c.candidates(k("fp1")); len(got) != 1 || got[0].key.Fingerprint != "fp2" {
+	if got := c.candidates(k("fp1"), nil); len(got) != 1 || got[0].key.Fingerprint != "fp2" {
 		t.Fatalf("candidates for fp1 = %+v, want exactly fp2 (self excluded, no dup)", got)
 	}
 	// Other registry versions and other view names see nothing.
-	if got := c.candidates(Key{Generation: 0, Registry: 2, Name: "v", Fingerprint: "fp1"}); len(got) != 0 {
+	if got := c.candidates(Key{Generation: 0, Registry: 2, Name: "v", Fingerprint: "fp1"}, nil); len(got) != 0 {
 		t.Fatalf("cross-registry candidates = %+v, want none", got)
 	}
-	if got := c.candidates(Key{Generation: 0, Registry: 1, Name: "w", Fingerprint: "fp1"}); len(got) != 0 {
+	if got := c.candidates(Key{Generation: 0, Registry: 1, Name: "w", Fingerprint: "fp1"}, nil); len(got) != 0 {
 		t.Fatalf("cross-view candidates = %+v, want none", got)
 	}
 	// A fingerprint not itself indexed still sees the bucket.
-	if got := c.candidates(k("fp3")); len(got) != 2 {
+	if got := c.candidates(k("fp3"), nil); len(got) != 2 {
 		t.Fatalf("candidates for unindexed fp = %d plans, want 2", len(got))
 	}
 }
@@ -60,7 +60,7 @@ func TestPlanIndexBucketBound(t *testing.T) {
 		fp := fmt.Sprintf("fp%02d", i)
 		c.IndexPlan(Key{Registry: 1, Name: "v", Fingerprint: fp}, planFor("a"))
 	}
-	got := c.candidates(Key{Registry: 1, Name: "v", Fingerprint: "none"})
+	got := c.candidates(Key{Registry: 1, Name: "v", Fingerprint: "none"}, nil)
 	if len(got) != maxPlansPerBucket {
 		t.Fatalf("bucket holds %d plans, want capped at %d", len(got), maxPlansPerBucket)
 	}
@@ -70,17 +70,17 @@ func TestPlanIndexGenerations(t *testing.T) {
 	c := New(0)
 	// Stale-generation inserts are dropped outright.
 	c.IndexPlan(Key{Generation: 5, Registry: 1, Name: "v", Fingerprint: "old"}, planFor("a"))
-	if got := c.candidates(Key{Generation: 5, Registry: 1, Name: "v", Fingerprint: "x"}); len(got) != 0 {
+	if got := c.candidates(Key{Generation: 5, Registry: 1, Name: "v", Fingerprint: "x"}, nil); len(got) != 0 {
 		t.Fatalf("stale-generation plan was indexed: %+v", got)
 	}
 	c.IndexPlan(Key{Generation: 0, Registry: 1, Name: "v", Fingerprint: "cur"}, planFor("a"))
 	// Invalidation advances the generation and prunes dead buckets.
 	c.Invalidate()
-	if got := c.candidates(Key{Generation: 0, Registry: 1, Name: "v", Fingerprint: "x"}); len(got) != 0 {
+	if got := c.candidates(Key{Generation: 0, Registry: 1, Name: "v", Fingerprint: "x"}, nil); len(got) != 0 {
 		t.Fatalf("pre-invalidation bucket survived: %+v", got)
 	}
 	c.IndexPlan(Key{Generation: 1, Registry: 1, Name: "v", Fingerprint: "cur"}, planFor("a"))
-	if got := c.candidates(Key{Generation: 1, Registry: 1, Name: "v", Fingerprint: "x"}); len(got) != 1 {
+	if got := c.candidates(Key{Generation: 1, Registry: 1, Name: "v", Fingerprint: "x"}, nil); len(got) != 1 {
 		t.Fatalf("current-generation index broken after invalidate: %+v", got)
 	}
 }

@@ -238,8 +238,11 @@ func TestMutationsCounter(t *testing.T) {
 	// the entry, once, and leaves Mutations where it was.
 	m2 := e.Mutations()
 	reg := &Region{{Label: "a", Down: 1, Right: WindowNone}, {Label: "b", Down: WindowNone, Right: WindowNone}}
-	if !e.Merge(reg) || e.Merge(reg) {
-		t.Fatal("Merge should report growth exactly once")
+	before := e.bytes
+	e.Merge(reg)
+	grown := e.bytes
+	if e.Merge(reg); grown == before || e.bytes != grown {
+		t.Fatalf("entry bytes %d, %d after one merge, %d after two: a merge should grow it exactly once", before, grown, e.bytes)
 	}
 	if e.Mutations() != m2 {
 		t.Fatalf("merging a peer region bumped Mutations %d -> %d", m2, e.Mutations())
@@ -279,55 +282,76 @@ func TestAbsorb(t *testing.T) {
 	}
 }
 
-// TestRegionBuilder: a region read by index and rebuilt tree-wise from
-// copies of its subtrees merges into a complete entry holding exactly
-// the built tree.
-func TestRegionBuilder(t *testing.T) {
+// TestSharedSubtreeGraft: a complete entry read through Tree, and an
+// answer built by Elem over its closed subtrees, grafts into a fresh
+// entry and into a partly explored one. Either ends complete, holding
+// exactly the built tree from the entry alone, and charged what a merge
+// of the same tree's region charges. The fresh one shares the source's
+// nodes, repeated subtrees included, instead of copying them.
+func TestSharedSubtreeGraft(t *testing.T) {
 	src := New(0).Entry("v", "src", 1)
 	explore(t, newDoc(src, nav.NewTreeDoc(xmltree.Elem("bs",
 		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
 		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
 		xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2")))))))
-	r := src.Export()
-	// Window order: bs 0, b 1, x 2, 1 3, b 4, x 5, 1 6, b 7, y 8, 2 9.
-	if r.Child(0) != 1 || r.Next(1) != 4 || r.Next(7) != -1 || r.Child(3) != -1 || r.Label(8) != "y" {
-		t.Fatalf("links of %+v", *r)
+	if !src.Complete() {
+		t.Fatal("source entry not complete after a full walk")
+	}
+	super := Tree{src.root}
+	b0, b1, b2 := super.Child(0), super.Child(1), super.Child(2)
+	if super.Label() != "bs" || super.Len() != 3 || b2.Child(0).Label() != "y" || b2.Child(0).Child(0).Len() != 0 {
+		t.Fatal("Tree reads do not follow the entry")
 	}
 	for _, c := range []struct {
-		i, j int
+		a, b Tree
 		want bool
-	}{{1, 4, true}, {2, 5, true}, {1, 7, false}, {3, 9, false}, {2, 3, false}} {
-		if got := r.Equal(c.i, c.j); got != c.want {
-			t.Errorf("Equal(%d, %d) = %v, want %v", c.i, c.j, got, c.want)
+	}{{b0, b1, true}, {b0.Child(0), b1.Child(0), true}, {b0, b2, false}, {b0.Child(0).Child(0), b2.Child(0).Child(0), false}, {b0, b0.Child(0), false}} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("Equal(%s, %s) = %v, want %v", c.a.Label(), c.b.Label(), got, c.want)
 		}
 	}
-	if got := r.Subtree(7); !xmltree.Equal(got, xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2")))) {
-		t.Fatalf("Subtree(7) = %v", got)
-	}
 
-	var b RegionBuilder
-	b.Open("out")
-	b.Copy(r, 7)
-	b.Copy(r, 1)
-	b.Open("z")
-	b.Copy(r, 3)
-	b.Close()
-	b.Open("e")
-	b.Close()
-	b.Close()
-	dst := New(0).Entry("v", "dst", 1)
-	dst.Merge(b.Region())
-	if !dst.Complete() {
-		t.Fatalf("built region %+v merged incomplete", *b.Region())
-	}
+	ans := Elem("out", b2, b0, b0, Elem("z", b0.Child(0).Child(0)), Elem("e"))
 	want := xmltree.Elem("out",
 		xmltree.Elem("b", xmltree.Elem("y", xmltree.Leaf("2"))),
 		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
+		xmltree.Elem("b", xmltree.Elem("x", xmltree.Leaf("1"))),
 		xmltree.Elem("z", xmltree.Leaf("1")),
 		xmltree.Leaf("e"))
-	unused := nav.NewCountingDoc(nav.NewTreeDoc(want))
-	if got := explore(t, newDoc(dst, unused)); !xmltree.Equal(got, want) || unused.Counters.Navigations() != 0 {
-		t.Fatalf("built entry reads %v after %d producer navigations, want %v from the entry alone",
-			got, unused.Counters.Navigations(), want)
+	merged := New(0).Entry("v", "merged", 1)
+	explore(t, newDoc(merged, nav.NewTreeDoc(want)))
+
+	fresh := New(0).Entry("v", "fresh", 1)
+	partial := New(0).Entry("v", "partial", 1)
+	producer := nav.NewCountingDoc(nav.NewTreeDoc(want))
+	pd := newDoc(partial, producer)
+	root, _ := pd.Root()
+	first, _ := pd.Down(root)
+	if _, err := pd.Down(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pd.Fetch(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Entry{fresh, partial} {
+		if !e.adopt(ans) || !e.Complete() {
+			t.Fatalf("%s: the graft did not complete the entry", e.key.Fingerprint)
+		}
+		if e.adopt(ans) {
+			t.Fatalf("%s: a second graft grew the entry", e.key.Fingerprint)
+		}
+		navs := producer.Counters.Navigations()
+		unused := nav.NewCountingDoc(nav.NewTreeDoc(want))
+		if got := explore(t, newDoc(e, unused)); !xmltree.Equal(got, want) ||
+			unused.Counters.Navigations() != 0 || producer.Counters.Navigations() != navs {
+			t.Fatalf("%s: reads %v after producer navigations, want %v from the entry alone",
+				e.key.Fingerprint, got, want)
+		}
+		if e.bytes != merged.bytes {
+			t.Fatalf("%s: charged %d bytes, a merge of the same tree %d", e.key.Fingerprint, e.bytes, merged.bytes)
+		}
+	}
+	if k := fresh.root.kids; k[0] != b2.n || k[1] != b0.n || k[2] != b0.n {
+		t.Fatal("the fresh entry copied the subtrees it was lent")
 	}
 }

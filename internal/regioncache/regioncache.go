@@ -37,6 +37,13 @@
 // whatever publishes into it, the producer or a peer, publishes
 // identical answers, so merge races are benign.
 //
+// # Closed nodes are immutable
+//
+// A node whose label is known and whose every child list below is
+// complete is closed, and no writer touches it again (see cnode). So a
+// semantic hit (Cache.Subsume) hangs the superset entry's closed
+// subtrees into the subset entry instead of copying them.
+//
 // # Invalidation, never staleness
 //
 // Invalidate bumps the generation and drops every older entry. Sessions

@@ -23,14 +23,14 @@ func subsumeKey(c *Cache, fp string) Key {
 
 // trySubsume runs the semantic lookup for a fresh sub entry whose plan
 // equals planFor("a") (so every planFor("a") candidate contains it) and
-// reports whether it hit, how often rebuild ran and the region it last
-// read.
-func trySubsume(c *Cache) (hit bool, rebuilds int, read *Region) {
+// reports whether it hit, how often rebuild ran and the superset it
+// last read, which it answers with whole.
+func trySubsume(c *Cache) (hit bool, rebuilds int, read Tree) {
 	sub := c.Open(subsumeKey(c, "sub"))
-	hit = c.Subsume(sub, planFor("a"), func(_ *algebra.Containment, r *Region) (*Region, bool) {
+	hit = c.Subsume(sub, planFor("a"), func(_ *algebra.Containment, super Tree) (Tree, bool) {
 		rebuilds++
-		read = r
-		return r, true
+		read = super
+		return super, true
 	})
 	return hit, rebuilds, read
 }
@@ -74,9 +74,9 @@ func TestSemanticSkipsIncompleteBeforeContainment(t *testing.T) {
 	if !hit || rebuilds != 1 {
 		t.Fatalf("with a remote holding the complete superset: hit=%v, %d rebuilds; want a hit", hit, rebuilds)
 	}
-	// The rebuild reads the absorbed entry's export, not the peer's links.
-	if read == remote.region || !slices.Equal(*read, *remote.region) {
-		t.Fatalf("rebuild read %p %+v, want a local export equal to the peer's %p", read, *read, remote.region)
+	// The rebuild reads the absorbed local entry, not the peer's links.
+	if le := c.Peek(subsumeKey(c, "contained")); le == nil || read.n != le.root || !slices.Equal(*le.Export(), *remote.region) {
+		t.Fatal("rebuild did not read the local entry that absorbed the peer's region")
 	}
 	if remote.fetches == 0 {
 		t.Fatal("the remote tier was never asked")

@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -260,7 +259,7 @@ const DefaultSlowThreshold = 100 * time.Millisecond
 func newServer(cfg config) (*Server, error) {
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = slog.New(slog.DiscardHandler)
 	}
 	if n := cfg.Cluster; n != nil {
 		if cfg.RegionCache != nil && cfg.RegionCache != n.Cache() {
@@ -465,7 +464,11 @@ func (s *Server) newSession(conn net.Conn) *session {
 	s.sessions[sess.id] = sess
 	s.active.Add(1)
 	s.total.Add(1)
-	s.log.Info("session created", "session", sess.id, "remote", conn.RemoteAddr().String())
+	// A disabled logger costs nothing: no address or uptime is rendered
+	// for a line nobody reads.
+	if s.log.Enabled(context.Background(), slog.LevelInfo) {
+		s.log.Info("session created", "session", sess.id, "remote", conn.RemoteAddr().String())
+	}
 	return sess
 }
 
@@ -483,9 +486,11 @@ func (s *Server) dropSession(sess *session) {
 	delete(s.sessions, sess.id)
 	s.nav.Add(navs)
 	s.mu.Unlock()
-	s.log.Info("session closed", "session", sess.id,
-		"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
-		"uptime", time.Since(sess.born).Round(time.Millisecond).String())
+	if s.log.Enabled(context.Background(), slog.LevelInfo) {
+		s.log.Info("session closed", "session", sess.id,
+			"msgs", sess.msgs.Load(), "navs", navs.Navigations(),
+			"uptime", time.Since(sess.born).Round(time.Millisecond).String())
+	}
 	sess.closeProxy()
 	if sess.scr != nil {
 		s.scratch.Put(sess.scr)

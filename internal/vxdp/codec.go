@@ -15,14 +15,17 @@ import (
 // is every root/down/right/fetch/select/close exchange — are encoded and
 // decoded by hand: no reflection, no boxing, and (through the bufio
 // entry points the session loop and Client use) no copy of the payload.
+// An open request (op, query and a forwarded open's proxied flag) is
+// decoded by hand too; it is encoded by encoding/json.
 // A window decodes into one exact-size slice and one string holding all
 // its labels.
 // The bytes are exactly json.Marshal's: same field order, same
 // omitempty rules, same HTML-safe string escaping. Every other frame
 // shape, and any payload the lean parser does not accept in full
-// (whitespace, escapes, non-ASCII, null, unknown or differently-cased
-// keys, non-canonical numbers), goes through encoding/json unchanged,
-// which stays the protocol's definition and the tests' oracle.
+// (whitespace, escapes or non-ASCII outside a query, null, unknown or
+// differently-cased keys, non-canonical numbers), goes through
+// encoding/json unchanged, which stays the protocol's definition and the
+// tests' oracle.
 
 // navRequest reports whether req is a navigation frame the lean encoder
 // renders: nothing set beyond op, id, label and self.
@@ -112,6 +115,8 @@ type navFields struct {
 	id             uint64
 	flag           bool // "self" in a request, "ok" in a response
 	win            []WinNode
+	query          string
+	proxied        bool
 	has            uint8
 }
 
@@ -122,13 +127,17 @@ const (
 	hasFlag
 	hasErr
 	hasWin
+	hasQuery
+	hasProxied
 )
 
 // parseNav parses p as a canonical navigation object: no whitespace,
-// keys exactly op/id/label/self (request) or ok/id/label/error/win
-// (response), strings of plain printable ASCII without escapes, ids as
-// canonical decimal uint64s, flags as true/false, a window at most once
-// and in the shape parseWin takes. Anything else returns false, and the
+// keys exactly op/id/label/self/query/proxied (request) or
+// ok/id/label/error/win (response), strings of plain printable ASCII
+// without escapes — but for the query, which may hold any string
+// json.Unmarshal accepts — ids as canonical decimal uint64s, flags as
+// true/false, a window at most once and in the shape parseWin takes.
+// Anything else returns false, and the
 // caller falls back to encoding/json — so whatever this accepts,
 // json.Unmarshal decodes to the same values without error.
 func parseNav(p []byte, response bool, f *navFields) bool {
@@ -152,6 +161,12 @@ func parseNav(p []byte, response bool, f *navFields) bool {
 			f.id, i, ok = wirejson.PlainUint(p, i)
 		case hasFlag:
 			f.flag, i, ok = wirejson.PlainBool(p, i)
+		case hasProxied:
+			f.proxied, i, ok = wirejson.PlainBool(p, i)
+		case hasQuery:
+			var buf [256]byte
+			s, i, ok = wirejson.Unquote(buf[:0], p, i)
+			f.query = string(s)
 		case hasOp, hasLabel, hasErr:
 			s, i, ok = wirejson.PlainString(p, i)
 		case hasWin:
@@ -200,6 +215,14 @@ func navKey(key []byte, response bool) uint8 {
 	case "self":
 		if !response {
 			return hasFlag
+		}
+	case "query":
+		if !response {
+			return hasQuery
+		}
+	case "proxied":
+		if !response {
+			return hasProxied
 		}
 	case "ok":
 		if response {
@@ -288,7 +311,7 @@ func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, en
 }
 
 // opName returns the protocol constant spelled by s, so decoding an op
-// that arrives in a navigation-shaped frame allocates nothing.
+// that arrives in a lean-parsed frame allocates nothing.
 func opName(s []byte) string {
 	switch string(s) {
 	case OpRoot:
@@ -311,6 +334,8 @@ func opName(s []byte) string {
 		return OpSlow
 	case OpPing:
 		return OpPing
+	case OpOpen:
+		return OpOpen
 	}
 	return string(s)
 }
@@ -333,6 +358,12 @@ func decodeFrame(p []byte, v any) error {
 			}
 			if f.has&hasFlag != 0 {
 				v.Self = f.flag
+			}
+			if f.has&hasQuery != 0 {
+				v.Query = f.query
+			}
+			if f.has&hasProxied != 0 {
+				v.Proxied = f.proxied
 			}
 			return nil
 		}

@@ -197,6 +197,14 @@ func FuzzNavFrameCodec(f *testing.F) {
 		`{"win":[{"l":"a","d":-2147483648,"r":1}]}`, `{"win":[{"l":"a\u003c","d":1,"r":1}]}`,
 		`{"win":[],"win":[]}`, `{"win":[{"l":"a","d":1,"r":1},]}`, `{"win":[{"L":"a","d":1,"r":1}]}`,
 		`{"win":{}}`, `{"win":[{"l":"a","d":1,"r":1}`,
+		`{"op":"open","query":"CONSTRUCT <a> $X {$X} </a> {} WHERE s r.x $X"}`,
+		`{"op":"open","query":"WHERE $P \u003c \"6\" AND\n\t$P > \"a\\b\/\""}`,
+		`{"op":"open","query":"\ud83d\ude00 \ud800 \udc00x \u00e9"}`, `{"op":"open","query":"é ☃ 😀"}`,
+		"{\"op\":\"open\",\"query\":\"\xff\xfe \xc3\"}", "{\"query\":\"a\x01b\"}",
+		`{"query":"\x"}`, `{"query":"\u12"}`, `{"query":"abc`, `{"query":""}`, `{"query":null}`,
+		`{"query":"a","query":"b"}`, `{"Query":"a"}`, `{"query":7}`,
+		`{"op":"open","query":"q","proxied":true}`, `{"proxied":false}`, `{"proxied":null}`,
+		`{"proxied":1}`, `{"op":"open","proxied":true,"query":"q","trace_ctx":{"t":"x"}}`,
 	} {
 		f.Add(OpSelect, "a<b&c", uint64(9), true, []byte(p))
 	}
