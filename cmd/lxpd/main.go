@@ -6,20 +6,27 @@
 //	lxpd -addr :7070 -demo books -n 5000
 //	mixq -src amazon=lxp://localhost:7070/doc -q '...'
 //
+// -demo kind -n N serves workload.Demo(kind, "demo", N): the dataset a
+// demo:kind:N source declaration of mixd or mixq stands for, with books
+// titled after the store "demo".
+//
 // -log-level and -log-json shape the structured log on stderr;
 // -slow-ms warn-logs requests that take at least that long to serve.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"mix/internal/cli"
 	"mix/internal/lxp"
 	"mix/internal/telemetry"
 	"mix/internal/workload"
@@ -27,26 +34,33 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	file := flag.String("file", "", "XML document to serve")
-	demo := flag.String("demo", "", "serve a generated dataset instead: books | homes | schools")
-	n := flag.Int("n", 1000, "size of the generated dataset")
-	chunk := flag.Int("chunk", 20, "children in the first fill of a child list; later fills of the same list grow to at most 4x (0 = all at once)")
-	inline := flag.Int("inline", 64, "max subtree size returned inline (0 = always inline)")
-	grace := flag.Duration("grace", 5*time.Second, "drain deadline for graceful shutdown")
-	slowMs := flag.Int("slow-ms", 0, "warn-log requests that take at least this long to serve (0 = off)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := cli.Exit("lxpd", run(ctx, os.Args[1:], os.Stderr), os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logJSON)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lxpd: %v\n", err)
-		os.Exit(2)
+// run is lxpd with the command line args, logging to stderr: it serves
+// until ctx is done, then drains its connections.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lxpd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
+	file := fs.String("file", "", "XML document to serve")
+	demo := fs.String("demo", "", "serve a generated dataset instead: books | homes | schools")
+	n := fs.Int("n", 1000, "size of the generated dataset")
+	chunk := fs.Int("chunk", 20, "children in the first fill of a child list; later fills of the same list grow to at most 4x (0 = all at once)")
+	inline := fs.Int("inline", 64, "max subtree size returned inline (0 = always inline)")
+	grace := fs.Duration("grace", 5*time.Second, "drain deadline for graceful shutdown")
+	slowMs := fs.Int("slow-ms", 0, "warn-log requests that take at least this long to serve (0 = off)")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
+	logJSON := fs.Bool("log-json", false, "emit logs as JSON")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
+	logger, err := telemetry.NewLogger(stderr, *logLevel, *logJSON)
+	if err != nil {
+		return cli.Usage(err)
 	}
 
 	var doc *xmltree.Tree
@@ -54,26 +68,22 @@ func main() {
 	case *file != "":
 		data, err := os.ReadFile(*file)
 		if err != nil {
-			fatal("reading document", "err", err.Error())
+			return err
 		}
-		doc, err = xmltree.UnmarshalXML(string(data))
-		if err != nil {
-			fatal("parsing document", "file", *file, "err", err.Error())
+		if doc, err = xmltree.UnmarshalXML(string(data)); err != nil {
+			return fmt.Errorf("parsing %s: %w", *file, err)
 		}
-	case *demo == "books":
-		doc = workload.Books("demo", *n, 1)
-	case *demo == "homes":
-		doc, _ = workload.HomesSchools(*n, 0, *n/10+1, 1)
-	case *demo == "schools":
-		_, doc = workload.HomesSchools(0, *n, *n/10+1, 1)
+	case *demo != "":
+		if doc, err = workload.Demo(*demo, "demo", *n); err != nil {
+			return cli.Usage(err)
+		}
 	default:
-		fmt.Fprintln(os.Stderr, "lxpd: need -file or -demo (books|homes|schools)")
-		os.Exit(2)
+		return cli.Usage(errors.New("need -file or -demo (books|homes|schools)"))
 	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal("listening", "addr", *addr, "err", err.Error())
+		return err
 	}
 	logger.Info("serving", "addr", l.Addr().String(),
 		"nodes", doc.Size(), "chunk", *chunk, "inline", *inline)
@@ -83,26 +93,7 @@ func main() {
 		srv.Logger = logger
 	}
 
-	// On SIGINT/SIGTERM: stop accepting, drain in-flight connections
-	// with a deadline, exit 0.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case err := <-errc:
-		if err != nil {
-			fatal("serve", "err", err.Error())
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received; draining connections")
-		sctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			logger.Warn("shutdown expired; connections force-closed", "err", err.Error())
-		}
-		<-errc
-		logger.Info("bye")
-	}
+	err = cli.Serve(ctx, logger, srv, l, *grace, "connections")
+	logger.Info("bye")
+	return err
 }

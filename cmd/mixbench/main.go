@@ -8,15 +8,27 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"mix/internal/cli"
 	"mix/internal/experiments"
 )
 
 func main() {
-	id := flag.String("e", "", "run a single experiment (E1…E18)")
-	md := flag.Bool("md", false, "emit markdown instead of aligned text")
-	flag.Parse()
+	os.Exit(cli.Exit("mixbench", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// run is mixbench with the command line args: the tables go to stdout,
+// the flag package's complaints to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mixbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	id := fs.String("e", "", "run a single experiment (E1…E18)")
+	md := fs.Bool("md", false, "emit markdown instead of aligned text")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	ids := experiments.IDs()
 	if *id != "" {
@@ -25,16 +37,16 @@ func main() {
 	for i, eid := range ids {
 		t, err := experiments.Run(eid)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if *md {
-			fmt.Println(t.Markdown())
+			fmt.Fprintln(stdout, t.Markdown())
 		} else {
-			fmt.Println(t.Format())
+			fmt.Fprintln(stdout, t.Format())
 		}
 	}
+	return nil
 }

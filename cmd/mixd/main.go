@@ -14,13 +14,16 @@
 //	-src name=rdb:csvdir              a CSV-backed relational database
 //	-src name=demo:books:N            a generated dataset (books|homes|schools)
 //
-// All client sessions compile on one mediator per source epoch, built
-// over the shared (immutable or concurrency-safe) sources; each open
-// gets its own lazy query, so concurrent sessions explore independently
-// while the regions of answer documents they explore are shared through
-// the cross-session region cache:
-// -cache-max-bytes bounds it (whole-entry LRU eviction). LXP fills
-// coalesce up to 8 holes per round trip. -prefetch (on by default)
+// mediator.OpenSource interprets a declaration, for mixd as for mixq;
+// it loads once what every source epoch shares (the tree, the CSV
+// database, the LXP connection and the source's /metrics counters).
+// All client sessions compile on one mediator per source epoch, which
+// mediator.Catalog builds over the shared (immutable or
+// concurrency-safe) sources; each open gets its own lazy query, so
+// concurrent sessions explore independently while the regions of
+// answer documents they explore are shared through the cross-session
+// region cache: -cache-max-bytes bounds it (whole-entry LRU eviction).
+// LXP fills coalesce up to 8 holes per round trip. -prefetch (on by default)
 // turns on the drill walk: a client's first descent into a region of
 // the answer the cache does not hold derives the whole region, within
 // the server's default walk budget, before the descent is answered, so
@@ -51,57 +54,39 @@
 package main
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"mix/internal/cli"
 	"mix/internal/cluster"
-	"mix/internal/lxp"
 	"mix/internal/mediator"
-	"mix/internal/metrics"
 	"mix/internal/regioncache"
-	"mix/internal/relational"
 	"mix/internal/server"
 	"mix/internal/telemetry"
-	"mix/internal/workload"
-	"mix/internal/wrapper"
-	"mix/internal/xmltree"
 )
 
-// lxpBatch is how many holes one LXP fill round trip coalesces.
-const lxpBatch = 8
-
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
-}
-
-// sourceSpec registers one configured source on a source-epoch catalog.
-// The closure shares loaded trees / databases / LXP connections across
-// catalogs; per-catalog state (buffers, TreeDocs) is created fresh.
-// counters, when non-nil, is the shared per-source counter set exposed
-// on /metrics (LXP-backed sources only).
-type sourceSpec struct {
-	name     string
-	register func(m *mediator.Mediator) error
-	counters *metrics.Counters
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := cli.Exit("mixd", run(ctx, os.Args[1:], os.Stderr), os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // options is mixd's command line, filled by the flags registerFlags
 // declares.
 type options struct {
-	srcs, views                 multiFlag
+	srcs, views                 []string
 	addr, httpAddr              string
 	maxSessions                 int
 	idle, lifetime, grace       time.Duration
@@ -122,8 +107,10 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7080", "listen address")
-	fs.Var(&o.srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)")
-	fs.Var(&o.views, "view", "view declaration name=path.xmas (repeatable)")
+	fs.Func("src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)",
+		func(s string) error { o.srcs = append(o.srcs, s); return nil })
+	fs.Func("view", "view declaration name=path.xmas (repeatable)",
+		func(s string) error { o.views = append(o.views, s); return nil })
 	fs.IntVar(&o.maxSessions, "max-sessions", 256, "concurrent session limit (0 = unlimited)")
 	fs.DurationVar(&o.idle, "idle", 2*time.Minute, "evict sessions idle this long (0 = never)")
 	fs.DurationVar(&o.lifetime, "lifetime", 0, "evict sessions this long after accept (0 = never)")
@@ -146,71 +133,29 @@ func registerFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-func main() {
-	o := registerFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := telemetry.NewLogger(os.Stderr, o.logLevel, o.logJSON)
+// run is mixd with the command line args, logging to stderr: it
+// serves until ctx is done, then drains its sessions.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mixd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := registerFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	logger, err := telemetry.NewLogger(stderr, o.logLevel, o.logJSON)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mixd: %v\n", err)
-		os.Exit(2)
+		return cli.Usage(err)
 	}
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
-
 	if len(o.srcs) == 0 {
-		fmt.Fprintln(os.Stderr, "mixd: no sources; use -src (and see -help)")
-		os.Exit(2)
+		return cli.Usage(errors.New("no sources; use -src (and see -help)"))
 	}
-	specs := make([]sourceSpec, 0, len(o.srcs))
-	sourceCounters := map[string]*metrics.Counters{}
-	for _, s := range o.srcs {
-		name, loc, ok := strings.Cut(s, "=")
-		if !ok {
-			fatal("malformed -src (want name=location)", "src", s)
-		}
-		spec, err := openSource(name, loc)
-		if err != nil {
-			fatal("opening source", "source", name, "err", err.Error())
-		}
-		if spec.counters != nil {
-			sourceCounters[spec.name] = spec.counters
-		}
-		specs = append(specs, spec)
+	cat, err := mediator.OpenCatalog(o.srcs, o.views)
+	if err != nil {
+		return err
 	}
-	viewTexts := map[string]string{}
-	for _, v := range o.views {
-		name, path, ok := strings.Cut(v, "=")
-		if !ok {
-			fatal("malformed -view (want name=path)", "view", v)
-		}
-		text, err := os.ReadFile(path)
-		if err != nil {
-			fatal("reading view", "view", name, "err", err.Error())
-		}
-		viewTexts[name] = string(text)
-	}
+	defer cat.Close()
 
-	mopts := mediator.DefaultOptions()
-	mopts.LXPBatch = lxpBatch
-	factory := func(rc *regioncache.Cache) (*mediator.Mediator, error) {
-		m := mediator.New(mopts)
-		// Cache before sources: it pins the catalog's cache generation.
-		m.SetRegionCache(rc)
-		for _, spec := range specs {
-			if err := spec.register(m); err != nil {
-				return nil, fmt.Errorf("source %s: %w", spec.name, err)
-			}
-		}
-		for name, text := range viewTexts {
-			if err := m.DefineView(name, text); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
+	rc := regioncache.New(o.cacheMax)
 	options := []server.Option{
 		server.WithMaxSessions(o.maxSessions),
 		server.WithIdleTimeout(o.idle),
@@ -218,166 +163,56 @@ func main() {
 		server.WithLogger(logger),
 		server.WithTrace(o.trace),
 		server.WithSlowNav(time.Duration(o.slowMs)*time.Millisecond, o.slowRing),
-		server.WithSourceCounters(sourceCounters),
-	}
-	rc := regioncache.New(o.cacheMax)
-	options = append(options, server.WithRegionCache(rc))
-	if o.prefetch {
-		options = append(options, server.WithPrefetch(true))
+		server.WithSourceCounters(cat.Counters),
+		server.WithRegionCache(rc),
+		server.WithPrefetch(o.prefetch),
 	}
 	if o.cluster {
-		self := o.node
-		if self == "" {
-			self = o.addr
-		}
-		mode, err := cluster.ParseMode(o.clusterMode)
-		if err != nil {
-			fatal("parsing -cluster-mode", "err", err.Error())
-		}
-		var peerList []string
-		for _, p := range strings.Split(o.peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
+		self := cmp.Or(o.node, o.addr)
 		node, err := cluster.New(cluster.Config{
 			Self:           self,
-			Peers:          peerList,
+			Peers:          strings.Fields(strings.ReplaceAll(o.peers, ",", " ")),
 			Replicas:       o.clusterVnodes,
-			Mode:           mode,
+			Mode:           cluster.Mode(o.clusterMode),
 			HealthInterval: o.clusterHealth,
 			FlushInterval:  o.clusterFlush,
 			Logger:         logger,
 		}, rc)
 		if err != nil {
-			fatal("configuring cluster", "err", err.Error())
+			return fmt.Errorf("configuring cluster: %w", err)
 		}
 		options = append(options, server.WithCluster(node))
-		logger.Info("cluster member", "self", self, "members", len(node.Members()), "mode", string(mode))
+		logger.Info("cluster member", "self", self, "members", len(node.Members()), "mode", o.clusterMode)
 	}
-	srv, err := server.New(factory, options...)
+	srv, err := server.New(func(rc *regioncache.Cache) (*mediator.Mediator, error) { return cat.Mediator(rc, nil) }, options...)
 	if err != nil {
-		fatal("configuring server", "err", err.Error())
+		return fmt.Errorf("configuring server: %w", err)
 	}
 
 	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		fatal("listening", "addr", o.addr, "err", err.Error())
+		return err
 	}
 	logger.Info("serving", "addr", l.Addr().String(),
-		"sources", len(specs), "views", len(viewTexts),
+		"sources", len(o.srcs), "views", len(o.views),
 		"max_sessions", o.maxSessions, "idle", o.idle.String(), "trace", o.trace)
-
-	var hsrv *http.Server
 	if o.httpAddr != "" {
 		hl, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
-			fatal("listening for http", "addr", o.httpAddr, "err", err.Error())
+			l.Close()
+			return err
 		}
-		hsrv = &http.Server{Handler: srv.Handler()}
+		hsrv := &http.Server{Handler: srv.Handler()}
+		defer hsrv.Close() // after the drain, in which /healthz says so
 		logger.Info("http sidecar up", "addr", hl.Addr().String())
 		go func() {
-			if err := hsrv.Serve(hl); err != nil && err != http.ErrServerClosed {
+			if err := hsrv.Serve(hl); err != http.ErrServerClosed {
 				logger.Error("http sidecar", "err", err.Error())
 			}
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case err := <-errc:
-		if err != nil {
-			fatal("serve", "err", err.Error())
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received; draining sessions")
-		sctx, cancel := context.WithTimeout(context.Background(), o.grace)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			logger.Warn("shutdown expired; sessions force-closed", "err", err.Error())
-		}
-		if hsrv != nil {
-			_ = hsrv.Shutdown(sctx)
-		}
-		<-errc
-		logger.Info("bye", "stats", srv.Stats().String())
-	}
-}
-
-// openSource loads whatever is shareable about a source location once
-// and returns a spec that registers it on each source-epoch catalog.
-func openSource(name, loc string) (sourceSpec, error) {
-	fail := func(err error) (sourceSpec, error) { return sourceSpec{}, err }
-	if dir, ok := strings.CutPrefix(loc, "rdb:"); ok {
-		db, err := relational.LoadCSVDir(name, dir)
-		if err != nil {
-			return fail(err)
-		}
-		// One counter set for the source; each session gets a fresh
-		// wrapper over the shared database, counted into it.
-		counters := &metrics.Counters{}
-		return sourceSpec{name: name, counters: counters, register: func(m *mediator.Mediator) error {
-			srv := &lxp.Counting{Inner: &wrapper.Relational{DB: db, ChunkRows: 50}, Counters: counters}
-			_, err := m.RegisterLXP(name, srv, name)
-			return err
-		}}, nil
-	}
-	if rest, ok := strings.CutPrefix(loc, "lxp://"); ok {
-		hostport, uri, ok := strings.Cut(rest, "/")
-		if !ok {
-			return fail(fmt.Errorf("malformed LXP url %q (want lxp://host:port/uri)", loc))
-		}
-		client, err := lxp.Dial(hostport)
-		if err != nil {
-			return fail(fmt.Errorf("dialing %s: %w", hostport, err))
-		}
-		// The LXP client multiplexes concurrent calls over its one
-		// connection, so sessions share it (and its counters) without
-		// queueing behind each other. Every session of a source epoch
-		// shares the catalog's one buffer for the source (with batching
-		// and scan lookahead, wired up by RegisterLXP). Nothing is sent
-		// until a plan first navigates the source.
-		counting := &lxp.Counting{Inner: client, Counters: &metrics.Counters{}}
-		return sourceSpec{name: name, counters: counting.Counters, register: func(m *mediator.Mediator) error {
-			_, err := m.RegisterLXP(name, counting, uri)
-			return err
-		}}, nil
-	}
-	if rest, ok := strings.CutPrefix(loc, "demo:"); ok {
-		kind, nstr, _ := strings.Cut(rest, ":")
-		n := 1000
-		if nstr != "" {
-			var err error
-			if n, err = strconv.Atoi(nstr); err != nil {
-				return fail(fmt.Errorf("malformed demo size %q", nstr))
-			}
-		}
-		doc, err := workload.Demo(kind, name, n)
-		if err != nil {
-			return fail(err)
-		}
-		return treeSpec(name, doc), nil
-	}
-	data, err := os.ReadFile(loc)
-	if err != nil {
-		return fail(err)
-	}
-	t, err := xmltree.UnmarshalXML(string(data))
-	if err != nil {
-		return fail(fmt.Errorf("parsing %s: %w", loc, err))
-	}
-	return treeSpec(name, t), nil
-}
-
-// treeSpec shares one immutable tree across sessions; every session
-// gets its own TreeDoc over it.
-func treeSpec(name string, t *xmltree.Tree) sourceSpec {
-	return sourceSpec{name: name, register: func(m *mediator.Mediator) error {
-		m.RegisterTree(name, t)
-		return nil
-	}}
+	err = cli.Serve(ctx, logger, srv, l, o.grace, "sessions")
+	logger.Info("bye", "stats", srv.Stats().String())
+	return err
 }

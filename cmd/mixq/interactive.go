@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mix/internal/mediator"
+	"mix/internal/nav"
 	"mix/internal/xmltree"
 )
 
@@ -23,10 +24,14 @@ import (
 //	?        help
 //	q        quit
 //
-// after, when non-nil, runs after every command that touched the
-// document — the hook `mixq -trace` uses to print the navigation's
-// fan-out tree.
-func interact(cur *mediator.Element, in io.Reader, out io.Writer, after func(io.Writer)) error {
+// The shell starts at the root of doc. after, when non-nil, runs after
+// every command that touched the document — the hook `mixq -trace` uses
+// to print the navigation's fan-out tree.
+func interact(doc nav.Document, in io.Reader, out io.Writer, after func(io.Writer)) error {
+	cur, err := mediator.Wrap(doc)
+	if err != nil {
+		return err
+	}
 	var stack []*mediator.Element
 	name, err := cur.Name()
 	if err != nil {

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"mix/internal/mediator"
+	"mix/internal/nav"
 	"mix/internal/trace"
 	"mix/internal/workload"
 )
 
-func testResult(t *testing.T) *mediator.Element {
+func testResult(t *testing.T) nav.Document {
 	t.Helper()
 	homes, schools := workload.HomesSchools(5, 5, 2, 3)
 	m := mediator.New(mediator.DefaultOptions())
@@ -23,11 +24,7 @@ AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := res.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
+	return res.Document()
 }
 
 func TestInteractSession(t *testing.T) {
@@ -78,13 +75,10 @@ AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := mediator.Wrap(trace.NewDoc(res.TracedDocument(rec), trace.ClientLabel, rec))
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := trace.NewDoc(res.TracedDocument(rec), trace.ClientLabel, rec)
 	var out strings.Builder
 	after := func(w io.Writer) { printForest(w, rec.Take()) }
-	if err := interact(root, strings.NewReader("d\nf\nq\n"), &out, after); err != nil {
+	if err := interact(doc, strings.NewReader("d\nf\nq\n"), &out, after); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()

@@ -10,6 +10,11 @@
 //	-src name=rdb:csvdir              a CSV-backed relational database
 //	-src name=demo:books:N            a generated dataset (books|homes|schools)
 //
+// mediator.OpenSource interprets a declaration, for mixd as for mixq,
+// and mediator.Catalog builds the mediator over them: an rdb: or lxp://
+// source sits behind a buffer that looks ahead on scans and fills up to
+// 8 holes per round trip.
+//
 // Views can be declared with -view name=path.xmas and referenced by
 // queries like sources. The query is read from -q (inline) or -f
 // (file). By default the answer is evaluated lazily and printed in
@@ -32,190 +37,166 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"mix/internal/algebra"
-	"mix/internal/buffer"
-	"mix/internal/lxp"
+	"mix/internal/cli"
 	"mix/internal/mediator"
+	"mix/internal/metrics"
 	"mix/internal/nav"
-	"mix/internal/relational"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
-	"mix/internal/workload"
-	"mix/internal/wrapper"
 	"mix/internal/xmltree"
 )
 
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
+func main() {
+	os.Exit(cli.Exit("mixq", run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr), os.Stderr))
 }
 
-func main() {
-	var srcs, views multiFlag
-	flag.Var(&srcs, "src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)")
-	flag.Var(&views, "view", "view declaration name=path.xmas (repeatable)")
-	connect := flag.String("connect", "", "navigate a remote mixd mediator at host:port (VXDP) instead of local sources")
-	q := flag.String("q", "", "XMAS query text")
-	qf := flag.String("f", "", "file containing the XMAS query")
-	first := flag.Int("first", 0, "explore only the first k answer children (0 = all)")
-	interactive := flag.Bool("i", false, "navigate the virtual answer interactively (d/r/u/f/t/s/q)")
-	eager := flag.Bool("eager", false, "use the materializing baseline evaluator")
-	plan := flag.Bool("plan", false, "print the final algebra plan")
-	stats := flag.Bool("stats", false, "print per-source navigation counts")
-	traceOn := flag.Bool("trace", false, "print the operator/source fan-out behind each navigation")
-	slowDump := flag.Bool("slow", false, "with -connect: dump the server's slow-navigation flight ring after the query (query optional)")
-	flag.Parse()
+// options is mixq's command line.
+type options struct {
+	srcs, views              []string
+	connect, q, qf           string
+	first                    int
+	interactive, eager, plan bool
+	stats, trace, slow       bool
+}
 
-	query := *q
-	if *qf != "" {
-		data, err := os.ReadFile(*qf)
+// run is mixq with the command line args: the answer goes to stdout,
+// statistics, traces and the flag package's complaints to stderr; -i
+// reads its commands from stdin.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mixq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	fs.Func("src", "source declaration name=path.xml, name=lxp://host:port/uri, name=rdb:csvdir, or name=demo:kind:n (repeatable)",
+		func(s string) error { o.srcs = append(o.srcs, s); return nil })
+	fs.Func("view", "view declaration name=path.xmas (repeatable)",
+		func(s string) error { o.views = append(o.views, s); return nil })
+	fs.StringVar(&o.connect, "connect", "", "navigate a remote mixd mediator at host:port (VXDP) instead of local sources")
+	fs.StringVar(&o.q, "q", "", "XMAS query text")
+	fs.StringVar(&o.qf, "f", "", "file containing the XMAS query")
+	fs.IntVar(&o.first, "first", 0, "explore only the first k answer children (0 = all)")
+	fs.BoolVar(&o.interactive, "i", false, "navigate the virtual answer interactively (d/r/u/f/t/s/q)")
+	fs.BoolVar(&o.eager, "eager", false, "use the materializing baseline evaluator")
+	fs.BoolVar(&o.plan, "plan", false, "print the final algebra plan")
+	fs.BoolVar(&o.stats, "stats", false, "print per-source navigation counts")
+	fs.BoolVar(&o.trace, "trace", false, "print the operator/source fan-out behind each navigation")
+	fs.BoolVar(&o.slow, "slow", false, "with -connect: dump the server's slow-navigation flight ring after the query (query optional)")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	query := o.q
+	if o.qf != "" {
+		data, err := os.ReadFile(o.qf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		query = string(data)
 	}
-	if strings.TrimSpace(query) == "" && !(*slowDump && *connect != "") {
-		fmt.Fprintln(os.Stderr, "mixq: no query; use -q or -f (and see -help)")
-		os.Exit(2)
+	if strings.TrimSpace(query) == "" && !(o.slow && o.connect != "") {
+		return cli.Usage(errors.New("no query; use -q or -f (and see -help)"))
 	}
 
-	if *connect != "" {
-		if len(srcs) > 0 || len(views) > 0 || *eager || *plan {
-			fatal(fmt.Errorf("-connect navigates the server's sources and views; -src/-view/-eager/-plan do not apply"))
+	if o.connect != "" {
+		if len(o.srcs) > 0 || len(o.views) > 0 || o.eager || o.plan {
+			return errors.New("-connect navigates the server's sources and views; -src/-view/-eager/-plan do not apply")
 		}
-		if err := runRemote(*connect, query, *first, *interactive, *stats, *traceOn, *slowDump); err != nil {
-			fatal(err)
-		}
-		return
+		return runRemote(o, query, stdin, stdout, stderr)
 	}
-	if *slowDump {
-		fatal(fmt.Errorf("-slow reads a server's flight ring; it needs -connect"))
+	if o.slow {
+		return errors.New("-slow reads a server's flight ring; it needs -connect")
 	}
-
-	m := mediator.New(mediator.DefaultOptions())
 	var rec *trace.Recorder
-	if *traceOn {
-		if *eager {
-			fatal(fmt.Errorf("-trace instruments the lazy engine; it does not apply to -eager"))
+	if o.trace {
+		if o.eager {
+			return errors.New("-trace instruments the lazy engine; it does not apply to -eager")
 		}
 		rec = trace.New()
 	}
-	counters := map[string]*nav.CountingDoc{}
-	for _, s := range srcs {
-		name, loc, ok := strings.Cut(s, "=")
-		if !ok {
-			fatal(fmt.Errorf("malformed -src %q (want name=location)", s))
-		}
-		doc, err := openSource(name, loc)
-		if err != nil {
-			fatal(err)
-		}
-		cd := nav.NewCountingDoc(doc)
-		counters[name] = cd
-		m.RegisterSource(name, cd)
+	cat, err := mediator.OpenCatalog(o.srcs, o.views)
+	if err != nil {
+		return err
 	}
-	for _, v := range views {
-		name, path, ok := strings.Cut(v, "=")
-		if !ok {
-			fatal(fmt.Errorf("malformed -view %q (want name=path)", v))
-		}
-		text, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := m.DefineView(name, string(text)); err != nil {
-			fatal(err)
-		}
+	defer cat.Close()
+	navs := map[string]*metrics.Counters{}
+	m, err := cat.Mediator(nil, navs)
+	if err != nil {
+		return err
 	}
 
-	if *plan {
+	if o.plan {
 		p, err := m.Prepare(query)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cls, culprit := algebra.Classify(p, false)
-		fmt.Printf("browsability: %s", cls)
+		fmt.Fprintf(stdout, "browsability: %s", cls)
 		if culprit != nil {
-			fmt.Printf(" (due to %T)", culprit)
+			fmt.Fprintf(stdout, " (due to %T)", culprit)
 		}
-		fmt.Printf("\n%s", algebra.String(p))
-		return
-	}
-
-	if *interactive {
-		res, err := m.Query(query)
-		if err != nil {
-			fatal(err)
-		}
-		doc := res.TracedDocument(rec)
-		var after func(io.Writer)
-		if rec != nil {
-			doc = trace.NewDoc(doc, trace.ClientLabel, rec)
-			after = func(w io.Writer) { printForest(w, rec.Take()) }
-		}
-		root, err := mediator.Wrap(doc)
-		if err != nil {
-			fatal(err)
-		}
-		if err := interact(root, os.Stdin, os.Stdout, after); err != nil {
-			fatal(err)
-		}
-		return
+		fmt.Fprintf(stdout, "\n%s", algebra.String(p))
+		return nil
 	}
 
 	var answer *xmltree.Tree
-	var err error
-	if *eager {
-		answer, err = m.QueryEager(query)
+	if o.eager && !o.interactive {
+		if answer, err = m.QueryEager(query); err != nil {
+			return err
+		}
 	} else {
-		var res *mediator.Result
-		res, err = m.Query(query)
-		if err == nil {
-			doc := res.TracedDocument(rec)
+		res, err := m.Query(query)
+		if err != nil {
+			return err
+		}
+		doc := res.TracedDocument(rec)
+		if rec != nil {
+			doc = trace.NewDoc(doc, trace.ClientLabel, rec)
+		}
+		if o.interactive {
+			var after func(io.Writer)
 			if rec != nil {
-				doc = trace.NewDoc(doc, trace.ClientLabel, rec)
+				after = func(w io.Writer) { printForest(w, rec.Take()) }
 			}
-			if *first > 0 {
-				answer, err = nav.ExploreFirst(doc, *first)
-			} else {
-				answer, err = nav.Materialize(doc)
-			}
+			return interact(doc, stdin, stdout, after)
+		}
+		if answer, err = explore(doc, o.first); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(xmltree.MarshalIndent(answer))
+	fmt.Fprint(stdout, xmltree.MarshalIndent(answer))
 
 	if rec != nil {
-		printSummary(os.Stderr, rec.Take())
+		printSummary(stderr, rec.Take())
 	}
-	if *stats {
-		fmt.Fprintln(os.Stderr)
-		for name, cd := range counters {
-			fmt.Fprintf(os.Stderr, "source %-16s %s\n", name, cd.Counters.Snapshot())
+	if o.stats {
+		fmt.Fprintln(stderr)
+		for _, s := range cat.Sources {
+			fmt.Fprintf(stderr, "source %-16s %s\n", s.Name, navs[s.Name].Snapshot())
 		}
 	}
+	return nil
+}
+
+// explore materializes the answer doc, or only its first k children
+// when k > 0.
+func explore(doc nav.Document, k int) (*xmltree.Tree, error) {
+	if k > 0 {
+		return nav.ExploreFirst(doc, k)
+	}
+	return nav.Materialize(doc)
 }
 
 // printForest renders a navigation's span forest and its
 // source-navigation totals — the per-command output of -i -trace.
 func printForest(out io.Writer, roots []*trace.Span) {
-	if len(roots) == 0 {
-		return
-	}
 	fmt.Fprint(out, trace.Format(roots))
 	if totals := trace.SourceTotals(roots); len(totals) > 0 {
 		fmt.Fprint(out, "source navigations:")
@@ -233,9 +214,6 @@ func printForest(out io.Writer, roots []*trace.Span) {
 // whole evaluation — the batch-mode output of -trace.
 func printSummary(out io.Writer, roots []*trace.Span) {
 	sum := trace.Summarize(roots)
-	if len(sum) == 0 {
-		return
-	}
 	fmt.Fprintln(out, "\ntrace summary (label op count total):")
 	for _, s := range sum {
 		fmt.Fprintf(out, "  %-28s %-6s %6d %s\n", s.Label, s.Op, s.Count, s.Total.Round(time.Microsecond))
@@ -266,82 +244,68 @@ func printNodes(out io.Writer, roots []*trace.Span) {
 	fmt.Fprintln(out)
 }
 
-// runRemote opens the query as a session on a mixd server and
-// navigates the remote virtual answer. With traceOn the session is
-// fleet-traced client-side: a local recorder roots a span per command
-// and the spans the fleet returns are stitched under it, so the
+// runRemote opens the query as a session on the mixd server at
+// o.connect and navigates the remote virtual answer. With -trace the
+// session is fleet-traced client-side: a local recorder roots a span per
+// command and the spans the fleet returns are stitched under it, so the
 // rendered forest is the single cross-node tree.
-func runRemote(addr, query string, first int, interactive, stats, traceOn, slowDump bool) error {
-	client, err := vxdp.Dial(addr)
+func runRemote(o *options, query string, stdin io.Reader, stdout, stderr io.Writer) error {
+	client, err := vxdp.Dial(o.connect)
 	if err != nil {
-		return fmt.Errorf("dialing %s: %w", addr, err)
+		return fmt.Errorf("dialing %s: %w", o.connect, err)
 	}
 	defer client.Close()
 	var rec *trace.Recorder
-	if traceOn {
+	if o.trace {
 		rec = trace.New()
 		client.SetTracer(rec)
 	}
 	if strings.TrimSpace(query) == "" {
 		// -slow without a query: just dump the ring.
-		return dumpSlow(os.Stdout, client)
+		return dumpSlow(stdout, client)
 	}
 	if err := client.Open(query); err != nil {
 		return err
 	}
-	if interactive {
-		root, err := mediator.Wrap(client)
-		if err != nil {
-			return err
+	// printTrace renders the spans recorded since the last call; lead
+	// precedes a note that the trace is empty or holds client spans only.
+	printTrace := func(w io.Writer, lead string, print func(io.Writer, []*trace.Span)) {
+		roots := rec.Take()
+		if len(roots) == 0 {
+			fmt.Fprint(w, lead, "trace: empty\n")
+			return
 		}
+		if !stitched(roots) {
+			fmt.Fprint(w, lead, "trace: client spans only (is the server running with mixd -trace?)\n")
+		}
+		print(w, roots)
+	}
+	if o.interactive {
 		var after func(io.Writer)
-		if traceOn {
-			after = func(w io.Writer) {
-				roots := rec.Take()
-				if len(roots) == 0 {
-					fmt.Fprintln(w, "trace: empty")
-					return
-				}
-				if !stitched(roots) {
-					fmt.Fprintln(w, "trace: client spans only (is the server running with mixd -trace?)")
-				}
-				printForest(w, roots)
-			}
+		if o.trace {
+			after = func(w io.Writer) { printTrace(w, "", printForest) }
 		}
-		return interact(root, os.Stdin, os.Stdout, after)
+		return interact(client, stdin, stdout, after)
 	}
-	var answer *xmltree.Tree
-	if first > 0 {
-		answer, err = nav.ExploreFirst(client, first)
-	} else {
-		answer, err = nav.Materialize(client)
-	}
+	answer, err := explore(client, o.first)
 	if err != nil {
 		return err
 	}
-	fmt.Print(xmltree.MarshalIndent(answer))
-	if traceOn {
-		roots := rec.Take()
-		if len(roots) == 0 {
-			fmt.Fprintln(os.Stderr, "\ntrace: empty")
-		} else {
-			if !stitched(roots) {
-				fmt.Fprintln(os.Stderr, "\ntrace: client spans only (is the server running with mixd -trace?)")
-			}
-			printSummary(os.Stderr, roots)
-		}
+	fmt.Fprint(stdout, xmltree.MarshalIndent(answer))
+	if o.trace {
+		printTrace(stderr, "\n", printSummary)
 	}
-	if slowDump {
-		if err := dumpSlow(os.Stderr, client); err != nil {
+	if o.slow {
+		if err := dumpSlow(stderr, client); err != nil {
 			return err
 		}
 	}
-	if stats {
+	if o.stats {
 		st, err := client.Stats()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "\nround trips: %d\nserver: %s\n", client.RoundTrips(), st)
+		fmt.Fprintf(stderr, "\nround trips: %d\nserver: %s\n", client.RoundTrips(), st)
 	}
 	return nil
 }
@@ -374,70 +338,4 @@ func dumpSlow(out io.Writer, client *vxdp.Client) error {
 		fmt.Fprint(out, trace.Format([]*trace.Span{sn.Root}))
 	}
 	return nil
-}
-
-// openSource interprets a source location.
-func openSource(name, loc string) (nav.Document, error) {
-	var srv lxp.Server // set for sources served through the generic buffer
-	uri := name
-	if dir, ok := strings.CutPrefix(loc, "rdb:"); ok {
-		// A directory of CSV files becomes a relational database
-		// behind the Section 4 relational wrapper (n tuples in the first
-		// fill of a table, lxp.ChunkAt growth after that).
-		db, err := relational.LoadCSVDir(name, dir)
-		if err != nil {
-			return nil, err
-		}
-		srv = &wrapper.Relational{DB: db, ChunkRows: 50}
-	} else if rest, ok := strings.CutPrefix(loc, "lxp://"); ok {
-		addr, u, ok := strings.Cut(rest, "/")
-		if !ok {
-			return nil, fmt.Errorf("malformed LXP url %q (want lxp://host:port/uri)", loc)
-		}
-		client, err := lxp.Dial(addr)
-		if err != nil {
-			return nil, fmt.Errorf("dialing %s: %w", addr, err)
-		}
-		srv, uri = client, u
-	}
-	if srv != nil {
-		// The buffer as mediator.RegisterLXP builds it, scan lookahead on;
-		// registered by the caller so it can be wrapped in counters.
-		b, err := buffer.New(srv, uri)
-		if err != nil {
-			return nil, err
-		}
-		b.EnableLookahead()
-		return b, nil
-	}
-	if rest, ok := strings.CutPrefix(loc, "demo:"); ok {
-		// Generated datasets, like mixd's: demo:kind or demo:kind:n.
-		kind, nstr, _ := strings.Cut(rest, ":")
-		n := 1000
-		if nstr != "" {
-			var err error
-			if n, err = strconv.Atoi(nstr); err != nil {
-				return nil, fmt.Errorf("malformed demo size %q", nstr)
-			}
-		}
-		t, err := workload.Demo(kind, name, n)
-		if err != nil {
-			return nil, err
-		}
-		return nav.NewTreeDoc(t), nil
-	}
-	data, err := os.ReadFile(loc)
-	if err != nil {
-		return nil, err
-	}
-	t, err := xmltree.UnmarshalXML(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", loc, err)
-	}
-	return nav.NewTreeDoc(t), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mixq:", err)
-	os.Exit(1)
 }

@@ -7,13 +7,15 @@ import (
 	"strings"
 	"testing"
 
-	"mix/internal/buffer"
+	"mix/internal/mediator"
 	"mix/internal/nav"
 )
 
-// TestOpenSourceRDBLooksAhead: an rdb: source is served through the
-// buffer with its scan lookahead on, so scanning a table of 150 rows
-// (three 50-row chunks) fills at least one chunk ahead of the client.
+// TestOpenSourceRDBLooksAhead: an rdb: source, in the mediator mixq
+// builds, is served through the buffer with its scan lookahead on, so
+// scanning a table of 150 rows (three 50-row chunks) fills at least one
+// chunk ahead of the client; the scan takes no more round trips than
+// the 4 that mixq's single-hole buffer took.
 func TestOpenSourceRDBLooksAhead(t *testing.T) {
 	dir := t.TempDir()
 	var csv strings.Builder
@@ -24,22 +26,30 @@ func TestOpenSourceRDBLooksAhead(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "people.csv"), []byte(csv.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := openSource("db", "rdb:"+dir)
+	cat, err := mediator.OpenCatalog([]string{"db=rdb:" + dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := doc.(*buffer.Buffer)
-	if !ok {
-		t.Fatalf("rdb: source opened as %T, want *buffer.Buffer", doc)
-	}
-	tree, err := nav.Materialize(b)
+	m, err := cat.Mediator(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tree.Children[0].Children); n != 150 {
+	res, err := m.Query(`CONSTRUCT <out> $R {$R} </out> {} WHERE db db.people._ $R`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := nav.Materialize(res.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tree.Children); n != 150 {
 		t.Fatalf("scanned %d rows, want 150", n)
 	}
-	if st := b.Stats(); st.PrefetchFills == 0 {
+	st := m.BufferStats()["db"]
+	if st.PrefetchFills == 0 {
 		t.Fatalf("no lookahead fill during the scan: %+v", st)
+	}
+	if st.RoundTrips > 4 {
+		t.Fatalf("the scan took %d round trips, want at most 4: %+v", st.RoundTrips, st)
 	}
 }

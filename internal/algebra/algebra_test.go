@@ -362,6 +362,28 @@ func TestRewriteSelectPushdownThroughGetDescendants(t *testing.T) {
 	}
 }
 
+// TestRewriteSelectPushdownBelowConstructors: R2 pushes a selection
+// below concatenate and createElement too, unless it reads the variable
+// the operator introduces.
+func TestRewriteSelectPushdownBelowConstructors(t *testing.T) {
+	src := &Source{URL: "s", Var: "X"}
+	for _, op := range []Op{
+		&Concatenate{Input: src, X: "X", Y: "X", Out: "Y"},
+		&CreateElement{Input: src, Label: LabelSpec{Const: "e"}, Children: "X", Out: "Y"},
+	} {
+		q := Rewrite(&Select{Input: op, Cond: &LabelMatch{Var: "X", Label: "r"}})
+		if _, ok := q.(*Select); ok {
+			t.Fatalf("selection not pushed below %T:\n%s", op, String(q))
+		}
+		if err := Validate(q); err != nil {
+			t.Fatalf("rewritten plan invalid: %v\n%s", err, String(q))
+		}
+		if _, ok := Rewrite(&Select{Input: op, Cond: &LabelMatch{Var: "Y", Label: "r"}}).(*Select); !ok {
+			t.Fatalf("selection on %T's new variable must not push", op)
+		}
+	}
+}
+
 func TestRewriteMergeSelects(t *testing.T) {
 	src := &Source{URL: "s", Var: "X"}
 	p := &Select{
@@ -391,6 +413,16 @@ func TestRewriteOrderByCollapse(t *testing.T) {
 	}
 	if _, ok := ob.Input.(*Source); !ok {
 		t.Fatal("inner orderBy not eliminated")
+	}
+	// An inner key the outer sort lacks orders its ties: both stay.
+	gd := &GetDescendants{Input: src, Parent: "X", Path: pathexpr.MustParse("_"), Out: "Y"}
+	p = &OrderBy{Input: &OrderBy{Input: gd, Keys: []string{"Y"}}, Keys: []string{"X"}}
+	if q := Rewrite(p); String(q) != String(p) {
+		t.Fatalf("orderBy[X](orderBy[Y]) rewrote to\n%s", String(q))
+	}
+	q = Rewrite(&OrderBy{Input: &OrderBy{Input: gd, Keys: []string{"Y"}}, Keys: []string{"X", "Y"}})
+	if ob, ok := q.(*OrderBy); !ok || ob.Input != gd {
+		t.Fatalf("orderBy[X,Y](orderBy[Y]) rewrote to\n%s", String(q))
 	}
 }
 

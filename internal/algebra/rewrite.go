@@ -14,8 +14,9 @@ package algebra
 //	R3  cascade merge — select(select(x)) ⇒ select with AND, so one
 //	    scan serves both conditions;
 //	R4  redundant orderBy elimination — orderBy(orderBy(x, k'), k) keeps
-//	    only the outer sort (the inner order is destroyed anyway), and
-//	    orderBy directly above an identical orderBy collapses;
+//	    only the outer sort when every key of k' is in k: both sorts are
+//	    stable, so otherwise the inner order decides the outer sort's
+//	    ties;
 //	R5  project pruning — project of all input variables is a no-op;
 //	R6  trivial selection elimination — select(true) disappears, and an
 //	    AND with a true conjunct is simplified;
@@ -99,8 +100,9 @@ func rewriteOnce(p Op) (Op, bool) {
 		return p, changed
 
 	case *OrderBy:
-		// R4: the outer sort destroys the inner order.
-		if inner, ok := op.Input.(*OrderBy); ok {
+		// R4: an inner sort by keys all among the outer ones orders no
+		// tie of the outer sort.
+		if inner, ok := op.Input.(*OrderBy); ok && allIn(inner.Keys, varSet(op.Keys)) {
 			return &OrderBy{Input: inner.Input, Keys: op.Keys}, true
 		}
 		return p, changed

@@ -93,12 +93,6 @@ func NewRing(members []string, replicas int) (*Ring, error) {
 // Members returns the ring's member addresses, sorted.
 func (r *Ring) Members() []string { return r.members }
 
-// Contains reports whether addr is a ring member.
-func (r *Ring) Contains(addr string) bool {
-	i := sort.SearchStrings(r.members, addr)
-	return i < len(r.members) && r.members[i] == addr
-}
-
 // Owner returns the member that owns key: the member of the first
 // virtual node at or clockwise of the key's hash, with rendezvous
 // tie-break when several virtual nodes collide on that exact hash.

@@ -280,6 +280,69 @@ func (f failAfterDoc) Fetch(p nav.ID) (string, error) {
 	return f.d.Fetch(p)
 }
 
+// TestSourceErrorSweep lets the sources of med-home and by-school fail
+// after k navigations, for every k short of a full scan's count, on an
+// engine that shares inputs and caches regions. Each scan must return
+// that error. Once the sources recover, with the registry unchanged,
+// fresh queries of both plans must equal internal/eager: no shared
+// input, producer or cache entry may keep the error.
+func TestSourceErrorSweep(t *testing.T) {
+	homes, schools := workload.HomesSchools(6, 5, 3, 5)
+	trees := map[string]*xmltree.Tree{"homesSrc": homes, "schoolsSrc": schools}
+	boom := errors.New("source failed")
+	views := map[string]*View{
+		"med-home":  literalView(t, medHomeText, 91000, "med-home"),
+		"by-school": literalView(t, bySchoolText, 91000, "by-school"),
+	}
+	want := map[string]string{}
+	for name, v := range views {
+		want[name] = eagerAnswer(t, v.Plan(), trees)
+	}
+	// engine registers both sources behind one budget of left
+	// navigations; calls counts the navigations attempted.
+	engine := func(left int) (*Engine, *int, *int) {
+		budget, calls := left, new(int)
+		e := New(DefaultOptions())
+		e.SetRegionCache(regioncache.New(0))
+		for name, tree := range trees {
+			e.Register(name, failAfterDoc{d: nav.NewTreeDoc(tree), err: boom, left: &budget, calls: calls})
+		}
+		return e, &budget, calls
+	}
+	scan := func(e *Engine, v *View) (string, error) {
+		q, err := e.Compile(v)
+		if err != nil {
+			return "", err
+		}
+		got, err := nav.Materialize(q.Document())
+		if err != nil {
+			return "", err
+		}
+		return xmltree.MarshalXML(got), nil
+	}
+	for name, v := range views {
+		e, _, calls := engine(1 << 30)
+		if _, err := scan(e, v); err != nil {
+			t.Fatalf("%s: calibration scan: %v", name, err)
+		}
+		full := *calls
+		for k := 0; k < full; k++ {
+			e, left, _ := engine(k)
+			if _, err := scan(e, v); !errors.Is(err, boom) {
+				t.Fatalf("%s, failing after %d of %d navigations: scan returned %v, want the source's error", name, k, full, err)
+			}
+			*left = 1 << 30
+			for other, ov := range views {
+				got, err := scan(e, ov)
+				if err != nil || got != want[other] {
+					t.Fatalf("%s failed after %d of %d navigations; then %s after recovery = %v\n%s\nwant\n%s",
+						name, k, full, other, err, got, want[other])
+				}
+			}
+		}
+	}
+}
+
 // TestMidStreamErrorMemoized: an error striking after a prefix of
 // source navigations surfaces at a client-visible position that only
 // moves later as the source allows more navigations, and the top log

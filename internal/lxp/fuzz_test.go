@@ -66,8 +66,9 @@ func FuzzParseHoleID(f *testing.F) {
 			return
 		}
 		// rest is id[:colon] verbatim; on non-canonical input (leading
-		// zeros) it differs from pathString(path) but still names the
-		// same node, so continuation ids remain self-consistent.
+		// zeros) it differs from the canonical rendering of path but
+		// still names the same node, so continuation ids remain
+		// self-consistent.
 		if wstart != start {
 			t.Fatalf("walkHoleID(%q) start = %d, want %d", id, wstart, start)
 		}

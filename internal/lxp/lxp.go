@@ -380,20 +380,6 @@ func (s *TreeServer) renderChildren(node *xmltree.Tree, path string, start int) 
 	return out
 }
 
-func pathString(path []int) string {
-	if len(path) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, 3*len(path))
-	for i, p := range path {
-		if i > 0 {
-			b = append(b, '/')
-		}
-		b = strconv.AppendInt(b, int64(p), 10)
-	}
-	return string(b)
-}
-
 func parseHoleID(id string) (path []int, start int, err error) {
 	colon := -1
 	for i := len(id) - 1; i >= 0; i-- {

@@ -100,6 +100,7 @@ func TestContainmentFragment(t *testing.T) {
 		books = `src bib.book $B AND $B price._ $P`
 		joinW = `homesSrc homes.home $H AND $H zip._ $V1 AND schoolsSrc schools.school $S AND $S zip._ $V2`
 		byH   = `CONSTRUCT <answer> <med_home> $H {$H} </med_home> </answer> {} WHERE `
+		bySch = `CONSTRUCT <byschool> <sch> $S $H {$H} </sch> {$S} </byschool> {} WHERE `
 	)
 	for _, tc := range []struct {
 		name       string
@@ -162,6 +163,12 @@ func TestContainmentFragment(t *testing.T) {
 		{"join, other grouped variable", byH + joinW + ` AND $V1 = $V2`,
 			`CONSTRUCT <answer> <med_home> $S {$S} </med_home> </answer> {} WHERE ` + joinW + ` AND $V1 = $V2`, false},
 		{"product super, join sub", byH + joinW, byH + joinW + ` AND $V1 = $V2`, false},
+
+		// A group by a variable is no answer shape the fragment pairs
+		// rule by rule: the two plans must be the same, and are compared
+		// down to the first node that differs, here a literal.
+		{"group by school, other literal", bySch + joinW + ` AND $V1 = $V2 AND $V2 > "92000"`,
+			bySch + joinW + ` AND $V1 = $V2 AND $V2 > "92100"`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(DefaultOptions())

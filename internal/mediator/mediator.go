@@ -190,17 +190,24 @@ func (m *Mediator) RegisterTree(name string, t *xmltree.Tree) {
 // Every query of the mediator navigates this one open tree, so a fill
 // or get_root any of them pays is paid for all.
 func (m *Mediator) RegisterLXP(name string, srv lxp.Server, uri string) (*buffer.Buffer, error) {
+	b := m.buffer(name, srv, uri)
+	m.RegisterSource(name, b)
+	return b, nil
+}
+
+// buffer builds the buffer RegisterLXP places in front of srv and
+// records it for BufferStats under name.
+func (m *Mediator) buffer(name string, srv lxp.Server, uri string) *buffer.Buffer {
 	b, _ := buffer.New(srv, uri) // never fails: New sends nothing
 	b.Batch = m.opts.LXPBatch
 	b.EnableLookahead()
-	m.RegisterSource(name, b)
 	m.mu.Lock()
 	if m.buffers == nil {
 		m.buffers = map[string]*buffer.Buffer{}
 	}
 	m.buffers[name] = b
 	m.mu.Unlock()
-	return b, nil
+	return b
 }
 
 // BufferStats returns per-source fill accounting (round trips, batched

@@ -1,14 +1,18 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"mix/internal/metrics"
 	"mix/internal/nav"
 	"mix/internal/server"
 	"mix/internal/trace"
@@ -260,22 +264,7 @@ func TestTraceOpDisabled(t *testing.T) {
 // index is mounted.
 func TestHTTPSidecar(t *testing.T) {
 	srv, addr := start(t, server.WithTrace(true))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
+	get := sidecar(t, srv)
 
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz: %d %q", code, body)
@@ -329,5 +318,74 @@ func TestHTTPSidecar(t *testing.T) {
 
 	if code, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index: %d", code)
+	}
+}
+
+// sidecar serves srv's HTTP sidecar for the test and returns a GET of
+// one of its paths: the status code and the body.
+func sidecar(t *testing.T, srv *server.Server) func(path string) (int, string) {
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	return func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+}
+
+// TestHTTPSidecarSourcesDrainAndSlowOff covers the sidecar's other
+// answers: the three per-source series of WithSourceCounters, each
+// sorted by source name; /healthz once Shutdown has begun; and the
+// text flight ring of an untraced server.
+func TestHTTPSidecarSourcesDrainAndSlowOff(t *testing.T) {
+	zeta, alpha := &metrics.Counters{}, &metrics.Counters{}
+	zeta.Down.Add(3)
+	zeta.Fetch.Add(2)
+	zeta.Msgs.Add(4)
+	zeta.Bytes.Add(100)
+	alpha.Root.Add(1)
+	alpha.Msgs.Add(1)
+	alpha.Bytes.Add(7)
+	srv, _ := start(t, server.WithSourceCounters(map[string]*metrics.Counters{"zeta": zeta, "alpha": alpha}))
+	get := sidecar(t, srv)
+
+	_, body := get("/metrics")
+	var series []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "mix_source_") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`mix_source_navigations_total{source="alpha"} 1`,
+		`mix_source_navigations_total{source="zeta"} 5`,
+		`mix_source_lxp_msgs_total{source="alpha"} 1`,
+		`mix_source_lxp_msgs_total{source="zeta"} 4`,
+		`mix_source_lxp_bytes_total{source="alpha"} 7`,
+		`mix_source_lxp_bytes_total{source="zeta"} 100`,
+	}
+	if !slices.Equal(series, want) {
+		t.Fatalf("source series = %q, want %q", series, want)
+	}
+
+	if code, body := get("/debug/slow?format=text"); code != http.StatusOK || !strings.Contains(body, "recorder disabled") {
+		t.Fatalf("untraced /debug/slow?format=text: %d %q", code, body)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+		t.Fatalf("healthz after Shutdown: %d %q", code, body)
 	}
 }
