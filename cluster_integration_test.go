@@ -12,6 +12,7 @@ package mix_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -29,10 +30,18 @@ import (
 // member runs standalone.
 func startCluster(t *testing.T, n int, mode cluster.Mode, opts ...server.Option) *fleet.Fleet {
 	t.Helper()
+	return startClusterTimers(t, n, mode, 200*time.Millisecond, 100*time.Millisecond, opts...)
+}
+
+// startClusterTimers is startCluster with the health and flush
+// intervals given: a long health interval and a negative flush interval
+// leave a peer's health to what the test's own opens observe.
+func startClusterTimers(t *testing.T, n int, mode cluster.Mode, health, flush time.Duration, opts ...server.Option) *fleet.Fleet {
+	t.Helper()
 	f, err := fleet.Start(n, cluster.Config{
 		Mode:           mode,
-		HealthInterval: 200 * time.Millisecond,
-		FlushInterval:  100 * time.Millisecond,
+		HealthInterval: health,
+		FlushInterval:  flush,
 		DialTimeout:    2 * time.Second,
 		CallTimeout:    5 * time.Second,
 		FailAfter:      2,
@@ -56,6 +65,21 @@ func ownerOf(t *testing.T, f *fleet.Fleet, query string) int {
 		t.Fatal(err)
 	}
 	return i
+}
+
+// queryOwnedBy returns a query member i owns: the first of a series of
+// zip-code selections, equal but for their constructor's label, whose
+// routing key the ring gives to i.
+func queryOwnedBy(t *testing.T, f *fleet.Fleet, i int) string {
+	t.Helper()
+	for k := 0; k < 100; k++ {
+		q := fmt.Sprintf(`CONSTRUCT <zips%d> $Z {$Z} </zips%d> {} WHERE homesSrc homes.home $H AND $H zip._ $Z`, k, k)
+		if ownerOf(t, f, q) == i {
+			return q
+		}
+	}
+	t.Fatalf("no query of the series is owned by member %d", i)
+	return ""
 }
 
 // wantAnswer materializes a query in-process: the byte-identity oracle.
@@ -134,7 +158,7 @@ func TestClusterProxyByteIdentical(t *testing.T) {
 // navigation restarted from the root completes byte-identically from
 // the local node's own sources.
 func TestClusterPeerDeathDegrades(t *testing.T) {
-	h := startCluster(t, 3, cluster.ModeProxy)
+	h := startClusterTimers(t, 3, cluster.ModeProxy, time.Hour, -1)
 	q := queryCorpus[1].q // the view query
 	want := wantAnswer(t, q)
 	owner := ownerOf(t, h, q)
@@ -165,14 +189,25 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	}
 
 	// A fresh open for a key the dead node owned must be served
-	// (degraded) by whatever node the client reaches.
-	for _, tc := range queryCorpus {
-		if ownerOf(t, h, tc.q) == victim {
-			if got := materializeVia(t, h.Members[entry].Addr, tc.q); got != wantAnswer(t, tc.q) {
-				t.Fatalf("%s owned by dead node served wrong answer", tc.name)
-			}
+	// (degraded) by whatever node the client reaches. With no health
+	// check or flush to notice the death, the first open finds the dead
+	// node alive in the ring and fails to proxy to it; the failures it
+	// reports mark the node down by the third open at the latest, which
+	// is served locally without trying the owner.
+	orphan := queryOwnedBy(t, h, victim)
+	degraded := h.Members[entry].Node.Stats().Degraded
+	for i := 0; i < 3; i++ {
+		if got := materializeVia(t, h.Members[entry].Addr, orphan); got != wantAnswer(t, orphan) {
+			t.Fatal("a query owned by the dead node served wrong answer")
 		}
 	}
+	if st := h.Members[entry].Node.Stats(); st.Degraded-degraded != 3 || st.PeersDown != 1 {
+		t.Fatalf("three opens owned by the dead node: %d degraded, %d peers down; want 3 and 1",
+			st.Degraded-degraded, st.PeersDown)
+	}
+	// The regions those opens explored belong to the dead node: a flush
+	// skips a peer it knows is down rather than calling it.
+	h.Members[entry].Node.Flush()
 
 	// Now kill the owner out from under the proxied session. The next
 	// command errs (owner handles are gone) but the session survives:
@@ -195,6 +230,41 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	}
 	if st := h.Members[entry].Node.Stats(); st.Degraded == 0 {
 		t.Fatalf("owner death not counted degraded: %+v", st)
+	}
+}
+
+// TestClusterSessionFollowsOwner: a session proxied to one owner that
+// opens a view another member owns drops its link to the first owner
+// and opens the view over a new one to the second; both answers are
+// the in-process ones.
+func TestClusterSessionFollowsOwner(t *testing.T) {
+	h := startCluster(t, 3, cluster.ModeProxy)
+	const entry = 0
+	c, err := vxdp.Dial(h.Members[entry].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// opens counts the views member i opened: its catalog served them.
+	opens := func(i int) int64 {
+		p := h.Members[i].Server.Stats().Pool
+		return p.Created + p.Reused
+	}
+	for _, owner := range []int{1, 2} {
+		q := queryOwnedBy(t, h, owner)
+		proxied, opened := h.Members[entry].Node.Stats().Proxied, opens(owner)
+		if err := c.Open(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := materializeTree(t, c); got != wantAnswer(t, q) {
+			t.Fatalf("answer proxied to member %d differs", owner)
+		}
+		if h.Members[entry].Node.Stats().Proxied == proxied {
+			t.Fatalf("the open owned by member %d was not proxied", owner)
+		}
+		if got := opens(owner) - opened; got != 1 {
+			t.Fatalf("member %d opened %d views for the proxied open, want 1", owner, got)
+		}
 	}
 }
 

@@ -181,8 +181,6 @@ func TestMixdServesDeclaredSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`mix_source_navigations_total{source="db"} 0`,
-		`mix_source_navigations_total{source="remote"} 0`,
 		`mix_source_lxp_msgs_total{source="db"} 5`,
 		`mix_source_lxp_msgs_total{source="remote"} 3`,
 		`mix_source_lxp_bytes_total{source="db"} 8999`,

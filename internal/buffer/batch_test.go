@@ -68,6 +68,53 @@ func TestBatchOneIsWireIdentical(t *testing.T) {
 	}
 }
 
+// msgRecorder counts the LXP messages a buffer sends to a server that
+// accepts both: plain fills, and fill_many batches with their sizes.
+type msgRecorder struct {
+	lxp.Server
+	fills, batches, smallest int
+}
+
+func (r *msgRecorder) Fill(id string) ([]*xmltree.Tree, error) {
+	r.fills++
+	return r.Server.Fill(id)
+}
+
+func (r *msgRecorder) FillMany(ids []string) (map[string][]*xmltree.Tree, error) {
+	r.batches++
+	if r.smallest == 0 || len(ids) < r.smallest {
+		r.smallest = len(ids)
+	}
+	return lxp.FillMany(r.Server, ids)
+}
+
+// TestSingleHoleSendsPlainFill: whatever the batch size, a round trip
+// that carries one hole is the plain fill message, even to a server
+// that takes fill_many; only several holes make a fill_many.
+func TestSingleHoleSendsPlainFill(t *testing.T) {
+	for _, batch := range []int{0, 1, 4} {
+		rec := &msgRecorder{Server: newLiberalServer(doc(), 3)}
+		b, err := New(rec, "u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Batch = batch
+		if _, err := nav.Materialize(b); err != nil {
+			t.Fatal(err)
+		}
+		st := b.Stats()
+		if rec.fills+rec.batches != st.RoundTrips || rec.fills+st.BatchedFills != st.Fills {
+			t.Fatalf("Batch=%d: %d fills and %d fill_many for %+v", batch, rec.fills, rec.batches, st)
+		}
+		if rec.batches > 0 && (batch < 2 || rec.smallest < 2) {
+			t.Fatalf("Batch=%d sent a fill_many of %d holes", batch, rec.smallest)
+		}
+		if batch > 1 && (rec.batches == 0 || rec.fills == 0) {
+			t.Fatalf("Batch=%d: %d fills and %d fill_many, want both kinds", batch, rec.fills, rec.batches)
+		}
+	}
+}
+
 // TestBatchedPrefetchDrain: the asynchronous prefetcher coalesces
 // pending holes across parents, so a cold drain of a chunked catalog
 // takes a fraction of the single-fill round trips.

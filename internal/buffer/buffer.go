@@ -200,11 +200,12 @@ func (b *Buffer) Root() (nav.ID, error) {
 			}
 			continue
 		}
-		trees, err := b.fillLocked(b.root)
+		fills, err := b.fillLocked([]*node{b.root})
 		if err != nil {
 			return nil, err
 		}
 		if b.root.hole { // still ours to resolve
+			trees := fills[0]
 			if len(trees) != 1 || trees[0].IsHole() {
 				return nil, &lxp.ProtocolError{HoleID: b.root.holeID(),
 					Msg: fmt.Sprintf("root fill must return one element, got %d trees", len(trees))}
@@ -329,50 +330,39 @@ func (b *Buffer) getRootLocked() error {
 	return nil
 }
 
-// fillLocked issues the fill for h with mu released during the wire
-// round-trip; h is flagged inFlight so no concurrent duplicate fill is
-// sent. On return mu is held again and h.inFlight is cleared. The
-// caller is responsible for splicing.
-func (b *Buffer) fillLocked(h *node) ([]*xmltree.Tree, error) {
-	h.inFlight = true
-	b.fills++
-	b.roundTrips++
-	b.mu.Unlock()
-	id := h.holeID()
-	trees, err := b.srv.Fill(id)
-	if err == nil {
-		err = lxp.ValidateFill(id, trees)
-	}
-	b.mu.Lock()
-	h.inFlight = false
-	if err != nil {
-		b.cond.Broadcast()
-		return nil, err
-	}
-	return trees, nil
-}
-
-// fillManyLocked issues one batched fill for holes with mu released
-// during the wire round trip; every hole is flagged inFlight. The
-// progress rules are enforced per hole, exactly as for single fills.
+// fillLocked fills holes in one wire round trip with mu released
+// during it: a plain fill for one hole, so an unbatched buffer sends
+// exactly the pre-batching messages, and one fill_many for several
+// (lxp.FillMany). Every hole is flagged inFlight meanwhile, so no
+// concurrent duplicate fill is sent, and each result must pass the
+// progress rules. On return mu is held again and the flags are
+// cleared; the result holds each hole's trees in the order of holes.
 // The caller is responsible for splicing.
-func (b *Buffer) fillManyLocked(holes []*node) (map[string][]*xmltree.Tree, error) {
+func (b *Buffer) fillLocked(holes []*node) ([][]*xmltree.Tree, error) {
 	ids := make([]string, len(holes))
 	for i, h := range holes {
 		h.inFlight = true
 		ids[i] = h.holeID()
 	}
 	b.fills += len(holes)
-	b.batchedFills += len(holes)
+	if len(holes) > 1 {
+		b.batchedFills += len(holes)
+	}
 	b.roundTrips++
 	b.mu.Unlock()
-	res, err := lxp.FillMany(b.srv, ids)
-	if err == nil {
-		for _, id := range ids {
-			if err = lxp.ValidateFill(id, res[id]); err != nil {
-				break
-			}
+	fills := make([][]*xmltree.Tree, len(ids))
+	var err error
+	if len(ids) == 1 {
+		fills[0], err = b.srv.Fill(ids[0])
+	} else {
+		var res map[string][]*xmltree.Tree
+		res, err = lxp.FillMany(b.srv, ids)
+		for i, id := range ids {
+			fills[i] = res[id]
 		}
+	}
+	for i := 0; err == nil && i < len(ids); i++ {
+		err = lxp.ValidateFill(ids[i], fills[i])
 	}
 	b.mu.Lock()
 	for _, h := range holes {
@@ -382,7 +372,7 @@ func (b *Buffer) fillManyLocked(holes []*node) (map[string][]*xmltree.Tree, erro
 		b.cond.Broadcast()
 		return nil, err
 	}
-	return res, nil
+	return fills, nil
 }
 
 // expand fills the hole child h of parent p and splices the result in
@@ -419,27 +409,16 @@ func (b *Buffer) expand(p *node, h *node) (filled bool, err error) {
 // different parents — in one round trip and splices each result in
 // place. Caller holds mu.
 func (b *Buffer) expandGroup(group []*node) error {
-	var fills map[string][]*xmltree.Tree
-	if len(group) == 1 {
-		// Single hole: use the plain fill message, so unbatched buffers
-		// are wire-identical to the pre-batching protocol.
-		trees, err := b.fillLocked(group[0])
-		if err != nil {
-			return err
-		}
-		fills = map[string][]*xmltree.Tree{group[0].holeID(): trees}
-	} else {
-		var err error
-		if fills, err = b.fillManyLocked(group); err != nil {
-			return err
-		}
+	fills, err := b.fillLocked(group)
+	if err != nil {
+		return err
 	}
 	var firstErr error
-	for _, h := range group {
+	for i, h := range group {
 		if !h.hole {
 			continue // lost a race; result discarded
 		}
-		if err := b.splice(h, fills[h.holeID()]); err != nil && firstErr == nil {
+		if err := b.splice(h, fills[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

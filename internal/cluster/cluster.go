@@ -143,10 +143,14 @@ type Node struct {
 	invalRecv  atomic.Int64
 	semLocal   atomic.Int64
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	// runMu orders Start against Stop: started is set by the first of
+	// them, so loops a Start launched are awaited by Stop, and a Start
+	// after Stop launches none.
+	runMu    sync.Mutex
+	started  bool
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 // New builds a node over cache (which must be non-nil: the cluster's
@@ -187,22 +191,30 @@ func New(cfg Config, cache *regioncache.Cache) (*Node, error) {
 }
 
 // Start launches the health-check and flush loops. It runs once; later
-// calls do nothing. A server calls it from Serve.
+// calls, and any call after Stop, do nothing. A server calls it from
+// Serve.
 func (n *Node) Start() {
-	n.startOnce.Do(func() {
+	n.runMu.Lock()
+	defer n.runMu.Unlock()
+	if n.started {
+		return
+	}
+	n.started = true
+	n.wg.Add(1)
+	go n.healthLoop()
+	if n.cfg.FlushInterval > 0 {
 		n.wg.Add(1)
-		go n.healthLoop()
-		if n.cfg.FlushInterval > 0 {
-			n.wg.Add(1)
-			go n.flushLoop()
-		}
-	})
+		go n.flushLoop()
+	}
 }
 
 // Stop halts the loops and closes all peer control links. It runs once;
 // later calls do nothing. A server calls it from Shutdown. The node must
 // not be used afterwards.
 func (n *Node) Stop() {
+	n.runMu.Lock()
+	n.started = true // a later Start launches nothing
+	n.runMu.Unlock()
 	n.stopOnce.Do(func() {
 		close(n.stop)
 		n.wg.Wait()

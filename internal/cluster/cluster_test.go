@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"log/slog"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,6 +37,32 @@ func TestNodeSingleMemberDegradesToLocal(t *testing.T) {
 	st := n.Stats()
 	if st.Members != 1 || st.PeersUp != 0 || st.PeersDown != 0 {
 		t.Fatalf("unexpected membership stats: %+v", st)
+	}
+}
+
+// loopGoroutines counts the goroutines Start created — a node's health
+// and flush loops — whether or not they have begun to run.
+func loopGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by mix/internal/cluster.(*Node).Start "))
+}
+
+// TestStartAfterStopLaunchesNothing: a Start that comes after Stop — a
+// server's Serve that lost a race with its Shutdown — launches no loop.
+// A loop launched then would see Stop's signal and end at once, so the
+// goroutines are counted on one processor, before any could run.
+func TestStartAfterStopLaunchesNothing(t *testing.T) {
+	n, err := New(Config{Self: "127.0.0.1:7800", Logger: quietLogger()}, regioncache.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := loopGoroutines()
+	n.Stop()
+	n.Start()
+	if got := loopGoroutines(); got > before {
+		t.Fatalf("Start after Stop launched %d loop(s)", got-before)
 	}
 }
 

@@ -66,18 +66,59 @@ func TestMaterializeLeafAllocs(t *testing.T) {
 					s.Fetch, s.Down, s.Right, runs+1)
 			}
 
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				sink, _ = MaterializeNode(v)
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > c.bytes {
+			bytes := allocatedUnder("mix/internal/core.MaterializeNode", func() {
+				for i := 0; i < runs; i++ {
+					sink, _ = MaterializeNode(v)
+				}
+			})
+			if per := bytes / runs; per > c.bytes {
 				t.Errorf("materializing a leaf: %d B per call, want <= %d", per, c.bytes)
 			}
 			_ = sink
 		})
 	}
+}
+
+// allocatedUnder returns the bytes run allocates on stacks that pass
+// through the function named fn. It reads a heap profile that records
+// every allocation while run runs, so what other goroutines allocate
+// meanwhile is not counted, as it would be by MemStats.TotalAlloc.
+func allocatedUnder(fn string, run func()) uint64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	// A record is published by the collection after its allocation.
+	runtime.GC()
+	before := profiledBytes(fn)
+	run()
+	runtime.GC()
+	return uint64(profiledBytes(fn) - before)
+}
+
+// profiledBytes sums the bytes the heap profile records as allocated
+// on stacks through fn, since the program started.
+func profiledBytes(fn string) int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var sum int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if f.Function == fn {
+				sum += r.AllocBytes
+				break
+			}
+		}
+	}
+	return sum
 }
 
 // recordFills keeps every tree an LXP server ships, so a test can tell

@@ -3,11 +3,12 @@ package lxp
 import (
 	"bufio"
 	"context"
-	"errors"
 	"log/slog"
 	"net"
 	"sync"
 	"time"
+
+	"mix/internal/wirejson"
 )
 
 // maxInFlight bounds the requests of one connection being served at
@@ -19,11 +20,12 @@ const maxInFlight = 64
 // dispatched concurrently — one goroutine per request, at most
 // maxInFlight per connection — and answered in completion order, each
 // response echoing its request's rid, so Srv sees concurrent calls even
-// from a single client. Connections are tracked for graceful shutdown:
-// Shutdown stops the accept loop, lets every request already being
-// served finish and send its response, and waits for the drained
-// connections to close (force-closing the stragglers when the context
-// expires). cmd/lxpd uses it to turn SIGINT/SIGTERM into a clean exit.
+// from a single client. Connections run the wire servers' one lifecycle
+// (wirejson.Lifecycle): Shutdown stops the accept loop, lets every
+// request already being served finish and send its response, and waits
+// for the drained connections to close (force-closing the stragglers
+// when the context expires). cmd/lxpd uses it to turn SIGINT/SIGTERM
+// into a clean exit.
 type TCPServer struct {
 	// Srv answers the protocol requests.
 	Srv Server
@@ -35,66 +37,18 @@ type TCPServer struct {
 	// Logger receives the slow-request warnings (slog.Default when nil).
 	Logger *slog.Logger
 
-	mu       sync.Mutex
-	l        net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	wg       sync.WaitGroup
+	conns wirejson.Lifecycle
 }
 
 // NewTCPServer returns a TCPServer for srv.
-func NewTCPServer(srv Server) *TCPServer {
-	return &TCPServer{Srv: srv, conns: map[net.Conn]struct{}{}}
-}
+func NewTCPServer(srv Server) *TCPServer { return &TCPServer{Srv: srv} }
 
 // Serve accepts connections on l until Shutdown is called or the
 // listener fails. It returns nil after a clean Shutdown.
 func (t *TCPServer) Serve(l net.Listener) error {
-	t.mu.Lock()
-	if t.draining {
-		t.mu.Unlock()
-		return errors.New("lxp: server already shut down")
-	}
-	t.l = l
-	t.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			t.mu.Lock()
-			draining := t.draining
-			t.mu.Unlock()
-			if draining && errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if !t.track(conn) {
-			conn.Close()
-			continue
-		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			defer t.untrack(conn)
-			t.serveConn(conn)
-		}()
-	}
-}
-
-func (t *TCPServer) track(conn net.Conn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.draining {
-		return false
-	}
-	t.conns[conn] = struct{}{}
-	return true
-}
-
-func (t *TCPServer) untrack(conn net.Conn) {
-	t.mu.Lock()
-	delete(t.conns, conn)
-	t.mu.Unlock()
+	return t.conns.Serve(l, func(conn net.Conn) func() {
+		return func() { t.serveConn(conn) }
+	})
 }
 
 // servedConn is one connection being served: what its request
@@ -109,10 +63,9 @@ type servedConn struct {
 
 // serveConn reads requests until the connection fails, the peer hangs
 // up or Shutdown's read deadline fires, then waits for the requests
-// still being served before closing the connection.
+// still being served (the lifecycle closes the connection after).
 func (t *TCPServer) serveConn(conn net.Conn) {
 	sc := &servedConn{t: t, conn: conn, w: frameWriter{w: conn}, slots: make(chan struct{}, maxInFlight)}
-	defer conn.Close()
 	defer sc.handlers.Wait()
 	r := bufio.NewReader(conn)
 	var req request // one for the connection: each request goroutine gets a copy
@@ -151,41 +104,7 @@ func (sc *servedConn) serve(req request) {
 }
 
 // Shutdown stops accepting, stops every connection's reader (a read
-// deadline in the past), and waits for all in-flight requests to drain. If ctx expires first the remaining
-// connections are force-closed and ctx.Err() is returned.
-func (t *TCPServer) Shutdown(ctx context.Context) error {
-	t.mu.Lock()
-	t.draining = true
-	l := t.l
-	open := make([]net.Conn, 0, len(t.conns))
-	for c := range t.conns {
-		open = append(open, c)
-	}
-	t.mu.Unlock()
-
-	if l != nil {
-		l.Close()
-	}
-	for _, c := range open {
-		_ = c.SetReadDeadline(time.Now())
-	}
-	done := make(chan struct{})
-	go func() {
-		t.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		// Force-close the stragglers. Handlers stuck inside Srv (not
-		// blocked on the connection) are abandoned, not awaited: the
-		// caller is exiting.
-		t.mu.Lock()
-		for c := range t.conns {
-			c.Close()
-		}
-		t.mu.Unlock()
-		return ctx.Err()
-	}
-}
+// deadline in the past), and waits for all in-flight requests to drain.
+// If ctx expires first the remaining connections are force-closed and
+// ctx.Err() is returned.
+func (t *TCPServer) Shutdown(ctx context.Context) error { return t.conns.Shutdown(ctx) }

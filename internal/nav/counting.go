@@ -47,36 +47,14 @@ func (c *CountingDoc) Unwrap() Document { return c.Doc }
 
 // SelectRight bills a single native select command iff the wrapped
 // document answers select(σ) natively (the SelectorOf probe). Otherwise
-// it falls back to the generic scan, whose individual r/f commands are
-// counted instead — precisely the complexity difference Section 2
-// attributes to extending NC.
+// it is Select's r/f scan through the *counting* document, whose
+// individual r/f commands are counted instead — precisely the
+// complexity difference Section 2 attributes to extending NC.
 func (c *CountingDoc) SelectRight(p ID, sigma Predicate, fromSelf bool) (ID, error) {
-	if s, ok := SelectorOf(c.Doc); ok {
-		c.Counters.Select.Add(1)
-		return s.SelectRight(p, sigma, fromSelf)
+	s, ok := SelectorOf(c.Doc)
+	if !ok {
+		return Select(c, p, sigma, fromSelf)
 	}
-	// Generic scan over the *counting* document so each hop is billed.
-	cur := p
-	if !fromSelf {
-		next, err := c.Right(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	for cur != nil {
-		l, err := c.Fetch(cur)
-		if err != nil {
-			return nil, err
-		}
-		if sigma(l) {
-			return cur, nil
-		}
-		next, err := c.Right(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return nil, nil
+	c.Counters.Select.Add(1)
+	return s.SelectRight(p, sigma, fromSelf)
 }

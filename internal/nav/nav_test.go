@@ -248,6 +248,48 @@ func TestCountingSelectScanBilling(t *testing.T) {
 	}
 }
 
+// TestCountingSelectRightScans: a direct SelectRight on a CountingDoc
+// over a document without native select bills each r and f hop of the
+// scan, no select, and returns what Select on the bare document does.
+func TestCountingSelectRightScans(t *testing.T) {
+	bare := noSelect{d: NewTreeDoc(xmltree.Elem("r",
+		xmltree.Leaf("x"), xmltree.Leaf("x"), xmltree.Leaf("a"), xmltree.Leaf("x")))}
+	root, _ := bare.Root()
+	kids := []ID{}
+	for k, _ := bare.Down(root); k != nil; k, _ = bare.Right(k) {
+		kids = append(kids, k)
+	}
+	// Each case is a select(σ) from child from, with the r and f
+	// commands its r/f scan issues.
+	for _, c := range []struct {
+		name     string
+		from     int
+		label    string
+		fromSelf bool
+		r, f     int64
+	}{
+		{"found, from self", 0, "a", true, 2, 3},
+		{"found, after self", 0, "a", false, 2, 2},
+		{"not found", 0, "zzz", true, 4, 4},
+		{"after the last", 3, "x", false, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := Select(bare, kids[c.from], LabelIs(c.label), c.fromSelf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cd := NewCountingDoc(bare)
+			got, err := cd.SelectRight(kids[c.from], LabelIs(c.label), c.fromSelf)
+			if err != nil || got != want {
+				t.Fatalf("SelectRight = %v, %v; Select on the bare document = %v", got, err, want)
+			}
+			if s := cd.Counters.Snapshot(); s.Select != 0 || s.Right != c.r || s.Fetch != c.f {
+				t.Fatalf("billed select=%d r=%d f=%d, want 0/%d/%d", s.Select, s.Right, s.Fetch, c.r, c.f)
+			}
+		})
+	}
+}
+
 func TestSelectorOfProbes(t *testing.T) {
 	tree := NewTreeDoc(xmltree.Elem("r", xmltree.Leaf("a")))
 	if s, ok := SelectorOf(tree); !ok || s == nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"mix/internal/metrics"
 	"mix/internal/pathexpr"
 	"mix/internal/telemetry"
 	"mix/internal/trace"
@@ -108,25 +109,19 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP mix_source_navigations_total navigation commands answered at a source boundary\n")
-		fmt.Fprintf(w, "# TYPE mix_source_navigations_total counter\n")
-		snaps := make(map[string]struct {
-			navs, msgs, bytes int64
-		}, len(names))
-		for _, name := range names {
-			c := s.cfg.SourceCounters[name].Snapshot()
-			snaps[name] = struct{ navs, msgs, bytes int64 }{c.Navigations(), c.Msgs, c.Bytes}
-			fmt.Fprintf(w, "mix_source_navigations_total{source=%q} %d\n", name, snaps[name].navs)
+		snaps := make([]metrics.Snapshot, len(names))
+		for i, name := range names {
+			snaps[i] = s.cfg.SourceCounters[name].Snapshot()
 		}
 		fmt.Fprintf(w, "# HELP mix_source_lxp_msgs_total LXP protocol messages exchanged with a source\n")
 		fmt.Fprintf(w, "# TYPE mix_source_lxp_msgs_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "mix_source_lxp_msgs_total{source=%q} %d\n", name, snaps[name].msgs)
+		for i, name := range names {
+			fmt.Fprintf(w, "mix_source_lxp_msgs_total{source=%q} %d\n", name, snaps[i].Msgs)
 		}
 		fmt.Fprintf(w, "# HELP mix_source_lxp_bytes_total LXP payload bytes exchanged with a source\n")
 		fmt.Fprintf(w, "# TYPE mix_source_lxp_bytes_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "mix_source_lxp_bytes_total{source=%q} %d\n", name, snaps[name].bytes)
+		for i, name := range names {
+			fmt.Fprintf(w, "mix_source_lxp_bytes_total{source=%q} %d\n", name, snaps[i].Bytes)
 		}
 	}
 

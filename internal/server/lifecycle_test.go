@@ -4,7 +4,9 @@ package server_test
 // and the server serves from the cache the node was built over.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"net"
 	"runtime"
@@ -16,6 +18,7 @@ import (
 	"mix/internal/regioncache"
 	"mix/internal/server"
 	"mix/internal/vxdp"
+	"mix/internal/wirejson"
 	"mix/internal/workload"
 )
 
@@ -78,6 +81,45 @@ func TestShutdownStopsClusterNode(t *testing.T) {
 		"the peer's control link is still open after Shutdown")
 	await(t, func() bool { return runtime.NumGoroutine() <= base },
 		"the node's goroutines outlived Shutdown")
+}
+
+// TestShutdownRacingServeStopsNode: however Shutdown and Serve of a
+// clustered server interleave — Shutdown first, or both at once — no
+// health or flush loop of its node outlives them: Shutdown stops a node
+// Serve started, and a node Serve starts after Shutdown stays stopped.
+func TestShutdownRacingServeStopsNode(t *testing.T) {
+	factory := semFactory(nav.NewTreeDoc(workload.FlatList(1, "a")))
+	for i := 0; i < 10; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(factory, server.WithCluster(lifecycleNode(t, l.Addr().String(), regioncache.New(0))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		if i == 0 {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			served <- srv.Serve(l)
+		} else {
+			go func() { served <- srv.Serve(l) }()
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-served; err != nil && !errors.Is(err, wirejson.ErrShutDown) {
+			t.Fatalf("Serve racing Shutdown = %v", err)
+		}
+		l.Close() // a Serve that came second never took it
+	}
+	await(t, func() bool {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return !bytes.Contains(buf, []byte("created by mix/internal/cluster.(*Node).Start "))
+	}, "a node loop outlived a Shutdown that raced Serve")
 }
 
 // TestClusterCacheFromNode: a server given only WithCluster serves its

@@ -342,16 +342,13 @@ func sidecar(t *testing.T, srv *server.Server) func(path string) (int, string) {
 }
 
 // TestHTTPSidecarSourcesDrainAndSlowOff covers the sidecar's other
-// answers: the three per-source series of WithSourceCounters, each
+// answers: the two per-source series of WithSourceCounters, each
 // sorted by source name; /healthz once Shutdown has begun; and the
 // text flight ring of an untraced server.
 func TestHTTPSidecarSourcesDrainAndSlowOff(t *testing.T) {
 	zeta, alpha := &metrics.Counters{}, &metrics.Counters{}
-	zeta.Down.Add(3)
-	zeta.Fetch.Add(2)
 	zeta.Msgs.Add(4)
 	zeta.Bytes.Add(100)
-	alpha.Root.Add(1)
 	alpha.Msgs.Add(1)
 	alpha.Bytes.Add(7)
 	srv, _ := start(t, server.WithSourceCounters(map[string]*metrics.Counters{"zeta": zeta, "alpha": alpha}))
@@ -365,8 +362,6 @@ func TestHTTPSidecarSourcesDrainAndSlowOff(t *testing.T) {
 		}
 	}
 	want := []string{
-		`mix_source_navigations_total{source="alpha"} 1`,
-		`mix_source_navigations_total{source="zeta"} 5`,
 		`mix_source_lxp_msgs_total{source="alpha"} 1`,
 		`mix_source_lxp_msgs_total{source="zeta"} 4`,
 		`mix_source_lxp_bytes_total{source="alpha"} 7`,

@@ -47,6 +47,7 @@ import (
 	"mix/internal/telemetry"
 	"mix/internal/trace"
 	"mix/internal/vxdp"
+	"mix/internal/wirejson"
 )
 
 // Factory builds the catalog of one source epoch: the mediator every
@@ -228,12 +229,13 @@ type Server struct {
 	// (see window.go).
 	scratch sync.Pool
 
+	// conns runs the connections: accept, drain, force-close. mu
+	// guards the session table, so Stats sees a session live or folded
+	// (see dropSession), never both or neither.
+	conns    wirejson.Lifecycle
 	mu       sync.Mutex
-	l        net.Listener
 	sessions map[uint64]*session
 	nextID   uint64
-	draining atomic.Bool // set under mu (newSession checks it there), read lock-free per command
-	wg       sync.WaitGroup
 }
 
 // New returns an unstarted Server whose sessions compile on catalogs
@@ -406,55 +408,35 @@ func (s *Server) RegionCache() *regioncache.Cache { return s.cache }
 
 // Serve accepts VXDP sessions on l until Shutdown is called or the
 // listener fails. It returns nil after a clean Shutdown. A clustered
-// server starts its node's health and flush loops before it accepts.
+// server starts its node's health and flush loops before it accepts;
+// Shutdown stops the node after the drain began, and a node started
+// after it stopped stays stopped, so a Shutdown racing Serve leaves no
+// loop running.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return errors.New("server: already shut down")
-	}
-	s.l = l
 	if s.cluster != nil {
-		// Under mu, so a concurrent Shutdown stops a started node.
 		s.cluster.Start()
 	}
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.draining.Load() && errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if s.cfg.MaxSessions > 0 && s.active.Load() >= int64(s.cfg.MaxSessions) {
-			s.denied.Add(1)
-			s.log.Warn("session denied", "remote", conn.RemoteAddr().String(), "limit", s.cfg.MaxSessions)
-			_ = vxdp.WriteFrame(conn, vxdp.Response{NavResult: vxdp.NavResult{
-				Err: fmt.Sprintf("server at capacity (%d sessions)", s.cfg.MaxSessions),
-			}})
-			conn.Close()
-			continue
-		}
-		sess := s.newSession(conn)
-		if sess == nil { // lost the race with Shutdown
-			conn.Close()
-			continue
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			sess.run()
-		}()
+	return s.conns.Serve(l, s.accept)
+}
+
+// accept turns a connection away with an error frame when the server is
+// at its session limit, and otherwise makes it a session and returns
+// the session's loop.
+func (s *Server) accept(conn net.Conn) func() {
+	if s.cfg.MaxSessions > 0 && s.active.Load() >= int64(s.cfg.MaxSessions) {
+		s.denied.Add(1)
+		s.log.Warn("session denied", "remote", conn.RemoteAddr().String(), "limit", s.cfg.MaxSessions)
+		_ = vxdp.WriteFrame(conn, vxdp.Response{NavResult: vxdp.NavResult{
+			Err: fmt.Sprintf("server at capacity (%d sessions)", s.cfg.MaxSessions),
+		}})
+		return nil
 	}
+	return s.newSession(conn).run
 }
 
 func (s *Server) newSession(conn net.Conn) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining.Load() {
-		return nil
-	}
 	s.nextID++
 	sess := &session{srv: s, id: s.nextID, conn: conn, born: time.Now()}
 	if s.cfg.Trace {
@@ -505,7 +487,7 @@ func (s *Server) dropSession(sess *session) {
 }
 
 // drainingNow reports whether Shutdown has been initiated.
-func (s *Server) drainingNow() bool { return s.draining.Load() }
+func (s *Server) drainingNow() bool { return s.conns.Draining() }
 
 // Shutdown stops the server gracefully: it stops accepting, wakes every
 // session blocked waiting for a request (in-flight requests still get
@@ -514,47 +496,12 @@ func (s *Server) drainingNow() bool { return s.draining.Load() }
 // returned. Either way a clustered server then stops its node: the
 // loops exit and the control links to the peers close.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining.Store(true)
-	l := s.l
-	open := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		open = append(open, sess)
-	}
-	s.mu.Unlock()
-
-	s.log.Info("draining", "sessions", len(open))
-
-	if l != nil {
-		l.Close()
-	}
-	// Wake blocked readers; sessions notice draining and exit cleanly
-	// after finishing whatever request they are serving.
-	for _, sess := range open {
-		_ = sess.conn.SetReadDeadline(time.Now())
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
+	s.log.Info("draining", "sessions", s.active.Load())
+	err := s.conns.Shutdown(ctx)
 	if s.cluster != nil {
-		defer s.cluster.Stop()
+		s.cluster.Stop()
 	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		// Force-close the stragglers. Sessions stuck inside the engine
-		// (not blocked on the connection) are abandoned, not awaited:
-		// the caller is exiting.
-		s.mu.Lock()
-		for _, sess := range s.sessions {
-			sess.conn.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
+	return err
 }
 
 // Stats returns the introspection snapshot also served by the wire

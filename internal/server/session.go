@@ -68,7 +68,6 @@ type session struct {
 // client closes, a deadline evicts the session, or the server drains.
 func (s *session) run() {
 	defer s.srv.dropSession(s)
-	defer s.conn.Close()
 	s.fr = vxdp.GetFrames(s.conn)
 	r, w := s.fr.R, s.fr.W
 	// One request and one response serve every frame of the session.

@@ -462,37 +462,16 @@ func (d *Doc) Fetch(p nav.ID) (string, error) {
 func (d *Doc) Unwrap() nav.Document { return d.Inner }
 
 // SelectRight implements nav.Selector. A natively answered select is
-// one span; over a document without native select it falls back to the
-// generic r/f scan *through the traced document*, so the trace bills
-// exactly the commands the source answers — keeping trace totals equal
-// to counter totals at the same boundary.
+// one span; over a document without native select it is nav.Select's
+// r/f scan *through the traced document*, so the trace bills exactly
+// the commands the source answers — keeping trace totals equal to
+// counter totals at the same boundary.
 func (d *Doc) SelectRight(p nav.ID, sigma nav.Predicate, fromSelf bool) (nav.ID, error) {
-	if s, ok := nav.SelectorOf(d.Inner); ok {
-		sp := d.Rec.Begin(d.Label, string(nav.OpSelect))
-		defer d.Rec.End(sp)
-		return s.SelectRight(p, sigma, fromSelf)
+	s, ok := nav.SelectorOf(d.Inner)
+	if !ok {
+		return nav.Select(d, p, sigma, fromSelf)
 	}
-	cur := p
-	if !fromSelf {
-		next, err := d.Right(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	for cur != nil {
-		l, err := d.Fetch(cur)
-		if err != nil {
-			return nil, err
-		}
-		if sigma(l) {
-			return cur, nil
-		}
-		next, err := d.Right(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return nil, nil
+	sp := d.Rec.Begin(d.Label, string(nav.OpSelect))
+	defer d.Rec.End(sp)
+	return s.SelectRight(p, sigma, fromSelf)
 }

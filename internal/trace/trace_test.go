@@ -154,3 +154,45 @@ func TestDocSelectBilling(t *testing.T) {
 		t.Fatalf("fallback totals = %v", totals2)
 	}
 }
+
+// TestDocSelectRightScans: a direct SelectRight on a traced document
+// without native select traces each r and f hop of the scan, no select,
+// and returns what nav.Select on the bare document does.
+func TestDocSelectRightScans(t *testing.T) {
+	bare := plainDoc{d: nav.NewTreeDoc(xmltree.Elem("root",
+		xmltree.Leaf("x"), xmltree.Leaf("x"), xmltree.Leaf("a"), xmltree.Leaf("x")))}
+	root, _ := bare.Root()
+	kids := []nav.ID{}
+	for k, _ := bare.Down(root); k != nil; k, _ = bare.Right(k) {
+		kids = append(kids, k)
+	}
+	for _, c := range []struct {
+		name     string
+		from     int
+		label    string
+		fromSelf bool
+		r, f     int64
+	}{
+		{"found, from self", 0, "a", true, 2, 3},
+		{"found, after self", 0, "a", false, 2, 2},
+		{"not found", 0, "zzz", true, 4, 4},
+		{"after the last", 3, "x", false, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := nav.Select(bare, kids[c.from], nav.LabelIs(c.label), c.fromSelf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := trace.New()
+			doc := trace.NewDoc(bare, trace.SourcePrefix+"s", rec)
+			got, err := doc.SelectRight(kids[c.from], nav.LabelIs(c.label), c.fromSelf)
+			if err != nil || got != want {
+				t.Fatalf("SelectRight = %v, %v; nav.Select on the bare document = %v", got, err, want)
+			}
+			totals := trace.SourceTotals(rec.Take())
+			if totals["select"] != 0 || totals["r"] != c.r || totals["f"] != c.f {
+				t.Fatalf("traced %v, want r=%d f=%d and no select", totals, c.r, c.f)
+			}
+		})
+	}
+}

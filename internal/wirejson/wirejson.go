@@ -11,7 +11,10 @@
 //     decodes it to the same value;
 //   - framing (Frame, Send, ReadFrame): length-prefixed frames checked
 //     against the caller's limit, assembled and read in one set of
-//     pooled buffers.
+//     pooled buffers;
+//   - the connection lifecycle (Lifecycle): how both servers — mixd's
+//     and the wrappers' — accept, track, drain and force-close their
+//     connections.
 //
 // Both decoders follow one rule: a payload in the canonical shape the
 // encoder writes is parsed by hand with these scanners, and any other
