@@ -24,12 +24,14 @@
 // answer documents they explore are shared through the cross-session
 // region cache: -cache-max-bytes bounds it (whole-entry LRU eviction).
 // LXP fills coalesce up to 8 holes per round trip. -prefetch (on by default)
-// turns on the drill walk: a client's first descent into a region of
-// the answer the cache does not hold derives the whole region, within
-// the server's default walk budget, before the descent is answered, so
-// one read-ahead window ships it; -prefetch=false derives only what
-// each navigation asks for. SIGINT/SIGTERM shut the daemon down
-// gracefully.
+// turns on the server's derive-ahead. The drill walk: a client's first
+// descent into a region of the answer the cache does not hold derives
+// the whole region, within the server's default walk budget, before the
+// descent is answered, so one read-ahead window ships it. Scans: a
+// right onto a region top of a view that reads no LXP source first
+// derives the next 8 region tops, so the window ships them as leaves.
+// -prefetch=false derives only what each navigation asks for.
+// SIGINT/SIGTERM shut the daemon down gracefully.
 //
 // Clustering: -cluster joins a sharded mediator fleet. Sessions are
 // routed over a consistent-hash ring keyed by (view name, canonical
@@ -120,7 +122,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.slowMs, "slow-ms", 100, "retain traced roots at least this slow in the flight ring (/debug/slow, wire slow command); 0 = all, negative = off")
 	fs.IntVar(&o.slowRing, "slow-ring", 0, "slow-navigation flight-ring capacity (0 = default)")
 	fs.Int64Var(&o.cacheMax, "cache-max-bytes", 64<<20, "region cache budget in bytes; LRU-evicts whole entries over it (0 = unlimited)")
-	fs.BoolVar(&o.prefetch, "prefetch", true, "derive a whole region on a client's first descent into it, so one window ships it (false = derive only what each navigation asks for)")
+	fs.BoolVar(&o.prefetch, "prefetch", true, "derive ahead: a whole region on a client's first descent into it, and the next region tops on a right over in-memory sources, so windows ship them (false = derive only what each navigation asks for)")
 	fs.BoolVar(&o.cluster, "cluster", false, "join a sharded mediator fleet: route sessions over a consistent-hash ring and share explored regions with -peers")
 	fs.StringVar(&o.node, "node", "", "advertised cluster address of this node (default: -addr); every peer must know it by exactly this string")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated advertised addresses of the other fleet members (all nodes must be configured with identical -src/-view sets, in the same order)")

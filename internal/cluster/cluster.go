@@ -108,16 +108,13 @@ func (c *Config) fill() {
 const MaxRegionWire = vxdp.MaxFrame - 4096
 
 // RegionFits reports whether reg is within MaxRegionWire, by the sum of
-// its nodes' wire bounds: vxdp.WinNodeBytes plus the Unknown flag. A
-// node costs at least 29 bytes, so a region that fits has fewer than 10⁵
-// nodes, and its links fit the five characters the bound allows.
+// its nodes' wire bounds (vxdp.WinNodeBytes). A node costs at least 29
+// bytes, so a region that fits has fewer than 10⁵ nodes, and its links
+// fit the five characters the bound allows.
 func RegionFits(reg *regioncache.Region) bool {
 	n := 0
 	for _, w := range *reg {
-		n += vxdp.WinNodeBytes(w.Label)
-		if w.Unknown {
-			n += len(`,"u":true`)
-		}
+		n += vxdp.WinNodeBytes(w.Label, w.Unknown)
 	}
 	return n <= MaxRegionWire
 }

@@ -76,6 +76,7 @@ type Mediator struct {
 	views   map[string]algebra.Op // tupleDestroy-rooted view plans
 	nview   int
 	buffers map[string]*buffer.Buffer // LXP buffers registered, by source name
+	fills   map[string]bool           // sources registered as LXP buffers, counted or not
 }
 
 // Memos is a mediator's compile state that reads no source: the
@@ -175,6 +176,23 @@ func (m *Mediator) SetRegionCache(c *regioncache.Cache) { m.engine.SetRegionCach
 func (m *Mediator) RegisterSource(name string, doc nav.Document) {
 	m.engine.Register(name, doc)
 	m.eager.Register(name, doc)
+	for {
+		c, ok := doc.(*nav.CountingDoc)
+		if !ok {
+			break
+		}
+		doc = c.Doc
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := doc.(*buffer.Buffer); !ok {
+		delete(m.fills, name)
+		return
+	}
+	if m.fills == nil {
+		m.fills = map[string]bool{}
+	}
+	m.fills[name] = true
 }
 
 // RegisterTree exposes a materialized tree under name.
@@ -264,6 +282,9 @@ type Result struct {
 	// Browsability is the static classification of the plan
 	// (Definition 2), under the engine's navigation command set.
 	Browsability algebra.Browsability
+	// Buffered reports that the plan reads a source behind an LXP
+	// buffer, where a navigation may wait on a fill.
+	Buffered bool
 
 	query *core.Query
 }
@@ -318,7 +339,20 @@ func (m *Mediator) Query(xmasText string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mediator: compiling plan: %w", err)
 	}
-	return &Result{Plan: p.view.Plan(), Browsability: p.cls, query: cq}, nil
+	return &Result{Plan: p.view.Plan(), Browsability: p.cls, Buffered: m.buffered(p.view.Sources()), query: cq}, nil
+}
+
+// buffered reports whether any of the named sources was registered as
+// an LXP buffer (see RegisterSource).
+func (m *Mediator) buffered(sources []string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, name := range sources {
+		if m.fills[name] {
+			return true
+		}
+	}
+	return false
 }
 
 // cacheName renders the region-cache name of a query composed from the

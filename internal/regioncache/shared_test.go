@@ -80,7 +80,7 @@ func readEntry(e *Entry, want *xmltree.Tree) error {
 			xmltree.MarshalXML(got), unused.Counters.Navigations(), xmltree.MarshalXML(want))
 	}
 	root, _ := d.Root()
-	w := d.Window(root, nil, 1<<20, func(string) int { return 1 })
+	w, _ := d.Window(root, nil, 1<<20, func(string, bool) int { return 1 }, 0)
 	if len(w) == 0 || !xmltree.Equal(decodeWindow(w, 0), want) {
 		return fmt.Errorf("%s: root window %+v does not hold %s", e.key.Fingerprint, w, xmltree.MarshalXML(want))
 	}

@@ -32,7 +32,7 @@ func completeDoc(t *testing.T) *Doc {
 	return d
 }
 
-func one(string) int { return 1 }
+func one(string, bool) int { return 1 }
 
 func pathOf(t *testing.T, id nav.ID) []int {
 	t.Helper()
@@ -69,7 +69,7 @@ func TestWindowOrderAndLinks(t *testing.T) {
 	}
 	for _, anchor := range anchors {
 		ap := pathOf(t, anchor)
-		win := d.Window(anchor, nil, 1<<20, one)
+		win, sh := d.Window(anchor, nil, 1<<20, one, 8)
 		want := subtreeSize(tree)
 		if len(ap) > 0 {
 			want = 0
@@ -87,7 +87,7 @@ func TestWindowOrderAndLinks(t *testing.T) {
 		var prev []int
 		ids := make([]nav.ID, len(win))
 		for i := range win {
-			id, err := d.WindowNode(anchor, i)
+			id, err := d.WindowNode(anchor, sh, i)
 			if err != nil {
 				t.Fatalf("WindowNode(%v, %d): %v", ap, i, err)
 			}
@@ -123,7 +123,7 @@ func TestWindowOrderAndLinks(t *testing.T) {
 				}
 			}
 		}
-		if _, err := d.WindowNode(anchor, len(win)); err == nil {
+		if _, err := d.WindowNode(anchor, sh, len(win)); err == nil {
 			t.Fatalf("window at %v resolved a node past its end", ap)
 		}
 	}
@@ -134,9 +134,9 @@ func TestWindowOrderAndLinks(t *testing.T) {
 func TestWindowBudgetCutsAPrefix(t *testing.T) {
 	d := completeDoc(t)
 	root, _ := d.Root()
-	full := d.Window(root, nil, 1<<20, one)
+	full, _ := d.Window(root, nil, 1<<20, one, 8)
 	for k := 0; k <= len(full); k++ {
-		win := d.Window(root, nil, k, one)
+		win, _ := d.Window(root, nil, k, one, 8)
 		if len(win) != k {
 			t.Fatalf("budget %d: %d nodes", k, len(win))
 		}
@@ -154,21 +154,54 @@ func TestWindowBudgetCutsAPrefix(t *testing.T) {
 	}
 }
 
-// TestWindowOnlyFromCompleteEntries: an entry that is not complete ships
-// no window, even where it knows the nodes.
+// TestWindowOnlyFromCompleteEntries: an entry that is not complete
+// ships its closed subtrees whole and the nodes it knows beyond them as
+// leaves, but never the label of a node that is not closed — not even
+// one it has fetched — and no window whose only node is a leaf.
 func TestWindowOnlyFromCompleteEntries(t *testing.T) {
 	e := New(0).Entry("v", "fp", 1)
 	d := newDoc(e, nav.NewTreeDoc(windowTree()))
 	root, _ := d.Root()
 	a, _ := d.Down(root)
-	if _, err := d.Fetch(a); err != nil {
-		t.Fatal(err)
+	b, _ := d.Right(a)
+	c, _ := d.Right(b)
+	for _, id := range []nav.ID{a, b, c} {
+		if _, err := d.Fetch(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d.entry.Complete() {
 		t.Fatal("partly explored entry reports complete")
 	}
-	if win := d.Window(root, nil, 1<<20, one); len(win) != 0 {
-		t.Fatalf("incomplete entry shipped %d window nodes", len(win))
+	leaf := WindowNode{Down: WindowOut, Right: WindowOut, Unknown: true}
+	link := func(n WindowNode, right int32) WindowNode { n.Right = right; return n }
+	for _, tc := range []struct {
+		what   string
+		anchor nav.ID
+		leaves int
+		want   []WindowNode
+	}{
+		{"root", root, 8, nil},
+		{"a", a, 8, []WindowNode{link(leaf, 1), link(leaf, 2), leaf}},
+		{"a, one leaf past it", a, 1, []WindowNode{link(leaf, 1), leaf}},
+		{"a, no leaf past it", a, 0, nil},
+		{"c", c, 8, nil},
+	} {
+		if win, _ := d.Window(tc.anchor, nil, 1<<20, one, tc.leaves); !slices.Equal(win, tc.want) {
+			t.Fatalf("window at %s: %+v, want %+v", tc.what, win, tc.want)
+		}
+	}
+	// b is a leaf in the source: once its empty child list is known, it
+	// is closed and ships its label; c follows as a leaf.
+	if _, err := nav.Subtree(d, b); err != nil {
+		t.Fatal(err)
+	}
+	win, sh := d.Window(b, nil, 1<<20, one, 8)
+	if want := []WindowNode{{Label: "b", Down: WindowNone, Right: 1}, leaf}; !slices.Equal(win, want) || sh != (Shape{Closed: 1, Tops: 1}) {
+		t.Fatalf("window at closed b: %+v %+v, want %+v", win, sh, want)
+	}
+	if id, err := d.WindowNode(b, sh, 1); err != nil || !slices.Equal(pathOf(t, id), []int{2}) {
+		t.Fatalf("leaf 1 of the window at b resolves to %v (%v), want c", id, err)
 	}
 }
 
@@ -178,12 +211,46 @@ func TestWindowReusesScratch(t *testing.T) {
 	d := completeDoc(t)
 	root, _ := d.Root()
 	a, _ := d.Down(root)
-	buf := d.Window(root, nil, 1<<20, one)
+	buf, _ := d.Window(root, nil, 1<<20, one, 8)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = d.Window(root, buf, 1<<20, one)
-		buf = d.Window(a, buf, 1<<20, one)
+		buf, _ = d.Window(root, buf, 1<<20, one, 8)
+		buf, _ = d.Window(a, buf, 1<<20, one, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("window into grown scratch: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestWindowRefusesForeignIDs: the window calls answer an id another
+// document issued, or a path the entry does not know, with nothing —
+// no window, no node, no path — and DeriveRight and Known leave the
+// answer root, which has no siblings, alone.
+func TestWindowRefusesForeignIDs(t *testing.T) {
+	d := completeDoc(t)
+	other := newDoc(d.entry, nav.NewTreeDoc(windowTree()))
+	root, _ := d.Root()
+	foreign, _ := other.Root()
+	for _, id := range []nav.ID{foreign, &rid{d: d, path: []int{99}}} {
+		if win, sh := d.Window(id, nil, 1<<20, one, 8); len(win) != 0 || sh != (Shape{}) {
+			t.Fatalf("window at %v: %+v %+v", id, win, sh)
+		}
+		if n, err := d.WindowNode(id, Shape{Closed: 1}, 0); err == nil {
+			t.Fatalf("node 0 of the window at %v resolved to %v", id, n)
+		}
+	}
+	if _, ok := d.Path(foreign); ok {
+		t.Fatal("Path answered a foreign id")
+	}
+	if past, ended := d.Known(foreign); past != 0 || !ended {
+		t.Fatalf("Known of a foreign id: %d, %v", past, ended)
+	}
+	if err := d.DeriveRight(foreign, 1); err == nil {
+		t.Fatal("DeriveRight accepted a foreign id")
+	}
+	if past, ended := d.Known(root); past != 0 || !ended {
+		t.Fatalf("Known of the root: %d, %v", past, ended)
+	}
+	if err := d.DeriveRight(root, 1); err != nil {
+		t.Fatal(err)
 	}
 }

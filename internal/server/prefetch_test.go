@@ -280,10 +280,12 @@ func TestPrefetchStressUnderBumpRegistry(t *testing.T) {
 
 // TestPrefetchWalkSpansNest: with tracing on, a deep-drill session on a
 // fresh view walks each region inside the down that first enters it,
-// and every source navigation the walk makes is billed to that down:
-// every root of the session's trace is a client command, and the roots,
-// the slow ring and the operator histograms each count exactly the
-// source navigations the sources saw.
+// and derives region tops ahead inside the rights that scan them; every
+// source navigation the walk and the derive-ahead make is billed to
+// that down or right: every root of the session's trace is a client
+// command, the first right's derive-ahead misses nest under it, and the
+// roots, the slow ring and the operator histograms each count exactly
+// the source navigations the sources saw.
 func TestPrefetchWalkSpansNest(t *testing.T) {
 	script := workload.DeepDrillScript(pfRegions, 1)
 	homes, schools, want := pfJoinSources(t, script)
@@ -321,10 +323,21 @@ func TestPrefetchWalkSpansNest(t *testing.T) {
 		t.Fatal("the session drove no source navigations; the test measures nothing")
 	}
 
+	ahead := 0 // the most cache misses one right's span holds
 	for _, r := range roots {
 		if r.Label != trace.ClientLabel {
 			t.Fatalf("session trace holds a %s root:\n%s", r.Label, trace.Format([]*trace.Span{r}))
 		}
+		misses := 0
+		for _, c := range r.Children {
+			if r.Op == string(nav.OpRight) && c.Label == "cache:miss" {
+				misses++
+			}
+		}
+		ahead = max(ahead, misses)
+	}
+	if ahead != 1+server.DeriveAhead {
+		t.Fatalf("the most misses a right's span holds is %d, want the landing and %d tops derived ahead", ahead, server.DeriveAhead)
 	}
 	if n := trace.SourceNavigations(roots); n != total {
 		t.Fatalf("session trace bills %d source navigations, the sources saw %d", n, total)
@@ -474,16 +487,34 @@ func TestPrefetchDrillShipsRegion(t *testing.T) {
 	t.Run("glance never walks", func(t *testing.T) {
 		glance := workload.GlanceScript(pfRegions, 5)
 		_, _, gwant := pfJoinSources(t, glance)
-		navs := map[bool]int64{}
-		for _, on := range []bool{true, false} {
-			_, addr, src := pfStartWith(t, factory, server.WithPrefetch(on))
-			pfTrips(t, addr, pfFreshJoin(1), glance, gwant)
-			navs[on] = src.Navigations()
+		_, addr, on := pfStartWith(t, factory, server.WithPrefetch(true))
+		pfTrips(t, addr, pfFreshJoin(1), glance, gwant)
+		// A client that never descends below a region top walks no
+		// region: its rights derive region tops ahead, and nothing else.
+		// So it costs the sources exactly what a session without prefetch
+		// costs that, after the same script, scans DeriveAhead tops past
+		// the furthest one it read.
+		_, addr, off := pfStartWith(t, factory, server.WithPrefetch(false))
+		pfTrips(t, addr, pfFreshJoin(1), glance, gwant)
+		scripted := off.Navigations()
+		c, err := vxdp.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A client that never descends below a region top costs the
-		// sources exactly what it costs without the walk.
-		if navs[true] != navs[false] {
-			t.Fatalf("glance session drove %d source navs with prefetch on, %d off", navs[true], navs[false])
+		defer c.Close()
+		if err := c.Open(pfFreshJoin(1)); err != nil {
+			t.Fatal(err)
+		}
+		top := firstChild(t, c)
+		for i := 0; top != nil && i < glance[len(glance)-1].Region+server.DeriveAhead; i++ {
+			if top, err = c.Right(top); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("%d source navigations, %d of them for the scan past the script", on.Navigations(), off.Navigations()-scripted)
+		if on.Navigations() != off.Navigations() {
+			t.Fatalf("glance session drove %d source navs with prefetch on, %d off with a scan %d tops further",
+				on.Navigations(), off.Navigations(), server.DeriveAhead)
 		}
 	})
 

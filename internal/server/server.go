@@ -475,6 +475,7 @@ func (s *Server) dropSession(sess *session) {
 	}
 	sess.closeProxy()
 	if sess.scr != nil {
+		sess.scr.forget()
 		s.scratch.Put(sess.scr)
 		sess.scr = nil
 	}

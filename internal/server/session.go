@@ -45,16 +45,17 @@ type session struct {
 	nextH   uint64
 
 	// scr is the window scratch, drawn from the server's pool at the
-	// first window and returned when the session ends (see window.go).
+	// first window and returned when the session ends; it records the
+	// handle range each shipped window reserved (see window.go).
 	// fr is the connection's pooled frame buffers, returned with it.
 	scr *winScratch
 	fr  *vxdp.Frames
 
 	// Read-ahead windows (see window.go): cached is the open view's
-	// region-cache document, nil when the view has none (no windows);
-	// wins records the handle range each shipped window reserved.
+	// region-cache document, nil when the view has none (no windows).
+	// ahead says that rights derive ahead on the view (see walk.go).
 	cached *regioncache.Doc
-	wins   []winRange
+	ahead  bool
 
 	// proxy, when non-nil, is the session's link to the cluster node
 	// that owns the open view: every navigation is relayed there.
@@ -339,8 +340,8 @@ func (s *session) installView(res *mediator.Result) {
 	s.handles = map[uint64]nav.ID{}
 	s.nextH = 0
 	s.cached, _ = doc.(*regioncache.Doc)
-	clear(s.wins)
-	s.wins = s.wins[:0]
+	s.ahead = s.srv.cfg.Prefetch && s.cached != nil && !res.Buffered
+	s.scr.forget()
 }
 
 // leaveView forgets the open view — document, handles and windows —
@@ -349,7 +350,8 @@ func (s *session) leaveView() {
 	s.doc = nil
 	s.handles = nil
 	s.cached = nil
-	s.wins = nil
+	s.ahead = false
+	s.scr.forget()
 }
 
 // issue registers a node ID and returns its wire handle.
@@ -391,7 +393,7 @@ func (s *session) navigate(cmd *vxdp.Cmd) navResult {
 	case vxdp.OpDown:
 		id, err = s.down(base)
 	case vxdp.OpRight:
-		id, err = s.doc.Right(base)
+		id, err = s.right(base)
 	case vxdp.OpSelect:
 		id, err = nav.Select(s.doc, base, nav.LabelIs(cmd.Label), cmd.Self)
 	case vxdp.OpFetch:

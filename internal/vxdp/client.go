@@ -27,11 +27,12 @@ import (
 // Section 2 assigns to NC without select. Callers that do have a label
 // predicate use SelectLabel (one round trip).
 //
-// Wherever a navigation lands on a subtree the server has explored in
-// full, on any view, the result carries a read-ahead window (see the
+// Wherever a navigation lands on a node the server's region cache
+// holds, on any view, the result may carry a read-ahead window (see the
 // package documentation), and the client answers d/r/f/select from it
-// wherever the window decides the command; a −2 link, and everything
-// else, is one round trip as before. The open answers with the root,
+// wherever the window decides the command; a −2 link, a fetch of a leaf,
+// a select that reaches a leaf, and everything else, is one round trip
+// as before. The open answers with the root,
 // window included, so Root after Open costs no round trip.
 type Client struct {
 	mu   sync.Mutex
@@ -255,7 +256,7 @@ func (c *Client) handle(p nav.ID) (uint64, error) {
 		}
 	case *WinNode:
 		if n != nil && n.c == c {
-			return n.h, nil
+			return uint64(n.h), nil
 		}
 	}
 	return 0, fmt.Errorf("%w: %T", nav.ErrForeignID, p)
@@ -273,14 +274,15 @@ func (c *Client) clearWindows() {
 // landed converts an open/root/down/right/select response into the node it
 // names (nil for ⊥), absorbing the window it carries: the window's
 // slice becomes the client's, stamped with handles, so the absorbed
-// window costs the client no allocation beyond its decoding. Caller
+// window costs the client no allocation beyond its decoding. A window
+// whose handles would pass 2³² (see WinNode) is not absorbed. Caller
 // holds c.mu.
 func (c *Client) landed(resp *Response) nav.ID {
 	if !resp.OK {
 		return nil
 	}
 	win := resp.Win
-	if len(win) == 0 || resp.ID > math.MaxUint64-uint64(len(win)) {
+	if len(win) == 0 || resp.ID > math.MaxUint32-uint64(len(win)) {
 		return nodeID{c: c, h: resp.ID}
 	}
 	if n := len(c.wins); n > 0 && resp.ID < c.wins[n-1].end() {
@@ -289,7 +291,7 @@ func (c *Client) landed(resp *Response) nav.ID {
 		c.clearWindows()
 	}
 	for i := range win {
-		win[i].c, win[i].h = c, resp.ID+uint64(i)
+		win[i].c, win[i].h = c, uint32(resp.ID)+uint32(i)
 	}
 	c.wins = append(c.wins, window{first: resp.ID, nodes: win})
 	return &win[0]
@@ -330,9 +332,10 @@ func (w *window) link(i int, to int32) (id nav.ID, ok bool) {
 	return nil, false
 }
 
-// localSelect answers a select from node i when the window decides it.
-// Every step moves strictly forward, so it ends within len(w.nodes)
-// steps on any input.
+// localSelect answers a select from node i when the window decides it:
+// it does not when the scan reaches a leaf, whose label it does not
+// know. Every step moves strictly forward, so it ends within
+// len(w.nodes) steps on any input.
 func (w *window) localSelect(i int, label string, fromSelf bool) (nav.ID, bool) {
 	if !fromSelf {
 		next, ok := w.link(i, w.nodes[i].Right)
@@ -341,12 +344,15 @@ func (w *window) localSelect(i int, label string, fromSelf bool) (nav.ID, bool) 
 		}
 		i = int(w.nodes[i].Right)
 	}
-	for w.nodes[i].Label != label {
+	for !w.nodes[i].Unknown && w.nodes[i].Label != label {
 		next, ok := w.link(i, w.nodes[i].Right)
 		if next == nil {
 			return nil, ok
 		}
 		i = int(w.nodes[i].Right)
+	}
+	if w.nodes[i].Unknown {
+		return nil, false
 	}
 	return &w.nodes[i], true
 }
@@ -409,7 +415,7 @@ func (c *Client) Fetch(p nav.ID) (string, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, i, ok := c.find(h); ok {
+	if w, i, ok := c.find(h); ok && !w.nodes[i].Unknown {
 		return w.nodes[i].Label, nil
 	}
 	resp, err := c.roundTripLocked(Request{Cmd: Cmd{Op: OpFetch, ID: h}})

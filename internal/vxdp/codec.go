@@ -100,6 +100,9 @@ func appendNavResponse(b []byte, resp *Response) []byte {
 			b = wirejson.AppendString(append(b, `{"l":`...), n.Label)
 			b = strconv.AppendInt(append(b, `,"d":`...), int64(n.Down), 10)
 			b = strconv.AppendInt(append(b, `,"r":`...), int64(n.Right), 10)
+			if n.Unknown {
+				b = append(b, `,"u":true`...)
+			}
 			b = append(b, '}')
 		}
 		b = append(b, ']')
@@ -241,10 +244,11 @@ func navKey(key []byte, response bool) uint8 {
 }
 
 // parseWin parses the window array at p[i]: entries exactly
-// {"l":L,"d":D,"r":R} in that order, with plain labels and canonical
-// int32 links. It scans twice — once to size, once to fill — so the
-// window costs one exact-size slice and one string holding every label,
-// which the entries slice; nothing aliases p.
+// {"l":L,"d":D,"r":R} or {"l":L,"d":D,"r":R,"u":true}, keys in that
+// order, with plain labels and canonical int32 links. It scans twice —
+// once to size, once to fill — so the window costs one exact-size slice
+// and one string holding every label, which the entries slice; nothing
+// aliases p.
 func parseWin(p []byte, i int) ([]WinNode, int, bool) {
 	n, labels, end, ok := scanWin(p, i, nil, nil)
 	if !ok {
@@ -280,6 +284,7 @@ func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, en
 		var (
 			label       []byte
 			down, right int32
+			unknown     bool
 		)
 		if !bytes.HasPrefix(p[i:], []byte(`{"l":`)) {
 			return 0, 0, i, false
@@ -290,11 +295,17 @@ func scanWin(p []byte, i int, win []WinNode, sb *strings.Builder) (n, labels, en
 		if down, i, ok = wirejson.PlainInt32(p, i+len(`,"d":`)); !ok || !bytes.HasPrefix(p[i:], []byte(`,"r":`)) {
 			return 0, 0, i, false
 		}
-		if right, i, ok = wirejson.PlainInt32(p, i+len(`,"r":`)); !ok || i+1 >= len(p) || p[i] != '}' {
+		if right, i, ok = wirejson.PlainInt32(p, i+len(`,"r":`)); !ok {
+			return 0, 0, i, false
+		}
+		if unknown = bytes.HasPrefix(p[i:], []byte(`,"u":true`)); unknown {
+			i += len(`,"u":true`)
+		}
+		if i+1 >= len(p) || p[i] != '}' {
 			return 0, 0, i, false
 		}
 		if win != nil {
-			win[n] = WinNode{Down: down, Right: right, h: uint64(len(label))}
+			win[n] = WinNode{Down: down, Right: right, Unknown: unknown, h: uint32(len(label))}
 			sb.Write(label)
 		}
 		n++

@@ -45,6 +45,11 @@ func navFrameCases() []any {
 			{Label: "a<b&c", Down: WinOut, Right: WinNone}, {Label: "héllo\x01", Down: math.MaxInt32, Right: math.MinInt32},
 		}},
 		Response{NavResult: NavResult{OK: true, ID: 9}, Win: []WinNode{}},
+		Response{NavResult: NavResult{OK: true, ID: 9}, Win: []WinNode{
+			{Label: "med_home", Down: WinNone, Right: 1}, {Down: WinOut, Right: 2, Unknown: true},
+			{Down: WinOut, Right: WinOut, Unknown: true},
+		}},
+		Response{NavResult: NavResult{OK: true, ID: 9}, Win: []WinNode{{Label: "x", Down: 1, Right: 2, Unknown: true}}},
 	)
 }
 
@@ -115,6 +120,13 @@ func TestNavFrameCodecMatchesJSON(t *testing.T) {
 		for name, got := range map[string]reflect.Value{"ReadFrame": viaFrame, "bufio": viaBufio} {
 			if !reflect.DeepEqual(got.Interface(), oracle.Interface()) {
 				t.Fatalf("%s decoded %+v, json.Unmarshal %+v", name, got.Elem(), oracle.Elem())
+			}
+		}
+		// A window with leaves takes the lean parser.
+		if resp, ok := v.(Response); ok && slices.ContainsFunc(resp.Win, func(n WinNode) bool { return n.Unknown }) {
+			var f navFields
+			if !parseNav(want, true, &f) || !slices.EqualFunc(f.win, resp.Win, func(a, b WinNode) bool { return a == b }) {
+				t.Fatalf("the lean parser did not decode %s", want)
 			}
 		}
 	}
@@ -197,6 +209,10 @@ func FuzzNavFrameCodec(f *testing.F) {
 		`{"win":[{"l":"a","d":-2147483648,"r":1}]}`, `{"win":[{"l":"a\u003c","d":1,"r":1}]}`,
 		`{"win":[],"win":[]}`, `{"win":[{"l":"a","d":1,"r":1},]}`, `{"win":[{"L":"a","d":1,"r":1}]}`,
 		`{"win":{}}`, `{"win":[{"l":"a","d":1,"r":1}`,
+		`{"win":[{"l":"","d":-2,"r":1,"u":true},{"l":"","d":-2,"r":-1,"u":true}]}`,
+		`{"win":[{"l":"","d":-2,"r":1,"u":false}]}`, `{"win":[{"l":"","d":-2,"r":1,"u":1}]}`,
+		`{"win":[{"l":"","d":-2,"u":true,"r":1}]}`, `{"win":[{"l":"","d":-2,"r":1,"u":true,"u":true}]}`,
+		`{"win":[{"l":"","d":-2,"r":1,"u":tru}]}`,
 		`{"op":"open","query":"CONSTRUCT <a> $X {$X} </a> {} WHERE s r.x $X"}`,
 		`{"op":"open","query":"WHERE $P \u003c \"6\" AND\n\t$P > \"a\\b\/\""}`,
 		`{"op":"open","query":"\ud83d\ude00 \ud800 \udc00x \u00e9"}`, `{"op":"open","query":"é ☃ 😀"}`,
@@ -211,7 +227,7 @@ func FuzzNavFrameCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op, label string, id uint64, flag bool, payload []byte) {
 		cmd := Cmd{Op: op, ID: id, Label: label, Self: flag}
 		nr := NavResult{OK: !flag, ID: id, Label: label, Err: op}
-		win := []WinNode{{Label: label, Down: int32(id), Right: int32(id >> 32)}, {Label: op, Down: WinOut}}
+		win := []WinNode{{Label: label, Down: int32(id), Right: int32(id >> 32)}, {Label: op, Down: WinOut, Unknown: flag}}
 		for _, v := range []any{Request{Cmd: cmd}, Response{NavResult: nr}, Response{NavResult: nr, Win: win}} {
 			want, err := json.Marshal(v)
 			if err != nil {
@@ -252,7 +268,7 @@ func fullWindow(labels ...string) []WinNode {
 	var win []WinNode
 	for budget := WindowBytes; ; {
 		l := labels[len(win)%len(labels)]
-		if budget -= WinNodeBytes(l); budget < 0 {
+		if budget -= WinNodeBytes(l, false); budget < 0 {
 			return win
 		}
 		win = append(win, WinNode{Label: l, Down: int32(len(win) + 1), Right: WinOut})

@@ -17,7 +17,7 @@ func shipped(i, n int, to int32) bool {
 // refSelect is the select a window of n nodes decides from node i, by
 // the rule the client follows, walked with an explicit step bound:
 // decided reports whether the window settles it, at the index of the
-// landing node (-1 for ⊥).
+// landing node (-1 for ⊥). A leaf it reaches leaves it undecided.
 func refSelect(win []WinNode, i int, label string, fromSelf bool) (at int, decided bool) {
 	step := func(j int) (int, bool) {
 		to := win[j].Right
@@ -34,6 +34,9 @@ func refSelect(win []WinNode, i int, label string, fromSelf bool) (at int, decid
 		i = j
 	}
 	for range len(win) {
+		if win[i].Unknown {
+			return 0, false
+		}
 		if win[i].Label == label {
 			return i, true
 		}
@@ -53,24 +56,37 @@ func refSelect(win []WinNode, i int, label string, fromSelf bool) (at int, decid
 // Then, from every node, Down, Right, Fetch and SelectLabel either
 // answer from the window exactly as its links say — where a link points
 // strictly forward inside the window, or is ⊥ — or fall back to one
-// round trip, whose ⊥ the fake server decides.
+// round trip, whose ⊥ the fake server decides. A leaf's label is never
+// an answer: a fetch of a leaf, and a select that reaches one, each
+// take a round trip. The fuzzer's leaves carry the label "b", the one
+// the selects look for, so a client that read it would be caught.
 func FuzzWindowAbsorb(f *testing.F) {
 	f.Add(uint64(100), []byte{0, 1, 0xff, 1, 0xff, 2, 2, 0xfe, 0xff}, false)  // root, two children, the last cut
 	f.Add(uint64(7), []byte{0, 0, 0, 1, 0, 1}, false)                         // links to self
 	f.Add(uint64(5), []byte{1, 2, 1, 2, 0, 0, 1, 0x80, 0x7f}, false)          // links backwards, out of range
 	f.Add(uint64(math.MaxUint64-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}, false) // handles past the top
+	f.Add(uint64(math.MaxUint32-2), []byte{0, 1, 0xff, 1, 0xff, 0xff}, false) // the last window absorbed
+	f.Add(uint64(math.MaxUint32-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}, false) // handles past 2³²
 	f.Add(uint64(100), []byte{0, 1, 0xff, 1, 0xff, 2, 2, 0xfe, 0xff}, true)   // the same, from the open
 	f.Add(uint64(3), []byte{}, true)                                          // an open whose root has no window
 	f.Add(uint64(0), []byte{0, 1, 0xff, 1, 0xff, 0xff}, true)                 // an open that names no root
 	f.Add(uint64(math.MaxUint64-1), []byte{0, 1, 0xff, 1, 0xff, 0xff}, true)
+	f.Add(uint64(100), []byte{0, 0xfe, 1, 3, 0xfe, 2, 3, 0xfe, 0xff}, true)  // a node, then two leaves
+	f.Add(uint64(100), []byte{3, 0xfe, 1, 2, 0xff, 2, 1, 0xff, 0xfe}, false) // a leaf, then nodes
+	f.Add(uint64(100), []byte{0, 1, 3, 3, 0xfe, 0xff, 1, 0xff, 0xff}, false) // a leaf in a child list
+	f.Add(uint64(9), []byte{7, 0xfe, 1, 11, 0xfe, 2, 15, 0xfe, 0xfe}, true)  // leaves only
 	f.Fuzz(func(t *testing.T, rootID uint64, data []byte, viaOpen bool) {
 		data = data[:min(len(data), 3*128)]
 		win := make([]WinNode, len(data)/3)
 		for i := range win {
 			win[i] = WinNode{
-				Label: string(rune('a' + data[3*i]%3)),
-				Down:  int32(int8(data[3*i+1])),
-				Right: int32(int8(data[3*i+2])),
+				Label:   string(rune('a' + data[3*i]%4)),
+				Down:    int32(int8(data[3*i+1])),
+				Right:   int32(int8(data[3*i+2])),
+				Unknown: data[3*i]%4 == 3,
+			}
+			if win[i].Unknown {
+				win[i].Label = "b"
 			}
 		}
 		c := fakeServer(t, func(req *Request) Response {
@@ -114,7 +130,7 @@ func checkAbsorbed(t *testing.T, c *Client, rootID uint64, win []WinNode, opened
 	if trips := c.RoundTrips() - before; opened && trips != 0 || !opened && trips != 1 {
 		t.Errorf("Root took %d round trips (root named by the open: %v)", trips, opened)
 	}
-	if len(win) == 0 || rootID > math.MaxUint64-uint64(len(win)) {
+	if len(win) == 0 || rootID > math.MaxUint32-uint64(len(win)) {
 		// Nothing absorbed: every command is a round trip.
 		before := c.RoundTrips()
 		if _, err := c.Down(root); err != nil || c.RoundTrips() != before+1 {
@@ -158,8 +174,12 @@ func checkAbsorbed(t *testing.T, c *Client, rootID uint64, win []WinNode, opened
 			expect(mv.what, i, before, got, want, shipped(i, len(win), mv.to))
 		}
 		before := c.RoundTrips()
-		if l, err := c.Fetch(id); err != nil || l != win[i].Label || c.RoundTrips() != before {
-			t.Errorf("Fetch of node %d: %q, %v after %d round trips, want %q locally", i, l, err, c.RoundTrips()-before, win[i].Label)
+		l, err := c.Fetch(id)
+		switch trips := c.RoundTrips() - before; {
+		case win[i].Unknown && (err != nil || l != "server" || trips != 1):
+			t.Errorf("Fetch of leaf %d: %q, %v after %d round trips, want the server's label after 1", i, l, err, trips)
+		case !win[i].Unknown && (err != nil || l != win[i].Label || trips != 0):
+			t.Errorf("Fetch of node %d: %q, %v after %d round trips, want %q locally", i, l, err, trips, win[i].Label)
 		}
 		for _, fromSelf := range []bool{false, true} {
 			before := c.RoundTrips()

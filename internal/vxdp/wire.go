@@ -68,24 +68,31 @@
 // command stays valid after an open and issues a fresh handle; clients
 // that ignore the open's "id" and "win" see the protocol unchanged.
 //
-// When an open/root/down/right/select command lands on a node whose subtree
-// the server has already explored in full (its label and every child
-// list under it known: the subtree is closed), the response may carry
-// a window: the landed node, its subtree, then its right siblings and
-// their subtrees, in document order, as entries
+// When an open/root/down/right/select command lands on a node the
+// server's region cache holds, the response may carry a window: the
+// landed node, its subtree, then its right siblings and their subtrees,
+// in document order, as entries
 //
 //	{"l":L,"d":D,"r":R}              label, first child, right sibling
+//	{"l":"","d":-2,"r":R,"u":true}   a leaf: the node exists, label unknown
 //
 // where D and R are indexes into the same window, -1 means ⊥ and -2
-// means "not in this window, ask the server". A window holds closed
-// subtrees only, on any view: it ends before the first right sibling
-// that is not closed, at the end of a sibling list the server has not
-// seen end (the last node's R is then -2, though no sibling may
-// exist), or where the byte bound runs out. Node i of a window has
-// handle H+i, so a client answers later d/r/f/select commands on those
-// nodes from the window, and names any of them in a frame when the
-// window cannot decide one. A window never costs the server source
-// work, and clients that ignore "win" see the protocol unchanged.
+// means "not in this window, ask the server". A window is a closed
+// prefix, then leaves. The prefix holds closed subtrees only (subtrees
+// the server has explored in full), on any view: it ends before the
+// first right sibling that is not closed, at the end of a sibling list
+// the server has not seen end (the last node's R is then -2, though no
+// sibling may exist), or where the byte bound runs out. Where it ends
+// at a node that is not closed, that node and the right siblings after
+// it that the server knows follow as leaves, a few at most: each says
+// only that the node exists and which sibling follows it. A client
+// answers a right across a leaf, and asks the server for its label,
+// its children and any select that reaches it. A window of one leaf is
+// not sent. Node i of a window has handle H+i, so a client answers
+// later d/r/f/select commands on those nodes from the window, and names
+// any of them in a frame when the window cannot decide one. A window
+// never costs the server source work, and clients that ignore "win"
+// see the protocol unchanged.
 package vxdp
 
 import (
@@ -121,25 +128,34 @@ const (
 
 // WinNode is one entry of a read-ahead window (Response.Win): a node's
 // label and the window indexes of its first child and right sibling.
+// Unknown marks a leaf, whose Label is not the node's: a client never
+// answers a fetch or decides a select from it.
 type WinNode struct {
-	Label string `json:"l"`
-	Down  int32  `json:"d"`
-	Right int32  `json:"r"`
+	Label   string `json:"l"`
+	Down    int32  `json:"d"`
+	Right   int32  `json:"r"`
+	Unknown bool   `json:"u,omitempty"`
 
-	// c and h bind a node a Client absorbed to that client and the
-	// node's handle, so &window[i] is the node's nav.ID and answering
-	// from a window allocates nothing. Neither crosses the wire.
+	// h and c bind a node a Client absorbed to the node's handle and
+	// that client, so &window[i] is the node's nav.ID and answering from
+	// a window allocates nothing. Neither crosses the wire. h is 32 bits
+	// so that a node stays 40 bytes: a client absorbs no window whose
+	// handles pass 2³².
+	h uint32
 	c *Client
-	h uint64
 }
 
-// WinNodeBytes bounds the encoded size of one window entry with its
-// separator, for WindowBytes: a window has fewer than 10⁴ entries, and
-// no byte of a label encodes to more than six (\u00XX, \ufffd).
-func WinNodeBytes(label string) int {
+// WinNodeBytes bounds the encoded size of one window or region entry
+// with its separator, for WindowBytes and the cluster's region bound:
+// a window has fewer than 10⁴ entries, and no byte of a label encodes
+// to more than six (\u00XX, \ufffd). unknown adds the "u" flag.
+func WinNodeBytes(label string, unknown bool) int {
 	n := len(label)
 	if !wirejson.Safe(label) {
 		n *= 6
+	}
+	if unknown {
+		n += len(`,"u":true`)
 	}
 	return n + len(`{"l":"","d":-9999,"r":-9999},`)
 }
