@@ -184,8 +184,11 @@ func (b *Buffer) Stats() Stats {
 }
 
 // Root implements nav.Document. The first call opens the session
-// (get_root only returns a handle) and fills the root hole; concurrent
-// callers wait for the one that got there first.
+// (get_root returns the root hole's handle) and fills the root hole;
+// concurrent callers wait for the one that got there first. The shipped
+// wrappers' root fill carries the first chunk of every child list along
+// the root's first-child spine (see lxp.TreeServer), so the first Downs
+// from the root send nothing more.
 func (b *Buffer) Root() (nav.ID, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

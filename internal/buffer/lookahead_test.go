@@ -226,9 +226,11 @@ func TestLazyRootConcurrent(t *testing.T) {
 }
 
 // sectioned builds root[sec[item×n]×sections]: under
-// TreeServer{Chunk: 4, InlineLimit: 2} every section is a hole of its
-// own and its items arrive in chunks of 4, 4, 8, 16, 16, … (lxp.ChunkAt),
-// holes "<sec>:4", "<sec>:8", "<sec>:16", "<sec>:32"…
+// TreeServer{Chunk: 4, InlineLimit: 2} the root fill carries the first
+// section's first chunk (the root-fill rule), every other section is a
+// hole of its own, and a section's items arrive in chunks of 4, 4, 8,
+// 16, 16, … (lxp.ChunkAt), holes "<sec>:4", "<sec>:8", "<sec>:16",
+// "<sec>:32"…
 func sectioned(sections, items int) *xmltree.Tree {
 	root := xmltree.Elem("root")
 	for s := 0; s < sections; s++ {
@@ -282,7 +284,7 @@ func TestLookaheadScan(t *testing.T) {
 	root := mustNav(t, func(nav.ID) (nav.ID, error) { return b.Root() }, nil)
 	sec0 := mustNav(t, b.Down, root)
 	item := rights(t, b, mustNav(t, b.Down, sec0), 3) // item 3: the last of the first chunk
-	wantStats(t, b, "before the first boundary", 3, 0)
+	wantStats(t, b, "before the first boundary", 1, 0)
 
 	// Crossing the boundary waits for 0:4 and then looks ahead to 0:8.
 	gate08 := s.park("0:8")
@@ -290,13 +292,13 @@ func TestLookaheadScan(t *testing.T) {
 	item = rights(t, b, item, 1)
 	s.awaitEntered(t, "0:4")
 	s.awaitEntered(t, "0:8")
-	wantStats(t, b, "after the first boundary", 5, 1)
+	wantStats(t, b, "after the first boundary", 3, 1)
 
 	// A second boundary elsewhere, while 0:8 is still on the wire: its
 	// demand fill goes out, a second lookahead does not.
 	sec1 := mustNav(t, b.Right, sec0)
 	item1 := rights(t, b, mustNav(t, b.Down, sec1), 4)
-	wantStats(t, b, "second boundary under a busy lookahead", 7, 1)
+	wantStats(t, b, "second boundary under a busy lookahead", 5, 1)
 	if s.count("1:8") != 0 {
 		t.Fatal("a second lookahead went out while the first was in flight")
 	}
@@ -320,13 +322,13 @@ func TestLookaheadScan(t *testing.T) {
 	if s.count("0:8") != 1 {
 		t.Fatalf("hole 0:8 was filled %d times, want once", s.count("0:8"))
 	}
-	wantStats(t, b, "after the in-flight hole resolved", 7, 1)
+	wantStats(t, b, "after the in-flight hole resolved", 5, 1)
 
 	// Walking into a looked-ahead chunk (items 8…15, grown to twice
 	// the first) starts nothing: the next boundary is an ordinary demand
 	// fill, which looks ahead again.
 	item = rights(t, b, item, 7) // item 15
-	wantStats(t, b, "inside the looked-ahead chunk", 7, 1)
+	wantStats(t, b, "inside the looked-ahead chunk", 5, 1)
 
 	// A failing lookahead is recorded, and the scan that reaches the
 	// hole later fills it on demand without ever seeing the failure.
@@ -386,9 +388,9 @@ func TestLookaheadDownOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, b, "after a Down-only walk", 3, 0)
-	if s.total() != 4 {
-		t.Fatalf("%d messages, want get_root and three fills", s.total())
+	wantStats(t, b, "after a Down-only walk", 1, 0)
+	if s.total() != 2 {
+		t.Fatalf("%d messages, want get_root and the root fill, which carries the first-child spine", s.total())
 	}
 }
 
@@ -402,7 +404,7 @@ func TestLookaheadOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	rights(t, b, mustNav(t, b.Down, mustNav(t, b.Down, root)), 9)
-	wantStats(t, b, "lookahead off", 5, 0)
+	wantStats(t, b, "lookahead off", 3, 0)
 }
 
 // TestLookaheadConcurrentScans: several goroutines scanning the same

@@ -250,7 +250,7 @@ func E4Granularity() Table {
 			"n, 2n, 4n, 4n, … (lxp.ChunkAt), lets the wrapper control granularity: " +
 			"messages drop ≈ 4n-fold while the transferred bytes stay roughly flat, " +
 			"and attribute-level navigation is served from the buffer.",
-		Expect: "fills ≈ R/(4n) + 3 while R ≫ 4n (2 once n ≥ R); bytes roughly constant; " +
+		Expect: "fills ≈ R/(4n) + 2 while R ≫ 4n (1 once n ≥ R: the database fill carries the first chunk); bytes roughly constant; " +
 			"tuple fetches = R regardless of n.",
 		Headers: []string{"chunk n", "LXP fills", "LXP msgs", "bytes", "tuple fetches"},
 	}

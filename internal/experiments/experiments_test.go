@@ -208,9 +208,9 @@ func TestE11Shape(t *testing.T) {
 		t.Fatalf("think-time prefetch: %v", tb.Rows[:3])
 	}
 	demandOnly, lookahead := tb.Rows[3], tb.Rows[4]
-	// A scan needs at least the root fill plus the fills lxp.ChunkAt
-	// takes to cover the catalog.
-	floor := int64(1)
+	// A scan needs at least the fills lxp.ChunkAt takes to cover the
+	// catalog: the root fill carries the first chunk.
+	floor := int64(0)
 	for j := 0; j < e11Books; j += lxp.ChunkAt(e11Chunk, j) {
 		floor++
 	}
@@ -223,7 +223,7 @@ func TestE11Shape(t *testing.T) {
 		t.Fatalf("lookahead scan sent %d fills, demand-only %d: overlap must not add fills", waited+ahead, total)
 	}
 	// Every lookahead follows a demand fill of the scan, and the root
-	// and first-chunk fills precede the first boundary.
+	// fill, which carries the first chunk, precedes the first boundary.
 	if ahead < total/2-2 || ahead > waited {
 		t.Fatalf("lookahead scan waited for %d of %d fills: %v", waited, total, lookahead)
 	}

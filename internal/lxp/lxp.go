@@ -231,6 +231,16 @@ func ChunkAt(n, start int) int {
 // (the "complete elements if their size does not exceed a certain
 // limit" policy of Section 4).
 //
+// The root fill follows the rule every wrapper keeps: it carries the
+// first chunk of each child list along the root's first-child spine,
+// down to the first closed node. A root too big to inline comes back as
+// its label over its first chunk; if that chunk's first child is itself
+// not inlined, it comes back the same way, and so on. A buffer's Root()
+// and its first Downs from the root thus cost get_root and one fill,
+// and the root fill is at most spine depth × one first chunk. The
+// chunks' holes are the ones later fills would mint, so every later
+// fill is the same as without the spine.
+//
 // Hole identifiers are slash-separated child-index paths with a start
 // offset: "0/2:5" names children 5… of the node at path [0,2].
 type TreeServer struct {
@@ -252,7 +262,7 @@ func (s *TreeServer) GetRoot(string) (string, error) { return "root", nil }
 // string renderChildren needs, so nothing is re-serialized.
 func (s *TreeServer) Fill(holeID string) ([]*xmltree.Tree, error) {
 	if holeID == "root" {
-		return []*xmltree.Tree{s.render(s.Tree, "")}, nil
+		return []*xmltree.Tree{s.renderSpine(s.Tree, "")}, nil
 	}
 	node, rest, start, err := s.walkHoleID(holeID)
 	if err != nil {
@@ -323,18 +333,39 @@ func (s *TreeServer) FillMany(holeIDs []string) (map[string][]*xmltree.Tree, err
 	return out, nil
 }
 
+// inline reports whether t is returned whole. Inline subtrees alias
+// the served tree — fills are read-only, and every consumer (wire
+// encoding, buffer grafting) only reads them — so no copy is made.
+func (s *TreeServer) inline(t *xmltree.Tree) bool {
+	return t.IsLeaf() || s.InlineLimit <= 0 || t.Size() <= s.InlineLimit
+}
+
 // render returns t either inline (small enough) or as label[hole].
-// Inline subtrees alias the served tree — fills are read-only, and
-// every consumer (wire encoding, buffer grafting) only reads them — so
-// no copy is made.
 func (s *TreeServer) render(t *xmltree.Tree, path string) *xmltree.Tree {
-	if t.IsLeaf() {
-		return t
-	}
-	if s.InlineLimit <= 0 || t.Size() <= s.InlineLimit {
+	if s.inline(t) {
 		return t
 	}
 	return elemHole(t.Label, path+":0")
+}
+
+// renderSpine returns t as the root fill ships it: inline when small
+// enough, and otherwise as its label over its first chunk, whose first
+// child is rendered by renderSpine in turn.
+func (s *TreeServer) renderSpine(t *xmltree.Tree, path string) *xmltree.Tree {
+	if s.inline(t) {
+		return t
+	}
+	kids := s.renderChildren(t, path, 0)
+	kids[0] = s.renderSpine(t.Children[0], childPath(path, 0))
+	return &xmltree.Tree{Label: t.Label, Children: kids}
+}
+
+// childPath is the path of the i-th child of the node at path.
+func childPath(path string, i int) string {
+	if path == "" {
+		return strconv.Itoa(i)
+	}
+	return path + "/" + strconv.Itoa(i)
 }
 
 // elemHole builds label[hole[id]] — the shape render mints for every
@@ -368,11 +399,7 @@ func (s *TreeServer) renderChildren(node *xmltree.Tree, path string, start int) 
 	}
 	out := make([]*xmltree.Tree, 0, n)
 	for i := start; i < end; i++ {
-		childPath := strconv.Itoa(i)
-		if path != "" {
-			childPath = path + "/" + childPath
-		}
-		out = append(out, s.render(node.Children[i], childPath))
+		out = append(out, s.render(node.Children[i], childPath(path, i)))
 	}
 	if end < len(node.Children) {
 		out = append(out, xmltree.Hole(path+":"+strconv.Itoa(end)))

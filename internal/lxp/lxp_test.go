@@ -132,16 +132,19 @@ func TestTreeServerChunkBoundsFillSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Root itself: catalog[hole] since its size exceeds the limit.
-	if len(trees) != 1 || len(trees[0].Children) != 1 || !trees[0].Children[0].IsHole() {
-		t.Fatalf("root fill = %v", trees)
+	// The root exceeds the limit: it ships as catalog over its first
+	// chunk, 2 children + continuation hole, and the first book, too
+	// big as well, over its own first chunk.
+	want := "catalog[book[title[t1],price[hole[0/1:0]]],book[hole[1:0]],hole[:2]]"
+	if len(trees) != 1 || trees[0].String() != want {
+		t.Fatalf("root fill = %v, want %s", trees, want)
 	}
-	sub, err := s.Fill(trees[0].Children[0].HoleID())
+	sub, err := s.Fill(":2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 children + continuation hole.
-	if len(sub) != 3 || !sub[2].IsHole() {
+	// The continuation: the third book, the list's last.
+	if len(sub) != 1 || sub[0].String() != "book[hole[2:0]]" {
 		t.Fatalf("chunked fill = %v", sub)
 	}
 }

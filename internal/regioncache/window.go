@@ -26,9 +26,11 @@ import (
 // that the node exists and where it stands, so a client answers a right
 // across it and asks for everything else. A leaf's label does not ship
 // even when the entry knows it: a client that holds a label answers a
-// fetch without asking, and some clients need every fetch of an open
-// node to reach the server. A window whose only node would be the landed
-// node as a leaf is empty.
+// fetch without asking, and one reader needs every fetch of an open
+// node to reach the server: bench/layers.go's proxy probe, which times
+// Fetches of an open first child and requires each to be proxied, until
+// ROADMAP items 1 and 16 retire it. A window whose only node would be
+// the landed node as a leaf is empty.
 //
 // Everything in the prefix is closed, so the entry can only grow after
 // it and WindowNode's index walk keeps naming the nodes it shipped. A

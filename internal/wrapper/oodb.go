@@ -25,9 +25,15 @@ import (
 // what the navigation-driven architecture is for: the client explores
 // as deep as it cares to, and only that much is ever computed.
 //
+// The root fill follows the root-fill rule every wrapper keeps (see
+// lxp.TreeServer): it ships the first class with its first extent
+// chunk, exactly as ext:CLASS:0 would return it, and a hole for every
+// other class's extent.
+//
 // Hole identifiers:
 //
-//	ext:CLASS:J   — extent of CLASS starting at index J; the fill
+//	ext:CLASS:J   — extent of CLASS starting at index J (read after
+//	                the last colon, so CLASS may hold colons); the fill
 //	                returns lxp.ChunkAt(ChunkObjects, J) members, so an
 //	                extent scan is served n, n, 2n, 4n, 4n, … at a time
 //	obj:OID       — the object OID (fills to its full element)
@@ -58,39 +64,26 @@ func (w *OODB) Fill(holeID string) ([]*xmltree.Tree, error) {
 	switch {
 	case holeID == "root":
 		root := xmltree.Elem(w.DB.Name)
-		for _, c := range w.DB.Classes() {
-			root.Children = append(root.Children,
-				xmltree.Elem(c, xmltree.Hole("ext:"+c+":0")))
+		for i, c := range w.DB.Classes() {
+			class := xmltree.Elem(c, xmltree.Hole("ext:"+c+":0"))
+			if i == 0 {
+				members, err := w.extent(c, 0)
+				if err != nil {
+					return nil, err
+				}
+				class.Children = members
+			}
+			root.Children = append(root.Children, class)
 		}
 		return []*xmltree.Tree{root}, nil
 
 	case strings.HasPrefix(holeID, "ext:"):
-		rest := strings.TrimPrefix(holeID, "ext:")
-		class, idxStr, ok := strings.Cut(rest, ":")
-		if !ok {
+		colon := strings.LastIndexByte(holeID, ':')
+		j, err := strconv.Atoi(holeID[colon+1:])
+		if colon < len("ext:") || err != nil || j < 0 {
 			return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
 		}
-		j, err := strconv.Atoi(idxStr)
-		if err != nil || j < 0 {
-			return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
-		}
-		ext := w.DB.Extent(class)
-		if j > len(ext) {
-			return nil, fmt.Errorf("wrapper: stale hole id %q", holeID)
-		}
-		end := min(j+lxp.ChunkAt(w.chunk(), j), len(ext))
-		out := make([]*xmltree.Tree, 0, end-j+1)
-		for _, oid := range ext[j:end] {
-			el, err := w.object(oid)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, el)
-		}
-		if end < len(ext) {
-			out = append(out, xmltree.Hole(fmt.Sprintf("ext:%s:%d", class, end)))
-		}
-		return out, nil
+		return w.extent(holeID[len("ext:"):colon], j)
 
 	case strings.HasPrefix(holeID, "obj:"):
 		el, err := w.object(objectdb.OID(strings.TrimPrefix(holeID, "obj:")))
@@ -102,6 +95,29 @@ func (w *OODB) Fill(holeID string) ([]*xmltree.Tree, error) {
 	default:
 		return nil, fmt.Errorf("wrapper: malformed hole id %q", holeID)
 	}
+}
+
+// extent returns lxp.ChunkAt(ChunkObjects, j) members of class's
+// extent starting at member j (fewer at its end), plus a trailing hole
+// if members remain.
+func (w *OODB) extent(class string, j int) ([]*xmltree.Tree, error) {
+	ext := w.DB.Extent(class)
+	if j > len(ext) {
+		return nil, fmt.Errorf("wrapper: stale hole id \"ext:%s:%d\"", class, j)
+	}
+	end := min(j+lxp.ChunkAt(w.chunk(), j), len(ext))
+	out := make([]*xmltree.Tree, 0, end-j+1)
+	for _, oid := range ext[j:end] {
+		el, err := w.object(oid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, el)
+	}
+	if end < len(ext) {
+		out = append(out, xmltree.Hole(fmt.Sprintf("ext:%s:%d", class, end)))
+	}
+	return out, nil
 }
 
 // object renders one object: scalars inline, references as holes.

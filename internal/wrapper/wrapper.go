@@ -5,7 +5,10 @@
 // page-at-a-time, and a plain XML document wrapper (lxp.TreeServer
 // re-exported through the same constructor surface for symmetry).
 // Every chunked wrapper grows its continuation fills along a scan by
-// the one rule lxp.ChunkAt.
+// the one rule lxp.ChunkAt, and every wrapper's root fill carries the
+// first chunk of each child list along the root's first-child spine,
+// down to the first closed node (see lxp.TreeServer), so a first answer
+// costs get_root and one fill.
 package wrapper
 
 import (
@@ -19,16 +22,20 @@ import (
 	"mix/internal/xmltree"
 )
 
-// Relational exposes a relational.DB over LXP exactly as Section 4
-// prescribes, with continuation fills that grow along a scan
-// (lxp.ChunkAt, n = ChunkRows):
+// Relational exposes a relational.DB over LXP as Section 4 prescribes,
+// with continuation fills that grow along a scan (lxp.ChunkAt,
+// n = ChunkRows):
 //
-//	fill(hole[db])            → db[table1[hole[db.table1]], …]
+//	fill(hole[db])            → db[table1[row0[…], …, row(n-1)[…], hole[db.table1.n]],
+//	                               table2[hole[db.table2]], …]
 //	fill(hole[db.t])          → t[row0[…], …, row(n-1)[…], hole[db.t.n]]
 //	fill(hole[db.t.j])        → rows j…j+m-1 and hole[db.t.(j+m)],
 //	                            m = lxp.ChunkAt(n, j)
 //
-// so a scan of t is served n, n, 2n, 4n, 4n, … rows at a time. Database
+// so a scan of t is served n, n, 2n, 4n, 4n, … rows at a time. The
+// database fill follows the root-fill rule every wrapper keeps (see
+// lxp.TreeServer): it ships the first table as the table fill would
+// return it, so a first row costs get_root and one fill. Database
 // and table names may contain dots: a hole id is read as the database
 // name, then a table name matched whole, then an optional row offset.
 // A continuation never stops at row j when t.j is itself a table name
@@ -63,11 +70,19 @@ func (w *Relational) chunk() int {
 // Fill implements lxp.Server.
 func (w *Relational) Fill(holeID string) ([]*xmltree.Tree, error) {
 	if holeID == w.DB.Name {
-		// Database level: the schema, one hole per table.
+		// Database level: the schema, the first table's first chunk and
+		// one hole for every other table.
 		root := xmltree.Elem(w.DB.Name)
-		for _, t := range w.DB.TableNames() {
-			root.Children = append(root.Children,
-				xmltree.Elem(t, xmltree.Hole(w.DB.Name+"."+t)))
+		for i, t := range w.DB.TableNames() {
+			table := xmltree.Elem(t, xmltree.Hole(w.DB.Name+"."+t))
+			if i == 0 {
+				rows, err := w.rows(t, 0)
+				if err != nil {
+					return nil, err
+				}
+				table.Children = rows
+			}
+			root.Children = append(root.Children, table)
 		}
 		return []*xmltree.Tree{root}, nil
 	}
@@ -124,9 +139,11 @@ func (w *Relational) rows(table string, j int) ([]*xmltree.Tree, error) {
 // hole page:p fetches lxp.ChunkAt(1, p) consecutive pages of PageSize
 // items — so a scan reads 1, 1, 2, 4, 4, … pages per fill — and ends in
 // a hole for the next page not yet returned; every page fetched is
-// billed as a source query. Returned items alias the catalog (fills are
-// read-only, as in lxp.TreeServer), so the catalog must not change
-// while the wrapper serves it.
+// billed as a source query. The root hole is page:0, whose fill ships
+// the catalog element over page 0: the root-fill rule every wrapper
+// keeps (see lxp.TreeServer), since items arrive closed. Returned items
+// alias the catalog (fills are read-only, as in lxp.TreeServer), so the
+// catalog must not change while the wrapper serves it.
 type Web struct {
 	// Name is the source URI this wrapper answers for.
 	Name string

@@ -50,7 +50,8 @@ func TestRelationalWrapperShape(t *testing.T) {
 		t.Fatal("wrong uri must fail")
 	}
 
-	// Database level: schema with one hole per table.
+	// Database level: the schema, the first table as the table fill
+	// returns it, and a hole for every other table.
 	trees, err := w.Fill("realestate")
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +61,8 @@ func TestRelationalWrapperShape(t *testing.T) {
 	}
 	if len(trees[0].Children) != 2 ||
 		trees[0].Children[0].Label != "homes" ||
-		trees[0].Children[0].Children[0].HoleID() != "realestate.homes" {
+		trees[0].Children[1].Label != "schools" ||
+		trees[0].Children[1].Children[0].HoleID() != "realestate.schools" {
 		t.Fatalf("schema = %v", trees[0])
 	}
 
@@ -71,6 +73,9 @@ func TestRelationalWrapperShape(t *testing.T) {
 	}
 	if len(rows) != 4 || !rows[3].IsHole() || rows[3].HoleID() != "realestate.homes.3" {
 		t.Fatalf("table fill = %v", rows)
+	}
+	if shipped := xmltree.Elem("homes", rows...); !xmltree.Equal(trees[0].Children[0], shipped) {
+		t.Fatalf("db fill ships %v, the table fill %v", trees[0].Children[0], shipped)
 	}
 	if rows[0].Label != "row0" || rows[0].Find("addr").TextContent() != "addr-0" {
 		t.Fatalf("row rendering = %v", rows[0])
@@ -135,9 +140,10 @@ func TestRelationalWrapperThroughBuffer(t *testing.T) {
 	}
 }
 
-// TestRelationalChunkingReducesFills: a full scan costs the schema fill
-// plus exactly the fills lxp.ChunkAt takes to cover the table, and a
-// larger first fill never costs more fills.
+// TestRelationalChunkingReducesFills: a full scan costs exactly the
+// fills lxp.ChunkAt takes to cover the table — the database fill
+// carries its first chunk — and a larger first fill never costs more
+// fills.
 func TestRelationalChunkingReducesFills(t *testing.T) {
 	const rows = 100
 	db := relational.NewDB("big")
@@ -158,7 +164,7 @@ func TestRelationalChunkingReducesFills(t *testing.T) {
 	}
 	prev := int64(rows + 2)
 	for chunk := 1; chunk <= rows+1; chunk++ {
-		want := int64(2) // the schema and the table's first chunk
+		want := int64(1) // the database fill, with the table's first chunk
 		for j := chunk; j < rows; j += lxp.ChunkAt(chunk, j) {
 			want++
 		}
@@ -173,8 +179,8 @@ func TestRelationalChunkingReducesFills(t *testing.T) {
 	}
 	// Worked by hand: chunks 1, 1, 2, then 4s cover 100 rows in 27
 	// fills; 10, 10, 20, 40, 40 in 5; 100 in one.
-	if f1, f10, f100 := fills(1), fills(10), fills(100); f1 != 28 || f10 != 6 || f100 != 2 {
-		t.Fatalf("fills for chunks 1, 10, 100 = %d %d %d, want 28 6 2", f1, f10, f100)
+	if f1, f10, f100 := fills(1), fills(10), fills(100); f1 != 27 || f10 != 5 || f100 != 1 {
+		t.Fatalf("fills for chunks 1, 10, 100 = %d %d %d, want 27 5 1", f1, f10, f100)
 	}
 }
 
@@ -385,9 +391,16 @@ func TestOODBWrapperShape(t *testing.T) {
 	if root.Label != "company" || len(root.Children) != 2 {
 		t.Fatalf("root = %v", root)
 	}
-	if root.Children[0].Label != "Dept" ||
-		root.Children[0].Children[0].HoleID() != "ext:Dept:0" {
-		t.Fatalf("class holes: %v", root)
+	// The first class ships its first extent chunk, as ext:Dept:0
+	// returns it; every other class is a hole.
+	dept, err := w.Fill("ext:Dept:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !xmltree.Equal(root.Children[0], xmltree.Elem("Dept", dept...)) ||
+		root.Children[1].Label != "Employee" ||
+		root.Children[1].Children[0].HoleID() != "ext:Employee:0" {
+		t.Fatalf("classes: %v", root)
 	}
 
 	// Extent fill: chunked with continuation hole.
